@@ -4,8 +4,8 @@
 //! Compiles every benchmark program (the Fig 8 RegJava suite and the Fig 9
 //! Olden suite) under **both** extent modes — the paper's block-scoped
 //! `letreg` placement and the flow-sensitive liveness tightening — and
-//! runs each on **both** execution engines. For every benchmark it
-//! asserts:
+//! runs each on **both** execution engines, the `cj-rvm` register VM and
+//! the tree-walking interpreter. For every benchmark it asserts:
 //!
 //! - observables (value, prints) are identical across the four
 //!   mode × engine combinations;
@@ -29,7 +29,7 @@ use cj_runtime::{run_main_big_stack, Outcome, RunConfig, Value};
 
 struct ModeRow {
     peak_interp: usize,
-    peak_vm: usize,
+    peak_rvm: usize,
     total_allocated: usize,
     space_ratio: f64,
     extent_rewrites: u32,
@@ -76,26 +76,26 @@ fn measure_mode(
     let args: Vec<Value> = input.iter().map(|&v| Value::Int(v)).collect();
     let cfg = RunConfig::default();
 
-    let vm = cj_vm::run_main(&compiled, &args, cfg)
-        .unwrap_or_else(|e| panic!("{} [{extent} vm]: {e}", b.name));
+    let rvm = cj_rvm::run_main(&compiled, &args, cfg)
+        .unwrap_or_else(|e| panic!("{} [{extent} rvm]: {e}", b.name));
     let interp = run_main_big_stack(&compilation.program, &args, cfg)
         .unwrap_or_else(|e| panic!("{} [{extent} interp]: {e}", b.name));
 
     assert_eq!(
-        observable(&vm),
+        observable(&rvm),
         observable(&interp),
         "{} [{extent}]: engines diverged",
         b.name
     );
     assert_eq!(
-        vm.space.total_allocated, interp.space.total_allocated,
+        rvm.space.total_allocated, interp.space.total_allocated,
         "{} [{extent}]: engines disagree on allocation totals",
         b.name
     );
 
     let row = ModeRow {
         peak_interp: interp.space.peak_live,
-        peak_vm: vm.space.peak_live,
+        peak_rvm: rvm.space.peak_live,
         total_allocated: interp.space.total_allocated,
         space_ratio: interp.space.space_ratio(),
         extent_rewrites,
@@ -124,11 +124,11 @@ fn measure(b: &Benchmark, quick: bool) -> BenchRow {
         paper.peak_interp
     );
     assert!(
-        liveness.peak_vm <= paper.peak_vm,
-        "{}: liveness placement raised the VM peak ({} > {})",
+        liveness.peak_rvm <= paper.peak_rvm,
+        "{}: liveness placement raised the register VM peak ({} > {})",
         b.name,
-        liveness.peak_vm,
-        paper.peak_vm
+        liveness.peak_rvm,
+        paper.peak_rvm
     );
     BenchRow {
         name: b.name,
@@ -141,9 +141,9 @@ fn measure(b: &Benchmark, quick: bool) -> BenchRow {
 
 fn mode_json(m: &ModeRow) -> String {
     format!(
-        "{{\"peak_live_interp\":{},\"peak_live_vm\":{},\"total_allocated\":{},\
+        "{{\"peak_live_interp\":{},\"peak_live_rvm\":{},\"total_allocated\":{},\
          \"space_ratio\":{:.6},\"extent_rewrites\":{}}}",
-        m.peak_interp, m.peak_vm, m.total_allocated, m.space_ratio, m.extent_rewrites
+        m.peak_interp, m.peak_rvm, m.total_allocated, m.space_ratio, m.extent_rewrites
     )
 }
 
@@ -220,7 +220,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"schema\":\"bench-liveness/v1\",\n  \"input_scale\":\"{}\",\n  \
+        "{{\n  \"schema\":\"bench-liveness/v2\",\n  \"input_scale\":\"{}\",\n  \
          \"benchmarks\":[\n{}\n  ],\n  \"summary\":{{\"benchmarks\":{},\
          \"peak_improved\":{},\"letregs_rewritten\":{},\
          \"peak_never_worse\":true}}\n}}\n",

@@ -1,12 +1,12 @@
 //! `vm_bench` — the engine benchmark harness behind `BENCH_vm.json`.
 //!
 //! Runs every benchmark program (the Fig 8 RegJava suite and the Fig 9
-//! Olden suite) on **all three** execution tiers — the tree-walking
-//! interpreter, the `cj-vm` stack bytecode VM and the `cj-rvm`
-//! direct-threaded register machine — asserting their outcomes are
-//! identical (value, prints, space statistics), and records wall time,
-//! steps/dispatches retired, peak live bytes and the space ratio per
-//! engine, plus per-suite geometric-mean speedups for each tier pair.
+//! Olden suite) on **both** execution engines — the tree-walking
+//! interpreter and the `cj-rvm` direct-threaded register machine —
+//! asserting their outcomes are identical (value, prints, space
+//! statistics), and records wall time, steps/dispatches retired, peak
+//! live bytes and the space ratio per engine, plus per-suite
+//! geometric-mean speedups of the register machine over the interpreter.
 //!
 //! ```text
 //! cargo run -p cj-bench --release --bin vm_bench -- [--quick] [--out PATH]
@@ -16,8 +16,8 @@
 //! by CI too — runs the paper inputs. Output goes to `BENCH_vm.json` (or
 //! `--out PATH`) and a table is printed to stdout. The harness exits
 //! non-zero when any program's outcome diverges between engines, or when
-//! a tier fails its perf acceptance gate on Olden wall time: the VM must
-//! beat the interpreter AND the register machine must beat the VM.
+//! the register machine fails its perf acceptance gate: it must beat the
+//! interpreter on Olden wall time.
 
 use cj_benchmarks::{all_benchmarks, Benchmark, Suite};
 use cj_infer::{InferOptions, SubtypeMode};
@@ -40,7 +40,6 @@ struct BenchRow {
     register_instructions: usize,
     fused: u64,
     interp: EngineRow,
-    vm: EngineRow,
     rvm: EngineRow,
 }
 
@@ -79,23 +78,18 @@ fn measure(b: &Benchmark, quick: bool) -> BenchRow {
     let compilation = session
         .check_with(opts)
         .unwrap_or_else(|e| panic!("{}: {}", b.name, session.emitter().render_all(&e)));
-    let compiled = session
+    let register = session
         .compiled_with(opts)
         .unwrap_or_else(|e| panic!("{}: {}", b.name, session.emitter().render_all(&e)));
-    let register = session
-        .rvm_compiled_with(opts)
-        .unwrap_or_else(|e| panic!("{}: {}", b.name, session.emitter().render_all(&e)));
+    let instructions = cj_vm::lower_program(&compilation.program).instruction_count();
     let input = if quick { b.test_input } else { b.paper_input };
     let args: Vec<Value> = input.iter().map(|&v| Value::Int(v)).collect();
     let cfg = RunConfig::default();
 
-    // The bytecode tiers are fast enough that scheduler noise swamps a
+    // The register machine is fast enough that scheduler noise swamps a
     // single run on the smaller programs; best-of-3 makes the speedup
-    // columns reproducible. The interpreter baseline runs long enough
+    // column reproducible. The interpreter baseline runs long enough
     // that two runs suffice.
-    let (vm, vm_ms) = best_of(3, || {
-        cj_vm::run_main(&compiled, &args, cfg).unwrap_or_else(|e| panic!("{} [vm]: {e}", b.name))
-    });
     let (rvm, rvm_ms) = best_of(3, || {
         cj_rvm::run_main(&register, &args, cfg).unwrap_or_else(|e| panic!("{} [rvm]: {e}", b.name))
     });
@@ -105,15 +99,9 @@ fn measure(b: &Benchmark, quick: bool) -> BenchRow {
     });
 
     assert_eq!(
-        observable(&vm),
-        observable(&interp),
-        "{}: vm/interp diverged",
-        b.name
-    );
-    assert_eq!(
         observable(&rvm),
-        observable(&vm),
-        "{}: rvm/vm diverged",
+        observable(&interp),
+        "{}: rvm/interp diverged",
         b.name
     );
 
@@ -121,11 +109,10 @@ fn measure(b: &Benchmark, quick: bool) -> BenchRow {
         name: b.name,
         suite: b.suite,
         input: if quick { "test" } else { b.input_display },
-        instructions: compiled.instruction_count(),
+        instructions,
         register_instructions: register.instruction_count(),
         fused: register.fused_count(),
         interp: engine_row(&interp, interp_ms),
-        vm: engine_row(&vm, vm_ms),
         rvm: engine_row(&rvm, rvm_ms),
     }
 }
@@ -193,18 +180,15 @@ fn main() {
         .map(|b| {
             let row = measure(b, quick);
             println!(
-                "{:28} {:8} interp {:9.3}ms  vm {:9.3}ms  rvm {:9.3}ms  \
-                 vm/interp {:5.2}x  rvm/vm {:5.2}x  ratio {:.4}",
+                "{:28} {:8} interp {:9.3}ms  rvm {:9.3}ms  rvm/interp {:5.2}x  ratio {:.4}",
                 row.name,
                 match row.suite {
                     Suite::RegJava => "regjava",
                     Suite::Olden => "olden",
                 },
                 row.interp.wall_ms,
-                row.vm.wall_ms,
                 row.rvm.wall_ms,
-                row.interp.wall_ms / row.vm.wall_ms,
-                row.vm.wall_ms / row.rvm.wall_ms,
+                row.interp.wall_ms / row.rvm.wall_ms,
                 row.rvm.space_ratio
             );
             row
@@ -214,27 +198,12 @@ fn main() {
     let suite_geomean = |suite: Suite, speedup: fn(&BenchRow) -> f64| {
         geomean(rows.iter().filter(|r| r.suite == suite).map(speedup))
     };
-    let vm_vs_interp = |r: &BenchRow| r.interp.wall_ms / r.vm.wall_ms;
-    let rvm_vs_vm = |r: &BenchRow| r.vm.wall_ms / r.rvm.wall_ms;
     let rvm_vs_interp = |r: &BenchRow| r.interp.wall_ms / r.rvm.wall_ms;
-    let olden_vm = suite_geomean(Suite::Olden, vm_vs_interp);
-    let regjava_vm = suite_geomean(Suite::RegJava, vm_vs_interp);
-    let overall_vm = geomean(rows.iter().map(vm_vs_interp));
-    let olden_rvm = suite_geomean(Suite::Olden, rvm_vs_vm);
-    let regjava_rvm = suite_geomean(Suite::RegJava, rvm_vs_vm);
-    let overall_rvm = geomean(rows.iter().map(rvm_vs_vm));
-    let olden_rvm_interp = suite_geomean(Suite::Olden, rvm_vs_interp);
-    let overall_rvm_interp = geomean(rows.iter().map(rvm_vs_interp));
+    let olden = suite_geomean(Suite::Olden, rvm_vs_interp);
+    let regjava = suite_geomean(Suite::RegJava, rvm_vs_interp);
+    let overall = geomean(rows.iter().map(rvm_vs_interp));
     println!(
-        "geomean vm-vs-interp: olden {olden_vm:.2}x  regjava {regjava_vm:.2}x  \
-         overall {overall_vm:.2}x"
-    );
-    println!(
-        "geomean rvm-vs-vm:    olden {olden_rvm:.2}x  regjava {regjava_rvm:.2}x  \
-         overall {overall_rvm:.2}x"
-    );
-    println!(
-        "geomean rvm-vs-interp: olden {olden_rvm_interp:.2}x  overall {overall_rvm_interp:.2}x"
+        "geomean rvm-vs-interp: olden {olden:.2}x  regjava {regjava:.2}x  overall {overall:.2}x"
     );
 
     let (pool_rounds, pool_reused, pool_ms) = measure_heap_pool(quick);
@@ -250,8 +219,7 @@ fn main() {
                 "    {{\"name\":\"{}\",\"suite\":\"{}\",\"input\":\"{}\",\
                  \"compiled_instructions\":{},\"register_instructions\":{},\
                  \"fused_superinstructions\":{},\
-                 \"interp\":{},\"vm\":{},\"rvm\":{},\
-                 \"vm_vs_interp\":{:.4},\"rvm_vs_vm\":{:.4},\"rvm_vs_interp\":{:.4}}}",
+                 \"interp\":{},\"rvm\":{},\"rvm_vs_interp\":{:.4}}}",
                 r.name,
                 match r.suite {
                     Suite::RegJava => "regjava",
@@ -262,31 +230,22 @@ fn main() {
                 r.register_instructions,
                 r.fused,
                 engine_json(&r.interp),
-                engine_json(&r.vm),
                 engine_json(&r.rvm),
-                vm_vs_interp(r),
-                rvm_vs_vm(r),
                 rvm_vs_interp(r)
             )
         })
         .collect();
     let json = format!(
-        "{{\n  \"schema\":\"bench-vm/v2\",\n  \"input_scale\":\"{}\",\n  \
+        "{{\n  \"schema\":\"bench-vm/v3\",\n  \"input_scale\":\"{}\",\n  \
          \"benchmarks\":[\n{}\n  ],\n  \"summary\":{{\
-         \"olden_geomean_speedup\":{olden_vm:.4},\
-         \"regjava_geomean_speedup\":{regjava_vm:.4},\
-         \"overall_geomean_speedup\":{overall_vm:.4},\
-         \"olden_rvm_vs_vm_geomean\":{olden_rvm:.4},\
-         \"regjava_rvm_vs_vm_geomean\":{regjava_rvm:.4},\
-         \"overall_rvm_vs_vm_geomean\":{overall_rvm:.4},\
-         \"olden_rvm_vs_interp_geomean\":{olden_rvm_interp:.4},\
-         \"overall_rvm_vs_interp_geomean\":{overall_rvm_interp:.4},\
-         \"vm_faster_on_olden\":{},\"rvm_faster_on_olden\":{},\
+         \"olden_geomean_speedup\":{olden:.4},\
+         \"regjava_geomean_speedup\":{regjava:.4},\
+         \"overall_geomean_speedup\":{overall:.4},\
+         \"rvm_faster_on_olden\":{},\
          \"heap_pool\":{{\"churn_rounds\":{},\"chunks_reused\":{},\"wall_ms\":{:.4}}}}}\n}}\n",
         if quick { "test" } else { "paper" },
         body.join(",\n"),
-        olden_vm > 1.0,
-        olden_rvm > 1.0,
+        olden > 1.0,
         pool_rounds,
         pool_reused,
         pool_ms
@@ -294,22 +253,11 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write bench output");
     println!("wrote {out_path}");
 
-    let mut failed = false;
-    if olden_vm <= 1.0 {
+    if olden <= 1.0 {
         eprintln!(
-            "vm_bench: FAIL — VM is not faster than the interpreter on olden \
-             (geomean {olden_vm:.2}x)"
+            "vm_bench: FAIL — register machine is not faster than the interpreter on \
+             olden (geomean {olden:.2}x)"
         );
-        failed = true;
-    }
-    if olden_rvm <= 1.0 {
-        eprintln!(
-            "vm_bench: FAIL — register machine is not faster than the VM on olden \
-             (geomean {olden_rvm:.2}x)"
-        );
-        failed = true;
-    }
-    if failed {
         std::process::exit(1);
     }
 }

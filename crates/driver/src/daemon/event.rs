@@ -1,9 +1,9 @@
-//! The event-loop front end ([`Frontend::Event`]): **one** reactor
-//! thread ([`cj_net::EventLoop`]) multiplexes every connection —
-//! nonblocking accept, incremental line framing, write-side backpressure
-//! — while decoded requests run on the same worker pool the threads
-//! front end uses. Workers push responses back through a [`NetHandle`]
-//! (an mpsc command queue plus a wakeup pipe into the poller).
+//! The event-loop front end: **one** reactor thread
+//! ([`cj_net::EventLoop`]) multiplexes every connection — nonblocking
+//! accept, incremental line framing, write-side backpressure — while
+//! decoded requests run on a worker pool. Workers push responses back
+//! through a [`NetHandle`] (an mpsc command queue plus a wakeup pipe into
+//! the poller).
 //!
 //! Per connection the reactor delivers at most one request at a time
 //! (pipelined bytes wait in the framer, then in the kernel), so each
@@ -57,8 +57,8 @@ pub(super) fn serve(daemon: &Daemon) -> std::io::Result<()> {
     let mut el = EventLoop::new(net_listener, net_config)?;
     let handle = el.handle();
 
-    // The worker pool: same mpsc shape as the threads front end, but the
-    // unit of work is one request, not one connection's lifetime.
+    // The worker pool: the unit of work is one request, not one
+    // connection's lifetime.
     let (jtx, jrx) = mpsc::channel::<Job>();
     let jrx = Arc::new(Mutex::new(jrx));
     let workers = daemon.config.workers.max(1);
@@ -158,8 +158,7 @@ pub(super) fn serve(daemon: &Daemon) -> std::io::Result<()> {
                 }
                 NetEvent::Line { token, line } => {
                     if daemon.stop.load(Ordering::SeqCst) {
-                        // Stopping: new requests are dropped, exactly like
-                        // the threads front end's post-stop `Drop`.
+                        // Stopping: new requests are dropped.
                         el.close(token);
                         continue;
                     }

@@ -12,29 +12,15 @@
 //! the `stats` command reports as `shared_memo.shared_hits` (and
 //! per-compilation as `sccs_shared_hits`).
 //!
-//! # Front ends
+//! # Front end
 //!
-//! Two interchangeable connection front ends feed the same worker pool
-//! ([`DaemonConfig::frontend`]):
-//!
-//! - [`Frontend::Event`] (default): **one event thread** multiplexes
-//!   every connection through a readiness-driven reactor
-//!   ([`cj_net::EventLoop`] — epoll on Linux, `poll(2)` elsewhere).
-//!   Sockets are nonblocking; request lines are framed incrementally as
-//!   bytes arrive and handed to the worker pool, and responses flow back
-//!   over a wakeup pipe with write-side backpressure. Thousands of
-//!   mostly-idle editor connections cost one thread plus per-connection
-//!   buffers.
-//! - [`Frontend::Threads`]: the classic **thread-per-connection** model —
-//!   each accepted connection occupies one pool worker for its lifetime,
-//!   reading with a short timeout so the stop flag and idle clock stay
-//!   observed. Simple and fine under a handful of busy clients; idle
-//!   connections hold workers hostage.
-//!
-//! Protocol behaviour — request/response bytes, capacity rejection, idle
-//! eviction, daemon-scope shutdown with drain-and-join — is identical
-//! across front ends; both share one bounded line framer
-//! ([`cj_net::LineFramer`]) so framing edge cases cannot drift apart.
+//! **One event thread** multiplexes every connection through a
+//! readiness-driven reactor ([`cj_net::EventLoop`] — epoll on Linux,
+//! `poll(2)` elsewhere). Sockets are nonblocking; request lines are
+//! framed incrementally by the bounded [`cj_net::LineFramer`] as bytes
+//! arrive and handed to a worker pool, and responses flow back over a
+//! wakeup pipe with write-side backpressure. Thousands of mostly-idle
+//! editor connections cost one thread plus per-connection buffers.
 //!
 //! # Production hardening
 //!
@@ -51,8 +37,7 @@
 //! - **Idle eviction** ([`DaemonConfig::idle_timeout`]): a client that
 //!   completes no request within the bound is told
 //!   (`{"ok":false,...,"code":"idle"}`) and disconnected, so a stalled or
-//!   half-open peer cannot pin a pool worker (threads) or leak a
-//!   connection slot (event).
+//!   half-open peer cannot leak a connection slot.
 //!
 //! # Connection lifecycle
 //!
@@ -78,55 +63,17 @@
 //! ```
 
 mod event;
-mod threads;
 
 use crate::server::parse_json;
 use crate::session::SessionOptions;
 use cj_persist::SccDiskCache;
 use cj_regions::incremental::SolveMemo;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Which connection front end a daemon runs. See the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Frontend {
-    /// One readiness-driven event thread multiplexing every connection
-    /// (the default).
-    #[default]
-    Event,
-    /// Thread-per-connection: each client occupies a pool worker for its
-    /// whole lifetime.
-    Threads,
-}
-
-impl Frontend {
-    /// The CLI / stats-report spelling (`"event"` / `"threads"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Frontend::Event => "event",
-            Frontend::Threads => "threads",
-        }
-    }
-}
-
-impl std::str::FromStr for Frontend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Frontend, String> {
-        match s {
-            "event" => Ok(Frontend::Event),
-            "threads" => Ok(Frontend::Threads),
-            other => Err(format!(
-                "unknown front end `{other}` (expected `event` or `threads`)"
-            )),
-        }
-    }
-}
 
 /// Configuration of a [`Daemon`].
 #[derive(Debug, Clone)]
@@ -134,12 +81,8 @@ pub struct DaemonConfig {
     /// Default session (inference + runtime) options for every client;
     /// requests may still override `mode`/`downcast` per call.
     pub opts: SessionOptions,
-    /// The connection front end (event-loop or thread-per-connection).
-    pub frontend: Frontend,
-    /// Worker threads executing requests. Under [`Frontend::Threads`]
-    /// this is also the number of clients served concurrently (further
-    /// connections queue); under [`Frontend::Event`] connections are not
-    /// tied to workers and only CPU-bound request handling queues here.
+    /// Worker threads executing requests. Connections are not tied to
+    /// workers; only CPU-bound request handling queues here.
     pub workers: usize,
     /// Worker threads each compilation's per-SCC solve fans out over
     /// (1 = sequential; output is identical either way).
@@ -170,7 +113,6 @@ impl Default for DaemonConfig {
     fn default() -> DaemonConfig {
         DaemonConfig {
             opts: SessionOptions::default(),
-            frontend: Frontend::default(),
             workers: 4,
             solve_threads: 1,
             cache_dir: None,
@@ -187,7 +129,6 @@ impl Default for DaemonConfig {
 /// serving health alongside compilation statistics.
 #[derive(Debug)]
 pub struct DaemonStats {
-    frontend: Frontend,
     clients_served: AtomicU64,
     clients_rejected: AtomicU64,
     connections_current: AtomicU64,
@@ -195,9 +136,8 @@ pub struct DaemonStats {
 }
 
 impl DaemonStats {
-    fn new(frontend: Frontend) -> DaemonStats {
+    fn new() -> DaemonStats {
         DaemonStats {
-            frontend,
             clients_served: AtomicU64::new(0),
             clients_rejected: AtomicU64::new(0),
             connections_current: AtomicU64::new(0),
@@ -217,11 +157,6 @@ impl DaemonStats {
 
     fn record_close(&self) {
         self.connections_current.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// The front end serving this daemon.
-    pub fn frontend(&self) -> Frontend {
-        self.frontend
     }
 
     /// Connections accepted (and handed to the protocol layer) so far.
@@ -247,7 +182,6 @@ impl DaemonStats {
     /// The `stats` response's `"daemon"` object.
     pub(crate) fn to_json(&self) -> String {
         ServingReport {
-            frontend: self.frontend,
             clients_served: self.clients_served(),
             clients_rejected: self.clients_rejected(),
             connections_current: Some(self.connections_current()),
@@ -265,7 +199,6 @@ impl DaemonStats {
 /// names from drifting apart.
 #[derive(Debug, Clone, Copy)]
 struct ServingReport {
-    frontend: Frontend,
     clients_served: u64,
     clients_rejected: u64,
     connections_current: Option<u64>,
@@ -277,10 +210,8 @@ impl ServingReport {
     fn to_json(self) -> String {
         use std::fmt::Write as _;
         let mut out = format!(
-            "{{\"frontend\":\"{}\",\"clients_served\":{},\"clients_rejected\":{}",
-            self.frontend.name(),
-            self.clients_served,
-            self.clients_rejected
+            "{{\"clients_served\":{},\"clients_rejected\":{}",
+            self.clients_served, self.clients_rejected
         );
         if let Some(current) = self.connections_current {
             let _ = write!(out, ",\"connections_current\":{current}");
@@ -300,8 +231,6 @@ impl ServingReport {
 /// What a finished daemon reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DaemonSummary {
-    /// The front end that served.
-    pub frontend: Frontend,
     /// Connections accepted over the daemon's lifetime.
     pub clients_served: u64,
     /// Connections rejected by the `max_clients` backpressure bound.
@@ -320,7 +249,6 @@ impl DaemonSummary {
     /// `stats` response's `"daemon"` object).
     pub fn to_json(&self) -> String {
         ServingReport {
-            frontend: self.frontend,
             clients_served: self.clients_served,
             clients_rejected: self.clients_rejected,
             connections_current: None,
@@ -335,77 +263,6 @@ pub(crate) enum Listener {
     Tcp(TcpListener),
     #[cfg(unix)]
     Unix(UnixListener),
-}
-
-pub(crate) enum Conn {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Conn {
-    fn try_clone(&self) -> std::io::Result<Conn> {
-        match self {
-            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
-        }
-    }
-
-    fn set_blocking(&self) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_nonblocking(false),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.set_nonblocking(false),
-        }
-    }
-
-    fn set_read_timeout(&self, timeout: Duration) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(Some(timeout)),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.set_read_timeout(Some(timeout)),
-        }
-    }
-}
-
-/// Accept errors that should be retried rather than kill the daemon.
-fn transient_accept_error(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::ConnectionAborted
-            | std::io::ErrorKind::ConnectionReset
-            | std::io::ErrorKind::Interrupted
-            | std::io::ErrorKind::TimedOut
-    )
-}
-
-impl std::io::Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.flush(),
-        }
-    }
 }
 
 /// The socket front end multiplexing many `serve`-protocol clients over
@@ -478,7 +335,7 @@ impl Daemon {
             }
             None => None,
         };
-        let stats = Arc::new(DaemonStats::new(config.frontend));
+        let stats = Arc::new(DaemonStats::new());
         // Bind the scrape endpoint eagerly so `--metrics-addr` failures
         // surface at startup, and port 0 can be read back before `run`.
         let metrics_listener = match &config.metrics_addr {
@@ -556,8 +413,8 @@ impl Daemon {
         Arc::clone(&self.stop)
     }
 
-    /// The live serving counters (front end, served/rejected, current and
-    /// peak connections) this daemon reports under `stats.daemon`.
+    /// The live serving counters (served/rejected, current and peak
+    /// connections) this daemon reports under `stats.daemon`.
     pub fn stats_handle(&self) -> Arc<DaemonStats> {
         Arc::clone(&self.stats)
     }
@@ -588,7 +445,7 @@ impl Daemon {
     /// reported once at shutdown.
     pub fn run(mut self) -> std::io::Result<DaemonSummary> {
         // The HTTP scrape endpoint runs on its own reactor thread for the
-        // daemon's whole lifetime, whichever protocol front end serves.
+        // daemon's whole lifetime, beside the protocol front end.
         let metrics_thread = match self.metrics_listener.take() {
             Some(listener) => Some(crate::telemetry::spawn_metrics_endpoint(
                 listener,
@@ -601,7 +458,7 @@ impl Daemon {
         };
         // The periodic cache flush: newly solved SCCs reach disk while
         // the daemon runs, so even a crash (no compaction) loses at most
-        // one interval of work. Front-end independent.
+        // one interval of work.
         let flusher = self.cache.as_ref().map(|cache| {
             let cache = Arc::clone(cache);
             let memo = Arc::clone(&self.memo);
@@ -618,11 +475,7 @@ impl Daemon {
                 }
             })
         });
-        let fatal = match self.config.frontend {
-            Frontend::Threads => threads::serve(&self),
-            Frontend::Event => event::serve(&self),
-        }
-        .err();
+        let fatal = event::serve(&self).err();
         // Unblock the flusher's and metrics endpoint's poll loops even on
         // a fatal listener error.
         self.stop.store(true, Ordering::SeqCst);
@@ -647,7 +500,6 @@ impl Daemon {
         match fatal.or(cache_error) {
             Some(e) => Err(e),
             None => Ok(DaemonSummary {
-                frontend: self.config.frontend,
                 clients_served: self.stats.clients_served(),
                 clients_rejected: self.stats.clients_rejected(),
                 connections_peak: self.stats.connections_peak(),

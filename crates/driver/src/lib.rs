@@ -65,7 +65,7 @@ pub mod telemetry;
 pub mod workspace;
 
 pub use batch::{compile_many, SourceInput};
-pub use daemon::{Daemon, DaemonConfig, DaemonStats, DaemonSummary, Frontend};
+pub use daemon::{Daemon, DaemonConfig, DaemonStats, DaemonSummary};
 pub use server::{parse_json, Json, Server};
 pub use session::{Compilation, CompileResult, Session, SessionOptions};
 pub use telemetry::Telemetry;

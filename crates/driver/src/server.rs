@@ -77,16 +77,22 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. Protocol requests
+/// nest two or three levels; the bound keeps the recursive parser (and the
+/// recursive drop of the value it builds) far inside any thread's stack.
+const MAX_JSON_DEPTH: usize = 128;
+
 /// Parses one JSON value from `input` (must consume the whole input up to
 /// trailing whitespace).
 ///
 /// # Errors
 ///
-/// A human-readable description of the first syntax error.
+/// A human-readable description of the first syntax error, or of arrays
+/// and objects nested more than 128 levels deep.
 pub fn parse_json(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing characters at byte {pos}"));
@@ -100,8 +106,13 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth == MAX_JSON_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_JSON_DEPTH} levels at byte {pos}"
+        ));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
         Some(b'{') => {
@@ -114,7 +125,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(b, pos, depth + 1)? {
                     Json::Str(s) => s,
                     _ => return Err(format!("object key must be a string at byte {pos}")),
                 };
@@ -123,7 +134,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected `:` at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -145,7 +156,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -285,14 +296,14 @@ impl Server {
     }
 
     /// Attaches the daemon's live serving counters, making the `stats`
-    /// response report a `"daemon"` object (front end, clients served and
-    /// rejected, current and peak connection counts).
+    /// response report a `"daemon"` object (clients served and rejected,
+    /// current and peak connection counts).
     pub fn set_daemon_stats(&mut self, stats: std::sync::Arc<crate::daemon::DaemonStats>) {
         self.daemon_stats = Some(stats);
     }
 
     /// Replaces this server's telemetry hub with a shared one — how the
-    /// daemon front ends aggregate every connection's request latencies
+    /// daemon front end aggregates every connection's request latencies
     /// into the registry the `--metrics-addr` endpoint scrapes.
     pub fn set_telemetry(&mut self, telemetry: std::sync::Arc<crate::telemetry::Telemetry>) {
         self.telemetry = telemetry;
@@ -708,6 +719,14 @@ mod tests {
             ]))
         );
         assert!(parse_json("{").is_err());
+        // Nesting is bounded: the limit itself parses, one more level is a
+        // plain error, and a million levels no longer overflow the stack.
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nested(MAX_JSON_DEPTH)).is_ok());
+        let err = parse_json(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        assert!(parse_json(&"[".repeat(1_000_000)).is_err());
+        assert!(parse_json(&format!("{{\"a\":{}", "{\"a\":".repeat(1_000_000))).is_err());
         assert!(parse_json(r#"{"a":1} extra"#).is_err());
         assert!(parse_json("").is_err());
     }
@@ -899,7 +918,7 @@ mod tests {
         );
         let resp = s.handle_line(r#"{"cmd":"run","args":[21]}"#);
         assert!(resp.contains("\"result\":\"42\""), "{resp}");
-        assert!(resp.contains("\"engine\":\"vm\""), "{resp}");
+        assert!(resp.contains("\"engine\":\"rvm\""), "{resp}");
         assert!(resp.contains("\"steps\":"), "{resp}");
     }
 
@@ -909,20 +928,21 @@ mod tests {
         s.handle_line(
             r#"{"cmd":"open","file":"m.cj","text":"class M { static int main(int n) { n * 2 } }"}"#,
         );
-        let vm = s.handle_line(r#"{"cmd":"run","args":[21],"engine":"vm"}"#);
         let rvm = s.handle_line(r#"{"cmd":"run","args":[21],"engine":"rvm"}"#);
         let interp = s.handle_line(r#"{"cmd":"run","args":[21],"engine":"interp"}"#);
-        assert!(vm.contains("\"engine\":\"vm\""), "{vm}");
         assert!(rvm.contains("\"engine\":\"rvm\""), "{rvm}");
         assert!(interp.contains("\"engine\":\"interp\""), "{interp}");
-        for resp in [&vm, &rvm, &interp] {
+        for resp in [&rvm, &interp] {
             assert!(resp.contains("\"result\":\"42\""), "{resp}");
         }
         assert!(rvm.contains("\"rvm_lower\":1"), "{rvm}");
-        let bad = s.handle_line(r#"{"cmd":"run","engine":"jit"}"#);
-        assert!(bad.contains("\"ok\":false"), "{bad}");
-        assert!(bad.contains("unknown engine"), "{bad}");
-        assert!(bad.contains("\"code\":\"unknown-engine\""), "{bad}");
+        // The retired stack VM's name is an unknown engine like any other.
+        for bad_engine in ["jit", "vm"] {
+            let bad = s.handle_line(&format!(r#"{{"cmd":"run","engine":"{bad_engine}"}}"#));
+            assert!(bad.contains("\"ok\":false"), "{bad}");
+            assert!(bad.contains("unknown engine"), "{bad}");
+            assert!(bad.contains("\"code\":\"unknown-engine\""), "{bad}");
+        }
         // Errors without a registered code carry no `code` field at all.
         let nocode = s.handle_line(r#"{"cmd":"frobnicate"}"#);
         assert!(nocode.contains("\"ok\":false"), "{nocode}");

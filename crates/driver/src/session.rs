@@ -263,13 +263,13 @@ impl Session {
         self.ws.check_with(opts)
     }
 
-    /// Lowers the program to VM bytecode under the session's options
-    /// (cached; see [`Workspace::compiled_with`]).
+    /// Lowers the program to register bytecode under the session's
+    /// options (cached; see [`Workspace::compiled_with`]).
     ///
     /// # Errors
     ///
     /// Any compilation diagnostics.
-    pub fn compiled(&mut self) -> CompileResult<Arc<cj_vm::CompiledProgram>> {
+    pub fn compiled(&mut self) -> CompileResult<Arc<cj_rvm::RvmProgram>> {
         self.compiled_with(self.ws.options().infer)
     }
 
@@ -278,41 +278,14 @@ impl Session {
     /// # Errors
     ///
     /// Any compilation diagnostics.
-    pub fn compiled_with(
-        &mut self,
-        opts: InferOptions,
-    ) -> CompileResult<Arc<cj_vm::CompiledProgram>> {
+    pub fn compiled_with(&mut self, opts: InferOptions) -> CompileResult<Arc<cj_rvm::RvmProgram>> {
         self.ingest_ok()?;
         self.ws.compiled_with(opts)
     }
 
-    /// Register-lowers the program for the rvm tier under the session's
-    /// options (cached; see [`Workspace::rvm_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Any compilation diagnostics.
-    pub fn rvm_compiled(&mut self) -> CompileResult<Arc<cj_rvm::RvmProgram>> {
-        self.rvm_compiled_with(self.ws.options().infer)
-    }
-
-    /// [`rvm_compiled`](Session::rvm_compiled) under explicit inference
-    /// options.
-    ///
-    /// # Errors
-    ///
-    /// Any compilation diagnostics.
-    pub fn rvm_compiled_with(
-        &mut self,
-        opts: InferOptions,
-    ) -> CompileResult<Arc<cj_rvm::RvmProgram>> {
-        self.ingest_ok()?;
-        self.ws.rvm_with(opts)
-    }
-
     /// Stage 5: compiles (through [`check`](Session::check)) and executes
     /// `main` with integer arguments on the configured engine (the
-    /// bytecode VM by default).
+    /// register VM by default).
     ///
     /// # Errors
     ///

@@ -3,7 +3,7 @@
 //!
 //! Every connection's [`Server`](crate::server::Server) records its
 //! request latencies (per request kind) and executed pass counts into
-//! the daemon-wide [`Telemetry`]; the event front end adds the time each
+//! the daemon-wide [`Telemetry`]; the daemon front end adds the time each
 //! job spent queued between the reactor and a worker. At scrape time the
 //! shared [`SolveMemo`] and [`DaemonStats`] atomics are mirrored into
 //! the same snapshot, so one read shows the whole system — request mix,
@@ -98,8 +98,7 @@ impl Telemetry {
     }
 
     /// Records the time one job spent queued between the reactor and a
-    /// worker (event front end) or between accept and a pool worker
-    /// (threads front end).
+    /// worker.
     pub fn record_queue_wait(&self, wait: Duration) {
         self.registry
             .histogram("queue_wait_us")

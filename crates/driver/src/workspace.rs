@@ -90,15 +90,14 @@ pub struct PassCounts {
     pub check: u32,
     /// Program executions (either engine).
     pub run: u32,
-    /// Bytecode-lowering passes (one per distinct [`InferOptions`] per
-    /// revision that executed on the VM engine).
+    /// Stack-bytecode lowering passes (one per distinct [`InferOptions`]
+    /// per revision that executed on the rvm engine).
     pub lower: u32,
-    /// Method bodies actually lowered to bytecode.
+    /// Method bodies actually lowered to stack bytecode.
     pub methods_lowered: u32,
-    /// Method bodies reused from the per-method lowering cache.
+    /// Method bodies reused from the per-method stack-lowering cache.
     pub methods_lower_reused: u32,
-    /// Register-lowering passes (one per distinct [`InferOptions`] per
-    /// revision that executed on the rvm engine).
+    /// Register-lowering passes (one per stack-lowering pass).
     pub rvm_lower: u32,
     /// Method bodies actually translated to register code.
     pub methods_rvm_lowered: u32,
@@ -184,16 +183,14 @@ struct InferState {
     cache: InferCache,
     compilation: Option<Arc<Compilation>>,
     checked: bool,
-    /// Long-lived per-method bytecode-lowering memo (survives revisions).
+    /// Long-lived per-method stack-lowering memo (survives revisions).
     lower_cache: cj_vm::LowerCache,
-    /// The current revision's lowered program, if the VM engine ran.
-    compiled: Option<Arc<cj_vm::CompiledProgram>>,
     /// Long-lived per-method register-lowering memo (survives revisions;
-    /// keyed off the stack tier's Arc identity, so it inherits that
+    /// keyed off the stack lowering's Arc identity, so it inherits that
     /// memo's α-invariant reuse).
     rvm_cache: cj_rvm::RvmCache,
-    /// The current revision's register program, if the rvm engine ran.
-    rvm_compiled: Option<Arc<cj_rvm::RvmProgram>>,
+    /// The current revision's register program, if it was lowered.
+    compiled: Option<Arc<cj_rvm::RvmProgram>>,
     /// Long-lived per-method policy-verdict memo (survives revisions; keys
     /// are α-canonical content hashes, so untouched methods replay across
     /// edits even when their region ids shift).
@@ -462,11 +459,10 @@ impl Workspace {
         for state in self.states.values_mut() {
             state.compilation = None;
             state.checked = false;
-            // The lowered programs are revision-bound, but the per-method
+            // The lowered program is revision-bound, but the per-method
             // lowering memos survive: the next lower pass re-lowers only
-            // the methods the edit actually changed (both tiers).
+            // the methods the edit actually changed (both lowerings).
             state.compiled = None;
-            state.rvm_compiled = None;
             // Same split for policy: outcomes are revision-bound, the
             // per-method verdict memo survives.
             state.policy_results.clear();
@@ -487,9 +483,8 @@ impl Workspace {
                 compilation: None,
                 checked: false,
                 lower_cache: cj_vm::LowerCache::new(),
-                compiled: None,
                 rvm_cache: cj_rvm::RvmCache::new(),
-                rvm_compiled: None,
+                compiled: None,
                 policy_engine: PolicyEngine::new(),
                 policy_results: HashMap::new(),
             }
@@ -655,52 +650,30 @@ impl Workspace {
         Ok(compilation)
     }
 
-    /// Lowers the inferred program to VM bytecode (cached per revision;
-    /// the per-method lowering memo survives revisions, so incremental
-    /// edits re-lower only changed methods — observable as
-    /// [`PassCounts::methods_lowered`] vs
-    /// [`PassCounts::methods_lower_reused`]).
+    /// Lowers the inferred program to register bytecode (cached per
+    /// revision). Lowering runs in two steps, stack bytecode then register
+    /// code, and each keeps a per-method memo that survives revisions, so
+    /// an incremental edit re-lowers only changed methods — observable as
+    /// [`PassCounts::methods_lowered`] vs [`PassCounts::methods_lower_reused`]
+    /// for the stack step and [`PassCounts::methods_rvm_lowered`] vs
+    /// [`PassCounts::methods_rvm_reused`] for the register step.
     ///
     /// # Errors
     ///
     /// Any compilation diagnostics.
-    pub fn compiled_with(
-        &mut self,
-        opts: InferOptions,
-    ) -> CompileResult<Arc<cj_vm::CompiledProgram>> {
-        if let Some(c) = self.states.get(&opts).and_then(|s| s.compiled.clone()) {
-            return Ok(c);
+    pub fn compiled_with(&mut self, opts: InferOptions) -> CompileResult<Arc<cj_rvm::RvmProgram>> {
+        if let Some(r) = self.states.get(&opts).and_then(|s| s.compiled.clone()) {
+            return Ok(r);
         }
         let compilation = self.infer_with(opts)?;
         let state = self.state_mut(opts);
-        let (compiled, stats) = state.lower_cache.lower(&compilation.program);
-        let compiled = Arc::new(compiled);
-        state.compiled = Some(Arc::clone(&compiled));
-        self.counts.lower += 1;
-        self.counts.methods_lowered += stats.methods_lowered as u32;
-        self.counts.methods_lower_reused += stats.methods_reused as u32;
-        Ok(compiled)
-    }
-
-    /// Register-lowers the stack bytecode for the register tier (cached
-    /// per revision; the per-method translation memo survives revisions
-    /// on top of the stack tier's, so an incremental edit re-translates
-    /// only changed methods — observable as
-    /// [`PassCounts::methods_rvm_lowered`] vs
-    /// [`PassCounts::methods_rvm_reused`]).
-    ///
-    /// # Errors
-    ///
-    /// Any compilation diagnostics.
-    pub fn rvm_with(&mut self, opts: InferOptions) -> CompileResult<Arc<cj_rvm::RvmProgram>> {
-        if let Some(r) = self.states.get(&opts).and_then(|s| s.rvm_compiled.clone()) {
-            return Ok(r);
-        }
-        let compiled = self.compiled_with(opts)?;
-        let state = self.state_mut(opts);
-        let (reg, stats) = state.rvm_cache.lower(&compiled);
+        let (stack, stack_stats) = state.lower_cache.lower(&compilation.program);
+        let (reg, stats) = state.rvm_cache.lower(&stack);
         let reg = Arc::new(reg);
-        state.rvm_compiled = Some(Arc::clone(&reg));
+        state.compiled = Some(Arc::clone(&reg));
+        self.counts.lower += 1;
+        self.counts.methods_lowered += stack_stats.methods_lowered as u32;
+        self.counts.methods_lower_reused += stack_stats.methods_reused as u32;
         self.counts.rvm_lower += 1;
         self.counts.methods_rvm_lowered += stats.methods_lowered as u32;
         self.counts.methods_rvm_reused += stats.methods_reused as u32;
@@ -708,7 +681,7 @@ impl Workspace {
     }
 
     /// Compiles (through [`check`](Workspace::check)) and executes `main`
-    /// on the configured engine (the bytecode VM by default; the
+    /// on the configured engine (the register VM by default; the
     /// interpreter runs on a big-stack worker thread).
     ///
     /// # Errors
@@ -747,14 +720,8 @@ impl Workspace {
         let run_config = self.opts.run;
         let compilation = self.check_with(opts)?;
         match engine {
-            Engine::Vm => {
-                let compiled = self.compiled_with(opts)?;
-                self.counts.run += 1;
-                cj_vm::run_main(&compiled, args, run_config)
-                    .map_err(IntoDiagnostics::into_diagnostics)
-            }
             Engine::Rvm => {
-                let reg = self.rvm_with(opts)?;
+                let reg = self.compiled_with(opts)?;
                 self.counts.run += 1;
                 cj_rvm::run_main(&reg, args, run_config).map_err(IntoDiagnostics::into_diagnostics)
             }

@@ -5,7 +5,7 @@
 //! computed), cross-client SCC reuse must actually happen and be
 //! observable, and a daemon-scope shutdown must drain cleanly.
 
-use cj_driver::{Daemon, DaemonConfig, Frontend, Server, SessionOptions};
+use cj_driver::{Daemon, DaemonConfig, Server, SessionOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -76,13 +76,13 @@ fn drive_isolated(lines: &[String]) -> Vec<String> {
     lines.iter().map(|l| server.handle_line(l)).collect()
 }
 
-/// The full concurrent-clients e2e, parameterized over the front end:
-/// both must produce byte-identical protocol output.
-fn concurrent_clients_e2e(frontend: Frontend) {
+/// The full concurrent-clients e2e: the daemon must produce protocol
+/// output byte-identical to isolated sessions.
+#[test]
+fn concurrent_clients_match_isolated_sessions_and_share_sccs() {
     let daemon = Daemon::bind_tcp(
         "127.0.0.1:0",
         DaemonConfig {
-            frontend,
             workers: 4,
             solve_threads: 2,
             ..DaemonConfig::default()
@@ -138,15 +138,11 @@ fn concurrent_clients_e2e(frontend: Frontend) {
         .expect("check response carries sccs_shared_hits");
     assert!(shared_field > 0, "expected cross-client hits in {check}");
     // ...and `stats` exposes the memo-wide shared view plus the daemon
-    // counters (which front end, how many clients, connection peak).
+    // counters (how many clients, connection peak).
     let stats = &got[7];
     assert!(stats.contains("\"shared_memo\":{"), "{stats}");
     assert!(!stats.contains("\"shared_hits\":0"), "{stats}");
     assert!(stats.contains("\"daemon\":{"), "{stats}");
-    assert!(
-        stats.contains(&format!("\"frontend\":\"{}\"", frontend.name())),
-        "{stats}"
-    );
     assert!(stats.contains("\"clients_served\":"), "{stats}");
     assert!(stats.contains("\"connections_peak\":"), "{stats}");
     // Byte-identical semantics for the late client too.
@@ -174,16 +170,6 @@ fn concurrent_clients_e2e(frontend: Frontend) {
         "three clients were connected at once, peak {}",
         summary.connections_peak
     );
-}
-
-#[test]
-fn concurrent_clients_match_isolated_sessions_and_share_sccs() {
-    concurrent_clients_e2e(Frontend::Event);
-}
-
-#[test]
-fn concurrent_clients_match_isolated_sessions_threads_frontend() {
-    concurrent_clients_e2e(Frontend::Threads);
 }
 
 /// Event front end: a client dripping a request one byte at a time (one
@@ -416,10 +402,10 @@ fn idle_client_does_not_block_daemon_shutdown() {
     assert_eq!(summary.clients_served, 2);
 }
 
-/// Every execution tier is selectable per request over the wire, the
-/// three engines agree on the answer, and an unknown engine comes back
-/// as a *coded* structured error — not a silent fallback to the default
-/// engine and not a bare prose string.
+/// Both engines are selectable per request over the wire and agree on
+/// the answer, and an unknown engine — the retired stack VM's `vm`
+/// included — comes back as a *coded* structured error, not a silent
+/// fallback to the default engine and not a bare prose string.
 #[test]
 fn run_requests_select_engines_and_reject_unknown_ones() {
     let daemon = Daemon::bind_tcp("127.0.0.1:0", DaemonConfig::default()).expect("bind");
@@ -432,14 +418,14 @@ fn run_requests_select_engines_and_reject_unknown_ones() {
             "{\"cmd\":\"open\",\"file\":\"m.cj\",\"text\":\"class M { static int main(int n) { \
              int acc = 0; int i = 0; while (i < n) { acc = acc + i; i = i + 1; } acc } }\"}"
                 .to_string(),
-            "{\"cmd\":\"run\",\"args\":[100],\"engine\":\"vm\"}".to_string(),
             "{\"cmd\":\"run\",\"args\":[100],\"engine\":\"rvm\"}".to_string(),
             "{\"cmd\":\"run\",\"args\":[100],\"engine\":\"interp\"}".to_string(),
             "{\"cmd\":\"run\",\"args\":[100],\"engine\":\"jit\"}".to_string(),
+            "{\"cmd\":\"run\",\"args\":[100],\"engine\":\"vm\"}".to_string(),
             "{\"cmd\":\"shutdown\",\"scope\":\"daemon\"}".to_string(),
         ],
     );
-    for (resp, engine) in responses[1..=3].iter().zip(["vm", "rvm", "interp"]) {
+    for (resp, engine) in responses[1..=2].iter().zip(["rvm", "interp"]) {
         assert!(resp.contains("\"ok\":true"), "[{engine}] {resp}");
         assert!(resp.contains("\"result\":\"4950\""), "[{engine}] {resp}");
         assert!(
@@ -447,10 +433,36 @@ fn run_requests_select_engines_and_reject_unknown_ones() {
             "[{engine}] {resp}"
         );
     }
-    let bad = &responses[4];
-    assert!(bad.contains("\"ok\":false"), "{bad}");
-    assert!(bad.contains("\"code\":\"unknown-engine\""), "{bad}");
-    assert!(bad.contains("unknown engine `jit`"), "{bad}");
+    for (bad, engine) in responses[3..=4].iter().zip(["jit", "vm"]) {
+        assert!(bad.contains("\"ok\":false"), "{bad}");
+        assert!(bad.contains("\"code\":\"unknown-engine\""), "{bad}");
+        assert!(bad.contains(&format!("unknown engine `{engine}`")), "{bad}");
+    }
+    daemon_thread.join().expect("daemon drains");
+}
+
+/// A protocol line of a million `[` gets an ordinary error reply instead
+/// of overflowing the request parser's stack (which would abort the
+/// daemon for every client), and the daemon keeps serving other
+/// connections.
+#[test]
+fn deeply_nested_line_is_answered_and_the_daemon_keeps_serving() {
+    let daemon = Daemon::bind_tcp("127.0.0.1:0", DaemonConfig::default()).expect("bind");
+    let addr = daemon.local_addr().expect("tcp addr");
+    let daemon_thread = std::thread::spawn(move || daemon.run().expect("daemon run"));
+
+    let deep = drive_tcp(addr, &["[".repeat(1_000_000)]);
+    assert!(deep[0].contains("\"ok\":false"), "{}", deep[0]);
+    assert!(deep[0].contains("nesting deeper than"), "{}", deep[0]);
+    let next = drive_tcp(
+        addr,
+        &[
+            "{\"cmd\":\"stats\"}".to_string(),
+            "{\"cmd\":\"shutdown\",\"scope\":\"daemon\"}".to_string(),
+        ],
+    );
+    assert!(next[0].contains("\"ok\":true"), "{}", next[0]);
+    assert!(next[1].contains("\"status\":\"bye\""), "{}", next[1]);
     daemon_thread.join().expect("daemon drains");
 }
 

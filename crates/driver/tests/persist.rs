@@ -6,7 +6,7 @@
 //! reporting `sccs_disk_hits`, and a mutilated cache must cold-start
 //! rather than fail.
 
-use cj_driver::{Daemon, DaemonConfig, Frontend, SessionOptions, Workspace};
+use cj_driver::{Daemon, DaemonConfig, SessionOptions, Workspace};
 use cj_persist::SccDiskCache;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -314,15 +314,14 @@ fn over_limit_connections_get_a_structured_reject() {
 }
 
 /// A client that drips bytes without ever completing a line must hit the
-/// idle bound exactly like a silent one — the idle clock is checked on
-/// every received chunk, not only on a fully quiet socket — so it cannot
-/// pin the pool worker indefinitely.
+/// idle bound exactly like a silent one — received bytes that complete
+/// no request do not restart the idle clock — so it cannot hold its
+/// connection slot indefinitely.
 #[test]
 fn byte_dripping_clients_hit_the_idle_bound_too() {
     let daemon = Daemon::bind_tcp(
         "127.0.0.1:0",
         DaemonConfig {
-            frontend: Frontend::Threads,
             workers: 1,
             idle_timeout: Duration::from_millis(300),
             ..DaemonConfig::default()
@@ -345,22 +344,29 @@ fn byte_dripping_clients_hit_the_idle_bound_too() {
         }
     });
 
-    // With one worker, this only answers once the dripper is evicted.
-    let got = drive_tcp(
-        addr,
-        &[
-            "{\"cmd\":\"stats\"}".to_string(),
-            "{\"cmd\":\"shutdown\",\"scope\":\"daemon\"}".to_string(),
-        ],
-    );
+    // The dripper holds no worker: another client is served meanwhile.
+    let got = drive_tcp(addr, &["{\"cmd\":\"stats\"}".to_string()]);
     assert!(got[0].contains("\"ok\":true"), "{}", got[0]);
 
+    dripper
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     let mut reader = BufReader::new(dripper);
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
     assert!(line.contains("\"code\":\"idle\""), "{line}");
     dripping.join().unwrap();
+    shut_down(addr);
     handle.join().unwrap();
+}
+
+/// Sends a daemon-scope shutdown on a fresh connection.
+fn shut_down(addr: std::net::SocketAddr) {
+    let bye = drive_tcp(
+        addr,
+        &["{\"cmd\":\"shutdown\",\"scope\":\"daemon\"}".to_string()],
+    );
+    assert!(bye[0].contains("\"status\":\"bye\""), "{bye:?}");
 }
 
 #[test]
@@ -368,7 +374,6 @@ fn idle_clients_are_evicted_and_release_their_worker() {
     let daemon = Daemon::bind_tcp(
         "127.0.0.1:0",
         DaemonConfig {
-            frontend: Frontend::Threads,
             workers: 1,
             idle_timeout: Duration::from_millis(300),
             ..DaemonConfig::default()
@@ -379,24 +384,21 @@ fn idle_clients_are_evicted_and_release_their_worker() {
     let handle = std::thread::spawn(move || daemon.run().expect("run"));
 
     // The stalled client: connects, sends half a line, then nothing. It
-    // pins the only worker until the idle eviction fires.
+    // never holds the only worker: a request occupies a worker, a
+    // connection does not.
     let stalled = TcpStream::connect(addr).expect("stalled client");
     let mut half = stalled.try_clone().unwrap();
     write!(half, "{{\"cmd\":\"st").unwrap();
     half.flush().unwrap();
 
-    // A well-behaved client connects behind it; with one worker it is
-    // only served once the stalled client is evicted.
-    let got = drive_tcp(
-        addr,
-        &[
-            "{\"cmd\":\"stats\"}".to_string(),
-            "{\"cmd\":\"shutdown\",\"scope\":\"daemon\"}".to_string(),
-        ],
-    );
+    // A well-behaved client connects behind it and is served at once.
+    let got = drive_tcp(addr, &["{\"cmd\":\"stats\"}".to_string()]);
     assert!(got[0].contains("\"ok\":true"), "{}", got[0]);
 
-    // The stalled client was told why it was dropped, then disconnected.
+    // The stalled client is told why it was dropped, then disconnected.
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
     let mut reader = BufReader::new(stalled);
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
@@ -404,5 +406,6 @@ fn idle_clients_are_evicted_and_release_their_worker() {
     assert!(line.contains("idle timeout"), "{line}");
     line.clear();
     assert_eq!(reader.read_line(&mut line).unwrap(), 0, "then EOF");
+    shut_down(addr);
     handle.join().unwrap();
 }

@@ -133,7 +133,7 @@ proptest! {
             );
 
             // Nor may the execution engine: policy is a static analysis.
-            for engine in [Engine::Vm, Engine::Interp] {
+            for engine in [Engine::Rvm, Engine::Interp] {
                 let mut opts = SessionOptions::default();
                 opts.run.engine = engine;
                 let by_engine = scratch_verdict(&current, opts);

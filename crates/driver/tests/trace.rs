@@ -5,7 +5,7 @@
 //! plus the in-protocol `metrics` request must expose the unified
 //! registry.
 
-use cj_driver::{parse_json, Daemon, DaemonConfig, Frontend, Json, Server, SessionOptions};
+use cj_driver::{parse_json, Daemon, DaemonConfig, Json, Server, SessionOptions};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
@@ -79,7 +79,6 @@ fn daemon_request_trace_has_distinct_phase_spans() {
     let daemon = Daemon::bind_tcp(
         "127.0.0.1:0",
         DaemonConfig {
-            frontend: Frontend::Event,
             workers: 2,
             ..DaemonConfig::default()
         },
@@ -92,8 +91,7 @@ fn daemon_request_trace_has_distinct_phase_spans() {
         &[
             open_request("cell.cj", PROGRAM),
             "{\"cmd\":\"check\"}".to_string(),
-            "{\"cmd\":\"run\",\"args\":[41],\"engine\":\"vm\"}".to_string(),
-            "{\"cmd\":\"run\",\"args\":[41],\"engine\":\"rvm\"}".to_string(),
+            "{\"cmd\":\"run\",\"args\":[41]}".to_string(),
             "{\"cmd\":\"shutdown\",\"scope\":\"daemon\"}".to_string(),
         ],
     );
@@ -102,8 +100,7 @@ fn daemon_request_trace_has_distinct_phase_spans() {
 
     assert!(responses[1].contains("\"status\":\"well-region-typed\""));
     assert!(responses[2].contains("\"result\":\"42\""));
-    assert!(responses[3].contains("\"result\":\"42\""));
-    assert!(responses[3].contains("\"engine\":\"rvm\""));
+    assert!(responses[2].contains("\"engine\":\"rvm\""));
 
     // The distinct phases the acceptance criterion names, plus the
     // request/frontend wrappers around them.
@@ -115,7 +112,6 @@ fn daemon_request_trace_has_distinct_phase_spans() {
         ("pipeline", "infer"),
         ("pipeline", "solve-scc"),
         ("pipeline", "lower"),
-        ("pipeline", "vm-exec"),
         ("pipeline", "rvm-lower"),
         ("pipeline", "rvm-exec"),
         ("request", "check"),
@@ -130,7 +126,7 @@ fn daemon_request_trace_has_distinct_phase_spans() {
                 .collect::<std::collections::BTreeSet<_>>()
         );
     }
-    // The register tier's spans carry its counters: the lowering span
+    // The register engine's spans carry its counters: the lowering span
     // reports how many methods were translated, the execution span how
     // many dispatches retired and how many superinstructions hit.
     let rvm_lower = events.iter().find(|e| e.name == "rvm-lower").unwrap();
@@ -165,7 +161,7 @@ fn daemon_request_trace_has_distinct_phase_spans() {
     // happened on a worker thread, not the reactor/client thread.
     let solve = events.iter().find(|e| e.name == "solve-scc").unwrap();
     let lower = events.iter().find(|e| e.name == "lower").unwrap();
-    let exec = events.iter().find(|e| e.name == "vm-exec").unwrap();
+    let exec = rvm_exec;
     // The client waits for `check` before sending `run`, so the solve
     // (inside check) ends before lowering starts, and lowering ends
     // before the VM executes — all on the shared recording epoch.
@@ -188,7 +184,7 @@ fn daemon_request_trace_has_distinct_phase_spans() {
     // the Perfetto schema and that the named phases survive export.
     let trace_json = cj_trace::chrome_trace_json(&events);
     let names = assert_perfetto_well_formed(&trace_json);
-    for name in ["queue-wait", "solve-scc", "lower", "vm-exec"] {
+    for name in ["queue-wait", "solve-scc", "lower", "rvm-exec"] {
         assert!(names.iter().any(|n| n == name), "export dropped `{name}`");
     }
 
@@ -198,7 +194,7 @@ fn daemon_request_trace_has_distinct_phase_spans() {
     assert!(row("solve-scc").count >= 1);
     assert!(row("check").total_us >= row("solve-scc").total_us);
     let table = cj_trace::render_summary(&rows);
-    assert!(table.contains("solve-scc") && table.contains("vm-exec"));
+    assert!(table.contains("solve-scc") && table.contains("rvm-exec"));
 }
 
 /// One HTTP exchange against the metrics endpoint.
@@ -218,7 +214,6 @@ fn metrics_endpoint_serves_text_and_json_expositions() {
     let daemon = Daemon::bind_tcp(
         "127.0.0.1:0",
         DaemonConfig {
-            frontend: Frontend::Event,
             workers: 2,
             metrics_addr: Some("127.0.0.1:0".to_string()),
             ..DaemonConfig::default()

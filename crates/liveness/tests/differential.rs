@@ -4,18 +4,22 @@
 //! program region-checker-valid, and must never make peak live space
 //! worse.
 //!
-//! Three layers, mirroring how this repo validates the VM:
+//! Three layers, mirroring how this repo validates the register engine:
 //!
 //! - the full Fig 8/9 benchmark suite at test inputs;
-//! - random well-typed-by-construction recursive programs (the same
-//!   shape family as the VM differential suite);
+//! - random well-typed-by-construction recursive programs (the generator
+//!   `cj-rvm`'s differential suite uses, included from there);
 //! - deterministic fault programs pinning error variant + span identity.
+
+#[path = "../../rvm/tests/common/mod.rs"]
+mod common;
 
 use cj_benchmarks::all_benchmarks;
 use cj_infer::rast::RProgram;
 use cj_infer::{infer_source, InferOptions, SubtypeMode};
 use cj_liveness::{ExtentInference, LivenessExtents};
 use cj_runtime::{run_main_big_stack, RunConfig, Value};
+use common::{arb_op, clamp_op, render, Op};
 use proptest::prelude::*;
 
 /// Paper-placement program plus its liveness-tightened rewrite, both
@@ -36,29 +40,32 @@ struct Observed {
     space: cj_runtime::SpaceStats,
 }
 
+fn lower(p: &RProgram) -> cj_rvm::RvmProgram {
+    cj_rvm::lower_program(&cj_vm::lower_program(p))
+}
+
 fn run_both_engines(p: &RProgram, args: &[Value], label: &str) -> Observed {
-    let compiled = cj_vm::lower_program(p);
-    let vm = cj_vm::run_main(&compiled, args, RunConfig::default())
-        .unwrap_or_else(|e| panic!("[{label}] vm: {e}"));
+    let rvm = cj_rvm::run_main(&lower(p), args, RunConfig::default())
+        .unwrap_or_else(|e| panic!("[{label}] rvm: {e}"));
     let interp = run_main_big_stack(p, args, RunConfig::default())
         .unwrap_or_else(|e| panic!("[{label}] interp: {e}"));
     assert_eq!(
-        vm.value.to_string(),
+        rvm.value.to_string(),
         interp.value.to_string(),
         "[{label}] engines diverged on value"
     );
     assert_eq!(
-        vm.prints, interp.prints,
+        rvm.prints, interp.prints,
         "[{label}] engines diverged on prints"
     );
     assert_eq!(
-        vm.space, interp.space,
+        rvm.space, interp.space,
         "[{label}] engines diverged on space"
     );
     Observed {
-        value: vm.value.to_string(),
-        prints: vm.prints,
-        space: vm.space,
+        value: rvm.value.to_string(),
+        prints: rvm.prints,
+        space: rvm.space,
     }
 }
 
@@ -130,12 +137,11 @@ fn fault_spans_are_mode_identical() {
     for (src, args) in cases {
         let (paper, live) = both_modes(src, InferOptions::default());
         for (p, label) in [(&paper, "paper"), (&live, "liveness")] {
-            let compiled = cj_vm::lower_program(p);
-            let vm = cj_vm::run_main(&compiled, args, RunConfig::default()).unwrap_err();
+            let rvm = cj_rvm::run_main(&lower(p), args, RunConfig::default()).unwrap_err();
             let interp = run_main_big_stack(p, args, RunConfig::default()).unwrap_err();
-            assert_eq!(vm, interp, "[{label}] error variant diverged:\n{src}");
+            assert_eq!(rvm, interp, "[{label}] error variant diverged:\n{src}");
             assert_eq!(
-                vm.span(),
+                rvm.span(),
                 interp.span(),
                 "[{label}] error span diverged:\n{src}"
             );
@@ -151,103 +157,6 @@ fn fault_spans_are_mode_identical() {
             l_err.span(),
             "error span changed across extent modes:\n{src}"
         );
-    }
-}
-
-// ---- random programs (generator shared in spirit with the VM suite) -------
-
-#[derive(Debug, Clone)]
-enum Op {
-    Alloc(usize),
-    Copy(usize, usize),
-    Store(usize, usize),
-    Print(usize),
-    Branch(Box<Op>),
-    Loop(Box<Op>),
-}
-
-fn arb_op(nvars: usize) -> impl Strategy<Value = Op> {
-    let leaf = prop_oneof![
-        (0..nvars).prop_map(Op::Alloc),
-        (0..nvars, 0..nvars).prop_map(|(a, b)| Op::Copy(a, b)),
-        (0..nvars, 0..nvars).prop_map(|(a, b)| Op::Store(a, b)),
-        (0..nvars).prop_map(Op::Print),
-    ];
-    leaf.prop_recursive(2, 8, 2, |inner| {
-        prop_oneof![
-            inner.clone().prop_map(|op| Op::Branch(Box::new(op))),
-            inner.prop_map(|op| Op::Loop(Box::new(op))),
-        ]
-    })
-}
-
-fn render(nclasses: usize, nvars: usize, ops: &[Op]) -> String {
-    let mut s = String::new();
-    for c in 0..nclasses {
-        let target = (c + 1) % nclasses;
-        s.push_str(&format!(
-            "class C{c} {{ int tag; C{target} link; C{c} self; }}\n"
-        ));
-    }
-    s.push_str("class Gen {\n");
-    for c in 0..nclasses {
-        let target = (c + 1) % nclasses;
-        s.push_str(&format!(
-            "  static C{c} mk{c}(int depth) {{\n\
-             \x20   if (depth <= 0) {{ (C{c}) null }}\n\
-             \x20   else {{ new C{c}(depth, mk{target}(depth - 1), mk{c}(depth - 2)) }}\n\
-             \x20 }}\n"
-        ));
-    }
-    s.push_str("  static int main(bool flag) {\n");
-    for v in 0..nvars {
-        s.push_str(&format!("    C0 v{v} = mk0(2);\n"));
-    }
-    let mut loop_id = 0u32;
-    for op in ops {
-        render_op(op, &mut s, 4, &mut loop_id);
-    }
-    s.push_str("    int alive = 0;\n");
-    for v in 0..nvars {
-        s.push_str(&format!(
-            "    if (v{v} != null) {{ alive = alive + v{v}.tag; }}\n"
-        ));
-    }
-    s.push_str("    print(alive);\n    alive\n  }\n}\n");
-    s
-}
-
-fn render_op(op: &Op, s: &mut String, indent: usize, loop_id: &mut u32) {
-    let pad = " ".repeat(indent);
-    match op {
-        Op::Alloc(v) => s.push_str(&format!("{pad}v{v} = mk0(3);\n")),
-        Op::Copy(a, b) => s.push_str(&format!("{pad}v{a} = v{b};\n")),
-        Op::Store(a, b) => s.push_str(&format!("{pad}if (v{a} != null) {{ v{a}.self = v{b}; }}\n")),
-        Op::Print(v) => s.push_str(&format!("{pad}if (v{v} != null) {{ print(v{v}.tag); }}\n")),
-        Op::Branch(inner) => {
-            s.push_str(&format!("{pad}if (flag) {{\n"));
-            render_op(inner, s, indent + 2, loop_id);
-            s.push_str(&format!("{pad}}}\n"));
-        }
-        Op::Loop(inner) => {
-            let id = *loop_id;
-            *loop_id += 1;
-            s.push_str(&format!("{pad}int gl{id} = 0;\n"));
-            s.push_str(&format!("{pad}while (gl{id} < 3) {{\n"));
-            render_op(inner, s, indent + 2, loop_id);
-            s.push_str(&format!("{pad}  gl{id} = gl{id} + 1;\n{pad}}}\n"));
-        }
-    }
-}
-
-fn clamp_op(op: &Op, nvars: usize) -> Op {
-    match op {
-        Op::Alloc(v) => Op::Alloc(v % nvars),
-        Op::Copy(a, b) => Op::Copy(a % nvars, b % nvars),
-        Op::Store(a, b) => Op::Store(a % nvars, b % nvars),
-        Op::Print(v) => Op::Print(v % nvars),
-        Op::Branch(inner) => Op::Branch(Box::new(clamp_op(inner, nvars))),
-        Op::Loop(inner) => Op::Loop(Box::new(clamp_op(inner, nvars))),
     }
 }
 

@@ -2,8 +2,7 @@
 //! writes the `BENCH_daemon.json` report.
 //!
 //! With `--addr` it drives an already-running daemon; without it, it
-//! spawns an in-process daemon (event front end by default) on an
-//! ephemeral port, loads it, and shuts it down afterwards — which is
+//! spawns an in-process daemon on an ephemeral port, loads it, and shuts it down afterwards — which is
 //! what CI and the committed benchmark use:
 //!
 //! ```text
@@ -11,7 +10,7 @@
 //!         --assert-zero-errors --assert-min-peak 1000
 //! ```
 
-use cj_driver::{Daemon, DaemonConfig, Frontend};
+use cj_driver::{Daemon, DaemonConfig};
 use cj_loadgen::{run, LoadConfig};
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -19,7 +18,6 @@ use std::time::Duration;
 
 struct Args {
     addr: Option<SocketAddr>,
-    frontend: Frontend,
     workers: usize,
     clients: usize,
     rate: f64,
@@ -33,19 +31,18 @@ struct Args {
 }
 
 fn usage() -> &'static str {
-    "usage: loadgen [--addr host:port] [--frontend event|threads] [--workers N]\n\
+    "usage: loadgen [--addr host:port] [--workers N]\n\
     \x20              [--clients N] [--rate CONNS_PER_SEC] [--think-ms N] [--seed N]\n\
     \x20              [--no-hold] [--out FILE]\n\
     \x20              [--assert-zero-errors] [--assert-p99-ms N] [--assert-min-peak N]\n\
     \n\
-    Without --addr, an in-process cjrcd (event front end unless --frontend\n\
-    says otherwise) is spawned on an ephemeral port and shut down afterwards."
+    Without --addr, an in-process cjrcd is spawned on an ephemeral port and\n\
+    shut down afterwards."
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: None,
-        frontend: Frontend::Event,
         workers: 2,
         clients: 200,
         rate: 0.0,
@@ -67,9 +64,6 @@ fn parse_args() -> Result<Args, String> {
                         .parse()
                         .map_err(|e| format!("--addr: {e}"))?,
                 );
-            }
-            "--frontend" => {
-                args.frontend = value("--frontend")?.parse()?;
             }
             "--workers" => {
                 args.workers = value("--workers")?
@@ -137,7 +131,6 @@ fn main() -> ExitCode {
         Some(addr) => (addr, None),
         None => {
             let config = DaemonConfig {
-                frontend: args.frontend,
                 workers: args.workers,
                 ..DaemonConfig::default()
             };
@@ -150,8 +143,7 @@ fn main() -> ExitCode {
             };
             let addr = daemon.local_addr().expect("tcp daemon has an address");
             eprintln!(
-                "loadgen: spawned in-process cjrcd on {addr} ({} front end, {} workers)",
-                args.frontend.name(),
+                "loadgen: spawned in-process cjrcd on {addr} ({} workers)",
                 args.workers.max(1)
             );
             (addr, Some(std::thread::spawn(move || daemon.run())))

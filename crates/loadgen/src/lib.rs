@@ -317,8 +317,6 @@ pub struct KindStats {
 /// The daemon's own view, scraped from a final `stats` probe.
 #[derive(Debug, Clone, Default)]
 pub struct DaemonSnapshot {
-    /// Which front end served the run.
-    pub frontend: String,
     /// Connections ever accepted.
     pub clients_served: u64,
     /// Connections turned away at the capacity bound.
@@ -481,9 +479,9 @@ impl LoadReport {
                     d.memo_hits as f64 / lookups as f64
                 };
                 out.push_str(&format!(
-                    "  \"daemon\": {{\"frontend\": \"{}\", \"clients_served\": {}, \
-                     \"clients_rejected\": {}, \"connections_peak\": {}}},\n",
-                    d.frontend, d.clients_served, d.clients_rejected, d.connections_peak,
+                    "  \"daemon\": {{\"clients_served\": {}, \"clients_rejected\": {}, \
+                     \"connections_peak\": {}}},\n",
+                    d.clients_served, d.clients_rejected, d.connections_peak,
                 ));
                 out.push_str(&format!(
                     "  \"memo\": {{\"entries\": {}, \"hits\": {}, \"misses\": {}, \
@@ -842,17 +840,6 @@ fn json_u64(response: &str, key: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Extracts the string after `"key":"` in a flat JSON response.
-fn json_str(response: &str, key: &str) -> String {
-    let pattern = format!("\"{key}\":\"");
-    response
-        .split(&pattern)
-        .nth(1)
-        .and_then(|rest| rest.split('"').next())
-        .unwrap_or("")
-        .to_string()
-}
-
 /// The `{...}` body right after `"name":{` — for scraping one flat
 /// histogram out of a response where field names (`count`, `p99_us`)
 /// repeat across sibling blocks.
@@ -881,7 +868,6 @@ pub fn probe_stats(addr: SocketAddr) -> std::io::Result<DaemonSnapshot> {
         ));
     }
     let snapshot = DaemonSnapshot {
-        frontend: json_str(&response, "frontend"),
         clients_served: json_u64(&response, "clients_served"),
         clients_rejected: json_u64(&response, "clients_rejected"),
         connections_peak: json_u64(&response, "connections_peak"),

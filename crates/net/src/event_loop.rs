@@ -680,8 +680,7 @@ impl EventLoop {
                 Ok(n) => {
                     if conn.framer.push(&chunk[..n]).is_err() {
                         // Single line over the byte bound: protocol
-                        // violation, drop without ceremony (identical to
-                        // the thread front end's `LineRead::Drop`).
+                        // violation, drop without ceremony.
                         self.ready_lines.retain(|&t| t != token);
                         self.finalize_close(token);
                         return;

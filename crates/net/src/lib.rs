@@ -8,15 +8,12 @@
 //! whatever threads the owner chooses, talking back through a clonable
 //! [`NetHandle`].
 //!
-//! Built for `cjrcd`'s event front end (`cjrc daemon --frontend event`)
-//! and reused in reverse by `cj-loadgen`, which drives thousands of
+//! Built for `cjrcd`'s front end (`cjrc daemon`) and reused in reverse by `cj-loadgen`, which drives thousands of
 //! *outbound* client connections through the same [`EventLoop`] in
 //! listener-less mode.
 //!
-//! The [`framer::LineFramer`] is deliberately independent of the reactor:
-//! the thread front end shares the exact same framing (and the same
-//! single-line byte bound) so the two front ends cannot drift apart on
-//! protocol edge cases.
+//! The [`framer::LineFramer`] is deliberately independent of the reactor,
+//! so it can be tested (and reused) on its own.
 
 #![forbid(missing_docs)]
 #![cfg(unix)]

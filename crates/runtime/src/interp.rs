@@ -112,12 +112,10 @@ impl From<RegionError> for RuntimeError {
 /// size model, and must produce identical observable behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
-    /// The `cj-vm` stack-bytecode VM with real bump-arena region
-    /// allocation.
+    /// The `cj-rvm` register-machine engine: the program is lowered to
+    /// register bytecode with superinstructions and run with
+    /// direct-threaded dispatch over a bump-arena region heap.
     #[default]
-    Vm,
-    /// The `cj-rvm` register-machine tier: stack bytecode re-lowered to
-    /// a register IR with superinstructions, direct-threaded dispatch.
     Rvm,
     /// The tree-walking reference interpreter in this crate.
     Interp,
@@ -125,13 +123,12 @@ pub enum Engine {
 
 impl Engine {
     /// Canonical names accepted by [`FromStr`](std::str::FromStr).
-    pub const NAMES: [&'static str; 3] = ["vm", "rvm", "interp"];
+    pub const NAMES: [&'static str; 2] = ["rvm", "interp"];
 }
 
 impl fmt::Display for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            Engine::Vm => "vm",
             Engine::Rvm => "rvm",
             Engine::Interp => "interp",
         })
@@ -143,7 +140,6 @@ impl std::str::FromStr for Engine {
 
     fn from_str(s: &str) -> Result<Engine, String> {
         match s {
-            "vm" => Ok(Engine::Vm),
             "rvm" => Ok(Engine::Rvm),
             "interp" | "interpreter" => Ok(Engine::Interp),
             other => Err(format!(
@@ -154,12 +150,12 @@ impl std::str::FromStr for Engine {
     }
 }
 
-/// Execution configuration, shared by the interpreter and the `cj-vm`
-/// bytecode VM so limits and defaults never diverge between engines.
+/// Execution configuration, shared by the interpreter and the `cj-rvm`
+/// register VM so limits and defaults never diverge between engines.
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
-    /// Maximum execution steps (interpreter evaluation steps, VM
-    /// instructions) before aborting with [`RuntimeError::StepLimit`].
+    /// Maximum execution steps (interpreter evaluation steps, register VM
+    /// dispatches) before aborting with [`RuntimeError::StepLimit`].
     pub step_limit: u64,
     /// Maximum method-call depth before aborting with
     /// [`RuntimeError::DepthLimit`]. Identical in both engines.

@@ -232,7 +232,8 @@ mod tests {
         }
         assert_eq!("interpreter".parse::<Engine>(), Ok(Engine::Interp));
         assert!("jit".parse::<Engine>().is_err());
-        assert_eq!(Engine::default(), Engine::Vm);
+        assert!("vm".parse::<Engine>().is_err());
+        assert_eq!(Engine::default(), Engine::Rvm);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! re-lowered from stack bytecode into three-address register code:
 //!
 //! - **registers** are one flat per-frame file: slots `0..nlocals` are
-//!   the method's variable slots (same numbering as the stack VM, so the
+//!   the method's variable slots (same numbering as the stack bytecode, so the
 //!   site tables' variable operands are register operands verbatim), and
 //!   slots `nlocals..nregs` are *stack-position temporaries* — the
 //!   canonical home of the value the stack machine would hold at that
@@ -33,8 +33,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Comparison kind of a fused compare-and-branch (`Eq`/`Ne` use the
-/// engine's reference-identity `value_eq`, exactly like [`Instr::Binary`]
-/// on the stack VM).
+/// engine's reference-identity `value_eq`, the semantics of
+/// [`Instr::Binary`] in the stack bytecode).
 ///
 /// [`Instr::Binary`]: cj_vm::bytecode::Instr::Binary
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,7 +201,7 @@ impl RInstr {
     }
 }
 
-/// A call site in register code: the stack VM's [`CallSite`] plus the
+/// A call site in register code: the stack bytecode's [`CallSite`] plus the
 /// caller register receiving the result and the call's source span
 /// (receiver/limit faults at a fused [`ROp::FieldCall`] must still
 /// report the *call*'s span, while the field half reports the field's).
@@ -254,7 +254,7 @@ pub struct RvmMethod {
     /// Frame register-file size: variable slots then stack-position
     /// temporaries.
     pub nregs: u16,
-    /// Allocation sites (shared shape with the stack VM).
+    /// Allocation sites (shared shape with the stack bytecode).
     pub news: Vec<NewSite>,
     /// Array-allocation sites.
     pub arrays: Vec<ArraySite>,

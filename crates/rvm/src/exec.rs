@@ -11,13 +11,20 @@
 //!
 //! Observable behaviour — return value, captured prints,
 //! [`SpaceStats`], and structured [`RuntimeError`]s with their spans —
-//! is bit-identical to both the stack VM (`cj_vm::run_main`) and the
-//! tree-walking interpreter; the cross-engine differential suites
-//! enforce this, including the two deliberate unchecked-program
-//! divergences the stack VM documents (dangling casts and dangling
-//! prints). `steps` in the returned [`Outcome`] counts *dispatches*,
-//! the register engine's native work unit — one fused superinstruction
-//! retires several stack-level instructions in a single step.
+//! is bit-identical to the tree-walking interpreter
+//! (`cj_runtime::run_main`); the differential suites enforce this.
+//! `steps` in the returned [`Outcome`] counts *dispatches*, the register
+//! engine's native work unit — one fused superinstruction does the work
+//! of several stack-bytecode instructions in a single step.
+//!
+//! The deliberate divergences from the interpreter — both reachable only
+//! by *unchecked* programs, since the region checker proves such
+//! references are never observed (Theorem 1): casting a reference whose
+//! region has been deleted reports [`RuntimeError::DanglingAccess`] here
+//! (the arena holding the object's class header is gone) where the
+//! interpreter's immortal store would still answer, and printing or
+//! returning such a reference shows a sentinel serial instead of the
+//! original one.
 //!
 //! [`SpaceStats`]: cj_runtime::SpaceStats
 
@@ -31,9 +38,9 @@ use cj_vm::bytecode::{CallTarget, Lit, RegRef, SlotTy};
 use cj_vm::heap::{pack_ref, ObjRef, RegionHeap, NULL_WORD};
 use std::fmt;
 
-/// An engine-internal value; same representation contract as the stack
-/// VM's (`Ref` carries region + arena offset for access, serial for
-/// observable identity).
+/// An engine-internal value. `Ref` carries the owning region and arena
+/// offset (for access) plus the allocation serial (for observable
+/// identity).
 #[derive(Debug, Clone, Copy)]
 enum RValue {
     Unit,

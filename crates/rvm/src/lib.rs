@@ -1,10 +1,9 @@
-//! # cj-rvm — a register-based direct-threaded execution tier
+//! # cj-rvm — the register-based direct-threaded bytecode engine
 //!
-//! Stage 1 of the tiered-execution roadmap: the stack bytecode the
-//! [`cj_vm`] lowering pass produces is translated once more — per
-//! method, with the same memoized, α-invariant reuse discipline — into
-//! a **register IR** ([`code`]) that a **direct-threaded** engine
-//! ([`exec`]) runs:
+//! The default execution engine: the stack bytecode the [`cj_vm`]
+//! lowering pass produces is translated once more — per method, with the
+//! same memoized, α-invariant reuse discipline — into a **register IR**
+//! ([`code`]) that a **direct-threaded** engine ([`exec`]) runs:
 //!
 //! - the operand stack disappears: the [lowering pass](lower) simulates
 //!   it at translation time and assigns every value a register (a
@@ -17,17 +16,18 @@
 //!   one dispatch;
 //! - dispatch indexes a dense function-pointer table with the opcode
 //!   (no `match` over the instruction set in the hot path), and
-//!   `letreg` still compiles to direct bump-arena push/pop against the
-//!   same [`cj_vm::heap`] the stack VM uses.
+//!   `letreg` compiles to direct bump-arena push/pop against the
+//!   [`cj_vm::heap`] region heap.
 //!
 //! Observable behaviour — value, prints,
 //! [`SpaceStats`](cj_runtime::SpaceStats) (including the paper's pinned
 //! space ratios), structured
 //! [`RuntimeError`](cj_runtime::RuntimeError)s with their spans, and
-//! the fuel/depth limits — is bit-identical to both the stack VM and
-//! the tree-walking interpreter; the three-engine differential suites
-//! in `tests/` enforce it. Select the tier with `--engine rvm` on
-//! `cjrc run`, or `"engine": "rvm"` on a daemon run request.
+//! the fuel/depth limits — is bit-identical to the tree-walking
+//! interpreter; the differential suites in `tests/` enforce it, with the
+//! interpreter as the oracle. `cjrc run` and daemon run requests use
+//! this engine unless `--engine interp` (or `"engine": "interp"`) asks
+//! for the interpreter.
 //!
 //! # Examples
 //!
@@ -51,12 +51,10 @@
 //! let stack = cj_vm::lower_program(&p);
 //! let reg = cj_rvm::lower_program(&stack);
 //! let rvm = cj_rvm::run_main(&reg, &[Value::Int(10)], RunConfig::default()).unwrap();
-//! let vm = cj_vm::run_main(&stack, &[Value::Int(10)], RunConfig::default()).unwrap();
-//! assert_eq!(rvm.value, vm.value);
-//! assert_eq!(rvm.space, vm.space);
-//! // Fewer dispatches than stack instructions: superinstructions and
-//! // folded operands do the same work in fewer steps.
-//! assert!(rvm.steps < vm.steps);
+//! let interp = cj_runtime::run_main(&p, &[Value::Int(10)], RunConfig::default()).unwrap();
+//! assert_eq!(rvm.value, Value::Int(55));
+//! assert_eq!(rvm.value, interp.value);
+//! assert_eq!(rvm.space, interp.space);
 //! ```
 #![forbid(unsafe_code)]
 
@@ -74,29 +72,20 @@ mod tests {
     use cj_infer::{infer_source, InferOptions, SubtypeMode};
     use cj_runtime::{Outcome, RunConfig, RuntimeError, Value};
 
-    fn compile(src: &str) -> (cj_infer::RProgram, cj_vm::CompiledProgram, RvmProgram) {
+    fn compile(src: &str) -> (cj_infer::RProgram, RvmProgram) {
         let (p, _) = infer_source(src, InferOptions::default()).unwrap();
         cj_check::check(&p).unwrap_or_else(|e| panic!("checker: {e}"));
-        let stack = cj_vm::lower_program(&p);
-        let reg = lower_program(&stack);
-        (p, stack, reg)
+        let reg = lower_program(&cj_vm::lower_program(&p));
+        (p, reg)
     }
 
     fn run_all(src: &str, args: &[Value]) -> Outcome {
-        let (p, stack, reg) = compile(src);
+        let (p, reg) = compile(src);
         let rvm = run_main(&reg, args, RunConfig::default()).unwrap();
-        let vm = cj_vm::run_main(&stack, args, RunConfig::default()).unwrap();
         let interp = cj_runtime::run_main(&p, args, RunConfig::default()).unwrap();
-        assert_eq!(rvm.value, vm.value, "rvm/vm values diverge");
-        assert_eq!(rvm.prints, vm.prints, "rvm/vm prints diverge");
-        assert_eq!(rvm.space, vm.space, "rvm/vm space stats diverge");
         assert_eq!(rvm.value, interp.value, "rvm/interp values diverge");
         assert_eq!(rvm.prints, interp.prints, "rvm/interp prints diverge");
         assert_eq!(rvm.space, interp.space, "rvm/interp space stats diverge");
-        assert!(
-            rvm.steps <= vm.steps,
-            "register dispatches exceed stack instructions"
-        );
         rvm
     }
 
@@ -188,7 +177,7 @@ mod tests {
     }
 
     #[test]
-    fn runtime_errors_match_the_stack_vm_spans() {
+    fn runtime_errors_match_interpreter_spans() {
         let cases = [
             (
                 "class Cell { int v; }
@@ -214,17 +203,17 @@ mod tests {
             ),
         ];
         for (src, args) in cases {
-            let (_, stack, reg) = compile(src);
+            let (p, reg) = compile(src);
             let rvm = run_main(&reg, &args, RunConfig::default()).unwrap_err();
-            let vm = cj_vm::run_main(&stack, &args, RunConfig::default()).unwrap_err();
-            assert_eq!(rvm, vm, "error divergence on {src}");
-            assert_eq!(rvm.span(), vm.span(), "span divergence on {src}");
+            let interp = cj_runtime::run_main(&p, &args, RunConfig::default()).unwrap_err();
+            assert_eq!(rvm, interp, "error divergence on {src}");
+            assert_eq!(rvm.span(), interp.span(), "span divergence on {src}");
         }
     }
 
     #[test]
     fn step_and_depth_limits_are_structured() {
-        let (_, _, reg) = compile("class M { static int main() { while (true) { } 0 } }");
+        let (_, reg) = compile("class M { static int main() { while (true) { } 0 } }");
         let err = run_main(
             &reg,
             &[],
@@ -236,7 +225,7 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, RuntimeError::StepLimit));
 
-        let (_, _, reg) =
+        let (_, reg) =
             compile("class M { static int f(int n) { f(n + 1) } static int main() { f(0) } }");
         let err = run_main(
             &reg,
@@ -252,7 +241,7 @@ mod tests {
 
     #[test]
     fn erase_regions_is_a_noop_on_results() {
-        let (_, _, reg) = compile(
+        let (_, reg) = compile(
             "class Pair { Object a; Object b; }
              class M { static int main(int n) {
                int i = 0;
@@ -275,12 +264,12 @@ mod tests {
 
     #[test]
     fn bad_main_args_and_missing_main() {
-        let (_, _, reg) = compile("class M { static int main(int n) { n } }");
+        let (_, reg) = compile("class M { static int main(int n) { n } }");
         assert!(matches!(
             run_main(&reg, &[], RunConfig::default()).unwrap_err(),
             RuntimeError::BadMainArgs
         ));
-        let (_, _, reg) = compile("class M { static int helper(int n) { n } }");
+        let (_, reg) = compile("class M { static int helper(int n) { n } }");
         assert!(matches!(
             run_main(&reg, &[], RunConfig::default()).unwrap_err(),
             RuntimeError::NoMain
@@ -289,7 +278,7 @@ mod tests {
 
     #[test]
     fn superinstructions_are_fused_and_hit() {
-        let (_, _, reg) = compile(
+        let (_, reg) = compile(
             "class List { int value; List next; }
              class M {
                static int sum(List l) {
@@ -360,9 +349,11 @@ mod tests {
             let reg = lower_program(&stack);
             let rvm = run_main(&reg, &[Value::Int(40)], RunConfig::default())
                 .unwrap_or_else(|e| panic!("{mode}: {e}"));
-            let vm = cj_vm::run_main(&stack, &[Value::Int(40)], RunConfig::default()).unwrap();
-            assert_eq!(rvm.value, vm.value, "{mode}");
-            assert_eq!(rvm.space, vm.space, "{mode}");
+            let interp =
+                cj_runtime::run_main_big_stack(&p, &[Value::Int(40)], RunConfig::default())
+                    .unwrap();
+            assert_eq!(rvm.value, interp.value, "{mode}");
+            assert_eq!(rvm.space, interp.space, "{mode}");
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Stack-bytecode → register-IR lowering.
 //!
-//! The stack VM's codegen is structural: every expression leaves exactly
+//! The stack lowering's codegen is structural: every expression leaves exactly
 //! one value on the operand stack, so the stack depth at each program
 //! point is statically determined. This pass exploits that with an
 //! abstract-interpretation translation — the operand stack is simulated

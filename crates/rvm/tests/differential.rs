@@ -1,12 +1,11 @@
-//! Three-engine differential execution: the register tier must be
-//! observationally identical to the stack VM *and* the tree-walking
-//! interpreter.
+//! Differential execution: the register engine must be observationally
+//! identical to the tree-walking interpreter, the oracle.
 //!
-//! Random well-typed-by-construction recursive programs (the same shape
-//! family as the VM and liveness differential suites) are inferred under
-//! every subtyping mode, region-checked, additionally rewritten by the
-//! flow-sensitive extent pass (both extent placements must agree), and
-//! executed on **all three** engines; the returned value, the captured
+//! Random well-typed-by-construction recursive programs (the generator in
+//! `common/`, shared with the liveness differential suite) are inferred
+//! under every subtyping mode, region-checked, additionally rewritten by
+//! the flow-sensitive extent pass (both extent placements must agree),
+//! and executed on **both** engines; the returned value, the captured
 //! prints, and the full [`SpaceStats`] must be byte-identical.
 //! Deterministic fault programs then pin that runtime *errors* — variant
 //! and span — also match (the `cj-rvm` unit suite covers the remaining
@@ -14,30 +13,26 @@
 //!
 //! [`SpaceStats`]: cj_runtime::SpaceStats
 
+mod common;
+
 use cj_infer::rast::RProgram;
 use cj_infer::{infer_source, InferOptions, SubtypeMode};
 use cj_liveness::{ExtentInference, LivenessExtents};
 use cj_runtime::{run_main_big_stack, RunConfig, Value};
+use common::{arb_op, clamp_op, render, Op};
 use proptest::prelude::*;
 
-/// Runs `p` on all three engines and asserts observable identity;
-/// returns the agreed observation.
-fn run_three_engines(p: &RProgram, args: &[Value], label: &str) -> cj_runtime::Outcome {
-    let stack = cj_vm::lower_program(p);
-    let reg = cj_rvm::lower_program(&stack);
-    let rvm = cj_rvm::run_main(&reg, args, RunConfig::default())
+fn lower(p: &RProgram) -> cj_rvm::RvmProgram {
+    cj_rvm::lower_program(&cj_vm::lower_program(p))
+}
+
+/// Runs `p` on both engines and asserts observable identity; returns the
+/// agreed observation.
+fn run_both_engines(p: &RProgram, args: &[Value], label: &str) -> cj_runtime::Outcome {
+    let rvm = cj_rvm::run_main(&lower(p), args, RunConfig::default())
         .unwrap_or_else(|e| panic!("[{label}] rvm: {e}"));
-    let vm = cj_vm::run_main(&stack, args, RunConfig::default())
-        .unwrap_or_else(|e| panic!("[{label}] vm: {e}"));
     let interp = run_main_big_stack(p, args, RunConfig::default())
         .unwrap_or_else(|e| panic!("[{label}] interp: {e}"));
-    assert_eq!(
-        rvm.value.to_string(),
-        vm.value.to_string(),
-        "[{label}] rvm/vm diverged on value"
-    );
-    assert_eq!(rvm.prints, vm.prints, "[{label}] rvm/vm diverged on prints");
-    assert_eq!(rvm.space, vm.space, "[{label}] rvm/vm diverged on space");
     assert_eq!(
         rvm.value.to_string(),
         interp.value.to_string(),
@@ -66,109 +61,6 @@ fn both_extents(src: &str, opts: InferOptions) -> (RProgram, RProgram) {
     (paper, live)
 }
 
-// ---- generator (mirrors the VM differential suite's program shapes) --------
-
-#[derive(Debug, Clone)]
-enum Op {
-    /// `vX = mk0(3)`.
-    Alloc(usize),
-    /// `vA = vB`.
-    Copy(usize, usize),
-    /// `vA.self = vB` (guarded against null).
-    Store(usize, usize),
-    /// `print(vX.tag)` (guarded against null).
-    Print(usize),
-    /// Wrap the inner op in `if (flag) { … } else { }`.
-    Branch(Box<Op>),
-    /// Wrap the inner op in a 3-iteration loop.
-    Loop(Box<Op>),
-}
-
-fn arb_op(nvars: usize) -> impl Strategy<Value = Op> {
-    let leaf = prop_oneof![
-        (0..nvars).prop_map(Op::Alloc),
-        (0..nvars, 0..nvars).prop_map(|(a, b)| Op::Copy(a, b)),
-        (0..nvars, 0..nvars).prop_map(|(a, b)| Op::Store(a, b)),
-        (0..nvars).prop_map(Op::Print),
-    ];
-    leaf.prop_recursive(2, 8, 2, |inner| {
-        prop_oneof![
-            inner.clone().prop_map(|op| Op::Branch(Box::new(op))),
-            inner.prop_map(|op| Op::Loop(Box::new(op))),
-        ]
-    })
-}
-
-fn render(nclasses: usize, nvars: usize, ops: &[Op]) -> String {
-    let mut s = String::new();
-    for c in 0..nclasses {
-        let target = (c + 1) % nclasses;
-        s.push_str(&format!(
-            "class C{c} {{ int tag; C{target} link; C{c} self; }}\n"
-        ));
-    }
-    s.push_str("class Gen {\n");
-    for c in 0..nclasses {
-        let target = (c + 1) % nclasses;
-        s.push_str(&format!(
-            "  static C{c} mk{c}(int depth) {{\n\
-             \x20   if (depth <= 0) {{ (C{c}) null }}\n\
-             \x20   else {{ new C{c}(depth, mk{target}(depth - 1), mk{c}(depth - 2)) }}\n\
-             \x20 }}\n"
-        ));
-    }
-    s.push_str("  static int main(bool flag) {\n");
-    for v in 0..nvars {
-        s.push_str(&format!("    C0 v{v} = mk0(2);\n"));
-    }
-    let mut loop_id = 0u32;
-    for op in ops {
-        render_op(op, &mut s, 4, &mut loop_id);
-    }
-    s.push_str("    int alive = 0;\n");
-    for v in 0..nvars {
-        s.push_str(&format!(
-            "    if (v{v} != null) {{ alive = alive + v{v}.tag; }}\n"
-        ));
-    }
-    s.push_str("    print(alive);\n    alive\n  }\n}\n");
-    s
-}
-
-fn render_op(op: &Op, s: &mut String, indent: usize, loop_id: &mut u32) {
-    let pad = " ".repeat(indent);
-    match op {
-        Op::Alloc(v) => s.push_str(&format!("{pad}v{v} = mk0(3);\n")),
-        Op::Copy(a, b) => s.push_str(&format!("{pad}v{a} = v{b};\n")),
-        Op::Store(a, b) => s.push_str(&format!("{pad}if (v{a} != null) {{ v{a}.self = v{b}; }}\n")),
-        Op::Print(v) => s.push_str(&format!("{pad}if (v{v} != null) {{ print(v{v}.tag); }}\n")),
-        Op::Branch(inner) => {
-            s.push_str(&format!("{pad}if (flag) {{\n"));
-            render_op(inner, s, indent + 2, loop_id);
-            s.push_str(&format!("{pad}}}\n"));
-        }
-        Op::Loop(inner) => {
-            let id = *loop_id;
-            *loop_id += 1;
-            s.push_str(&format!("{pad}int gl{id} = 0;\n"));
-            s.push_str(&format!("{pad}while (gl{id} < 3) {{\n"));
-            render_op(inner, s, indent + 2, loop_id);
-            s.push_str(&format!("{pad}  gl{id} = gl{id} + 1;\n{pad}}}\n"));
-        }
-    }
-}
-
-fn clamp_op(op: &Op, nvars: usize) -> Op {
-    match op {
-        Op::Alloc(v) => Op::Alloc(v % nvars),
-        Op::Copy(a, b) => Op::Copy(a % nvars, b % nvars),
-        Op::Store(a, b) => Op::Store(a % nvars, b % nvars),
-        Op::Print(v) => Op::Print(v % nvars),
-        Op::Branch(inner) => Op::Branch(Box::new(clamp_op(inner, nvars))),
-        Op::Loop(inner) => Op::Loop(Box::new(clamp_op(inner, nvars))),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 24,
@@ -176,7 +68,7 @@ proptest! {
     })]
 
     #[test]
-    fn random_recursive_programs_are_three_engine_identical(
+    fn random_recursive_programs_are_engine_identical(
         nclasses in 1usize..4,
         nvars in 1usize..4,
         ops in proptest::collection::vec(arb_op(3), 0..6),
@@ -187,8 +79,8 @@ proptest! {
         let args = [Value::Bool(flag)];
         for mode in SubtypeMode::ALL {
             let (paper, live) = both_extents(&src, InferOptions::with_mode(mode));
-            let obs_paper = run_three_engines(&paper, &args, &format!("{mode}/paper"));
-            let obs_live = run_three_engines(&live, &args, &format!("{mode}/liveness"));
+            let obs_paper = run_both_engines(&paper, &args, &format!("{mode}/paper"));
+            let obs_live = run_both_engines(&live, &args, &format!("{mode}/liveness"));
             // Extent placement may change *where* things live, never
             // what the program computes.
             prop_assert_eq!(
@@ -205,10 +97,10 @@ proptest! {
 }
 
 /// Runtime faults carry the same variant *and the same source span* on
-/// all three engines — the structured diagnostics rendered from a `run`
-/// failure are identical no matter the tier.
+/// both engines — the structured diagnostics rendered from a `run`
+/// failure are identical no matter the engine.
 #[test]
-fn fault_spans_are_three_engine_identical() {
+fn fault_spans_are_engine_identical() {
     let cases: &[(&str, &[Value])] = &[
         (
             "class Node { int v; Node next; }
@@ -236,17 +128,8 @@ fn fault_spans_are_three_engine_identical() {
     for (src, args) in cases {
         let (paper, live) = both_extents(src, InferOptions::default());
         for (p, label) in [(&paper, "paper"), (&live, "liveness")] {
-            let stack = cj_vm::lower_program(p);
-            let reg = cj_rvm::lower_program(&stack);
-            let rvm = cj_rvm::run_main(&reg, args, RunConfig::default()).unwrap_err();
-            let vm = cj_vm::run_main(&stack, args, RunConfig::default()).unwrap_err();
+            let rvm = cj_rvm::run_main(&lower(p), args, RunConfig::default()).unwrap_err();
             let interp = run_main_big_stack(p, args, RunConfig::default()).unwrap_err();
-            assert_eq!(rvm, vm, "[{label}] rvm/vm error variant diverged:\n{src}");
-            assert_eq!(
-                rvm.span(),
-                vm.span(),
-                "[{label}] rvm/vm error span diverged:\n{src}"
-            );
             assert_eq!(
                 rvm, interp,
                 "[{label}] rvm/interp error variant diverged:\n{src}"

@@ -3,7 +3,7 @@
 //! A dependency-free observability layer in the spirit of rustc's
 //! `-Z self-profile` (measureme): the whole pipeline — parse, typecheck,
 //! per-SCC solve, extent rewriting, lowering, register lowering
-//! (`rvm-lower`), policy check, VM execution (`vm-exec`/`rvm-exec`) —
+//! (`rvm-lower`), policy check, execution (`rvm-exec`/`interp-exec`) —
 //! and the daemon's internals (reactor dispatch, queue wait, worker
 //! handling, persist flush) open [`span`]s that are recorded into
 //! per-thread buffers with monotonic timestamps and attached counters.

@@ -1,4 +1,5 @@
-//! The compact bytecode the VM executes.
+//! The compact stack bytecode the lowering pass produces (and `cj-rvm`
+//! translates to register code).
 //!
 //! One [`CompiledProgram`] holds every method's code plus the tables the
 //! lowering pass resolved once so execution never does a name lookup:

@@ -1,4 +1,4 @@
-//! The VM's region heap: one bump arena of 64-bit words per live region.
+//! The bytecode engine's region heap: one bump arena of 64-bit words per live region.
 //!
 //! Unlike the interpreter's [`RegionManager`](cj_runtime::RegionManager),
 //! which only *counts* bytes while objects live in a global store, this
@@ -309,7 +309,7 @@ impl RegionHeap {
     /// reachable (Theorem 1); on unchecked programs printing or
     /// returning it shows the sentinel where the interpreter's immortal
     /// store would show the original serial (see the engine-divergence
-    /// note in [`crate::exec`]).
+    /// note in `cj_rvm::exec`).
     #[inline]
     pub fn unpack_ref(&self, word: u64) -> Option<ObjRef> {
         if word == NULL_WORD {

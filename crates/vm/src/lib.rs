@@ -1,30 +1,29 @@
-//! # cj-vm — a region-allocating bytecode VM for annotated Core-Java
+//! # cj-vm — stack lowering and the region heap for annotated Core-Java
 //!
-//! The production-shaped execution path for the paper's target language:
-//! a [lowering pass](lower) compiles the region-annotated kernel
-//! ([`RProgram`](cj_infer::RProgram)) into a compact
-//! [`CompiledProgram`] — per-method stack bytecode, constant pools,
-//! vtables resolved at lowering time (virtual dispatch by slot index,
-//! never name lookup), and explicit `RegPush`/`RegPop`/allocate-in-region
-//! instructions mirroring `letreg` extents — and an [execution
-//! engine](exec) runs it over a real [bump-arena region heap](heap):
-//! each live region holds its objects' actual payloads (fields as word
-//! slots) and frees them **wholesale** at `RegPop`.
+//! Two pieces of the bytecode execution path for the paper's target
+//! language:
 //!
-//! The VM is observationally identical to the tree-walking interpreter
-//! in `cj-runtime` — same return value, same prints, same structured
-//! [`RuntimeError`](cj_runtime::RuntimeError)s with the same spans, and
-//! bit-equal [`SpaceStats`](cj_runtime::SpaceStats) (the Fig 8 space
-//! ratios cross-check against both engines) — while executing an integer
-//! factor faster on the Olden workloads. The differential property suite
-//! (`tests/differential.rs`) enforces the equivalence on random
-//! well-typed recursive programs.
+//! - a [lowering pass](lower) compiles the region-annotated kernel
+//!   ([`RProgram`](cj_infer::RProgram)) into a compact
+//!   [`CompiledProgram`] — per-method stack bytecode, constant pools,
+//!   vtables resolved at lowering time (virtual dispatch by slot index,
+//!   never name lookup), and explicit `RegPush`/`RegPop`/allocate-in-region
+//!   instructions mirroring `letreg` extents. A per-method [`LowerCache`]
+//!   re-lowers only the methods an edit changed;
+//! - a [bump-arena region heap](heap): each live region holds its
+//!   objects' actual payloads (fields as word slots) and frees them
+//!   **wholesale** at `RegPop`.
+//!
+//! The stack bytecode is the input of `cj-rvm`'s register lowering, and
+//! `cj-rvm` executes over this heap. Space accounting follows the
+//! tree-walking interpreter's size model, so
+//! [`SpaceStats`](cj_runtime::SpaceStats) — and every Fig 8 space ratio —
+//! is identical across engines.
 //!
 //! # Examples
 //!
 //! ```
 //! use cj_infer::{infer_source, InferOptions};
-//! use cj_runtime::{RunConfig, Value};
 //!
 //! let (p, _) = infer_source(
 //!     "class Box { Object item; }
@@ -38,232 +37,27 @@
 //!     InferOptions::default(),
 //! ).unwrap();
 //! let compiled = cj_vm::lower_program(&p);
-//! let vm = cj_vm::run_main(&compiled, &[Value::Int(10)], RunConfig::default()).unwrap();
-//! let interp = cj_runtime::run_main(&p, &[Value::Int(10)], RunConfig::default()).unwrap();
-//! assert_eq!(vm.value, interp.value);
-//! // The per-iteration Box dies with its region in both engines —
-//! // identical space accounting, but the VM freed real arena memory.
-//! assert_eq!(vm.space, interp.space);
+//! // The per-iteration Box gets its own region: the loop body pushes and
+//! // pops it.
+//! assert!(compiled.instruction_count() > 0);
+//! assert!(compiled
+//!     .methods
+//!     .iter()
+//!     .any(|m| m.code.iter().any(|i| matches!(i, cj_vm::Instr::RegPush(_)))));
 //! ```
 #![forbid(unsafe_code)]
 
 pub mod bytecode;
-pub mod exec;
 pub mod heap;
 pub mod lower;
 
 pub use bytecode::{CompiledMethod, CompiledProgram, Instr};
-pub use exec::{run_main, run_static};
 pub use lower::{lower_program, LowerCache, LowerStats};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cj_infer::{infer_source, InferOptions, SubtypeMode};
-    use cj_runtime::{Outcome, RunConfig, RuntimeError, Value};
-
-    fn compile(src: &str) -> (cj_infer::RProgram, CompiledProgram) {
-        let (p, _) = infer_source(src, InferOptions::default()).unwrap();
-        cj_check::check(&p).unwrap_or_else(|e| panic!("checker: {e}"));
-        let compiled = lower_program(&p);
-        (p, compiled)
-    }
-
-    fn run_both(src: &str, args: &[Value]) -> (Outcome, Outcome) {
-        let (p, compiled) = compile(src);
-        let vm = run_main(&compiled, args, RunConfig::default()).unwrap();
-        let interp = cj_runtime::run_main(&p, args, RunConfig::default()).unwrap();
-        assert_eq!(vm.value, interp.value, "values diverge");
-        assert_eq!(vm.prints, interp.prints, "prints diverge");
-        assert_eq!(vm.space, interp.space, "space stats diverge");
-        (vm, interp)
-    }
-
-    #[test]
-    fn arithmetic_and_loops() {
-        let (vm, _) = run_both(
-            "class M { static int main(int n) {
-               int s = 0; int i = 1;
-               while (i <= n) { s = s + i; i = i + 1; }
-               s
-             } }",
-            &[Value::Int(100)],
-        );
-        assert_eq!(vm.value, Value::Int(5050));
-    }
-
-    #[test]
-    fn objects_fields_dispatch_and_overrides() {
-        let (vm, _) = run_both(
-            "class A { int m() { 1 } int twice() { this.m() * 2 } }
-             class B extends A { int m() { 2 } }
-             class C extends B { int extra() { 9 } int m() { 3 } }
-             class M {
-               static int main() {
-                 A a = new A();
-                 A b = new B();
-                 A c = new C();
-                 a.twice() * 100 + b.twice() * 10 + c.twice()
-               }
-             }",
-            &[],
-        );
-        assert_eq!(vm.value, Value::Int(246));
-    }
-
-    #[test]
-    fn recursion_regions_and_reuse() {
-        let (vm, _) = run_both(
-            "class List { int value; List next; }
-             class M {
-               static List build(int n) {
-                 if (n == 0) { (List) null } else { new List(n, build(n - 1)) }
-               }
-               static int sum(List l) {
-                 if (l == null) { 0 } else { l.value + sum(l.next) }
-               }
-               static int main(int n) { sum(build(n)) }
-             }",
-            &[Value::Int(10)],
-        );
-        assert_eq!(vm.value, Value::Int(55));
-    }
-
-    #[test]
-    fn per_iteration_regions_are_reclaimed_for_real() {
-        let (vm, _) = run_both(
-            "class Box { Object item; }
-             class M {
-               static int main(int n) {
-                 int i = 0;
-                 while (i < n) { Box b = new Box(null); i = i + 1; }
-                 i
-               }
-             }",
-            &[Value::Int(1000)],
-        );
-        assert_eq!(vm.space.regions_created, 1000);
-        assert!(vm.space.space_ratio() < 0.01);
-    }
-
-    #[test]
-    fn arrays_floats_prints_and_logic() {
-        let (vm, _) = run_both(
-            "class M { static int main(int n) {
-               int[] a = new int[n];
-               int i = 0;
-               while (i < n) { a[i] = i * i; i = i + 1; }
-               float f = 2.5;
-               print(f * 2.0);
-               print(a[n - 1]);
-               bool ok = n > 1 && a[0] == 0 || n < 0;
-               print(ok);
-               a[n - 1] + a.length
-             } }",
-            &[Value::Int(10)],
-        );
-        assert_eq!(vm.value, Value::Int(91));
-        assert_eq!(vm.prints, vec!["5", "81", "true"]);
-    }
-
-    #[test]
-    fn runtime_errors_match_interpreter_spans() {
-        let cases = [
-            (
-                "class Cell { int v; }
-                 class M { static int main() { Cell c = (Cell) null; c.v } }",
-                vec![],
-            ),
-            (
-                "class M { static int main(int n) { 10 / n } }",
-                vec![Value::Int(0)],
-            ),
-            (
-                "class M { static int main(int n) { int[] a = new int[2]; a[n] } }",
-                vec![Value::Int(5)],
-            ),
-            (
-                "class M { static int main(int n) { int[] a = new int[n]; a.length } }",
-                vec![Value::Int(-3)],
-            ),
-            (
-                "class A { int x; } class B extends A { int y; }
-                 class M { static int main() { A a = new A(0); B b = (B) a; 1 } }",
-                vec![],
-            ),
-        ];
-        for (src, args) in cases {
-            let (p, compiled) = compile(src);
-            let vm = run_main(&compiled, &args, RunConfig::default()).unwrap_err();
-            let interp = cj_runtime::run_main(&p, &args, RunConfig::default()).unwrap_err();
-            assert_eq!(vm, interp, "error divergence on {src}");
-            assert_eq!(vm.span(), interp.span(), "span divergence on {src}");
-        }
-    }
-
-    #[test]
-    fn step_and_depth_limits_are_structured() {
-        let (_, compiled) = compile("class M { static int main() { while (true) { } 0 } }");
-        let err = run_main(
-            &compiled,
-            &[],
-            RunConfig {
-                step_limit: 1000,
-                ..RunConfig::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, RuntimeError::StepLimit));
-
-        let (_, compiled) =
-            compile("class M { static int f(int n) { f(n + 1) } static int main() { f(0) } }");
-        let err = run_main(
-            &compiled,
-            &[],
-            RunConfig {
-                max_depth: 64,
-                ..RunConfig::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, RuntimeError::DepthLimit));
-    }
-
-    #[test]
-    fn erase_regions_is_a_noop_on_results() {
-        let src = "class Pair { Object a; Object b; }
-             class M { static int main(int n) {
-               int i = 0;
-               while (i < n) { Pair p = new Pair(null, null); i = i + 1; }
-               i
-             } }";
-        let (_, compiled) = compile(src);
-        let cfg = RunConfig {
-            erase_regions: true,
-            ..RunConfig::default()
-        };
-        let erased = run_main(&compiled, &[Value::Int(5)], cfg).unwrap();
-        assert_eq!(erased.value, Value::Int(5));
-        assert_eq!(erased.space.regions_created, 0, "letreg erased");
-        assert!(
-            (erased.space.space_ratio() - 1.0).abs() < 1e-9,
-            "everything lives in the heap"
-        );
-    }
-
-    #[test]
-    fn bad_main_args_and_missing_main() {
-        let (_, compiled) = compile("class M { static int main(int n) { n } }");
-        assert!(matches!(
-            run_main(&compiled, &[], RunConfig::default()).unwrap_err(),
-            RuntimeError::BadMainArgs
-        ));
-        let (_, compiled) = compile("class M { static int helper(int n) { n } }");
-        assert!(matches!(
-            run_main(&compiled, &[], RunConfig::default()).unwrap_err(),
-            RuntimeError::NoMain
-        ));
-    }
+    use cj_infer::{infer_source, InferOptions};
 
     #[test]
     fn lower_cache_reuses_unchanged_methods() {
@@ -289,33 +83,5 @@ mod tests {
         let (_, s3) = cache.lower(&pb);
         assert_eq!(s3.methods_lowered, 1, "{s3:?}");
         assert_eq!(s3.methods_reused, s1.methods_lowered - 1);
-    }
-
-    #[test]
-    fn lowering_is_deterministic_across_modes() {
-        let src = "class RList { int value; RList next; }
-             class M {
-               static int depth(RList p, int d) {
-                 if (d == 0) { count(p) } else {
-                   RList p2 = new RList(d, p);
-                   depth(p2, d - 1)
-                 }
-               }
-               static int count(RList p) {
-                 if (p == null) { 0 } else { 1 + count(p.next) }
-               }
-               static int main(int d) { depth((RList) null, d) }
-             }";
-        for mode in SubtypeMode::ALL {
-            let (p, _) = infer_source(src, InferOptions::with_mode(mode)).unwrap();
-            let compiled = lower_program(&p);
-            let vm = run_main(&compiled, &[Value::Int(40)], RunConfig::default())
-                .unwrap_or_else(|e| panic!("{mode}: {e}"));
-            let interp =
-                cj_runtime::run_main_big_stack(&p, &[Value::Int(40)], RunConfig::default())
-                    .unwrap();
-            assert_eq!(vm.value, interp.value, "{mode}");
-            assert_eq!(vm.space, interp.space, "{mode}");
-        }
     }
 }

@@ -6,7 +6,7 @@
 //!                    [--mode M] [--downcast D] [--extents X] [--cache-dir DIR] [--json]
 //! cjrc query  <file> <inv.C|pre.m|pre.C.m> [--entails ATOM]
 //!                    [--mode M] [--downcast D] [--extents X] [--cache-dir DIR] [--json]
-//! cjrc run    <file> [--engine vm|rvm|interp] [--fuel N] [--max-depth N]
+//! cjrc run    <file> [--engine rvm|interp] [--fuel N] [--max-depth N]
 //!                    [--mode M] [--downcast D] [--extents X] [--cache-dir DIR] [--json] [args…]
 //! cjrc flows  <file> [--json]                                       downcast-set report
 //! cjrc serve         [--mode M] [--downcast D] [--extents X] [--cache-dir DIR]
@@ -21,7 +21,7 @@
 //!
 //! `infer`/`check`/`run`/`serve`/`daemon` accept `--trace-out FILE`:
 //! structured spans from every pipeline phase (parse, typecheck, per-SCC
-//! solve, extent rewriting, policy check, lowering, VM execution) and the
+//! solve, extent rewriting, policy check, lowering, execution) and the
 //! daemon internals (reactor dispatch, queue wait, worker handling,
 //! persist flush) are recorded and written as Chrome trace-event JSON —
 //! load the file in Perfetto / `chrome://tracing`, or render a self-time
@@ -41,13 +41,13 @@
 //! reporting `sccs_disk_hits` while producing output bit-identical to a
 //! cold build.
 //!
-//! `run` executes on the `cj-vm` bytecode VM by default; `--engine rvm`
-//! selects the register-machine tier (`cj-rvm` lowers the stack bytecode
-//! to direct-threaded register code) and `--engine interp` the
-//! tree-walking interpreter. Program output, space statistics and
-//! runtime errors are identical across all three engines (enforced by
-//! the differential test suites). `--fuel` and `--max-depth` bound
-//! execution steps and call depth uniformly on every engine.
+//! `run` executes on the `cj-rvm` register VM by default (`cj-vm` lowers
+//! the program to stack bytecode, `cj-rvm` lowers that to direct-threaded
+//! register code); `--engine interp` selects the tree-walking
+//! interpreter. Program output, space statistics and runtime errors are
+//! identical across both engines (enforced by the differential test
+//! suites). `--fuel` and `--max-depth` bound execution steps and call
+//! depth uniformly on both engines.
 //!
 //! Errors are rendered as caret-style source snippets on stderr, or — with
 //! `--json` — as a JSON array of structured diagnostics (severity, code,
@@ -74,7 +74,7 @@
 //! `{"cmd":"shutdown","scope":"daemon"}` to stop the daemon itself.
 
 use cj_diag::{codes, Diagnostic, Diagnostics, IntoDiagnostic, Span};
-use cj_driver::{Daemon, DaemonConfig, Frontend, Server, Session, SessionOptions, Workspace};
+use cj_driver::{Daemon, DaemonConfig, Server, Session, SessionOptions, Workspace};
 use cj_infer::{DowncastPolicy, ExtentMode, InferOptions, SubtypeMode};
 use cj_runtime::Engine;
 use std::io::{BufRead, Write};
@@ -132,8 +132,6 @@ struct Cli {
     stats: bool,
     json: bool,
     run_args: Vec<i64>,
-    /// `daemon`: connection front end (default event).
-    frontend: Option<Frontend>,
     /// `daemon`: TCP listen address (`host:port`).
     addr: Option<String>,
     /// `daemon`: Unix-socket path (conflicts with `addr`).
@@ -148,7 +146,7 @@ struct Cli {
     max_clients: Option<usize>,
     /// `daemon`: per-connection idle eviction in seconds (0 = off).
     idle_timeout: Option<u64>,
-    /// `run`: execution engine (default vm).
+    /// `run`: execution engine (default rvm).
     engine: Option<Engine>,
     /// `run`: execution step budget.
     fuel: Option<u64>,
@@ -209,7 +207,7 @@ fn usage() -> String {
          cjrc run <file.cj> [--engine {e}] [--fuel N] [--max-depth N] [args…]\n       \
          cjrc query <file.cj> <inv.C|pre.m|pre.C.m> [--entails ATOM] [--json]\n       \
          cjrc serve [--mode {m}] [--downcast {d}] [--extents {x}] [--cache-dir DIR]\n       \
-         cjrc daemon [--frontend event|threads] [--addr host:port | --socket path] \
+         cjrc daemon [--addr host:port | --socket path] \
          [--workers N] [--solve-threads N] [--cache-dir DIR] [--max-clients N] \
          [--idle-timeout SECS] [--metrics-addr host:port] \
          [--mode {m}] [--downcast {d}] [--extents {x}] [--json]\n       \
@@ -240,7 +238,6 @@ fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
     let mut stats = false;
     let mut json = false;
     let mut run_args = Vec::new();
-    let mut frontend = None;
     let mut addr = None;
     let mut socket = None;
     let mut workers = None;
@@ -275,12 +272,6 @@ fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
                     .next()
                     .ok_or_else(|| CliError::new("--extents needs a value"))?;
                 opts.extent = value.parse().map_err(|e| CliError::new(format!("{e}")))?;
-            }
-            "--frontend" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| CliError::new("--frontend needs a value (event|threads)"))?;
-                frontend = Some(value.parse::<Frontend>().map_err(CliError::new)?);
             }
             "--addr" => {
                 addr = Some(
@@ -421,8 +412,7 @@ fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
         }
     }
     if !matches!(command, Command::Daemon)
-        && (frontend.is_some()
-            || addr.is_some()
+        && (addr.is_some()
             || socket.is_some()
             || workers.is_some()
             || solve_threads.is_some()
@@ -430,8 +420,8 @@ fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
             || idle_timeout.is_some())
     {
         return Err(CliError::new(
-            "--frontend/--addr/--socket/--workers/--solve-threads/--max-clients/\
-             --idle-timeout apply to `daemon` only",
+            "--addr/--socket/--workers/--solve-threads/--max-clients/--idle-timeout \
+             apply to `daemon` only",
         ));
     }
     if matches!(command, Command::Flows) && cache_dir.is_some() {
@@ -524,7 +514,6 @@ fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
         stats,
         json,
         run_args,
-        frontend,
         addr,
         socket,
         workers,
@@ -1011,7 +1000,6 @@ fn daemon(opts: SessionOptions, cli: &Cli) -> std::io::Result<()> {
     let defaults = DaemonConfig::default();
     let config = DaemonConfig {
         opts,
-        frontend: cli.frontend.unwrap_or_default(),
         workers: cli.workers.unwrap_or(4),
         solve_threads: cli.solve_threads.unwrap_or(1),
         cache_dir: cli.cache_dir.as_ref().map(std::path::PathBuf::from),
@@ -1055,7 +1043,6 @@ fn daemon(opts: SessionOptions, cli: &Cli) -> std::io::Result<()> {
     if let Some(addr) = daemon.metrics_local_addr() {
         eprintln!("cjrcd: metrics endpoint on http://{addr}/metrics");
     }
-    let frontend = cli.frontend.unwrap_or_default();
     let summary = daemon.run()?;
     if cli.json {
         // One machine-readable exit summary on stdout (the listening
@@ -1071,12 +1058,8 @@ fn daemon(opts: SessionOptions, cli: &Cli) -> std::io::Result<()> {
         );
     }
     eprintln!(
-        "cjrcd: served {} client(s) ({} rejected at capacity, peak {} concurrent, \
-         {} front end), bye",
-        summary.clients_served,
-        summary.clients_rejected,
-        summary.connections_peak,
-        frontend.name(),
+        "cjrcd: served {} client(s) ({} rejected at capacity, peak {} concurrent), bye",
+        summary.clients_served, summary.clients_rejected, summary.connections_peak,
     );
     Ok(())
 }
@@ -1490,7 +1473,6 @@ mod tests {
     fn daemon_flags_parse_and_validate() {
         let cli = parse_cli(argv(&["daemon"])).unwrap();
         assert_eq!(cli.command, Command::Daemon);
-        assert_eq!(cli.frontend, None, "front end defaults downstream");
         assert_eq!(cli.addr, None);
         assert_eq!(cli.workers, None);
         assert_eq!(cli.solve_threads, None);
@@ -1512,19 +1494,11 @@ mod tests {
         assert_eq!(cli.opts.mode, SubtypeMode::Object);
         let cli = parse_cli(argv(&["daemon", "--socket", "/tmp/cjrcd.sock"])).unwrap();
         assert_eq!(cli.socket.as_deref(), Some("/tmp/cjrcd.sock"));
-        let cli = parse_cli(argv(&["daemon", "--frontend", "threads"])).unwrap();
-        assert_eq!(cli.frontend, Some(Frontend::Threads));
-        let cli = parse_cli(argv(&["daemon", "--frontend", "event"])).unwrap();
-        assert_eq!(cli.frontend, Some(Frontend::Event));
         // `--json` selects the machine-readable exit summary.
         let cli = parse_cli(argv(&["daemon", "--json"])).unwrap();
         assert!(cli.json);
 
         // Invalid combinations are rejected.
-        let err = parse_cli(argv(&["daemon", "--frontend", "fibers"])).unwrap_err();
-        assert!(err.message.contains("unknown front end"), "{err:?}");
-        let err = parse_cli(argv(&["check", "x.cj", "--frontend", "event"])).unwrap_err();
-        assert!(err.message.contains("apply to `daemon` only"));
         let err = parse_cli(argv(&["daemon", "--stats"])).unwrap_err();
         assert!(err.message.contains("no --stats"));
         let err = parse_cli(argv(&["daemon", "--addr", "a:1", "--socket", "/tmp/x"])).unwrap_err();
@@ -1606,20 +1580,20 @@ mod tests {
         assert_eq!(cli.fuel, Some(5000));
         assert_eq!(cli.max_depth, Some(64));
         assert_eq!(cli.run_args, vec![3]);
-        let cli = parse_cli(argv(&["run", "x.cj", "--engine", "vm"])).unwrap();
-        assert_eq!(cli.engine, Some(Engine::Vm));
-        assert_eq!(cli.fuel, None, "defaults come from RunConfig");
         let cli = parse_cli(argv(&["run", "x.cj", "--engine", "rvm"])).unwrap();
         assert_eq!(cli.engine, Some(Engine::Rvm));
+        assert_eq!(cli.fuel, None, "defaults come from RunConfig");
 
-        let err = parse_cli(argv(&["run", "x.cj", "--engine", "jit"])).unwrap_err();
-        assert!(err.message.contains("unknown engine"));
+        for unknown in ["jit", "vm"] {
+            let err = parse_cli(argv(&["run", "x.cj", "--engine", unknown])).unwrap_err();
+            assert!(err.message.contains("unknown engine"), "{err:?}");
+        }
         let err = parse_cli(argv(&["run", "x.cj", "--fuel", "0"])).unwrap_err();
         assert!(err.message.contains("positive integer"));
         let err = parse_cli(argv(&["run", "x.cj", "--max-depth", "never"])).unwrap_err();
         assert!(err.message.contains("positive integer"));
         for bad in [
-            argv(&["check", "x.cj", "--engine", "vm"]),
+            argv(&["check", "x.cj", "--engine", "rvm"]),
             argv(&["infer", "x.cj", "--fuel", "10"]),
             argv(&["serve", "--max-depth", "10"]),
         ] {

@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! source ──parse──▶ AST ──normal typecheck──▶ kernel ──region inference──▶
-//!     annotated program ──region check──▶ ✓ ──interpret──▶ value + space stats
+//!     annotated program ──region check──▶ ✓ ──lower + execute──▶ value + space stats
 //! ```
 //!
 //! - [`diag`]: the shared structured-diagnostics subsystem (spans, error
@@ -24,12 +24,13 @@
 //! - [`downcast`]: the Sec 5 backward flow analysis;
 //! - [`runtime`]: a lexically scoped region allocator and interpreter with
 //!   space accounting;
-//! - [`vm`]: the `cj-vm` bytecode VM — lowering to register-resolved
-//!   bytecode and execution over real bump-arena regions, observationally
-//!   identical to the interpreter but an integer factor faster;
-//! - [`rvm`]: the `cj-rvm` register machine — a second lowering from the
-//!   stack bytecode to fused register instructions, dispatched through a
-//!   dense handler table; the fastest tier, still bit-identical;
+//! - [`vm`]: the `cj-vm` stack lowering — annotated programs to compact
+//!   stack bytecode with resolved vtables — and the bump-arena region heap
+//!   the bytecode engine allocates in;
+//! - [`rvm`]: the `cj-rvm` register machine, the default engine — a second
+//!   lowering from the stack bytecode to fused register instructions,
+//!   dispatched through a dense handler table, observationally identical
+//!   to the interpreter but an integer factor faster;
 //! - [`benchmarks`]: the Fig 8 and Fig 9 program suites;
 //! - [`driver`]: the demand-driven, incrementally recompiling
 //!   [`driver::Workspace`] (multi-file inputs, per-SCC re-solving, the `Q`
@@ -92,7 +93,6 @@ pub mod prelude {
     };
     pub use cj_runtime::{run_main, run_main_big_stack, Engine, Outcome, RunConfig, Value};
     pub use cj_rvm::RvmProgram;
-    pub use cj_vm::{lower_program, CompiledProgram};
 }
 
 use cj_diag::Diagnostics;

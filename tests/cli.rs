@@ -129,19 +129,24 @@ fn run_engines_produce_identical_output() {
            static int main(int n) { print(n); if (build(n) != null) { n } else { 0 } }
          }",
     );
-    let vm = cjrc(&["run", path.to_str().unwrap(), "--engine", "vm", "8"]);
+    let rvm = cjrc(&["run", path.to_str().unwrap(), "--engine", "rvm", "8"]);
     let interp = cjrc(&["run", path.to_str().unwrap(), "--engine", "interp", "8"]);
-    assert!(vm.status.success() && interp.status.success());
+    assert!(rvm.status.success() && interp.status.success());
     assert_eq!(
-        String::from_utf8(vm.stdout).unwrap(),
+        String::from_utf8(rvm.stdout).unwrap(),
         String::from_utf8(interp.stdout).unwrap(),
         "engines must print identical results and space lines"
     );
-    // The default engine is the VM, surfaced in --json.
+    // The default engine is the register VM, surfaced in --json.
     let json = cjrc(&["run", path.to_str().unwrap(), "--json", "8"]);
     let stdout = String::from_utf8(json.stdout).unwrap();
-    assert!(stdout.contains("\"engine\":\"vm\""), "{stdout}");
+    assert!(stdout.contains("\"engine\":\"rvm\""), "{stdout}");
     assert!(stdout.contains("\"steps\":"), "{stdout}");
+    // The retired stack VM is an unknown engine: a usage error.
+    let vm = cjrc(&["run", path.to_str().unwrap(), "--engine", "vm", "8"]);
+    assert_eq!(vm.status.code(), Some(2));
+    let stderr = String::from_utf8(vm.stderr).unwrap();
+    assert!(stderr.contains("unknown engine `vm`"), "{stderr}");
     std::fs::remove_file(path).ok();
 }
 
@@ -151,7 +156,7 @@ fn run_limits_surface_structured_errors() {
         "limits.cj",
         "class M { static int spin(int n) { spin(n + 1) } static int main() { spin(0) } }",
     );
-    for engine in ["vm", "interp"] {
+    for engine in ["rvm", "interp"] {
         let out = cjrc(&[
             "run",
             path.to_str().unwrap(),
@@ -415,6 +420,37 @@ fn serve_speaks_json_lines_and_observes_incrementality() {
 }
 
 #[test]
+fn serve_answers_a_deeply_nested_line_and_keeps_serving() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cjrc"))
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("cjrc serve starts");
+    let mut stdin = child.stdin.take().unwrap();
+    let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+    let mut ask = |req: &str| -> String {
+        writeln!(stdin, "{req}").expect("write request");
+        lines.next().expect("one response per request").unwrap()
+    };
+
+    // A line of a million `[` must not overflow the parser's stack: it
+    // gets an error reply and the server keeps reading.
+    let deep = ask(&"[".repeat(1_000_000));
+    assert!(deep.contains("\"ok\":false"), "{deep}");
+    assert!(deep.contains("nesting deeper than"), "{deep}");
+    let r =
+        ask(r#"{"cmd":"open","file":"m.cj","text":"class M { static int main(int n) { n } }"}"#);
+    assert!(r.contains("\"ok\":true"), "{r}");
+    let bye = ask(r#"{"cmd":"shutdown"}"#);
+    assert!(bye.contains("\"status\":\"bye\""), "{bye}");
+    assert!(child.wait().expect("server exits").success());
+}
+
+#[test]
 fn check_reports_mode_in_canonical_spelling() {
     let path = temp_source("mode.cj", "class A { }");
     let out = cjrc(&["check", path.to_str().unwrap(), "--mode", "object"]);
@@ -616,7 +652,7 @@ fn trace_out_writes_chrome_trace_and_trace_summary_reads_it_back() {
         "\"infer\"",
         "\"solve-scc\"",
         "\"lower\"",
-        "\"vm-exec\"",
+        "\"rvm-exec\"",
     ] {
         assert!(text.contains(phase), "trace lacks {phase}: {text}");
     }
@@ -629,7 +665,7 @@ fn trace_out_writes_chrome_trace_and_trace_summary_reads_it_back() {
     assert!(table.contains("phase"), "{table}");
     assert!(table.contains("self(us)"), "{table}");
     assert!(table.contains("solve-scc"), "{table}");
-    assert!(table.contains("vm-exec"), "{table}");
+    assert!(table.contains("rvm-exec"), "{table}");
 
     // Malformed input is a structured error, not a panic.
     let bogus = temp_source("bogus.trace.json", "{\"not\":\"a trace\"}");

@@ -133,7 +133,7 @@ fn reynolds3_letreg_placement_depth_is_pinned() {
 
 #[test]
 fn reynolds3_space_stats_are_identical_on_the_vm() {
-    // The pinned Fig 8 drift must hold on the bytecode VM too: its
+    // The pinned Fig 8 drift must hold on the register VM too: its
     // bump-arena accounting reproduces the interpreter's SpaceStats
     // bit-for-bit, so the 0.0125 pin above covers both engines.
     let b = region_inference::benchmarks::by_name("Reynolds3").expect("registered");
@@ -144,7 +144,7 @@ fn reynolds3_space_stats_are_identical_on_the_vm() {
     let compilation = session.check().expect("Reynolds3 compiles");
     let compiled = session.compiled().expect("Reynolds3 lowers");
     let args: Vec<Value> = b.paper_input.iter().map(|&v| Value::Int(v)).collect();
-    let vm = region_inference::vm::run_main(&compiled, &args, RunConfig::default())
+    let vm = region_inference::rvm::run_main(&compiled, &args, RunConfig::default())
         .expect("Reynolds3 runs on the VM");
     let interp =
         run_main_big_stack(&compilation.program, &args, RunConfig::default()).expect("runs");
@@ -232,7 +232,7 @@ fn reynolds3_liveness_extents_pin() {
 
     // Engine agreement under liveness placement, like the paper-mode pin.
     let compiled = session.compiled_with(live_opts).expect("lowers");
-    let vm = region_inference::vm::run_main(&compiled, &args, RunConfig::default()).expect("runs");
+    let vm = region_inference::rvm::run_main(&compiled, &args, RunConfig::default()).expect("runs");
     assert_eq!(
         vm.space, live_out.space,
         "SpaceStats diverged across engines"

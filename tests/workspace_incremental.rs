@@ -159,7 +159,7 @@ fn one_body_edit_register_relowers_only_that_files_changed_methods() {
     ws.set_source("main.cj", MAIN_CJ).unwrap();
     let opts = ws.options().infer;
 
-    ws.rvm_with(opts).unwrap();
+    ws.compiled_with(opts).unwrap();
     let cold = ws.pass_counts();
     assert_eq!(cold.rvm_lower, 1);
     assert_eq!(
@@ -168,7 +168,7 @@ fn one_body_edit_register_relowers_only_that_files_changed_methods() {
     );
     assert_eq!(cold.methods_rvm_reused, 0);
     // Re-requesting the register program is a pure cache read.
-    ws.rvm_with(opts).unwrap();
+    ws.compiled_with(opts).unwrap();
     assert_eq!(ws.pass_counts(), cold);
 
     // Editing one body re-translates exactly that method: the register
@@ -176,7 +176,7 @@ fn one_body_edit_register_relowers_only_that_files_changed_methods() {
     // whose own memo is α-invariant in region ids — so the stack tier
     // replays eight methods verbatim and the register tier follows.
     ws.set_source("main.cj", MAIN_EDITED_CJ).unwrap();
-    ws.rvm_with(opts).unwrap();
+    ws.compiled_with(opts).unwrap();
     let warm = ws.pass_counts().since(cold);
     assert_eq!(warm.rvm_lower, 1);
     assert_eq!(warm.methods_rvm_lowered, 1, "{warm:?}");
