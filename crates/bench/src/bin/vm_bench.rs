@@ -5,8 +5,10 @@
 //! interpreter and the `cj-rvm` direct-threaded register machine —
 //! asserting their outcomes are identical (value, prints, space
 //! statistics), and records wall time, steps/dispatches retired, peak
-//! live bytes and the space ratio per engine, plus per-suite
-//! geometric-mean speedups of the register machine over the interpreter.
+//! live bytes and the space ratio per engine, the register code's size
+//! (`instruction_count`, of which `fused_count` superinstructions), plus
+//! per-suite geometric-mean speedups of the register machine over the
+//! interpreter.
 //!
 //! ```text
 //! cargo run -p cj-bench --release --bin vm_bench -- [--quick] [--out PATH]
@@ -37,7 +39,6 @@ struct BenchRow {
     suite: Suite,
     input: &'static str,
     instructions: usize,
-    register_instructions: usize,
     fused: u64,
     interp: EngineRow,
     rvm: EngineRow,
@@ -81,7 +82,6 @@ fn measure(b: &Benchmark, quick: bool) -> BenchRow {
     let register = session
         .compiled_with(opts)
         .unwrap_or_else(|e| panic!("{}: {}", b.name, session.emitter().render_all(&e)));
-    let instructions = cj_vm::lower_program(&compilation.program).instruction_count();
     let input = if quick { b.test_input } else { b.paper_input };
     let args: Vec<Value> = input.iter().map(|&v| Value::Int(v)).collect();
     let cfg = RunConfig::default();
@@ -109,8 +109,7 @@ fn measure(b: &Benchmark, quick: bool) -> BenchRow {
         name: b.name,
         suite: b.suite,
         input: if quick { "test" } else { b.input_display },
-        instructions,
-        register_instructions: register.instruction_count(),
+        instructions: register.instruction_count(),
         fused: register.fused_count(),
         interp: engine_row(&interp, interp_ms),
         rvm: engine_row(&rvm, rvm_ms),
@@ -217,8 +216,7 @@ fn main() {
         .map(|r| {
             format!(
                 "    {{\"name\":\"{}\",\"suite\":\"{}\",\"input\":\"{}\",\
-                 \"compiled_instructions\":{},\"register_instructions\":{},\
-                 \"fused_superinstructions\":{},\
+                 \"instruction_count\":{},\"fused_count\":{},\
                  \"interp\":{},\"rvm\":{},\"rvm_vs_interp\":{:.4}}}",
                 r.name,
                 match r.suite {
@@ -227,7 +225,6 @@ fn main() {
                 },
                 r.input,
                 r.instructions,
-                r.register_instructions,
                 r.fused,
                 engine_json(&r.interp),
                 engine_json(&r.rvm),
@@ -236,7 +233,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"schema\":\"bench-vm/v3\",\n  \"input_scale\":\"{}\",\n  \
+        "{{\n  \"schema\":\"bench-vm/v4\",\n  \"input_scale\":\"{}\",\n  \
          \"benchmarks\":[\n{}\n  ],\n  \"summary\":{{\
          \"olden_geomean_speedup\":{olden:.4},\
          \"regjava_geomean_speedup\":{regjava:.4},\

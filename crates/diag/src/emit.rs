@@ -132,12 +132,14 @@ impl<'a> Emitter<'a> {
         let (line, col) = self.map.line_col(span.lo);
         let _ = writeln!(out, "{:gutter$}--> {}:{}:{}", "", self.name, line, col);
         let (start, end) = self.map.line_span(line);
-        let text = &self.src[start as usize..end as usize];
-        let _ = writeln!(out, "{:gutter$} |", "");
-        let _ = writeln!(out, "{:>gutter$} | {}", line, text.trim_end());
         // Underline the intersection of the span with its first line.
-        let under_start = (col as usize).saturating_sub(1);
-        let under_len = ((span.hi.min(end).max(span.lo) - span.lo) as usize).max(1);
+        let (text, under_start, under_len) = clip_line(
+            self.src[start as usize..end as usize].trim_end(),
+            (col as usize).saturating_sub(1),
+            ((span.hi.min(end).max(span.lo) - span.lo) as usize).max(1),
+        );
+        let _ = writeln!(out, "{:gutter$} |", "");
+        let _ = writeln!(out, "{:>gutter$} | {}", line, text);
         let mut marks = String::new();
         let _ = write!(
             marks,
@@ -151,6 +153,35 @@ impl<'a> Emitter<'a> {
         }
         let _ = writeln!(out, "{}", marks);
     }
+}
+
+/// Longest source line a snippet prints whole; a longer one is clipped
+/// to a window of this many bytes around the caret, so one long line
+/// cannot blow up every diagnostic that points into it.
+const SNIPPET_WIDTH: usize = 120;
+
+/// How much of a clipped line the window keeps before the caret.
+const SNIPPET_LEAD: usize = 40;
+
+/// The part of `text` a snippet prints, with `...` marking cut ends, plus
+/// the underline's start and length within it.
+fn clip_line(text: &str, start: usize, len: usize) -> (String, usize, usize) {
+    if text.len() <= SNIPPET_WIDTH {
+        return (text.to_string(), start, len);
+    }
+    let mut lo = start.saturating_sub(SNIPPET_LEAD).min(text.len());
+    while !text.is_char_boundary(lo) {
+        lo -= 1;
+    }
+    let mut hi = (lo + SNIPPET_WIDTH).min(text.len());
+    while !text.is_char_boundary(hi) {
+        hi -= 1;
+    }
+    let prefix = if lo > 0 { "..." } else { "" };
+    let suffix = if hi < text.len() { "..." } else { "" };
+    let shown = format!("{prefix}{}{suffix}", &text[lo..hi]);
+    let len = len.min(hi.saturating_sub(start)).max(1);
+    (shown, prefix.len() + start - lo, len)
 }
 
 fn caret_char(severity: Severity) -> char {
@@ -257,6 +288,24 @@ mod tests {
             text.contains("= note: classes may be declared once"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn long_lines_are_clipped_around_the_caret() {
+        let src = format!("{}bad{}", "x".repeat(5000), "y".repeat(5000));
+        let e = Emitter::new("long.cj", &src);
+        let d = Diagnostic::error("here", Span::new(5000, 5003));
+        let text = e.render(&d);
+        assert!(text.len() < 400, "{text}");
+        let lines: Vec<&str> = text.lines().collect();
+        let (shown, marks) = (lines[3], lines[4]);
+        assert!(
+            shown.contains("...xxx") && shown.ends_with("yyy..."),
+            "{text}"
+        );
+        let caret = marks.find('^').unwrap();
+        assert_eq!(&shown[caret..caret + 3], "bad", "{text}");
+        assert_eq!(marks.matches('^').count(), 3, "{text}");
     }
 
     #[test]

@@ -666,9 +666,8 @@ impl From<&str> for ReqError {
 fn passes_json(p: PassCounts) -> String {
     format!(
         "{{\"parse\":{},\"typecheck\":{},\"infer\":{},\"check\":{},\"run\":{},\"lower\":{},\
-         \"rvm_lower\":{},\"methods_inferred\":{},\"methods_reused\":{},\
-         \"methods_lowered\":{},\"methods_lower_reused\":{},\"methods_rvm_lowered\":{},\
-         \"methods_rvm_reused\":{},\"sccs_solved\":{},\"sccs_reused\":{},\
+         \"methods_inferred\":{},\"methods_reused\":{},\
+         \"methods_lowered\":{},\"methods_lower_reused\":{},\"sccs_solved\":{},\"sccs_reused\":{},\
          \"sccs_shared_hits\":{},\"sccs_disk_hits\":{},\"extent_rewrites\":{},\
          \"rules_checked\":{},\"policy_violations\":{}}}",
         p.parse,
@@ -677,13 +676,10 @@ fn passes_json(p: PassCounts) -> String {
         p.check,
         p.run,
         p.lower,
-        p.rvm_lower,
         p.methods_inferred,
         p.methods_reused,
         p.methods_lowered,
         p.methods_lower_reused,
-        p.methods_rvm_lowered,
-        p.methods_rvm_reused,
         p.sccs_solved,
         p.sccs_reused,
         p.sccs_shared_hits,
@@ -935,7 +931,7 @@ mod tests {
         for resp in [&rvm, &interp] {
             assert!(resp.contains("\"result\":\"42\""), "{resp}");
         }
-        assert!(rvm.contains("\"rvm_lower\":1"), "{rvm}");
+        assert!(rvm.contains("\"lower\":1"), "{rvm}");
         // The retired stack VM's name is an unknown engine like any other.
         for bad_engine in ["jit", "vm"] {
             let bad = s.handle_line(&format!(r#"{{"cmd":"run","engine":"{bad_engine}"}}"#));

@@ -269,7 +269,7 @@ impl Session {
     /// # Errors
     ///
     /// Any compilation diagnostics.
-    pub fn compiled(&mut self) -> CompileResult<Arc<cj_rvm::RvmProgram>> {
+    pub fn compiled(&mut self) -> CompileResult<Arc<cj_vm::RvmProgram>> {
         self.compiled_with(self.ws.options().infer)
     }
 
@@ -278,7 +278,7 @@ impl Session {
     /// # Errors
     ///
     /// Any compilation diagnostics.
-    pub fn compiled_with(&mut self, opts: InferOptions) -> CompileResult<Arc<cj_rvm::RvmProgram>> {
+    pub fn compiled_with(&mut self, opts: InferOptions) -> CompileResult<Arc<cj_vm::RvmProgram>> {
         self.ingest_ok()?;
         self.ws.compiled_with(opts)
     }

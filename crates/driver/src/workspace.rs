@@ -90,19 +90,13 @@ pub struct PassCounts {
     pub check: u32,
     /// Program executions (either engine).
     pub run: u32,
-    /// Stack-bytecode lowering passes (one per distinct [`InferOptions`]
+    /// Register-code lowering passes (one per distinct [`InferOptions`]
     /// per revision that executed on the rvm engine).
     pub lower: u32,
-    /// Method bodies actually lowered to stack bytecode.
+    /// Method bodies actually lowered to register code.
     pub methods_lowered: u32,
-    /// Method bodies reused from the per-method stack-lowering cache.
+    /// Method bodies reused from the per-method lowering cache.
     pub methods_lower_reused: u32,
-    /// Register-lowering passes (one per stack-lowering pass).
-    pub rvm_lower: u32,
-    /// Method bodies actually translated to register code.
-    pub methods_rvm_lowered: u32,
-    /// Method bodies reused from the per-method register-lowering cache.
-    pub methods_rvm_reused: u32,
     /// `letreg` bindings narrowed or dropped by the liveness extent pass
     /// (0 under the paper's block-scoped placement).
     pub extent_rewrites: u32,
@@ -144,9 +138,6 @@ impl PassCounts {
             lower: self.lower - earlier.lower,
             methods_lowered: self.methods_lowered - earlier.methods_lowered,
             methods_lower_reused: self.methods_lower_reused - earlier.methods_lower_reused,
-            rvm_lower: self.rvm_lower - earlier.rvm_lower,
-            methods_rvm_lowered: self.methods_rvm_lowered - earlier.methods_rvm_lowered,
-            methods_rvm_reused: self.methods_rvm_reused - earlier.methods_rvm_reused,
             extent_rewrites: self.extent_rewrites - earlier.extent_rewrites,
             methods_inferred: self.methods_inferred - earlier.methods_inferred,
             methods_reused: self.methods_reused - earlier.methods_reused,
@@ -183,14 +174,10 @@ struct InferState {
     cache: InferCache,
     compilation: Option<Arc<Compilation>>,
     checked: bool,
-    /// Long-lived per-method stack-lowering memo (survives revisions).
+    /// Long-lived per-method lowering memo (survives revisions).
     lower_cache: cj_vm::LowerCache,
-    /// Long-lived per-method register-lowering memo (survives revisions;
-    /// keyed off the stack lowering's Arc identity, so it inherits that
-    /// memo's α-invariant reuse).
-    rvm_cache: cj_rvm::RvmCache,
     /// The current revision's register program, if it was lowered.
-    compiled: Option<Arc<cj_rvm::RvmProgram>>,
+    compiled: Option<Arc<cj_vm::RvmProgram>>,
     /// Long-lived per-method policy-verdict memo (survives revisions; keys
     /// are α-canonical content hashes, so untouched methods replay across
     /// edits even when their region ids shift).
@@ -483,7 +470,6 @@ impl Workspace {
                 compilation: None,
                 checked: false,
                 lower_cache: cj_vm::LowerCache::new(),
-                rvm_cache: cj_rvm::RvmCache::new(),
                 compiled: None,
                 policy_engine: PolicyEngine::new(),
                 policy_results: HashMap::new(),
@@ -650,33 +636,27 @@ impl Workspace {
         Ok(compilation)
     }
 
-    /// Lowers the inferred program to register bytecode (cached per
-    /// revision). Lowering runs in two steps, stack bytecode then register
-    /// code, and each keeps a per-method memo that survives revisions, so
-    /// an incremental edit re-lowers only changed methods — observable as
-    /// [`PassCounts::methods_lowered`] vs [`PassCounts::methods_lower_reused`]
-    /// for the stack step and [`PassCounts::methods_rvm_lowered`] vs
-    /// [`PassCounts::methods_rvm_reused`] for the register step.
+    /// Lowers the inferred program to register code (cached per
+    /// revision). The lowering keeps a per-method memo that survives
+    /// revisions, so an incremental edit re-lowers only changed methods —
+    /// observable as [`PassCounts::methods_lowered`] vs
+    /// [`PassCounts::methods_lower_reused`].
     ///
     /// # Errors
     ///
     /// Any compilation diagnostics.
-    pub fn compiled_with(&mut self, opts: InferOptions) -> CompileResult<Arc<cj_rvm::RvmProgram>> {
+    pub fn compiled_with(&mut self, opts: InferOptions) -> CompileResult<Arc<cj_vm::RvmProgram>> {
         if let Some(r) = self.states.get(&opts).and_then(|s| s.compiled.clone()) {
             return Ok(r);
         }
         let compilation = self.infer_with(opts)?;
         let state = self.state_mut(opts);
-        let (stack, stack_stats) = state.lower_cache.lower(&compilation.program);
-        let (reg, stats) = state.rvm_cache.lower(&stack);
+        let (reg, stats) = state.lower_cache.lower(&compilation.program);
         let reg = Arc::new(reg);
         state.compiled = Some(Arc::clone(&reg));
         self.counts.lower += 1;
-        self.counts.methods_lowered += stack_stats.methods_lowered as u32;
-        self.counts.methods_lower_reused += stack_stats.methods_reused as u32;
-        self.counts.rvm_lower += 1;
-        self.counts.methods_rvm_lowered += stats.methods_lowered as u32;
-        self.counts.methods_rvm_reused += stats.methods_reused as u32;
+        self.counts.methods_lowered += stats.methods_lowered as u32;
+        self.counts.methods_lower_reused += stats.methods_reused as u32;
         Ok(reg)
     }
 

@@ -112,7 +112,6 @@ fn daemon_request_trace_has_distinct_phase_spans() {
         ("pipeline", "infer"),
         ("pipeline", "solve-scc"),
         ("pipeline", "lower"),
-        ("pipeline", "rvm-lower"),
         ("pipeline", "rvm-exec"),
         ("request", "check"),
         ("request", "run"),
@@ -129,14 +128,14 @@ fn daemon_request_trace_has_distinct_phase_spans() {
     // The register engine's spans carry its counters: the lowering span
     // reports how many methods were translated, the execution span how
     // many dispatches retired and how many superinstructions hit.
-    let rvm_lower = events.iter().find(|e| e.name == "rvm-lower").unwrap();
+    let lower = events.iter().find(|e| e.name == "lower").unwrap();
     assert!(
-        rvm_lower
+        lower
             .counters
             .iter()
             .any(|&(k, v)| k == "methods_lowered" && v >= 1),
-        "rvm-lower counters: {:?}",
-        rvm_lower.counters
+        "lower counters: {:?}",
+        lower.counters
     );
     let rvm_exec = events.iter().find(|e| e.name == "rvm-exec").unwrap();
     assert!(

@@ -171,12 +171,16 @@ impl Parser {
             if self.at(TokenKind::Class) {
                 classes.push(self.class_decl());
             } else {
+                // One diagnostic per stray run of tokens: resume at the
+                // next class.
                 let span = self.peek().span;
                 self.diags.error(
                     format!("expected `class`, found {}", self.peek_kind().describe()),
                     span,
                 );
-                self.bump();
+                while !self.at(TokenKind::Class) && !self.at(TokenKind::Eof) {
+                    self.bump();
+                }
             }
         }
         Program { classes }
@@ -472,16 +476,39 @@ impl Parser {
     fn expr(&mut self) -> Expr {
         self.depth += 1;
         let e = if self.depth > MAX_NESTING {
+            // Report the over-deep expression once and skip all of it, so
+            // the enclosing levels find their closing brackets.
             let span = self.peek().span;
             self.diags
                 .error("expression nesting too deep".to_string(), span);
-            self.bump();
+            self.skip_expr();
             Expr::new(ExprKind::Null, span)
         } else {
             self.or_expr()
         };
         self.depth -= 1;
         e
+    }
+
+    /// Skips the tokens of one expression: everything up to the first
+    /// `)`, `]`, `}`, `;` or `,` outside the brackets it opens.
+    fn skip_expr(&mut self) {
+        let mut open = 0usize;
+        loop {
+            match self.peek_kind() {
+                TokenKind::Eof => return,
+                TokenKind::LParen | TokenKind::LBracket | TokenKind::LBrace => open += 1,
+                TokenKind::RParen | TokenKind::RBracket | TokenKind::RBrace => {
+                    if open == 0 {
+                        return;
+                    }
+                    open -= 1;
+                }
+                TokenKind::Semi | TokenKind::Comma if open == 0 => return,
+                _ => {}
+            }
+            self.bump();
+        }
     }
 
     fn or_expr(&mut self) -> Expr {

@@ -1,6 +1,7 @@
 //! Robustness: the lexer and parser must never panic, whatever the input —
 //! they report diagnostics instead.
 
+use cj_diag::Emitter;
 use cj_frontend::lexer::lex;
 use cj_frontend::parser::parse_program;
 use cj_frontend::typecheck::check_source;
@@ -83,4 +84,22 @@ fn weird_but_valid_inputs() {
     // Comment-only and empty programs.
     assert!(check_source("// nothing\n/* at all */").is_ok());
     assert!(check_source("").is_ok());
+}
+
+/// A 400 KB line of nested parentheses gets a handful of diagnostics, not
+/// one per token, and their caret rendering stays small: each snippet
+/// shows a window of the line around its caret, never the whole line.
+#[test]
+fn huge_nested_paren_line_gets_few_bounded_diagnostics() {
+    let depth = 200_000;
+    let parens = format!("{}1{}", "(".repeat(depth), ")".repeat(depth));
+    let in_method = format!("class M {{ static int main() {{ {parens} }} }}");
+    for src in [&parens, &in_method] {
+        let diags = parse_program(src).unwrap_err();
+        assert!(diags.len() <= 2, "{} diagnostics", diags.len());
+        let rendered = Emitter::new("deep.cj", src).render_all(&diags);
+        assert!(rendered.len() < 2048, "{} bytes rendered", rendered.len());
+    }
+    let diags = parse_program(&in_method).unwrap_err();
+    assert!(diags.iter().any(|d| d.message.contains("nesting too deep")));
 }

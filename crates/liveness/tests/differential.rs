@@ -40,12 +40,8 @@ struct Observed {
     space: cj_runtime::SpaceStats,
 }
 
-fn lower(p: &RProgram) -> cj_rvm::RvmProgram {
-    cj_rvm::lower_program(&cj_vm::lower_program(p))
-}
-
 fn run_both_engines(p: &RProgram, args: &[Value], label: &str) -> Observed {
-    let rvm = cj_rvm::run_main(&lower(p), args, RunConfig::default())
+    let rvm = cj_rvm::run_main(&cj_vm::lower_program(p), args, RunConfig::default())
         .unwrap_or_else(|e| panic!("[{label}] rvm: {e}"));
     let interp = run_main_big_stack(p, args, RunConfig::default())
         .unwrap_or_else(|e| panic!("[{label}] interp: {e}"));
@@ -137,7 +133,8 @@ fn fault_spans_are_mode_identical() {
     for (src, args) in cases {
         let (paper, live) = both_modes(src, InferOptions::default());
         for (p, label) in [(&paper, "paper"), (&live, "liveness")] {
-            let rvm = cj_rvm::run_main(&lower(p), args, RunConfig::default()).unwrap_err();
+            let rvm =
+                cj_rvm::run_main(&cj_vm::lower_program(p), args, RunConfig::default()).unwrap_err();
             let interp = run_main_big_stack(p, args, RunConfig::default()).unwrap_err();
             assert_eq!(rvm, interp, "[{label}] error variant diverged:\n{src}");
             assert_eq!(

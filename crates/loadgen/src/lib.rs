@@ -32,6 +32,7 @@
 
 #![forbid(missing_docs)]
 
+use cj_driver::{parse_json, Json};
 use cj_net::{EventLoop, NetConfig, NetEvent, NetStream, Token};
 use std::collections::{BinaryHeap, HashMap};
 use std::io::{BufRead, BufReader, Write};
@@ -829,25 +830,27 @@ impl Harness<'_> {
 
 // ---- the stats probe -------------------------------------------------------
 
-/// Extracts the integer after `"key":` in a flat JSON response.
-fn json_u64(response: &str, key: &str) -> u64 {
-    let pattern = format!("\"{key}\":");
-    response
-        .split(&pattern)
-        .nth(1)
-        .and_then(|rest| rest.split(&[',', '}'][..]).next())
-        .and_then(|n| n.trim().parse::<u64>().ok())
-        .unwrap_or(0)
+/// Parses one response line.
+fn parse_response(response: &str) -> std::io::Result<Json> {
+    parse_json(response.trim_end()).map_err(|e| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("unparsable response ({e}): {response}"),
+        )
+    })
 }
 
-/// The `{...}` body right after `"name":{` — for scraping one flat
-/// histogram out of a response where field names (`count`, `p99_us`)
-/// repeat across sibling blocks.
-fn json_block<'a>(response: &'a str, name: &str) -> Option<&'a str> {
-    let pattern = format!("\"{name}\":{{");
-    let start = response.find(&pattern)? + pattern.len();
-    let end = response[start..].find('}')?;
-    Some(&response[start..start + end])
+/// The member at a dotted key path (`"shared_memo.entries"`).
+fn at<'a>(json: &'a Json, path: &str) -> Option<&'a Json> {
+    path.split('.').try_fold(json, |v, key| v.get(key))
+}
+
+/// The integer at a dotted key path; 0 when absent.
+fn u64_at(json: &Json, path: &str) -> u64 {
+    match at(json, path) {
+        Some(Json::Num(n)) => *n as u64,
+        _ => 0,
+    }
 }
 
 /// One extra blocking connection that asks the daemon for `stats` and
@@ -861,22 +864,14 @@ pub fn probe_stats(addr: SocketAddr) -> std::io::Result<DaemonSnapshot> {
     writer.flush()?;
     let mut response = String::new();
     reader.read_line(&mut response)?;
-    if !response.contains("\"shared_memo\":{") {
+    let json = parse_response(&response)?;
+    if json.get("shared_memo").is_none() {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             format!("stats probe got a response without a memo block: {response}"),
         ));
     }
-    let snapshot = DaemonSnapshot {
-        clients_served: json_u64(&response, "clients_served"),
-        clients_rejected: json_u64(&response, "clients_rejected"),
-        connections_peak: json_u64(&response, "connections_peak"),
-        memo_entries: json_u64(&response, "entries"),
-        memo_hits: json_u64(&response, "hits"),
-        memo_misses: json_u64(&response, "misses"),
-        memo_shared_hits: json_u64(&response, "shared_hits"),
-        memo_disk_hits: json_u64(&response, "disk_hits"),
-    };
+    let snapshot = parse_stats_response(&json);
     // Leave the daemon as we found it: a connection-scope goodbye.
     writeln!(writer, "{{\"cmd\":\"shutdown\"}}")?;
     writer.flush()?;
@@ -899,13 +894,14 @@ pub fn probe_metrics(addr: SocketAddr) -> std::io::Result<ServerMetrics> {
     writer.flush()?;
     let mut response = String::new();
     reader.read_line(&mut response)?;
-    if !response.contains("\"histograms\":{") {
+    let json = parse_response(&response)?;
+    if at(&json, "metrics.histograms").is_none() {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             format!("metrics probe got a response without histograms: {response}"),
         ));
     }
-    let metrics = parse_metrics_response(&response);
+    let metrics = parse_metrics_response(&json);
     // Leave the daemon as we found it: a connection-scope goodbye.
     writeln!(writer, "{{\"cmd\":\"shutdown\"}}")?;
     writer.flush()?;
@@ -914,40 +910,44 @@ pub fn probe_metrics(addr: SocketAddr) -> std::io::Result<ServerMetrics> {
     Ok(metrics)
 }
 
-/// Scrapes the server-side view out of one `metrics` response line.
-fn parse_metrics_response(response: &str) -> ServerMetrics {
+/// The daemon counters and shared-memo tallies of one `stats` response.
+fn parse_stats_response(json: &Json) -> DaemonSnapshot {
+    DaemonSnapshot {
+        clients_served: u64_at(json, "daemon.clients_served"),
+        clients_rejected: u64_at(json, "daemon.clients_rejected"),
+        connections_peak: u64_at(json, "daemon.connections_peak"),
+        memo_entries: u64_at(json, "shared_memo.entries"),
+        memo_hits: u64_at(json, "shared_memo.hits"),
+        memo_misses: u64_at(json, "shared_memo.misses"),
+        memo_shared_hits: u64_at(json, "shared_memo.shared_hits"),
+        memo_disk_hits: u64_at(json, "shared_memo.disk_hits"),
+    }
+}
+
+/// The server-side view of one `metrics` response.
+fn parse_metrics_response(json: &Json) -> ServerMetrics {
+    let queue = "metrics.histograms.queue_wait_us";
     let mut metrics = ServerMetrics {
-        uptime_ms: json_u64(response, "uptime_ms"),
-        requests_total: json_u64(response, "requests_total"),
+        uptime_ms: u64_at(json, "uptime_ms"),
+        requests_total: u64_at(json, "metrics.counters.requests_total"),
+        queue_wait_count: u64_at(json, &format!("{queue}.count")),
+        queue_wait_p50_us: u64_at(json, &format!("{queue}.p50_us")),
+        queue_wait_p95_us: u64_at(json, &format!("{queue}.p95_us")),
+        queue_wait_p99_us: u64_at(json, &format!("{queue}.p99_us")),
         ..ServerMetrics::default()
     };
-    if let Some(block) = json_block(response, "queue_wait_us") {
-        metrics.queue_wait_count = json_u64(block, "count");
-        metrics.queue_wait_p50_us = json_u64(block, "p50_us");
-        metrics.queue_wait_p95_us = json_u64(block, "p95_us");
-        metrics.queue_wait_p99_us = json_u64(block, "p99_us");
-    }
-    // Walk every `request_us_<kind>` histogram in report order; the set
-    // of kinds is whatever the daemon actually served, not a fixed list.
-    let mut rest = response;
-    while let Some(at) = rest.find("\"request_us_") {
-        rest = &rest[at + "\"request_us_".len()..];
-        let Some(name_end) = rest.find('"') else {
-            break;
-        };
-        let kind = rest[..name_end].to_string();
-        let after = &rest[name_end..];
-        let Some(open) = after.find('{') else { break };
-        let Some(close) = after[open..].find('}') else {
-            break;
-        };
-        let block = &after[open + 1..open + close];
-        metrics.per_kind.push(ServerKindStats {
-            kind,
-            count: json_u64(block, "count"),
-            p99_us: json_u64(block, "p99_us"),
-        });
-        rest = &after[open + close..];
+    // Every `request_us_<kind>` histogram in report order; the set of
+    // kinds is whatever the daemon actually served, not a fixed list.
+    if let Some(Json::Obj(histograms)) = at(json, "metrics.histograms") {
+        for (name, h) in histograms {
+            if let Some(kind) = name.strip_prefix("request_us_") {
+                metrics.per_kind.push(ServerKindStats {
+                    kind: kind.to_string(),
+                    count: u64_at(h, "count"),
+                    p99_us: u64_at(h, "p99_us"),
+                });
+            }
+        }
     }
     metrics
 }
@@ -1010,10 +1010,31 @@ mod tests {
     }
 
     #[test]
+    fn stats_are_read_by_key_path() {
+        // `hits`, `entries` and `disk_hits` also appear in sibling blocks;
+        // each field is read from its own object.
+        let response = concat!(
+            "{\"ok\":true,\"files\":[],\"passes_total\":{\"sccs_disk_hits\":9},",
+            "\"cache\":{\"entries\":77,\"hits\":88,\"disk_hits\":99},",
+            "\"shared_memo\":{\"entries\":5,\"hits\":4,\"misses\":3,",
+            "\"shared_hits\":2,\"disk_hits\":1},\"uptime_ms\":10,",
+            "\"daemon\":{\"clients_served\":12,\"clients_rejected\":1,",
+            "\"connections_current\":3,\"connections_peak\":7}}",
+        );
+        let s = parse_stats_response(&parse_json(response).unwrap());
+        assert_eq!((s.memo_entries, s.memo_hits, s.memo_misses), (5, 4, 3));
+        assert_eq!((s.memo_shared_hits, s.memo_disk_hits), (2, 1));
+        assert_eq!(
+            (s.clients_served, s.clients_rejected, s.connections_peak),
+            (12, 1, 7)
+        );
+    }
+
+    #[test]
     fn metrics_scraping_is_block_scoped() {
-        // `count` and `p99_us` repeat across sibling histograms, so the
-        // scraper must resolve each within its own block, not take the
-        // first match in the whole response.
+        // `count` and `p99_us` repeat across sibling histograms, so each
+        // is read by its path, not found by searching the whole
+        // response.
         let response = concat!(
             "{\"ok\":true,\"uptime_ms\":1234,\"version\":\"0.1.0\",\"metrics\":",
             "{\"counters\":{\"requests_total\":42,\"metrics_scrapes\":1},",
@@ -1023,7 +1044,7 @@ mod tests {
             "\"request_us_open\":{\"count\":30,\"sum_us\":10,\"p50_us\":1,\"p95_us\":2,\"p99_us\":4}",
             "}}}",
         );
-        let m = parse_metrics_response(response);
+        let m = parse_metrics_response(&parse_json(response).unwrap());
         assert_eq!(m.uptime_ms, 1234);
         assert_eq!(m.requests_total, 42);
         assert_eq!(m.queue_wait_count, 40);

@@ -15,7 +15,7 @@
 //! (`cj_runtime::run_main`); the differential suites enforce this.
 //! `steps` in the returned [`Outcome`] counts *dispatches*, the register
 //! engine's native work unit — one fused superinstruction does the work
-//! of several stack-bytecode instructions in a single step.
+//! of several plain instructions in a single step.
 //!
 //! The deliberate divergences from the interpreter — both reachable only
 //! by *unchecked* programs, since the region checker proves such
@@ -28,13 +28,13 @@
 //!
 //! [`SpaceStats`]: cj_runtime::SpaceStats
 
-use crate::code::{CmpOp, RInstr, RvmMethod, RvmProgram, OP_COUNT};
 use cj_frontend::ast::BinOp;
 use cj_frontend::span::Span;
-use cj_frontend::types::MethodId;
 use cj_runtime::store::ObjId;
 use cj_runtime::{Outcome, RunConfig, RuntimeError, Value};
-use cj_vm::bytecode::{CallTarget, Lit, RegRef, SlotTy};
+use cj_vm::code::{
+    bin_of, CallTarget, CmpOp, Lit, RInstr, RegRef, RvmMethod, RvmProgram, SlotTy, OP_COUNT,
+};
 use cj_vm::heap::{pack_ref, ObjRef, RegionHeap, NULL_WORD};
 use std::fmt;
 
@@ -144,24 +144,6 @@ fn encode(ty: SlotTy, v: RValue) -> u64 {
     }
 }
 
-/// Decodes the `t` operand of [`ROp::Binary`] (the inverse of the
-/// lowering pass's `bin_code`).
-fn bin_of(code: u32) -> BinOp {
-    match code {
-        0 => BinOp::Add,
-        1 => BinOp::Sub,
-        2 => BinOp::Mul,
-        3 => BinOp::Div,
-        4 => BinOp::Rem,
-        5 => BinOp::Lt,
-        6 => BinOp::Le,
-        7 => BinOp::Gt,
-        8 => BinOp::Ge,
-        9 => BinOp::Eq,
-        _ => BinOp::Ne,
-    }
-}
-
 fn binary(op: BinOp, l: RValue, r: RValue, span: Span) -> Result<RValue, RuntimeError> {
     use BinOp::*;
     use RValue::*;
@@ -254,9 +236,13 @@ const SWITCH: u32 = u32::MAX;
 
 /// One opcode's execution routine: returns the next program counter (or
 /// [`SWITCH`]).
-type Handler = fn(&mut Rvm<'_>, &RvmMethod, RInstr, usize) -> Result<u32, RuntimeError>;
+type Handler = fn(&mut Rvm<'_>, &RvmMethod, RInstr, usize) -> Step;
 
-/// The dense dispatch table, indexed by the [`ROp`] discriminant (order
+/// A handler's outcome: the next program counter (or [`SWITCH`]), or a
+/// runtime fault.
+type Step = Result<u32, RuntimeError>;
+
+/// The dense dispatch table, indexed by the [`ROp`](cj_vm::ROp) discriminant (order
 /// pinned by a unit test below).
 static HANDLERS: [Handler; OP_COUNT] = [
     h_load_const,
@@ -296,35 +282,6 @@ static HANDLERS: [Handler; OP_COUNT] = [
 /// cannot occur.
 pub fn run_main(p: &RvmProgram, args: &[Value], cfg: RunConfig) -> Result<Outcome, RuntimeError> {
     let func = p.main.ok_or(RuntimeError::NoMain)?;
-    run_func(p, func, args, cfg)
-}
-
-/// Runs an arbitrary method as the entry point (all abstraction region
-/// parameters bound to the heap, like the other engines' `run_static`).
-///
-/// # Errors
-///
-/// See [`run_main`].
-///
-/// # Panics
-///
-/// Panics when `id` is not part of the program.
-pub fn run_static(
-    p: &RvmProgram,
-    id: MethodId,
-    args: &[Value],
-    cfg: RunConfig,
-) -> Result<Outcome, RuntimeError> {
-    let func = *p.func_of.get(&id).expect("method exists in the program");
-    run_func(p, func, args, cfg)
-}
-
-fn run_func(
-    p: &RvmProgram,
-    func: u32,
-    args: &[Value],
-    cfg: RunConfig,
-) -> Result<Outcome, RuntimeError> {
     let method = &p.methods[func as usize];
     if method.params.len() != args.len() {
         return Err(RuntimeError::BadMainArgs);
@@ -449,10 +406,10 @@ impl Rvm<'_> {
         }
     }
 
-    /// The shared call protocol of [`ROp::Call`] and [`ROp::FieldCall`]:
-    /// pushes the callee frame (region binding identical to the stack
-    /// VM's) and reports a frame switch.
-    fn do_call(&mut self, m: &RvmMethod, site_idx: usize, pc: usize) -> Result<u32, RuntimeError> {
+    /// The shared call protocol of `ROp::Call` and `ROp::FieldCall`:
+    /// pushes the callee frame (region binding identical to the
+    /// interpreter's) and reports a frame switch.
+    fn do_call(&mut self, m: &RvmMethod, site_idx: usize, pc: usize) -> Step {
         if self.frames.len() as u32 > self.max_depth {
             return Err(RuntimeError::DepthLimit);
         }
@@ -521,30 +478,25 @@ impl Rvm<'_> {
     }
 }
 
-fn h_load_const(
-    vm: &mut Rvm<'_>,
-    m: &RvmMethod,
-    i: RInstr,
-    pc: usize,
-) -> Result<u32, RuntimeError> {
+fn h_load_const(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     vm.set_reg(i.a, lit_value(m.consts[i.t as usize]));
     Ok((pc + 1) as u32)
 }
 
-fn h_move(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32, RuntimeError> {
+fn h_move(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     let v = vm.reg(i.b);
     vm.set_reg(i.a, v);
     Ok((pc + 1) as u32)
 }
 
-fn h_add_imm(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32, RuntimeError> {
+fn h_add_imm(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     let v = vm.reg(i.b).as_int().wrapping_add(i.imm);
     vm.set_reg(i.a, RValue::Int(v));
     vm.supers += 1;
     Ok((pc + 1) as u32)
 }
 
-fn h_unary(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32, RuntimeError> {
+fn h_unary(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     let v = vm.reg(i.b);
     let out = match (i.c, v) {
         (0, RValue::Int(x)) => RValue::Int(x.wrapping_neg()),
@@ -556,7 +508,7 @@ fn h_unary(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32
     Ok((pc + 1) as u32)
 }
 
-fn h_binary(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32, RuntimeError> {
+fn h_binary(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     let l = vm.reg(i.b);
     let r = vm.reg(i.c);
     let out = binary(bin_of(i.t), l, r, m.spans[pc])?;
@@ -564,7 +516,7 @@ fn h_binary(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32
     Ok((pc + 1) as u32)
 }
 
-fn h_get_field(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32, RuntimeError> {
+fn h_get_field(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     let r = vm.deref(vm.reg(i.b), m.spans[pc])?;
     let word = vm.heap.field(r, i.c as usize);
     let v = vm.decode(i.ty, word);
@@ -572,14 +524,14 @@ fn h_get_field(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Result<
     Ok((pc + 1) as u32)
 }
 
-fn h_set_field(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32, RuntimeError> {
+fn h_set_field(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     let r = vm.deref(vm.reg(i.a), m.spans[pc])?;
     let word = encode(i.ty, vm.reg(i.b));
     vm.heap.set_field(r, i.c as usize, word);
     Ok((pc + 1) as u32)
 }
 
-fn h_index(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32, RuntimeError> {
+fn h_index(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     let idx = vm.reg(i.c).as_int();
     let r = vm.deref(vm.reg(i.b), m.spans[pc])?;
     match vm.heap.element(r, idx as usize) {
@@ -592,7 +544,7 @@ fn h_index(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32,
     }
 }
 
-fn h_set_index(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32, RuntimeError> {
+fn h_set_index(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     let idx = vm.reg(i.b).as_int();
     let val = vm.reg(i.c);
     let r = vm.deref(vm.reg(i.a), m.spans[pc])?;
@@ -603,14 +555,14 @@ fn h_set_index(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Result<
     }
 }
 
-fn h_array_len(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32, RuntimeError> {
+fn h_array_len(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     let r = vm.deref(vm.reg(i.b), m.spans[pc])?;
     let len = vm.heap.array_len(r) as i64;
     vm.set_reg(i.a, RValue::Int(len));
     Ok((pc + 1) as u32)
 }
 
-fn h_new_obj(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32, RuntimeError> {
+fn h_new_obj(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     let site = &m.news[i.t as usize];
     vm.reg_buf.clear();
     for &r in &site.regions {
@@ -629,7 +581,7 @@ fn h_new_obj(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Result<u3
     Ok((pc + 1) as u32)
 }
 
-fn h_new_arr(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32, RuntimeError> {
+fn h_new_arr(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     let site = m.arrays[i.t as usize];
     let n = vm.reg(i.b).as_int();
     if n < 0 {
@@ -641,7 +593,7 @@ fn h_new_arr(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Result<u3
     Ok((pc + 1) as u32)
 }
 
-fn h_reg_push(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32, RuntimeError> {
+fn h_reg_push(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     // Region-erasure semantics: the letreg is a no-op and its region
     // variable denotes the heap.
     let id = if vm.erase { 0 } else { vm.heap.push() };
@@ -649,23 +601,18 @@ fn h_reg_push(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Result<
     Ok((pc + 1) as u32)
 }
 
-fn h_reg_pop(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32, RuntimeError> {
+fn h_reg_pop(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     if !vm.erase {
         vm.heap.pop(vm.rslots[vm.rbase + i.a as usize])?;
     }
     Ok((pc + 1) as u32)
 }
 
-fn h_call(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32, RuntimeError> {
+fn h_call(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     vm.do_call(m, i.t as usize, pc)
 }
 
-fn h_field_call(
-    vm: &mut Rvm<'_>,
-    m: &RvmMethod,
-    i: RInstr,
-    pc: usize,
-) -> Result<u32, RuntimeError> {
+fn h_field_call(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     // Field half first (its faults carry the field access's span)…
     let r = vm.deref(vm.reg(i.b), m.spans[pc])?;
     let word = vm.heap.field(r, i.c as usize);
@@ -676,16 +623,15 @@ fn h_field_call(
     vm.do_call(m, i.t as usize, pc)
 }
 
-fn h_cast(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32, RuntimeError> {
+fn h_cast(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     let site = m.casts[i.t as usize];
     let v = vm.reg(site.var);
     match v {
         RValue::Null => vm.set_reg(i.a, RValue::Null),
         RValue::Ref(r) => {
             if !vm.heap.is_live(r.region) {
-                // The arena that held the class header is gone (same
-                // deliberate unchecked-program divergence as the stack
-                // VM).
+                // The arena that held the class header is gone (the
+                // deliberate unchecked-program divergence above).
                 return Err(RuntimeError::DanglingAccess(m.spans[pc]));
             }
             let class = vm.heap.class_of(r) as usize;
@@ -700,98 +646,62 @@ fn h_cast(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32, 
     Ok((pc + 1) as u32)
 }
 
-fn h_jump(_vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, _pc: usize) -> Result<u32, RuntimeError> {
+fn h_jump(_vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, _pc: usize) -> Step {
     Ok(i.t)
 }
 
-fn h_jmp_if(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32, RuntimeError> {
-    if vm.reg(i.a).as_bool() {
-        Ok(i.t)
-    } else {
-        Ok((pc + 1) as u32)
-    }
+/// A conditional jump's next program counter.
+#[inline(always)]
+fn branch(taken: bool, i: RInstr, pc: usize) -> Step {
+    Ok(if taken { i.t } else { (pc + 1) as u32 })
 }
 
-fn h_jmp_if_not(
-    vm: &mut Rvm<'_>,
-    _m: &RvmMethod,
-    i: RInstr,
-    pc: usize,
-) -> Result<u32, RuntimeError> {
-    if vm.reg(i.a).as_bool() {
-        Ok((pc + 1) as u32)
-    } else {
-        Ok(i.t)
-    }
+fn h_jmp_if(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Step {
+    branch(vm.reg(i.a).as_bool(), i, pc)
 }
 
-fn h_jmp_cmp(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32, RuntimeError> {
+fn h_jmp_if_not(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Step {
+    branch(!vm.reg(i.a).as_bool(), i, pc)
+}
+
+fn h_jmp_cmp(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     vm.supers += 1;
-    if cmp_eval(CmpOp::from_code(i.c), vm.reg(i.a), vm.reg(i.b)) {
-        Ok(i.t)
-    } else {
-        Ok((pc + 1) as u32)
-    }
+    let (lhs, rhs) = (vm.reg(i.a), vm.reg(i.b));
+    branch(cmp_eval(CmpOp::from_code(i.c), lhs, rhs), i, pc)
 }
 
-fn h_jmp_cmp_not(
-    vm: &mut Rvm<'_>,
-    _m: &RvmMethod,
-    i: RInstr,
-    pc: usize,
-) -> Result<u32, RuntimeError> {
+fn h_jmp_cmp_not(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     vm.supers += 1;
-    if cmp_eval(CmpOp::from_code(i.c), vm.reg(i.a), vm.reg(i.b)) {
-        Ok((pc + 1) as u32)
-    } else {
-        Ok(i.t)
-    }
+    let (lhs, rhs) = (vm.reg(i.a), vm.reg(i.b));
+    branch(!cmp_eval(CmpOp::from_code(i.c), lhs, rhs), i, pc)
 }
 
-fn h_jmp_cmp_c(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32, RuntimeError> {
+fn h_jmp_cmp_c(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     vm.supers += 1;
     let rhs = lit_value(m.consts[i.imm as usize]);
-    if cmp_eval(CmpOp::from_code(i.c), vm.reg(i.a), rhs) {
-        Ok(i.t)
-    } else {
-        Ok((pc + 1) as u32)
-    }
+    branch(cmp_eval(CmpOp::from_code(i.c), vm.reg(i.a), rhs), i, pc)
 }
 
-fn h_jmp_cmp_not_c(
-    vm: &mut Rvm<'_>,
-    m: &RvmMethod,
-    i: RInstr,
-    pc: usize,
-) -> Result<u32, RuntimeError> {
+fn h_jmp_cmp_not_c(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     vm.supers += 1;
     let rhs = lit_value(m.consts[i.imm as usize]);
-    if cmp_eval(CmpOp::from_code(i.c), vm.reg(i.a), rhs) {
-        Ok((pc + 1) as u32)
-    } else {
-        Ok(i.t)
-    }
+    branch(!cmp_eval(CmpOp::from_code(i.c), vm.reg(i.a), rhs), i, pc)
 }
 
-fn h_inc_jump(
-    vm: &mut Rvm<'_>,
-    _m: &RvmMethod,
-    i: RInstr,
-    _pc: usize,
-) -> Result<u32, RuntimeError> {
+fn h_inc_jump(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, _pc: usize) -> Step {
     let v = vm.reg(i.a).as_int().wrapping_add(i.imm);
     vm.set_reg(i.a, RValue::Int(v));
     vm.supers += 1;
     Ok(i.t)
 }
 
-fn h_print(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Result<u32, RuntimeError> {
+fn h_print(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Step {
     let s = vm.reg(i.a).to_string();
     vm.prints.push(s);
     Ok((pc + 1) as u32)
 }
 
-fn h_ret(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, _pc: usize) -> Result<u32, RuntimeError> {
+fn h_ret(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, _pc: usize) -> Step {
     let value = vm.reg(i.a);
     let done = vm.frames.pop().expect("frame");
     vm.regs.truncate(done.regs as usize);
@@ -809,7 +719,7 @@ fn h_ret(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, _pc: usize) -> Result<u32,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::code::ROp;
+    use cj_vm::code::{bin_code, ROp};
 
     /// The handler table is indexed by the `ROp` discriminant; this pins
     /// the enum order to the order `HANDLERS` is written in.
@@ -855,7 +765,7 @@ mod tests {
     fn bin_code_round_trips() {
         use BinOp::*;
         for op in [Add, Sub, Mul, Div, Rem, Lt, Le, Gt, Ge, Eq, Ne] {
-            assert_eq!(bin_of(crate::lower::bin_code(op)), op);
+            assert_eq!(bin_of(bin_code(op)), op);
         }
     }
 }

@@ -1,19 +1,13 @@
 //! # cj-rvm — the register-based direct-threaded bytecode engine
 //!
-//! The default execution engine: the stack bytecode the [`cj_vm`]
-//! lowering pass produces is translated once more — per method, with the
-//! same memoized, α-invariant reuse discipline — into a **register IR**
-//! ([`code`]) that a **direct-threaded** engine ([`exec`]) runs:
+//! The default execution engine. It runs the register IR that
+//! [`cj_vm`] lowers the region-annotated kernel to ([`cj_vm::code`]):
 //!
-//! - the operand stack disappears: the [lowering pass](lower) simulates
-//!   it at translation time and assigns every value a register (a
-//!   variable slot or a stack-position temporary), so `Const`/`LoadVar`
-//!   /`StoreVar` traffic folds into the consuming instruction's
-//!   operands;
-//! - the hottest stack idioms fuse into superinstructions — compare-
-//!   and-branch, add-immediate, increment-and-loop, and
-//!   load-field-then-call — each retiring several stack instructions in
-//!   one dispatch;
+//! - operands are registers of one flat per-frame file, folded into each
+//!   instruction, so there is no operand stack;
+//! - superinstructions — compare-and-branch, add-immediate,
+//!   increment-and-loop and load-field-then-call — each do the work of
+//!   several plain instructions in one dispatch;
 //! - dispatch indexes a dense function-pointer table with the opcode
 //!   (no `match` over the instruction set in the hot path), and
 //!   `letreg` compiles to direct bump-arena push/pop against the
@@ -48,8 +42,7 @@
 //!      }",
 //!     InferOptions::default(),
 //! ).unwrap();
-//! let stack = cj_vm::lower_program(&p);
-//! let reg = cj_rvm::lower_program(&stack);
+//! let reg = cj_vm::lower_program(&p);
 //! let rvm = cj_rvm::run_main(&reg, &[Value::Int(10)], RunConfig::default()).unwrap();
 //! let interp = cj_runtime::run_main(&p, &[Value::Int(10)], RunConfig::default()).unwrap();
 //! assert_eq!(rvm.value, Value::Int(55));
@@ -58,24 +51,21 @@
 //! ```
 #![forbid(unsafe_code)]
 
-pub mod code;
 pub mod exec;
-pub mod lower;
 
-pub use code::{RInstr, ROp, RvmMethod, RvmProgram};
-pub use exec::{run_main, run_static};
-pub use lower::{lower_program, RvmCache, RvmStats};
+pub use exec::run_main;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cj_infer::{infer_source, InferOptions, SubtypeMode};
     use cj_runtime::{Outcome, RunConfig, RuntimeError, Value};
+    use cj_vm::{lower_program, RvmProgram};
 
     fn compile(src: &str) -> (cj_infer::RProgram, RvmProgram) {
         let (p, _) = infer_source(src, InferOptions::default()).unwrap();
         cj_check::check(&p).unwrap_or_else(|e| panic!("checker: {e}"));
-        let reg = lower_program(&cj_vm::lower_program(&p));
+        let reg = lower_program(&p);
         (p, reg)
     }
 
@@ -298,37 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn rvm_cache_reuses_unchanged_methods() {
-        let src_a = "class Cell { Object item; Object get() { this.item } }
-             class M { static int main() { 1 } }";
-        let src_b = "class Cell { Object item; Object get() { this.item } }
-             class M { static int main() { 2 } }";
-        let (pa, _) = infer_source(src_a, InferOptions::default()).unwrap();
-        let (pb, _) = infer_source(src_b, InferOptions::default()).unwrap();
-        let mut stack_cache = cj_vm::LowerCache::new();
-        let mut cache = RvmCache::new();
-        let (sa, _) = stack_cache.lower(&pa);
-        let (first, s1) = cache.lower(&sa);
-        assert_eq!(s1.methods_reused, 0);
-        assert!(s1.methods_lowered >= 2);
-        // Identical program: the stack tier hands back the same Arcs, so
-        // every register translation replays.
-        let (sa2, _) = stack_cache.lower(&pa);
-        let (again, s2) = cache.lower(&sa2);
-        assert_eq!(s2.methods_lowered, 0);
-        assert_eq!(s2.methods_reused, s1.methods_lowered);
-        assert!(std::ptr::eq(
-            std::sync::Arc::as_ptr(&first.methods[0]),
-            std::sync::Arc::as_ptr(&again.methods[0])
-        ));
-        // One edited body: exactly one method re-translates.
-        let (sb, _) = stack_cache.lower(&pb);
-        let (_, s3) = cache.lower(&sb);
-        assert_eq!(s3.methods_lowered, 1, "{s3:?}");
-        assert_eq!(s3.methods_reused, s1.methods_lowered - 1);
-    }
-
-    #[test]
     fn lowering_is_deterministic_across_modes() {
         let src = "class RList { int value; RList next; }
              class M {
@@ -345,8 +304,7 @@ mod tests {
              }";
         for mode in SubtypeMode::ALL {
             let (p, _) = infer_source(src, InferOptions::with_mode(mode)).unwrap();
-            let stack = cj_vm::lower_program(&p);
-            let reg = lower_program(&stack);
+            let reg = lower_program(&p);
             let rvm = run_main(&reg, &[Value::Int(40)], RunConfig::default())
                 .unwrap_or_else(|e| panic!("{mode}: {e}"));
             let interp =

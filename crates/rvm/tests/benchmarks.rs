@@ -22,7 +22,7 @@ fn all_benchmarks_are_engine_identical() {
                 .unwrap_or_else(|e| panic!("{} [{mode}] liveness checker: {e}", b.name));
             for (p, extent) in [(&paper, "paper"), (&live, "liveness")] {
                 let label = format!("{} [{mode}/{extent}]", b.name);
-                let reg = cj_rvm::lower_program(&cj_vm::lower_program(p));
+                let reg = cj_vm::lower_program(p);
                 let rvm = cj_rvm::run_main(&reg, &args, RunConfig::default())
                     .unwrap_or_else(|e| panic!("[{label}] rvm: {e}"));
                 let interp = run_main_big_stack(p, &args, RunConfig::default())
@@ -42,5 +42,57 @@ fn all_benchmarks_are_engine_identical() {
                 );
             }
         }
+    }
+}
+
+/// Dispatches (`Outcome::steps`) each program retires on its test input
+/// under the default options, as recorded for the two-step lowering (stack
+/// bytecode, then a register translation of it) that the one-pass
+/// lowering replaced. Register code may only get better: no program may
+/// need more dispatches than it did then.
+const RECORDED_DISPATCHES: &[(&str, u64)] = &[
+    ("Sieve of Eratosthenes", 6648),
+    ("Ackermann", 387),
+    ("Merge Sort", 51748),
+    ("Mandelbrot", 84214),
+    ("Naive Life", 246380),
+    ("Optimized Life (array)", 197495),
+    ("Optimized Life (dangling)", 197488),
+    ("Optimized Life (stack)", 198274),
+    ("Reynolds3", 204811),
+    ("foo-sum", 313),
+    ("bisort", 4928),
+    ("em3d", 9223),
+    ("health", 12016),
+    ("mst", 2027),
+    ("power", 9923),
+    ("treeadd", 450),
+    ("tsp", 1386),
+    ("perimeter", 6992),
+    ("n-body", 13115),
+    ("voronoi", 71701),
+];
+
+#[test]
+fn dispatch_counts_never_exceed_the_recorded_table() {
+    let benchmarks = all_benchmarks();
+    assert_eq!(benchmarks.len(), RECORDED_DISPATCHES.len());
+    for b in benchmarks {
+        let recorded = RECORDED_DISPATCHES
+            .iter()
+            .find(|(name, _)| *name == b.name)
+            .unwrap_or_else(|| panic!("{} has no recorded dispatch count", b.name))
+            .1;
+        let args: Vec<Value> = b.test_input.iter().map(|&v| Value::Int(v)).collect();
+        let (p, _) = infer_source(b.source, InferOptions::default()).unwrap();
+        let out = cj_rvm::run_main(&cj_vm::lower_program(&p), &args, RunConfig::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        println!("{:<28} {:>7} (recorded {recorded})", b.name, out.steps);
+        assert!(
+            out.steps <= recorded,
+            "{}: {} dispatches, recorded {recorded}",
+            b.name,
+            out.steps
+        );
     }
 }

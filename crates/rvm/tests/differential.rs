@@ -22,14 +22,10 @@ use cj_runtime::{run_main_big_stack, RunConfig, Value};
 use common::{arb_op, clamp_op, render, Op};
 use proptest::prelude::*;
 
-fn lower(p: &RProgram) -> cj_rvm::RvmProgram {
-    cj_rvm::lower_program(&cj_vm::lower_program(p))
-}
-
 /// Runs `p` on both engines and asserts observable identity; returns the
 /// agreed observation.
 fn run_both_engines(p: &RProgram, args: &[Value], label: &str) -> cj_runtime::Outcome {
-    let rvm = cj_rvm::run_main(&lower(p), args, RunConfig::default())
+    let rvm = cj_rvm::run_main(&cj_vm::lower_program(p), args, RunConfig::default())
         .unwrap_or_else(|e| panic!("[{label}] rvm: {e}"));
     let interp = run_main_big_stack(p, args, RunConfig::default())
         .unwrap_or_else(|e| panic!("[{label}] interp: {e}"));
@@ -128,7 +124,8 @@ fn fault_spans_are_engine_identical() {
     for (src, args) in cases {
         let (paper, live) = both_extents(src, InferOptions::default());
         for (p, label) in [(&paper, "paper"), (&live, "liveness")] {
-            let rvm = cj_rvm::run_main(&lower(p), args, RunConfig::default()).unwrap_err();
+            let rvm =
+                cj_rvm::run_main(&cj_vm::lower_program(p), args, RunConfig::default()).unwrap_err();
             let interp = run_main_big_stack(p, args, RunConfig::default()).unwrap_err();
             assert_eq!(
                 rvm, interp,

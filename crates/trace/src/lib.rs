@@ -2,8 +2,8 @@
 //!
 //! A dependency-free observability layer in the spirit of rustc's
 //! `-Z self-profile` (measureme): the whole pipeline — parse, typecheck,
-//! per-SCC solve, extent rewriting, lowering, register lowering
-//! (`rvm-lower`), policy check, execution (`rvm-exec`/`interp-exec`) —
+//! per-SCC solve, extent rewriting, lowering to register code
+//! (`lower`), policy check, execution (`rvm-exec`/`interp-exec`) —
 //! and the daemon's internals (reactor dispatch, queue wait, worker
 //! handling, persist flush) open [`span`]s that are recorded into
 //! per-thread buffers with monotonic timestamps and attached counters.

@@ -1,21 +1,21 @@
-//! # cj-vm — stack lowering and the region heap for annotated Core-Java
+//! # cj-vm — register lowering and the region heap for annotated Core-Java
 //!
-//! Two pieces of the bytecode execution path for the paper's target
-//! language:
+//! Everything the bytecode engine needs except the executor itself:
 //!
-//! - a [lowering pass](lower) compiles the region-annotated kernel
-//!   ([`RProgram`](cj_infer::RProgram)) into a compact
-//!   [`CompiledProgram`] — per-method stack bytecode, constant pools,
-//!   vtables resolved at lowering time (virtual dispatch by slot index,
-//!   never name lookup), and explicit `RegPush`/`RegPop`/allocate-in-region
-//!   instructions mirroring `letreg` extents. A per-method [`LowerCache`]
-//!   re-lowers only the methods an edit changed;
+//! - the [register IR](code) — per-method three-address code with fused
+//!   superinstructions, constant pools, vtables resolved at lowering time
+//!   (virtual dispatch by slot index, never name lookup), and explicit
+//!   `RegPush`/`RegPop`/allocate-in-region instructions mirroring
+//!   `letreg` extents;
+//! - the [lowering pass](lower), which compiles the region-annotated
+//!   kernel ([`RProgram`](cj_infer::RProgram)) straight to that IR in one
+//!   pass. A per-method [`LowerCache`] re-lowers only the methods an edit
+//!   changed;
 //! - a [bump-arena region heap](heap): each live region holds its
 //!   objects' actual payloads (fields as word slots) and frees them
 //!   **wholesale** at `RegPop`.
 //!
-//! The stack bytecode is the input of `cj-rvm`'s register lowering, and
-//! `cj-rvm` executes over this heap. Space accounting follows the
+//! `cj-rvm` executes the IR over this heap. Space accounting follows the
 //! tree-walking interpreter's size model, so
 //! [`SpaceStats`](cj_runtime::SpaceStats) — and every Fig 8 space ratio —
 //! is identical across engines.
@@ -38,20 +38,20 @@
 //! ).unwrap();
 //! let compiled = cj_vm::lower_program(&p);
 //! // The per-iteration Box gets its own region: the loop body pushes and
-//! // pops it.
-//! assert!(compiled.instruction_count() > 0);
+//! // pops it, and the loop closes with a fused increment-and-jump.
 //! assert!(compiled
 //!     .methods
 //!     .iter()
-//!     .any(|m| m.code.iter().any(|i| matches!(i, cj_vm::Instr::RegPush(_)))));
+//!     .any(|m| m.code.iter().any(|i| i.op == cj_vm::ROp::RegPush)));
+//! assert!(compiled.fused_count() > 0);
 //! ```
 #![forbid(unsafe_code)]
 
-pub mod bytecode;
+pub mod code;
 pub mod heap;
 pub mod lower;
 
-pub use bytecode::{CompiledMethod, CompiledProgram, Instr};
+pub use code::{RInstr, ROp, RvmMethod, RvmProgram};
 pub use lower::{lower_program, LowerCache, LowerStats};
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Lowering: region-annotated kernel ([`RProgram`]) → [`CompiledProgram`].
+//! Lowering: region-annotated kernel ([`RProgram`]) → register code
+//! ([`RvmProgram`]), in one pass.
 //!
 //! Everything name-shaped is resolved here, once: virtual dispatch becomes
 //! a vtable-slot index, casts a subclass-matrix read, field access a
@@ -7,9 +8,30 @@
 //! then one slot per `letreg` binding — shadowing gets fresh slots, so
 //! `RegPush`/`RegPop` always address the binding they delimit).
 //!
+//! # Code generation
+//!
+//! Each expression is compiled *into* where its value is wanted: a
+//! destination register, the method's return, or nowhere (evaluated for
+//! its effects only). Variables and literals never cost an instruction of
+//! their own — they fold into the consuming instruction's operands — and
+//! a statement's discarded value is never materialized. Conditions compile
+//! to jumps directly, `&&`/`||` included, and the hottest idioms come out
+//! as superinstructions straight from the tree:
+//!
+//! - a comparison in an `if`/`while` condition is one compare-and-branch
+//!   ([`ROp::JmpCmp`]*, with a constant right-hand side folded into the
+//!   instruction);
+//! - `e ± k` with an integer literal `k` is [`ROp::AddImm`];
+//! - a loop body ending in `i = i + k` closes with [`ROp::IncJump`];
+//! - a field load feeding straight into a call (`let t = v.f in m(…t…)`)
+//!   is [`ROp::FieldCall`].
+//!
+//! Fusion never swallows a jump target, so every label stays an
+//! instruction boundary.
+//!
 //! # Incremental re-lowering
 //!
-//! [`LowerCache`] memoizes compiled methods by a structural fingerprint:
+//! [`LowerCache`] memoizes lowered methods by a structural fingerprint:
 //! as long as the program's *shape* (class hierarchy, signatures, region
 //! arities — everything that positions vtable slots and function indices)
 //! is unchanged, an unchanged method body is reused as-is and only edited
@@ -17,16 +39,16 @@
 //! [`cj_infer::InferCache`] one layer down: an incremental revision that
 //! re-infers one body also re-lowers exactly one body.
 
-use crate::bytecode::{
-    ArraySite, CallSite, CallTarget, CastSite, CompiledMethod, CompiledProgram, Instr, Lit,
-    NewSite, RegRef, SlotTy,
+use crate::code::{
+    bin_code, ArraySite, CallSite, CallTarget, CastSite, CmpOp, Lit, NewSite, RInstr, ROp, RegRef,
+    RvmMethod, RvmProgram, SlotTy,
 };
-use cj_frontend::ast::BinOp;
+use cj_frontend::ast::{BinOp, UnOp};
 use cj_frontend::kernel::KMethod;
 use cj_frontend::span::Span;
 use cj_frontend::types::{ClassId, MethodId, NType, Prim, VarId};
 use cj_frontend::Symbol;
-use cj_infer::rast::{RExpr, RExprKind, RMethod, RProgram};
+use cj_infer::rast::{walk_rexpr, RExpr, RExprKind, RMethod, RProgram};
 use cj_regions::var::RegVar;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -46,7 +68,7 @@ pub struct LowerStats {
 #[derive(Debug, Default)]
 pub struct LowerCache {
     shape: Option<u64>,
-    methods: HashMap<MethodId, (u64, Arc<CompiledMethod>)>,
+    methods: HashMap<MethodId, (u64, Arc<RvmMethod>)>,
 }
 
 impl LowerCache {
@@ -59,7 +81,7 @@ impl LowerCache {
     /// fingerprint is unchanged since the last call. A shape change
     /// (anything affecting vtable slots, function indices, field layout
     /// or region arities) drops the whole cache first.
-    pub fn lower(&mut self, p: &RProgram) -> (CompiledProgram, LowerStats) {
+    pub fn lower(&mut self, p: &RProgram) -> (RvmProgram, LowerStats) {
         let mut span = cj_trace::span("pipeline", "lower");
         let shape = shape_fingerprint(p);
         if self.shape != Some(shape) {
@@ -85,21 +107,21 @@ impl LowerCache {
                 }
             }
         }
-        let program = CompiledProgram {
+        let program = RvmProgram {
             methods,
             main: tables.main.and_then(|id| tables.func_of.get(&id).copied()),
-            func_of: tables.func_of,
             vtables: tables.vtables,
             subclass: tables.subclass,
         };
         span.add("methods_lowered", stats.methods_lowered as u64);
         span.add("methods_reused", stats.methods_reused as u64);
+        span.add("superinstructions", program.fused_count());
         (program, stats)
     }
 }
 
 /// One-shot lowering without a cache.
-pub fn lower_program(p: &RProgram) -> CompiledProgram {
+pub fn lower_program(p: &RProgram) -> RvmProgram {
     LowerCache::new().lower(p).0
 }
 
@@ -224,23 +246,50 @@ pub fn method_fingerprint(km: &KMethod, rm: &RMethod) -> u64 {
     km.params.hash(&mut h);
     rm.abs_params.len().hash(&mut h);
     rm.mparams.len().hash(&mut h);
-    let mut env = RegCanon {
-        slots: rm
-            .abs_params
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| (r, i as u16))
-            .collect(),
-        next: rm.abs_params.len() as u16,
-    };
-    hash_rexpr(&rm.body, &mut env, &mut h);
+    hash_rexpr(&rm.body, &mut RegionSlots::new(rm), &mut h);
     h.finish()
 }
 
-/// The fingerprint's mirror of the lowerer's region-slot assignment.
-struct RegCanon {
+/// Region variables in scope, resolved to frame region slots: abstraction
+/// parameters first, then one fresh slot per `letreg` binding, so
+/// shadowing gets a slot of its own. The lowerer and the fingerprint
+/// share it: methods that hash equal lower identically.
+struct RegionSlots {
     slots: HashMap<RegVar, u16>,
     next: u16,
+}
+
+impl RegionSlots {
+    fn new(rm: &RMethod) -> RegionSlots {
+        let slots = rm.abs_params.iter().enumerate();
+        RegionSlots {
+            slots: slots.map(|(i, &r)| (r, i as u16)).collect(),
+            next: rm.abs_params.len() as u16,
+        }
+    }
+
+    fn resolve(&self, r: RegVar) -> RegRef {
+        match self.slots.get(&r) {
+            Some(&s) if !r.is_heap() => RegRef::Slot(s),
+            // Unbound region variables resolve to the heap, exactly like
+            // the interpreter's environment fallback.
+            _ => RegRef::Heap,
+        }
+    }
+
+    /// Binds `r` to a fresh slot; returns the slot and the binding it
+    /// shadows, for [`Self::unbind`].
+    fn bind(&mut self, r: RegVar) -> (u16, Option<u16>) {
+        self.next += 1;
+        (self.next - 1, self.slots.insert(r, self.next - 1))
+    }
+
+    fn unbind(&mut self, r: RegVar, shadowed: Option<u16>) {
+        match shadowed {
+            Some(old) => self.slots.insert(r, old),
+            None => self.slots.remove(&r),
+        };
+    }
 }
 
 fn hash_span(s: Span, h: &mut DefaultHasher) {
@@ -248,25 +297,14 @@ fn hash_span(s: Span, h: &mut DefaultHasher) {
     s.hi.hash(h);
 }
 
-fn hash_reg(r: RegVar, env: &RegCanon, h: &mut DefaultHasher) {
-    if r.is_heap() {
-        0xffffu16.hash(h);
-    } else {
-        match env.slots.get(&r) {
-            Some(&s) => s.hash(h),
-            None => 0xfffeu16.hash(h), // lowers to Heap
-        }
-    }
-}
-
-fn hash_regs(rs: &[RegVar], env: &RegCanon, h: &mut DefaultHasher) {
+fn hash_regs(rs: &[RegVar], env: &RegionSlots, h: &mut DefaultHasher) {
     for &r in rs {
-        hash_reg(r, env, h);
+        env.resolve(r).hash(h);
     }
     0xeeu8.hash(h);
 }
 
-fn hash_rexpr(e: &RExpr, env: &mut RegCanon, h: &mut DefaultHasher) {
+fn hash_rexpr(e: &RExpr, env: &mut RegionSlots, h: &mut DefaultHasher) {
     std::mem::discriminant(&e.kind).hash(h);
     hash_span(e.span, h);
     match &e.kind {
@@ -299,7 +337,7 @@ fn hash_rexpr(e: &RExpr, env: &mut RegCanon, h: &mut DefaultHasher) {
         }
         RExprKind::NewArray { elem, region, len } => {
             elem.hash(h);
-            hash_reg(*region, env, h);
+            env.resolve(*region).hash(h);
             hash_rexpr(len, env, h);
         }
         RExprKind::Index(v, idx) => {
@@ -341,21 +379,10 @@ fn hash_rexpr(e: &RExpr, env: &mut RegCanon, h: &mut DefaultHasher) {
             hash_rexpr(body, env, h);
         }
         RExprKind::Letreg(r, inner) => {
-            // Mirror the lowerer: the binder takes the next fresh slot,
-            // shadowing any outer binding of the same variable.
-            let slot = env.next;
-            env.next += 1;
+            let (slot, shadowed) = env.bind(*r);
             slot.hash(h);
-            let shadowed = env.slots.insert(*r, slot);
             hash_rexpr(inner, env, h);
-            match shadowed {
-                Some(old) => {
-                    env.slots.insert(*r, old);
-                }
-                None => {
-                    env.slots.remove(r);
-                }
-            }
+            env.unbind(*r, shadowed);
         }
         RExprKind::If {
             cond,
@@ -416,19 +443,80 @@ fn lit_eq(a: Lit, b: Lit) -> bool {
     }
 }
 
+/// Where an expression's value is wanted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Want {
+    /// Nowhere: the expression runs for its effects only.
+    Effect,
+    /// In this register.
+    Into(u16),
+    /// As the method's result: every path ends in `Ret`.
+    Ret,
+}
+
+/// One arm of a two-way choice: an `if` branch, or the constant arm of a
+/// short-circuit `&&`/`||`.
+#[derive(Clone, Copy)]
+enum Arm<'e> {
+    Expr(&'e RExpr),
+    Bool(bool),
+}
+
+impl Arm<'_> {
+    /// Whether the arm emits nothing when its value is dropped.
+    fn is_silent(self) -> bool {
+        match self {
+            Arm::Bool(_) => true,
+            Arm::Expr(e) => literal(e).is_some() || matches!(e.kind, RExprKind::Var(_)),
+        }
+    }
+}
+
+/// The constant a literal expression denotes.
+fn literal(e: &RExpr) -> Option<Lit> {
+    match e.kind {
+        RExprKind::Unit => Some(Lit::Unit),
+        RExprKind::Null => Some(Lit::Null),
+        RExprKind::Int(v) => Some(Lit::Int(v)),
+        RExprKind::Bool(v) => Some(Lit::Bool(v)),
+        RExprKind::Float(v) => Some(Lit::Float(v)),
+        _ => None,
+    }
+}
+
+/// Whether evaluating `e` may store to variable `v`.
+fn assigns(e: &RExpr, v: VarId) -> bool {
+    let mut hit = false;
+    walk_rexpr(e, &mut |x| {
+        hit |=
+            matches!(x.kind, RExprKind::AssignVar(w, _) | RExprKind::Let { var: w, .. } if w == v);
+    });
+    hit
+}
+
+/// A variable's register: variables occupy the first registers of the
+/// frame, in slot order.
+fn var_reg(v: VarId) -> u16 {
+    v.index() as u16
+}
+
 struct FnLowerer<'a> {
     p: &'a RProgram,
     km: &'a KMethod,
     tables: &'a GlobalTables,
-    code: Vec<Instr>,
-    spans: Vec<Span>,
-    consts: Vec<Lit>,
-    news: Vec<NewSite>,
-    arrays: Vec<ArraySite>,
-    calls: Vec<CallSite>,
-    casts: Vec<CastSite>,
-    reg_slots: HashMap<RegVar, u16>,
-    next_reg_slot: u16,
+    /// The method being lowered; `nregs` tracks the temporaries' high
+    /// water mark.
+    m: RvmMethod,
+    regions: RegionSlots,
+    /// The `letreg`s enclosing the current point, innermost last: a return
+    /// from inside leaves them first.
+    open: Vec<(u16, Span)>,
+    /// Next free temporary; temporaries live above the variable registers
+    /// and are allocated stack-wise.
+    next_temp: u16,
+    /// Position of the most recently bound jump target: fusion never
+    /// rewrites an instruction before it.
+    barrier: usize,
 }
 
 fn lower_method(
@@ -437,91 +525,92 @@ fn lower_method(
     km: &KMethod,
     rm: &RMethod,
     tables: &GlobalTables,
-) -> CompiledMethod {
-    let mut lo = FnLowerer {
-        p,
-        km,
-        tables,
+) -> RvmMethod {
+    let nlocals = km.vars.len() as u16;
+    let m = RvmMethod {
+        name: p.kernel.method_name(id),
         code: Vec::new(),
         spans: Vec::new(),
         consts: Vec::new(),
+        defaults: km.vars.iter().map(|v| lit_default(v.ty)).collect(),
+        params: km.params.iter().map(|&v| var_reg(v)).collect(),
+        has_this: !km.is_static,
+        class_params: (rm.abs_params.len() - rm.mparams.len()) as u16,
+        abs_params: rm.abs_params.len() as u16,
+        region_slots: 0,
+        nregs: nlocals,
         news: Vec::new(),
         arrays: Vec::new(),
         calls: Vec::new(),
         casts: Vec::new(),
-        reg_slots: rm
-            .abs_params
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| (r, i as u16))
-            .collect(),
-        next_reg_slot: rm.abs_params.len() as u16,
     };
-    lo.lower(&rm.body);
-    lo.emit(Instr::Ret, rm.body.span);
-    CompiledMethod {
-        name: p.kernel.method_name(id),
-        code: lo.code,
-        spans: lo.spans,
-        consts: lo.consts,
-        defaults: km.vars.iter().map(|v| lit_default(v.ty)).collect(),
-        params: km.params.iter().map(|v| v.index() as u16).collect(),
-        has_this: !km.is_static,
-        class_params: (rm.abs_params.len() - rm.mparams.len()) as u16,
-        abs_params: rm.abs_params.len() as u16,
-        region_slots: lo.next_reg_slot,
-        news: lo.news,
-        arrays: lo.arrays,
-        calls: lo.calls,
-        casts: lo.casts,
+    let regions = RegionSlots::new(rm);
+    let (open, next_temp, barrier) = (Vec::new(), nlocals, 0);
+    let mut lo = FnLowerer {
+        p,
+        km,
+        tables,
+        m,
+        regions,
+        open,
+        next_temp,
+        barrier,
+    };
+    lo.expr(&rm.body, Want::Ret);
+    let code = &lo.m.code;
+    debug_assert!(code
+        .iter()
+        .all(|i| !i.op.is_jump() || (i.t as usize) < code.len()));
+    RvmMethod {
+        region_slots: lo.regions.next,
+        ..lo.m
     }
 }
 
 impl FnLowerer<'_> {
-    fn emit(&mut self, i: Instr, span: Span) {
-        self.code.push(i);
-        self.spans.push(span);
+    fn emit(&mut self, i: RInstr, span: Span) -> usize {
+        self.m.code.push(i);
+        self.m.spans.push(span);
+        self.m.code.len() - 1
     }
 
     fn konst(&mut self, lit: Lit) -> u32 {
-        match self.consts.iter().position(|&l| lit_eq(l, lit)) {
+        match self.m.consts.iter().position(|&l| lit_eq(l, lit)) {
             Some(i) => i as u32,
             None => {
-                self.consts.push(lit);
-                (self.consts.len() - 1) as u32
+                self.m.consts.push(lit);
+                (self.m.consts.len() - 1) as u32
             }
         }
     }
 
-    fn emit_unit(&mut self, span: Span) {
-        let u = self.konst(Lit::Unit);
-        self.emit(Instr::Const(u), span);
+    fn temp(&mut self) -> u16 {
+        self.next_temp += 1;
+        self.m.nregs = self.m.nregs.max(self.next_temp);
+        self.next_temp - 1
     }
 
-    /// Patches the jump at instruction `at` to target the current end of
-    /// the code.
-    fn patch_here(&mut self, at: usize) {
-        let to = self.code.len() as u32;
-        match &mut self.code[at] {
-            Instr::Jump(t) | Instr::JumpIfFalse(t) | Instr::JumpIfTrue(t) => *t = to,
-            other => unreachable!("patching non-jump {other:?}"),
+    /// Binds a jump target at the current end of the code.
+    fn label(&mut self) -> u32 {
+        self.barrier = self.m.code.len();
+        self.m.code.len() as u32
+    }
+
+    /// Points every jump in `jumps` at the current end of the code.
+    fn patch(&mut self, jumps: Vec<usize>) {
+        if !jumps.is_empty() {
+            let to = self.label();
+            for j in jumps {
+                self.m.code[j].t = to;
+            }
         }
     }
 
-    fn reg_ref(&self, r: RegVar) -> RegRef {
-        if r.is_heap() {
-            return RegRef::Heap;
-        }
-        match self.reg_slots.get(&r) {
-            Some(&s) => RegRef::Slot(s),
-            // Unbound region variables resolve to the heap, exactly like
-            // the interpreter's environment fallback.
-            None => RegRef::Heap,
-        }
-    }
-
-    fn var_slot(v: VarId) -> u16 {
-        v.index() as u16
+    /// The last instruction, if it is a `want` no jump lands after (so
+    /// the next instruction may fuse into it).
+    fn fusable_last(&self, want: ROp) -> Option<usize> {
+        let last = self.m.code.len().checked_sub(1)?;
+        (last >= self.barrier && self.m.code[last].op == want).then_some(last)
     }
 
     /// Field representation of constructor-order field `idx` of the class
@@ -544,56 +633,126 @@ impl FnLowerer<'_> {
         }
     }
 
-    /// Lowers one expression; the emitted code leaves exactly one value
-    /// on the operand stack.
-    fn lower(&mut self, e: &RExpr) {
+    /// The register a value-producing instruction writes.
+    fn dst(&mut self, want: Want) -> u16 {
+        match want {
+            Want::Into(r) => r,
+            Want::Effect | Want::Ret => self.temp(),
+        }
+    }
+
+    /// Emits `i` writing where `want` asks, and returns it if wanted.
+    fn produce(&mut self, want: Want, i: RInstr, span: Span) {
+        let a = self.dst(want);
+        self.emit(RInstr { a, ..i }, span);
+        self.deliver(want, a, span);
+    }
+
+    /// Finishes a value computed into `r` (chosen by [`Self::dst`]).
+    fn deliver(&mut self, want: Want, r: u16, span: Span) {
+        if want == Want::Ret {
+            // Leave every enclosing `letreg` first.
+            for i in (0..self.open.len()).rev() {
+                let (slot, at) = self.open[i];
+                self.emit(RInstr::new(ROp::RegPop, slot, 0, 0, 0), at);
+            }
+            self.emit(RInstr::new(ROp::Ret, r, 0, 0, 0), span);
+        }
+    }
+
+    fn constant(&mut self, lit: Lit, want: Want, span: Span) {
+        if want != Want::Effect {
+            let t = self.konst(lit);
+            self.produce(want, RInstr::new(ROp::LoadConst, 0, 0, 0, t), span);
+        }
+    }
+
+    /// The register holding `e`'s value: a variable's own register, or a
+    /// fresh temporary `e` is computed into.
+    fn operand(&mut self, e: &RExpr) -> u16 {
+        if let RExprKind::Var(v) = e.kind {
+            return var_reg(v);
+        }
+        let t = self.temp();
+        self.expr(e, Want::Into(t));
+        t
+    }
+
+    /// The registers holding `l`'s then `r`'s value, evaluated in that
+    /// order. A variable `l` that `r` assigns is copied first, so the
+    /// consumer sees the value it had when it was evaluated.
+    fn operands(&mut self, l: &RExpr, r: &RExpr) -> (u16, u16) {
+        let a = match l.kind {
+            RExprKind::Var(v) if assigns(r, v) => {
+                let t = self.temp();
+                self.emit(RInstr::new(ROp::Move, t, var_reg(v), 0, 0), l.span);
+                t
+            }
+            _ => self.operand(l),
+        };
+        (a, self.operand(r))
+    }
+
+    /// Lowers `e`, delivering its value as `want` asks.
+    fn expr(&mut self, mut e: &RExpr, want: Want) {
+        let mark = self.next_temp;
+        // Statement sequences and `let` bodies are tail positions: walk
+        // them iteratively, so long methods don't deepen the recursion.
+        loop {
+            match &e.kind {
+                RExprKind::Seq(a, b) => {
+                    self.expr(a, Want::Effect);
+                    e = b;
+                }
+                RExprKind::Let { var, init, body } => {
+                    let into = Want::Into(var_reg(*var));
+                    match init {
+                        Some(init) => self.expr(init, into),
+                        // A fresh declaration without initializer resets
+                        // the slot (loops re-enter lets).
+                        None => self.constant(lit_default(self.km.var_ty(*var)), into, e.span),
+                    }
+                    e = body;
+                }
+                _ => break,
+            }
+        }
+        self.node(e, want);
+        self.next_temp = mark;
+    }
+
+    /// Lowers one expression that is not a statement sequence or `let`.
+    fn node(&mut self, e: &RExpr, want: Want) {
+        let span = e.span;
         match &e.kind {
-            RExprKind::Unit => self.emit_unit(e.span),
-            RExprKind::Int(v) => {
-                let c = self.konst(Lit::Int(*v));
-                self.emit(Instr::Const(c), e.span);
-            }
-            RExprKind::Bool(v) => {
-                let c = self.konst(Lit::Bool(*v));
-                self.emit(Instr::Const(c), e.span);
-            }
-            RExprKind::Float(v) => {
-                let c = self.konst(Lit::Float(*v));
-                self.emit(Instr::Const(c), e.span);
-            }
-            RExprKind::Null => {
-                let c = self.konst(Lit::Null);
-                self.emit(Instr::Const(c), e.span);
-            }
-            RExprKind::Var(v) => self.emit(Instr::LoadVar(Self::var_slot(*v)), e.span),
+            RExprKind::Seq(..) | RExprKind::Let { .. } => unreachable!("lowered by `expr`"),
+            RExprKind::Unit
+            | RExprKind::Null
+            | RExprKind::Int(_)
+            | RExprKind::Bool(_)
+            | RExprKind::Float(_) => self.constant(literal(e).expect("a literal"), want, span),
+            RExprKind::Var(v) => match want {
+                Want::Into(r) if r != var_reg(*v) => {
+                    self.emit(RInstr::new(ROp::Move, r, var_reg(*v), 0, 0), span);
+                }
+                Want::Ret => self.deliver(want, var_reg(*v), span),
+                _ => {}
+            },
             RExprKind::Field(v, fr) => {
                 let ty = self.field_ty(*v, fr.index);
-                self.emit(
-                    Instr::GetField {
-                        var: Self::var_slot(*v),
-                        idx: fr.index as u16,
-                        ty,
-                    },
-                    e.span,
-                );
+                let i = RInstr::new(ROp::GetField, 0, var_reg(*v), fr.index as u16, 0);
+                self.produce(want, RInstr { ty, ..i }, span);
             }
             RExprKind::AssignVar(v, rhs) => {
-                self.lower(rhs);
-                self.emit(Instr::StoreVar(Self::var_slot(*v)), e.span);
-                self.emit_unit(e.span);
+                self.expr(rhs, Want::Into(var_reg(*v)));
+                self.constant(Lit::Unit, want, span);
             }
             RExprKind::AssignField(v, fr, rhs) => {
-                self.lower(rhs);
+                let b = self.operand(rhs);
                 let ty = self.field_ty(*v, fr.index);
-                self.emit(
-                    Instr::SetField {
-                        var: Self::var_slot(*v),
-                        idx: fr.index as u16,
-                        ty,
-                    },
-                    e.span,
-                );
-                self.emit_unit(e.span);
+                let i = RInstr::new(ROp::SetField, var_reg(*v), b, fr.index as u16, 0);
+                self.emit(RInstr { ty, ..i }, span);
+                self.constant(Lit::Unit, want, span);
             }
             RExprKind::New {
                 class,
@@ -603,195 +762,300 @@ impl FnLowerer<'_> {
                 let fields = self.p.kernel.table.all_fields(*class);
                 let site = NewSite {
                     class: class.0,
-                    regions: regions.iter().map(|&r| self.reg_ref(r)).collect(),
+                    regions: regions.iter().map(|&r| self.regions.resolve(r)).collect(),
                     args: args
                         .iter()
                         .zip(&fields)
-                        .map(|(&a, f)| (Self::var_slot(a), slot_ty(f.ty)))
+                        .map(|(&a, f)| (var_reg(a), slot_ty(f.ty)))
                         .collect(),
                 };
-                self.news.push(site);
-                self.emit(Instr::NewObj((self.news.len() - 1) as u32), e.span);
+                self.m.news.push(site);
+                let t = (self.m.news.len() - 1) as u32;
+                self.produce(want, RInstr::new(ROp::NewObj, 0, 0, 0, t), span);
             }
             RExprKind::NewArray { elem, region, len } => {
-                self.lower(len);
-                self.arrays.push(ArraySite {
+                let b = self.operand(len);
+                let region = self.regions.resolve(*region);
+                self.m.arrays.push(ArraySite {
                     elem: *elem,
-                    region: self.reg_ref(*region),
+                    region,
                 });
-                self.emit(Instr::NewArr((self.arrays.len() - 1) as u32), e.span);
+                let t = (self.m.arrays.len() - 1) as u32;
+                self.produce(want, RInstr::new(ROp::NewArr, 0, b, 0, t), span);
             }
             RExprKind::Index(v, idx) => {
-                self.lower(idx);
+                let c = self.operand(idx);
                 let ty = self.elem_ty(*v);
-                self.emit(
-                    Instr::Index {
-                        var: Self::var_slot(*v),
-                        ty,
-                    },
-                    e.span,
-                );
+                let i = RInstr::new(ROp::Index, 0, var_reg(*v), c, 0);
+                self.produce(want, RInstr { ty, ..i }, span);
             }
             RExprKind::AssignIndex(v, idx, val) => {
-                self.lower(idx);
-                self.lower(val);
+                let (b, c) = self.operands(idx, val);
                 let ty = self.elem_ty(*v);
-                self.emit(
-                    Instr::SetIndex {
-                        var: Self::var_slot(*v),
-                        ty,
-                    },
-                    e.span,
-                );
-                self.emit_unit(e.span);
+                let i = RInstr::new(ROp::SetIndex, var_reg(*v), b, c, 0);
+                self.emit(RInstr { ty, ..i }, span);
+                self.constant(Lit::Unit, want, span);
             }
-            RExprKind::ArrayLen(v) => self.emit(Instr::ArrayLen(Self::var_slot(*v)), e.span),
+            RExprKind::ArrayLen(v) => {
+                self.produce(want, RInstr::new(ROp::ArrayLen, 0, var_reg(*v), 0, 0), span);
+            }
             RExprKind::CallVirtual {
                 recv,
                 method,
                 inst,
                 args,
             } => {
-                let site = match method {
+                let (target, tail_start) = match method {
                     MethodId::Instance(c, i) => {
                         let name = self.p.kernel.table.class(*c).own_methods[*i as usize].name;
-                        CallSite {
-                            target: CallTarget::Virtual {
-                                vslot: self.tables.vslots[c.index()][&name],
-                                recv: Self::var_slot(*recv),
-                            },
-                            args: args.iter().map(|&a| Self::var_slot(a)).collect(),
-                            inst: inst.iter().map(|&r| self.reg_ref(r)).collect(),
-                            tail_start: self.p.rclass(*c).params.len() as u16,
-                        }
+                        let vslot = self.tables.vslots[c.index()][&name];
+                        let target = CallTarget::Virtual {
+                            vslot,
+                            recv: var_reg(*recv),
+                        };
+                        (target, self.p.rclass(*c).params.len() as u16)
                     }
-                    MethodId::Static(_) => CallSite {
-                        target: CallTarget::Static(self.tables.func_of[method]),
-                        args: args.iter().map(|&a| Self::var_slot(a)).collect(),
-                        inst: inst.iter().map(|&r| self.reg_ref(r)).collect(),
-                        tail_start: 0,
-                    },
+                    MethodId::Static(_) => (CallTarget::Static(self.tables.func_of[method]), 0),
                 };
-                self.calls.push(site);
-                self.emit(Instr::Call((self.calls.len() - 1) as u32), e.span);
+                self.call(target, tail_start, inst, args, want, span);
             }
             RExprKind::CallStatic { method, inst, args } => {
-                self.calls.push(CallSite {
-                    target: CallTarget::Static(self.tables.func_of[method]),
-                    args: args.iter().map(|&a| Self::var_slot(a)).collect(),
-                    inst: inst.iter().map(|&r| self.reg_ref(r)).collect(),
-                    tail_start: 0,
-                });
-                self.emit(Instr::Call((self.calls.len() - 1) as u32), e.span);
-            }
-            RExprKind::Seq(a, b) => {
-                self.lower(a);
-                self.emit(Instr::Pop, a.span);
-                self.lower(b);
-            }
-            RExprKind::Let { var, init, body } => {
-                match init {
-                    Some(init) => {
-                        self.lower(init);
-                        self.emit(Instr::StoreVar(Self::var_slot(*var)), e.span);
-                    }
-                    // Fresh declaration without initializer: reset the
-                    // slot (loops re-enter Lets).
-                    None => self.emit(Instr::ResetVar(Self::var_slot(*var)), e.span),
-                }
-                self.lower(body);
+                let target = CallTarget::Static(self.tables.func_of[method]);
+                self.call(target, 0, inst, args, want, span);
             }
             RExprKind::Letreg(r, inner) => {
-                let slot = self.next_reg_slot;
-                self.next_reg_slot += 1;
-                let shadowed = self.reg_slots.insert(*r, slot);
-                self.emit(Instr::RegPush(slot), e.span);
-                self.lower(inner);
-                self.emit(Instr::RegPop(slot), e.span);
-                match shadowed {
-                    Some(old) => {
-                        self.reg_slots.insert(*r, old);
-                    }
-                    None => {
-                        self.reg_slots.remove(r);
-                    }
+                let (slot, shadowed) = self.regions.bind(*r);
+                self.emit(RInstr::new(ROp::RegPush, slot, 0, 0, 0), span);
+                self.open.push((slot, span));
+                self.expr(inner, want);
+                self.open.pop();
+                // A returning body has already left the region on every
+                // path.
+                if want != Want::Ret {
+                    self.emit(RInstr::new(ROp::RegPop, slot, 0, 0, 0), span);
                 }
+                self.regions.unbind(*r, shadowed);
             }
             RExprKind::If {
                 cond,
                 then_e,
                 else_e,
             } => {
-                self.lower(cond);
-                let to_else = self.code.len();
-                self.emit(Instr::JumpIfFalse(0), cond.span);
-                self.lower(then_e);
-                let to_end = self.code.len();
-                self.emit(Instr::Jump(0), e.span);
-                self.patch_here(to_else);
-                self.lower(else_e);
-                self.patch_here(to_end);
+                self.choose(cond, Arm::Expr(then_e), Arm::Expr(else_e), want, span);
             }
             RExprKind::While { cond, body } => {
-                let top = self.code.len() as u32;
-                self.lower(cond);
-                let to_end = self.code.len();
-                self.emit(Instr::JumpIfFalse(0), cond.span);
-                self.lower(body);
-                self.emit(Instr::Pop, body.span);
-                self.emit(Instr::Jump(top), e.span);
-                self.patch_here(to_end);
-                self.emit_unit(e.span);
+                let top = self.label();
+                let mut exit = Vec::new();
+                self.branch(cond, false, &mut exit);
+                self.expr(body, Want::Effect);
+                // A body ending in `i = i + k` bumps and loops in one
+                // dispatch.
+                match self.fusable_last(ROp::AddImm) {
+                    Some(last) if self.m.code[last].a == self.m.code[last].b => {
+                        let bump = self.m.code[last];
+                        let i = RInstr::new(ROp::IncJump, bump.a, 0, 0, top);
+                        self.m.code[last] = RInstr { imm: bump.imm, ..i };
+                    }
+                    _ => {
+                        self.emit(RInstr::new(ROp::Jump, 0, 0, 0, top), span);
+                    }
+                }
+                self.patch(exit);
+                self.constant(Lit::Unit, want, span);
             }
             RExprKind::Cast { class, var, .. } => {
-                self.casts.push(CastSite {
-                    var: Self::var_slot(*var),
+                self.m.casts.push(CastSite {
+                    var: var_reg(*var),
                     class: class.0,
                 });
-                self.emit(Instr::Cast((self.casts.len() - 1) as u32), e.span);
+                let t = (self.m.casts.len() - 1) as u32;
+                self.produce(want, RInstr::new(ROp::Cast, 0, 0, 0, t), span);
             }
             RExprKind::Unary(op, a) => {
-                self.lower(a);
-                self.emit(Instr::Unary(*op), e.span);
+                let b = self.operand(a);
+                let c = match op {
+                    UnOp::Neg => 0,
+                    UnOp::Not => 1,
+                };
+                self.produce(want, RInstr::new(ROp::Unary, 0, b, c, 0), span);
             }
-            RExprKind::Binary(op, a, b) => match op {
-                // Short-circuit logic lowers to jumps, mirroring the
-                // interpreter's evaluation order exactly.
-                BinOp::And => {
-                    self.lower(a);
-                    let to_rhs = self.code.len();
-                    self.emit(Instr::JumpIfTrue(0), a.span);
-                    let f = self.konst(Lit::Bool(false));
-                    self.emit(Instr::Const(f), e.span);
-                    let to_end = self.code.len();
-                    self.emit(Instr::Jump(0), e.span);
-                    self.patch_here(to_rhs);
-                    self.lower(b);
-                    self.patch_here(to_end);
-                }
-                BinOp::Or => {
-                    self.lower(a);
-                    let to_rhs = self.code.len();
-                    self.emit(Instr::JumpIfFalse(0), a.span);
-                    let t = self.konst(Lit::Bool(true));
-                    self.emit(Instr::Const(t), e.span);
-                    let to_end = self.code.len();
-                    self.emit(Instr::Jump(0), e.span);
-                    self.patch_here(to_rhs);
-                    self.lower(b);
-                    self.patch_here(to_end);
-                }
-                _ => {
-                    self.lower(a);
-                    self.lower(b);
-                    self.emit(Instr::Binary(*op), e.span);
-                }
-            },
+            // Short-circuit logic is a choice: `a && b` is
+            // `if (a) b else false`, `a || b` is `if (a) true else b`.
+            RExprKind::Binary(BinOp::And, a, b) => {
+                self.choose(a, Arm::Expr(b), Arm::Bool(false), want, span);
+            }
+            RExprKind::Binary(BinOp::Or, a, b) => {
+                self.choose(a, Arm::Bool(true), Arm::Expr(b), want, span);
+            }
+            RExprKind::Binary(op, l, r) => self.binary(*op, l, r, want, span),
             RExprKind::Print(a) => {
-                self.lower(a);
-                self.emit(Instr::Print, e.span);
-                self.emit_unit(e.span);
+                let r = self.operand(a);
+                self.emit(RInstr::new(ROp::Print, r, 0, 0, 0), span);
+                self.constant(Lit::Unit, want, span);
             }
         }
+    }
+
+    fn call(
+        &mut self,
+        target: CallTarget,
+        tail_start: u16,
+        inst: &[RegVar],
+        args: &[VarId],
+        want: Want,
+        span: Span,
+    ) {
+        let dst = self.dst(want);
+        let args = args.iter().map(|&a| var_reg(a)).collect();
+        let inst = inst.iter().map(|&r| self.regions.resolve(r)).collect();
+        self.m.calls.push(CallSite {
+            target,
+            args,
+            inst,
+            tail_start,
+            dst,
+            span,
+        });
+        let t = (self.m.calls.len() - 1) as u32;
+        // A field load feeding straight into the call fuses with it.
+        match self.fusable_last(ROp::GetField) {
+            Some(last) => {
+                self.m.code[last] = RInstr {
+                    op: ROp::FieldCall,
+                    t,
+                    ..self.m.code[last]
+                }
+            }
+            None => {
+                self.emit(RInstr::new(ROp::Call, 0, 0, 0, t), span);
+            }
+        }
+        self.deliver(want, dst, span);
+    }
+
+    fn binary(&mut self, op: BinOp, l: &RExpr, r: &RExpr, want: Want, span: Span) {
+        // `e + k`, `k + e` and `e - k` with an integer literal `k`.
+        let int = |e: &RExpr| match e.kind {
+            RExprKind::Int(k) => Some(k),
+            _ => None,
+        };
+        let imm = match (op, int(l), int(r)) {
+            (BinOp::Add, None, Some(k)) => Some((l, k)),
+            (BinOp::Sub, None, Some(k)) => Some((l, k.wrapping_neg())),
+            (BinOp::Add, Some(k), None) => Some((r, k)),
+            _ => None,
+        };
+        let i = match imm {
+            Some((e, imm)) => {
+                let b = self.operand(e);
+                RInstr {
+                    imm,
+                    ..RInstr::new(ROp::AddImm, 0, b, 0, 0)
+                }
+            }
+            None => {
+                let (b, c) = self.operands(l, r);
+                RInstr::new(ROp::Binary, 0, b, c, bin_code(op))
+            }
+        };
+        self.produce(want, i, span);
+    }
+
+    /// `if (cond) then_a else else_a`, delivering the chosen arm's value.
+    fn choose(&mut self, cond: &RExpr, then_a: Arm, else_a: Arm, want: Want, span: Span) {
+        let dropped = want == Want::Effect;
+        match (dropped && then_a.is_silent(), dropped && else_a.is_silent()) {
+            (true, true) => self.expr(cond, Want::Effect),
+            // One arm does nothing: branch around the other.
+            (then_silent, true) | (then_silent @ true, false) => {
+                let mut skip = Vec::new();
+                self.branch(cond, then_silent, &mut skip);
+                self.arm(if then_silent { else_a } else { then_a }, want, span);
+                self.patch(skip);
+            }
+            (false, false) => {
+                let mut to_else = Vec::new();
+                self.branch(cond, false, &mut to_else);
+                self.arm(then_a, want, span);
+                // A returning arm needs no jump over the other one.
+                let to_end = (want != Want::Ret)
+                    .then(|| self.emit(RInstr::new(ROp::Jump, 0, 0, 0, 0), span))
+                    .into_iter()
+                    .collect();
+                self.patch(to_else);
+                self.arm(else_a, want, span);
+                self.patch(to_end);
+            }
+        }
+    }
+
+    fn arm(&mut self, arm: Arm, want: Want, span: Span) {
+        match arm {
+            Arm::Expr(e) => self.expr(e, want),
+            Arm::Bool(b) => self.constant(Lit::Bool(b), want, span),
+        }
+    }
+
+    /// Emits code that jumps when `e` evaluates to `when` and falls
+    /// through otherwise; the jumps to patch go into `jumps`.
+    fn branch(&mut self, e: &RExpr, when: bool, jumps: &mut Vec<usize>) {
+        let mark = self.next_temp;
+        match &e.kind {
+            RExprKind::Bool(b) if *b == when => {
+                jumps.push(self.emit(RInstr::new(ROp::Jump, 0, 0, 0, 0), e.span));
+            }
+            RExprKind::Bool(_) => {}
+            RExprKind::Unary(UnOp::Not, a) => self.branch(a, !when, jumps),
+            RExprKind::Binary(op @ (BinOp::And | BinOp::Or), a, b) => {
+                // The value of `a` that decides the whole expression.
+                let decides = *op == BinOp::Or;
+                if when == decides {
+                    self.branch(a, when, jumps);
+                    self.branch(b, when, jumps);
+                } else {
+                    let mut skip = Vec::new();
+                    self.branch(a, decides, &mut skip);
+                    self.branch(b, when, jumps);
+                    self.patch(skip);
+                }
+            }
+            RExprKind::Binary(op, l, r) if CmpOp::of(*op).is_some() => {
+                let cmp = CmpOp::of(*op).expect("a comparison");
+                let (with_reg, with_const) = match when {
+                    true => (ROp::JmpCmp, ROp::JmpCmpC),
+                    false => (ROp::JmpCmpNot, ROp::JmpCmpNotC),
+                };
+                // A literal operand rides in the instruction, on the right.
+                let i = match (literal(l), literal(r)) {
+                    (_, Some(k)) => {
+                        let a = self.operand(l);
+                        let imm = i64::from(self.konst(k));
+                        RInstr {
+                            imm,
+                            ..RInstr::new(with_const, a, 0, cmp.code(), 0)
+                        }
+                    }
+                    (Some(k), None) => {
+                        let a = self.operand(r);
+                        let imm = i64::from(self.konst(k));
+                        RInstr {
+                            imm,
+                            ..RInstr::new(with_const, a, 0, cmp.mirrored().code(), 0)
+                        }
+                    }
+                    (None, None) => {
+                        let (a, b) = self.operands(l, r);
+                        RInstr::new(with_reg, a, b, cmp.code(), 0)
+                    }
+                };
+                jumps.push(self.emit(i, e.span));
+            }
+            _ => {
+                let a = self.operand(e);
+                let op = if when { ROp::JmpIf } else { ROp::JmpIfNot };
+                jumps.push(self.emit(RInstr::new(op, a, 0, 0, 0), e.span));
+            }
+        }
+        self.next_temp = mark;
     }
 }

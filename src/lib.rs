@@ -24,13 +24,14 @@
 //! - [`downcast`]: the Sec 5 backward flow analysis;
 //! - [`runtime`]: a lexically scoped region allocator and interpreter with
 //!   space accounting;
-//! - [`vm`]: the `cj-vm` stack lowering — annotated programs to compact
-//!   stack bytecode with resolved vtables — and the bump-arena region heap
-//!   the bytecode engine allocates in;
-//! - [`rvm`]: the `cj-rvm` register machine, the default engine — a second
-//!   lowering from the stack bytecode to fused register instructions,
-//!   dispatched through a dense handler table, observationally identical
-//!   to the interpreter but an integer factor faster;
+//! - [`vm`]: `cj-vm`, the register IR and the one lowering pass from
+//!   annotated programs straight to register code with resolved vtables
+//!   and fused superinstructions, plus the bump-arena region heap the
+//!   bytecode engine allocates in;
+//! - [`rvm`]: the `cj-rvm` register machine, the default engine — it runs
+//!   `cj-vm`'s register code through a dense handler table,
+//!   observationally identical to the interpreter but an integer factor
+//!   faster;
 //! - [`benchmarks`]: the Fig 8 and Fig 9 program suites;
 //! - [`driver`]: the demand-driven, incrementally recompiling
 //!   [`driver::Workspace`] (multi-file inputs, per-SCC re-solving, the `Q`
@@ -92,7 +93,7 @@ pub mod prelude {
         infer_source, DowncastPolicy, ExtentMode, InferOptions, InferStats, RProgram, SubtypeMode,
     };
     pub use cj_runtime::{run_main, run_main_big_stack, Engine, Outcome, RunConfig, Value};
-    pub use cj_rvm::RvmProgram;
+    pub use cj_vm::RvmProgram;
 }
 
 use cj_diag::Diagnostics;

@@ -451,6 +451,23 @@ fn serve_answers_a_deeply_nested_line_and_keeps_serving() {
 }
 
 #[test]
+fn check_on_a_huge_nested_paren_line_reports_briefly() {
+    let depth = 200_000;
+    let src = format!(
+        "class M {{ static int main() {{ {}1{} }} }}\n",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    let path = temp_source("deep.cj", &src);
+    let out = cjrc(&["check", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "diagnostics exit, not a crash");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("nesting too deep"), "{stderr}");
+    assert!(stderr.len() < 4096, "{} bytes of stderr", stderr.len());
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn check_reports_mode_in_canonical_spelling() {
     let path = temp_source("mode.cj", "class A { }");
     let out = cjrc(&["check", path.to_str().unwrap(), "--mode", "object"]);

@@ -6,6 +6,7 @@
 //! byte-identical, and the whole result matches a from-scratch compile.
 
 use region_inference::prelude::*;
+use std::sync::Arc;
 
 const LIST_CJ: &str = "
 class List { Object value; List next;
@@ -159,30 +160,22 @@ fn one_body_edit_register_relowers_only_that_files_changed_methods() {
     ws.set_source("main.cj", MAIN_CJ).unwrap();
     let opts = ws.options().infer;
 
-    ws.compiled_with(opts).unwrap();
-    let cold = ws.pass_counts();
-    assert_eq!(cold.rvm_lower, 1);
-    assert_eq!(
-        cold.methods_rvm_lowered, 9,
-        "all nine methods register-lowered cold"
-    );
-    assert_eq!(cold.methods_rvm_reused, 0);
-    // Re-requesting the register program is a pure cache read.
-    ws.compiled_with(opts).unwrap();
-    assert_eq!(ws.pass_counts(), cold);
+    let cold = ws.compiled_with(opts).unwrap();
+    assert_eq!(cold.methods.len(), 9);
+    // Re-requesting the register program hands back the same program.
+    assert!(Arc::ptr_eq(&cold, &ws.compiled_with(opts).unwrap()));
 
-    // Editing one body re-translates exactly that method: the register
-    // memo keys on pointer identity of the per-method stack bytecode,
-    // whose own memo is α-invariant in region ids — so the stack tier
-    // replays eight methods verbatim and the register tier follows.
+    // Editing one body swaps in exactly one new method: the other eight
+    // register bodies are the very same allocations as before.
     ws.set_source("main.cj", MAIN_EDITED_CJ).unwrap();
-    ws.compiled_with(opts).unwrap();
-    let warm = ws.pass_counts().since(cold);
-    assert_eq!(warm.rvm_lower, 1);
-    assert_eq!(warm.methods_rvm_lowered, 1, "{warm:?}");
-    assert_eq!(warm.methods_rvm_reused, 8, "{warm:?}");
-    assert_eq!(warm.methods_lowered, 1, "{warm:?}");
-    assert_eq!(warm.methods_lower_reused, 8, "{warm:?}");
+    let warm = ws.compiled_with(opts).unwrap();
+    let fresh = cold
+        .methods
+        .iter()
+        .zip(&warm.methods)
+        .filter(|(a, b)| !Arc::ptr_eq(a, b))
+        .count();
+    assert_eq!(fresh, 1, "exactly the edited method is re-lowered");
 }
 
 #[test]
