@@ -24,6 +24,7 @@
 //! stdout. The harness exits non-zero when any gate fails.
 
 use cj_benchmarks::{all_benchmarks, Benchmark, Suite};
+use cj_diag::json_string;
 use cj_infer::{ExtentMode, InferOptions, SubtypeMode};
 use cj_runtime::{run_main_big_stack, Outcome, RunConfig, Value};
 
@@ -206,14 +207,14 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"name\":\"{}\",\"suite\":\"{}\",\"input\":\"{}\",\
+                "    {{\"name\":{},\"suite\":\"{}\",\"input\":{},\
                  \"paper\":{},\"liveness\":{}}}",
-                r.name,
+                json_string(r.name),
                 match r.suite {
                     Suite::RegJava => "regjava",
                     Suite::Olden => "olden",
                 },
-                r.input,
+                json_string(r.input),
                 mode_json(&r.paper),
                 mode_json(&r.liveness)
             )

@@ -22,6 +22,7 @@
 //! interpreter on Olden wall time.
 
 use cj_benchmarks::{all_benchmarks, Benchmark, Suite};
+use cj_diag::json_string;
 use cj_infer::{InferOptions, SubtypeMode};
 use cj_runtime::{run_main_big_stack, Outcome, RunConfig, Value};
 use std::time::Instant;
@@ -215,15 +216,15 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"name\":\"{}\",\"suite\":\"{}\",\"input\":\"{}\",\
+                "    {{\"name\":{},\"suite\":\"{}\",\"input\":{},\
                  \"instruction_count\":{},\"fused_count\":{},\
                  \"interp\":{},\"rvm\":{},\"rvm_vs_interp\":{:.4}}}",
-                r.name,
+                json_string(r.name),
                 match r.suite {
                     Suite::RegJava => "regjava",
                     Suite::Olden => "olden",
                 },
-                r.input,
+                json_string(r.input),
                 r.instructions,
                 r.fused,
                 engine_json(&r.interp),

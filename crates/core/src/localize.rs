@@ -560,11 +560,3 @@ pub fn wrap_letreg(rho: RegVar, inner: RExpr) -> RExpr {
         span,
     }
 }
-
-/// Applies the root-block letreg, if any, to a rewritten body.
-pub fn apply_root_letreg(groups_root: Option<RegVar>, body: RExpr) -> RExpr {
-    match groups_root {
-        Some(rho) => wrap_letreg(rho, body),
-        None => body,
-    }
-}

@@ -278,6 +278,31 @@ pub struct InferStats {
     pub sccs_disk_hits: usize,
 }
 
+impl InferStats {
+    /// The one JSON form of the counters — `cjrc infer --json`'s `stats`
+    /// and the serve `stats` response's `infer_stats`.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"global_iterations\":{},\"fixpoint_iterations\":{},\"regions_created\":{},\
+             \"localized_regions\":{},\"override_repairs\":{},\"downcast_sites\":{},\
+             \"methods_inferred\":{},\"methods_reused\":{},\"sccs_solved\":{},\"sccs_reused\":{},\
+             \"sccs_shared_hits\":{},\"sccs_disk_hits\":{}}}",
+            self.global_iterations,
+            self.fixpoint_iterations,
+            self.regions_created,
+            self.localized_regions,
+            self.override_repairs,
+            self.downcast_sites,
+            self.methods_inferred,
+            self.methods_reused,
+            self.sccs_solved,
+            self.sccs_reused,
+            self.sccs_shared_hits,
+            self.sccs_disk_hits
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -45,7 +45,7 @@ use cj_regions::constraint::Atom;
 use cj_regions::incremental::{solve_scc_memo_as, SccOutcome, SolveMemo};
 use cj_regions::solve::Solver;
 use cj_regions::var::RegVar;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Reusable inference state: per-method symbolic results keyed by
@@ -71,8 +71,6 @@ pub struct InferCache {
     memo: Arc<SolveMemo>,
     /// This cache's client id within `memo`.
     client: u64,
-    /// Worker threads for the per-SCC solve (1 = sequential).
-    solve_threads: usize,
 }
 
 impl Default for InferCache {
@@ -113,36 +111,12 @@ impl InferCache {
             methods: HashMap::new(),
             memo,
             client,
-            solve_threads: 1,
         }
-    }
-
-    /// Number of per-method results currently cached.
-    pub fn cached_methods(&self) -> usize {
-        self.methods.len()
-    }
-
-    /// Hit/miss counters of the underlying SCC solve memo. For a shared
-    /// memo these are memo-wide (all clients), not per-cache.
-    pub fn memo_stats(&self) -> (u64, u64) {
-        (self.memo.hits(), self.memo.misses())
     }
 
     /// The solve memo this cache feeds (clone the `Arc` to share it).
     pub fn shared_memo(&self) -> Arc<SolveMemo> {
         Arc::clone(&self.memo)
-    }
-
-    /// Sets the number of worker threads the global solve uses per
-    /// compilation (clamped to at least 1). Output is bit-identical to the
-    /// sequential solve either way; only wall-clock changes.
-    pub fn set_solve_threads(&mut self, threads: usize) {
-        self.solve_threads = threads.max(1);
-    }
-
-    /// Worker threads the global solve will use.
-    pub fn solve_threads(&self) -> usize {
-        self.solve_threads
     }
 }
 
@@ -249,13 +223,7 @@ pub fn infer_with_cache(
     let mut closed;
     loop {
         stats.global_iterations += 1;
-        let (solved, iters) = solve_all_memo_as(
-            &ctx.raw,
-            &cache.memo,
-            &mut stats,
-            cache.client,
-            cache.solve_threads,
-        );
+        let (solved, iters) = solve_all_memo_as(&ctx.raw, &cache.memo, &mut stats, cache.client);
         stats.fixpoint_iterations += iters;
         closed = solved;
 
@@ -411,64 +379,12 @@ pub fn solve_all(raw: &AbsEnv) -> (AbsEnv, usize) {
     (env, iterations)
 }
 
-/// The SCC condensation grouped into *dependency levels*: every SCC in
-/// level `k` calls only SCCs in levels `< k` (level 0 has no external
-/// callees). Levels are the natural work items of a parallel solve — all
-/// SCCs of one level are independent given the closed forms below them.
-/// Within each level, SCCs keep their bottom-up condensation order, so
-/// flattening the levels is a valid solve order.
-pub fn condensation_levels(env: &AbsEnv) -> Vec<Vec<Vec<String>>> {
-    let sccs = condensation(env);
-    let mut scc_of: HashMap<&str, usize> = HashMap::new();
-    for (i, scc) in sccs.iter().enumerate() {
-        for name in scc {
-            scc_of.insert(name.as_str(), i);
-        }
-    }
-    let mut level = vec![0usize; sccs.len()];
-    let mut depth = 0usize;
-    // Bottom-up order: every external callee's SCC index precedes ours, so
-    // its level is already final.
-    for (i, scc) in sccs.iter().enumerate() {
-        let mut l = 0usize;
-        for name in scc {
-            for call in &env.get(name).expect("present").body.calls {
-                match scc_of.get(call.name.as_str()) {
-                    Some(&j) if j != i => l = l.max(level[j] + 1),
-                    _ => {}
-                }
-            }
-        }
-        level[i] = l;
-        depth = depth.max(l + 1);
-    }
-    let mut levels: Vec<Vec<Vec<String>>> = vec![Vec::new(); depth];
-    for (i, scc) in sccs.into_iter().enumerate() {
-        levels[level[i]].push(scc);
-    }
-    levels
-}
-
 /// [`solve_all`] with a content-addressed memo: SCCs whose canonical raw
 /// bodies and imported closed forms match a previously solved SCC are
 /// served from `memo` without iterating. Updates the `sccs_solved` /
 /// `sccs_reused` / `sccs_shared_hits` counters of `stats`.
 pub fn solve_all_memo(raw: &AbsEnv, memo: &SolveMemo, stats: &mut InferStats) -> (AbsEnv, usize) {
-    solve_all_memo_as(raw, memo, stats, 0, 1)
-}
-
-/// [`solve_all_memo`] with the per-SCC solves of each condensation level
-/// fanned out over `threads` worker threads. The merge is deterministic
-/// (condensation order), so the closed environment is **bit-identical** to
-/// the sequential solve; only the memo hit/miss split may differ when
-/// α-equivalent SCCs of one level race.
-pub fn solve_all_memo_parallel(
-    raw: &AbsEnv,
-    memo: &SolveMemo,
-    stats: &mut InferStats,
-    threads: usize,
-) -> (AbsEnv, usize) {
-    solve_all_memo_as(raw, memo, stats, 0, threads)
+    solve_all_memo_as(raw, memo, stats, 0)
 }
 
 fn record_outcome(outcome: SccOutcome, stats: &mut InferStats, iterations: &mut usize) {
@@ -486,82 +402,17 @@ fn record_outcome(outcome: SccOutcome, stats: &mut InferStats, iterations: &mut 
     *iterations += outcome.iterations;
 }
 
-/// Extracts the self-contained subproblem of one SCC: its members' raw
-/// abstractions plus the closed forms of every external callee.
-fn scc_subenv(env: &AbsEnv, group: &[String]) -> AbsEnv {
-    let members: BTreeSet<&str> = group.iter().map(String::as_str).collect();
-    let mut sub = AbsEnv::new();
-    for name in group {
-        let abs = env.get(name).expect("member present").clone();
-        for call in &abs.body.calls {
-            if !members.contains(call.name.as_str()) && sub.get(&call.name).is_none() {
-                sub.insert(env.get(&call.name).expect("callee present").clone());
-            }
-        }
-        sub.insert(abs);
-    }
-    sub
-}
-
 fn solve_all_memo_as(
     raw: &AbsEnv,
     memo: &SolveMemo,
     stats: &mut InferStats,
     client: u64,
-    threads: usize,
 ) -> (AbsEnv, usize) {
     let mut env = raw.clone();
     let mut iterations = 0;
-    for level in condensation_levels(raw) {
-        if threads <= 1 || level.len() <= 1 {
-            for group in &level {
-                let outcome = solve_scc_memo_as(&mut env, group, memo, client);
-                record_outcome(outcome, stats, &mut iterations);
-            }
-            continue;
-        }
-        // Fan the level's SCCs over the workers. Each solve runs in an
-        // isolated sub-environment (its raw members + closed imports), so
-        // workers never contend on `env`; results merge back in
-        // condensation order, which makes the final environment identical
-        // to the sequential solve no matter how the workers interleave.
-        let workers = threads.min(level.len());
-        let env_ref = &env;
-        let mut solved: Vec<Option<(Vec<ConstraintAbs>, SccOutcome)>> = vec![None; level.len()];
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let level = &level;
-                handles.push(scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut idx = w;
-                    while idx < level.len() {
-                        let group = &level[idx];
-                        let mut sub = scc_subenv(env_ref, group);
-                        let outcome = solve_scc_memo_as(&mut sub, group, memo, client);
-                        let closed: Vec<ConstraintAbs> = group
-                            .iter()
-                            .map(|n| sub.get(n).expect("member solved").clone())
-                            .collect();
-                        out.push((idx, closed, outcome));
-                        idx += workers;
-                    }
-                    out
-                }));
-            }
-            for handle in handles {
-                for (idx, closed, outcome) in handle.join().expect("solver worker panicked") {
-                    solved[idx] = Some((closed, outcome));
-                }
-            }
-        });
-        for slot in solved {
-            let (closed, outcome) = slot.expect("every SCC solved");
-            for abs in closed {
-                env.insert(abs);
-            }
-            record_outcome(outcome, stats, &mut iterations);
-        }
+    for group in condensation(raw) {
+        let outcome = solve_scc_memo_as(&mut env, &group, memo, client);
+        record_outcome(outcome, stats, &mut iterations);
     }
     (env, iterations)
 }

@@ -569,34 +569,4 @@ impl RProgram {
         walk_rexpr(&m.body, &mut |e| add(&mut set, &e.rtype));
         set
     }
-
-    /// All region variables appearing in a method's signature and body.
-    pub fn method_region_universe(&self, id: MethodId) -> BTreeSet<RegVar> {
-        let m = self.rmethod(id);
-        let mut set: BTreeSet<RegVar> = m.abs_params.iter().copied().collect();
-        for t in &m.var_types {
-            set.extend(t.regions());
-        }
-        set.extend(m.ret_type.regions());
-        walk_rexpr(&m.body, &mut |e| {
-            set.extend(e.rtype.regions());
-            match &e.kind {
-                RExprKind::New { regions, .. } | RExprKind::Cast { regions, .. } => {
-                    set.extend(regions.iter().copied())
-                }
-                RExprKind::NewArray { region, .. } => {
-                    set.insert(*region);
-                }
-                RExprKind::CallVirtual { inst, .. } | RExprKind::CallStatic { inst, .. } => {
-                    set.extend(inst.iter().copied())
-                }
-                RExprKind::Letreg(r, _) => {
-                    set.insert(*r);
-                }
-                _ => {}
-            }
-        });
-        set.insert(RegVar::HEAP);
-        set
-    }
 }

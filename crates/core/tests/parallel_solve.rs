@@ -1,15 +1,13 @@
-//! Property tests for the level-parallel SCC solve: over random recursive
-//! abstraction systems, [`solve_all_memo_parallel`] must produce a closed
-//! environment **bit-identical** to the sequential [`solve_all_memo`] (and
-//! to the memo-less [`solve_all`] ground truth) for any thread count. Only
-//! wall-clock and the memo hit/miss split may differ — never the result.
+//! Property tests for the memoized SCC solve: over random recursive
+//! abstraction systems, [`solve_all_memo`] must produce a closed
+//! environment **bit-identical** to the memo-less [`solve_all`] ground
+//! truth, a warm memo must replay it without iterating, and one memo
+//! shared by concurrent solvers (how daemon clients share it) must hand
+//! every thread the same result. Only the memo hit/miss split may differ
+//! between runs — never the result.
 
 use cj_infer::options::InferStats;
-use cj_infer::pipeline::{
-    condensation_levels, infer, infer_with_cache, solve_all, solve_all_memo,
-    solve_all_memo_parallel, InferCache,
-};
-use cj_infer::InferOptions;
+use cj_infer::pipeline::{solve_all, solve_all_memo};
 use cj_regions::abstraction::{AbsBody, AbsCall, AbsEnv, ConstraintAbs};
 use cj_regions::constraint::{Atom, ConstraintSet};
 use cj_regions::incremental::SolveMemo;
@@ -86,109 +84,45 @@ fn env_string(env: &AbsEnv) -> String {
 
 proptest! {
     #[test]
-    fn parallel_solve_is_bit_identical_to_sequential(spec in arb_system()) {
+    fn memoized_solve_equals_solve_all(spec in arb_system()) {
         let env = build_env(&spec);
-        let mut seq_stats = InferStats::default();
-        let (seq, _) = solve_all_memo(&env, &SolveMemo::new(), &mut seq_stats);
+        let memo = SolveMemo::new();
+        let mut cold_stats = InferStats::default();
+        let (cold, _) = solve_all_memo(&env, &memo, &mut cold_stats);
         let (plain, _) = solve_all(&env);
-        prop_assert_eq!(env_string(&seq), env_string(&plain));
-        for threads in [2usize, 4, 8] {
-            let memo = SolveMemo::new();
-            let mut par_stats = InferStats::default();
-            let (par, _) = solve_all_memo_parallel(&env, &memo, &mut par_stats, threads);
-            prop_assert_eq!(env_string(&seq), env_string(&par));
-            // Every SCC is accounted exactly once, however the workers
-            // interleaved.
-            prop_assert_eq!(
-                par_stats.sccs_solved + par_stats.sccs_reused,
-                seq_stats.sccs_solved + seq_stats.sccs_reused
-            );
-            // A warm memo must replay the identical environment too, with
-            // every SCC a hit.
-            let mut warm_stats = InferStats::default();
-            let (warm, warm_iters) =
-                solve_all_memo_parallel(&env, &memo, &mut warm_stats, threads);
-            prop_assert_eq!(env_string(&seq), env_string(&warm));
-            prop_assert_eq!(warm_stats.sccs_solved, 0);
-            prop_assert_eq!(warm_iters, 0);
-        }
+        prop_assert_eq!(env_string(&cold), env_string(&plain));
+        // A warm memo must replay the identical environment too, with
+        // every SCC a hit.
+        let mut warm_stats = InferStats::default();
+        let (warm, warm_iters) = solve_all_memo(&env, &memo, &mut warm_stats);
+        prop_assert_eq!(env_string(&cold), env_string(&warm));
+        prop_assert_eq!(warm_stats.sccs_solved, 0);
+        prop_assert_eq!(warm_iters, 0);
+        // Every SCC is accounted exactly once per solve.
+        prop_assert_eq!(
+            warm_stats.sccs_reused,
+            cold_stats.sccs_solved + cold_stats.sccs_reused
+        );
     }
 
     #[test]
-    fn condensation_levels_respect_dependencies(spec in arb_system()) {
+    fn a_memo_shared_across_threads_hands_out_identical_results(spec in arb_system()) {
         let env = build_env(&spec);
-        let levels = condensation_levels(&env);
-        // Flattened levels cover every abstraction exactly once.
-        let flat: Vec<&String> = levels.iter().flatten().flatten().collect();
-        prop_assert_eq!(flat.len(), env.len());
-        // Every call from level k lands in the same SCC or a level < k.
-        let mut level_of = std::collections::HashMap::new();
-        for (k, level) in levels.iter().enumerate() {
-            for scc in level {
-                for name in scc {
-                    level_of.insert(name.clone(), k);
-                }
-            }
+        let (want, _) = solve_all(&env);
+        let memo = SolveMemo::new();
+        let results: Vec<String> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut stats = InferStats::default();
+                        env_string(&solve_all_memo(&env, &memo, &mut stats).0)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for got in results {
+            prop_assert_eq!(&got, &env_string(&want));
         }
-        for (k, level) in levels.iter().enumerate() {
-            for scc in level {
-                for name in scc {
-                    for call in &env.get(name).unwrap().body.calls {
-                        let callee_level = level_of[&call.name];
-                        prop_assert!(
-                            callee_level < k || (callee_level == k && scc.contains(&call.name)),
-                            "level-{k} SCC member {name} calls {} at level {callee_level}",
-                            call.name
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// End-to-end: a multi-threaded solve inside `infer_with_cache` yields the
-/// same annotated program, closed environment and region numbering as the
-/// one-shot sequential [`infer`].
-#[test]
-fn threaded_inference_matches_sequential_end_to_end() {
-    let src = "
-    class List { Object value; List next;
-      Object getValue() { this.value }
-      List getNext() { this.next }
-      static bool isNull(List l) { l == null }
-      static List join(List xs, List ys) {
-        if (isNull(xs)) { ys } else {
-          List r = join(xs.getNext(), ys);
-          new List(xs.getValue(), r)
-        }
-      }
-    }
-    class Stack { List top;
-      void push(Object o) { this.top = new List(o, this.top); }
-      Object peek() { this.top.getValue() }
-    }
-    class Pair { Object fst; Object snd;
-      Object getFst() { this.fst }
-      void swap() { Object t = this.fst; this.fst = this.snd; this.snd = t; }
-    }";
-    let kp = cj_frontend::typecheck::check_source(src).unwrap();
-    let opts = InferOptions::default();
-    let (want, want_stats) = infer(&kp, opts).unwrap();
-    for threads in [2usize, 4] {
-        let mut cache = InferCache::new();
-        cache.set_solve_threads(threads);
-        assert_eq!(cache.solve_threads(), threads);
-        let (got, got_stats) = infer_with_cache(&kp, opts, &mut cache).unwrap();
-        assert_eq!(
-            cj_infer::pretty::program_to_string(&want),
-            cj_infer::pretty::program_to_string(&got),
-            "threads={threads}"
-        );
-        let qw: Vec<String> = want.q.iter().map(|a| a.to_string()).collect();
-        let qg: Vec<String> = got.q.iter().map(|a| a.to_string()).collect();
-        assert_eq!(qw, qg);
-        assert_eq!(want_stats.regions_created, got_stats.regions_created);
-        assert_eq!(want_stats.localized_regions, got_stats.localized_regions);
     }
 }

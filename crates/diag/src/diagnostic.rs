@@ -6,8 +6,21 @@
 //! type of whole passes. Rendering (caret snippets, JSON) lives in
 //! [`emit`](crate::emit).
 
-use crate::span::{SourceMap, Span};
+use crate::span::Span;
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt;
+
+/// Most diagnostics any renderer shows for one file; see
+/// [`Diagnostics::capped`].
+pub const MAX_DIAGNOSTICS_PER_FILE: usize = 100;
+
+fn suppressed_note(count: usize) -> String {
+    format!(
+        "{count} more diagnostic{} suppressed (at most {MAX_DIAGNOSTICS_PER_FILE} are shown per file)",
+        if count == 1 { "" } else { "s" }
+    )
+}
 
 /// Severity of a [`Diagnostic`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -97,15 +110,6 @@ impl Diagnostic {
         self.notes.push(note.into());
         self
     }
-
-    /// Renders `self` as `severity at line:col: message` using `map`.
-    ///
-    /// This is the terse one-line form; see
-    /// [`Emitter`](crate::emit::Emitter) for caret snippets and JSON.
-    pub fn render(&self, map: &SourceMap) -> String {
-        let (line, col) = map.line_col(self.span.lo);
-        format!("{} at {}:{}: {}", self.severity, line, col, self.message)
-    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -182,21 +186,50 @@ impl Diagnostics {
         self
     }
 
-    /// Renders every diagnostic on its own terse line.
-    pub fn render(&self, map: &SourceMap) -> String {
-        let mut out = String::new();
-        for d in &self.items {
-            out.push_str(&d.render(map));
-            out.push('\n');
+    /// The diagnostics a renderer shows: the first
+    /// [`MAX_DIAGNOSTICS_PER_FILE`] of each file, in order, where
+    /// `file_of` maps a diagnostic's primary span to its file. A file
+    /// with more gets one note on its last shown diagnostic counting the
+    /// rest, so the caret, JSON and terse forms all report the same cut.
+    /// Borrowed when nothing is cut.
+    pub fn capped(&self, file_of: impl Fn(Span) -> u32) -> Cow<'_, Diagnostics> {
+        if self.items.len() <= MAX_DIAGNOSTICS_PER_FILE {
+            return Cow::Borrowed(self);
         }
-        out
+        // Per file: diagnostics seen, and the index of its last shown one.
+        let mut files: HashMap<u32, (usize, usize)> = HashMap::new();
+        let mut kept = Diagnostics::new();
+        for d in &self.items {
+            let (seen, last) = files.entry(file_of(d.span)).or_default();
+            *seen += 1;
+            if *seen <= MAX_DIAGNOSTICS_PER_FILE {
+                *last = kept.len();
+                kept.push(d.clone());
+            }
+        }
+        if kept.len() == self.len() {
+            return Cow::Borrowed(self);
+        }
+        for (seen, last) in files.into_values() {
+            if seen > MAX_DIAGNOSTICS_PER_FILE {
+                let note = suppressed_note(seen - MAX_DIAGNOSTICS_PER_FILE);
+                kept.items[last].notes.push(note);
+            }
+        }
+        Cow::Owned(kept)
     }
 }
 
 impl fmt::Display for Diagnostics {
+    /// One `severity: message` line per diagnostic, capped like every
+    /// other rendering (the batch counts as one file).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for d in &self.items {
+        let shown = self.capped(|_| 0);
+        for d in shown.iter() {
             writeln!(f, "{}", d)?;
+        }
+        if shown.len() < self.len() {
+            writeln!(f, "note: {}", suppressed_note(self.len() - shown.len()))?;
         }
         Ok(())
     }
@@ -239,15 +272,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn diagnostics_render() {
-        let map = SourceMap::new("class A {}\nclass A {}");
-        let mut ds = Diagnostics::new();
-        ds.error("duplicate class `A`", Span::new(11, 21));
-        assert!(ds.has_errors());
-        assert_eq!(ds.render(&map).trim(), "error at 2:1: duplicate class `A`");
-    }
-
-    #[test]
     fn warnings_are_not_errors() {
         let mut ds = Diagnostics::new();
         ds.push(Diagnostic::warning("unused", Span::DUMMY));
@@ -263,6 +287,42 @@ mod tests {
         let ds = ds.set_default_code("E0999");
         assert_eq!(ds.items[0].code, Some("E0001"));
         assert_eq!(ds.items[1].code, Some("E0999"));
+    }
+
+    #[test]
+    fn capped_keeps_the_first_hundred_per_file_and_counts_the_rest() {
+        // 10x the bound in file 0, a few in file 1, interleaved.
+        let mut ds = Diagnostics::new();
+        for i in 0..10 * MAX_DIAGNOSTICS_PER_FILE as u32 {
+            ds.error(format!("e{i}"), Span::new(i, i + 1));
+            if i % 400 == 0 {
+                ds.error(format!("other{i}"), Span::new(1_000_000 + i, 1_000_001 + i));
+            }
+        }
+        let file_of = |s: Span| s.lo / 1_000_000;
+        let shown = ds.capped(file_of);
+        assert_eq!(shown.len(), MAX_DIAGNOSTICS_PER_FILE + 3);
+        assert!(shown.has_errors());
+        let last0 = shown.iter().rfind(|d| file_of(d.span) == 0).unwrap();
+        assert_eq!(last0.message, "e99");
+        assert_eq!(
+            last0.notes,
+            vec!["900 more diagnostics suppressed (at most 100 are shown per file)".to_string()]
+        );
+        let file1 = shown.iter().filter(|d| file_of(d.span) == 1);
+        assert!(file1.clone().all(|d| d.notes.is_empty()) && file1.count() == 3);
+        // Under the bound nothing is copied or annotated.
+        let small: Diagnostics = ds.items[..50].iter().cloned().collect();
+        assert!(matches!(small.capped(file_of), Cow::Borrowed(_)));
+        // The terse form cuts at the same bound and says so.
+        let text = ds.to_string();
+        assert_eq!(text.lines().count(), MAX_DIAGNOSTICS_PER_FILE + 1);
+        assert!(
+            text.ends_with(
+                "note: 903 more diagnostics suppressed (at most 100 are shown per file)\n"
+            ),
+            "{text}"
+        );
     }
 
     #[test]

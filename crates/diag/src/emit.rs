@@ -13,6 +13,7 @@
 //! ```
 
 use crate::diagnostic::{Diagnostic, Diagnostics, Severity};
+use crate::json::json_string;
 use crate::span::{SourceMap, Span};
 use std::fmt::Write as _;
 
@@ -32,11 +33,6 @@ impl<'a> Emitter<'a> {
             src,
             map: SourceMap::new(src),
         }
-    }
-
-    /// The line index built for the source.
-    pub fn source_map(&self) -> &SourceMap {
-        &self.map
     }
 
     /// Renders one diagnostic as a caret-style snippet.
@@ -61,10 +57,12 @@ impl<'a> Emitter<'a> {
         out
     }
 
-    /// Renders every diagnostic in `ds`, blank-line separated.
+    /// Renders every diagnostic in `ds`, blank-line separated (at most
+    /// [`MAX_DIAGNOSTICS_PER_FILE`](crate::MAX_DIAGNOSTICS_PER_FILE); see
+    /// [`Diagnostics::capped`]).
     pub fn render_all(&self, ds: &Diagnostics) -> String {
         let mut out = String::new();
-        for (i, d) in ds.iter().enumerate() {
+        for (i, d) in ds.capped(|_| 0).iter().enumerate() {
             if i > 0 {
                 out.push('\n');
             }
@@ -80,10 +78,11 @@ impl<'a> Emitter<'a> {
         render_json_diagnostic(d, Some(self.name), &|span| self.json_span(span))
     }
 
-    /// Renders a whole batch as a JSON array (one object per line).
+    /// Renders a whole batch as a JSON array (one object per line),
+    /// capped like [`render_all`](Emitter::render_all).
     pub fn render_json_all(&self, ds: &Diagnostics) -> String {
         let mut out = String::from("[");
-        for (i, d) in ds.iter().enumerate() {
+        for (i, d) in ds.capped(|_| 0).iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -244,27 +243,6 @@ pub fn render_json_diagnostic(
     out
 }
 
-/// Escapes `s` as a JSON string literal (with quotes).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,13 +296,6 @@ mod tests {
         assert!(json.contains("\"code\":\"E0100\""));
         assert!(json.contains("\\\"quoted\\\""));
         assert!(json.contains("\"span\":{\"lo\":6,\"hi\":7,\"line\":1,\"col\":7}"));
-    }
-
-    #[test]
-    fn json_escapes_control_chars() {
-        assert_eq!(json_string("a\nb"), "\"a\\nb\"");
-        assert_eq!(json_string("t\tq\"\\"), "\"t\\tq\\\"\\\\\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

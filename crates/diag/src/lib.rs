@@ -8,6 +8,8 @@
 //!   [`Diagnostics`] collection used as pass error types;
 //! - [`emit`]: the [`Emitter`] that renders caret-style source snippets and
 //!   a line-oriented JSON form;
+//! - [`json`]: the workspace's one JSON value, strict depth-bounded parser
+//!   and string escaper;
 //! - [`IntoDiagnostic`]: the trait each crate's concrete error type
 //!   implements so the driver can funnel every failure — lexing through
 //!   runtime — into one machine-readable stream.
@@ -29,10 +31,12 @@
 
 pub mod diagnostic;
 pub mod emit;
+pub mod json;
 pub mod span;
 
-pub use diagnostic::{Diagnostic, Diagnostics, Label, Severity};
-pub use emit::{json_string, render_json_diagnostic, Emitter};
+pub use diagnostic::{Diagnostic, Diagnostics, Label, Severity, MAX_DIAGNOSTICS_PER_FILE};
+pub use emit::{render_json_diagnostic, Emitter};
+pub use json::{json_string, parse_json, Json};
 pub use span::{SourceMap, Span};
 
 /// Stable error-code ranges, one block per pipeline stage.

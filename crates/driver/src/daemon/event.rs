@@ -135,11 +135,10 @@ pub(super) fn serve(daemon: &Daemon) -> std::io::Result<()> {
                     over_capacity: false,
                 } => {
                     daemon.stats.record_accept();
-                    let mut ws = Workspace::with_shared_memo(
+                    let ws = Workspace::with_shared_memo(
                         daemon.config.opts.clone(),
                         Arc::clone(&daemon.memo),
                     );
-                    ws.set_solve_threads(daemon.config.solve_threads);
                     let mut server = Server::with_workspace(ws);
                     server.set_daemon_stats(Arc::clone(&daemon.stats));
                     server.set_telemetry(Arc::clone(&daemon.telemetry));

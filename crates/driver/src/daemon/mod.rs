@@ -64,8 +64,8 @@
 
 mod event;
 
-use crate::server::parse_json;
 use crate::session::SessionOptions;
+use cj_diag::json::{json_string, parse_json};
 use cj_persist::SccDiskCache;
 use cj_regions::incremental::SolveMemo;
 use std::net::{SocketAddr, TcpListener};
@@ -84,9 +84,6 @@ pub struct DaemonConfig {
     /// Worker threads executing requests. Connections are not tied to
     /// workers; only CPU-bound request handling queues here.
     pub workers: usize,
-    /// Worker threads each compilation's per-SCC solve fans out over
-    /// (1 = sequential; output is identical either way).
-    pub solve_threads: usize,
     /// On-disk SCC cache directory: loaded into the shared memo at bind,
     /// flushed periodically and compacted at shutdown. `None` = no
     /// persistence.
@@ -114,7 +111,6 @@ impl Default for DaemonConfig {
         DaemonConfig {
             opts: SessionOptions::default(),
             workers: 4,
-            solve_threads: 1,
             cache_dir: None,
             max_clients: 0,
             idle_timeout: Duration::from_secs(600),
@@ -413,18 +409,6 @@ impl Daemon {
         Arc::clone(&self.stop)
     }
 
-    /// The live serving counters (served/rejected, current and peak
-    /// connections) this daemon reports under `stats.daemon`.
-    pub fn stats_handle(&self) -> Arc<DaemonStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// The daemon-wide telemetry hub every connection's server records
-    /// into (request latencies, pass totals, queue waits).
-    pub fn telemetry_handle(&self) -> Arc<crate::telemetry::Telemetry> {
-        Arc::clone(&self.telemetry)
-    }
-
     /// The bound address of the HTTP metrics endpoint (`None` unless
     /// [`DaemonConfig::metrics_addr`] was set).
     pub fn metrics_local_addr(&self) -> Option<SocketAddr> {
@@ -514,19 +498,25 @@ impl Daemon {
 /// protocol error uses, plus a machine-readable `"code"` so clients can
 /// distinguish "retry later" from a malformed request.
 fn capacity_reject_line(limit: usize) -> String {
-    format!(
-        "{{\"ok\":false,\"error\":\"daemon at capacity ({limit} active \
-         client{}); retry later\",\"code\":\"capacity\"}}",
+    let error = format!(
+        "daemon at capacity ({limit} active client{}); retry later",
         if limit == 1 { "" } else { "s" }
+    );
+    format!(
+        "{{\"ok\":false,\"error\":{},\"code\":\"capacity\"}}",
+        json_string(&error)
     )
 }
 
 /// The idle-eviction goodbye line.
 fn idle_goodbye_line(idle_timeout: Duration) -> String {
-    format!(
-        "{{\"ok\":false,\"error\":\"idle timeout: no request \
-         completed in {}s\",\"code\":\"idle\"}}",
+    let error = format!(
+        "idle timeout: no request completed in {}s",
         idle_timeout.as_secs_f64()
+    );
+    format!(
+        "{{\"ok\":false,\"error\":{},\"code\":\"idle\"}}",
+        json_string(&error)
     )
 }
 

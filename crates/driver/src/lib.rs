@@ -65,8 +65,9 @@ pub mod telemetry;
 pub mod workspace;
 
 pub use batch::{compile_many, SourceInput};
+pub use cj_diag::json::{parse_json, Json};
 pub use daemon::{Daemon, DaemonConfig, DaemonStats, DaemonSummary};
-pub use server::{parse_json, Json, Server};
+pub use server::Server;
 pub use session::{Compilation, CompileResult, Session, SessionOptions};
 pub use telemetry::Telemetry;
 pub use workspace::{PassCounts, PolicyOutcome, Workspace, FILE_SPAN_STRIDE};

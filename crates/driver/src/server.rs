@@ -33,232 +33,11 @@
 //! ```
 
 use crate::session::SessionOptions;
-use crate::workspace::{PassCounts, Workspace};
-use cj_diag::json_string;
+use crate::workspace::Workspace;
+use cj_diag::json::{json_string, parse_json, Json};
 use cj_infer::InferOptions;
 use cj_runtime::{Engine, Value};
 use std::fmt::Write as _;
-
-// ---- a minimal JSON value model -------------------------------------------
-
-/// A parsed JSON value (the subset the protocol needs — which is all of
-/// JSON except number edge cases beyond `f64`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number, as `f64`.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object (insertion-ordered).
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// String member lookup.
-    pub fn get_str(&self, key: &str) -> Option<&str> {
-        match self.get(key)? {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Deepest array/object nesting [`parse_json`] accepts. Protocol requests
-/// nest two or three levels; the bound keeps the recursive parser (and the
-/// recursive drop of the value it builds) far inside any thread's stack.
-const MAX_JSON_DEPTH: usize = 128;
-
-/// Parses one JSON value from `input` (must consume the whole input up to
-/// trailing whitespace).
-///
-/// # Errors
-///
-/// A human-readable description of the first syntax error, or of arrays
-/// and objects nested more than 128 levels deep.
-pub fn parse_json(input: &str) -> Result<Json, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing characters at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth == MAX_JSON_DEPTH {
-        return Err(format!(
-            "nesting deeper than {MAX_JSON_DEPTH} levels at byte {pos}"
-        ));
-    }
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos, depth + 1)? {
-                    Json::Str(s) => s,
-                    _ => return Err(format!("object key must be a string at byte {pos}")),
-                };
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected `:` at byte {pos}"));
-                }
-                *pos += 1;
-                let value = parse_value(b, pos, depth + 1)?;
-                members.push((key, value));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos, depth + 1)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
-        Some(b't') if b[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if b[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if b[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            std::str::from_utf8(&b[start..*pos])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(Json::Num)
-                .ok_or_else(|| format!("invalid token at byte {start}"))
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(b.get(*pos), Some(&b'"'));
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let mut unit = read_hex4(b, *pos + 1)
-                            .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
-                        *pos += 4;
-                        // Surrogate pair: a high surrogate must be followed
-                        // by `\uDC00`–`\uDFFF`; combine into one scalar.
-                        if (0xd800..0xdc00).contains(&unit) {
-                            if b.get(*pos + 1..*pos + 3) != Some(&b"\\u"[..]) {
-                                return Err(format!("lone high surrogate at byte {pos}"));
-                            }
-                            let low = read_hex4(b, *pos + 3)
-                                .filter(|l| (0xdc00..0xe000).contains(l))
-                                .ok_or_else(|| format!("invalid low surrogate at byte {pos}"))?;
-                            unit = 0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00);
-                            *pos += 6;
-                        }
-                        out.push(char::from_u32(unit).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Advance one UTF-8 scalar.
-                let start = *pos;
-                *pos += 1;
-                while *pos < b.len() && (b[*pos] & 0xc0) == 0x80 {
-                    *pos += 1;
-                }
-                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|_| "invalid utf-8")?);
-            }
-        }
-    }
-}
-
-fn read_hex4(b: &[u8], at: usize) -> Option<u32> {
-    b.get(at..at + 4)
-        .and_then(|h| std::str::from_utf8(h).ok())
-        .and_then(|h| u32::from_str_radix(h, 16).ok())
-}
 
 // ---- the server ------------------------------------------------------------
 
@@ -353,7 +132,7 @@ impl Server {
                 if !fields.is_empty() {
                     let _ = write!(out, ",{fields}");
                 }
-                let _ = write!(out, ",\"passes_executed\":{}", passes_json(passes));
+                let _ = write!(out, ",\"passes_executed\":{}", passes.to_json());
                 out.push('}');
                 out
             }
@@ -365,7 +144,7 @@ impl Server {
                 if let Some(code) = error.code {
                     let _ = write!(out, ",\"code\":\"{code}\"");
                 }
-                let _ = write!(out, ",\"passes_executed\":{}}}", passes_json(passes));
+                let _ = write!(out, ",\"passes_executed\":{}}}", passes.to_json());
                 out
             }
         }
@@ -379,9 +158,7 @@ impl Server {
             "open" | "edit" => {
                 let file = req.get_str("file").ok_or("`open` needs `file`")?;
                 let text = req.get_str("text").ok_or("`open` needs `text`")?;
-                self.ws
-                    .set_source(file, text)
-                    .map_err(|d| d.to_string().trim_end().to_string())?;
+                self.ws.set_source(file, text).map_err(message)?;
                 Ok(String::new())
             }
             "close" => {
@@ -410,10 +187,7 @@ impl Server {
             }
             "annotate" => {
                 let opts = self.request_opts(req)?;
-                let annotated = self
-                    .ws
-                    .annotate_with(opts)
-                    .map_err(|d| d.to_string().trim_end().to_string())?;
+                let annotated = self.ws.annotate_with(opts).map_err(message)?;
                 Ok(format!(
                     "\"annotated\":{},\"extents\":\"{}\"",
                     json_string(&annotated),
@@ -425,7 +199,15 @@ impl Server {
                     Some(Json::Arr(items)) => items
                         .iter()
                         .map(|v| match v {
-                            Json::Num(n) => Ok(Value::Int(*n as i64)),
+                            // Exact integers only: a fraction must not be
+                            // truncated, nor a huge value saturated.
+                            Json::Num(n)
+                                if n.fract() == 0.0
+                                    && *n >= i64::MIN as f64
+                                    && *n < i64::MAX as f64 =>
+                            {
+                                Ok(Value::Int(*n as i64))
+                            }
                             _ => Err("`run` args must be integers".to_string()),
                         })
                         .collect::<Result<_, _>>()?,
@@ -446,7 +228,7 @@ impl Server {
                 let out = self
                     .ws
                     .run_values_engine(opts, engine, &args)
-                    .map_err(|d| d.to_string().trim_end().to_string())?;
+                    .map_err(message)?;
                 Ok(format!(
                     "\"result\":{},\"engine\":\"{engine}\",\"extents\":\"{}\",\
                      \"steps\":{},\"space_ratio\":{:.4},\"peak_live\":{}",
@@ -496,7 +278,7 @@ impl Server {
                      \"shared_memo\":{{\"entries\":{},\"hits\":{},\"misses\":{},\
                      \"shared_hits\":{},\"disk_hits\":{}}}",
                     files.join(","),
-                    passes_json(self.ws.pass_counts()),
+                    self.ws.pass_counts().to_json(),
                     memo.len(),
                     memo.hits(),
                     memo.misses(),
@@ -515,25 +297,7 @@ impl Server {
                 // A pure read of cached state: `stats` never compiles.
                 let opts = self.request_opts(req)?;
                 if let Some(compilation) = self.ws.cached_compilation(opts) {
-                    let s = &compilation.stats;
-                    let _ = write!(
-                        extra,
-                        ",\"infer_stats\":{{\"regions_created\":{},\"localized_regions\":{},\
-                         \"fixpoint_iterations\":{},\"override_repairs\":{},\
-                         \"methods_inferred\":{},\"methods_reused\":{},\
-                         \"sccs_solved\":{},\"sccs_reused\":{},\"sccs_shared_hits\":{},\
-                         \"sccs_disk_hits\":{}}}",
-                        s.regions_created,
-                        s.localized_regions,
-                        s.fixpoint_iterations,
-                        s.override_repairs,
-                        s.methods_inferred,
-                        s.methods_reused,
-                        s.sccs_solved,
-                        s.sccs_reused,
-                        s.sccs_shared_hits,
-                        s.sccs_disk_hits
-                    );
+                    let _ = write!(extra, ",\"infer_stats\":{}", compilation.stats.to_json());
                 }
                 Ok(extra)
             }
@@ -543,15 +307,9 @@ impl Server {
                 // quantiles + pass totals + memo/daemon gauges. The same
                 // snapshot the `--metrics-addr` HTTP endpoint serves.
                 let memo = self.ws.shared_memo();
-                let snapshot = self
+                Ok(self
                     .telemetry
-                    .snapshot(Some(&memo), self.daemon_stats.as_deref());
-                Ok(format!(
-                    "\"uptime_ms\":{},\"version\":{},\"metrics\":{}",
-                    self.telemetry.uptime_ms(),
-                    json_string(crate::telemetry::Telemetry::version()),
-                    snapshot.to_json()
-                ))
+                    .metrics_fields(Some(&memo), self.daemon_stats.as_deref()))
             }
             "shutdown" => {
                 // `scope:"daemon"` is acted on by the daemon front end; a
@@ -604,20 +362,12 @@ impl Server {
         let opts = self.request_opts(req)?;
         if let Some(atom) = req.get_str("entails") {
             let atom = atom.to_string();
-            return match self
-                .ws
-                .entails_with(opts, &name, &atom)
-                .map_err(|d| d.to_string().trim_end().to_string())?
-            {
+            return match self.ws.entails_with(opts, &name, &atom).map_err(message)? {
                 Some(v) => Ok(format!("\"name\":{},\"entails\":{v}", json_string(&name))),
                 None => Err(format!("unknown abstraction `{name}`")),
             };
         }
-        match self
-            .ws
-            .q_with(opts, &name)
-            .map_err(|d| d.to_string().trim_end().to_string())?
-        {
+        match self.ws.q_with(opts, &name).map_err(message)? {
             Some(abs) => Ok(format!(
                 "\"name\":{},\"params\":{},\"abs\":{}",
                 json_string(&name),
@@ -629,16 +379,16 @@ impl Server {
     }
 
     fn downcast_warnings(&mut self) -> Result<String, String> {
-        let kernel = self
-            .ws
-            .typecheck()
-            .map_err(|d| d.to_string().trim_end().to_string())?;
-        let analysis = self
-            .ws
-            .downcast_analysis()
-            .map_err(|d| d.to_string().trim_end().to_string())?;
+        let kernel = self.ws.typecheck().map_err(message)?;
+        let analysis = self.ws.downcast_analysis().map_err(message)?;
         Ok(self.ws.render_json(&analysis.diagnostics(&kernel)))
     }
+}
+
+/// A failed stage's diagnostics as one error message: the terse form,
+/// capped like every other rendering.
+fn message(diags: cj_diag::Diagnostics) -> String {
+    diags.to_string().trim_end().to_string()
 }
 
 /// A dispatch failure: a human-readable message plus an optional stable
@@ -663,78 +413,12 @@ impl From<&str> for ReqError {
     }
 }
 
-fn passes_json(p: PassCounts) -> String {
-    format!(
-        "{{\"parse\":{},\"typecheck\":{},\"infer\":{},\"check\":{},\"run\":{},\"lower\":{},\
-         \"methods_inferred\":{},\"methods_reused\":{},\
-         \"methods_lowered\":{},\"methods_lower_reused\":{},\"sccs_solved\":{},\"sccs_reused\":{},\
-         \"sccs_shared_hits\":{},\"sccs_disk_hits\":{},\"extent_rewrites\":{},\
-         \"rules_checked\":{},\"policy_violations\":{}}}",
-        p.parse,
-        p.typecheck,
-        p.infer,
-        p.check,
-        p.run,
-        p.lower,
-        p.methods_inferred,
-        p.methods_reused,
-        p.methods_lowered,
-        p.methods_lower_reused,
-        p.sccs_solved,
-        p.sccs_reused,
-        p.sccs_shared_hits,
-        p.sccs_disk_hits,
-        p.extent_rewrites,
-        p.rules_checked,
-        p.policy_violations
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn server() -> Server {
         Server::new(SessionOptions::default())
-    }
-
-    #[test]
-    fn json_parser_roundtrips_protocol_shapes() {
-        let v = parse_json(r#"{"cmd":"open","file":"a.cj","text":"class A { }","n":3}"#).unwrap();
-        assert_eq!(v.get_str("cmd"), Some("open"));
-        assert_eq!(v.get_str("text"), Some("class A { }"));
-        assert_eq!(v.get("n"), Some(&Json::Num(3.0)));
-        let v = parse_json(r#"{"a":[1,true,null,"x\nA"]}"#).unwrap();
-        assert_eq!(
-            v.get("a"),
-            Some(&Json::Arr(vec![
-                Json::Num(1.0),
-                Json::Bool(true),
-                Json::Null,
-                Json::Str("x\nA".to_string()),
-            ]))
-        );
-        assert!(parse_json("{").is_err());
-        // Nesting is bounded: the limit itself parses, one more level is a
-        // plain error, and a million levels no longer overflow the stack.
-        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
-        assert!(parse_json(&nested(MAX_JSON_DEPTH)).is_ok());
-        let err = parse_json(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
-        assert!(err.contains("nesting deeper than 128"), "{err}");
-        assert!(parse_json(&"[".repeat(1_000_000)).is_err());
-        assert!(parse_json(&format!("{{\"a\":{}", "{\"a\":".repeat(1_000_000))).is_err());
-        assert!(parse_json(r#"{"a":1} extra"#).is_err());
-        assert!(parse_json("").is_err());
-    }
-
-    #[test]
-    fn json_parser_decodes_surrogate_pairs() {
-        // ensure_ascii-style encoders escape non-BMP chars as pairs.
-        let v = parse_json(r#"{"text":"a😀b é"}"#).unwrap();
-        assert_eq!(v.get_str("text"), Some("a\u{1f600}b é"));
-        assert!(parse_json(r#""\ud83d""#).is_err(), "lone high surrogate");
-        assert!(parse_json(r#""\ud83dxx""#).is_err());
-        assert!(parse_json(r#""\ud83dA""#).is_err(), "bad low unit");
     }
 
     #[test]
@@ -816,6 +500,28 @@ mod tests {
         assert!(resp.contains("\"status\":\"error\""), "{resp}");
         assert!(resp.contains("unknown class `Pear`"), "{resp}");
         assert!(resp.contains("\"file\":\"bad.cj\""), "{resp}");
+    }
+
+    #[test]
+    fn check_replies_cap_diagnostics_per_file() {
+        // 10x the per-file bound: one error per field of an unknown class.
+        let count = 10 * cj_diag::MAX_DIAGNOSTICS_PER_FILE;
+        let fields: String = (0..count).map(|i| format!(" Missing{i} f{i};")).collect();
+        let text = format!("class A {{{fields} }}");
+        let mut s = server();
+        s.handle_line(&format!(
+            r#"{{"cmd":"open","file":"many.cj","text":{}}}"#,
+            json_string(&text)
+        ));
+        let check = s.handle_line(r#"{"cmd":"check"}"#);
+        assert!(check.len() < 64 * 1024, "{} bytes", check.len());
+        let reply = parse_json(&check).unwrap();
+        assert_eq!(reply.get_str("status"), Some("error"), "{check}");
+        let Some(Json::Arr(diags)) = reply.get("diagnostics") else {
+            panic!("{check}");
+        };
+        assert_eq!(diags.len(), cj_diag::MAX_DIAGNOSTICS_PER_FILE);
+        assert!(check.contains("900 more diagnostics suppressed"), "{check}");
     }
 
     #[test]
@@ -916,6 +622,36 @@ mod tests {
         assert!(resp.contains("\"result\":\"42\""), "{resp}");
         assert!(resp.contains("\"engine\":\"rvm\""), "{resp}");
         assert!(resp.contains("\"steps\":"), "{resp}");
+    }
+
+    #[test]
+    fn run_args_must_be_exact_integers() {
+        let mut s = server();
+        s.handle_line(
+            r#"{"cmd":"open","file":"m.cj","text":"class M { static int main(int n) { n * 2 } }"}"#,
+        );
+        let run = |s: &mut Server, args: &str| {
+            s.handle_line(&format!(r#"{{"cmd":"run","args":[{args}]}}"#))
+        };
+        // A fraction was truncated (2.7 ran as 2) and a huge value
+        // saturated and wrapped; both now get the integer-args error.
+        for args in r#"2.7 1e300 -1e300 9223372036854775808 "2""#.split(' ') {
+            let resp = run(&mut s, args);
+            let want = r#"{"ok":false,"revision":1,"error":"`run` args must be integers""#;
+            assert!(resp.starts_with(want), "{args} → {resp}");
+        }
+        for (args, want) in [("2.0", "4"), ("1e2", "200"), ("-3", "-6")] {
+            let resp = run(&mut s, args);
+            let want = format!("\"result\":\"{want}\"");
+            assert!(resp.contains(&want), "{args} → {resp}");
+        }
+        // Numbers outside the JSON grammar, and a lone low surrogate, are
+        // malformed requests.
+        for args in ["+3", ".5", "1."] {
+            assert!(run(&mut s, args).contains("malformed request"), "{args}");
+        }
+        let resp = s.handle_line(r#"{"cmd":"open","file":"x\udc00.cj","text":""}"#);
+        assert!(resp.contains("lone low surrogate"), "{resp}");
     }
 
     #[test]

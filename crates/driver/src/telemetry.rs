@@ -13,12 +13,21 @@
 //! The HTTP endpoint dogfoods [`cj_net::EventLoop`] as a minimal
 //! HTTP/1.0 server: one reactor thread, one request line per
 //! connection, text exposition at `/metrics`, JSON at `/metrics.json`.
+//!
+//! The telemetry wire formats live here too, all through
+//! [`cj_diag::json`]: the `metrics` payload
+//! ([`Telemetry::metrics_fields`]), and the Chrome trace-event file
+//! behind `--trace-out` — written by [`chrome_trace_json`] and read back
+//! by [`parse_trace_file`] for `cjrc trace-summary`.
 
 use crate::daemon::DaemonStats;
 use crate::workspace::PassCounts;
+use cj_diag::json::{json_string, parse_json, Json};
 use cj_net::{EventLoop, NetConfig, NetEvent, NetListener};
 use cj_regions::incremental::SolveMemo;
-use cj_trace::{MetricsRegistry, MetricsSnapshot};
+use cj_trace::{Event, MetricsRegistry, MetricsSnapshot};
+use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -73,27 +82,11 @@ impl Telemetry {
         self.registry
             .histogram(&format!("request_us_{kind}"))
             .record_duration(elapsed);
-        let pairs: [(&str, u32); 17] = [
-            ("passes_parse", passes.parse),
-            ("passes_typecheck", passes.typecheck),
-            ("passes_infer", passes.infer),
-            ("passes_check", passes.check),
-            ("passes_run", passes.run),
-            ("passes_lower", passes.lower),
-            ("passes_methods_inferred", passes.methods_inferred),
-            ("passes_methods_reused", passes.methods_reused),
-            ("passes_methods_lowered", passes.methods_lowered),
-            ("passes_methods_lower_reused", passes.methods_lower_reused),
-            ("passes_sccs_solved", passes.sccs_solved),
-            ("passes_sccs_reused", passes.sccs_reused),
-            ("passes_sccs_shared_hits", passes.sccs_shared_hits),
-            ("passes_sccs_disk_hits", passes.sccs_disk_hits),
-            ("passes_extent_rewrites", passes.extent_rewrites),
-            ("passes_rules_checked", passes.rules_checked),
-            ("passes_policy_violations", passes.policy_violations),
-        ];
-        for (name, value) in pairs {
-            self.registry.add(name, value as u64);
+        for (name, value) in passes.fields() {
+            // Skip zeros before formatting the key; `add` ignores them too.
+            if value > 0 {
+                self.registry.add(&format!("passes_{name}"), value as u64);
+            }
         }
     }
 
@@ -103,6 +96,18 @@ impl Telemetry {
         self.registry
             .histogram("queue_wait_us")
             .record_duration(wait);
+    }
+
+    /// The `uptime_ms`, `version` and `metrics` members (no braces) of
+    /// the `metrics` response and of `/metrics.json`.
+    pub fn metrics_fields(&self, memo: Option<&SolveMemo>, daemon: Option<&DaemonStats>) -> String {
+        let snapshot = self.snapshot(memo, daemon);
+        format!(
+            "\"uptime_ms\":{},\"version\":{},\"metrics\":{}",
+            self.uptime_ms(),
+            json_string(Telemetry::version()),
+            metrics_json(&snapshot)
+        )
     }
 
     /// One unified snapshot: mirrors `uptime_ms` and — when available —
@@ -153,6 +158,127 @@ pub fn request_kind(cmd: Option<&str>) -> &'static str {
         Some("shutdown") => "shutdown",
         _ => "other",
     }
+}
+
+/// JSON object form of a metrics snapshot:
+/// `{"counters":{...},"histograms":{name:{count,sum_us,p50_us,p95_us,
+/// p99_us},...}}` — the `metrics` member of
+/// [`metrics_fields`](Telemetry::metrics_fields).
+fn metrics_json(snapshot: &MetricsSnapshot) -> String {
+    let mut out = String::from("{\"counters\":{");
+    for (i, (name, value)) in snapshot.counters.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{}:{value}", json_string(name));
+    }
+    out.push_str("},\"histograms\":{");
+    for (i, (name, h)) in snapshot.histograms.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "{}:{{\"count\":{},\"sum_us\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{}}}",
+            json_string(name),
+            h.count,
+            h.sum,
+            h.p50,
+            h.p95,
+            h.p99
+        );
+    }
+    out.push_str("}}");
+    out
+}
+
+/// Renders trace events as Chrome trace-event JSON (the `traceEvents`
+/// array format with complete `"ph":"X"` events), loadable in Perfetto
+/// and `chrome://tracing`. Counters become the event's `args`.
+pub fn chrome_trace_json(events: &[Event]) -> String {
+    let mut out = String::with_capacity(events.len() * 96 + 64);
+    out.push_str("{\"traceEvents\":[");
+    for (i, ev) in events.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\
+             \"dur\":{},\"args\":{{\"depth\":{}",
+            json_string(ev.name),
+            json_string(ev.cat),
+            ev.tid,
+            ev.ts_us,
+            ev.dur_us,
+            ev.depth
+        );
+        for (key, value) in &ev.counters {
+            let _ = write!(out, ",{}:{value}", json_string(key));
+        }
+        out.push_str("}}");
+    }
+    out.push_str("],\"displayTimeUnit\":\"ms\"}");
+    out
+}
+
+/// Reconstructs trace [`Event`]s from a [`chrome_trace_json`] file.
+/// `Event` borrows its names as `&'static str` (recording must not
+/// allocate); a one-shot read gets them by interning each distinct name
+/// once and leaking it — bounded by the span taxonomy, not the event
+/// count.
+///
+/// # Errors
+///
+/// Malformed JSON, a missing `traceEvents` array, or a complete event
+/// without its name or numeric `tid`/`ts`/`dur`.
+pub fn parse_trace_file(text: &str) -> Result<Vec<Event>, String> {
+    let root = parse_json(text.trim())?;
+    let Some(Json::Arr(items)) = root.get("traceEvents") else {
+        return Err("missing `traceEvents` array".to_string());
+    };
+    let mut names: HashMap<String, &'static str> = HashMap::new();
+    let mut intern = move |s: &str| -> &'static str {
+        if let Some(&interned) = names.get(s) {
+            return interned;
+        }
+        let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
+        names.insert(s.to_string(), leaked);
+        leaked
+    };
+    let mut events = Vec::with_capacity(items.len());
+    for item in items {
+        if item.get_str("ph") != Some("X") {
+            continue; // only complete events carry durations
+        }
+        let num = |key: &str| -> Result<u64, String> {
+            match item.get(key) {
+                Some(Json::Num(n)) if *n >= 0.0 => Ok(*n as u64),
+                _ => Err(format!("event missing numeric `{key}`")),
+            }
+        };
+        let mut counters = Vec::new();
+        if let Some(Json::Obj(args)) = item.get("args") {
+            for (key, value) in args {
+                if key == "depth" {
+                    continue; // exporter metadata, not a span counter
+                }
+                if let Json::Num(n) = value {
+                    counters.push((intern(key), *n as u64));
+                }
+            }
+        }
+        events.push(Event {
+            cat: intern(item.get_str("cat").unwrap_or("")),
+            name: intern(item.get_str("name").ok_or("event missing `name`")?),
+            tid: num("tid")?,
+            ts_us: num("ts")?,
+            dur_us: num("dur")?,
+            depth: 0, // recomputed by summarize's containment pass
+            counters,
+        });
+    }
+    Ok(events)
 }
 
 fn http_response(status: &str, content_type: &str, body: &str) -> Vec<u8> {
@@ -218,13 +344,9 @@ pub fn spawn_metrics_endpoint(
                             }
                             "/metrics.json" => {
                                 telemetry.registry().add("metrics_scrapes", 1);
-                                let snapshot =
-                                    telemetry.snapshot(memo.as_deref(), daemon.as_deref());
                                 let body = format!(
-                                    "{{\"uptime_ms\":{},\"version\":\"{}\",\"metrics\":{}}}\n",
-                                    telemetry.uptime_ms(),
-                                    Telemetry::version(),
-                                    snapshot.to_json()
+                                    "{{{}}}\n",
+                                    telemetry.metrics_fields(memo.as_deref(), daemon.as_deref())
                                 );
                                 http_response("200 OK", "application/json", &body)
                             }
@@ -242,4 +364,49 @@ pub fn spawn_metrics_endpoint(
             el.drain(Duration::from_millis(500));
         })
         .expect("spawn metrics endpoint thread"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn chrome_trace_shape() {
+        let events = vec![Event {
+            cat: "pipeline",
+            name: "solve-scc",
+            tid: 3,
+            ts_us: 12,
+            dur_us: 34,
+            depth: 1,
+            counters: vec![("iterations", 7)],
+        }];
+        let json = chrome_trace_json(&events);
+        assert!(json.starts_with("{\"traceEvents\":["));
+        assert!(json.contains("\"ph\":\"X\""));
+        assert!(json.contains("\"name\":\"solve-scc\""));
+        assert!(json.contains("\"ts\":12"));
+        assert!(json.contains("\"dur\":34"));
+        assert!(json.contains("\"iterations\":7"));
+        assert!(json.ends_with("],\"displayTimeUnit\":\"ms\"}"));
+        assert_eq!(
+            json,
+            "{\"traceEvents\":[{\"name\":\"solve-scc\",\"cat\":\"pipeline\",\"ph\":\"X\",\
+             \"pid\":1,\"tid\":3,\"ts\":12,\"dur\":34,\"args\":{\"depth\":1,\"iterations\":7}}],\
+             \"displayTimeUnit\":\"ms\"}"
+        );
+    }
+
+    #[test]
+    fn metrics_json_shape() {
+        let registry = MetricsRegistry::new();
+        registry.add("requests_total", 5);
+        registry.histogram("request_us_check").record(100);
+        registry.histogram("request_us_check").record(200);
+        let json = metrics_json(&registry.snapshot());
+        assert!(json.contains("\"requests_total\":5"));
+        assert!(json.contains("\"request_us_check\":{\"count\":2,\"sum_us\":300"));
+        let parsed = parse_json(&json).unwrap();
+        assert!(matches!(parsed.get("histograms"), Some(Json::Obj(h)) if h.len() == 1));
+    }
 }

@@ -62,6 +62,7 @@ use cj_regions::var::RegVar;
 use cj_runtime::{Engine, Outcome, Value};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -149,6 +150,41 @@ impl PassCounts {
             policy_violations: self.policy_violations - earlier.policy_violations,
         }
     }
+
+    /// Every counter with its stable key, in the `passes_executed` order.
+    pub fn fields(&self) -> [(&'static str, u32); 17] {
+        [
+            ("parse", self.parse),
+            ("typecheck", self.typecheck),
+            ("infer", self.infer),
+            ("check", self.check),
+            ("run", self.run),
+            ("lower", self.lower),
+            ("methods_inferred", self.methods_inferred),
+            ("methods_reused", self.methods_reused),
+            ("methods_lowered", self.methods_lowered),
+            ("methods_lower_reused", self.methods_lower_reused),
+            ("sccs_solved", self.sccs_solved),
+            ("sccs_reused", self.sccs_reused),
+            ("sccs_shared_hits", self.sccs_shared_hits),
+            ("sccs_disk_hits", self.sccs_disk_hits),
+            ("extent_rewrites", self.extent_rewrites),
+            ("rules_checked", self.rules_checked),
+            ("policy_violations", self.policy_violations),
+        ]
+    }
+
+    /// The JSON object of [`fields`](PassCounts::fields) — the
+    /// `passes_executed` and `passes_total` members of serve responses.
+    pub fn to_json(&self) -> String {
+        let mut out = String::with_capacity(400);
+        for (i, (key, value)) in self.fields().into_iter().enumerate() {
+            out.push(if i == 0 { '{' } else { ',' });
+            let _ = write!(out, "\"{key}\":{value}");
+        }
+        out.push('}');
+        out
+    }
 }
 
 #[derive(Debug)]
@@ -231,8 +267,6 @@ pub struct Workspace {
     /// This workspace's single client id within `memo` (all per-options
     /// caches share it, so only cross-workspace reuse counts as shared).
     memo_client: u64,
-    /// Worker threads per global solve (see [`InferCache::set_solve_threads`]).
-    solve_threads: usize,
     /// On-disk SCC cache this workspace feeds (see
     /// [`attach_disk_cache`](Workspace::attach_disk_cache)).
     persist: Option<Arc<SccDiskCache>>,
@@ -264,7 +298,6 @@ impl Workspace {
             counts: PassCounts::default(),
             memo,
             memo_client,
-            solve_threads: 1,
             persist: None,
         }
     }
@@ -320,15 +353,6 @@ impl Workspace {
             // rewrites the snapshot as memo ∪ disk), so no flush first.
             Some(cache) => cache.compact(&self.memo),
             None => Ok(0),
-        }
-    }
-
-    /// Sets the worker-thread count for the per-SCC solve of every future
-    /// (and existing) per-options cache. Output never depends on it.
-    pub fn set_solve_threads(&mut self, threads: usize) {
-        self.solve_threads = threads.max(1);
-        for state in self.states.values_mut() {
-            state.cache.set_solve_threads(threads);
         }
     }
 
@@ -461,10 +485,8 @@ impl Workspace {
     fn state_mut(&mut self, opts: InferOptions) -> &mut InferState {
         let memo = Arc::clone(&self.memo);
         let client = self.memo_client;
-        let threads = self.solve_threads;
         self.states.entry(opts).or_insert_with(|| {
-            let mut cache = InferCache::with_shared_memo_as(memo, client);
-            cache.set_solve_threads(threads);
+            let cache = InferCache::with_shared_memo_as(memo, client);
             InferState {
                 cache,
                 compilation: None,
@@ -1005,11 +1027,12 @@ impl Workspace {
             })
     }
 
-    /// Renders diagnostics as caret snippets against their owning files.
-    /// Labels in other files are appended as location notes.
+    /// Renders diagnostics as caret snippets against their owning files,
+    /// at most [`cj_diag::MAX_DIAGNOSTICS_PER_FILE`] per file. Labels in
+    /// other files are appended as location notes.
     pub fn render(&self, diags: &Diagnostics) -> String {
         let mut out = String::new();
-        for (i, d) in diags.iter().enumerate() {
+        for (i, d) in self.capped(diags).iter().enumerate() {
             if i > 0 {
                 out.push('\n');
             }
@@ -1049,11 +1072,12 @@ impl Workspace {
         Emitter::new(file, text).render(&local_d)
     }
 
-    /// Renders diagnostics as a JSON array; every span is file-local and
-    /// tagged with its file name.
+    /// Renders diagnostics as a JSON array, capped per file like
+    /// [`render`](Workspace::render); every span is file-local and tagged
+    /// with its file name.
     pub fn render_json(&self, diags: &Diagnostics) -> String {
         let mut out = String::from("[");
-        for (i, d) in diags.iter().enumerate() {
+        for (i, d) in self.capped(diags).iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -1061,6 +1085,18 @@ impl Workspace {
         }
         out.push(']');
         out
+    }
+
+    /// The per-file cut every rendering shows ([`Diagnostics::capped`]),
+    /// files told apart by their span slot.
+    fn capped<'d>(&self, diags: &'d Diagnostics) -> std::borrow::Cow<'d, Diagnostics> {
+        diags.capped(|span| {
+            if span.is_dummy() {
+                u32::MAX
+            } else {
+                span.lo / FILE_SPAN_STRIDE
+            }
+        })
     }
 
     fn render_json_one(&self, d: &Diagnostic) -> String {

@@ -84,7 +84,6 @@ fn concurrent_clients_match_isolated_sessions_and_share_sccs() {
         "127.0.0.1:0",
         DaemonConfig {
             workers: 4,
-            solve_threads: 2,
             ..DaemonConfig::default()
         },
     )

@@ -181,7 +181,7 @@ fn daemon_request_trace_has_distinct_phase_spans() {
 
     // The exported file is exactly what `--trace-out` writes: validate
     // the Perfetto schema and that the named phases survive export.
-    let trace_json = cj_trace::chrome_trace_json(&events);
+    let trace_json = cj_driver::telemetry::chrome_trace_json(&events);
     let names = assert_perfetto_well_formed(&trace_json);
     for name in ["queue-wait", "solve-scc", "lower", "rvm-exec"] {
         assert!(names.iter().any(|n| n == name), "export dropped `{name}`");

@@ -32,7 +32,7 @@
 
 #![forbid(missing_docs)]
 
-use cj_driver::{parse_json, Json};
+use cj_diag::json::{json_string, parse_json, Json};
 use cj_net::{EventLoop, NetConfig, NetEvent, NetStream, Token};
 use std::collections::{BinaryHeap, HashMap};
 use std::io::{BufRead, BufReader, Write};
@@ -168,16 +168,27 @@ const WORKLOADS: [Workload; 3] = [
 ];
 
 fn open_line(file: &str, text: &str) -> String {
-    format!(
-        "{{\"cmd\":\"open\",\"file\":\"{file}\",\"text\":{}}}",
-        cj_diag::json_string(text)
-    )
+    file_line("open", file, text)
 }
 
 fn edit_line(file: &str, text: &str) -> String {
+    file_line("edit", file, text)
+}
+
+fn query_line(class: &str) -> String {
+    format!("{{\"cmd\":\"query\",\"invariant\":{}}}", json_string(class))
+}
+
+fn policy_line(class: &str) -> String {
+    let rules = format!("no-escape {class}");
+    format!("{{\"cmd\":\"policy\",\"rules\":{}}}", json_string(&rules))
+}
+
+fn file_line(cmd: &str, file: &str, text: &str) -> String {
     format!(
-        "{{\"cmd\":\"edit\",\"file\":\"{file}\",\"text\":{}}}",
-        cj_diag::json_string(text)
+        "{{\"cmd\":\"{cmd}\",\"file\":{},\"text\":{}}}",
+        json_string(file),
+        json_string(text)
     )
 }
 
@@ -205,10 +216,7 @@ pub fn client_script(seed: u64, id: usize) -> Vec<Request> {
         },
         Request {
             kind: Kind::Query,
-            line: format!(
-                "{{\"cmd\":\"query\",\"invariant\":\"{}\"}}",
-                workload.class_name
-            ),
+            line: query_line(workload.class_name),
         },
         Request {
             kind: Kind::Edit,
@@ -220,18 +228,15 @@ pub fn client_script(seed: u64, id: usize) -> Vec<Request> {
         },
         Request {
             kind: Kind::Policy,
-            line: format!(
-                "{{\"cmd\":\"policy\",\"rules\":\"no-escape {}\"}}",
-                workload.class_name
-            ),
+            line: policy_line(workload.class_name),
         },
     ];
     if rng.below(2) == 0 {
         script.push(Request {
             kind: Kind::Query,
             line: format!(
-                "{{\"cmd\":\"query\",\"invariant\":\"{}\",\"entails\":\"r2>=r1\"}}",
-                workload.class_name
+                "{{\"cmd\":\"query\",\"invariant\":{},\"entails\":\"r2>=r1\"}}",
+                json_string(workload.class_name)
             ),
         });
     }
@@ -242,17 +247,27 @@ pub fn client_script(seed: u64, id: usize) -> Vec<Request> {
     script
 }
 
-/// Whether `response` is a protocol-valid answer to a `kind` request.
+/// Whether `response` is a protocol-valid answer to a `kind` request:
+/// a JSON object with `"ok":true` whose members have the kind's values.
 /// Semantic outcomes that depend on the program (a policy verdict, an
 /// entailment truth value) are accepted either way; malformed or
-/// error-shaped responses are not.
+/// error-shaped responses are not — however their error text reads.
 pub fn validate(kind: Kind, response: &str) -> bool {
+    let Ok(reply) = parse_json(response) else {
+        return false;
+    };
+    if reply.get("ok") != Some(&Json::Bool(true)) {
+        return false;
+    }
+    let status = reply.get_str("status");
     match kind {
-        Kind::Open | Kind::Edit => response.starts_with("{\"ok\":true"),
-        Kind::Check => response.contains("\"status\":\"well-region-typed\""),
-        Kind::Query => response.contains("\"abs\":") || response.contains("\"entails\":"),
-        Kind::Policy => response.contains("\"status\":\"policy-"),
-        Kind::Shutdown => response.contains("\"status\":\"bye\""),
+        Kind::Open | Kind::Edit => true,
+        Kind::Check => status == Some("well-region-typed"),
+        Kind::Query => {
+            reply.get_str("abs").is_some() || matches!(reply.get("entails"), Some(Json::Bool(_)))
+        }
+        Kind::Policy => status.is_some_and(|s| s.starts_with("policy-")),
+        Kind::Shutdown => status == Some("bye"),
     }
 }
 
@@ -1085,6 +1100,30 @@ mod tests {
     }
 
     #[test]
+    fn validators_read_members_not_substrings() {
+        // Error replies whose message quotes a success shape, replies
+        // whose members have the wrong types, and lines that are not JSON.
+        let quoting = |text: &str| format!(r#"{{"ok":false,"error":{}}}"#, json_string(text));
+        for (kind, reply) in [
+            (Kind::Query, quoting(r#"bad "abs": here"#)),
+            (Kind::Query, quoting(r#""entails":true"#)),
+            (Kind::Check, quoting(r#""status":"well-region-typed""#)),
+            (Kind::Policy, quoting(r#""status":"policy-ok""#)),
+            (Kind::Shutdown, quoting(r#""status":"bye""#)),
+            (Kind::Query, r#"{"ok":true,"abs":1}"#.to_string()),
+            (Kind::Query, r#"{"ok":true,"entails":"yes"}"#.to_string()),
+            (
+                Kind::Check,
+                r#"{"ok":true,"status":"well-region-typed""#.to_string(),
+            ),
+            (Kind::Open, r#"{"ok":"true"}"#.to_string()),
+            (Kind::Open, r#"{"ok":true} trailing"#.to_string()),
+        ] {
+            assert!(!validate(kind, &reply), "{kind:?} accepted {reply}");
+        }
+    }
+
+    #[test]
     fn every_workload_program_checks_cleanly() {
         // The scripts assert `well-region-typed`, so every (library,
         // consumer) pair must actually be a valid program — and the
@@ -1103,15 +1142,9 @@ mod tests {
                     "workload {} consumer `{consumer}`: {check}",
                     workload.class_name
                 );
-                let query = server.handle_line(&format!(
-                    "{{\"cmd\":\"query\",\"invariant\":\"{}\"}}",
-                    workload.class_name
-                ));
+                let query = server.handle_line(&query_line(workload.class_name));
                 assert!(query.contains("\"abs\":"), "{query}");
-                let policy = server.handle_line(&format!(
-                    "{{\"cmd\":\"policy\",\"rules\":\"no-escape {}\"}}",
-                    workload.class_name
-                ));
+                let policy = server.handle_line(&policy_line(workload.class_name));
                 assert!(policy.contains("\"status\":\"policy-"), "{policy}");
             }
         }

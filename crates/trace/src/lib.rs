@@ -16,12 +16,11 @@
 //! span is one `Vec` push into a thread-local buffer; buffers flush into
 //! the global sink in batches and on thread exit.
 //!
-//! Two exporters consume the drained [`Event`]s:
-//!
-//! - [`chrome_trace_json`] emits Chrome trace-event JSON (complete `"X"`
-//!   events) loadable in Perfetto / `chrome://tracing`;
-//! - [`summarize`] + [`render_summary`] fold the events into a
-//!   self-time/total-time table per phase (`cjrc trace-summary`).
+//! [`summarize`] + [`render_summary`] fold the drained [`Event`]s into a
+//! self-time/total-time table per phase (`cjrc trace-summary`). The
+//! crate has no serialization of its own: `cj_driver::telemetry` writes
+//! the Chrome trace-event file behind `--trace-out` (and reads it back)
+//! and the wire form of a [`MetricsSnapshot`].
 //!
 //! Independently of spans, [`MetricsRegistry`] holds named monotone
 //! counters and fixed-log-bucket latency [`Histogram`]s (p50/p95/p99)
@@ -258,60 +257,6 @@ fn record_event(
             buf.flush();
         }
     });
-}
-
-// ---------------------------------------------------------------------------
-// Chrome trace-event exporter
-// ---------------------------------------------------------------------------
-
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Renders events as Chrome trace-event JSON (the `traceEvents` array
-/// format with complete `"ph":"X"` events), loadable in Perfetto and
-/// `chrome://tracing`. Counters become the event's `args`.
-pub fn chrome_trace_json(events: &[Event]) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + 64);
-    out.push_str("{\"traceEvents\":[");
-    for (i, ev) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":\"");
-        escape_json(ev.name, &mut out);
-        out.push_str("\",\"cat\":\"");
-        escape_json(ev.cat, &mut out);
-        out.push_str("\",\"ph\":\"X\",\"pid\":1,\"tid\":");
-        out.push_str(&ev.tid.to_string());
-        out.push_str(",\"ts\":");
-        out.push_str(&ev.ts_us.to_string());
-        out.push_str(",\"dur\":");
-        out.push_str(&ev.dur_us.to_string());
-        out.push_str(",\"args\":{\"depth\":");
-        out.push_str(&ev.depth.to_string());
-        for (key, value) in &ev.counters {
-            out.push_str(",\"");
-            escape_json(key, &mut out);
-            out.push_str("\":");
-            out.push_str(&value.to_string());
-        }
-        out.push_str("}}");
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -619,35 +564,6 @@ impl MetricsRegistry {
 }
 
 impl MetricsSnapshot {
-    /// JSON object form: `{"counters":{...},"histograms":{name:{count,
-    /// sum_us,p50_us,p95_us,p99_us},...}}` — the payload of the daemon's
-    /// `metrics` request.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_json(name, &mut out);
-            out.push_str(&format!("\":{value}"));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_json(name, &mut out);
-            out.push_str(&format!(
-                "\":{{\"count\":{},\"sum_us\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{}}}",
-                h.count, h.sum, h.p50, h.p95, h.p99
-            ));
-        }
-        out.push_str("}}");
-        out
-    }
-
     /// Plain-text exposition (one `name value` line per sample, with
     /// `{quantile="..."}` labels on histogram quantiles) — the body the
     /// `--metrics-addr` HTTP endpoint serves.
@@ -806,27 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_shape() {
-        let events = vec![Event {
-            cat: "pipeline",
-            name: "solve-scc",
-            tid: 3,
-            ts_us: 12,
-            dur_us: 34,
-            depth: 1,
-            counters: vec![("iterations", 7)],
-        }];
-        let json = chrome_trace_json(&events);
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"name\":\"solve-scc\""));
-        assert!(json.contains("\"ts\":12"));
-        assert!(json.contains("\"dur\":34"));
-        assert!(json.contains("\"iterations\":7"));
-        assert!(json.ends_with("],\"displayTimeUnit\":\"ms\"}"));
-    }
-
-    #[test]
     fn histogram_bucket_ranges_partition_the_domain() {
         // Consecutive buckets tile [0, inf): each hi equals the next lo.
         let mut expected_lo = 0u64;
@@ -907,9 +802,6 @@ mod tests {
         assert_eq!(name, "request_us_check");
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 300);
-        let json = snapshot.to_json();
-        assert!(json.contains("\"requests_total\":5"));
-        assert!(json.contains("\"request_us_check\":{\"count\":2,\"sum_us\":300"));
         let text = snapshot.render_text();
         assert!(text.contains("requests_total 5\n"));
         assert!(text.contains("request_us_check_count 2\n"));

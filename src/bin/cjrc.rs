@@ -11,8 +11,7 @@
 //! cjrc flows  <file> [--json]                                       downcast-set report
 //! cjrc serve         [--mode M] [--downcast D] [--extents X] [--cache-dir DIR]
 //!                                                                   JSON-lines compile server
-//! cjrc daemon        [--addr H:P | --socket PATH] [--workers N]
-//!                    [--solve-threads N] [--cache-dir DIR]
+//! cjrc daemon        [--addr H:P | --socket PATH] [--workers N] [--cache-dir DIR]
 //!                    [--max-clients N] [--idle-timeout SECS]
 //!                    [--metrics-addr H:P]
 //!                    [--mode M] [--downcast D] [--extents X]        multi-client compile daemon
@@ -74,6 +73,7 @@
 //! `{"cmd":"shutdown","scope":"daemon"}` to stop the daemon itself.
 
 use cj_diag::{codes, Diagnostic, Diagnostics, IntoDiagnostic, Span};
+use cj_driver::telemetry::{chrome_trace_json, parse_trace_file};
 use cj_driver::{Daemon, DaemonConfig, Server, Session, SessionOptions, Workspace};
 use cj_infer::{DowncastPolicy, ExtentMode, InferOptions, SubtypeMode};
 use cj_runtime::Engine;
@@ -98,7 +98,7 @@ fn main() -> ExitCode {
         // Every recording thread (daemon workers, reactor, flusher) has
         // been joined by now; their buffers flushed to the sink on exit.
         let events = cj_trace::uninstall();
-        match std::fs::write(path, cj_trace::chrome_trace_json(&events)) {
+        match std::fs::write(path, chrome_trace_json(&events)) {
             Ok(()) => eprintln!("cjrc: wrote {} trace event(s) to {path}", events.len()),
             Err(e) => eprintln!("cjrc: warning: could not write trace file `{path}`: {e}"),
         }
@@ -138,8 +138,6 @@ struct Cli {
     socket: Option<String>,
     /// `daemon`: connection worker threads (default 4).
     workers: Option<usize>,
-    /// `daemon`: per-compilation solver threads (default 1).
-    solve_threads: Option<usize>,
     /// On-disk compilation cache directory (every command but `flows`).
     cache_dir: Option<String>,
     /// `daemon`: backpressure bound on in-flight connections (0 = off).
@@ -208,7 +206,7 @@ fn usage() -> String {
          cjrc query <file.cj> <inv.C|pre.m|pre.C.m> [--entails ATOM] [--json]\n       \
          cjrc serve [--mode {m}] [--downcast {d}] [--extents {x}] [--cache-dir DIR]\n       \
          cjrc daemon [--addr host:port | --socket path] \
-         [--workers N] [--solve-threads N] [--cache-dir DIR] [--max-clients N] \
+         [--workers N] [--cache-dir DIR] [--max-clients N] \
          [--idle-timeout SECS] [--metrics-addr host:port] \
          [--mode {m}] [--downcast {d}] [--extents {x}] [--json]\n       \
          cjrc trace-summary <trace.json>      (any command above accepts --trace-out FILE)",
@@ -241,7 +239,6 @@ fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
     let mut addr = None;
     let mut socket = None;
     let mut workers = None;
-    let mut solve_threads = None;
     let mut cache_dir = None;
     let mut max_clients = None;
     let mut idle_timeout = None;
@@ -293,18 +290,6 @@ fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
                     || {
                         CliError::new(format!(
                             "--workers needs a positive integer, found `{value}`"
-                        ))
-                    },
-                )?);
-            }
-            "--solve-threads" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| CliError::new("--solve-threads needs a value"))?;
-                solve_threads = Some(value.parse::<usize>().ok().filter(|&n| n >= 1).ok_or_else(
-                    || {
-                        CliError::new(format!(
-                            "--solve-threads needs a positive integer, found `{value}`"
                         ))
                     },
                 )?);
@@ -415,12 +400,11 @@ fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
         && (addr.is_some()
             || socket.is_some()
             || workers.is_some()
-            || solve_threads.is_some()
             || max_clients.is_some()
             || idle_timeout.is_some())
     {
         return Err(CliError::new(
-            "--addr/--socket/--workers/--solve-threads/--max-clients/--idle-timeout \
+            "--addr/--socket/--workers/--max-clients/--idle-timeout \
              apply to `daemon` only",
         ));
     }
@@ -517,7 +501,6 @@ fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
         addr,
         socket,
         workers,
-        solve_threads,
         cache_dir,
         max_clients,
         idle_timeout,
@@ -668,7 +651,7 @@ fn dispatch(cli: &Cli, session: &mut Session) -> Result<(), Diagnostics> {
                     "{{\"annotated\":{},\"extents\":\"{}\",\"stats\":{}}}",
                     cj_diag::json_string(&annotated),
                     cli.opts.extent,
-                    stats_json(stats)
+                    stats.to_json()
                 );
             } else {
                 print!("{annotated}");
@@ -1001,7 +984,6 @@ fn daemon(opts: SessionOptions, cli: &Cli) -> std::io::Result<()> {
     let config = DaemonConfig {
         opts,
         workers: cli.workers.unwrap_or(4),
-        solve_threads: cli.solve_threads.unwrap_or(1),
         cache_dir: cli.cache_dir.as_ref().map(std::path::PathBuf::from),
         max_clients: cli.max_clients.unwrap_or(0),
         idle_timeout: cli
@@ -1145,82 +1127,6 @@ fn trace_summary_cmd(path: &str) -> Result<(), String> {
         cj_trace::render_summary(&cj_trace::summarize(&events))
     );
     Ok(())
-}
-
-/// Reconstructs [`cj_trace::Event`]s from a Chrome trace-event file.
-/// `Event` borrows its names as `&'static str` (recording must not
-/// allocate); a one-shot CLI read gets them by interning each distinct
-/// name once and leaking it — bounded by the span taxonomy, not the
-/// event count.
-fn parse_trace_file(text: &str) -> Result<Vec<cj_trace::Event>, String> {
-    let root = cj_driver::parse_json(text.trim())?;
-    let Some(cj_driver::Json::Arr(items)) = root.get("traceEvents") else {
-        return Err("missing `traceEvents` array".to_string());
-    };
-    let mut names: std::collections::HashMap<String, &'static str> =
-        std::collections::HashMap::new();
-    let mut intern = move |s: &str| -> &'static str {
-        if let Some(&interned) = names.get(s) {
-            return interned;
-        }
-        let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-        names.insert(s.to_string(), leaked);
-        leaked
-    };
-    let mut events = Vec::with_capacity(items.len());
-    for item in items {
-        if item.get_str("ph") != Some("X") {
-            continue; // only complete events carry durations
-        }
-        let num = |key: &str| -> Result<u64, String> {
-            match item.get(key) {
-                Some(cj_driver::Json::Num(n)) if *n >= 0.0 => Ok(*n as u64),
-                _ => Err(format!("event missing numeric `{key}`")),
-            }
-        };
-        let mut counters = Vec::new();
-        if let Some(cj_driver::Json::Obj(args)) = item.get("args") {
-            for (key, value) in args {
-                if key == "depth" {
-                    continue; // exporter metadata, not a span counter
-                }
-                if let cj_driver::Json::Num(n) = value {
-                    counters.push((intern(key), *n as u64));
-                }
-            }
-        }
-        events.push(cj_trace::Event {
-            cat: intern(item.get_str("cat").unwrap_or("")),
-            name: intern(item.get_str("name").ok_or("event missing `name`")?),
-            tid: num("tid")?,
-            ts_us: num("ts")?,
-            dur_us: num("dur")?,
-            depth: 0, // recomputed by summarize's containment pass
-            counters,
-        });
-    }
-    Ok(events)
-}
-
-fn stats_json(stats: &cj_infer::InferStats) -> String {
-    format!(
-        "{{\"global_iterations\":{},\"fixpoint_iterations\":{},\"regions_created\":{},\
-         \"localized_regions\":{},\"override_repairs\":{},\"downcast_sites\":{},\
-         \"methods_inferred\":{},\"methods_reused\":{},\"sccs_solved\":{},\"sccs_reused\":{},\
-         \"sccs_shared_hits\":{},\"sccs_disk_hits\":{}}}",
-        stats.global_iterations,
-        stats.fixpoint_iterations,
-        stats.regions_created,
-        stats.localized_regions,
-        stats.override_repairs,
-        stats.downcast_sites,
-        stats.methods_inferred,
-        stats.methods_reused,
-        stats.sccs_solved,
-        stats.sccs_reused,
-        stats.sccs_shared_hits,
-        stats.sccs_disk_hits
-    )
 }
 
 #[cfg(test)]
@@ -1431,7 +1337,7 @@ mod tests {
                 counters: vec![],
             },
         ];
-        let parsed = parse_trace_file(&cj_trace::chrome_trace_json(&events)).unwrap();
+        let parsed = parse_trace_file(&chrome_trace_json(&events)).unwrap();
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].name, "infer");
         assert_eq!(parsed[0].counters, vec![("methods_inferred", 3)]);
@@ -1475,22 +1381,18 @@ mod tests {
         assert_eq!(cli.command, Command::Daemon);
         assert_eq!(cli.addr, None);
         assert_eq!(cli.workers, None);
-        assert_eq!(cli.solve_threads, None);
         let cli = parse_cli(argv(&[
             "daemon",
             "--addr",
             "127.0.0.1:0",
             "--workers",
             "8",
-            "--solve-threads",
-            "2",
             "--mode",
             "object",
         ]))
         .unwrap();
         assert_eq!(cli.addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(cli.workers, Some(8));
-        assert_eq!(cli.solve_threads, Some(2));
         assert_eq!(cli.opts.mode, SubtypeMode::Object);
         let cli = parse_cli(argv(&["daemon", "--socket", "/tmp/cjrcd.sock"])).unwrap();
         assert_eq!(cli.socket.as_deref(), Some("/tmp/cjrcd.sock"));
@@ -1514,8 +1416,9 @@ mod tests {
         // Even when the flag value equals the daemon default.
         let err = parse_cli(argv(&["check", "x.cj", "--workers", "4"])).unwrap_err();
         assert!(err.message.contains("apply to `daemon` only"));
-        let err = parse_cli(argv(&["check", "x.cj", "--solve-threads", "1"])).unwrap_err();
-        assert!(err.message.contains("apply to `daemon` only"));
+        // The per-level parallel solve is gone, and its flag with it.
+        let err = parse_cli(argv(&["daemon", "--solve-threads", "2"])).unwrap_err();
+        assert!(err.message.contains("unknown option `--solve-threads`"));
     }
 
     #[test]

@@ -468,6 +468,46 @@ fn check_on_a_huge_nested_paren_line_reports_briefly() {
 }
 
 #[test]
+fn diagnostics_are_capped_per_file_in_every_output_form() {
+    use cj_diag::MAX_DIAGNOSTICS_PER_FILE as CAP;
+    use cj_driver::Json;
+    // 10x the per-file bound: one error per field of an unknown class.
+    let fields: String = (0..10 * CAP)
+        .map(|i| format!(" Missing{i} f{i};"))
+        .collect();
+    let path = temp_source("many.cj", &format!("class A {{{fields} }}\n"));
+    let suppressed = format!("{} more diagnostics suppressed", 9 * CAP);
+
+    let out = cjrc(&["check", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "still a diagnostics exit");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(stderr.matches("error[E0200]").count(), CAP);
+    assert!(
+        stderr.contains("unknown class `Missing99`"),
+        "first hundred kept"
+    );
+    assert!(!stderr.contains("unknown class `Missing100`"), "{stderr}");
+    assert!(stderr.contains(&suppressed), "{stderr}");
+
+    let out = cjrc(&["check", path.to_str().unwrap(), "--json"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let Ok(Json::Arr(items)) = cj_driver::parse_json(stdout.trim()) else {
+        panic!("not a JSON array: {stdout}");
+    };
+    assert_eq!(items.len(), CAP);
+    let Some(Json::Arr(notes)) = items[CAP - 1].get("notes") else {
+        panic!("last diagnostic has no notes");
+    };
+    let last = notes.last();
+    assert!(
+        matches!(last, Some(Json::Str(n)) if n.starts_with(&suppressed)),
+        "{last:?}"
+    );
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn check_reports_mode_in_canonical_spelling() {
     let path = temp_source("mode.cj", "class A { }");
     let out = cjrc(&["check", path.to_str().unwrap(), "--mode", "object"]);
