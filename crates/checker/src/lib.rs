@@ -380,6 +380,29 @@ impl<'a> MethodChecker<'a> {
         rc.field_types[fref.index as usize].subst(&s)
     }
 
+    /// Checks one block item. A `let` is handled here rather than in
+    /// [`Self::expr`], so temporaries nested in initializers cost one
+    /// `expr` frame per level.
+    fn item(
+        &mut self,
+        assume: &mut Solver,
+        scope: &mut BTreeSet<RegVar>,
+        e: &RExpr,
+    ) -> Option<RType> {
+        let RExprKind::Let { var, init } = &e.kind else {
+            return self.expr(assume, scope, e);
+        };
+        let vt = self.var_type(*var);
+        self.check_scope(scope, &vt.regions(), "declaration");
+        if let Some(init) = init {
+            let it = self.expr(assume, scope, init)?;
+            if !matches!(vt, RType::Void | RType::Prim(_)) {
+                self.require_subtype(assume, &it, &vt, "initializer");
+            }
+        }
+        Some(RType::Void)
+    }
+
     /// Checks an expression and returns its annotated type (`None` on an
     /// unrecoverable local error).
     fn expr(
@@ -505,21 +528,12 @@ impl<'a> MethodChecker<'a> {
                 let s = RegSubst::instantiation(&callee.abs_params, inst);
                 self.check_call_common(assume, callee, &s, args);
             }
-            RExprKind::Seq(a, b) => {
-                self.expr(assume, scope, a)?;
-                self.expr(assume, scope, b)?;
-            }
-            RExprKind::Let { var, init, body } => {
-                let vt = self.var_type(*var);
-                self.check_scope(scope, &vt.regions(), "declaration");
-                if let Some(init) = init {
-                    let it = self.expr(assume, scope, init)?;
-                    if !matches!(vt, RType::Void | RType::Prim(_)) {
-                        self.require_subtype(assume, &it, &vt, "initializer");
-                    }
+            RExprKind::Block(items) => {
+                for item in items {
+                    self.item(assume, scope, item)?;
                 }
-                self.expr(assume, scope, body)?;
             }
+            RExprKind::Let { .. } => return self.item(assume, scope, e),
             RExprKind::Letreg(r, inner) => {
                 if scope.contains(r) {
                     self.err(format!("letreg rebinds in-scope region {r}"));
@@ -809,11 +823,8 @@ mod tests {
                 return true;
             }
             match &mut e.kind {
-                RExprKind::Let { init, body, .. } => {
-                    init.as_deref_mut().map(strip);
-                    strip(body)
-                }
-                RExprKind::Seq(a, b) => strip(a) || strip(b),
+                RExprKind::Let { init, .. } => init.as_deref_mut().is_some_and(strip),
+                RExprKind::Block(items) => items.iter_mut().any(strip),
                 _ => false,
             }
         }

@@ -75,16 +75,9 @@ fn wrong_new_arity_is_caught() {
                 regions.pop();
                 true
             }
-            RExprKind::Let { init, body, .. } => {
-                if let Some(i) = init {
-                    if mangle(i) {
-                        return true;
-                    }
-                }
-                mangle(body)
-            }
+            RExprKind::Let { init, .. } => init.as_deref_mut().is_some_and(mangle),
             RExprKind::Letreg(_, inner) => mangle(inner),
-            RExprKind::Seq(a, b) => mangle(a) || mangle(b),
+            RExprKind::Block(items) => items.iter_mut().any(mangle),
             _ => false,
         }
     }
@@ -109,16 +102,9 @@ fn foreign_region_in_body_is_out_of_scope() {
                 regions[0] = RegVar(99_999);
                 true
             }
-            RExprKind::Let { init, body, .. } => {
-                if let Some(i) = init {
-                    if mangle(i) {
-                        return true;
-                    }
-                }
-                mangle(body)
-            }
+            RExprKind::Let { init, .. } => init.as_deref_mut().is_some_and(mangle),
             RExprKind::Letreg(_, inner) => mangle(inner),
-            RExprKind::Seq(a, b) => mangle(a) || mangle(b),
+            RExprKind::Block(items) => items.iter_mut().any(mangle),
             _ => false,
         }
     }
@@ -148,16 +134,9 @@ fn call_with_wrong_instantiation_is_caught() {
                 inst.swap(0, 1);
                 true
             }
-            RExprKind::Let { init, body, .. } => {
-                if let Some(i) = init {
-                    if mangle(i) {
-                        return true;
-                    }
-                }
-                mangle(body)
-            }
+            RExprKind::Let { init, .. } => init.as_deref_mut().is_some_and(mangle),
             RExprKind::Letreg(_, inner) => mangle(inner),
-            RExprKind::Seq(a, b) => mangle(a) || mangle(b),
+            RExprKind::Block(items) => items.iter_mut().any(mangle),
             _ => false,
         }
     }

@@ -155,6 +155,36 @@ impl BodyInfer {
         }
     }
 
+    /// Infers one block item. A `let` is handled here rather than in
+    /// [`Self::expr`], so temporaries nested in initializers cost one
+    /// `expr` frame per level.
+    fn item(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        var_types: &mut Vec<RType>,
+        e: &KExpr,
+    ) -> Result<RExpr, InferError> {
+        let KExprKind::Let { var, init } = &e.kind else {
+            return self.expr(ctx, var_types, e);
+        };
+        let init = match init {
+            Some(i) => {
+                let i = self.expr(ctx, var_types, i)?;
+                let vt = var_types[var.index()].clone();
+                if !matches!(vt, RType::Void | RType::Prim(_)) {
+                    subtype(ctx, &i.rtype, &vt, &mut self.atoms);
+                }
+                Some(Box::new(i))
+            }
+            None => None,
+        };
+        Ok(RExpr {
+            kind: RExprKind::Let { var: *var, init },
+            rtype: RType::Void,
+            span: e.span,
+        })
+    }
+
     fn expr(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -362,40 +392,19 @@ impl BodyInfer {
                     span,
                 }
             }
-            KExprKind::Seq(a, b) => {
-                let a = self.expr(ctx, var_types, a)?;
-                let b = self.expr(ctx, var_types, b)?;
-                let rtype = b.rtype.clone();
+            KExprKind::Block(items) => {
+                let mut out = Vec::with_capacity(items.len());
+                for item in items {
+                    out.push(self.item(ctx, var_types, item)?);
+                }
+                let rtype = out.last().map_or(RType::Void, |last| last.rtype.clone());
                 RExpr {
-                    kind: RExprKind::Seq(Box::new(a), Box::new(b)),
+                    kind: RExprKind::Block(out),
                     rtype,
                     span,
                 }
             }
-            KExprKind::Let { var, init, body } => {
-                let init = match init {
-                    Some(i) => {
-                        let i = self.expr(ctx, var_types, i)?;
-                        let vt = var_types[var.index()].clone();
-                        if !matches!(vt, RType::Void | RType::Prim(_)) {
-                            subtype(ctx, &i.rtype, &vt, &mut self.atoms);
-                        }
-                        Some(Box::new(i))
-                    }
-                    None => None,
-                };
-                let body = self.expr(ctx, var_types, body)?;
-                let rtype = body.rtype.clone();
-                RExpr {
-                    kind: RExprKind::Let {
-                        var: *var,
-                        init,
-                        body: Box::new(body),
-                    },
-                    rtype,
-                    span,
-                }
-            }
+            KExprKind::Let { .. } => return self.item(ctx, var_types, e),
             KExprKind::If {
                 cond,
                 then_e,

@@ -83,42 +83,25 @@ fn hash_ty(ty: NType, h: &mut impl Hasher) {
 fn hash_expr(e: &KExpr, h: &mut impl Hasher) {
     hash_ty(e.ty, h);
     std::mem::discriminant(&e.kind).hash(h);
+    // The node's own payload, then its children.
     match &e.kind {
-        KExprKind::Unit | KExprKind::Null => {}
         KExprKind::Int(v) => v.hash(h),
         KExprKind::Bool(v) => v.hash(h),
         KExprKind::Float(v) => v.to_bits().hash(h),
-        KExprKind::Var(v) | KExprKind::ArrayLen(v) => v.hash(h),
-        KExprKind::Field(v, fr) => {
+        KExprKind::Var(v)
+        | KExprKind::ArrayLen(v)
+        | KExprKind::AssignVar(v, _)
+        | KExprKind::Index(v, _)
+        | KExprKind::AssignIndex(v, _, _) => v.hash(h),
+        KExprKind::Field(v, fr) | KExprKind::AssignField(v, fr, _) => {
             v.hash(h);
             fr.hash(h);
-        }
-        KExprKind::AssignVar(v, rhs) => {
-            v.hash(h);
-            hash_expr(rhs, h);
-        }
-        KExprKind::AssignField(v, fr, rhs) => {
-            v.hash(h);
-            fr.hash(h);
-            hash_expr(rhs, h);
         }
         KExprKind::New(c, args) => {
             c.hash(h);
             args.hash(h);
         }
-        KExprKind::NewArray(p, len) => {
-            p.hash(h);
-            hash_expr(len, h);
-        }
-        KExprKind::Index(v, idx) => {
-            v.hash(h);
-            hash_expr(idx, h);
-        }
-        KExprKind::AssignIndex(v, idx, val) => {
-            v.hash(h);
-            hash_expr(idx, h);
-            hash_expr(val, h);
-        }
+        KExprKind::NewArray(p, _) => p.hash(h),
         KExprKind::CallVirtual(v, m, args) => {
             v.hash(h);
             m.hash(h);
@@ -128,45 +111,23 @@ fn hash_expr(e: &KExpr, h: &mut impl Hasher) {
             m.hash(h);
             args.hash(h);
         }
-        KExprKind::Seq(a, b) => {
-            hash_expr(a, h);
-            hash_expr(b, h);
-        }
-        KExprKind::Let { var, init, body } => {
+        // The item count pins the shape: a nested block is not its items
+        // spliced into the parent.
+        KExprKind::Block(items) => items.len().hash(h),
+        KExprKind::Let { var, init } => {
             var.hash(h);
             init.is_some().hash(h);
-            if let Some(i) = init {
-                hash_expr(i, h);
-            }
-            hash_expr(body, h);
-        }
-        KExprKind::If {
-            cond,
-            then_e,
-            else_e,
-        } => {
-            hash_expr(cond, h);
-            hash_expr(then_e, h);
-            hash_expr(else_e, h);
-        }
-        KExprKind::While { cond, body } => {
-            hash_expr(cond, h);
-            hash_expr(body, h);
         }
         KExprKind::Cast(c, v) => {
             c.hash(h);
             v.hash(h);
         }
-        KExprKind::Unary(op, a) => {
-            op.hash(h);
-            hash_expr(a, h);
-        }
-        KExprKind::Binary(op, a, b) => {
-            op.hash(h);
-            hash_expr(a, h);
-            hash_expr(b, h);
-        }
-        KExprKind::Print(a) => hash_expr(a, h),
+        KExprKind::Unary(op, _) => op.hash(h),
+        KExprKind::Binary(op, _, _) => op.hash(h),
+        _ => {}
+    }
+    for c in e.children() {
+        hash_expr(c, h);
     }
 }
 
@@ -227,5 +188,21 @@ mod tests {
         let a = check_source(quiet).unwrap();
         let b = check_source(mutating).unwrap();
         assert_ne!(shape_fingerprint(&a), shape_fingerprint(&b));
+    }
+
+    /// `Block[Block[a], b]` and `Block[Block[a, b]]` visit the same nodes
+    /// in the same order; only the item counts tell them apart.
+    #[test]
+    fn block_item_counts_are_hashed() {
+        let int = |v| KExpr::new(KExprKind::Int(v), NType::INT, cj_diag::Span::DUMMY);
+        let block = |items| KExpr::new(KExprKind::Block(items), NType::INT, cj_diag::Span::DUMMY);
+        let hash = |e: &KExpr| {
+            let mut h = DefaultHasher::new();
+            hash_expr(e, &mut h);
+            h.finish()
+        };
+        let split = block(vec![block(vec![int(1)]), int(2)]);
+        let joined = block(vec![block(vec![int(1), int(2)])]);
+        assert_ne!(hash(&split), hash(&joined));
     }
 }

@@ -22,7 +22,7 @@
 
 use crate::ctx::Ctx;
 use crate::exprinfer::BodyResult;
-use crate::rast::{RExpr, RExprKind, RType};
+use crate::rast::{map_rtype_regions, RExpr, RExprKind, RType};
 use cj_regions::constraint::{Atom, ConstraintSet};
 use cj_regions::solve::Solver;
 use cj_regions::var::RegVar;
@@ -117,18 +117,18 @@ pub fn localize(
     ctx: &mut Ctx<'_>,
     solver: &mut Solver,
     abs_params: &[RegVar],
-    res: &BodyResult,
+    res: BodyResult,
     ret_type: &RType,
 ) -> Localized {
     let sigs = sig_set(abs_params);
-    let u = universe(abs_params, res);
+    let u = universe(abs_params, &res);
     let escaping = solver.escape_closure(sigs.iter().copied(), &u);
     let locals: BTreeSet<RegVar> = u.difference(&escaping).copied().collect();
 
     // ---- pass 1: block tree + occurrence LCA ---------------------------
     let mut blocks = BlockTree::new();
     let mut lca: HashMap<RegVar, usize> = HashMap::new();
-    collect_occurrences(res, &res.body, 0, &mut blocks, &mut lca, &locals);
+    collect_occurrences(&res, &res.body, 0, &mut blocks, &mut lca, &locals);
 
     // ---- group regions per block, innermost first ----------------------
     let order = blocks.post_order();
@@ -184,17 +184,17 @@ pub fn localize(
     };
 
     // ---- pass 2: rebuild the tree with letregs and resolved regions ----
-    let mut counter = BlockCounter { next: 1 };
-    let mut body = rewrite(&res.body, 0, &mut counter, &groups, &resolve_fn);
+    let mut body = res.body;
+    rewrite(&mut body, &mut 1, &groups, &resolve_fn);
     if let Some((rho, _)) = groups.get(&0) {
         body = wrap_letreg(*rho, body);
     }
     let var_types: Vec<RType> = res
         .var_types
         .iter()
-        .map(|t| resolve_rtype(t, &resolve_fn))
+        .map(|t| map_rtype_regions(t, &resolve_fn))
         .collect();
-    let ret_type = resolve_rtype(ret_type, &resolve_fn);
+    let ret_type = map_rtype_regions(ret_type, &resolve_fn);
     let letregs = groups.values().map(|(rho, _)| *rho).collect();
     Localized {
         body,
@@ -265,10 +265,6 @@ impl BlockTree {
     }
 }
 
-struct BlockCounter {
-    next: usize,
-}
-
 // ---- pass 1: occurrences -------------------------------------------------
 
 fn note(
@@ -295,259 +291,66 @@ fn collect_occurrences(
     lca: &mut HashMap<RegVar, usize>,
     locals: &BTreeSet<RegVar>,
 ) {
-    note(e.rtype.regions(), block, tree, lca, locals);
-    let var_regions = |v: cj_frontend::VarId| res.var_types[v.index()].regions();
-    match &e.kind {
-        RExprKind::Unit
-        | RExprKind::Int(_)
-        | RExprKind::Bool(_)
-        | RExprKind::Float(_)
-        | RExprKind::Null => {}
-        RExprKind::Var(v) | RExprKind::Field(v, _) | RExprKind::ArrayLen(v) => {
-            note(var_regions(*v), block, tree, lca, locals)
-        }
-        RExprKind::AssignVar(v, rhs) => {
-            note(var_regions(*v), block, tree, lca, locals);
-            collect_occurrences(res, rhs, block, tree, lca, locals);
-        }
-        RExprKind::AssignField(v, _, rhs) => {
-            note(var_regions(*v), block, tree, lca, locals);
-            collect_occurrences(res, rhs, block, tree, lca, locals);
-        }
-        RExprKind::New { regions, args, .. } => {
-            note(regions.iter().copied(), block, tree, lca, locals);
-            for &a in args {
-                note(var_regions(a), block, tree, lca, locals);
-            }
-        }
-        RExprKind::NewArray { region, len, .. } => {
-            note([*region], block, tree, lca, locals);
-            collect_occurrences(res, len, block, tree, lca, locals);
-        }
-        RExprKind::Index(v, idx) => {
-            note(var_regions(*v), block, tree, lca, locals);
-            collect_occurrences(res, idx, block, tree, lca, locals);
-        }
-        RExprKind::AssignIndex(v, idx, val) => {
-            note(var_regions(*v), block, tree, lca, locals);
-            collect_occurrences(res, idx, block, tree, lca, locals);
-            collect_occurrences(res, val, block, tree, lca, locals);
-        }
-        RExprKind::CallVirtual {
-            recv, inst, args, ..
-        } => {
-            note(var_regions(*recv), block, tree, lca, locals);
-            note(inst.iter().copied(), block, tree, lca, locals);
-            for &a in args {
-                note(var_regions(a), block, tree, lca, locals);
-            }
-        }
-        RExprKind::CallStatic { inst, args, .. } => {
-            note(inst.iter().copied(), block, tree, lca, locals);
-            for &a in args {
-                note(var_regions(a), block, tree, lca, locals);
-            }
-        }
-        RExprKind::Seq(a, b) => {
-            collect_occurrences(res, a, block, tree, lca, locals);
-            collect_occurrences(res, b, block, tree, lca, locals);
-        }
-        RExprKind::Let { var, init, body } => {
-            note(var_regions(*var), block, tree, lca, locals);
-            if let Some(i) = init {
-                collect_occurrences(res, i, block, tree, lca, locals);
-            }
-            collect_occurrences(res, body, block, tree, lca, locals);
-        }
-        RExprKind::Letreg(_, inner) => collect_occurrences(res, inner, block, tree, lca, locals),
+    note(e.own_regions(&res.var_types), block, tree, lca, locals);
+    // Conditional branches and loop bodies are blocks of their own.
+    let (cond, arms) = match &e.kind {
         RExprKind::If {
             cond,
             then_e,
             else_e,
-        } => {
-            collect_occurrences(res, cond, block, tree, lca, locals);
-            let tb = tree.child(block);
-            collect_occurrences(res, then_e, tb, tree, lca, locals);
-            let eb = tree.child(block);
-            collect_occurrences(res, else_e, eb, tree, lca, locals);
+        } => (cond, [Some(then_e), Some(else_e)]),
+        RExprKind::While { cond, body } => (cond, [Some(body), None]),
+        _ => {
+            for c in e.children() {
+                collect_occurrences(res, c, block, tree, lca, locals);
+            }
+            return;
         }
-        RExprKind::While { cond, body } => {
-            collect_occurrences(res, cond, block, tree, lca, locals);
-            let bb = tree.child(block);
-            collect_occurrences(res, body, bb, tree, lca, locals);
-        }
-        RExprKind::Cast { regions, var, .. } => {
-            note(regions.iter().copied(), block, tree, lca, locals);
-            note(var_regions(*var), block, tree, lca, locals);
-        }
-        RExprKind::Unary(_, a) | RExprKind::Print(a) => {
-            collect_occurrences(res, a, block, tree, lca, locals)
-        }
-        RExprKind::Binary(_, a, b) => {
-            collect_occurrences(res, a, block, tree, lca, locals);
-            collect_occurrences(res, b, block, tree, lca, locals);
-        }
+    };
+    collect_occurrences(res, cond, block, tree, lca, locals);
+    for arm in arms.into_iter().flatten() {
+        let b = tree.child(block);
+        collect_occurrences(res, arm, b, tree, lca, locals);
     }
 }
 
 // ---- pass 2: rewrite ------------------------------------------------------
 
-fn resolve_rtype(t: &RType, f: &impl Fn(RegVar) -> RegVar) -> RType {
-    match t {
-        RType::Void => RType::Void,
-        RType::Prim(p) => RType::Prim(*p),
-        RType::Class {
-            class,
-            regions,
-            pads,
-        } => RType::Class {
-            class: *class,
-            regions: regions.iter().map(|&r| f(r)).collect(),
-            pads: pads.iter().map(|&r| f(r)).collect(),
-        },
-        RType::Array { elem, region } => RType::Array {
-            elem: *elem,
-            region: f(*region),
-        },
-    }
-}
-
-/// Rebuilds the tree mirroring the pass-1 traversal (so block ids match),
-/// wrapping each grouped block in `letreg` and resolving every region.
-#[allow(clippy::only_used_in_recursion)]
+/// Rewrites the tree in place mirroring the pass-1 traversal (so block ids
+/// match), wrapping each grouped block in `letreg` and resolving every
+/// region.
 fn rewrite(
-    e: &RExpr,
-    block: usize,
-    counter: &mut BlockCounter,
+    e: &mut RExpr,
+    counter: &mut usize,
     groups: &BTreeMap<usize, (RegVar, BTreeSet<RegVar>)>,
     f: &impl Fn(RegVar) -> RegVar,
-) -> RExpr {
-    let rtype = resolve_rtype(&e.rtype, f);
-    let span = e.span;
-    let kind = match &e.kind {
-        RExprKind::Unit => RExprKind::Unit,
-        RExprKind::Int(v) => RExprKind::Int(*v),
-        RExprKind::Bool(v) => RExprKind::Bool(*v),
-        RExprKind::Float(v) => RExprKind::Float(*v),
-        RExprKind::Null => RExprKind::Null,
-        RExprKind::Var(v) => RExprKind::Var(*v),
-        RExprKind::Field(v, fr) => RExprKind::Field(*v, *fr),
-        RExprKind::AssignVar(v, rhs) => {
-            RExprKind::AssignVar(*v, Box::new(rewrite(rhs, block, counter, groups, f)))
-        }
-        RExprKind::AssignField(v, fr, rhs) => {
-            RExprKind::AssignField(*v, *fr, Box::new(rewrite(rhs, block, counter, groups, f)))
-        }
-        RExprKind::New {
-            class,
-            regions,
-            args,
-        } => RExprKind::New {
-            class: *class,
-            regions: regions.iter().map(|&r| f(r)).collect(),
-            args: args.clone(),
-        },
-        RExprKind::NewArray { elem, region, len } => RExprKind::NewArray {
-            elem: *elem,
-            region: f(*region),
-            len: Box::new(rewrite(len, block, counter, groups, f)),
-        },
-        RExprKind::Index(v, idx) => {
-            RExprKind::Index(*v, Box::new(rewrite(idx, block, counter, groups, f)))
-        }
-        RExprKind::AssignIndex(v, idx, val) => RExprKind::AssignIndex(
-            *v,
-            Box::new(rewrite(idx, block, counter, groups, f)),
-            Box::new(rewrite(val, block, counter, groups, f)),
-        ),
-        RExprKind::ArrayLen(v) => RExprKind::ArrayLen(*v),
-        RExprKind::CallVirtual {
-            recv,
-            method,
-            inst,
-            args,
-        } => RExprKind::CallVirtual {
-            recv: *recv,
-            method: *method,
-            inst: inst.iter().map(|&r| f(r)).collect(),
-            args: args.clone(),
-        },
-        RExprKind::CallStatic { method, inst, args } => RExprKind::CallStatic {
-            method: *method,
-            inst: inst.iter().map(|&r| f(r)).collect(),
-            args: args.clone(),
-        },
-        RExprKind::Seq(a, b) => RExprKind::Seq(
-            Box::new(rewrite(a, block, counter, groups, f)),
-            Box::new(rewrite(b, block, counter, groups, f)),
-        ),
-        RExprKind::Let { var, init, body } => RExprKind::Let {
-            var: *var,
-            init: init
-                .as_ref()
-                .map(|i| Box::new(rewrite(i, block, counter, groups, f))),
-            body: Box::new(rewrite(body, block, counter, groups, f)),
-        },
-        RExprKind::Letreg(r, inner) => {
-            RExprKind::Letreg(*r, Box::new(rewrite(inner, block, counter, groups, f)))
-        }
+) {
+    e.map_own_regions(f);
+    let (cond, arms) = match &mut e.kind {
         RExprKind::If {
             cond,
             then_e,
             else_e,
-        } => {
-            let cond = Box::new(rewrite(cond, block, counter, groups, f));
-            let tb = counter.next;
-            counter.next += 1;
-            let mut then_r = rewrite(then_e, tb, counter, groups, f);
-            if let Some((rho, _)) = groups.get(&tb) {
-                then_r = wrap_letreg(*rho, then_r);
+        } => (cond, [Some(then_e), Some(else_e)]),
+        RExprKind::While { cond, body } => (cond, [Some(body), None]),
+        _ => {
+            for c in e.children_mut() {
+                rewrite(c, counter, groups, f);
             }
-            let eb = counter.next;
-            counter.next += 1;
-            let mut else_r = rewrite(else_e, eb, counter, groups, f);
-            if let Some((rho, _)) = groups.get(&eb) {
-                else_r = wrap_letreg(*rho, else_r);
-            }
-            RExprKind::If {
-                cond,
-                then_e: Box::new(then_r),
-                else_e: Box::new(else_r),
-            }
+            return;
         }
-        RExprKind::While { cond, body } => {
-            let cond = Box::new(rewrite(cond, block, counter, groups, f));
-            let bb = counter.next;
-            counter.next += 1;
-            let mut body_r = rewrite(body, bb, counter, groups, f);
-            if let Some((rho, _)) = groups.get(&bb) {
-                body_r = wrap_letreg(*rho, body_r);
-            }
-            RExprKind::While {
-                cond,
-                body: Box::new(body_r),
-            }
-        }
-        RExprKind::Cast {
-            class,
-            regions,
-            var,
-        } => RExprKind::Cast {
-            class: *class,
-            regions: regions.iter().map(|&r| f(r)).collect(),
-            var: *var,
-        },
-        RExprKind::Unary(op, a) => {
-            RExprKind::Unary(*op, Box::new(rewrite(a, block, counter, groups, f)))
-        }
-        RExprKind::Binary(op, a, b) => RExprKind::Binary(
-            *op,
-            Box::new(rewrite(a, block, counter, groups, f)),
-            Box::new(rewrite(b, block, counter, groups, f)),
-        ),
-        RExprKind::Print(a) => RExprKind::Print(Box::new(rewrite(a, block, counter, groups, f))),
     };
-    RExpr { kind, rtype, span }
+    rewrite(cond, counter, groups, f);
+    for arm in arms.into_iter().flatten() {
+        let b = *counter;
+        *counter += 1;
+        rewrite(arm, counter, groups, f);
+        if let Some((rho, _)) = groups.get(&b) {
+            let span = arm.span;
+            let inner = std::mem::replace(&mut **arm, RExpr::unit(span));
+            **arm = wrap_letreg(*rho, inner);
+        }
+    }
 }
 
 /// Wraps `inner` in `letreg rho in inner`.

@@ -268,7 +268,7 @@ pub fn infer_with_cache(
         // the closed pre? No — they live in raw atoms, so rebuild from raw).
         let raw_atoms = &ctx.raw.get(&sig.abs_name).expect("registered").body.atoms;
         solver.add_set(raw_atoms);
-        let loc = localize::localize(&mut ctx, &mut solver, &sig.abs_params, &res, &sig.ret_type);
+        let loc = localize::localize(&mut ctx, &mut solver, &sig.abs_params, res, &sig.ret_type);
         stats.localized_regions += loc.letregs.len();
         let pre = closed
             .get(&sig.abs_name)

@@ -310,12 +310,18 @@ fn write_expr(
                 args.join(", ")
             );
         }
-        RExprKind::Seq(a, b) => {
-            write_expr(p, id, a, namer, indent, out);
-            out.push_str(";\n");
-            write_expr(p, id, b, namer, indent, out);
+        RExprKind::Block(items) => {
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(";\n");
+                }
+                write_expr(p, id, item, namer, indent, out);
+            }
+            if items.is_empty() {
+                let _ = write!(out, "{indent}()");
+            }
         }
-        RExprKind::Let { var, init, body } => {
+        RExprKind::Let { var, init } => {
             let _ = write!(
                 out,
                 "{indent}{} {}",
@@ -326,8 +332,6 @@ fn write_expr(
                 out.push_str(" =\n");
                 write_expr(p, id, init, namer, &format!("{indent}  "), out);
             }
-            out.push_str(";\n");
-            write_expr(p, id, body, namer, indent, out);
         }
         RExprKind::Letreg(r, inner) => {
             let _ = writeln!(out, "{indent}letreg {} in {{", namer.name(*r));

@@ -187,6 +187,160 @@ pub struct RExpr {
     pub span: Span,
 }
 
+impl RExpr {
+    /// The direct sub-expressions, in evaluation order.
+    pub fn children(&self) -> impl Iterator<Item = &RExpr> {
+        let (a, b, c, items): (_, _, _, &[RExpr]) = match &self.kind {
+            RExprKind::AssignVar(_, a)
+            | RExprKind::AssignField(_, _, a)
+            | RExprKind::NewArray { len: a, .. }
+            | RExprKind::Index(_, a)
+            | RExprKind::Unary(_, a)
+            | RExprKind::Print(a)
+            | RExprKind::Letreg(_, a) => (Some(&**a), None, None, &[]),
+            RExprKind::AssignIndex(_, a, b)
+            | RExprKind::Binary(_, a, b)
+            | RExprKind::While { cond: a, body: b } => (Some(&**a), Some(&**b), None, &[]),
+            RExprKind::If {
+                cond,
+                then_e,
+                else_e,
+            } => (Some(&**cond), Some(&**then_e), Some(&**else_e), &[]),
+            RExprKind::Let { init, .. } => (init.as_deref(), None, None, &[]),
+            RExprKind::Block(items) => (None, None, None, items),
+            _ => (None, None, None, &[]),
+        };
+        a.into_iter().chain(b).chain(c).chain(items)
+    }
+
+    /// [`RExpr::children`], mutably.
+    pub fn children_mut(&mut self) -> impl Iterator<Item = &mut RExpr> {
+        let (a, b, c, items): (_, _, _, &mut [RExpr]) = match &mut self.kind {
+            RExprKind::AssignVar(_, a)
+            | RExprKind::AssignField(_, _, a)
+            | RExprKind::NewArray { len: a, .. }
+            | RExprKind::Index(_, a)
+            | RExprKind::Unary(_, a)
+            | RExprKind::Print(a)
+            | RExprKind::Letreg(_, a) => (Some(&mut **a), None, None, &mut []),
+            RExprKind::AssignIndex(_, a, b)
+            | RExprKind::Binary(_, a, b)
+            | RExprKind::While { cond: a, body: b } => {
+                (Some(&mut **a), Some(&mut **b), None, &mut [])
+            }
+            RExprKind::If {
+                cond,
+                then_e,
+                else_e,
+            } => (
+                Some(&mut **cond),
+                Some(&mut **then_e),
+                Some(&mut **else_e),
+                &mut [],
+            ),
+            RExprKind::Let { init, .. } => (init.as_deref_mut(), None, None, &mut []),
+            RExprKind::Block(items) => (None, None, None, items),
+            _ => (None, None, None, &mut []),
+        };
+        a.into_iter().chain(b).chain(c).chain(items)
+    }
+
+    /// Passes the regions of this node's own type, allocation,
+    /// instantiation and cast target — not its children's, nor a `letreg`
+    /// binder — through `f`.
+    pub fn map_own_regions(&mut self, f: &impl Fn(RegVar) -> RegVar) {
+        match &mut self.rtype {
+            RType::Class { regions, pads, .. } => {
+                for r in regions.iter_mut().chain(pads) {
+                    *r = f(*r);
+                }
+            }
+            RType::Array { region, .. } => *region = f(*region),
+            RType::Void | RType::Prim(_) => {}
+        }
+        match &mut self.kind {
+            RExprKind::New { regions, .. }
+            | RExprKind::CallVirtual { inst: regions, .. }
+            | RExprKind::CallStatic { inst: regions, .. }
+            | RExprKind::Cast { regions, .. } => {
+                for r in regions {
+                    *r = f(*r);
+                }
+            }
+            RExprKind::NewArray { region, .. } => *region = f(*region),
+            _ => {}
+        }
+    }
+
+    /// The variables this node's own operation reads or writes — its
+    /// operand, receiver or cast subject, then its arguments — not its
+    /// children's. A `let`'s declared variable is not among them.
+    pub fn own_vars(&self) -> impl Iterator<Item = VarId> + '_ {
+        let (one, args): (_, &[VarId]) = match &self.kind {
+            RExprKind::Var(v)
+            | RExprKind::Field(v, _)
+            | RExprKind::ArrayLen(v)
+            | RExprKind::AssignVar(v, _)
+            | RExprKind::AssignField(v, _, _)
+            | RExprKind::Index(v, _)
+            | RExprKind::AssignIndex(v, _, _)
+            | RExprKind::Cast { var: v, .. } => (Some(v), &[]),
+            RExprKind::New { args, .. } | RExprKind::CallStatic { args, .. } => (None, args),
+            RExprKind::CallVirtual { recv, args, .. } => (Some(recv), args),
+            _ => (None, &[]),
+        };
+        one.into_iter().chain(args).copied()
+    }
+
+    /// The regions this node's own operation touches — its type's, its
+    /// variables' (typed by `var_types`; a `let` touches its declared
+    /// variable's) and its allocation, instantiation or cast target's.
+    /// Children are not included.
+    pub fn own_regions(&self, var_types: &[RType]) -> Vec<RegVar> {
+        let mut own = self.rtype.regions();
+        let declared = match &self.kind {
+            RExprKind::Let { var, .. } => Some(*var),
+            _ => None,
+        };
+        for v in self.own_vars().chain(declared) {
+            own.extend(var_types[v.index()].regions());
+        }
+        match &self.kind {
+            RExprKind::New { regions, .. }
+            | RExprKind::CallVirtual { inst: regions, .. }
+            | RExprKind::CallStatic { inst: regions, .. }
+            | RExprKind::Cast { regions, .. } => own.extend(regions),
+            RExprKind::NewArray { region, .. } => own.push(*region),
+            _ => {}
+        }
+        own
+    }
+
+    /// The unit value.
+    pub fn unit(span: Span) -> RExpr {
+        RExpr {
+            kind: RExprKind::Unit,
+            rtype: RType::Void,
+            span,
+        }
+    }
+
+    /// A block of the nonempty `items`, typed by its last item; a single
+    /// item stands for itself.
+    pub fn block(mut items: Vec<RExpr>) -> RExpr {
+        if items.len() == 1 {
+            return items.pop().expect("one item");
+        }
+        let last = items.last().expect("a block has a value item");
+        let (rtype, span) = (last.rtype.clone(), items[0].span.to(last.span));
+        RExpr {
+            kind: RExprKind::Block(items),
+            rtype,
+            span,
+        }
+    }
+}
+
 /// Annotated expression forms; mirrors
 /// [`KExprKind`](cj_frontend::kernel::KExprKind) with region information
 /// added, plus the `letreg` construct of the target language.
@@ -255,16 +409,16 @@ pub enum RExprKind {
         /// Argument variables.
         args: Vec<VarId>,
     },
-    /// `e₁ ; e₂`.
-    Seq(Box<RExpr>, Box<RExpr>),
-    /// `{ t v [= init]; body }`.
+    /// `{ e₁; …; eₙ }`: the last item's value is the block's (an empty
+    /// block is unit).
+    Block(Vec<RExpr>),
+    /// `t v [= init]`, a block item of type `void` scoping over the rest
+    /// of its block.
     Let {
         /// Declared variable (annotated type in the method's `var_types`).
         var: VarId,
         /// Optional initializer.
         init: Option<Box<RExpr>>,
-        /// Scope.
-        body: Box<RExpr>,
     },
     /// `letreg r in e` — introduces a lexically scoped region.
     Letreg(RegVar, Box<RExpr>),
@@ -304,51 +458,8 @@ pub enum RExprKind {
 /// Visits every annotated sub-expression (pre-order).
 pub fn walk_rexpr<'a>(e: &'a RExpr, f: &mut impl FnMut(&'a RExpr)) {
     f(e);
-    match &e.kind {
-        RExprKind::Unit
-        | RExprKind::Int(_)
-        | RExprKind::Bool(_)
-        | RExprKind::Float(_)
-        | RExprKind::Null
-        | RExprKind::Var(_)
-        | RExprKind::Field(_, _)
-        | RExprKind::New { .. }
-        | RExprKind::ArrayLen(_)
-        | RExprKind::CallVirtual { .. }
-        | RExprKind::CallStatic { .. }
-        | RExprKind::Cast { .. } => {}
-        RExprKind::AssignVar(_, e1)
-        | RExprKind::AssignField(_, _, e1)
-        | RExprKind::NewArray { len: e1, .. }
-        | RExprKind::Index(_, e1)
-        | RExprKind::Unary(_, e1)
-        | RExprKind::Print(e1)
-        | RExprKind::Letreg(_, e1) => walk_rexpr(e1, f),
-        RExprKind::AssignIndex(_, e1, e2)
-        | RExprKind::Seq(e1, e2)
-        | RExprKind::Binary(_, e1, e2) => {
-            walk_rexpr(e1, f);
-            walk_rexpr(e2, f);
-        }
-        RExprKind::Let { init, body, .. } => {
-            if let Some(i) = init {
-                walk_rexpr(i, f);
-            }
-            walk_rexpr(body, f);
-        }
-        RExprKind::If {
-            cond,
-            then_e,
-            else_e,
-        } => {
-            walk_rexpr(cond, f);
-            walk_rexpr(then_e, f);
-            walk_rexpr(else_e, f);
-        }
-        RExprKind::While { cond, body } => {
-            walk_rexpr(cond, f);
-            walk_rexpr(body, f);
-        }
+    for c in e.children() {
+        walk_rexpr(c, f);
     }
 }
 
@@ -357,105 +468,18 @@ pub fn walk_rexpr<'a>(e: &'a RExpr, f: &mut impl FnMut(&'a RExpr)) {
 /// binders alike). Used to rebase cached per-method inference results onto
 /// a new region-id range.
 pub fn map_rexpr_regions(e: &RExpr, f: &impl Fn(RegVar) -> RegVar) -> RExpr {
-    let map_vec = |rs: &[RegVar]| rs.iter().map(|&r| f(r)).collect::<Vec<_>>();
-    let kind = match &e.kind {
-        RExprKind::Unit => RExprKind::Unit,
-        RExprKind::Int(v) => RExprKind::Int(*v),
-        RExprKind::Bool(v) => RExprKind::Bool(*v),
-        RExprKind::Float(v) => RExprKind::Float(*v),
-        RExprKind::Null => RExprKind::Null,
-        RExprKind::Var(v) => RExprKind::Var(*v),
-        RExprKind::Field(v, fr) => RExprKind::Field(*v, *fr),
-        RExprKind::AssignVar(v, rhs) => {
-            RExprKind::AssignVar(*v, Box::new(map_rexpr_regions(rhs, f)))
+    fn map(e: &mut RExpr, f: &impl Fn(RegVar) -> RegVar) {
+        e.map_own_regions(f);
+        if let RExprKind::Letreg(r, _) = &mut e.kind {
+            *r = f(*r);
         }
-        RExprKind::AssignField(v, fr, rhs) => {
-            RExprKind::AssignField(*v, *fr, Box::new(map_rexpr_regions(rhs, f)))
+        for c in e.children_mut() {
+            map(c, f);
         }
-        RExprKind::New {
-            class,
-            regions,
-            args,
-        } => RExprKind::New {
-            class: *class,
-            regions: map_vec(regions),
-            args: args.clone(),
-        },
-        RExprKind::NewArray { elem, region, len } => RExprKind::NewArray {
-            elem: *elem,
-            region: f(*region),
-            len: Box::new(map_rexpr_regions(len, f)),
-        },
-        RExprKind::Index(v, idx) => RExprKind::Index(*v, Box::new(map_rexpr_regions(idx, f))),
-        RExprKind::AssignIndex(v, idx, val) => RExprKind::AssignIndex(
-            *v,
-            Box::new(map_rexpr_regions(idx, f)),
-            Box::new(map_rexpr_regions(val, f)),
-        ),
-        RExprKind::ArrayLen(v) => RExprKind::ArrayLen(*v),
-        RExprKind::CallVirtual {
-            recv,
-            method,
-            inst,
-            args,
-        } => RExprKind::CallVirtual {
-            recv: *recv,
-            method: *method,
-            inst: map_vec(inst),
-            args: args.clone(),
-        },
-        RExprKind::CallStatic { method, inst, args } => RExprKind::CallStatic {
-            method: *method,
-            inst: map_vec(inst),
-            args: args.clone(),
-        },
-        RExprKind::Seq(a, b) => RExprKind::Seq(
-            Box::new(map_rexpr_regions(a, f)),
-            Box::new(map_rexpr_regions(b, f)),
-        ),
-        RExprKind::Let { var, init, body } => RExprKind::Let {
-            var: *var,
-            init: init.as_ref().map(|i| Box::new(map_rexpr_regions(i, f))),
-            body: Box::new(map_rexpr_regions(body, f)),
-        },
-        RExprKind::Letreg(r, inner) => {
-            RExprKind::Letreg(f(*r), Box::new(map_rexpr_regions(inner, f)))
-        }
-        RExprKind::If {
-            cond,
-            then_e,
-            else_e,
-        } => RExprKind::If {
-            cond: Box::new(map_rexpr_regions(cond, f)),
-            then_e: Box::new(map_rexpr_regions(then_e, f)),
-            else_e: Box::new(map_rexpr_regions(else_e, f)),
-        },
-        RExprKind::While { cond, body } => RExprKind::While {
-            cond: Box::new(map_rexpr_regions(cond, f)),
-            body: Box::new(map_rexpr_regions(body, f)),
-        },
-        RExprKind::Cast {
-            class,
-            regions,
-            var,
-        } => RExprKind::Cast {
-            class: *class,
-            regions: map_vec(regions),
-            var: *var,
-        },
-        RExprKind::Unary(op, a) => RExprKind::Unary(*op, Box::new(map_rexpr_regions(a, f))),
-        RExprKind::Binary(op, a, b) => RExprKind::Binary(
-            *op,
-            Box::new(map_rexpr_regions(a, f)),
-            Box::new(map_rexpr_regions(b, f)),
-        ),
-        RExprKind::Print(a) => RExprKind::Print(Box::new(map_rexpr_regions(a, f))),
-    };
-    RExpr {
-        kind,
-        rtype: map_rtype_regions(&e.rtype, f),
-        span: e.span,
     }
+    let mut e = e.clone();
+    map(&mut e, f);
+    e
 }
 
 /// Rebuilds an annotated type with every region passed through `f`.

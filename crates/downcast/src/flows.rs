@@ -242,11 +242,14 @@ impl<'a> Builder<'a> {
                     }
                 }
             }
-            KExprKind::Seq(a, b) => {
-                self.expr(id, m, a, None);
-                self.expr(id, m, b, recv);
+            KExprKind::Block(items) => {
+                // Only the last item's value flows on.
+                let n = items.len();
+                for (i, item) in items.iter().enumerate() {
+                    self.expr(id, m, item, if i + 1 == n { recv } else { None });
+                }
             }
-            KExprKind::Let { var, init, body } => {
+            KExprKind::Let { var, init } => {
                 if let Some(init) = init {
                     let target = if m.var_ty(*var).is_reference() {
                         Some(Node::Var(id, *var))
@@ -255,7 +258,6 @@ impl<'a> Builder<'a> {
                     };
                     self.expr(id, m, init, target);
                 }
-                self.expr(id, m, body, recv);
             }
             KExprKind::If {
                 cond,

@@ -16,6 +16,11 @@
 //! request is in flight, then flushes pending responses — the shutdown
 //! acknowledgement included — under a bounded grace period, closes every
 //! connection and joins the pool.
+//!
+//! A request whose handler panics is answered with
+//! `{"ok":false,...,"code":"internal"}` and only its connection is
+//! closed: the worker, the in-flight count and every other client carry
+//! on.
 
 use super::{
     capacity_reject_line, decode_request, idle_goodbye_line, is_daemon_shutdown, Daemon, Listener,
@@ -23,11 +28,17 @@ use super::{
 };
 use crate::server::Server;
 use crate::workspace::Workspace;
+use cj_diag::json::json_string;
 use cj_net::{EventLoop, NetConfig, NetEvent, NetHandle, NetListener, Token};
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// A worker's per-request step: the protocol handler of the connection's
+/// `Server` ([`Server::handle_line`] in the daemon).
+pub(super) type Handler = fn(&mut Server, &str) -> String;
 
 /// One decoded request bound for the worker pool.
 struct Job {
@@ -40,8 +51,37 @@ struct Job {
     enqueued: Instant,
 }
 
-/// The reactor loop. See the module docs.
-pub(super) fn serve(daemon: &Daemon) -> std::io::Result<()> {
+/// Releases one in-flight request when dropped — also when its handler
+/// panicked — and wakes the reactor to re-check for a drained stop.
+struct InFlight<'a> {
+    count: &'a AtomicUsize,
+    net: &'a NetHandle,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.count.fetch_sub(1, Ordering::SeqCst);
+        self.net.wake();
+    }
+}
+
+/// The reply to a request whose handler panicked.
+fn internal_error_line(panic: &(dyn std::any::Any + Send)) -> String {
+    let what = panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("unknown panic");
+    let error = format!("internal error: request handler panicked: {what}");
+    format!(
+        "{{\"ok\":false,\"error\":{},\"code\":\"internal\"}}",
+        json_string(&error)
+    )
+}
+
+/// The reactor loop, answering each request through `handler`. See the
+/// module docs.
+pub(super) fn serve(daemon: &Daemon, handler: Handler) -> std::io::Result<()> {
     // The reactor owns a dup of the listener fd; the `Daemon` keeps its
     // original for `local_addr`/`describe_addr`.
     let net_listener = match &daemon.listener {
@@ -83,14 +123,25 @@ pub(super) fn serve(daemon: &Daemon) -> std::io::Result<()> {
             else {
                 break; // reactor gone, queue drained
             };
+            // Dropped last: the reactor may only observe "no work in
+            // flight" once the response commands below are queued.
+            let _in_flight = InFlight {
+                count: &in_flight,
+                net: &handle,
+            };
             telemetry.record_queue_wait(enqueued.elapsed());
             cj_trace::record_interval("daemon", "queue-wait", enqueued);
             let daemon_stop = is_daemon_shutdown(&request);
             let (response, done) = {
                 let _span = cj_trace::span("daemon", "worker-handle");
-                let mut server = server.lock().expect("connection server poisoned");
-                let response = server.handle_line(request.trim_end_matches(['\n', '\r']));
-                (response, server.is_done())
+                let step = catch_unwind(AssertUnwindSafe(|| {
+                    let mut server = server.lock().expect("connection server poisoned");
+                    let response = handler(&mut server, request.trim_end_matches(['\n', '\r']));
+                    (response, server.is_done())
+                }));
+                // A panicking handler may have left its `Server` half
+                // updated: answer, then close only this connection.
+                step.unwrap_or_else(|panic| (internal_error_line(&*panic), true))
             };
             if daemon_stop {
                 // Before the response is queued: a client hanging up right
@@ -106,10 +157,6 @@ pub(super) fn serve(daemon: &Daemon) -> std::io::Result<()> {
             } else {
                 handle.resume(token);
             }
-            // Last: the reactor may only observe "no work in flight" once
-            // the response commands above are already queued.
-            in_flight.fetch_sub(1, Ordering::SeqCst);
-            handle.wake();
         }));
     }
 
@@ -211,5 +258,63 @@ pub(super) fn serve(daemon: &Daemon) -> std::io::Result<()> {
     match fatal {
         Some(e) => Err(e),
         None => Ok(()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::daemon::DaemonConfig;
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
+
+    /// Panics on a `boom` request and serves everything else.
+    fn panicky(server: &mut Server, line: &str) -> String {
+        if line.contains("boom") {
+            panic!("boom requested");
+        }
+        server.handle_line(line)
+    }
+
+    fn ask(stream: &TcpStream, line: &str) -> String {
+        let mut writer = stream;
+        writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        BufReader::new(stream).read_line(&mut reply).unwrap();
+        reply
+    }
+
+    #[test]
+    fn a_panicking_handler_closes_only_its_connection() {
+        let config = DaemonConfig {
+            workers: 1,
+            ..DaemonConfig::default()
+        };
+        let daemon = Daemon::bind_tcp("127.0.0.1:0", config).unwrap();
+        let addr = daemon.local_addr().unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || done_tx.send(serve(&daemon, panicky).is_ok()));
+        let connect = || {
+            let stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            stream
+        };
+
+        let a = connect();
+        let b = connect();
+        let reply = ask(&a, r#"{"cmd":"boom"}"#);
+        assert!(reply.contains(r#""code":"internal""#), "{reply}");
+        assert!(reply.contains("boom requested"), "{reply}");
+        let mut rest = Vec::new();
+        assert_eq!((&a).read_to_end(&mut rest).unwrap(), 0, "A is closed");
+
+        // The one worker survived, and the other client is still served.
+        assert!(ask(&b, r#"{"cmd":"stats"}"#).contains(r#""ok":true"#));
+        let bye = ask(&b, r#"{"cmd":"shutdown","scope":"daemon"}"#);
+        assert!(bye.contains(r#""status":"bye""#), "{bye}");
+        // The panic released its in-flight slot: the drain completes.
+        assert_eq!(done_rx.recv_timeout(Duration::from_secs(10)), Ok(true));
     }
 }

@@ -64,6 +64,7 @@
 
 mod event;
 
+use crate::server::Server;
 use crate::session::SessionOptions;
 use cj_diag::json::{json_string, parse_json};
 use cj_persist::SccDiskCache;
@@ -459,7 +460,7 @@ impl Daemon {
                 }
             })
         });
-        let fatal = event::serve(&self).err();
+        let fatal = event::serve(&self, Server::handle_line).err();
         // Unblock the flusher's and metrics endpoint's poll loops even on
         // a fatal listener error.
         self.stop.store(true, Ordering::SeqCst);

@@ -5,6 +5,9 @@
 //! computed), cross-client SCC reuse must actually happen and be
 //! observable, and a daemon-scope shutdown must drain cleanly.
 
+#[path = "common/hostile.rs"]
+mod hostile;
+
 use cj_driver::{Daemon, DaemonConfig, Server, SessionOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -480,4 +483,74 @@ fn unknown_shutdown_scope_is_rejected() {
     let resp = server.handle_line("{\"cmd\":\"shutdown\",\"scope\":\"connection\"}");
     assert!(resp.contains("\"status\":\"bye\""), "{resp}");
     assert!(server.is_done());
+}
+
+/// One persistent protocol connection.
+struct Client {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Client {
+    fn connect(addr: std::net::SocketAddr) -> Client {
+        let stream = TcpStream::connect(addr).expect("connect to daemon");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(120)))
+            .expect("read timeout");
+        Client {
+            reader: BufReader::new(stream.try_clone().expect("clone stream")),
+            writer: stream,
+        }
+    }
+
+    fn ask(&mut self, request: &str) -> String {
+        writeln!(self.writer, "{request}").expect("send");
+        let mut reply = String::new();
+        self.reader.read_line(&mut reply).expect("a reply");
+        assert!(!reply.is_empty(), "connection closed instead of replying");
+        reply
+    }
+}
+
+/// Hostile compiles on a one-worker daemon (a 2 MiB worker stack):
+/// 30,000-item blocks and calls check, input nested far past the parser's
+/// budget is diagnosed, another client is served between them, and a
+/// daemon-scope shutdown then completes.
+#[test]
+fn hostile_programs_are_answered_while_other_clients_are_served() {
+    let config = DaemonConfig {
+        workers: 1,
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::bind_tcp("127.0.0.1:0", config).expect("bind");
+    let addr = daemon.local_addr().expect("tcp addr");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done_tx.send(daemon.run().is_ok()));
+    let mut a = Client::connect(addr);
+    let mut b = Client::connect(addr);
+
+    let long = hostile::long_programs(30_000)
+        .into_iter()
+        .map(|p| (p, true));
+    let deep = hostile::deep_programs(30_000)
+        .into_iter()
+        .map(|p| (p, false));
+    for ((name, src), legal) in long.chain(deep) {
+        let open = format!(
+            "{{\"cmd\":\"open\",\"file\":\"hostile.cj\",\"text\":{}}}",
+            cj_diag::json_string(&src)
+        );
+        assert!(a.ask(&open).contains("\"ok\":true"), "{name}: open");
+        let reply = a.ask("{\"cmd\":\"check\"}");
+        if legal {
+            assert!(reply.contains("well-region-typed"), "{name}: {reply}");
+        } else {
+            assert!(reply.contains("nesting too deep"), "{name}: {reply}");
+        }
+        let stats = b.ask("{\"cmd\":\"stats\"}");
+        assert!(stats.contains("\"ok\":true"), "{name}: {stats}");
+    }
+    let bye = b.ask("{\"cmd\":\"shutdown\",\"scope\":\"daemon\"}");
+    assert!(bye.contains("\"status\":\"bye\""), "{bye}");
+    assert_eq!(done_rx.recv_timeout(Duration::from_secs(60)), Ok(true));
 }

@@ -121,6 +121,41 @@ impl KExpr {
     pub fn new(kind: KExprKind, ty: NType, span: Span) -> KExpr {
         KExpr { kind, ty, span }
     }
+
+    /// The direct sub-expressions, in evaluation order.
+    pub fn children(&self) -> impl Iterator<Item = &KExpr> {
+        let (a, b, c, items): (_, _, _, &[KExpr]) = match &self.kind {
+            KExprKind::AssignVar(_, a)
+            | KExprKind::AssignField(_, _, a)
+            | KExprKind::NewArray(_, a)
+            | KExprKind::Index(_, a)
+            | KExprKind::Unary(_, a)
+            | KExprKind::Print(a) => (Some(&**a), None, None, &[]),
+            KExprKind::AssignIndex(_, a, b)
+            | KExprKind::Binary(_, a, b)
+            | KExprKind::While { cond: a, body: b } => (Some(&**a), Some(&**b), None, &[]),
+            KExprKind::If {
+                cond,
+                then_e,
+                else_e,
+            } => (Some(&**cond), Some(&**then_e), Some(&**else_e), &[]),
+            KExprKind::Let { init, .. } => (init.as_deref(), None, None, &[]),
+            KExprKind::Block(items) => (None, None, None, items),
+            _ => (None, None, None, &[]),
+        };
+        a.into_iter().chain(b).chain(c).chain(items)
+    }
+
+    /// A block of the nonempty `items`, typed by its last item; a single
+    /// item stands for itself.
+    pub fn block(mut items: Vec<KExpr>) -> KExpr {
+        if items.len() == 1 {
+            return items.pop().expect("one item");
+        }
+        let last = items.last().expect("a block has a value item");
+        let (ty, span) = (last.ty, items[0].span.to(last.span));
+        KExpr::new(KExprKind::Block(items), ty, span)
+    }
 }
 
 /// Kernel expression forms.
@@ -160,18 +195,17 @@ pub enum KExprKind {
     CallVirtual(VarId, MethodId, Vec<VarId>),
     /// Static call `mn(v₁…vₙ)`.
     CallStatic(MethodId, Vec<VarId>),
-    /// Sequencing `e₁ ; e₂` (the value of `e₁` is discarded).
-    Seq(Box<KExpr>, Box<KExpr>),
-    /// A local declaration block `{ t v [= init]; body }`. Declarations
-    /// open a scope that extends to the end of `body`; this is where the
-    /// paper's \[exp-block\] rule may introduce `letreg`.
+    /// A block `{ e₁; …; eₙ }`: the items run in order and the last
+    /// one's value is the block's (an empty block is unit). The values of
+    /// the other items are discarded.
+    Block(Vec<KExpr>),
+    /// A declaration `t v [= init]`, an item of a [`KExprKind::Block`]; it
+    /// has type `void` and its scope is the rest of the enclosing block.
     Let {
         /// The declared variable.
         var: VarId,
         /// Optional initializer.
         init: Option<Box<KExpr>>,
-        /// Scope of the declaration.
-        body: Box<KExpr>,
     },
     /// Conditional; when used as a statement both arms have type `void`.
     If {
@@ -219,49 +253,7 @@ impl fmt::Display for FieldRef {
 /// Visits every sub-expression of `e` (pre-order), including `e` itself.
 pub fn walk_expr<'a>(e: &'a KExpr, f: &mut impl FnMut(&'a KExpr)) {
     f(e);
-    match &e.kind {
-        KExprKind::Unit
-        | KExprKind::Int(_)
-        | KExprKind::Bool(_)
-        | KExprKind::Float(_)
-        | KExprKind::Null
-        | KExprKind::Var(_)
-        | KExprKind::Field(_, _)
-        | KExprKind::New(_, _)
-        | KExprKind::ArrayLen(_)
-        | KExprKind::CallVirtual(_, _, _)
-        | KExprKind::CallStatic(_, _)
-        | KExprKind::Cast(_, _) => {}
-        KExprKind::AssignField(_, _, e1)
-        | KExprKind::AssignVar(_, e1)
-        | KExprKind::NewArray(_, e1)
-        | KExprKind::Index(_, e1)
-        | KExprKind::Unary(_, e1)
-        | KExprKind::Print(e1) => walk_expr(e1, f),
-        KExprKind::AssignIndex(_, e1, e2)
-        | KExprKind::Seq(e1, e2)
-        | KExprKind::Binary(_, e1, e2) => {
-            walk_expr(e1, f);
-            walk_expr(e2, f);
-        }
-        KExprKind::Let { init, body, .. } => {
-            if let Some(i) = init {
-                walk_expr(i, f);
-            }
-            walk_expr(body, f);
-        }
-        KExprKind::If {
-            cond,
-            then_e,
-            else_e,
-        } => {
-            walk_expr(cond, f);
-            walk_expr(then_e, f);
-            walk_expr(else_e, f);
-        }
-        KExprKind::While { cond, body } => {
-            walk_expr(cond, f);
-            walk_expr(body, f);
-        }
+    for c in e.children() {
+        walk_expr(c, f);
     }
 }

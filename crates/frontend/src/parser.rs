@@ -55,6 +55,7 @@ pub fn parse_program(src: &str) -> Result<Program, Diagnostics> {
         pos: 0,
         diags: Diagnostics::new(),
         depth: 0,
+        height: 0,
     };
     let program = parser.program();
     diags.extend(parser.diags.set_default_code(cj_diag::codes::PARSE));
@@ -81,6 +82,7 @@ pub fn parse_expr(src: &str) -> Result<Expr, Diagnostics> {
         pos: 0,
         diags: Diagnostics::new(),
         depth: 0,
+        height: 0,
     };
     let e = parser.expr();
     parser.expect(TokenKind::Eof);
@@ -95,13 +97,45 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     diags: Diagnostics,
+    /// Open parser recursions: expressions, prefix operators, casts and
+    /// blocks being parsed.
     depth: u32,
+    /// Left-nesting of the expression being built: a binary operator or
+    /// postfix step sinks everything parsed so far in its chain one level
+    /// under the new node.
+    height: u32,
 }
 
-/// Maximum expression/block nesting the recursive-descent parser accepts;
-/// deeper input is reported as a diagnostic instead of overflowing the
-/// stack.
+/// The one nesting budget. Parser recursion (`depth`: brackets, call
+/// arguments, prefix operators, casts, blocks) and left-nesting (`height`:
+/// binary-operator chains and postfix steps) each stay within it, so every
+/// syntax tree's depth is a small multiple of it at most and no later
+/// recursive pass overflows the stack. Deeper input is reported as a
+/// diagnostic.
 const MAX_NESTING: u32 = 64;
+
+/// Binary operators by precedence level, loosest first; each level is
+/// left-associative.
+const BINARY_LEVELS: [&[(TokenKind, BinOp)]; 6] = [
+    &[(TokenKind::OrOr, BinOp::Or)],
+    &[(TokenKind::AndAnd, BinOp::And)],
+    &[(TokenKind::EqEq, BinOp::Eq), (TokenKind::NotEq, BinOp::Ne)],
+    &[
+        (TokenKind::Lt, BinOp::Lt),
+        (TokenKind::Le, BinOp::Le),
+        (TokenKind::Gt, BinOp::Gt),
+        (TokenKind::Ge, BinOp::Ge),
+    ],
+    &[
+        (TokenKind::Plus, BinOp::Add),
+        (TokenKind::Minus, BinOp::Sub),
+    ],
+    &[
+        (TokenKind::Star, BinOp::Mul),
+        (TokenKind::Slash, BinOp::Div),
+        (TokenKind::Percent, BinOp::Rem),
+    ],
+];
 
 impl Parser {
     fn peek(&self) -> &Token {
@@ -304,13 +338,44 @@ impl Parser {
     // ---- statements and blocks ----------------------------------------
 
     fn block(&mut self) -> Block {
+        if self.depth >= MAX_NESTING && self.at(TokenKind::LBrace) {
+            // Report the over-deep block once and skip it by bracket
+            // counting.
+            let start = self.peek().span;
+            self.diags.error("block nesting too deep", start);
+            let end = self.skip_block();
+            return Block {
+                stmts: Vec::new(),
+                tail: None,
+                span: start.to(end),
+            };
+        }
+        self.depth += 1;
         let start = self.expect(TokenKind::LBrace);
         let (stmts, tail) = self.block_items();
         let end = self.expect(TokenKind::RBrace);
+        self.depth -= 1;
         Block {
             stmts,
             tail,
             span: start.to(end),
+        }
+    }
+
+    /// Skips `{` through its matching `}`; returns the last span skipped.
+    fn skip_block(&mut self) -> Span {
+        let mut open = 0usize;
+        loop {
+            let t = self.bump();
+            match t.kind {
+                TokenKind::LBrace => open += 1,
+                TokenKind::RBrace => open -= 1,
+                TokenKind::Eof => return t.span,
+                _ => {}
+            }
+            if open == 0 {
+                return t.span;
+            }
         }
     }
 
@@ -474,20 +539,28 @@ impl Parser {
     // ---- expressions ---------------------------------------------------
 
     fn expr(&mut self) -> Expr {
+        self.nested(|p| p.binary_expr(0))
+    }
+
+    /// Parses one level deeper, or reports the over-deep expression once
+    /// and skips all of it, so the enclosing levels find their closing
+    /// brackets.
+    fn nested(&mut self, parse: impl FnOnce(&mut Self) -> Expr) -> Expr {
+        if self.depth >= MAX_NESTING {
+            return self.too_deep(self.peek().span);
+        }
         self.depth += 1;
-        let e = if self.depth > MAX_NESTING {
-            // Report the over-deep expression once and skip all of it, so
-            // the enclosing levels find their closing brackets.
-            let span = self.peek().span;
-            self.diags
-                .error("expression nesting too deep".to_string(), span);
-            self.skip_expr();
-            Expr::new(ExprKind::Null, span)
-        } else {
-            self.or_expr()
-        };
+        let e = parse(self);
         self.depth -= 1;
         e
+    }
+
+    /// Reports an expression nested too deeply at `span` and skips the rest
+    /// of it.
+    fn too_deep(&mut self, span: Span) -> Expr {
+        self.diags.error("expression nesting too deep", span);
+        self.skip_expr();
+        Expr::new(ExprKind::Null, span)
     }
 
     /// Skips the tokens of one expression: everything up to the first
@@ -511,147 +584,78 @@ impl Parser {
         }
     }
 
-    fn or_expr(&mut self) -> Expr {
-        let mut lhs = self.and_expr();
-        while self.at(TokenKind::OrOr) {
-            self.bump();
-            let rhs = self.and_expr();
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr::new(
-                ExprKind::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs)),
-                span,
-            );
+    /// Sinks the chain built so far one level under a new node at `span`;
+    /// past the budget, reports it and skips the rest of the expression
+    /// (`false`).
+    fn sink(&mut self, span: Span) -> bool {
+        self.height += 1;
+        if self.height <= MAX_NESTING {
+            return true;
         }
-        lhs
+        self.height = 0;
+        self.too_deep(span);
+        false
     }
 
-    fn and_expr(&mut self) -> Expr {
-        let mut lhs = self.eq_expr();
-        while self.at(TokenKind::AndAnd) {
-            self.bump();
-            let rhs = self.eq_expr();
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr::new(
-                ExprKind::Binary(BinOp::And, Box::new(lhs), Box::new(rhs)),
-                span,
-            );
-        }
-        lhs
-    }
-
-    fn eq_expr(&mut self) -> Expr {
-        let mut lhs = self.rel_expr();
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::EqEq => BinOp::Eq,
-                TokenKind::NotEq => BinOp::Ne,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.rel_expr();
+    /// One left-associative precedence level (`BINARY_LEVELS[level]`).
+    fn binary_expr(&mut self, level: usize) -> Expr {
+        let Some(ops) = BINARY_LEVELS.get(level) else {
+            return self.unary_expr();
+        };
+        let outer = std::mem::take(&mut self.height);
+        let mut lhs = self.binary_expr(level + 1);
+        while let Some(&(_, op)) = ops.iter().find(|(kind, _)| self.at(*kind)) {
+            let at = self.bump().span;
+            let rhs = self.binary_expr(level + 1);
             let span = lhs.span.to(rhs.span);
             lhs = Expr::new(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span);
+            if !self.sink(at) {
+                lhs = Expr::new(ExprKind::Null, span);
+                break;
+            }
         }
-        lhs
-    }
-
-    fn rel_expr(&mut self) -> Expr {
-        let mut lhs = self.add_expr();
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Lt => BinOp::Lt,
-                TokenKind::Le => BinOp::Le,
-                TokenKind::Gt => BinOp::Gt,
-                TokenKind::Ge => BinOp::Ge,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.add_expr();
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr::new(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span);
-        }
-        lhs
-    }
-
-    fn add_expr(&mut self) -> Expr {
-        let mut lhs = self.mul_expr();
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.mul_expr();
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr::new(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span);
-        }
-        lhs
-    }
-
-    fn mul_expr(&mut self) -> Expr {
-        let mut lhs = self.unary_expr();
-        loop {
-            let op = match self.peek_kind() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Rem,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.unary_expr();
-            let span = lhs.span.to(rhs.span);
-            lhs = Expr::new(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span);
-        }
+        self.height = self.height.max(outer);
         lhs
     }
 
     fn unary_expr(&mut self) -> Expr {
-        match self.peek_kind() {
-            TokenKind::Minus => {
-                let start = self.bump().span;
-                let e = self.unary_expr();
-                let span = start.to(e.span);
-                Expr::new(ExprKind::Unary(UnOp::Neg, Box::new(e)), span)
-            }
-            TokenKind::Not => {
-                let start = self.bump().span;
-                let e = self.unary_expr();
-                let span = start.to(e.span);
-                Expr::new(ExprKind::Unary(UnOp::Not, Box::new(e)), span)
-            }
-            _ => self.postfix_expr(),
-        }
+        let op = match self.peek_kind() {
+            TokenKind::Minus => UnOp::Neg,
+            TokenKind::Not => UnOp::Not,
+            _ => return self.postfix_expr(),
+        };
+        let start = self.bump().span;
+        self.nested(|p| {
+            let e = p.unary_expr();
+            let span = start.to(e.span);
+            Expr::new(ExprKind::Unary(op, Box::new(e)), span)
+        })
     }
 
     fn postfix_expr(&mut self) -> Expr {
+        let outer = std::mem::take(&mut self.height);
         let mut e = self.primary_expr();
         loop {
+            let at = self.peek().span;
             match self.peek_kind() {
                 TokenKind::Dot => {
                     self.bump();
-                    if self.at(TokenKind::Length) {
+                    e = if self.at(TokenKind::Length) {
                         let end = self.bump().span;
                         let span = e.span.to(end);
-                        e = Expr::new(ExprKind::Length(Box::new(e)), span);
-                        continue;
-                    }
-                    let (name, nspan) = self.expect_ident();
-                    if self.at(TokenKind::LParen) {
-                        let (args, end) = self.call_args();
-                        let span = e.span.to(end);
-                        e = Expr::new(
-                            ExprKind::Call {
-                                recv: Some(Box::new(e)),
-                                name,
-                                args,
-                            },
-                            span,
-                        );
+                        Expr::new(ExprKind::Length(Box::new(e)), span)
                     } else {
-                        let span = e.span.to(nspan);
-                        e = Expr::new(ExprKind::Field(Box::new(e), name), span);
-                    }
+                        let (name, nspan) = self.expect_ident();
+                        if self.at(TokenKind::LParen) {
+                            let (args, end) = self.call_args();
+                            let span = e.span.to(end);
+                            let recv = Some(Box::new(e));
+                            Expr::new(ExprKind::Call { recv, name, args }, span)
+                        } else {
+                            let span = e.span.to(nspan);
+                            Expr::new(ExprKind::Field(Box::new(e), name), span)
+                        }
+                    };
                 }
                 TokenKind::LBracket => {
                     self.bump();
@@ -662,7 +666,12 @@ impl Parser {
                 }
                 _ => break,
             }
+            if !self.sink(at) {
+                e = Expr::new(ExprKind::Null, e.span);
+                break;
+            }
         }
+        self.height = self.height.max(outer);
         e
     }
 
@@ -775,15 +784,17 @@ impl Parser {
                         self.bump(); // (
                         self.bump(); // ident
                         self.bump(); // )
-                        let e = self.unary_expr();
-                        let span = t.span.to(e.span);
-                        return Expr::new(
-                            ExprKind::Cast {
-                                class,
-                                expr: Box::new(e),
-                            },
-                            span,
-                        );
+                        return self.nested(|p| {
+                            let e = p.unary_expr();
+                            let span = t.span.to(e.span);
+                            Expr::new(
+                                ExprKind::Cast {
+                                    class,
+                                    expr: Box::new(e),
+                                },
+                                span,
+                            )
+                        });
                     }
                 }
                 self.bump();

@@ -125,20 +125,24 @@ fn write_expr(kp: &KProgram, m: &KMethod, e: &KExpr, indent: &str, out: &mut Str
             let args: Vec<_> = args.iter().map(|&a| var_name(m, a)).collect();
             write!(out, "{indent}{}({})", kp.method_name(*id), args.join(", ")).unwrap();
         }
-        KExprKind::Seq(a, b) => {
-            write_expr(kp, m, a, indent, out);
-            out.push_str(";\n");
-            write_expr(kp, m, b, indent, out);
+        KExprKind::Block(items) => {
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(";\n");
+                }
+                write_expr(kp, m, item, indent, out);
+            }
+            if items.is_empty() {
+                write!(out, "{indent}()").unwrap();
+            }
         }
-        KExprKind::Let { var, init, body } => {
+        KExprKind::Let { var, init } => {
             let v = &m.vars[var.index()];
             write!(out, "{indent}{} {}", kp.table.display_ty(v.ty), v.name).unwrap();
             if let Some(init) = init {
                 out.push_str(" =\n");
                 write_expr(kp, m, init, &format!("{indent}  "), out);
             }
-            out.push_str(";\n");
-            write_expr(kp, m, body, indent, out);
         }
         KExprKind::If {
             cond,

@@ -121,7 +121,7 @@ fn lower_method(
     }
 }
 
-/// A pending temporary binding: `let tmp = init in ...`.
+/// A pending temporary binding: a `let tmp = init` item.
 struct Binding {
     var: VarId,
     init: KExpr,
@@ -211,6 +211,9 @@ impl<'a> Lowerer<'a> {
         result
     }
 
+    /// Lowers a block's statements and value into one flat item list: a
+    /// declaration becomes a `let` item scoping over the rest of the block,
+    /// and the last item is the block's value.
     fn lower_items(
         &mut self,
         stmts: &[ast::Stmt],
@@ -218,116 +221,101 @@ impl<'a> Lowerer<'a> {
         expected: Option<NType>,
         span: Span,
     ) -> KExpr {
-        let Some((first, rest)) = stmts.split_first() else {
-            return match tail {
-                Some(e) => {
-                    let lowered = self.lower_expr(e, expected);
-                    match expected {
-                        Some(t) => self.coerce(lowered, t),
-                        None => lowered,
-                    }
-                }
-                None => {
-                    if let Some(t) = expected {
-                        if t != NType::Void {
-                            return self.error_expr(
-                                format!(
-                                    "block used as a value of type `{}` has no result \
-                                     expression",
-                                    self.table.display_ty(t)
-                                ),
-                                span,
-                                t,
-                            );
-                        }
-                    }
-                    KExpr::new(KExprKind::Unit, NType::Void, span)
-                }
-            };
-        };
-
         // A trailing `return e;` acts as the block's tail value.
-        if rest.is_empty() && tail.is_none() {
-            if let ast::Stmt::Return { value, span: rspan } = first {
-                return match value {
-                    Some(e) => {
-                        let lowered = self.lower_expr(e, expected);
-                        match expected {
-                            Some(t) => self.coerce(lowered, t),
-                            None => lowered,
-                        }
-                    }
-                    None => {
-                        if let Some(t) = expected {
-                            if t != NType::Void {
-                                return self.error_expr(
-                                    format!(
-                                        "`return;` in a method returning `{}`",
-                                        self.table.display_ty(t)
-                                    ),
-                                    *rspan,
-                                    t,
-                                );
-                            }
-                        }
-                        KExpr::new(KExprKind::Unit, NType::Void, *rspan)
-                    }
-                };
+        let (stmts, ret) = match (stmts.split_last(), tail) {
+            (Some((ast::Stmt::Return { value, span }, init)), None) => {
+                (init, Some((value.as_ref(), *span)))
             }
-        }
-
-        match first {
-            ast::Stmt::Decl {
-                ty,
-                name,
-                init,
-                span: dspan,
-            } => {
-                let nty = match self.table.resolve(ty) {
-                    Ok(NType::Void) => {
-                        self.diags
-                            .error(format!("variable `{name}` cannot have type `void`"), *dspan);
-                        NType::Void
-                    }
-                    Ok(t) => t,
-                    Err(mut d) => {
-                        d.span = *dspan;
-                        self.diags.push(d);
-                        NType::Void
-                    }
-                };
-                let init_expr = init.as_ref().map(|e| {
-                    let lowered = self.lower_expr(e, Some(nty));
-                    Box::new(self.coerce(lowered, nty))
-                });
-                let var = self.declare(*name, nty, *dspan);
-                let body = self.lower_items(rest, tail, expected, span);
-                let ty = body.ty;
-                KExpr::new(
-                    KExprKind::Let {
-                        var,
-                        init: init_expr,
-                        body: Box::new(body),
-                    },
+            _ => (stmts, None),
+        };
+        let mut items = Vec::new();
+        for stmt in stmts {
+            let item = match stmt {
+                ast::Stmt::Decl {
                     ty,
-                    *dspan,
-                )
-            }
-            ast::Stmt::Return { span: rspan, .. } => {
-                let e = self.error_expr(
+                    name,
+                    init,
+                    span: dspan,
+                } => self.lower_decl(ty, *name, init.as_ref(), *dspan),
+                ast::Stmt::Return { span: rspan, .. } => self.error_expr(
                     "`return` must be the last statement of its block".into(),
                     *rspan,
                     NType::Void,
-                );
-                let rest_expr = self.lower_items(rest, tail, expected, span);
-                seq(e, rest_expr)
-            }
-            other => {
-                let stmt_expr = self.lower_stmt(other);
-                let rest_expr = self.lower_items(rest, tail, expected, span);
-                seq(stmt_expr, rest_expr)
-            }
+                ),
+                other => self.lower_stmt(other),
+            };
+            items.push(item);
         }
+        let value = match (ret, tail) {
+            (Some((Some(e), _)), _) | (None, Some(e)) => {
+                let lowered = self.lower_expr(e, expected);
+                match expected {
+                    Some(t) => self.coerce(lowered, t),
+                    None => lowered,
+                }
+            }
+            (Some((None, rspan)), _) => self.no_value(expected, rspan, |t| {
+                format!("`return;` in a method returning `{t}`")
+            }),
+            (None, None) => self.no_value(expected, span, |t| {
+                format!("block used as a value of type `{t}` has no result expression")
+            }),
+        };
+        if items.is_empty() {
+            return value;
+        }
+        // A block-valued tail ends where this block ends: its items join
+        // this block's.
+        match value.kind {
+            KExprKind::Block(inner) => items.extend(inner),
+            _ => items.push(value),
+        }
+        KExpr::block(items)
+    }
+
+    /// The unit value of a block without one; an error when a value of a
+    /// non-void type is `expected` (`msg` renders that type).
+    fn no_value(
+        &mut self,
+        expected: Option<NType>,
+        span: Span,
+        msg: impl FnOnce(String) -> String,
+    ) -> KExpr {
+        match expected {
+            Some(t) if t != NType::Void => {
+                let msg = msg(self.table.display_ty(t));
+                self.error_expr(msg, span, t)
+            }
+            _ => KExpr::new(KExprKind::Unit, NType::Void, span),
+        }
+    }
+
+    fn lower_decl(
+        &mut self,
+        ty: &ast::Ty,
+        name: Symbol,
+        init: Option<&ast::Expr>,
+        span: Span,
+    ) -> KExpr {
+        let nty = match self.table.resolve(ty) {
+            Ok(NType::Void) => {
+                self.diags
+                    .error(format!("variable `{name}` cannot have type `void`"), span);
+                NType::Void
+            }
+            Ok(t) => t,
+            Err(mut d) => {
+                d.span = span;
+                self.diags.push(d);
+                NType::Void
+            }
+        };
+        let init = init.map(|e| {
+            let lowered = self.lower_expr(e, Some(nty));
+            Box::new(self.coerce(lowered, nty))
+        });
+        let var = self.declare(name, nty, span);
+        KExpr::new(KExprKind::Let { var, init }, NType::Void, span)
     }
 
     fn lower_stmt(&mut self, stmt: &ast::Stmt) -> KExpr {
@@ -968,26 +956,27 @@ impl<'a> Lowerer<'a> {
     }
 }
 
-fn seq(a: KExpr, b: KExpr) -> KExpr {
-    let span = a.span.to(b.span);
-    let ty = b.ty;
-    KExpr::new(KExprKind::Seq(Box::new(a), Box::new(b)), ty, span)
-}
-
+/// `core` after its pending temporaries, as one block.
 fn wrap_bindings(binds: Vec<Binding>, core: KExpr) -> KExpr {
-    binds.into_iter().rev().fold(core, |acc, b| {
-        let span = b.init.span.to(acc.span);
-        let ty = acc.ty;
-        KExpr::new(
-            KExprKind::Let {
-                var: b.var,
-                init: Some(Box::new(b.init)),
-                body: Box::new(acc),
-            },
-            ty,
-            span,
-        )
-    })
+    if binds.is_empty() {
+        return core;
+    }
+    let mut items: Vec<KExpr> = binds
+        .into_iter()
+        .map(|b| {
+            let span = b.init.span;
+            KExpr::new(
+                KExprKind::Let {
+                    var: b.var,
+                    init: Some(Box::new(b.init)),
+                },
+                NType::Void,
+                span,
+            )
+        })
+        .collect();
+    items.push(core);
+    KExpr::block(items)
 }
 
 #[cfg(test)]

@@ -10,10 +10,9 @@
 //! - a node *using* the region (its annotated type, its operand variables'
 //!   types, its allocation/instantiation/cast regions, or — for `let` —
 //!   the declared variable's type) pins the extent at that node;
-//! - `seq`/`let` statement chains (a kernel block is a `seq` spine that
-//!   turns into nested `let` bodies at each declaration) are flattened so
-//!   the binding wraps only the minimal contiguous run of statements
-//!   containing uses. A split point inside the chain takes one of two
+//! - in a block (a flat item list whose `let` items scope over the rest of
+//!   the block) the binding wraps only the minimal contiguous run of items
+//!   containing uses. A split point inside the block takes one of two
 //!   shapes, both scope-preserving:
 //!   - **packing** — when the last use is the initializer of a binding
 //!     whose declared type does not mention the region, the live prefix
@@ -29,7 +28,7 @@
 //!   a binding pulled into the run whose type does *not* mention the
 //!   region but which is referenced after the split drags the split point
 //!   forward (to a fixpoint), keeping every variable's scope intact;
-//! - a sole-using `if` arm, loop body, or chain item is descended into (a
+//! - a sole-using `if` arm, loop body, or block item is descended into (a
 //!   loop-body extent is entered afresh each iteration; the
 //!   declaration-counts-as-use rule guarantees no outer variable can carry
 //!   a stale pointer across iterations);
@@ -48,7 +47,6 @@
 
 use crate::points::PointGraph;
 use crate::ExtentStats;
-use cj_frontend::span::Span;
 use cj_frontend::VarId;
 use cj_infer::localize::wrap_letreg;
 use cj_infer::rast::{RExpr, RExprKind, RMethod, RType};
@@ -73,8 +71,7 @@ pub fn tighten_method(m: &mut RMethod) -> ExtentStats {
         narrowed: 0,
         dropped: Vec::new(),
     };
-    let body = rw.rewrite(&m.body);
-    m.body = body;
+    rw.rewrite(&mut m.body);
     m.localized.retain(|r| !rw.dropped.contains(r));
     stats.narrowed = rw.narrowed;
     stats.dropped = rw.dropped.len();
@@ -85,20 +82,6 @@ pub fn tighten_method(m: &mut RMethod) -> ExtentStats {
     stats
 }
 
-/// One step of a flattened statement chain: a kernel block alternates
-/// discarded `seq` statements and `let` bindings whose body is the rest of
-/// the chain; the chain ends in the block's value expression.
-enum Item {
-    /// A discarded statement (`seq` left operand).
-    Stmt(RExpr),
-    /// A `let` binding; the rest of the chain is its body.
-    Bind {
-        var: VarId,
-        init: Option<Box<RExpr>>,
-        span: Span,
-    },
-}
-
 struct Rewriter<'a> {
     var_types: &'a [RType],
     narrowed: usize,
@@ -107,95 +90,38 @@ struct Rewriter<'a> {
 
 impl<'a> Rewriter<'a> {
     /// Rewrites children bottom-up, then re-places this node's `letreg`.
-    fn rewrite(&mut self, e: &RExpr) -> RExpr {
-        let e = self.rewrite_children(e);
-        if let RExprKind::Letreg(r, inner) = e.kind {
-            let inner = *inner;
-            if !self.subtree_uses(&inner, r) {
-                self.dropped.push(r);
-                return inner;
-            }
-            let mut moved = false;
-            let placed = match self.place(r, inner, false, &mut moved) {
-                Ok(placed) => placed,
-                // The region leaks through the body's value type: the
-                // original (checker-visible) shape is the only valid one.
-                Err(orig) => wrap_letreg(r, orig),
-            };
-            if moved {
-                self.narrowed += 1;
-            }
-            placed
-        } else {
-            e
+    fn rewrite(&mut self, e: &mut RExpr) {
+        for c in e.children_mut() {
+            self.rewrite(c);
         }
-    }
-
-    fn rewrite_children(&mut self, e: &RExpr) -> RExpr {
-        let kind = match &e.kind {
-            RExprKind::Unit
-            | RExprKind::Int(_)
-            | RExprKind::Bool(_)
-            | RExprKind::Float(_)
-            | RExprKind::Null
-            | RExprKind::Var(_)
-            | RExprKind::Field(_, _)
-            | RExprKind::ArrayLen(_)
-            | RExprKind::New { .. }
-            | RExprKind::Cast { .. }
-            | RExprKind::CallVirtual { .. }
-            | RExprKind::CallStatic { .. } => e.kind.clone(),
-            RExprKind::AssignVar(v, a) => RExprKind::AssignVar(*v, Box::new(self.rewrite(a))),
-            RExprKind::AssignField(v, f, a) => {
-                RExprKind::AssignField(*v, *f, Box::new(self.rewrite(a)))
-            }
-            RExprKind::NewArray { elem, region, len } => RExprKind::NewArray {
-                elem: *elem,
-                region: *region,
-                len: Box::new(self.rewrite(len)),
-            },
-            RExprKind::Index(v, a) => RExprKind::Index(*v, Box::new(self.rewrite(a))),
-            RExprKind::AssignIndex(v, a, b) => {
-                RExprKind::AssignIndex(*v, Box::new(self.rewrite(a)), Box::new(self.rewrite(b)))
-            }
-            RExprKind::Unary(op, a) => RExprKind::Unary(*op, Box::new(self.rewrite(a))),
-            RExprKind::Binary(op, a, b) => {
-                RExprKind::Binary(*op, Box::new(self.rewrite(a)), Box::new(self.rewrite(b)))
-            }
-            RExprKind::Print(a) => RExprKind::Print(Box::new(self.rewrite(a))),
-            RExprKind::Seq(a, b) => {
-                RExprKind::Seq(Box::new(self.rewrite(a)), Box::new(self.rewrite(b)))
-            }
-            RExprKind::Let { var, init, body } => RExprKind::Let {
-                var: *var,
-                init: init.as_ref().map(|i| Box::new(self.rewrite(i))),
-                body: Box::new(self.rewrite(body)),
-            },
-            RExprKind::Letreg(r, inner) => RExprKind::Letreg(*r, Box::new(self.rewrite(inner))),
-            RExprKind::If {
-                cond,
-                then_e,
-                else_e,
-            } => RExprKind::If {
-                cond: Box::new(self.rewrite(cond)),
-                then_e: Box::new(self.rewrite(then_e)),
-                else_e: Box::new(self.rewrite(else_e)),
-            },
-            RExprKind::While { cond, body } => RExprKind::While {
-                cond: Box::new(self.rewrite(cond)),
-                body: Box::new(self.rewrite(body)),
-            },
+        if !matches!(e.kind, RExprKind::Letreg(..)) {
+            return;
+        }
+        let span = e.span;
+        let RExprKind::Letreg(r, inner) = std::mem::replace(e, RExpr::unit(span)).kind else {
+            unreachable!("checked above");
         };
-        RExpr {
-            kind,
-            rtype: e.rtype.clone(),
-            span: e.span,
+        let inner = *inner;
+        if !self.subtree_uses(&inner, r) {
+            self.dropped.push(r);
+            *e = inner;
+            return;
+        }
+        let mut moved = false;
+        *e = match self.place(r, inner, false, &mut moved) {
+            Ok(placed) => placed,
+            // The region leaks through the body's value type: the
+            // original (checker-visible) shape is the only valid one.
+            Err(orig) => wrap_letreg(r, orig),
+        };
+        if moved {
+            self.narrowed += 1;
         }
     }
 
     /// Places `letreg r` at the tightest position within `e` that covers
     /// every use of `r`. `discarded` says whether `e`'s value is dropped by
-    /// its context (a `seq` left operand or loop body), which licenses the
+    /// its context (a non-final block item or loop body), which licenses the
     /// unit coercion when the trimmed value's type mentions `r`.
     ///
     /// `Err` returns `e` unchanged when no placement inside or around `e`
@@ -204,158 +130,89 @@ impl<'a> Rewriter<'a> {
     fn place(
         &mut self,
         r: RegVar,
-        e: RExpr,
+        mut e: RExpr,
         discarded: bool,
         moved: &mut bool,
     ) -> Result<RExpr, RExpr> {
-        // Statement chains get the run-splitting treatment; the chain
-        // accounts for its own items' uses (including the root's).
-        if matches!(e.kind, RExprKind::Seq(_, _) | RExprKind::Let { .. }) {
-            return self.place_chain(r, e, discarded, moved);
+        // Blocks get the run-splitting treatment; the block accounts for
+        // its own items' uses.
+        if let RExprKind::Block(items) = e.kind {
+            return self.place_block(r, items, discarded, moved);
         }
         if self.node_uses(&e, r) {
             return self.wrap_here(r, e, discarded);
         }
-        let rtype = e.rtype.clone();
+        // Never sink past another letreg binder (relative nesting order is
+        // what the stack-discipline axioms were solved under), nor into the
+        // operands of a plain operation.
+        if !matches!(e.kind, RExprKind::If { .. } | RExprKind::While { .. }) {
+            return self.wrap_here(r, e, discarded);
+        }
+        // Sink into a condition, branch or loop body that holds every use.
+        let users: Vec<usize> = e
+            .children()
+            .enumerate()
+            .filter(|(_, c)| self.subtree_uses(c, r))
+            .map(|(i, _)| i)
+            .collect();
+        let [i] = users[..] else {
+            return self.wrap_here(r, e, discarded);
+        };
+        // A loop body is entered afresh each iteration. Sound because every
+        // use (including every declaration of a variable that could carry
+        // data in the region) is confined to the body.
+        let loop_body = matches!(e.kind, RExprKind::While { .. }) && i == 1;
         let span = e.span;
-        match e.kind {
-            RExprKind::If {
-                cond,
-                then_e,
-                else_e,
-            } => {
-                let in_c = self.subtree_uses(&cond, r);
-                let in_t = self.subtree_uses(&then_e, r);
-                let in_e = self.subtree_uses(&else_e, r);
-                let rebuild = |cond: Box<RExpr>, then_e: Box<RExpr>, else_e: Box<RExpr>| RExpr {
-                    kind: RExprKind::If {
-                        cond,
-                        then_e,
-                        else_e,
-                    },
-                    rtype,
-                    span,
-                };
-                match (in_c, in_t, in_e) {
-                    (true, false, false) => match self.place(r, *cond, false, moved) {
-                        Ok(c2) => {
-                            *moved = true;
-                            Ok(rebuild(Box::new(c2), then_e, else_e))
-                        }
-                        Err(c) => {
-                            let e = rebuild(Box::new(c), then_e, else_e);
-                            self.wrap_here(r, e, discarded)
-                        }
-                    },
-                    (false, true, false) => match self.place(r, *then_e, false, moved) {
-                        Ok(t2) => {
-                            *moved = true;
-                            Ok(rebuild(cond, Box::new(t2), else_e))
-                        }
-                        Err(t) => {
-                            let e = rebuild(cond, Box::new(t), else_e);
-                            self.wrap_here(r, e, discarded)
-                        }
-                    },
-                    (false, false, true) => match self.place(r, *else_e, false, moved) {
-                        Ok(e2) => {
-                            *moved = true;
-                            Ok(rebuild(cond, then_e, Box::new(e2)))
-                        }
-                        Err(el) => {
-                            let e = rebuild(cond, then_e, Box::new(el));
-                            self.wrap_here(r, e, discarded)
-                        }
-                    },
-                    _ => self.wrap_here(r, rebuild(cond, then_e, else_e), discarded),
-                }
+        let slot = e.children_mut().nth(i).expect("a using child");
+        let child = std::mem::replace(slot, RExpr::unit(span));
+        match self.place(r, child, loop_body, moved) {
+            Ok(placed) => {
+                *slot = placed;
+                *moved = true;
+                Ok(e)
             }
-            RExprKind::While { cond, body } => {
-                let in_c = self.subtree_uses(&cond, r);
-                let in_b = self.subtree_uses(&body, r);
-                let rebuild = |cond: Box<RExpr>, body: Box<RExpr>| RExpr {
-                    kind: RExprKind::While { cond, body },
-                    rtype,
-                    span,
-                };
-                if in_b && !in_c {
-                    // Loop-body sinking: the region is entered afresh each
-                    // iteration. Sound because every use (including every
-                    // declaration of a variable that could carry data in
-                    // the region) is confined to the body.
-                    let b2 = self
-                        .place(r, *body, true, moved)
-                        .expect("discarded position always wraps");
-                    *moved = true;
-                    return Ok(rebuild(cond, Box::new(b2)));
-                }
-                if in_c && !in_b {
-                    match self.place(r, *cond, false, moved) {
-                        Ok(c2) => {
-                            *moved = true;
-                            return Ok(rebuild(Box::new(c2), body));
-                        }
-                        Err(c) => {
-                            let e = rebuild(Box::new(c), body);
-                            return self.wrap_here(r, e, discarded);
-                        }
-                    }
-                }
-                self.wrap_here(r, rebuild(cond, body), discarded)
+            Err(child) => {
+                *slot = child;
+                self.wrap_here(r, e, discarded)
             }
-            // Never sink past another letreg binder: relative nesting
-            // order is what the stack-discipline axioms were solved under.
-            kind => self.wrap_here(r, RExpr { kind, rtype, span }, discarded),
         }
     }
 
-    /// Narrows within a flattened statement chain (see [`Item`]): find the
-    /// minimal run of chain positions containing every use of `r`, extend
-    /// its right edge until no pulled binding is referenced after it, then
-    /// split by packing or truncation.
-    fn place_chain(
+    /// Narrows within a block: find the minimal run of items containing
+    /// every use of `r`, extend its right edge until no pulled binding is
+    /// referenced after it, then split by packing or truncation. The last
+    /// item is the block's value.
+    fn place_block(
         &mut self,
         r: RegVar,
-        e: RExpr,
+        mut items: Vec<RExpr>,
         discarded: bool,
         moved: &mut bool,
     ) -> Result<RExpr, RExpr> {
-        let mut items = Vec::new();
-        let fin = flatten_chain(e, &mut items);
-        let n = items.len();
-        let item_mentions: Vec<bool> = items.iter().map(|it| self.item_uses(it, r)).collect();
-        let fin_mentions = self.subtree_uses(&fin, r);
-        // Chain positions: 0..n are items, n is the final value expression.
-        let lo = item_mentions
+        let n = items.len() - 1;
+        let mentions: Vec<bool> = items.iter().map(|it| self.subtree_uses(it, r)).collect();
+        let lo = mentions
             .iter()
             .position(|&f| f)
-            .unwrap_or(if fin_mentions { n } else { usize::MAX });
-        debug_assert!(lo != usize::MAX, "chain placement without a use");
-        let mut hi = if fin_mentions {
-            n
-        } else {
-            item_mentions
-                .iter()
-                .rposition(|&f| f)
-                .expect("chain has a use")
-        };
+            .expect("block placement without a use");
+        let mut hi = mentions.iter().rposition(|&f| f).expect("block has a use");
 
         // Scope fixpoint: every binding pulled inside the run must be dead
         // after it. In the packing form (run ends at a clean-decl binding's
         // initializer) the split binding itself stays outside the run.
         while hi < n {
-            let packing = self.packing_at(&items[hi], r);
-            let pulled_end = if packing { hi } else { hi + 1 };
+            let pulled_end = if self.packing_at(&items[hi], r) {
+                hi
+            } else {
+                hi + 1
+            };
             let mut forced = None;
-            for it in items.iter().take(pulled_end).skip(lo) {
-                if let Item::Bind { var, .. } = it {
+            for it in &items[lo..pulled_end] {
+                if let RExprKind::Let { var, .. } = it.kind {
                     for (j, jt) in items.iter().enumerate().skip(hi + 1) {
-                        if self.item_refs(jt, *var) {
+                        if self.expr_refs(jt, var) {
                             forced = Some(forced.map_or(j, |f: usize| f.max(j)));
                         }
-                    }
-                    if self.expr_refs(&fin, *var) {
-                        forced = Some(n);
                     }
                 }
             }
@@ -367,295 +224,189 @@ impl<'a> Rewriter<'a> {
 
         // Single mention position: descend into it for sub-item precision.
         if lo == hi {
-            if let Some(out) = self.descend_chain_at(r, &mut items, fin, lo, discarded, moved) {
-                return out;
-            }
-            // `descend_chain_at` put the pieces back; fall through to the
-            // run wrap below via the rebuilt chain it returned in `items`.
-            unreachable!("descend_chain_at always resolves a single-position chain");
+            return self.descend_block_at(r, items, lo, discarded, moved);
         }
-
         if lo == 0 && hi == n {
-            // The run is the whole chain: no narrowing here.
-            return self.wrap_here(r, rebuild_chain(items, fin), discarded);
+            // The run is the whole block: no narrowing here.
+            return self.wrap_here(r, RExpr::block(items), discarded);
         }
-        *moved = true;
         if hi == n {
             // Leading trim only: the letreg starts at the first use and
-            // runs to the end of the chain.
+            // runs to the end of the block — unless the block's value type
+            // leaks r (possible only when the original letreg was already
+            // illegal here, i.e. never for checker-produced input).
+            if !discarded && self.leaks(&items[n], r) {
+                *moved = false;
+                return Err(RExpr::block(items));
+            }
+            *moved = true;
             let suffix = items.split_off(lo);
-            let mid = rebuild_chain(suffix, fin);
-            return match self.wrap_here(r, mid, discarded) {
-                Ok(wrapped) => Ok(rebuild_chain(items, wrapped)),
-                Err(mid) => {
-                    // The chain's value type leaks r (possible only when
-                    // the original letreg was already illegal here, i.e.
-                    // never for checker-produced input): restore and give
-                    // the caller the original shape.
-                    *moved = false;
-                    let mut restored = items;
-                    let (mut suffix2, fin2) = unflatten(mid);
-                    restored.append(&mut suffix2);
-                    Err(rebuild_chain(restored, fin2))
-                }
-            };
+            let wrapped = self.wrap_here(r, RExpr::block(suffix), discarded);
+            items.push(wrapped.expect("a value that does not leak wraps"));
+            return Ok(RExpr::block(items));
         }
 
+        *moved = true;
         let tail = items.split_off(hi + 1);
-        if self.packing_at(&items[hi], r) {
+        let last = items.pop().expect("hi item");
+        let mut run = items.split_off(lo);
+        if self.packing_at(&last, r) {
             // Packing: the run becomes the split binding's initializer.
-            let Item::Bind { var, init, span } = items.pop().expect("hi item") else {
-                unreachable!("packing_at checked a Bind");
+            let RExprKind::Let { var, init } = last.kind else {
+                unreachable!("packing_at checked a let");
             };
-            let run = items.split_off(lo);
-            let init = init.expect("packing requires an initializer");
-            let mid = rebuild_chain(run, *init);
-            let wrapped = wrap_letreg(r, mid);
-            let mut rebuilt = items;
-            rebuilt.push(Item::Bind {
-                var,
-                init: Some(Box::new(wrapped)),
-                span,
+            run.push(*init.expect("packing requires an initializer"));
+            let init = Some(Box::new(wrap_letreg(r, RExpr::block(run))));
+            items.push(RExpr {
+                kind: RExprKind::Let { var, init },
+                ..last
             });
-            rebuilt.extend(tail);
-            Ok(rebuild_chain(rebuilt, fin))
         } else {
             // Truncation: the run (bindings included) ends in an explicit
             // unit and sits in discarded position before the tail.
-            let run = items.split_off(lo);
-            let span = run_span(&run);
-            let unit = RExpr {
-                kind: RExprKind::Unit,
-                rtype: RType::Void,
-                span,
-            };
-            let mid = rebuild_chain(run, unit);
-            let wrapped = wrap_letreg(r, mid);
-            let mut rebuilt = items;
-            rebuilt.push(Item::Stmt(wrapped));
-            rebuilt.extend(tail);
-            Ok(rebuild_chain(rebuilt, fin))
+            run.push(last);
+            let span = run[0].span;
+            run.push(RExpr::unit(span));
+            items.push(wrap_letreg(r, RExpr::block(run)));
         }
+        items.extend(tail);
+        Ok(RExpr::block(items))
     }
 
-    /// Descends into the single chain position `at` holding every use.
-    /// Always returns `Some` (single-position chains are fully resolved
-    /// here, falling back to wrapping the position itself).
-    #[allow(clippy::type_complexity)]
-    fn descend_chain_at(
+    /// Descends into the single block position `at` holding every use.
+    fn descend_block_at(
         &mut self,
         r: RegVar,
-        items: &mut Vec<Item>,
-        fin: RExpr,
+        mut items: Vec<RExpr>,
         at: usize,
         discarded: bool,
         moved: &mut bool,
-    ) -> Option<Result<RExpr, RExpr>> {
-        let n = items.len();
+    ) -> Result<RExpr, RExpr> {
+        let n = items.len() - 1;
         if at == n {
-            // Uses confined to the chain's final value expression.
-            let result = match self.place(r, fin, discarded, moved) {
+            // Uses confined to the block's value expression.
+            let fin = items.pop().expect("a block has a value item");
+            return match self.place(r, fin, discarded, moved) {
                 Ok(f2) => {
                     *moved = true;
-                    Ok(rebuild_chain(std::mem::take(items), f2))
+                    items.push(f2);
+                    Ok(RExpr::block(items))
                 }
                 Err(f) => {
-                    let whole = rebuild_chain(std::mem::take(items), f);
-                    // n > 0 means wrapping the whole chain is still wider
+                    // n > 0 means wrapping the whole block is still wider
                     // than needed, but the value type leaks r, so the whole
-                    // chain is the tightest legal extent.
-                    self.wrap_here(r, whole, discarded)
+                    // block is the tightest legal extent.
+                    items.push(f);
+                    self.wrap_here(r, RExpr::block(items), discarded)
                 }
             };
-            return Some(result);
         }
         let tail = items.split_off(at + 1);
-        let item = items.pop().expect("chain position");
-        let placed = match item {
-            Item::Stmt(s) => {
-                // A discarded statement: placement inside always succeeds.
-                let s2 = self
-                    .place(r, s, true, moved)
-                    .expect("discarded position always wraps");
-                *moved = true;
-                Item::Stmt(s2)
-            }
-            Item::Bind { var, init, span } => {
-                let decl_mentions = self.var_uses(var, r);
-                match (&init, decl_mentions) {
-                    (Some(_), false) => {
-                        let init = init.expect("checked Some");
+        let item = items.pop().expect("block position");
+        let placed = match item.kind {
+            RExprKind::Let { var, init } => {
+                let span = item.span;
+                let bind = |init| RExpr {
+                    kind: RExprKind::Let { var, init },
+                    rtype: RType::Void,
+                    span,
+                };
+                match init {
+                    Some(init) if !self.var_uses(var, r) => {
                         match self.place(r, *init, false, moved) {
                             Ok(i2) => {
                                 *moved = true;
-                                Item::Bind {
-                                    var,
-                                    init: Some(Box::new(i2)),
-                                    span,
-                                }
+                                bind(Some(Box::new(i2)))
                             }
                             Err(i) => {
                                 // The initializer's value type leaks r: the
                                 // binding itself must stay in the extent.
-                                // Truncate: bind inside the letreg with a
-                                // unit body; sound because no later item
-                                // references `var` (the fixpoint would have
-                                // extended the run otherwise — but the
-                                // fixpoint only ran on the packing-exempt
-                                // form, so re-check here).
-                                let bind = Item::Bind {
-                                    var,
-                                    init: Some(Box::new(i)),
-                                    span,
-                                };
-                                if tail.iter().any(|jt| self.item_refs(jt, var))
-                                    || self.expr_refs(&fin, var)
-                                {
+                                let bind = bind(Some(Box::new(i)));
+                                if tail.iter().any(|jt| self.expr_refs(jt, var)) {
                                     // Referenced later: no trim possible at
                                     // this granularity; wrap the rest of
-                                    // the chain from here.
+                                    // the block from here.
+                                    if !discarded && self.leaks(&tail[tail.len() - 1], r) {
+                                        items.push(bind);
+                                        items.extend(tail);
+                                        return Err(RExpr::block(items));
+                                    }
+                                    if at > 0 {
+                                        *moved = true;
+                                    }
                                     let mut rest = vec![bind];
                                     rest.extend(tail);
-                                    let mid = rebuild_chain(rest, fin);
-                                    let result = match self.wrap_here(r, mid, discarded) {
-                                        Ok(wrapped) => {
-                                            if at > 0 {
-                                                *moved = true;
-                                            }
-                                            Ok(rebuild_chain(std::mem::take(items), wrapped))
-                                        }
-                                        Err(mid) => {
-                                            let (mut suffix, fin2) = unflatten(mid);
-                                            let mut restored = std::mem::take(items);
-                                            restored.append(&mut suffix);
-                                            Err(rebuild_chain(restored, fin2))
-                                        }
-                                    };
-                                    return Some(result);
+                                    let wrapped = self.wrap_here(r, RExpr::block(rest), discarded);
+                                    items.push(wrapped.expect("a value that does not leak wraps"));
+                                    return Ok(RExpr::block(items));
                                 }
-                                let unit = RExpr {
-                                    kind: RExprKind::Unit,
-                                    rtype: RType::Void,
-                                    span,
-                                };
-                                let mid = rebuild_chain(vec![bind], unit);
+                                // Truncate: bind inside the letreg with a
+                                // unit body; sound because no later item
+                                // references `var`.
                                 *moved = true;
-                                Item::Stmt(wrap_letreg(r, mid))
+                                wrap_letreg(r, RExpr::block(vec![bind, RExpr::unit(span)]))
                             }
                         }
                     }
-                    _ => {
+                    init => {
                         // The declaration itself mentions r (or there is no
                         // initializer to descend into): truncate around the
                         // bare binding. The fixpoint already guaranteed
                         // `var` is dead after the run.
-                        let unit = RExpr {
-                            kind: RExprKind::Unit,
-                            rtype: RType::Void,
-                            span,
-                        };
-                        let mid = rebuild_chain(vec![Item::Bind { var, init, span }], unit);
                         *moved = true;
-                        Item::Stmt(wrap_letreg(r, mid))
+                        wrap_letreg(r, RExpr::block(vec![bind(init), RExpr::unit(span)]))
                     }
                 }
+            }
+            kind => {
+                // A discarded statement: placement inside always succeeds.
+                let s2 = self
+                    .place(r, RExpr { kind, ..item }, true, moved)
+                    .expect("discarded position always wraps");
+                *moved = true;
+                s2
             }
         };
         items.push(placed);
         items.extend(tail);
-        Some(Ok(rebuild_chain(std::mem::take(items), fin)))
+        Ok(RExpr::block(items))
     }
 
     /// Whether the run may split *before* this item, packing the run into
     /// its initializer: a binding whose declared type does not mention `r`
     /// and whose initializer's own value type does not leak `r`.
-    fn packing_at(&self, item: &Item, r: RegVar) -> bool {
-        match item {
-            Item::Bind {
+    fn packing_at(&self, item: &RExpr, r: RegVar) -> bool {
+        match &item.kind {
+            RExprKind::Let {
                 var,
                 init: Some(init),
-                ..
-            } => !self.var_uses(*var, r) && !init.rtype.regions().contains(&r),
+            } => !self.var_uses(*var, r) && !self.leaks(init, r),
             _ => false,
         }
     }
 
-    fn item_uses(&self, item: &Item, r: RegVar) -> bool {
-        match item {
-            Item::Stmt(s) => self.subtree_uses(s, r),
-            Item::Bind { var, init, .. } => {
-                self.var_uses(*var, r) || init.as_deref().is_some_and(|i| self.subtree_uses(i, r))
-            }
-        }
-    }
-
-    fn item_refs(&self, item: &Item, v: VarId) -> bool {
-        match item {
-            Item::Stmt(s) => self.expr_refs(s, v),
-            Item::Bind { init, .. } => init.as_deref().is_some_and(|i| self.expr_refs(i, v)),
-        }
+    /// Whether `e`'s value type mentions `r`.
+    fn leaks(&self, e: &RExpr, r: RegVar) -> bool {
+        e.rtype.regions().contains(&r)
     }
 
     /// Whether `e`'s subtree references variable slot `v` (kernel slots are
     /// unique per method, so no shadowing to account for).
     fn expr_refs(&self, e: &RExpr, v: VarId) -> bool {
-        match &e.kind {
-            RExprKind::Unit
-            | RExprKind::Int(_)
-            | RExprKind::Bool(_)
-            | RExprKind::Float(_)
-            | RExprKind::Null => false,
-            RExprKind::Var(x) | RExprKind::Field(x, _) | RExprKind::ArrayLen(x) => *x == v,
-            RExprKind::AssignVar(x, a)
-            | RExprKind::AssignField(x, _, a)
-            | RExprKind::Index(x, a) => *x == v || self.expr_refs(a, v),
-            RExprKind::AssignIndex(x, a, b) => {
-                *x == v || self.expr_refs(a, v) || self.expr_refs(b, v)
-            }
-            RExprKind::New { args, .. } => args.contains(&v),
-            RExprKind::NewArray { len, .. } => self.expr_refs(len, v),
-            RExprKind::CallVirtual { recv, args, .. } => *recv == v || args.contains(&v),
-            RExprKind::CallStatic { args, .. } => args.contains(&v),
-            RExprKind::Cast { var, .. } => *var == v,
-            RExprKind::Unary(_, a) | RExprKind::Print(a) | RExprKind::Letreg(_, a) => {
-                self.expr_refs(a, v)
-            }
-            RExprKind::Binary(_, a, b) | RExprKind::Seq(a, b) => {
-                self.expr_refs(a, v) || self.expr_refs(b, v)
-            }
-            RExprKind::Let { init, body, .. } => {
-                init.as_deref().is_some_and(|i| self.expr_refs(i, v)) || self.expr_refs(body, v)
-            }
-            RExprKind::If {
-                cond,
-                then_e,
-                else_e,
-            } => self.expr_refs(cond, v) || self.expr_refs(then_e, v) || self.expr_refs(else_e, v),
-            RExprKind::While { cond, body } => self.expr_refs(cond, v) || self.expr_refs(body, v),
-        }
+        e.own_vars().any(|x| x == v) || e.children().any(|c| self.expr_refs(c, v))
     }
 
     /// Wraps `letreg r` around `e`, coercing a discarded value to unit
     /// when `e`'s type would leak `r` past the checker's escape rule.
     fn wrap_here(&self, r: RegVar, e: RExpr, discarded: bool) -> Result<RExpr, RExpr> {
-        if !e.rtype.regions().contains(&r) {
+        if !self.leaks(&e, r) {
             return Ok(wrap_letreg(r, e));
         }
         if !discarded {
             return Err(e);
         }
-        let span = e.span;
-        let unit = RExpr {
-            kind: RExprKind::Unit,
-            rtype: RType::Void,
-            span,
-        };
-        let seq = RExpr {
-            kind: RExprKind::Seq(Box::new(e), Box::new(unit)),
-            rtype: RType::Void,
-            span,
-        };
-        Ok(wrap_letreg(r, seq))
+        let unit = RExpr::unit(e.span);
+        Ok(wrap_letreg(r, RExpr::block(vec![e, unit])))
     }
 
     fn var_uses(&self, v: VarId, r: RegVar) -> bool {
@@ -665,151 +416,11 @@ impl<'a> Rewriter<'a> {
     /// Whether the operation at `e` itself uses `r` (same notion as
     /// [`PointGraph`]'s per-point use sets).
     fn node_uses(&self, e: &RExpr, r: RegVar) -> bool {
-        if e.rtype.regions().contains(&r) {
-            return true;
-        }
-        match &e.kind {
-            RExprKind::Var(v)
-            | RExprKind::Field(v, _)
-            | RExprKind::ArrayLen(v)
-            | RExprKind::AssignVar(v, _)
-            | RExprKind::AssignField(v, _, _)
-            | RExprKind::Index(v, _)
-            | RExprKind::AssignIndex(v, _, _)
-            | RExprKind::Let { var: v, .. } => self.var_uses(*v, r),
-            RExprKind::New { regions, args, .. } => {
-                regions.contains(&r) || args.iter().any(|&a| self.var_uses(a, r))
-            }
-            RExprKind::NewArray { region, .. } => *region == r,
-            RExprKind::CallVirtual {
-                recv, inst, args, ..
-            } => {
-                self.var_uses(*recv, r)
-                    || inst.contains(&r)
-                    || args.iter().any(|&a| self.var_uses(a, r))
-            }
-            RExprKind::CallStatic { inst, args, .. } => {
-                inst.contains(&r) || args.iter().any(|&a| self.var_uses(a, r))
-            }
-            RExprKind::Cast { regions, var, .. } => regions.contains(&r) || self.var_uses(*var, r),
-            _ => false,
-        }
+        e.own_regions(self.var_types).contains(&r)
     }
 
     /// Whether any node in `e`'s subtree uses `r`.
     fn subtree_uses(&self, e: &RExpr, r: RegVar) -> bool {
-        if self.node_uses(e, r) {
-            return true;
-        }
-        match &e.kind {
-            RExprKind::AssignVar(_, a)
-            | RExprKind::AssignField(_, _, a)
-            | RExprKind::NewArray { len: a, .. }
-            | RExprKind::Index(_, a)
-            | RExprKind::Unary(_, a)
-            | RExprKind::Print(a)
-            | RExprKind::Letreg(_, a) => self.subtree_uses(a, r),
-            RExprKind::AssignIndex(_, a, b) | RExprKind::Seq(a, b) | RExprKind::Binary(_, a, b) => {
-                self.subtree_uses(a, r) || self.subtree_uses(b, r)
-            }
-            RExprKind::Let { init, body, .. } => {
-                init.as_deref().is_some_and(|i| self.subtree_uses(i, r))
-                    || self.subtree_uses(body, r)
-            }
-            RExprKind::If {
-                cond,
-                then_e,
-                else_e,
-            } => {
-                self.subtree_uses(cond, r)
-                    || self.subtree_uses(then_e, r)
-                    || self.subtree_uses(else_e, r)
-            }
-            RExprKind::While { cond, body } => {
-                self.subtree_uses(cond, r) || self.subtree_uses(body, r)
-            }
-            _ => false,
-        }
-    }
-}
-
-/// Flattens a statement chain into items plus the final value expression.
-/// `seq` left operands are split recursively (they are all discarded);
-/// `let` bodies continue the chain.
-fn flatten_chain(e: RExpr, items: &mut Vec<Item>) -> RExpr {
-    match e.kind {
-        RExprKind::Seq(a, b) => {
-            flatten_stmts(*a, items);
-            flatten_chain(*b, items)
-        }
-        RExprKind::Let { var, init, body } => {
-            items.push(Item::Bind {
-                var,
-                init,
-                span: e.span,
-            });
-            flatten_chain(*body, items)
-        }
-        _ => e,
-    }
-}
-
-/// Flattens a fully-discarded subtree (a `seq` left operand) into
-/// statement items. A `let` here is opaque — its scope is already
-/// contained in the statement.
-fn flatten_stmts(e: RExpr, items: &mut Vec<Item>) {
-    if let RExprKind::Seq(a, b) = e.kind {
-        flatten_stmts(*a, items);
-        flatten_stmts(*b, items);
-    } else {
-        items.push(Item::Stmt(e));
-    }
-}
-
-/// Inverse of [`flatten_chain`] on an already-built expression.
-fn unflatten(e: RExpr) -> (Vec<Item>, RExpr) {
-    let mut items = Vec::new();
-    let fin = flatten_chain(e, &mut items);
-    (items, fin)
-}
-
-/// Rebuilds a chain: `seq` nodes take their continuation's type (the
-/// checker's rule for `seq`), `let` nodes their body's.
-fn rebuild_chain(items: Vec<Item>, fin: RExpr) -> RExpr {
-    let mut acc = fin;
-    for item in items.into_iter().rev() {
-        match item {
-            Item::Stmt(s) => {
-                let rtype = acc.rtype.clone();
-                let span = s.span;
-                acc = RExpr {
-                    kind: RExprKind::Seq(Box::new(s), Box::new(acc)),
-                    rtype,
-                    span,
-                };
-            }
-            Item::Bind { var, init, span } => {
-                let rtype = acc.rtype.clone();
-                acc = RExpr {
-                    kind: RExprKind::Let {
-                        var,
-                        init,
-                        body: Box::new(acc),
-                    },
-                    rtype,
-                    span,
-                };
-            }
-        }
-    }
-    acc
-}
-
-/// A span covering a run of items (the first item's own span).
-fn run_span(run: &[Item]) -> Span {
-    match run.first() {
-        Some(Item::Stmt(s)) => s.span,
-        Some(Item::Bind { span, .. }) => *span,
-        None => Span::DUMMY,
+        self.node_uses(e, r) || e.children().any(|c| self.subtree_uses(c, r))
     }
 }

@@ -5,9 +5,10 @@
 //! operation" moment), emitted in evaluation order after its children's
 //! points; `if` gets an extra join point, `while` an extra exit point, and
 //! `letreg` a push point before and a pop point after its body. Successor
-//! edges follow evaluation order, branch at conditionals, and carry the
-//! loop back edge from a body's last point to its condition — the graph a
-//! region is "a set of points of" in the NLL design.
+//! edges follow evaluation order (a block's items in turn), branch at
+//! conditionals, and carry the loop back edge from a body's last point to
+//! its condition — the graph a region is "a set of points of" in the NLL
+//! design.
 //!
 //! A point *uses* a region variable when the operation at that point could
 //! touch data in the region: the node's annotated type, operand variables'
@@ -124,62 +125,10 @@ impl<'a> Builder<'a> {
         self.g.points[from].succs.push(to);
     }
 
-    fn var_regions(&self, v: cj_frontend::VarId) -> Vec<RegVar> {
-        self.var_types[v.index()].regions()
-    }
-
     /// Emits points for `e`; returns `(entry, exit)`. The subtree's points
     /// occupy the contiguous id range emitted during the call.
     fn emit(&mut self, e: &RExpr) -> (usize, usize) {
         match &e.kind {
-            RExprKind::Unit
-            | RExprKind::Int(_)
-            | RExprKind::Bool(_)
-            | RExprKind::Float(_)
-            | RExprKind::Null
-            | RExprKind::Var(_)
-            | RExprKind::Field(_, _)
-            | RExprKind::ArrayLen(_)
-            | RExprKind::New { .. }
-            | RExprKind::Cast { .. }
-            | RExprKind::CallVirtual { .. }
-            | RExprKind::CallStatic { .. } => {
-                let p = self.action(e);
-                (p, p)
-            }
-            RExprKind::AssignVar(_, a)
-            | RExprKind::AssignField(_, _, a)
-            | RExprKind::NewArray { len: a, .. }
-            | RExprKind::Index(_, a)
-            | RExprKind::Unary(_, a)
-            | RExprKind::Print(a) => {
-                let (entry, exit) = self.emit(a);
-                let p = self.action(e);
-                self.edge(exit, p);
-                (entry, p)
-            }
-            RExprKind::AssignIndex(_, a, b) | RExprKind::Seq(a, b) | RExprKind::Binary(_, a, b) => {
-                let (entry, ae) = self.emit(a);
-                let (be, bx) = self.emit(b);
-                self.edge(ae, be);
-                let p = self.action(e);
-                self.edge(bx, p);
-                (entry, p)
-            }
-            RExprKind::Let { init, body, .. } => {
-                let init_pts = init.as_ref().map(|i| self.emit(i));
-                let p = self.action(e); // declaration (and store)
-                let entry = match init_pts {
-                    Some((ie, ix)) => {
-                        self.edge(ix, p);
-                        ie
-                    }
-                    None => p,
-                };
-                let (be, bx) = self.emit(body);
-                self.edge(p, be);
-                (entry, bx)
-            }
             RExprKind::Letreg(r, inner) => {
                 let push = self.action(e);
                 let (ie, ix) = self.emit(inner);
@@ -217,53 +166,32 @@ impl<'a> Builder<'a> {
                 self.edge(branch, exit);
                 (ce, exit)
             }
+            _ => {
+                // The children in evaluation order, then the node's own
+                // action.
+                let mut entry = None;
+                let mut prev = None;
+                for c in e.children() {
+                    let (ce, cx) = self.emit(c);
+                    if let Some(px) = prev {
+                        self.edge(px, ce);
+                    }
+                    entry.get_or_insert(ce);
+                    prev = Some(cx);
+                }
+                let p = self.action(e);
+                if let Some(px) = prev {
+                    self.edge(px, p);
+                }
+                (entry.unwrap_or(p), p)
+            }
         }
     }
 
     /// The node's action point, carrying its region uses.
     fn action(&mut self, e: &RExpr) -> usize {
         let p = self.point();
-        let mut uses: BTreeSet<RegVar> = e.rtype.regions().into_iter().collect();
-        match &e.kind {
-            RExprKind::Var(v)
-            | RExprKind::Field(v, _)
-            | RExprKind::ArrayLen(v)
-            | RExprKind::AssignVar(v, _)
-            | RExprKind::AssignField(v, _, _)
-            | RExprKind::Index(v, _)
-            | RExprKind::AssignIndex(v, _, _) => uses.extend(self.var_regions(*v)),
-            RExprKind::New { regions, args, .. } => {
-                uses.extend(regions.iter().copied());
-                for &a in args {
-                    uses.extend(self.var_regions(a));
-                }
-            }
-            RExprKind::NewArray { region, .. } => {
-                uses.insert(*region);
-            }
-            RExprKind::CallVirtual {
-                recv, inst, args, ..
-            } => {
-                uses.extend(self.var_regions(*recv));
-                uses.extend(inst.iter().copied());
-                for &a in args {
-                    uses.extend(self.var_regions(a));
-                }
-            }
-            RExprKind::CallStatic { inst, args, .. } => {
-                uses.extend(inst.iter().copied());
-                for &a in args {
-                    uses.extend(self.var_regions(a));
-                }
-            }
-            RExprKind::Cast { regions, var, .. } => {
-                uses.extend(regions.iter().copied());
-                uses.extend(self.var_regions(*var));
-            }
-            // Declarations use the declared variable's regions.
-            RExprKind::Let { var, .. } => uses.extend(self.var_regions(*var)),
-            _ => {}
-        }
+        let uses = e.own_regions(self.var_types).into_iter().collect();
         self.g.points[p].uses = uses;
         p
     }

@@ -768,9 +768,9 @@ fn method_signatures(
 }
 
 /// Discriminant tag of a node kind. Together with each kind's fixed child
-/// arity (plus the `Let` initializer bit, hashed separately), the pre-order
-/// tag sequence pins the body's tree shape — and with it the site ordinals
-/// memoized verdicts refer to.
+/// arity (plus the `Let` initializer bit and the `Block` item count, hashed
+/// separately), the pre-order tag sequence pins the body's tree shape — and
+/// with it the site ordinals memoized verdicts refer to.
 fn kind_tag(k: &RExprKind) -> u8 {
     match k {
         RExprKind::Unit => 0,
@@ -789,7 +789,7 @@ fn kind_tag(k: &RExprKind) -> u8 {
         RExprKind::ArrayLen(_) => 13,
         RExprKind::CallVirtual { .. } => 14,
         RExprKind::CallStatic { .. } => 15,
-        RExprKind::Seq(_, _) => 16,
+        RExprKind::Block(_) => 16,
         RExprKind::Let { .. } => 17,
         RExprKind::Letreg(_, _) => 18,
         RExprKind::If { .. } => 19,
@@ -876,7 +876,8 @@ fn method_key(
             RExprKind::Letreg(r, _) => {
                 canon.id(*r).hash(&mut h);
             }
-            RExprKind::Let { init, var, .. } => {
+            RExprKind::Block(items) => items.len().hash(&mut h),
+            RExprKind::Let { init, var } => {
                 init.is_some().hash(&mut h);
                 var.0.hash(&mut h);
             }
@@ -925,5 +926,52 @@ fn hash_rule_relations(h: &mut DefaultHasher, cx: &ProgramCx<'_>, class: ClassId
     let table = cx.table();
     for &rc in &cx.rule_classes {
         (table.is_subclass(class, rc), table.is_subclass(rc, class)).hash(h);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cj_infer::{infer_source, InferOptions};
+
+    /// `Block[Block[a], b]` and `Block[Block[a, b]]` have the same
+    /// pre-order tags and node count; only the item counts tell them
+    /// apart.
+    #[test]
+    fn method_key_hashes_block_item_counts() {
+        let src = "class M { static int f() { 1 } }";
+        let (mut program, _) = infer_source(src, InferOptions::default()).unwrap();
+        let set = PolicySet::parse("p", "no-escape M\n").unwrap();
+        let resolved: Vec<Resolved> = set
+            .rules
+            .iter()
+            .enumerate()
+            .map(|(i, rule)| resolve_rule(&program, i, rule).ok().unwrap())
+            .collect();
+        let leaf = program.statics[0].body.clone();
+        let block = |items| RExpr {
+            kind: RExprKind::Block(items),
+            ..leaf.clone()
+        };
+        let shapes = [
+            block(vec![block(vec![leaf.clone()]), leaf.clone()]),
+            block(vec![block(vec![leaf.clone(), leaf.clone()])]),
+        ];
+        let keys: Vec<u64> = shapes
+            .into_iter()
+            .map(|body| {
+                program.statics[0].body = body;
+                let cx = ProgramCx::build(&program, &resolved);
+                let (mi, (id, m)) = cx
+                    .methods
+                    .iter()
+                    .enumerate()
+                    .find(|(_, (id, _))| id.is_static())
+                    .unwrap();
+                let nodes = preorder(&m.body);
+                method_key(&cx, set.fingerprint, mi, *id, m, &nodes)
+            })
+            .collect();
+        assert_ne!(keys[0], keys[1]);
     }
 }

@@ -327,10 +327,36 @@ impl<'a> Interp<'a> {
         }
     }
 
-    fn eval(&mut self, frame: &mut Frame, e: &RExpr) -> Result<Value, RuntimeError> {
+    /// Evaluates one block item. A `let` is handled here rather than in
+    /// [`Self::eval`], so temporaries nested in initializers cost one
+    /// `eval` frame per level.
+    fn item(&mut self, frame: &mut Frame, e: &RExpr) -> Result<Value, RuntimeError> {
+        let RExprKind::Let { var, init } = &e.kind else {
+            return self.eval(frame, e);
+        };
+        self.tick()?;
+        frame.vars[var.index()] = match init {
+            Some(init) => self.eval(frame, init)?,
+            // Fresh declaration without initializer: reset the slot (loops
+            // re-enter Lets).
+            None => default_value(self.p.kernel.method(frame.method).vars[var.index()].ty),
+        };
+        Ok(Value::Unit)
+    }
+
+    /// Counts one evaluation step against the limit.
+    fn tick(&mut self) -> Result<(), RuntimeError> {
         self.steps += 1;
         if self.steps > self.limit {
             return Err(RuntimeError::StepLimit);
+        }
+        Ok(())
+    }
+
+    fn eval(&mut self, frame: &mut Frame, e: &RExpr) -> Result<Value, RuntimeError> {
+        // A block's steps are its statements' (see below).
+        if !matches!(e.kind, RExprKind::Block(_)) {
+            self.tick()?;
         }
         match &e.kind {
             RExprKind::Unit => Ok(Value::Unit),
@@ -438,22 +464,18 @@ impl<'a> Interp<'a> {
             RExprKind::CallStatic { method, inst, args } => {
                 self.call(frame, *method, None, *method, inst, args, e.span)
             }
-            RExprKind::Seq(a, b) => {
-                self.eval(frame, a)?;
-                self.eval(frame, b)
-            }
-            RExprKind::Let { var, init, body } => {
-                if let Some(init) = init {
-                    let v = self.eval(frame, init)?;
-                    frame.vars[var.index()] = v;
-                } else {
-                    // Fresh declaration without initializer: reset the slot
-                    // (loops re-enter Lets).
-                    let ty = self.p.kernel.method(frame.method).vars[var.index()].ty;
-                    frame.vars[var.index()] = default_value(ty);
+            RExprKind::Block(items) => {
+                // Sequencing a discarded statement is one step.
+                let mut value = Value::Unit;
+                for (i, item) in items.iter().enumerate() {
+                    if i + 1 < items.len() && !matches!(item.kind, RExprKind::Let { .. }) {
+                        self.tick()?;
+                    }
+                    value = self.item(frame, item)?;
                 }
-                self.eval(frame, body)
+                Ok(value)
             }
+            RExprKind::Let { .. } => self.item(frame, e),
             RExprKind::Letreg(r, inner) => {
                 if self.erase {
                     // Region-erasure semantics: the letreg is a no-op.
@@ -480,10 +502,7 @@ impl<'a> Interp<'a> {
             }
             RExprKind::While { cond, body } => {
                 loop {
-                    self.steps += 1;
-                    if self.steps > self.limit {
-                        return Err(RuntimeError::StepLimit);
-                    }
+                    self.tick()?;
                     let c = self.eval(frame, cond)?.as_bool().expect("condition");
                     if !c {
                         break;

@@ -307,24 +307,19 @@ fn hash_regs(rs: &[RegVar], env: &RegionSlots, h: &mut DefaultHasher) {
 fn hash_rexpr(e: &RExpr, env: &mut RegionSlots, h: &mut DefaultHasher) {
     std::mem::discriminant(&e.kind).hash(h);
     hash_span(e.span, h);
+    // The node's own payload, then its children.
     match &e.kind {
-        RExprKind::Unit | RExprKind::Null => {}
         RExprKind::Int(v) => v.hash(h),
         RExprKind::Bool(v) => v.hash(h),
         RExprKind::Float(v) => v.to_bits().hash(h),
-        RExprKind::Var(v) => v.hash(h),
-        RExprKind::Field(v, fr) => {
+        RExprKind::Var(v)
+        | RExprKind::ArrayLen(v)
+        | RExprKind::AssignVar(v, _)
+        | RExprKind::Index(v, _)
+        | RExprKind::AssignIndex(v, _, _) => v.hash(h),
+        RExprKind::Field(v, fr) | RExprKind::AssignField(v, fr, _) => {
             v.hash(h);
             fr.index.hash(h);
-        }
-        RExprKind::AssignVar(v, rhs) => {
-            v.hash(h);
-            hash_rexpr(rhs, env, h);
-        }
-        RExprKind::AssignField(v, fr, rhs) => {
-            v.hash(h);
-            fr.index.hash(h);
-            hash_rexpr(rhs, env, h);
         }
         RExprKind::New {
             class,
@@ -335,21 +330,10 @@ fn hash_rexpr(e: &RExpr, env: &mut RegionSlots, h: &mut DefaultHasher) {
             hash_regs(regions, env, h);
             args.hash(h);
         }
-        RExprKind::NewArray { elem, region, len } => {
+        RExprKind::NewArray { elem, region, .. } => {
             elem.hash(h);
             env.resolve(*region).hash(h);
-            hash_rexpr(len, env, h);
         }
-        RExprKind::Index(v, idx) => {
-            v.hash(h);
-            hash_rexpr(idx, env, h);
-        }
-        RExprKind::AssignIndex(v, idx, val) => {
-            v.hash(h);
-            hash_rexpr(idx, env, h);
-            hash_rexpr(val, env, h);
-        }
-        RExprKind::ArrayLen(v) => v.hash(h),
         RExprKind::CallVirtual {
             recv,
             method,
@@ -366,51 +350,32 @@ fn hash_rexpr(e: &RExpr, env: &mut RegionSlots, h: &mut DefaultHasher) {
             hash_regs(inst, env, h);
             args.hash(h);
         }
-        RExprKind::Seq(a, b) => {
-            hash_rexpr(a, env, h);
-            hash_rexpr(b, env, h);
-        }
-        RExprKind::Let { var, init, body } => {
+        RExprKind::Block(items) => items.len().hash(h),
+        RExprKind::Let { var, init } => {
             var.hash(h);
             init.is_some().hash(h);
-            if let Some(i) = init {
-                hash_rexpr(i, env, h);
-            }
-            hash_rexpr(body, env, h);
-        }
-        RExprKind::Letreg(r, inner) => {
-            let (slot, shadowed) = env.bind(*r);
-            slot.hash(h);
-            hash_rexpr(inner, env, h);
-            env.unbind(*r, shadowed);
-        }
-        RExprKind::If {
-            cond,
-            then_e,
-            else_e,
-        } => {
-            hash_rexpr(cond, env, h);
-            hash_rexpr(then_e, env, h);
-            hash_rexpr(else_e, env, h);
-        }
-        RExprKind::While { cond, body } => {
-            hash_rexpr(cond, env, h);
-            hash_rexpr(body, env, h);
         }
         RExprKind::Cast { class, var, .. } => {
             class.hash(h);
             var.hash(h);
         }
-        RExprKind::Unary(op, a) => {
-            std::mem::discriminant(op).hash(h);
-            hash_rexpr(a, env, h);
+        RExprKind::Unary(op, _) => std::mem::discriminant(op).hash(h),
+        RExprKind::Binary(op, _, _) => std::mem::discriminant(op).hash(h),
+        _ => {}
+    }
+    let bound = match &e.kind {
+        RExprKind::Letreg(r, _) => {
+            let (slot, shadowed) = env.bind(*r);
+            slot.hash(h);
+            Some((*r, shadowed))
         }
-        RExprKind::Binary(op, a, b) => {
-            std::mem::discriminant(op).hash(h);
-            hash_rexpr(a, env, h);
-            hash_rexpr(b, env, h);
-        }
-        RExprKind::Print(a) => hash_rexpr(a, env, h),
+        _ => None,
+    };
+    for c in e.children() {
+        hash_rexpr(c, env, h);
+    }
+    if let Some((r, shadowed)) = bound {
+        env.unbind(r, shadowed);
     }
 }
 
@@ -693,39 +658,42 @@ impl FnLowerer<'_> {
         (a, self.operand(r))
     }
 
-    /// Lowers `e`, delivering its value as `want` asks.
-    fn expr(&mut self, mut e: &RExpr, want: Want) {
-        let mark = self.next_temp;
-        // Statement sequences and `let` bodies are tail positions: walk
-        // them iteratively, so long methods don't deepen the recursion.
-        loop {
-            match &e.kind {
-                RExprKind::Seq(a, b) => {
-                    self.expr(a, Want::Effect);
-                    e = b;
-                }
-                RExprKind::Let { var, init, body } => {
-                    let into = Want::Into(var_reg(*var));
-                    match init {
-                        Some(init) => self.expr(init, into),
-                        // A fresh declaration without initializer resets
-                        // the slot (loops re-enter lets).
-                        None => self.constant(lit_default(self.km.var_ty(*var)), into, e.span),
-                    }
-                    e = body;
-                }
-                _ => break,
-            }
+    /// [`Self::expr`] for a block item. A `let` is handled here, so
+    /// temporaries nested in initializers cost one `node` frame per level.
+    fn item(&mut self, e: &RExpr, want: Want) {
+        let RExprKind::Let { var, init } = &e.kind else {
+            return self.expr(e, want);
+        };
+        let into = Want::Into(var_reg(*var));
+        match init {
+            Some(init) => self.expr(init, into),
+            // A fresh declaration without initializer resets the slot
+            // (loops re-enter lets).
+            None => self.constant(lit_default(self.km.var_ty(*var)), into, e.span),
         }
+        self.constant(Lit::Unit, want, e.span);
+    }
+
+    /// Lowers `e`, delivering its value as `want` asks.
+    fn expr(&mut self, e: &RExpr, want: Want) {
+        let mark = self.next_temp;
         self.node(e, want);
         self.next_temp = mark;
     }
 
-    /// Lowers one expression that is not a statement sequence or `let`.
     fn node(&mut self, e: &RExpr, want: Want) {
         let span = e.span;
         match &e.kind {
-            RExprKind::Seq(..) | RExprKind::Let { .. } => unreachable!("lowered by `expr`"),
+            RExprKind::Block(items) => match items.split_last() {
+                Some((last, init)) => {
+                    for item in init {
+                        self.item(item, Want::Effect);
+                    }
+                    self.item(last, want);
+                }
+                None => self.constant(Lit::Unit, want, span),
+            },
+            RExprKind::Let { .. } => self.item(e, want),
             RExprKind::Unit
             | RExprKind::Null
             | RExprKind::Int(_)

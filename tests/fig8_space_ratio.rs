@@ -96,9 +96,14 @@ fn reynolds3_letreg_placement_depth_is_pinned() {
                 letreg_depths(cond, depth, out);
                 letreg_depths(body, depth + 1, out);
             }
-            K::Seq(a, b) | K::Binary(_, a, b) | K::AssignIndex(_, a, b) => {
+            K::Binary(_, a, b) | K::AssignIndex(_, a, b) => {
                 letreg_depths(a, depth, out);
                 letreg_depths(b, depth, out);
+            }
+            K::Block(items) => {
+                for item in items {
+                    letreg_depths(item, depth, out);
+                }
             }
             K::AssignVar(_, a)
             | K::AssignField(_, _, a)
@@ -106,12 +111,7 @@ fn reynolds3_letreg_placement_depth_is_pinned() {
             | K::Index(_, a)
             | K::Unary(_, a)
             | K::Print(a) => letreg_depths(a, depth, out),
-            K::Let { init, body, .. } => {
-                if let Some(i) = init {
-                    letreg_depths(i, depth, out);
-                }
-                letreg_depths(body, depth, out);
-            }
+            K::Let { init: Some(i), .. } => letreg_depths(i, depth, out),
             _ => {}
         }
     }

@@ -1,0 +1,102 @@
+//! Whole-pipeline scale tests. Every case runs on a thread with an
+//! explicit 2 MiB stack — the stack a daemon worker gets — so a pass that
+//! recursed once per statement, declaration or argument would overflow
+//! here instead of in a user's daemon.
+//!
+//! - Long and wide legal programs (30,000 statements, declarations,
+//!   computed call arguments, loop-body statements) go through inference,
+//!   the region checker (Theorem 1) and both engines under both extent
+//!   modes, and the engines must agree on value, prints and space.
+//! - Programs nested ten times past the parser's budget in every shape it
+//!   counts are rejected with a "nesting too deep" diagnostic, and the
+//!   same shapes just inside the budget compile and run.
+
+#[path = "../crates/driver/tests/common/hostile.rs"]
+mod hostile;
+
+use region_inference::prelude::*;
+
+/// The parser's nesting budget.
+const BUDGET: usize = 64;
+
+/// Runs `f` on a fresh thread with a 2 MiB stack.
+fn on_worker_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn_scoped(s, f)
+            .expect("spawn")
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
+}
+
+/// Infers, checks and runs `src` on both engines under both extent modes;
+/// returns the agreed value.
+fn compile_check_run(name: &str, src: &str) -> Value {
+    let mut session = Session::new(src, SessionOptions::default());
+    let mut values = Vec::new();
+    for extent in [ExtentMode::Paper, ExtentMode::Liveness] {
+        let opts = InferOptions {
+            extent,
+            ..InferOptions::default()
+        };
+        let compilation = session
+            .check_with(opts)
+            .unwrap_or_else(|d| panic!("{name} ({extent:?}) compiles: {d}"));
+        check(&compilation.program)
+            .unwrap_or_else(|e| panic!("{name} ({extent:?}): Theorem 1 violated: {e}"));
+        let compiled = session.compiled_with(opts).expect("lowers");
+        let rvm = region_inference::rvm::run_main(&compiled, &[], RunConfig::default())
+            .unwrap_or_else(|e| panic!("{name} ({extent:?}) runs on rvm: {e}"));
+        let interp = run_main(&compilation.program, &[], RunConfig::default())
+            .unwrap_or_else(|e| panic!("{name} ({extent:?}) runs on interp: {e}"));
+        assert_eq!(rvm.value, interp.value, "{name} ({extent:?}): values");
+        assert_eq!(rvm.prints, interp.prints, "{name} ({extent:?}): prints");
+        assert_eq!(rvm.space, interp.space, "{name} ({extent:?}): space");
+        values.push(rvm.value);
+    }
+    assert_eq!(values[0], values[1], "{name}: extent modes disagree");
+    values.pop().expect("a value")
+}
+
+#[test]
+fn long_and_wide_programs_compile_check_and_run() {
+    let n = 30_000;
+    let expected = [
+        ("statements", Value::Int(n as i64)),
+        ("declarations", Value::Int(n as i64 - 1)),
+        ("arguments", Value::Int(2 + (n as i64 - 1) % 7)),
+        ("loop body", Value::Int(3 * n as i64 + 3)),
+    ];
+    for ((name, src), (expected_name, value)) in hostile::long_programs(n).into_iter().zip(expected)
+    {
+        assert_eq!(name, expected_name);
+        let got = on_worker_stack(|| compile_check_run(name, &src));
+        assert_eq!(got, value, "{name}");
+    }
+}
+
+#[test]
+fn programs_past_the_nesting_budget_are_diagnosed() {
+    for (name, src) in hostile::deep_programs(10 * BUDGET) {
+        let diags = on_worker_stack(|| Session::new(&src, SessionOptions::default()).check())
+            .err()
+            .unwrap_or_else(|| panic!("{name}: over-deep input accepted"));
+        assert!(
+            diags.iter().any(|d| d.message.contains("nesting too deep")),
+            "{name}: {diags}"
+        );
+    }
+}
+
+#[test]
+fn programs_just_inside_the_nesting_budget_run() {
+    // An unoptimized build's frames are several times larger, so on the
+    // same 2 MiB stack it checks a shallower depth; CI also runs this
+    // test in release, where 60 levels fit in every shape.
+    let depth = if cfg!(debug_assertions) { 40 } else { 60 };
+    for (name, src) in hostile::deep_programs(depth) {
+        on_worker_stack(|| compile_check_run(name, &src));
+    }
+}
