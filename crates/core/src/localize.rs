@@ -131,47 +131,57 @@ pub fn localize(
     collect_occurrences(&res, &res.body, 0, &mut blocks, &mut lca, &locals);
 
     // ---- group regions per block, innermost first ----------------------
-    let order = blocks.post_order();
-    let mut remaining: BTreeSet<RegVar> = locals.iter().copied().filter(|r| !r.is_heap()).collect();
-    let mut consumed: BTreeSet<RegVar> = BTreeSet::new();
-    let mut groups: BTreeMap<usize, (RegVar, BTreeSet<RegVar>)> = BTreeMap::new();
+    // A block's bucket holds the remaining locals whose occurrences all fall
+    // inside it; what a block does not consume moves up to its parent.
+    let mut buckets: Vec<Vec<RegVar>> = vec![Vec::new(); blocks.len()];
+    // Remaining locals per class representative.
+    let mut held: HashMap<RegVar, usize> = HashMap::new();
+    let mut remaining = 0;
+    for &r in locals.iter().filter(|r| !r.is_heap()) {
+        buckets[lca.get(&r).copied().unwrap_or(0)].push(r);
+        *held.entry(solver.find(r)).or_default() += 1;
+        remaining += 1;
+    }
+    let mut groups: BTreeMap<usize, RegVar> = BTreeMap::new();
     let mut resolve: HashMap<RegVar, RegVar> = HashMap::new();
-    for &b in &order {
-        // Candidates: remaining locals whose occurrences all fall inside b.
-        let mut x: BTreeSet<RegVar> = remaining
-            .iter()
-            .copied()
-            .filter(|r| blocks.is_within(*lca.get(r).unwrap_or(&0), b))
-            .collect();
-        // Greatest fixpoint: drop regions that outlive a region surviving b.
-        loop {
-            let outside: Vec<RegVar> = remaining
-                .iter()
-                .copied()
-                .filter(|r| !x.contains(r))
-                .collect();
-            let mut dropped = false;
-            let members: Vec<RegVar> = x.iter().copied().collect();
-            for r in members {
-                if outside.iter().any(|&s| solver.outlives_holds(r, s)) {
-                    x.remove(&r);
-                    dropped = true;
-                }
-            }
-            if !dropped {
-                break;
+    for b in blocks.post_order() {
+        let candidates = std::mem::take(&mut buckets[b]);
+        // Drop the candidates that outlive a remaining region outside b:
+        // those whose representative reaches one that still holds such a
+        // region. One round is the greatest fixpoint, because `≥` is
+        // transitive: whatever outlives a dropped candidate outlives the
+        // outside region that dropped it.
+        let mut inside: HashMap<RegVar, usize> = HashMap::new();
+        for &r in &candidates {
+            *inside.entry(solver.find(r)).or_default() += 1;
+        }
+        let any_outside = remaining > candidates.len();
+        let escapes = solver.outlives_any(&candidates, |rep| {
+            held.get(&rep).copied().unwrap_or(0) > inside.get(&rep).copied().unwrap_or(0)
+        });
+        let (mut group, mut surviving) = (Vec::new(), Vec::new());
+        for (r, escapes) in candidates.into_iter().zip(escapes) {
+            // `escapes` is also true for a heap representative, which
+            // outlives every outside region there is.
+            if escapes && any_outside {
+                surviving.push(r);
+            } else {
+                group.push(r);
             }
         }
-        if x.is_empty() {
+        if let Some(parent) = blocks.parent[b] {
+            buckets[parent].append(&mut surviving);
+        }
+        if group.is_empty() {
             continue;
         }
         let rho = ctx.gen.fresh();
-        for &r in &x {
+        for &r in &group {
             resolve.insert(r, rho);
-            remaining.remove(&r);
-            consumed.insert(r);
+            *held.get_mut(&solver.find(r)).expect("held") -= 1;
         }
-        groups.insert(b, (rho, x));
+        remaining -= group.len();
+        groups.insert(b, rho);
     }
 
     // ---- final region resolution ---------------------------------------
@@ -186,8 +196,8 @@ pub fn localize(
     // ---- pass 2: rebuild the tree with letregs and resolved regions ----
     let mut body = res.body;
     rewrite(&mut body, &mut 1, &groups, &resolve_fn);
-    if let Some((rho, _)) = groups.get(&0) {
-        body = wrap_letreg(*rho, body);
+    if let Some(&rho) = groups.get(&0) {
+        body = wrap_letreg(rho, body);
     }
     let var_types: Vec<RType> = res
         .var_types
@@ -195,7 +205,7 @@ pub fn localize(
         .map(|t| map_rtype_regions(t, &resolve_fn))
         .collect();
     let ret_type = map_rtype_regions(ret_type, &resolve_fn);
-    let letregs = groups.values().map(|(rho, _)| *rho).collect();
+    let letregs = groups.values().copied().collect();
     Localized {
         body,
         var_types,
@@ -222,15 +232,8 @@ impl BlockTree {
         self.parent.len() - 1
     }
 
-    fn is_within(&self, b: usize, ancestor: usize) -> bool {
-        let mut cur = Some(b);
-        while let Some(c) = cur {
-            if c == ancestor {
-                return true;
-            }
-            cur = self.parent[c];
-        }
-        false
+    fn len(&self) -> usize {
+        self.parent.len()
     }
 
     fn depth(&self, mut b: usize) -> usize {
@@ -322,7 +325,7 @@ fn collect_occurrences(
 fn rewrite(
     e: &mut RExpr,
     counter: &mut usize,
-    groups: &BTreeMap<usize, (RegVar, BTreeSet<RegVar>)>,
+    groups: &BTreeMap<usize, RegVar>,
     f: &impl Fn(RegVar) -> RegVar,
 ) {
     e.map_own_regions(f);
@@ -345,10 +348,10 @@ fn rewrite(
         let b = *counter;
         *counter += 1;
         rewrite(arm, counter, groups, f);
-        if let Some((rho, _)) = groups.get(&b) {
+        if let Some(&rho) = groups.get(&b) {
             let span = arm.span;
             let inner = std::mem::replace(&mut **arm, RExpr::unit(span));
-            **arm = wrap_letreg(*rho, inner);
+            **arm = wrap_letreg(rho, inner);
         }
     }
 }

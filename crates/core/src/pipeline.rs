@@ -147,7 +147,9 @@ pub fn infer_with_cache(
     cache: &mut InferCache,
 ) -> Result<(RProgram, InferStats), InferError> {
     let mut stats = InferStats::default();
+    let signatures_span = cj_trace::span("pipeline", "signatures");
     let mut ctx = Ctx::new(kp, opts);
+    drop(signatures_span);
     if let Some(info) = &ctx.downcast_info {
         stats.downcast_sites = info.downcast_count;
     }
@@ -228,17 +230,26 @@ pub fn infer_with_cache(
         closed = solved;
 
         let mut changed = false;
+        let mut instantiate_span = cj_trace::span("pipeline", "repair-instantiate");
+        let mut instantiated = 0;
         for &id in &ids {
             let res = &bodies[&id];
             let sig_name = ctx.msigs[&id].abs_name.clone();
             let abs_params = ctx.msigs[&id].abs_params.clone();
             let mut solver = full_solver(res, &closed);
             let added = localize::instantiate_escaping(&mut solver, &abs_params, res);
+            instantiated += added.len();
             if !added.is_empty() && ctx.raw.add_atoms(&sig_name, &added) {
                 changed = true;
             }
         }
+        instantiate_span.add("methods", ids.len() as u64);
+        instantiate_span.add("atoms", instantiated as u64);
+        drop(instantiate_span);
+        let mut overrides_span = cj_trace::span("pipeline", "resolve-overrides");
         let repairs = resolve_overrides(&mut ctx, &closed);
+        overrides_span.add("repairs", repairs as u64);
+        drop(overrides_span);
         stats.override_repairs += repairs;
         changed |= repairs > 0;
 
@@ -257,15 +268,15 @@ pub fn infer_with_cache(
     drop(solve_span);
 
     // ---- finalization ----------------------------------------------------
+    let mut finalize_span = cj_trace::span("pipeline", "finalize");
     let mut methods: Vec<Vec<RMethod>> = vec![Vec::new(); kp.table.len()];
     let mut statics: Vec<RMethod> = Vec::new();
     for &id in &ids {
         let res = bodies.remove(&id).expect("present");
         let sig = ctx.msigs[&id].clone();
         let mut solver = full_solver(&res, &closed);
-        // Re-apply the escaping instantiation equalities for this method
-        // (they are part of its raw atoms already; the solver sees them via
-        // the closed pre? No — they live in raw atoms, so rebuild from raw).
+        // Re-apply the escaping instantiation equalities for this method,
+        // which the repair loop added to its raw atoms.
         let raw_atoms = &ctx.raw.get(&sig.abs_name).expect("registered").body.atoms;
         solver.add_set(raw_atoms);
         let loc = localize::localize(&mut ctx, &mut solver, &sig.abs_params, res, &sig.ret_type);
@@ -312,6 +323,10 @@ pub fn infer_with_cache(
             }
         })
         .collect();
+
+    finalize_span.add("methods", ids.len() as u64);
+    finalize_span.add("letregs", stats.localized_regions as u64);
+    drop(finalize_span);
 
     stats.regions_created = ctx.gen.count() as usize;
     let program = RProgram {
@@ -410,7 +425,11 @@ fn solve_all_memo_as(
 ) -> (AbsEnv, usize) {
     let mut env = raw.clone();
     let mut iterations = 0;
-    for group in condensation(raw) {
+    let mut condensation_span = cj_trace::span("pipeline", "condensation");
+    let groups = condensation(raw);
+    condensation_span.add("sccs", groups.len() as u64);
+    drop(condensation_span);
+    for group in groups {
         let outcome = solve_scc_memo_as(&mut env, &group, memo, client);
         record_outcome(outcome, stats, &mut iterations);
     }

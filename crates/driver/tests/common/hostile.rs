@@ -3,7 +3,10 @@
 //! Shared by the daemon end-to-end test and the root scale tests.
 
 /// Legal programs with `n` statements, `n` declarations, one call with
-/// `n` computed arguments, and a loop body of `n` statements.
+/// `n` computed arguments, a loop body of `n` statements, `n` chained
+/// allocations, and `n / 3` sequential `if`/`else` blocks that allocate
+/// (a third, so that 30,000 still fits the 1 MiB file limit). The last two
+/// give one method thousands of local regions to localize.
 pub fn long_programs(n: usize) -> Vec<(&'static str, String)> {
     let main = |body: String| format!("class M {{ static int main() {{ {body} }} }}");
     let params: Vec<String> = (0..n).map(|i| format!("int a{i}")).collect();
@@ -41,6 +44,24 @@ pub fn long_programs(n: usize) -> Vec<(&'static str, String)> {
                  while (i < 3) {{ C c = new C(i); x = x + c.v; {}i = i + 1; }} \
                  print(x); x }} }}",
                 "x = x + 1; ".repeat(n)
+            ),
+        ),
+        (
+            "allocation chain",
+            format!(
+                "class C {{ C f; }} class M {{ static int main() {{ \
+                 C c = new C(null); {}if (c.f == null) {{ 0 }} else {{ 1 }} }} }}",
+                "c = new C(c); ".repeat(n)
+            ),
+        ),
+        (
+            "allocating blocks",
+            format!(
+                "class C {{ C f; }} class M {{ static int main() {{ \
+                 C c = new C(null); int i = 0; {}i }} }}",
+                "if (i < 1) { C d = new C(c); c = d; i = i + 1; } \
+                 else { C e = new C(null); } "
+                    .repeat(n / 3)
             ),
         ),
     ]

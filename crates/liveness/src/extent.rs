@@ -62,8 +62,6 @@ pub fn tighten_method(m: &mut RMethod) -> ExtentStats {
     stats.methods = 1;
     stats.letregs = before.letregs.len();
     stats.points = before.points.len();
-    let interest = m.localized.iter().copied().collect();
-    stats.live_pairs = before.liveness(&interest).iter().map(|s| s.len()).sum();
     stats.extent_points_before = before.letregs.iter().map(|&(_, lo, hi)| hi - lo).sum();
 
     let mut rw = Rewriter {

@@ -68,9 +68,6 @@ pub struct ExtentStats {
     pub dropped: usize,
     /// Control-flow points across all rewritten methods.
     pub points: usize,
-    /// Sum of per-point live localized-region counts (the liveness
-    /// solver's output size; a fidelity metric, not a cost).
-    pub live_pairs: usize,
     /// Sum of `letreg` extent lengths (in points) before rewriting.
     pub extent_points_before: usize,
     /// Sum of `letreg` extent lengths (in points) after rewriting.
@@ -84,7 +81,6 @@ impl ExtentStats {
         self.narrowed += other.narrowed;
         self.dropped += other.dropped;
         self.points += other.points;
-        self.live_pairs += other.live_pairs;
         self.extent_points_before += other.extent_points_before;
         self.extent_points_after += other.extent_points_after;
     }

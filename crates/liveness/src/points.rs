@@ -24,7 +24,7 @@
 
 use cj_infer::rast::{RExpr, RExprKind, RMethod, RType};
 use cj_regions::var::RegVar;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// One control-flow point.
 #[derive(Debug, Clone, Default)]
@@ -104,9 +104,17 @@ impl PointGraph {
     /// its binding's `[push, pop]` extent — the invariant the extent
     /// rewriter must uphold.
     pub fn extents_cover_uses(&self) -> bool {
-        self.letregs
-            .iter()
-            .all(|&(r, push, pop)| self.use_points(r).iter().all(|&p| p >= push && p <= pop))
+        let mut extents: HashMap<RegVar, Vec<(usize, usize)>> = HashMap::new();
+        for &(r, push, pop) in &self.letregs {
+            extents.entry(r).or_default().push((push, pop));
+        }
+        self.points.iter().enumerate().all(|(p, point)| {
+            point.uses.iter().all(|r| {
+                extents
+                    .get(r)
+                    .is_none_or(|exts| exts.iter().all(|&(push, pop)| push <= p && p <= pop))
+            })
+        })
     }
 }
 

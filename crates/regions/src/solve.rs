@@ -24,9 +24,31 @@
 
 use crate::constraint::{Atom, ConstraintSet};
 use crate::var::RegVar;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The dense index of a region variable inside one [`Solver`].
+type Slot = u32;
 
 /// An incremental solver for region constraints. See the module docs.
+///
+/// Every variable gets a dense slot the first time the solver sees it;
+/// the union-find parents, the outlives edges and the search marks are
+/// `Vec`s indexed by slot.
+///
+/// **Representatives.** A class is represented by the heap if it contains
+/// the heap, and otherwise by its smallest variable id (typically the
+/// earliest-created signature region). [`find`](Solver::find) returns that
+/// variable.
+///
+/// **Lazy normalization.** Adding a constraint only records it: an
+/// equality merges two classes at once, an outlives atom adds one edge,
+/// and `r ≥ heap` merges `r` into the heap. Collapsing `≥`-cycles into
+/// equalities is deferred to [`normalize`](Solver::normalize), which every
+/// query (`equal`, `outlives_holds`, `entails*`, `project`,
+/// `escape_closure`, `solved_form`, `outlives_any`) runs first. So between
+/// an `add_*` and the next query, `find` reflects only the merges made so
+/// far, not the cycles the new edges close.
 ///
 /// # Examples
 ///
@@ -39,14 +61,52 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 /// s.add_outlives(b, c);
 /// assert!(s.entails_atom(Atom::outlives(a, c))); // transitivity
 /// s.add_outlives(c, a);
-/// assert!(s.entails_atom(Atom::eq(a, c))); // cycle collapses
+/// assert_eq!(s.find(c), c); // the cycle is not collapsed yet...
+/// assert!(s.entails_atom(Atom::eq(a, c))); // ...until a query normalizes
+/// assert_eq!(s.find(c), a);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Solver {
-    parent: HashMap<RegVar, RegVar>,
-    /// Outlives edges between representatives: `src ≥ dst`.
-    edges: HashMap<RegVar, BTreeSet<RegVar>>,
+    /// The slot of every variable seen so far.
+    slots: HashMap<RegVar, Slot, BuildHasherDefault<VarHasher>>,
+    /// The variable of each slot.
+    vars: Vec<RegVar>,
+    /// Union-find parent of each slot; a representative is its own parent.
+    parent: Vec<Slot>,
+    /// Outlives edges `src ≥ dst` out of each representative. Until the
+    /// next normalization a target may be stale (no longer a
+    /// representative) or repeated.
+    edges: Vec<Vec<Slot>>,
+    /// Search marks, all false between searches.
+    seen: Vec<bool>,
+    /// [`Solver::outlives_any`]'s memo: the slot reaches a target.
+    hit: Vec<bool>,
     dirty: bool,
+}
+
+/// A multiplicative hasher for the slot map: region ids are small
+/// integers, so SipHash's DoS resistance buys nothing here.
+#[derive(Default)]
+struct VarHasher(u64);
+
+impl Hasher for VarHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
 }
 
 impl Solver {
@@ -62,58 +122,88 @@ impl Solver {
         s
     }
 
-    /// Representative of `v`'s equivalence class.
-    pub fn find(&self, mut v: RegVar) -> RegVar {
-        while let Some(&p) = self.parent.get(&v) {
-            if p == v {
-                break;
-            }
-            v = p;
+    /// The slot of `v`, assigned on first sight.
+    fn slot(&mut self, v: RegVar) -> Slot {
+        let next = self.vars.len() as Slot;
+        let s = *self.slots.entry(v).or_insert(next);
+        if s == next {
+            self.vars.push(v);
+            self.parent.push(s);
+            self.edges.push(Vec::new());
+            self.seen.push(false);
+            self.hit.push(false);
         }
-        v
+        s
     }
 
-    fn union(&mut self, a: RegVar, b: RegVar) {
-        let (ra, rb) = (self.find(a), self.find(b));
+    /// Representative slot of `s`.
+    fn root(&self, mut s: Slot) -> Slot {
+        while self.parent[s as usize] != s {
+            s = self.parent[s as usize];
+        }
+        s
+    }
+
+    /// Representative slot of `s`, halving the path on the way.
+    fn root_mut(&mut self, mut s: Slot) -> Slot {
+        while self.parent[s as usize] != s {
+            let grandparent = self.parent[self.parent[s as usize] as usize];
+            self.parent[s as usize] = grandparent;
+            s = grandparent;
+        }
+        s
+    }
+
+    /// Representative of `v`'s equivalence class (see the type docs for
+    /// which variable that is).
+    pub fn find(&self, v: RegVar) -> RegVar {
+        match self.slots.get(&v) {
+            Some(&s) => self.vars[self.root(s) as usize],
+            None => v,
+        }
+    }
+
+    fn union(&mut self, a: Slot, b: Slot) {
+        let (ra, rb) = (self.root_mut(a), self.root_mut(b));
         if ra == rb {
             return;
         }
-        // The heap always wins; otherwise the smaller id (typically the
-        // earlier-created signature region) represents the class.
-        let (winner, loser) = if ra.is_heap() {
-            (ra, rb)
-        } else if rb.is_heap() {
-            (rb, ra)
-        } else if ra < rb {
+        let (va, vb) = (self.vars[ra as usize], self.vars[rb as usize]);
+        let (winner, loser) = if va.is_heap() || (!vb.is_heap() && va < vb) {
             (ra, rb)
         } else {
             (rb, ra)
         };
-        self.parent.insert(loser, winner);
-        // Migrate the loser's edges.
-        if let Some(outs) = self.edges.remove(&loser) {
-            self.edges.entry(winner).or_default().extend(outs);
+        self.parent[loser as usize] = winner;
+        // Migrate the loser's edges, appending the shorter list.
+        let mut outs = std::mem::take(&mut self.edges[loser as usize]);
+        let kept = &mut self.edges[winner as usize];
+        if kept.len() < outs.len() {
+            std::mem::swap(kept, &mut outs);
         }
+        kept.append(&mut outs);
         self.dirty = true;
     }
 
     /// Adds `a = b`.
     pub fn add_eq(&mut self, a: RegVar, b: RegVar) {
-        self.union(a, b);
+        let (sa, sb) = (self.slot(a), self.slot(b));
+        self.union(sa, sb);
     }
 
     /// Adds `a ≥ b`.
     pub fn add_outlives(&mut self, a: RegVar, b: RegVar) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb || ra.is_heap() {
+        let (sa, sb) = (self.slot(a), self.slot(b));
+        let (ra, rb) = (self.root_mut(sa), self.root_mut(sb));
+        if ra == rb || self.vars[ra as usize].is_heap() {
             return; // trivial or axiomatic
         }
-        if rb.is_heap() {
+        if self.vars[rb as usize].is_heap() {
             // a >= heap forces a = heap.
             self.union(ra, rb);
             return;
         }
-        self.edges.entry(ra).or_default().insert(rb);
+        self.edges[ra as usize].push(rb);
         self.dirty = true;
     }
 
@@ -132,45 +222,60 @@ impl Solver {
         }
     }
 
-    /// Collapses `≥`-cycles into equalities and re-canonicalizes edges.
+    /// Collapses `≥`-cycles into equalities and re-canonicalizes edges:
+    /// afterwards every parent is a representative, every edge joins two
+    /// distinct representatives, no edge leaves or enters the heap, each
+    /// edge list is sorted and free of repeats, and the graph is acyclic.
     /// Queries call this automatically.
     pub fn normalize(&mut self) {
         while self.dirty {
             self.dirty = false;
+            let n = self.vars.len();
+            for s in 0..n as Slot {
+                let r = self.root_mut(s);
+                self.parent[s as usize] = r;
+            }
             // Canonicalize edge endpoints.
-            let mut canon: HashMap<RegVar, BTreeSet<RegVar>> = HashMap::new();
-            let mut to_heap: Vec<RegVar> = Vec::new();
-            for (&src, dsts) in &self.edges {
-                let s = self.find(src);
-                for &dst in dsts {
-                    let d = self.find(dst);
-                    if s == d || s.is_heap() {
-                        continue;
+            let mut to_heap: Vec<Slot> = Vec::new();
+            for s in 0..n {
+                if self.edges[s].is_empty() {
+                    continue;
+                }
+                debug_assert_eq!(self.parent[s] as usize, s, "edges leave representatives");
+                if self.vars[s].is_heap() {
+                    self.edges[s].clear();
+                    continue;
+                }
+                let (parent, vars) = (&self.parent, &self.vars);
+                let mut reaches_heap = false;
+                let outs = &mut self.edges[s];
+                outs.retain_mut(|d| {
+                    *d = parent[*d as usize];
+                    if vars[*d as usize].is_heap() {
+                        reaches_heap = true;
+                        return false;
                     }
-                    if d.is_heap() {
-                        to_heap.push(s);
-                        continue;
-                    }
-                    canon.entry(s).or_default().insert(d);
+                    *d as usize != s
+                });
+                outs.sort_unstable();
+                outs.dedup();
+                if reaches_heap {
+                    to_heap.push(s as Slot);
                 }
             }
-            self.edges = canon;
-            for s in to_heap {
-                self.union(s, RegVar::HEAP);
+            if !to_heap.is_empty() {
+                let heap = self.slot(RegVar::HEAP);
+                for s in to_heap {
+                    self.union(s, heap);
+                }
             }
             if self.dirty {
                 continue; // unions happened; re-canonicalize
             }
             // Collapse SCCs of the (now canonical) outlives graph.
-            let nodes: Vec<RegVar> = self.edges.keys().copied().collect();
-            let index: HashMap<RegVar, usize> =
-                nodes.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-            let sccs = tarjan(&nodes, &index, &self.edges);
-            for scc in sccs {
-                if scc.len() > 1 {
-                    for w in &scc[1..] {
-                        self.union(scc[0], *w);
-                    }
+            for scc in cycles(&self.edges) {
+                for &w in &scc[1..] {
+                    self.union(scc[0], w);
                 }
             }
         }
@@ -185,11 +290,8 @@ impl Solver {
     /// Whether the conjunction entails `a ≥ b`.
     pub fn outlives_holds(&mut self, a: RegVar, b: RegVar) -> bool {
         self.normalize();
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb || ra.is_heap() {
-            return true;
-        }
-        self.reaches(ra, rb)
+        let rb = self.find(b);
+        self.outlives_any(&[a], |rep| rep == rb)[0]
     }
 
     /// Whether the conjunction entails `atom`.
@@ -205,37 +307,21 @@ impl Solver {
         set.iter().all(|a| self.entails_atom(a))
     }
 
-    fn reaches(&self, from: RegVar, to: RegVar) -> bool {
-        let mut seen = BTreeSet::new();
-        let mut queue = VecDeque::from([from]);
-        while let Some(v) = queue.pop_front() {
-            if v == to {
-                return true;
-            }
-            if !seen.insert(v) {
-                continue;
-            }
-            if let Some(outs) = self.edges.get(&v) {
-                queue.extend(outs.iter().copied());
-            }
-        }
-        false
-    }
-
-    /// All representatives reachable from `from` (excluding itself unless on
-    /// a path), i.e. every region that `from` is known to outlive.
-    fn reach_set(&self, from: RegVar) -> BTreeSet<RegVar> {
-        let mut seen = BTreeSet::new();
-        let mut queue = VecDeque::from([from]);
-        while let Some(v) = queue.pop_front() {
-            if !seen.insert(v) {
-                continue;
-            }
-            if let Some(outs) = self.edges.get(&v) {
-                queue.extend(outs.iter().copied());
+    /// Marks in `seen` every slot reachable from `from`, itself included,
+    /// and returns them; the caller clears the marks.
+    fn mark_reachable(&mut self, from: Slot) -> Vec<Slot> {
+        let mut marked = vec![from];
+        self.seen[from as usize] = true;
+        let mut next = 0;
+        while let Some(&v) = marked.get(next) {
+            next += 1;
+            for &w in &self.edges[v as usize] {
+                if !std::mem::replace(&mut self.seen[w as usize], true) {
+                    marked.push(w);
+                }
             }
         }
-        seen
+        marked
     }
 
     /// Projects the conjunction onto `keep`: the strongest constraint over
@@ -257,21 +343,26 @@ impl Solver {
                 out.add_eq(pair[0], pair[1]);
             }
         }
-        // Outlives between groups via reachability.
-        let reprs: Vec<(RegVar, RegVar)> =
-            groups.iter().map(|(&rep, vars)| (rep, vars[0])).collect();
+        // Outlives between groups via reachability. A representative the
+        // solver has never seen reaches nothing.
+        let reprs: Vec<(Option<Slot>, RegVar)> = groups
+            .iter()
+            .map(|(rep, vars)| (self.slots.get(rep).copied(), vars[0]))
+            .collect();
         for &(rep_a, var_a) in &reprs {
-            let reach = self.reach_set(rep_a);
+            let Some(from) = rep_a else { continue };
+            let reached = self.mark_reachable(from);
             for &(rep_b, var_b) in &reprs {
-                if rep_a != rep_b && reach.contains(&rep_b) {
+                if rep_b.is_some_and(|to| to != from && self.seen[to as usize]) {
                     out.add_outlives(var_a, var_b);
                 }
             }
-            // Kept vars equal to heap surface as r = heap... they are
-            // handled because HEAP is its own representative: if a kept var
-            // collapsed into heap, its group representative is HEAP and the
-            // equality `v = heap` must be recorded explicitly.
+            for s in reached {
+                self.seen[s as usize] = false;
+            }
         }
+        // A kept var that collapsed into the heap has the heap as its
+        // group representative; record `v = heap` explicitly.
         for (&rep, vars) in &groups {
             if rep.is_heap() && !vars.contains(&RegVar::HEAP) {
                 out.add_eq(vars[0], RegVar::HEAP);
@@ -289,32 +380,79 @@ impl Solver {
         universe: &BTreeSet<RegVar>,
     ) -> BTreeSet<RegVar> {
         self.normalize();
-        // Reverse-reachability from seed representatives.
-        let seed_reps: BTreeSet<RegVar> = seeds.into_iter().map(|v| self.find(v)).collect();
-        let mut rev: HashMap<RegVar, Vec<RegVar>> = HashMap::new();
-        for (&src, dsts) in &self.edges {
-            for &dst in dsts {
-                rev.entry(dst).or_default().push(src);
-            }
-        }
-        let mut escaping: BTreeSet<RegVar> = BTreeSet::new();
-        let mut queue: VecDeque<RegVar> = seed_reps.iter().copied().collect();
-        while let Some(v) = queue.pop_front() {
-            if !escaping.insert(v) {
-                continue;
-            }
-            if let Some(preds) = rev.get(&v) {
-                queue.extend(preds.iter().copied());
-            }
-        }
+        let seeds: BTreeSet<RegVar> = seeds.into_iter().map(|v| self.find(v)).collect();
+        let universe: Vec<RegVar> = universe.iter().copied().collect();
+        let escapes = self.outlives_any(&universe, |rep| seeds.contains(&rep));
         universe
-            .iter()
-            .copied()
-            .filter(|&v| {
-                let r = self.find(v);
-                r.is_heap() || escaping.contains(&r)
-            })
+            .into_iter()
+            .zip(escapes)
+            .filter_map(|(v, escapes)| escapes.then_some(v))
             .collect()
+    }
+
+    /// For each of `sources`, whether it outlives some region whose
+    /// representative `is_target` accepts: whether its representative
+    /// reaches one such representative in zero or more outlives steps. A
+    /// source equal to the heap outlives everything and is answered `true`.
+    /// One memoized search over the acyclic normalized graph answers all
+    /// sources, so the cost is linear in the part of the graph they reach.
+    pub fn outlives_any(
+        &mut self,
+        sources: &[RegVar],
+        mut is_target: impl FnMut(RegVar) -> bool,
+    ) -> Vec<bool> {
+        self.normalize();
+        let mut marked: Vec<Slot> = Vec::new();
+        let mut stack: Vec<(Slot, usize)> = Vec::new();
+        let answers = sources
+            .iter()
+            .map(|&v| {
+                let Some(&slot) = self.slots.get(&v) else {
+                    return v.is_heap() || is_target(v);
+                };
+                let root = self.root(slot);
+                if self.vars[root as usize].is_heap() {
+                    return true;
+                }
+                if !self.seen[root as usize] {
+                    self.seen[root as usize] = true;
+                    self.hit[root as usize] = is_target(self.vars[root as usize]);
+                    marked.push(root);
+                    stack.push((root, 0));
+                }
+                // Iterative post-order: a slot's answer is final once it is
+                // popped, and no slot is pushed twice since the graph is
+                // acyclic.
+                while let Some(&(u, i)) = stack.last() {
+                    let next = match self.hit[u as usize] {
+                        true => None,
+                        false => self.edges[u as usize].get(i).copied(),
+                    };
+                    let Some(w) = next else {
+                        stack.pop();
+                        if let Some(&(p, _)) = stack.last() {
+                            self.hit[p as usize] |= self.hit[u as usize];
+                        }
+                        continue;
+                    };
+                    stack.last_mut().expect("nonempty").1 += 1;
+                    if !self.seen[w as usize] {
+                        self.seen[w as usize] = true;
+                        self.hit[w as usize] = is_target(self.vars[w as usize]);
+                        marked.push(w);
+                        stack.push((w, 0));
+                    } else if self.hit[w as usize] {
+                        self.hit[u as usize] = true;
+                    }
+                }
+                self.hit[root as usize]
+            })
+            .collect();
+        for s in marked {
+            self.seen[s as usize] = false;
+            self.hit[s as usize] = false;
+        }
+        answers
     }
 
     /// The full solved form over a given universe of interest: equalities
@@ -325,81 +463,80 @@ impl Solver {
     }
 }
 
-fn tarjan(
-    nodes: &[RegVar],
-    index_of: &HashMap<RegVar, usize>,
-    edges: &HashMap<RegVar, BTreeSet<RegVar>>,
-) -> Vec<Vec<RegVar>> {
-    let n = nodes.len();
-    let adj: Vec<Vec<usize>> = nodes
-        .iter()
-        .map(|v| {
-            edges
-                .get(v)
-                .map(|outs| {
-                    outs.iter()
-                        .filter_map(|d| index_of.get(d).copied())
-                        .collect()
-                })
-                .unwrap_or_default()
-        })
-        .collect();
-    // Iterative Tarjan (mirrors cj-frontend's; regions stays dependency-free).
-    const UNVISITED: usize = usize::MAX;
-    let mut index = vec![UNVISITED; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack = Vec::new();
-    let mut counter = 0usize;
-    let mut out: Vec<Vec<RegVar>> = Vec::new();
-    let mut work: Vec<(usize, usize)> = Vec::new(); // (node, next-edge-index)
-    for root in 0..n {
-        if index[root] != UNVISITED {
+/// The strongly connected components with more than one node of the
+/// graph `edges` (a slot's out-edges), found by an iterative Tarjan search.
+fn cycles(edges: &[Vec<Slot>]) -> Vec<Vec<Slot>> {
+    let mut t = Tarjan {
+        index: vec![Tarjan::UNVISITED; edges.len()],
+        low: vec![0; edges.len()],
+        on_stack: vec![false; edges.len()],
+        stack: Vec::new(),
+        work: Vec::new(),
+        counter: 0,
+    };
+    let mut out: Vec<Vec<Slot>> = Vec::new();
+    for root in 0..edges.len() {
+        // A node without out-edges is a component of its own.
+        if t.index[root] != Tarjan::UNVISITED || edges[root].is_empty() {
             continue;
         }
-        work.push((root, 0));
-        index[root] = counter;
-        low[root] = counter;
-        counter += 1;
-        stack.push(root);
-        on_stack[root] = true;
-        while let Some(&mut (v, ref mut ei)) = work.last_mut() {
-            if *ei < adj[v].len() {
-                let w = adj[v][*ei];
-                *ei += 1;
-                if index[w] == UNVISITED {
-                    index[w] = counter;
-                    low[w] = counter;
-                    counter += 1;
-                    stack.push(w);
-                    on_stack[w] = true;
-                    work.push((w, 0));
-                } else if on_stack[w] && index[w] < low[v] {
-                    low[v] = index[w];
+        t.open(root as Slot);
+        while let Some(&(v, ei)) = t.work.last() {
+            let v = v as usize;
+            if let Some(&w) = edges[v].get(ei) {
+                t.work.last_mut().expect("nonempty").1 += 1;
+                if t.index[w as usize] == Tarjan::UNVISITED {
+                    t.open(w);
+                } else if t.on_stack[w as usize] {
+                    t.low[v] = t.low[v].min(t.index[w as usize]);
                 }
-            } else {
-                work.pop();
-                if let Some(&(parent, _)) = work.last() {
-                    if low[v] < low[parent] {
-                        low[parent] = low[v];
+                continue;
+            }
+            t.work.pop();
+            if let Some(&(parent, _)) = t.work.last() {
+                t.low[parent as usize] = t.low[parent as usize].min(t.low[v]);
+            }
+            if t.low[v] == t.index[v] {
+                let mut scc = Vec::new();
+                loop {
+                    let w = t.stack.pop().expect("nonempty");
+                    t.on_stack[w as usize] = false;
+                    scc.push(w);
+                    if w as usize == v {
+                        break;
                     }
                 }
-                if low[v] == index[v] {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("nonempty");
-                        on_stack[w] = false;
-                        scc.push(nodes[w]);
-                        if w == v {
-                            break;
-                        }
-                    }
+                if scc.len() > 1 {
                     out.push(scc);
                 }
             }
         }
     }
     out
+}
+
+/// The state of [`cycles`]' search.
+struct Tarjan {
+    index: Vec<u32>,
+    low: Vec<u32>,
+    on_stack: Vec<bool>,
+    stack: Vec<Slot>,
+    /// (node, next-edge-index)
+    work: Vec<(Slot, usize)>,
+    counter: u32,
+}
+
+impl Tarjan {
+    const UNVISITED: u32 = u32::MAX;
+
+    fn open(&mut self, v: Slot) {
+        self.index[v as usize] = self.counter;
+        self.low[v as usize] = self.counter;
+        self.counter += 1;
+        self.stack.push(v);
+        self.on_stack[v as usize] = true;
+        self.work.push((v, 0));
+    }
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 
 use cj_regions::{Atom, ConstraintSet, RegVar, Solver};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 const NVARS: u32 = 6;
 
@@ -109,5 +110,134 @@ proptest! {
         cj_regions::abstraction::solve_fixpoint(&mut env, &["p".to_string()]);
         let twice = env.get("p").unwrap().body.atoms.clone();
         prop_assert_eq!(once, twice);
+    }
+}
+
+/// Variables of the model test: the heap plus six others.
+const MODEL_VARS: usize = 7;
+
+/// One step of a model-test run: `(kind, a, b, mask1, mask2)`. Kinds 0–2
+/// add `a ≥ b` (twice as likely) or `a = b`; kinds 3–7 query `equal`,
+/// `outlives_holds`, `project` onto `mask1`, `escape_closure` of `mask1`
+/// over `mask2`, and `outlives_any` from `mask1` to `mask2`.
+type Step = (u8, u32, u32, u32, u32);
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    let var = 0..MODEL_VARS as u32;
+    let mask = 0..1u32 << MODEL_VARS;
+    (0u8..8, var.clone(), var, mask.clone(), mask)
+}
+
+fn vars_of(mask: u32) -> impl Iterator<Item = RegVar> {
+    (0..MODEL_VARS as u32)
+        .filter(move |i| mask & (1 << i) != 0)
+        .map(RegVar)
+}
+
+/// The brute-force model: `m[a][b]` iff the atoms entail `a ≥ b`. It is
+/// the reflexive–transitive closure of the atoms (an equality counts as
+/// both directions) plus `heap ≥ r` for every `r`; `r ≥ heap` then makes
+/// `r` equal to the heap by transitivity.
+fn model(atoms: &[(usize, usize)]) -> Vec<Vec<bool>> {
+    let n = MODEL_VARS;
+    let mut m = vec![vec![false; n]; n];
+    for (i, row) in m.iter_mut().enumerate() {
+        row[i] = true;
+    }
+    m[0] = vec![true; n];
+    for &(a, b) in atoms {
+        m[a][b] = true;
+    }
+    for k in 0..n {
+        for i in 0..n {
+            for j in 0..n {
+                if m[i][k] && m[k][j] {
+                    m[i][j] = true;
+                }
+            }
+        }
+    }
+    m
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// Random interleavings of `add_eq`/`add_outlives` (the heap included)
+    /// with queries: every answer matches the brute-force model, and after
+    /// every query each class is represented by the heap or by its
+    /// smallest member.
+    #[test]
+    fn solver_matches_the_closure_model(steps in proptest::collection::vec(arb_step(), 0..40)) {
+        let mut solver = Solver::new();
+        let mut atoms: Vec<(usize, usize)> = Vec::new();
+        for (kind, a, b, mask1, mask2) in steps {
+            let (ra, rb) = (RegVar(a), RegVar(b));
+            let (ia, ib) = (a as usize, b as usize);
+            let m = model(&atoms);
+            let ge = |x: RegVar, y: RegVar| m[x.index()][y.index()];
+            match kind {
+                0 | 1 => {
+                    solver.add_outlives(ra, rb);
+                    atoms.push((ia, ib));
+                    continue;
+                }
+                2 => {
+                    solver.add_eq(ra, rb);
+                    atoms.extend([(ia, ib), (ib, ia)]);
+                    continue;
+                }
+                3 => prop_assert_eq!(solver.equal(ra, rb), ge(ra, rb) && ge(rb, ra), "{ra} = {rb}"),
+                4 => prop_assert_eq!(solver.outlives_holds(ra, rb), ge(ra, rb), "{ra} >= {rb}"),
+                5 => {
+                    let keep: BTreeSet<RegVar> = vars_of(mask1).collect();
+                    let projected = solver.project(&keep);
+                    let mut reloaded = Solver::from_set(&projected);
+                    for atom in projected.iter() {
+                        let (x, y) = match atom {
+                            Atom::Outlives(x, y) | Atom::Eq(x, y) => (x, y),
+                        };
+                        for v in [x, y] {
+                            prop_assert!(v.is_heap() || keep.contains(&v), "{v} not kept in {projected}");
+                        }
+                    }
+                    for &x in &keep {
+                        for &y in &keep {
+                            prop_assert_eq!(
+                                reloaded.outlives_holds(x, y), ge(x, y),
+                                "{x} >= {y} after projecting onto {keep:?}: {projected}"
+                            );
+                        }
+                    }
+                }
+                6 => {
+                    let universe: BTreeSet<RegVar> = vars_of(mask2).collect();
+                    let got = solver.escape_closure(vars_of(mask1), &universe);
+                    // A region equal to the heap escapes even without seeds.
+                    let want: BTreeSet<RegVar> = universe
+                        .iter()
+                        .copied()
+                        .filter(|&v| ge(v, RegVar::HEAP) || vars_of(mask1).any(|e| ge(v, e)))
+                        .collect();
+                    prop_assert_eq!(got, want);
+                }
+                _ => {
+                    let sources: Vec<RegVar> = vars_of(mask1).collect();
+                    solver.normalize(); // so that `find` gives final representatives
+                    let targets: Vec<RegVar> = vars_of(mask2).map(|t| solver.find(t)).collect();
+                    let got = solver.outlives_any(&sources, |rep| targets.contains(&rep));
+                    let want: Vec<bool> = sources
+                        .iter()
+                        .map(|&v| ge(v, RegVar::HEAP) || vars_of(mask2).any(|t| ge(v, t)))
+                        .collect();
+                    prop_assert_eq!(got, want, "sources {sources:?}, targets {targets:?}");
+                }
+            }
+            for v in (0..MODEL_VARS as u32).map(RegVar) {
+                let class = (0..MODEL_VARS as u32).map(RegVar).filter(|&w| ge(v, w) && ge(w, v));
+                let want = if ge(v, RegVar::HEAP) { RegVar::HEAP } else { class.min().expect("v") };
+                prop_assert_eq!(solver.find(v), want, "representative of {v}");
+            }
+        }
     }
 }

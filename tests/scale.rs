@@ -4,7 +4,8 @@
 //! here instead of in a user's daemon.
 //!
 //! - Long and wide legal programs (30,000 statements, declarations,
-//!   computed call arguments, loop-body statements) go through inference,
+//!   computed call arguments, loop-body statements, chained allocations;
+//!   10,000 allocating `if`/`else` blocks) go through inference,
 //!   the region checker (Theorem 1) and both engines under both extent
 //!   modes, and the engines must agree on value, prints and space.
 //! - Programs nested ten times past the parser's budget in every shape it
@@ -68,9 +69,12 @@ fn long_and_wide_programs_compile_check_and_run() {
         ("declarations", Value::Int(n as i64 - 1)),
         ("arguments", Value::Int(2 + (n as i64 - 1) % 7)),
         ("loop body", Value::Int(3 * n as i64 + 3)),
+        ("allocation chain", Value::Int(1)),
+        ("allocating blocks", Value::Int(1)),
     ];
-    for ((name, src), (expected_name, value)) in hostile::long_programs(n).into_iter().zip(expected)
-    {
+    let programs = hostile::long_programs(n);
+    assert_eq!(programs.len(), expected.len());
+    for ((name, src), (expected_name, value)) in programs.into_iter().zip(expected) {
         assert_eq!(name, expected_name);
         let got = on_worker_stack(|| compile_check_run(name, &src));
         assert_eq!(got, value, "{name}");
