@@ -1,8 +1,8 @@
 //! The Olden benchmark programs of Fig 9, converted to Core-Java.
 //!
 //! The paper converted the C Olden suite \[11\] by hand to measure inference
-//! scalability; we perform the same conversion (DESIGN.md, substitution 3).
-//! Each program keeps the original's data structures and phase structure —
+//! scalability; its conversions are not published, so we perform the same
+//! conversion ourselves. Each program keeps the original's data structures and phase structure —
 //! trees, lists, bipartite graphs, quadtrees — which is what drives
 //! inference cost (class recursion, method counts, call-graph SCCs). All
 //! programs are runnable with a size parameter.

@@ -3,8 +3,9 @@
 //! The original suite accompanied Christiansen & Velschow's RegJava checker
 //! and is not publicly available; these programs reproduce each benchmark's
 //! *allocation and lifetime structure* from its name and the paper's
-//! description (see DESIGN.md, substitution 1). Program sizes are kept in
-//! the same ballpark as Fig 8's "Size (lines)" column.
+//! description, so the space ratios, not the exact code, are what can be
+//! compared. Program sizes are kept in the same ballpark as Fig 8's
+//! "Size (lines)" column.
 
 /// Sieve of Eratosthenes (input: array size). One long-lived array, no
 /// reuse: space ratio 1 in every mode.

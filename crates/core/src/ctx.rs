@@ -287,7 +287,8 @@ impl<'a> Ctx<'a> {
                             } else {
                                 // Mutually recursive: collapse the partner's
                                 // regions onto the recursive region (a
-                                // simple, sound scheme; see DESIGN.md).
+                                // simple, sound scheme: it may merge regions
+                                // that could stay apart, never the reverse).
                                 let k = self.classes[d.index()].params.len();
                                 RType::class(d, vec![rr; k])
                             }

@@ -438,7 +438,8 @@ impl BodyInfer {
             }
             KExprKind::While { cond, body } => {
                 // Flow-insensitive: loop constraints are just the
-                // conjunction of the condition's and body's (see DESIGN.md).
+                // conjunction of the condition's and body's. Annotations
+                // are per variable, so one pass covers every iteration.
                 let cond = self.expr(ctx, var_types, cond)?;
                 let body = self.expr(ctx, var_types, body)?;
                 RExpr {

@@ -167,7 +167,9 @@ fn static_and_instance_calls_annotated_with_inst() {
 #[test]
 fn while_body_regions_conjoin_flow_insensitively() {
     // Assigning inside the loop uses the same var annotation as outside:
-    // the loop adds no special constraints (see DESIGN.md on loops).
+    // the loop adds no special constraints (annotations are per variable,
+    // not per program point, so the body's constraints hold on every
+    // iteration).
     let p = run("
         class Cell { Object item; }
         class M {

@@ -8,9 +8,10 @@
 //! Java-like language: classes with single inheritance, fields, instance and
 //! static methods, assignment, object creation, method invocation and
 //! conditionals. This implementation additionally supports `while` loops
-//! (the paper desugars them; see DESIGN.md), downcasts `(cn) e` (the Sec 5
-//! extension), primitive arrays, and `float` literals for the Olden
-//! benchmarks.
+//! (the paper desugars them; here a loop is its own node, and inference
+//! conjoins the constraints of its condition and body), downcasts `(cn) e`
+//! (the Sec 5 extension), primitive arrays, and `float` literals for the
+//! Olden benchmarks.
 
 use crate::intern::Symbol;
 use crate::span::Span;

@@ -56,6 +56,7 @@ pub fn parse_program(src: &str) -> Result<Program, Diagnostics> {
         diags: Diagnostics::new(),
         depth: 0,
         height: 0,
+        deep_reported: false,
     };
     let program = parser.program();
     diags.extend(parser.diags.set_default_code(cj_diag::codes::PARSE));
@@ -83,6 +84,7 @@ pub fn parse_expr(src: &str) -> Result<Expr, Diagnostics> {
         diags: Diagnostics::new(),
         depth: 0,
         height: 0,
+        deep_reported: false,
     };
     let e = parser.expr();
     parser.expect(TokenKind::Eof);
@@ -104,6 +106,10 @@ struct Parser {
     /// postfix step sinks everything parsed so far in its chain one level
     /// under the new node.
     height: u32,
+    /// Whether the statement being parsed already got its "nesting too
+    /// deep" diagnostic; reset at each statement that starts within the
+    /// budget, so one over-deep statement gets one diagnostic.
+    deep_reported: bool,
 }
 
 /// The one nesting budget. Parser recursion (`depth`: brackets, call
@@ -339,10 +345,9 @@ impl Parser {
 
     fn block(&mut self) -> Block {
         if self.depth >= MAX_NESTING && self.at(TokenKind::LBrace) {
-            // Report the over-deep block once and skip it by bracket
-            // counting.
+            // Report the over-deep block and skip it by bracket counting.
             let start = self.peek().span;
-            self.diags.error("block nesting too deep", start);
+            self.report_too_deep("block nesting too deep", start);
             let end = self.skip_block();
             return Block {
                 stmts: Vec::new(),
@@ -385,6 +390,9 @@ impl Parser {
         let mut stmts = Vec::new();
         let mut tail = None;
         while !self.at(TokenKind::RBrace) && !self.at(TokenKind::Eof) {
+            if self.depth < MAX_NESTING {
+                self.deep_reported = false;
+            }
             match self.peek_kind() {
                 TokenKind::If => {
                     let stmt = self.if_stmt();
@@ -558,9 +566,17 @@ impl Parser {
     /// Reports an expression nested too deeply at `span` and skips the rest
     /// of it.
     fn too_deep(&mut self, span: Span) -> Expr {
-        self.diags.error("expression nesting too deep", span);
+        self.report_too_deep("expression nesting too deep", span);
         self.skip_expr();
         Expr::new(ExprKind::Null, span)
+    }
+
+    /// Reports over-deep nesting unless the current statement already has
+    /// such a diagnostic.
+    fn report_too_deep(&mut self, message: &str, span: Span) {
+        if !std::mem::replace(&mut self.deep_reported, true) {
+            self.diags.error(message, span);
+        }
     }
 
     /// Skips the tokens of one expression: everything up to the first
@@ -1084,6 +1100,25 @@ mod tests {
     fn nested_blocks_as_expressions() {
         let e = parse_expr("{ int x = 1; { x } }").unwrap();
         assert!(matches!(e.kind, ExprKind::Block(_)));
+    }
+
+    #[test]
+    fn an_over_deep_statement_gets_one_diagnostic() {
+        let main = |body: String| format!("class M {{ static int main() {{ {body} }} }}");
+        let if_else = main(format!(
+            "int x = 0; {}x = 1; {}x",
+            "if (x < 1) { ".repeat(70),
+            "} else { 1 } ".repeat(70)
+        ));
+        let twice = main(format!(
+            "int y = {0}1{1}; int z = {0}1{1}; y",
+            "(".repeat(70),
+            ")".repeat(70)
+        ));
+        for (src, expected) in [(if_else, 1), (twice, 2)] {
+            let diags = parse_program(&src).unwrap_err();
+            assert_eq!(diags.len(), expected, "{diags}");
+        }
     }
 
     #[test]

@@ -7,34 +7,29 @@
 //! harness hold thousands of concurrent connections (and measure the
 //! daemon doing the same) without a thousand threads of its own.
 //!
-//! The traffic model is the standard two-level one:
-//!
-//! - **Open-loop arrivals**: connections are *scheduled* at a fixed rate
-//!   ([`LoadConfig::arrival_per_sec`]), independent of how fast the
-//!   daemon answers — the load does not politely back off when the
-//!   server slows down. Rate `0` connects everyone immediately.
-//! - **Closed-loop conversations**: within a connection, each request
-//!   waits for its response plus a jittered think time
-//!   ([`LoadConfig::think`]) — a client never has two requests in
-//!   flight, matching the daemon's one-request-per-connection pacing.
+//! Every client connects first; once **all** are connected (the daemon's
+//! connection count is then at its high-water mark), each starts its
+//! conversation. Within a connection each request waits for its response
+//! — a client never has two requests in flight, matching the daemon's
+//! one-request-per-connection pacing.
 //!
 //! Every response is validated against the request kind that produced it
 //! (a `check` must come back `well-region-typed`, a `query` must carry
 //! an abstraction, …); any mismatch, premature close, or read failure is
 //! a **protocol error**, and the harness exists to prove that count is
-//! zero at depth. All scheduling decisions derive from
-//! [`LoadConfig::seed`], so a run is reproducible end to end.
+//! zero at depth. Every script derives from [`LoadConfig::seed`], so a
+//! run is reproducible end to end.
 //!
 //! The result is a [`LoadReport`]: latency percentiles per request kind,
 //! aggregate request rate, the connection high-water mark seen on both
 //! sides, and the shared-memo hit rates scraped from a final `stats`
-//! probe — rendered as the JSON committed to `BENCH_daemon.json`.
+//! probe. `cj-bench daemon` repeats runs and writes `BENCH_daemon.json`.
 
 #![forbid(missing_docs)]
 
 use cj_diag::json::{json_string, parse_json, Json};
 use cj_net::{EventLoop, NetConfig, NetEvent, NetStream, Token};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -42,8 +37,8 @@ use std::time::{Duration, Instant};
 // ---- deterministic randomness ---------------------------------------------
 
 /// A tiny splitmix64 generator: one `u64` of state, full 64-bit output,
-/// good enough to diversify scripts and think times reproducibly (this
-/// is a load harness, not a cryptosystem).
+/// good enough to diversify scripts reproducibly (this is a load
+/// harness, not a cryptosystem).
 #[derive(Debug, Clone)]
 pub struct Rng(u64);
 
@@ -280,36 +275,13 @@ pub struct LoadConfig {
     pub addr: SocketAddr,
     /// How many simulated clients to run.
     pub clients: usize,
-    /// Open-loop connection arrivals per second (0 = all at once).
-    pub arrival_per_sec: f64,
-    /// Mean closed-loop think time between a response and the next
-    /// request (jittered ±50% per step; zero = none).
-    pub think: Duration,
-    /// Seed for every random decision (scripts, jitter).
+    /// Seed for every client's script.
     pub seed: u64,
-    /// Hold every connection open until **all** clients are connected
-    /// before the first request is sent — this is what pushes the
-    /// daemon's connection high-water mark to `clients`.
-    pub hold_barrier: bool,
-    /// Abort (as a harness failure, not a daemon bug) if the whole run
-    /// exceeds this bound.
-    pub deadline: Duration,
 }
 
-impl LoadConfig {
-    /// A default-shaped config against `addr`.
-    pub fn new(addr: SocketAddr) -> LoadConfig {
-        LoadConfig {
-            addr,
-            clients: 200,
-            arrival_per_sec: 0.0,
-            think: Duration::ZERO,
-            seed: 42,
-            hold_barrier: true,
-            deadline: Duration::from_secs(600),
-        }
-    }
-}
+/// A run that takes longer than this is a harness failure, not a daemon
+/// bug.
+const DEADLINE: Duration = Duration::from_secs(600);
 
 // ---- the report ------------------------------------------------------------
 
@@ -368,8 +340,6 @@ pub struct ServerKindStats {
 /// sat in the worker queue before anyone picked them up.
 #[derive(Debug, Clone, Default)]
 pub struct ServerMetrics {
-    /// Daemon uptime when scraped, milliseconds.
-    pub uptime_ms: u64,
     /// Requests the daemon completed, all kinds and connections.
     pub requests_total: u64,
     /// Jobs measured between enqueue and worker pickup.
@@ -387,14 +357,10 @@ pub struct ServerMetrics {
 /// Everything one run measured.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
-    /// Clients simulated.
-    pub clients: usize,
     /// Requests completed (responses received and validated).
     pub requests: usize,
     /// Validation failures, premature closes, I/O errors.
     pub protocol_errors: usize,
-    /// First connect to last response.
-    pub elapsed: Duration,
     /// Completed requests per second over the request phase.
     pub requests_per_sec: f64,
     /// Harness-side connection high-water mark.
@@ -422,130 +388,9 @@ impl LoadReport {
     pub fn worst_p99_us(&self) -> u64 {
         self.per_kind.iter().map(|k| k.p99_us).max().unwrap_or(0)
     }
-
-    /// Renders the report as the `BENCH_daemon.json` document.
-    pub fn to_json(&self, config: &LoadConfig) -> String {
-        let mut out = String::new();
-        out.push_str("{\n  \"benchmark\": \"cjrcd-loadgen\",\n");
-        out.push_str(&format!(
-            "  \"config\": {{\"clients\": {}, \"arrival_per_sec\": {}, \
-             \"think_ms\": {}, \"seed\": {}, \"hold_barrier\": {}}},\n",
-            config.clients,
-            config.arrival_per_sec,
-            config.think.as_millis(),
-            config.seed,
-            config.hold_barrier,
-        ));
-        out.push_str(&format!(
-            "  \"requests\": {},\n  \"protocol_errors\": {},\n  \
-             \"elapsed_secs\": {:.3},\n  \"requests_per_sec\": {:.1},\n  \
-             \"peak_connections_local\": {},\n",
-            self.requests,
-            self.protocol_errors,
-            self.elapsed.as_secs_f64(),
-            self.requests_per_sec,
-            self.peak_connections_local,
-        ));
-        out.push_str("  \"latency_us\": {\n");
-        for (i, k) in self.per_kind.iter().enumerate() {
-            out.push_str(&format!(
-                "    \"{}\": {{\"count\": {}, \"p50\": {}, \"p95\": {}, \
-                 \"p99\": {}, \"max\": {}}}{}\n",
-                k.kind.name(),
-                k.count,
-                k.p50_us,
-                k.p95_us,
-                k.p99_us,
-                k.max_us,
-                if i + 1 < self.per_kind.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  },\n");
-        match &self.server {
-            Some(s) => {
-                out.push_str(&format!(
-                    "  \"server\": {{\"uptime_ms\": {}, \"requests_total\": {}, \
-                     \"queue_wait_us\": {{\"count\": {}, \"p50\": {}, \"p95\": {}, \
-                     \"p99\": {}}}, \"p99_us_by_kind\": {{",
-                    s.uptime_ms,
-                    s.requests_total,
-                    s.queue_wait_count,
-                    s.queue_wait_p50_us,
-                    s.queue_wait_p95_us,
-                    s.queue_wait_p99_us,
-                ));
-                for (i, k) in s.per_kind.iter().enumerate() {
-                    out.push_str(&format!(
-                        "{}\"{}\": {}",
-                        if i > 0 { ", " } else { "" },
-                        k.kind,
-                        k.p99_us,
-                    ));
-                }
-                out.push_str("}},\n");
-            }
-            None => out.push_str("  \"server\": null,\n"),
-        }
-        match &self.daemon {
-            Some(d) => {
-                let lookups = d.memo_hits + d.memo_misses;
-                let hit_rate = if lookups == 0 {
-                    0.0
-                } else {
-                    d.memo_hits as f64 / lookups as f64
-                };
-                out.push_str(&format!(
-                    "  \"daemon\": {{\"clients_served\": {}, \"clients_rejected\": {}, \
-                     \"connections_peak\": {}}},\n",
-                    d.clients_served, d.clients_rejected, d.connections_peak,
-                ));
-                out.push_str(&format!(
-                    "  \"memo\": {{\"entries\": {}, \"hits\": {}, \"misses\": {}, \
-                     \"shared_hits\": {}, \"disk_hits\": {}, \"hit_rate\": {:.3}}}\n",
-                    d.memo_entries,
-                    d.memo_hits,
-                    d.memo_misses,
-                    d.memo_shared_hits,
-                    d.memo_disk_hits,
-                    hit_rate,
-                ));
-            }
-            None => out.push_str("  \"daemon\": null,\n  \"memo\": null\n"),
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 // ---- the harness -----------------------------------------------------------
-
-/// A scheduled step: connect a client or send its next request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Action {
-    Connect(usize),
-    Send(usize),
-}
-
-/// Min-heap entry ordered by due time (sequence breaks ties FIFO).
-#[derive(Debug, PartialEq, Eq)]
-struct Due {
-    when: Instant,
-    seq: u64,
-    action: Action,
-}
-
-impl Ord for Due {
-    fn cmp(&self, other: &Due) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest due.
-        (other.when, other.seq).cmp(&(self.when, self.seq))
-    }
-}
-
-impl PartialOrd for Due {
-    fn partial_cmp(&self, other: &Due) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 /// One simulated client's progress through its script.
 struct SimClient {
@@ -564,14 +409,9 @@ struct Harness<'a> {
     el: EventLoop,
     clients: Vec<SimClient>,
     by_token: HashMap<Token, usize>,
-    schedule: BinaryHeap<Due>,
-    seq: u64,
-    rng: Rng,
-    connected: usize,
     finished: usize,
     samples: HashMap<Kind, Vec<u64>>,
     protocol_errors: usize,
-    first_send: Option<Instant>,
     last_response: Option<Instant>,
 }
 
@@ -598,55 +438,26 @@ pub fn run(config: &LoadConfig) -> std::io::Result<LoadReport> {
             })
             .collect(),
         by_token: HashMap::new(),
-        schedule: BinaryHeap::new(),
-        seq: 0,
-        rng: Rng::new(config.seed ^ 0x7468_696E_6B21_7468),
-        connected: 0,
         finished: 0,
         samples: HashMap::new(),
         protocol_errors: 0,
-        first_send: None,
         last_response: None,
     };
-    harness.schedule_arrivals(start);
+    for id in 0..config.clients {
+        harness.connect(id)?;
+    }
+    // Everyone is connected: the daemon's connection count is at its
+    // high-water mark, and every client starts talking.
+    let talk = Instant::now();
+    for id in 0..config.clients {
+        harness.send(id);
+    }
     harness.drive(start)?;
-    let elapsed = start.elapsed();
-    Ok(harness.into_report(config, elapsed))
+    let phase = harness.last_response.map_or(Duration::ZERO, |t| t - talk);
+    Ok(harness.into_report(phase))
 }
 
 impl Harness<'_> {
-    fn push(&mut self, when: Instant, action: Action) {
-        self.seq += 1;
-        self.schedule.push(Due {
-            when,
-            seq: self.seq,
-            action,
-        });
-    }
-
-    /// Open-loop arrival schedule: client `i` connects at
-    /// `start + i / rate` (or immediately when the rate is 0).
-    fn schedule_arrivals(&mut self, start: Instant) {
-        for id in 0..self.config.clients {
-            let when = if self.config.arrival_per_sec > 0.0 {
-                start + Duration::from_secs_f64(id as f64 / self.config.arrival_per_sec)
-            } else {
-                start
-            };
-            self.push(when, Action::Connect(id));
-        }
-    }
-
-    /// Jittered closed-loop think time: uniform in `[t/2, 3t/2)`.
-    fn think_time(&mut self) -> Duration {
-        let base = self.config.think;
-        if base.is_zero() {
-            return Duration::ZERO;
-        }
-        let micros = (base.as_micros() as u64).max(1);
-        Duration::from_micros(micros / 2 + self.rng.below(micros))
-    }
-
     fn connect(&mut self, id: usize) -> std::io::Result<()> {
         // Bursts can transiently overflow the listener backlog; retry
         // briefly before declaring the daemon unreachable.
@@ -671,20 +482,6 @@ impl Harness<'_> {
         let token = self.el.add_stream(NetStream::Tcp(stream))?;
         self.by_token.insert(token, id);
         self.clients[id].token = Some(token);
-        self.connected += 1;
-        let now = Instant::now();
-        if self.config.hold_barrier {
-            if self.connected == self.config.clients {
-                // Barrier reached: everyone starts talking. The daemon's
-                // connection count is at its high-water mark right now.
-                for other in 0..self.config.clients {
-                    let think = self.think_time();
-                    self.push(now + think, Action::Send(other));
-                }
-            }
-        } else {
-            self.push(now, Action::Send(id));
-        }
         Ok(())
     }
 
@@ -695,9 +492,7 @@ impl Harness<'_> {
         };
         let mut bytes = request.line.clone().into_bytes();
         bytes.push(b'\n');
-        let now = Instant::now();
-        client.sent_at = Some(now);
-        self.first_send.get_or_insert(now);
+        client.sent_at = Some(Instant::now());
         // `resume` re-arms line delivery paused by the previous response;
         // it is a no-op before the first one.
         self.el.send(token, &bytes);
@@ -731,16 +526,11 @@ impl Harness<'_> {
                 .entry(kind)
                 .or_default()
                 .push(now.duration_since(sent_at).as_micros() as u64);
-            if !self.clients[id].finished {
-                let think = self.think_time();
-                self.push(now + think, Action::Send(id));
-            }
         } else {
             self.protocol_errors += 1;
-            if !self.clients[id].finished {
-                let think = self.think_time();
-                self.push(now + think, Action::Send(id));
-            }
+        }
+        if !self.clients[id].finished {
+            self.send(id);
         }
     }
 
@@ -761,33 +551,17 @@ impl Harness<'_> {
     fn drive(&mut self, start: Instant) -> std::io::Result<()> {
         let mut events: Vec<NetEvent> = Vec::new();
         while self.finished < self.config.clients {
-            if start.elapsed() > self.config.deadline {
+            if start.elapsed() > DEADLINE {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::TimedOut,
                     format!(
                         "load run exceeded its {:?} deadline ({} of {} clients done)",
-                        self.config.deadline, self.finished, self.config.clients
+                        DEADLINE, self.finished, self.config.clients
                     ),
                 ));
             }
-            let now = Instant::now();
-            while let Some(due) = self.schedule.peek() {
-                if due.when > now {
-                    break;
-                }
-                let action = self.schedule.pop().expect("peeked entry").action;
-                match action {
-                    Action::Connect(id) => self.connect(id)?,
-                    Action::Send(id) => self.send(id),
-                }
-            }
-            let timeout = match self.schedule.peek() {
-                Some(due) => due.when.saturating_duration_since(Instant::now()),
-                None => Duration::from_millis(50),
-            }
-            .min(Duration::from_millis(50));
             events.clear();
-            self.el.poll(&mut events, timeout)?;
+            self.el.poll(&mut events, Duration::from_millis(50))?;
             for event in events.drain(..) {
                 match event {
                     NetEvent::Line { token, line } => self.on_line(token, line),
@@ -800,7 +574,9 @@ impl Harness<'_> {
         Ok(())
     }
 
-    fn into_report(self, config: &LoadConfig, elapsed: Duration) -> LoadReport {
+    /// The report, with `phase` the time from the first request to the
+    /// last response.
+    fn into_report(self, phase: Duration) -> LoadReport {
         let mut per_kind = Vec::new();
         let mut requests = 0;
         for kind in Kind::ALL {
@@ -818,22 +594,16 @@ impl Harness<'_> {
                 max_us: *samples.last().unwrap_or(&0),
             });
         }
-        let phase = match (self.first_send, self.last_response) {
-            (Some(a), Some(b)) if b > a => b - a,
-            _ => elapsed,
-        };
         let requests_per_sec = if phase.as_secs_f64() > 0.0 {
             requests as f64 / phase.as_secs_f64()
         } else {
             0.0
         };
-        let daemon = probe_stats(config.addr).ok();
-        let server = probe_metrics(config.addr).ok();
+        let daemon = probe_stats(self.config.addr).ok();
+        let server = probe_metrics(self.config.addr).ok();
         LoadReport {
-            clients: config.clients,
             requests,
             protocol_errors: self.protocol_errors,
-            elapsed,
             requests_per_sec,
             peak_connections_local: self.el.peak_connections(),
             per_kind,
@@ -843,14 +613,30 @@ impl Harness<'_> {
     }
 }
 
-// ---- the stats probe -------------------------------------------------------
+// ---- the probes --------------------------------------------------------------
 
-/// Parses one response line.
-fn parse_response(response: &str) -> std::io::Result<Json> {
+/// One extra blocking connection that sends `request`, reads the one-line
+/// answer, and (for connection-scope requests) says goodbye.
+fn probe(addr: SocketAddr, request: &str) -> std::io::Result<Json> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = stream;
+    writeln!(writer, "{request}")?;
+    writer.flush()?;
+    let mut response = String::new();
+    reader.read_line(&mut response)?;
+    if !request.contains("shutdown") {
+        // Leave the daemon as we found it: a connection-scope goodbye.
+        writeln!(writer, "{{\"cmd\":\"shutdown\"}}")?;
+        writer.flush()?;
+        let mut bye = String::new();
+        let _ = reader.read_line(&mut bye);
+    }
     parse_json(response.trim_end()).map_err(|e| {
         std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            format!("unparsable response ({e}): {response}"),
+            format!("unparsable response to {request} ({e}): {response}"),
         )
     })
 }
@@ -868,61 +654,32 @@ fn u64_at(json: &Json, path: &str) -> u64 {
     }
 }
 
-/// One extra blocking connection that asks the daemon for `stats` and
-/// scrapes the shared-memo and daemon-counter blocks out of the answer.
-pub fn probe_stats(addr: SocketAddr) -> std::io::Result<DaemonSnapshot> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    writeln!(writer, "{{\"cmd\":\"stats\"}}")?;
-    writer.flush()?;
-    let mut response = String::new();
-    reader.read_line(&mut response)?;
-    let json = parse_response(&response)?;
-    if json.get("shared_memo").is_none() {
-        return Err(std::io::Error::new(
+/// `probe` with `request`, requiring the member at `path` in the answer.
+fn probe_for(addr: SocketAddr, request: &str, path: &str) -> std::io::Result<Json> {
+    let json = probe(addr, request)?;
+    match at(&json, path) {
+        Some(_) => Ok(json),
+        None => Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            format!("stats probe got a response without a memo block: {response}"),
-        ));
+            format!("the answer to {request} has no `{path}`"),
+        )),
     }
-    let snapshot = parse_stats_response(&json);
-    // Leave the daemon as we found it: a connection-scope goodbye.
-    writeln!(writer, "{{\"cmd\":\"shutdown\"}}")?;
-    writer.flush()?;
-    let mut bye = String::new();
-    let _ = reader.read_line(&mut bye);
-    Ok(snapshot)
 }
 
-/// One extra blocking connection that asks the daemon for its `metrics`
-/// registry and scrapes the server-side latency view out of the answer:
-/// the `queue_wait_us` histogram and every per-kind `request_us_<kind>`
-/// p99 — numbers measured where the work happened, to sit beside the
-/// harness's client-side samples in the report.
+/// Asks the daemon for `stats` and scrapes the shared-memo and
+/// daemon-counter blocks out of the answer.
+pub fn probe_stats(addr: SocketAddr) -> std::io::Result<DaemonSnapshot> {
+    let json = probe_for(addr, "{\"cmd\":\"stats\"}", "shared_memo")?;
+    Ok(parse_stats_response(&json))
+}
+
+/// Asks the daemon for its `metrics` registry and scrapes the server-side
+/// latency view out of the answer: the `queue_wait_us` histogram and every
+/// per-kind `request_us_<kind>` p99 — numbers measured where the work
+/// happened, to sit beside the harness's client-side samples.
 pub fn probe_metrics(addr: SocketAddr) -> std::io::Result<ServerMetrics> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    writeln!(writer, "{{\"cmd\":\"metrics\"}}")?;
-    writer.flush()?;
-    let mut response = String::new();
-    reader.read_line(&mut response)?;
-    let json = parse_response(&response)?;
-    if at(&json, "metrics.histograms").is_none() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("metrics probe got a response without histograms: {response}"),
-        ));
-    }
-    let metrics = parse_metrics_response(&json);
-    // Leave the daemon as we found it: a connection-scope goodbye.
-    writeln!(writer, "{{\"cmd\":\"shutdown\"}}")?;
-    writer.flush()?;
-    let mut bye = String::new();
-    let _ = reader.read_line(&mut bye);
-    Ok(metrics)
+    let json = probe_for(addr, "{\"cmd\":\"metrics\"}", "metrics.histograms")?;
+    Ok(parse_metrics_response(&json))
 }
 
 /// The daemon counters and shared-memo tallies of one `stats` response.
@@ -943,7 +700,6 @@ fn parse_stats_response(json: &Json) -> DaemonSnapshot {
 fn parse_metrics_response(json: &Json) -> ServerMetrics {
     let queue = "metrics.histograms.queue_wait_us";
     let mut metrics = ServerMetrics {
-        uptime_ms: u64_at(json, "uptime_ms"),
         requests_total: u64_at(json, "metrics.counters.requests_total"),
         queue_wait_count: u64_at(json, &format!("{queue}.count")),
         queue_wait_p50_us: u64_at(json, &format!("{queue}.p50_us")),
@@ -969,15 +725,12 @@ fn parse_metrics_response(json: &Json) -> ServerMetrics {
 
 /// Asks the daemon at `addr` to shut itself down (daemon scope).
 pub fn shutdown_daemon(addr: SocketAddr) -> std::io::Result<()> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    writeln!(writer, "{{\"cmd\":\"shutdown\",\"scope\":\"daemon\"}}")?;
-    writer.flush()?;
-    let mut bye = String::new();
-    let _ = reader.read_line(&mut bye);
-    Ok(())
+    match probe(addr, "{\"cmd\":\"shutdown\",\"scope\":\"daemon\"}") {
+        // The daemon may close before its goodbye is read; it is going
+        // down either way.
+        Err(e) if e.kind() != std::io::ErrorKind::InvalidData => Err(e),
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -1060,7 +813,6 @@ mod tests {
             "}}}",
         );
         let m = parse_metrics_response(&parse_json(response).unwrap());
-        assert_eq!(m.uptime_ms, 1234);
         assert_eq!(m.requests_total, 42);
         assert_eq!(m.queue_wait_count, 40);
         assert_eq!(m.queue_wait_p50_us, 2);

@@ -9,8 +9,8 @@
 //!   the region checker (Theorem 1) and both engines under both extent
 //!   modes, and the engines must agree on value, prints and space.
 //! - Programs nested ten times past the parser's budget in every shape it
-//!   counts are rejected with a "nesting too deep" diagnostic, and the
-//!   same shapes just inside the budget compile and run.
+//!   counts are rejected with exactly one "nesting too deep" diagnostic,
+//!   and the same shapes just inside the budget compile and run.
 
 #[path = "../crates/driver/tests/common/hostile.rs"]
 mod hostile;
@@ -87,10 +87,11 @@ fn programs_past_the_nesting_budget_are_diagnosed() {
         let diags = on_worker_stack(|| Session::new(&src, SessionOptions::default()).check())
             .err()
             .unwrap_or_else(|| panic!("{name}: over-deep input accepted"));
-        assert!(
-            diags.iter().any(|d| d.message.contains("nesting too deep")),
-            "{name}: {diags}"
-        );
+        let too_deep = diags
+            .iter()
+            .filter(|d| d.message.contains("nesting too deep"))
+            .count();
+        assert_eq!(too_deep, 1, "{name}: {diags}");
     }
 }
 
