@@ -188,12 +188,10 @@ pub fn speed_gate(rows: &[EnginesRow]) -> Vec<String> {
     }
 }
 
-/// One program under one extent mode: the wall time of a cold compile
-/// (parse through region check), the letregs the extent pass rewrote, and
-/// what the run showed on each engine.
+/// One program under one extent mode: the letregs the extent pass
+/// rewrote, and what the run showed on each engine.
 #[derive(Debug, Clone)]
 pub struct ExtentRun {
-    pub compile_ms: Stats,
     pub rewrites: u32,
     pub interp: Observed,
     pub rvm: Observed,
@@ -372,7 +370,6 @@ mod tests {
 
     fn extents_row(live_peak: usize, live_value: &str) -> ExtentsRow {
         let run = |peak: usize, value: &str| ExtentRun {
-            compile_ms: Stats::of(&[1.0]),
             rewrites: 0,
             interp: observed(value, peak),
             rvm: observed(value, peak),

@@ -28,8 +28,8 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-usage: cj-bench fig8|engines|extents [--quick] [--out PATH]
-       cj-bench fig9 [--out PATH]
+usage: cj-bench fig8|fig9
+       cj-bench engines|extents [--quick] [--out PATH]
        cj-bench daemon [--addr HOST:PORT] [--clients N] [--seed N] [--out PATH]
                        [--assert-zero-errors] [--assert-p99-ms N] [--assert-min-peak N]
 
@@ -78,8 +78,8 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         };
         let number = |v: &str| v.parse::<u64>().map_err(|e| format!("{flag}: {e}"));
         match (flag.as_str(), mode) {
-            ("--out", _) => cli.out = Some(value()?.to_string()),
-            ("--quick", "fig8" | "engines" | "extents") => cli.quick = true,
+            ("--out", "engines" | "extents" | "daemon") => cli.out = Some(value()?.to_string()),
+            ("--quick", "engines" | "extents") => cli.quick = true,
             ("--addr", "daemon") => {
                 cli.addr = Some(value()?.parse().map_err(|e| format!("--addr: {e}"))?);
             }
@@ -107,8 +107,8 @@ fn main() -> ExitCode {
         }
     };
     let (json, mut failures) = match cli.mode {
-        "fig8" => fig8(cli.quick),
-        "fig9" => fig9(),
+        "fig8" => (String::new(), fig8()),
+        "fig9" => (String::new(), fig9()),
         "engines" => engines(cli.quick),
         "extents" => extents(cli.quick),
         _ => daemon(&cli),
@@ -198,21 +198,11 @@ fn annotation_sites(kp: &KProgram) -> usize {
     per_class + table.statics().len()
 }
 
-fn quick_scale(quick: bool) -> &'static str {
-    if quick {
-        "test"
-    } else {
-        "paper"
-    }
-}
-
 // ---- fig8 / fig9 ------------------------------------------------------------
 
 struct ModeCell {
-    mode: SubtypeMode,
     infer_ms: Stats,
     check_ms: Stats,
-    localized: usize,
     space_ratio: Option<f64>,
 }
 
@@ -232,10 +222,8 @@ fn fig8_row(b: &Benchmark, args: &[Value]) -> Result<(usize, Vec<ModeCell>), Str
         checked.map_err(|e| format!("{what}: inferred program fails to check: {e}"))?;
         let run = run_main_big_stack(&compilation.program, args, RunConfig::default());
         cells.push(ModeCell {
-            mode,
             infer_ms,
             check_ms,
-            localized: compilation.stats.localized_regions,
             space_ratio: run.ok().map(|out| out.space.space_ratio()),
         });
     }
@@ -248,24 +236,33 @@ fn fig8_row(b: &Benchmark, args: &[Value]) -> Result<(usize, Vec<ModeCell>), Str
     Ok((annotation_sites(&kp), cells))
 }
 
-fn fig8(quick: bool) -> (String, Vec<String>) {
+fn fig8() -> Vec<String> {
     println!(
         "Fig 8 — Comparative statistics on inference/checking and region subtyping\n\
-         (space usage = peak-live / total-allocated when running the {} input;\n\
-         times: field subtyping, median ± MAD)\n",
-        quick_scale(quick)
+         (space usage = peak-live / total-allocated when running the paper input;\n\
+         times: field subtyping, median ± MAD)\n"
     );
     println!(
-        "Program                    Lines  Ann      Infer(ms)     Check(ms)    Input     NoSub   ObjSub FieldSub   Diff\n{}",
-        "-".repeat(114)
+        "{:<26} {:>5} {:>4}  {:>15} {:>15}  {:>7}  {:>8} {:>8} {:>8}  {:>5}\n{}",
+        "Program",
+        "Lines",
+        "Ann",
+        "Infer(ms)",
+        "Check(ms)",
+        "Input",
+        "NoSub",
+        "ObjSub",
+        "FieldSub",
+        "Diff",
+        "-".repeat(118)
     );
     let mut failures = Vec::new();
-    let rows = rows_of(regjava_benchmarks(), &mut failures, |b| {
-        let (shown, args) = input(b, quick);
+    rows_of(regjava_benchmarks(), &mut failures, |b| {
+        let (shown, args) = input(b, false);
         let (ann, cells) = fig8_row(b, &args)?;
         let ratio = |c: &ModeCell| c.space_ratio.map_or("-".to_string(), |r| format!("{r:.3}"));
         println!(
-            "{:<26} {:>5} {:>4}  {:>13} {:>13}  {:>7}  {:>8} {:>8} {:>8}  {:>5}",
+            "{:<26} {:>5} {:>4}  {:>15} {:>15}  {:>7}  {:>8} {:>8} {:>8}  {:>5}",
             b.name,
             cj_benchmarks::source_lines(b),
             ann,
@@ -277,74 +274,44 @@ fn fig8(quick: bool) -> (String, Vec<String>) {
             ratio(&cells[2]),
             b.localized_diff_vs_hand,
         );
-        let modes: Vec<String> = cells
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"mode\":\"{}\",\"infer_ms\":{},\"check_ms\":{},\"localized\":{},\
-                     \"space_ratio\":{}}}",
-                    c.mode,
-                    c.infer_ms.json(),
-                    c.check_ms.json(),
-                    c.localized,
-                    c.space_ratio
-                        .map_or("null".to_string(), |r| format!("{r:.6}"))
-                )
-            })
-            .collect();
-        Ok(format!(
-            "    {{\"name\":{},\"lines\":{},\"ann\":{ann},\"input\":{},\"diff\":{},\"modes\":[{}]}}",
-            json_string(b.name),
-            cj_benchmarks::source_lines(b),
-            json_string(shown),
-            b.localized_diff_vs_hand,
-            modes.join(",")
-        ))
+        Ok(())
     });
     println!(
         "\nDiff column: localized-region difference vs RegJava's hand annotation\n\
          (paper-derived; -1 for optimized life (dangling) reflects the\n\
          no-dangling vs no-dangling-access policy gap, Sec 6)."
     );
-    let json = document("bench-fig8/v1", quick, &rows, String::new());
-    (json, failures)
+    failures
 }
 
-fn fig9() -> (String, Vec<String>) {
+fn fig9() -> Vec<String> {
     println!(
         "Fig 9 — Region inference times for the Olden benchmark programs\n\n\
          Program      Lines (ours) Lines (paper)    Ann   Inference (ms)\n{}",
         "-".repeat(63)
     );
     let mut failures = Vec::new();
-    let rows = rows_of(olden_benchmarks(), &mut failures, |b| {
+    rows_of(olden_benchmarks(), &mut failures, |b| {
         let mut session = session_for(b);
         let kp = compiled(&mut session, b.name, Session::typecheck)?;
         let (inferred, infer_ms) =
             measure(|| cj_infer::infer(&kp, InferOptions::with_mode(SubtypeMode::Field)));
         inferred.map_err(|e| format!("{}: {e}", b.name))?;
-        let (lines, ann) = (cj_benchmarks::source_lines(b), annotation_sites(&kp));
         println!(
             "{:<12} {:>12} {:>13} {:>6} {:>16}",
             b.name,
-            lines,
+            cj_benchmarks::source_lines(b),
             b.paper_source_lines,
-            ann,
+            annotation_sites(&kp),
             infer_ms.show()
         );
-        Ok(format!(
-            "    {{\"name\":{},\"lines\":{lines},\"paper_lines\":{},\"ann\":{ann},\"infer_ms\":{}}}",
-            json_string(b.name),
-            b.paper_source_lines,
-            infer_ms.json()
-        ))
+        Ok(())
     });
     println!(
         "\nShape target (paper): all times well under interactive thresholds,\n\
          with health and voronoi among the slowest."
     );
-    let json = document("bench-fig9/v1", false, &rows, String::new());
-    (json, failures)
+    failures
 }
 
 /// A `BENCH_*.json` document: schema, input scale, one row per line and
@@ -352,7 +319,7 @@ fn fig9() -> (String, Vec<String>) {
 fn document(schema: &str, quick: bool, rows: &[String], summary: String) -> String {
     format!(
         "{{\n  \"schema\":\"{schema}\",\n  \"input_scale\":\"{}\",\n  \"benchmarks\":[\n{}\n  ]{summary}\n}}\n",
-        quick_scale(quick),
+        if quick { "test" } else { "paper" },
         rows.join(",\n")
     )
 }
@@ -482,12 +449,7 @@ fn extent_run(b: &Benchmark, extent: ExtentMode, quick: bool) -> Result<ExtentRu
         ..InferOptions::with_mode(SubtypeMode::Field)
     };
     let what = format!("{} [{extent}]", b.name);
-    let (mut session, compile_ms) = measure(|| {
-        let mut session = session_for(b);
-        let _ = session.check_with(opts);
-        session
-    });
-    // Cached: the last timed compile's result.
+    let mut session = session_for(b);
     let compilation = compiled(&mut session, &what, |s| s.check_with(opts))?;
     let register = compiled(&mut session, &what, |s| s.compiled_with(opts))?;
     let ((_, args), cfg) = (input(b, quick), RunConfig::default());
@@ -495,7 +457,6 @@ fn extent_run(b: &Benchmark, extent: ExtentMode, quick: bool) -> Result<ExtentRu
     let interp = run_main_big_stack(&compilation.program, &args, cfg)
         .map_err(|e| format!("{what} [interp]: {e}"))?;
     Ok(ExtentRun {
-        compile_ms,
         rewrites: session.pass_counts().extent_rewrites,
         interp: Observed::from(&interp),
         rvm: Observed::from(&rvm),
@@ -504,9 +465,8 @@ fn extent_run(b: &Benchmark, extent: ExtentMode, quick: bool) -> Result<ExtentRu
 
 fn extent_json(m: &ExtentRun) -> String {
     format!(
-        "{{\"compile_ms\":{},\"peak_live_interp\":{},\"peak_live_rvm\":{},\"total_allocated\":{},\
+        "{{\"peak_live_interp\":{},\"peak_live_rvm\":{},\"total_allocated\":{},\
          \"space_ratio\":{:.6},\"extent_rewrites\":{}}}",
-        m.compile_ms.json(),
         m.interp.space.peak_live,
         m.rvm.space.peak_live,
         m.interp.space.total_allocated,
@@ -527,17 +487,14 @@ fn extents(quick: bool) -> (String, Vec<String>) {
         };
         let (p, l) = (&row.paper, &row.liveness);
         println!(
-            "{:28} {:8} peak paper {:>10}  liveness {:>10}  rewrites {:>3}  ratio {:.4} -> {:.4}  \
-             compile {}ms -> {}ms",
+            "{:28} {:8} peak paper {:>10}  liveness {:>10}  rewrites {:>3}  ratio {:.4} -> {:.4}",
             row.name,
             suite_name(row.suite),
             p.interp.space.peak_live,
             l.interp.space.peak_live,
             l.rewrites,
             p.interp.space.space_ratio(),
-            l.interp.space.space_ratio(),
-            p.compile_ms.show(),
-            l.compile_ms.show()
+            l.interp.space.space_ratio()
         );
         Ok(row)
     });
@@ -574,7 +531,7 @@ fn extents(quick: bool) -> (String, Vec<String>) {
          \"letregs_rewritten\":{rewrites},\"peak_never_worse\":{never_worse}}}",
         rows.len()
     );
-    let json = document("bench-liveness/v3", quick, &body, summary);
+    let json = document("bench-liveness/v2", quick, &body, summary);
     (json, failures)
 }
 
@@ -600,16 +557,17 @@ fn load_once(cli: &Cli) -> Result<LoadReport, String> {
     let addr = daemon.local_addr().expect("tcp daemon has an address");
     let handle = std::thread::spawn(move || daemon.run());
     let outcome = cj_loadgen::run(&config(addr));
-    // Always shut the daemon down, even after a failed run.
-    let shutdown = cj_loadgen::shutdown_daemon(addr);
-    let joined = handle.join();
-    let report = outcome.map_err(|e| format!("load run failed: {e}"))?;
-    shutdown.map_err(|e| format!("daemon shutdown request failed: {e}"))?;
-    match joined {
-        Ok(Ok(_)) => Ok(report),
-        Ok(Err(e)) => Err(format!("daemon exited with error: {e}")),
-        Err(_) => Err("daemon thread panicked".to_string()),
+    // Always shut the daemon down, even after a failed run. Teardown
+    // trouble is only a warning: the run's report is already complete.
+    if let Err(e) = cj_loadgen::shutdown_daemon(addr) {
+        eprintln!("cj-bench: warning: daemon shutdown request failed: {e}");
     }
+    match handle.join() {
+        Ok(Ok(_)) => {}
+        Ok(Err(e)) => eprintln!("cj-bench: warning: daemon exited with error: {e}"),
+        Err(_) => eprintln!("cj-bench: warning: daemon thread panicked"),
+    }
+    outcome.map_err(|e| format!("load run failed: {e}"))
 }
 
 /// The spread of `f` over the runs that have a value.

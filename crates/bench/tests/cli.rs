@@ -9,7 +9,10 @@ fn unknown_modes_and_flags_exit_2_with_usage() {
         &["bogus"],
         &["fig8", "--bogus"],
         &["engines", "--clients", "5"],
+        &["fig8", "--quick"],
+        &["fig8", "--out", "fig8.json"],
         &["fig9", "--quick"],
+        &["fig9", "--out", "fig9.json"],
         &["daemon", "--quick"],
         &["daemon", "--think-ms", "5"],
         &["daemon", "--rate", "5"],
@@ -26,7 +29,7 @@ fn unknown_modes_and_flags_exit_2_with_usage() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(
-            stderr.contains("usage: cj-bench fig8|engines|extents"),
+            stderr.contains("usage: cj-bench fig8|fig9"),
             "{args:?}: {stderr}"
         );
         assert!(out.stdout.is_empty(), "{args:?}");

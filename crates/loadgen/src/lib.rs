@@ -616,7 +616,7 @@ impl Harness<'_> {
 // ---- the probes --------------------------------------------------------------
 
 /// One extra blocking connection that sends `request`, reads the one-line
-/// answer, and (for connection-scope requests) says goodbye.
+/// answer, and says goodbye.
 fn probe(addr: SocketAddr, request: &str) -> std::io::Result<Json> {
     let stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
@@ -626,13 +626,11 @@ fn probe(addr: SocketAddr, request: &str) -> std::io::Result<Json> {
     writer.flush()?;
     let mut response = String::new();
     reader.read_line(&mut response)?;
-    if !request.contains("shutdown") {
-        // Leave the daemon as we found it: a connection-scope goodbye.
-        writeln!(writer, "{{\"cmd\":\"shutdown\"}}")?;
-        writer.flush()?;
-        let mut bye = String::new();
-        let _ = reader.read_line(&mut bye);
-    }
+    // Leave the daemon as we found it: a connection-scope goodbye.
+    writeln!(writer, "{{\"cmd\":\"shutdown\"}}")?;
+    writer.flush()?;
+    let mut bye = String::new();
+    let _ = reader.read_line(&mut bye);
     parse_json(response.trim_end()).map_err(|e| {
         std::io::Error::new(
             std::io::ErrorKind::InvalidData,
@@ -725,12 +723,17 @@ fn parse_metrics_response(json: &Json) -> ServerMetrics {
 
 /// Asks the daemon at `addr` to shut itself down (daemon scope).
 pub fn shutdown_daemon(addr: SocketAddr) -> std::io::Result<()> {
-    match probe(addr, "{\"cmd\":\"shutdown\",\"scope\":\"daemon\"}") {
-        // The daemon may close before its goodbye is read; it is going
-        // down either way.
-        Err(e) if e.kind() != std::io::ErrorKind::InvalidData => Err(e),
-        _ => Ok(()),
-    }
+    let stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = stream;
+    writeln!(writer, "{{\"cmd\":\"shutdown\",\"scope\":\"daemon\"}}")?;
+    writer.flush()?;
+    // The daemon may close before its goodbye is read; it is going down
+    // either way.
+    let mut bye = String::new();
+    let _ = reader.read_line(&mut bye);
+    Ok(())
 }
 
 #[cfg(test)]
