@@ -43,7 +43,6 @@ pub mod error;
 pub mod exprinfer;
 #[cfg(test)]
 mod exprinfer_tests;
-pub mod fingerprint;
 pub mod localize;
 pub mod options;
 pub mod override_res;

@@ -263,8 +263,6 @@ pub struct InferStats {
     pub downcast_sites: usize,
     /// Method bodies symbolically inferred in this run.
     pub methods_inferred: usize,
-    /// Method bodies rebased from the cache instead of re-inferred.
-    pub methods_reused: usize,
     /// Abstraction SCCs whose Kleene fixpoint actually ran (summed over
     /// repair-loop rounds).
     pub sccs_solved: usize,
@@ -285,7 +283,7 @@ impl InferStats {
         format!(
             "{{\"global_iterations\":{},\"fixpoint_iterations\":{},\"regions_created\":{},\
              \"localized_regions\":{},\"override_repairs\":{},\"downcast_sites\":{},\
-             \"methods_inferred\":{},\"methods_reused\":{},\"sccs_solved\":{},\"sccs_reused\":{},\
+             \"methods_inferred\":{},\"sccs_solved\":{},\"sccs_reused\":{},\
              \"sccs_shared_hits\":{},\"sccs_disk_hits\":{}}}",
             self.global_iterations,
             self.fixpoint_iterations,
@@ -294,7 +292,6 @@ impl InferStats {
             self.override_repairs,
             self.downcast_sites,
             self.methods_inferred,
-            self.methods_reused,
             self.sccs_solved,
             self.sccs_reused,
             self.sccs_shared_hits,

@@ -1,14 +1,12 @@
 //! The inference pipeline: the whole algorithm, end to end — exposed both
-//! as the classic one-shot [`infer`] and as the cache-aware
-//! [`infer_with_cache`] that the incremental `Workspace` driver builds on.
+//! as the classic one-shot [`infer`] and as [`infer_with_cache`], which
+//! feeds a (possibly shared) SCC solve memo that the incremental
+//! `Workspace` driver keeps across revisions.
 //!
 //! 1. Build class and method region signatures and raw `inv.cn`
 //!    abstractions ([`Ctx::new`]).
 //! 2. Infer every method body once, symbolically — atoms plus applications
-//!    of `pre.*`/`inv.*` ([`infer_body`]). With an [`InferCache`], bodies
-//!    whose span-insensitive fingerprint is unchanged are *rebased* (their
-//!    cached result's region ids shifted onto the current allocation range)
-//!    instead of re-inferred.
+//!    of `pre.*`/`inv.*` ([`infer_body`]).
 //! 3. Solve the resulting recursive abstraction system bottom-up over its
 //!    SCC condensation (the paper's global dependency graph, Sec 4.3), with
 //!    Kleene fixed points inside each SCC (region-polymorphic recursion,
@@ -26,35 +24,34 @@
 //! Determinism guarantee: for the same kernel program and options,
 //! [`infer_with_cache`] produces output identical to a from-scratch
 //! [`infer`] — same region numbering, same `Q` — no matter what edit
-//! history populated the cache. Reuse only replays what a fresh run would
-//! have computed.
+//! history populated the memo. The memo is keyed by exact, α-invariant
+//! canonical forms, so a hit only replays what a fresh solve would have
+//! computed.
 
 use crate::ctx::Ctx;
 use crate::error::InferError;
 use crate::exprinfer::{infer_body, BodyResult};
-use crate::fingerprint::{method_fingerprint, shape_fingerprint};
 use crate::localize;
 use crate::options::{InferOptions, InferStats};
 use crate::override_res::resolve_overrides;
-use crate::rast::{map_rexpr_regions, map_rtype_regions, RClass, RMethod, RProgram};
+use crate::rast::{RClass, RMethod, RProgram};
 use cj_frontend::graph::tarjan_scc;
 use cj_frontend::kernel::KProgram;
 use cj_frontend::types::MethodId;
 use cj_regions::abstraction::{solve_fixpoint, AbsEnv, ConstraintAbs};
-use cj_regions::constraint::Atom;
 use cj_regions::incremental::{solve_scc_memo_as, SccOutcome, SolveMemo};
 use cj_regions::solve::Solver;
-use cj_regions::var::RegVar;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Reusable inference state: per-method symbolic results keyed by
-/// span-insensitive fingerprints, plus the content-addressed memo of solved
-/// abstraction SCCs. Hold one per [`InferOptions`] and pass it to
-/// [`infer_with_cache`] across recompilations of evolving sources; the
-/// cache never changes *what* is computed, only how much of it is replayed.
+/// The inference state that outlives one run: a handle on the
+/// content-addressed memo of solved abstraction SCCs. Pass the same cache
+/// to [`infer_with_cache`] across recompilations of evolving sources; the
+/// memo never changes *what* is computed, only how many SCC fixpoints
+/// actually iterate. Everything else — bodies, localization — is computed
+/// afresh on every call.
 ///
-/// The SCC memo is held behind an `Arc` and is thread-safe: build caches
+/// The memo is held behind an `Arc` and is thread-safe: build caches
 /// with [`with_shared_memo`](InferCache::with_shared_memo) to let many
 /// caches — across options, workspaces, or daemon clients — feed one
 /// content-addressed pool. Each cache registers as a distinct memo
@@ -62,11 +59,6 @@ use std::sync::Arc;
 /// [`InferStats::sccs_shared_hits`].
 #[derive(Debug)]
 pub struct InferCache {
-    /// Shape fingerprint + options the cached method results were built
-    /// under; any mismatch drops them (signature regions renumber).
-    shape: Option<(u64, InferOptions)>,
-    /// Per-method cached symbolic results, keyed by display name.
-    methods: HashMap<String, MethodEntry>,
     /// Content-addressed solved-SCC memo (possibly shared).
     memo: Arc<SolveMemo>,
     /// This cache's client id within `memo`.
@@ -77,12 +69,6 @@ impl Default for InferCache {
     fn default() -> InferCache {
         InferCache::with_shared_memo(Arc::new(SolveMemo::new()))
     }
-}
-
-#[derive(Debug)]
-struct MethodEntry {
-    fingerprint: u64,
-    result: BodyResult,
 }
 
 impl InferCache {
@@ -106,12 +92,7 @@ impl InferCache {
     /// [`with_shared_memo`](InferCache::with_shared_memo) under an
     /// existing client id (from [`SolveMemo::register_client`]).
     pub fn with_shared_memo_as(memo: Arc<SolveMemo>, client: u64) -> InferCache {
-        InferCache {
-            shape: None,
-            methods: HashMap::new(),
-            memo,
-            client,
-        }
+        InferCache { memo, client }
     }
 
     /// The solve memo this cache feeds (clone the `Arc` to share it).
@@ -128,15 +109,14 @@ impl InferCache {
 /// [`DowncastPolicy::Reject`](crate::options::DowncastPolicy::Reject));
 /// well-normal-typed programs otherwise always infer (Theorem 1).
 pub fn infer(kp: &KProgram, opts: InferOptions) -> Result<(RProgram, InferStats), InferError> {
-    infer_with_cache(kp, opts, &mut InferCache::new())
+    infer_with_cache(kp, opts, &InferCache::new())
 }
 
-/// [`infer`], reusing (and refreshing) `cache` across calls.
+/// [`infer`], reusing (and refreshing) `cache`'s SCC memo across calls.
 ///
-/// Editing one method body and re-running with the same cache re-infers
-/// only that body and re-solves only the abstraction SCCs whose inputs
-/// changed; everything else — including the final region numbering — is
-/// replayed bit-for-bit.
+/// Every body is inferred afresh; after an edit to one method body, only
+/// the abstraction SCCs whose inputs changed iterate — every other SCC
+/// solve is a memo hit.
 ///
 /// # Errors
 ///
@@ -144,7 +124,7 @@ pub fn infer(kp: &KProgram, opts: InferOptions) -> Result<(RProgram, InferStats)
 pub fn infer_with_cache(
     kp: &KProgram,
     opts: InferOptions,
-    cache: &mut InferCache,
+    cache: &InferCache,
 ) -> Result<(RProgram, InferStats), InferError> {
     let mut stats = InferStats::default();
     let signatures_span = cj_trace::span("pipeline", "signatures");
@@ -154,57 +134,13 @@ pub fn infer_with_cache(
         stats.downcast_sites = info.downcast_count;
     }
 
-    // ---- cache validity --------------------------------------------------
-    let shape = (shape_fingerprint(kp), opts);
-    if cache.shape != Some(shape) {
-        cache.methods.clear();
-        cache.shape = Some(shape);
-    }
-    // Under the padding policy the whole-program flow analysis feeds every
-    // body's pad counts, so per-method reuse would be unsound.
-    let reuse_bodies = ctx.downcast_info.is_none();
-
-    // ---- symbolic body inference (once per changed method) --------------
+    // ---- symbolic body inference ---------------------------------------
     let mut bodies_span = cj_trace::span("pipeline", "infer-bodies");
     let ids: Vec<MethodId> = kp.all_methods().map(|(id, _)| id).collect();
     let mut bodies: BTreeMap<MethodId, BodyResult> = BTreeMap::new();
     for &id in &ids {
-        let name = kp.method_name(id);
-        let fp = method_fingerprint(kp, id);
-        let cached = if reuse_bodies {
-            cache
-                .methods
-                .get(&name)
-                .filter(|entry| entry.fingerprint == fp)
-        } else {
-            None
-        };
-        let res = match cached {
-            Some(entry) => {
-                // Rebase the cached result onto the current id range and
-                // replay the generator state a fresh inference would leave.
-                let new_lo = ctx.gen.count() + 1;
-                let rebased = rebase_body_result(&entry.result, new_lo);
-                ctx.gen
-                    .skip(entry.result.region_hi - entry.result.region_lo);
-                stats.methods_reused += 1;
-                rebased
-            }
-            None => {
-                let res = infer_body(&mut ctx, id)?;
-                stats.methods_inferred += 1;
-                if reuse_bodies {
-                    cache.methods.insert(
-                        name,
-                        MethodEntry {
-                            fingerprint: fp,
-                            result: res.clone(),
-                        },
-                    );
-                }
-                res
-            }
-        };
+        let res = infer_body(&mut ctx, id)?;
+        stats.methods_inferred += 1;
         let sig = &ctx.msigs[&id];
         ctx.raw.insert(ConstraintAbs {
             name: sig.abs_name.clone(),
@@ -217,7 +153,6 @@ pub fn infer_with_cache(
         bodies.insert(id, res);
     }
     bodies_span.add("inferred", stats.methods_inferred as u64);
-    bodies_span.add("reused", stats.methods_reused as u64);
     drop(bodies_span);
 
     // ---- global solve / repair loop --------------------------------------
@@ -434,52 +369,6 @@ fn solve_all_memo_as(
         record_outcome(outcome, stats, &mut iterations);
     }
     (env, iterations)
-}
-
-/// Rebases a cached [`BodyResult`] so that its minted-region range starts
-/// at `new_lo`: every region id in `[region_lo, region_hi)` is shifted,
-/// signature regions (below the range) are untouched. The result is
-/// exactly what a fresh [`infer_body`] would have produced with the
-/// generator positioned at `new_lo`.
-fn rebase_body_result(res: &BodyResult, new_lo: u32) -> BodyResult {
-    let (lo, hi) = (res.region_lo, res.region_hi);
-    if new_lo == lo {
-        return res.clone();
-    }
-    let delta = new_lo as i64 - lo as i64;
-    let f = |r: RegVar| -> RegVar {
-        if r.0 >= lo && r.0 < hi {
-            RegVar((r.0 as i64 + delta) as u32)
-        } else {
-            r
-        }
-    };
-    BodyResult {
-        var_types: res
-            .var_types
-            .iter()
-            .map(|t| map_rtype_regions(t, &f))
-            .collect(),
-        body: map_rexpr_regions(&res.body, &f),
-        atoms: res
-            .atoms
-            .iter()
-            .map(|a| match a {
-                Atom::Outlives(x, y) => Atom::outlives(f(x), f(y)),
-                Atom::Eq(x, y) => Atom::eq(f(x), f(y)),
-            })
-            .collect(),
-        calls: res
-            .calls
-            .iter()
-            .map(|c| cj_regions::abstraction::AbsCall {
-                name: c.name.clone(),
-                args: c.args.iter().map(|&a| f(a)).collect(),
-            })
-            .collect(),
-        region_lo: new_lo,
-        region_hi: (hi as i64 + delta) as u32,
-    }
 }
 
 fn full_solver(res: &BodyResult, closed: &AbsEnv) -> Solver {
@@ -913,7 +802,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_reinference_is_bit_identical_and_reuses_work() {
+    fn memoized_reinference_is_bit_identical_and_reuses_scc_solves() {
         let opts = InferOptions::default();
         let multi = "
         class List { Object value; List next;
@@ -932,15 +821,13 @@ mod tests {
           Object peek() { this.top.getValue() }
         }";
         let kp = check_source(multi).unwrap();
-        let mut cache = InferCache::new();
-        let (p1, s1) = infer_with_cache(&kp, opts, &mut cache).unwrap();
+        let cache = InferCache::new();
+        let (p1, s1) = infer_with_cache(&kp, opts, &cache).unwrap();
         assert!(s1.methods_inferred > 0);
-        assert_eq!(s1.methods_reused, 0);
 
-        // Identical input: every body and every SCC is replayed.
-        let (p2, s2) = infer_with_cache(&kp, opts, &mut cache).unwrap();
-        assert_eq!(s2.methods_inferred, 0);
-        assert_eq!(s2.methods_reused, s1.methods_inferred);
+        // Identical input: every body is re-inferred, every SCC replayed.
+        let (p2, s2) = infer_with_cache(&kp, opts, &cache).unwrap();
+        assert_eq!(s2.methods_inferred, s1.methods_inferred);
         assert_eq!(s2.sccs_solved, 0, "all SCC solves must hit the memo");
         assert!(s2.sccs_reused > 0);
         assert_eq!(
@@ -948,15 +835,14 @@ mod tests {
             crate::pretty::program_to_string(&p2)
         );
 
-        // One edited body: exactly one re-inference, strictly fewer SCC
-        // solves than a cold run — and output identical to from-scratch.
+        // One edited body: strictly fewer SCC solves than a cold run — and
+        // output identical to from-scratch.
         let edited = multi.replace(
             "{ this.top.getValue() }",
             "{ this.top.getNext().getValue() }",
         );
         let kp2 = check_source(&edited).unwrap();
-        let (p3, s3) = infer_with_cache(&kp2, opts, &mut cache).unwrap();
-        assert_eq!(s3.methods_inferred, 1, "only the edited body re-infers");
+        let (p3, s3) = infer_with_cache(&kp2, opts, &cache).unwrap();
         assert!(
             s3.sccs_solved < s1.sccs_solved,
             "dirty SCCs ({}) must be fewer than a cold solve ({})",
@@ -981,16 +867,15 @@ mod tests {
     }
 
     #[test]
-    fn shape_change_invalidates_method_cache_but_still_matches_scratch() {
+    fn shape_change_still_matches_scratch() {
         let opts = InferOptions::default();
         let v1 = "class A { Object x; Object get() { this.x } }";
         let v2 = "class A { Object x; Object y; Object get() { this.x } }";
-        let mut cache = InferCache::new();
+        let cache = InferCache::new();
         let kp1 = check_source(v1).unwrap();
-        infer_with_cache(&kp1, opts, &mut cache).unwrap();
+        infer_with_cache(&kp1, opts, &cache).unwrap();
         let kp2 = check_source(v2).unwrap();
-        let (p_inc, stats) = infer_with_cache(&kp2, opts, &mut cache).unwrap();
-        assert_eq!(stats.methods_reused, 0, "new field renumbers signatures");
+        let (p_inc, _) = infer_with_cache(&kp2, opts, &cache).unwrap();
         let (p_fresh, _) = infer(&kp2, opts).unwrap();
         assert_eq!(
             crate::pretty::program_to_string(&p_inc),

@@ -463,25 +463,6 @@ pub fn walk_rexpr<'a>(e: &'a RExpr, f: &mut impl FnMut(&'a RExpr)) {
     }
 }
 
-/// Rebuilds an annotated expression with every region variable passed
-/// through `f` (types, instantiations, allocations, casts and `letreg`
-/// binders alike). Used to rebase cached per-method inference results onto
-/// a new region-id range.
-pub fn map_rexpr_regions(e: &RExpr, f: &impl Fn(RegVar) -> RegVar) -> RExpr {
-    fn map(e: &mut RExpr, f: &impl Fn(RegVar) -> RegVar) {
-        e.map_own_regions(f);
-        if let RExprKind::Letreg(r, _) = &mut e.kind {
-            *r = f(*r);
-        }
-        for c in e.children_mut() {
-            map(c, f);
-        }
-    }
-    let mut e = e.clone();
-    map(&mut e, f);
-    e
-}
-
 /// Rebuilds an annotated type with every region passed through `f`.
 pub fn map_rtype_regions(t: &RType, f: &impl Fn(RegVar) -> RegVar) -> RType {
     match t {

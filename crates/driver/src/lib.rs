@@ -10,10 +10,9 @@
 //!
 //! Every derived artifact is a memoized query with fine-grained
 //! invalidation: editing one file re-parses **only that file**, and
-//! re-inference replays per-method symbolic results and per-SCC solved
-//! abstractions from content-addressed caches — re-running only what the
-//! edit dirtied, while producing output bit-identical to a from-scratch
-//! compile. The closed constraint-abstraction environment `Q` is
+//! re-inference replays per-SCC solved abstractions from a
+//! content-addressed memo — re-solving only what the edit dirtied, while
+//! producing output bit-identical to a from-scratch compile. The closed constraint-abstraction environment `Q` is
 //! queryable ([`Workspace::q`], [`Workspace::precondition`],
 //! [`Workspace::invariant`], [`Workspace::entails`]) without re-solving.
 //!

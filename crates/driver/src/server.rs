@@ -556,14 +556,27 @@ mod tests {
         let cold = s.handle_line(r#"{"cmd":"check"}"#);
         assert!(cold.contains("\"parse\":2"), "{cold}");
 
-        // Edit only b.cj: one re-parse, and Cell's methods are replayed.
+        // Edit only b.cj: one re-parse, every body re-inferred, and the
+        // SCC solves of Cell's methods are replayed.
         s.handle_line(
             r#"{"cmd":"edit","file":"b.cj","text":"class M { static Object f(Cell c) { c.id() } }"}"#,
         );
         let warm = s.handle_line(r#"{"cmd":"check"}"#);
         assert!(warm.contains("\"parse\":1"), "{warm}");
-        assert!(warm.contains("\"methods_inferred\":1"), "{warm}");
-        assert!(warm.contains("\"methods_reused\":2"), "{warm}");
+        assert!(warm.contains("\"methods_inferred\":3"), "{warm}");
+        let passes = |reply: &str, key: &str| match parse_json(reply)
+            .unwrap()
+            .get("passes_executed")
+            .and_then(|p| p.get(key))
+        {
+            Some(Json::Num(n)) => *n,
+            _ => panic!("no {key} in {reply}"),
+        };
+        assert!(passes(&warm, "sccs_reused") > 0.0, "{warm}");
+        assert!(
+            passes(&warm, "sccs_solved") < passes(&cold, "sccs_solved"),
+            "{warm}"
+        );
     }
 
     #[test]

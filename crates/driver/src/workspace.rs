@@ -8,11 +8,12 @@
 //! - editing one file re-parses **only that file** (per-file ASTs are
 //!   cached by content; every file owns a fixed slice of the workspace
 //!   span space, so other files' spans never move);
-//! - re-inference reuses the per-method symbolic results and the
-//!   content-addressed per-SCC solve memo of
-//!   [`cj_infer::InferCache`], so an edit to one method body re-infers
-//!   one body and re-solves only the dirty abstraction SCCs — while
-//!   producing output bit-identical to a from-scratch compile;
+//! - every revision re-infers, re-lowers and re-checks policy from the
+//!   fresh kernel; only the content-addressed per-SCC solve memo
+//!   ([`cj_infer::InferCache`]) and an attached on-disk cache outlive it,
+//!   so an edit to one method body re-solves only the dirty abstraction
+//!   SCCs — while producing output bit-identical to a from-scratch
+//!   compile;
 //! - the closed constraint-abstraction environment `Q` is queryable
 //!   ([`q`](Workspace::q), [`precondition`](Workspace::precondition),
 //!   [`invariant`](Workspace::invariant), [`entails`](Workspace::entails))
@@ -42,9 +43,11 @@
 //! ws.check().unwrap();
 //! let second = ws.pass_counts().since(first);
 //! assert_eq!(second.parse, 1);
-//! // …re-infers only the edited body, and replays `Cell.get`.
-//! assert_eq!(second.methods_inferred, 1);
-//! assert_eq!(second.methods_reused, 1);
+//! // …re-infers both bodies, and replays the SCC solves the edit left
+//! // untouched, such as `Cell.get`'s.
+//! assert_eq!(second.methods_inferred, 2);
+//! assert!(second.sccs_reused > 0);
+//! assert!(second.sccs_solved < first.sccs_solved);
 //! ```
 
 use crate::session::{Compilation, CompileResult, SessionOptions};
@@ -53,23 +56,20 @@ use cj_frontend::ast;
 use cj_frontend::KProgram;
 use cj_infer::{InferCache, InferOptions};
 use cj_persist::SccDiskCache;
-use cj_policy::{PolicyEngine, PolicySet};
+use cj_policy::PolicySet;
 use cj_regions::abstraction::ConstraintAbs;
 use cj_regions::constraint::Atom;
 use cj_regions::incremental::SolveMemo;
 use cj_regions::solve::Solver;
 use cj_regions::var::RegVar;
 use cj_runtime::{Engine, Outcome, Value};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Size of each file's slice of the workspace span space. Spans of file
 /// *k* (in insertion order) live in `[k·STRIDE, (k+1)·STRIDE)`, so an edit
-/// to one file never moves another file's spans — the keystone of
-/// span-insensitive downstream caching.
+/// to one file never moves another file's spans.
 pub const FILE_SPAN_STRIDE: u32 = 1 << 20;
 
 /// Maximum number of files a workspace can ever hold (span space / stride).
@@ -94,17 +94,11 @@ pub struct PassCounts {
     /// Register-code lowering passes (one per distinct [`InferOptions`]
     /// per revision that executed on the rvm engine).
     pub lower: u32,
-    /// Method bodies actually lowered to register code.
-    pub methods_lowered: u32,
-    /// Method bodies reused from the per-method lowering cache.
-    pub methods_lower_reused: u32,
     /// `letreg` bindings narrowed or dropped by the liveness extent pass
     /// (0 under the paper's block-scoped placement).
     pub extent_rewrites: u32,
     /// Method bodies symbolically inferred.
     pub methods_inferred: u32,
-    /// Method bodies replayed from the per-method cache.
-    pub methods_reused: u32,
     /// Abstraction SCC fixpoints actually run.
     pub sccs_solved: u32,
     /// Abstraction SCC solves served from the content-addressed memo.
@@ -119,8 +113,8 @@ pub struct PassCounts {
     /// an on-disk cache (0 unless a cache was attached via
     /// [`Workspace::attach_disk_cache`] or loaded into a shared memo).
     pub sccs_disk_hits: u32,
-    /// Policy rule × method evaluations actually executed (memo replays —
-    /// at either the outcome or the per-method level — don't count).
+    /// Policy rule × method evaluations actually executed (a replay of
+    /// the revision's cached outcome doesn't count).
     pub rules_checked: u32,
     /// Policy violations discovered by executed evaluations.
     pub policy_violations: u32,
@@ -137,11 +131,8 @@ impl PassCounts {
             check: self.check - earlier.check,
             run: self.run - earlier.run,
             lower: self.lower - earlier.lower,
-            methods_lowered: self.methods_lowered - earlier.methods_lowered,
-            methods_lower_reused: self.methods_lower_reused - earlier.methods_lower_reused,
             extent_rewrites: self.extent_rewrites - earlier.extent_rewrites,
             methods_inferred: self.methods_inferred - earlier.methods_inferred,
-            methods_reused: self.methods_reused - earlier.methods_reused,
             sccs_solved: self.sccs_solved - earlier.sccs_solved,
             sccs_reused: self.sccs_reused - earlier.sccs_reused,
             sccs_shared_hits: self.sccs_shared_hits - earlier.sccs_shared_hits,
@@ -152,7 +143,7 @@ impl PassCounts {
     }
 
     /// Every counter with its stable key, in the `passes_executed` order.
-    pub fn fields(&self) -> [(&'static str, u32); 17] {
+    pub fn fields(&self) -> [(&'static str, u32); 14] {
         [
             ("parse", self.parse),
             ("typecheck", self.typecheck),
@@ -161,9 +152,6 @@ impl PassCounts {
             ("run", self.run),
             ("lower", self.lower),
             ("methods_inferred", self.methods_inferred),
-            ("methods_reused", self.methods_reused),
-            ("methods_lowered", self.methods_lowered),
-            ("methods_lower_reused", self.methods_lower_reused),
             ("sccs_solved", self.sccs_solved),
             ("sccs_reused", self.sccs_reused),
             ("sccs_shared_hits", self.sccs_shared_hits),
@@ -203,23 +191,16 @@ impl SourceFile {
     }
 }
 
-/// Per-[`InferOptions`] derived state: the long-lived incremental caches
-/// plus the current revision's artifacts.
-#[derive(Debug)]
+/// Per-[`InferOptions`] artifacts of the current revision; all of them
+/// are dropped by the next edit.
+#[derive(Debug, Default)]
 struct InferState {
-    cache: InferCache,
     compilation: Option<Arc<Compilation>>,
     checked: bool,
-    /// Long-lived per-method lowering memo (survives revisions).
-    lower_cache: cj_vm::LowerCache,
-    /// The current revision's register program, if it was lowered.
+    /// The register program, if it was lowered.
     compiled: Option<Arc<cj_vm::RvmProgram>>,
-    /// Long-lived per-method policy-verdict memo (survives revisions; keys
-    /// are α-canonical content hashes, so untouched methods replay across
-    /// edits even when their region ids shift).
-    policy_engine: PolicyEngine,
-    /// The current revision's policy outcomes, keyed by rule-set content.
-    policy_results: HashMap<u64, Arc<PolicyOutcome>>,
+    /// The policy outcome of the rule set it was checked against.
+    policy: Option<(Arc<PolicySet>, Arc<PolicyOutcome>)>,
 }
 
 /// The result of checking one policy set against one compiled revision.
@@ -388,9 +369,10 @@ impl Workspace {
     }
 
     /// Adds or replaces a source file. A no-op (returning the unchanged
-    /// revision) when the text is identical; otherwise derived artifacts
-    /// are invalidated — but long-lived inference caches survive, so the
-    /// next compile replays everything the edit did not touch.
+    /// revision) when the text is identical; otherwise every derived
+    /// artifact except the other files' parses is dropped — only the SCC
+    /// solve memo survives, so the next compile replays the SCC solves the
+    /// edit did not touch.
     ///
     /// # Errors
     ///
@@ -467,36 +449,13 @@ impl Workspace {
     fn invalidate_program(&mut self) {
         self.merged = None;
         self.kernel = None;
-        for state in self.states.values_mut() {
-            state.compilation = None;
-            state.checked = false;
-            // The lowered program is revision-bound, but the per-method
-            // lowering memos survive: the next lower pass re-lowers only
-            // the methods the edit actually changed (both lowerings).
-            state.compiled = None;
-            // Same split for policy: outcomes are revision-bound, the
-            // per-method verdict memo survives.
-            state.policy_results.clear();
-        }
+        self.states.clear();
     }
 
-    /// The per-options state, created on first use with a cache feeding
-    /// the workspace's (possibly shared) solve memo.
+    /// The per-options state of the current revision, created on first
+    /// use.
     fn state_mut(&mut self, opts: InferOptions) -> &mut InferState {
-        let memo = Arc::clone(&self.memo);
-        let client = self.memo_client;
-        self.states.entry(opts).or_insert_with(|| {
-            let cache = InferCache::with_shared_memo_as(memo, client);
-            InferState {
-                cache,
-                compilation: None,
-                checked: false,
-                lower_cache: cj_vm::LowerCache::new(),
-                compiled: None,
-                policy_engine: PolicyEngine::new(),
-                policy_results: HashMap::new(),
-            }
-        })
+        self.states.entry(opts).or_default()
     }
 
     // ---- staged, memoized queries ---------------------------------------
@@ -578,8 +537,7 @@ impl Workspace {
     }
 
     /// Region inference under the workspace's default options (cached per
-    /// revision; reuses the per-options incremental cache across
-    /// revisions).
+    /// revision; reuses the workspace's SCC solve memo across revisions).
     ///
     /// # Errors
     ///
@@ -604,24 +562,22 @@ impl Workspace {
         let kernel = self.typecheck()?;
         self.counts.infer += 1;
         let mut span = cj_trace::span("pipeline", "infer");
-        let state = self.state_mut(opts);
-        let (mut program, stats) = cj_infer::infer_with_cache(&kernel, opts, &mut state.cache)
+        let cache = InferCache::with_shared_memo_as(Arc::clone(&self.memo), self.memo_client);
+        let (mut program, stats) = cj_infer::infer_with_cache(&kernel, opts, &cache)
             .map_err(IntoDiagnostics::into_diagnostics)?;
         // Extent inference runs after the paper pipeline, before anything
         // downstream (checker, lowering, both engines) sees the program.
         let extent_stats = cj_liveness::for_mode(opts.extent).rewrite_program(&mut program);
         let compilation = Arc::new(Compilation { program, stats });
-        state.compilation = Some(Arc::clone(&compilation));
+        self.state_mut(opts).compilation = Some(Arc::clone(&compilation));
         let stats = &compilation.stats;
         self.counts.extent_rewrites += (extent_stats.narrowed + extent_stats.dropped) as u32;
         self.counts.methods_inferred += stats.methods_inferred as u32;
-        self.counts.methods_reused += stats.methods_reused as u32;
         self.counts.sccs_solved += stats.sccs_solved as u32;
         self.counts.sccs_reused += stats.sccs_reused as u32;
         self.counts.sccs_shared_hits += stats.sccs_shared_hits as u32;
         self.counts.sccs_disk_hits += stats.sccs_disk_hits as u32;
         span.add("methods_inferred", stats.methods_inferred as u64);
-        span.add("methods_reused", stats.methods_reused as u64);
         span.add("regions_created", stats.regions_created as u64);
         Ok(compilation)
     }
@@ -659,10 +615,7 @@ impl Workspace {
     }
 
     /// Lowers the inferred program to register code (cached per
-    /// revision). The lowering keeps a per-method memo that survives
-    /// revisions, so an incremental edit re-lowers only changed methods —
-    /// observable as [`PassCounts::methods_lowered`] vs
-    /// [`PassCounts::methods_lower_reused`].
+    /// revision).
     ///
     /// # Errors
     ///
@@ -672,13 +625,9 @@ impl Workspace {
             return Ok(r);
         }
         let compilation = self.infer_with(opts)?;
-        let state = self.state_mut(opts);
-        let (reg, stats) = state.lower_cache.lower(&compilation.program);
-        let reg = Arc::new(reg);
-        state.compiled = Some(Arc::clone(&reg));
+        let reg = Arc::new(cj_vm::lower_program(&compilation.program));
+        self.state_mut(opts).compiled = Some(Arc::clone(&reg));
         self.counts.lower += 1;
-        self.counts.methods_lowered += stats.methods_lowered as u32;
-        self.counts.methods_lower_reused += stats.methods_reused as u32;
         Ok(reg)
     }
 
@@ -846,11 +795,9 @@ impl Workspace {
     }
 
     /// Checks the loaded policy against the compiled program under the
-    /// workspace's default options. Cached at two levels: per revision and
-    /// rule-set content here (replays bump no counters), and per method in
-    /// the engine's α-canonical verdict memo — so after an edit, only
-    /// rules × methods the edit affected count toward
-    /// [`PassCounts::rules_checked`].
+    /// workspace's default options. The outcome is cached for the current
+    /// revision and the loaded set's name and source; a replay bumps no
+    /// counters.
     ///
     /// # Errors
     ///
@@ -875,27 +822,15 @@ impl Workspace {
             ));
         };
         let compilation = self.infer_with(opts)?;
-        // Key on the full source (not just the semantic fingerprint): a
-        // layout-only change keeps per-method verdicts but must re-resolve
-        // spans for "rule declared here" labels.
-        let key = {
-            let mut h = DefaultHasher::new();
-            set.fingerprint.hash(&mut h);
-            set.name.hash(&mut h);
-            set.source.hash(&mut h);
-            h.finish()
-        };
-        if let Some(outcome) = self
-            .states
-            .get(&opts)
-            .and_then(|s| s.policy_results.get(&key))
-        {
-            return Ok(Arc::clone(outcome));
+        // Key on the full source: a layout-only change moves the spans of
+        // the "rule declared here" labels.
+        if let Some((checked, outcome)) = &self.state_mut(opts).policy {
+            if checked.name == set.name && checked.source == set.source {
+                return Ok(Arc::clone(outcome));
+            }
         }
-        let state = self.state_mut(opts);
-        let report = state.policy_engine.check(&compilation.program, &set);
+        let report = cj_policy::check(&compilation.program, &set);
         self.counts.rules_checked += report.rules_checked;
-        self.counts.policy_violations += report.new_violations;
         let mut outcome = PolicyOutcome::default();
         for v in &report.violations {
             let mut d = Diagnostic::error(v.message.clone(), v.span).with_code(v.code);
@@ -911,10 +846,9 @@ impl Workspace {
             }
             outcome.diagnostics.push(d);
         }
+        self.counts.policy_violations += outcome.violations;
         let outcome = Arc::new(outcome);
-        self.state_mut(opts)
-            .policy_results
-            .insert(key, Arc::clone(&outcome));
+        self.state_mut(opts).policy = Some((set, Arc::clone(&outcome)));
         Ok(outcome)
     }
 

@@ -2,9 +2,8 @@
 //! random edit sequences, the policy verdicts of an incrementally edited
 //! `Workspace` must be bit-identical to a from-scratch workspace over the
 //! same sources — and invariant across `--extents paper|liveness` and
-//! both execution engines. The per-method verdict memo and the per-revision
-//! outcome cache change how much checking is *replayed*, never what the
-//! rules conclude.
+//! both execution engines. The per-revision outcome cache changes how much
+//! checking is *replayed*, never what the rules conclude.
 
 use cj_driver::{PolicyOutcome, SessionOptions, Workspace};
 use cj_infer::{ExtentMode, InferOptions};
@@ -15,19 +14,23 @@ use proptest::prelude::*;
 const RULES: &str = "no-escape Cell\nconfine Cell to Box\nseparate Secret from log\n";
 
 /// `a.cj`: the confined class and its owner. Variants keep the shape but
-/// change how `Box` populates its field.
+/// change how `Box` populates its field. Each change of `fill`'s length
+/// moves the spans of the unchanged, violating `make` after it.
 const A_VARIANTS: &[&str] = &[
     "class Cell { Object v; }
      class Box { Cell c;
        void fill() { this.c = new Cell(null); }
+       Cell make() { new Cell(null) }
      }",
     "class Cell { Object v; }
      class Box { Cell c;
        void fill() { this.c = new Cell(null); this.c.v = null; }
+       Cell make() { new Cell(null) }
      }",
     "class Cell { Object v; }
      class Box { Cell c;
        void fill() { }
+       Cell make() { new Cell(null) }
      }",
 ];
 

@@ -10,8 +10,8 @@ use cj_driver::{Session, SessionOptions, Workspace};
 use proptest::prelude::*;
 
 /// Body variants per file. Within a file, variants 0..3 share the same
-/// class shape (signature-preserving body edits → per-method reuse), while
-/// variant 3 changes the method set (shape change → full invalidation).
+/// class shape (signature-preserving body edits), while variant 3 changes
+/// the method set (and with it the region signatures).
 const A_VARIANTS: &[&str] = &[
     "class Box { Object item;
        Object get() { this.item }

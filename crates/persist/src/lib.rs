@@ -23,10 +23,8 @@
 //! much work* a compilation performs, never its output (property-tested
 //! against from-scratch solves over random recursive systems).
 //!
-//! Per-method `BodyResult` entries are **not** persisted yet: unlike SCC
-//! summaries they embed kernel spans, so a disk entry is only valid for a
-//! byte-identical file layout; persisting them safely needs a span
-//! fingerprint in the key (tracked in ROADMAP.md).
+//! Solved SCCs are the only inference state that is persisted: every
+//! other artifact is recomputed from the kernel on each compile.
 //!
 //! [`SolveMemo`]: cj_regions::incremental::SolveMemo
 #![forbid(unsafe_code)]

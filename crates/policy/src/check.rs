@@ -1,14 +1,9 @@
 //! The policy checker: rule resolution, the interprocedural escape
-//! fixpoint, per-method evaluation, and the α-invariant verdict memo.
+//! fixpoint, and per-method evaluation.
 //!
-//! The engine consumes a fully inferred [`RProgram`] and a [`PolicySet`]
-//! and produces located [`Violation`]s. Verdicts are memoized per method
-//! under a fingerprint of everything they depend on — the rule set, the
-//! method's canonicalized annotations (region ids α-renamed, spans
-//! excluded), the signatures of its callees (closed imports), its escape
-//! context, and the subclass relations between every class it mentions and
-//! every class the rules name — so a host re-checking after an incremental
-//! edit re-evaluates only the methods the edit actually affected.
+//! [`check`] consumes a fully inferred [`RProgram`] and a [`PolicySet`]
+//! and produces located [`Violation`]s, evaluating every resolved rule
+//! against every method.
 
 use crate::{PolicySet, Rule, RuleKind};
 use cj_diag::{codes, Span};
@@ -18,10 +13,7 @@ use cj_infer::rast::{walk_rexpr, RExpr, RExprKind, RMethod, RProgram, RType};
 use cj_regions::constraint::Atom;
 use cj_regions::solve::Solver;
 use cj_regions::var::RegVar;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 /// One policy finding, located in the program (or, for rule-resolution
 /// errors, in the policy source).
@@ -43,34 +35,14 @@ pub struct Violation {
     pub notes: Vec<String>,
 }
 
-/// The outcome of one [`PolicyEngine::check`] call.
+/// The outcome of one [`check`] call.
 #[derive(Debug, Clone, Default)]
 pub struct PolicyReport {
     /// Every finding, in deterministic order: rule-resolution errors first
     /// (rule order), then per-method findings (program method order).
     pub violations: Vec<Violation>,
-    /// Rule × method evaluations actually executed (memo misses only).
+    /// Rule × method evaluations executed.
     pub rules_checked: u32,
-    /// Violations discovered by executed evaluations (memo replays are
-    /// not re-counted).
-    pub new_violations: u32,
-    /// Methods whose verdicts were computed this call.
-    pub methods_checked: u32,
-    /// Methods whose verdicts were replayed from the memo.
-    pub methods_reused: u32,
-}
-
-/// A memoized per-method finding: the site is a pre-order ordinal into the
-/// method body, resolved against the *current* body on replay (bodies with
-/// equal fingerprints are α-identical, so ordinals line up while spans may
-/// have moved with an edit elsewhere in the file).
-#[derive(Debug, Clone)]
-struct Stored {
-    rule: u32,
-    site: u32,
-    code: &'static str,
-    message: String,
-    notes: Vec<String>,
 }
 
 /// A rule with its class names resolved against one program.
@@ -94,70 +66,29 @@ enum Target {
     },
 }
 
-/// The region-effect policy checker with its per-method verdict memo.
-///
-/// The memo survives across [`check`](PolicyEngine::check) calls (and so
-/// across host revisions); it is keyed by content, never invalidated.
-#[derive(Debug, Default)]
-pub struct PolicyEngine {
-    cache: HashMap<u64, Arc<Vec<Stored>>>,
-}
-
-impl PolicyEngine {
-    /// A fresh engine with an empty memo.
-    pub fn new() -> PolicyEngine {
-        PolicyEngine::default()
+/// Checks every rule of `set` against `program`.
+pub fn check(program: &RProgram, set: &PolicySet) -> PolicyReport {
+    let mut span = cj_trace::span("pipeline", "policy-check");
+    span.add("rules", set.rules.len() as u64);
+    let mut report = PolicyReport::default();
+    let mut resolved = Vec::new();
+    for (idx, rule) in set.rules.iter().enumerate() {
+        match resolve_rule(program, idx, rule) {
+            Ok(r) => resolved.push(r),
+            Err(v) => report.violations.push(v),
+        }
+    }
+    if resolved.is_empty() {
+        return report;
     }
 
-    /// Checks every rule of `set` against `program`.
-    pub fn check(&mut self, program: &RProgram, set: &PolicySet) -> PolicyReport {
-        let mut span = cj_trace::span("pipeline", "policy-check");
-        span.add("rules", set.rules.len() as u64);
-        let mut report = PolicyReport::default();
-        let mut resolved = Vec::new();
-        for (idx, rule) in set.rules.iter().enumerate() {
-            match resolve_rule(program, idx, rule) {
-                Ok(r) => resolved.push(r),
-                Err(v) => report.violations.push(v),
-            }
-        }
-        if resolved.is_empty() {
-            return report;
-        }
-
-        let cx = ProgramCx::build(program, &resolved);
-        for (mi, (id, m)) in cx.methods.iter().enumerate() {
-            let nodes = preorder(&m.body);
-            let key = method_key(&cx, set.fingerprint, mi, *id, m, &nodes);
-            let stored = match self.cache.get(&key) {
-                Some(stored) => {
-                    report.methods_reused += 1;
-                    Arc::clone(stored)
-                }
-                None => {
-                    let found = evaluate(&cx, mi, *id, m, &nodes, &resolved);
-                    report.rules_checked += resolved.len() as u32;
-                    report.new_violations += found.len() as u32;
-                    report.methods_checked += 1;
-                    let found = Arc::new(found);
-                    self.cache.insert(key, Arc::clone(&found));
-                    found
-                }
-            };
-            for s in stored.iter() {
-                report.violations.push(Violation {
-                    rule: s.rule as usize,
-                    code: s.code,
-                    message: s.message.clone(),
-                    span: nodes[s.site as usize].span,
-                    in_policy: false,
-                    notes: s.notes.clone(),
-                });
-            }
-        }
-        span.add("violations", report.violations.len() as u64);
-        report
+    let cx = ProgramCx::build(program);
+    for (mi, (id, m)) in cx.methods.iter().enumerate() {
+        evaluate(&cx, mi, *id, m, &resolved, &mut report.violations);
+        report.rules_checked += resolved.len() as u32;
     }
+    span.add("violations", report.violations.len() as u64);
+    report
 }
 
 /// Resolves one rule's names, or reports why it cannot apply.
@@ -216,9 +147,9 @@ fn resolve_rule(program: &RProgram, idx: usize, rule: &Rule) -> Result<Resolved,
     Ok(Resolved { idx, target })
 }
 
-/// Per-program context shared by hashing and evaluation: the method list in
-/// canonical order, the letreg-local region sets, the escape fixpoint, the
-/// per-class/per-method signature hashes, and the classes the rules name.
+/// Per-program context shared by every method's evaluation: the method
+/// list in canonical order, the letreg-local region sets and the escape
+/// fixpoint.
 struct ProgramCx<'p> {
     program: &'p RProgram,
     methods: Vec<(MethodId, &'p RMethod)>,
@@ -229,15 +160,10 @@ struct ProgramCx<'p> {
     /// an open-world region — a value allocated into it outlives every
     /// `letreg` extent.
     escapes: Vec<Vec<bool>>,
-    class_sig: Vec<u64>,
-    method_sig: Vec<u64>,
-    /// Every class the resolved rules name, in rule order (subclass
-    /// relations against these are part of each method's verdict key).
-    rule_classes: Vec<ClassId>,
 }
 
 impl<'p> ProgramCx<'p> {
-    fn build(program: &'p RProgram, resolved: &[Resolved]) -> ProgramCx<'p> {
+    fn build(program: &'p RProgram) -> ProgramCx<'p> {
         let methods: Vec<(MethodId, &RMethod)> = program.all_rmethods().collect();
         let index: HashMap<MethodId, usize> = methods
             .iter()
@@ -317,27 +243,11 @@ impl<'p> ProgramCx<'p> {
             }
         }
 
-        let rule_classes = resolved
-            .iter()
-            .flat_map(|r| match r.target {
-                Target::NoEscape { class } => vec![class],
-                Target::Confine { class, owner } => vec![class, owner],
-                Target::Separate {
-                    source, sink_class, ..
-                } => sink_class.into_iter().chain([source]).collect(),
-            })
-            .collect();
-
-        let class_sig = class_signatures(program);
-        let method_sig = method_signatures(program, &methods, &class_sig);
         ProgramCx {
             program,
             methods,
             locals,
             escapes,
-            class_sig,
-            method_sig,
-            rule_classes,
         }
     }
 
@@ -400,27 +310,20 @@ fn call_targets(
 
 // ---- evaluation ---------------------------------------------------------
 
-/// Pre-order node list of a method body; `Stored::site` indexes it.
-fn preorder(body: &RExpr) -> Vec<&RExpr> {
-    let mut nodes = Vec::new();
-    walk_rexpr(body, &mut |e| nodes.push(e));
-    nodes
-}
-
-/// Evaluates every resolved rule against one method, producing memoizable
-/// findings. Messages use only α-stable names (classes, method display
-/// names, 1-based positional region parameters) so a memo replay after an
-/// incremental edit is bit-identical to a fresh evaluation.
+/// Evaluates every resolved rule against one method, appending its
+/// findings to `found`.
 fn evaluate(
     cx: &ProgramCx<'_>,
     mi: usize,
     id: MethodId,
     m: &RMethod,
-    nodes: &[&RExpr],
     resolved: &[Resolved],
-) -> Vec<Stored> {
+    found: &mut Vec<Violation>,
+) {
     let table = cx.table();
     let mname = cx.program.kernel.method_name(id);
+    let mut nodes: Vec<&RExpr> = Vec::new();
+    walk_rexpr(&m.body, &mut |e| nodes.push(e));
     // Every class-typed annotation occurring in the method, deduplicated:
     // the ownership ("owned by D") and taint ("hosts S values") relations
     // are read off these occurrences.
@@ -434,7 +337,7 @@ fn evaluate(
         record(t);
     }
     record(&m.ret_type);
-    for node in nodes {
+    for node in &nodes {
         record(&node.rtype);
     }
 
@@ -446,11 +349,10 @@ fn evaluate(
             .entails_atom(atom)
     };
 
-    let mut found = Vec::new();
     for r in resolved {
         match r.target {
             Target::NoEscape { class } => {
-                for (site, node) in nodes.iter().enumerate() {
+                for node in &nodes {
                     let RExprKind::New {
                         class: alloc,
                         regions,
@@ -499,11 +401,12 @@ fn evaluate(
                         ))
                     };
                     if let Some((message, notes)) = verdict {
-                        found.push(Stored {
-                            rule: r.idx as u32,
-                            site: site as u32,
+                        found.push(Violation {
+                            rule: r.idx,
                             code: codes::POLICY_NO_ESCAPE,
                             message,
+                            span: node.span,
+                            in_policy: false,
                             notes,
                         });
                     }
@@ -516,7 +419,7 @@ fn evaluate(
                     .flat_map(|(_, regions)| regions.iter().copied())
                     .collect();
                 let on = table.name(owner);
-                for (site, node) in nodes.iter().enumerate() {
+                for node in &nodes {
                     let RExprKind::New {
                         class: alloc,
                         regions,
@@ -542,14 +445,15 @@ fn evaluate(
                                 owned.len()
                             )
                         };
-                        found.push(Stored {
-                            rule: r.idx as u32,
-                            site: site as u32,
+                        found.push(Violation {
+                            rule: r.idx,
                             code: codes::POLICY_CONFINE,
                             message: format!(
                                 "values of class `{cn}` may only be allocated into regions \
                                  owned by `{on}`, but this allocation's region is not one of them"
                             ),
+                            span: node.span,
+                            in_policy: false,
                             notes: vec![note],
                         });
                     }
@@ -569,7 +473,7 @@ fn evaluate(
                     continue;
                 }
                 let sn = table.name(source);
-                for (site, node) in nodes.iter().enumerate() {
+                for node in &nodes {
                     let (callee, args) = match &node.kind {
                         RExprKind::CallVirtual { method, args, .. } => (*method, args),
                         RExprKind::CallStatic { method, args, .. } => (*method, args),
@@ -586,9 +490,8 @@ fn evaluate(
                         let tainted = taint.contains(&t)
                             || taint.iter().any(|&s| entails(Atom::outlives(s, t)));
                         if tainted {
-                            found.push(Stored {
-                                rule: r.idx as u32,
-                                site: site as u32,
+                            found.push(Violation {
+                                rule: r.idx,
                                 code: codes::POLICY_SEPARATE,
                                 message: format!(
                                     "values born in `{sn}`-hosting regions must not flow into \
@@ -596,6 +499,8 @@ fn evaluate(
                                      a region reachable from one",
                                     ai + 1
                                 ),
+                                span: node.span,
+                                in_policy: false,
                                 notes: vec![format!(
                                     "the closed constraints entail that a `{sn}`-hosting region \
                                      outlives the argument's region, so the argument can reach \
@@ -608,7 +513,6 @@ fn evaluate(
             }
         }
     }
-    found
 }
 
 /// Whether a call's statically resolved callee matches a sink spec: a
@@ -630,348 +534,5 @@ fn sink_matches(
         }
         (MethodId::Static(i), None) => table.statics()[i as usize].name == sink_method,
         _ => false,
-    }
-}
-
-// ---- α-invariant verdict keys -------------------------------------------
-
-/// First-occurrence region renumbering: two methods that differ only by a
-/// consistent (order-preserving) region-id shift — exactly what incremental
-/// recompilation produces for untouched methods — hash identically.
-#[derive(Default)]
-struct Canon {
-    map: HashMap<RegVar, u64>,
-}
-
-impl Canon {
-    fn id(&mut self, r: RegVar) -> u64 {
-        if r.is_heap() {
-            return u64::MAX;
-        }
-        let next = self.map.len() as u64;
-        *self.map.entry(r).or_insert(next)
-    }
-}
-
-/// Hashes a constraint set under `canon`, order-independently (atoms are
-/// canonicalized, then sorted).
-fn hash_atoms(h: &mut DefaultHasher, canon: &mut Canon, atoms: impl Iterator<Item = Atom>) {
-    let mut mapped: Vec<(u8, u64, u64)> = atoms
-        .map(|a| match a {
-            Atom::Outlives(x, y) => (0, canon.id(x), canon.id(y)),
-            Atom::Eq(x, y) => {
-                let (x, y) = (canon.id(x), canon.id(y));
-                (1, x.min(y), x.max(y))
-            }
-        })
-        .collect();
-    mapped.sort_unstable();
-    mapped.hash(h);
-}
-
-/// Per-class signature hashes: name, ancestry, canonicalized field types
-/// and invariant. Folded into every type hash, so any change to a class a
-/// method mentions re-keys that method.
-fn class_signatures(program: &RProgram) -> Vec<u64> {
-    let table = &program.kernel.table;
-    program
-        .classes
-        .iter()
-        .map(|rc| {
-            let mut h = DefaultHasher::new();
-            table.name(rc.id).as_str().hash(&mut h);
-            let mut cur = table.class(rc.id).superclass;
-            while let Some(s) = cur {
-                table.name(s).as_str().hash(&mut h);
-                cur = table.class(s).superclass;
-            }
-            rc.params.len().hash(&mut h);
-            rc.rec_region.is_some().hash(&mut h);
-            let mut canon = Canon::default();
-            for &p in &rc.params {
-                canon.id(p);
-            }
-            for t in &rc.field_types {
-                hash_rtype_shallow(&mut h, &mut canon, table, t);
-            }
-            hash_atoms(&mut h, &mut canon, rc.invariant.iter());
-            h.finish()
-        })
-        .collect()
-}
-
-/// Type hash without per-class signature folding (used inside the class
-/// signatures themselves, where classes may be mutually recursive).
-fn hash_rtype_shallow(
-    h: &mut DefaultHasher,
-    canon: &mut Canon,
-    table: &cj_frontend::classtable::ClassTable,
-    t: &RType,
-) {
-    match t {
-        RType::Void => 0u8.hash(h),
-        RType::Prim(p) => {
-            1u8.hash(h);
-            std::mem::discriminant(p).hash(h);
-        }
-        RType::Class {
-            class,
-            regions,
-            pads,
-        } => {
-            2u8.hash(h);
-            table.name(*class).as_str().hash(h);
-            for &r in regions.iter().chain(pads.iter()) {
-                canon.id(r).hash(h);
-            }
-            (regions.len(), pads.len()).hash(h);
-        }
-        RType::Array { elem, region } => {
-            3u8.hash(h);
-            std::mem::discriminant(elem).hash(h);
-            canon.id(*region).hash(h);
-        }
-    }
-}
-
-/// Per-method *signature* hashes — what callers import: display name,
-/// owner-class signature, canonicalized parameter/return types and closed
-/// precondition.
-fn method_signatures(
-    program: &RProgram,
-    methods: &[(MethodId, &RMethod)],
-    class_sig: &[u64],
-) -> Vec<u64> {
-    methods
-        .iter()
-        .map(|(id, m)| {
-            let mut h = DefaultHasher::new();
-            program.kernel.method_name(*id).hash(&mut h);
-            if let MethodId::Instance(c, _) = id {
-                class_sig[c.index()].hash(&mut h);
-            }
-            m.abs_params.len().hash(&mut h);
-            let mut canon = Canon::default();
-            for &p in &m.abs_params {
-                canon.id(p);
-            }
-            let table = &program.kernel.table;
-            let kernel = program.kernel.method(*id);
-            for &p in &kernel.params {
-                hash_rtype_shallow(&mut h, &mut canon, table, &m.var_types[p.index()]);
-            }
-            hash_rtype_shallow(&mut h, &mut canon, table, &m.ret_type);
-            hash_atoms(&mut h, &mut canon, m.precondition.iter());
-            h.finish()
-        })
-        .collect()
-}
-
-/// Discriminant tag of a node kind. Together with each kind's fixed child
-/// arity (plus the `Let` initializer bit and the `Block` item count, hashed
-/// separately), the pre-order tag sequence pins the body's tree shape — and
-/// with it the site ordinals memoized verdicts refer to.
-fn kind_tag(k: &RExprKind) -> u8 {
-    match k {
-        RExprKind::Unit => 0,
-        RExprKind::Int(_) => 1,
-        RExprKind::Bool(_) => 2,
-        RExprKind::Float(_) => 3,
-        RExprKind::Null => 4,
-        RExprKind::Var(_) => 5,
-        RExprKind::Field(_, _) => 6,
-        RExprKind::AssignVar(_, _) => 7,
-        RExprKind::AssignField(_, _, _) => 8,
-        RExprKind::New { .. } => 9,
-        RExprKind::NewArray { .. } => 10,
-        RExprKind::Index(_, _) => 11,
-        RExprKind::AssignIndex(_, _, _) => 12,
-        RExprKind::ArrayLen(_) => 13,
-        RExprKind::CallVirtual { .. } => 14,
-        RExprKind::CallStatic { .. } => 15,
-        RExprKind::Block(_) => 16,
-        RExprKind::Let { .. } => 17,
-        RExprKind::Letreg(_, _) => 18,
-        RExprKind::If { .. } => 19,
-        RExprKind::While { .. } => 20,
-        RExprKind::Cast { .. } => 21,
-        RExprKind::Unary(_, _) => 22,
-        RExprKind::Binary(_, _, _) => 23,
-        RExprKind::Print(_) => 24,
-    }
-}
-
-/// The verdict key of one method: everything `evaluate` can read, spans
-/// excluded, region ids α-renamed.
-fn method_key(
-    cx: &ProgramCx<'_>,
-    set_fp: u64,
-    mi: usize,
-    id: MethodId,
-    m: &RMethod,
-    nodes: &[&RExpr],
-) -> u64 {
-    let table = cx.table();
-    let mut h = DefaultHasher::new();
-    set_fp.hash(&mut h);
-    cx.program.kernel.method_name(id).hash(&mut h);
-    id.is_static().hash(&mut h);
-    if let MethodId::Instance(c, _) = id {
-        cx.class_sig[c.index()].hash(&mut h);
-        hash_rule_relations(&mut h, cx, c);
-    }
-    cx.escapes[mi].hash(&mut h);
-
-    let mut canon = Canon::default();
-    for &p in &m.abs_params {
-        canon.id(p);
-    }
-    let hash_type = |h: &mut DefaultHasher, canon: &mut Canon, t: &RType| {
-        hash_rtype_shallow(h, canon, table, t);
-        if let RType::Class { class, .. } = t {
-            cx.class_sig[class.index()].hash(h);
-            hash_rule_relations(h, cx, *class);
-        }
-    };
-    m.var_types.len().hash(&mut h);
-    for t in &m.var_types {
-        hash_type(&mut h, &mut canon, t);
-    }
-    hash_type(&mut h, &mut canon, &m.ret_type);
-    hash_atoms(&mut h, &mut canon, m.precondition.iter());
-
-    nodes.len().hash(&mut h);
-    for node in nodes {
-        kind_tag(&node.kind).hash(&mut h);
-        hash_type(&mut h, &mut canon, &node.rtype);
-        match &node.kind {
-            RExprKind::New { class, regions, .. } => {
-                cx.class_sig[class.index()].hash(&mut h);
-                hash_rule_relations(&mut h, cx, *class);
-                for &r in regions {
-                    canon.id(r).hash(&mut h);
-                }
-            }
-            RExprKind::NewArray { region, .. } => {
-                canon.id(*region).hash(&mut h);
-            }
-            RExprKind::CallVirtual {
-                method,
-                inst,
-                args,
-                recv,
-            } => {
-                hash_call(&mut h, cx, &mut canon, *method, inst);
-                recv.0.hash(&mut h);
-                for a in args {
-                    a.0.hash(&mut h);
-                }
-            }
-            RExprKind::CallStatic { method, inst, args } => {
-                hash_call(&mut h, cx, &mut canon, *method, inst);
-                for a in args {
-                    a.0.hash(&mut h);
-                }
-            }
-            RExprKind::Letreg(r, _) => {
-                canon.id(*r).hash(&mut h);
-            }
-            RExprKind::Block(items) => items.len().hash(&mut h),
-            RExprKind::Let { init, var } => {
-                init.is_some().hash(&mut h);
-                var.0.hash(&mut h);
-            }
-            RExprKind::Cast { class, regions, .. } => {
-                cx.class_sig[class.index()].hash(&mut h);
-                for &r in regions {
-                    canon.id(r).hash(&mut h);
-                }
-            }
-            _ => {}
-        }
-    }
-    h.finish()
-}
-
-/// Folds one call site's closed import into the key: the callee's
-/// signature hash, its class's relations to the rule classes (sink
-/// matching), and the canonicalized instantiation (escape propagation).
-fn hash_call(
-    h: &mut DefaultHasher,
-    cx: &ProgramCx<'_>,
-    canon: &mut Canon,
-    callee: MethodId,
-    inst: &[RegVar],
-) {
-    if let Some(pos) = cx.methods.iter().position(|(id, _)| *id == callee) {
-        cx.method_sig[pos].hash(h);
-        // A caller's verdict also depends on the callee's escape row (the
-        // site feeds the fixpoint) — cheap to include, avoids stale keys
-        // when only a sibling caller changed the row.
-        cx.escapes[pos].hash(h);
-    }
-    if let MethodId::Instance(c, _) = callee {
-        hash_rule_relations(h, cx, c);
-    }
-    inst.len().hash(h);
-    for &r in inst {
-        canon.id(r).hash(h);
-    }
-}
-
-/// Hashes `class`'s subtyping relations against every class the rules
-/// name: the rule predicates (`is_subclass` filters, sink matching) read
-/// exactly these bits, so hierarchy edits re-key affected methods.
-fn hash_rule_relations(h: &mut DefaultHasher, cx: &ProgramCx<'_>, class: ClassId) {
-    let table = cx.table();
-    for &rc in &cx.rule_classes {
-        (table.is_subclass(class, rc), table.is_subclass(rc, class)).hash(h);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cj_infer::{infer_source, InferOptions};
-
-    /// `Block[Block[a], b]` and `Block[Block[a, b]]` have the same
-    /// pre-order tags and node count; only the item counts tell them
-    /// apart.
-    #[test]
-    fn method_key_hashes_block_item_counts() {
-        let src = "class M { static int f() { 1 } }";
-        let (mut program, _) = infer_source(src, InferOptions::default()).unwrap();
-        let set = PolicySet::parse("p", "no-escape M\n").unwrap();
-        let resolved: Vec<Resolved> = set
-            .rules
-            .iter()
-            .enumerate()
-            .map(|(i, rule)| resolve_rule(&program, i, rule).ok().unwrap())
-            .collect();
-        let leaf = program.statics[0].body.clone();
-        let block = |items| RExpr {
-            kind: RExprKind::Block(items),
-            ..leaf.clone()
-        };
-        let shapes = [
-            block(vec![block(vec![leaf.clone()]), leaf.clone()]),
-            block(vec![block(vec![leaf.clone(), leaf.clone()])]),
-        ];
-        let keys: Vec<u64> = shapes
-            .into_iter()
-            .map(|body| {
-                program.statics[0].body = body;
-                let cx = ProgramCx::build(&program, &resolved);
-                let (mi, (id, m)) = cx
-                    .methods
-                    .iter()
-                    .enumerate()
-                    .find(|(_, (id, _))| id.is_static())
-                    .unwrap();
-                let nodes = preorder(&m.body);
-                method_key(&cx, set.fingerprint, mi, *id, m, &nodes)
-            })
-            .collect();
-        assert_ne!(keys[0], keys[1]);
     }
 }

@@ -54,23 +54,18 @@
 //! invariant under the `--extents` modes (extent rewriting moves `letreg`
 //! *placement*, never the set of regions allocation sites live in).
 //!
-//! The [`check::PolicyEngine`] memoizes verdicts per method under an
-//! α-invariant fingerprint of everything a verdict depends on (rule set,
-//! canonical annotations, closed callee imports, escape context), so an
-//! incremental host like `cj-driver`'s `Workspace` re-evaluates only the
-//! methods an edit actually affected.
+//! [`check()`] evaluates every rule against every method of the program it
+//! is given; it keeps no state between calls.
 
 #![forbid(unsafe_code)]
 
 pub mod check;
 
-pub use check::{PolicyEngine, PolicyReport, Violation};
+pub use check::{check, PolicyReport, Violation};
 
 use cj_diag::{codes, Diagnostic, Diagnostics, Span};
 use cj_infer::options::ParseOptionError;
-use std::collections::hash_map::DefaultHasher;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
 /// The three rule kinds of the policy language.
@@ -166,7 +161,7 @@ impl fmt::Display for Rule {
     }
 }
 
-/// A parsed, fingerprinted set of policy rules.
+/// A parsed set of policy rules.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolicySet {
     /// Display name of the policy source (file name, or a pseudo-name for
@@ -176,10 +171,6 @@ pub struct PolicySet {
     pub source: String,
     /// The rules, in declaration order.
     pub rules: Vec<Rule>,
-    /// A content fingerprint of the normalized rules (spans and comments
-    /// excluded): two rule sets with equal fingerprints demand identical
-    /// verdicts.
-    pub fingerprint: u64,
 }
 
 impl PolicySet {
@@ -221,12 +212,10 @@ impl PolicySet {
         if errors.has_errors() {
             return Err(errors);
         }
-        let fingerprint = fingerprint_rules(&rules);
         Ok(PolicySet {
             name,
             source,
             rules,
-            fingerprint,
         })
     }
 
@@ -315,21 +304,6 @@ fn parse_rule(text: &str, span: Span) -> Result<Rule, String> {
     Ok(rule)
 }
 
-/// Hashes the normalized rule list (kinds and names only — spans, layout
-/// and comments do not affect verdicts).
-fn fingerprint_rules(rules: &[Rule]) -> u64 {
-    let mut h = DefaultHasher::new();
-    rules.len().hash(&mut h);
-    for rule in rules {
-        rule.kind.hash(&mut h);
-        rule.class.hash(&mut h);
-        rule.owner.hash(&mut h);
-        rule.sink_class.hash(&mut h);
-        rule.sink_method.hash(&mut h);
-    }
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,15 +339,6 @@ mod tests {
             &text[r1.lo as usize..r1.hi as usize],
             "confine Node to Tree"
         );
-    }
-
-    #[test]
-    fn fingerprint_ignores_layout_but_not_content() {
-        let a = PolicySet::parse("a", "no-escape Cell\n").unwrap();
-        let b = PolicySet::parse("b", "  # x\n  no-escape   Cell   # y\n").unwrap();
-        let c = PolicySet::parse("c", "no-escape List\n").unwrap();
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_ne!(a.fingerprint, c.fingerprint);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! End-to-end policy-engine tests: for every rule kind, one program that
 //! violates it and one that satisfies it, checked against real inference
-//! output; plus rule-resolution errors and the verdict memo.
+//! output; plus rule-resolution errors.
 
 use cj_diag::codes;
 use cj_infer::{infer_source, InferOptions, RProgram};
-use cj_policy::{PolicyEngine, PolicySet};
+use cj_policy::PolicySet;
 
 fn infer(src: &str) -> RProgram {
     let (p, _) = infer_source(src, InferOptions::default()).unwrap();
@@ -15,9 +15,7 @@ fn infer(src: &str) -> RProgram {
 fn check(src: &str, rules: &str) -> Vec<(String, String)> {
     let program = infer(src);
     let set = PolicySet::parse("<test>", rules).expect("rules must parse");
-    let mut engine = PolicyEngine::new();
-    let report = engine.check(&program, &set);
-    report
+    cj_policy::check(&program, &set)
         .violations
         .into_iter()
         .map(|v| (v.code.to_string(), v.message))
@@ -156,7 +154,7 @@ fn unresolvable_rules_become_policy_errors() {
         "no-escape Ghost\nseparate M from nolog\nconfine M to M",
     )
     .unwrap();
-    let report = PolicyEngine::new().check(&program, &set);
+    let report = cj_policy::check(&program, &set);
     let errors: Vec<_> = report.violations.iter().filter(|v| v.in_policy).collect();
     assert_eq!(errors.len(), 2, "{:?}", report.violations);
     assert!(errors.iter().all(|v| v.code == codes::POLICY));
@@ -164,53 +162,4 @@ fn unresolvable_rules_become_policy_errors() {
     assert!(errors[1]
         .message
         .contains("unknown static sink method `nolog`"));
-}
-
-#[test]
-fn verdicts_are_memoized_across_checks() {
-    let program = infer(
-        "class Cell { Object v; }
-         class M {
-           static Cell leak() { new Cell(null) }
-           static void main() { Cell c = new Cell(null); c.v = null; }
-         }",
-    );
-    let set = PolicySet::parse("<test>", "no-escape Cell").unwrap();
-    let mut engine = PolicyEngine::new();
-    let first = engine.check(&program, &set);
-    assert!(first.methods_checked > 0);
-    assert!(first.rules_checked > 0);
-    let second = engine.check(&program, &set);
-    assert_eq!(second.methods_checked, 0);
-    assert_eq!(second.rules_checked, 0);
-    assert_eq!(second.new_violations, 0);
-    assert_eq!(second.methods_reused, first.methods_checked);
-    let strip = |r: &cj_policy::PolicyReport| {
-        r.violations
-            .iter()
-            .map(|v| (v.rule, v.code, v.message.clone(), v.span))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(strip(&first), strip(&second));
-}
-
-#[test]
-fn memo_distinguishes_rule_sets() {
-    let program = infer(
-        "class Cell { Object v; }
-         class M { static Cell leak() { new Cell(null) } static void main() { } }",
-    );
-    let mut engine = PolicyEngine::new();
-    let loose = PolicySet::parse("<test>", "no-escape M").unwrap();
-    let strict = PolicySet::parse("<test>", "no-escape Cell").unwrap();
-    let first = engine.check(&program, &loose);
-    let second = engine.check(&program, &strict);
-    assert!(second.methods_checked > 0, "new rule set must re-evaluate");
-    assert_ne!(
-        first.violations.len(),
-        second.violations.len(),
-        "{:?} vs {:?}",
-        first.violations,
-        second.violations
-    );
 }

@@ -79,14 +79,6 @@ impl RegVarGen {
         (0..n).map(|_| self.fresh()).collect()
     }
 
-    /// Advances the counter as if `n` variables had been handed out,
-    /// without materializing them. Used when previously minted ids are
-    /// replayed from a cache: the generator must end up in the same state a
-    /// fresh mint would have produced.
-    pub fn skip(&mut self, n: u32) {
-        self.next += n;
-    }
-
     /// Number of variables handed out so far (excluding the heap).
     pub fn count(&self) -> u32 {
         self.next - 1

@@ -36,7 +36,6 @@
 use cj_frontend::ast::BinOp;
 use cj_frontend::span::Span;
 use cj_frontend::types::Prim;
-use std::sync::Arc;
 
 /// The runtime representation class of one field or array-element slot.
 /// Payload slots are raw 64-bit words; the lowering pass bakes each
@@ -431,7 +430,7 @@ pub struct RvmProgram {
     /// Every method, instance methods first (in
     /// [`RProgram::all_rmethods`](cj_infer::RProgram::all_rmethods)
     /// order), then statics.
-    pub methods: Vec<Arc<RvmMethod>>,
+    pub methods: Vec<RvmMethod>,
     /// Per-class virtual dispatch table: `vtables[class][vslot]` is the
     /// function index of the most-derived override.
     pub vtables: Vec<Vec<u32>>,

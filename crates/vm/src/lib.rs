@@ -9,8 +9,7 @@
 //!   `letreg` extents;
 //! - the [lowering pass](lower), which compiles the region-annotated
 //!   kernel ([`RProgram`](cj_infer::RProgram)) straight to that IR in one
-//!   pass. A per-method [`LowerCache`] re-lowers only the methods an edit
-//!   changed;
+//!   pass;
 //! - a [bump-arena region heap](heap): each live region holds its
 //!   objects' actual payloads (fields as word slots) and frees them
 //!   **wholesale** at `RegPop`.
@@ -52,36 +51,4 @@ pub mod heap;
 pub mod lower;
 
 pub use code::{RInstr, ROp, RvmMethod, RvmProgram};
-pub use lower::{lower_program, LowerCache, LowerStats};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cj_infer::{infer_source, InferOptions};
-
-    #[test]
-    fn lower_cache_reuses_unchanged_methods() {
-        let src_a = "class Cell { Object item; Object get() { this.item } }
-             class M { static int main() { 1 } }";
-        let src_b = "class Cell { Object item; Object get() { this.item } }
-             class M { static int main() { 2 } }";
-        let (pa, _) = infer_source(src_a, InferOptions::default()).unwrap();
-        let (pb, _) = infer_source(src_b, InferOptions::default()).unwrap();
-        let mut cache = LowerCache::new();
-        let (first, s1) = cache.lower(&pa);
-        assert_eq!(s1.methods_reused, 0);
-        assert!(s1.methods_lowered >= 2);
-        // Identical program: everything is reused.
-        let (again, s2) = cache.lower(&pa);
-        assert_eq!(s2.methods_lowered, 0);
-        assert_eq!(s2.methods_reused, s1.methods_lowered);
-        assert!(std::ptr::eq(
-            std::sync::Arc::as_ptr(&first.methods[0]),
-            std::sync::Arc::as_ptr(&again.methods[0])
-        ));
-        // One edited body: exactly one method re-lowers.
-        let (_, s3) = cache.lower(&pb);
-        assert_eq!(s3.methods_lowered, 1, "{s3:?}");
-        assert_eq!(s3.methods_reused, s1.methods_lowered - 1);
-    }
-}
+pub use lower::lower_program;

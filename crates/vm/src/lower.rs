@@ -28,16 +28,6 @@
 //!
 //! Fusion never swallows a jump target, so every label stays an
 //! instruction boundary.
-//!
-//! # Incremental re-lowering
-//!
-//! [`LowerCache`] memoizes lowered methods by a structural fingerprint:
-//! as long as the program's *shape* (class hierarchy, signatures, region
-//! arities — everything that positions vtable slots and function indices)
-//! is unchanged, an unchanged method body is reused as-is and only edited
-//! methods are re-lowered. This mirrors the per-method reuse of
-//! [`cj_infer::InferCache`] one layer down: an incremental revision that
-//! re-infers one body also re-lowers exactly one body.
 
 use crate::code::{
     bin_code, ArraySite, CallSite, CallTarget, CastSite, CmpOp, Lit, NewSite, RInstr, ROp, RegRef,
@@ -50,79 +40,25 @@ use cj_frontend::types::{ClassId, MethodId, NType, Prim, VarId};
 use cj_frontend::Symbol;
 use cj_infer::rast::{walk_rexpr, RExpr, RExprKind, RMethod, RProgram};
 use cj_regions::var::RegVar;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
-/// Work counters of one [`LowerCache::lower`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LowerStats {
-    /// Methods actually lowered this call.
-    pub methods_lowered: usize,
-    /// Methods reused from the cache (unchanged fingerprint).
-    pub methods_reused: usize,
-}
-
-/// A per-method lowering memo; see the module docs.
-#[derive(Debug, Default)]
-pub struct LowerCache {
-    shape: Option<u64>,
-    methods: HashMap<MethodId, (u64, Arc<RvmMethod>)>,
-}
-
-impl LowerCache {
-    /// An empty cache.
-    pub fn new() -> LowerCache {
-        LowerCache::default()
-    }
-
-    /// Lowers `p`, reusing every cached method whose structural
-    /// fingerprint is unchanged since the last call. A shape change
-    /// (anything affecting vtable slots, function indices, field layout
-    /// or region arities) drops the whole cache first.
-    pub fn lower(&mut self, p: &RProgram) -> (RvmProgram, LowerStats) {
-        let mut span = cj_trace::span("pipeline", "lower");
-        let shape = shape_fingerprint(p);
-        if self.shape != Some(shape) {
-            self.methods.clear();
-            self.shape = Some(shape);
-        }
-        let tables = GlobalTables::build(p);
-        let mut stats = LowerStats::default();
-        let mut methods = Vec::new();
-        for (id, rm) in p.all_rmethods() {
-            let km = p.kernel.method(id);
-            let fp = method_fingerprint(km, rm);
-            match self.methods.get(&id) {
-                Some((cached, method)) if *cached == fp => {
-                    methods.push(Arc::clone(method));
-                    stats.methods_reused += 1;
-                }
-                _ => {
-                    let method = Arc::new(lower_method(p, id, km, rm, &tables));
-                    self.methods.insert(id, (fp, Arc::clone(&method)));
-                    methods.push(method);
-                    stats.methods_lowered += 1;
-                }
-            }
-        }
-        let program = RvmProgram {
-            methods,
-            main: tables.main.and_then(|id| tables.func_of.get(&id).copied()),
-            vtables: tables.vtables,
-            subclass: tables.subclass,
-        };
-        span.add("methods_lowered", stats.methods_lowered as u64);
-        span.add("methods_reused", stats.methods_reused as u64);
-        span.add("superinstructions", program.fused_count());
-        (program, stats)
-    }
-}
-
-/// One-shot lowering without a cache.
+/// Lowers every method of `p` to register code.
 pub fn lower_program(p: &RProgram) -> RvmProgram {
-    LowerCache::new().lower(p).0
+    let mut span = cj_trace::span("pipeline", "lower");
+    let tables = GlobalTables::build(p);
+    let methods: Vec<RvmMethod> = p
+        .all_rmethods()
+        .map(|(id, rm)| lower_method(p, id, p.kernel.method(id), rm, &tables))
+        .collect();
+    span.add("methods_lowered", methods.len() as u64);
+    let program = RvmProgram {
+        methods,
+        main: tables.main.and_then(|id| tables.func_of.get(&id).copied()),
+        vtables: tables.vtables,
+        subclass: tables.subclass,
+    };
+    span.add("superinstructions", program.fused_count());
+    program
 }
 
 // ---- global tables ---------------------------------------------------------
@@ -196,64 +132,9 @@ impl GlobalTables {
     }
 }
 
-// ---- fingerprints ----------------------------------------------------------
-
-/// Fingerprint of everything that positions global lowering artifacts:
-/// the class hierarchy and method/field signatures (vtable slots, function
-/// indices, field offsets and representations) plus per-class region
-/// arities (call-site tails). When this changes, no per-method code can
-/// be reused.
-pub fn shape_fingerprint(p: &RProgram) -> u64 {
-    let table = &p.kernel.table;
-    let mut h = DefaultHasher::new();
-    for info in table.classes() {
-        info.name.as_str().hash(&mut h);
-        info.superclass.hash(&mut h);
-        for f in table.all_fields(info.id) {
-            f.ty.hash(&mut h);
-        }
-        0xabu8.hash(&mut h);
-        for m in &info.own_methods {
-            m.name.as_str().hash(&mut h);
-        }
-        0xcdu8.hash(&mut h);
-    }
-    for s in table.statics() {
-        s.name.as_str().hash(&mut h);
-    }
-    for rc in &p.classes {
-        rc.params.len().hash(&mut h);
-    }
-    h.finish()
-}
-
-/// Structural fingerprint of one annotated method: everything its
-/// lowering consumes — variable types, parameters, region-parameter
-/// *positions*, and the full body including spans (error spans are baked
-/// into the code).
-///
-/// Region variables are hashed **α-invariantly**, as the frame slot the
-/// lowerer would assign them (abstraction-parameter position, or
-/// `letreg`-binding order) — raw region ids drift across incremental
-/// revisions even for untouched methods, but the generated bytecode only
-/// ever mentions slots, so slot-equal methods compile identically.
-pub fn method_fingerprint(km: &KMethod, rm: &RMethod) -> u64 {
-    let mut h = DefaultHasher::new();
-    km.is_static.hash(&mut h);
-    for v in &km.vars {
-        v.ty.hash(&mut h);
-    }
-    km.params.hash(&mut h);
-    rm.abs_params.len().hash(&mut h);
-    rm.mparams.len().hash(&mut h);
-    hash_rexpr(&rm.body, &mut RegionSlots::new(rm), &mut h);
-    h.finish()
-}
-
 /// Region variables in scope, resolved to frame region slots: abstraction
 /// parameters first, then one fresh slot per `letreg` binding, so
-/// shadowing gets a slot of its own. The lowerer and the fingerprint
-/// share it: methods that hash equal lower identically.
+/// shadowing gets a slot of its own.
 struct RegionSlots {
     slots: HashMap<RegVar, u16>,
     next: u16,
@@ -289,93 +170,6 @@ impl RegionSlots {
             Some(old) => self.slots.insert(r, old),
             None => self.slots.remove(&r),
         };
-    }
-}
-
-fn hash_span(s: Span, h: &mut DefaultHasher) {
-    s.lo.hash(h);
-    s.hi.hash(h);
-}
-
-fn hash_regs(rs: &[RegVar], env: &RegionSlots, h: &mut DefaultHasher) {
-    for &r in rs {
-        env.resolve(r).hash(h);
-    }
-    0xeeu8.hash(h);
-}
-
-fn hash_rexpr(e: &RExpr, env: &mut RegionSlots, h: &mut DefaultHasher) {
-    std::mem::discriminant(&e.kind).hash(h);
-    hash_span(e.span, h);
-    // The node's own payload, then its children.
-    match &e.kind {
-        RExprKind::Int(v) => v.hash(h),
-        RExprKind::Bool(v) => v.hash(h),
-        RExprKind::Float(v) => v.to_bits().hash(h),
-        RExprKind::Var(v)
-        | RExprKind::ArrayLen(v)
-        | RExprKind::AssignVar(v, _)
-        | RExprKind::Index(v, _)
-        | RExprKind::AssignIndex(v, _, _) => v.hash(h),
-        RExprKind::Field(v, fr) | RExprKind::AssignField(v, fr, _) => {
-            v.hash(h);
-            fr.index.hash(h);
-        }
-        RExprKind::New {
-            class,
-            regions,
-            args,
-        } => {
-            class.hash(h);
-            hash_regs(regions, env, h);
-            args.hash(h);
-        }
-        RExprKind::NewArray { elem, region, .. } => {
-            elem.hash(h);
-            env.resolve(*region).hash(h);
-        }
-        RExprKind::CallVirtual {
-            recv,
-            method,
-            inst,
-            args,
-        } => {
-            recv.hash(h);
-            method.hash(h);
-            hash_regs(inst, env, h);
-            args.hash(h);
-        }
-        RExprKind::CallStatic { method, inst, args } => {
-            method.hash(h);
-            hash_regs(inst, env, h);
-            args.hash(h);
-        }
-        RExprKind::Block(items) => items.len().hash(h),
-        RExprKind::Let { var, init } => {
-            var.hash(h);
-            init.is_some().hash(h);
-        }
-        RExprKind::Cast { class, var, .. } => {
-            class.hash(h);
-            var.hash(h);
-        }
-        RExprKind::Unary(op, _) => std::mem::discriminant(op).hash(h),
-        RExprKind::Binary(op, _, _) => std::mem::discriminant(op).hash(h),
-        _ => {}
-    }
-    let bound = match &e.kind {
-        RExprKind::Letreg(r, _) => {
-            let (slot, shadowed) = env.bind(*r);
-            slot.hash(h);
-            Some((*r, shadowed))
-        }
-        _ => None,
-    };
-    for c in e.children() {
-        hash_rexpr(c, env, h);
-    }
-    if let Some((r, shadowed)) = bound {
-        env.unbind(r, shadowed);
     }
 }
 

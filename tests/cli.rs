@@ -398,15 +398,27 @@ fn serve_speaks_json_lines_and_observes_incrementality() {
     assert!(cold.contains("\"parse\":2"), "{cold}");
 
     // Edit one method body: the response's passes_executed must show one
-    // re-parse, one re-inferred body, and SCC-solve reuse.
+    // re-parse, both bodies re-inferred, and SCC-solve reuse.
     let r = ask(
         r#"{"cmd":"edit","file":"use.cj","text":"class M { static Object f(Cell c) { c.get(); c.get() } }"}"#,
     );
     assert!(r.contains("\"revision\":3"), "{r}");
     let warm = ask(r#"{"cmd":"check"}"#);
     assert!(warm.contains("\"parse\":1"), "{warm}");
-    assert!(warm.contains("\"methods_inferred\":1"), "{warm}");
-    assert!(warm.contains("\"methods_reused\":1"), "{warm}");
+    assert!(warm.contains("\"methods_inferred\":2"), "{warm}");
+    let passes = |reply: &str, key: &str| match cj_driver::parse_json(reply)
+        .unwrap()
+        .get("passes_executed")
+        .and_then(|p| p.get(key))
+    {
+        Some(cj_driver::Json::Num(n)) => *n,
+        _ => panic!("no {key} in {reply}"),
+    };
+    assert!(passes(&warm, "sccs_reused") > 0.0, "{warm}");
+    assert!(
+        passes(&warm, "sccs_solved") < passes(&cold, "sccs_solved"),
+        "{warm}"
+    );
 
     let q = ask(r#"{"cmd":"query","invariant":"Cell"}"#);
     assert!(q.contains("\"abs\":\"inv.Cell<"), "{q}");
