@@ -68,11 +68,13 @@ pub fn instantiate_escaping(
         if sigs.iter().any(|&s| solver.find(s) == rep) {
             continue;
         }
-        // Signature lower bounds of r.
+        // Signature lower bounds of r, from one search. r's class holds no
+        // signature region, so it is not the heap's.
+        let below = solver.outlived_reps(r).expect("not the heap");
         let lower: Vec<RegVar> = sigs
             .iter()
             .copied()
-            .filter(|&s| solver.outlives_holds(r, s))
+            .filter(|&s| below.contains(&solver.find(s)))
             .collect();
         debug_assert!(
             !lower.is_empty(),
@@ -84,9 +86,10 @@ pub fn instantiate_escaping(
             .iter()
             .copied()
             .max_by_key(|&s| {
+                let below_s = solver.outlived_reps(s).expect("not the heap");
                 let dominated = lower
                     .iter()
-                    .filter(|&&s2| solver.outlives_holds(s, s2))
+                    .filter(|&&s2| below_s.contains(&solver.find(s2)))
                     .count();
                 (dominated, std::cmp::Reverse(s))
             })
@@ -218,17 +221,21 @@ pub fn localize(
 
 struct BlockTree {
     parent: Vec<Option<usize>>,
+    /// Distance from the method body, block 0.
+    depth: Vec<usize>,
 }
 
 impl BlockTree {
     fn new() -> BlockTree {
         BlockTree {
             parent: vec![None], // block 0 = method body
+            depth: vec![0],
         }
     }
 
     fn child(&mut self, parent: usize) -> usize {
         self.parent.push(Some(parent));
+        self.depth.push(self.depth[parent] + 1);
         self.parent.len() - 1
     }
 
@@ -236,21 +243,12 @@ impl BlockTree {
         self.parent.len()
     }
 
-    fn depth(&self, mut b: usize) -> usize {
-        let mut d = 0;
-        while let Some(p) = self.parent[b] {
-            d += 1;
-            b = p;
-        }
-        d
-    }
-
     fn lca(&self, a: usize, b: usize) -> usize {
         let (mut a, mut b) = (a, b);
-        while self.depth(a) > self.depth(b) {
+        while self.depth[a] > self.depth[b] {
             a = self.parent[a].expect("deeper node has parent");
         }
-        while self.depth(b) > self.depth(a) {
+        while self.depth[b] > self.depth[a] {
             b = self.parent[b].expect("deeper node has parent");
         }
         while a != b {
@@ -263,7 +261,7 @@ impl BlockTree {
     /// Children-before-parents order.
     fn post_order(&self) -> Vec<usize> {
         let mut ids: Vec<usize> = (0..self.parent.len()).collect();
-        ids.sort_by_key(|&b| std::cmp::Reverse(self.depth(b)));
+        ids.sort_by_key(|&b| std::cmp::Reverse(self.depth[b]));
         ids
     }
 }

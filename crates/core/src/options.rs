@@ -251,7 +251,10 @@ impl InferOptions {
 pub struct InferStats {
     /// Iterations of the outer (resolution/instantiation) loop.
     pub global_iterations: usize,
-    /// Total Kleene iterations across all abstraction SCC solves.
+    /// Total Kleene iterations across the abstraction SCC solves that
+    /// actually ran: a memo hit or an SCC carried over from the previous
+    /// repair round adds nothing, and an SCC in which no member applies a
+    /// member takes one pass.
     pub fixpoint_iterations: usize,
     /// Total region variables allocated.
     pub regions_created: usize,
@@ -266,7 +269,9 @@ pub struct InferStats {
     /// Abstraction SCCs whose Kleene fixpoint actually ran (summed over
     /// repair-loop rounds).
     pub sccs_solved: usize,
-    /// Abstraction SCCs served from the content-addressed solve memo.
+    /// Abstraction SCCs served from the content-addressed solve memo. A
+    /// clean SCC carried over from the previous repair round is not
+    /// looked up, so it counts in neither this nor `sccs_solved`.
     pub sccs_reused: usize,
     /// Of the reused SCCs, how many were served from an entry solved by a
     /// *different* client of a shared memo (always 0 for a private cache).

@@ -58,17 +58,28 @@ pub fn override_pairs(kp: &cj_frontend::KProgram) -> Vec<(MethodId, MethodId)> {
 }
 
 /// Checks every override pair against the closed abstractions and repairs
-/// violations by strengthening the raw `pre.A.mn` / `inv.B` bodies.
-/// Returns the number of atoms added (0 means all checks passed).
-pub fn resolve_overrides(ctx: &mut Ctx<'_>, closed: &AbsEnv) -> usize {
+/// violations by strengthening the raw `pre.A.mn` / `inv.B` bodies, adding
+/// the name of each body that grew to `grown`. Returns the number of atoms
+/// added (0 means all checks passed).
+pub fn resolve_overrides(
+    ctx: &mut Ctx<'_>,
+    closed: &AbsEnv,
+    grown: &mut BTreeSet<String>,
+) -> usize {
     let mut repairs = 0;
     for (a_id, b_id) in override_pairs(ctx.kp) {
-        repairs += resolve_pair(ctx, closed, a_id, b_id);
+        repairs += resolve_pair(ctx, closed, grown, a_id, b_id);
     }
     repairs
 }
 
-fn resolve_pair(ctx: &mut Ctx<'_>, closed: &AbsEnv, a_id: MethodId, b_id: MethodId) -> usize {
+fn resolve_pair(
+    ctx: &mut Ctx<'_>,
+    closed: &AbsEnv,
+    grown: &mut BTreeSet<String>,
+    a_id: MethodId,
+    b_id: MethodId,
+) -> usize {
     let (a_class, b_class) = match (a_id, b_id) {
         (MethodId::Instance(a, _), MethodId::Instance(b, _)) => (a, b),
         _ => return 0,
@@ -135,14 +146,14 @@ fn resolve_pair(ctx: &mut Ctx<'_>, closed: &AbsEnv, a_id: MethodId, b_id: Method
                 .raw
                 .add_atoms(&a_sig.abs_name, &ConstraintSet::singleton(c))
             {
+                grown.insert(a_sig.abs_name.clone());
                 added += 1;
             }
         } else if vars.iter().all(|v| rb.contains(v)) {
             // Rule 2: strengthen the subclass invariant.
-            if ctx
-                .raw
-                .add_atoms(&ctx.inv_name(b_class), &ConstraintSet::singleton(c))
-            {
+            let inv_b = ctx.inv_name(b_class);
+            if ctx.raw.add_atoms(&inv_b, &ConstraintSet::singleton(c)) {
+                grown.insert(inv_b);
                 added += 1;
             }
         } else {
@@ -179,10 +190,9 @@ fn resolve_pair(ctx: &mut Ctx<'_>, closed: &AbsEnv, a_id: MethodId, b_id: Method
                 continue;
             }
             // ctr(σ) into inv.B …
-            if ctx
-                .raw
-                .add_atoms(&ctx.inv_name(b_class), &sigma.to_equalities())
-            {
+            let inv_b = ctx.inv_name(b_class);
+            if ctx.raw.add_atoms(&inv_b, &sigma.to_equalities()) {
+                grown.insert(inv_b);
                 added += 1;
             }
             // … and the rewritten constraint into pre.A.mn.
@@ -190,6 +200,7 @@ fn resolve_pair(ctx: &mut Ctx<'_>, closed: &AbsEnv, a_id: MethodId, b_id: Method
                 .raw
                 .add_atoms(&a_sig.abs_name, &ConstraintSet::singleton(rewritten))
             {
+                grown.insert(a_sig.abs_name.clone());
                 added += 1;
             }
         }

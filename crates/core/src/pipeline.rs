@@ -10,14 +10,20 @@
 //! 3. Solve the resulting recursive abstraction system bottom-up over its
 //!    SCC condensation (the paper's global dependency graph, Sec 4.3), with
 //!    Kleene fixed points inside each SCC (region-polymorphic recursion,
-//!    Fig 6). Each SCC solve is memoized content-addressed
-//!    ([`cj_regions::incremental`]): only *dirty* SCCs — those whose raw
-//!    bodies or imported closed forms changed — actually iterate.
+//!    Fig 6). The condensation is computed once: the repair loop below only
+//!    adds atoms, never calls. Each SCC solve is memoized content-addressed
+//!    ([`cj_regions::incremental`]), so an SCC already solved in an earlier
+//!    compile does not iterate.
 //! 4. Instantiate escaping local regions onto signature regions and repair
 //!    override conflicts (Sec 4.4); both strengthen raw abstractions, so
-//!    re-solve until nothing changes (again, only the strengthened SCCs and
-//!    affected dependents re-run). Termination: atoms only accumulate
-//!    within finite universes.
+//!    re-solve until nothing changes. The loop keeps one closed
+//!    environment across rounds and repairs it from a dirty set: a round
+//!    re-solves an SCC only if a member's raw body grew in the previous
+//!    round or it imports an abstraction whose closed form changed earlier
+//!    in this round; every other SCC is carried unchanged. Likewise only
+//!    methods with a callee whose closed form changed are re-instantiated,
+//!    and each method keeps its solver for step 5. Termination: atoms only
+//!    accumulate within finite universes.
 //! 5. Localize the remaining regions with `letreg` (\[exp-block\]) and emit
 //!    the annotated program.
 //!
@@ -39,9 +45,10 @@ use cj_frontend::graph::tarjan_scc;
 use cj_frontend::kernel::KProgram;
 use cj_frontend::types::MethodId;
 use cj_regions::abstraction::{solve_fixpoint, AbsEnv, ConstraintAbs};
-use cj_regions::incremental::{solve_scc_memo_as, SccOutcome, SolveMemo};
+use cj_regions::constraint::ConstraintSet;
+use cj_regions::incremental::{solve_scc_memo_as, ImportKeys, SccOutcome, SolveMemo};
 use cj_regions::solve::Solver;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// The inference state that outlives one run: a handle on the
@@ -115,8 +122,8 @@ pub fn infer(kp: &KProgram, opts: InferOptions) -> Result<(RProgram, InferStats)
 /// [`infer`], reusing (and refreshing) `cache`'s SCC memo across calls.
 ///
 /// Every body is inferred afresh; after an edit to one method body, only
-/// the abstraction SCCs whose inputs changed iterate — every other SCC
-/// solve is a memo hit.
+/// the abstraction SCCs whose inputs changed iterate — every other SCC's
+/// first solve is a memo hit, and later repair rounds carry it.
 ///
 /// # Errors
 ///
@@ -137,7 +144,7 @@ pub fn infer_with_cache(
     // ---- symbolic body inference ---------------------------------------
     let mut bodies_span = cj_trace::span("pipeline", "infer-bodies");
     let ids: Vec<MethodId> = kp.all_methods().map(|(id, _)| id).collect();
-    let mut bodies: BTreeMap<MethodId, BodyResult> = BTreeMap::new();
+    let mut bodies: Vec<BodyResult> = Vec::with_capacity(ids.len());
     for &id in &ids {
         let res = infer_body(&mut ctx, id)?;
         stats.methods_inferred += 1;
@@ -150,45 +157,69 @@ pub fn infer_with_cache(
                 calls: res.calls.clone(),
             },
         });
-        bodies.insert(id, res);
+        bodies.push(res);
     }
     bodies_span.add("inferred", stats.methods_inferred as u64);
     drop(bodies_span);
 
     // ---- global solve / repair loop --------------------------------------
     let mut solve_span = cj_trace::span("pipeline", "solve");
-    let mut closed;
+    // The loop only adds atoms, never calls: one condensation serves all
+    // rounds.
+    let mut condensation_span = cj_trace::span("pipeline", "condensation");
+    let groups = condensation(&ctx.raw);
+    condensation_span.add("sccs", groups.len() as u64);
+    drop(condensation_span);
+    let mut closed = AbsEnv::new();
+    // Raw bodies that grew since their SCC was last solved.
+    let mut grown: BTreeSet<String> = BTreeSet::new();
+    // Per method: its body and its callees' closed forms, plus the
+    // escaping instantiation made against them.
+    let mut solvers: Vec<Option<Solver>> = vec![None; ids.len()];
+    let mut carried = 0;
     loop {
         stats.global_iterations += 1;
-        let (solved, iters) = solve_all_memo_as(&ctx.raw, &cache.memo, &mut stats, cache.client);
-        stats.fixpoint_iterations += iters;
-        closed = solved;
+        let (changed, iterations) = solve_dirty(
+            &groups,
+            &ctx.raw,
+            &mut closed,
+            &grown,
+            &cache.memo,
+            cache.client,
+            &mut stats,
+            &mut carried,
+        );
+        stats.fixpoint_iterations += iterations;
+        grown.clear();
 
-        let mut changed = false;
+        // A method's instantiation depends only on its body and its
+        // callees' closed forms, so redo it only where a callee changed.
         let mut instantiate_span = cj_trace::span("pipeline", "repair-instantiate");
-        let mut instantiated = 0;
-        for &id in &ids {
-            let res = &bodies[&id];
-            let sig_name = ctx.msigs[&id].abs_name.clone();
-            let abs_params = ctx.msigs[&id].abs_params.clone();
-            let mut solver = full_solver(res, &closed);
-            let added = localize::instantiate_escaping(&mut solver, &abs_params, res);
-            instantiated += added.len();
-            if !added.is_empty() && ctx.raw.add_atoms(&sig_name, &added) {
-                changed = true;
+        let (mut reinstantiated, mut instantiated) = (0, 0);
+        for ((id, res), solver) in ids.iter().zip(&bodies).zip(&mut solvers) {
+            if solver.is_some() && !res.calls.iter().any(|c| changed.contains(&c.name)) {
+                continue;
             }
+            let sig = &ctx.msigs[id];
+            let mut fresh = full_solver(res, &closed);
+            let added = localize::instantiate_escaping(&mut fresh, &sig.abs_params, res);
+            reinstantiated += 1;
+            instantiated += added.len();
+            if !added.is_empty() && ctx.raw.add_atoms(&sig.abs_name, &added) {
+                grown.insert(sig.abs_name.clone());
+            }
+            *solver = Some(fresh);
         }
-        instantiate_span.add("methods", ids.len() as u64);
+        instantiate_span.add("methods", reinstantiated);
         instantiate_span.add("atoms", instantiated as u64);
         drop(instantiate_span);
         let mut overrides_span = cj_trace::span("pipeline", "resolve-overrides");
-        let repairs = resolve_overrides(&mut ctx, &closed);
+        let repairs = resolve_overrides(&mut ctx, &closed, &mut grown);
         overrides_span.add("repairs", repairs as u64);
         drop(overrides_span);
         stats.override_repairs += repairs;
-        changed |= repairs > 0;
 
-        if !changed {
+        if grown.is_empty() {
             break;
         }
         if stats.global_iterations >= 100 {
@@ -200,18 +231,19 @@ pub fn infer_with_cache(
     solve_span.add("global_iterations", stats.global_iterations as u64);
     solve_span.add("sccs_solved", stats.sccs_solved as u64);
     solve_span.add("sccs_reused", stats.sccs_reused as u64);
+    solve_span.add("sccs_carried", carried);
     drop(solve_span);
 
     // ---- finalization ----------------------------------------------------
     let mut finalize_span = cj_trace::span("pipeline", "finalize");
     let mut methods: Vec<Vec<RMethod>> = vec![Vec::new(); kp.table.len()];
     let mut statics: Vec<RMethod> = Vec::new();
-    for &id in &ids {
-        let res = bodies.remove(&id).expect("present");
+    for ((&id, res), solver) in ids.iter().zip(bodies).zip(solvers) {
         let sig = ctx.msigs[&id].clone();
-        let mut solver = full_solver(&res, &closed);
-        // Re-apply the escaping instantiation equalities for this method,
-        // which the repair loop added to its raw atoms.
+        // The solver already holds the final closed forms of the callees;
+        // add the raw atoms, which carry every round's escaping
+        // instantiation and the override repairs.
+        let mut solver = solver.expect("instantiated in the first round");
         let raw_atoms = &ctx.raw.get(&sig.abs_name).expect("registered").body.atoms;
         solver.add_set(raw_atoms);
         let loc = localize::localize(&mut ctx, &mut solver, &sig.abs_params, res, &sig.ret_type);
@@ -332,12 +364,18 @@ pub fn solve_all(raw: &AbsEnv) -> (AbsEnv, usize) {
 /// [`solve_all`] with a content-addressed memo: SCCs whose canonical raw
 /// bodies and imported closed forms match a previously solved SCC are
 /// served from `memo` without iterating. Updates the `sccs_solved` /
-/// `sccs_reused` / `sccs_shared_hits` counters of `stats`.
+/// `sccs_reused` / `sccs_shared_hits` / `sccs_disk_hits` counters of
+/// `stats`. This is the first round of [`infer_with_cache`]'s solve:
+/// on an empty closed environment every SCC is dirty.
 pub fn solve_all_memo(raw: &AbsEnv, memo: &SolveMemo, stats: &mut InferStats) -> (AbsEnv, usize) {
-    solve_all_memo_as(raw, memo, stats, 0)
+    let mut closed = AbsEnv::new();
+    let groups = condensation(raw);
+    let none = BTreeSet::new();
+    let (_, iterations) = solve_dirty(&groups, raw, &mut closed, &none, memo, 0, stats, &mut 0);
+    (closed, iterations)
 }
 
-fn record_outcome(outcome: SccOutcome, stats: &mut InferStats, iterations: &mut usize) {
+fn record_outcome(outcome: SccOutcome, stats: &mut InferStats) {
     if outcome.reused {
         stats.sccs_reused += 1;
         if outcome.shared {
@@ -349,32 +387,71 @@ fn record_outcome(outcome: SccOutcome, stats: &mut InferStats, iterations: &mut 
     } else {
         stats.sccs_solved += 1;
     }
-    *iterations += outcome.iterations;
 }
 
-fn solve_all_memo_as(
+/// One bottom-up pass over the condensation `groups` that brings `closed`
+/// up to date with `raw`. An SCC is solved (through the memo) only when it
+/// is not in `closed` yet, a member's raw body is in `grown`, or it
+/// applies an abstraction whose closed form changed earlier in this pass;
+/// every other SCC keeps its closed forms and is counted in `carried`.
+/// Returns the names whose closed form changed and the number of Kleene
+/// iterations.
+#[allow(clippy::too_many_arguments)]
+fn solve_dirty(
+    groups: &[Vec<String>],
     raw: &AbsEnv,
+    closed: &mut AbsEnv,
+    grown: &BTreeSet<String>,
     memo: &SolveMemo,
-    stats: &mut InferStats,
     client: u64,
-) -> (AbsEnv, usize) {
-    let mut env = raw.clone();
-    let mut iterations = 0;
-    let mut condensation_span = cj_trace::span("pipeline", "condensation");
-    let groups = condensation(raw);
-    condensation_span.add("sccs", groups.len() as u64);
-    drop(condensation_span);
+    stats: &mut InferStats,
+    carried: &mut u64,
+) -> (BTreeSet<String>, usize) {
+    let mut span = cj_trace::span("pipeline", "dirty-set");
+    let mut imports = ImportKeys::new();
+    let mut changed: BTreeSet<String> = BTreeSet::new();
+    let (mut dirty_sccs, mut iterations) = (0, 0);
     for group in groups {
-        let outcome = solve_scc_memo_as(&mut env, &group, memo, client);
-        record_outcome(outcome, stats, &mut iterations);
+        let raw_of = |n: &String| raw.get(n).expect("member registered");
+        let dirty = group.iter().any(|n| {
+            grown.contains(n)
+                || closed.get(n).is_none()
+                || raw_of(n)
+                    .body
+                    .calls
+                    .iter()
+                    .any(|c| changed.contains(&c.name))
+        });
+        if !dirty {
+            *carried += 1;
+            continue;
+        }
+        dirty_sccs += 1;
+        let before: Vec<Option<ConstraintSet>> = group
+            .iter()
+            .map(|n| closed.get(n).map(|a| a.body.atoms.clone()))
+            .collect();
+        for n in group {
+            closed.insert(raw_of(n).clone());
+        }
+        let outcome = solve_scc_memo_as(closed, group, memo, client, &mut imports);
+        record_outcome(outcome, stats);
+        iterations += outcome.iterations;
+        for (n, old) in group.iter().zip(before) {
+            if old.as_ref() != Some(&closed.get(n).expect("solved").body.atoms) {
+                changed.insert(n.clone());
+            }
+        }
     }
-    (env, iterations)
+    span.add("sccs", dirty_sccs);
+    span.add("changed", changed.len() as u64);
+    (changed, iterations)
 }
 
 fn full_solver(res: &BodyResult, closed: &AbsEnv) -> Solver {
     let mut solver = Solver::from_set(&res.atoms);
     for call in &res.calls {
-        solver.add_set(&closed.instantiate(&call.name, &call.args));
+        closed.instantiate_into(&call.name, &call.args, &mut solver);
     }
     solver
 }

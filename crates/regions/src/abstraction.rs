@@ -22,7 +22,7 @@
 //! guaranteed because atoms range over the finite parameter set and
 //! iterations only grow the approximation.
 
-use crate::constraint::ConstraintSet;
+use crate::constraint::{Atom, ConstraintSet};
 use crate::solve::Solver;
 use crate::subst::RegSubst;
 use crate::var::RegVar;
@@ -171,6 +171,67 @@ impl AbsEnv {
         let s = RegSubst::instantiation(&abs.params, args);
         abs.body.atoms.subst(&s)
     }
+
+    /// Conjoins the closed form of `name`, instantiated with `args`, onto
+    /// `solver`: the same constraint as
+    /// `solver.add_set(&self.instantiate(name, args))`, without building
+    /// the substitution or the instantiated set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is unknown or still has residual calls, or under
+    /// the same arity and conflicting-binding conditions as
+    /// [`RegSubst::instantiation`].
+    pub fn instantiate_into(&self, name: &str, args: &[RegVar], solver: &mut Solver) {
+        let abs = self
+            .map
+            .get(name)
+            .unwrap_or_else(|| panic!("unknown abstraction `{name}`"));
+        assert!(
+            abs.body.calls.is_empty(),
+            "abstraction `{name}` has not been solved to closed form"
+        );
+        add_instance(&abs.params, &abs.body.atoms, args, solver);
+    }
+}
+
+/// Conjoins `atoms`, with `params[i]` renamed to `args[i]`, onto `solver`.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths or a parameter repeats with
+/// conflicting arguments, as [`RegSubst::instantiation`] does.
+fn add_instance(params: &[RegVar], atoms: &ConstraintSet, args: &[RegVar], solver: &mut Solver) {
+    assert_eq!(
+        params.len(),
+        args.len(),
+        "region arity mismatch: {} parameters vs {} arguments",
+        params.len(),
+        args.len()
+    );
+    // The first binding of a repeated parameter wins; a later one must
+    // agree. Strictly increasing parameters (the usual case) cannot repeat.
+    let bound = |v: RegVar| params.iter().position(|&p| p == v);
+    if params.windows(2).any(|w| w[0] >= w[1]) {
+        for (i, &p) in params.iter().enumerate() {
+            let first = bound(p).expect("own parameter");
+            assert_eq!(
+                args[first], args[i],
+                "conflicting binding for {p}: {} vs {}",
+                args[first], args[i]
+            );
+        }
+    }
+    let apply = |v: RegVar| bound(v).map_or(v, |i| args[i]);
+    for atom in atoms.iter() {
+        let atom = match atom {
+            Atom::Outlives(a, b) => Atom::outlives(apply(a), apply(b)),
+            Atom::Eq(a, b) => Atom::eq(apply(a), apply(b)),
+        };
+        if !atom.is_trivial() {
+            solver.add_atom(atom);
+        }
+    }
 }
 
 /// Solves a (mutually) recursive family of abstractions to closed forms.
@@ -181,7 +242,9 @@ impl AbsEnv {
 /// atoms are the least fixed point projected onto its parameters — exactly
 /// the iteration displayed in Fig 6(d).
 ///
-/// Returns the number of Kleene iterations performed.
+/// Returns the number of Kleene iterations performed: one when no member
+/// applies a member (the first pass is already the fixed point), otherwise
+/// the passes up to and including the one that changed nothing.
 ///
 /// # Panics
 ///
@@ -193,28 +256,33 @@ pub fn solve_fixpoint(env: &mut AbsEnv, names: &[String]) -> usize {
         .iter()
         .map(|n| (n.clone(), ConstraintSet::new()))
         .collect();
+    let member = |n: &str| {
+        env.get(n)
+            .unwrap_or_else(|| panic!("unknown abstraction `{n}`"))
+    };
+    let recursive = names.iter().any(|n| {
+        member(n)
+            .body
+            .calls
+            .iter()
+            .any(|c| approx.contains_key(&c.name))
+    });
     let mut iterations = 0usize;
     loop {
         iterations += 1;
         let mut changed = false;
         for name in names {
-            let abs = env
-                .get(name)
-                .unwrap_or_else(|| panic!("unknown abstraction `{name}`"))
-                .clone();
+            let abs = member(name);
             // full = atoms ∧ (instantiated approximations of all calls)
             let mut solver = Solver::from_set(&abs.body.atoms);
             for call in &abs.body.calls {
-                let imported = if let Some(a) = approx.get(&call.name) {
+                if let Some(a) = approx.get(&call.name) {
                     // Within the SCC: use the current approximation.
-                    let callee = env.get(&call.name).expect("SCC member present");
-                    let s = RegSubst::instantiation(&callee.params, &call.args);
-                    a.subst(&s)
+                    add_instance(&member(&call.name).params, a, &call.args, &mut solver);
                 } else {
                     // Outside the SCC: must be closed.
-                    env.instantiate(&call.name, &call.args)
-                };
-                solver.add_set(&imported);
+                    env.instantiate_into(&call.name, &call.args, &mut solver);
+                }
             }
             let params = abs.params.iter().copied().collect();
             let next = solver.project(&params);
@@ -224,7 +292,7 @@ pub fn solve_fixpoint(env: &mut AbsEnv, names: &[String]) -> usize {
                 changed = true;
             }
         }
-        if !changed {
+        if !changed || !recursive {
             break;
         }
         // Safety valve: the lattice is finite, but guard against bugs.
@@ -289,7 +357,7 @@ mod tests {
                     .collect(),
             ),
         });
-        solve_fixpoint(&mut env, &["inv.Pair".to_string()]);
+        assert_eq!(solve_fixpoint(&mut env, &["inv.Pair".to_string()]), 1);
         let inst = env.instantiate("inv.Pair", &[r(10), r(20), r(30)]);
         assert_eq!(inst.to_string(), "r20>=r10 & r30>=r10");
     }

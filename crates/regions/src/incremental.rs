@@ -19,12 +19,10 @@
 //! re-running the Kleene iteration.
 //!
 //! Because the key is content-addressed rather than name- or
-//! revision-based, the same memo serves two tiers of reuse:
+//! revision-based, the same memo serves several tiers of reuse (within
+//! one inference run the repair loop needs none of them: it carries the
+//! SCCs it did not strengthen and only looks up the dirty ones):
 //!
-//! - **within one inference run**: the repair loop (escaping-region
-//!   instantiation, override resolution) re-solves after strengthening a
-//!   few abstractions; every untouched SCC whose imports are unchanged is
-//!   a hit;
 //! - **across revisions of a workspace**: editing one method body leaves
 //!   every other SCC's canonical key unchanged, so only the dirty SCCs and
 //!   the dependents whose imports actually changed are re-solved;
@@ -85,13 +83,21 @@ impl Canonizer {
 /// the callee's *name* replaced by the placeholder the caller supplies (see
 /// [`canon_with`]) so the form can be made independent of naming.
 pub fn canon(abs: &ConstraintAbs) -> String {
-    canon_with(abs, |name| format!("@{name}"))
+    let mut out = String::new();
+    canon_with(&mut out, abs, |name, out| {
+        let _ = write!(out, "@{name}");
+    });
+    out
 }
 
-/// [`canon`] with control over how callee names are rendered.
-pub fn canon_with(abs: &ConstraintAbs, callee_tag: impl Fn(&str) -> String) -> String {
+/// Appends [`canon`]'s form of `abs` to `out`, letting `callee_tag` append
+/// each callee's placeholder.
+pub fn canon_with(
+    out: &mut String,
+    abs: &ConstraintAbs,
+    mut callee_tag: impl FnMut(&str, &mut String),
+) {
     let mut c = Canonizer::for_params(&abs.params);
-    let mut out = String::new();
     let _ = write!(out, "p{}|", abs.params.len());
     for atom in abs.body.atoms.iter() {
         match atom {
@@ -104,13 +110,14 @@ pub fn canon_with(abs: &ConstraintAbs, callee_tag: impl Fn(&str) -> String) -> S
         }
     }
     for call in &abs.body.calls {
-        let _ = write!(out, "[{}](", callee_tag(&call.name));
+        out.push('[');
+        callee_tag(&call.name, out);
+        out.push_str("](");
         for &a in &call.args {
             let _ = write!(out, "{},", c.id(a));
         }
         out.push(')');
     }
-    out
 }
 
 /// The canonical form of a *closed* abstraction (no residual calls): its
@@ -409,8 +416,41 @@ impl SolveMemo {
     }
 }
 
+/// The key fragments of external callees ([`canon_closed`] forms), each
+/// rendered once however many SCC keys and call sites import it. A
+/// fragment is only valid while its callee's closed form stays put, so
+/// use one `ImportKeys` per bottom-up pass over the condensation: within
+/// a pass every callee is final before any importer is keyed.
+#[derive(Debug, Default)]
+pub struct ImportKeys {
+    rendered: HashMap<String, String>,
+}
+
+impl ImportKeys {
+    /// An empty set of fragments, for a new pass.
+    pub fn new() -> ImportKeys {
+        ImportKeys::default()
+    }
+
+    /// The fragment of closed abstraction `callee`, rendered on first use.
+    fn fragment(&mut self, env: &AbsEnv, callee: &str) -> &str {
+        if !self.rendered.contains_key(callee) {
+            let c = env
+                .get(callee)
+                .unwrap_or_else(|| panic!("unknown abstraction `{callee}`"));
+            assert!(
+                c.body.calls.is_empty(),
+                "external callee `{callee}` is not closed"
+            );
+            self.rendered
+                .insert(callee.to_string(), format!("x{}", canon_closed(c)));
+        }
+        &self.rendered[callee]
+    }
+}
+
 /// Builds the content-addressed key of one SCC: the canonical raw bodies of
-/// its members (in name-sorted order, calls to members rendered by member
+/// its members (`members` is name-sorted, calls to members rendered by member
 /// index) together with the canonical closed forms of every external
 /// callee.
 ///
@@ -418,31 +458,20 @@ impl SolveMemo {
 ///
 /// Panics when an external callee has residual calls (i.e. the SCC order is
 /// not bottom-up).
-fn scc_key(env: &AbsEnv, members: &[String]) -> String {
-    let member_index: BTreeMap<&str, usize> = members
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.as_str(), i))
-        .collect();
+fn scc_key(env: &AbsEnv, members: &[String], imports: &mut ImportKeys) -> String {
     let mut key = String::new();
     for name in members {
         let abs = env
             .get(name)
             .unwrap_or_else(|| panic!("unknown abstraction `{name}`"));
-        let body = canon_with(abs, |callee| match member_index.get(callee) {
-            Some(i) => format!("m{i}"),
-            None => {
-                let c = env
-                    .get(callee)
-                    .unwrap_or_else(|| panic!("unknown abstraction `{callee}`"));
-                assert!(
-                    c.body.calls.is_empty(),
-                    "external callee `{callee}` is not closed"
-                );
-                format!("x{}", canon_closed(c))
+        canon_with(&mut key, abs, |callee, out| {
+            match members.binary_search_by(|m| m.as_str().cmp(callee)) {
+                Ok(i) => {
+                    let _ = write!(out, "m{i}");
+                }
+                Err(_) => out.push_str(imports.fragment(env, callee)),
             }
         });
-        key.push_str(&body);
         key.push('\n');
     }
     key
@@ -457,12 +486,14 @@ fn scc_key(env: &AbsEnv, members: &[String]) -> String {
 /// Panics if a member or callee is unknown, or an external callee is not
 /// yet closed (the caller must process SCCs bottom-up).
 pub fn solve_scc_memo(env: &mut AbsEnv, names: &[String], memo: &SolveMemo) -> SccOutcome {
-    solve_scc_memo_as(env, names, memo, 0)
+    solve_scc_memo_as(env, names, memo, 0, &mut ImportKeys::new())
 }
 
 /// [`solve_scc_memo`] on behalf of a registered client (see
-/// [`SolveMemo::register_client`]): hits on entries another client solved
-/// are reported as `shared` in the outcome and counted by the memo.
+/// [`SolveMemo::register_client`]), as one step of a bottom-up pass: hits
+/// on entries another client solved are reported as `shared` in the
+/// outcome and counted by the memo, and the key reuses the callee
+/// fragments `imports` already holds and adds the new ones.
 ///
 /// # Panics
 ///
@@ -472,12 +503,13 @@ pub fn solve_scc_memo_as(
     names: &[String],
     memo: &SolveMemo,
     client: u64,
+    imports: &mut ImportKeys,
 ) -> SccOutcome {
     let mut span = cj_trace::span("pipeline", "solve-scc");
     span.add("members", names.len() as u64);
     let mut members: Vec<String> = names.to_vec();
     members.sort();
-    let key = scc_key(env, &members);
+    let key = scc_key(env, &members, imports);
     if let Some((closed, shared, disk)) = memo.lookup(&key, client) {
         span.add("hit", 1);
         if shared {
@@ -558,8 +590,12 @@ mod tests {
         // Same shape, different name: canon (default tag) differs…
         assert_ne!(canon(&a), canon(&c));
         // …but a name-insensitive tag matches.
-        let tagless = |_: &str| "self".to_string();
-        assert_eq!(canon_with(&a, tagless), canon_with(&c, tagless));
+        let tagless = |abs: &ConstraintAbs| {
+            let mut out = String::new();
+            canon_with(&mut out, abs, |_, out| out.push_str("self"));
+            out
+        };
+        assert_eq!(tagless(&a), tagless(&c));
     }
 
     #[test]
@@ -641,20 +677,38 @@ mod tests {
 
         let mut env = AbsEnv::new();
         env.insert(join_abs("pre.join", 1));
-        let first = solve_scc_memo_as(&mut env, &["pre.join".to_string()], &memo, a);
+        let first = solve_scc_memo_as(
+            &mut env,
+            &["pre.join".to_string()],
+            &memo,
+            a,
+            &mut ImportKeys::new(),
+        );
         assert!(!first.reused && !first.shared);
 
         // Same client again: a hit, but not a shared one.
         let mut env = AbsEnv::new();
         env.insert(join_abs("pre.join", 1));
-        let own = solve_scc_memo_as(&mut env, &["pre.join".to_string()], &memo, a);
+        let own = solve_scc_memo_as(
+            &mut env,
+            &["pre.join".to_string()],
+            &memo,
+            a,
+            &mut ImportKeys::new(),
+        );
         assert!(own.reused && !own.shared);
         assert_eq!(memo.shared_hits(), 0);
 
         // A different client compiling an α-equivalent system: shared hit.
         let mut env = AbsEnv::new();
         env.insert(join_abs("pre.join", 77));
-        let other = solve_scc_memo_as(&mut env, &["pre.join".to_string()], &memo, b);
+        let other = solve_scc_memo_as(
+            &mut env,
+            &["pre.join".to_string()],
+            &memo,
+            b,
+            &mut ImportKeys::new(),
+        );
         assert!(other.reused && other.shared);
         assert_eq!(memo.shared_hits(), 1);
         assert_eq!(memo.hits(), 2);
@@ -676,7 +730,13 @@ mod tests {
                 let base = 1 + t * 100;
                 let mut env = AbsEnv::new();
                 env.insert(join_abs("pre.join", base));
-                solve_scc_memo_as(&mut env, &["pre.join".to_string()], &memo, client);
+                solve_scc_memo_as(
+                    &mut env,
+                    &["pre.join".to_string()],
+                    &memo,
+                    client,
+                    &mut ImportKeys::new(),
+                );
                 env.get("pre.join").unwrap().body.atoms.to_string()
             }));
         }
@@ -737,7 +797,13 @@ mod tests {
         assert_eq!(memo2.len(), 1);
         let mut env2 = AbsEnv::new();
         env2.insert(join_abs("pre.join", 41));
-        let out = solve_scc_memo_as(&mut env2, &["pre.join".to_string()], &memo2, client);
+        let out = solve_scc_memo_as(
+            &mut env2,
+            &["pre.join".to_string()],
+            &memo2,
+            client,
+            &mut ImportKeys::new(),
+        );
         assert!(out.reused && out.disk && !out.shared);
         assert_eq!(out.iterations, 0);
         assert_eq!(

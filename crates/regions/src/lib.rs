@@ -42,7 +42,7 @@ pub mod var;
 
 pub use abstraction::{AbsBody, AbsCall, AbsEnv, ConstraintAbs};
 pub use constraint::{Atom, ConstraintSet};
-pub use incremental::{solve_scc_memo, solve_scc_memo_as, SccOutcome, SolveMemo};
+pub use incremental::{solve_scc_memo, solve_scc_memo_as, ImportKeys, SccOutcome, SolveMemo};
 pub use solve::Solver;
 pub use subst::RegSubst;
 pub use var::{RegVar, RegVarGen};

@@ -294,6 +294,29 @@ impl Solver {
         self.outlives_any(&[a], |rep| rep == rb)[0]
     }
 
+    /// The representatives of every class that `a` outlives, its own
+    /// included, from one reachability search; `None` when `a` equals the
+    /// heap, which outlives every region. So [`outlives_holds(a, b)`] is
+    /// exactly "`None`, or the set contains `find(b)`".
+    ///
+    /// [`outlives_holds(a, b)`]: Solver::outlives_holds
+    pub fn outlived_reps(&mut self, a: RegVar) -> Option<BTreeSet<RegVar>> {
+        self.normalize();
+        let Some(&slot) = self.slots.get(&a) else {
+            return (!a.is_heap()).then(|| BTreeSet::from([a]));
+        };
+        let root = self.root(slot);
+        if self.vars[root as usize].is_heap() {
+            return None;
+        }
+        let reached = self.mark_reachable(root);
+        let reps = reached.iter().map(|&s| self.vars[s as usize]).collect();
+        for s in reached {
+            self.seen[s as usize] = false;
+        }
+        Some(reps)
+    }
+
     /// Whether the conjunction entails `atom`.
     pub fn entails_atom(&mut self, atom: Atom) -> bool {
         match atom {

@@ -8,7 +8,7 @@
 
 use cj_regions::abstraction::{AbsBody, AbsEnv, ConstraintAbs};
 use cj_regions::constraint::{Atom, ConstraintSet};
-use cj_regions::incremental::{solve_scc_memo_as, SolveMemo};
+use cj_regions::incremental::{solve_scc_memo_as, ImportKeys, SolveMemo};
 use cj_regions::var::RegVar;
 use proptest::prelude::*;
 
@@ -66,7 +66,7 @@ proptest! {
             // The solve under test (hit or miss, we don't care which —
             // eviction makes it nondeterministic across shard layouts).
             let mut env = variant_env(variant, base);
-            let out = solve_scc_memo_as(&mut env, &["q".to_string()], &memo, client);
+            let out = solve_scc_memo_as(&mut env, &["q".to_string()], &memo, client, &mut ImportKeys::new());
             solves += 1;
             prop_assert!(!out.disk, "nothing was preloaded");
             // Whatever the memo did, the closed form must be the ground
@@ -85,7 +85,7 @@ proptest! {
             // whoever the first solve already hit (the owner tag never
             // churns on hits, so both lookups must agree on `shared`)…
             let mut env = variant_env(variant, base + 31);
-            let own = solve_scc_memo_as(&mut env, &["q".to_string()], &memo, client);
+            let own = solve_scc_memo_as(&mut env, &["q".to_string()], &memo, client, &mut ImportKeys::new());
             solves += 1;
             prop_assert!(own.reused, "own entry dropped within the round");
             prop_assert_eq!(own.shared, out.reused && out.shared);
@@ -99,7 +99,7 @@ proptest! {
             let other = clients[(who as usize + 1) % clients.len()];
             let shared_before = memo.shared_hits();
             let mut env = variant_env(variant, base + 57);
-            let cross = solve_scc_memo_as(&mut env, &["q".to_string()], &memo, other);
+            let cross = solve_scc_memo_as(&mut env, &["q".to_string()], &memo, other, &mut ImportKeys::new());
             solves += 1;
             prop_assert!(cross.reused, "entry dropped between adjacent lookups");
             prop_assert_eq!(
@@ -143,7 +143,13 @@ fn tiny_capacity_evicts_and_stays_bounded() {
     for round in 0..4u32 {
         for variant in 0..64u8 {
             let mut env = variant_env(variant, 1 + round * 6400 + variant as u32 * 100);
-            solve_scc_memo_as(&mut env, &["q".to_string()], &memo, client);
+            solve_scc_memo_as(
+                &mut env,
+                &["q".to_string()],
+                &memo,
+                client,
+                &mut ImportKeys::new(),
+            );
             assert!(memo.len() <= SolveMemo::SHARDS);
         }
     }

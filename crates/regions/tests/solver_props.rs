@@ -241,3 +241,107 @@ proptest! {
         }
     }
 }
+
+/// A closed abstraction `q⟨params⟩` whose atoms join the positions
+/// `atoms` of `params` and the heap (position `params.len()`), applied to
+/// `args`. Parameters may repeat; a repeated parameter gets the argument
+/// of its first position, so the application is well formed.
+fn closed_application(
+    params: Vec<u32>,
+    atoms: &[(usize, usize, bool)],
+    args: Vec<u32>,
+) -> (cj_regions::AbsEnv, Vec<RegVar>) {
+    use cj_regions::{AbsBody, AbsEnv, ConstraintAbs};
+    let params: Vec<RegVar> = params.into_iter().map(RegVar).collect();
+    let mut args: Vec<RegVar> = args.into_iter().map(RegVar).collect();
+    args.truncate(params.len());
+    for i in 0..params.len() {
+        let first = params.iter().position(|&p| p == params[i]).expect("own");
+        args[i] = args[first];
+    }
+    let at = |i: usize| {
+        params
+            .get(i % (params.len() + 1))
+            .copied()
+            .unwrap_or(RegVar::HEAP)
+    };
+    let body: ConstraintSet = atoms
+        .iter()
+        .map(|&(a, b, eq)| {
+            if eq {
+                Atom::eq(at(a), at(b))
+            } else {
+                Atom::outlives(at(a), at(b))
+            }
+        })
+        .collect();
+    let mut env = AbsEnv::new();
+    env.insert(ConstraintAbs {
+        name: "q".into(),
+        params,
+        body: AbsBody::from_atoms(body),
+    });
+    (env, args)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// One `outlived_reps(a)` search answers `outlives_holds(a, b)` for
+    /// every `b`: the heap, classes the solver holds, and variables it has
+    /// never seen (`MODEL_VARS` and up).
+    #[test]
+    fn outlived_reps_agrees_with_outlives_holds(steps in proptest::collection::vec(arb_step(), 0..40)) {
+        let mut solver = Solver::new();
+        for (kind, a, b, _, _) in steps {
+            match kind {
+                0 | 1 => solver.add_outlives(RegVar(a), RegVar(b)),
+                2 => solver.add_eq(RegVar(a), RegVar(b)),
+                _ => {}
+            }
+        }
+        let probes: Vec<RegVar> = (0..MODEL_VARS as u32 + 2).map(RegVar).collect();
+        for &a in &probes {
+            let reps = solver.outlived_reps(a);
+            for &b in &probes {
+                let via_reps = reps.as_ref().is_none_or(|r| r.contains(&solver.find(b)));
+                prop_assert_eq!(via_reps, solver.outlives_holds(a, b), "{a} >= {b}: {reps:?}");
+            }
+        }
+    }
+
+    /// `instantiate_into` conjoins the same constraint as adding the set
+    /// `instantiate` builds: both solvers project alike onto every
+    /// variable either could mention.
+    #[test]
+    fn instantiate_into_matches_instantiate(
+        base in proptest::collection::vec(arb_atom(), 0..8),
+        params in proptest::collection::vec(1u32..=8, 1..6),
+        atoms in proptest::collection::vec((0usize..7, 0usize..7, any::<bool>()), 0..8),
+        args in proptest::collection::vec(0u32..=12, 6),
+    ) {
+        let (env, args) = closed_application(params, &atoms, args);
+        let base: ConstraintSet = base.iter().copied().collect();
+        let mut via_set = Solver::from_set(&base);
+        via_set.add_set(&env.instantiate("q", &args));
+        let mut direct = Solver::from_set(&base);
+        env.instantiate_into("q", &args, &mut direct);
+        let all: BTreeSet<RegVar> = (0..=12).map(RegVar).collect();
+        prop_assert_eq!(direct.project(&all), via_set.project(&all));
+    }
+}
+
+/// A repeated parameter bound to two different arguments is an
+/// ill-formed application, and `instantiate_into` still rejects it.
+#[test]
+#[should_panic(expected = "conflicting binding")]
+fn instantiate_into_rejects_conflicting_arguments() {
+    use cj_regions::{AbsBody, AbsEnv, ConstraintAbs};
+    let mut env = AbsEnv::new();
+    env.insert(ConstraintAbs {
+        name: "q".into(),
+        params: vec![RegVar(1), RegVar(1)],
+        body: AbsBody::from_atoms(ConstraintSet::new()),
+    });
+    env.instantiate_into("q", &[RegVar(2), RegVar(3)], &mut Solver::new());
+}
