@@ -665,16 +665,14 @@ fn daemon(cli: &Cli) -> (String, Vec<String>) {
     let daemon = last.daemon.as_ref().map_or("null".to_string(), |d| {
         format!(
             "{{\"clients_served\": {}, \"clients_rejected\": {}, \"connections_peak\": {}, \
-             \"memo\": {{\"entries\": {}, \"hits\": {}, \"misses\": {}, \"shared_hits\": {}, \
-             \"disk_hits\": {}}}}}",
+             \"memo\": {{\"entries\": {}, \"hits\": {}, \"misses\": {}, \"shared_hits\": {}}}}}",
             d.clients_served,
             d.clients_rejected,
             d.connections_peak,
             d.memo_entries,
             d.memo_hits,
             d.memo_misses,
-            d.memo_shared_hits,
-            d.memo_disk_hits
+            d.memo_shared_hits
         )
     });
     let json = format!(

@@ -276,9 +276,6 @@ pub struct InferStats {
     /// Of the reused SCCs, how many were served from an entry solved by a
     /// *different* client of a shared memo (always 0 for a private cache).
     pub sccs_shared_hits: usize,
-    /// Of the reused SCCs, how many were served from an entry preloaded
-    /// out of an on-disk cache (always 0 without `--cache-dir`).
-    pub sccs_disk_hits: usize,
 }
 
 impl InferStats {
@@ -289,7 +286,7 @@ impl InferStats {
             "{{\"global_iterations\":{},\"fixpoint_iterations\":{},\"regions_created\":{},\
              \"localized_regions\":{},\"override_repairs\":{},\"downcast_sites\":{},\
              \"methods_inferred\":{},\"sccs_solved\":{},\"sccs_reused\":{},\
-             \"sccs_shared_hits\":{},\"sccs_disk_hits\":{}}}",
+             \"sccs_shared_hits\":{}}}",
             self.global_iterations,
             self.fixpoint_iterations,
             self.regions_created,
@@ -299,8 +296,7 @@ impl InferStats {
             self.methods_inferred,
             self.sccs_solved,
             self.sccs_reused,
-            self.sccs_shared_hits,
-            self.sccs_disk_hits
+            self.sccs_shared_hits
         )
     }
 }

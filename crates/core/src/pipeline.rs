@@ -364,9 +364,9 @@ pub fn solve_all(raw: &AbsEnv) -> (AbsEnv, usize) {
 /// [`solve_all`] with a content-addressed memo: SCCs whose canonical raw
 /// bodies and imported closed forms match a previously solved SCC are
 /// served from `memo` without iterating. Updates the `sccs_solved` /
-/// `sccs_reused` / `sccs_shared_hits` / `sccs_disk_hits` counters of
-/// `stats`. This is the first round of [`infer_with_cache`]'s solve:
-/// on an empty closed environment every SCC is dirty.
+/// `sccs_reused` / `sccs_shared_hits` counters of `stats`. This is the
+/// first round of [`infer_with_cache`]'s solve: on an empty closed
+/// environment every SCC is dirty.
 pub fn solve_all_memo(raw: &AbsEnv, memo: &SolveMemo, stats: &mut InferStats) -> (AbsEnv, usize) {
     let mut closed = AbsEnv::new();
     let groups = condensation(raw);
@@ -380,9 +380,6 @@ fn record_outcome(outcome: SccOutcome, stats: &mut InferStats) {
         stats.sccs_reused += 1;
         if outcome.shared {
             stats.sccs_shared_hits += 1;
-        }
-        if outcome.disk {
-            stats.sccs_disk_hits += 1;
         }
     } else {
         stats.sccs_solved += 1;

@@ -24,12 +24,6 @@
 //!
 //! # Production hardening
 //!
-//! - **Persistence** ([`DaemonConfig::cache_dir`]): the shared memo is
-//!   warm-loaded from an on-disk [`SccDiskCache`] at bind, flushed by a
-//!   background thread while the daemon runs, and compacted at shutdown —
-//!   so a restarted daemon serves `sccs_disk_hits` instead of re-solving
-//!   the world. A corrupt/version-bumped cache cold-starts; output is
-//!   bit-identical either way.
 //! - **Backpressure** ([`DaemonConfig::max_clients`]): connections beyond
 //!   the in-flight bound receive a structured
 //!   `{"ok":false,...,"code":"capacity"}` line and are closed, instead of
@@ -67,14 +61,13 @@ mod event;
 use crate::server::Server;
 use crate::session::SessionOptions;
 use cj_diag::json::{json_string, parse_json};
-use cj_persist::SccDiskCache;
 use cj_regions::incremental::SolveMemo;
 use std::net::{SocketAddr, TcpListener};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of a [`Daemon`].
 #[derive(Debug, Clone)]
@@ -85,10 +78,6 @@ pub struct DaemonConfig {
     /// Worker threads executing requests. Connections are not tied to
     /// workers; only CPU-bound request handling queues here.
     pub workers: usize,
-    /// On-disk SCC cache directory: loaded into the shared memo at bind,
-    /// flushed periodically and compacted at shutdown. `None` = no
-    /// persistence.
-    pub cache_dir: Option<std::path::PathBuf>,
     /// Backpressure bound: with more than this many connections in
     /// flight, further ones are rejected immediately with a structured
     /// JSON error instead of hanging in the accept queue. 0 = unbounded.
@@ -97,9 +86,6 @@ pub struct DaemonConfig {
     /// this long is disconnected (with a structured JSON error).
     /// [`Duration::ZERO`] disables eviction.
     pub idle_timeout: Duration,
-    /// How often the background thread flushes newly solved SCCs to the
-    /// cache (only with `cache_dir`; shutdown always flushes).
-    pub flush_interval: Duration,
     /// TCP address of the HTTP metrics scrape endpoint (`GET /metrics`,
     /// `GET /metrics.json`), e.g. `"127.0.0.1:9464"`. `None` = no
     /// endpoint. Served by its own [`cj_net::EventLoop`] reactor thread,
@@ -112,10 +98,8 @@ impl Default for DaemonConfig {
         DaemonConfig {
             opts: SessionOptions::default(),
             workers: 4,
-            cache_dir: None,
             max_clients: 0,
             idle_timeout: Duration::from_secs(600),
-            flush_interval: Duration::from_secs(30),
             metrics_addr: None,
         }
     }
@@ -183,7 +167,6 @@ impl DaemonStats {
             clients_rejected: self.clients_rejected(),
             connections_current: Some(self.connections_current()),
             connections_peak: self.connections_peak(),
-            cache: None,
         }
         .to_json()
     }
@@ -192,15 +175,14 @@ impl DaemonStats {
 /// The one serializer behind every daemon serving-counter report: the
 /// `stats` response's `"daemon"` object (live, with
 /// `connections_current`) and the `cjrc daemon --json` exit summary
-/// (final, with the cache tallies). One code path keeps the shared field
-/// names from drifting apart.
+/// (final). One code path keeps the shared field names from drifting
+/// apart.
 #[derive(Debug, Clone, Copy)]
 struct ServingReport {
     clients_served: u64,
     clients_rejected: u64,
     connections_current: Option<u64>,
     connections_peak: u64,
-    cache: Option<(usize, usize)>,
 }
 
 impl ServingReport {
@@ -213,14 +195,7 @@ impl ServingReport {
         if let Some(current) = self.connections_current {
             let _ = write!(out, ",\"connections_current\":{current}");
         }
-        let _ = write!(out, ",\"connections_peak\":{}", self.connections_peak);
-        if let Some((loaded, persisted)) = self.cache {
-            let _ = write!(
-                out,
-                ",\"cache_entries_loaded\":{loaded},\"cache_entries_persisted\":{persisted}"
-            );
-        }
-        out.push('}');
+        let _ = write!(out, ",\"connections_peak\":{}}}", self.connections_peak);
         out
     }
 }
@@ -234,11 +209,6 @@ pub struct DaemonSummary {
     pub clients_rejected: u64,
     /// The concurrent-connection high-water mark.
     pub connections_peak: u64,
-    /// Solve-memo entries warm-loaded from the on-disk cache at bind.
-    pub cache_entries_loaded: usize,
-    /// Entries retained on disk by the shutdown compaction (0 without a
-    /// cache).
-    pub cache_entries_persisted: usize,
 }
 
 impl DaemonSummary {
@@ -250,7 +220,6 @@ impl DaemonSummary {
             clients_rejected: self.clients_rejected,
             connections_current: None,
             connections_peak: self.connections_peak,
-            cache: Some((self.cache_entries_loaded, self.cache_entries_persisted)),
         }
         .to_json()
     }
@@ -268,8 +237,6 @@ pub struct Daemon {
     listener: Listener,
     config: DaemonConfig,
     memo: Arc<SolveMemo>,
-    cache: Option<Arc<SccDiskCache>>,
-    cache_entries_loaded: usize,
     stop: Arc<AtomicBool>,
     stats: Arc<DaemonStats>,
     telemetry: Arc<crate::telemetry::Telemetry>,
@@ -318,20 +285,6 @@ impl Daemon {
     }
 
     fn over(listener: Listener, config: DaemonConfig) -> std::io::Result<Daemon> {
-        let memo = Arc::new(SolveMemo::new());
-        // Load the cache at bind, so even the first connection compiles
-        // warm. A corrupt or version-mismatched cache loads 0 entries; an
-        // *unopenable* cache directory is a real error the operator must
-        // see (the flag would otherwise silently do nothing).
-        let mut cache_entries_loaded = 0;
-        let cache = match &config.cache_dir {
-            Some(dir) => {
-                let cache = SccDiskCache::open(dir)?;
-                cache_entries_loaded = cache.load_into(&memo);
-                Some(Arc::new(cache))
-            }
-            None => None,
-        };
         let stats = Arc::new(DaemonStats::new());
         // Bind the scrape endpoint eagerly so `--metrics-addr` failures
         // surface at startup, and port 0 can be read back before `run`.
@@ -342,9 +295,7 @@ impl Daemon {
         Ok(Daemon {
             listener,
             config,
-            memo,
-            cache,
-            cache_entries_loaded,
+            memo: Arc::new(SolveMemo::new()),
             stop: Arc::new(AtomicBool::new(false)),
             stats,
             telemetry: Arc::new(crate::telemetry::Telemetry::new()),
@@ -384,26 +335,6 @@ impl Daemon {
         Arc::clone(&self.memo)
     }
 
-    /// The on-disk cache (when configured via
-    /// [`DaemonConfig::cache_dir`]).
-    pub fn disk_cache(&self) -> Option<Arc<SccDiskCache>> {
-        self.cache.clone()
-    }
-
-    /// How many solved-SCC entries the bind-time cache load installed
-    /// into the shared memo (0 without a cache, or for a cold one).
-    pub fn cache_entries_loaded(&self) -> usize {
-        self.cache_entries_loaded
-    }
-
-    /// Whether the configured cache directory's writer lease is held by
-    /// another live process (this daemon then runs the cache read-only:
-    /// warm loads work, nothing new is persisted). Always `false`
-    /// without a cache.
-    pub fn cache_read_only(&self) -> bool {
-        self.cache.as_ref().is_some_and(|c| c.is_read_only())
-    }
-
     /// A handle that stops the accept loop when set (the in-band
     /// alternative is a `{"cmd":"shutdown","scope":"daemon"}` request).
     pub fn stop_handle(&self) -> Arc<AtomicBool> {
@@ -420,14 +351,12 @@ impl Daemon {
 
     /// Serves connections until a daemon-scope shutdown arrives (or the
     /// [`stop_handle`](Daemon::stop_handle) is set), then drains
-    /// in-flight work, joins every worker, compacts the on-disk cache
-    /// (when configured) and returns.
+    /// in-flight work, joins every worker and returns.
     ///
     /// # Errors
     ///
     /// Fatal listener/poller errors; individual connection I/O errors
-    /// only terminate that connection, and cache flush errors are
-    /// reported once at shutdown.
+    /// only terminate that connection.
     pub fn run(mut self) -> std::io::Result<DaemonSummary> {
         // The HTTP scrape endpoint runs on its own reactor thread for the
         // daemon's whole lifetime, beside the protocol front end.
@@ -441,55 +370,19 @@ impl Daemon {
             )?),
             None => None,
         };
-        // The periodic cache flush: newly solved SCCs reach disk while
-        // the daemon runs, so even a crash (no compaction) loses at most
-        // one interval of work.
-        let flusher = self.cache.as_ref().map(|cache| {
-            let cache = Arc::clone(cache);
-            let memo = Arc::clone(&self.memo);
-            let stop = Arc::clone(&self.stop);
-            let interval = self.config.flush_interval.max(Duration::from_millis(50));
-            std::thread::spawn(move || {
-                let mut last = Instant::now();
-                while !stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(50));
-                    if last.elapsed() >= interval {
-                        let _ = cache.flush(&memo);
-                        last = Instant::now();
-                    }
-                }
-            })
-        });
         let fatal = event::serve(&self, Server::handle_line).err();
-        // Unblock the flusher's and metrics endpoint's poll loops even on
-        // a fatal listener error.
+        // Unblock the metrics endpoint's poll loop even on a fatal
+        // listener error.
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(flusher) = flusher {
-            let _ = flusher.join();
-        }
         if let Some(metrics_thread) = metrics_thread {
             let _ = metrics_thread.join();
         }
-        // Final persistence pass: everything solved over the daemon's
-        // lifetime reaches the snapshot, bounded by the cache's GC budget.
-        let mut cache_entries_persisted = 0;
-        let mut cache_error = None;
-        if let Some(cache) = &self.cache {
-            // Compaction alone persists everything a flush would: the
-            // snapshot is rewritten as memo ∪ disk.
-            match cache.compact(&self.memo) {
-                Ok(kept) => cache_entries_persisted = kept,
-                Err(e) => cache_error = Some(e),
-            }
-        }
-        match fatal.or(cache_error) {
+        match fatal {
             Some(e) => Err(e),
             None => Ok(DaemonSummary {
                 clients_served: self.stats.clients_served(),
                 clients_rejected: self.stats.clients_rejected(),
                 connections_peak: self.stats.connections_peak(),
-                cache_entries_loaded: self.cache_entries_loaded,
-                cache_entries_persisted,
             }),
         }
     }

@@ -276,14 +276,13 @@ impl Server {
                 let mut extra = format!(
                     "\"files\":[{}],\"passes_total\":{},\
                      \"shared_memo\":{{\"entries\":{},\"hits\":{},\"misses\":{},\
-                     \"shared_hits\":{},\"disk_hits\":{}}}",
+                     \"shared_hits\":{}}}",
                     files.join(","),
                     self.ws.pass_counts().to_json(),
                     memo.len(),
                     memo.hits(),
                     memo.misses(),
-                    memo.shared_hits(),
-                    memo.disk_hits()
+                    memo.shared_hits()
                 );
                 let _ = write!(
                     extra,
@@ -450,7 +449,7 @@ mod tests {
         assert!(
             resp.contains(
                 "\"shared_memo\":{\"entries\":0,\"hits\":0,\"misses\":0,\
-                           \"shared_hits\":0,\"disk_hits\":0}"
+                           \"shared_hits\":0}"
             ),
             "{resp}"
         );

@@ -155,36 +155,6 @@ impl Session {
         self.ws.pass_counts()
     }
 
-    /// Attaches an on-disk SCC cache (see
-    /// [`Workspace::attach_disk_cache`]); returns the number of entries
-    /// warm-loaded.
-    pub fn attach_disk_cache(&mut self, cache: std::sync::Arc<cj_persist::SccDiskCache>) -> usize {
-        self.ws.attach_disk_cache(cache)
-    }
-
-    /// Persists newly solved SCCs to the attached cache (see
-    /// [`Workspace::flush_disk_cache`]; a no-op without an attached
-    /// cache, O(new entries) — the journal auto-compacts past its byte
-    /// budget).
-    ///
-    /// # Errors
-    ///
-    /// Cache-file write failures.
-    pub fn flush_disk_cache(&self) -> std::io::Result<usize> {
-        self.ws.flush_disk_cache()
-    }
-
-    /// Persists newly solved SCCs to the attached cache and folds its
-    /// journal into the snapshot (see [`Workspace::compact_disk_cache`]);
-    /// a no-op without an attached cache.
-    ///
-    /// # Errors
-    ///
-    /// Cache-file write failures.
-    pub fn compact_disk_cache(&self) -> std::io::Result<usize> {
-        self.ws.compact_disk_cache()
-    }
-
     /// An emitter that renders diagnostics against this session's source.
     pub fn emitter(&self) -> Emitter<'_> {
         Emitter::new(&self.name, self.source())

@@ -124,7 +124,6 @@ impl Telemetry {
             self.registry.set("memo_hits", memo.hits());
             self.registry.set("memo_misses", memo.misses());
             self.registry.set("memo_shared_hits", memo.shared_hits());
-            self.registry.set("memo_disk_hits", memo.disk_hits());
         }
         if let Some(daemon) = daemon {
             self.registry

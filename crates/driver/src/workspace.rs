@@ -10,10 +10,9 @@
 //!   span space, so other files' spans never move);
 //! - every revision re-infers, re-lowers and re-checks policy from the
 //!   fresh kernel; only the content-addressed per-SCC solve memo
-//!   ([`cj_infer::InferCache`]) and an attached on-disk cache outlive it,
-//!   so an edit to one method body re-solves only the dirty abstraction
-//!   SCCs — while producing output bit-identical to a from-scratch
-//!   compile;
+//!   ([`cj_infer::InferCache`]) outlives it, so an edit to one method
+//!   body re-solves only the dirty abstraction SCCs — while producing
+//!   output bit-identical to a from-scratch compile;
 //! - the closed constraint-abstraction environment `Q` is queryable
 //!   ([`q`](Workspace::q), [`precondition`](Workspace::precondition),
 //!   [`invariant`](Workspace::invariant), [`entails`](Workspace::entails))
@@ -55,7 +54,6 @@ use cj_diag::{codes, Diagnostic, Diagnostics, Emitter, IntoDiagnostics, SourceMa
 use cj_frontend::ast;
 use cj_frontend::KProgram;
 use cj_infer::{InferCache, InferOptions};
-use cj_persist::SccDiskCache;
 use cj_policy::PolicySet;
 use cj_regions::abstraction::ConstraintAbs;
 use cj_regions::constraint::Atom;
@@ -109,10 +107,6 @@ pub struct PassCounts {
     /// earlier work — even from a different per-options cache — never
     /// counts).
     pub sccs_shared_hits: u32,
-    /// Of the reused SCCs, solves served from an entry preloaded out of
-    /// an on-disk cache (0 unless a cache was attached via
-    /// [`Workspace::attach_disk_cache`] or loaded into a shared memo).
-    pub sccs_disk_hits: u32,
     /// Policy rule × method evaluations actually executed (a replay of
     /// the revision's cached outcome doesn't count).
     pub rules_checked: u32,
@@ -136,14 +130,13 @@ impl PassCounts {
             sccs_solved: self.sccs_solved - earlier.sccs_solved,
             sccs_reused: self.sccs_reused - earlier.sccs_reused,
             sccs_shared_hits: self.sccs_shared_hits - earlier.sccs_shared_hits,
-            sccs_disk_hits: self.sccs_disk_hits - earlier.sccs_disk_hits,
             rules_checked: self.rules_checked - earlier.rules_checked,
             policy_violations: self.policy_violations - earlier.policy_violations,
         }
     }
 
     /// Every counter with its stable key, in the `passes_executed` order.
-    pub fn fields(&self) -> [(&'static str, u32); 14] {
+    pub fn fields(&self) -> [(&'static str, u32); 13] {
         [
             ("parse", self.parse),
             ("typecheck", self.typecheck),
@@ -155,7 +148,6 @@ impl PassCounts {
             ("sccs_solved", self.sccs_solved),
             ("sccs_reused", self.sccs_reused),
             ("sccs_shared_hits", self.sccs_shared_hits),
-            ("sccs_disk_hits", self.sccs_disk_hits),
             ("extent_rewrites", self.extent_rewrites),
             ("rules_checked", self.rules_checked),
             ("policy_violations", self.policy_violations),
@@ -248,9 +240,6 @@ pub struct Workspace {
     /// This workspace's single client id within `memo` (all per-options
     /// caches share it, so only cross-workspace reuse counts as shared).
     memo_client: u64,
-    /// On-disk SCC cache this workspace feeds (see
-    /// [`attach_disk_cache`](Workspace::attach_disk_cache)).
-    persist: Option<Arc<SccDiskCache>>,
 }
 
 impl Workspace {
@@ -279,62 +268,12 @@ impl Workspace {
             counts: PassCounts::default(),
             memo,
             memo_client,
-            persist: None,
         }
     }
 
     /// The solve memo this workspace feeds.
     pub fn shared_memo(&self) -> Arc<SolveMemo> {
         Arc::clone(&self.memo)
-    }
-
-    /// Attaches an on-disk SCC cache: its entries are loaded into the
-    /// workspace's solve memo immediately (hits on them are counted as
-    /// [`PassCounts::sccs_disk_hits`]), and
-    /// [`flush_disk_cache`](Workspace::flush_disk_cache) will persist
-    /// entries this workspace solves. Returns how many entries were
-    /// warm-loaded; a corrupt or version-mismatched cache simply loads 0
-    /// (cold start) — never an error.
-    pub fn attach_disk_cache(&mut self, cache: Arc<SccDiskCache>) -> usize {
-        let loaded = cache.load_into(&self.memo);
-        self.persist = Some(cache);
-        loaded
-    }
-
-    /// The attached on-disk cache, if any.
-    pub fn disk_cache(&self) -> Option<Arc<SccDiskCache>> {
-        self.persist.clone()
-    }
-
-    /// Appends every not-yet-persisted solve-memo entry to the attached
-    /// on-disk cache; a no-op returning 0 when none is attached. Returns
-    /// the number of entries written.
-    ///
-    /// # Errors
-    ///
-    /// Cache-file write failures (the cache stays consistent; the same
-    /// entries are retried by the next flush).
-    pub fn flush_disk_cache(&self) -> std::io::Result<usize> {
-        match &self.persist {
-            Some(cache) => cache.flush(&self.memo),
-            None => Ok(0),
-        }
-    }
-
-    /// Folds the attached cache's journal into its snapshot, bounded by
-    /// its GC budget (the shutdown-time pass); a no-op returning 0 when
-    /// none is attached. Returns the number of entries retained on disk.
-    ///
-    /// # Errors
-    ///
-    /// Cache-file write failures.
-    pub fn compact_disk_cache(&self) -> std::io::Result<usize> {
-        match &self.persist {
-            // Compaction alone persists everything a flush would (it
-            // rewrites the snapshot as memo ∪ disk), so no flush first.
-            Some(cache) => cache.compact(&self.memo),
-            None => Ok(0),
-        }
     }
 
     /// The workspace options.
@@ -576,7 +515,6 @@ impl Workspace {
         self.counts.sccs_solved += stats.sccs_solved as u32;
         self.counts.sccs_reused += stats.sccs_reused as u32;
         self.counts.sccs_shared_hits += stats.sccs_shared_hits as u32;
-        self.counts.sccs_disk_hits += stats.sccs_disk_hits as u32;
         span.add("methods_inferred", stats.methods_inferred as u64);
         span.add("regions_created", stats.regions_created as u64);
         Ok(compilation)

@@ -3,7 +3,9 @@
 //! `check`/`annotate`/`query` answers to isolated sequential `Server`
 //! sessions (the shared memo changes how much work runs, never what is
 //! computed), cross-client SCC reuse must actually happen and be
-//! observable, and a daemon-scope shutdown must drain cleanly.
+//! observable, a daemon-scope shutdown must drain cleanly, and the
+//! backpressure and idle bounds must answer the clients they turn away
+//! with structured errors.
 
 #[path = "common/hostile.rs"]
 mod hostile;
@@ -553,4 +555,178 @@ fn hostile_programs_are_answered_while_other_clients_are_served() {
     let bye = b.ask("{\"cmd\":\"shutdown\",\"scope\":\"daemon\"}");
     assert!(bye.contains("\"status\":\"bye\""), "{bye}");
     assert_eq!(done_rx.recv_timeout(Duration::from_secs(60)), Ok(true));
+}
+
+#[test]
+fn over_limit_connections_get_a_structured_reject() {
+    let daemon = Daemon::bind_tcp(
+        "127.0.0.1:0",
+        DaemonConfig {
+            max_clients: 1,
+            workers: 2,
+            ..DaemonConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = daemon.local_addr().unwrap();
+    let handle = std::thread::spawn(move || daemon.run().expect("run"));
+
+    // Client 1 occupies the single slot (and proves it is being served).
+    let held = TcpStream::connect(addr).expect("client 1");
+    let mut reader = BufReader::new(held.try_clone().unwrap());
+    let mut writer = held;
+    writeln!(writer, "{{\"cmd\":\"stats\"}}").unwrap();
+    writer.flush().unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"ok\":true"), "{line}");
+
+    // Client 2 must be rejected immediately — a structured JSON error,
+    // not a hang in the accept queue.
+    let rejected = TcpStream::connect(addr).expect("client 2");
+    let mut reader = BufReader::new(rejected);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read reject");
+    assert!(line.contains("\"ok\":false"), "{line}");
+    assert!(line.contains("\"code\":\"capacity\""), "{line}");
+    assert!(
+        line.contains("daemon at capacity (1 active client)"),
+        "{line}"
+    );
+    let mut eof = String::new();
+    assert_eq!(
+        reader.read_line(&mut eof).unwrap(),
+        0,
+        "rejected connection must be closed"
+    );
+
+    // Client 1 ends; the slot frees up and a new client is served again.
+    writeln!(writer, "{{\"cmd\":\"shutdown\"}}").unwrap();
+    writer.flush().unwrap();
+    line.clear();
+    let mut reader = BufReader::new(writer.try_clone().unwrap());
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"status\":\"bye\""), "{line}");
+    drop((reader, writer));
+    // The slot is released by the worker *after* the connection ends;
+    // poll briefly instead of racing it.
+    let mut served = None;
+    for _ in 0..100 {
+        let probe = TcpStream::connect(addr).expect("client 3");
+        let mut reader = BufReader::new(probe.try_clone().unwrap());
+        let mut writer = probe;
+        writeln!(writer, "{{\"cmd\":\"stats\"}}").unwrap();
+        writer.flush().unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        if line.contains("\"ok\":true") {
+            served = Some((reader, writer));
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let (mut reader, mut writer) = served.expect("slot must free after client 1 left");
+    writeln!(writer, "{{\"cmd\":\"shutdown\",\"scope\":\"daemon\"}}").unwrap();
+    writer.flush().unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let summary = handle.join().unwrap();
+    assert!(summary.clients_rejected >= 1, "{summary:?}");
+}
+
+/// A client that drips bytes without ever completing a line must hit the
+/// idle bound exactly like a silent one — received bytes that complete
+/// no request do not restart the idle clock — so it cannot hold its
+/// connection slot indefinitely.
+#[test]
+fn byte_dripping_clients_hit_the_idle_bound_too() {
+    let daemon = Daemon::bind_tcp(
+        "127.0.0.1:0",
+        DaemonConfig {
+            workers: 1,
+            idle_timeout: Duration::from_millis(300),
+            ..DaemonConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = daemon.local_addr().unwrap();
+    let handle = std::thread::spawn(move || daemon.run().expect("run"));
+
+    // The dripper: one byte every 40ms, never a newline.
+    let dripper = TcpStream::connect(addr).expect("dripper");
+    let mut drip_half = dripper.try_clone().unwrap();
+    let dripping = std::thread::spawn(move || {
+        for _ in 0..50 {
+            if drip_half.write_all(b"x").is_err() {
+                break;
+            }
+            let _ = drip_half.flush();
+            std::thread::sleep(Duration::from_millis(40));
+        }
+    });
+
+    // The dripper holds no worker: another client is served meanwhile.
+    let got = drive_tcp(addr, &["{\"cmd\":\"stats\"}".to_string()]);
+    assert!(got[0].contains("\"ok\":true"), "{}", got[0]);
+
+    dripper
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(dripper);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"code\":\"idle\""), "{line}");
+    dripping.join().unwrap();
+    shut_down(addr);
+    handle.join().unwrap();
+}
+
+/// Sends a daemon-scope shutdown on a fresh connection.
+fn shut_down(addr: std::net::SocketAddr) {
+    let bye = drive_tcp(
+        addr,
+        &["{\"cmd\":\"shutdown\",\"scope\":\"daemon\"}".to_string()],
+    );
+    assert!(bye[0].contains("\"status\":\"bye\""), "{bye:?}");
+}
+
+#[test]
+fn idle_clients_are_evicted_and_release_their_worker() {
+    let daemon = Daemon::bind_tcp(
+        "127.0.0.1:0",
+        DaemonConfig {
+            workers: 1,
+            idle_timeout: Duration::from_millis(300),
+            ..DaemonConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = daemon.local_addr().unwrap();
+    let handle = std::thread::spawn(move || daemon.run().expect("run"));
+
+    // The stalled client: connects, sends half a line, then nothing. It
+    // never holds the only worker: a request occupies a worker, a
+    // connection does not.
+    let stalled = TcpStream::connect(addr).expect("stalled client");
+    let mut half = stalled.try_clone().unwrap();
+    write!(half, "{{\"cmd\":\"st").unwrap();
+    half.flush().unwrap();
+
+    // A well-behaved client connects behind it and is served at once.
+    let got = drive_tcp(addr, &["{\"cmd\":\"stats\"}".to_string()]);
+    assert!(got[0].contains("\"ok\":true"), "{}", got[0]);
+
+    // The stalled client is told why it was dropped, then disconnected.
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(stalled);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"code\":\"idle\""), "{line}");
+    assert!(line.contains("idle timeout"), "{line}");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "then EOF");
+    shut_down(addr);
+    handle.join().unwrap();
 }

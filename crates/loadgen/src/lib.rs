@@ -319,8 +319,6 @@ pub struct DaemonSnapshot {
     pub memo_misses: u64,
     /// Hits on entries another client solved — the cross-client payoff.
     pub memo_shared_hits: u64,
-    /// Hits served from the on-disk cache.
-    pub memo_disk_hits: u64,
 }
 
 /// Server-side latency of one request kind, scraped from the daemon's
@@ -690,7 +688,6 @@ fn parse_stats_response(json: &Json) -> DaemonSnapshot {
         memo_hits: u64_at(json, "shared_memo.hits"),
         memo_misses: u64_at(json, "shared_memo.misses"),
         memo_shared_hits: u64_at(json, "shared_memo.shared_hits"),
-        memo_disk_hits: u64_at(json, "shared_memo.disk_hits"),
     }
 }
 
@@ -782,19 +779,19 @@ mod tests {
 
     #[test]
     fn stats_are_read_by_key_path() {
-        // `hits`, `entries` and `disk_hits` also appear in sibling blocks;
+        // `hits`, `entries` and `shared_hits` also appear in sibling blocks;
         // each field is read from its own object.
         let response = concat!(
-            "{\"ok\":true,\"files\":[],\"passes_total\":{\"sccs_disk_hits\":9},",
-            "\"cache\":{\"entries\":77,\"hits\":88,\"disk_hits\":99},",
+            "{\"ok\":true,\"files\":[],\"passes_total\":{\"sccs_shared_hits\":9},",
+            "\"cache\":{\"entries\":77,\"hits\":88,\"shared_hits\":99},",
             "\"shared_memo\":{\"entries\":5,\"hits\":4,\"misses\":3,",
-            "\"shared_hits\":2,\"disk_hits\":1},\"uptime_ms\":10,",
+            "\"shared_hits\":2},\"uptime_ms\":10,",
             "\"daemon\":{\"clients_served\":12,\"clients_rejected\":1,",
             "\"connections_current\":3,\"connections_peak\":7}}",
         );
         let s = parse_stats_response(&parse_json(response).unwrap());
         assert_eq!((s.memo_entries, s.memo_hits, s.memo_misses), (5, 4, 3));
-        assert_eq!((s.memo_shared_hits, s.memo_disk_hits), (2, 1));
+        assert_eq!(s.memo_shared_hits, 2);
         assert_eq!(
             (s.clients_served, s.clients_rejected, s.connections_peak),
             (12, 1, 7)

@@ -1,17 +1,17 @@
 //! `cjrc` — the Core-Java region compiler driver.
 //!
 //! ```text
-//! cjrc infer  <file> [--mode M] [--downcast D] [--extents X] [--cache-dir DIR] [--stats] [--json]
+//! cjrc infer  <file> [--mode M] [--downcast D] [--extents X] [--stats] [--json]
 //! cjrc check  <file> [--policy <file.cjpolicy>]
-//!                    [--mode M] [--downcast D] [--extents X] [--cache-dir DIR] [--json]
+//!                    [--mode M] [--downcast D] [--extents X] [--json]
 //! cjrc query  <file> <inv.C|pre.m|pre.C.m> [--entails ATOM]
-//!                    [--mode M] [--downcast D] [--extents X] [--cache-dir DIR] [--json]
+//!                    [--mode M] [--downcast D] [--extents X] [--json]
 //! cjrc run    <file> [--engine rvm|interp] [--fuel N] [--max-depth N]
-//!                    [--mode M] [--downcast D] [--extents X] [--cache-dir DIR] [--json] [args…]
+//!                    [--mode M] [--downcast D] [--extents X] [--json] [args…]
 //! cjrc flows  <file> [--json]                                       downcast-set report
-//! cjrc serve         [--mode M] [--downcast D] [--extents X] [--cache-dir DIR]
+//! cjrc serve         [--mode M] [--downcast D] [--extents X]
 //!                                                                   JSON-lines compile server
-//! cjrc daemon        [--addr H:P | --socket PATH] [--workers N] [--cache-dir DIR]
+//! cjrc daemon        [--addr H:P | --socket PATH] [--workers N]
 //!                    [--max-clients N] [--idle-timeout SECS]
 //!                    [--metrics-addr H:P]
 //!                    [--mode M] [--downcast D] [--extents X]        multi-client compile daemon
@@ -21,8 +21,8 @@
 //! `infer`/`check`/`run`/`serve`/`daemon` accept `--trace-out FILE`:
 //! structured spans from every pipeline phase (parse, typecheck, per-SCC
 //! solve, extent rewriting, policy check, lowering, execution) and the
-//! daemon internals (reactor dispatch, queue wait, worker handling,
-//! persist flush) are recorded and written as Chrome trace-event JSON —
+//! daemon internals (reactor dispatch, queue wait, worker handling) are
+//! recorded and written as Chrome trace-event JSON —
 //! load the file in Perfetto / `chrome://tracing`, or render a self-time
 //! table with `cjrc trace-summary`. Tracing off costs one atomic load per
 //! span. `serve`/`daemon` also accept `--metrics-addr H:P`, an HTTP
@@ -34,11 +34,7 @@
 //! padding} (default equate-first; alias equate); `X` ∈ {paper, liveness}
 //! (default paper) selects `letreg` extent placement — `liveness` runs the
 //! cj-liveness flow-sensitive tightening pass after inference, shrinking
-//! region lifetimes without changing observable behaviour. `--cache-dir`
-//! persists solved constraint-abstraction SCCs (via `cj-persist`) so a
-//! later invocation — or a restarted server/daemon — starts warm,
-//! reporting `sccs_disk_hits` while producing output bit-identical to a
-//! cold build.
+//! region lifetimes without changing observable behaviour.
 //!
 //! `run` executes on the `cj-rvm` register VM by default (`cj-vm` lowers
 //! the program straight to register code, which `cj-rvm` runs
@@ -138,8 +134,6 @@ struct Cli {
     socket: Option<String>,
     /// `daemon`: connection worker threads (default 4).
     workers: Option<usize>,
-    /// On-disk compilation cache directory (every command but `flows`).
-    cache_dir: Option<String>,
     /// `daemon`: backpressure bound on in-flight connections (0 = off).
     max_clients: Option<usize>,
     /// `daemon`: per-connection idle eviction in seconds (0 = off).
@@ -200,13 +194,13 @@ impl IntoDiagnostic for CliError {
 fn usage() -> String {
     format!(
         "usage: cjrc <infer|check|run|flows> <file.cj> [--mode {m}] \
-         [--downcast {d}] [--extents {x}] [--cache-dir DIR] [--stats] [--json] [run args…]\n       \
+         [--downcast {d}] [--extents {x}] [--stats] [--json] [run args…]\n       \
          cjrc check <file.cj> --policy <file.cjpolicy> [--json]\n       \
          cjrc run <file.cj> [--engine {e}] [--fuel N] [--max-depth N] [args…]\n       \
          cjrc query <file.cj> <inv.C|pre.m|pre.C.m> [--entails ATOM] [--json]\n       \
-         cjrc serve [--mode {m}] [--downcast {d}] [--extents {x}] [--cache-dir DIR]\n       \
+         cjrc serve [--mode {m}] [--downcast {d}] [--extents {x}]\n       \
          cjrc daemon [--addr host:port | --socket path] \
-         [--workers N] [--cache-dir DIR] [--max-clients N] \
+         [--workers N] [--max-clients N] \
          [--idle-timeout SECS] [--metrics-addr host:port] \
          [--mode {m}] [--downcast {d}] [--extents {x}] [--json]\n       \
          cjrc trace-summary <trace.json>      (any command above accepts --trace-out FILE)",
@@ -239,7 +233,6 @@ fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
     let mut addr = None;
     let mut socket = None;
     let mut workers = None;
-    let mut cache_dir = None;
     let mut max_clients = None;
     let mut idle_timeout = None;
     let mut engine = None;
@@ -293,12 +286,6 @@ fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
                         ))
                     },
                 )?);
-            }
-            "--cache-dir" => {
-                cache_dir = Some(
-                    args.next()
-                        .ok_or_else(|| CliError::new("--cache-dir needs a directory value"))?,
-                );
             }
             "--max-clients" => {
                 let value = args
@@ -408,11 +395,6 @@ fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
              apply to `daemon` only",
         ));
     }
-    if matches!(command, Command::Flows) && cache_dir.is_some() {
-        return Err(CliError::new(
-            "--cache-dir does not apply to `flows` (no region inference to cache)",
-        ));
-    }
     if !matches!(command, Command::Serve | Command::Daemon) && metrics_addr.is_some() {
         return Err(CliError::new(
             "--metrics-addr applies to `serve` and `daemon` only",
@@ -428,7 +410,7 @@ fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
         ));
     }
     if matches!(command, Command::TraceSummary) {
-        if stats || json || !run_args.is_empty() || cache_dir.is_some() {
+        if stats || json || !run_args.is_empty() {
             return Err(CliError::new(
                 "`trace-summary` accepts no options, just a trace file",
             ));
@@ -501,7 +483,6 @@ fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
         addr,
         socket,
         workers,
-        cache_dir,
         max_clients,
         idle_timeout,
         engine,
@@ -522,34 +503,6 @@ fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
 struct Failure {
     session: Session,
     diags: Diagnostics,
-}
-
-/// Opens the `--cache-dir` cache, if requested. Failing to *open* it is a
-/// hard error (the flag would otherwise silently do nothing); a corrupt
-/// cache under an openable directory is merely a cold start.
-fn open_cache(cli: &Cli) -> Result<Option<std::sync::Arc<cj_persist::SccDiskCache>>, Diagnostics> {
-    match &cli.cache_dir {
-        None => Ok(None),
-        Some(dir) => cj_persist::SccDiskCache::open(dir)
-            .map(|c| {
-                if c.is_read_only() {
-                    eprintln!(
-                        "cjrc: warning: cache directory `{dir}` is locked by another \
-                         process; continuing read-only (nothing new will be persisted)"
-                    );
-                }
-                Some(std::sync::Arc::new(c))
-            })
-            .map_err(|e| {
-                Diagnostics::from_one(
-                    Diagnostic::error(
-                        format!("cannot open cache directory `{dir}`: {e}"),
-                        Span::DUMMY,
-                    )
-                    .with_code(codes::IO),
-                )
-            }),
-    }
 }
 
 fn execute(cli: &Cli) -> Result<(), Box<Failure>> {
@@ -617,24 +570,7 @@ fn execute(cli: &Cli) -> Result<(), Box<Failure>> {
             }))
         }
     };
-    let cache = match open_cache(cli) {
-        Ok(cache) => cache,
-        Err(diags) => return Err(Box::new(Failure { session, diags })),
-    };
-    if let Some(cache) = cache {
-        session.attach_disk_cache(cache);
-    }
-    let outcome = dispatch(cli, &mut session);
-    // Persist what this invocation solved, whatever the outcome — an
-    // O(new entries) journal append (the journal auto-compacts past its
-    // byte budget, so hit-only runs cost nothing). A write failure must
-    // not eclipse the compile result, so it is a warning.
-    if cli.cache_dir.is_some() {
-        if let Err(e) = session.flush_disk_cache() {
-            eprintln!("cjrc: warning: could not write compilation cache: {e}");
-        }
-    }
-    match outcome {
+    match dispatch(cli, &mut session) {
         Ok(()) => Ok(()),
         Err(diags) => Err(Box::new(Failure { session, diags })),
     }
@@ -820,36 +756,15 @@ fn ws_read(ws: &Workspace, json: bool, path: &str) -> Result<String, ()> {
 }
 
 /// A workspace holding the program file named on the command line (under
-/// its real name, so diagnostics point at it), with the `--cache-dir`
-/// cache attached when requested.
+/// its real name, so diagnostics point at it).
 fn ws_open(opts: SessionOptions, cli: &Cli) -> Result<Workspace, ()> {
     let mut ws = Workspace::new(opts);
-    match open_cache(cli) {
-        Ok(Some(cache)) => {
-            ws.attach_disk_cache(cache);
-        }
-        Ok(None) => {}
-        Err(d) => {
-            ws_report(&ws, cli.json, &d);
-            return Err(());
-        }
-    }
     let text = ws_read(&ws, cli.json, &cli.file)?;
     if let Err(d) = ws.set_source(&cli.file, text) {
         ws_report(&ws, cli.json, &d);
         return Err(());
     }
     Ok(ws)
-}
-
-/// Persists newly solved SCCs when `--cache-dir` was given; failures are
-/// warnings, never the command's outcome.
-fn ws_flush(ws: &Workspace, cli: &Cli) {
-    if cli.cache_dir.is_some() {
-        if let Err(e) = ws.flush_disk_cache() {
-            eprintln!("cjrc: warning: could not write compilation cache: {e}");
-        }
-    }
 }
 
 /// `cjrc query <file> <name> [--entails ATOM]`: one-shot access to the
@@ -913,7 +828,6 @@ fn query_cmd(opts: SessionOptions, cli: &Cli) -> Result<(), ()> {
             }
         }
     };
-    ws_flush(&ws, cli);
     result
 }
 
@@ -930,14 +844,12 @@ fn policy_cmd(opts: SessionOptions, cli: &Cli) -> Result<(), ()> {
     }
     if let Err(d) = ws.check_with(infer_opts) {
         ws_report(&ws, cli.json, &d);
-        ws_flush(&ws, cli);
         return Err(());
     }
     let outcome = match ws.check_policy_with(infer_opts) {
         Ok(outcome) => outcome,
         Err(d) => {
             ws_report(&ws, cli.json, &d);
-            ws_flush(&ws, cli);
             return Err(());
         }
     };
@@ -968,7 +880,6 @@ fn policy_cmd(opts: SessionOptions, cli: &Cli) -> Result<(), ()> {
             );
         }
     }
-    ws_flush(&ws, cli);
     if outcome.ok() {
         Ok(())
     } else {
@@ -983,15 +894,13 @@ fn daemon(opts: SessionOptions, cli: &Cli) -> std::io::Result<()> {
     let defaults = DaemonConfig::default();
     let config = DaemonConfig {
         opts,
-        workers: cli.workers.unwrap_or(4),
-        cache_dir: cli.cache_dir.as_ref().map(std::path::PathBuf::from),
-        max_clients: cli.max_clients.unwrap_or(0),
+        workers: cli.workers.unwrap_or(defaults.workers),
+        max_clients: cli.max_clients.unwrap_or(defaults.max_clients),
         idle_timeout: cli
             .idle_timeout
             .map(std::time::Duration::from_secs)
             .unwrap_or(defaults.idle_timeout),
         metrics_addr: cli.metrics_addr.clone(),
-        ..defaults
     };
     let daemon = match &cli.socket {
         #[cfg(unix)]
@@ -1008,18 +917,6 @@ fn daemon(opts: SessionOptions, cli: &Cli) -> std::io::Result<()> {
             Daemon::bind_tcp(addr, config)?
         }
     };
-    if let Some(dir) = &cli.cache_dir {
-        eprintln!(
-            "cjrcd: warm-loaded {} cached SCC(s) from {dir}",
-            daemon.cache_entries_loaded()
-        );
-        if daemon.cache_read_only() {
-            eprintln!(
-                "cjrcd: warning: cache directory `{dir}` is locked by another \
-                 process; running read-only (nothing new will be persisted)"
-            );
-        }
-    }
     println!("cjrcd listening on {}", daemon.describe_addr());
     std::io::stdout().flush()?;
     if let Some(addr) = daemon.metrics_local_addr() {
@@ -1033,12 +930,6 @@ fn daemon(opts: SessionOptions, cli: &Cli) -> std::io::Result<()> {
         println!("{}", summary.to_json());
         return Ok(());
     }
-    if cli.cache_dir.is_some() {
-        eprintln!(
-            "cjrcd: persisted {} SCC(s) to the cache",
-            summary.cache_entries_persisted
-        );
-    }
     eprintln!(
         "cjrcd: served {} client(s) ({} rejected at capacity, peak {} concurrent), bye",
         summary.clients_served, summary.clients_rejected, summary.connections_peak,
@@ -1047,14 +938,9 @@ fn daemon(opts: SessionOptions, cli: &Cli) -> std::io::Result<()> {
 }
 
 /// The `cjrc serve` loop: one JSON request per stdin line, one JSON
-/// response per stdout line, until EOF or a `shutdown` request. With
-/// `--cache-dir`, solved SCCs are warm-loaded before the first request
-/// and persisted when the loop ends.
+/// response per stdout line, until EOF or a `shutdown` request.
 fn serve(opts: SessionOptions, cli: &Cli) -> Result<(), Diagnostics> {
     let mut server = Server::new(opts);
-    if let Some(cache) = open_cache(cli)? {
-        server.workspace().attach_disk_cache(cache);
-    }
     // The optional HTTP scrape endpoint, over the same telemetry hub the
     // in-protocol `metrics` request reads.
     let metrics_stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -1104,11 +990,6 @@ fn serve(opts: SessionOptions, cli: &Cli) -> Result<(), Diagnostics> {
     metrics_stop.store(true, std::sync::atomic::Ordering::SeqCst);
     if let Some(thread) = metrics_thread {
         let _ = thread.join();
-    }
-    if cli.cache_dir.is_some() {
-        if let Err(e) = server.workspace().flush_disk_cache() {
-            eprintln!("cjrc: warning: could not write compilation cache: {e}");
-        }
     }
     Ok(())
 }
@@ -1419,24 +1300,6 @@ mod tests {
         // The per-level parallel solve is gone, and its flag with it.
         let err = parse_cli(argv(&["daemon", "--solve-threads", "2"])).unwrap_err();
         assert!(err.message.contains("unknown option `--solve-threads`"));
-    }
-
-    #[test]
-    fn cache_dir_parses_everywhere_but_flows() {
-        for cmd in [
-            argv(&["infer", "x.cj", "--cache-dir", "/tmp/cj-cache"]),
-            argv(&["check", "x.cj", "--cache-dir", "/tmp/cj-cache"]),
-            argv(&["run", "x.cj", "--cache-dir", "/tmp/cj-cache", "3"]),
-            argv(&["serve", "--cache-dir", "/tmp/cj-cache"]),
-            argv(&["daemon", "--cache-dir", "/tmp/cj-cache"]),
-        ] {
-            let cli = parse_cli(cmd).unwrap();
-            assert_eq!(cli.cache_dir.as_deref(), Some("/tmp/cj-cache"));
-        }
-        let err = parse_cli(argv(&["flows", "x.cj", "--cache-dir", "/tmp/c"])).unwrap_err();
-        assert!(err.message.contains("does not apply to `flows`"));
-        let err = parse_cli(argv(&["infer", "x.cj", "--cache-dir"])).unwrap_err();
-        assert!(err.message.contains("--cache-dir needs a directory"));
     }
 
     #[test]

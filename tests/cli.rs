@@ -200,90 +200,6 @@ fn run_json_reports_result_and_space() {
 }
 
 #[test]
-fn infer_with_cache_dir_warm_restarts_bit_identically() {
-    let path = temp_source(
-        "cached.cj",
-        "class List { Object value; List next;
-           Object getValue() { this.value }
-           static List join(List xs, List ys) {
-             if (xs == null) { ys } else { new List(xs.getValue(), join(xs.next, ys)) }
-           }
-         }",
-    );
-    let cache = std::env::temp_dir().join(format!("cjrc-test-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache);
-
-    // Invocation 1 populates the cache; invocation 2 (a fresh process)
-    // must report disk hits and print byte-identical JSON output.
-    let cold = cjrc(&[
-        "infer",
-        path.to_str().unwrap(),
-        "--json",
-        "--cache-dir",
-        cache.to_str().unwrap(),
-    ]);
-    assert!(cold.status.success());
-    let cold_stdout = String::from_utf8(cold.stdout).unwrap();
-    assert!(
-        cold_stdout.contains("\"sccs_disk_hits\":0"),
-        "{cold_stdout}"
-    );
-    // One-shot runs append to the journal only (it auto-compacts into a
-    // snapshot past its byte budget; the daemon compacts at shutdown).
-    assert!(cache.join("sccs.journal").exists(), "cache not written");
-
-    let warm = cjrc(&[
-        "infer",
-        path.to_str().unwrap(),
-        "--json",
-        "--cache-dir",
-        cache.to_str().unwrap(),
-    ]);
-    assert!(warm.status.success());
-    let warm_stdout = String::from_utf8(warm.stdout).unwrap();
-    assert!(
-        warm_stdout.contains("\"sccs_solved\":0"),
-        "warm run must solve nothing: {warm_stdout}"
-    );
-    let disk_hits: usize = warm_stdout
-        .split("\"sccs_disk_hits\":")
-        .nth(1)
-        .and_then(|rest| rest.split(&[',', '}'][..]).next())
-        .and_then(|n| n.parse().ok())
-        .expect("stats carry sccs_disk_hits");
-    assert!(disk_hits >= 1, "{warm_stdout}");
-    // Identical annotation — only the reuse counters may differ.
-    let annotated = |s: &str| {
-        s.split("\"annotated\":")
-            .nth(1)
-            .unwrap()
-            .split(",\"stats\"")
-            .next()
-            .unwrap()
-            .to_string()
-    };
-    assert_eq!(annotated(&cold_stdout), annotated(&warm_stdout));
-
-    // A mangled cache cold-starts (exit 0, same annotation, no hits).
-    std::fs::write(cache.join("sccs.snapshot"), b"junk").unwrap();
-    std::fs::write(cache.join("sccs.journal"), b"more junk").unwrap();
-    let recovered = cjrc(&[
-        "infer",
-        path.to_str().unwrap(),
-        "--json",
-        "--cache-dir",
-        cache.to_str().unwrap(),
-    ]);
-    assert!(recovered.status.success(), "corruption must not fail");
-    let rec_stdout = String::from_utf8(recovered.stdout).unwrap();
-    assert!(rec_stdout.contains("\"sccs_disk_hits\":0"), "{rec_stdout}");
-    assert_eq!(annotated(&cold_stdout), annotated(&rec_stdout));
-
-    std::fs::remove_file(path).ok();
-    let _ = std::fs::remove_dir_all(&cache);
-}
-
-#[test]
 fn usage_errors_exit_2() {
     let out = cjrc(&["explode"]);
     assert_eq!(out.status.code(), Some(2));

@@ -282,3 +282,83 @@ class M {
     assert_eq!(edited, fresh, "edited workspace must match a fresh one");
     assert_ne!(edited, before, "the edit moves every span");
 }
+
+/// A class whose `N` static methods call each other in a ring,
+/// `m0 → m1 → … → m{N-1} → m0`, behind one non-recursive method `pre`
+/// declared first. Each step allocates, so the cycle's abstractions
+/// carry real constraints. `pre_body` is `pre`'s body.
+fn call_cycle(n: usize, pre_body: &str) -> String {
+    let mut src = format!(
+        "class Node {{ Node next; Object item; }}\n\
+         class Ring {{\n  static Object pre(Node a) {{ {pre_body} }}\n"
+    );
+    for i in 0..n {
+        src.push_str(&format!(
+            "  static Node m{i}(Node x, Node y, int k) {{ \
+             if (k == 0) {{ x }} else {{ m{}(y, new Node(x, y.item), k - 1) }} }}\n",
+            (i + 1) % n
+        ));
+    }
+    src.push_str("}\n");
+    src
+}
+
+/// The `solve-scc` spans of SCCs with at least `members` members, as
+/// whether each was a memo hit.
+fn big_scc_hits(events: &[cj_trace::Event], members: u64) -> Vec<bool> {
+    let counter = |e: &cj_trace::Event, key| {
+        e.counters
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map_or(0, |&(_, v)| v)
+    };
+    events
+        .iter()
+        .filter(|e| e.name == "solve-scc" && counter(e, "members") >= members)
+        .map(|e| counter(e, "hit") == 1)
+        .collect()
+}
+
+#[test]
+fn large_call_cycle_is_served_from_the_memo_after_an_id_shifting_edit() {
+    const N: usize = 60;
+    let before = call_cycle(N, "a.item");
+    // Two allocations ahead of the cycle shift every region id after them.
+    let after = call_cycle(N, "Node t = new Node(a, a.item); new Node(t, t.item).item");
+
+    // Only this test records spans; other tests' spans never reach an
+    // SCC this large, so they cannot match the filter below.
+    cj_trace::install();
+    let mut ws = Workspace::new(SessionOptions::default());
+    ws.set_source("ring.cj", before.as_str()).unwrap();
+    let cold = ws.check().unwrap();
+    let cold_hits = big_scc_hits(&cj_trace::drain(), N as u64);
+
+    ws.set_source("ring.cj", after.as_str()).unwrap();
+    let warm = ws.check().unwrap();
+    let warm_hits = big_scc_hits(&cj_trace::uninstall(), N as u64);
+    // The repair loop may solve the cycle again in a later round; every
+    // such solve is a miss cold and a hit after the edit.
+    assert!(!cold_hits.is_empty());
+    assert!(cold_hits.iter().all(|&hit| !hit), "{cold_hits:?}");
+    assert_eq!(
+        warm_hits,
+        vec![true; cold_hits.len()],
+        "the edit must not re-solve the cycle"
+    );
+
+    let mut fresh = Workspace::new(SessionOptions::default());
+    fresh.set_source("ring.cj", after.as_str()).unwrap();
+    let fresh = fresh.check().unwrap();
+    assert_ne!(
+        region_inference::annotate(&cold.program),
+        region_inference::annotate(&warm.program),
+        "the edit changes the output"
+    );
+    assert_eq!(
+        region_inference::annotate(&warm.program),
+        region_inference::annotate(&fresh.program),
+        "memo reuse must be bit-identical to a fresh workspace"
+    );
+    assert_eq!(dump_q(&warm.program), dump_q(&fresh.program));
+}
