@@ -280,9 +280,7 @@ impl<'a> MethodChecker<'a> {
 
     fn assume_type_invariant(&self, assume: &mut Solver, t: &RType) {
         if let RType::Class { class, regions, .. } = t {
-            let rc = self.p.rclass(*class);
-            let s = RegSubst::instantiation(&rc.params, regions);
-            assume.add_set(&rc.invariant.subst(&s));
+            assume.add_set(&self.p.rclass(*class).invariant_at(regions));
         }
     }
 

@@ -11,13 +11,18 @@
 //! their parameter and result types; the abstraction `pre.m` is
 //! parameterized by the owning class's regions followed by the method's
 //! own.
+//!
+//! Every abstraction gets a dense [`AbsId`] here, numbered in name order:
+//! inference keys abstractions only by id, and the names built by
+//! [`invariant_name`] and [`precondition_name`] survive only to print `Q`
+//! and to answer queries by name.
 
 use crate::options::InferOptions;
 use crate::rast::RType;
 use cj_frontend::graph::tarjan_scc;
 use cj_frontend::kernel::KProgram;
 use cj_frontend::types::{ClassId, MethodId, NType};
-use cj_regions::abstraction::{AbsBody, AbsCall, AbsEnv, ConstraintAbs};
+use cj_regions::abstraction::{AbsBody, AbsCall, AbsEnv, AbsId, ConstraintAbs};
 use cj_regions::constraint::ConstraintSet;
 use cj_regions::var::{RegVar, RegVarGen};
 use std::collections::HashMap;
@@ -56,8 +61,22 @@ pub struct MethodSigR {
     pub param_types: Vec<RType>,
     /// Annotated return type.
     pub ret_type: RType,
-    /// Name of the `pre` abstraction (`pre.cn.mn` / `pre.mn`).
-    pub abs_name: String,
+    /// The method's `pre` abstraction (`pre.cn.mn` / `pre.mn`).
+    pub abs: AbsId,
+}
+
+/// The name of class `class`'s invariant abstraction: `inv.cn`.
+pub fn invariant_name(class: &str) -> String {
+    format!("inv.{class}")
+}
+
+/// The name of a method's precondition abstraction: `pre.cn.mn` for method
+/// `mn` of class `cn`, `pre.mn` for a static method.
+pub fn precondition_name(class: Option<&str>, method: &str) -> String {
+    match class {
+        Some(c) => format!("pre.{c}.{method}"),
+        None => format!("pre.{method}"),
+    }
 }
 
 /// Shared state for a whole inference run.
@@ -74,9 +93,13 @@ pub struct Ctx<'a> {
     pub msigs: HashMap<MethodId, MethodSigR>,
     /// `isRecReadOnly` per class.
     pub rec_read_only: Vec<bool>,
-    /// The raw (unsolved) abstraction environment; override resolution and
-    /// escaping-local instantiation add atoms here between solves.
+    /// The raw (unsolved) abstraction environment, numbered in name order;
+    /// override resolution and escaping-local instantiation add atoms here
+    /// between solves. The pipeline's solve moves the names and parameters
+    /// out into the closed environment and reads only the bodies.
     pub raw: AbsEnv,
+    /// The `inv` abstraction of each class, indexed by `ClassId`.
+    invs: Vec<AbsId>,
     /// Whether the program contains any downcast (`(cn) v` to a strict
     /// subclass); governs whether the downcast policy has work to do.
     pub has_downcasts: bool,
@@ -86,7 +109,7 @@ pub struct Ctx<'a> {
 
 impl<'a> Ctx<'a> {
     /// Builds class signatures, method signatures and raw `inv.cn`
-    /// abstractions for `kp`.
+    /// abstractions for `kp`, and numbers every abstraction.
     pub fn new(kp: &'a KProgram, opts: InferOptions) -> Ctx<'a> {
         let mut ctx = Ctx {
             kp,
@@ -96,15 +119,17 @@ impl<'a> Ctx<'a> {
             msigs: HashMap::new(),
             rec_read_only: crate::recro::rec_read_only(kp),
             raw: AbsEnv::new(),
+            invs: Vec::new(),
             has_downcasts: program_has_downcasts(kp),
             downcast_info: None,
         };
         if ctx.has_downcasts && opts.downcast == crate::options::DowncastPolicy::Padding {
             ctx.downcast_info = Some(cj_downcast::analyze(kp));
         }
+        let pres = ctx.number_abstractions();
         ctx.build_class_sigs();
         ctx.build_inv_abstractions();
-        ctx.build_method_sigs();
+        ctx.build_method_sigs(&pres);
         ctx
     }
 
@@ -139,14 +164,9 @@ impl<'a> Ctx<'a> {
             .saturating_sub(own)
     }
 
-    /// The `inv` abstraction name for a class.
-    pub fn inv_name(&self, c: ClassId) -> String {
-        format!("inv.{}", self.kp.table.name(c))
-    }
-
-    /// The `pre` abstraction name for a method.
-    pub fn pre_name(&self, m: MethodId) -> String {
-        format!("pre.{}", self.kp.method_name(m))
+    /// The `inv` abstraction of a class.
+    pub fn inv(&self, c: ClassId) -> AbsId {
+        self.invs[c.index()]
     }
 
     /// Region arity of a class.
@@ -170,6 +190,40 @@ impl<'a> Ctx<'a> {
                 region: self.gen.fresh(),
             },
         }
+    }
+
+    /// Adds every `inv.*` and `pre.*` abstraction to `raw`, with neither
+    /// parameters nor body yet, numbered in name order so that `Q`, the
+    /// condensation's vertex order and the memo keys all follow names.
+    /// Returns the `pre` abstraction of each method, in
+    /// `kp.all_methods()` order.
+    fn number_abstractions(&mut self) -> Vec<AbsId> {
+        let (kp, table) = (self.kp, &self.kp.table);
+        let invs = table
+            .classes()
+            .iter()
+            .map(|c| invariant_name(c.name.as_str()));
+        let pres = kp.all_methods().map(|(id, m)| {
+            let class = match id {
+                MethodId::Instance(c, _) => Some(table.name(c).as_str()),
+                MethodId::Static(_) => None,
+            };
+            precondition_name(class, m.name.as_str())
+        });
+        // Owners: classes by `ClassId`, then methods.
+        let mut named: Vec<(String, usize)> = invs.chain(pres).zip(0..).collect();
+        named.sort_unstable();
+        let mut ids = vec![AbsId(0); named.len()];
+        for (name, owner) in named {
+            ids[owner] = self.raw.push(ConstraintAbs {
+                name,
+                params: Vec::new(),
+                body: AbsBody::default(),
+            });
+        }
+        let pres = ids.split_off(table.len());
+        self.invs = ids;
+        pres
     }
 
     // ---- class inference -------------------------------------------------
@@ -321,7 +375,7 @@ impl<'a> Ctx<'a> {
             if let Some(s) = info.superclass {
                 let sup_arity = self.classes[s.index()].params.len();
                 calls.push(AbsCall {
-                    name: self.inv_name(s),
+                    callee: self.inv(s),
                     args: sig.params[..sup_arity].to_vec(),
                 });
             }
@@ -330,24 +384,23 @@ impl<'a> Ctx<'a> {
             for ft in &sig.field_types[own_start..] {
                 if let RType::Class { class, regions, .. } = ft {
                     calls.push(AbsCall {
-                        name: self.inv_name(*class),
+                        callee: self.inv(*class),
                         args: regions.clone(),
                     });
                 }
             }
-            self.raw.insert(ConstraintAbs {
-                name: self.inv_name(info.id),
-                params: sig.params.clone(),
-                body: AbsBody { atoms, calls },
-            });
+            let params = sig.params.clone();
+            let abs = self.raw.get_mut(self.invs[info.id.index()]);
+            abs.params = params;
+            abs.body = AbsBody { atoms, calls };
         }
     }
 
     // ---- method signatures ------------------------------------------------
 
-    fn build_method_sigs(&mut self) {
+    fn build_method_sigs(&mut self, pres: &[AbsId]) {
         let ids: Vec<MethodId> = self.kp.all_methods().map(|(id, _)| id).collect();
-        for id in ids {
+        for (id, &abs) in ids.into_iter().zip(pres) {
             let m = self.kp.method(id);
             let (class_params, this_type) = match id {
                 MethodId::Instance(c, _) => {
@@ -381,13 +434,14 @@ impl<'a> Ctx<'a> {
             }
             let mut abs_params = class_params;
             abs_params.extend(mparams.iter().copied());
+            self.raw.get_mut(abs).params = abs_params.clone();
             let sig = MethodSigR {
                 mparams,
                 abs_params,
                 this_type,
                 param_types,
                 ret_type,
-                abs_name: self.pre_name(id),
+                abs,
             };
             self.msigs.insert(id, sig);
         }
@@ -445,6 +499,34 @@ mod tests {
     }
 
     #[test]
+    fn abstractions_are_numbered_in_name_order() {
+        // Declaration order (Z before A, `zed` before `alpha`) differs from
+        // name order.
+        let (kp, opts) = ctx_for(
+            "class Z { Object f; Object get() { this.f } }
+             class A { Object g; }
+             class M { static int zed(int x) { x } static int alpha(int x) { x } }",
+        );
+        let ctx = Ctx::new(&kp, opts);
+        let names: Vec<&str> = ctx.raw.iter().map(|a| a.name.as_str()).collect();
+        let want = "inv.A inv.M inv.Object inv.Z pre.Z.get pre.alpha pre.zed";
+        assert_eq!(names.join(" "), want);
+        for (i, name) in names.into_iter().enumerate() {
+            assert_eq!(ctx.raw.find(name), Some(AbsId(i as u32)));
+        }
+        let name_of = |id: AbsId| ctx.raw.get(id).name.as_str();
+        let z = kp.table.class_id("Z").unwrap();
+        assert_eq!(name_of(ctx.inv(z)), "inv.Z");
+        assert_eq!(name_of(ctx.inv(ClassId::OBJECT)), "inv.Object");
+        assert_eq!(
+            name_of(ctx.msigs[&MethodId::Instance(z, 0)].abs),
+            "pre.Z.get"
+        );
+        assert_eq!(name_of(ctx.msigs[&MethodId::Static(0)].abs), "pre.zed");
+        assert_eq!(name_of(ctx.msigs[&MethodId::Static(1)].abs), "pre.alpha");
+    }
+
+    #[test]
     fn pair_gets_three_params() {
         let (kp, opts) = ctx_for("class Pair { Object fst; Object snd; }");
         let ctx = Ctx::new(&kp, opts);
@@ -485,12 +567,12 @@ mod tests {
         let (kp, opts) = ctx_for("class List { Object value; List next; }");
         let mut ctx = Ctx::new(&kp, opts);
         let list = kp.table.class_id("List").unwrap();
-        let names: Vec<String> = vec![ctx.inv_name(ClassId::OBJECT), ctx.inv_name(list)];
-        solve_fixpoint(&mut ctx.raw, &names[..1]);
-        solve_fixpoint(&mut ctx.raw, &names[1..]);
+        let (object, inv_list) = (ctx.inv(ClassId::OBJECT), ctx.inv(list));
+        solve_fixpoint(&mut ctx.raw, &[object]);
+        solve_fixpoint(&mut ctx.raw, &[inv_list]);
         let sig = &ctx.classes[list.index()];
         let (r1, r2, r3) = (sig.params[0], sig.params[1], sig.params[2]);
-        let inv = &ctx.raw.get(&names[1]).unwrap().body.atoms;
+        let inv = &ctx.raw.get(inv_list).body.atoms;
         let mut solver = cj_regions::Solver::from_set(inv);
         assert!(solver.outlives_holds(r3, r1));
         assert!(solver.outlives_holds(r2, r3));

@@ -128,7 +128,7 @@ impl BodyInfer {
     fn import_inv(&mut self, ctx: &Ctx<'_>, t: &RType) {
         if let RType::Class { class, regions, .. } = t {
             self.calls.push(AbsCall {
-                name: ctx.inv_name(*class),
+                callee: ctx.inv(*class),
                 args: regions.clone(),
             });
         }
@@ -264,7 +264,7 @@ impl BodyInfer {
             KExprKind::New(class, args) => {
                 let regions = ctx.gen.fresh_n(ctx.arity(*class));
                 self.calls.push(AbsCall {
-                    name: ctx.inv_name(*class),
+                    callee: ctx.inv(*class),
                     args: regions.clone(),
                 });
                 for (i, &a) in args.iter().enumerate() {
@@ -352,7 +352,7 @@ impl BodyInfer {
                 }
                 let rtype = callee.ret_type.subst(&s);
                 self.calls.push(AbsCall {
-                    name: callee.abs_name.clone(),
+                    callee: callee.abs,
                     args: inst.clone(),
                 });
                 RExpr {
@@ -379,7 +379,7 @@ impl BodyInfer {
                 }
                 let rtype = callee.ret_type.subst(&s);
                 self.calls.push(AbsCall {
-                    name: callee.abs_name.clone(),
+                    callee: callee.abs,
                     args: inst.clone(),
                 });
                 RExpr {
@@ -555,7 +555,7 @@ impl BodyInfer {
         }
         // The downcast result must satisfy the target's invariant.
         self.calls.push(AbsCall {
-            name: ctx.inv_name(target),
+            callee: ctx.inv(target),
             args: regions.clone(),
         });
         Ok(RExpr {

@@ -52,7 +52,8 @@ pub mod rast;
 pub mod recro;
 pub mod subtype;
 
+pub use ctx::{invariant_name, precondition_name};
 pub use error::InferError;
 pub use options::{DowncastPolicy, ExtentMode, InferOptions, InferStats, SubtypeMode};
-pub use pipeline::{infer, infer_source, infer_with_cache, InferCache};
+pub use pipeline::{infer, infer_source, infer_with_cache};
 pub use rast::{RClass, RExpr, RExprKind, RMethod, RProgram, RType};

@@ -22,7 +22,7 @@
 
 use crate::ctx::Ctx;
 use cj_frontend::types::MethodId;
-use cj_regions::abstraction::AbsEnv;
+use cj_regions::abstraction::{AbsEnv, AbsId};
 use cj_regions::constraint::ConstraintSet;
 use cj_regions::solve::Solver;
 use cj_regions::subst::RegSubst;
@@ -58,14 +58,10 @@ pub fn override_pairs(kp: &cj_frontend::KProgram) -> Vec<(MethodId, MethodId)> {
 }
 
 /// Checks every override pair against the closed abstractions and repairs
-/// violations by strengthening the raw `pre.A.mn` / `inv.B` bodies, adding
-/// the name of each body that grew to `grown`. Returns the number of atoms
-/// added (0 means all checks passed).
-pub fn resolve_overrides(
-    ctx: &mut Ctx<'_>,
-    closed: &AbsEnv,
-    grown: &mut BTreeSet<String>,
-) -> usize {
+/// violations by strengthening the raw `pre.A.mn` / `inv.B` bodies,
+/// marking each body that grew in `grown` (indexed by abstraction id).
+/// Returns the number of atoms added (0 means all checks passed).
+pub fn resolve_overrides(ctx: &mut Ctx<'_>, closed: &AbsEnv, grown: &mut [bool]) -> usize {
     let mut repairs = 0;
     for (a_id, b_id) in override_pairs(ctx.kp) {
         repairs += resolve_pair(ctx, closed, grown, a_id, b_id);
@@ -76,7 +72,7 @@ pub fn resolve_overrides(
 fn resolve_pair(
     ctx: &mut Ctx<'_>,
     closed: &AbsEnv,
-    grown: &mut BTreeSet<String>,
+    grown: &mut [bool],
     a_id: MethodId,
     b_id: MethodId,
 ) -> usize {
@@ -86,25 +82,16 @@ fn resolve_pair(
     };
     let a_sig = ctx.msigs[&a_id].clone();
     let b_sig = ctx.msigs[&b_id].clone();
-
-    let inv_b = closed
-        .get(&ctx.inv_name(b_class))
-        .expect("inv closed")
-        .body
-        .atoms
-        .clone();
-    let pre_a = closed
-        .get(&a_sig.abs_name)
-        .expect("pre closed")
-        .body
-        .atoms
-        .clone();
-    let pre_b = closed
-        .get(&b_sig.abs_name)
-        .expect("pre closed")
-        .body
-        .atoms
-        .clone();
+    let (pre_a_id, inv_b_id) = (a_sig.abs, ctx.inv(b_class));
+    let inv_b = &closed.get(inv_b_id).body.atoms;
+    let pre_a = &closed.get(pre_a_id).body.atoms;
+    let pre_b = &closed.get(b_sig.abs).body.atoms;
+    // Strengthens raw abstraction `id` by `atoms`, marking it grown.
+    let mut strengthen = |ctx: &mut Ctx<'_>, id: AbsId, atoms: &ConstraintSet| {
+        let grew = ctx.raw.add_atoms(id, atoms);
+        grown[id.index()] |= grew;
+        usize::from(grew)
+    };
 
     // Align B.mn's method regions with A.mn's (same normal signature ⇒ same
     // shape; under padding the counts may differ — align the common prefix).
@@ -113,8 +100,8 @@ fn resolve_pair(
     let aligned_ok: BTreeSet<RegVar> = b_sig.mparams[n..].iter().copied().collect();
     let pre_b = pre_b.subst(&align);
 
-    let mut lhs = Solver::from_set(&inv_b);
-    lhs.add_set(&pre_a);
+    let mut lhs = Solver::from_set(inv_b);
+    lhs.add_set(pre_a);
 
     let ra: BTreeSet<RegVar> = ctx.classes[a_class.index()]
         .params
@@ -142,20 +129,10 @@ fn resolve_pair(
         }
         if vars.iter().all(|v| rx.contains(v)) {
             // Rule 1: strengthen the overridden method's precondition.
-            if ctx
-                .raw
-                .add_atoms(&a_sig.abs_name, &ConstraintSet::singleton(c))
-            {
-                grown.insert(a_sig.abs_name.clone());
-                added += 1;
-            }
+            added += strengthen(ctx, pre_a_id, &ConstraintSet::singleton(c));
         } else if vars.iter().all(|v| rb.contains(v)) {
             // Rule 2: strengthen the subclass invariant.
-            let inv_b = ctx.inv_name(b_class);
-            if ctx.raw.add_atoms(&inv_b, &ConstraintSet::singleton(c)) {
-                grown.insert(inv_b);
-                added += 1;
-            }
+            added += strengthen(ctx, inv_b_id, &ConstraintSet::singleton(c));
         } else {
             // Rule 3: split. Map each B-only region to an A-region, choosing
             // a target that makes the rewritten atom already entailed where
@@ -190,19 +167,9 @@ fn resolve_pair(
                 continue;
             }
             // ctr(σ) into inv.B …
-            let inv_b = ctx.inv_name(b_class);
-            if ctx.raw.add_atoms(&inv_b, &sigma.to_equalities()) {
-                grown.insert(inv_b);
-                added += 1;
-            }
+            added += strengthen(ctx, inv_b_id, &sigma.to_equalities());
             // … and the rewritten constraint into pre.A.mn.
-            if ctx
-                .raw
-                .add_atoms(&a_sig.abs_name, &ConstraintSet::singleton(rewritten))
-            {
-                grown.insert(a_sig.abs_name.clone());
-                added += 1;
-            }
+            added += strengthen(ctx, pre_a_id, &ConstraintSet::singleton(rewritten));
         }
     }
     added

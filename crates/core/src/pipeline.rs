@@ -4,7 +4,8 @@
 //! `Workspace` driver keeps across revisions.
 //!
 //! 1. Build class and method region signatures and raw `inv.cn`
-//!    abstractions ([`Ctx::new`]).
+//!    abstractions, and number every abstraction ([`Ctx::new`]); from here
+//!    on abstractions are keyed by [`AbsId`].
 //! 2. Infer every method body once, symbolically — atoms plus applications
 //!    of `pre.*`/`inv.*` ([`infer_body`]).
 //! 3. Solve the resulting recursive abstraction system bottom-up over its
@@ -44,69 +45,9 @@ use crate::rast::{RClass, RMethod, RProgram};
 use cj_frontend::graph::tarjan_scc;
 use cj_frontend::kernel::KProgram;
 use cj_frontend::types::MethodId;
-use cj_regions::abstraction::{solve_fixpoint, AbsEnv, ConstraintAbs};
-use cj_regions::constraint::ConstraintSet;
+use cj_regions::abstraction::{solve_fixpoint, AbsBody, AbsEnv, AbsId, ConstraintAbs};
 use cj_regions::incremental::{solve_scc_memo_as, ImportKeys, SccOutcome, SolveMemo};
 use cj_regions::solve::Solver;
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
-
-/// The inference state that outlives one run: a handle on the
-/// content-addressed memo of solved abstraction SCCs. Pass the same cache
-/// to [`infer_with_cache`] across recompilations of evolving sources; the
-/// memo never changes *what* is computed, only how many SCC fixpoints
-/// actually iterate. Everything else — bodies, localization — is computed
-/// afresh on every call.
-///
-/// The memo is held behind an `Arc` and is thread-safe: build caches
-/// with [`with_shared_memo`](InferCache::with_shared_memo) to let many
-/// caches — across options, workspaces, or daemon clients — feed one
-/// content-addressed pool. Each cache registers as a distinct memo
-/// *client*, so hits on SCCs solved by another cache are reported as
-/// [`InferStats::sccs_shared_hits`].
-#[derive(Debug)]
-pub struct InferCache {
-    /// Content-addressed solved-SCC memo (possibly shared).
-    memo: Arc<SolveMemo>,
-    /// This cache's client id within `memo`.
-    client: u64,
-}
-
-impl Default for InferCache {
-    fn default() -> InferCache {
-        InferCache::with_shared_memo(Arc::new(SolveMemo::new()))
-    }
-}
-
-impl InferCache {
-    /// An empty cache with a private solve memo.
-    pub fn new() -> InferCache {
-        InferCache::default()
-    }
-
-    /// An empty cache feeding (and fed by) `memo` — the handle a compile
-    /// daemon clones into every client so α-equivalent SCCs solved by any
-    /// of them are hits for all. Registers a fresh memo client id; when
-    /// one logical client owns several caches (e.g. one per
-    /// [`InferOptions`]), register once and use
-    /// [`with_shared_memo_as`](InferCache::with_shared_memo_as) so reuse
-    /// *within* that client is not misreported as cross-client.
-    pub fn with_shared_memo(memo: Arc<SolveMemo>) -> InferCache {
-        let client = memo.register_client();
-        InferCache::with_shared_memo_as(memo, client)
-    }
-
-    /// [`with_shared_memo`](InferCache::with_shared_memo) under an
-    /// existing client id (from [`SolveMemo::register_client`]).
-    pub fn with_shared_memo_as(memo: Arc<SolveMemo>, client: u64) -> InferCache {
-        InferCache { memo, client }
-    }
-
-    /// The solve memo this cache feeds (clone the `Arc` to share it).
-    pub fn shared_memo(&self) -> Arc<SolveMemo> {
-        Arc::clone(&self.memo)
-    }
-}
 
 /// Runs region inference over a kernel program.
 ///
@@ -116,14 +57,20 @@ impl InferCache {
 /// [`DowncastPolicy::Reject`](crate::options::DowncastPolicy::Reject));
 /// well-normal-typed programs otherwise always infer (Theorem 1).
 pub fn infer(kp: &KProgram, opts: InferOptions) -> Result<(RProgram, InferStats), InferError> {
-    infer_with_cache(kp, opts, &InferCache::new())
+    infer_with_cache(kp, opts, &SolveMemo::new(), 0)
 }
 
-/// [`infer`], reusing (and refreshing) `cache`'s SCC memo across calls.
+/// [`infer`], reusing (and refreshing) `memo`, a content-addressed memo of
+/// solved abstraction SCCs, on behalf of memo client `client` (see
+/// [`SolveMemo::register_client`]; 0 for an anonymous caller).
 ///
-/// Every body is inferred afresh; after an edit to one method body, only
-/// the abstraction SCCs whose inputs changed iterate — every other SCC's
-/// first solve is a memo hit, and later repair rounds carry it.
+/// Pass the same memo across recompilations of evolving sources: every
+/// body is inferred afresh, but after an edit to one method body only the
+/// abstraction SCCs whose inputs changed iterate — every other SCC's
+/// first solve is a memo hit, and later repair rounds carry it. The memo
+/// is thread-safe, so many clients (workspaces, daemon connections) can
+/// share one; hits on SCCs another client solved are reported as
+/// [`InferStats::sccs_shared_hits`].
 ///
 /// # Errors
 ///
@@ -131,7 +78,8 @@ pub fn infer(kp: &KProgram, opts: InferOptions) -> Result<(RProgram, InferStats)
 pub fn infer_with_cache(
     kp: &KProgram,
     opts: InferOptions,
-    cache: &InferCache,
+    memo: &SolveMemo,
+    client: u64,
 ) -> Result<(RProgram, InferStats), InferError> {
     let mut stats = InferStats::default();
     let signatures_span = cj_trace::span("pipeline", "signatures");
@@ -148,15 +96,10 @@ pub fn infer_with_cache(
     for &id in &ids {
         let res = infer_body(&mut ctx, id)?;
         stats.methods_inferred += 1;
-        let sig = &ctx.msigs[&id];
-        ctx.raw.insert(ConstraintAbs {
-            name: sig.abs_name.clone(),
-            params: sig.abs_params.clone(),
-            body: cj_regions::abstraction::AbsBody {
-                atoms: res.atoms.clone(),
-                calls: res.calls.clone(),
-            },
-        });
+        ctx.raw.get_mut(ctx.msigs[&id].abs).body = AbsBody {
+            atoms: res.atoms.clone(),
+            calls: res.calls.clone(),
+        };
         bodies.push(res);
     }
     bodies_span.add("inferred", stats.methods_inferred as u64);
@@ -170,9 +113,10 @@ pub fn infer_with_cache(
     let groups = condensation(&ctx.raw);
     condensation_span.add("sccs", groups.len() as u64);
     drop(condensation_span);
-    let mut closed = AbsEnv::new();
-    // Raw bodies that grew since their SCC was last solved.
-    let mut grown: BTreeSet<String> = BTreeSet::new();
+    let mut closed = unsolved(&mut ctx.raw);
+    // Raw bodies that grew since their SCC was last solved, by abstraction
+    // id: in the first round, all of them.
+    let mut grown = vec![true; ctx.raw.len()];
     // Per method: its body and its callees' closed forms, plus the
     // escaping instantiation made against them.
     let mut solvers: Vec<Option<Solver>> = vec![None; ids.len()];
@@ -184,20 +128,20 @@ pub fn infer_with_cache(
             &ctx.raw,
             &mut closed,
             &grown,
-            &cache.memo,
-            cache.client,
+            memo,
+            client,
             &mut stats,
             &mut carried,
         );
         stats.fixpoint_iterations += iterations;
-        grown.clear();
+        grown.fill(false);
 
         // A method's instantiation depends only on its body and its
         // callees' closed forms, so redo it only where a callee changed.
         let mut instantiate_span = cj_trace::span("pipeline", "repair-instantiate");
         let (mut reinstantiated, mut instantiated) = (0, 0);
         for ((id, res), solver) in ids.iter().zip(&bodies).zip(&mut solvers) {
-            if solver.is_some() && !res.calls.iter().any(|c| changed.contains(&c.name)) {
+            if solver.is_some() && !res.calls.iter().any(|c| changed[c.callee.index()]) {
                 continue;
             }
             let sig = &ctx.msigs[id];
@@ -205,8 +149,8 @@ pub fn infer_with_cache(
             let added = localize::instantiate_escaping(&mut fresh, &sig.abs_params, res);
             reinstantiated += 1;
             instantiated += added.len();
-            if !added.is_empty() && ctx.raw.add_atoms(&sig.abs_name, &added) {
-                grown.insert(sig.abs_name.clone());
+            if !added.is_empty() && ctx.raw.add_atoms(sig.abs, &added) {
+                grown[sig.abs.index()] = true;
             }
             *solver = Some(fresh);
         }
@@ -219,7 +163,7 @@ pub fn infer_with_cache(
         drop(overrides_span);
         stats.override_repairs += repairs;
 
-        if grown.is_empty() {
+        if !grown.contains(&true) {
             break;
         }
         if stats.global_iterations >= 100 {
@@ -244,23 +188,16 @@ pub fn infer_with_cache(
         // add the raw atoms, which carry every round's escaping
         // instantiation and the override repairs.
         let mut solver = solver.expect("instantiated in the first round");
-        let raw_atoms = &ctx.raw.get(&sig.abs_name).expect("registered").body.atoms;
-        solver.add_set(raw_atoms);
+        solver.add_set(&ctx.raw.get(sig.abs).body.atoms);
         let loc = localize::localize(&mut ctx, &mut solver, &sig.abs_params, res, &sig.ret_type);
         stats.localized_regions += loc.letregs.len();
-        let pre = closed
-            .get(&sig.abs_name)
-            .expect("closed")
-            .body
-            .atoms
-            .clone();
         let rm = RMethod {
             id,
-            mparams: sig.mparams.clone(),
-            abs_params: sig.abs_params.clone(),
+            mparams: sig.mparams,
+            abs_params: sig.abs_params,
             var_types: loc.var_types,
             ret_type: loc.ret_type,
-            precondition: pre,
+            precondition: closed.get(sig.abs).body.atoms.clone(),
             body: loc.body,
             localized: loc.letregs,
         };
@@ -280,12 +217,7 @@ pub fn infer_with_cache(
                 id: info.id,
                 params: sig.params.clone(),
                 field_types: sig.field_types.clone(),
-                invariant: closed
-                    .get(&ctx.inv_name(info.id))
-                    .expect("inv closed")
-                    .body
-                    .atoms
-                    .clone(),
+                invariant: closed.get(ctx.inv(info.id)).body.atoms.clone(),
                 rec_region: sig.rec_region,
             }
         })
@@ -323,29 +255,28 @@ pub fn infer_source(
 
 /// The SCC condensation of an abstraction environment's call graph, in
 /// bottom-up (callee-first) order — the paper's global dependency graph
-/// (Sec 4.3), exposed so incremental drivers can reason about solve units.
-pub fn condensation(env: &AbsEnv) -> Vec<Vec<String>> {
-    let names: Vec<String> = env.iter().map(|a| a.name.clone()).collect();
-    let index: BTreeMap<&str, usize> = names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.as_str(), i))
-        .collect();
-    let adj: Vec<Vec<usize>> = names
-        .iter()
-        .map(|n| {
-            env.get(n)
-                .expect("present")
-                .body
-                .calls
-                .iter()
-                .filter_map(|c| index.get(c.name.as_str()).copied())
-                .collect()
-        })
-        .collect();
-    tarjan_scc(names.len(), |v| adj[v].iter().copied())
+/// (Sec 4.3).
+fn condensation(env: &AbsEnv) -> Vec<Vec<AbsId>> {
+    let calls = |v: usize| env.get(AbsId(v as u32)).body.calls.iter();
+    tarjan_scc(env.len(), |v| calls(v).map(|c| c.callee.index()))
         .into_iter()
-        .map(|scc| scc.iter().map(|&i| names[i].clone()).collect())
+        .map(|scc| scc.into_iter().map(|v| AbsId(v as u32)).collect())
+        .collect()
+}
+
+/// The closed environment before the first pass of [`solve_dirty`]: every
+/// body still to be solved, under the names and parameters moved out of
+/// `raw`. From here on only `raw`'s bodies are read.
+fn unsolved(raw: &mut AbsEnv) -> AbsEnv {
+    (0..raw.len() as u32)
+        .map(|i| {
+            let abs = raw.get_mut(AbsId(i));
+            ConstraintAbs {
+                name: std::mem::take(&mut abs.name),
+                params: std::mem::take(&mut abs.params),
+                body: AbsBody::default(),
+            }
+        })
         .collect()
 }
 
@@ -365,13 +296,13 @@ pub fn solve_all(raw: &AbsEnv) -> (AbsEnv, usize) {
 /// bodies and imported closed forms match a previously solved SCC are
 /// served from `memo` without iterating. Updates the `sccs_solved` /
 /// `sccs_reused` / `sccs_shared_hits` counters of `stats`. This is the
-/// first round of [`infer_with_cache`]'s solve: on an empty closed
-/// environment every SCC is dirty.
+/// first round of [`infer_with_cache`]'s solve: every SCC is dirty.
 pub fn solve_all_memo(raw: &AbsEnv, memo: &SolveMemo, stats: &mut InferStats) -> (AbsEnv, usize) {
-    let mut closed = AbsEnv::new();
-    let groups = condensation(raw);
-    let none = BTreeSet::new();
-    let (_, iterations) = solve_dirty(&groups, raw, &mut closed, &none, memo, 0, stats, &mut 0);
+    let mut raw = raw.clone();
+    let mut closed = unsolved(&mut raw);
+    let groups = condensation(&raw);
+    let all = vec![true; raw.len()];
+    let (_, iterations) = solve_dirty(&groups, &raw, &mut closed, &all, memo, 0, stats, &mut 0);
     (closed, iterations)
 }
 
@@ -387,68 +318,63 @@ fn record_outcome(outcome: SccOutcome, stats: &mut InferStats) {
 }
 
 /// One bottom-up pass over the condensation `groups` that brings `closed`
-/// up to date with `raw`. An SCC is solved (through the memo) only when it
-/// is not in `closed` yet, a member's raw body is in `grown`, or it
-/// applies an abstraction whose closed form changed earlier in this pass;
-/// every other SCC keeps its closed forms and is counted in `carried`.
-/// Returns the names whose closed form changed and the number of Kleene
+/// up to date with `raw`. An SCC is solved (through the memo) only when a
+/// member's raw body is marked in `grown` or it applies an abstraction
+/// whose closed form changed earlier in this pass; every other SCC keeps
+/// its closed forms and is counted in `carried`. Returns the changed
+/// closed forms, marked by abstraction id, and the number of Kleene
 /// iterations.
 #[allow(clippy::too_many_arguments)]
 fn solve_dirty(
-    groups: &[Vec<String>],
+    groups: &[Vec<AbsId>],
     raw: &AbsEnv,
     closed: &mut AbsEnv,
-    grown: &BTreeSet<String>,
+    grown: &[bool],
     memo: &SolveMemo,
     client: u64,
     stats: &mut InferStats,
     carried: &mut u64,
-) -> (BTreeSet<String>, usize) {
+) -> (Vec<bool>, usize) {
     let mut span = cj_trace::span("pipeline", "dirty-set");
     let mut imports = ImportKeys::new();
-    let mut changed: BTreeSet<String> = BTreeSet::new();
+    let mut changed = vec![false; raw.len()];
     let (mut dirty_sccs, mut iterations) = (0, 0);
     for group in groups {
-        let raw_of = |n: &String| raw.get(n).expect("member registered");
-        let dirty = group.iter().any(|n| {
-            grown.contains(n)
-                || closed.get(n).is_none()
-                || raw_of(n)
+        let dirty = group.iter().any(|&n| {
+            grown[n.index()]
+                || raw
+                    .get(n)
                     .body
                     .calls
                     .iter()
-                    .any(|c| changed.contains(&c.name))
+                    .any(|c| changed[c.callee.index()])
         });
         if !dirty {
             *carried += 1;
             continue;
         }
         dirty_sccs += 1;
-        let before: Vec<Option<ConstraintSet>> = group
+        // Swap each member's raw body in, keeping its old closed form.
+        let before: Vec<AbsBody> = group
             .iter()
-            .map(|n| closed.get(n).map(|a| a.body.atoms.clone()))
+            .map(|&n| std::mem::replace(&mut closed.get_mut(n).body, raw.get(n).body.clone()))
             .collect();
-        for n in group {
-            closed.insert(raw_of(n).clone());
-        }
         let outcome = solve_scc_memo_as(closed, group, memo, client, &mut imports);
         record_outcome(outcome, stats);
         iterations += outcome.iterations;
-        for (n, old) in group.iter().zip(before) {
-            if old.as_ref() != Some(&closed.get(n).expect("solved").body.atoms) {
-                changed.insert(n.clone());
-            }
+        for (&n, old) in group.iter().zip(before) {
+            changed[n.index()] = old.atoms != closed.get(n).body.atoms;
         }
     }
     span.add("sccs", dirty_sccs);
-    span.add("changed", changed.len() as u64);
+    span.add("changed", changed.iter().filter(|&&c| c).count() as u64);
     (changed, iterations)
 }
 
 fn full_solver(res: &BodyResult, closed: &AbsEnv) -> Solver {
     let mut solver = Solver::from_set(&res.atoms);
     for call in &res.calls {
-        closed.instantiate_into(&call.name, &call.args, &mut solver);
+        closed.instantiate_into(call.callee, &call.args, &mut solver);
     }
     solver
 }
@@ -895,12 +821,12 @@ mod tests {
           Object peek() { this.top.getValue() }
         }";
         let kp = check_source(multi).unwrap();
-        let cache = InferCache::new();
-        let (p1, s1) = infer_with_cache(&kp, opts, &cache).unwrap();
+        let memo = SolveMemo::new();
+        let (p1, s1) = infer_with_cache(&kp, opts, &memo, 0).unwrap();
         assert!(s1.methods_inferred > 0);
 
         // Identical input: every body is re-inferred, every SCC replayed.
-        let (p2, s2) = infer_with_cache(&kp, opts, &cache).unwrap();
+        let (p2, s2) = infer_with_cache(&kp, opts, &memo, 0).unwrap();
         assert_eq!(s2.methods_inferred, s1.methods_inferred);
         assert_eq!(s2.sccs_solved, 0, "all SCC solves must hit the memo");
         assert!(s2.sccs_reused > 0);
@@ -916,7 +842,7 @@ mod tests {
             "{ this.top.getNext().getValue() }",
         );
         let kp2 = check_source(&edited).unwrap();
-        let (p3, s3) = infer_with_cache(&kp2, opts, &cache).unwrap();
+        let (p3, s3) = infer_with_cache(&kp2, opts, &memo, 0).unwrap();
         assert!(
             s3.sccs_solved < s1.sccs_solved,
             "dirty SCCs ({}) must be fewer than a cold solve ({})",
@@ -935,8 +861,11 @@ mod tests {
         assert_eq!(s3.regions_created, s4.regions_created);
 
         // Untouched abstractions keep byte-identical closed forms.
-        let before = p1.q.get("pre.List.getValue").unwrap().to_string();
-        let after = p3.q.get("pre.List.getValue").unwrap().to_string();
+        let get_value = |p: &RProgram| {
+            let id = p.q.find("pre.List.getValue").unwrap();
+            p.q.get(id).to_string()
+        };
+        let (before, after) = (get_value(&p1), get_value(&p3));
         assert_eq!(before, after);
     }
 
@@ -945,11 +874,11 @@ mod tests {
         let opts = InferOptions::default();
         let v1 = "class A { Object x; Object get() { this.x } }";
         let v2 = "class A { Object x; Object y; Object get() { this.x } }";
-        let cache = InferCache::new();
+        let memo = SolveMemo::new();
         let kp1 = check_source(v1).unwrap();
-        infer_with_cache(&kp1, opts, &cache).unwrap();
+        infer_with_cache(&kp1, opts, &memo, 0).unwrap();
         let kp2 = check_source(v2).unwrap();
-        let (p_inc, _) = infer_with_cache(&kp2, opts, &cache).unwrap();
+        let (p_inc, _) = infer_with_cache(&kp2, opts, &memo, 0).unwrap();
         let (p_fresh, _) = infer(&kp2, opts).unwrap();
         assert_eq!(
             crate::pretty::program_to_string(&p_inc),

@@ -185,9 +185,7 @@ pub fn display_precondition(p: &RProgram, id: MethodId) -> ConstraintSet {
     sig_types.push(&rm.ret_type);
     for t in sig_types {
         if let RType::Class { class, regions, .. } = t {
-            implied.add_set(
-                &p.q.instantiate(&format!("inv.{}", p.kernel.table.name(*class)), regions),
-            );
+            implied.add_set(&p.rclass(*class).invariant_at(regions));
         }
     }
     // Minimal form: drop every atom derivable from the signature

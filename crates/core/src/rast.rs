@@ -152,6 +152,18 @@ impl RClass {
     pub fn arity(&self) -> usize {
         self.params.len()
     }
+
+    /// The invariant instantiated at `regions`, positionally matching
+    /// `params`.
+    ///
+    /// # Panics
+    ///
+    /// Under the arity and conflicting-binding conditions of
+    /// [`RegSubst::instantiation`].
+    pub fn invariant_at(&self, regions: &[RegVar]) -> ConstraintSet {
+        self.invariant
+            .subst(&RegSubst::instantiation(&self.params, regions))
+    }
 }
 
 /// Region signature and annotated body of a method.
@@ -556,15 +568,12 @@ impl RProgram {
             if !seen.insert((*class, regions.clone())) {
                 return;
             }
-            let name = format!("inv.{}", self.kernel.table.name(*class));
-            if let Some(abs) = self.q.get(&name) {
-                // Only closed abstractions of matching arity instantiate
-                // (padded types carry extra regions beyond the invariant's
-                // formals; their base regions are covered by the unpadded
-                // occurrences).
-                if abs.params.len() == regions.len() && abs.body.calls.is_empty() {
-                    set.and(&self.q.instantiate(&name, regions));
-                }
+            // Only invariants of matching arity instantiate (padded types
+            // carry extra regions beyond the invariant's formals; their
+            // base regions are covered by the unpadded occurrences).
+            let rc = self.rclass(*class);
+            if rc.arity() == regions.len() {
+                set.and(&rc.invariant_at(regions));
             }
         };
         for t in &m.var_types {

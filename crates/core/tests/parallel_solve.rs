@@ -8,7 +8,7 @@
 
 use cj_infer::options::InferStats;
 use cj_infer::pipeline::{solve_all, solve_all_memo};
-use cj_regions::abstraction::{AbsBody, AbsCall, AbsEnv, ConstraintAbs};
+use cj_regions::abstraction::{AbsBody, AbsCall, AbsEnv, AbsId, ConstraintAbs};
 use cj_regions::constraint::{Atom, ConstraintSet};
 use cj_regions::incremental::SolveMemo;
 use cj_regions::var::RegVar;
@@ -29,8 +29,8 @@ fn arb_system() -> impl Strategy<Value = Vec<AbsSpec>> {
 }
 
 /// Decodes a spec into a well-formed (all callees known, arities matching)
-/// abstraction environment `q0..qN`, with arbitrary recursion and mutual
-/// recursion between the abstractions.
+/// abstraction environment `q0..qN` (`qi` has id `i`), with arbitrary
+/// recursion and mutual recursion between the abstractions.
 fn build_env(spec: &[AbsSpec]) -> AbsEnv {
     let pcounts: Vec<usize> = spec.iter().map(|(p, _, _)| *p as usize).collect();
     let mut env = AbsEnv::new();
@@ -58,12 +58,12 @@ fn build_env(spec: &[AbsSpec]) -> AbsEnv {
                     .map(|k| vars[(s as usize + k) % vars.len()])
                     .collect();
                 AbsCall {
-                    name: format!("q{callee}"),
+                    callee: AbsId(callee as u32),
                     args,
                 }
             })
             .collect();
-        env.insert(ConstraintAbs {
+        env.push(ConstraintAbs {
             name: format!("q{i}"),
             params,
             body: AbsBody {

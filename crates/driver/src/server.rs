@@ -349,12 +349,9 @@ impl Server {
         let name = if let Some(name) = req.get_str("name") {
             name.to_string()
         } else if let Some(class) = req.get_str("invariant") {
-            format!("inv.{class}")
+            cj_infer::invariant_name(class)
         } else if let Some(method) = req.get_str("precondition") {
-            match req.get_str("class") {
-                Some(class) => format!("pre.{class}.{method}"),
-                None => format!("pre.{method}"),
-            }
+            cj_infer::precondition_name(req.get_str("class"), method)
         } else {
             return Err("`query` needs `name`, `invariant` or `precondition`".to_string());
         };

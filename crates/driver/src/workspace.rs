@@ -10,7 +10,8 @@
 //!   span space, so other files' spans never move);
 //! - every revision re-infers, re-lowers and re-checks policy from the
 //!   fresh kernel; only the content-addressed per-SCC solve memo
-//!   ([`cj_infer::InferCache`]) outlives it, so an edit to one method
+//!   ([`SolveMemo`], fed through [`cj_infer::infer_with_cache`]) outlives
+//!   it, so an edit to one method
 //!   body re-solves only the dirty abstraction SCCs — while producing
 //!   output bit-identical to a from-scratch compile;
 //! - the closed constraint-abstraction environment `Q` is queryable
@@ -53,7 +54,7 @@ use crate::session::{Compilation, CompileResult, SessionOptions};
 use cj_diag::{codes, Diagnostic, Diagnostics, Emitter, IntoDiagnostics, SourceMap, Span};
 use cj_frontend::ast;
 use cj_frontend::KProgram;
-use cj_infer::{InferCache, InferOptions};
+use cj_infer::InferOptions;
 use cj_policy::PolicySet;
 use cj_regions::abstraction::ConstraintAbs;
 use cj_regions::constraint::Atom;
@@ -501,9 +502,9 @@ impl Workspace {
         let kernel = self.typecheck()?;
         self.counts.infer += 1;
         let mut span = cj_trace::span("pipeline", "infer");
-        let cache = InferCache::with_shared_memo_as(Arc::clone(&self.memo), self.memo_client);
-        let (mut program, stats) = cj_infer::infer_with_cache(&kernel, opts, &cache)
-            .map_err(IntoDiagnostics::into_diagnostics)?;
+        let (mut program, stats) =
+            cj_infer::infer_with_cache(&kernel, opts, &self.memo, self.memo_client)
+                .map_err(IntoDiagnostics::into_diagnostics)?;
         // Extent inference runs after the paper pipeline, before anything
         // downstream (checker, lowering, both engines) sees the program.
         let extent_stats = cj_liveness::for_mode(opts.extent).rewrite_program(&mut program);
@@ -813,8 +814,8 @@ impl Workspace {
         opts: InferOptions,
         name: &str,
     ) -> CompileResult<Option<ConstraintAbs>> {
-        let compilation = self.infer_with(opts)?;
-        Ok(compilation.program.q.get(name).cloned())
+        let q = &self.infer_with(opts)?.program.q;
+        Ok(q.find(name).map(|id| q.get(id).clone()))
     }
 
     /// The solved precondition of a method: `class = Some(cn)` looks up
@@ -828,11 +829,7 @@ impl Workspace {
         class: Option<&str>,
         method: &str,
     ) -> CompileResult<Option<ConstraintAbs>> {
-        let name = match class {
-            Some(c) => format!("pre.{c}.{method}"),
-            None => format!("pre.{method}"),
-        };
-        self.q(&name)
+        self.q(&cj_infer::precondition_name(class, method))
     }
 
     /// The solved invariant `inv.cn` of a class.
@@ -841,7 +838,7 @@ impl Workspace {
     ///
     /// Any compilation diagnostics.
     pub fn invariant(&mut self, class: &str) -> CompileResult<Option<ConstraintAbs>> {
-        self.q(&format!("inv.{class}"))
+        self.q(&cj_infer::invariant_name(class))
     }
 
     /// Whether the closed abstraction `name` entails `atom`, written over

@@ -24,23 +24,32 @@
 
 use crate::constraint::{Atom, ConstraintSet};
 use crate::solve::Solver;
-use crate::subst::RegSubst;
 use crate::var::RegVar;
-use std::collections::BTreeMap;
 use std::fmt;
 
-/// An application `q⟨r1…rn⟩` of a named abstraction to argument regions.
+/// A dense abstraction id: the abstraction's index in its [`AbsEnv`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct AbsId(pub u32);
+
+impl AbsId {
+    /// The id as a vector index.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// An application `q⟨r1…rn⟩` of an abstraction to argument regions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbsCall {
-    /// Name of the applied abstraction (e.g. `pre.join`).
-    pub name: String,
+    /// The applied abstraction.
+    pub callee: AbsId,
     /// Argument regions, positionally matching the callee's parameters.
     pub args: Vec<RegVar>,
 }
 
 impl fmt::Display for AbsCall {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}<", self.name)?;
+        write!(f, "#{}<", self.callee.0)?;
         for (i, a) in self.args.iter().enumerate() {
             if i > 0 {
                 f.write_str(",")?;
@@ -73,7 +82,8 @@ impl AbsBody {
 /// A named, parameterized constraint abstraction `q⟨params⟩ = body`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConstraintAbs {
-    /// Abstraction name (`inv.cn`, `pre.cn.mn` or `pre.mn`).
+    /// Abstraction name (`inv.cn`, `pre.cn.mn` or `pre.mn`), for printing
+    /// and for answering queries by name.
     pub name: String,
     /// Formal region parameters.
     pub params: Vec<RegVar>,
@@ -98,10 +108,19 @@ impl fmt::Display for ConstraintAbs {
     }
 }
 
-/// The environment `Q` of all constraint abstractions of a program.
+/// The environment `Q` of all constraint abstractions of a program,
+/// indexed by [`AbsId`].
 #[derive(Debug, Clone, Default)]
 pub struct AbsEnv {
-    map: BTreeMap<String, ConstraintAbs>,
+    abs: Vec<ConstraintAbs>,
+}
+
+impl FromIterator<ConstraintAbs> for AbsEnv {
+    fn from_iter<I: IntoIterator<Item = ConstraintAbs>>(iter: I) -> AbsEnv {
+        AbsEnv {
+            abs: iter.into_iter().collect(),
+        }
+    }
 }
 
 impl AbsEnv {
@@ -110,86 +129,71 @@ impl AbsEnv {
         AbsEnv::default()
     }
 
-    /// Inserts (or replaces) an abstraction.
-    pub fn insert(&mut self, abs: ConstraintAbs) {
-        self.map.insert(abs.name.clone(), abs);
+    /// Appends an abstraction, returning its id.
+    pub fn push(&mut self, abs: ConstraintAbs) -> AbsId {
+        self.abs.push(abs);
+        AbsId(self.abs.len() as u32 - 1)
     }
 
-    /// Looks up by name.
-    pub fn get(&self, name: &str) -> Option<&ConstraintAbs> {
-        self.map.get(name)
+    /// The abstraction `id`.
+    pub fn get(&self, id: AbsId) -> &ConstraintAbs {
+        &self.abs[id.index()]
     }
 
-    /// Iterates in name order.
+    /// The abstraction `id`, mutably.
+    pub fn get_mut(&mut self, id: AbsId) -> &mut ConstraintAbs {
+        &mut self.abs[id.index()]
+    }
+
+    /// The id of the abstraction called `name`, if any.
+    pub fn find(&self, name: &str) -> Option<AbsId> {
+        let i = self.abs.iter().position(|a| a.name == name)?;
+        Some(AbsId(i as u32))
+    }
+
+    /// Iterates in id order.
     pub fn iter(&self) -> impl Iterator<Item = &ConstraintAbs> {
-        self.map.values()
+        self.abs.iter()
     }
 
     /// Number of abstractions.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.abs.len()
     }
 
     /// Whether the environment is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.abs.is_empty()
     }
 
-    /// Conjoins extra atoms onto the body of `name` (used by override
+    /// Conjoins extra atoms onto the body of `id` (used by override
     /// conflict resolution and escaping-region instantiation, which
     /// strengthen raw abstractions between solves). Returns `true` if the
     /// body actually grew.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is unknown.
-    pub fn add_atoms(&mut self, name: &str, extra: &ConstraintSet) -> bool {
-        let abs = self
-            .map
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("unknown abstraction `{name}`"));
-        let before = abs.body.atoms.len();
-        abs.body.atoms.and(extra);
-        abs.body.atoms.len() != before
+    pub fn add_atoms(&mut self, id: AbsId, extra: &ConstraintSet) -> bool {
+        let atoms = &mut self.get_mut(id).body.atoms;
+        let before = atoms.len();
+        atoms.and(extra);
+        atoms.len() != before
     }
 
-    /// Instantiates the *closed form* of `name` with `args`: the
-    /// abstraction must have been solved (no residual calls).
+    /// Conjoins the *closed form* of `id`, instantiated with `args`, onto
+    /// `solver`: the same constraint as adding the closed atoms renamed by
+    /// [`RegSubst::instantiation`], without building the substitution or
+    /// the instantiated set.
     ///
     /// # Panics
     ///
-    /// Panics if `name` is unknown or still has residual calls.
-    pub fn instantiate(&self, name: &str, args: &[RegVar]) -> ConstraintSet {
-        let abs = self
-            .map
-            .get(name)
-            .unwrap_or_else(|| panic!("unknown abstraction `{name}`"));
+    /// Panics if `id` still has residual calls, or under the same arity and
+    /// conflicting-binding conditions as [`RegSubst::instantiation`].
+    ///
+    /// [`RegSubst::instantiation`]: crate::subst::RegSubst::instantiation
+    pub fn instantiate_into(&self, id: AbsId, args: &[RegVar], solver: &mut Solver) {
+        let abs = self.get(id);
         assert!(
             abs.body.calls.is_empty(),
-            "abstraction `{name}` has not been solved to closed form"
-        );
-        let s = RegSubst::instantiation(&abs.params, args);
-        abs.body.atoms.subst(&s)
-    }
-
-    /// Conjoins the closed form of `name`, instantiated with `args`, onto
-    /// `solver`: the same constraint as
-    /// `solver.add_set(&self.instantiate(name, args))`, without building
-    /// the substitution or the instantiated set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is unknown or still has residual calls, or under
-    /// the same arity and conflicting-binding conditions as
-    /// [`RegSubst::instantiation`].
-    pub fn instantiate_into(&self, name: &str, args: &[RegVar], solver: &mut Solver) {
-        let abs = self
-            .map
-            .get(name)
-            .unwrap_or_else(|| panic!("unknown abstraction `{name}`"));
-        assert!(
-            abs.body.calls.is_empty(),
-            "abstraction `{name}` has not been solved to closed form"
+            "abstraction `{}` has not been solved to closed form",
+            abs.name
         );
         add_instance(&abs.params, &abs.body.atoms, args, solver);
     }
@@ -200,7 +204,8 @@ impl AbsEnv {
 /// # Panics
 ///
 /// Panics if the slices have different lengths or a parameter repeats with
-/// conflicting arguments, as [`RegSubst::instantiation`] does.
+/// conflicting arguments, as
+/// [`RegSubst::instantiation`](crate::subst::RegSubst::instantiation) does.
 fn add_instance(params: &[RegVar], atoms: &ConstraintSet, args: &[RegVar], solver: &mut Solver) {
     assert_eq!(
         params.len(),
@@ -236,11 +241,11 @@ fn add_instance(params: &[RegVar], atoms: &ConstraintSet, args: &[RegVar], solve
 
 /// Solves a (mutually) recursive family of abstractions to closed forms.
 ///
-/// `names` is the SCC to solve simultaneously; abstractions outside the SCC
-/// that are applied from within must already be in closed form in `env`.
-/// On return, every abstraction in `names` has an empty call list and its
-/// atoms are the least fixed point projected onto its parameters — exactly
-/// the iteration displayed in Fig 6(d).
+/// `members` is the SCC to solve simultaneously; abstractions outside the
+/// SCC that are applied from within must already be in closed form in
+/// `env`. On return, every member has an empty call list and its atoms are
+/// the least fixed point projected onto its parameters — exactly the
+/// iteration displayed in Fig 6(d).
 ///
 /// Returns the number of Kleene iterations performed: one when no member
 /// applies a member (the first pass is already the fixed point), otherwise
@@ -248,47 +253,53 @@ fn add_instance(params: &[RegVar], atoms: &ConstraintSet, args: &[RegVar], solve
 ///
 /// # Panics
 ///
-/// Panics if a call references an unknown abstraction or one outside the
-/// SCC that still has residual calls.
-pub fn solve_fixpoint(env: &mut AbsEnv, names: &[String]) -> usize {
-    // Current approximations for the SCC, starting at `true`.
-    let mut approx: BTreeMap<String, ConstraintSet> = names
-        .iter()
-        .map(|n| (n.clone(), ConstraintSet::new()))
-        .collect();
-    let member = |n: &str| {
-        env.get(n)
-            .unwrap_or_else(|| panic!("unknown abstraction `{n}`"))
+/// Panics if a call outside the SCC references an abstraction that still
+/// has residual calls.
+pub fn solve_fixpoint(env: &mut AbsEnv, members: &[AbsId]) -> usize {
+    // A callee's member position, by binary search so that a large SCC
+    // stays linear in its calls.
+    let mut sorted: Vec<(AbsId, usize)> = members.iter().copied().zip(0..).collect();
+    sorted.sort_unstable();
+    let position = |id: AbsId| {
+        sorted
+            .binary_search_by_key(&id, |&(m, _)| m)
+            .ok()
+            .map(|k| sorted[k].1)
     };
-    let recursive = names.iter().any(|n| {
-        member(n)
+    // Current approximations, by member position, starting at `true`.
+    let mut approx = vec![ConstraintSet::new(); members.len()];
+    let recursive = members.iter().any(|&m| {
+        env.get(m)
             .body
             .calls
             .iter()
-            .any(|c| approx.contains_key(&c.name))
+            .any(|c| position(c.callee).is_some())
     });
     let mut iterations = 0usize;
     loop {
         iterations += 1;
         let mut changed = false;
-        for name in names {
-            let abs = member(name);
+        for (i, &m) in members.iter().enumerate() {
+            let abs = env.get(m);
             // full = atoms ∧ (instantiated approximations of all calls)
             let mut solver = Solver::from_set(&abs.body.atoms);
             for call in &abs.body.calls {
-                if let Some(a) = approx.get(&call.name) {
+                match position(call.callee) {
                     // Within the SCC: use the current approximation.
-                    add_instance(&member(&call.name).params, a, &call.args, &mut solver);
-                } else {
+                    Some(j) => add_instance(
+                        &env.get(call.callee).params,
+                        &approx[j],
+                        &call.args,
+                        &mut solver,
+                    ),
                     // Outside the SCC: must be closed.
-                    env.instantiate_into(&call.name, &call.args, &mut solver);
+                    None => env.instantiate_into(call.callee, &call.args, &mut solver),
                 }
             }
             let params = abs.params.iter().copied().collect();
             let next = solver.project(&params);
-            let cur = approx.get_mut(name).expect("approx seeded");
-            if *cur != next {
-                *cur = next;
+            if approx[i] != next {
+                approx[i] = next;
                 changed = true;
             }
         }
@@ -302,10 +313,8 @@ pub fn solve_fixpoint(env: &mut AbsEnv, names: &[String]) -> usize {
         );
     }
     // Write back closed forms.
-    for name in names {
-        let closed = approx.remove(name).expect("present");
-        let abs = env.map.get_mut(name).expect("present");
-        abs.body = AbsBody::from_atoms(closed);
+    for (&m, closed) in members.iter().zip(approx) {
+        env.get_mut(m).body = AbsBody::from_atoms(closed);
     }
     iterations
 }
@@ -319,25 +328,41 @@ mod tests {
         RegVar(i)
     }
 
+    fn regions(ids: &[u32]) -> Vec<RegVar> {
+        ids.iter().map(|&i| r(i)).collect()
+    }
+
+    fn call(callee: AbsId, args: &[u32]) -> AbsCall {
+        AbsCall {
+            callee,
+            args: regions(args),
+        }
+    }
+
+    fn abs(name: &str, params: &[u32], atoms: &[Atom], calls: Vec<AbsCall>) -> ConstraintAbs {
+        ConstraintAbs {
+            name: name.into(),
+            params: regions(params),
+            body: AbsBody {
+                atoms: atoms.iter().copied().collect(),
+                calls,
+            },
+        }
+    }
+
     /// Fig 6(d): pre.join⟨r1..r9⟩ = (r2 ≥ r8) ∧ pre.join⟨r4,r5,r6,r1,r2,r3,r7,r8,r9⟩
     /// must converge to r2 ≥ r8 ∧ r5 ≥ r8 in three iterations.
     #[test]
     fn fig6_join_fixpoint() {
-        let params: Vec<RegVar> = (1..=9).map(r).collect();
-        let args: Vec<RegVar> = [4, 5, 6, 1, 2, 3, 7, 8, 9].iter().map(|&i| r(i)).collect();
-        let mut body = AbsBody::from_atoms(ConstraintSet::singleton(Atom::outlives(r(2), r(8))));
-        body.calls.push(AbsCall {
-            name: "pre.join".into(),
-            args,
-        });
         let mut env = AbsEnv::new();
-        env.insert(ConstraintAbs {
-            name: "pre.join".into(),
-            params,
-            body,
-        });
-        let iters = solve_fixpoint(&mut env, &["pre.join".to_string()]);
-        let closed = env.get("pre.join").unwrap();
+        let join = env.push(abs(
+            "pre.join",
+            &[1, 2, 3, 4, 5, 6, 7, 8, 9],
+            &[Atom::outlives(r(2), r(8))],
+            vec![call(AbsId(0), &[4, 5, 6, 1, 2, 3, 7, 8, 9])],
+        ));
+        let iters = solve_fixpoint(&mut env, &[join]);
+        let closed = env.get(join);
         assert!(closed.body.calls.is_empty());
         assert_eq!(closed.body.atoms.to_string(), "r2>=r8 & r5>=r8");
         // p0=true, p1={r2>=r8}, p2={r2>=r8, r5>=r8}, p3=p2: converges by
@@ -348,102 +373,71 @@ mod tests {
     #[test]
     fn nonrecursive_abstraction_closes_in_one_step() {
         let mut env = AbsEnv::new();
-        env.insert(ConstraintAbs {
-            name: "inv.Pair".into(),
-            params: vec![r(1), r(2), r(3)],
-            body: AbsBody::from_atoms(
-                [Atom::outlives(r(2), r(1)), Atom::outlives(r(3), r(1))]
-                    .into_iter()
-                    .collect(),
-            ),
-        });
-        assert_eq!(solve_fixpoint(&mut env, &["inv.Pair".to_string()]), 1);
-        let inst = env.instantiate("inv.Pair", &[r(10), r(20), r(30)]);
-        assert_eq!(inst.to_string(), "r20>=r10 & r30>=r10");
+        let atoms = [Atom::outlives(r(2), r(1)), Atom::outlives(r(3), r(1))];
+        let pair = env.push(abs("inv.Pair", &[1, 2, 3], &atoms, Vec::new()));
+        assert_eq!(solve_fixpoint(&mut env, &[pair]), 1);
+        let args = regions(&[10, 20, 30]);
+        let mut inst = Solver::new();
+        env.instantiate_into(pair, &args, &mut inst);
+        let shown = inst.project(&args.into_iter().collect()).to_string();
+        assert_eq!(shown, "r20>=r10 & r30>=r10");
+        assert_eq!(env.find("inv.Pair"), Some(pair));
+        assert_eq!(env.find("inv.Nope"), None);
     }
 
     #[test]
     fn mutual_recursion_converges() {
         // p<a,b> = (a>=b) ∧ q<b,a>;  q<a,b> = p<a,b>
         // q imports p's (a>=b) directly; p imports q<b,a> = p<b,a> → b>=a.
-        // Fixpoint: both become a>=b ∧ b>=a, i.e. a=b.
-        let (a, b) = (r(1), r(2));
-        let mut env = AbsEnv::new();
-        env.insert(ConstraintAbs {
-            name: "p".into(),
-            params: vec![a, b],
-            body: AbsBody {
-                atoms: ConstraintSet::singleton(Atom::outlives(a, b)),
-                calls: vec![AbsCall {
-                    name: "q".into(),
-                    args: vec![b, a],
-                }],
-            },
-        });
-        env.insert(ConstraintAbs {
-            name: "q".into(),
-            params: vec![a, b],
-            body: AbsBody {
-                atoms: ConstraintSet::new(),
-                calls: vec![AbsCall {
-                    name: "p".into(),
-                    args: vec![a, b],
-                }],
-            },
-        });
-        solve_fixpoint(&mut env, &["p".to_string(), "q".to_string()]);
-        assert_eq!(env.get("p").unwrap().body.atoms.to_string(), "r1=r2");
-        assert_eq!(env.get("q").unwrap().body.atoms.to_string(), "r1=r2");
+        // Fixpoint: both become a>=b ∧ b>=a, i.e. a=b. The SCC is passed
+        // out of id order.
+        let (p, q) = (AbsId(0), AbsId(1));
+        let mut env: AbsEnv = [
+            abs(
+                "p",
+                &[1, 2],
+                &[Atom::outlives(r(1), r(2))],
+                vec![call(q, &[2, 1])],
+            ),
+            abs("q", &[1, 2], &[], vec![call(p, &[1, 2])]),
+        ]
+        .into_iter()
+        .collect();
+        solve_fixpoint(&mut env, &[q, p]);
+        assert_eq!(env.get(p).body.atoms.to_string(), "r1=r2");
+        assert_eq!(env.get(q).body.atoms.to_string(), "r1=r2");
     }
 
     #[test]
     fn call_to_closed_outside_scc() {
         let mut env = AbsEnv::new();
-        env.insert(ConstraintAbs {
-            name: "inv.A".into(),
-            params: vec![r(1), r(2)],
-            body: AbsBody::from_atoms(ConstraintSet::singleton(Atom::outlives(r(2), r(1)))),
-        });
-        env.insert(ConstraintAbs {
-            name: "pre.m".into(),
-            params: vec![r(3), r(4)],
-            body: AbsBody {
-                atoms: ConstraintSet::new(),
-                calls: vec![AbsCall {
-                    name: "inv.A".into(),
-                    args: vec![r(3), r(4)],
-                }],
-            },
-        });
-        solve_fixpoint(&mut env, &["pre.m".to_string()]);
-        assert_eq!(env.get("pre.m").unwrap().body.atoms.to_string(), "r4>=r3");
+        let inv = env.push(abs(
+            "inv.A",
+            &[1, 2],
+            &[Atom::outlives(r(2), r(1))],
+            Vec::new(),
+        ));
+        let m = env.push(abs("pre.m", &[3, 4], &[], vec![call(inv, &[3, 4])]));
+        solve_fixpoint(&mut env, &[m]);
+        assert_eq!(env.get(m).body.atoms.to_string(), "r4>=r3");
     }
 
     #[test]
-    #[should_panic(expected = "unknown abstraction")]
-    fn unknown_call_panics() {
-        let mut env = AbsEnv::new();
-        env.insert(ConstraintAbs {
-            name: "p".into(),
-            params: vec![r(1)],
-            body: AbsBody {
-                atoms: ConstraintSet::new(),
-                calls: vec![AbsCall {
-                    name: "nope".into(),
-                    args: vec![r(1)],
-                }],
-            },
-        });
-        solve_fixpoint(&mut env, &["p".to_string()]);
+    #[should_panic(expected = "has not been solved to closed form")]
+    fn call_to_unsolved_outside_scc_panics() {
+        let (p, q) = (AbsId(0), AbsId(1));
+        let mut env: AbsEnv = [
+            abs("p", &[1], &[], vec![call(q, &[1])]),
+            abs("q", &[1], &[], vec![call(p, &[1])]),
+        ]
+        .into_iter()
+        .collect();
+        solve_fixpoint(&mut env, &[p]);
     }
 
     #[test]
     fn display_forms() {
-        let abs = ConstraintAbs {
-            name: "pre.swap".into(),
-            params: vec![r(1), r(2), r(3)],
-            body: AbsBody::from_atoms(ConstraintSet::singleton(Atom::eq(r(2), r(3)))),
-        };
-        assert_eq!(abs.to_string(), "pre.swap<r1,r2,r3> = r2=r3");
+        let swap = abs("pre.swap", &[1, 2, 3], &[Atom::eq(r(2), r(3))], Vec::new());
+        assert_eq!(swap.to_string(), "pre.swap<r1,r2,r3> = r2=r3");
     }
 }

@@ -10,7 +10,7 @@
 //!    but defined outside it (already solved, by bottom-up order),
 //!
 //! both considered **up to a consistent renaming of region variables**.
-//! [`canon`] computes that α-invariant form: formal parameters map to
+//! [`canon_with`] computes that α-invariant form: formal parameters map to
 //! `1..=k` positionally, the heap to `0`, and every other (body-local)
 //! variable to the next id in first-occurrence order. [`SolveMemo`] keys
 //! solved SCCs by the canonical serialization of (1) + (2); on a hit the
@@ -34,7 +34,7 @@
 //!
 //! The memo lives in memory only: a new process starts with an empty one.
 
-use crate::abstraction::{solve_fixpoint, AbsEnv, ConstraintAbs};
+use crate::abstraction::{solve_fixpoint, AbsBody, AbsEnv, AbsId, ConstraintAbs};
 use crate::constraint::{Atom, ConstraintSet};
 use crate::var::RegVar;
 use std::collections::{BTreeMap, HashMap};
@@ -75,24 +75,14 @@ impl Canonizer {
     }
 }
 
-/// The canonical (α-invariant) serialization of one abstraction's raw body:
-/// parameter count, atoms, and applications. Applications are rendered with
-/// the callee's *name* replaced by the placeholder the caller supplies (see
-/// [`canon_with`]) so the form can be made independent of naming.
-pub fn canon(abs: &ConstraintAbs) -> String {
-    let mut out = String::new();
-    canon_with(&mut out, abs, |name, out| {
-        let _ = write!(out, "@{name}");
-    });
-    out
-}
-
-/// Appends [`canon`]'s form of `abs` to `out`, letting `callee_tag` append
-/// each callee's placeholder.
+/// Appends the canonical (α-invariant) serialization of one abstraction's
+/// raw body to `out`: parameter count, atoms, and applications. Each
+/// application's callee is rendered by `callee_tag`, so the form is
+/// independent of ids and names.
 pub fn canon_with(
     out: &mut String,
     abs: &ConstraintAbs,
-    mut callee_tag: impl FnMut(&str, &mut String),
+    mut callee_tag: impl FnMut(AbsId, &mut String),
 ) {
     let mut c = Canonizer::for_params(&abs.params);
     let _ = write!(out, "p{}|", abs.params.len());
@@ -108,7 +98,7 @@ pub fn canon_with(
     }
     for call in &abs.body.calls {
         out.push('[');
-        callee_tag(&call.name, out);
+        callee_tag(call.callee, out);
         out.push_str("](");
         for &a in &call.args {
             let _ = write!(out, "{},", c.id(a));
@@ -153,7 +143,7 @@ pub fn uncanon_closed(canonical: &ConstraintSet, params: &[RegVar]) -> Constrain
         .collect()
 }
 
-/// Result of [`solve_scc_memo`] for one SCC.
+/// Result of [`solve_scc_memo_as`] for one SCC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SccOutcome {
     /// Whether the closed forms came from the memo.
@@ -166,7 +156,7 @@ pub struct SccOutcome {
 }
 
 /// One solved-SCC record: the canonical closed atoms per member, in the
-/// same (name-sorted) member order the key was built in, tagged with the
+/// same (id-sorted) member order the key was built in, tagged with the
 /// client that solved it.
 #[derive(Debug, Clone)]
 struct MemoEntry {
@@ -261,11 +251,11 @@ impl SolveMemo {
     }
 
     /// Allocates a fresh client id for owner-tagging entries. A *client*
-    /// is one logical user of the memo (one `InferCache`-style holder);
-    /// hits on entries solved by a different client are counted as
+    /// is one logical user of the memo (for example one workspace); hits
+    /// on entries solved by a different client are counted as
     /// [`shared_hits`](SolveMemo::shared_hits). Ids start at 1 — id 0 is
-    /// reserved for anonymous callers ([`solve_scc_memo`]), so a
-    /// registered client never aliases them.
+    /// reserved for anonymous callers (such as a one-shot compile with a
+    /// fresh memo), so a registered client never aliases them.
     pub fn register_client(&self) -> u64 {
         self.next_client.fetch_add(1, Ordering::Relaxed) + 1
     }
@@ -365,7 +355,8 @@ impl SolveMemo {
 /// a pass every callee is final before any importer is keyed.
 #[derive(Debug, Default)]
 pub struct ImportKeys {
-    rendered: HashMap<String, String>,
+    /// Indexed by callee id; grown on demand.
+    rendered: Vec<Option<String>>,
 }
 
 impl ImportKeys {
@@ -375,39 +366,37 @@ impl ImportKeys {
     }
 
     /// The fragment of closed abstraction `callee`, rendered on first use.
-    fn fragment(&mut self, env: &AbsEnv, callee: &str) -> &str {
-        if !self.rendered.contains_key(callee) {
-            let c = env
-                .get(callee)
-                .unwrap_or_else(|| panic!("unknown abstraction `{callee}`"));
+    fn fragment(&mut self, env: &AbsEnv, callee: AbsId) -> &str {
+        let i = callee.index();
+        if self.rendered.len() <= i {
+            self.rendered.resize(i + 1, None);
+        }
+        self.rendered[i].get_or_insert_with(|| {
+            let c = env.get(callee);
             assert!(
                 c.body.calls.is_empty(),
-                "external callee `{callee}` is not closed"
+                "external callee `{}` is not closed",
+                c.name
             );
-            self.rendered
-                .insert(callee.to_string(), format!("x{}", canon_closed(c)));
-        }
-        &self.rendered[callee]
+            format!("x{}", canon_closed(c))
+        })
     }
 }
 
 /// Builds the content-addressed key of one SCC: the canonical raw bodies of
-/// its members (`members` is name-sorted, calls to members rendered by member
-/// index) together with the canonical closed forms of every external
+/// its members (`members` is sorted by id, calls to members rendered by
+/// member index) together with the canonical closed forms of every external
 /// callee.
 ///
 /// # Panics
 ///
 /// Panics when an external callee has residual calls (i.e. the SCC order is
 /// not bottom-up).
-fn scc_key(env: &AbsEnv, members: &[String], imports: &mut ImportKeys) -> String {
+fn scc_key(env: &AbsEnv, members: &[AbsId], imports: &mut ImportKeys) -> String {
     let mut key = String::new();
-    for name in members {
-        let abs = env
-            .get(name)
-            .unwrap_or_else(|| panic!("unknown abstraction `{name}`"));
-        canon_with(&mut key, abs, |callee, out| {
-            match members.binary_search_by(|m| m.as_str().cmp(callee)) {
+    for &id in members {
+        canon_with(&mut key, env.get(id), |callee, out| {
+            match members.binary_search(&callee) {
                 Ok(i) => {
                     let _ = write!(out, "m{i}");
                 }
@@ -419,52 +408,39 @@ fn scc_key(env: &AbsEnv, members: &[String], imports: &mut ImportKeys) -> String
     key
 }
 
-/// Solves one SCC to closed forms, reusing the memo when an identical SCC
-/// (up to renaming) has been solved before. `names` may arrive in any
-/// order; results are written back into `env` either way.
+/// Solves one SCC to closed forms on behalf of memo client `client` (see
+/// [`SolveMemo::register_client`]; 0 for an anonymous caller), reusing the
+/// memo when an identical SCC (up to renaming) has been solved before.
+/// `members` may arrive in any order; results are written back into `env`
+/// either way. Hits on entries another client solved are reported as
+/// `shared` in the outcome and counted by the memo. As one step of a
+/// bottom-up pass, the key reuses the callee fragments `imports` already
+/// holds and adds the new ones.
 ///
 /// # Panics
 ///
-/// Panics if a member or callee is unknown, or an external callee is not
-/// yet closed (the caller must process SCCs bottom-up).
-pub fn solve_scc_memo(env: &mut AbsEnv, names: &[String], memo: &SolveMemo) -> SccOutcome {
-    solve_scc_memo_as(env, names, memo, 0, &mut ImportKeys::new())
-}
-
-/// [`solve_scc_memo`] on behalf of a registered client (see
-/// [`SolveMemo::register_client`]), as one step of a bottom-up pass: hits
-/// on entries another client solved are reported as `shared` in the
-/// outcome and counted by the memo, and the key reuses the callee
-/// fragments `imports` already holds and adds the new ones.
-///
-/// # Panics
-///
-/// Same conditions as [`solve_scc_memo`].
+/// Panics if an external callee is not yet closed (the caller must process
+/// SCCs bottom-up).
 pub fn solve_scc_memo_as(
     env: &mut AbsEnv,
-    names: &[String],
+    members: &[AbsId],
     memo: &SolveMemo,
     client: u64,
     imports: &mut ImportKeys,
 ) -> SccOutcome {
     let mut span = cj_trace::span("pipeline", "solve-scc");
-    span.add("members", names.len() as u64);
-    let mut members: Vec<String> = names.to_vec();
-    members.sort();
-    let key = scc_key(env, &members, imports);
+    span.add("members", members.len() as u64);
+    let mut sorted = members.to_vec();
+    sorted.sort_unstable();
+    let key = scc_key(env, &sorted, imports);
     if let Some((closed, shared)) = memo.lookup(&key, client) {
         span.add("hit", 1);
         if shared {
             span.add("shared", 1);
         }
-        for (name, canonical) in members.iter().zip(closed) {
-            let abs = env.get(name).expect("member present").clone();
-            let atoms = uncanon_closed(&canonical, &abs.params);
-            env.insert(ConstraintAbs {
-                name: abs.name,
-                params: abs.params,
-                body: crate::abstraction::AbsBody::from_atoms(atoms),
-            });
+        for (&id, canonical) in sorted.iter().zip(closed) {
+            let abs = env.get_mut(id);
+            abs.body = AbsBody::from_atoms(uncanon_closed(&canonical, &abs.params));
         }
         return SccOutcome {
             reused: true,
@@ -473,12 +449,9 @@ pub fn solve_scc_memo_as(
         };
     }
     span.add("miss", 1);
-    let iterations = solve_fixpoint(env, names);
+    let iterations = solve_fixpoint(env, members);
     span.add("iterations", iterations as u64);
-    let closed: Vec<ConstraintSet> = members
-        .iter()
-        .map(|n| canon_closed(env.get(n).expect("member solved")))
-        .collect();
+    let closed: Vec<ConstraintSet> = sorted.iter().map(|&id| canon_closed(env.get(id))).collect();
     memo.store(key, client, closed);
     SccOutcome {
         reused: false,
@@ -490,14 +463,14 @@ pub fn solve_scc_memo_as(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abstraction::{AbsBody, AbsCall};
+    use crate::abstraction::AbsCall;
 
     fn r(i: u32) -> RegVar {
         RegVar(i)
     }
 
-    fn join_abs(name: &str, base: u32) -> ConstraintAbs {
-        // pre⟨p1..p9⟩ = (p2 ≥ p8) ∧ pre⟨p4,p5,p6,p1,p2,p3,p7,p8,p9⟩, with
+    fn join_abs(callee: AbsId, base: u32) -> ConstraintAbs {
+        // pre⟨p1..p9⟩ = (p2 ≥ p8) ∧ callee⟨p4,p5,p6,p1,p2,p3,p7,p8,p9⟩, with
         // params starting at `base` so alpha-equivalent copies differ in ids.
         let params: Vec<RegVar> = (0..9).map(|i| r(base + i)).collect();
         let args: Vec<RegVar> = [3, 4, 5, 0, 1, 2, 6, 7, 8]
@@ -507,26 +480,42 @@ mod tests {
         let mut body = AbsBody::from_atoms(ConstraintSet::singleton(Atom::outlives(
             params[1], params[7],
         )));
-        body.calls.push(AbsCall {
-            name: name.to_string(),
-            args,
-        });
+        body.calls.push(AbsCall { callee, args });
         ConstraintAbs {
-            name: name.to_string(),
+            name: "pre.join".to_string(),
             params,
             body,
         }
     }
 
+    /// An environment holding only [`join_abs`], applying itself.
+    fn join_env(base: u32) -> AbsEnv {
+        [join_abs(AbsId(0), base)].into_iter().collect()
+    }
+
+    fn canon(abs: &ConstraintAbs) -> String {
+        let mut out = String::new();
+        canon_with(&mut out, abs, |callee, out| {
+            let _ = write!(out, "@{}", callee.0);
+        });
+        out
+    }
+
+    fn solve(env: &mut AbsEnv, members: &[AbsId], memo: &SolveMemo, client: u64) -> SccOutcome {
+        solve_scc_memo_as(env, members, memo, client, &mut ImportKeys::new())
+    }
+
+    const JOIN: AbsId = AbsId(0);
+
     #[test]
     fn canonical_form_is_alpha_invariant() {
-        let a = join_abs("pre.join", 1);
-        let b = join_abs("pre.join", 100);
+        let a = join_abs(JOIN, 1);
+        let b = join_abs(JOIN, 100);
         assert_eq!(canon(&a), canon(&b));
-        let c = join_abs("pre.other", 1);
-        // Same shape, different name: canon (default tag) differs…
+        let c = join_abs(AbsId(7), 1);
+        // Same shape, different callee: an id-rendering tag differs…
         assert_ne!(canon(&a), canon(&c));
-        // …but a name-insensitive tag matches.
+        // …but an id-insensitive tag matches.
         let tagless = |abs: &ConstraintAbs| {
             let mut out = String::new();
             canon_with(&mut out, abs, |_, out| out.push_str("self"));
@@ -538,25 +527,20 @@ mod tests {
     #[test]
     fn memo_reuses_alpha_equivalent_sccs() {
         let memo = SolveMemo::new();
-        let mut env = AbsEnv::new();
-        env.insert(join_abs("pre.join", 1));
-        let first = solve_scc_memo(&mut env, &["pre.join".to_string()], &memo);
+        let mut env = join_env(1);
+        let first = solve(&mut env, &[JOIN], &memo, 0);
         assert!(!first.reused);
         assert!(first.iterations > 0);
-        let closed1 = env.get("pre.join").unwrap().body.atoms.to_string();
+        let closed1 = env.get(JOIN).body.atoms.to_string();
         assert_eq!(closed1, "r2>=r8 & r5>=r8");
 
         // A renamed copy of the same system must hit the memo and produce
         // the matching closed form over its own parameters.
-        let mut env2 = AbsEnv::new();
-        env2.insert(join_abs("pre.join", 41));
-        let second = solve_scc_memo(&mut env2, &["pre.join".to_string()], &memo);
+        let mut env2 = join_env(41);
+        let second = solve(&mut env2, &[JOIN], &memo, 0);
         assert!(second.reused);
         assert_eq!(second.iterations, 0);
-        assert_eq!(
-            env2.get("pre.join").unwrap().body.atoms.to_string(),
-            "r42>=r48 & r45>=r48"
-        );
+        assert_eq!(env2.get(JOIN).body.atoms.to_string(), "r42>=r48 & r45>=r48");
         assert_eq!(memo.hits(), 1);
         assert_eq!(memo.misses(), 1);
     }
@@ -566,40 +550,43 @@ mod tests {
         // pre.m⟨a,b⟩ = inv.A⟨a,b⟩ with inv.A closed as b ≥ a: solving twice
         // hits; changing inv.A's closed form misses.
         let memo = SolveMemo::new();
-        let mk_env = |inv_atoms: ConstraintSet| {
-            let mut env = AbsEnv::new();
-            env.insert(ConstraintAbs {
-                name: "inv.A".into(),
-                params: vec![r(1), r(2)],
-                body: AbsBody::from_atoms(inv_atoms),
-            });
-            env.insert(ConstraintAbs {
-                name: "pre.m".into(),
-                params: vec![r(3), r(4)],
-                body: AbsBody {
-                    atoms: ConstraintSet::new(),
-                    calls: vec![AbsCall {
-                        name: "inv.A".into(),
-                        args: vec![r(3), r(4)],
-                    }],
+        let (inv, m) = (AbsId(0), AbsId(1));
+        let mk_env = |inv_atoms: ConstraintSet| -> AbsEnv {
+            [
+                ConstraintAbs {
+                    name: "inv.A".into(),
+                    params: vec![r(1), r(2)],
+                    body: AbsBody::from_atoms(inv_atoms),
                 },
-            });
-            env
+                ConstraintAbs {
+                    name: "pre.m".into(),
+                    params: vec![r(3), r(4)],
+                    body: AbsBody {
+                        atoms: ConstraintSet::new(),
+                        calls: vec![AbsCall {
+                            callee: inv,
+                            args: vec![r(3), r(4)],
+                        }],
+                    },
+                },
+            ]
+            .into_iter()
+            .collect()
         };
         let weak = ConstraintSet::singleton(Atom::outlives(r(2), r(1)));
         let strong = ConstraintSet::singleton(Atom::eq(r(1), r(2)));
 
         let mut env = mk_env(weak.clone());
-        solve_scc_memo(&mut env, &["pre.m".to_string()], &memo);
+        solve(&mut env, &[m], &memo, 0);
         let mut env = mk_env(weak);
-        let hit = solve_scc_memo(&mut env, &["pre.m".to_string()], &memo);
+        let hit = solve(&mut env, &[m], &memo, 0);
         assert!(hit.reused);
-        assert_eq!(env.get("pre.m").unwrap().body.atoms.to_string(), "r4>=r3");
+        assert_eq!(env.get(m).body.atoms.to_string(), "r4>=r3");
 
         let mut env = mk_env(strong);
-        let miss = solve_scc_memo(&mut env, &["pre.m".to_string()], &memo);
+        let miss = solve(&mut env, &[m], &memo, 0);
         assert!(!miss.reused, "changed import must invalidate");
-        assert_eq!(env.get("pre.m").unwrap().body.atoms.to_string(), "r3=r4");
+        assert_eq!(env.get(m).body.atoms.to_string(), "r3=r4");
     }
 
     #[test]
@@ -607,52 +594,26 @@ mod tests {
         let memo = SolveMemo::new();
         let (a, b) = (memo.register_client(), memo.register_client());
         assert_ne!(a, b);
-        // Id 0 is reserved for anonymous `solve_scc_memo` callers; a
-        // registered client must never alias it.
+        // Id 0 is reserved for anonymous callers; a registered client must
+        // never alias it.
         assert_ne!(a, 0);
         assert_ne!(b, 0);
 
-        let mut env = AbsEnv::new();
-        env.insert(join_abs("pre.join", 1));
-        let first = solve_scc_memo_as(
-            &mut env,
-            &["pre.join".to_string()],
-            &memo,
-            a,
-            &mut ImportKeys::new(),
-        );
+        let first = solve(&mut join_env(1), &[JOIN], &memo, a);
         assert!(!first.reused && !first.shared);
 
         // Same client again: a hit, but not a shared one.
-        let mut env = AbsEnv::new();
-        env.insert(join_abs("pre.join", 1));
-        let own = solve_scc_memo_as(
-            &mut env,
-            &["pre.join".to_string()],
-            &memo,
-            a,
-            &mut ImportKeys::new(),
-        );
+        let own = solve(&mut join_env(1), &[JOIN], &memo, a);
         assert!(own.reused && !own.shared);
         assert_eq!(memo.shared_hits(), 0);
 
         // A different client compiling an α-equivalent system: shared hit.
-        let mut env = AbsEnv::new();
-        env.insert(join_abs("pre.join", 77));
-        let other = solve_scc_memo_as(
-            &mut env,
-            &["pre.join".to_string()],
-            &memo,
-            b,
-            &mut ImportKeys::new(),
-        );
+        let mut env = join_env(77);
+        let other = solve(&mut env, &[JOIN], &memo, b);
         assert!(other.reused && other.shared);
         assert_eq!(memo.shared_hits(), 1);
         assert_eq!(memo.hits(), 2);
-        assert_eq!(
-            env.get("pre.join").unwrap().body.atoms.to_string(),
-            "r78>=r84 & r81>=r84"
-        );
+        assert_eq!(env.get(JOIN).body.atoms.to_string(), "r78>=r84 & r81>=r84");
     }
 
     #[test]
@@ -665,16 +626,9 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let client = memo.register_client();
                 let base = 1 + t * 100;
-                let mut env = AbsEnv::new();
-                env.insert(join_abs("pre.join", base));
-                solve_scc_memo_as(
-                    &mut env,
-                    &["pre.join".to_string()],
-                    &memo,
-                    client,
-                    &mut ImportKeys::new(),
-                );
-                env.get("pre.join").unwrap().body.atoms.to_string()
+                let mut env = join_env(base);
+                solve(&mut env, &[JOIN], &memo, client);
+                env.get(JOIN).body.atoms.to_string()
             }));
         }
         let results: Vec<String> = handles.into_iter().map(|h| h.join().unwrap()).collect();

@@ -10,15 +10,16 @@
 //! - [`solve`]: the solver — union-find + outlives graph with cycle
 //!   collapse, entailment, projection (existential elimination) and the
 //!   escape closure of rule \[exp-block\];
-//! - [`abstraction`]: constraint abstractions `inv.cn` / `pre.m` and the
-//!   Kleene fixed-point analysis of Fig 6(d) that supports
-//!   region-polymorphic recursion;
+//! - [`abstraction`]: constraint abstractions `inv.cn` / `pre.m`, kept in
+//!   an environment indexed by dense [`AbsId`]s, and the Kleene fixed-point
+//!   analysis of Fig 6(d) that supports region-polymorphic recursion;
 //! - [`incremental`]: α-invariant canonical forms of abstractions and a
 //!   content-addressed memo of solved SCCs, the engine behind demand-driven
 //!   re-solving in the `Workspace` driver.
 //!
 //! This crate is deliberately independent of the Core-Java frontend: it
-//! deals only in region variables and names.
+//! deals only in region variables and abstraction ids, and keeps each
+//! abstraction's name only to print it and to find it by name.
 //!
 //! # Examples
 //!
@@ -40,9 +41,9 @@ pub mod solve;
 pub mod subst;
 pub mod var;
 
-pub use abstraction::{AbsBody, AbsCall, AbsEnv, ConstraintAbs};
+pub use abstraction::{AbsBody, AbsCall, AbsEnv, AbsId, ConstraintAbs};
 pub use constraint::{Atom, ConstraintSet};
-pub use incremental::{solve_scc_memo, solve_scc_memo_as, ImportKeys, SccOutcome, SolveMemo};
+pub use incremental::{solve_scc_memo_as, ImportKeys, SccOutcome, SolveMemo};
 pub use solve::Solver;
 pub use subst::RegSubst;
 pub use var::{RegVar, RegVarGen};

@@ -6,7 +6,7 @@
 //! re-solve always hits), and whatever the eviction pattern, every reused
 //! closed form must equal the ground-truth fixpoint.
 
-use cj_regions::abstraction::{AbsBody, AbsEnv, ConstraintAbs};
+use cj_regions::abstraction::{AbsBody, AbsEnv, AbsId, ConstraintAbs};
 use cj_regions::constraint::{Atom, ConstraintSet};
 use cj_regions::incremental::{solve_scc_memo_as, ImportKeys, SolveMemo};
 use cj_regions::var::RegVar;
@@ -15,6 +15,9 @@ use proptest::prelude::*;
 /// A byte budget whose per-shard slice holds any one [`variant_env`]
 /// entry but only a few of them, so distinct keys keep evicting.
 const TINY: usize = SolveMemo::SHARDS * 512;
+
+/// The one abstraction of a [`variant_env`].
+const Q: AbsId = AbsId(0);
 
 /// Builds the single-abstraction system of one `variant`, over parameters
 /// starting at `base` (so α-equivalent copies differ in raw ids). The
@@ -36,7 +39,7 @@ fn variant_env(variant: u8, base: u32) -> AbsEnv {
         }
     }
     let mut env = AbsEnv::new();
-    env.insert(ConstraintAbs {
+    env.push(ConstraintAbs {
         name: "q".to_string(),
         params,
         body: AbsBody::from_atoms(atoms),
@@ -48,8 +51,8 @@ fn variant_env(variant: u8, base: u32) -> AbsEnv {
 /// base so solves at any base compare equal after rebasing to it.
 fn ground_truth(variant: u8) -> String {
     let mut env = variant_env(variant, 1);
-    cj_regions::abstraction::solve_fixpoint(&mut env, &["q".to_string()]);
-    env.get("q").unwrap().body.atoms.to_string()
+    cj_regions::abstraction::solve_fixpoint(&mut env, &[Q]);
+    env.get(Q).body.atoms.to_string()
 }
 
 proptest! {
@@ -70,15 +73,15 @@ proptest! {
             // The solve under test (hit or miss, we don't care which —
             // eviction makes it nondeterministic across shard layouts).
             let mut env = variant_env(variant, base);
-            let out = solve_scc_memo_as(&mut env, &["q".to_string()], &memo, client, &mut ImportKeys::new());
+            let out = solve_scc_memo_as(&mut env, &[Q], &memo, client, &mut ImportKeys::new());
             solves += 1;
             // Whatever the memo did, the closed form must be the ground
             // truth rebased onto this op's parameters.
             let mut want = variant_env(variant, base);
-            cj_regions::abstraction::solve_fixpoint(&mut want, &["q".to_string()]);
+            cj_regions::abstraction::solve_fixpoint(&mut want, &[Q]);
             prop_assert_eq!(
-                env.get("q").unwrap().body.atoms.to_string(),
-                want.get("q").unwrap().body.atoms.to_string(),
+                env.get(Q).body.atoms.to_string(),
+                want.get(Q).body.atoms.to_string(),
                 "variant {} at op {}", variant, i
             );
 
@@ -88,7 +91,7 @@ proptest! {
             // whoever the first solve already hit (the owner tag never
             // churns on hits, so both lookups must agree on `shared`)…
             let mut env = variant_env(variant, base + 31);
-            let own = solve_scc_memo_as(&mut env, &["q".to_string()], &memo, client, &mut ImportKeys::new());
+            let own = solve_scc_memo_as(&mut env, &[Q], &memo, client, &mut ImportKeys::new());
             solves += 1;
             prop_assert!(own.reused, "own entry dropped within the round");
             prop_assert_eq!(own.shared, out.reused && out.shared);
@@ -102,7 +105,7 @@ proptest! {
             let other = clients[(who as usize + 1) % clients.len()];
             let shared_before = memo.shared_hits();
             let mut env = variant_env(variant, base + 57);
-            let cross = solve_scc_memo_as(&mut env, &["q".to_string()], &memo, other, &mut ImportKeys::new());
+            let cross = solve_scc_memo_as(&mut env, &[Q], &memo, other, &mut ImportKeys::new());
             solves += 1;
             prop_assert!(cross.reused, "entry dropped between adjacent lookups");
             prop_assert_eq!(
@@ -111,7 +114,7 @@ proptest! {
                 "shared flag and shared counter must move together"
             );
             prop_assert_eq!(
-                env.get("q").unwrap().body.atoms.to_string(),
+                env.get(Q).body.atoms.to_string(),
                 ground_truth_at(variant, base + 57)
             );
         }
@@ -131,8 +134,8 @@ proptest! {
 /// [`ground_truth`] expressed over parameters starting at `base`.
 fn ground_truth_at(variant: u8, base: u32) -> String {
     let mut env = variant_env(variant, base);
-    cj_regions::abstraction::solve_fixpoint(&mut env, &["q".to_string()]);
-    env.get("q").unwrap().body.atoms.to_string()
+    cj_regions::abstraction::solve_fixpoint(&mut env, &[Q]);
+    env.get(Q).body.atoms.to_string()
 }
 
 /// Deterministic companion: drive well past the budget and observe that
@@ -145,13 +148,7 @@ fn tiny_capacity_evicts_and_stays_bounded() {
     for round in 0..4u32 {
         for variant in 0..64u8 {
             let mut env = variant_env(variant, 1 + round * 6400 + variant as u32 * 100);
-            solve_scc_memo_as(
-                &mut env,
-                &["q".to_string()],
-                &memo,
-                client,
-                &mut ImportKeys::new(),
-            );
+            solve_scc_memo_as(&mut env, &[Q], &memo, client, &mut ImportKeys::new());
             assert!(memo.bytes() <= TINY);
         }
     }

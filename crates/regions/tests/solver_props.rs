@@ -9,7 +9,7 @@
 //! model search: if the solver claims entailment, no counter-model may
 //! exist among a batch of random assignments that satisfy C.
 
-use cj_regions::{Atom, ConstraintSet, RegVar, Solver};
+use cj_regions::{Atom, ConstraintSet, RegSubst, RegVar, Solver};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -100,15 +100,15 @@ proptest! {
         let params: Vec<RegVar> = (1..=NVARS).map(RegVar).collect();
         let set: ConstraintSet = atoms.iter().copied().collect();
         let mut env = AbsEnv::new();
-        env.insert(ConstraintAbs {
+        let p = env.push(ConstraintAbs {
             name: "p".into(),
             params: params.clone(),
             body: AbsBody::from_atoms(set),
         });
-        cj_regions::abstraction::solve_fixpoint(&mut env, &["p".to_string()]);
-        let once = env.get("p").unwrap().body.atoms.clone();
-        cj_regions::abstraction::solve_fixpoint(&mut env, &["p".to_string()]);
-        let twice = env.get("p").unwrap().body.atoms.clone();
+        cj_regions::abstraction::solve_fixpoint(&mut env, &[p]);
+        let once = env.get(p).body.atoms.clone();
+        cj_regions::abstraction::solve_fixpoint(&mut env, &[p]);
+        let twice = env.get(p).body.atoms.clone();
         prop_assert_eq!(once, twice);
     }
 }
@@ -242,6 +242,9 @@ proptest! {
     }
 }
 
+/// The one abstraction of a [`closed_application`] environment.
+const Q: cj_regions::AbsId = cj_regions::AbsId(0);
+
 /// A closed abstraction `q⟨params⟩` whose atoms join the positions
 /// `atoms` of `params` and the heap (position `params.len()`), applied to
 /// `args`. Parameters may repeat; a repeated parameter gets the argument
@@ -276,7 +279,7 @@ fn closed_application(
         })
         .collect();
     let mut env = AbsEnv::new();
-    env.insert(ConstraintAbs {
+    env.push(ConstraintAbs {
         name: "q".into(),
         params,
         body: AbsBody::from_atoms(body),
@@ -310,9 +313,9 @@ proptest! {
         }
     }
 
-    /// `instantiate_into` conjoins the same constraint as adding the set
-    /// `instantiate` builds: both solvers project alike onto every
-    /// variable either could mention.
+    /// `instantiate_into` conjoins the same constraint as adding the
+    /// closed atoms under `RegSubst::instantiation`: both solvers project
+    /// alike onto every variable either could mention.
     #[test]
     fn instantiate_into_matches_instantiate(
         base in proptest::collection::vec(arb_atom(), 0..8),
@@ -323,9 +326,10 @@ proptest! {
         let (env, args) = closed_application(params, &atoms, args);
         let base: ConstraintSet = base.iter().copied().collect();
         let mut via_set = Solver::from_set(&base);
-        via_set.add_set(&env.instantiate("q", &args));
+        let q = env.get(Q);
+        via_set.add_set(&q.body.atoms.subst(&RegSubst::instantiation(&q.params, &args)));
         let mut direct = Solver::from_set(&base);
-        env.instantiate_into("q", &args, &mut direct);
+        env.instantiate_into(Q, &args, &mut direct);
         let all: BTreeSet<RegVar> = (0..=12).map(RegVar).collect();
         prop_assert_eq!(direct.project(&all), via_set.project(&all));
     }
@@ -338,10 +342,10 @@ proptest! {
 fn instantiate_into_rejects_conflicting_arguments() {
     use cj_regions::{AbsBody, AbsEnv, ConstraintAbs};
     let mut env = AbsEnv::new();
-    env.insert(ConstraintAbs {
+    let q = env.push(ConstraintAbs {
         name: "q".into(),
         params: vec![RegVar(1), RegVar(1)],
         body: AbsBody::from_atoms(ConstraintSet::new()),
     });
-    env.instantiate_into("q", &[RegVar(2), RegVar(3)], &mut Solver::new());
+    env.instantiate_into(q, &[RegVar(2), RegVar(3)], &mut Solver::new());
 }
