@@ -46,7 +46,7 @@ use cj_frontend::graph::tarjan_scc;
 use cj_frontend::kernel::KProgram;
 use cj_frontend::types::MethodId;
 use cj_regions::abstraction::{solve_fixpoint, AbsBody, AbsEnv, AbsId, ConstraintAbs};
-use cj_regions::incremental::{solve_scc_memo_as, ImportKeys, SccOutcome, SolveMemo};
+use cj_regions::incremental::{solve_scc_memo_as, SccOutcome, SolveMemo};
 use cj_regions::solve::Solver;
 
 /// Runs region inference over a kernel program.
@@ -336,7 +336,6 @@ fn solve_dirty(
     carried: &mut u64,
 ) -> (Vec<bool>, usize) {
     let mut span = cj_trace::span("pipeline", "dirty-set");
-    let mut imports = ImportKeys::new();
     let mut changed = vec![false; raw.len()];
     let (mut dirty_sccs, mut iterations) = (0, 0);
     for group in groups {
@@ -359,7 +358,7 @@ fn solve_dirty(
             .iter()
             .map(|&n| std::mem::replace(&mut closed.get_mut(n).body, raw.get(n).body.clone()))
             .collect();
-        let outcome = solve_scc_memo_as(closed, group, memo, client, &mut imports);
+        let outcome = solve_scc_memo_as(closed, group, memo, client);
         record_outcome(outcome, stats);
         iterations += outcome.iterations;
         for (&n, old) in group.iter().zip(before) {

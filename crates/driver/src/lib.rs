@@ -19,8 +19,7 @@
 //! [`Session`] is the single-source facade (one file named `<input>`),
 //! [`Server`] the JSON-lines compile-server loop behind `cjrc serve`,
 //! [`Daemon`] the `cjrcd` socket front end multiplexing many such servers
-//! over one shared cross-client SCC solve memo, and [`compile_many`]
-//! batch-compiles independent sources on worker threads.
+//! over one shared cross-client SCC solve memo.
 //! Errors from every stage are structured
 //! [`Diagnostics`](cj_diag::Diagnostics) with spans, stable codes, caret
 //! rendering and a JSON form; no stage returns `Box<dyn Error>` or
@@ -56,14 +55,12 @@
 //! ```
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod daemon;
 pub mod server;
 pub mod session;
 pub mod telemetry;
 pub mod workspace;
 
-pub use batch::{compile_many, SourceInput};
 pub use cj_diag::json::{parse_json, Json};
 pub use daemon::{Daemon, DaemonConfig, DaemonStats, DaemonSummary};
 pub use server::Server;

@@ -1,8 +1,7 @@
 //! Integration tests for the staged `Session` driver: artifact caching,
-//! kernel sharing across subtype modes, batch compilation, and error
-//! behaviour.
+//! kernel sharing across subtype modes, and error behaviour.
 
-use cj_driver::{compile_many, Session, SessionOptions, SourceInput};
+use cj_driver::{Session, SessionOptions};
 use cj_infer::{DowncastPolicy, InferOptions, SubtypeMode};
 use cj_runtime::Value;
 
@@ -107,45 +106,6 @@ fn infer_artifacts_are_keyed_by_full_options() {
     })
     .unwrap();
     assert_eq!(s.pass_counts().infer, 3, "reject attempt ran inference");
-}
-
-#[test]
-fn compile_many_preserves_order_and_isolates_failures() {
-    let inputs = vec![
-        SourceInput::new("ok-1", PAIR),
-        SourceInput::new("broken-parse", "class {"),
-        SourceInput::new(
-            "ok-2",
-            "class Cell { Object item; Object get() { this.item } }",
-        ),
-        SourceInput::new("broken-types", "class A { Unknown u; }"),
-    ];
-    let results = compile_many(&inputs, &SessionOptions::default());
-    assert_eq!(results.len(), 4);
-    assert!(results[0].is_ok());
-    assert!(results[1].is_err());
-    assert!(results[2].is_ok());
-    assert!(results[3].is_err());
-    let pair = results[0].as_ref().unwrap();
-    assert!(pair.stats.regions_created > 0);
-    let parse_err = results[1].as_ref().unwrap_err();
-    assert!(parse_err.has_errors());
-}
-
-#[test]
-fn compile_many_handles_large_batches() {
-    // More sources than cores: the shared queue must drain completely.
-    let inputs: Vec<SourceInput> = (0..64)
-        .map(|i| {
-            SourceInput::new(
-                format!("gen-{i}"),
-                format!("class G{i} {{ int v; int get() {{ this.v + {i} }} }}"),
-            )
-        })
-        .collect();
-    let results = compile_many(&inputs, &SessionOptions::default());
-    assert_eq!(results.len(), 64);
-    assert!(results.iter().all(|r| r.is_ok()));
 }
 
 #[test]

@@ -62,11 +62,8 @@ impl Symbol {
     ///
     /// Lookups of already-interned strings (the overwhelmingly common case
     /// once a workload warms up) take only the read lock of the shard
-    /// owning `s`'s hash ([`INTERNER_SHARDS`] shards), so parallel
-    /// compilation — [`compile_many`]-style batch drivers and concurrent
-    /// daemon clients — does not serialize on the interner.
-    ///
-    /// [`compile_many`]: https://docs.rs/cj-driver
+    /// owning `s`'s hash ([`INTERNER_SHARDS`] shards), so concurrent
+    /// daemon clients do not serialize on the interner.
     pub fn intern(s: &str) -> Symbol {
         let shard = shard_for(s);
         if let Some(&sym) = shard.read().expect("interner poisoned").map.get(s) {

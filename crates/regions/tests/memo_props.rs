@@ -1,4 +1,4 @@
-//! Property tests for [`SolveMemo`]'s bounded per-shard flush: under a
+//! Property tests for [`SolveMemo`]'s bounded whole-table flush: under a
 //! tiny byte budget that forces constant evictions, owner-tagged accounting
 //! must stay exact (every solve is exactly one hit or one miss, shared
 //! hits only on other clients' entries), an entry freshly stored in a
@@ -8,13 +8,14 @@
 
 use cj_regions::abstraction::{AbsBody, AbsEnv, AbsId, ConstraintAbs};
 use cj_regions::constraint::{Atom, ConstraintSet};
-use cj_regions::incremental::{solve_scc_memo_as, ImportKeys, SolveMemo};
+use cj_regions::incremental::{solve_scc_memo_as, SolveMemo};
 use cj_regions::var::RegVar;
 use proptest::prelude::*;
 
-/// A byte budget whose per-shard slice holds any one [`variant_env`]
-/// entry but only a few of them, so distinct keys keep evicting.
-const TINY: usize = SolveMemo::SHARDS * 512;
+/// A whole-table byte budget that holds any one [`variant_env`] entry
+/// (84–216 bytes each) but at most six of them, so distinct keys keep
+/// evicting.
+const TINY: usize = 512;
 
 /// The one abstraction of a [`variant_env`].
 const Q: AbsId = AbsId(0);
@@ -60,7 +61,7 @@ proptest! {
     fn bounded_flush_preserves_accounting_and_round_local_entries(
         ops in proptest::collection::vec((any::<u8>(), 0u8..3), 1..60)
     ) {
-        // A few entries per shard: distinct keys keep evicting.
+        // A few entries in the whole table: distinct keys keep evicting.
         let memo = SolveMemo::with_capacity(TINY);
         let clients: Vec<u64> = (0..3).map(|_| memo.register_client()).collect();
         let mut solves = 0u64;
@@ -71,9 +72,9 @@ proptest! {
             distinct.insert((ground_truth(variant), 2 + (variant % 4)));
 
             // The solve under test (hit or miss, we don't care which —
-            // eviction makes it nondeterministic across shard layouts).
+            // eviction makes it depend on the whole op sequence).
             let mut env = variant_env(variant, base);
-            let out = solve_scc_memo_as(&mut env, &[Q], &memo, client, &mut ImportKeys::new());
+            let out = solve_scc_memo_as(&mut env, &[Q], &memo, client);
             solves += 1;
             // Whatever the memo did, the closed form must be the ground
             // truth rebased onto this op's parameters.
@@ -91,7 +92,7 @@ proptest! {
             // whoever the first solve already hit (the owner tag never
             // churns on hits, so both lookups must agree on `shared`)…
             let mut env = variant_env(variant, base + 31);
-            let own = solve_scc_memo_as(&mut env, &[Q], &memo, client, &mut ImportKeys::new());
+            let own = solve_scc_memo_as(&mut env, &[Q], &memo, client);
             solves += 1;
             prop_assert!(own.reused, "own entry dropped within the round");
             prop_assert_eq!(own.shared, out.reused && out.shared);
@@ -105,7 +106,7 @@ proptest! {
             let other = clients[(who as usize + 1) % clients.len()];
             let shared_before = memo.shared_hits();
             let mut env = variant_env(variant, base + 57);
-            let cross = solve_scc_memo_as(&mut env, &[Q], &memo, other, &mut ImportKeys::new());
+            let cross = solve_scc_memo_as(&mut env, &[Q], &memo, other);
             solves += 1;
             prop_assert!(cross.reused, "entry dropped between adjacent lookups");
             prop_assert_eq!(
@@ -119,7 +120,7 @@ proptest! {
             );
         }
         // Exact accounting: every solve is one hit or one miss, never
-        // both, never neither — no matter how many shards flushed.
+        // both, never neither — no matter how often the table flushed.
         prop_assert_eq!(memo.hits() + memo.misses(), solves);
         prop_assert!(memo.shared_hits() <= memo.hits());
         // The budget holds at all times (spot-checked at the end; `store`
@@ -148,7 +149,7 @@ fn tiny_capacity_evicts_and_stays_bounded() {
     for round in 0..4u32 {
         for variant in 0..64u8 {
             let mut env = variant_env(variant, 1 + round * 6400 + variant as u32 * 100);
-            solve_scc_memo_as(&mut env, &[Q], &memo, client, &mut ImportKeys::new());
+            solve_scc_memo_as(&mut env, &[Q], &memo, client);
             assert!(memo.bytes() <= TINY);
         }
     }

@@ -86,8 +86,7 @@ pub mod prelude {
     pub use cj_check::check;
     pub use cj_diag::{Diagnostic, Diagnostics, Emitter, IntoDiagnostic, IntoDiagnostics};
     pub use cj_driver::{
-        compile_many, Compilation, CompileResult, PassCounts, Server, Session, SessionOptions,
-        SourceInput, Workspace,
+        Compilation, CompileResult, PassCounts, Server, Session, SessionOptions, Workspace,
     };
     pub use cj_infer::{
         infer_source, DowncastPolicy, ExtentMode, InferOptions, InferStats, RProgram, SubtypeMode,
