@@ -113,8 +113,8 @@ impl From<RegionError> for RuntimeError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// The `cj-rvm` register-machine engine: the program is lowered to
-    /// register bytecode with superinstructions and run with
-    /// direct-threaded dispatch over a bump-arena region heap.
+    /// register bytecode with superinstructions and run by a `match`
+    /// dispatch loop over a bump-arena region heap.
     #[default]
     Rvm,
     /// The tree-walking reference interpreter in this crate.

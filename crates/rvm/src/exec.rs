@@ -1,13 +1,14 @@
-//! The direct-threaded register engine.
+//! The register engine's executor.
 //!
-//! Dispatch is *direct-threaded* in the safe-Rust sense: every opcode's
-//! handler is a free function, `HANDLERS` is a dense array of function
-//! pointers indexed by the opcode discriminant, and the hot loop is
-//! nothing but `pc = HANDLERS[op](…)?` — no `match` over the
-//! instruction set in the dispatch path. A handler returns the next
-//! program counter; the `SWITCH` sentinel means the frame stack
-//! changed (call or return) and the outer loop must re-establish the
-//! frame bases.
+//! Dispatch is one `match` on the opcode inside the dispatch loop, each
+//! arm the opcode's handler inlined, so the program counter and the frame
+//! bases stay in locals of one function. A call or a return leaves the
+//! inner loop, and the outer loop re-establishes the frame bases.
+//!
+//! A call copies the callee's register-file template — its variable
+//! defaults, then `Unit` for the temporaries, built once per run — and
+//! writes the region instantiation straight into the callee's region
+//! slots.
 //!
 //! Observable behaviour — return value, captured prints,
 //! [`SpaceStats`], and structured [`RuntimeError`]s with their spans —
@@ -33,7 +34,8 @@ use cj_frontend::span::Span;
 use cj_runtime::store::ObjId;
 use cj_runtime::{Outcome, RunConfig, RuntimeError, Value};
 use cj_vm::code::{
-    bin_of, CallTarget, CmpOp, Lit, RInstr, RegRef, RvmMethod, RvmProgram, SlotTy, OP_COUNT,
+    bin_of, CallTarget, CastSite, CmpOp, Lit, NewSite, RInstr, ROp, RegRef, RvmMethod, RvmProgram,
+    SlotTy,
 };
 use cj_vm::heap::{pack_ref, ObjRef, RegionHeap, NULL_WORD};
 use std::fmt;
@@ -208,6 +210,9 @@ struct Frame {
 struct Rvm<'a> {
     p: &'a RvmProgram,
     heap: RegionHeap,
+    /// Per method, the register file a fresh frame starts from: the
+    /// variable defaults, then `Unit` for the temporaries.
+    templates: Vec<Vec<RValue>>,
     /// Register files of every live frame, contiguously.
     regs: Vec<RValue>,
     /// Region slot values (region ids; 0 = heap) for every frame.
@@ -224,55 +229,9 @@ struct Rvm<'a> {
     /// Superinstruction dispatches retired (a telemetry counter).
     supers: u64,
     prints: Vec<String>,
-    inst_buf: Vec<u32>,
     reg_buf: Vec<u32>,
     word_buf: Vec<u64>,
-    ret: RValue,
 }
-
-/// Handler return value meaning "the frame stack changed" — re-enter the
-/// outer loop (or finish, when the last frame returned).
-const SWITCH: u32 = u32::MAX;
-
-/// One opcode's execution routine: returns the next program counter (or
-/// [`SWITCH`]).
-type Handler = fn(&mut Rvm<'_>, &RvmMethod, RInstr, usize) -> Step;
-
-/// A handler's outcome: the next program counter (or [`SWITCH`]), or a
-/// runtime fault.
-type Step = Result<u32, RuntimeError>;
-
-/// The dense dispatch table, indexed by the [`ROp`](cj_vm::ROp) discriminant (order
-/// pinned by a unit test below).
-static HANDLERS: [Handler; OP_COUNT] = [
-    h_load_const,
-    h_move,
-    h_add_imm,
-    h_unary,
-    h_binary,
-    h_get_field,
-    h_set_field,
-    h_index,
-    h_set_index,
-    h_array_len,
-    h_new_obj,
-    h_new_arr,
-    h_reg_push,
-    h_reg_pop,
-    h_call,
-    h_field_call,
-    h_cast,
-    h_jump,
-    h_jmp_if,
-    h_jmp_if_not,
-    h_jmp_cmp,
-    h_jmp_cmp_not,
-    h_jmp_cmp_c,
-    h_jmp_cmp_not_c,
-    h_inc_jump,
-    h_print,
-    h_ret,
-];
 
 /// Runs the program's static `main` on the register engine.
 ///
@@ -286,9 +245,19 @@ pub fn run_main(p: &RvmProgram, args: &[Value], cfg: RunConfig) -> Result<Outcom
     if method.params.len() != args.len() {
         return Err(RuntimeError::BadMainArgs);
     }
+    let templates = p
+        .methods
+        .iter()
+        .map(|m| {
+            let mut regs: Vec<RValue> = m.defaults.iter().map(|&d| lit_value(d)).collect();
+            regs.resize(m.nregs as usize, RValue::Unit);
+            regs
+        })
+        .collect();
     let mut vm = Rvm {
         p,
         heap: RegionHeap::new(),
+        templates,
         regs: Vec::with_capacity(256),
         rslots: Vec::with_capacity(64),
         frames: Vec::with_capacity(64),
@@ -300,14 +269,10 @@ pub fn run_main(p: &RvmProgram, args: &[Value], cfg: RunConfig) -> Result<Outcom
         erase: cfg.erase_regions,
         supers: 0,
         prints: Vec::new(),
-        inst_buf: Vec::new(),
         reg_buf: Vec::new(),
         word_buf: Vec::new(),
-        ret: RValue::Unit,
     };
-    vm.regs
-        .extend(method.defaults.iter().map(|&d| lit_value(d)));
-    vm.regs.resize(method.nregs as usize, RValue::Unit);
+    vm.regs.extend_from_slice(&vm.templates[func as usize]);
     for (k, &a) in args.iter().enumerate() {
         let v = from_value(a).ok_or(RuntimeError::BadMainArgs)?;
         vm.regs[method.params[k] as usize] = v;
@@ -322,14 +287,20 @@ pub fn run_main(p: &RvmProgram, args: &[Value], cfg: RunConfig) -> Result<Outcom
         dst: 0,
     });
     let mut span = cj_trace::span("pipeline", "rvm-exec");
-    let value = vm.run()?;
-    span.add("dispatches", vm.steps);
-    span.add("superinstructions_hit", vm.supers);
+    let value = vm.run();
+    if value.is_ok() {
+        span.add("dispatches", vm.steps);
+        span.add("superinstructions_hit", vm.supers);
+    }
+    let (space, steps, prints) = (vm.heap.stats(), vm.steps, std::mem::take(&mut vm.prints));
+    // Freeing the arenas and register files is the engine's work too.
+    drop(vm);
+    drop(span);
     Ok(Outcome {
-        value: to_value(value),
-        space: vm.heap.stats(),
-        steps: vm.steps,
-        prints: vm.prints,
+        value: to_value(value?),
+        space,
+        steps,
+        prints,
     })
 }
 
@@ -380,11 +351,13 @@ impl Rvm<'_> {
         }
     }
 
+    /// The dispatch loop: one `match` on the opcode per step. The outer
+    /// loop re-establishes the frame bases after a call or a return.
     fn run(&mut self) -> Result<RValue, RuntimeError> {
         let p = self.p;
         'frames: loop {
             let frame = *self.frames.last().expect("active frame");
-            let method: &RvmMethod = &p.methods[frame.func as usize];
+            let m: &RvmMethod = &p.methods[frame.func as usize];
             self.lbase = frame.regs as usize;
             self.rbase = frame.rslots as usize;
             let mut pc = frame.pc as usize;
@@ -393,33 +366,224 @@ impl Rvm<'_> {
                 if self.steps > self.limit {
                     return Err(RuntimeError::StepLimit);
                 }
-                let i = method.code[pc];
-                let next = HANDLERS[i.op as usize](self, method, i, pc)?;
-                if next == SWITCH {
-                    if self.frames.is_empty() {
-                        return Ok(self.ret);
+                let i = m.code[pc];
+                pc = match i.op {
+                    ROp::LoadConst => {
+                        self.set_reg(i.a, lit_value(m.consts[i.t as usize]));
+                        pc + 1
                     }
-                    continue 'frames;
-                }
-                pc = next as usize;
+                    ROp::Move => {
+                        let v = self.reg(i.b);
+                        self.set_reg(i.a, v);
+                        pc + 1
+                    }
+                    ROp::AddImm => {
+                        let v = self.reg(i.b).as_int().wrapping_add(i.imm);
+                        self.set_reg(i.a, RValue::Int(v));
+                        self.supers += 1;
+                        pc + 1
+                    }
+                    ROp::Unary => {
+                        let out = match (i.c, self.reg(i.b)) {
+                            (0, RValue::Int(x)) => RValue::Int(x.wrapping_neg()),
+                            (0, RValue::Float(x)) => RValue::Float(-x),
+                            (1, RValue::Bool(x)) => RValue::Bool(!x),
+                            _ => unreachable!("ill-typed unary"),
+                        };
+                        self.set_reg(i.a, out);
+                        pc + 1
+                    }
+                    ROp::Binary => {
+                        let out = binary(bin_of(i.t), self.reg(i.b), self.reg(i.c), m.spans[pc])?;
+                        self.set_reg(i.a, out);
+                        pc + 1
+                    }
+                    ROp::GetField => {
+                        self.get_field(i, m.spans[pc])?;
+                        pc + 1
+                    }
+                    ROp::SetField => {
+                        let r = self.deref(self.reg(i.a), m.spans[pc])?;
+                        let word = encode(i.ty, self.reg(i.b));
+                        self.heap.set_field(r, i.c as usize, word);
+                        pc + 1
+                    }
+                    ROp::Index => {
+                        let idx = self.reg(i.c).as_int();
+                        let r = self.deref(self.reg(i.b), m.spans[pc])?;
+                        let Some(word) = self.heap.element(r, idx as usize) else {
+                            return Err(RuntimeError::IndexOutOfBounds(m.spans[pc]));
+                        };
+                        let v = self.decode(i.ty, word);
+                        self.set_reg(i.a, v);
+                        pc + 1
+                    }
+                    ROp::SetIndex => {
+                        let idx = self.reg(i.b).as_int();
+                        let val = self.reg(i.c);
+                        let r = self.deref(self.reg(i.a), m.spans[pc])?;
+                        if !self.heap.set_element(r, idx as usize, encode(i.ty, val)) {
+                            return Err(RuntimeError::IndexOutOfBounds(m.spans[pc]));
+                        }
+                        pc + 1
+                    }
+                    ROp::ArrayLen => {
+                        let r = self.deref(self.reg(i.b), m.spans[pc])?;
+                        let len = self.heap.array_len(r) as i64;
+                        self.set_reg(i.a, RValue::Int(len));
+                        pc + 1
+                    }
+                    ROp::NewObj => {
+                        self.new_obj(&m.news[i.t as usize], i.a)?;
+                        pc + 1
+                    }
+                    ROp::NewArr => {
+                        let site = m.arrays[i.t as usize];
+                        let n = self.reg(i.b).as_int();
+                        if n < 0 {
+                            return Err(RuntimeError::NegativeLength(m.spans[pc]));
+                        }
+                        let region = self.resolve(site.region);
+                        let obj = self.heap.alloc_array(region, site.elem, n as usize)?;
+                        self.set_reg(i.a, RValue::Ref(obj));
+                        pc + 1
+                    }
+                    ROp::RegPush => {
+                        // Region-erasure semantics: the letreg is a no-op
+                        // and its region variable denotes the heap.
+                        let id = if self.erase { 0 } else { self.heap.push() };
+                        self.rslots[self.rbase + i.a as usize] = id;
+                        pc + 1
+                    }
+                    ROp::RegPop => {
+                        if !self.erase {
+                            self.heap.pop(self.rslots[self.rbase + i.a as usize])?;
+                        }
+                        pc + 1
+                    }
+                    ROp::Call => {
+                        self.call(m, i.t as usize, pc)?;
+                        continue 'frames;
+                    }
+                    ROp::FieldCall => {
+                        // Field half first (its faults carry the field
+                        // access's span)…
+                        self.get_field(i, m.spans[pc])?;
+                        self.supers += 1;
+                        // …then the call half (its faults carry the call's
+                        // span).
+                        self.call(m, i.t as usize, pc)?;
+                        continue 'frames;
+                    }
+                    ROp::Cast => {
+                        self.cast(m.casts[i.t as usize], i.a, m.spans[pc])?;
+                        pc + 1
+                    }
+                    ROp::Jump => i.t as usize,
+                    ROp::JmpIf => branch(self.reg(i.a).as_bool(), i, pc),
+                    ROp::JmpIfNot => branch(!self.reg(i.a).as_bool(), i, pc),
+                    ROp::JmpCmp => {
+                        self.supers += 1;
+                        let taken = cmp_eval(CmpOp::from_code(i.c), self.reg(i.a), self.reg(i.b));
+                        branch(taken, i, pc)
+                    }
+                    ROp::JmpCmpNot => {
+                        self.supers += 1;
+                        let taken = cmp_eval(CmpOp::from_code(i.c), self.reg(i.a), self.reg(i.b));
+                        branch(!taken, i, pc)
+                    }
+                    ROp::JmpCmpC => {
+                        self.supers += 1;
+                        let rhs = lit_value(m.consts[i.imm as usize]);
+                        branch(cmp_eval(CmpOp::from_code(i.c), self.reg(i.a), rhs), i, pc)
+                    }
+                    ROp::JmpCmpNotC => {
+                        self.supers += 1;
+                        let rhs = lit_value(m.consts[i.imm as usize]);
+                        branch(!cmp_eval(CmpOp::from_code(i.c), self.reg(i.a), rhs), i, pc)
+                    }
+                    ROp::IncJump => {
+                        let v = self.reg(i.a).as_int().wrapping_add(i.imm);
+                        self.set_reg(i.a, RValue::Int(v));
+                        self.supers += 1;
+                        i.t as usize
+                    }
+                    ROp::Print => {
+                        let s = self.reg(i.a).to_string();
+                        self.prints.push(s);
+                        pc + 1
+                    }
+                    ROp::Ret => match self.ret(self.reg(i.a)) {
+                        Some(value) => return Ok(value),
+                        None => continue 'frames,
+                    },
+                };
             }
         }
     }
 
+    /// `r[a] = decode(ty, field c of the object in r[b])`.
+    #[inline(always)]
+    fn get_field(&mut self, i: RInstr, span: Span) -> Result<(), RuntimeError> {
+        let r = self.deref(self.reg(i.b), span)?;
+        let word = self.heap.field(r, i.c as usize);
+        let v = self.decode(i.ty, word);
+        self.set_reg(i.a, v);
+        Ok(())
+    }
+
+    #[inline]
+    fn new_obj(&mut self, site: &NewSite, dst: u16) -> Result<(), RuntimeError> {
+        self.reg_buf.clear();
+        for &r in &site.regions {
+            let id = self.resolve(r);
+            self.reg_buf.push(id);
+        }
+        self.word_buf.clear();
+        for &(var, ty) in &site.args {
+            let w = encode(ty, self.reg(var));
+            self.word_buf.push(w);
+        }
+        let obj =
+            self.heap
+                .alloc_object(self.reg_buf[0], site.class, &self.reg_buf, &self.word_buf)?;
+        self.set_reg(dst, RValue::Ref(obj));
+        Ok(())
+    }
+
+    #[inline]
+    fn cast(&mut self, site: CastSite, dst: u16, span: Span) -> Result<(), RuntimeError> {
+        let v = self.reg(site.var);
+        match v {
+            RValue::Null => self.set_reg(dst, RValue::Null),
+            RValue::Ref(r) => {
+                if !self.heap.is_live(r.region) {
+                    // The arena that held the class header is gone (the
+                    // deliberate unchecked-program divergence above).
+                    return Err(RuntimeError::DanglingAccess(span));
+                }
+                let class = self.heap.class_of(r) as usize;
+                if !self.p.subclass[class][site.class as usize] {
+                    return Err(RuntimeError::CastFailed(span));
+                }
+                self.set_reg(dst, v);
+            }
+            _ => return Err(RuntimeError::CastFailed(span)),
+        }
+        Ok(())
+    }
+
     /// The shared call protocol of `ROp::Call` and `ROp::FieldCall`:
-    /// pushes the callee frame (region binding identical to the
-    /// interpreter's) and reports a frame switch.
-    fn do_call(&mut self, m: &RvmMethod, site_idx: usize, pc: usize) -> Step {
+    /// pushes the callee frame, its registers copied from the callee's
+    /// template and its region slots bound exactly as the interpreter
+    /// binds them.
+    #[inline]
+    fn call(&mut self, m: &RvmMethod, site_idx: usize, pc: usize) -> Result<(), RuntimeError> {
         if self.frames.len() as u32 > self.max_depth {
             return Err(RuntimeError::DepthLimit);
         }
         let p = self.p;
         let site = &m.calls[site_idx];
-        self.inst_buf.clear();
-        for &r in &site.inst {
-            let id = self.resolve(r);
-            self.inst_buf.push(id);
-        }
         let (func, receiver) = match site.target {
             CallTarget::Static(f) => (f, None),
             CallTarget::Virtual { vslot, recv } => {
@@ -430,10 +594,7 @@ impl Rvm<'_> {
         };
         let callee: &RvmMethod = &p.methods[func as usize];
         let new_lbase = self.regs.len();
-        self.regs
-            .extend(callee.defaults.iter().map(|&d| lit_value(d)));
-        self.regs
-            .resize(new_lbase + callee.nregs as usize, RValue::Unit);
+        self.regs.extend_from_slice(&self.templates[func as usize]);
         if let Some(r) = receiver {
             self.regs[new_lbase] = RValue::Ref(r);
         }
@@ -441,31 +602,29 @@ impl Rvm<'_> {
             let v = self.regs[self.lbase + a as usize];
             self.regs[new_lbase + callee.params[k] as usize] = v;
         }
+        // Region instantiation, resolved against the caller's slots and
+        // pushed as the callee's first `abs_params` slots. An instance
+        // target binds its class region parameters from the receiver's
+        // recorded regions, and its method region parameters positionally
+        // from the declared instantiation's tail.
         let new_rbase = self.rslots.len();
-        self.rslots
-            .resize(new_rbase + callee.region_slots as usize, 0);
-        match receiver {
-            // Instance target: class region parameters come from the
-            // receiver's recorded regions, method region parameters
-            // positionally from the declared instantiation tail.
+        let (bound, tail) = match receiver {
             Some(r) => {
                 let ncp = callee.class_params as usize;
                 for i in 0..ncp {
-                    self.rslots[new_rbase + i] = self.heap.region_arg(r, i);
+                    let id = self.heap.region_arg(r, i);
+                    self.rslots.push(id);
                 }
-                let tail = (site.tail_start as usize).min(self.inst_buf.len());
-                let nmp = callee.abs_params as usize - ncp;
-                for j in 0..nmp {
-                    self.rslots[new_rbase + ncp + j] =
-                        self.inst_buf.get(tail + j).copied().unwrap_or(0);
-                }
+                (ncp, (site.tail_start as usize).min(site.inst.len()))
             }
-            None => {
-                for i in 0..callee.abs_params as usize {
-                    self.rslots[new_rbase + i] = self.inst_buf.get(i).copied().unwrap_or(0);
-                }
-            }
+            None => (0, 0),
+        };
+        for j in 0..callee.abs_params as usize - bound {
+            let id = site.inst.get(tail + j).map_or(0, |&r| self.resolve(r));
+            self.rslots.push(id);
         }
+        self.rslots
+            .resize(new_rbase + callee.region_slots as usize, 0);
         self.frames.last_mut().expect("frame").pc = (pc + 1) as u32;
         self.frames.push(Frame {
             func,
@@ -474,292 +633,41 @@ impl Rvm<'_> {
             rslots: new_rbase as u32,
             dst: site.dst,
         });
-        Ok(SWITCH)
+        Ok(())
     }
-}
 
-fn h_load_const(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    vm.set_reg(i.a, lit_value(m.consts[i.t as usize]));
-    Ok((pc + 1) as u32)
-}
-
-fn h_move(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    let v = vm.reg(i.b);
-    vm.set_reg(i.a, v);
-    Ok((pc + 1) as u32)
-}
-
-fn h_add_imm(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    let v = vm.reg(i.b).as_int().wrapping_add(i.imm);
-    vm.set_reg(i.a, RValue::Int(v));
-    vm.supers += 1;
-    Ok((pc + 1) as u32)
-}
-
-fn h_unary(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    let v = vm.reg(i.b);
-    let out = match (i.c, v) {
-        (0, RValue::Int(x)) => RValue::Int(x.wrapping_neg()),
-        (0, RValue::Float(x)) => RValue::Float(-x),
-        (1, RValue::Bool(x)) => RValue::Bool(!x),
-        _ => unreachable!("ill-typed unary"),
-    };
-    vm.set_reg(i.a, out);
-    Ok((pc + 1) as u32)
-}
-
-fn h_binary(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    let l = vm.reg(i.b);
-    let r = vm.reg(i.c);
-    let out = binary(bin_of(i.t), l, r, m.spans[pc])?;
-    vm.set_reg(i.a, out);
-    Ok((pc + 1) as u32)
-}
-
-fn h_get_field(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    let r = vm.deref(vm.reg(i.b), m.spans[pc])?;
-    let word = vm.heap.field(r, i.c as usize);
-    let v = vm.decode(i.ty, word);
-    vm.set_reg(i.a, v);
-    Ok((pc + 1) as u32)
-}
-
-fn h_set_field(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    let r = vm.deref(vm.reg(i.a), m.spans[pc])?;
-    let word = encode(i.ty, vm.reg(i.b));
-    vm.heap.set_field(r, i.c as usize, word);
-    Ok((pc + 1) as u32)
-}
-
-fn h_index(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    let idx = vm.reg(i.c).as_int();
-    let r = vm.deref(vm.reg(i.b), m.spans[pc])?;
-    match vm.heap.element(r, idx as usize) {
-        Some(word) => {
-            let v = vm.decode(i.ty, word);
-            vm.set_reg(i.a, v);
-            Ok((pc + 1) as u32)
-        }
-        None => Err(RuntimeError::IndexOutOfBounds(m.spans[pc])),
-    }
-}
-
-fn h_set_index(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    let idx = vm.reg(i.b).as_int();
-    let val = vm.reg(i.c);
-    let r = vm.deref(vm.reg(i.a), m.spans[pc])?;
-    if vm.heap.set_element(r, idx as usize, encode(i.ty, val)) {
-        Ok((pc + 1) as u32)
-    } else {
-        Err(RuntimeError::IndexOutOfBounds(m.spans[pc]))
-    }
-}
-
-fn h_array_len(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    let r = vm.deref(vm.reg(i.b), m.spans[pc])?;
-    let len = vm.heap.array_len(r) as i64;
-    vm.set_reg(i.a, RValue::Int(len));
-    Ok((pc + 1) as u32)
-}
-
-fn h_new_obj(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    let site = &m.news[i.t as usize];
-    vm.reg_buf.clear();
-    for &r in &site.regions {
-        let id = vm.resolve(r);
-        vm.reg_buf.push(id);
-    }
-    vm.word_buf.clear();
-    for &(var, ty) in &site.args {
-        let w = encode(ty, vm.reg(var));
-        vm.word_buf.push(w);
-    }
-    let obj = vm
-        .heap
-        .alloc_object(vm.reg_buf[0], site.class, &vm.reg_buf, &vm.word_buf)?;
-    vm.set_reg(i.a, RValue::Ref(obj));
-    Ok((pc + 1) as u32)
-}
-
-fn h_new_arr(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    let site = m.arrays[i.t as usize];
-    let n = vm.reg(i.b).as_int();
-    if n < 0 {
-        return Err(RuntimeError::NegativeLength(m.spans[pc]));
-    }
-    let region = vm.resolve(site.region);
-    let obj = vm.heap.alloc_array(region, site.elem, n as usize)?;
-    vm.set_reg(i.a, RValue::Ref(obj));
-    Ok((pc + 1) as u32)
-}
-
-fn h_reg_push(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    // Region-erasure semantics: the letreg is a no-op and its region
-    // variable denotes the heap.
-    let id = if vm.erase { 0 } else { vm.heap.push() };
-    vm.rslots[vm.rbase + i.a as usize] = id;
-    Ok((pc + 1) as u32)
-}
-
-fn h_reg_pop(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    if !vm.erase {
-        vm.heap.pop(vm.rslots[vm.rbase + i.a as usize])?;
-    }
-    Ok((pc + 1) as u32)
-}
-
-fn h_call(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    vm.do_call(m, i.t as usize, pc)
-}
-
-fn h_field_call(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    // Field half first (its faults carry the field access's span)…
-    let r = vm.deref(vm.reg(i.b), m.spans[pc])?;
-    let word = vm.heap.field(r, i.c as usize);
-    let v = vm.decode(i.ty, word);
-    vm.set_reg(i.a, v);
-    vm.supers += 1;
-    // …then the call half (its faults carry the call's span).
-    vm.do_call(m, i.t as usize, pc)
-}
-
-fn h_cast(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    let site = m.casts[i.t as usize];
-    let v = vm.reg(site.var);
-    match v {
-        RValue::Null => vm.set_reg(i.a, RValue::Null),
-        RValue::Ref(r) => {
-            if !vm.heap.is_live(r.region) {
-                // The arena that held the class header is gone (the
-                // deliberate unchecked-program divergence above).
-                return Err(RuntimeError::DanglingAccess(m.spans[pc]));
+    /// Pops the current frame and hands `value` to the caller's
+    /// destination register; `Some(value)` when `main` itself returned.
+    #[inline]
+    fn ret(&mut self, value: RValue) -> Option<RValue> {
+        let done = self.frames.pop().expect("frame");
+        self.regs.truncate(done.regs as usize);
+        self.rslots.truncate(done.rslots as usize);
+        match self.frames.last() {
+            Some(caller) => {
+                let slot = caller.regs as usize + done.dst as usize;
+                self.regs[slot] = value;
+                None
             }
-            let class = vm.heap.class_of(r) as usize;
-            if vm.p.subclass[class][site.class as usize] {
-                vm.set_reg(i.a, v);
-            } else {
-                return Err(RuntimeError::CastFailed(m.spans[pc]));
-            }
+            None => Some(value),
         }
-        _ => return Err(RuntimeError::CastFailed(m.spans[pc])),
     }
-    Ok((pc + 1) as u32)
-}
-
-fn h_jump(_vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, _pc: usize) -> Step {
-    Ok(i.t)
 }
 
 /// A conditional jump's next program counter.
 #[inline(always)]
-fn branch(taken: bool, i: RInstr, pc: usize) -> Step {
-    Ok(if taken { i.t } else { (pc + 1) as u32 })
-}
-
-fn h_jmp_if(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    branch(vm.reg(i.a).as_bool(), i, pc)
-}
-
-fn h_jmp_if_not(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    branch(!vm.reg(i.a).as_bool(), i, pc)
-}
-
-fn h_jmp_cmp(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    vm.supers += 1;
-    let (lhs, rhs) = (vm.reg(i.a), vm.reg(i.b));
-    branch(cmp_eval(CmpOp::from_code(i.c), lhs, rhs), i, pc)
-}
-
-fn h_jmp_cmp_not(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    vm.supers += 1;
-    let (lhs, rhs) = (vm.reg(i.a), vm.reg(i.b));
-    branch(!cmp_eval(CmpOp::from_code(i.c), lhs, rhs), i, pc)
-}
-
-fn h_jmp_cmp_c(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    vm.supers += 1;
-    let rhs = lit_value(m.consts[i.imm as usize]);
-    branch(cmp_eval(CmpOp::from_code(i.c), vm.reg(i.a), rhs), i, pc)
-}
-
-fn h_jmp_cmp_not_c(vm: &mut Rvm<'_>, m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    vm.supers += 1;
-    let rhs = lit_value(m.consts[i.imm as usize]);
-    branch(!cmp_eval(CmpOp::from_code(i.c), vm.reg(i.a), rhs), i, pc)
-}
-
-fn h_inc_jump(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, _pc: usize) -> Step {
-    let v = vm.reg(i.a).as_int().wrapping_add(i.imm);
-    vm.set_reg(i.a, RValue::Int(v));
-    vm.supers += 1;
-    Ok(i.t)
-}
-
-fn h_print(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, pc: usize) -> Step {
-    let s = vm.reg(i.a).to_string();
-    vm.prints.push(s);
-    Ok((pc + 1) as u32)
-}
-
-fn h_ret(vm: &mut Rvm<'_>, _m: &RvmMethod, i: RInstr, _pc: usize) -> Step {
-    let value = vm.reg(i.a);
-    let done = vm.frames.pop().expect("frame");
-    vm.regs.truncate(done.regs as usize);
-    vm.rslots.truncate(done.rslots as usize);
-    match vm.frames.last() {
-        Some(caller) => {
-            let slot = caller.regs as usize + done.dst as usize;
-            vm.regs[slot] = value;
-        }
-        None => vm.ret = value,
+fn branch(taken: bool, i: RInstr, pc: usize) -> usize {
+    if taken {
+        i.t as usize
+    } else {
+        pc + 1
     }
-    Ok(SWITCH)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cj_vm::code::{bin_code, ROp};
-
-    /// The handler table is indexed by the `ROp` discriminant; this pins
-    /// the enum order to the order `HANDLERS` is written in.
-    #[test]
-    fn opcode_discriminants_match_handler_table_order() {
-        let order = [
-            ROp::LoadConst,
-            ROp::Move,
-            ROp::AddImm,
-            ROp::Unary,
-            ROp::Binary,
-            ROp::GetField,
-            ROp::SetField,
-            ROp::Index,
-            ROp::SetIndex,
-            ROp::ArrayLen,
-            ROp::NewObj,
-            ROp::NewArr,
-            ROp::RegPush,
-            ROp::RegPop,
-            ROp::Call,
-            ROp::FieldCall,
-            ROp::Cast,
-            ROp::Jump,
-            ROp::JmpIf,
-            ROp::JmpIfNot,
-            ROp::JmpCmp,
-            ROp::JmpCmpNot,
-            ROp::JmpCmpC,
-            ROp::JmpCmpNotC,
-            ROp::IncJump,
-            ROp::Print,
-            ROp::Ret,
-        ];
-        assert_eq!(order.len(), OP_COUNT);
-        assert_eq!(order.len(), HANDLERS.len());
-        for (idx, op) in order.into_iter().enumerate() {
-            assert_eq!(op as usize, idx, "{op:?} is out of handler-table order");
-        }
-    }
+    use cj_vm::code::bin_code;
 
     #[test]
     fn bin_code_round_trips() {

@@ -1,4 +1,4 @@
-//! # cj-rvm — the register-based direct-threaded bytecode engine
+//! # cj-rvm — the register-based bytecode engine
 //!
 //! The default execution engine. It runs the register IR that
 //! [`cj_vm`] lowers the region-annotated kernel to ([`cj_vm::code`]):
@@ -8,10 +8,10 @@
 //! - superinstructions — compare-and-branch, add-immediate,
 //!   increment-and-loop and load-field-then-call — each do the work of
 //!   several plain instructions in one dispatch;
-//! - dispatch indexes a dense function-pointer table with the opcode
-//!   (no `match` over the instruction set in the hot path), and
-//!   `letreg` compiles to direct bump-arena push/pop against the
-//!   [`cj_vm::heap`] region heap.
+//! - dispatch is one `match` on the opcode over inlined handlers, a call
+//!   copies the callee's register-file template, and `letreg` compiles
+//!   to direct bump-arena push/pop against the [`cj_vm::heap`] region
+//!   heap.
 //!
 //! Observable behaviour — value, prints,
 //! [`SpaceStats`](cj_runtime::SpaceStats) (including the paper's pinned
@@ -199,6 +199,68 @@ mod tests {
             assert_eq!(rvm, interp, "error divergence on {src}");
             assert_eq!(rvm.span(), interp.span(), "span divergence on {src}");
         }
+    }
+
+    /// An unchecked program whose object outlives its `letreg`: the loop
+    /// body is wrapped in a `letreg` that shadows the region `c` and `d`
+    /// share, so `c` is freed when the body ends and `d.v` after the loop
+    /// reads a popped region.
+    #[test]
+    fn object_outliving_its_letreg_is_a_dangling_access() {
+        use cj_infer::{RExpr, RExprKind};
+        let (mut p, _) = infer_source(
+            "class C { int v; }
+             class M {
+               static int main() {
+                 C d = (C) null;
+                 int i = 0;
+                 while (i < 1) { C c = new C(7); d = c; i = i + 1; }
+                 d.v
+               }
+             }",
+            InferOptions::default(),
+        )
+        .unwrap();
+        let main = p.statics.first_mut().unwrap();
+        let mut field_span = None;
+        let mut mangled = false;
+        let mut todo = vec![&mut main.body];
+        while let Some(e) = todo.pop() {
+            match &mut e.kind {
+                RExprKind::Field(..) => field_span = Some(e.span),
+                RExprKind::While { body, .. } => {
+                    let mut shared = None;
+                    let mut inner = vec![&**body];
+                    while let Some(x) = inner.pop() {
+                        if let RExprKind::New { regions, .. } = &x.kind {
+                            shared = Some(regions[0]);
+                        }
+                        inner.extend(x.children());
+                    }
+                    let span = body.span;
+                    let old = std::mem::replace(&mut **body, RExpr::unit(span));
+                    **body = RExpr {
+                        span,
+                        rtype: old.rtype.clone(),
+                        kind: RExprKind::Letreg(shared.expect("the loop allocates"), Box::new(old)),
+                    };
+                    mangled = true;
+                    continue;
+                }
+                _ => {}
+            }
+            todo.extend(e.children_mut());
+        }
+        assert!(mangled, "found the loop to mangle");
+        let span = field_span.expect("the d.v access");
+        assert!(
+            cj_check::check(&p).is_err(),
+            "the mangled program is unchecked"
+        );
+        let rvm = run_main(&lower_program(&p), &[], RunConfig::default()).unwrap_err();
+        assert_eq!(rvm, RuntimeError::DanglingAccess(span));
+        let interp = cj_runtime::run_main(&p, &[], RunConfig::default()).unwrap_err();
+        assert_eq!(rvm, interp);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!
 //! Instructions are a fixed-width struct (opcode + three register
 //! operands + a table index + an immediate); the `cj-rvm` executor
-//! indexes a dense fn-pointer table with the opcode.
+//! dispatches with one `match` on the opcode.
 
 use cj_frontend::ast::BinOp;
 use cj_frontend::span::Span;
@@ -173,9 +173,7 @@ pub fn bin_of(code: u32) -> BinOp {
     BINARY_OPS[code as usize]
 }
 
-/// Register-IR opcodes. The discriminant is the index into the
-/// executor's dense handler table, so the order here and the order of
-/// `HANDLERS` in `cj-rvm` must match (pinned by a unit test there).
+/// Register-IR opcodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ROp {
@@ -272,14 +270,11 @@ impl ROp {
     }
 }
 
-/// Number of opcodes (the handler-table length).
-pub const OP_COUNT: usize = 27;
-
 /// One fixed-width register instruction. Field meaning is per-opcode
 /// (see [`ROp`]); unused fields are zero.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RInstr {
-    /// Opcode — the handler-table index.
+    /// Opcode.
     pub op: ROp,
     /// First register operand (usually the destination).
     pub a: u16,

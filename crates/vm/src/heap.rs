@@ -7,6 +7,19 @@
 //! every object in the region **wholesale** by dropping the arena — the
 //! paper's dynamic semantics of `letreg`, executed for real.
 //!
+//! # The region table
+//!
+//! Only live arenas are kept, in a stack (bottom: the heap, region 0).
+//! Region ids are handed out sequentially and never reused; a `Vec<u32>`
+//! with one entry per id ever created maps the id to its arena's stack
+//! slot, or to a `DEAD` sentinel once the region is popped. An access
+//! through a reference into a popped region is therefore detected
+//! exactly and in O(1), even after later regions took over its stack
+//! slot and its recycled word buffer. What a created region costs once
+//! it is popped is its 4-byte table entry: 10 million letregs leave a
+//! 40 MB table. That cost still grows with the number of regions a run
+//! creates.
+//!
 //! Space accounting reproduces the interpreter's documented size model
 //! exactly (16-byte header + 8 bytes per field or element,
 //! [`object_bytes`]), so [`SpaceStats`] — and with it every Fig 8 space
@@ -46,9 +59,10 @@ pub struct ObjRef {
     pub serial: u32,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Arena {
-    live: bool,
+    /// The region id this arena backs.
+    id: u32,
     /// Stats-model bytes currently accounted to this region.
     bytes: usize,
     words: Vec<u64>,
@@ -60,12 +74,17 @@ struct Arena {
 /// the memory retained by a one-off burst of deep nesting.
 const POOL_LIMIT: usize = 16;
 
+/// [`RegionHeap::slot_of`] entry of a region that has been popped.
+const DEAD: u32 = u32::MAX;
+
 /// The stack-of-arenas allocator. Region 0 is the heap and is never
 /// freed.
 #[derive(Debug)]
 pub struct RegionHeap {
-    arenas: Vec<Arena>,
-    stack: Vec<u32>,
+    /// The live arenas, bottom (the heap) to top.
+    live: Vec<Arena>,
+    /// Per region id ever created: its index in `live`, or [`DEAD`].
+    slot_of: Vec<u32>,
     live_bytes: usize,
     stats: SpaceStats,
     next_serial: u32,
@@ -81,12 +100,12 @@ impl RegionHeap {
     /// A fresh heap with only the global heap region.
     pub fn new() -> RegionHeap {
         RegionHeap {
-            arenas: vec![Arena {
-                live: true,
+            live: vec![Arena {
+                id: 0,
                 bytes: 0,
                 words: Vec::new(),
             }],
-            stack: vec![0],
+            slot_of: vec![0],
             live_bytes: 0,
             stats: SpaceStats::default(),
             next_serial: 0,
@@ -95,9 +114,10 @@ impl RegionHeap {
         }
     }
 
-    /// Creates a region on top of the stack (`RegPush`).
+    /// Creates a region on top of the stack (`RegPush`). Ids are
+    /// sequential and never reused.
     pub fn push(&mut self) -> u32 {
-        let id = self.arenas.len() as u32;
+        let id = self.slot_of.len() as u32;
         let words = match self.pool.pop() {
             Some(w) => {
                 self.chunks_reused += 1;
@@ -105,12 +125,12 @@ impl RegionHeap {
             }
             None => Vec::new(),
         };
-        self.arenas.push(Arena {
-            live: true,
+        self.slot_of.push(self.live.len() as u32);
+        self.live.push(Arena {
+            id,
             bytes: 0,
             words,
         });
-        self.stack.push(id);
         self.stats.regions_created += 1;
         id
     }
@@ -121,17 +141,16 @@ impl RegionHeap {
     ///
     /// The deleted region must be the top of the stack.
     pub fn pop(&mut self, id: u32) -> Result<(), RegionError> {
-        if self.stack.last() != Some(&id) {
+        if self.live.last().map(|a| a.id) != Some(id) {
             return Err(RegionError::NotTopOfStack(RegionId(id)));
         }
-        self.stack.pop();
-        let arena = &mut self.arenas[id as usize];
-        arena.live = false;
+        let arena = self.live.pop().expect("top arena");
+        self.slot_of[id as usize] = DEAD;
         self.live_bytes -= arena.bytes;
         // The wholesale free: every object in the region dies at once.
         // The backing chunk is recycled (cleared) rather than dropped, so
         // the dead arena is observably empty either way.
-        let mut words = std::mem::take(&mut arena.words);
+        let mut words = arena.words;
         if words.capacity() > 0 && self.pool.len() < POOL_LIMIT {
             words.clear();
             self.pool.push(words);
@@ -150,8 +169,21 @@ impl RegionHeap {
     }
 
     /// Whether `region` is still live.
+    #[inline]
     pub fn is_live(&self, region: u32) -> bool {
-        self.arenas[region as usize].live
+        self.slot_of[region as usize] != DEAD
+    }
+
+    /// The words of live `region` (callers check liveness first).
+    #[inline]
+    fn words(&self, region: u32) -> &[u64] {
+        &self.live[self.slot_of[region as usize] as usize].words
+    }
+
+    /// The words of live `region`, mutably.
+    #[inline]
+    fn words_mut(&mut self, region: u32) -> &mut [u64] {
+        &mut self.live[self.slot_of[region as usize] as usize].words
     }
 
     /// Current accounting (the interpreter-identical size model).
@@ -159,11 +191,14 @@ impl RegionHeap {
         self.stats
     }
 
-    fn account(&mut self, region: u32, bytes: usize) -> Result<(), RegionError> {
-        let arena = &mut self.arenas[region as usize];
-        if !arena.live {
+    /// Accounts one allocation of `bytes` to live `region`; returns the
+    /// allocation's serial and the region's arena.
+    fn account(&mut self, region: u32, bytes: usize) -> Result<(u32, &mut Arena), RegionError> {
+        let slot = self.slot_of[region as usize];
+        if slot == DEAD {
             return Err(RegionError::DeadRegion(RegionId(region)));
         }
+        let arena = &mut self.live[slot as usize];
         arena.bytes += bytes;
         self.live_bytes += bytes;
         self.stats.total_allocated += bytes;
@@ -171,7 +206,9 @@ impl RegionHeap {
         if self.live_bytes > self.stats.peak_live {
             self.stats.peak_live = self.live_bytes;
         }
-        Ok(())
+        let serial = self.next_serial;
+        self.next_serial += 1;
+        Ok((serial, arena))
     }
 
     /// Allocates an object of `class` with the given recorded region
@@ -187,10 +224,7 @@ impl RegionHeap {
         regions: &[u32],
         fields: &[u64],
     ) -> Result<ObjRef, RegionError> {
-        self.account(region, object_bytes(fields.len()))?;
-        let serial = self.next_serial;
-        self.next_serial += 1;
-        let arena = &mut self.arenas[region as usize];
+        let (serial, arena) = self.account(region, object_bytes(fields.len()))?;
         let word = arena.words.len() as u32;
         arena.words.reserve(2 + regions.len() + fields.len());
         arena.words.push(serial as u64);
@@ -217,15 +251,12 @@ impl RegionHeap {
         elem: Prim,
         len: usize,
     ) -> Result<ObjRef, RegionError> {
-        self.account(region, object_bytes(len))?;
-        let serial = self.next_serial;
-        self.next_serial += 1;
         let tag = match elem {
             Prim::Int => 0u64,
             Prim::Bool => 1,
             Prim::Float => 2,
         };
-        let arena = &mut self.arenas[region as usize];
+        let (serial, arena) = self.account(region, object_bytes(len))?;
         let word = arena.words.len() as u32;
         arena.words.reserve(2 + len);
         arena.words.push(serial as u64);
@@ -241,7 +272,7 @@ impl RegionHeap {
 
     #[inline]
     fn meta(&self, r: ObjRef) -> u64 {
-        self.arenas[r.region as usize].words[r.word as usize + 1]
+        self.words(r.region)[r.word as usize + 1]
     }
 
     /// The runtime class of the object at `r` (objects only).
@@ -257,7 +288,7 @@ impl RegionHeap {
         let meta = self.meta(r);
         let nregions = ((meta >> 32) & 0xfff) as usize;
         if i < nregions {
-            self.arenas[r.region as usize].words[r.word as usize + 2 + i] as u32
+            self.words(r.region)[r.word as usize + 2 + i] as u32
         } else {
             0
         }
@@ -267,14 +298,14 @@ impl RegionHeap {
     #[inline]
     pub fn field(&self, r: ObjRef, idx: usize) -> u64 {
         let nregions = ((self.meta(r) >> 32) & 0xfff) as usize;
-        self.arenas[r.region as usize].words[r.word as usize + 2 + nregions + idx]
+        self.words(r.region)[r.word as usize + 2 + nregions + idx]
     }
 
     /// Writes field `idx` of the object at `r`.
     #[inline]
     pub fn set_field(&mut self, r: ObjRef, idx: usize, word: u64) {
         let nregions = ((self.meta(r) >> 32) & 0xfff) as usize;
-        self.arenas[r.region as usize].words[r.word as usize + 2 + nregions + idx] = word;
+        self.words_mut(r.region)[r.word as usize + 2 + nregions + idx] = word;
     }
 
     /// Length of the array at `r`.
@@ -289,7 +320,7 @@ impl RegionHeap {
         if idx >= self.array_len(r) {
             return None;
         }
-        Some(self.arenas[r.region as usize].words[r.word as usize + 2 + idx])
+        Some(self.words(r.region)[r.word as usize + 2 + idx])
     }
 
     /// Writes element `idx` of the array at `r`; `false` out of bounds.
@@ -298,7 +329,7 @@ impl RegionHeap {
         if idx >= self.array_len(r) {
             return false;
         }
-        self.arenas[r.region as usize].words[r.word as usize + 2 + idx] = word;
+        self.words_mut(r.region)[r.word as usize + 2 + idx] = word;
         true
     }
 
@@ -317,9 +348,8 @@ impl RegionHeap {
         }
         let region = (word >> 32) as u32;
         let at = word as u32;
-        let arena = &self.arenas[region as usize];
-        let serial = if arena.live {
-            arena.words[at as usize] as u32
+        let serial = if self.is_live(region) {
+            self.words(region)[at as usize] as u32
         } else {
             u32::MAX
         };
@@ -428,6 +458,39 @@ mod tests {
             h.pop(r).unwrap();
         }
         assert!(h.pooled_chunks() <= POOL_LIMIT);
+    }
+
+    /// Ids are never reused and a popped id stays dead, however many
+    /// regions later take over its stack slot and its recycled chunk.
+    #[test]
+    fn dangling_detection_stays_exact_after_heavy_churn() {
+        let mut h = RegionHeap::new();
+        let outer = h.push();
+        let kept = h.alloc_object(outer, 2, &[outer], &[11]).unwrap();
+        let r = h.push();
+        let obj = h.alloc_object(r, 1, &[r], &[5]).unwrap();
+        let word = pack_ref(obj);
+        h.pop(r).unwrap();
+        let mut last = r;
+        for k in 0..10 * POOL_LIMIT {
+            let id = h.push();
+            assert_eq!(id, last + 1, "ids stay sequential");
+            h.alloc_object(id, 1, &[id], &[k as u64]).unwrap();
+            h.pop(id).unwrap();
+            last = id;
+        }
+        assert!(!h.is_live(r));
+        assert_eq!(h.unpack_ref(word).unwrap().serial, u32::MAX);
+        assert_eq!(
+            h.alloc_object(r, 1, &[r], &[]),
+            Err(RegionError::DeadRegion(RegionId(r)))
+        );
+        assert_eq!(h.pop(r), Err(RegionError::NotTopOfStack(RegionId(r))));
+        assert_eq!(h.push(), last + 1);
+        // The region below the churn is untouched.
+        assert!(h.is_live(outer));
+        assert_eq!(h.field(kept, 0), 11);
+        assert_eq!(h.unpack_ref(pack_ref(kept)), Some(kept));
     }
 
     #[test]

@@ -37,8 +37,8 @@
 //! region lifetimes without changing observable behaviour.
 //!
 //! `run` executes on the `cj-rvm` register VM by default (`cj-vm` lowers
-//! the program straight to register code, which `cj-rvm` runs
-//! direct-threaded); `--engine interp` selects the tree-walking
+//! the program straight to register code, which `cj-rvm` runs with one
+//! `match` per dispatch); `--engine interp` selects the tree-walking
 //! interpreter. Program output, space statistics and runtime errors are
 //! identical across both engines (enforced by the differential test
 //! suites). `--fuel` and `--max-depth` bound execution steps and call

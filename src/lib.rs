@@ -29,7 +29,7 @@
 //!   and fused superinstructions, plus the bump-arena region heap the
 //!   bytecode engine allocates in;
 //! - [`rvm`]: the `cj-rvm` register machine, the default engine — it runs
-//!   `cj-vm`'s register code through a dense handler table,
+//!   `cj-vm`'s register code with one `match` per dispatch,
 //!   observationally identical to the interpreter but an integer factor
 //!   faster;
 //! - [`benchmarks`]: the Fig 8 and Fig 9 program suites;
