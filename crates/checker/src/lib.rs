@@ -236,7 +236,8 @@ struct MethodChecker<'a> {
 
 impl<'a> MethodChecker<'a> {
     fn run(mut self) {
-        let rm = self.p.rmethod(self.id);
+        let p = self.p;
+        let rm = p.rmethod(self.id);
         let mut assume = Solver::new();
         // pre.m
         assume.add_set(&rm.precondition);
@@ -269,8 +270,7 @@ impl<'a> MethodChecker<'a> {
         let mut scope: BTreeSet<RegVar> = rm.abs_params.iter().copied().collect();
         scope.insert(RegVar::HEAP);
 
-        let body = rm.body.clone();
-        let result = self.expr(&mut assume, &mut scope, &body);
+        let result = self.expr(&mut assume, &mut scope, &rm.body);
         if let Some(rt) = result {
             if !matches!(rm.ret_type, RType::Void) {
                 self.require_subtype(&mut assume, &rt, &rm.ret_type, "method result");
@@ -291,8 +291,9 @@ impl<'a> MethodChecker<'a> {
         });
     }
 
-    fn var_type(&self, v: VarId) -> RType {
-        self.p.rmethod(self.id).var_types[v.index()].clone()
+    fn var_type(&self, v: VarId) -> &'a RType {
+        let p = self.p;
+        &p.rmethod(self.id).var_types[v.index()]
     }
 
     fn check_scope(&mut self, scope: &BTreeSet<RegVar>, regions: &[RegVar], what: &str) {
@@ -395,7 +396,7 @@ impl<'a> MethodChecker<'a> {
         if let Some(init) = init {
             let it = self.expr(assume, scope, init)?;
             if !matches!(vt, RType::Void | RType::Prim(_)) {
-                self.require_subtype(assume, &it, &vt, "initializer");
+                self.require_subtype(assume, &it, vt, "initializer");
             }
         }
         Some(RType::Void)
@@ -425,7 +426,7 @@ impl<'a> MethodChecker<'a> {
                         return None;
                     }
                 };
-                let ft = self.field_type(class, *fref, &regions);
+                let ft = self.field_type(*class, *fref, regions);
                 // The annotated node type must match the declared field type.
                 if ft != e.rtype {
                     self.err(format!(
@@ -438,7 +439,7 @@ impl<'a> MethodChecker<'a> {
                 let rt = self.expr(assume, scope, rhs)?;
                 let vt = self.var_type(*v);
                 if !matches!(vt, RType::Void | RType::Prim(_)) {
-                    self.require_subtype(assume, &rt, &vt, "assignment");
+                    self.require_subtype(assume, &rt, vt, "assignment");
                 }
             }
             RExprKind::AssignField(v, fref, rhs) => {
@@ -450,7 +451,7 @@ impl<'a> MethodChecker<'a> {
                         return None;
                     }
                 };
-                let ft = self.field_type(class, *fref, &regions);
+                let ft = self.field_type(*class, *fref, regions);
                 if !matches!(ft, RType::Void | RType::Prim(_)) {
                     self.require_subtype(assume, &rt, &ft, "field write");
                 }
@@ -476,7 +477,7 @@ impl<'a> MethodChecker<'a> {
                 for (i, &a) in args.iter().enumerate() {
                     let ft = rc.field_types[i].subst(&s);
                     if !matches!(ft, RType::Void | RType::Prim(_)) {
-                        self.require_subtype(assume, &self.var_type(a), &ft, "constructor arg");
+                        self.require_subtype(assume, self.var_type(a), &ft, "constructor arg");
                     }
                 }
             }
@@ -513,7 +514,7 @@ impl<'a> MethodChecker<'a> {
                 };
                 let decl_params = &self.p.rclass(decl_class).params;
                 let this_t = RType::class(decl_class, s.apply_all(decl_params));
-                self.require_subtype(assume, &self.var_type(*recv), &this_t, "receiver");
+                self.require_subtype(assume, self.var_type(*recv), &this_t, "receiver");
                 self.check_call_common(assume, callee, &s, args);
             }
             RExprKind::CallStatic { method, inst, args } => {
@@ -575,8 +576,8 @@ impl<'a> MethodChecker<'a> {
             } => {
                 self.check_scope(scope, regions, "cast");
                 let src = self.var_type(*var);
-                let (src_class, src_regions) = match &src {
-                    RType::Class { class, regions, .. } => (*class, regions.clone()),
+                let (src_class, src_regions) = match src {
+                    RType::Class { class, regions, .. } => (*class, regions),
                     other => {
                         self.err(format!("cast of non-object {other}"));
                         return None;
@@ -585,7 +586,7 @@ impl<'a> MethodChecker<'a> {
                 if self.p.kernel.table.is_subclass(src_class, *class) {
                     // Upcast.
                     let target = RType::class(*class, regions.clone());
-                    self.require_subtype(assume, &src, &target, "upcast");
+                    self.require_subtype(assume, src, &target, "upcast");
                 } else {
                     // Downcast: shared prefix must agree; the target's
                     // invariant must hold for the recovered regions.
@@ -631,25 +632,10 @@ impl<'a> MethodChecker<'a> {
         for (&pv, &a) in km.params.iter().zip(args) {
             let expected = callee.var_types[pv.index()].subst(s);
             if !matches!(expected, RType::Void | RType::Prim(_)) {
-                self.require_subtype(assume, &self.var_type(a), &expected, "argument");
+                self.require_subtype(assume, self.var_type(a), &expected, "argument");
             }
         }
     }
-}
-
-/// Convenience: infer then check, returning the annotated program.
-///
-/// # Errors
-///
-/// Front-end, inference or checking failures, as structured
-/// [`Diagnostics`](cj_diag::Diagnostics).
-pub fn infer_and_check(
-    src: &str,
-    opts: cj_infer::InferOptions,
-) -> Result<RProgram, cj_diag::Diagnostics> {
-    let (p, _) = cj_infer::infer_source(src, opts)?;
-    check(&p).map_err(cj_diag::IntoDiagnostics::into_diagnostics)?;
-    Ok(p)
 }
 
 /// The subtyping modes, re-exported for test matrices.

@@ -258,9 +258,9 @@ impl<'a> Ctx<'a> {
         let recursive = table.recursive_classes();
 
         for scc in sccs {
-            // Within an SCC, supers first.
+            // Within an SCC, supers first, then by id.
             let mut members: Vec<ClassId> = scc.iter().map(|&i| ClassId(i as u32)).collect();
-            members.sort_by_key(|&c| table.class(c).depth);
+            members.sort_by_key(|&c| (table.class(c).depth, c));
             let in_scc = |c: ClassId| scc.contains(&c.index());
 
             // Phase 1: parameters.

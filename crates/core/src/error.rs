@@ -6,8 +6,8 @@ use std::fmt;
 
 /// An error produced by region inference.
 ///
-/// Well-normal-typed programs almost always infer successfully (Theorem 1);
-/// the exceptions are policy-driven, e.g. downcasts under
+/// Well-normal-typed programs infer successfully (Theorem 1) unless a
+/// policy refuses them: downcasts under
 /// [`DowncastPolicy::Reject`](crate::options::DowncastPolicy::Reject).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InferError {
@@ -18,13 +18,6 @@ pub enum InferError {
         /// Location of the cast.
         span: Span,
     },
-    /// The global solve/repair loop exceeded its iteration budget without
-    /// reaching a fixed point — indicates an inference bug, reported as an
-    /// error rather than a panic so drivers can surface it.
-    NonConvergence {
-        /// Iterations performed before giving up.
-        iterations: usize,
-    },
 }
 
 impl fmt::Display for InferError {
@@ -34,11 +27,6 @@ impl fmt::Display for InferError {
                 f,
                 "downcast in `{method}` rejected: enable the equate-first or \
                  padding downcast policy"
-            ),
-            InferError::NonConvergence { iterations } => write!(
-                f,
-                "region inference failed to converge after {iterations} \
-                 repair iterations"
             ),
         }
     }
@@ -58,9 +46,6 @@ impl IntoDiagnostic for InferError {
                          pass `--downcast equate-first` or `--downcast padding`",
                     )
             }
-            InferError::NonConvergence { .. } => Diagnostic::error(self.to_string(), Span::DUMMY)
-                .with_code(codes::INFER)
-                .with_note("this is a bug in region inference, not in the input program"),
         }
     }
 }

@@ -227,14 +227,6 @@ impl InferOptions {
         }
     }
 
-    /// Options with the given extent mode and defaults otherwise.
-    pub fn with_extent(extent: ExtentMode) -> InferOptions {
-        InferOptions {
-            extent,
-            ..InferOptions::default()
-        }
-    }
-
     /// Options with the given subtyping mode and default downcast policy.
     pub fn with_mode(mode: SubtypeMode) -> InferOptions {
         InferOptions {
@@ -251,10 +243,10 @@ impl InferOptions {
 pub struct InferStats {
     /// Iterations of the outer (resolution/instantiation) loop.
     pub global_iterations: usize,
-    /// Total Kleene iterations across the abstraction SCC solves that
-    /// actually ran: a memo hit or an SCC carried over from the previous
-    /// repair round adds nothing, and an SCC in which no member applies a
-    /// member takes one pass.
+    /// Total member solves of the worklist fixpoints that actually ran: a
+    /// memo hit or an SCC carried over from the previous repair round adds
+    /// nothing, and an SCC in which no member applies a member takes one
+    /// solve per member.
     pub fixpoint_iterations: usize,
     /// Total region variables allocated.
     pub regions_created: usize,
@@ -266,7 +258,7 @@ pub struct InferStats {
     pub downcast_sites: usize,
     /// Method bodies symbolically inferred in this run.
     pub methods_inferred: usize,
-    /// Abstraction SCCs whose Kleene fixpoint actually ran (summed over
+    /// Abstraction SCCs whose worklist fixpoint actually ran (summed over
     /// repair-loop rounds).
     pub sccs_solved: usize,
     /// Abstraction SCCs served from the content-addressed solve memo. A

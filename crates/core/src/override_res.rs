@@ -17,8 +17,10 @@
 //!    equalities `ctr(σ)` to `inv.B` and the rewritten atom to `pre.A.mn`.
 //!
 //! Repairs strengthen raw abstractions; the pipeline re-solves and
-//! re-checks until a fixed point (the finite atom universe guarantees
-//! termination).
+//! re-checks until a fixed point (atoms only accumulate over a finite
+//! universe, so it terminates). Pairs are visited children-first and each
+//! reads the atoms earlier pairs of the same pass added, so a repair
+//! climbs a whole class chain in one pass.
 
 use crate::ctx::Ctx;
 use cj_frontend::types::MethodId;
@@ -31,10 +33,12 @@ use std::collections::BTreeSet;
 
 /// All (overridden, overriding) pairs in the program, using the *nearest*
 /// ancestor declaration (transitivity makes checking nearest pairs
-/// sufficient).
+/// sufficient), children-first: deepest overriding class first.
 pub fn override_pairs(kp: &cj_frontend::KProgram) -> Vec<(MethodId, MethodId)> {
     let mut pairs = Vec::new();
-    for info in kp.table.classes() {
+    let mut classes: Vec<_> = kp.table.classes().iter().collect();
+    classes.sort_by_key(|info| std::cmp::Reverse(info.depth));
+    for info in classes {
         let Some(sup) = info.superclass else {
             continue;
         };
@@ -57,14 +61,22 @@ pub fn override_pairs(kp: &cj_frontend::KProgram) -> Vec<(MethodId, MethodId)> {
     pairs
 }
 
-/// Checks every override pair against the closed abstractions and repairs
-/// violations by strengthening the raw `pre.A.mn` / `inv.B` bodies,
-/// marking each body that grew in `grown` (indexed by abstraction id).
-/// Returns the number of atoms added (0 means all checks passed).
-pub fn resolve_overrides(ctx: &mut Ctx<'_>, closed: &AbsEnv, grown: &mut [bool]) -> usize {
+/// Checks the override `pairs` (from [`override_pairs`]) against the closed
+/// abstractions and repairs violations by strengthening the raw
+/// `pre.A.mn` / `inv.B` bodies, marking each body that grew in `grown`
+/// (indexed by abstraction id). Each pair reads `closed` conjoined with
+/// the atoms earlier pairs added. Returns the number of atoms added (0
+/// means all checks passed).
+pub fn resolve_overrides(
+    ctx: &mut Ctx<'_>,
+    pairs: &[(MethodId, MethodId)],
+    closed: &AbsEnv,
+    grown: &mut [bool],
+) -> usize {
+    let mut overlay = vec![ConstraintSet::new(); closed.len()];
     let mut repairs = 0;
-    for (a_id, b_id) in override_pairs(ctx.kp) {
-        repairs += resolve_pair(ctx, closed, grown, a_id, b_id);
+    for &(a_id, b_id) in pairs {
+        repairs += resolve_pair(ctx, closed, &mut overlay, grown, a_id, b_id);
     }
     repairs
 }
@@ -72,6 +84,7 @@ pub fn resolve_overrides(ctx: &mut Ctx<'_>, closed: &AbsEnv, grown: &mut [bool])
 fn resolve_pair(
     ctx: &mut Ctx<'_>,
     closed: &AbsEnv,
+    overlay: &mut [ConstraintSet],
     grown: &mut [bool],
     a_id: MethodId,
     b_id: MethodId,
@@ -83,13 +96,13 @@ fn resolve_pair(
     let a_sig = ctx.msigs[&a_id].clone();
     let b_sig = ctx.msigs[&b_id].clone();
     let (pre_a_id, inv_b_id) = (a_sig.abs, ctx.inv(b_class));
-    let inv_b = &closed.get(inv_b_id).body.atoms;
-    let pre_a = &closed.get(pre_a_id).body.atoms;
-    let pre_b = &closed.get(b_sig.abs).body.atoms;
+    let read = |id: AbsId| closed.get(id).body.atoms.conj(&overlay[id.index()]);
+    let (inv_b, pre_a, pre_b) = (read(inv_b_id), read(pre_a_id), read(b_sig.abs));
     // Strengthens raw abstraction `id` by `atoms`, marking it grown.
     let mut strengthen = |ctx: &mut Ctx<'_>, id: AbsId, atoms: &ConstraintSet| {
         let grew = ctx.raw.add_atoms(id, atoms);
         grown[id.index()] |= grew;
+        overlay[id.index()].and(atoms);
         usize::from(grew)
     };
 
@@ -100,8 +113,8 @@ fn resolve_pair(
     let aligned_ok: BTreeSet<RegVar> = b_sig.mparams[n..].iter().copied().collect();
     let pre_b = pre_b.subst(&align);
 
-    let mut lhs = Solver::from_set(inv_b);
-    lhs.add_set(pre_a);
+    let mut lhs = Solver::from_set(&inv_b);
+    lhs.add_set(&pre_a);
 
     let ra: BTreeSet<RegVar> = ctx.classes[a_class.index()]
         .params

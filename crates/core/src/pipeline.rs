@@ -10,21 +10,23 @@
 //!    of `pre.*`/`inv.*` ([`infer_body`]).
 //! 3. Solve the resulting recursive abstraction system bottom-up over its
 //!    SCC condensation (the paper's global dependency graph, Sec 4.3), with
-//!    Kleene fixed points inside each SCC (region-polymorphic recursion,
-//!    Fig 6). The condensation is computed once: the repair loop below only
-//!    adds atoms, never calls. Each SCC solve is memoized content-addressed
+//!    a worklist fixed point inside each SCC (region-polymorphic recursion,
+//!    Fig 6) that re-solves only the callers of a member that changed. The
+//!    condensation is computed once: the repair loop below only adds
+//!    atoms, never calls. Each SCC solve is memoized content-addressed
 //!    ([`cj_regions::incremental`]), so an SCC already solved in an earlier
 //!    compile does not iterate.
 //! 4. Instantiate escaping local regions onto signature regions and repair
-//!    override conflicts (Sec 4.4); both strengthen raw abstractions, so
+//!    override conflicts (Sec 4.4) over the override pairs, computed once
+//!    and visited children-first; both strengthen raw abstractions, so
 //!    re-solve until nothing changes. The loop keeps one closed
 //!    environment across rounds and repairs it from a dirty set: a round
 //!    re-solves an SCC only if a member's raw body grew in the previous
 //!    round or it imports an abstraction whose closed form changed earlier
 //!    in this round; every other SCC is carried unchanged. Likewise only
 //!    methods with a callee whose closed form changed are re-instantiated,
-//!    and each method keeps its solver for step 5. Termination: atoms only
-//!    accumulate within finite universes.
+//!    and each method keeps its solver for step 5. There is no round cap:
+//!    atoms only accumulate within finite universes, so the loop ends.
 //! 5. Localize the remaining regions with `letreg` (\[exp-block\]) and emit
 //!    the annotated program.
 //!
@@ -40,7 +42,7 @@ use crate::error::InferError;
 use crate::exprinfer::{infer_body, BodyResult};
 use crate::localize;
 use crate::options::{InferOptions, InferStats};
-use crate::override_res::resolve_overrides;
+use crate::override_res::{override_pairs, resolve_overrides};
 use crate::rast::{RClass, RMethod, RProgram};
 use cj_frontend::graph::tarjan_scc;
 use cj_frontend::kernel::KProgram;
@@ -121,6 +123,7 @@ pub fn infer_with_cache(
     // escaping instantiation made against them.
     let mut solvers: Vec<Option<Solver>> = vec![None; ids.len()];
     let mut carried = 0;
+    let pairs = override_pairs(kp);
     loop {
         stats.global_iterations += 1;
         let (changed, iterations) = solve_dirty(
@@ -158,18 +161,13 @@ pub fn infer_with_cache(
         instantiate_span.add("atoms", instantiated as u64);
         drop(instantiate_span);
         let mut overrides_span = cj_trace::span("pipeline", "resolve-overrides");
-        let repairs = resolve_overrides(&mut ctx, &closed, &mut grown);
+        let repairs = resolve_overrides(&mut ctx, &pairs, &closed, &mut grown);
         overrides_span.add("repairs", repairs as u64);
         drop(overrides_span);
         stats.override_repairs += repairs;
 
         if !grown.contains(&true) {
             break;
-        }
-        if stats.global_iterations >= 100 {
-            return Err(InferError::NonConvergence {
-                iterations: stats.global_iterations,
-            });
         }
     }
     solve_span.add("global_iterations", stats.global_iterations as u64);
@@ -281,8 +279,7 @@ fn unsolved(raw: &mut AbsEnv) -> AbsEnv {
 }
 
 /// Solves the whole abstraction system bottom-up over its SCC condensation.
-/// Returns the closed environment and the total number of Kleene
-/// iterations.
+/// Returns the closed environment and the total number of member solves.
 pub fn solve_all(raw: &AbsEnv) -> (AbsEnv, usize) {
     let mut env = raw.clone();
     let mut iterations = 0;
@@ -322,8 +319,8 @@ fn record_outcome(outcome: SccOutcome, stats: &mut InferStats) {
 /// member's raw body is marked in `grown` or it applies an abstraction
 /// whose closed form changed earlier in this pass; every other SCC keeps
 /// its closed forms and is counted in `carried`. Returns the changed
-/// closed forms, marked by abstraction id, and the number of Kleene
-/// iterations.
+/// closed forms, marked by abstraction id, and the number of member
+/// solves.
 #[allow(clippy::too_many_arguments)]
 fn solve_dirty(
     groups: &[Vec<AbsId>],

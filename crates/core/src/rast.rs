@@ -542,12 +542,6 @@ impl RProgram {
         inst.chain(stat)
     }
 
-    /// Total number of `letreg`-localized regions in the program (the
-    /// "localised regions" count of Fig 8).
-    pub fn localized_region_count(&self) -> usize {
-        self.all_rmethods().map(|(_, m)| m.localized.len()).sum()
-    }
-
     /// The method's *closed constraint environment*: its solved
     /// precondition conjoined with the class invariant `inv.cn` of every
     /// class type occurring in the method (variable types, return type,

@@ -14,6 +14,10 @@
 /// appears before `A`. Processing the result front-to-back therefore visits
 /// dependencies first.
 ///
+/// Within a component, vertices come in the order Tarjan's stack pops them:
+/// reverse discovery order, so a vertex's successors in the DFS tree come
+/// before it. Callers that need another order sort the component.
+///
 /// # Examples
 ///
 /// ```
@@ -83,7 +87,6 @@ where
                             break;
                         }
                     }
-                    scc.sort_unstable();
                     result.push(scc);
                 }
             }
@@ -111,7 +114,7 @@ mod tests {
     #[test]
     fn simple_cycle_is_one_component() {
         let sccs = sccs_of(vec![vec![1], vec![0]]);
-        assert_eq!(sccs, vec![vec![0, 1]]);
+        assert_eq!(sccs, vec![vec![1, 0]]);
     }
 
     #[test]
@@ -172,9 +175,10 @@ mod tests {
 
     #[test]
     fn two_interlocking_cycles() {
-        // 0 <-> 1, 1 <-> 2 — all one component.
+        // 0 <-> 1, 1 <-> 2 — all one component, in reverse discovery
+        // order.
         let adj = vec![vec![1], vec![0, 2], vec![1]];
         let sccs = sccs_of(adj);
-        assert_eq!(sccs, vec![vec![0, 1, 2]]);
+        assert_eq!(sccs, vec![vec![2, 1, 0]]);
     }
 }

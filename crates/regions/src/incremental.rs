@@ -16,7 +16,7 @@
 //! written in that renaming as plain `u32` words; on a hit the cached
 //! closed forms — which mention only parameters and the heap — are
 //! re-expressed over the current parameters and written back without
-//! re-running the Kleene iteration.
+//! re-running the fixpoint.
 //!
 //! Because the key is content-addressed rather than name- or
 //! revision-based, the same memo serves two tiers of reuse (within one
@@ -174,7 +174,7 @@ pub struct SccOutcome {
     /// Whether the hit entry was solved by a *different* client (see
     /// [`SolveMemo::register_client`]); always `false` on a miss.
     pub shared: bool,
-    /// Kleene iterations actually performed (0 on reuse).
+    /// Member solves actually performed (0 on reuse).
     pub iterations: usize,
 }
 

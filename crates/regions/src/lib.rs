@@ -11,7 +11,7 @@
 //!   collapse, entailment, projection (existential elimination) and the
 //!   escape closure of rule \[exp-block\];
 //! - [`abstraction`]: constraint abstractions `inv.cn` / `pre.m`, kept in
-//!   an environment indexed by dense [`AbsId`]s, and the Kleene fixed-point
+//!   an environment indexed by dense [`AbsId`]s, and the worklist fixed-point
 //!   analysis of Fig 6(d) that supports region-polymorphic recursion;
 //! - [`incremental`]: a content-addressed memo of solved SCCs, keyed by
 //!   each SCC's α-invariant canonical form written as `u32` words and kept

@@ -78,11 +78,6 @@ impl RegSubst {
         vs.iter().map(|&v| self.apply(v)).collect()
     }
 
-    /// Whether the substitution is the identity.
-    pub fn is_identity(&self) -> bool {
-        self.map.iter().all(|(k, v)| k == v)
-    }
-
     /// Number of explicit bindings.
     pub fn len(&self) -> usize {
         self.map.len()

@@ -11,6 +11,12 @@
 //! - Programs nested ten times past the parser's budget in every shape it
 //!   counts are rejected with exactly one "nesting too deep" diagnostic,
 //!   and the same shapes just inside the budget compile and run.
+//! - A ring of mutually recursive methods (1,001 in a debug build, 10,000
+//!   optimized), with its calls in name order and against it, and a
+//!   1,000-deep override chain infer and pass the region checker. The
+//!   amount of inference work, read from `InferStats`, must not depend on
+//!   the method names, and the chain must settle in a constant number of
+//!   repair rounds.
 
 #[path = "../crates/driver/tests/common/hostile.rs"]
 mod hostile;
@@ -104,4 +110,80 @@ fn programs_just_inside_the_nesting_budget_run() {
     for (name, src) in hostile::deep_programs(depth) {
         on_worker_stack(|| compile_check_run(name, &src));
     }
+}
+
+/// A ring of `n` static methods `m00000 … ` in `class Ring`, each calling
+/// the next one in name order (`forward`) or the previous one; only
+/// `m00000`'s base case links its arguments.
+fn ring(n: usize, forward: bool) -> String {
+    let mut src = String::from("class Node { Node next; Object item; }\nclass Ring {\n");
+    for i in 0..n {
+        let j = if forward {
+            (i + 1) % n
+        } else {
+            (i + n - 1) % n
+        };
+        let base = if i == 0 { "x.next = y; x" } else { "x" };
+        src.push_str(&format!(
+            "static Node m{i:05}(Node x, Node y, int k) {{ \
+             if (k == 0) {{ {base} }} else {{ m{j:05}(x, y, k - 1) }} }}\n"
+        ));
+    }
+    src.push_str("}\n");
+    src
+}
+
+/// A chain `C0 <: C1 <: … <: Cdepth` overriding `m` at every level; only
+/// the deepest body constrains its arguments.
+fn override_chain(depth: usize) -> String {
+    let mut src = String::from(
+        "class Node { Node next; Object item; }\n\
+         class C0 { Object m(Node a, Object b) { b } }\n",
+    );
+    for i in 1..=depth {
+        let body = if i == depth { "a.item = b; b" } else { "b" };
+        src.push_str(&format!(
+            "class C{i} extends C{} {{ Object m(Node a, Object b) {{ {body} }} }}\n",
+            i - 1
+        ));
+    }
+    src
+}
+
+/// Infers `src` on a worker stack, checks Theorem 1 and returns the stats.
+fn infer_and_check(name: &str, src: &str) -> InferStats {
+    on_worker_stack(|| {
+        let (program, stats) = infer_source(src, InferOptions::default())
+            .unwrap_or_else(|d| panic!("{name} infers: {d}"));
+        check(&program).unwrap_or_else(|e| panic!("{name}: Theorem 1 violated: {e}"));
+        stats
+    })
+}
+
+#[test]
+fn call_rings_infer_the_same_in_both_name_orders() {
+    let n = if cfg!(debug_assertions) {
+        1_001
+    } else {
+        10_000
+    };
+    let forward = infer_and_check("forward ring", &ring(n, true));
+    let reversed = infer_and_check("reversed ring", &ring(n, false));
+    assert!(
+        forward.fixpoint_iterations <= 2 * reversed.fixpoint_iterations,
+        "forward ring: {} member solves, reversed: {}",
+        forward.fixpoint_iterations,
+        reversed.fixpoint_iterations
+    );
+}
+
+#[test]
+fn deep_override_chain_settles_in_constant_rounds() {
+    let stats = infer_and_check("override chain", &override_chain(1_000));
+    assert!(stats.override_repairs > 0, "the chain needs repairs");
+    assert!(
+        stats.global_iterations <= 3,
+        "{} repair rounds",
+        stats.global_iterations
+    );
 }
