@@ -133,7 +133,7 @@ fn ring(n: usize, forward: bool) -> String {
     src
 }
 
-/// A chain `C0 <: C1 <: … <: Cdepth` overriding `m` at every level; only
+/// A chain `Cdepth <: … <: C1 <: C0` overriding `m` at every level; only
 /// the deepest body constrains its arguments.
 fn override_chain(depth: usize) -> String {
     let mut src = String::from(
