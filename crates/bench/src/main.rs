@@ -664,15 +664,8 @@ fn daemon(cli: &Cli) -> (String, Vec<String>) {
     });
     let daemon = last.daemon.as_ref().map_or("null".to_string(), |d| {
         format!(
-            "{{\"clients_served\": {}, \"clients_rejected\": {}, \"connections_peak\": {}, \
-             \"memo\": {{\"entries\": {}, \"hits\": {}, \"misses\": {}, \"shared_hits\": {}}}}}",
-            d.clients_served,
-            d.clients_rejected,
-            d.connections_peak,
-            d.memo_entries,
-            d.memo_hits,
-            d.memo_misses,
-            d.memo_shared_hits
+            "{{\"clients_served\": {}, \"clients_rejected\": {}, \"connections_peak\": {}}}",
+            d.clients_served, d.clients_rejected, d.connections_peak
         )
     });
     let json = format!(

@@ -193,8 +193,8 @@ impl<'a> Ctx<'a> {
     }
 
     /// Adds every `inv.*` and `pre.*` abstraction to `raw`, with neither
-    /// parameters nor body yet, numbered in name order so that `Q`, the
-    /// condensation's vertex order and the memo keys all follow names.
+    /// parameters nor body yet, numbered in name order so that `Q` and the
+    /// condensation's vertex order both follow names.
     /// Returns the `pre` abstraction of each method, in
     /// `kp.all_methods()` order.
     fn number_abstractions(&mut self) -> Vec<AbsId> {
@@ -231,13 +231,16 @@ impl<'a> Ctx<'a> {
     fn build_class_sigs(&mut self) {
         let table = &self.kp.table;
         let n = table.len();
-        // Dependency graph: field-type edges and superclass edges.
+        // Dependency graph: superclass edges, then own-field-type edges.
+        // The superclass reaches every inherited field's type, and the
+        // search visits it first, so leaving those edges out changes
+        // neither the components nor their order.
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
         for info in table.classes() {
             if let Some(s) = info.superclass {
                 adj[info.id.index()].push(s.index());
             }
-            for f in table.all_fields(info.id) {
+            for f in &info.own_fields {
                 if let NType::Class(d) = f.ty {
                     adj[info.id.index()].push(d.index());
                 }

@@ -17,7 +17,7 @@
 //! | Method signatures & preconditions (\[METH\]) | [`ctx`], [`exprinfer`] |
 //! | Expression rules (Fig 3) | [`exprinfer`] |
 //! | Region-polymorphic recursion (Fig 6) | `cj_regions::abstraction` + [`pipeline`] |
-//! | Global dependency graph (Sec 4.3) | [`pipeline::solve_all`] |
+//! | Global dependency graph (Sec 4.3) | [`pipeline`] |
 //! | Override conflict resolution (Sec 4.4) | [`override_res`] |
 //! | `letreg` localization (\[exp-block\], Sec 4.2.1) | [`localize`] |
 //! | Downcast safety (Sec 5) | [`options::DowncastPolicy`] + `cj-downcast` |
@@ -55,5 +55,5 @@ pub mod subtype;
 pub use ctx::{invariant_name, precondition_name};
 pub use error::InferError;
 pub use options::{DowncastPolicy, ExtentMode, InferOptions, InferStats, SubtypeMode};
-pub use pipeline::{infer, infer_source, infer_with_cache};
+pub use pipeline::{infer, infer_source};
 pub use rast::{RClass, RExpr, RExprKind, RMethod, RProgram, RType};

@@ -243,10 +243,9 @@ impl InferOptions {
 pub struct InferStats {
     /// Iterations of the outer (resolution/instantiation) loop.
     pub global_iterations: usize,
-    /// Total member solves of the worklist fixpoints that actually ran: a
-    /// memo hit or an SCC carried over from the previous repair round adds
-    /// nothing, and an SCC in which no member applies a member takes one
-    /// solve per member.
+    /// Total member solves of the worklist fixpoints that ran: an SCC
+    /// carried over from the previous repair round adds nothing, and an
+    /// SCC in which no member applies a member takes one solve per member.
     pub fixpoint_iterations: usize,
     /// Total region variables allocated.
     pub regions_created: usize,
@@ -258,16 +257,10 @@ pub struct InferStats {
     pub downcast_sites: usize,
     /// Method bodies symbolically inferred in this run.
     pub methods_inferred: usize,
-    /// Abstraction SCCs whose worklist fixpoint actually ran (summed over
-    /// repair-loop rounds).
+    /// Abstraction SCCs whose worklist fixpoint ran (summed over
+    /// repair-loop rounds). A clean SCC carried over from the previous
+    /// round is not solved again, so it does not count.
     pub sccs_solved: usize,
-    /// Abstraction SCCs served from the content-addressed solve memo. A
-    /// clean SCC carried over from the previous repair round is not
-    /// looked up, so it counts in neither this nor `sccs_solved`.
-    pub sccs_reused: usize,
-    /// Of the reused SCCs, how many were served from an entry solved by a
-    /// *different* client of a shared memo (always 0 for a private cache).
-    pub sccs_shared_hits: usize,
 }
 
 impl InferStats {
@@ -277,8 +270,7 @@ impl InferStats {
         format!(
             "{{\"global_iterations\":{},\"fixpoint_iterations\":{},\"regions_created\":{},\
              \"localized_regions\":{},\"override_repairs\":{},\"downcast_sites\":{},\
-             \"methods_inferred\":{},\"sccs_solved\":{},\"sccs_reused\":{},\
-             \"sccs_shared_hits\":{}}}",
+             \"methods_inferred\":{},\"sccs_solved\":{}}}",
             self.global_iterations,
             self.fixpoint_iterations,
             self.regions_created,
@@ -286,9 +278,7 @@ impl InferStats {
             self.override_repairs,
             self.downcast_sites,
             self.methods_inferred,
-            self.sccs_solved,
-            self.sccs_reused,
-            self.sccs_shared_hits
+            self.sccs_solved
         )
     }
 }

@@ -1,7 +1,5 @@
-//! The inference pipeline: the whole algorithm, end to end — exposed both
-//! as the classic one-shot [`infer`] and as [`infer_with_cache`], which
-//! feeds a (possibly shared) SCC solve memo that the incremental
-//! `Workspace` driver keeps across revisions.
+//! The inference pipeline: the whole algorithm, end to end, as one call
+//! to [`infer`].
 //!
 //! 1. Build class and method region signatures and raw `inv.cn`
 //!    abstractions, and number every abstraction ([`Ctx::new`]); from here
@@ -13,9 +11,7 @@
 //!    a worklist fixed point inside each SCC (region-polymorphic recursion,
 //!    Fig 6) that re-solves only the callers of a member that changed. The
 //!    condensation is computed once: the repair loop below only adds
-//!    atoms, never calls. Each SCC solve is memoized content-addressed
-//!    ([`cj_regions::incremental`]), so an SCC already solved in an earlier
-//!    compile does not iterate.
+//!    atoms, never calls.
 //! 4. Instantiate escaping local regions onto signature regions and repair
 //!    override conflicts (Sec 4.4) over the override pairs, computed once
 //!    and visited children-first; both strengthen raw abstractions, so
@@ -30,12 +26,9 @@
 //! 5. Localize the remaining regions with `letreg` (\[exp-block\]) and emit
 //!    the annotated program.
 //!
-//! Determinism guarantee: for the same kernel program and options,
-//! [`infer_with_cache`] produces output identical to a from-scratch
-//! [`infer`] — same region numbering, same `Q` — no matter what edit
-//! history populated the memo. The memo is keyed by exact, α-invariant
-//! canonical forms, so a hit only replays what a fresh solve would have
-//! computed.
+//! Determinism guarantee: [`infer`] keeps no state between calls, so the
+//! same kernel program and options always give the same output — same
+//! region numbering, same `Q` — whatever was inferred before.
 
 use crate::ctx::Ctx;
 use crate::error::InferError;
@@ -48,7 +41,6 @@ use cj_frontend::graph::tarjan_scc;
 use cj_frontend::kernel::KProgram;
 use cj_frontend::types::MethodId;
 use cj_regions::abstraction::{solve_fixpoint, AbsBody, AbsEnv, AbsId, ConstraintAbs};
-use cj_regions::incremental::{solve_scc_memo_as, SccOutcome, SolveMemo};
 use cj_regions::solve::Solver;
 
 /// Runs region inference over a kernel program.
@@ -59,30 +51,6 @@ use cj_regions::solve::Solver;
 /// [`DowncastPolicy::Reject`](crate::options::DowncastPolicy::Reject));
 /// well-normal-typed programs otherwise always infer (Theorem 1).
 pub fn infer(kp: &KProgram, opts: InferOptions) -> Result<(RProgram, InferStats), InferError> {
-    infer_with_cache(kp, opts, &SolveMemo::new(), 0)
-}
-
-/// [`infer`], reusing (and refreshing) `memo`, a content-addressed memo of
-/// solved abstraction SCCs, on behalf of memo client `client` (see
-/// [`SolveMemo::register_client`]; 0 for an anonymous caller).
-///
-/// Pass the same memo across recompilations of evolving sources: every
-/// body is inferred afresh, but after an edit to one method body only the
-/// abstraction SCCs whose inputs changed iterate — every other SCC's
-/// first solve is a memo hit, and later repair rounds carry it. The memo
-/// is thread-safe, so many clients (workspaces, daemon connections) can
-/// share one; hits on SCCs another client solved are reported as
-/// [`InferStats::sccs_shared_hits`].
-///
-/// # Errors
-///
-/// Same failure modes as [`infer`].
-pub fn infer_with_cache(
-    kp: &KProgram,
-    opts: InferOptions,
-    memo: &SolveMemo,
-    client: u64,
-) -> Result<(RProgram, InferStats), InferError> {
     let mut stats = InferStats::default();
     let signatures_span = cj_trace::span("pipeline", "signatures");
     let mut ctx = Ctx::new(kp, opts);
@@ -126,17 +94,14 @@ pub fn infer_with_cache(
     let pairs = override_pairs(kp);
     loop {
         stats.global_iterations += 1;
-        let (changed, iterations) = solve_dirty(
+        let changed = solve_dirty(
             &groups,
             &ctx.raw,
             &mut closed,
             &grown,
-            memo,
-            client,
             &mut stats,
             &mut carried,
         );
-        stats.fixpoint_iterations += iterations;
         grown.fill(false);
 
         // A method's instantiation depends only on its body and its
@@ -172,7 +137,6 @@ pub fn infer_with_cache(
     }
     solve_span.add("global_iterations", stats.global_iterations as u64);
     solve_span.add("sccs_solved", stats.sccs_solved as u64);
-    solve_span.add("sccs_reused", stats.sccs_reused as u64);
     solve_span.add("sccs_carried", carried);
     drop(solve_span);
 
@@ -278,63 +242,23 @@ fn unsolved(raw: &mut AbsEnv) -> AbsEnv {
         .collect()
 }
 
-/// Solves the whole abstraction system bottom-up over its SCC condensation.
-/// Returns the closed environment and the total number of member solves.
-pub fn solve_all(raw: &AbsEnv) -> (AbsEnv, usize) {
-    let mut env = raw.clone();
-    let mut iterations = 0;
-    for group in condensation(raw) {
-        iterations += solve_fixpoint(&mut env, &group);
-    }
-    (env, iterations)
-}
-
-/// [`solve_all`] with a content-addressed memo: SCCs whose canonical raw
-/// bodies and imported closed forms match a previously solved SCC are
-/// served from `memo` without iterating. Updates the `sccs_solved` /
-/// `sccs_reused` / `sccs_shared_hits` counters of `stats`. This is the
-/// first round of [`infer_with_cache`]'s solve: every SCC is dirty.
-pub fn solve_all_memo(raw: &AbsEnv, memo: &SolveMemo, stats: &mut InferStats) -> (AbsEnv, usize) {
-    let mut raw = raw.clone();
-    let mut closed = unsolved(&mut raw);
-    let groups = condensation(&raw);
-    let all = vec![true; raw.len()];
-    let (_, iterations) = solve_dirty(&groups, &raw, &mut closed, &all, memo, 0, stats, &mut 0);
-    (closed, iterations)
-}
-
-fn record_outcome(outcome: SccOutcome, stats: &mut InferStats) {
-    if outcome.reused {
-        stats.sccs_reused += 1;
-        if outcome.shared {
-            stats.sccs_shared_hits += 1;
-        }
-    } else {
-        stats.sccs_solved += 1;
-    }
-}
-
 /// One bottom-up pass over the condensation `groups` that brings `closed`
-/// up to date with `raw`. An SCC is solved (through the memo) only when a
-/// member's raw body is marked in `grown` or it applies an abstraction
-/// whose closed form changed earlier in this pass; every other SCC keeps
-/// its closed forms and is counted in `carried`. Returns the changed
-/// closed forms, marked by abstraction id, and the number of member
-/// solves.
-#[allow(clippy::too_many_arguments)]
+/// up to date with `raw`. An SCC is solved only when a member's raw body
+/// is marked in `grown` or it applies an abstraction whose closed form
+/// changed earlier in this pass; every other SCC keeps its closed forms
+/// and is counted in `carried`; each solve is counted in `stats`. Returns
+/// the changed closed forms, marked by abstraction id.
 fn solve_dirty(
     groups: &[Vec<AbsId>],
     raw: &AbsEnv,
     closed: &mut AbsEnv,
     grown: &[bool],
-    memo: &SolveMemo,
-    client: u64,
     stats: &mut InferStats,
     carried: &mut u64,
-) -> (Vec<bool>, usize) {
+) -> Vec<bool> {
     let mut span = cj_trace::span("pipeline", "dirty-set");
     let mut changed = vec![false; raw.len()];
-    let (mut dirty_sccs, mut iterations) = (0, 0);
+    let mut dirty_sccs = 0;
     for group in groups {
         let dirty = group.iter().any(|&n| {
             grown[n.index()]
@@ -355,16 +279,15 @@ fn solve_dirty(
             .iter()
             .map(|&n| std::mem::replace(&mut closed.get_mut(n).body, raw.get(n).body.clone()))
             .collect();
-        let outcome = solve_scc_memo_as(closed, group, memo, client);
-        record_outcome(outcome, stats);
-        iterations += outcome.iterations;
+        stats.sccs_solved += 1;
+        stats.fixpoint_iterations += solve_fixpoint(closed, group);
         for (&n, old) in group.iter().zip(before) {
             changed[n.index()] = old.atoms != closed.get(n).body.atoms;
         }
     }
     span.add("sccs", dirty_sccs);
     span.add("changed", changed.iter().filter(|&&c| c).count() as u64);
-    (changed, iterations)
+    changed
 }
 
 fn full_solver(res: &BodyResult, closed: &AbsEnv) -> Solver {
@@ -798,7 +721,7 @@ mod tests {
     }
 
     #[test]
-    fn memoized_reinference_is_bit_identical_and_reuses_scc_solves() {
+    fn reinference_after_an_edit_keeps_untouched_closed_forms() {
         let opts = InferOptions::default();
         let multi = "
         class List { Object value; List next;
@@ -817,69 +740,25 @@ mod tests {
           Object peek() { this.top.getValue() }
         }";
         let kp = check_source(multi).unwrap();
-        let memo = SolveMemo::new();
-        let (p1, s1) = infer_with_cache(&kp, opts, &memo, 0).unwrap();
-        assert!(s1.methods_inferred > 0);
-
-        // Identical input: every body is re-inferred, every SCC replayed.
-        let (p2, s2) = infer_with_cache(&kp, opts, &memo, 0).unwrap();
-        assert_eq!(s2.methods_inferred, s1.methods_inferred);
-        assert_eq!(s2.sccs_solved, 0, "all SCC solves must hit the memo");
-        assert!(s2.sccs_reused > 0);
+        let (p1, s1) = infer(&kp, opts).unwrap();
+        let (p2, s2) = infer(&kp, opts).unwrap();
+        assert_eq!(s1, s2, "no state survives a call");
         assert_eq!(
             crate::pretty::program_to_string(&p1),
             crate::pretty::program_to_string(&p2)
         );
 
-        // One edited body: strictly fewer SCC solves than a cold run — and
-        // output identical to from-scratch.
+        // One edited body leaves the closed forms it does not reach alone.
         let edited = multi.replace(
             "{ this.top.getValue() }",
             "{ this.top.getNext().getValue() }",
         );
-        let kp2 = check_source(&edited).unwrap();
-        let (p3, s3) = infer_with_cache(&kp2, opts, &memo, 0).unwrap();
-        assert!(
-            s3.sccs_solved < s1.sccs_solved,
-            "dirty SCCs ({}) must be fewer than a cold solve ({})",
-            s3.sccs_solved,
-            s1.sccs_solved
-        );
-        let (p4, s4) = infer(&kp2, opts).unwrap();
-        assert_eq!(
-            crate::pretty::program_to_string(&p3),
-            crate::pretty::program_to_string(&p4),
-            "incremental result must equal from-scratch"
-        );
-        let q3: Vec<String> = p3.q.iter().map(|a| a.to_string()).collect();
-        let q4: Vec<String> = p4.q.iter().map(|a| a.to_string()).collect();
-        assert_eq!(q3, q4, "closed environments must match");
-        assert_eq!(s3.regions_created, s4.regions_created);
-
-        // Untouched abstractions keep byte-identical closed forms.
+        let (p3, _) = infer(&check_source(&edited).unwrap(), opts).unwrap();
         let get_value = |p: &RProgram| {
             let id = p.q.find("pre.List.getValue").unwrap();
             p.q.get(id).to_string()
         };
-        let (before, after) = (get_value(&p1), get_value(&p3));
-        assert_eq!(before, after);
-    }
-
-    #[test]
-    fn shape_change_still_matches_scratch() {
-        let opts = InferOptions::default();
-        let v1 = "class A { Object x; Object get() { this.x } }";
-        let v2 = "class A { Object x; Object y; Object get() { this.x } }";
-        let memo = SolveMemo::new();
-        let kp1 = check_source(v1).unwrap();
-        infer_with_cache(&kp1, opts, &memo, 0).unwrap();
-        let kp2 = check_source(v2).unwrap();
-        let (p_inc, _) = infer_with_cache(&kp2, opts, &memo, 0).unwrap();
-        let (p_fresh, _) = infer(&kp2, opts).unwrap();
-        assert_eq!(
-            crate::pretty::program_to_string(&p_inc),
-            crate::pretty::program_to_string(&p_fresh)
-        );
+        assert_eq!(get_value(&p1), get_value(&p3));
     }
 
     #[test]

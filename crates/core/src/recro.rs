@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 /// recursive region, which they do not have).
 pub fn rec_read_only(kp: &KProgram) -> Vec<bool> {
     let table = &kp.table;
-    let recursive = table.recursive_classes();
+    let cycles = table.field_cycles();
     // Collect (declaring class, field name) pairs that are ever assigned.
     let mut assigned: BTreeSet<(ClassId, cj_frontend::Symbol)> = BTreeSet::new();
     for (_, m) in kp.all_methods() {
@@ -34,17 +34,11 @@ pub fn rec_read_only(kp: &KProgram) -> Vec<bool> {
         .classes()
         .iter()
         .map(|info| {
-            if !recursive[info.id.index()] {
-                return false;
-            }
-            table.recursive_fields(info.id).iter().all(|&fname| {
-                // The field may be declared in an ancestor; find its owner.
-                let owner = table
-                    .lookup_field(info.id, fname)
-                    .map(|f| f.owner)
-                    .unwrap_or(info.id);
-                !assigned.contains(&(owner, fname))
-            })
+            cycles[info.id.index()].is_some()
+                && table
+                    .recursive_fields(info.id, &cycles)
+                    .iter()
+                    .all(|f| !assigned.contains(&(f.owner, f.name)))
         })
         .collect()
 }

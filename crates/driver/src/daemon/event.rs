@@ -27,7 +27,6 @@ use super::{
     MAX_REQUEST_BYTES,
 };
 use crate::server::Server;
-use crate::workspace::Workspace;
 use cj_diag::json::json_string;
 use cj_net::{EventLoop, NetConfig, NetEvent, NetHandle, NetListener, Token};
 use std::collections::HashMap;
@@ -182,11 +181,7 @@ pub(super) fn serve(daemon: &Daemon, handler: Handler) -> std::io::Result<()> {
                     over_capacity: false,
                 } => {
                     daemon.stats.record_accept();
-                    let ws = Workspace::with_shared_memo(
-                        daemon.config.opts.clone(),
-                        Arc::clone(&daemon.memo),
-                    );
-                    let mut server = Server::with_workspace(ws);
+                    let mut server = Server::new(daemon.config.opts.clone());
                     server.set_daemon_stats(Arc::clone(&daemon.stats));
                     server.set_telemetry(Arc::clone(&daemon.telemetry));
                     conns.insert(token, Some(Arc::new(Mutex::new(server))));

@@ -4,13 +4,9 @@
 //! `cjrc serve` JSON-lines protocol ([`crate::server`]) *per connection*:
 //! every client gets its own [`crate::server::Server`] over its own
 //! [`crate::workspace::Workspace`] (private files, revisions and pass
-//! counters), while all workspaces feed **one shared content-addressed
-//! SCC solve memo** ([`cj_regions::incremental::SolveMemo`]). The memo
-//! keys are α-invariant and name-independent, so a
-//! constraint-abstraction SCC solved for one client is a hit for every
-//! other client compiling an equivalent fragment — cross-client reuse
-//! the `stats` command reports as `shared_memo.shared_hits` (and
-//! per-compilation as `sccs_shared_hits`).
+//! counters). Clients share no compiler state: each compile infers from
+//! its own workspace's kernel, so a client's replies are the ones an
+//! isolated `cjrc serve` session gives for the same requests.
 //!
 //! # Front end
 //!
@@ -61,7 +57,6 @@ mod event;
 use crate::server::Server;
 use crate::session::SessionOptions;
 use cj_diag::json::{json_string, parse_json};
-use cj_regions::incremental::SolveMemo;
 use std::net::{SocketAddr, TcpListener};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -231,12 +226,11 @@ pub(crate) enum Listener {
     Unix(UnixListener),
 }
 
-/// The socket front end multiplexing many `serve`-protocol clients over
-/// one shared solve memo. See the module docs.
+/// The socket front end multiplexing many `serve`-protocol clients. See
+/// the module docs.
 pub struct Daemon {
     listener: Listener,
     config: DaemonConfig,
-    memo: Arc<SolveMemo>,
     stop: Arc<AtomicBool>,
     stats: Arc<DaemonStats>,
     telemetry: Arc<crate::telemetry::Telemetry>,
@@ -295,7 +289,6 @@ impl Daemon {
         Ok(Daemon {
             listener,
             config,
-            memo: Arc::new(SolveMemo::new()),
             stop: Arc::new(AtomicBool::new(false)),
             stats,
             telemetry: Arc::new(crate::telemetry::Telemetry::new()),
@@ -330,11 +323,6 @@ impl Daemon {
         }
     }
 
-    /// The cross-client solve memo (shared with every connection).
-    pub fn shared_memo(&self) -> Arc<SolveMemo> {
-        Arc::clone(&self.memo)
-    }
-
     /// A handle that stops the accept loop when set (the in-band
     /// alternative is a `{"cmd":"shutdown","scope":"daemon"}` request).
     pub fn stop_handle(&self) -> Arc<AtomicBool> {
@@ -364,7 +352,6 @@ impl Daemon {
             Some(listener) => Some(crate::telemetry::spawn_metrics_endpoint(
                 listener,
                 Arc::clone(&self.telemetry),
-                Some(Arc::clone(&self.memo)),
                 Some(Arc::clone(&self.stats)),
                 Arc::clone(&self.stop),
             )?),

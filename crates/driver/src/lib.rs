@@ -10,16 +10,14 @@
 //!
 //! Every derived artifact is a memoized query with fine-grained
 //! invalidation: editing one file re-parses **only that file**, and
-//! re-inference replays per-SCC solved abstractions from a
-//! content-addressed memo — re-solving only what the edit dirtied, while
-//! producing output bit-identical to a from-scratch compile. The closed constraint-abstraction environment `Q` is
-//! queryable ([`Workspace::q`], [`Workspace::precondition`],
+//! re-inference starts from the fresh kernel, so its output is
+//! bit-identical to a from-scratch compile. The closed
+//! constraint-abstraction environment `Q` is queryable ([`Workspace::q`], [`Workspace::precondition`],
 //! [`Workspace::invariant`], [`Workspace::entails`]) without re-solving.
 //!
 //! [`Session`] is the single-source facade (one file named `<input>`),
 //! [`Server`] the JSON-lines compile-server loop behind `cjrc serve`,
-//! [`Daemon`] the `cjrcd` socket front end multiplexing many such servers
-//! over one shared cross-client SCC solve memo.
+//! [`Daemon`] the `cjrcd` socket front end multiplexing many such servers.
 //! Errors from every stage are structured
 //! [`Diagnostics`](cj_diag::Diagnostics) with spans, stable codes, caret
 //! rendering and a JSON form; no stage returns `Box<dyn Error>` or

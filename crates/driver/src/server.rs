@@ -5,8 +5,7 @@
 //! response carries the workspace `revision` and a `passes_executed`
 //! object — the per-request delta of the workspace pass counters — so
 //! clients (and tests) can *observe* incrementality: after editing one
-//! method body, a `check` response shows one file re-parsed and only the
-//! dirty abstraction SCCs re-solved.
+//! method body, a `check` response shows one file re-parsed.
 //!
 //! # Requests
 //!
@@ -18,7 +17,7 @@
 //! | `annotate` | — | return the annotated program text |
 //! | `query` | `name` \| `invariant` \| `precondition` [+ `class`] [+ `entails`] | read the closed environment `Q` |
 //! | `policy` | optional `rules`, `name` | load inline rules (or reuse the loaded set) and check them |
-//! | `stats` | — | revision, files, cumulative passes, shared-memo hit rates, infer stats |
+//! | `stats` | — | revision, files, cumulative passes, infer stats |
 //! | `shutdown` | optional `scope:"daemon"` | acknowledge and stop (the whole daemon with `scope`) |
 //!
 //! # Example exchange
@@ -59,15 +58,8 @@ pub struct Server {
 impl Server {
     /// A server over an empty workspace.
     pub fn new(opts: SessionOptions) -> Server {
-        Server::with_workspace(Workspace::new(opts))
-    }
-
-    /// A server over an existing workspace — how the daemon front end
-    /// gives every connection a workspace feeding one shared SCC memo
-    /// ([`Workspace::with_shared_memo`]).
-    pub fn with_workspace(ws: Workspace) -> Server {
         Server {
-            ws,
+            ws: Workspace::new(opts),
             done: false,
             daemon_stats: None,
             telemetry: std::sync::Arc::new(crate::telemetry::Telemetry::new()),
@@ -96,11 +88,6 @@ impl Server {
     /// Whether a `shutdown` request has been processed.
     pub fn is_done(&self) -> bool {
         self.done
-    }
-
-    /// The underlying workspace (for tests and embedders).
-    pub fn workspace(&mut self) -> &mut Workspace {
-        &mut self.ws
     }
 
     /// Processes one request line, returning the response line (without a
@@ -272,17 +259,10 @@ impl Server {
             "stats" => {
                 let files: Vec<String> =
                     self.ws.file_names().into_iter().map(json_string).collect();
-                let memo = self.ws.shared_memo();
                 let mut extra = format!(
-                    "\"files\":[{}],\"passes_total\":{},\
-                     \"shared_memo\":{{\"entries\":{},\"hits\":{},\"misses\":{},\
-                     \"shared_hits\":{}}}",
+                    "\"files\":[{}],\"passes_total\":{}",
                     files.join(","),
-                    self.ws.pass_counts().to_json(),
-                    memo.len(),
-                    memo.hits(),
-                    memo.misses(),
-                    memo.shared_hits()
+                    self.ws.pass_counts().to_json()
                 );
                 let _ = write!(
                     extra,
@@ -303,12 +283,9 @@ impl Server {
             "metrics" => {
                 // One unified read of the registry every connection's
                 // server records into: request mix + per-kind latency
-                // quantiles + pass totals + memo/daemon gauges. The same
+                // quantiles + pass totals + daemon gauges. The same
                 // snapshot the `--metrics-addr` HTTP endpoint serves.
-                let memo = self.ws.shared_memo();
-                Ok(self
-                    .telemetry
-                    .metrics_fields(Some(&memo), self.daemon_stats.as_deref()))
+                Ok(self.telemetry.metrics_fields(self.daemon_stats.as_deref()))
             }
             "shutdown" => {
                 // `scope:"daemon"` is acted on by the daemon front end; a
@@ -443,22 +420,12 @@ mod tests {
         assert!(resp.contains("\"files\":[\"a.cj\"]"), "{resp}");
         assert!(!resp.contains("infer_stats"), "{resp}");
         assert!(resp.contains("\"passes_executed\":{\"parse\":0"), "{resp}");
-        assert!(
-            resp.contains(
-                "\"shared_memo\":{\"entries\":0,\"hits\":0,\"misses\":0,\
-                           \"shared_hits\":0}"
-            ),
-            "{resp}"
-        );
         // After a check, stats reports the cached compilation — still
         // without executing anything new.
         s.handle_line(r#"{"cmd":"check"}"#);
         let resp = s.handle_line(r#"{"cmd":"stats"}"#);
         assert!(resp.contains("\"infer_stats\":{"), "{resp}");
-        assert!(resp.contains("\"sccs_shared_hits\":0"), "{resp}");
         assert!(resp.contains("\"passes_executed\":{\"parse\":0"), "{resp}");
-        assert!(resp.contains("\"shared_memo\":{"), "{resp}");
-        assert!(resp.contains("\"misses\":"), "{resp}");
     }
 
     #[test]
@@ -552,8 +519,7 @@ mod tests {
         let cold = s.handle_line(r#"{"cmd":"check"}"#);
         assert!(cold.contains("\"parse\":2"), "{cold}");
 
-        // Edit only b.cj: one re-parse, every body re-inferred, and the
-        // SCC solves of Cell's methods are replayed.
+        // Edit only b.cj: one re-parse, every body re-inferred.
         s.handle_line(
             r#"{"cmd":"edit","file":"b.cj","text":"class M { static Object f(Cell c) { c.id() } }"}"#,
         );
@@ -568,11 +534,7 @@ mod tests {
             Some(Json::Num(n)) => *n,
             _ => panic!("no {key} in {reply}"),
         };
-        assert!(passes(&warm, "sccs_reused") > 0.0, "{warm}");
-        assert!(
-            passes(&warm, "sccs_solved") < passes(&cold, "sccs_solved"),
-            "{warm}"
-        );
+        assert!(passes(&warm, "sccs_solved") > 0.0, "{warm}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! A session holds one source text and exposes the staged pipeline
 //! `parse → typecheck → infer → check → run` with per-stage memoization.
-//! All artifact caching, invalidation and inference reuse live in the
+//! All artifact caching and invalidation live in the
 //! underlying workspace; `Session` adds the single-source conveniences
 //! (one display name, a borrowed [`Emitter`], integer `main` arguments).
 

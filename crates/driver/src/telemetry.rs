@@ -5,10 +5,9 @@
 //! request latencies (per request kind) and executed pass counts into
 //! the daemon-wide [`Telemetry`]; the daemon front end adds the time each
 //! job spent queued between the reactor and a worker. At scrape time the
-//! shared [`SolveMemo`] and [`DaemonStats`] atomics are mirrored into
-//! the same snapshot, so one read shows the whole system — request mix,
-//! tail latencies, queue health, memo effectiveness, connection churn —
-//! instead of three disjoint counter families.
+//! [`DaemonStats`] atomics are mirrored into the same snapshot, so one
+//! read shows the whole system — request mix, tail latencies, queue
+//! health, connection churn — instead of disjoint counter families.
 //!
 //! The HTTP endpoint dogfoods [`cj_net::EventLoop`] as a minimal
 //! HTTP/1.0 server: one reactor thread, one request line per
@@ -24,7 +23,6 @@ use crate::daemon::DaemonStats;
 use crate::workspace::PassCounts;
 use cj_diag::json::{json_string, parse_json, Json};
 use cj_net::{EventLoop, NetConfig, NetEvent, NetListener};
-use cj_regions::incremental::SolveMemo;
 use cj_trace::{Event, MetricsRegistry, MetricsSnapshot};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -100,8 +98,8 @@ impl Telemetry {
 
     /// The `uptime_ms`, `version` and `metrics` members (no braces) of
     /// the `metrics` response and of `/metrics.json`.
-    pub fn metrics_fields(&self, memo: Option<&SolveMemo>, daemon: Option<&DaemonStats>) -> String {
-        let snapshot = self.snapshot(memo, daemon);
+    pub fn metrics_fields(&self, daemon: Option<&DaemonStats>) -> String {
+        let snapshot = self.snapshot(daemon);
         format!(
             "\"uptime_ms\":{},\"version\":{},\"metrics\":{}",
             self.uptime_ms(),
@@ -111,20 +109,10 @@ impl Telemetry {
     }
 
     /// One unified snapshot: mirrors `uptime_ms` and — when available —
-    /// the shared solve memo and the daemon's serving counters into the
-    /// registry, then reads everything at once.
-    pub fn snapshot(
-        &self,
-        memo: Option<&SolveMemo>,
-        daemon: Option<&DaemonStats>,
-    ) -> MetricsSnapshot {
+    /// the daemon's serving counters into the registry, then reads
+    /// everything at once.
+    pub fn snapshot(&self, daemon: Option<&DaemonStats>) -> MetricsSnapshot {
         self.registry.set("uptime_ms", self.uptime_ms());
-        if let Some(memo) = memo {
-            self.registry.set("memo_entries", memo.len() as u64);
-            self.registry.set("memo_hits", memo.hits());
-            self.registry.set("memo_misses", memo.misses());
-            self.registry.set("memo_shared_hits", memo.shared_hits());
-        }
         if let Some(daemon) = daemon {
             self.registry
                 .set("daemon_clients_served", daemon.clients_served());
@@ -297,7 +285,6 @@ fn http_response(status: &str, content_type: &str, body: &str) -> Vec<u8> {
 pub fn spawn_metrics_endpoint(
     listener: TcpListener,
     telemetry: Arc<Telemetry>,
-    memo: Option<Arc<SolveMemo>>,
     daemon: Option<Arc<DaemonStats>>,
     stop: Arc<AtomicBool>,
 ) -> std::io::Result<std::thread::JoinHandle<()>> {
@@ -332,8 +319,7 @@ pub fn spawn_metrics_endpoint(
                         match path {
                             "/metrics" => {
                                 telemetry.registry().add("metrics_scrapes", 1);
-                                let snapshot =
-                                    telemetry.snapshot(memo.as_deref(), daemon.as_deref());
+                                let snapshot = telemetry.snapshot(daemon.as_deref());
                                 let mut body = format!(
                                     "cjrc_info{{version=\"{}\"}} 1\n",
                                     Telemetry::version()
@@ -345,7 +331,7 @@ pub fn spawn_metrics_endpoint(
                                 telemetry.registry().add("metrics_scrapes", 1);
                                 let body = format!(
                                     "{{{}}}\n",
-                                    telemetry.metrics_fields(memo.as_deref(), daemon.as_deref())
+                                    telemetry.metrics_fields(daemon.as_deref())
                                 );
                                 http_response("200 OK", "application/json", &body)
                             }

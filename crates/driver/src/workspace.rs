@@ -9,11 +9,8 @@
 //!   cached by content; every file owns a fixed slice of the workspace
 //!   span space, so other files' spans never move);
 //! - every revision re-infers, re-lowers and re-checks policy from the
-//!   fresh kernel; only the content-addressed per-SCC solve memo
-//!   ([`SolveMemo`], fed through [`cj_infer::infer_with_cache`]) outlives
-//!   it, so an edit to one method
-//!   body re-solves only the dirty abstraction SCCs — while producing
-//!   output bit-identical to a from-scratch compile;
+//!   fresh kernel, so its output is bit-identical to a from-scratch
+//!   compile; no inference state outlives a revision;
 //! - the closed constraint-abstraction environment `Q` is queryable
 //!   ([`q`](Workspace::q), [`precondition`](Workspace::precondition),
 //!   [`invariant`](Workspace::invariant), [`entails`](Workspace::entails))
@@ -37,17 +34,14 @@
 //! let first = ws.pass_counts();
 //! assert_eq!(first.parse, 2);
 //!
-//! // Editing one method body re-parses only that file…
+//! // Editing one method body re-parses only that file, and re-infers
+//! // both bodies.
 //! ws.set_source("use.cj", "class M { static Object f(Cell c) { c.get(); c.get() } }")
 //!     .unwrap();
 //! ws.check().unwrap();
 //! let second = ws.pass_counts().since(first);
 //! assert_eq!(second.parse, 1);
-//! // …re-infers both bodies, and replays the SCC solves the edit left
-//! // untouched, such as `Cell.get`'s.
 //! assert_eq!(second.methods_inferred, 2);
-//! assert!(second.sccs_reused > 0);
-//! assert!(second.sccs_solved < first.sccs_solved);
 //! ```
 
 use crate::session::{Compilation, CompileResult, SessionOptions};
@@ -58,7 +52,6 @@ use cj_infer::InferOptions;
 use cj_policy::PolicySet;
 use cj_regions::abstraction::ConstraintAbs;
 use cj_regions::constraint::Atom;
-use cj_regions::incremental::SolveMemo;
 use cj_regions::solve::Solver;
 use cj_regions::var::RegVar;
 use cj_runtime::{Engine, Outcome, Value};
@@ -100,14 +93,6 @@ pub struct PassCounts {
     pub methods_inferred: u32,
     /// Abstraction SCC fixpoints actually run.
     pub sccs_solved: u32,
-    /// Abstraction SCC solves served from the content-addressed memo.
-    pub sccs_reused: u32,
-    /// Of the reused SCCs, solves served from a memo entry another
-    /// *workspace* produced (0 unless this workspace shares its memo via
-    /// [`Workspace::with_shared_memo`]; a workspace hitting its own
-    /// earlier work — even from a different per-options cache — never
-    /// counts).
-    pub sccs_shared_hits: u32,
     /// Policy rule × method evaluations actually executed (a replay of
     /// the revision's cached outcome doesn't count).
     pub rules_checked: u32,
@@ -129,15 +114,13 @@ impl PassCounts {
             extent_rewrites: self.extent_rewrites - earlier.extent_rewrites,
             methods_inferred: self.methods_inferred - earlier.methods_inferred,
             sccs_solved: self.sccs_solved - earlier.sccs_solved,
-            sccs_reused: self.sccs_reused - earlier.sccs_reused,
-            sccs_shared_hits: self.sccs_shared_hits - earlier.sccs_shared_hits,
             rules_checked: self.rules_checked - earlier.rules_checked,
             policy_violations: self.policy_violations - earlier.policy_violations,
         }
     }
 
     /// Every counter with its stable key, in the `passes_executed` order.
-    pub fn fields(&self) -> [(&'static str, u32); 13] {
+    pub fn fields(&self) -> [(&'static str, u32); 11] {
         [
             ("parse", self.parse),
             ("typecheck", self.typecheck),
@@ -147,8 +130,6 @@ impl PassCounts {
             ("lower", self.lower),
             ("methods_inferred", self.methods_inferred),
             ("sccs_solved", self.sccs_solved),
-            ("sccs_reused", self.sccs_reused),
-            ("sccs_shared_hits", self.sccs_shared_hits),
             ("extent_rewrites", self.extent_rewrites),
             ("rules_checked", self.rules_checked),
             ("policy_violations", self.policy_violations),
@@ -234,28 +215,11 @@ pub struct Workspace {
     kernel: Option<Arc<KProgram>>,
     states: HashMap<InferOptions, InferState>,
     counts: PassCounts,
-    /// One content-addressed SCC memo fed by every per-options cache; pass
-    /// a clone of the same `Arc` to other workspaces (daemon clients) to
-    /// share solved SCCs across them.
-    memo: Arc<SolveMemo>,
-    /// This workspace's single client id within `memo` (all per-options
-    /// caches share it, so only cross-workspace reuse counts as shared).
-    memo_client: u64,
 }
 
 impl Workspace {
-    /// An empty workspace with a private solve memo.
+    /// An empty workspace.
     pub fn new(opts: SessionOptions) -> Workspace {
-        Workspace::with_shared_memo(opts, Arc::new(SolveMemo::new()))
-    }
-
-    /// An empty workspace whose per-SCC solves feed (and are fed by)
-    /// `memo`. The workspace registers as **one** memo client (shared by
-    /// all its per-options caches), so `sccs_shared_hits` in
-    /// [`PassCounts`] counts only reuse across *workspaces* — never a
-    /// workspace hitting its own earlier work.
-    pub fn with_shared_memo(opts: SessionOptions, memo: Arc<SolveMemo>) -> Workspace {
-        let memo_client = memo.register_client();
         Workspace {
             opts,
             files: BTreeMap::new(),
@@ -267,14 +231,7 @@ impl Workspace {
             kernel: None,
             states: HashMap::new(),
             counts: PassCounts::default(),
-            memo,
-            memo_client,
         }
-    }
-
-    /// The solve memo this workspace feeds.
-    pub fn shared_memo(&self) -> Arc<SolveMemo> {
-        Arc::clone(&self.memo)
     }
 
     /// The workspace options.
@@ -310,9 +267,7 @@ impl Workspace {
 
     /// Adds or replaces a source file. A no-op (returning the unchanged
     /// revision) when the text is identical; otherwise every derived
-    /// artifact except the other files' parses is dropped — only the SCC
-    /// solve memo survives, so the next compile replays the SCC solves the
-    /// edit did not touch.
+    /// artifact except the other files' parses is dropped.
     ///
     /// # Errors
     ///
@@ -477,7 +432,7 @@ impl Workspace {
     }
 
     /// Region inference under the workspace's default options (cached per
-    /// revision; reuses the workspace's SCC solve memo across revisions).
+    /// revision).
     ///
     /// # Errors
     ///
@@ -503,8 +458,7 @@ impl Workspace {
         self.counts.infer += 1;
         let mut span = cj_trace::span("pipeline", "infer");
         let (mut program, stats) =
-            cj_infer::infer_with_cache(&kernel, opts, &self.memo, self.memo_client)
-                .map_err(IntoDiagnostics::into_diagnostics)?;
+            cj_infer::infer(&kernel, opts).map_err(IntoDiagnostics::into_diagnostics)?;
         // Extent inference runs after the paper pipeline, before anything
         // downstream (checker, lowering, both engines) sees the program.
         let extent_stats = cj_liveness::for_mode(opts.extent).rewrite_program(&mut program);
@@ -514,8 +468,6 @@ impl Workspace {
         self.counts.extent_rewrites += (extent_stats.narrowed + extent_stats.dropped) as u32;
         self.counts.methods_inferred += stats.methods_inferred as u32;
         self.counts.sccs_solved += stats.sccs_solved as u32;
-        self.counts.sccs_reused += stats.sccs_reused as u32;
-        self.counts.sccs_shared_hits += stats.sccs_shared_hits as u32;
         span.add("methods_inferred", stats.methods_inferred as u64);
         span.add("regions_created", stats.regions_created as u64);
         Ok(compilation)
@@ -1143,52 +1095,27 @@ mod tests {
     }
 
     #[test]
-    fn workspaces_share_scc_solves_through_one_memo() {
-        let memo = Arc::new(SolveMemo::new());
-        let mut a = Workspace::with_shared_memo(SessionOptions::default(), Arc::clone(&memo));
+    fn workspaces_compiling_overlapping_programs_match_isolated_ones() {
+        let mut a = Workspace::new(SessionOptions::default());
         a.set_source("cell.cj", CELL).unwrap();
         a.set_source("use.cj", USER).unwrap();
         a.check().unwrap();
-        let a_counts = a.pass_counts();
-        assert!(a_counts.sccs_solved > 0);
-        assert_eq!(a_counts.sccs_shared_hits, 0, "first client solves cold");
+        assert!(a.pass_counts().sccs_solved > 0);
 
-        // A second workspace compiling an overlapping program: the SCCs it
-        // shares with `a` (cell.cj and friends) come from the memo, and
-        // are visible as cross-client shared hits.
-        let mut b = Workspace::with_shared_memo(SessionOptions::default(), Arc::clone(&memo));
+        // A second workspace compiling a program that overlaps `a`'s does
+        // the work of, and answers like, one that never saw `a`.
+        let mut b = Workspace::new(SessionOptions::default());
         b.set_source("cell.cj", CELL).unwrap();
         b.check().unwrap();
-        let b_counts = b.pass_counts();
-        assert!(
-            b_counts.sccs_shared_hits > 0,
-            "overlapping SCCs must be shared hits: {b_counts:?}"
-        );
-        assert_eq!(b_counts.sccs_reused, b_counts.sccs_shared_hits);
-        assert_eq!(memo.shared_hits(), b_counts.sccs_shared_hits as u64);
-
-        // Identity: the shared memo changes work counts, never results.
         let mut isolated = Workspace::new(SessionOptions::default());
         isolated.set_source("cell.cj", CELL).unwrap();
+        isolated.check().unwrap();
         assert_eq!(
             b.annotate().unwrap(),
             isolated.annotate().unwrap(),
-            "shared-memo output must equal an isolated compile"
+            "output must equal an isolated compile"
         );
-        assert_eq!(isolated.pass_counts().sccs_shared_hits, 0);
-        // A private workspace compiling under several options reuses its
-        // own SCCs across the per-options caches — that reuse must NOT be
-        // reported as cross-client.
-        isolated
-            .infer_with(cj_infer::InferOptions::with_mode(
-                cj_infer::SubtypeMode::None,
-            ))
-            .unwrap();
-        let counts = isolated.pass_counts();
-        assert_eq!(
-            counts.sccs_shared_hits, 0,
-            "self-reuse across options misreported as shared: {counts:?}"
-        );
+        assert_eq!(b.pass_counts(), isolated.pass_counts());
     }
 
     #[test]

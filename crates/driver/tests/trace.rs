@@ -245,7 +245,6 @@ fn metrics_endpoint_serves_text_and_json_expositions() {
     assert!(text.contains("request_us_check{quantile=\"0.99\"}"));
     assert!(text.contains("queue_wait_us_count 3"), "{text}");
     assert!(text.contains("daemon_clients_served 1"), "{text}");
-    assert!(text.contains("memo_entries"), "{text}");
 
     // JSON exposition parses and carries the same registry.
     let json_response = http_get(metrics_addr, "GET /metrics.json HTTP/1.0");
@@ -318,14 +317,13 @@ fn metrics_request_and_stats_share_the_registry_view() {
     );
 
     // `metrics` returns the registry: request mix, per-kind latency
-    // histograms, pass totals, memo gauges.
+    // histograms, pass totals.
     let metrics = &responses[3];
     assert!(metrics.contains("\"ok\":true"), "{metrics}");
     assert!(metrics.contains("\"uptime_ms\":"), "{metrics}");
     assert!(metrics.contains(&format!("\"version\":\"{version}\"")));
     assert!(metrics.contains("\"requests_total\":3"), "{metrics}");
     assert!(metrics.contains("\"passes_infer\":1"), "{metrics}");
-    assert!(metrics.contains("\"memo_entries\":"), "{metrics}");
     assert!(
         metrics.contains("\"request_us_check\":{\"count\":1,"),
         "{metrics}"

@@ -554,77 +554,58 @@ impl ClassTable {
             .map(|&i| (i, &self.statics[i as usize]))
     }
 
-    /// The classes whose fields (transitively) reach back to themselves —
-    /// i.e. members of a cycle in the field-type graph. These are the
-    /// *recursive classes* of Sec 3.1; each gets a dedicated recursive
-    /// region as its last region parameter.
-    ///
-    /// Superclass edges also count: a class is recursive if it participates
-    /// in a cycle through field types and/or inheritance (mutual recursion
-    /// between classes is grouped the same way).
+    /// The field-type cycle of every class, by class id: `Some(k)` for a
+    /// *recursive class* (Sec 3.1), one whose fields, inherited ones
+    /// included, reach back to it through field types, and `None` for
+    /// every other class. Classes share `k` exactly when each reaches the
+    /// other. Each recursive class gets a dedicated recursive region as
+    /// its last region parameter.
+    pub fn field_cycles(&self) -> Vec<Option<u32>> {
+        let n = self.classes.len();
+        // Vertex `c` is class `c` and vertex `n + c` the fields of `c`: an
+        // edge to the type of each own field and one to the fields of the
+        // superclass. Class vertices reach each other exactly as the
+        // classes do through their fields, and the graph stays linear in
+        // the program however deep the hierarchy.
+        let mut adj: Vec<Vec<usize>> = (n..2 * n).map(|fields| vec![fields]).collect();
+        adj.extend(self.classes.iter().map(|info| {
+            let sup = info.superclass.map(|s| n + s.index());
+            let types = info.own_fields.iter().filter_map(|f| match f.ty {
+                NType::Class(d) => Some(d.index()),
+                _ => None,
+            });
+            sup.into_iter().chain(types).collect()
+        }));
+        let sccs = crate::graph::tarjan_scc(2 * n, |v| adj[v].iter().copied());
+        // A class lies on a cycle exactly when its component has another
+        // vertex: at least its own fields vertex.
+        let mut cycles = vec![None; n];
+        for (k, scc) in sccs.iter().enumerate().filter(|(_, scc)| scc.len() > 1) {
+            for &v in scc.iter().filter(|&&v| v < n) {
+                cycles[v] = Some(k as u32);
+            }
+        }
+        cycles
+    }
+
+    /// Whether each class is recursive (see
+    /// [`field_cycles`](ClassTable::field_cycles)).
     pub fn recursive_classes(&self) -> Vec<bool> {
-        let n = self.classes.len();
-        // Adjacency: edge c -> d when a field of c (incl. inherited) has
-        // type d, or d is c's superclass component.
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for info in &self.classes {
-            for f in self.all_fields(info.id) {
-                if let NType::Class(d) = f.ty {
-                    adj[info.id.index()].push(d.index());
-                }
-            }
-        }
-        // Tarjan SCC; classes in a nontrivial SCC (or with a self-loop) are
-        // recursive.
-        let sccs = crate::graph::tarjan_scc(n, |v| adj[v].iter().copied());
-        let mut recursive = vec![false; n];
-        for scc in &sccs {
-            if scc.len() > 1 {
-                for &v in scc {
-                    recursive[v] = true;
-                }
-            } else {
-                let v = scc[0];
-                if adj[v].contains(&v) {
-                    recursive[v] = true;
-                }
-            }
-        }
-        recursive
+        self.field_cycles().iter().map(Option::is_some).collect()
     }
 
-    /// For a recursive class, the set of *recursive fields*: fields whose
-    /// type lies in the same field-type SCC as the class.
-    pub fn recursive_fields(&self, id: ClassId) -> Vec<Symbol> {
-        let recursive = self.recursive_classes();
-        if !recursive[id.index()] {
+    /// The *recursive fields* of `id` under `cycles`, the result of
+    /// [`field_cycles`](ClassTable::field_cycles): its fields, inherited
+    /// ones included, whose type lies in its own cycle. Empty unless `id`
+    /// is recursive.
+    pub fn recursive_fields(&self, id: ClassId, cycles: &[Option<u32>]) -> Vec<&FieldInfo> {
+        let Some(own) = cycles[id.index()] else {
             return Vec::new();
-        }
-        let scc = self.field_scc_of(id);
+        };
         self.all_fields(id)
-            .iter()
-            .filter(|f| match f.ty {
-                NType::Class(d) => scc.contains(&d.index()),
-                _ => false,
-            })
-            .map(|f| f.name)
+            .into_iter()
+            .filter(|f| matches!(f.ty, NType::Class(d) if cycles[d.index()] == Some(own)))
             .collect()
-    }
-
-    fn field_scc_of(&self, id: ClassId) -> Vec<usize> {
-        let n = self.classes.len();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for info in &self.classes {
-            for f in self.all_fields(info.id) {
-                if let NType::Class(d) = f.ty {
-                    adj[info.id.index()].push(d.index());
-                }
-            }
-        }
-        let sccs = crate::graph::tarjan_scc(n, |v| adj[v].iter().copied());
-        sccs.into_iter()
-            .find(|scc| scc.contains(&id.index()))
-            .unwrap_or_default()
     }
 }
 
@@ -791,7 +772,9 @@ mod tests {
         let pair = t.class_id("Pair").unwrap();
         assert!(rec[list.index()]);
         assert!(!rec[pair.index()]);
-        assert_eq!(t.recursive_fields(list), vec![Symbol::intern("next")]);
+        let fields = t.recursive_fields(list, &t.field_cycles());
+        assert_eq!(fields.len(), 1);
+        assert_eq!(fields[0].name, Symbol::intern("next"));
     }
 
     #[test]
@@ -800,7 +783,21 @@ mod tests {
         let rec = t.recursive_classes();
         assert!(rec[t.class_id("A").unwrap().index()]);
         assert!(rec[t.class_id("B").unwrap().index()]);
-        assert_eq!(t.recursive_fields(t.class_id("A").unwrap()).len(), 1);
+        let (a, b) = (t.class_id("A").unwrap(), t.class_id("B").unwrap());
+        let cycles = t.field_cycles();
+        assert_eq!(cycles[a.index()], cycles[b.index()], "one cycle");
+        assert_eq!(t.recursive_fields(a, &cycles).len(), 1);
+    }
+
+    #[test]
+    fn inherited_fields_count_but_inheritance_alone_does_not() {
+        // B inherits `b`, a field of its own type; A only points at B.
+        let t = table("class A { B b; } class B extends A { }");
+        let (a, b) = (t.class_id("A").unwrap(), t.class_id("B").unwrap());
+        let cycles = t.field_cycles();
+        assert_eq!(cycles[a.index()], None);
+        assert!(cycles[b.index()].is_some());
+        assert_eq!(t.recursive_fields(b, &cycles)[0].owner, a);
     }
 
     #[test]

@@ -21,9 +21,8 @@
 //! run is reproducible end to end.
 //!
 //! The result is a [`LoadReport`]: latency percentiles per request kind,
-//! aggregate request rate, the connection high-water mark seen on both
-//! sides, and the shared-memo hit rates scraped from a final `stats`
-//! probe. `cj-bench daemon` repeats runs and writes `BENCH_daemon.json`.
+//! aggregate request rate, and the connection high-water mark seen on
+//! both sides, the daemon's scraped from a final `stats` probe. `cj-bench daemon` repeats runs and writes `BENCH_daemon.json`.
 
 #![forbid(missing_docs)]
 
@@ -117,9 +116,8 @@ pub struct Request {
     pub line: String,
 }
 
-/// One shared library class plus consumer variants over it. Clients
-/// drawing the same workload solve the same SCCs — that overlap is what
-/// exercises the daemon's cross-client memo.
+/// One shared library class plus consumer variants over it, so clients
+/// drawing the same workload compile overlapping programs.
 struct Workload {
     class_name: &'static str,
     lib: &'static str,
@@ -311,14 +309,6 @@ pub struct DaemonSnapshot {
     pub clients_rejected: u64,
     /// The daemon-side connection high-water mark.
     pub connections_peak: u64,
-    /// Solved SCC abstractions resident in the shared memo.
-    pub memo_entries: u64,
-    /// Memo lookups that hit.
-    pub memo_hits: u64,
-    /// Memo lookups that missed (work actually done).
-    pub memo_misses: u64,
-    /// Hits on entries another client solved — the cross-client payoff.
-    pub memo_shared_hits: u64,
 }
 
 /// Server-side latency of one request kind, scraped from the daemon's
@@ -637,7 +627,7 @@ fn probe(addr: SocketAddr, request: &str) -> std::io::Result<Json> {
     })
 }
 
-/// The member at a dotted key path (`"shared_memo.entries"`).
+/// The member at a dotted key path (`"daemon.clients_served"`).
 fn at<'a>(json: &'a Json, path: &str) -> Option<&'a Json> {
     path.split('.').try_fold(json, |v, key| v.get(key))
 }
@@ -662,10 +652,10 @@ fn probe_for(addr: SocketAddr, request: &str, path: &str) -> std::io::Result<Jso
     }
 }
 
-/// Asks the daemon for `stats` and scrapes the shared-memo and
-/// daemon-counter blocks out of the answer.
+/// Asks the daemon for `stats` and scrapes the daemon-counter block out
+/// of the answer.
 pub fn probe_stats(addr: SocketAddr) -> std::io::Result<DaemonSnapshot> {
-    let json = probe_for(addr, "{\"cmd\":\"stats\"}", "shared_memo")?;
+    let json = probe_for(addr, "{\"cmd\":\"stats\"}", "daemon")?;
     Ok(parse_stats_response(&json))
 }
 
@@ -678,16 +668,12 @@ pub fn probe_metrics(addr: SocketAddr) -> std::io::Result<ServerMetrics> {
     Ok(parse_metrics_response(&json))
 }
 
-/// The daemon counters and shared-memo tallies of one `stats` response.
+/// The daemon counters of one `stats` response.
 fn parse_stats_response(json: &Json) -> DaemonSnapshot {
     DaemonSnapshot {
         clients_served: u64_at(json, "daemon.clients_served"),
         clients_rejected: u64_at(json, "daemon.clients_rejected"),
         connections_peak: u64_at(json, "daemon.connections_peak"),
-        memo_entries: u64_at(json, "shared_memo.entries"),
-        memo_hits: u64_at(json, "shared_memo.hits"),
-        memo_misses: u64_at(json, "shared_memo.misses"),
-        memo_shared_hits: u64_at(json, "shared_memo.shared_hits"),
     }
 }
 
@@ -779,19 +765,16 @@ mod tests {
 
     #[test]
     fn stats_are_read_by_key_path() {
-        // `hits`, `entries` and `shared_hits` also appear in sibling blocks;
-        // each field is read from its own object.
+        // The daemon's keys also appear in a sibling block; each field is
+        // read from its own object.
         let response = concat!(
-            "{\"ok\":true,\"files\":[],\"passes_total\":{\"sccs_shared_hits\":9},",
-            "\"cache\":{\"entries\":77,\"hits\":88,\"shared_hits\":99},",
-            "\"shared_memo\":{\"entries\":5,\"hits\":4,\"misses\":3,",
-            "\"shared_hits\":2},\"uptime_ms\":10,",
+            "{\"ok\":true,\"files\":[],\"passes_total\":{\"sccs_solved\":9},",
+            "\"cache\":{\"clients_served\":77,\"connections_peak\":88},",
+            "\"uptime_ms\":10,",
             "\"daemon\":{\"clients_served\":12,\"clients_rejected\":1,",
             "\"connections_current\":3,\"connections_peak\":7}}",
         );
         let s = parse_stats_response(&parse_json(response).unwrap());
-        assert_eq!((s.memo_entries, s.memo_hits, s.memo_misses), (5, 4, 3));
-        assert_eq!(s.memo_shared_hits, 2);
         assert_eq!(
             (s.clients_served, s.clients_rejected, s.connections_peak),
             (12, 1, 7)

@@ -254,13 +254,18 @@ fn add_instance(params: &[RegVar], atoms: &ConstraintSet, args: &[RegVar], solve
 /// member they apply changes.
 ///
 /// Returns the number of member solves: one per member when no member
-/// applies a member.
+/// applies a member. Each call is one `solve-scc` trace span whose
+/// `members` and `iterations` counters give the SCC size and that count;
+/// its `miss` counter is always 1, since every solve starts from `true`.
 ///
 /// # Panics
 ///
 /// Panics if a call outside the SCC references an abstraction that still
 /// has residual calls.
 pub fn solve_fixpoint(env: &mut AbsEnv, members: &[AbsId]) -> usize {
+    let mut span = cj_trace::span("pipeline", "solve-scc");
+    span.add("members", members.len() as u64);
+    span.add("miss", 1);
     // A callee's member position, by binary search so that a large SCC
     // stays linear in its calls.
     let mut sorted: Vec<(AbsId, usize)> = members.iter().copied().zip(0..).collect();
@@ -325,6 +330,7 @@ pub fn solve_fixpoint(env: &mut AbsEnv, members: &[AbsId]) -> usize {
     for (&m, closed) in members.iter().zip(approx) {
         env.get_mut(m).body = AbsBody::from_atoms(closed);
     }
+    span.add("iterations", solves as u64);
     solves
 }
 

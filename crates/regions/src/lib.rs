@@ -12,11 +12,7 @@
 //!   escape closure of rule \[exp-block\];
 //! - [`abstraction`]: constraint abstractions `inv.cn` / `pre.m`, kept in
 //!   an environment indexed by dense [`AbsId`]s, and the worklist fixed-point
-//!   analysis of Fig 6(d) that supports region-polymorphic recursion;
-//! - [`incremental`]: a content-addressed memo of solved SCCs, keyed by
-//!   each SCC's α-invariant canonical form written as `u32` words and kept
-//!   in one byte-bounded table, the engine behind demand-driven re-solving
-//!   in the `Workspace` driver.
+//!   analysis of Fig 6(d) that supports region-polymorphic recursion.
 //!
 //! This crate is deliberately independent of the Core-Java frontend: it
 //! deals only in region variables and abstraction ids, and keeps each
@@ -37,14 +33,12 @@
 
 pub mod abstraction;
 pub mod constraint;
-pub mod incremental;
 pub mod solve;
 pub mod subst;
 pub mod var;
 
 pub use abstraction::{AbsBody, AbsCall, AbsEnv, AbsId, ConstraintAbs};
 pub use constraint::{Atom, ConstraintSet};
-pub use incremental::{solve_scc_memo_as, SccOutcome, SolveMemo};
 pub use solve::Solver;
 pub use subst::RegSubst;
 pub use var::{RegVar, RegVarGen};

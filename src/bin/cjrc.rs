@@ -64,9 +64,8 @@
 //! incremental recompilation. See the README protocol reference.
 //!
 //! `daemon` serves the same protocol to many concurrent socket clients
-//! (default `127.0.0.1:4871`), one workspace per connection, all feeding
-//! one shared content-addressed SCC solve memo; a client sends
-//! `{"cmd":"shutdown","scope":"daemon"}` to stop the daemon itself.
+//! (default `127.0.0.1:4871`), one workspace per connection; a client
+//! sends `{"cmd":"shutdown","scope":"daemon"}` to stop the daemon itself.
 
 use cj_diag::{codes, Diagnostic, Diagnostics, IntoDiagnostic, Span};
 use cj_driver::telemetry::{chrome_trace_json, parse_trace_file};
@@ -959,12 +958,10 @@ fn serve(opts: SessionOptions, cli: &Cli) -> Result<(), Diagnostics> {
             if let Ok(bound) = listener.local_addr() {
                 eprintln!("cjrc: metrics endpoint on http://{bound}/metrics");
             }
-            let memo = server.workspace().shared_memo();
             Some(
                 cj_driver::telemetry::spawn_metrics_endpoint(
                     listener,
                     std::sync::Arc::clone(server.telemetry()),
-                    Some(memo),
                     None,
                     std::sync::Arc::clone(&metrics_stop),
                 )

@@ -17,6 +17,9 @@
 //!   amount of inference work, read from `InferStats`, must not depend on
 //!   the method names, and the chain must settle in a constant number of
 //!   repair rounds.
+//! - Many self-referencing classes (2,000 in a debug build, 10,000
+//!   optimized) infer and pass the region checker, and every one of them
+//!   is recursive and rec-read-only.
 
 #[path = "../crates/driver/tests/common/hostile.rs"]
 mod hostile;
@@ -150,6 +153,16 @@ fn override_chain(depth: usize) -> String {
     src
 }
 
+/// `n` classes `Lk0 …`, each with a field of its own type, and an empty
+/// `main`.
+fn self_referencing_classes(n: usize) -> String {
+    let mut src: String = (0..n)
+        .map(|i| format!("class Lk{i} {{ Lk{i} next; Object item; }}\n"))
+        .collect();
+    src.push_str("class M { static void main() { } }\n");
+    src
+}
+
 /// Infers `src` on a worker stack, checks Theorem 1 and returns the stats.
 fn infer_and_check(name: &str, src: &str) -> InferStats {
     on_worker_stack(|| {
@@ -186,4 +199,26 @@ fn deep_override_chain_settles_in_constant_rounds() {
         "{} repair rounds",
         stats.global_iterations
     );
+}
+
+#[test]
+fn many_self_referencing_classes_are_recursive_and_rec_read_only() {
+    let n = if cfg!(debug_assertions) {
+        2_000
+    } else {
+        10_000
+    };
+    let src = self_referencing_classes(n);
+    let kernel = on_worker_stack(|| {
+        let (program, _) = infer_source(&src, InferOptions::default())
+            .unwrap_or_else(|d| panic!("recursive classes infer: {d}"));
+        check(&program).unwrap_or_else(|e| panic!("Theorem 1 violated: {e}"));
+        program.kernel
+    });
+    let recursive = kernel.table.recursive_classes();
+    let read_only = cj_infer::recro::rec_read_only(&kernel);
+    for i in 0..n {
+        let c = kernel.table.class_id(&format!("Lk{i}")).unwrap().index();
+        assert!(recursive[c] && read_only[c], "Lk{i}");
+    }
 }
