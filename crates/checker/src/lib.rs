@@ -111,8 +111,10 @@ impl cj_diag::IntoDiagnostics for CheckErrors {
 pub fn check(p: &RProgram) -> Result<(), CheckErrors> {
     let mut errors = Vec::new();
     let rec_read_only = cj_infer::recro::rec_read_only(&p.kernel);
-    check_classes(p, &mut errors);
-    check_overrides(p, &mut errors);
+    // One solver for the whole run, reset for each entailment question.
+    let mut solver = Solver::new();
+    check_classes(p, &mut solver, &mut errors);
+    check_overrides(p, &mut solver, &mut errors);
     for (id, _) in p.all_rmethods() {
         MethodChecker {
             p,
@@ -120,7 +122,7 @@ pub fn check(p: &RProgram) -> Result<(), CheckErrors> {
             rec_read_only: &rec_read_only,
             errors: &mut errors,
         }
-        .run();
+        .run(&mut solver);
     }
     if errors.is_empty() {
         Ok(())
@@ -131,7 +133,7 @@ pub fn check(p: &RProgram) -> Result<(), CheckErrors> {
 
 // ---- classes --------------------------------------------------------------
 
-fn check_classes(p: &RProgram, errors: &mut Vec<CheckError>) {
+fn check_classes(p: &RProgram, inv: &mut Solver, errors: &mut Vec<CheckError>) {
     for info in p.kernel.table.classes() {
         let rc = p.rclass(info.id);
         let cname = info.name.to_string();
@@ -142,7 +144,8 @@ fn check_classes(p: &RProgram, errors: &mut Vec<CheckError>) {
             });
             continue;
         }
-        let mut inv = Solver::from_set(&rc.invariant);
+        inv.reset();
+        inv.add_set(&rc.invariant);
         // No-dangling: every component region outlives the first.
         for &r in &rc.params[1..] {
             if !inv.entails_atom(Atom::outlives(r, rc.params[0])) {
@@ -195,7 +198,7 @@ fn check_classes(p: &RProgram, errors: &mut Vec<CheckError>) {
 
 // ---- overrides -------------------------------------------------------------
 
-fn check_overrides(p: &RProgram, errors: &mut Vec<CheckError>) {
+fn check_overrides(p: &RProgram, lhs: &mut Solver, errors: &mut Vec<CheckError>) {
     for (a_id, b_id) in cj_infer::override_res::override_pairs(&p.kernel) {
         let (MethodId::Instance(_, _), MethodId::Instance(b_class, _)) = (a_id, b_id) else {
             continue;
@@ -204,7 +207,8 @@ fn check_overrides(p: &RProgram, errors: &mut Vec<CheckError>) {
         let b = p.rmethod(b_id);
         let n = a.mparams.len().min(b.mparams.len());
         let align = RegSubst::instantiation(&b.mparams[..n], &a.mparams[..n]);
-        let mut lhs = Solver::from_set(&p.rclass(b_class).invariant);
+        lhs.reset();
+        lhs.add_set(&p.rclass(b_class).invariant);
         lhs.add_set(&a.precondition);
         let rhs = b.precondition.subst(&align);
         for atom in rhs.iter() {
@@ -235,10 +239,10 @@ struct MethodChecker<'a> {
 }
 
 impl<'a> MethodChecker<'a> {
-    fn run(mut self) {
+    fn run(mut self, assume: &mut Solver) {
         let p = self.p;
         let rm = p.rmethod(self.id);
-        let mut assume = Solver::new();
+        assume.reset();
         // pre.m
         assume.add_set(&rm.precondition);
         // inv of the receiver class, and consistency of the annotated
@@ -263,17 +267,17 @@ impl<'a> MethodChecker<'a> {
         // invariants of signature types (recoverable from the signature).
         let km = self.p.kernel.method(self.id);
         for &pv in &km.params {
-            self.assume_type_invariant(&mut assume, &rm.var_types[pv.index()]);
+            self.assume_type_invariant(assume, &rm.var_types[pv.index()]);
         }
-        self.assume_type_invariant(&mut assume, &rm.ret_type);
+        self.assume_type_invariant(assume, &rm.ret_type);
 
         let mut scope: BTreeSet<RegVar> = rm.abs_params.iter().copied().collect();
         scope.insert(RegVar::HEAP);
 
-        let result = self.expr(&mut assume, &mut scope, &rm.body);
+        let result = self.expr(assume, &mut scope, &rm.body);
         if let Some(rt) = result {
             if !matches!(rm.ret_type, RType::Void) {
-                self.require_subtype(&mut assume, &rt, &rm.ret_type, "method result");
+                self.require_subtype(assume, &rt, &rm.ret_type, "method result");
             }
         }
     }

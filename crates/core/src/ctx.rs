@@ -571,12 +571,13 @@ mod tests {
         let mut ctx = Ctx::new(&kp, opts);
         let list = kp.table.class_id("List").unwrap();
         let (object, inv_list) = (ctx.inv(ClassId::OBJECT), ctx.inv(list));
-        solve_fixpoint(&mut ctx.raw, &[object]);
-        solve_fixpoint(&mut ctx.raw, &[inv_list]);
+        let mut solver = cj_regions::Solver::new();
+        solve_fixpoint(&mut ctx.raw, &[object], &mut solver);
+        solve_fixpoint(&mut ctx.raw, &[inv_list], &mut solver);
         let sig = &ctx.classes[list.index()];
         let (r1, r2, r3) = (sig.params[0], sig.params[1], sig.params[2]);
-        let inv = &ctx.raw.get(inv_list).body.atoms;
-        let mut solver = cj_regions::Solver::from_set(inv);
+        solver.reset();
+        solver.add_set(&ctx.raw.get(inv_list).body.atoms);
         assert!(solver.outlives_holds(r3, r1));
         assert!(solver.outlives_holds(r2, r3));
         assert!(solver.outlives_holds(r2, r1));

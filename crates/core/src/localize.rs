@@ -19,6 +19,20 @@
 //! Blocks are processed innermost-first so that a region used only inside a
 //! loop body is reclaimed *each iteration* rather than once per call — this
 //! is the mechanism behind the space-reuse numbers of Fig 8.
+//!
+//! Both passes take the method's solver, loaded by the pipeline with the
+//! body's constraint and its callees' closed forms, and ask it only
+//! questions it answers with one search through its own marks: which
+//! regions escape ([`Solver::escape_closure`]), which of a block's
+//! candidates outlive a region outside it ([`Solver::outlives_any`]) and
+//! which signature regions a region outlives
+//! ([`Solver::outlived_among`]). The equalities that instantiate escaping
+//! regions are folded into the normalized solver as they are added, so the
+//! next question does not re-normalize it. The passes' own region maps
+//! are `Vec`s indexed by a region's offset in the body's dense range
+//! `BodyResult::{region_lo, region_hi}`: every region that is not a
+//! signature region was minted there, and so was the representative of
+//! every local region.
 
 use crate::ctx::Ctx;
 use crate::exprinfer::BodyResult;
@@ -26,24 +40,45 @@ use crate::rast::{map_rtype_regions, RExpr, RExprKind, RType};
 use cj_regions::constraint::{Atom, ConstraintSet};
 use cj_regions::solve::Solver;
 use cj_regions::var::RegVar;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// The set of signature regions of a method (abstraction parameters plus
-/// the heap).
-pub fn sig_set(abs_params: &[RegVar]) -> BTreeSet<RegVar> {
-    let mut s: BTreeSet<RegVar> = abs_params.iter().copied().collect();
-    s.insert(RegVar::HEAP);
-    s
+/// A method's region universe: its signature regions and the regions
+/// minted while inferring its body.
+struct Universe {
+    /// Abstraction parameters plus the heap, sorted.
+    sigs: Vec<RegVar>,
+    /// The minted range `[lo, hi)`.
+    lo: u32,
+    hi: u32,
 }
 
-/// The method's region universe: signature regions plus everything minted
-/// while inferring the body.
-pub fn universe(abs_params: &[RegVar], res: &BodyResult) -> BTreeSet<RegVar> {
-    let mut u = sig_set(abs_params);
-    for i in res.region_lo..res.region_hi {
-        u.insert(RegVar(i));
+impl Universe {
+    fn new(abs_params: &[RegVar], res: &BodyResult) -> Universe {
+        let mut sigs: Vec<RegVar> = abs_params.to_vec();
+        sigs.push(RegVar::HEAP);
+        sigs.sort_unstable();
+        sigs.dedup();
+        Universe {
+            sigs,
+            lo: res.region_lo,
+            hi: res.region_hi,
+        }
     }
-    u
+
+    /// Every region of the universe, in increasing order.
+    fn all(&self) -> Vec<RegVar> {
+        let mut all = self.sigs.clone();
+        all.extend((self.lo..self.hi).map(RegVar));
+        all.sort_unstable();
+        all.dedup();
+        all
+    }
+
+    /// The offset of `r` in the minted range, if it was minted there.
+    fn offset(&self, r: RegVar) -> Option<usize> {
+        (self.lo..self.hi)
+            .contains(&r.0)
+            .then(|| (r.0 - self.lo) as usize)
+    }
 }
 
 /// Instantiates escaping local regions onto signature regions: for every
@@ -55,27 +90,24 @@ pub fn instantiate_escaping(
     abs_params: &[RegVar],
     res: &BodyResult,
 ) -> ConstraintSet {
-    let sigs = sig_set(abs_params);
-    let u = universe(abs_params, res);
-    let escaping = solver.escape_closure(sigs.iter().copied(), &u);
+    let u = Universe::new(abs_params, res);
+    let all = u.all();
+    let escaping = solver.escape_closure(u.sigs.iter().copied(), &all);
     let mut added = ConstraintSet::new();
-    for &r in &escaping {
-        if sigs.contains(&r) {
+    let (mut lower, mut below) = (Vec::new(), Vec::new());
+    for (&r, _) in all.iter().zip(escaping).filter(|&(_, escapes)| escapes) {
+        if u.sigs.binary_search(&r).is_ok() {
             continue;
         }
         let rep = solver.find(r);
         // Already instantiated if its class contains a signature region.
-        if sigs.iter().any(|&s| solver.find(s) == rep) {
+        if u.sigs.iter().any(|&s| solver.find(s) == rep) {
             continue;
         }
         // Signature lower bounds of r, from one search. r's class holds no
         // signature region, so it is not the heap's.
-        let below = solver.outlived_reps(r).expect("not the heap");
-        let lower: Vec<RegVar> = sigs
-            .iter()
-            .copied()
-            .filter(|&s| below.contains(&solver.find(s)))
-            .collect();
+        lower.clear();
+        solver.outlived_among(r, &u.sigs, &mut lower);
         debug_assert!(
             !lower.is_empty(),
             "escaping region {r} must reach a signature seed"
@@ -86,12 +118,9 @@ pub fn instantiate_escaping(
             .iter()
             .copied()
             .max_by_key(|&s| {
-                let below_s = solver.outlived_reps(s).expect("not the heap");
-                let dominated = lower
-                    .iter()
-                    .filter(|&&s2| below_s.contains(&solver.find(s2)))
-                    .count();
-                (dominated, std::cmp::Reverse(s))
+                below.clear();
+                solver.outlived_among(s, &lower, &mut below);
+                (below.len(), std::cmp::Reverse(s))
             })
             .expect("nonempty");
         solver.add_eq(r, best);
@@ -123,30 +152,52 @@ pub fn localize(
     res: BodyResult,
     ret_type: &RType,
 ) -> Localized {
-    let sigs = sig_set(abs_params);
-    let u = universe(abs_params, &res);
-    let escaping = solver.escape_closure(sigs.iter().copied(), &u);
-    let locals: BTreeSet<RegVar> = u.difference(&escaping).copied().collect();
+    let u = Universe::new(abs_params, &res);
+    let all = u.all();
+    let escaping = solver.escape_closure(u.sigs.iter().copied(), &all);
+    // Per minted region: whether it is local (does not escape). Signature
+    // regions all escape, since each outlives itself.
+    let mut local = vec![false; (u.hi - u.lo) as usize];
+    for (&r, escapes) in all.iter().zip(escaping) {
+        if let (false, Some(i)) = (escapes, u.offset(r)) {
+            local[i] = true;
+        }
+    }
 
     // ---- pass 1: block tree + occurrence LCA ---------------------------
     let mut blocks = BlockTree::new();
-    let mut lca: HashMap<RegVar, usize> = HashMap::new();
-    collect_occurrences(&res, &res.body, 0, &mut blocks, &mut lca, &locals);
+    let mut lca: Vec<Option<usize>> = vec![None; local.len()];
+    let mut occ = Occurrences {
+        res: &res,
+        u: &u,
+        local: &local,
+        tree: &mut blocks,
+        lca: &mut lca,
+    };
+    occ.collect(&res.body, 0);
 
     // ---- group regions per block, innermost first ----------------------
     // A block's bucket holds the remaining locals whose occurrences all fall
     // inside it; what a block does not consume moves up to its parent.
     let mut buckets: Vec<Vec<RegVar>> = vec![Vec::new(); blocks.len()];
-    // Remaining locals per class representative.
-    let mut held: HashMap<RegVar, usize> = HashMap::new();
+    // Remaining locals per class representative, by the representative's
+    // offset: a local's class holds no signature region, so its smallest
+    // member, a local, represents it.
+    let rep_offset = |solver: &Solver, r: RegVar| {
+        u.offset(solver.find(r))
+            .expect("a local region's representative is local")
+    };
+    let mut held = vec![0usize; local.len()];
     let mut remaining = 0;
-    for &r in locals.iter().filter(|r| !r.is_heap()) {
-        buckets[lca.get(&r).copied().unwrap_or(0)].push(r);
-        *held.entry(solver.find(r)).or_default() += 1;
+    for (i, _) in local.iter().enumerate().filter(|&(_, &l)| l) {
+        let r = RegVar(u.lo + i as u32);
+        buckets[lca[i].unwrap_or(0)].push(r);
+        held[rep_offset(solver, r)] += 1;
         remaining += 1;
     }
-    let mut groups: BTreeMap<usize, RegVar> = BTreeMap::new();
-    let mut resolve: HashMap<RegVar, RegVar> = HashMap::new();
+    let mut letreg_of: Vec<Option<RegVar>> = vec![None; blocks.len()];
+    let mut resolve: Vec<Option<RegVar>> = vec![None; local.len()];
+    let mut inside = vec![0usize; local.len()];
     for b in blocks.post_order() {
         let candidates = std::mem::take(&mut buckets[b]);
         // Drop the candidates that outlive a remaining region outside b:
@@ -154,14 +205,16 @@ pub fn localize(
         // region. One round is the greatest fixpoint, because `≥` is
         // transitive: whatever outlives a dropped candidate outlives the
         // outside region that dropped it.
-        let mut inside: HashMap<RegVar, usize> = HashMap::new();
         for &r in &candidates {
-            *inside.entry(solver.find(r)).or_default() += 1;
+            inside[rep_offset(solver, r)] += 1;
         }
         let any_outside = remaining > candidates.len();
         let escapes = solver.outlives_any(&candidates, |rep| {
-            held.get(&rep).copied().unwrap_or(0) > inside.get(&rep).copied().unwrap_or(0)
+            u.offset(rep).is_some_and(|i| held[i] > inside[i])
         });
+        for &r in &candidates {
+            inside[rep_offset(solver, r)] = 0;
+        }
         let (mut group, mut surviving) = (Vec::new(), Vec::new());
         for (r, escapes) in candidates.into_iter().zip(escapes) {
             // `escapes` is also true for a heap representative, which
@@ -180,26 +233,25 @@ pub fn localize(
         }
         let rho = ctx.gen.fresh();
         for &r in &group {
-            resolve.insert(r, rho);
-            *held.get_mut(&solver.find(r)).expect("held") -= 1;
+            resolve[u.offset(r).expect("local")] = Some(rho);
+            held[rep_offset(solver, r)] -= 1;
         }
         remaining -= group.len();
-        groups.insert(b, rho);
+        letreg_of[b] = Some(rho);
     }
 
     // ---- final region resolution ---------------------------------------
     let resolve_fn = |r: RegVar| -> RegVar {
-        if let Some(&rho) = resolve.get(&r) {
-            rho
-        } else {
-            solver.find(r)
+        match u.offset(r).and_then(|i| resolve[i]) {
+            Some(rho) => rho,
+            None => solver.find(r),
         }
     };
 
     // ---- pass 2: rebuild the tree with letregs and resolved regions ----
     let mut body = res.body;
-    rewrite(&mut body, &mut 1, &groups, &resolve_fn);
-    if let Some(&rho) = groups.get(&0) {
+    rewrite(&mut body, &mut 1, &letreg_of, &resolve_fn);
+    if let Some(rho) = letreg_of[0] {
         body = wrap_letreg(rho, body);
     }
     let var_types: Vec<RType> = res
@@ -208,7 +260,7 @@ pub fn localize(
         .map(|t| map_rtype_regions(t, &resolve_fn))
         .collect();
     let ret_type = map_rtype_regions(ret_type, &resolve_fn);
-    let letregs = groups.values().copied().collect();
+    let letregs = letreg_of.into_iter().flatten().collect();
     Localized {
         body,
         var_types,
@@ -268,50 +320,52 @@ impl BlockTree {
 
 // ---- pass 1: occurrences -------------------------------------------------
 
-fn note(
-    regions: impl IntoIterator<Item = RegVar>,
-    block: usize,
-    tree: &BlockTree,
-    lca: &mut HashMap<RegVar, usize>,
-    locals: &BTreeSet<RegVar>,
-) {
-    for r in regions {
-        if !locals.contains(&r) {
-            continue;
-        }
-        let entry = lca.entry(r).or_insert(block);
-        *entry = tree.lca(*entry, block);
-    }
+/// Pass 1's walk: builds the block tree and, for each local region (by its
+/// offset in the minted range), the lowest common ancestor of the blocks it
+/// occurs in.
+struct Occurrences<'a> {
+    res: &'a BodyResult,
+    u: &'a Universe,
+    local: &'a [bool],
+    tree: &'a mut BlockTree,
+    lca: &'a mut [Option<usize>],
 }
 
-fn collect_occurrences(
-    res: &BodyResult,
-    e: &RExpr,
-    block: usize,
-    tree: &mut BlockTree,
-    lca: &mut HashMap<RegVar, usize>,
-    locals: &BTreeSet<RegVar>,
-) {
-    note(e.own_regions(&res.var_types), block, tree, lca, locals);
-    // Conditional branches and loop bodies are blocks of their own.
-    let (cond, arms) = match &e.kind {
-        RExprKind::If {
-            cond,
-            then_e,
-            else_e,
-        } => (cond, [Some(then_e), Some(else_e)]),
-        RExprKind::While { cond, body } => (cond, [Some(body), None]),
-        _ => {
-            for c in e.children() {
-                collect_occurrences(res, c, block, tree, lca, locals);
-            }
-            return;
+impl Occurrences<'_> {
+    fn note(&mut self, regions: impl IntoIterator<Item = RegVar>, block: usize) {
+        for r in regions {
+            let Some(i) = self.u.offset(r).filter(|&i| self.local[i]) else {
+                continue;
+            };
+            self.lca[i] = Some(match self.lca[i] {
+                Some(prev) => self.tree.lca(prev, block),
+                None => block,
+            });
         }
-    };
-    collect_occurrences(res, cond, block, tree, lca, locals);
-    for arm in arms.into_iter().flatten() {
-        let b = tree.child(block);
-        collect_occurrences(res, arm, b, tree, lca, locals);
+    }
+
+    fn collect(&mut self, e: &RExpr, block: usize) {
+        self.note(e.own_regions(&self.res.var_types), block);
+        // Conditional branches and loop bodies are blocks of their own.
+        let (cond, arms) = match &e.kind {
+            RExprKind::If {
+                cond,
+                then_e,
+                else_e,
+            } => (cond, [Some(then_e), Some(else_e)]),
+            RExprKind::While { cond, body } => (cond, [Some(body), None]),
+            _ => {
+                for c in e.children() {
+                    self.collect(c, block);
+                }
+                return;
+            }
+        };
+        self.collect(cond, block);
+        for arm in arms.into_iter().flatten() {
+            let b = self.tree.child(block);
+            self.collect(arm, b);
+        }
     }
 }
 
@@ -323,7 +377,7 @@ fn collect_occurrences(
 fn rewrite(
     e: &mut RExpr,
     counter: &mut usize,
-    groups: &BTreeMap<usize, RegVar>,
+    letreg_of: &[Option<RegVar>],
     f: &impl Fn(RegVar) -> RegVar,
 ) {
     e.map_own_regions(f);
@@ -336,17 +390,17 @@ fn rewrite(
         RExprKind::While { cond, body } => (cond, [Some(body), None]),
         _ => {
             for c in e.children_mut() {
-                rewrite(c, counter, groups, f);
+                rewrite(c, counter, letreg_of, f);
             }
             return;
         }
     };
-    rewrite(cond, counter, groups, f);
+    rewrite(cond, counter, letreg_of, f);
     for arm in arms.into_iter().flatten() {
         let b = *counter;
         *counter += 1;
-        rewrite(arm, counter, groups, f);
-        if let Some(&rho) = groups.get(&b) {
+        rewrite(arm, counter, letreg_of, f);
+        if let Some(rho) = letreg_of[b] {
             let span = arm.span;
             let inner = std::mem::replace(&mut **arm, RExpr::unit(span));
             **arm = wrap_letreg(rho, inner);

@@ -65,18 +65,19 @@ pub fn override_pairs(kp: &cj_frontend::KProgram) -> Vec<(MethodId, MethodId)> {
 /// abstractions and repairs violations by strengthening the raw
 /// `pre.A.mn` / `inv.B` bodies, marking each body that grew in `grown`
 /// (indexed by abstraction id). Each pair reads `closed` conjoined with
-/// the atoms earlier pairs added. Returns the number of atoms added (0
-/// means all checks passed).
+/// the atoms earlier pairs added, and is checked on `solver`, reset for
+/// it. Returns the number of atoms added (0 means all checks passed).
 pub fn resolve_overrides(
     ctx: &mut Ctx<'_>,
     pairs: &[(MethodId, MethodId)],
     closed: &AbsEnv,
     grown: &mut [bool],
+    solver: &mut Solver,
 ) -> usize {
     let mut overlay = vec![ConstraintSet::new(); closed.len()];
     let mut repairs = 0;
     for &(a_id, b_id) in pairs {
-        repairs += resolve_pair(ctx, closed, &mut overlay, grown, a_id, b_id);
+        repairs += resolve_pair(ctx, closed, &mut overlay, grown, solver, a_id, b_id);
     }
     repairs
 }
@@ -86,6 +87,7 @@ fn resolve_pair(
     closed: &AbsEnv,
     overlay: &mut [ConstraintSet],
     grown: &mut [bool],
+    lhs: &mut Solver,
     a_id: MethodId,
     b_id: MethodId,
 ) -> usize {
@@ -113,7 +115,8 @@ fn resolve_pair(
     let aligned_ok: BTreeSet<RegVar> = b_sig.mparams[n..].iter().copied().collect();
     let pre_b = pre_b.subst(&align);
 
-    let mut lhs = Solver::from_set(&inv_b);
+    lhs.reset();
+    lhs.add_set(&inv_b);
     lhs.add_set(&pre_a);
 
     let ra: BTreeSet<RegVar> = ctx.classes[a_class.index()]

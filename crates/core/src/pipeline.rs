@@ -20,11 +20,16 @@
 //!    re-solves an SCC only if a member's raw body grew in the previous
 //!    round or it imports an abstraction whose closed form changed earlier
 //!    in this round; every other SCC is carried unchanged. Likewise only
-//!    methods with a callee whose closed form changed are re-instantiated,
-//!    and each method keeps its solver for step 5. There is no round cap:
-//!    atoms only accumulate within finite universes, so the loop ends.
+//!    methods with a callee whose closed form changed are re-instantiated.
+//!    There is no round cap: atoms only accumulate within finite
+//!    universes, so the loop ends.
 //! 5. Localize the remaining regions with `letreg` (\[exp-block\]) and emit
 //!    the annotated program.
+//!
+//! One [`Solver`] serves the whole call: every member solve, escaping
+//! instantiation, override repair and localization resets it and loads what
+//! it needs, so the solver allocates only until it has grown to the largest
+//! method.
 //!
 //! Determinism guarantee: [`infer`] keeps no state between calls, so the
 //! same kernel program and options always give the same output — same
@@ -40,7 +45,8 @@ use crate::rast::{RClass, RMethod, RProgram};
 use cj_frontend::graph::tarjan_scc;
 use cj_frontend::kernel::KProgram;
 use cj_frontend::types::MethodId;
-use cj_regions::abstraction::{solve_fixpoint, AbsBody, AbsEnv, AbsId, ConstraintAbs};
+use cj_regions::abstraction::{solve_fixpoint, AbsBody, AbsCall, AbsEnv, AbsId, ConstraintAbs};
+use cj_regions::constraint::ConstraintSet;
 use cj_regions::solve::Solver;
 
 /// Runs region inference over a kernel program.
@@ -87,9 +93,7 @@ pub fn infer(kp: &KProgram, opts: InferOptions) -> Result<(RProgram, InferStats)
     // Raw bodies that grew since their SCC was last solved, by abstraction
     // id: in the first round, all of them.
     let mut grown = vec![true; ctx.raw.len()];
-    // Per method: its body and its callees' closed forms, plus the
-    // escaping instantiation made against them.
-    let mut solvers: Vec<Option<Solver>> = vec![None; ids.len()];
+    let mut solver = Solver::new();
     let mut carried = 0;
     let pairs = override_pairs(kp);
     loop {
@@ -99,6 +103,7 @@ pub fn infer(kp: &KProgram, opts: InferOptions) -> Result<(RProgram, InferStats)
             &ctx.raw,
             &mut closed,
             &grown,
+            &mut solver,
             &mut stats,
             &mut carried,
         );
@@ -108,25 +113,25 @@ pub fn infer(kp: &KProgram, opts: InferOptions) -> Result<(RProgram, InferStats)
         // callees' closed forms, so redo it only where a callee changed.
         let mut instantiate_span = cj_trace::span("pipeline", "repair-instantiate");
         let (mut reinstantiated, mut instantiated) = (0, 0);
-        for ((id, res), solver) in ids.iter().zip(&bodies).zip(&mut solvers) {
-            if solver.is_some() && !res.calls.iter().any(|c| changed[c.callee.index()]) {
+        let first = stats.global_iterations == 1;
+        for (id, res) in ids.iter().zip(&bodies) {
+            if !first && !res.calls.iter().any(|c| changed[c.callee.index()]) {
                 continue;
             }
             let sig = &ctx.msigs[id];
-            let mut fresh = full_solver(res, &closed);
-            let added = localize::instantiate_escaping(&mut fresh, &sig.abs_params, res);
+            load(&mut solver, &res.atoms, &res.calls, &closed);
+            let added = localize::instantiate_escaping(&mut solver, &sig.abs_params, res);
             reinstantiated += 1;
             instantiated += added.len();
             if !added.is_empty() && ctx.raw.add_atoms(sig.abs, &added) {
                 grown[sig.abs.index()] = true;
             }
-            *solver = Some(fresh);
         }
         instantiate_span.add("methods", reinstantiated);
         instantiate_span.add("atoms", instantiated as u64);
         drop(instantiate_span);
         let mut overrides_span = cj_trace::span("pipeline", "resolve-overrides");
-        let repairs = resolve_overrides(&mut ctx, &pairs, &closed, &mut grown);
+        let repairs = resolve_overrides(&mut ctx, &pairs, &closed, &mut grown, &mut solver);
         overrides_span.add("repairs", repairs as u64);
         drop(overrides_span);
         stats.override_repairs += repairs;
@@ -144,13 +149,16 @@ pub fn infer(kp: &KProgram, opts: InferOptions) -> Result<(RProgram, InferStats)
     let mut finalize_span = cj_trace::span("pipeline", "finalize");
     let mut methods: Vec<Vec<RMethod>> = vec![Vec::new(); kp.table.len()];
     let mut statics: Vec<RMethod> = Vec::new();
-    for ((&id, res), solver) in ids.iter().zip(bodies).zip(solvers) {
+    for (&id, res) in ids.iter().zip(bodies) {
         let sig = ctx.msigs[&id].clone();
-        // The solver already holds the final closed forms of the callees;
-        // add the raw atoms, which carry every round's escaping
+        // The raw atoms hold the body's own, every round's escaping
         // instantiation and the override repairs.
-        let mut solver = solver.expect("instantiated in the first round");
-        solver.add_set(&ctx.raw.get(sig.abs).body.atoms);
+        load(
+            &mut solver,
+            &ctx.raw.get(sig.abs).body.atoms,
+            &res.calls,
+            &closed,
+        );
         let loc = localize::localize(&mut ctx, &mut solver, &sig.abs_params, res, &sig.ret_type);
         stats.localized_regions += loc.letregs.len();
         let rm = RMethod {
@@ -253,6 +261,7 @@ fn solve_dirty(
     raw: &AbsEnv,
     closed: &mut AbsEnv,
     grown: &[bool],
+    solver: &mut Solver,
     stats: &mut InferStats,
     carried: &mut u64,
 ) -> Vec<bool> {
@@ -280,7 +289,7 @@ fn solve_dirty(
             .map(|&n| std::mem::replace(&mut closed.get_mut(n).body, raw.get(n).body.clone()))
             .collect();
         stats.sccs_solved += 1;
-        stats.fixpoint_iterations += solve_fixpoint(closed, group);
+        stats.fixpoint_iterations += solve_fixpoint(closed, group, solver);
         for (&n, old) in group.iter().zip(before) {
             changed[n.index()] = old.atoms != closed.get(n).body.atoms;
         }
@@ -290,12 +299,13 @@ fn solve_dirty(
     changed
 }
 
-fn full_solver(res: &BodyResult, closed: &AbsEnv) -> Solver {
-    let mut solver = Solver::from_set(&res.atoms);
-    for call in &res.calls {
-        closed.instantiate_into(call.callee, &call.args, &mut solver);
+/// Resets `solver` to `atoms` conjoined with the closed forms of `calls`.
+fn load(solver: &mut Solver, atoms: &ConstraintSet, calls: &[AbsCall], closed: &AbsEnv) {
+    solver.reset();
+    solver.add_set(atoms);
+    for call in calls {
+        closed.instantiate_into(call.callee, &call.args, solver);
     }
-    solver
 }
 
 #[cfg(test)]

@@ -68,6 +68,8 @@ pub struct ClassInfo {
     pub superclass: Option<ClassId>,
     /// Fields declared by this class itself.
     pub own_fields: Vec<FieldInfo>,
+    /// Number of fields, inherited included.
+    pub field_count: usize,
     /// Instance-method signatures declared by this class itself.
     pub own_methods: Vec<MethodSig>,
     /// Distance from `Object` (0 for `Object`).
@@ -116,6 +118,7 @@ impl ClassTable {
             id: ClassId::OBJECT,
             superclass: None,
             own_fields: Vec::new(),
+            field_count: 0,
             own_methods: Vec::new(),
             depth: 0,
             span: Span::DUMMY,
@@ -143,6 +146,7 @@ impl ClassTable {
                 id,
                 superclass: None,
                 own_fields: Vec::new(),
+                field_count: 0,
                 own_methods: Vec::new(),
                 depth: 0,
                 span: decl.span,
@@ -167,29 +171,49 @@ impl ClassTable {
             };
             classes[id.index()].superclass = Some(sup);
         }
-        // Cycle detection + depth computation.
+        // Cycle detection + depth computation. Each class is climbed past
+        // once: a climb stops at a class whose depth is settled, and every
+        // class it passed is then settled, so a deep chain stays linear.
+        const UNSETTLED: u32 = u32::MAX;
+        const ON_PATH: u32 = u32::MAX - 1;
+        const CYCLIC: u32 = u32::MAX - 2;
+        let mut depths = vec![UNSETTLED; classes.len()];
+        let mut path: Vec<usize> = Vec::new();
         for i in 0..classes.len() {
-            let mut seen = vec![false; classes.len()];
-            let mut cur = ClassId(i as u32);
-            let mut depth = 0u32;
-            loop {
-                if seen[cur.index()] {
-                    diags.error(
-                        format!("inheritance cycle involving `{}`", classes[i].name),
-                        classes[i].span,
-                    );
-                    break;
-                }
-                seen[cur.index()] = true;
-                match classes[cur.index()].superclass {
-                    None => break,
-                    Some(s) => {
-                        depth += 1;
-                        cur = s;
+            let mut next = Some(ClassId(i as u32));
+            // The depth of the last climbed class's superclass, `None` above
+            // `Object`; a class on the path or past a cycle is cyclic.
+            let above = loop {
+                let Some(c) = next else { break None };
+                match depths[c.index()] {
+                    UNSETTLED => {
+                        depths[c.index()] = ON_PATH;
+                        path.push(c.index());
+                        next = classes[c.index()].superclass;
                     }
+                    ON_PATH => break Some(CYCLIC),
+                    settled => break Some(settled),
                 }
+            };
+            let mut depth = match above {
+                None => Some(0),
+                Some(CYCLIC) => None,
+                Some(d) => Some(d + 1),
+            };
+            while let Some(c) = path.pop() {
+                depths[c] = depth.unwrap_or(CYCLIC);
+                depth = depth.map(|d| d + 1);
             }
-            classes[i].depth = depth;
+        }
+        for (info, depth) in classes.iter_mut().zip(depths) {
+            if depth == CYCLIC {
+                diags.error(
+                    format!("inheritance cycle involving `{}`", info.name),
+                    info.span,
+                );
+            } else {
+                info.depth = depth;
+            }
         }
         if diags.has_errors() {
             return Err(diags);
@@ -203,7 +227,8 @@ impl ClassTable {
         };
 
         // Pass 3: fields, methods, statics (process in depth order so a
-        // superclass's fields are known before its subclasses').
+        // superclass's fields, and their count, are known before its
+        // subclasses').
         let mut order: Vec<&ast::ClassDecl> = program.classes.iter().collect();
         order.sort_by_key(|d| table.classes[table.by_name[&d.name].index()].depth);
         for decl in order {
@@ -211,7 +236,7 @@ impl ClassTable {
             let sup = table.classes[id.index()]
                 .superclass
                 .unwrap_or(ClassId::OBJECT);
-            let inherited = table.field_count(sup);
+            let inherited = table.classes[sup.index()].field_count;
             let mut own_fields = Vec::new();
             for (i, fd) in decl.fields.iter().enumerate() {
                 let ty = match table.resolve_ty(&fd.ty) {
@@ -257,6 +282,7 @@ impl ClassTable {
                     span: fd.span,
                 });
             }
+            table.classes[id.index()].field_count = inherited + own_fields.len();
             table.classes[id.index()].own_fields = own_fields;
 
             let mut own_methods = Vec::new();
@@ -502,12 +528,7 @@ impl ClassTable {
 
     /// Total number of fields of `id`, inherited included.
     pub fn field_count(&self, id: ClassId) -> usize {
-        let info = &self.classes[id.index()];
-        let inherited = match info.superclass {
-            Some(s) => self.field_count(s),
-            None => 0,
-        };
-        inherited + info.own_fields.len()
+        self.classes[id.index()].field_count
     }
 
     /// All fields of `id` in constructor order (inherited first).

@@ -253,6 +253,11 @@ fn add_instance(params: &[RegVar], atoms: &ConstraintSet, args: &[RegVar], solve
 /// first in cj-frontend's `tarjan_scc` order), and then again only when a
 /// member they apply changes.
 ///
+/// Every member solve [resets](Solver::reset) `solver` and loads it anew,
+/// so one solver serves a whole pass over the condensation without
+/// allocating once it has grown to the largest member; what it holds on
+/// return is unspecified.
+///
 /// Returns the number of member solves: one per member when no member
 /// applies a member. Each call is one `solve-scc` trace span whose
 /// `members` and `iterations` counters give the SCC size and that count;
@@ -262,7 +267,7 @@ fn add_instance(params: &[RegVar], atoms: &ConstraintSet, args: &[RegVar], solve
 ///
 /// Panics if a call outside the SCC references an abstraction that still
 /// has residual calls.
-pub fn solve_fixpoint(env: &mut AbsEnv, members: &[AbsId]) -> usize {
+pub fn solve_fixpoint(env: &mut AbsEnv, members: &[AbsId], solver: &mut Solver) -> usize {
     let mut span = cj_trace::span("pipeline", "solve-scc");
     span.add("members", members.len() as u64);
     span.add("miss", 1);
@@ -301,23 +306,25 @@ pub fn solve_fixpoint(env: &mut AbsEnv, members: &[AbsId]) -> usize {
         solves += 1;
         let abs = env.get(members[i]);
         // full = atoms ∧ (instantiated approximations of all calls)
-        let mut solver = Solver::from_set(&abs.body.atoms);
+        solver.reset();
+        solver.add_set(&abs.body.atoms);
         for call in &abs.body.calls {
             match position(call.callee) {
                 // Within the SCC: use the current approximation.
-                Some(j) => add_instance(
-                    &env.get(call.callee).params,
-                    &approx[j],
-                    &call.args,
-                    &mut solver,
-                ),
+                Some(j) => {
+                    add_instance(&env.get(call.callee).params, &approx[j], &call.args, solver)
+                }
                 // Outside the SCC: must be closed.
-                None => env.instantiate_into(call.callee, &call.args, &mut solver),
+                None => env.instantiate_into(call.callee, &call.args, solver),
             }
         }
-        let next = solver.project(&abs.params.iter().copied().collect());
+        let next = solver.project(&abs.params);
         if approx[i] != next {
-            debug_assert!(Solver::from_set(&next).entails(&approx[i]), "not monotone");
+            if cfg!(debug_assertions) {
+                solver.reset();
+                solver.add_set(&next);
+                assert!(solver.entails(&approx[i]), "not monotone");
+            }
             approx[i] = next;
             for &c in &callers[i] {
                 if !std::mem::replace(&mut queued[c], true) {
@@ -376,7 +383,7 @@ mod tests {
             &[Atom::outlives(r(2), r(8))],
             vec![call(AbsId(0), &[4, 5, 6, 1, 2, 3, 7, 8, 9])],
         ));
-        let iters = solve_fixpoint(&mut env, &[join]);
+        let iters = solve_fixpoint(&mut env, &[join], &mut Solver::new());
         let closed = env.get(join);
         assert!(closed.body.calls.is_empty());
         assert_eq!(closed.body.atoms.to_string(), "r2>=r8 & r5>=r8");
@@ -390,11 +397,11 @@ mod tests {
         let mut env = AbsEnv::new();
         let atoms = [Atom::outlives(r(2), r(1)), Atom::outlives(r(3), r(1))];
         let pair = env.push(abs("inv.Pair", &[1, 2, 3], &atoms, Vec::new()));
-        assert_eq!(solve_fixpoint(&mut env, &[pair]), 1);
+        assert_eq!(solve_fixpoint(&mut env, &[pair], &mut Solver::new()), 1);
         let args = regions(&[10, 20, 30]);
         let mut inst = Solver::new();
         env.instantiate_into(pair, &args, &mut inst);
-        let shown = inst.project(&args.into_iter().collect()).to_string();
+        let shown = inst.project(&args).to_string();
         assert_eq!(shown, "r20>=r10 & r30>=r10");
         assert_eq!(env.find("inv.Pair"), Some(pair));
         assert_eq!(env.find("inv.Nope"), None);
@@ -418,7 +425,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        solve_fixpoint(&mut env, &[q, p]);
+        solve_fixpoint(&mut env, &[q, p], &mut Solver::new());
         assert_eq!(env.get(p).body.atoms.to_string(), "r1=r2");
         assert_eq!(env.get(q).body.atoms.to_string(), "r1=r2");
     }
@@ -449,8 +456,9 @@ mod tests {
         let callees_first: Vec<AbsId> = (0..n).rev().map(AbsId).collect();
         let callers_first: Vec<AbsId> = (0..n).map(AbsId).collect();
         let (mut a, mut b) = (ring(), ring());
-        let solves_a = solve_fixpoint(&mut a, &callees_first);
-        let solves_b = solve_fixpoint(&mut b, &callers_first);
+        let mut solver = Solver::new();
+        let solves_a = solve_fixpoint(&mut a, &callees_first, &mut solver);
+        let solves_b = solve_fixpoint(&mut b, &callers_first, &mut solver);
         for i in 0..n {
             assert_eq!(a.get(AbsId(i)).body.atoms.to_string(), "r1>=r2");
             assert_eq!(a.get(AbsId(i)).body, b.get(AbsId(i)).body);
@@ -471,7 +479,7 @@ mod tests {
             Vec::new(),
         ));
         let m = env.push(abs("pre.m", &[3, 4], &[], vec![call(inv, &[3, 4])]));
-        solve_fixpoint(&mut env, &[m]);
+        solve_fixpoint(&mut env, &[m], &mut Solver::new());
         assert_eq!(env.get(m).body.atoms.to_string(), "r4>=r3");
     }
 
@@ -485,7 +493,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        solve_fixpoint(&mut env, &[p]);
+        solve_fixpoint(&mut env, &[p], &mut Solver::new());
     }
 
     #[test]

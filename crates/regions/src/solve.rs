@@ -21,92 +21,110 @@
 //!
 //! Constraint sets here are always satisfiable (mapping every variable to
 //! `heap` satisfies any conjunction), so there is no "unsat" state.
+//!
+//! A solver is meant to be reused: [`Solver::reset`] empties it to `true`
+//! in time proportional to what it held and keeps the capacity of every
+//! table and buffer, so a pass that solves one method after another with
+//! one solver allocates only while its largest method grows the tables.
 
 use crate::constraint::{Atom, ConstraintSet};
 use crate::var::RegVar;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeSet;
+use std::fmt;
 
 /// The dense index of a region variable inside one [`Solver`].
 type Slot = u32;
 
+/// The fewest slots an incremental fold may mark before it gives up and
+/// leaves the cycle to [`Solver::normalize`]; larger solvers allow a
+/// quarter of their slots.
+const FOLD_LIMIT: usize = 64;
+
 /// An incremental solver for region constraints. See the module docs.
 ///
-/// Every variable gets a dense slot the first time the solver sees it;
-/// the union-find parents, the outlives edges and the search marks are
-/// `Vec`s indexed by slot.
+/// Every variable gets a dense slot the first time the solver sees it,
+/// from a hash table that [`reset`](Solver::reset) empties in constant
+/// time; the union-find parents, the outlives edges and the search marks
+/// are `Vec`s indexed by slot.
 ///
 /// **Representatives.** A class is represented by the heap if it contains
 /// the heap, and otherwise by its smallest variable id (typically the
 /// earliest-created signature region). [`find`](Solver::find) returns that
 /// variable.
 ///
-/// **Lazy normalization.** Adding a constraint only records it: an
-/// equality merges two classes at once, an outlives atom adds one edge,
-/// and `r ≥ heap` merges `r` into the heap. Collapsing `≥`-cycles into
-/// equalities is deferred to [`normalize`](Solver::normalize), which every
-/// query (`equal`, `outlives_holds`, `entails*`, `project`,
-/// `escape_closure`, `solved_form`, `outlives_any`) runs first. So between
-/// an `add_*` and the next query, `find` reflects only the merges made so
-/// far, not the cycles the new edges close.
+/// **When normalization runs.** The graph is *normalized* when every
+/// `≥`-cycle is collapsed into one class, so that it is acyclic. Until the
+/// first query, adding a constraint only records it: an equality merges
+/// two classes at once, an outlives atom adds one edge, and `r ≥ heap`
+/// merges `r` into the heap; the cycles these close wait for
+/// [`normalize`](Solver::normalize), which every query (`equal`,
+/// `outlives_holds`, `outlived_among`, `entails*`, `project`,
+/// `escape_closure`, `solved_form`, `outlives_any`) runs first. An atom
+/// added to a normalized solver is folded in at once instead: one search
+/// from one side finds the classes on a path to the other side, which the
+/// new atom closes into a cycle, and merges them, so the graph stays
+/// normalized and the next query does no work before it answers. Only an
+/// atom that merges a class into the heap, or whose search outgrows a
+/// bound (64 slots, or a quarter of the solver), leaves the cycles to the
+/// next query's full normalization.
 ///
 /// # Examples
 ///
 /// ```
 /// use cj_regions::{constraint::Atom, solve::Solver, var::RegVar};
 ///
-/// let (a, b, c) = (RegVar(1), RegVar(2), RegVar(3));
+/// let (a, b, c, d) = (RegVar(1), RegVar(2), RegVar(3), RegVar(4));
 /// let mut s = Solver::new();
 /// s.add_outlives(a, b);
 /// s.add_outlives(b, c);
-/// assert!(s.entails_atom(Atom::outlives(a, c))); // transitivity
 /// s.add_outlives(c, a);
 /// assert_eq!(s.find(c), c); // the cycle is not collapsed yet...
 /// assert!(s.entails_atom(Atom::eq(a, c))); // ...until a query normalizes
 /// assert_eq!(s.find(c), a);
+/// s.add_outlives(a, d);
+/// s.add_outlives(d, b); // closes a ≥ d ≥ a, folded in at once
+/// assert_eq!(s.find(d), a);
+/// s.reset(); // back to `true`, keeping the capacity
+/// assert!(!s.outlives_holds(a, c));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Solver {
-    /// The slot of every variable seen so far.
-    slots: HashMap<RegVar, Slot, BuildHasherDefault<VarHasher>>,
+    /// The slot of every variable seen since the last reset.
+    slots: SlotTable,
     /// The variable of each slot.
     vars: Vec<RegVar>,
     /// Union-find parent of each slot; a representative is its own parent.
     parent: Vec<Slot>,
-    /// Outlives edges `src ≥ dst` out of each representative. Until the
-    /// next normalization a target may be stale (no longer a
-    /// representative) or repeated.
+    /// Outlives edges `src ≥ dst` out of each representative. Only the
+    /// first `vars.len()` lists are live; the rest are kept, empty, for
+    /// their capacity. Until the next full normalization a target may be
+    /// repeated or stale (no longer a representative); searches map every
+    /// target to its representative.
     edges: Vec<Vec<Slot>>,
     /// Search marks, all false between searches.
     seen: Vec<bool>,
-    /// [`Solver::outlives_any`]'s memo: the slot reaches a target.
+    /// Whether a marked slot reaches a target of the current search.
     hit: Vec<bool>,
-    dirty: bool,
+    /// The marked slots, so that the marks can be cleared.
+    marked: Vec<Slot>,
+    /// The depth-first search stack: a slot and the index of its next edge.
+    stack: Vec<(Slot, usize)>,
+    /// Whether every `≥`-cycle is collapsed (see the type docs).
+    normalized: bool,
+    /// [`Solver::normalize`]'s classes that reach the heap.
+    to_heap: Vec<Slot>,
+    /// [`Solver::normalize`]'s cycle search.
+    tarjan: Tarjan,
+    /// [`Solver::project`]'s kept variables, keyed by class.
+    groups: Vec<(u64, RegVar)>,
 }
 
-/// A multiplicative hasher for the slot map: region ids are small
-/// integers, so SipHash's DoS resistance buys nothing here.
-#[derive(Default)]
-struct VarHasher(u64);
-
-impl Hasher for VarHasher {
-    fn finish(&self) -> u64 {
-        self.0
+/// The representative slot of `s` under the union-find `parent`.
+fn root(parent: &[Slot], mut s: Slot) -> Slot {
+    while parent[s as usize] != s {
+        s = parent[s as usize];
     }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
+    s
 }
 
 impl Solver {
@@ -122,26 +140,39 @@ impl Solver {
         s
     }
 
+    /// Empties the solver to the constraint `true`, as [`Solver::new`]
+    /// would, but keeps the capacity of its tables and buffers. The cost is
+    /// proportional to the number of variables it held, not to their ids.
+    pub fn reset(&mut self) {
+        let n = self.vars.len();
+        for outs in &mut self.edges[..n] {
+            outs.clear();
+        }
+        self.vars.clear();
+        self.parent.clear();
+        self.seen.clear();
+        self.hit.clear();
+        self.slots.clear();
+        self.normalized = false;
+    }
+
     /// The slot of `v`, assigned on first sight.
     fn slot(&mut self, v: RegVar) -> Slot {
-        let next = self.vars.len() as Slot;
-        let s = *self.slots.entry(v).or_insert(next);
-        if s == next {
+        let s = self.slots.get_or_insert(v, &self.vars);
+        if s as usize == self.vars.len() {
             self.vars.push(v);
             self.parent.push(s);
-            self.edges.push(Vec::new());
+            if self.edges.len() == s as usize {
+                self.edges.push(Vec::new());
+            }
             self.seen.push(false);
             self.hit.push(false);
         }
         s
     }
 
-    /// Representative slot of `s`.
-    fn root(&self, mut s: Slot) -> Slot {
-        while self.parent[s as usize] != s {
-            s = self.parent[s as usize];
-        }
-        s
+    fn is_heap(&self, s: Slot) -> bool {
+        self.vars[s as usize].is_heap()
     }
 
     /// Representative slot of `s`, halving the path on the way.
@@ -157,16 +188,19 @@ impl Solver {
     /// Representative of `v`'s equivalence class (see the type docs for
     /// which variable that is).
     pub fn find(&self, v: RegVar) -> RegVar {
-        match self.slots.get(&v) {
-            Some(&s) => self.vars[self.root(s) as usize],
+        match self.slots.get(v) {
+            Some(s) => self.vars[root(&self.parent, s) as usize],
             None => v,
         }
     }
 
-    fn union(&mut self, a: Slot, b: Slot) {
+    /// Merges the classes of `a` and `b`, moving the loser's edges to the
+    /// winner (the heap, or else the smaller variable). Returns whether
+    /// they were distinct.
+    fn union(&mut self, a: Slot, b: Slot) -> bool {
         let (ra, rb) = (self.root_mut(a), self.root_mut(b));
         if ra == rb {
-            return;
+            return false;
         }
         let (va, vb) = (self.vars[ra as usize], self.vars[rb as usize]);
         let (winner, loser) = if va.is_heap() || (!vb.is_heap() && va < vb) {
@@ -175,36 +209,70 @@ impl Solver {
             (rb, ra)
         };
         self.parent[loser as usize] = winner;
-        // Migrate the loser's edges, appending the shorter list.
+        // Migrate the loser's edges, appending the shorter list; the
+        // emptied list stays with the loser for its capacity.
         let mut outs = std::mem::take(&mut self.edges[loser as usize]);
         let kept = &mut self.edges[winner as usize];
         if kept.len() < outs.len() {
             std::mem::swap(kept, &mut outs);
         }
         kept.append(&mut outs);
-        self.dirty = true;
+        self.edges[loser as usize] = outs;
+        true
     }
 
     /// Adds `a = b`.
     pub fn add_eq(&mut self, a: RegVar, b: RegVar) {
         let (sa, sb) = (self.slot(a), self.slot(b));
-        self.union(sa, sb);
+        let (ra, rb) = (self.root_mut(sa), self.root_mut(sb));
+        if ra == rb {
+            return;
+        }
+        if self.normalized && !self.is_heap(ra) && !self.is_heap(rb) {
+            // The classes on a path between the two close a cycle with them.
+            let found = match self.paths_between(ra, rb) {
+                Some(false) => self.paths_between(rb, ra),
+                searched => searched,
+            };
+            if found.is_some() {
+                self.collapse(ra, rb);
+                return;
+            }
+        }
+        self.union(ra, rb);
+        self.normalized = false;
     }
 
     /// Adds `a ≥ b`.
     pub fn add_outlives(&mut self, a: RegVar, b: RegVar) {
         let (sa, sb) = (self.slot(a), self.slot(b));
         let (ra, rb) = (self.root_mut(sa), self.root_mut(sb));
-        if ra == rb || self.vars[ra as usize].is_heap() {
+        if ra == rb || self.is_heap(ra) {
             return; // trivial or axiomatic
         }
-        if self.vars[rb as usize].is_heap() {
+        if self.is_heap(rb) {
             // a >= heap forces a = heap.
             self.union(ra, rb);
+            self.normalized = false;
             return;
         }
+        if self.normalized {
+            // The new edge closes a cycle exactly through the classes on a
+            // path from b's class back to a's.
+            match self.paths_between(rb, ra) {
+                Some(false) => {
+                    self.edges[ra as usize].push(rb);
+                    return;
+                }
+                Some(true) => {
+                    self.collapse(ra, rb);
+                    return;
+                }
+                None => {}
+            }
+        }
         self.edges[ra as usize].push(rb);
-        self.dirty = true;
+        self.normalized = false;
     }
 
     /// Adds one atom.
@@ -222,63 +290,122 @@ impl Solver {
         }
     }
 
+    /// Marks the classes on the paths from representative `from` to
+    /// representative `to` of the normalized graph. Returns `Some(true)`
+    /// when `to` is reachable, leaving marks whose `hit` flag is set on
+    /// exactly those classes (both ends included); `Some(false)` when it is
+    /// not; and `None` when the search would mark more than the fold limit.
+    /// Only `Some(true)` leaves marks behind.
+    fn paths_between(&mut self, from: Slot, to: Slot) -> Option<bool> {
+        let limit = FOLD_LIMIT.max(self.vars.len() / 4);
+        let target = self.vars[to as usize];
+        let done = self.search(from, limit, true, &mut |v| v == target);
+        let found = done && self.hit[from as usize];
+        if !found {
+            self.clear_marks();
+        }
+        done.then_some(found)
+    }
+
+    /// Merges the classes of `a` and `b` with every marked class whose
+    /// `hit` flag is set, clears the marks, and re-canonicalizes the merged
+    /// class's edges. The graph stays normalized.
+    fn collapse(&mut self, a: Slot, b: Slot) {
+        self.union(a, b);
+        for k in 0..self.marked.len() {
+            let s = self.marked[k];
+            if self.hit[s as usize] {
+                self.union(a, s);
+            }
+        }
+        self.clear_marks();
+        let w = self.root_mut(a);
+        let (parent, outs) = (&self.parent, &mut self.edges[w as usize]);
+        outs.retain_mut(|d| {
+            *d = root(parent, *d);
+            *d != w
+        });
+        outs.sort_unstable();
+        outs.dedup();
+    }
+
     /// Collapses `≥`-cycles into equalities and re-canonicalizes edges:
     /// afterwards every parent is a representative, every edge joins two
     /// distinct representatives, no edge leaves or enters the heap, each
     /// edge list is sorted and free of repeats, and the graph is acyclic.
-    /// Queries call this automatically.
+    /// Queries call this automatically; on a normalized solver it returns
+    /// at once (see the type docs for when that is).
     pub fn normalize(&mut self) {
-        while self.dirty {
-            self.dirty = false;
-            let n = self.vars.len();
-            for s in 0..n as Slot {
-                let r = self.root_mut(s);
-                self.parent[s as usize] = r;
-            }
-            // Canonicalize edge endpoints.
-            let mut to_heap: Vec<Slot> = Vec::new();
-            for s in 0..n {
-                if self.edges[s].is_empty() {
-                    continue;
-                }
-                debug_assert_eq!(self.parent[s] as usize, s, "edges leave representatives");
-                if self.vars[s].is_heap() {
-                    self.edges[s].clear();
-                    continue;
-                }
-                let (parent, vars) = (&self.parent, &self.vars);
-                let mut reaches_heap = false;
-                let outs = &mut self.edges[s];
-                outs.retain_mut(|d| {
-                    *d = parent[*d as usize];
-                    if vars[*d as usize].is_heap() {
-                        reaches_heap = true;
-                        return false;
-                    }
-                    *d as usize != s
-                });
-                outs.sort_unstable();
-                outs.dedup();
-                if reaches_heap {
-                    to_heap.push(s as Slot);
-                }
-            }
-            if !to_heap.is_empty() {
-                let heap = self.slot(RegVar::HEAP);
-                for s in to_heap {
-                    self.union(s, heap);
-                }
-            }
-            if self.dirty {
-                continue; // unions happened; re-canonicalize
-            }
-            // Collapse SCCs of the (now canonical) outlives graph.
-            for scc in cycles(&self.edges) {
-                for &w in &scc[1..] {
-                    self.union(scc[0], w);
-                }
+        if self.normalized {
+            return;
+        }
+        // A class with an edge into the heap joins it, which may give
+        // other classes such an edge.
+        while self.canonicalize() {
+            let heap = self.slot(RegVar::HEAP);
+            while let Some(s) = self.to_heap.pop() {
+                self.union(s, heap);
             }
         }
+        // Collapse the SCCs of the canonical graph. Their condensation is
+        // acyclic and has no edge into the heap, so one more
+        // canonicalization finishes.
+        let n = self.vars.len();
+        self.tarjan.run(&self.edges[..n]);
+        if !self.tarjan.ends.is_empty() {
+            let mut start = 0;
+            for k in 0..self.tarjan.ends.len() {
+                let end = self.tarjan.ends[k];
+                for j in start + 1..end {
+                    let (a, b) = (self.tarjan.members[start], self.tarjan.members[j]);
+                    self.union(a, b);
+                }
+                start = end;
+            }
+            let reaches_heap = self.canonicalize();
+            debug_assert!(!reaches_heap, "a cycle created an edge into the heap");
+        }
+        self.normalized = true;
+    }
+
+    /// Points every slot straight at its representative and canonicalizes
+    /// every edge list: targets are representatives, sorted, without
+    /// repeats or self-loops, and the heap's list is empty. Drops edges
+    /// into the heap, collecting their sources in `to_heap`; returns
+    /// whether there were any.
+    fn canonicalize(&mut self) -> bool {
+        let n = self.vars.len();
+        for s in 0..n as Slot {
+            let r = self.root_mut(s);
+            self.parent[s as usize] = r;
+        }
+        for s in 0..n {
+            if self.edges[s].is_empty() {
+                continue;
+            }
+            debug_assert_eq!(self.parent[s] as usize, s, "edges leave representatives");
+            if self.vars[s].is_heap() {
+                self.edges[s].clear();
+                continue;
+            }
+            let (parent, vars) = (&self.parent, &self.vars);
+            let mut reaches_heap = false;
+            let outs = &mut self.edges[s];
+            outs.retain_mut(|d| {
+                *d = parent[*d as usize];
+                if vars[*d as usize].is_heap() {
+                    reaches_heap = true;
+                    return false;
+                }
+                *d as usize != s
+            });
+            outs.sort_unstable();
+            outs.dedup();
+            if reaches_heap {
+                self.to_heap.push(s as Slot);
+            }
+        }
+        !self.to_heap.is_empty()
     }
 
     /// Whether `a` and `b` are known equal.
@@ -290,31 +417,45 @@ impl Solver {
     /// Whether the conjunction entails `a ≥ b`.
     pub fn outlives_holds(&mut self, a: RegVar, b: RegVar) -> bool {
         self.normalize();
-        let rb = self.find(b);
-        self.outlives_any(&[a], |rep| rep == rb)[0]
+        let target = self.find(b);
+        let Some(slot) = self.slots.get(a) else {
+            return a.is_heap() || a == target;
+        };
+        let from = self.root_mut(slot);
+        if self.is_heap(from) {
+            return true;
+        }
+        self.search(from, usize::MAX, false, &mut |rep| rep == target);
+        let holds = self.hit[from as usize];
+        self.clear_marks();
+        holds
     }
 
-    /// The representatives of every class that `a` outlives, its own
-    /// included, from one reachability search; `None` when `a` equals the
-    /// heap, which outlives every region. So [`outlives_holds(a, b)`] is
-    /// exactly "`None`, or the set contains `find(b)`".
+    /// Appends to `out`, in order, each of `candidates` that `a` outlives:
+    /// exactly the `c` for which [`outlives_holds(a, c)`] holds, from one
+    /// reachability search.
     ///
-    /// [`outlives_holds(a, b)`]: Solver::outlives_holds
-    pub fn outlived_reps(&mut self, a: RegVar) -> Option<BTreeSet<RegVar>> {
+    /// [`outlives_holds(a, c)`]: Solver::outlives_holds
+    pub fn outlived_among(&mut self, a: RegVar, candidates: &[RegVar], out: &mut Vec<RegVar>) {
         self.normalize();
-        let Some(&slot) = self.slots.get(&a) else {
-            return (!a.is_heap()).then(|| BTreeSet::from([a]));
+        let from = match self.slots.get(a) {
+            Some(slot) => self.root_mut(slot),
+            // An unseen variable outlives only itself, unless it is the heap.
+            None if a.is_heap() => return out.extend_from_slice(candidates),
+            None => return out.extend(candidates.iter().filter(|&&c| c == a)),
         };
-        let root = self.root(slot);
-        if self.vars[root as usize].is_heap() {
-            return None;
+        if self.is_heap(from) {
+            return out.extend_from_slice(candidates);
         }
-        let reached = self.mark_reachable(root);
-        let reps = reached.iter().map(|&s| self.vars[s as usize]).collect();
-        for s in reached {
-            self.seen[s as usize] = false;
+        self.mark_reachable(from);
+        for &c in candidates {
+            if let Some(s) = self.slots.get(c) {
+                if self.seen[root(&self.parent, s) as usize] {
+                    out.push(c);
+                }
+            }
         }
-        Some(reps)
+        self.clear_marks();
     }
 
     /// Whether the conjunction entails `atom`.
@@ -330,87 +471,152 @@ impl Solver {
         set.iter().all(|a| self.entails_atom(a))
     }
 
-    /// Marks in `seen` every slot reachable from `from`, itself included,
-    /// and returns them; the caller clears the marks.
-    fn mark_reachable(&mut self, from: Slot) -> Vec<Slot> {
-        let mut marked = vec![from];
+    /// Marks every representative reachable from `from`, itself included,
+    /// in breadth-first order; the caller clears the marks.
+    fn mark_reachable(&mut self, from: Slot) {
         self.seen[from as usize] = true;
-        let mut next = 0;
-        while let Some(&v) = marked.get(next) {
+        self.marked.push(from);
+        let mut next = self.marked.len() - 1;
+        while let Some(&v) = self.marked.get(next) {
             next += 1;
             for &w in &self.edges[v as usize] {
+                let w = root(&self.parent, w);
                 if !std::mem::replace(&mut self.seen[w as usize], true) {
-                    marked.push(w);
+                    self.marked.push(w);
                 }
             }
         }
-        marked
+    }
+
+    /// Unmarks every marked slot.
+    fn clear_marks(&mut self) {
+        for &s in &self.marked {
+            self.seen[s as usize] = false;
+            self.hit[s as usize] = false;
+        }
+        self.marked.clear();
+    }
+
+    /// A depth-first search of the normalized (acyclic) graph from
+    /// representative `from` that sets `hit` on every marked class that
+    /// reaches a representative `is_target` accepts. Marks persist, so
+    /// several searches share their answers until the caller clears them.
+    /// A class known to reach a target is not explored further, unless
+    /// `all_paths` asks for every class on a path to a target; a target's
+    /// own successors are never explored then either, since none of them
+    /// leads back to it. Returns `false`, abandoning the search, when it
+    /// would mark more than `limit` slots.
+    fn search(
+        &mut self,
+        from: Slot,
+        limit: usize,
+        all_paths: bool,
+        is_target: &mut impl FnMut(RegVar) -> bool,
+    ) -> bool {
+        if self.seen[from as usize] {
+            return true;
+        }
+        self.seen[from as usize] = true;
+        self.hit[from as usize] = is_target(self.vars[from as usize]);
+        self.marked.push(from);
+        self.stack.push((from, 0));
+        // Iterative post-order: a slot's answer is final once it is popped,
+        // and no slot is pushed twice since the graph is acyclic.
+        while let Some(&(u, i)) = self.stack.last() {
+            let u = u as usize;
+            let done = self.hit[u] && (!all_paths || is_target(self.vars[u]));
+            let next = match done {
+                true => None,
+                false => self.edges[u].get(i).copied(),
+            };
+            let Some(w) = next else {
+                self.stack.pop();
+                if let Some(&(p, _)) = self.stack.last() {
+                    self.hit[p as usize] |= self.hit[u];
+                }
+                continue;
+            };
+            self.stack.last_mut().expect("nonempty").1 += 1;
+            let w = root(&self.parent, w);
+            if !self.seen[w as usize] {
+                if self.marked.len() >= limit {
+                    self.stack.clear();
+                    return false;
+                }
+                self.seen[w as usize] = true;
+                self.hit[w as usize] = is_target(self.vars[w as usize]);
+                self.marked.push(w);
+                self.stack.push((w, 0));
+            } else if self.hit[w as usize] {
+                self.hit[u] = true;
+            }
+        }
+        true
     }
 
     /// Projects the conjunction onto `keep`: the strongest constraint over
     /// only the kept variables that the current conjunction entails
-    /// (existential elimination of everything else).
+    /// (existential elimination of everything else). `keep` may repeat a
+    /// variable and come in any order.
     ///
     /// This is how method preconditions are formed: the body constraint is
     /// projected onto the method's region parameters.
-    pub fn project(&mut self, keep: &BTreeSet<RegVar>) -> ConstraintSet {
+    pub fn project<'k>(&mut self, keep: impl IntoIterator<Item = &'k RegVar>) -> ConstraintSet {
         self.normalize();
-        let mut out = ConstraintSet::new();
-        // Group kept vars by representative; emit equalities within groups.
-        let mut groups: BTreeMap<RegVar, Vec<RegVar>> = BTreeMap::new();
+        // Kept vars keyed by class: the representative's slot, or, for a
+        // variable the solver has never seen, a key past every slot (such a
+        // variable is alone in its class and reaches nothing).
+        let mut groups = std::mem::take(&mut self.groups);
         for &v in keep {
-            groups.entry(self.find(v)).or_default().push(v);
+            let key = match self.slots.get(v) {
+                Some(s) => u64::from(root(&self.parent, s)),
+                None => 1 << 32 | u64::from(v.0),
+            };
+            groups.push((key, v));
         }
-        for vars in groups.values() {
-            for pair in vars.windows(2) {
-                out.add_eq(pair[0], pair[1]);
+        groups.sort_unstable();
+        groups.dedup();
+        let mut out = ConstraintSet::new();
+        for (i, &(key, var_a)) in groups.iter().enumerate() {
+            // Equalities within a class; its smallest var leads it.
+            if i > 0 && groups[i - 1].0 == key {
+                out.add_eq(groups[i - 1].1, var_a);
+                continue;
             }
-        }
-        // Outlives between groups via reachability. A representative the
-        // solver has never seen reaches nothing.
-        let reprs: Vec<(Option<Slot>, RegVar)> = groups
-            .iter()
-            .map(|(rep, vars)| (self.slots.get(rep).copied(), vars[0]))
-            .collect();
-        for &(rep_a, var_a) in &reprs {
-            let Some(from) = rep_a else { continue };
-            let reached = self.mark_reachable(from);
-            for &(rep_b, var_b) in &reprs {
-                if rep_b.is_some_and(|to| to != from && self.seen[to as usize]) {
+            let Ok(from) = Slot::try_from(key) else {
+                continue;
+            };
+            // A kept var that collapsed into the heap: record `v = heap`.
+            if self.is_heap(from) && !var_a.is_heap() {
+                out.add_eq(var_a, RegVar::HEAP);
+            }
+            // Outlives between classes via reachability.
+            self.mark_reachable(from);
+            for (j, &(to, var_b)) in groups.iter().enumerate() {
+                let leads = j == 0 || groups[j - 1].0 != to;
+                if leads && to != key && to < 1 << 32 && self.seen[to as usize] {
                     out.add_outlives(var_a, var_b);
                 }
             }
-            for s in reached {
-                self.seen[s as usize] = false;
-            }
+            self.clear_marks();
         }
-        // A kept var that collapsed into the heap has the heap as its
-        // group representative; record `v = heap` explicitly.
-        for (&rep, vars) in &groups {
-            if rep.is_heap() && !vars.contains(&RegVar::HEAP) {
-                out.add_eq(vars[0], RegVar::HEAP);
-            }
-        }
+        groups.clear();
+        self.groups = groups;
         out
     }
 
-    /// The escape closure of rule \[exp-block\]: every variable of `universe`
-    /// that is equal to, or outlives, a seed. (`r` escapes iff
+    /// The escape closure of rule \[exp-block\]: for each of `universe`,
+    /// whether it is equal to, or outlives, a seed. (`r` escapes iff
     /// `φ ⊢ r ≥ e` for some escaping `e`.)
     pub fn escape_closure(
         &mut self,
         seeds: impl IntoIterator<Item = RegVar>,
-        universe: &BTreeSet<RegVar>,
-    ) -> BTreeSet<RegVar> {
-        self.normalize();
-        let seeds: BTreeSet<RegVar> = seeds.into_iter().map(|v| self.find(v)).collect();
-        let universe: Vec<RegVar> = universe.iter().copied().collect();
-        let escapes = self.outlives_any(&universe, |rep| seeds.contains(&rep));
-        universe
-            .into_iter()
-            .zip(escapes)
-            .filter_map(|(v, escapes)| escapes.then_some(v))
-            .collect()
+        universe: &[RegVar],
+    ) -> Vec<bool> {
+        self.normalize(); // so that `find` gives final representatives
+        let mut seeds: Vec<RegVar> = seeds.into_iter().map(|v| self.find(v)).collect();
+        seeds.sort_unstable();
+        self.outlives_any(universe, |rep| seeds.binary_search(&rep).is_ok())
     }
 
     /// For each of `sources`, whether it outlives some region whose
@@ -425,56 +631,21 @@ impl Solver {
         mut is_target: impl FnMut(RegVar) -> bool,
     ) -> Vec<bool> {
         self.normalize();
-        let mut marked: Vec<Slot> = Vec::new();
-        let mut stack: Vec<(Slot, usize)> = Vec::new();
-        let answers = sources
-            .iter()
-            .map(|&v| {
-                let Some(&slot) = self.slots.get(&v) else {
-                    return v.is_heap() || is_target(v);
-                };
-                let root = self.root(slot);
-                if self.vars[root as usize].is_heap() {
-                    return true;
-                }
-                if !self.seen[root as usize] {
-                    self.seen[root as usize] = true;
-                    self.hit[root as usize] = is_target(self.vars[root as usize]);
-                    marked.push(root);
-                    stack.push((root, 0));
-                }
-                // Iterative post-order: a slot's answer is final once it is
-                // popped, and no slot is pushed twice since the graph is
-                // acyclic.
-                while let Some(&(u, i)) = stack.last() {
-                    let next = match self.hit[u as usize] {
-                        true => None,
-                        false => self.edges[u as usize].get(i).copied(),
-                    };
-                    let Some(w) = next else {
-                        stack.pop();
-                        if let Some(&(p, _)) = stack.last() {
-                            self.hit[p as usize] |= self.hit[u as usize];
-                        }
-                        continue;
-                    };
-                    stack.last_mut().expect("nonempty").1 += 1;
-                    if !self.seen[w as usize] {
-                        self.seen[w as usize] = true;
-                        self.hit[w as usize] = is_target(self.vars[w as usize]);
-                        marked.push(w);
-                        stack.push((w, 0));
-                    } else if self.hit[w as usize] {
-                        self.hit[u as usize] = true;
+        let mut answers = Vec::with_capacity(sources.len());
+        for &v in sources {
+            let answer = match self.slots.get(v) {
+                None => v.is_heap() || is_target(v),
+                Some(slot) => {
+                    let from = self.root_mut(slot);
+                    self.is_heap(from) || {
+                        self.search(from, usize::MAX, false, &mut is_target);
+                        self.hit[from as usize]
                     }
                 }
-                self.hit[root as usize]
-            })
-            .collect();
-        for s in marked {
-            self.seen[s as usize] = false;
-            self.hit[s as usize] = false;
+            };
+            answers.push(answer);
         }
+        self.clear_marks();
         answers
     }
 
@@ -482,63 +653,147 @@ impl Solver {
     /// for collapsed classes and the outlives edges, restricted to
     /// variables of `universe`.
     pub fn solved_form(&mut self, universe: &BTreeSet<RegVar>) -> ConstraintSet {
-        self.project(&universe.iter().copied().collect())
+        self.project(universe)
     }
 }
 
-/// The strongly connected components with more than one node of the
-/// graph `edges` (a slot's out-edges), found by an iterative Tarjan search.
-fn cycles(edges: &[Vec<Slot>]) -> Vec<Vec<Slot>> {
-    let mut t = Tarjan {
-        index: vec![Tarjan::UNVISITED; edges.len()],
-        low: vec![0; edges.len()],
-        on_stack: vec![false; edges.len()],
-        stack: Vec::new(),
-        work: Vec::new(),
-        counter: 0,
-    };
-    let mut out: Vec<Vec<Slot>> = Vec::new();
-    for root in 0..edges.len() {
-        // A node without out-edges is a component of its own.
-        if t.index[root] != Tarjan::UNVISITED || edges[root].is_empty() {
-            continue;
-        }
-        t.open(root as Slot);
-        while let Some(&(v, ei)) = t.work.last() {
-            let v = v as usize;
-            if let Some(&w) = edges[v].get(ei) {
-                t.work.last_mut().expect("nonempty").1 += 1;
-                if t.index[w as usize] == Tarjan::UNVISITED {
-                    t.open(w);
-                } else if t.on_stack[w as usize] {
-                    t.low[v] = t.low[v].min(t.index[w as usize]);
-                }
-                continue;
-            }
-            t.work.pop();
-            if let Some(&(parent, _)) = t.work.last() {
-                t.low[parent as usize] = t.low[parent as usize].min(t.low[v]);
-            }
-            if t.low[v] == t.index[v] {
-                let mut scc = Vec::new();
-                loop {
-                    let w = t.stack.pop().expect("nonempty");
-                    t.on_stack[w as usize] = false;
-                    scc.push(w);
-                    if w as usize == v {
-                        break;
-                    }
-                }
-                if scc.len() > 1 {
-                    out.push(scc);
-                }
-            }
-        }
+/// Prints the constraint the solver holds rather than its layout: each
+/// variable with its current representative, and the outlives edges
+/// between distinct representatives, both sorted and free of repeats. Two
+/// solvers that hold the same constraint in the same state of
+/// normalization print alike, whatever their slot order or capacity.
+impl fmt::Debug for Solver {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rep = |s: Slot| self.vars[root(&self.parent, s) as usize];
+        let mut classes: Vec<(RegVar, RegVar)> = (0..self.vars.len() as Slot)
+            .map(|s| (self.vars[s as usize], rep(s)))
+            .collect();
+        classes.sort_unstable();
+        let mut outlives: Vec<(RegVar, RegVar)> = (0..self.vars.len() as Slot)
+            .flat_map(|s| {
+                self.edges[s as usize]
+                    .iter()
+                    .map(move |&d| (rep(s), rep(d)))
+            })
+            .filter(|(a, b)| a != b)
+            .collect();
+        outlives.sort_unstable();
+        outlives.dedup();
+        f.debug_struct("Solver")
+            .field("classes", &classes)
+            .field("outlives", &outlives)
+            .finish()
     }
-    out
 }
 
-/// The state of [`cycles`]' search.
+/// A map from region variable to slot, by open addressing. A bucket is
+/// occupied only if it carries the current generation, so
+/// [`clear`](SlotTable::clear) is one increment. At most half the buckets
+/// are occupied.
+#[derive(Clone, Default)]
+struct SlotTable {
+    /// A power-of-two number of buckets, or none.
+    buckets: Vec<Bucket>,
+    /// The generation of occupied buckets; at least 1 once there are
+    /// buckets.
+    generation: u32,
+}
+
+#[derive(Clone, Copy, Default)]
+struct Bucket {
+    generation: u32,
+    var: u32,
+    slot: Slot,
+}
+
+impl SlotTable {
+    /// The first bucket to probe for `v`: Fibonacci hashing, whose top
+    /// bits spread consecutive ids across the table.
+    fn home(&self, v: RegVar) -> usize {
+        let bits = self.buckets.len().trailing_zeros();
+        (v.0.wrapping_mul(0x9e37_79b9) >> (32 - bits)) as usize
+    }
+
+    fn get(&self, v: RegVar) -> Option<Slot> {
+        if self.buckets.is_empty() {
+            return None;
+        }
+        let mask = self.buckets.len() - 1;
+        let mut i = self.home(v);
+        loop {
+            let b = self.buckets[i];
+            if b.generation != self.generation {
+                return None;
+            }
+            if b.var == v.0 {
+                return Some(b.slot);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The slot of `v`; a variable not in the table gets the next slot,
+    /// `held.len()`, where `held` lists the variables of the slots handed
+    /// out so far.
+    fn get_or_insert(&mut self, v: RegVar, held: &[RegVar]) -> Slot {
+        if 2 * (held.len() + 1) > self.buckets.len() {
+            self.grow(held);
+        }
+        let mask = self.buckets.len() - 1;
+        let mut i = self.home(v);
+        loop {
+            let b = &mut self.buckets[i];
+            if b.generation != self.generation {
+                *b = Bucket {
+                    generation: self.generation,
+                    var: v.0,
+                    slot: held.len() as Slot,
+                };
+                return b.slot;
+            }
+            if b.var == v.0 {
+                return b.slot;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Doubles the table until one more variable fits, re-inserting `held`.
+    fn grow(&mut self, held: &[RegVar]) {
+        let mut len = self.buckets.len().max(8);
+        while 2 * (held.len() + 1) > len {
+            len *= 2;
+        }
+        self.buckets.clear();
+        self.buckets.resize(len, Bucket::default());
+        self.generation = 1;
+        let mask = len - 1;
+        for (slot, &v) in held.iter().enumerate() {
+            let mut i = self.home(v);
+            while self.buckets[i].generation == 1 {
+                i = (i + 1) & mask;
+            }
+            self.buckets[i] = Bucket {
+                generation: 1,
+                var: v.0,
+                slot: slot as Slot,
+            };
+        }
+    }
+
+    /// Empties the table, keeping its buckets.
+    fn clear(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.buckets.fill(Bucket::default());
+            self.generation = 1;
+        }
+    }
+}
+
+/// Tarjan's strongly-connected-components search, whose arrays are kept
+/// from one run to the next.
+#[derive(Clone, Default)]
 struct Tarjan {
     index: Vec<u32>,
     low: Vec<u32>,
@@ -547,10 +802,70 @@ struct Tarjan {
     /// (node, next-edge-index)
     work: Vec<(Slot, usize)>,
     counter: u32,
+    /// The members of each component with more than one node, one
+    /// component after another.
+    members: Vec<Slot>,
+    /// Where each component ends in `members`.
+    ends: Vec<usize>,
 }
 
 impl Tarjan {
     const UNVISITED: u32 = u32::MAX;
+
+    /// Finds the components with more than one node of the graph `edges`
+    /// (a slot's out-edges, all to representatives) into `members` and
+    /// `ends`.
+    fn run(&mut self, edges: &[Vec<Slot>]) {
+        let n = edges.len();
+        self.index.clear();
+        self.index.resize(n, Tarjan::UNVISITED);
+        self.low.clear();
+        self.low.resize(n, 0);
+        self.on_stack.clear();
+        self.on_stack.resize(n, false);
+        self.members.clear();
+        self.ends.clear();
+        self.counter = 0;
+        for root in 0..n {
+            // A node without out-edges is a component of its own.
+            if self.index[root] != Tarjan::UNVISITED || edges[root].is_empty() {
+                continue;
+            }
+            self.open(root as Slot);
+            while let Some(&(v, ei)) = self.work.last() {
+                let v = v as usize;
+                if let Some(&w) = edges[v].get(ei) {
+                    self.work.last_mut().expect("nonempty").1 += 1;
+                    if self.index[w as usize] == Tarjan::UNVISITED {
+                        self.open(w);
+                    } else if self.on_stack[w as usize] {
+                        self.low[v] = self.low[v].min(self.index[w as usize]);
+                    }
+                    continue;
+                }
+                self.work.pop();
+                if let Some(&(parent, _)) = self.work.last() {
+                    self.low[parent as usize] = self.low[parent as usize].min(self.low[v]);
+                }
+                if self.low[v] == self.index[v] {
+                    let start = self.members.len();
+                    loop {
+                        let w = self.stack.pop().expect("nonempty");
+                        self.on_stack[w as usize] = false;
+                        self.members.push(w);
+                        if w as usize == v {
+                            break;
+                        }
+                    }
+                    if self.members.len() - start > 1 {
+                        self.ends.push(self.members.len());
+                    } else {
+                        self.members.truncate(start);
+                    }
+                }
+            }
+        }
+    }
 
     fn open(&mut self, v: Slot) {
         self.index[v as usize] = self.counter;
@@ -685,8 +1000,13 @@ mod tests {
         ] {
             s.add_outlives(a, b);
         }
-        let universe: BTreeSet<RegVar> = names.iter().copied().collect();
-        let escaping = s.escape_closure([r2, r2a, r2b], &universe);
+        let escapes = s.escape_closure([r2, r2a, r2b], &names);
+        let escaping: BTreeSet<RegVar> = names
+            .iter()
+            .copied()
+            .zip(escapes)
+            .filter_map(|(v, e)| e.then_some(v))
+            .collect();
         let expect: BTreeSet<RegVar> = [r2, r2a, r2b, r4, r4a, r4b].into_iter().collect();
         assert_eq!(escaping, expect);
     }
@@ -695,10 +1015,8 @@ mod tests {
     fn escape_closure_includes_equalities() {
         let mut s = Solver::new();
         s.add_eq(r(1), r(2));
-        let universe: BTreeSet<RegVar> = [r(1), r(2), r(3)].into_iter().collect();
-        let escaping = s.escape_closure([r(1)], &universe);
-        assert!(escaping.contains(&r(2)));
-        assert!(!escaping.contains(&r(3)));
+        let escapes = s.escape_closure([r(1)], &[r(1), r(2), r(3)]);
+        assert_eq!(escapes, [true, true, false]);
     }
 
     #[test]
@@ -710,6 +1028,43 @@ mod tests {
         let before = format!("{s:?}");
         s.normalize();
         assert_eq!(before, format!("{s:?}"));
+    }
+
+    /// After a query, an atom that closes cycles through two paths is
+    /// folded in at once: `find`, which never normalizes, already sees
+    /// both paths merged.
+    #[test]
+    fn folding_merges_every_path_of_the_cycle() {
+        for close_with_eq in [false, true] {
+            let mut s = Solver::new();
+            for (a, b) in [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5)] {
+                s.add_outlives(r(a), r(b));
+            }
+            assert!(!s.equal(r(1), r(4))); // normalizes
+            if close_with_eq {
+                s.add_eq(r(4), r(1));
+            } else {
+                s.add_outlives(r(4), r(1));
+            }
+            for i in 1..=4 {
+                assert_eq!(s.find(r(i)), r(1), "r{i}, closed by eq: {close_with_eq}");
+            }
+            assert_eq!(s.find(r(5)), r(5));
+            assert!(s.outlives_holds(r(3), r(5)) && !s.outlives_holds(r(5), r(2)));
+        }
+    }
+
+    #[test]
+    fn reset_forgets_everything() {
+        let mut s = Solver::new();
+        s.add_outlives(r(1), RegVar::HEAP);
+        s.add_eq(r(2), r(3));
+        assert!(s.equal(r(1), RegVar::HEAP));
+        s.reset();
+        assert_eq!(format!("{s:?}"), format!("{:?}", Solver::new()));
+        assert!(!s.equal(r(1), RegVar::HEAP) && !s.equal(r(2), r(3)));
+        s.add_outlives(r(3), r(2));
+        assert_eq!(s.project(&[r(2), r(3)]).to_string(), "r3>=r2");
     }
 
     #[test]

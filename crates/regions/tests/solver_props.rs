@@ -11,6 +11,8 @@
 
 use cj_regions::{Atom, ConstraintSet, RegSubst, RegVar, Solver};
 use proptest::prelude::*;
+use proptest::TestCaseError;
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 const NVARS: u32 = 6;
@@ -105,9 +107,10 @@ proptest! {
             params: params.clone(),
             body: AbsBody::from_atoms(set),
         });
-        cj_regions::abstraction::solve_fixpoint(&mut env, &[p]);
+        let mut solver = Solver::new();
+        cj_regions::abstraction::solve_fixpoint(&mut env, &[p], &mut solver);
         let once = env.get(p).body.atoms.clone();
-        cj_regions::abstraction::solve_fixpoint(&mut env, &[p]);
+        cj_regions::abstraction::solve_fixpoint(&mut env, &[p], &mut solver);
         let twice = env.get(p).body.atoms.clone();
         prop_assert_eq!(once, twice);
     }
@@ -119,13 +122,16 @@ const MODEL_VARS: usize = 7;
 /// One step of a model-test run: `(kind, a, b, mask1, mask2)`. Kinds 0–2
 /// add `a ≥ b` (twice as likely) or `a = b`; kinds 3–7 query `equal`,
 /// `outlives_holds`, `project` onto `mask1`, `escape_closure` of `mask1`
-/// over `mask2`, and `outlives_any` from `mask1` to `mask2`.
+/// over `mask2`, and `outlives_any` from `mask1` to `mask2`; kind 8 asks
+/// `outlived_among` which variables `a` outlives and, if `b` is one of
+/// them, adds `a = b` right after the query, as `instantiate_escaping`
+/// equates an escaping region with one of its signature lower bounds.
 type Step = (u8, u32, u32, u32, u32);
 
 fn arb_step() -> impl Strategy<Value = Step> {
     let var = 0..MODEL_VARS as u32;
     let mask = 0..1u32 << MODEL_VARS;
-    (0u8..8, var.clone(), var, mask.clone(), mask)
+    (0u8..9, var.clone(), var, mask.clone(), mask)
 }
 
 fn vars_of(mask: u32) -> impl Iterator<Item = RegVar> {
@@ -160,85 +166,140 @@ fn model(atoms: &[(usize, usize)]) -> Vec<Vec<bool>> {
     m
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+thread_local! {
+    /// The one solver of every case of the model test: each case resets
+    /// it, as inference resets one solver for each method it solves.
+    static MODEL_SOLVER: RefCell<Solver> = RefCell::new(Solver::new());
+}
 
-    /// Random interleavings of `add_eq`/`add_outlives` (the heap included)
-    /// with queries: every answer matches the brute-force model, and after
-    /// every query each class is represented by the heap or by its
-    /// smallest member.
-    #[test]
-    fn solver_matches_the_closure_model(steps in proptest::collection::vec(arb_step(), 0..40)) {
-        let mut solver = Solver::new();
-        let mut atoms: Vec<(usize, usize)> = Vec::new();
-        for (kind, a, b, mask1, mask2) in steps {
-            let (ra, rb) = (RegVar(a), RegVar(b));
-            let (ia, ib) = (a as usize, b as usize);
-            let m = model(&atoms);
-            let ge = |x: RegVar, y: RegVar| m[x.index()][y.index()];
-            match kind {
-                0 | 1 => {
-                    solver.add_outlives(ra, rb);
-                    atoms.push((ia, ib));
-                    continue;
+/// Runs one model-test case on `solver`, which holds `true`.
+fn run_model_case(solver: &mut Solver, steps: Vec<Step>) -> Result<(), TestCaseError> {
+    let mut atoms: Vec<(usize, usize)> = Vec::new();
+    let all: Vec<RegVar> = (0..MODEL_VARS as u32).map(RegVar).collect();
+    for (kind, a, b, mask1, mask2) in steps {
+        let (ra, rb) = (RegVar(a), RegVar(b));
+        let (ia, ib) = (a as usize, b as usize);
+        let m = model(&atoms);
+        let ge = |x: RegVar, y: RegVar| m[x.index()][y.index()];
+        match kind {
+            0 | 1 => {
+                solver.add_outlives(ra, rb);
+                atoms.push((ia, ib));
+                continue;
+            }
+            2 => {
+                solver.add_eq(ra, rb);
+                atoms.extend([(ia, ib), (ib, ia)]);
+                continue;
+            }
+            3 => prop_assert_eq!(
+                solver.equal(ra, rb),
+                ge(ra, rb) && ge(rb, ra),
+                "{ra} = {rb}"
+            ),
+            4 => prop_assert_eq!(solver.outlives_holds(ra, rb), ge(ra, rb), "{ra} >= {rb}"),
+            5 => {
+                let keep: BTreeSet<RegVar> = vars_of(mask1).collect();
+                let projected = solver.project(&keep);
+                let mut reloaded = Solver::from_set(&projected);
+                for atom in projected.iter() {
+                    let (x, y) = match atom {
+                        Atom::Outlives(x, y) | Atom::Eq(x, y) => (x, y),
+                    };
+                    for v in [x, y] {
+                        prop_assert!(
+                            v.is_heap() || keep.contains(&v),
+                            "{v} not kept in {projected}"
+                        );
+                    }
                 }
-                2 => {
+                for &x in &keep {
+                    for &y in &keep {
+                        prop_assert_eq!(
+                            reloaded.outlives_holds(x, y),
+                            ge(x, y),
+                            "{x} >= {y} after projecting onto {keep:?}: {projected}"
+                        );
+                    }
+                }
+            }
+            6 => {
+                let universe: Vec<RegVar> = vars_of(mask2).collect();
+                let escapes = solver.escape_closure(vars_of(mask1), &universe);
+                let got: BTreeSet<RegVar> = universe
+                    .iter()
+                    .copied()
+                    .zip(escapes)
+                    .filter_map(|(v, e)| e.then_some(v))
+                    .collect();
+                // A region equal to the heap escapes even without seeds.
+                let want: BTreeSet<RegVar> = universe
+                    .iter()
+                    .copied()
+                    .filter(|&v| ge(v, RegVar::HEAP) || vars_of(mask1).any(|e| ge(v, e)))
+                    .collect();
+                prop_assert_eq!(got, want);
+            }
+            7 => {
+                let sources: Vec<RegVar> = vars_of(mask1).collect();
+                solver.normalize(); // so that `find` gives final representatives
+                let targets: Vec<RegVar> = vars_of(mask2).map(|t| solver.find(t)).collect();
+                let got = solver.outlives_any(&sources, |rep| targets.contains(&rep));
+                let want: Vec<bool> = sources
+                    .iter()
+                    .map(|&v| ge(v, RegVar::HEAP) || vars_of(mask2).any(|t| ge(v, t)))
+                    .collect();
+                prop_assert_eq!(got, want, "sources {sources:?}, targets {targets:?}");
+            }
+            _ => {
+                let mut lower = Vec::new();
+                solver.outlived_among(ra, &all, &mut lower);
+                let want: Vec<RegVar> = all.iter().copied().filter(|&v| ge(ra, v)).collect();
+                prop_assert_eq!(&lower, &want, "what {ra} outlives");
+                if lower.contains(&rb) {
                     solver.add_eq(ra, rb);
                     atoms.extend([(ia, ib), (ib, ia)]);
                     continue;
                 }
-                3 => prop_assert_eq!(solver.equal(ra, rb), ge(ra, rb) && ge(rb, ra), "{ra} = {rb}"),
-                4 => prop_assert_eq!(solver.outlives_holds(ra, rb), ge(ra, rb), "{ra} >= {rb}"),
-                5 => {
-                    let keep: BTreeSet<RegVar> = vars_of(mask1).collect();
-                    let projected = solver.project(&keep);
-                    let mut reloaded = Solver::from_set(&projected);
-                    for atom in projected.iter() {
-                        let (x, y) = match atom {
-                            Atom::Outlives(x, y) | Atom::Eq(x, y) => (x, y),
-                        };
-                        for v in [x, y] {
-                            prop_assert!(v.is_heap() || keep.contains(&v), "{v} not kept in {projected}");
-                        }
-                    }
-                    for &x in &keep {
-                        for &y in &keep {
-                            prop_assert_eq!(
-                                reloaded.outlives_holds(x, y), ge(x, y),
-                                "{x} >= {y} after projecting onto {keep:?}: {projected}"
-                            );
-                        }
-                    }
-                }
-                6 => {
-                    let universe: BTreeSet<RegVar> = vars_of(mask2).collect();
-                    let got = solver.escape_closure(vars_of(mask1), &universe);
-                    // A region equal to the heap escapes even without seeds.
-                    let want: BTreeSet<RegVar> = universe
-                        .iter()
-                        .copied()
-                        .filter(|&v| ge(v, RegVar::HEAP) || vars_of(mask1).any(|e| ge(v, e)))
-                        .collect();
-                    prop_assert_eq!(got, want);
-                }
-                _ => {
-                    let sources: Vec<RegVar> = vars_of(mask1).collect();
-                    solver.normalize(); // so that `find` gives final representatives
-                    let targets: Vec<RegVar> = vars_of(mask2).map(|t| solver.find(t)).collect();
-                    let got = solver.outlives_any(&sources, |rep| targets.contains(&rep));
-                    let want: Vec<bool> = sources
-                        .iter()
-                        .map(|&v| ge(v, RegVar::HEAP) || vars_of(mask2).any(|t| ge(v, t)))
-                        .collect();
-                    prop_assert_eq!(got, want, "sources {sources:?}, targets {targets:?}");
-                }
-            }
-            for v in (0..MODEL_VARS as u32).map(RegVar) {
-                let class = (0..MODEL_VARS as u32).map(RegVar).filter(|&w| ge(v, w) && ge(w, v));
-                let want = if ge(v, RegVar::HEAP) { RegVar::HEAP } else { class.min().expect("v") };
-                prop_assert_eq!(solver.find(v), want, "representative of {v}");
             }
         }
+        for &v in &all {
+            let class = all.iter().copied().filter(|&w| ge(v, w) && ge(w, v));
+            let want = if ge(v, RegVar::HEAP) {
+                RegVar::HEAP
+            } else {
+                class.min().expect("v")
+            };
+            prop_assert_eq!(solver.find(v), want, "representative of {v}");
+        }
+    }
+    // After every step, one more query must see every atom.
+    let m = model(&atoms);
+    for &x in &all {
+        for &y in &all {
+            prop_assert_eq!(
+                solver.outlives_holds(x, y),
+                m[x.index()][y.index()],
+                "{x} >= {y} at the end"
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// Random interleavings of `add_eq`/`add_outlives` (the heap included)
+    /// with queries, on one solver that every case resets and reuses:
+    /// every answer matches the brute-force model, and after every query
+    /// each class is represented by the heap or by its smallest member.
+    #[test]
+    fn solver_matches_the_closure_model(steps in proptest::collection::vec(arb_step(), 0..40)) {
+        MODEL_SOLVER.with_borrow_mut(|solver| {
+            solver.reset();
+            run_model_case(solver, steps)
+        })?;
     }
 }
 
@@ -290,11 +351,11 @@ fn closed_application(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
 
-    /// One `outlived_reps(a)` search answers `outlives_holds(a, b)` for
-    /// every `b`: the heap, classes the solver holds, and variables it has
-    /// never seen (`MODEL_VARS` and up).
+    /// One `outlived_among(a, probes)` search answers `outlives_holds(a,
+    /// b)` for every probe `b`: the heap, classes the solver holds, and
+    /// variables it has never seen (`MODEL_VARS` and up).
     #[test]
-    fn outlived_reps_agrees_with_outlives_holds(steps in proptest::collection::vec(arb_step(), 0..40)) {
+    fn outlived_among_agrees_with_outlives_holds(steps in proptest::collection::vec(arb_step(), 0..40)) {
         let mut solver = Solver::new();
         for (kind, a, b, _, _) in steps {
             match kind {
@@ -304,11 +365,12 @@ proptest! {
             }
         }
         let probes: Vec<RegVar> = (0..MODEL_VARS as u32 + 2).map(RegVar).collect();
+        let mut lower = Vec::new();
         for &a in &probes {
-            let reps = solver.outlived_reps(a);
+            lower.clear();
+            solver.outlived_among(a, &probes, &mut lower);
             for &b in &probes {
-                let via_reps = reps.as_ref().is_none_or(|r| r.contains(&solver.find(b)));
-                prop_assert_eq!(via_reps, solver.outlives_holds(a, b), "{a} >= {b}: {reps:?}");
+                prop_assert_eq!(lower.contains(&b), solver.outlives_holds(a, b), "{a} >= {b}: {lower:?}");
             }
         }
     }

@@ -105,13 +105,15 @@ proptest! {
         set in arb_set(8, 14),
         seeds_mask in proptest::collection::vec(any::<bool>(), 8),
     ) {
-        let universe: BTreeSet<RegVar> = (0..8u32).map(RegVar).collect();
+        let universe: Vec<RegVar> = (0..8u32).map(RegVar).collect();
         let seeds: Vec<RegVar> = (0..8u32)
             .filter(|&i| seeds_mask[i as usize])
             .map(RegVar)
             .collect();
         let mut solver = Solver::from_set(&set);
-        let escaping = solver.escape_closure(seeds.iter().copied(), &universe);
+        let escapes = solver.escape_closure(seeds.iter().copied(), &universe);
+        let escaping: BTreeSet<RegVar> =
+            universe.iter().copied().zip(escapes).filter_map(|(v, e)| e.then_some(v)).collect();
         for s in &seeds {
             prop_assert!(escaping.contains(s), "seed {s} not in closure");
         }
