@@ -28,8 +28,9 @@
 //!
 //! One [`Solver`] serves the whole call: every member solve, escaping
 //! instantiation, override repair and localization resets it and loads what
-//! it needs, so the solver allocates only until it has grown to the largest
-//! method.
+//! it needs, so the solver's own tables grow only until they fit the
+//! largest method. The solver's answers and localization's region maps are
+//! still allocated per method.
 //!
 //! Determinism guarantee: [`infer`] keeps no state between calls, so the
 //! same kernel program and options always give the same output — same

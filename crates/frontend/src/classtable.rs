@@ -68,8 +68,9 @@ pub struct ClassInfo {
     pub superclass: Option<ClassId>,
     /// Fields declared by this class itself.
     pub own_fields: Vec<FieldInfo>,
-    /// Number of fields, inherited included.
-    pub field_count: usize,
+    /// Number of fields, inherited included; read it with
+    /// [`ClassTable::field_count`].
+    field_count: usize,
     /// Instance-method signatures declared by this class itself.
     pub own_methods: Vec<MethodSig>,
     /// Distance from `Object` (0 for `Object`).

@@ -254,9 +254,9 @@ fn add_instance(params: &[RegVar], atoms: &ConstraintSet, args: &[RegVar], solve
 /// member they apply changes.
 ///
 /// Every member solve [resets](Solver::reset) `solver` and loads it anew,
-/// so one solver serves a whole pass over the condensation without
-/// allocating once it has grown to the largest member; what it holds on
-/// return is unspecified.
+/// so one solver serves a whole pass over the condensation and its tables
+/// grow only until they fit the largest member; what it holds on return is
+/// unspecified.
 ///
 /// Returns the number of member solves: one per member when no member
 /// applies a member. Each call is one `solve-scc` trace span whose

@@ -25,7 +25,9 @@
 //! A solver is meant to be reused: [`Solver::reset`] empties it to `true`
 //! in time proportional to what it held and keeps the capacity of every
 //! table and buffer, so a pass that solves one method after another with
-//! one solver allocates only while its largest method grows the tables.
+//! one solver grows those tables only until they fit its largest method.
+//! What a query returns (`project`'s set, `escape_closure`'s and
+//! `outlives_any`'s answers) is still a fresh value on every call.
 
 use crate::constraint::{Atom, ConstraintSet};
 use crate::var::RegVar;
@@ -34,11 +36,6 @@ use std::fmt;
 
 /// The dense index of a region variable inside one [`Solver`].
 type Slot = u32;
-
-/// The fewest slots an incremental fold may mark before it gives up and
-/// leaves the cycle to [`Solver::normalize`]; larger solvers allow a
-/// quarter of their slots.
-const FOLD_LIMIT: usize = 64;
 
 /// An incremental solver for region constraints. See the module docs.
 ///
@@ -63,10 +60,19 @@ const FOLD_LIMIT: usize = 64;
 /// added to a normalized solver is folded in at once instead: one search
 /// from one side finds the classes on a path to the other side, which the
 /// new atom closes into a cycle, and merges them, so the graph stays
-/// normalized and the next query does no work before it answers. Only an
-/// atom that merges a class into the heap, or whose search outgrows a
-/// bound (64 slots, or a quarter of the solver), leaves the cycles to the
-/// next query's full normalization.
+/// normalized and the next query does no work before it answers.
+///
+/// **The fold budget.** Each query grants the folds that follow it, until
+/// the next query, twice as many steps (a slot marked or an edge looked
+/// at) as the solver then holds slots plus edges. A full normalization
+/// passes over every slot and every edge twice, once to canonicalize and
+/// once in the cycle search, and the graph it would meet at the next query
+/// is no smaller, so the folds between two queries cost no more than the
+/// normalization they spare it. An atom that merges a class into the heap,
+/// or whose fold runs out of budget, leaves its cycles to the next query's
+/// full normalization instead; a fold cut short has spent at most the
+/// budget, so a batch of atoms between two queries costs at most two
+/// normalizations.
 ///
 /// # Examples
 ///
@@ -101,6 +107,11 @@ pub struct Solver {
     /// repeated or stale (no longer a representative); searches map every
     /// target to its representative.
     edges: Vec<Vec<Slot>>,
+    /// The total length of the live edge lists.
+    edge_count: usize,
+    /// The steps left to the folds before the next query (see the type
+    /// docs).
+    fold_budget: usize,
     /// Search marks, all false between searches.
     seen: Vec<bool>,
     /// Whether a marked slot reaches a target of the current search.
@@ -143,6 +154,8 @@ impl Solver {
     /// Empties the solver to the constraint `true`, as [`Solver::new`]
     /// would, but keeps the capacity of its tables and buffers. The cost is
     /// proportional to the number of variables it held, not to their ids.
+    /// Scratch state is emptied too, so a solver whose search was cut short
+    /// by a panic starts clean.
     pub fn reset(&mut self) {
         let n = self.vars.len();
         for outs in &mut self.edges[..n] {
@@ -152,7 +165,15 @@ impl Solver {
         self.parent.clear();
         self.seen.clear();
         self.hit.clear();
+        self.marked.clear();
+        self.stack.clear();
+        self.to_heap.clear();
+        self.groups.clear();
+        self.tarjan.stack.clear();
+        self.tarjan.work.clear();
         self.slots.clear();
+        self.edge_count = 0;
+        self.fold_budget = 0;
         self.normalized = false;
     }
 
@@ -261,7 +282,7 @@ impl Solver {
             // path from b's class back to a's.
             match self.paths_between(rb, ra) {
                 Some(false) => {
-                    self.edges[ra as usize].push(rb);
+                    self.push_edge(ra, rb);
                     return;
                 }
                 Some(true) => {
@@ -271,8 +292,13 @@ impl Solver {
                 None => {}
             }
         }
-        self.edges[ra as usize].push(rb);
+        self.push_edge(ra, rb);
         self.normalized = false;
+    }
+
+    fn push_edge(&mut self, src: Slot, dst: Slot) {
+        self.edges[src as usize].push(dst);
+        self.edge_count += 1;
     }
 
     /// Adds one atom.
@@ -294,12 +320,11 @@ impl Solver {
     /// representative `to` of the normalized graph. Returns `Some(true)`
     /// when `to` is reachable, leaving marks whose `hit` flag is set on
     /// exactly those classes (both ends included); `Some(false)` when it is
-    /// not; and `None` when the search would mark more than the fold limit.
-    /// Only `Some(true)` leaves marks behind.
+    /// not; and `None` when the search runs out of fold budget. Only
+    /// `Some(true)` leaves marks behind.
     fn paths_between(&mut self, from: Slot, to: Slot) -> Option<bool> {
-        let limit = FOLD_LIMIT.max(self.vars.len() / 4);
         let target = self.vars[to as usize];
-        let done = self.search(from, limit, true, &mut |v| v == target);
+        let done = self.search(from, true, &mut |v| v == target);
         let found = done && self.hit[from as usize];
         if !found {
             self.clear_marks();
@@ -309,7 +334,8 @@ impl Solver {
 
     /// Merges the classes of `a` and `b` with every marked class whose
     /// `hit` flag is set, clears the marks, and re-canonicalizes the merged
-    /// class's edges. The graph stays normalized.
+    /// class's edges, charging their number to the fold budget. The graph
+    /// stays normalized.
     fn collapse(&mut self, a: Slot, b: Slot) {
         self.union(a, b);
         for k in 0..self.marked.len() {
@@ -321,24 +347,38 @@ impl Solver {
         self.clear_marks();
         let w = self.root_mut(a);
         let (parent, outs) = (&self.parent, &mut self.edges[w as usize]);
+        let before = outs.len();
         outs.retain_mut(|d| {
             *d = root(parent, *d);
             *d != w
         });
         outs.sort_unstable();
         outs.dedup();
+        self.edge_count -= before - outs.len();
+        self.fold_budget = self.fold_budget.saturating_sub(before);
     }
 
-    /// Collapses `≥`-cycles into equalities and re-canonicalizes edges:
-    /// afterwards every parent is a representative, every edge joins two
-    /// distinct representatives, no edge leaves or enters the heap, each
-    /// edge list is sorted and free of repeats, and the graph is acyclic.
-    /// Queries call this automatically; on a normalized solver it returns
-    /// at once (see the type docs for when that is).
+    /// Makes the graph normalized: every `≥`-cycle collapsed into one
+    /// class, so that the graph over representatives is acyclic, and no
+    /// edge leaving or entering the heap. On a solver that is not
+    /// normalized it also canonicalizes: afterwards every parent is a
+    /// representative, every edge joins two distinct representatives and
+    /// each edge list is sorted and free of repeats. Folds keep only the
+    /// first two properties, so between full normalizations a parent may be
+    /// a non-representative and an edge target stale or repeated; every
+    /// search maps targets to their representatives.
+    ///
+    /// Queries call this automatically. It grants the folds until the next
+    /// query their budget, and on a normalized solver does nothing else
+    /// (see the type docs for when that is).
     pub fn normalize(&mut self) {
-        if self.normalized {
-            return;
+        if !self.normalized {
+            self.normalize_fully();
         }
+        self.fold_budget = 2 * (self.vars.len() + self.edge_count);
+    }
+
+    fn normalize_fully(&mut self) {
         // A class with an edge into the heap joins it, which may give
         // other classes such an edge.
         while self.canonicalize() {
@@ -379,6 +419,7 @@ impl Solver {
             let r = self.root_mut(s);
             self.parent[s as usize] = r;
         }
+        self.edge_count = 0;
         for s in 0..n {
             if self.edges[s].is_empty() {
                 continue;
@@ -401,6 +442,7 @@ impl Solver {
             });
             outs.sort_unstable();
             outs.dedup();
+            self.edge_count += outs.len();
             if reaches_heap {
                 self.to_heap.push(s as Slot);
             }
@@ -425,7 +467,7 @@ impl Solver {
         if self.is_heap(from) {
             return true;
         }
-        self.search(from, usize::MAX, false, &mut |rep| rep == target);
+        self.search(from, false, &mut |rep| rep == target);
         let holds = self.hit[from as usize];
         self.clear_marks();
         holds
@@ -504,54 +546,73 @@ impl Solver {
     /// A class known to reach a target is not explored further, unless
     /// `all_paths` asks for every class on a path to a target; a target's
     /// own successors are never explored then either, since none of them
-    /// leads back to it. Returns `false`, abandoning the search, when it
-    /// would mark more than `limit` slots.
+    /// leads back to it. Such a search is a fold's, and each slot it marks
+    /// and each edge it looks at costs one step of the fold budget; it
+    /// returns `false`, abandoning the search, when the budget runs out.
     fn search(
         &mut self,
         from: Slot,
-        limit: usize,
         all_paths: bool,
         is_target: &mut impl FnMut(RegVar) -> bool,
     ) -> bool {
         if self.seen[from as usize] {
             return true;
         }
-        self.seen[from as usize] = true;
-        self.hit[from as usize] = is_target(self.vars[from as usize]);
-        self.marked.push(from);
-        self.stack.push((from, 0));
-        // Iterative post-order: a slot's answer is final once it is popped,
-        // and no slot is pushed twice since the graph is acyclic.
-        while let Some(&(u, i)) = self.stack.last() {
-            let u = u as usize;
-            let done = self.hit[u] && (!all_paths || is_target(self.vars[u]));
-            let next = match done {
-                true => None,
-                false => self.edges[u].get(i).copied(),
-            };
-            let Some(w) = next else {
-                self.stack.pop();
-                if let Some(&(p, _)) = self.stack.last() {
-                    self.hit[p as usize] |= self.hit[u];
-                }
-                continue;
-            };
-            self.stack.last_mut().expect("nonempty").1 += 1;
-            let w = root(&self.parent, w);
-            if !self.seen[w as usize] {
-                if self.marked.len() >= limit {
-                    self.stack.clear();
-                    return false;
-                }
-                self.seen[w as usize] = true;
-                self.hit[w as usize] = is_target(self.vars[w as usize]);
-                self.marked.push(w);
-                self.stack.push((w, 0));
-            } else if self.hit[w as usize] {
-                self.hit[u] = true;
+        // A query's search is unbounded.
+        let mut budget = match all_paths {
+            true => self.fold_budget,
+            false => usize::MAX,
+        };
+        let done = 'search: {
+            if budget == 0 {
+                break 'search false;
             }
+            budget -= 1;
+            self.seen[from as usize] = true;
+            self.hit[from as usize] = is_target(self.vars[from as usize]);
+            self.marked.push(from);
+            self.stack.push((from, 0));
+            // Iterative post-order: a slot's answer is final once it is popped,
+            // and no slot is pushed twice since the graph is acyclic.
+            while let Some(&(u, i)) = self.stack.last() {
+                let u = u as usize;
+                let done = self.hit[u] && (!all_paths || is_target(self.vars[u]));
+                let next = match done {
+                    true => None,
+                    false => self.edges[u].get(i).copied(),
+                };
+                let Some(w) = next else {
+                    self.stack.pop();
+                    if let Some(&(p, _)) = self.stack.last() {
+                        self.hit[p as usize] |= self.hit[u];
+                    }
+                    continue;
+                };
+                self.stack.last_mut().expect("nonempty").1 += 1;
+                let w = root(&self.parent, w);
+                let fresh = !self.seen[w as usize];
+                // One step for the edge, one more for a slot it marks.
+                let steps = 1 + usize::from(fresh);
+                if budget < steps {
+                    self.stack.clear();
+                    break 'search false;
+                }
+                budget -= steps;
+                if fresh {
+                    self.seen[w as usize] = true;
+                    self.hit[w as usize] = is_target(self.vars[w as usize]);
+                    self.marked.push(w);
+                    self.stack.push((w, 0));
+                } else if self.hit[w as usize] {
+                    self.hit[u] = true;
+                }
+            }
+            true
+        };
+        if all_paths {
+            self.fold_budget = budget;
         }
-        true
+        done
     }
 
     /// Projects the conjunction onto `keep`: the strongest constraint over
@@ -638,7 +699,7 @@ impl Solver {
                 Some(slot) => {
                     let from = self.root_mut(slot);
                     self.is_heap(from) || {
-                        self.search(from, usize::MAX, false, &mut is_target);
+                        self.search(from, false, &mut is_target);
                         self.hit[from as usize]
                     }
                 }
@@ -1052,6 +1113,28 @@ mod tests {
             assert_eq!(s.find(r(5)), r(5));
             assert!(s.outlives_holds(r(3), r(5)) && !s.outlives_holds(r(5), r(2)));
         }
+    }
+
+    /// The folds between two queries share one budget: once two searches
+    /// down a 50-long chain have spent it, a cycle closed before the next
+    /// query waits for that query's full normalization.
+    #[test]
+    fn folds_between_two_queries_share_one_budget() {
+        let mut s = Solver::new();
+        for i in 1..50 {
+            s.add_outlives(r(i), r(i + 1));
+        }
+        assert!(s.outlives_holds(r(1), r(50))); // normalizes
+        s.add_outlives(r(60), r(1)); // searches the chain, closes nothing
+        s.add_outlives(r(61), r(1));
+        s.add_outlives(r(50), r(1)); // out of budget: not folded
+        assert_eq!(s.find(r(25)), r(25));
+        assert!(s.equal(r(1), r(50)));
+        assert_eq!(s.find(r(25)), r(1));
+        s.add_outlives(r(70), r(71));
+        s.add_outlives(r(71), r(1));
+        s.add_outlives(r(1), r(70)); // a fresh budget: folded at once
+        assert_eq!(s.find(r(71)), r(1));
     }
 
     #[test]
