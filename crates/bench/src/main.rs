@@ -19,7 +19,7 @@ use cj_bench::{
 };
 use cj_benchmarks::{all_benchmarks, olden_benchmarks, regjava_benchmarks, Benchmark, Suite};
 use cj_diag::json_string;
-use cj_driver::{Daemon, DaemonConfig, Session, SessionOptions};
+use cj_driver::{Daemon, DaemonConfig, SessionOptions, Workspace};
 use cj_frontend::KProgram;
 use cj_infer::{ExtentMode, InferOptions, SubtypeMode};
 use cj_loadgen::{Kind, LoadConfig, LoadReport};
@@ -136,18 +136,21 @@ fn main() -> ExitCode {
 
 // ---- shared helpers -------------------------------------------------------
 
-/// A [`Session`] over a benchmark's source, named after it.
-fn session_for(b: &Benchmark) -> Session {
-    Session::new(b.source, SessionOptions::default()).with_name(b.name)
+/// A one-file [`Workspace`] over a benchmark's source, named after it.
+fn workspace_for(b: &Benchmark) -> Result<Workspace, String> {
+    let mut ws = Workspace::new(SessionOptions::default());
+    ws.set_source(b.name, b.source)
+        .map_err(|d| format!("{}: {d}", b.name))?;
+    Ok(ws)
 }
 
-/// `f(session)`, with diagnostics rendered into the error.
+/// `f(ws)`, with diagnostics rendered into the error.
 fn compiled<T>(
-    session: &mut Session,
+    ws: &mut Workspace,
     what: &str,
-    f: impl FnOnce(&mut Session) -> cj_driver::CompileResult<T>,
+    f: impl FnOnce(&mut Workspace) -> cj_driver::CompileResult<T>,
 ) -> Result<T, String> {
-    f(session).map_err(|d| format!("{what}:\n{}", session.emitter().render_all(&d)))
+    f(ws).map_err(|d| format!("{what}:\n{}", ws.render(&d)))
 }
 
 /// How to show `b`'s input, and its arguments: the test input under
@@ -206,17 +209,17 @@ struct ModeCell {
     space_ratio: Option<f64>,
 }
 
-/// One Fig 8 program under all three subtyping modes. One session serves
+/// One Fig 8 program under all three subtyping modes. One workspace serves
 /// all three, so the program is parsed and typechecked once; each mode's
 /// inference and region check are timed on that shared kernel.
 fn fig8_row(b: &Benchmark, args: &[Value]) -> Result<(usize, Vec<ModeCell>), String> {
-    let mut session = session_for(b);
-    let kp = compiled(&mut session, b.name, Session::typecheck)?;
+    let mut ws = workspace_for(b)?;
+    let kp = compiled(&mut ws, b.name, Workspace::typecheck)?;
     let mut cells = Vec::new();
     for mode in SubtypeMode::ALL {
         let opts = InferOptions::with_mode(mode);
         let what = format!("{} [{mode}]", b.name);
-        let compilation = compiled(&mut session, &what, |s| s.infer_with(opts))?;
+        let compilation = compiled(&mut ws, &what, |ws| ws.infer(opts))?;
         let (_, infer_ms) = measure(|| cj_infer::infer(&kp, opts));
         let (checked, check_ms) = measure(|| cj_check::check(&compilation.program));
         checked.map_err(|e| format!("{what}: inferred program fails to check: {e}"))?;
@@ -227,7 +230,7 @@ fn fig8_row(b: &Benchmark, args: &[Value]) -> Result<(usize, Vec<ModeCell>), Str
             space_ratio: run.ok().map(|out| out.space.space_ratio()),
         });
     }
-    if session.pass_counts().typecheck != 1 {
+    if ws.pass_counts().typecheck != 1 {
         return Err(format!(
             "{}: the three modes must share one typechecked kernel",
             b.name
@@ -292,8 +295,8 @@ fn fig9() -> Vec<String> {
     );
     let mut failures = Vec::new();
     rows_of(olden_benchmarks(), &mut failures, |b| {
-        let mut session = session_for(b);
-        let kp = compiled(&mut session, b.name, Session::typecheck)?;
+        let mut ws = workspace_for(b)?;
+        let kp = compiled(&mut ws, b.name, Workspace::typecheck)?;
         let (inferred, infer_ms) =
             measure(|| cj_infer::infer(&kp, InferOptions::with_mode(SubtypeMode::Field)));
         inferred.map_err(|e| format!("{}: {e}", b.name))?;
@@ -328,9 +331,9 @@ fn document(schema: &str, quick: bool, rows: &[String], summary: String) -> Stri
 
 fn engines_row(b: &Benchmark, quick: bool) -> Result<EnginesRow, String> {
     let opts = InferOptions::with_mode(SubtypeMode::Field);
-    let mut session = session_for(b);
-    let compilation = compiled(&mut session, b.name, |s| s.check_with(opts))?;
-    let register = compiled(&mut session, b.name, |s| s.compiled_with(opts))?;
+    let mut ws = workspace_for(b)?;
+    let compilation = compiled(&mut ws, b.name, |ws| ws.check(opts))?;
+    let register = compiled(&mut ws, b.name, |ws| ws.compiled(opts))?;
     let ((shown, args), cfg) = (input(b, quick), RunConfig::default());
     let (rvm, rvm_ms) = measure(|| cj_rvm::run_main(&register, &args, cfg));
     let (interp, interp_ms) = measure(|| run_main_big_stack(&compilation.program, &args, cfg));
@@ -449,15 +452,15 @@ fn extent_run(b: &Benchmark, extent: ExtentMode, quick: bool) -> Result<ExtentRu
         ..InferOptions::with_mode(SubtypeMode::Field)
     };
     let what = format!("{} [{extent}]", b.name);
-    let mut session = session_for(b);
-    let compilation = compiled(&mut session, &what, |s| s.check_with(opts))?;
-    let register = compiled(&mut session, &what, |s| s.compiled_with(opts))?;
+    let mut ws = workspace_for(b)?;
+    let compilation = compiled(&mut ws, &what, |ws| ws.check(opts))?;
+    let register = compiled(&mut ws, &what, |ws| ws.compiled(opts))?;
     let ((_, args), cfg) = (input(b, quick), RunConfig::default());
     let rvm = cj_rvm::run_main(&register, &args, cfg).map_err(|e| format!("{what} [rvm]: {e}"))?;
     let interp = run_main_big_stack(&compilation.program, &args, cfg)
         .map_err(|e| format!("{what} [interp]: {e}"))?;
     Ok(ExtentRun {
-        rewrites: session.pass_counts().extent_rewrites,
+        rewrites: ws.pass_counts().extent_rewrites,
         interp: Observed::from(&interp),
         rvm: Observed::from(&rvm),
     })

@@ -110,7 +110,6 @@ impl cj_diag::IntoDiagnostics for CheckErrors {
 /// region-safe (never creates a dangling reference, Theorem 1).
 pub fn check(p: &RProgram) -> Result<(), CheckErrors> {
     let mut errors = Vec::new();
-    let rec_read_only = cj_infer::recro::rec_read_only(&p.kernel);
     // One solver for the whole run, reset for each entailment question.
     let mut solver = Solver::new();
     check_classes(p, &mut solver, &mut errors);
@@ -119,7 +118,6 @@ pub fn check(p: &RProgram) -> Result<(), CheckErrors> {
         MethodChecker {
             p,
             id,
-            rec_read_only: &rec_read_only,
             errors: &mut errors,
         }
         .run(&mut solver);
@@ -234,7 +232,6 @@ fn check_overrides(p: &RProgram, lhs: &mut Solver, errors: &mut Vec<CheckError>)
 struct MethodChecker<'a> {
     p: &'a RProgram,
     id: MethodId,
-    rec_read_only: &'a [bool],
     errors: &'a mut Vec<CheckError>,
 }
 
@@ -346,7 +343,7 @@ impl<'a> MethodChecker<'a> {
                     return;
                 }
                 let rec_pos = self.p.rclass(*cb).rec_region.and_then(|rr| {
-                    if self.rec_read_only[cb.index()] {
+                    if self.p.kernel.rec_read_only[cb.index()] {
                         self.p.rclass(*cb).params.iter().position(|&q| q == rr)
                     } else {
                         None

@@ -91,8 +91,6 @@ pub struct Ctx<'a> {
     pub classes: Vec<ClassSig>,
     /// Method signatures.
     pub msigs: HashMap<MethodId, MethodSigR>,
-    /// `isRecReadOnly` per class.
-    pub rec_read_only: Vec<bool>,
     /// The raw (unsolved) abstraction environment, numbered in name order;
     /// override resolution and escaping-local instantiation add atoms here
     /// between solves. The pipeline's solve moves the names and parameters
@@ -117,7 +115,6 @@ impl<'a> Ctx<'a> {
             gen: RegVarGen::new(),
             classes: Vec::new(),
             msigs: HashMap::new(),
-            rec_read_only: crate::recro::rec_read_only(kp),
             raw: AbsEnv::new(),
             invs: Vec::new(),
             has_downcasts: program_has_downcasts(kp),

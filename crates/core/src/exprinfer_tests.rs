@@ -7,9 +7,10 @@ use crate::pipeline::infer;
 use crate::rast::{walk_rexpr, RExprKind, RProgram};
 use cj_frontend::typecheck::check_source;
 use cj_regions::var::RegVar;
+use std::sync::Arc;
 
 fn run(src: &str) -> RProgram {
-    let kp = check_source(src).unwrap();
+    let kp = Arc::new(check_source(src).unwrap());
     infer(
         &kp,
         InferOptions {
@@ -191,12 +192,14 @@ fn while_body_regions_conjoin_flow_insensitively() {
 
 #[test]
 fn reject_policy_reports_method_and_is_error() {
-    let kp = check_source(
-        "class A { Object x; }
-         class B extends A { Object y; }
-         class M { static B f(A a) { (B) a } }",
-    )
-    .unwrap();
+    let kp = Arc::new(
+        check_source(
+            "class A { Object x; }
+             class B extends A { Object y; }
+             class M { static B f(A a) { (B) a } }",
+        )
+        .unwrap(),
+    );
     let err = infer(
         &kp,
         InferOptions {

@@ -13,7 +13,7 @@
 //! |---|---|
 //! | Class region parameters & invariants (Sec 3.1, \[CLASS\]) | [`ctx`] |
 //! | Region subtyping — none / object / field (Sec 3.2) | [`subtype`], [`options`] |
-//! | `isRecReadOnly` | [`recro`] |
+//! | `isRecReadOnly` | `KProgram::rec_read_only`, computed by typecheck |
 //! | Method signatures & preconditions (\[METH\]) | [`ctx`], [`exprinfer`] |
 //! | Expression rules (Fig 3) | [`exprinfer`] |
 //! | Region-polymorphic recursion (Fig 6) | `cj_regions::abstraction` + [`pipeline`] |
@@ -49,7 +49,6 @@ pub mod override_res;
 pub mod pipeline;
 pub mod pretty;
 pub mod rast;
-pub mod recro;
 pub mod subtype;
 
 pub use ctx::{invariant_name, precondition_name};

@@ -49,15 +49,17 @@ use cj_frontend::types::MethodId;
 use cj_regions::abstraction::{solve_fixpoint, AbsBody, AbsCall, AbsEnv, AbsId, ConstraintAbs};
 use cj_regions::constraint::ConstraintSet;
 use cj_regions::solve::Solver;
+use std::sync::Arc;
 
-/// Runs region inference over a kernel program.
+/// Runs region inference over a kernel program. The annotated program
+/// shares `kp` rather than copying it.
 ///
 /// # Errors
 ///
 /// Fails only on policy violations (e.g. downcasts under
 /// [`DowncastPolicy::Reject`](crate::options::DowncastPolicy::Reject));
 /// well-normal-typed programs otherwise always infer (Theorem 1).
-pub fn infer(kp: &KProgram, opts: InferOptions) -> Result<(RProgram, InferStats), InferError> {
+pub fn infer(kp: &Arc<KProgram>, opts: InferOptions) -> Result<(RProgram, InferStats), InferError> {
     let mut stats = InferStats::default();
     let signatures_span = cj_trace::span("pipeline", "signatures");
     let mut ctx = Ctx::new(kp, opts);
@@ -200,7 +202,7 @@ pub fn infer(kp: &KProgram, opts: InferOptions) -> Result<(RProgram, InferStats)
 
     stats.regions_created = ctx.gen.count() as usize;
     let program = RProgram {
-        kernel: kp.clone(),
+        kernel: Arc::clone(kp),
         classes,
         methods,
         statics,
@@ -219,7 +221,7 @@ pub fn infer_source(
     src: &str,
     opts: InferOptions,
 ) -> Result<(RProgram, InferStats), cj_diag::Diagnostics> {
-    let kp = cj_frontend::typecheck::check_source(src)?;
+    let kp = Arc::new(cj_frontend::typecheck::check_source(src)?);
     let (p, s) = infer(&kp, opts).map_err(cj_diag::IntoDiagnostics::into_diagnostics)?;
     Ok((p, s))
 }
@@ -329,7 +331,7 @@ mod tests {
         }";
 
     fn run(src: &str, mode: SubtypeMode) -> (crate::rast::RProgram, crate::options::InferStats) {
-        let kp = check_source(src).unwrap();
+        let kp = Arc::new(check_source(src).unwrap());
         infer(
             &kp,
             InferOptions {
@@ -650,7 +652,7 @@ mod tests {
             (B) a
           }
         }";
-        let kp = check_source(src).unwrap();
+        let kp = Arc::new(check_source(src).unwrap());
         let (p, _) = infer(
             &kp,
             InferOptions {
@@ -700,7 +702,7 @@ mod tests {
             D d = (D) c;
           }
         }";
-        let kp = check_source(src).unwrap();
+        let kp = Arc::new(check_source(src).unwrap());
         let (p, stats) = infer(
             &kp,
             InferOptions {
@@ -750,7 +752,7 @@ mod tests {
           void push(Object o) { this.top = new List(o, this.top); }
           Object peek() { this.top.getValue() }
         }";
-        let kp = check_source(multi).unwrap();
+        let kp = Arc::new(check_source(multi).unwrap());
         let (p1, s1) = infer(&kp, opts).unwrap();
         let (p2, s2) = infer(&kp, opts).unwrap();
         assert_eq!(s1, s2, "no state survives a call");
@@ -764,7 +766,7 @@ mod tests {
             "{ this.top.getValue() }",
             "{ this.top.getNext().getValue() }",
         );
-        let (p3, _) = infer(&check_source(&edited).unwrap(), opts).unwrap();
+        let (p3, _) = infer(&Arc::new(check_source(&edited).unwrap()), opts).unwrap();
         let get_value = |p: &RProgram| {
             let id = p.q.find("pre.List.getValue").unwrap();
             p.q.get(id).to_string()
@@ -774,7 +776,7 @@ mod tests {
 
     #[test]
     fn empty_program_infers() {
-        let kp = check_source("class A { }").unwrap();
+        let kp = Arc::new(check_source("class A { }").unwrap());
         let (p, _) = infer(&kp, InferOptions::default()).unwrap();
         assert_eq!(p.classes.len(), 2);
     }

@@ -15,6 +15,7 @@ use cj_regions::subst::RegSubst;
 use cj_regions::var::RegVar;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// A region-annotated type.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -500,8 +501,9 @@ pub fn map_rtype_regions(t: &RType, f: &impl Fn(RegVar) -> RegVar) -> RType {
 /// of the region checker and the interpreter.
 #[derive(Debug, Clone)]
 pub struct RProgram {
-    /// The underlying kernel program (class table, normal types, bodies).
-    pub kernel: KProgram,
+    /// The underlying kernel program (class table, normal types, bodies),
+    /// shared with the driver that typechecked it.
+    pub kernel: Arc<KProgram>,
     /// Region signatures per class (indexed by `ClassId`).
     pub classes: Vec<RClass>,
     /// Annotated instance methods, parallel to `kernel.methods`.

@@ -68,9 +68,9 @@ pub fn subtype(ctx: &Ctx<'_>, sub: &RType, sup: &RType, out: &mut ConstraintSet)
             let m = rb.len();
             debug_assert!(ra.len() >= m, "subclass must extend supertype regions");
             // Shared prefix: mode-dependent variance.
-            let rec_pos = ctx.classes[cb.index()]
-                .rec_position()
-                .filter(|_| ctx.opts.mode == SubtypeMode::Field && ctx.rec_read_only[cb.index()]);
+            let rec_pos = ctx.classes[cb.index()].rec_position().filter(|_| {
+                ctx.opts.mode == SubtypeMode::Field && ctx.kp.rec_read_only[cb.index()]
+            });
             for i in 0..m {
                 let covariant =
                     (i == 0 && ctx.opts.mode != SubtypeMode::None) || Some(i) == rec_pos;
@@ -159,7 +159,7 @@ mod tests {
         let (kp, opts) = setup(src, SubtypeMode::Field);
         let ctx = Ctx::new(&kp, opts);
         let rl = kp.table.class_id("RList").unwrap();
-        assert!(ctx.rec_read_only[rl.index()]);
+        assert!(ctx.kp.rec_read_only[rl.index()]);
         let sub = RType::class(rl, vec![r(1), r(2), r(3)]);
         let sup = RType::class(rl, vec![r(4), r(5), r(6)]);
         let mut out = ConstraintSet::new();

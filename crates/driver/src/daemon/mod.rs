@@ -55,7 +55,7 @@
 mod event;
 
 use crate::server::Server;
-use crate::session::SessionOptions;
+use crate::workspace::SessionOptions;
 use cj_diag::json::{json_string, parse_json};
 use std::net::{SocketAddr, TcpListener};
 #[cfg(unix)]

@@ -1,7 +1,8 @@
-//! # cj-driver — the `Workspace` / `Session` compiler drivers
+//! # cj-driver — the `Workspace` compiler driver
 //!
-//! The driver layer over the PLDI 2004 region-inference pipeline, built
-//! around the multi-file, demand-driven [`Workspace`]:
+//! The driver layer over the PLDI 2004 region-inference pipeline
+//! `parse → typecheck → infer → check → run`, built around one type, the
+//! multi-file, demand-driven [`Workspace`]:
 //!
 //! ```text
 //! set_source ─▶ per-file AST ─▶ merged program ─▶ kernel ─▶ per-options
@@ -11,13 +12,15 @@
 //! Every derived artifact is a memoized query with fine-grained
 //! invalidation: editing one file re-parses **only that file**, and
 //! re-inference starts from the fresh kernel, so its output is
-//! bit-identical to a from-scratch compile. The closed
-//! constraint-abstraction environment `Q` is queryable ([`Workspace::q`], [`Workspace::precondition`],
+//! bit-identical to a from-scratch compile. Each stage past typecheck
+//! takes its [`InferOptions`](cj_infer::InferOptions) explicitly. The
+//! closed constraint-abstraction environment `Q` is queryable
+//! ([`Workspace::q`], [`Workspace::precondition`],
 //! [`Workspace::invariant`], [`Workspace::entails`]) without re-solving.
 //!
-//! [`Session`] is the single-source facade (one file named `<input>`),
-//! [`Server`] the JSON-lines compile-server loop behind `cjrc serve`,
+//! [`Server`] is the JSON-lines compile-server loop behind `cjrc serve`,
 //! [`Daemon`] the `cjrcd` socket front end multiplexing many such servers.
+//! [`Session`] keeps only the three calls the `perfbench` benchmark makes.
 //! Errors from every stage are structured
 //! [`Diagnostics`](cj_diag::Diagnostics) with spans, stable codes, caret
 //! rendering and a JSON form; no stage returns `Box<dyn Error>` or
@@ -26,30 +29,38 @@
 //! # Examples
 //!
 //! ```
-//! use cj_driver::{Session, SessionOptions};
+//! use cj_driver::{SessionOptions, Workspace};
+//! use cj_infer::InferOptions;
 //!
-//! let mut session = Session::new(
+//! let opts = InferOptions::default();
+//! let mut ws = Workspace::new(SessionOptions::default());
+//! ws.set_source(
+//!     "pair.cj",
 //!     "class Pair { Object fst; Object snd;
 //!        void swap() { Object t = this.fst; this.fst = this.snd; this.snd = t; }
 //!      }",
-//!     SessionOptions::default(),
-//! );
-//! let compilation = session.check().unwrap();      // parse → … → check
+//! )
+//! .unwrap();
+//! let compilation = ws.check(opts).unwrap();      // parse → … → check
 //! assert!(compilation.stats.regions_created > 0);
-//! let annotated = session.annotate().unwrap();     // reuses all artifacts
+//! let annotated = ws.annotate(opts).unwrap();     // reuses all artifacts
 //! assert!(annotated.contains("Pair<"));
-//! assert_eq!(session.pass_counts().parse, 1);
+//! assert_eq!(ws.pass_counts().parse, 1);
 //! ```
 //!
-//! Errors render as caret snippets or JSON:
+//! Errors render as caret snippets or JSON, against the file they point
+//! into:
 //!
 //! ```
-//! use cj_driver::{Session, SessionOptions};
+//! use cj_driver::{SessionOptions, Workspace};
+//! use cj_infer::InferOptions;
 //!
-//! let mut session = Session::new("class A { Pear p; }", SessionOptions::default());
-//! let diagnostics = session.check().unwrap_err();
-//! let text = session.emitter().render_all(&diagnostics);
+//! let mut ws = Workspace::new(SessionOptions::default());
+//! ws.set_source("a.cj", "class A { Pear p; }").unwrap();
+//! let diagnostics = ws.check(InferOptions::default()).unwrap_err();
+//! let text = ws.render(&diagnostics);
 //! assert!(text.contains("error[E0200]"));
+//! assert!(text.contains("--> a.cj:1:11"));
 //! ```
 #![forbid(unsafe_code)]
 
@@ -62,6 +73,9 @@ pub mod workspace;
 pub use cj_diag::json::{parse_json, Json};
 pub use daemon::{Daemon, DaemonConfig, DaemonStats, DaemonSummary};
 pub use server::Server;
-pub use session::{Compilation, CompileResult, Session, SessionOptions};
+pub use session::Session;
 pub use telemetry::Telemetry;
-pub use workspace::{PassCounts, PolicyOutcome, Workspace, FILE_SPAN_STRIDE};
+pub use workspace::{
+    Compilation, CompileResult, PassCounts, PolicyOutcome, SessionOptions, Workspace,
+    FILE_SPAN_STRIDE,
+};

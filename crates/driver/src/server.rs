@@ -31,8 +31,7 @@
 //! ← {"ok":true,"revision":1,"abs":"inv.Pair<r1,r2,r3> = r2>=r1 & r3>=r1",...}
 //! ```
 
-use crate::session::SessionOptions;
-use crate::workspace::Workspace;
+use crate::workspace::{SessionOptions, Workspace};
 use cj_diag::json::{json_string, parse_json, Json};
 use cj_infer::InferOptions;
 use cj_runtime::{Engine, Value};
@@ -157,7 +156,7 @@ impl Server {
             }
             "check" => {
                 let opts = self.request_opts(req)?;
-                match self.ws.check_with(opts) {
+                match self.ws.check(opts) {
                     Ok(_) => {
                         let warnings = self.downcast_warnings()?;
                         Ok(format!(
@@ -174,7 +173,7 @@ impl Server {
             }
             "annotate" => {
                 let opts = self.request_opts(req)?;
-                let annotated = self.ws.annotate_with(opts).map_err(message)?;
+                let annotated = self.ws.annotate(opts).map_err(message)?;
                 Ok(format!(
                     "\"annotated\":{},\"extents\":\"{}\"",
                     json_string(&annotated),
@@ -212,10 +211,7 @@ impl Server {
                     })?,
                     None => self.ws.options().run.engine,
                 };
-                let out = self
-                    .ws
-                    .run_values_engine(opts, engine, &args)
-                    .map_err(message)?;
+                let out = self.ws.run(opts, engine, &args).map_err(message)?;
                 Ok(format!(
                     "\"result\":{},\"engine\":\"{engine}\",\"extents\":\"{}\",\
                      \"steps\":{},\"space_ratio\":{:.4},\"peak_live\":{}",
@@ -238,7 +234,7 @@ impl Server {
                     }
                 }
                 let opts = self.request_opts(req)?;
-                let outcome = match self.ws.check_policy_with(opts) {
+                let outcome = match self.ws.check_policy(opts) {
                     Ok(outcome) => outcome,
                     Err(d) => return Err(self.ws.render(&d).trim_end().to_string().into()),
                 };
@@ -335,12 +331,12 @@ impl Server {
         let opts = self.request_opts(req)?;
         if let Some(atom) = req.get_str("entails") {
             let atom = atom.to_string();
-            return match self.ws.entails_with(opts, &name, &atom).map_err(message)? {
+            return match self.ws.entails(opts, &name, &atom).map_err(message)? {
                 Some(v) => Ok(format!("\"name\":{},\"entails\":{v}", json_string(&name))),
                 None => Err(format!("unknown abstraction `{name}`")),
             };
         }
-        match self.ws.q_with(opts, &name).map_err(message)? {
+        match self.ws.q(opts, &name).map_err(message)? {
             Some(abs) => Ok(format!(
                 "\"name\":{},\"params\":{},\"abs\":{}",
                 json_string(&name),

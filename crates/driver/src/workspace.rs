@@ -1,4 +1,5 @@
-//! The multi-file, demand-driven [`Workspace`] driver.
+//! The multi-file, demand-driven [`Workspace`] driver — the one driver
+//! type of the pipeline `parse → typecheck → infer → check → run`.
 //!
 //! A workspace holds *named source files* and derives every compiler
 //! artifact — per-file ASTs, the merged program, the typechecked kernel,
@@ -16,21 +17,25 @@
 //!   [`invariant`](Workspace::invariant), [`entails`](Workspace::entails))
 //!   without re-running inference.
 //!
-//! [`Session`](crate::Session) is a single-file facade over this type; the
-//! `cjrc serve` compile server ([`crate::server`]) drives it over a
-//! JSON-lines protocol.
+//! Every stage past typecheck takes its [`InferOptions`] explicitly and
+//! caches its artifact per options value, all of them sharing the one
+//! kernel. A single-file program is a workspace with one file; the
+//! `cjrc` commands, the library facade and the `cjrc serve` compile server
+//! ([`crate::server`]) all drive this type.
 //!
 //! # Examples
 //!
 //! ```
 //! use cj_driver::{SessionOptions, Workspace};
+//! use cj_infer::InferOptions;
 //!
+//! let opts = InferOptions::default();
 //! let mut ws = Workspace::new(SessionOptions::default());
 //! ws.set_source("cell.cj", "class Cell { Object item; Object get() { this.item } }")
 //!     .unwrap();
 //! ws.set_source("use.cj", "class M { static Object f(Cell c) { c.get() } }")
 //!     .unwrap();
-//! ws.check().unwrap();
+//! ws.check(opts).unwrap();
 //! let first = ws.pass_counts();
 //! assert_eq!(first.parse, 2);
 //!
@@ -38,26 +43,62 @@
 //! // both bodies.
 //! ws.set_source("use.cj", "class M { static Object f(Cell c) { c.get(); c.get() } }")
 //!     .unwrap();
-//! ws.check().unwrap();
+//! ws.check(opts).unwrap();
 //! let second = ws.pass_counts().since(first);
 //! assert_eq!(second.parse, 1);
 //! assert_eq!(second.methods_inferred, 2);
 //! ```
 
-use crate::session::{Compilation, CompileResult, SessionOptions};
 use cj_diag::{codes, Diagnostic, Diagnostics, Emitter, IntoDiagnostics, SourceMap, Span};
 use cj_frontend::ast;
 use cj_frontend::KProgram;
-use cj_infer::InferOptions;
+use cj_infer::{InferOptions, InferStats, RProgram};
 use cj_policy::PolicySet;
 use cj_regions::abstraction::ConstraintAbs;
 use cj_regions::constraint::Atom;
 use cj_regions::solve::Solver;
 use cj_regions::var::RegVar;
-use cj_runtime::{Engine, Outcome, Value};
+use cj_runtime::{Engine, Outcome, RunConfig, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::Arc;
+
+/// Result type of every driver stage: success, or a batch of structured
+/// diagnostics. No `Box<dyn Error>`, no strings.
+pub type CompileResult<T> = Result<T, Diagnostics>;
+
+/// Configuration for a [`Workspace`] (and the `cjrc serve` server over
+/// one).
+#[derive(Debug, Clone, Default)]
+pub struct SessionOptions {
+    /// The default region-inference options: what the server uses for a
+    /// request that names none.
+    pub infer: InferOptions,
+    /// Execution limits for [`Workspace::run`], and the engine a request
+    /// that names none runs on.
+    pub run: RunConfig,
+}
+
+impl SessionOptions {
+    /// Options with the given inference configuration and default runtime
+    /// configuration.
+    pub fn with_infer(infer: InferOptions) -> SessionOptions {
+        SessionOptions {
+            infer,
+            ..SessionOptions::default()
+        }
+    }
+}
+
+/// The product of region inference: the annotated program plus the
+/// statistics the Fig 8/9 harnesses report.
+#[derive(Debug, Clone)]
+pub struct Compilation {
+    /// The region-annotated program.
+    pub program: RProgram,
+    /// Inference statistics.
+    pub stats: InferStats,
+}
 
 /// Size of each file's slice of the workspace span space. Spans of file
 /// *k* (in insertion order) live in `[k·STRIDE, (k+1)·STRIDE)`, so an edit
@@ -431,22 +472,13 @@ impl Workspace {
         Ok(kernel)
     }
 
-    /// Region inference under the workspace's default options (cached per
-    /// revision).
+    /// Region inference under `opts` (cached per options and revision;
+    /// every options value shares the one kernel).
     ///
     /// # Errors
     ///
     /// Front-end diagnostics or inference failures.
-    pub fn infer(&mut self) -> CompileResult<Arc<Compilation>> {
-        self.infer_with(self.opts.infer)
-    }
-
-    /// Region inference under explicit options.
-    ///
-    /// # Errors
-    ///
-    /// Front-end diagnostics or inference failures.
-    pub fn infer_with(&mut self, opts: InferOptions) -> CompileResult<Arc<Compilation>> {
+    pub fn infer(&mut self, opts: InferOptions) -> CompileResult<Arc<Compilation>> {
         if let Some(c) = self
             .states
             .get(&opts)
@@ -473,29 +505,21 @@ impl Workspace {
         Ok(compilation)
     }
 
-    /// Region-checks the inferred program (cached), returning it.
-    ///
-    /// # Errors
-    ///
-    /// Any earlier-stage diagnostics, or checker violations (a Theorem 1
-    /// breach, i.e. an inference bug).
-    pub fn check(&mut self) -> CompileResult<Arc<Compilation>> {
-        self.check_with(self.opts.infer)
-    }
-
     /// The cached compilation for `opts` at the current revision, if one
     /// exists — a pure read that never triggers compilation.
     pub fn cached_compilation(&self, opts: InferOptions) -> Option<Arc<Compilation>> {
         self.states.get(&opts)?.compilation.clone()
     }
 
-    /// Region-checks under explicit options.
+    /// Region-checks the program inferred under `opts` (cached), returning
+    /// it.
     ///
     /// # Errors
     ///
-    /// Any earlier-stage diagnostics, or checker violations.
-    pub fn check_with(&mut self, opts: InferOptions) -> CompileResult<Arc<Compilation>> {
-        let compilation = self.infer_with(opts)?;
+    /// Any earlier-stage diagnostics, or checker violations (a Theorem 1
+    /// breach, i.e. an inference bug).
+    pub fn check(&mut self, opts: InferOptions) -> CompileResult<Arc<Compilation>> {
+        let compilation = self.infer(opts)?;
         if !self.state_mut(opts).checked {
             self.counts.check += 1;
             let _span = cj_trace::span("pipeline", "check");
@@ -505,65 +529,41 @@ impl Workspace {
         Ok(compilation)
     }
 
-    /// Lowers the inferred program to register code (cached per
-    /// revision).
+    /// Lowers the program inferred under `opts` to register code (cached
+    /// per options and revision).
     ///
     /// # Errors
     ///
     /// Any compilation diagnostics.
-    pub fn compiled_with(&mut self, opts: InferOptions) -> CompileResult<Arc<cj_vm::RvmProgram>> {
+    pub fn compiled(&mut self, opts: InferOptions) -> CompileResult<Arc<cj_vm::RvmProgram>> {
         if let Some(r) = self.states.get(&opts).and_then(|s| s.compiled.clone()) {
             return Ok(r);
         }
-        let compilation = self.infer_with(opts)?;
+        let compilation = self.infer(opts)?;
         let reg = Arc::new(cj_vm::lower_program(&compilation.program));
         self.state_mut(opts).compiled = Some(Arc::clone(&reg));
         self.counts.lower += 1;
         Ok(reg)
     }
 
-    /// Compiles (through [`check`](Workspace::check)) and executes `main`
-    /// on the configured engine (the register VM by default; the
-    /// interpreter runs on a big-stack worker thread).
+    /// Compiles under `opts` (through [`check`](Workspace::check)) and
+    /// executes `main` on `engine`, within the workspace's [`RunConfig`]
+    /// limits (the interpreter runs on a big-stack worker thread).
     ///
     /// # Errors
     ///
     /// Any compilation diagnostics, or a runtime fault.
-    pub fn run_values(&mut self, args: &[Value]) -> CompileResult<Outcome> {
-        self.run_values_with(self.opts.infer, args)
-    }
-
-    /// [`run_values`](Workspace::run_values) under explicit inference
-    /// options.
-    ///
-    /// # Errors
-    ///
-    /// Any compilation diagnostics, or a runtime fault.
-    pub fn run_values_with(
-        &mut self,
-        opts: InferOptions,
-        args: &[Value],
-    ) -> CompileResult<Outcome> {
-        self.run_values_engine(opts, self.opts.run.engine, args)
-    }
-
-    /// [`run_values_with`](Workspace::run_values_with) on an explicit
-    /// engine (how `serve`/`daemon` honor a per-request `engine` field).
-    ///
-    /// # Errors
-    ///
-    /// Any compilation diagnostics, or a runtime fault.
-    pub fn run_values_engine(
+    pub fn run(
         &mut self,
         opts: InferOptions,
         engine: Engine,
         args: &[Value],
     ) -> CompileResult<Outcome> {
         let run_config = self.opts.run;
-        let compilation = self.check_with(opts)?;
+        let compilation = self.check(opts)?;
         match engine {
             Engine::Rvm => {
-                let reg = self.compiled_with(opts)?;
+                let reg = self.compiled(opts)?;
                 self.counts.run += 1;
                 cj_rvm::run_main(&reg, args, run_config).map_err(IntoDiagnostics::into_diagnostics)
             }
@@ -576,22 +576,14 @@ impl Workspace {
         }
     }
 
-    /// Renders the inferred program in the paper's annotation syntax.
+    /// Renders the program inferred under `opts` in the paper's
+    /// annotation syntax.
     ///
     /// # Errors
     ///
     /// Any compilation diagnostics.
-    pub fn annotate(&mut self) -> CompileResult<String> {
-        self.annotate_with(self.opts.infer)
-    }
-
-    /// [`annotate`](Workspace::annotate) under explicit inference options.
-    ///
-    /// # Errors
-    ///
-    /// Any compilation diagnostics.
-    pub fn annotate_with(&mut self, opts: InferOptions) -> CompileResult<String> {
-        let compilation = self.infer_with(opts)?;
+    pub fn annotate(&mut self, opts: InferOptions) -> CompileResult<String> {
+        let compilation = self.infer(opts)?;
         Ok(cj_infer::pretty::program_to_string(&compilation.program))
     }
 
@@ -685,34 +677,23 @@ impl Workspace {
         self.policy = None;
     }
 
-    /// Checks the loaded policy against the compiled program under the
-    /// workspace's default options. The outcome is cached for the current
-    /// revision and the loaded set's name and source; a replay bumps no
-    /// counters.
+    /// Checks the loaded policy against the program compiled under `opts`.
+    /// The outcome is cached for the current revision and the loaded set's
+    /// name and source; a replay bumps no counters.
     ///
     /// # Errors
     ///
     /// Compilation diagnostics, or a [`codes::POLICY`] diagnostic when no
     /// policy is loaded. Violations are **not** errors — they are the
     /// returned outcome's diagnostics.
-    pub fn check_policy(&mut self) -> CompileResult<Arc<PolicyOutcome>> {
-        self.check_policy_with(self.opts.infer)
-    }
-
-    /// [`check_policy`](Workspace::check_policy) under explicit options.
-    ///
-    /// # Errors
-    ///
-    /// Compilation diagnostics, or a [`codes::POLICY`] diagnostic when no
-    /// policy is loaded.
-    pub fn check_policy_with(&mut self, opts: InferOptions) -> CompileResult<Arc<PolicyOutcome>> {
+    pub fn check_policy(&mut self, opts: InferOptions) -> CompileResult<Arc<PolicyOutcome>> {
         let Some(set) = self.policy.clone() else {
             return Err(Diagnostics::from_one(
                 Diagnostic::error("no policy loaded in this workspace", Span::DUMMY)
                     .with_code(codes::POLICY),
             ));
         };
-        let compilation = self.infer_with(opts)?;
+        let compilation = self.infer(opts)?;
         // Key on the full source: a layout-only change moves the spans of
         // the "rule declared here" labels.
         if let Some((checked, outcome)) = &self.state_mut(opts).policy {
@@ -746,27 +727,15 @@ impl Workspace {
     // ---- the `Q` query API ----------------------------------------------
 
     /// The closed constraint abstraction named `name` (`inv.cn`,
-    /// `pre.cn.mn`, or `pre.mn` for statics), answered from cached solver
-    /// state. `None` when no such abstraction exists.
+    /// `pre.cn.mn`, or `pre.mn` for statics) of the program inferred under
+    /// `opts`, answered from cached solver state. `None` when no such
+    /// abstraction exists.
     ///
     /// # Errors
     ///
     /// Any compilation diagnostics (inference runs on demand if needed).
-    pub fn q(&mut self, name: &str) -> CompileResult<Option<ConstraintAbs>> {
-        self.q_with(self.opts.infer, name)
-    }
-
-    /// [`q`](Workspace::q) under explicit inference options.
-    ///
-    /// # Errors
-    ///
-    /// Any compilation diagnostics.
-    pub fn q_with(
-        &mut self,
-        opts: InferOptions,
-        name: &str,
-    ) -> CompileResult<Option<ConstraintAbs>> {
-        let q = &self.infer_with(opts)?.program.q;
+    pub fn q(&mut self, opts: InferOptions, name: &str) -> CompileResult<Option<ConstraintAbs>> {
+        let q = &self.infer(opts)?.program.q;
         Ok(q.find(name).map(|id| q.get(id).clone()))
     }
 
@@ -778,10 +747,11 @@ impl Workspace {
     /// Any compilation diagnostics.
     pub fn precondition(
         &mut self,
+        opts: InferOptions,
         class: Option<&str>,
         method: &str,
     ) -> CompileResult<Option<ConstraintAbs>> {
-        self.q(&cj_infer::precondition_name(class, method))
+        self.q(opts, &cj_infer::precondition_name(class, method))
     }
 
     /// The solved invariant `inv.cn` of a class.
@@ -789,8 +759,12 @@ impl Workspace {
     /// # Errors
     ///
     /// Any compilation diagnostics.
-    pub fn invariant(&mut self, class: &str) -> CompileResult<Option<ConstraintAbs>> {
-        self.q(&cj_infer::invariant_name(class))
+    pub fn invariant(
+        &mut self,
+        opts: InferOptions,
+        class: &str,
+    ) -> CompileResult<Option<ConstraintAbs>> {
+        self.q(opts, &cj_infer::invariant_name(class))
     }
 
     /// Whether the closed abstraction `name` entails `atom`, written over
@@ -802,23 +776,13 @@ impl Workspace {
     ///
     /// Compilation diagnostics, or a [`codes::CLI`] diagnostic for a
     /// malformed atom.
-    pub fn entails(&mut self, name: &str, atom: &str) -> CompileResult<Option<bool>> {
-        self.entails_with(self.opts.infer, name, atom)
-    }
-
-    /// [`entails`](Workspace::entails) under explicit inference options.
-    ///
-    /// # Errors
-    ///
-    /// Compilation diagnostics, or a [`codes::CLI`] diagnostic for a
-    /// malformed atom.
-    pub fn entails_with(
+    pub fn entails(
         &mut self,
         opts: InferOptions,
         name: &str,
         atom: &str,
     ) -> CompileResult<Option<bool>> {
-        let Some(abs) = self.q_with(opts, name)? else {
+        let Some(abs) = self.q(opts, name)? else {
             return Ok(None);
         };
         let parsed = parse_positional_atom(atom, &abs.params).map_err(|msg| {
@@ -1007,11 +971,11 @@ mod tests {
     fn identical_set_source_is_a_noop() {
         let mut ws = Workspace::new(SessionOptions::default());
         let r1 = ws.set_source("a.cj", CELL).unwrap();
-        ws.check().unwrap();
+        ws.check(InferOptions::default()).unwrap();
         let counts = ws.pass_counts();
         let r2 = ws.set_source("a.cj", CELL).unwrap();
         assert_eq!(r1, r2, "identical text must not bump the revision");
-        ws.check().unwrap();
+        ws.check(InferOptions::default()).unwrap();
         assert_eq!(ws.pass_counts(), counts, "and must invalidate nothing");
     }
 
@@ -1036,7 +1000,7 @@ mod tests {
         let mut ws = Workspace::new(SessionOptions::default());
         ws.set_source("a.cj", CELL).unwrap();
         ws.set_source("b.cj", "class N { Pear p; }").unwrap();
-        let err = ws.check().unwrap_err();
+        let err = ws.check(InferOptions::default()).unwrap_err();
         let rendered = ws.render(&err);
         assert!(rendered.contains("--> b.cj:1:11"), "{rendered}");
         assert!(rendered.contains("unknown class `Pear`"), "{rendered}");
@@ -1050,7 +1014,7 @@ mod tests {
         let mut ws = Workspace::new(SessionOptions::default());
         ws.set_source("a.cj", "class A { }").unwrap();
         ws.set_source("b.cj", "class A { }").unwrap();
-        let err = ws.check().unwrap_err();
+        let err = ws.check(InferOptions::default()).unwrap_err();
         let rendered = ws.render(&err);
         assert!(rendered.contains("duplicate class `A`"), "{rendered}");
         assert!(
@@ -1064,19 +1028,42 @@ mod tests {
         let mut ws = Workspace::new(SessionOptions::default());
         ws.set_source("pair.cj", "class Pair { Object fst; Object snd; }")
             .unwrap();
-        let inv = ws.invariant("Pair").unwrap().expect("inv.Pair exists");
+        let inv = ws
+            .invariant(InferOptions::default(), "Pair")
+            .unwrap()
+            .expect("inv.Pair exists");
         assert_eq!(inv.params.len(), 3);
         let before = ws.pass_counts();
         // Entailment queries re-run nothing.
-        assert_eq!(ws.entails("inv.Pair", "r2>=r1").unwrap(), Some(true));
-        assert_eq!(ws.entails("inv.Pair", "r2=r3").unwrap(), Some(false));
-        assert_eq!(ws.entails("inv.Pair", "heap>=r1").unwrap(), Some(true));
-        assert_eq!(ws.entails("inv.Nope", "r1=r1").unwrap(), None);
+        assert_eq!(
+            ws.entails(InferOptions::default(), "inv.Pair", "r2>=r1")
+                .unwrap(),
+            Some(true)
+        );
+        assert_eq!(
+            ws.entails(InferOptions::default(), "inv.Pair", "r2=r3")
+                .unwrap(),
+            Some(false)
+        );
+        assert_eq!(
+            ws.entails(InferOptions::default(), "inv.Pair", "heap>=r1")
+                .unwrap(),
+            Some(true)
+        );
+        assert_eq!(
+            ws.entails(InferOptions::default(), "inv.Nope", "r1=r1")
+                .unwrap(),
+            None
+        );
         assert_eq!(ws.pass_counts(), before);
         // Malformed atoms are CLI diagnostics.
-        let err = ws.entails("inv.Pair", "r9>=r1").unwrap_err();
+        let err = ws
+            .entails(InferOptions::default(), "inv.Pair", "r9>=r1")
+            .unwrap_err();
         assert!(err.items[0].message.contains("out of range"));
-        let err = ws.entails("inv.Pair", "banana").unwrap_err();
+        let err = ws
+            .entails(InferOptions::default(), "inv.Pair", "banana")
+            .unwrap_err();
         assert!(err.items[0].message.contains("malformed atom"));
     }
 
@@ -1085,9 +1072,9 @@ mod tests {
         let mut ws = Workspace::new(SessionOptions::default());
         ws.set_source("a.cj", CELL).unwrap();
         ws.set_source("b.cj", USER).unwrap();
-        ws.check().unwrap();
+        ws.check(InferOptions::default()).unwrap();
         assert!(ws.remove_source("b.cj").is_some());
-        ws.check().unwrap();
+        ws.check(InferOptions::default()).unwrap();
         assert!(ws.remove_source("b.cj").is_none());
         // `M` is gone from the merged program.
         let kernel = ws.typecheck().unwrap();
@@ -1099,20 +1086,20 @@ mod tests {
         let mut a = Workspace::new(SessionOptions::default());
         a.set_source("cell.cj", CELL).unwrap();
         a.set_source("use.cj", USER).unwrap();
-        a.check().unwrap();
+        a.check(InferOptions::default()).unwrap();
         assert!(a.pass_counts().sccs_solved > 0);
 
         // A second workspace compiling a program that overlaps `a`'s does
         // the work of, and answers like, one that never saw `a`.
         let mut b = Workspace::new(SessionOptions::default());
         b.set_source("cell.cj", CELL).unwrap();
-        b.check().unwrap();
+        b.check(InferOptions::default()).unwrap();
         let mut isolated = Workspace::new(SessionOptions::default());
         isolated.set_source("cell.cj", CELL).unwrap();
-        isolated.check().unwrap();
+        isolated.check(InferOptions::default()).unwrap();
         assert_eq!(
-            b.annotate().unwrap(),
-            isolated.annotate().unwrap(),
+            b.annotate(InferOptions::default()).unwrap(),
+            isolated.annotate(InferOptions::default()).unwrap(),
             "output must equal an isolated compile"
         );
         assert_eq!(b.pass_counts(), isolated.pass_counts());

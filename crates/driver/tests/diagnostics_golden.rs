@@ -1,25 +1,32 @@
 //! Golden tests for rendered diagnostics: the exact caret snippet and JSON
 //! form of one parse error, one typecheck error and one inference error
 //! are frozen here. Any change to messages, codes, spans or rendering is a
-//! deliberate, reviewed change to this file.
+//! deliberate, reviewed change to this file. A one-file workspace renders
+//! them through the file's [`Emitter`], as the single-file `cjrc` commands
+//! do.
 
-use cj_driver::{Session, SessionOptions, Workspace};
+use cj_diag::Emitter;
+use cj_driver::{SessionOptions, Workspace};
 use cj_infer::{DowncastPolicy, InferOptions, SubtypeMode};
 
-fn diagnose(name: &str, src: &str, opts: SessionOptions) -> (String, String) {
-    let mut session = Session::new(src, opts).with_name(name);
-    let diags = session.check().expect_err("source must be ill-formed");
-    let emitter = session.emitter();
+fn diagnose(name: &str, src: &str, opts: InferOptions) -> (String, String) {
+    let mut ws = Workspace::new(SessionOptions::default());
+    ws.set_source(name, src).unwrap();
+    let diags = ws.check(opts).expect_err("source must be ill-formed");
+    let emitter = Emitter::new(name, src);
     (emitter.render_all(&diags), emitter.render_json_all(&diags))
+}
+
+/// Checks `src` as a one-file workspace under the default options.
+fn check(src: &str) -> cj_driver::CompileResult<()> {
+    let mut ws = Workspace::new(SessionOptions::default());
+    ws.set_source("a.cj", src)?;
+    ws.check(InferOptions::default()).map(drop)
 }
 
 #[test]
 fn parse_error_caret_and_json() {
-    let (caret, json) = diagnose(
-        "parse.cj",
-        "class A {\n  int x\n}",
-        SessionOptions::default(),
-    );
+    let (caret, json) = diagnose("parse.cj", "class A {\n  int x\n}", InferOptions::default());
     assert_eq!(
         caret,
         "error[E0101]: expected `;`, found `}`\n\
@@ -39,7 +46,7 @@ fn parse_error_caret_and_json() {
 
 #[test]
 fn typecheck_error_caret_and_json() {
-    let (caret, json) = diagnose("types.cj", "class A { Pear p; }", SessionOptions::default());
+    let (caret, json) = diagnose("types.cj", "class A { Pear p; }", InferOptions::default());
     assert_eq!(
         caret,
         "error[E0200]: unknown class `Pear`\n\
@@ -65,11 +72,11 @@ fn infer_error_caret_and_json() {
     let (caret, json) = diagnose(
         "infer.cj",
         src,
-        SessionOptions::with_infer(InferOptions {
+        InferOptions {
             mode: SubtypeMode::Object,
             downcast: DowncastPolicy::Reject,
             ..Default::default()
-        }),
+        },
     );
     assert_eq!(
         caret,
@@ -102,16 +109,11 @@ fn infer_error_caret_and_json() {
 #[test]
 fn every_stage_failure_carries_a_code() {
     // Lex error.
-    let mut s = Session::new("class A { in€t x; }", SessionOptions::default());
-    if let Err(diags) = s.check() {
+    if let Err(diags) = check("class A { in€t x; }") {
         assert!(diags.iter().all(|d| d.code.is_some()), "uncoded: {diags}");
     }
     // Multiple typecheck errors all coded.
-    let mut s = Session::new(
-        "class A { Unknown u; Missing m; }",
-        SessionOptions::default(),
-    );
-    let diags = s.check().unwrap_err();
+    let diags = check("class A { Unknown u; Missing m; }").unwrap_err();
     assert!(diags.len() >= 2);
     assert!(diags.iter().all(|d| d.code == Some("E0200")));
 }
@@ -124,8 +126,11 @@ fn policy_diagnose(src: &str, rules: &str) -> (String, String) {
     let mut ws = Workspace::new(SessionOptions::default());
     ws.set_source("policy.cj", src).unwrap();
     ws.set_policy("rules.cjpolicy", rules).unwrap();
-    ws.check().expect("program must region-check");
-    let outcome = ws.check_policy().expect("policy check must run");
+    ws.check(InferOptions::default())
+        .expect("program must region-check");
+    let outcome = ws
+        .check_policy(InferOptions::default())
+        .expect("policy check must run");
     (
         ws.render(&outcome.diagnostics),
         ws.render_json(&outcome.diagnostics),

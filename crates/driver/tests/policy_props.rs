@@ -89,8 +89,8 @@ fn scratch_verdict(texts: &[&str; 3], opts: SessionOptions) -> (String, u32, u32
         ws.set_source(*name, *text).unwrap();
     }
     ws.set_policy("rules.cjpolicy", RULES).unwrap();
-    ws.check_with(infer).expect("variants are well-formed");
-    let outcome = ws.check_policy_with(infer).expect("policy check runs");
+    ws.check(infer).expect("variants are well-formed");
+    let outcome = ws.check_policy(infer).expect("policy check runs");
     verdict(&ws, &outcome)
 }
 
@@ -111,8 +111,8 @@ proptest! {
             current[file] = VARIANTS[file][variant % VARIANTS[file].len()];
             ws.set_source(FILES[file], current[file]).unwrap();
 
-            ws.check().expect("incremental compile succeeds");
-            let outcome = ws.check_policy().expect("policy check runs");
+            ws.check(InferOptions::default()).expect("incremental compile succeeds");
+            let outcome = ws.check_policy(InferOptions::default()).expect("policy check runs");
             let incremental = verdict(&ws, &outcome);
             let scratch = scratch_verdict(&current, SessionOptions::default());
             prop_assert_eq!(

@@ -1,13 +1,15 @@
 //! Property test for invalidation correctness: for random edit sequences,
 //! an incrementally recompiled `Workspace` must produce exactly the same
 //! result — same annotated `RProgram` pretty-printout, same closed
-//! environment `Q` — as a from-scratch `Session` compile of the
-//! concatenated sources. This pins the central contract of the incremental
+//! environment `Q` — as a from-scratch compile of the concatenated sources
+//! in a fresh one-file workspace. This pins the central contract of the incremental
 //! pipeline: caches change how much work is *replayed*, never what is
 //! computed.
 
-use cj_driver::{Session, SessionOptions, Workspace};
+use cj_driver::{Compilation, SessionOptions, Workspace};
+use cj_infer::InferOptions;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Body variants per file. Within a file, variants 0..3 share the same
 /// class shape (signature-preserving body edits), while variant 3 changes
@@ -70,10 +72,16 @@ const C_VARIANTS: &[&str] = &[
 const FILES: [&str; 3] = ["a.cj", "b.cj", "c.cj"];
 const VARIANTS: [&[&str]; 3] = [A_VARIANTS, B_VARIANTS, C_VARIANTS];
 
-fn scratch_result(texts: &[&str; 3]) -> (String, Vec<String>) {
+/// The three texts concatenated into one file and checked from scratch.
+fn scratch_check(texts: &[&str; 3]) -> cj_driver::CompileResult<Arc<Compilation>> {
     // Workspace merge order is file-name order: a.cj, b.cj, c.cj.
-    let mut session = Session::new(texts.concat(), SessionOptions::default());
-    let compilation = session.check().expect("variants are well-formed");
+    let mut ws = Workspace::new(SessionOptions::default());
+    ws.set_source("all.cj", texts.concat())?;
+    ws.check(InferOptions::default())
+}
+
+fn scratch_result(texts: &[&str; 3]) -> (String, Vec<String>) {
+    let compilation = scratch_check(texts).expect("variants are well-formed");
     let pretty = cj_infer::pretty::program_to_string(&compilation.program);
     let q = compilation
         .program
@@ -100,7 +108,9 @@ proptest! {
             current[file] = VARIANTS[file][variant];
             ws.set_source(FILES[file], current[file]).unwrap();
 
-            let compilation = ws.check().expect("incremental compile succeeds");
+            let compilation = ws
+                .check(InferOptions::default())
+                .expect("incremental compile succeeds");
             let ws_pretty = cj_infer::pretty::program_to_string(&compilation.program);
             let ws_q: Vec<String> =
                 compilation.program.q.iter().map(|a| a.to_string()).collect();
@@ -125,9 +135,7 @@ fn every_variant_combination_is_well_formed() {
         for v in *variants {
             let mut texts = [A_VARIANTS[0], B_VARIANTS[0], C_VARIANTS[0]];
             texts[i] = v;
-            let mut s = Session::new(texts.concat(), SessionOptions::default());
-            s.check()
-                .unwrap_or_else(|e| panic!("file {i} variant failed: {e}"));
+            scratch_check(&texts).unwrap_or_else(|e| panic!("file {i} variant failed: {e}"));
         }
     }
 }

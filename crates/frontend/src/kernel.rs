@@ -27,6 +27,10 @@ pub struct KProgram {
     pub methods: Vec<Vec<KMethod>>,
     /// Static-method bodies, parallel to `table.statics()`.
     pub statics: Vec<KMethod>,
+    /// Per class, whether field region subtyping may apply to it: the
+    /// Sec 3.2 `isRecReadOnly` analysis, computed once by typecheck and
+    /// read by both inference and the region checker.
+    pub rec_read_only: Vec<bool>,
 }
 
 impl KProgram {

@@ -35,6 +35,7 @@ pub mod kernel;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;
+mod recro;
 pub mod span;
 pub mod token;
 pub mod typecheck;

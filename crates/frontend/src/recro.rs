@@ -11,22 +11,33 @@
 //! targets one of its recursive fields (constructor initialization through
 //! `new` does not count, matching "immutable after object initialization").
 
-use cj_frontend::kernel::{walk_expr, KExprKind, KProgram};
-use cj_frontend::types::ClassId;
-use std::collections::BTreeSet;
+use crate::kernel::{walk_expr, KExprKind, KProgram};
 
 /// Computes, for every class, whether field region subtyping may be applied
 /// to it. Non-recursive classes are `false` (the rule is about the
-/// recursive region, which they do not have).
-pub fn rec_read_only(kp: &KProgram) -> Vec<bool> {
+/// recursive region, which they do not have). Typecheck stores the result
+/// in [`KProgram::rec_read_only`].
+pub(crate) fn rec_read_only(kp: &KProgram) -> Vec<bool> {
     let table = &kp.table;
     let cycles = table.field_cycles();
-    // Collect (declaring class, field name) pairs that are ever assigned.
-    let mut assigned: BTreeSet<(ClassId, cj_frontend::Symbol)> = BTreeSet::new();
+    // One flag per declared field: class `c`'s own fields are numbered
+    // from `first[c]`, in constructor order. A field's constructor index
+    // is the same in its owner and every subclass.
+    let mut first = Vec::with_capacity(table.len());
+    let mut declared = 0;
+    for info in table.classes() {
+        first.push(declared);
+        declared += info.own_fields.len();
+    }
+    let slot = |owner: crate::ClassId, index: usize| {
+        let info = &table.classes()[owner.index()];
+        first[owner.index()] + index - (table.field_count(owner) - info.own_fields.len())
+    };
+    let mut assigned = vec![false; declared];
     for (_, m) in kp.all_methods() {
         walk_expr(&m.body, &mut |e| {
             if let KExprKind::AssignField(_, fref, _) = &e.kind {
-                assigned.insert((fref.owner, fref.name));
+                assigned[slot(fref.owner, fref.index as usize)] = true;
             }
         });
     }
@@ -38,15 +49,14 @@ pub fn rec_read_only(kp: &KProgram) -> Vec<bool> {
                 && table
                     .recursive_fields(info.id, &cycles)
                     .iter()
-                    .all(|f| !assigned.contains(&(f.owner, f.name)))
+                    .all(|f| !assigned[slot(f.owner, f.index)])
         })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use cj_frontend::typecheck::check_source;
+    use crate::typecheck::check_source;
 
     #[test]
     fn immutable_recursive_list_is_read_only() {
@@ -55,7 +65,7 @@ mod tests {
                RList getNext() { this.next } }",
         )
         .unwrap();
-        let ro = rec_read_only(&kp);
+        let ro = &kp.rec_read_only;
         let rl = kp.table.class_id("RList").unwrap();
         assert!(ro[rl.index()]);
     }
@@ -67,7 +77,7 @@ mod tests {
                void setNext(List o) { this.next = o; } }",
         )
         .unwrap();
-        let ro = rec_read_only(&kp);
+        let ro = &kp.rec_read_only;
         let l = kp.table.class_id("List").unwrap();
         assert!(!ro[l.index()]);
     }
@@ -75,7 +85,7 @@ mod tests {
     #[test]
     fn nonrecursive_class_is_not_read_only() {
         let kp = check_source("class Pair { Object fst; Object snd; }").unwrap();
-        let ro = rec_read_only(&kp);
+        let ro = &kp.rec_read_only;
         let p = kp.table.class_id("Pair").unwrap();
         assert!(!ro[p.index()]);
     }
@@ -87,7 +97,7 @@ mod tests {
                void setKey(int k) { this.key = k; } }",
         )
         .unwrap();
-        let ro = rec_read_only(&kp);
+        let ro = &kp.rec_read_only;
         let t = kp.table.class_id("Tree").unwrap();
         assert!(ro[t.index()]);
     }
@@ -102,7 +112,7 @@ mod tests {
              class M { static void f(Sub s, Sub t) { s.next = t; } }",
         )
         .unwrap();
-        let ro = rec_read_only(&kp);
+        let ro = &kp.rec_read_only;
         let l = kp.table.class_id("List").unwrap();
         assert!(!ro[l.index()]);
     }

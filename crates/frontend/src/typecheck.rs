@@ -61,11 +61,14 @@ pub fn check(program: &ast::Program) -> Result<KProgram, Diagnostics> {
         .into_iter()
         .map(|m| m.expect("every static lowered"))
         .collect();
-    Ok(KProgram {
+    let mut kp = KProgram {
         table,
         methods,
         statics,
-    })
+        rec_read_only: Vec::new(),
+    };
+    kp.rec_read_only = crate::recro::rec_read_only(&kp);
+    Ok(kp)
 }
 
 /// Parses and checks in one step.

@@ -33,17 +33,15 @@ const FIG7: &str = "
     }";
 
 fn main() -> Result<(), Diagnostics> {
-    let mut session = Session::new(
-        FIG7,
-        SessionOptions::with_infer(InferOptions {
-            mode: SubtypeMode::Object,
-            downcast: DowncastPolicy::Padding,
-            ..Default::default()
-        }),
-    )
-    .with_name("fig7.cj");
-    let kp = session.typecheck()?;
-    let analysis = session.downcast_analysis()?;
+    let opts = InferOptions {
+        mode: SubtypeMode::Object,
+        downcast: DowncastPolicy::Padding,
+        ..Default::default()
+    };
+    let mut ws = Workspace::new(SessionOptions::default());
+    ws.set_source("fig7.cj", FIG7)?;
+    let kp = ws.typecheck()?;
+    let analysis = ws.downcast_analysis()?;
 
     println!("=== Backward flow analysis (Fig 7) ===\n");
     println!(
@@ -88,8 +86,8 @@ fn main() -> Result<(), Diagnostics> {
     }
 
     println!("\n=== Padded annotations (technique 2) ===\n");
-    let compilation = session.check()?;
-    println!("{}", session.annotate()?);
+    let compilation = ws.check(opts)?;
+    println!("{}", ws.annotate(opts)?);
     println!(
         "downcast sites analysed: {}",
         compilation.stats.downcast_sites
@@ -98,7 +96,7 @@ fn main() -> Result<(), Diagnostics> {
     let warnings = analysis.diagnostics(&kp);
     if !warnings.is_empty() {
         println!("\n=== Structured warnings ===\n");
-        print!("{}", session.emitter().render_all(&warnings));
+        print!("{}", ws.render(&warnings));
     }
     Ok(())
 }

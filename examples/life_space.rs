@@ -26,10 +26,12 @@ fn main() -> Result<(), Diagnostics> {
         "Optimized Life (stack)",
     ] {
         let b = region_inference::benchmarks::by_name(name).expect("registered");
-        let mut session = Session::new(b.source, SessionOptions::default()).with_name(name);
-        let compilation = session.check()?;
-        let args: Vec<i64> = b.paper_input.to_vec();
-        let out = session.run(&args)?;
+        let opts = InferOptions::default();
+        let mut ws = Workspace::new(SessionOptions::default());
+        ws.set_source(name, b.source)?;
+        let compilation = ws.check(opts)?;
+        let args: Vec<Value> = b.paper_input.iter().map(|&v| Value::Int(v)).collect();
+        let out = ws.run(opts, Engine::default(), &args)?;
         println!(
             "{:<28} {:>12} {:>16} {:>8.3} {:>9}",
             name,

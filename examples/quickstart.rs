@@ -1,6 +1,6 @@
 //! Quickstart: infer region annotations for the paper's Pair class and
 //! print the annotated program in the paper's notation — via the staged
-//! `Session` driver.
+//! `Workspace` driver.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -27,13 +27,15 @@ fn main() -> Result<(), Diagnostics> {
           }
         }";
 
-    // One session drives parse → normal typecheck → region inference →
+    // One workspace drives parse → normal typecheck → region inference →
     // region check, caching each artifact.
-    let mut session = Session::new(source, SessionOptions::default());
-    let compilation = session.check()?;
+    let opts = InferOptions::default();
+    let mut ws = Workspace::new(SessionOptions::default());
+    ws.set_source("pair.cj", source)?;
+    let compilation = ws.check(opts)?;
 
     println!("=== Region-annotated program (cf. Fig 2a of the paper) ===\n");
-    println!("{}", session.annotate()?);
+    println!("{}", ws.annotate(opts)?);
 
     // The constraint abstractions Q are available programmatically too.
     println!("=== Constraint abstractions Q ===\n");
@@ -42,6 +44,6 @@ fn main() -> Result<(), Diagnostics> {
     }
 
     // Every stage ran exactly once, annotate() reused the cached artifact.
-    assert_eq!(session.pass_counts().infer, 1);
+    assert_eq!(ws.pass_counts().infer, 1);
     Ok(())
 }

@@ -22,13 +22,15 @@ fn main() -> Result<(), Diagnostics> {
         "{:<12} {:>12} {:>16} {:>14} {:>10}",
         "mode", "peak bytes", "total allocated", "ratio", "letregs"
     );
-    // One session: the benchmark is parsed and typechecked once; each mode
-    // derives its inference artifact from the shared kernel.
-    let mut session = Session::new(b.source, SessionOptions::default()).with_name(b.name);
+    // One workspace: the benchmark is parsed and typechecked once; each
+    // mode derives its inference artifact from the shared kernel.
+    let mut ws = Workspace::new(SessionOptions::default());
+    ws.set_source(b.name, b.source)?;
+    let args: Vec<Value> = b.paper_input.iter().map(|&v| Value::Int(v)).collect();
     for mode in SubtypeMode::ALL {
-        let compilation = session.check_with(InferOptions::with_mode(mode))?;
-        let args: Vec<Value> = b.paper_input.iter().map(|&v| Value::Int(v)).collect();
-        let out = session.run_values_with(InferOptions::with_mode(mode), &args)?;
+        let opts = InferOptions::with_mode(mode);
+        let compilation = ws.check(opts)?;
+        let out = ws.run(opts, Engine::default(), &args)?;
         println!(
             "{:<12} {:>12} {:>16} {:>14.4} {:>10}",
             mode.to_string(),
@@ -38,7 +40,7 @@ fn main() -> Result<(), Diagnostics> {
             compilation.stats.localized_regions
         );
     }
-    assert_eq!(session.pass_counts().typecheck, 1);
+    assert_eq!(ws.pass_counts().typecheck, 1);
     println!("\nPaper's Fig 8 row: 1 (no sub) / 1 (object sub) / 0.004 (field sub).");
     Ok(())
 }

@@ -67,11 +67,11 @@
 //! (default `127.0.0.1:4871`), one workspace per connection; a client
 //! sends `{"cmd":"shutdown","scope":"daemon"}` to stop the daemon itself.
 
-use cj_diag::{codes, Diagnostic, Diagnostics, IntoDiagnostic, Span};
+use cj_diag::{codes, Diagnostic, Diagnostics, Emitter, IntoDiagnostic, Span};
 use cj_driver::telemetry::{chrome_trace_json, parse_trace_file};
-use cj_driver::{Daemon, DaemonConfig, Server, Session, SessionOptions, Workspace};
+use cj_driver::{Daemon, DaemonConfig, Server, SessionOptions, Workspace};
 use cj_infer::{DowncastPolicy, ExtentMode, InferOptions, SubtypeMode};
-use cj_runtime::Engine;
+use cj_runtime::{Engine, Value};
 use std::io::{BufRead, Write};
 use std::process::ExitCode;
 
@@ -88,7 +88,8 @@ fn main() -> ExitCode {
     if cli.trace_out.is_some() {
         cj_trace::install();
     }
-    let outcome = execute(&cli);
+    let mut ws = Workspace::new(session_options(&cli));
+    let outcome = execute(&cli, &mut ws);
     if let Some(path) = &cli.trace_out {
         // Every recording thread (daemon workers, reactor, flusher) has
         // been joined by now; their buffers flushed to the sink on exit.
@@ -100,17 +101,8 @@ fn main() -> ExitCode {
     }
     match outcome {
         Ok(()) => ExitCode::SUCCESS,
-        Err(failure) => {
-            let Failure { session, diags } = *failure;
-            // Workspace-driven paths (`query`, `check --policy`) render
-            // their own diagnostics and fail with an empty batch.
-            if cli.json {
-                if !diags.is_empty() {
-                    println!("{}", session.emitter().render_json_all(&diags));
-                }
-            } else {
-                eprint!("{}", session.emitter().render_all(&diags));
-            }
+        Err(diags) => {
+            report(&cli, &ws, &diags);
             ExitCode::FAILURE
         }
     }
@@ -497,14 +489,9 @@ fn parse_cli(args: Vec<String>) -> Result<Cli, CliError> {
 
 // ---- execution -------------------------------------------------------------
 
-/// A failed invocation: the diagnostics plus the session whose source they
-/// render against.
-struct Failure {
-    session: Session,
-    diags: Diagnostics,
-}
-
-fn execute(cli: &Cli) -> Result<(), Box<Failure>> {
+/// The workspace options of an invocation: its inference options and the
+/// `run` limits.
+fn session_options(cli: &Cli) -> SessionOptions {
     let mut opts = SessionOptions::with_infer(cli.opts);
     if let Some(engine) = cli.engine {
         opts.run.engine = engine;
@@ -515,77 +502,98 @@ fn execute(cli: &Cli) -> Result<(), Box<Failure>> {
     if let Some(depth) = cli.max_depth {
         opts.run.max_depth = depth;
     }
-    if cli.command == Command::Serve {
-        return serve(opts, cli).map_err(|diags| {
-            Box::new(Failure {
-                session: Session::new("", SessionOptions::default()).with_name("serve".to_string()),
-                diags,
-            })
-        });
+    opts
+}
+
+/// Renders a failed invocation's diagnostics: caret snippets on stderr, or
+/// a JSON array on stdout with `--json`. `query` and `check --policy`
+/// render through the workspace, which places spans in the program and
+/// the policy file alike; every other command renders against its one
+/// input file.
+fn report(cli: &Cli, ws: &Workspace, diags: &Diagnostics) {
+    if diags.is_empty() {
+        return;
     }
-    if cli.command == Command::Daemon {
-        return daemon(opts, cli).map_err(|e| {
-            Box::new(Failure {
-                session: Session::new("", SessionOptions::default()).with_name("cjrcd".to_string()),
-                diags: Diagnostics::from_one(
-                    Diagnostic::error(format!("daemon failed: {e}"), Span::DUMMY)
-                        .with_code(codes::IO),
-                ),
-            })
-        });
-    }
-    if cli.command == Command::TraceSummary {
-        return trace_summary_cmd(&cli.file).map_err(|message| {
-            Box::new(Failure {
-                session: Session::new("", SessionOptions::default()).with_name(cli.file.clone()),
-                diags: Diagnostics::from_one(
-                    Diagnostic::error(message, Span::DUMMY).with_code(codes::IO),
-                ),
-            })
-        });
-    }
-    if cli.command == Command::Query || (cli.command == Command::Check && cli.policy.is_some()) {
-        // Workspace-driven paths: they render their own diagnostics (the
-        // workspace knows both the program and the policy file), so a
-        // failure carries an empty batch back to `main`.
-        let outcome = if cli.command == Command::Query {
-            query_cmd(opts, cli)
+    let text = if workspace_rendered(cli) {
+        if cli.json {
+            ws.render_json(diags)
         } else {
-            policy_cmd(opts, cli)
-        };
-        return outcome.map_err(|()| {
-            Box::new(Failure {
-                session: Session::new("", SessionOptions::default()).with_name(cli.file.clone()),
-                diags: Diagnostics::new(),
-            })
-        });
-    }
-    let mut session = match Session::from_file(&cli.file, opts) {
-        Ok(s) => s,
-        Err(diags) => {
-            return Err(Box::new(Failure {
-                session: Session::new("", SessionOptions::default()).with_name(cli.file.clone()),
-                diags,
-            }))
+            ws.render(diags)
+        }
+    } else {
+        let emitter = file_emitter(cli, ws);
+        if cli.json {
+            emitter.render_json_all(diags)
+        } else {
+            emitter.render_all(diags)
         }
     };
-    match dispatch(cli, &mut session) {
-        Ok(()) => Ok(()),
-        Err(diags) => Err(Box::new(Failure { session, diags })),
+    if cli.json {
+        println!("{text}");
+    } else {
+        eprint!("{text}");
     }
 }
 
-fn dispatch(cli: &Cli, session: &mut Session) -> Result<(), Diagnostics> {
+/// Whether the command's diagnostics render through the workspace.
+fn workspace_rendered(cli: &Cli) -> bool {
+    cli.command == Command::Query || (cli.command == Command::Check && cli.policy.is_some())
+}
+
+/// An emitter over the invocation's input file (empty when it was never
+/// read); `serve` and `daemon`, which have none, are named after
+/// themselves.
+fn file_emitter<'w>(cli: &'w Cli, ws: &'w Workspace) -> Emitter<'w> {
+    let name = match cli.command {
+        Command::Serve => "serve",
+        Command::Daemon => "cjrcd",
+        _ => &cli.file,
+    };
+    Emitter::new(name, ws.source(&cli.file).unwrap_or(""))
+}
+
+/// Reads a file named on the command line.
+fn read_file(path: &str) -> Result<String, Diagnostics> {
+    std::fs::read_to_string(path).map_err(|e| {
+        Diagnostics::from_one(
+            Diagnostic::error(format!("cannot read `{path}`: {e}"), Span::DUMMY)
+                .with_code(codes::IO),
+        )
+    })
+}
+
+fn execute(cli: &Cli, ws: &mut Workspace) -> Result<(), Diagnostics> {
+    match cli.command {
+        Command::Serve => return serve(ws.options().clone(), cli),
+        Command::Daemon => {
+            return daemon(ws.options().clone(), cli).map_err(|e| {
+                Diagnostics::from_one(
+                    Diagnostic::error(format!("daemon failed: {e}"), Span::DUMMY)
+                        .with_code(codes::IO),
+                )
+            })
+        }
+        Command::TraceSummary => {
+            return trace_summary_cmd(&cli.file).map_err(|message| {
+                Diagnostics::from_one(Diagnostic::error(message, Span::DUMMY).with_code(codes::IO))
+            })
+        }
+        _ => {}
+    }
+    // The input file keeps its command-line name, so diagnostics point at
+    // it.
+    ws.set_source(&cli.file, read_file(&cli.file)?)?;
+    let opts = cli.opts;
     match cli.command {
         Command::Infer => {
-            let compilation = session.infer()?;
-            let annotated = session.annotate()?;
+            let compilation = ws.infer(opts)?;
+            let annotated = ws.annotate(opts)?;
             let stats = &compilation.stats;
             if cli.json {
                 println!(
                     "{{\"annotated\":{},\"extents\":\"{}\",\"stats\":{}}}",
                     cj_diag::json_string(&annotated),
-                    cli.opts.extent,
+                    opts.extent,
                     stats.to_json()
                 );
             } else {
@@ -602,42 +610,41 @@ fn dispatch(cli: &Cli, session: &mut Session) -> Result<(), Diagnostics> {
             }
             Ok(())
         }
+        Command::Check if cli.policy.is_some() => policy_cmd(cli, ws),
         Command::Check => {
-            session.check()?;
+            ws.check(opts)?;
             // Sec 5 bound-to-fail downcast warnings surface here too, not
             // only under `flows`.
-            let kernel = session.typecheck()?;
-            let warnings = session.downcast_analysis()?.diagnostics(&kernel);
+            let kernel = ws.typecheck()?;
+            let warnings = ws.downcast_analysis()?.diagnostics(&kernel);
+            let emitter = file_emitter(cli, ws);
             if cli.json {
                 println!(
                     "{{\"status\":\"well-region-typed\",\"file\":{},\"mode\":\"{}\",\
                      \"extents\":\"{}\",\"warnings\":{}}}",
-                    cj_diag::json_string(session.name()),
-                    cli.opts.mode,
-                    cli.opts.extent,
-                    session.emitter().render_json_all(&warnings)
+                    cj_diag::json_string(&cli.file),
+                    opts.mode,
+                    opts.extent,
+                    emitter.render_json_all(&warnings)
                 );
             } else {
-                eprint!("{}", session.emitter().render_all(&warnings));
-                if cli.opts.extent == ExtentMode::Paper {
-                    println!("{}: well-region-typed ({})", session.name(), cli.opts.mode);
+                eprint!("{}", emitter.render_all(&warnings));
+                if opts.extent == ExtentMode::Paper {
+                    println!("{}: well-region-typed ({})", cli.file, opts.mode);
                 } else {
                     println!(
                         "{}: well-region-typed ({}; {} extents)",
-                        session.name(),
-                        cli.opts.mode,
-                        cli.opts.extent
+                        cli.file, opts.mode, opts.extent
                     );
                 }
             }
             Ok(())
         }
-        Command::Serve | Command::Daemon | Command::Query | Command::TraceSummary => {
-            unreachable!("serve/daemon/query/trace-summary are dispatched before file loading")
-        }
+        Command::Query => query_cmd(cli, ws),
         Command::Run => {
-            let engine = session.options().run.engine;
-            let out = session.run(&cli.run_args)?;
+            let engine = ws.options().run.engine;
+            let args: Vec<Value> = cli.run_args.iter().map(|&v| Value::Int(v)).collect();
+            let out = ws.run(opts, engine, &args)?;
             if cli.json {
                 let prints: Vec<String> =
                     out.prints.iter().map(|p| cj_diag::json_string(p)).collect();
@@ -648,7 +655,7 @@ fn dispatch(cli: &Cli, session: &mut Session) -> Result<(), Diagnostics> {
                      \"total_allocated\":{},\"ratio\":{:.4},\"regions\":{}}}}}",
                     cj_diag::json_string(&out.value.to_string()),
                     prints.join(","),
-                    cli.opts.extent,
+                    opts.extent,
                     out.steps,
                     out.space.peak_live,
                     out.space.total_allocated,
@@ -671,8 +678,9 @@ fn dispatch(cli: &Cli, session: &mut Session) -> Result<(), Diagnostics> {
             Ok(())
         }
         Command::Flows => {
-            let kp = session.typecheck()?;
-            let analysis = session.downcast_analysis()?;
+            let kp = ws.typecheck()?;
+            let analysis = ws.downcast_analysis()?;
+            let emitter = file_emitter(cli, ws);
             let warnings = analysis.diagnostics(&kp);
             if cli.json {
                 let sites: Vec<String> = analysis
@@ -702,7 +710,7 @@ fn dispatch(cli: &Cli, session: &mut Session) -> Result<(), Diagnostics> {
                     "{{\"downcasts\":{},\"sites\":[{}],\"warnings\":{}}}",
                     analysis.downcast_count,
                     sites.join(","),
-                    session.emitter().render_json_all(&warnings)
+                    emitter.render_json_all(&warnings)
                 );
             } else {
                 println!("{} downcast(s)", analysis.downcast_count);
@@ -723,135 +731,60 @@ fn dispatch(cli: &Cli, session: &mut Session) -> Result<(), Diagnostics> {
                         );
                     }
                 }
-                eprint!("{}", session.emitter().render_all(&warnings));
+                eprint!("{}", emitter.render_all(&warnings));
             }
             Ok(())
         }
+        Command::Serve | Command::Daemon | Command::TraceSummary => {
+            unreachable!("serve/daemon/trace-summary read no input file")
+        }
     }
-}
-
-// ---- workspace-driven commands (`query`, `check --policy`) ----------------
-
-/// Renders diagnostics for a workspace-driven command: caret snippets on
-/// stderr, or a JSON array on stdout with `--json`.
-fn ws_report(ws: &Workspace, json: bool, diags: &Diagnostics) {
-    if json {
-        println!("{}", ws.render_json(diags));
-    } else {
-        eprint!("{}", ws.render(diags));
-    }
-}
-
-/// Reads a file into a string, reporting failures through the workspace
-/// renderer.
-fn ws_read(ws: &Workspace, json: bool, path: &str) -> Result<String, ()> {
-    std::fs::read_to_string(path).map_err(|e| {
-        let d = Diagnostics::from_one(
-            Diagnostic::error(format!("cannot read `{path}`: {e}"), Span::DUMMY)
-                .with_code(codes::IO),
-        );
-        ws_report(ws, json, &d);
-    })
-}
-
-/// A workspace holding the program file named on the command line (under
-/// its real name, so diagnostics point at it).
-fn ws_open(opts: SessionOptions, cli: &Cli) -> Result<Workspace, ()> {
-    let mut ws = Workspace::new(opts);
-    let text = ws_read(&ws, cli.json, &cli.file)?;
-    if let Err(d) = ws.set_source(&cli.file, text) {
-        ws_report(&ws, cli.json, &d);
-        return Err(());
-    }
-    Ok(ws)
 }
 
 /// `cjrc query <file> <name> [--entails ATOM]`: one-shot access to the
 /// closed constraint environment `Q`.
-fn query_cmd(opts: SessionOptions, cli: &Cli) -> Result<(), ()> {
-    let infer_opts = opts.infer;
-    let mut ws = ws_open(opts, cli)?;
+fn query_cmd(cli: &Cli, ws: &mut Workspace) -> Result<(), Diagnostics> {
     let name = cli.query_name.as_deref().expect("validated by parse_cli");
-    let unknown = |ws: &Workspace| {
-        let d = Diagnostics::from_one(
+    let unknown = || {
+        Diagnostics::from_one(
             Diagnostic::error(format!("unknown abstraction `{name}`"), Span::DUMMY)
                 .with_code(codes::CLI),
-        );
-        ws_report(ws, cli.json, &d);
+        )
     };
-    let result = if let Some(atom) = &cli.entails {
-        match ws.entails_with(infer_opts, name, atom) {
-            Ok(Some(holds)) => {
-                if cli.json {
-                    println!(
-                        "{{\"name\":{},\"atom\":{},\"entails\":{holds}}}",
-                        cj_diag::json_string(name),
-                        cj_diag::json_string(atom)
-                    );
-                } else {
-                    println!("{name} entails {atom}: {holds}");
-                }
-                Ok(())
-            }
-            Ok(None) => {
-                unknown(&ws);
-                Err(())
-            }
-            Err(d) => {
-                ws_report(&ws, cli.json, &d);
-                Err(())
-            }
+    if let Some(atom) = &cli.entails {
+        let holds = ws.entails(cli.opts, name, atom)?.ok_or_else(unknown)?;
+        if cli.json {
+            println!(
+                "{{\"name\":{},\"atom\":{},\"entails\":{holds}}}",
+                cj_diag::json_string(name),
+                cj_diag::json_string(atom)
+            );
+        } else {
+            println!("{name} entails {atom}: {holds}");
         }
     } else {
-        match ws.q_with(infer_opts, name) {
-            Ok(Some(abs)) => {
-                if cli.json {
-                    println!(
-                        "{{\"name\":{},\"params\":{},\"abs\":{}}}",
-                        cj_diag::json_string(name),
-                        abs.params.len(),
-                        cj_diag::json_string(&abs.to_string())
-                    );
-                } else {
-                    println!("{abs}");
-                }
-                Ok(())
-            }
-            Ok(None) => {
-                unknown(&ws);
-                Err(())
-            }
-            Err(d) => {
-                ws_report(&ws, cli.json, &d);
-                Err(())
-            }
+        let abs = ws.q(cli.opts, name)?.ok_or_else(unknown)?;
+        if cli.json {
+            println!(
+                "{{\"name\":{},\"params\":{},\"abs\":{}}}",
+                cj_diag::json_string(name),
+                abs.params.len(),
+                cj_diag::json_string(&abs.to_string())
+            );
+        } else {
+            println!("{abs}");
         }
-    };
-    result
+    }
+    Ok(())
 }
 
 /// `cjrc check <file> --policy <rules>`: compile, region-check, then
 /// enforce the user's region-effect rules; violations exit non-zero.
-fn policy_cmd(opts: SessionOptions, cli: &Cli) -> Result<(), ()> {
-    let infer_opts = opts.infer;
-    let mut ws = ws_open(opts, cli)?;
+fn policy_cmd(cli: &Cli, ws: &mut Workspace) -> Result<(), Diagnostics> {
     let policy_path = cli.policy.as_deref().expect("validated by parse_cli");
-    let rules_text = ws_read(&ws, cli.json, policy_path)?;
-    if let Err(d) = ws.set_policy(policy_path, rules_text) {
-        ws_report(&ws, cli.json, &d);
-        return Err(());
-    }
-    if let Err(d) = ws.check_with(infer_opts) {
-        ws_report(&ws, cli.json, &d);
-        return Err(());
-    }
-    let outcome = match ws.check_policy_with(infer_opts) {
-        Ok(outcome) => outcome,
-        Err(d) => {
-            ws_report(&ws, cli.json, &d);
-            return Err(());
-        }
-    };
+    ws.set_policy(policy_path, read_file(policy_path)?)?;
+    ws.check(cli.opts)?;
+    let outcome = ws.check_policy(cli.opts)?;
     let rules = ws.policy().map_or(0, |set| set.rules.len());
     let status = if outcome.ok() {
         "policy-ok"
@@ -882,7 +815,8 @@ fn policy_cmd(opts: SessionOptions, cli: &Cli) -> Result<(), ()> {
     if outcome.ok() {
         Ok(())
     } else {
-        Err(())
+        // The findings are printed above; only the exit status is left.
+        Err(Diagnostics::new())
     }
 }
 

@@ -34,11 +34,11 @@
 //!   faster;
 //! - [`benchmarks`]: the Fig 8 and Fig 9 program suites;
 //! - [`driver`]: the demand-driven, incrementally recompiling
-//!   [`driver::Workspace`] (multi-file inputs, per-SCC re-solving, the `Q`
-//!   query API), the staged single-file [`Session`] facade, and the
-//!   JSON-lines compile server behind `cjrc serve`.
+//!   [`driver::Workspace`] (multi-file inputs, per-options artifacts over
+//!   one kernel, the `Q` query API) and the JSON-lines compile server
+//!   behind `cjrc serve`.
 //!
-//! ## Quick start — the `Session` driver
+//! ## Quick start — the `Workspace` driver
 //!
 //! ```
 //! use region_inference::prelude::*;
@@ -49,15 +49,17 @@
 //!         Object t = this.fst; this.fst = this.snd; this.snd = t;
 //!       }
 //!     }";
-//! let mut session = Session::new(source, SessionOptions::default());
-//! let compilation = session.check()?;
+//! let mut ws = Workspace::new(SessionOptions::default());
+//! ws.set_source("pair.cj", source)?;
+//! let opts = InferOptions::default();
+//! let compilation = ws.check(opts)?;
 //! // `swap` mutates both fields, so its precondition forces the two field
 //! // regions to coincide — exactly Fig 2(a)'s `where r2 = r3`.
-//! println!("{}", session.annotate()?);
+//! println!("{}", ws.annotate(opts)?);
 //! // Staged artifacts are cached: a second subtype mode reuses the same
 //! // parsed and typechecked kernel.
-//! session.check_with(InferOptions::with_mode(SubtypeMode::Object))?;
-//! assert_eq!(session.pass_counts().typecheck, 1);
+//! ws.check(InferOptions::with_mode(SubtypeMode::Object))?;
+//! assert_eq!(ws.pass_counts().typecheck, 1);
 //! # let _ = compilation;
 //! # Ok::<(), region_inference::diag::Diagnostics>(())
 //! ```
@@ -86,7 +88,7 @@ pub mod prelude {
     pub use cj_check::check;
     pub use cj_diag::{Diagnostic, Diagnostics, Emitter, IntoDiagnostic, IntoDiagnostics};
     pub use cj_driver::{
-        Compilation, CompileResult, PassCounts, Server, Session, SessionOptions, Workspace,
+        Compilation, CompileResult, PassCounts, Server, SessionOptions, Workspace,
     };
     pub use cj_infer::{
         infer_source, DowncastPolicy, ExtentMode, InferOptions, InferStats, RProgram, SubtypeMode,
@@ -96,25 +98,33 @@ pub mod prelude {
 }
 
 use cj_diag::Diagnostics;
-use cj_driver::{Session, SessionOptions};
+use cj_driver::{SessionOptions, Workspace};
 use cj_infer::{InferOptions, RProgram};
+use cj_runtime::{Engine, Value};
+
+/// A workspace holding `src` as its one file.
+fn one_file(src: &str) -> Result<Workspace, Diagnostics> {
+    let mut ws = Workspace::new(SessionOptions::default());
+    ws.set_source("<input>", src)?;
+    Ok(ws)
+}
 
 /// Parses, normal-typechecks, region-infers and region-checks a Core-Java
 /// program.
 ///
-/// This is the one-shot convenience over [`Session`]; use a session
-/// directly to reuse staged artifacts across inference options.
+/// This is the one-shot convenience over a one-file [`Workspace`]; use a
+/// workspace directly to reuse staged artifacts across inference options.
 ///
 /// # Errors
 ///
 /// Structured diagnostics from any stage: front-end errors, inference
 /// policy failures, or (indicating a bug — Theorem 1) checker violations.
 pub fn compile(src: &str, opts: InferOptions) -> Result<RProgram, Diagnostics> {
-    let mut session = Session::new(src, SessionOptions::with_infer(opts));
-    let compilation = session.check()?;
-    // Dropping the session releases its cached Arc, making the unwrap
+    let mut ws = one_file(src)?;
+    let compilation = ws.check(opts)?;
+    // Dropping the workspace releases its cached Arc, making the unwrap
     // clone-free.
-    drop(session);
+    drop(ws);
     match std::sync::Arc::try_unwrap(compilation) {
         Ok(compilation) => Ok(compilation.program),
         Err(arc) => Ok(arc.program.clone()),
@@ -150,5 +160,6 @@ pub fn compile_and_run(
     opts: InferOptions,
     args: &[i64],
 ) -> Result<cj_runtime::Outcome, Diagnostics> {
-    Session::new(src, SessionOptions::with_infer(opts)).run(args)
+    let args: Vec<Value> = args.iter().map(|&v| Value::Int(v)).collect();
+    one_file(src)?.run(opts, Engine::default(), &args)
 }

@@ -222,6 +222,98 @@ fn missing_file_is_an_io_diagnostic() {
     assert!(stdout.contains("missing.cj"), "{stdout}");
 }
 
+/// The exact bytes (exit code, stdout, stderr) of the failing commands, in
+/// text and `--json` form. The single-file commands render against their
+/// file, one diagnostic array per file; `check --policy` and `query` render
+/// through the workspace, with span-tagged diagnostics. Run in a scratch
+/// directory so file names are relative.
+#[test]
+fn failing_commands_print_golden_bytes() {
+    let dir = std::env::temp_dir().join(format!("cjrc-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("bad.cj"), "class A { Pear p; }\n").unwrap();
+    std::fs::write(dir.join("rules.cjpolicy"), "no-escape A\n").unwrap();
+    const CARET: &str = "error[E0200]: unknown class `Pear`\n  --> bad.cj:1:11\n   |\n \
+                         1 | class A { Pear p; }\n   |           ^^^^^^^\n";
+    const FILE_JSON: &str = "[\n{\"severity\":\"error\",\"code\":\"E0200\",\
+        \"message\":\"unknown class `Pear`\",\"file\":\"bad.cj\",\
+        \"span\":{\"lo\":10,\"hi\":17,\"line\":1,\"col\":11},\"labels\":[],\"notes\":[]}\n]\n";
+    const WS_JSON: &str = "[{\"severity\":\"error\",\"code\":\"E0200\",\
+        \"message\":\"unknown class `Pear`\",\
+        \"span\":{\"file\":\"bad.cj\",\"lo\":10,\"hi\":17,\"line\":1,\"col\":11},\
+        \"labels\":[],\"notes\":[]}]\n";
+    const UNREAD: &str = "cannot read `nope.cj`: No such file or directory (os error 2)";
+    let unread_caret = |at: &str| format!("error[E0701]: {UNREAD}\n  --> {at}\n");
+    let cases: Vec<(&[&str], String, String)> = vec![
+        (&["check", "bad.cj"], String::new(), CARET.into()),
+        (
+            &["check", "bad.cj", "--json"],
+            FILE_JSON.into(),
+            String::new(),
+        ),
+        (&["infer", "bad.cj"], String::new(), CARET.into()),
+        (
+            &["infer", "bad.cj", "--json"],
+            FILE_JSON.into(),
+            String::new(),
+        ),
+        (
+            &["check", "bad.cj", "--policy", "rules.cjpolicy"],
+            String::new(),
+            CARET.into(),
+        ),
+        (
+            &["check", "bad.cj", "--policy", "rules.cjpolicy", "--json"],
+            WS_JSON.into(),
+            String::new(),
+        ),
+        (&["query", "bad.cj", "inv.A"], String::new(), CARET.into()),
+        (
+            &["query", "bad.cj", "inv.A", "--json"],
+            WS_JSON.into(),
+            String::new(),
+        ),
+        (
+            &["check", "nope.cj"],
+            String::new(),
+            unread_caret("nope.cj"),
+        ),
+        (
+            &["check", "nope.cj", "--json"],
+            format!(
+                "[\n{{\"severity\":\"error\",\"code\":\"E0701\",\"message\":\"{UNREAD}\",\
+                 \"file\":\"nope.cj\",\"span\":{{\"lo\":0,\"hi\":0,\"line\":1,\"col\":1}},\
+                 \"labels\":[],\"notes\":[]}}\n]\n"
+            ),
+            String::new(),
+        ),
+        (
+            &["query", "nope.cj", "inv.A"],
+            String::new(),
+            unread_caret("<workspace>"),
+        ),
+        (
+            &["query", "nope.cj", "inv.A", "--json"],
+            format!(
+                "[{{\"severity\":\"error\",\"code\":\"E0701\",\"message\":\"{UNREAD}\",\
+                 \"span\":null,\"labels\":[],\"notes\":[]}}]\n"
+            ),
+            String::new(),
+        ),
+    ];
+    for (args, stdout, stderr) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_cjrc"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("cjrc runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert_eq!(String::from_utf8(out.stdout).unwrap(), stdout, "{args:?}");
+        assert_eq!(String::from_utf8(out.stderr).unwrap(), stderr, "{args:?}");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
 /// A program with a downcast the `E` allocation can never satisfy (Sec 5
 /// bound-to-fail): `check` must surface the warning, not only `flows`.
 const DOOMED: &str = "

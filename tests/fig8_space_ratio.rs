@@ -19,13 +19,20 @@
 use region_inference::prelude::*;
 use region_inference::runtime::RunConfig;
 
+/// A workspace holding the Reynolds3 benchmark.
+fn reynolds3() -> Workspace {
+    let b = region_inference::benchmarks::by_name("Reynolds3").expect("registered");
+    let mut ws = Workspace::new(SessionOptions::default());
+    ws.set_source(b.name, b.source).unwrap();
+    ws
+}
+
 fn reynolds3_field() -> (std::sync::Arc<Compilation>, cj_runtime::Outcome) {
     let b = region_inference::benchmarks::by_name("Reynolds3").expect("registered");
-    let mut session = Session::new(
-        b.source,
-        SessionOptions::with_infer(InferOptions::with_mode(SubtypeMode::Field)),
-    );
-    let compilation = session.check().expect("Reynolds3 compiles");
+    let mut ws = reynolds3();
+    let compilation = ws
+        .check(InferOptions::with_mode(SubtypeMode::Field))
+        .expect("Reynolds3 compiles");
     let args: Vec<Value> = b.paper_input.iter().map(|&v| Value::Int(v)).collect();
     let out = run_main_big_stack(&compilation.program, &args, RunConfig::default())
         .expect("Reynolds3 runs");
@@ -137,12 +144,10 @@ fn reynolds3_space_stats_are_identical_on_the_vm() {
     // bump-arena accounting reproduces the interpreter's SpaceStats
     // bit-for-bit, so the 0.0125 pin above covers both engines.
     let b = region_inference::benchmarks::by_name("Reynolds3").expect("registered");
-    let mut session = Session::new(
-        b.source,
-        SessionOptions::with_infer(InferOptions::with_mode(SubtypeMode::Field)),
-    );
-    let compilation = session.check().expect("Reynolds3 compiles");
-    let compiled = session.compiled().expect("Reynolds3 lowers");
+    let opts = InferOptions::with_mode(SubtypeMode::Field);
+    let mut ws = reynolds3();
+    let compilation = ws.check(opts).expect("Reynolds3 compiles");
+    let compiled = ws.compiled(opts).expect("Reynolds3 lowers");
     let args: Vec<Value> = b.paper_input.iter().map(|&v| Value::Int(v)).collect();
     let vm = region_inference::rvm::run_main(&compiled, &args, RunConfig::default())
         .expect("Reynolds3 runs on the VM");
@@ -161,11 +166,11 @@ fn reynolds3_space_stats_are_identical_on_the_vm() {
 fn reynolds3_mode_ordering_matches_fig8() {
     // Fig 8's qualitative ordering: no-sub = object-sub = 1.0 ≫ field-sub.
     let b = region_inference::benchmarks::by_name("Reynolds3").unwrap();
-    let mut session = Session::new(b.source, SessionOptions::default());
+    let mut ws = reynolds3();
     let args: Vec<Value> = b.paper_input.iter().map(|&v| Value::Int(v)).collect();
     let mut ratios = Vec::new();
     for mode in SubtypeMode::ALL {
-        let compilation = session.check_with(InferOptions::with_mode(mode)).unwrap();
+        let compilation = ws.check(InferOptions::with_mode(mode)).unwrap();
         let out = run_main_big_stack(&compilation.program, &args, RunConfig::default()).unwrap();
         ratios.push(out.space.space_ratio());
     }
@@ -192,7 +197,7 @@ fn reynolds3_liveness_extents_pin() {
     // Pinned honestly: liveness must never be worse than paper, must
     // stay below the 0.0125 band, and must agree across both engines.
     let b = region_inference::benchmarks::by_name("Reynolds3").expect("registered");
-    let mut session = Session::new(b.source, SessionOptions::default());
+    let mut ws = reynolds3();
     let args: Vec<Value> = b.paper_input.iter().map(|&v| Value::Int(v)).collect();
 
     let paper_opts = InferOptions::with_mode(SubtypeMode::Field);
@@ -200,9 +205,9 @@ fn reynolds3_liveness_extents_pin() {
         extent: ExtentMode::Liveness,
         ..paper_opts
     };
-    let paper = session.check_with(paper_opts).expect("paper compiles");
+    let paper = ws.check(paper_opts).expect("paper compiles");
     let paper_out = run_main_big_stack(&paper.program, &args, RunConfig::default()).expect("runs");
-    let live = session.check_with(live_opts).expect("liveness compiles");
+    let live = ws.check(live_opts).expect("liveness compiles");
     let live_out = run_main_big_stack(&live.program, &args, RunConfig::default()).expect("runs");
 
     assert_eq!(paper_out.value, live_out.value, "modes changed the answer");
@@ -211,7 +216,7 @@ fn reynolds3_liveness_extents_pin() {
         "extent tightening changed what was allocated"
     );
     assert!(
-        session.pass_counts().extent_rewrites >= 1,
+        ws.pass_counts().extent_rewrites >= 1,
         "liveness mode must actually rewrite Reynolds3 letregs"
     );
     assert!(
@@ -231,7 +236,7 @@ fn reynolds3_liveness_extents_pin() {
     );
 
     // Engine agreement under liveness placement, like the paper-mode pin.
-    let compiled = session.compiled_with(live_opts).expect("lowers");
+    let compiled = ws.compiled(live_opts).expect("lowers");
     let vm = region_inference::rvm::run_main(&compiled, &args, RunConfig::default()).expect("runs");
     assert_eq!(
         vm.space, live_out.space,

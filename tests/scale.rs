@@ -45,19 +45,20 @@ fn on_worker_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
 /// Infers, checks and runs `src` on both engines under both extent modes;
 /// returns the agreed value.
 fn compile_check_run(name: &str, src: &str) -> Value {
-    let mut session = Session::new(src, SessionOptions::default());
+    let mut ws = Workspace::new(SessionOptions::default());
+    ws.set_source(name, src).unwrap();
     let mut values = Vec::new();
     for extent in [ExtentMode::Paper, ExtentMode::Liveness] {
         let opts = InferOptions {
             extent,
             ..InferOptions::default()
         };
-        let compilation = session
-            .check_with(opts)
+        let compilation = ws
+            .check(opts)
             .unwrap_or_else(|d| panic!("{name} ({extent:?}) compiles: {d}"));
         check(&compilation.program)
             .unwrap_or_else(|e| panic!("{name} ({extent:?}): Theorem 1 violated: {e}"));
-        let compiled = session.compiled_with(opts).expect("lowers");
+        let compiled = ws.compiled(opts).expect("lowers");
         let rvm = region_inference::rvm::run_main(&compiled, &[], RunConfig::default())
             .unwrap_or_else(|e| panic!("{name} ({extent:?}) runs on rvm: {e}"));
         let interp = run_main(&compilation.program, &[], RunConfig::default())
@@ -94,9 +95,13 @@ fn long_and_wide_programs_compile_check_and_run() {
 #[test]
 fn programs_past_the_nesting_budget_are_diagnosed() {
     for (name, src) in hostile::deep_programs(10 * BUDGET) {
-        let diags = on_worker_stack(|| Session::new(&src, SessionOptions::default()).check())
-            .err()
-            .unwrap_or_else(|| panic!("{name}: over-deep input accepted"));
+        let diags = on_worker_stack(|| {
+            let mut ws = Workspace::new(SessionOptions::default());
+            ws.set_source(name, src.as_str())?;
+            ws.check(InferOptions::default())
+        })
+        .err()
+        .unwrap_or_else(|| panic!("{name}: over-deep input accepted"));
         let too_deep = diags
             .iter()
             .filter(|d| d.message.contains("nesting too deep"))
@@ -224,7 +229,7 @@ fn many_self_referencing_classes_are_recursive_and_rec_read_only() {
         program.kernel
     });
     let recursive = kernel.table.recursive_classes();
-    let read_only = cj_infer::recro::rec_read_only(&kernel);
+    let read_only = &kernel.rec_read_only;
     for i in 0..n {
         let c = kernel.table.class_id(&format!("Lk{i}")).unwrap().index();
         assert!(recursive[c] && read_only[c], "Lk{i}");

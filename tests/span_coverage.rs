@@ -9,9 +9,9 @@ use region_inference::prelude::*;
 fn solve_and_infer_keep_little_self_time() {
     cj_trace::install();
     for bench in region_inference::benchmarks::all_benchmarks() {
-        let mut session = Session::new(bench.source, SessionOptions::default());
-        session
-            .check()
+        let mut ws = Workspace::new(SessionOptions::default());
+        ws.set_source(bench.name, bench.source).unwrap();
+        ws.check(InferOptions::default())
             .unwrap_or_else(|d| panic!("{} compiles: {d}", bench.name));
     }
     let rows = cj_trace::summarize(&cj_trace::uninstall());

@@ -55,13 +55,14 @@ fn dump_q(p: &cj_infer::RProgram) -> Vec<String> {
 
 #[test]
 fn one_body_edit_reparses_one_file_and_matches_from_scratch() {
+    let opts = InferOptions::default();
     let mut ws = Workspace::new(SessionOptions::default());
     ws.set_source("list.cj", LIST_CJ).unwrap();
     ws.set_source("stack.cj", STACK_CJ).unwrap();
     ws.set_source("main.cj", MAIN_CJ).unwrap();
 
     // ---- cold compile ----------------------------------------------------
-    let cold_compilation = ws.check().unwrap();
+    let cold_compilation = ws.check(opts).unwrap();
     let cold = ws.pass_counts();
     assert_eq!(cold.parse, 3, "three files parsed");
     assert!(cold.sccs_solved > 4, "multi-SCC program: {cold:?}");
@@ -69,13 +70,16 @@ fn one_body_edit_reparses_one_file_and_matches_from_scratch() {
     assert_eq!(total_methods, 9, "all nine methods inferred cold");
 
     // Untouched-SCC observables, before the edit.
-    let join_before = ws.q("pre.join").unwrap().expect("join solved");
-    let inv_list_before = ws.invariant("List").unwrap().expect("inv.List");
-    let push_before = ws.precondition(Some("Stack"), "push").unwrap().unwrap();
+    let join_before = ws.q(opts, "pre.join").unwrap().expect("join solved");
+    let inv_list_before = ws.invariant(opts, "List").unwrap().expect("inv.List");
+    let push_before = ws
+        .precondition(opts, Some("Stack"), "push")
+        .unwrap()
+        .unwrap();
 
     // ---- the edit: one method body in main.cj ---------------------------
     ws.set_source("main.cj", MAIN_EDITED_CJ).unwrap();
-    let warm_compilation = ws.check().unwrap();
+    let warm_compilation = ws.check(opts).unwrap();
     let warm = ws.pass_counts().since(cold);
 
     // Only the edited file re-parses; the merged program re-typechecks once.
@@ -87,18 +91,22 @@ fn one_body_edit_reparses_one_file_and_matches_from_scratch() {
     assert_eq!(warm.methods_inferred, 9, "{warm:?}");
 
     // ---- untouched SCCs: byte-identical query answers -------------------
-    let join_after = ws.q("pre.join").unwrap().expect("join solved");
+    let join_after = ws.q(opts, "pre.join").unwrap().expect("join solved");
     assert_eq!(join_before.to_string(), join_after.to_string());
-    let inv_list_after = ws.invariant("List").unwrap().expect("inv.List");
+    let inv_list_after = ws.invariant(opts, "List").unwrap().expect("inv.List");
     assert_eq!(inv_list_before.to_string(), inv_list_after.to_string());
-    let push_after = ws.precondition(Some("Stack"), "push").unwrap().unwrap();
+    let push_after = ws
+        .precondition(opts, Some("Stack"), "push")
+        .unwrap()
+        .unwrap();
     assert_eq!(push_before.to_string(), push_after.to_string());
 
     // ---- equivalence with a from-scratch compile ------------------------
     // The workspace merges files in name order: list.cj, main.cj, stack.cj.
     let concatenated = format!("{LIST_CJ}{MAIN_EDITED_CJ}{STACK_CJ}");
-    let mut scratch = Session::new(concatenated, SessionOptions::default());
-    let scratch_compilation = scratch.check().unwrap();
+    let mut scratch = Workspace::new(SessionOptions::default());
+    scratch.set_source("all.cj", concatenated).unwrap();
+    let scratch_compilation = scratch.check(opts).unwrap();
     assert_eq!(
         warm.sccs_solved,
         scratch.pass_counts().sccs_solved,
@@ -117,16 +125,17 @@ fn one_body_edit_reparses_one_file_and_matches_from_scratch() {
 
 #[test]
 fn queries_are_demand_driven_and_cached() {
+    let opts = InferOptions::default();
     let mut ws = Workspace::new(SessionOptions::default());
     ws.set_source("list.cj", LIST_CJ).unwrap();
     // The first query runs the pipeline on demand…
-    let join = ws.q("pre.join").unwrap().expect("join");
+    let join = ws.q(opts, "pre.join").unwrap().expect("join");
     assert!(!join.params.is_empty());
     let counts = ws.pass_counts();
     assert_eq!(counts.infer, 1);
     // …subsequent queries (and entailment checks) re-run nothing.
-    assert!(ws.entails("pre.join", "r1=r1").unwrap().is_some());
-    ws.invariant("List").unwrap().unwrap();
+    assert!(ws.entails(opts, "pre.join", "r1=r1").unwrap().is_some());
+    ws.invariant(opts, "List").unwrap().unwrap();
     assert_eq!(ws.pass_counts(), counts);
 }
 
@@ -151,13 +160,12 @@ fn fig6_join_precondition_queryable_through_workspace() {
         }
       }
     }";
-    let mut ws = Workspace::new(SessionOptions::with_infer(InferOptions::with_mode(
-        SubtypeMode::Object,
-    )));
+    let opts = InferOptions::with_mode(SubtypeMode::Object);
+    let mut ws = Workspace::new(SessionOptions::default());
     ws.set_source("join.cj", src).unwrap();
-    assert_eq!(ws.entails("pre.join", "r2>=r8").unwrap(), Some(true));
-    assert_eq!(ws.entails("pre.join", "r5>=r8").unwrap(), Some(true));
-    assert_eq!(ws.entails("pre.join", "r1=r2").unwrap(), Some(false));
+    assert_eq!(ws.entails(opts, "pre.join", "r2>=r8").unwrap(), Some(true));
+    assert_eq!(ws.entails(opts, "pre.join", "r5>=r8").unwrap(), Some(true));
+    assert_eq!(ws.entails(opts, "pre.join", "r1=r2").unwrap(), Some(false));
 }
 
 #[test]
@@ -182,6 +190,7 @@ fn policy_recheck_after_edit_matches_from_scratch() {
       static void main() { Box b = new Box(null); b.fill(); b.fill(); }
     }";
     const RULES: &str = "no-escape Cell\nconfine Cell to Box\n";
+    let opts = InferOptions::default();
 
     let mut ws = Workspace::new(SessionOptions::default());
     ws.set_source("cell.cj", CELL_CJ).unwrap();
@@ -189,15 +198,15 @@ fn policy_recheck_after_edit_matches_from_scratch() {
     ws.set_policy("rules.cjpolicy", RULES).unwrap();
 
     // ---- cold policy check ----------------------------------------------
-    ws.check().unwrap();
-    let cold_outcome = ws.check_policy().unwrap();
+    ws.check(opts).unwrap();
+    let cold_outcome = ws.check_policy(opts).unwrap();
     let cold = ws.pass_counts();
     assert!(cold.rules_checked > 0, "{cold:?}");
     assert_eq!(cold.policy_violations, cold_outcome.violations);
     assert!(cold_outcome.violations > 0, "leak() must violate no-escape");
 
     // ---- same revision: pure replay, no evaluation, same verdict --------
-    let replay_outcome = ws.check_policy().unwrap();
+    let replay_outcome = ws.check_policy(opts).unwrap();
     let replay = ws.pass_counts().since(cold);
     assert_eq!(replay.rules_checked, 0, "replay must not re-evaluate");
     assert_eq!(replay.policy_violations, 0, "replay must not re-count");
@@ -208,8 +217,8 @@ fn policy_recheck_after_edit_matches_from_scratch() {
 
     // ---- one body edit: every rule × method is re-evaluated ------------
     ws.set_source("main.cj", MAIN_EDITED_CJ).unwrap();
-    ws.check().unwrap();
-    let warm_outcome = ws.check_policy().unwrap();
+    ws.check(opts).unwrap();
+    let warm_outcome = ws.check_policy(opts).unwrap();
     let warm = ws.pass_counts().since(cold);
     assert_eq!(warm.rules_checked, cold.rules_checked, "{warm:?}");
     // Verdict unchanged (the edit is policy-neutral).
@@ -221,8 +230,8 @@ fn policy_recheck_after_edit_matches_from_scratch() {
     scratch.set_source("cell.cj", CELL_CJ).unwrap();
     scratch.set_source("main.cj", MAIN_EDITED_CJ).unwrap();
     scratch.set_policy("rules.cjpolicy", RULES).unwrap();
-    scratch.check().unwrap();
-    let scratch_outcome = scratch.check_policy().unwrap();
+    scratch.check(opts).unwrap();
+    let scratch_outcome = scratch.check_policy(opts).unwrap();
     assert_eq!(
         scratch.render(&scratch_outcome.diagnostics),
         ws.render(&warm_outcome.diagnostics),
@@ -256,13 +265,13 @@ class M {
     };
     // Rendered fault per engine, then rendered policy findings.
     let observe = |ws: &mut Workspace| {
-        let opts = ws.options().infer;
+        let opts = InferOptions::default();
         let mut seen = Vec::new();
         for engine in [Engine::Rvm, Engine::Interp] {
-            let err = ws.run_values_engine(opts, engine, &[]).unwrap_err();
+            let err = ws.run(opts, engine, &[]).unwrap_err();
             seen.push(ws.render(&err));
         }
-        let outcome = ws.check_policy().unwrap();
+        let outcome = ws.check_policy(opts).unwrap();
         assert!(outcome.violations > 0, "leak() must violate no-escape");
         seen.push(ws.render(&outcome.diagnostics));
         seen
@@ -299,6 +308,7 @@ fn call_cycle(n: usize, pre_body: &str) -> String {
 
 #[test]
 fn id_shifting_edit_of_a_large_call_cycle_matches_a_fresh_workspace() {
+    let opts = InferOptions::default();
     const N: usize = 60;
     let before = call_cycle(N, "a.item");
     // Two allocations ahead of the cycle shift every region id after them.
@@ -306,13 +316,13 @@ fn id_shifting_edit_of_a_large_call_cycle_matches_a_fresh_workspace() {
 
     let mut ws = Workspace::new(SessionOptions::default());
     ws.set_source("ring.cj", before.as_str()).unwrap();
-    let cold = ws.check().unwrap();
+    let cold = ws.check(opts).unwrap();
     ws.set_source("ring.cj", after.as_str()).unwrap();
-    let warm = ws.check().unwrap();
+    let warm = ws.check(opts).unwrap();
 
     let mut fresh = Workspace::new(SessionOptions::default());
     fresh.set_source("ring.cj", after.as_str()).unwrap();
-    let fresh = fresh.check().unwrap();
+    let fresh = fresh.check(opts).unwrap();
     assert_ne!(
         region_inference::annotate(&cold.program),
         region_inference::annotate(&warm.program),
