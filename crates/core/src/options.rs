@@ -217,16 +217,6 @@ pub struct InferOptions {
 }
 
 impl InferOptions {
-    /// The paper's recommended configuration: field subtyping with
-    /// flow-based downcast padding.
-    pub fn recommended() -> InferOptions {
-        InferOptions {
-            mode: SubtypeMode::Field,
-            downcast: DowncastPolicy::Padding,
-            extent: ExtentMode::Paper,
-        }
-    }
-
     /// Options with the given subtyping mode and default downcast policy.
     pub fn with_mode(mode: SubtypeMode) -> InferOptions {
         InferOptions {

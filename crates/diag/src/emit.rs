@@ -1,7 +1,8 @@
-//! Rendering diagnostics: rustc-style caret snippets and a JSON form.
+//! Rendering diagnostics: rustc-style caret snippets and the one JSON
+//! object serializer.
 //!
-//! The [`Emitter`] borrows the source text once and renders any number of
-//! diagnostics against it:
+//! The [`Emitter`] borrows one file's text, indexes its lines once and
+//! renders any number of diagnostics against it as caret snippets:
 //!
 //! ```text
 //! error[E0201]: unknown class `Pear`
@@ -11,8 +12,14 @@
 //!    |     ^^^^
 //!    = note: classes must be declared at the top level
 //! ```
+//!
+//! [`render_json_diagnostic`] turns one diagnostic into a one-line JSON
+//! object, with the caller choosing how each span is placed. Batches,
+//! per-file caps and multi-file span placement belong to the driver's
+//! workspace, which renders every diagnostic `cjrc` prints through these
+//! two.
 
-use crate::diagnostic::{Diagnostic, Diagnostics, Severity};
+use crate::diagnostic::{Diagnostic, Severity};
 use crate::json::json_string;
 use crate::span::{SourceMap, Span};
 use std::fmt::Write as _;
@@ -57,48 +64,10 @@ impl<'a> Emitter<'a> {
         out
     }
 
-    /// Renders every diagnostic in `ds`, blank-line separated (at most
-    /// [`MAX_DIAGNOSTICS_PER_FILE`](crate::MAX_DIAGNOSTICS_PER_FILE); see
-    /// [`Diagnostics::capped`]).
-    pub fn render_all(&self, ds: &Diagnostics) -> String {
-        let mut out = String::new();
-        for (i, d) in ds.capped(|_| 0).iter().enumerate() {
-            if i > 0 {
-                out.push('\n');
-            }
-            out.push_str(&self.render(d));
-        }
-        out
-    }
-
-    /// Renders one diagnostic as a JSON object (single line): the shared
-    /// serializer with this emitter's single file as the top-level `file`
-    /// and file-relative span locations.
-    pub fn render_json(&self, d: &Diagnostic) -> String {
-        render_json_diagnostic(d, Some(self.name), &|span| self.json_span(span))
-    }
-
-    /// Renders a whole batch as a JSON array (one object per line),
-    /// capped like [`render_all`](Emitter::render_all).
-    pub fn render_json_all(&self, ds: &Diagnostics) -> String {
-        let mut out = String::from("[");
-        for (i, d) in ds.capped(|_| 0).iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            out.push_str(&self.render_json(d));
-        }
-        out.push_str("\n]");
-        out
-    }
-
-    fn json_span(&self, span: Span) -> String {
-        let (line, col) = self.map.line_col(span.lo);
-        format!(
-            "{{\"lo\":{},\"hi\":{},\"line\":{},\"col\":{}}}",
-            span.lo, span.hi, line, col
-        )
+    /// 1-based `(line, column)` of the byte `offset` in this emitter's
+    /// file.
+    pub fn line_col(&self, offset: u32) -> (u32, u32) {
+        self.map.line_col(offset)
     }
 
     fn gutter_width(&self, d: &Diagnostic) -> usize {
@@ -190,23 +159,17 @@ fn caret_char(severity: Severity) -> char {
     }
 }
 
-/// The one JSON serializer for diagnostics, parameterized by a span →
-/// location rendering so every driver agrees on the object shape:
+/// The one JSON serializer for diagnostics, a single-line object:
 ///
 /// ```text
-/// {"severity":..,"code":..,"message":..[,"file":..],"span":..,
+/// {"severity":..,"code":..,"message":..,"span":..,
 ///  "labels":[{"span":..,"message":..},…],"notes":[..]}
 /// ```
 ///
-/// `span_json` renders one span as a JSON value — a single-file emitter
-/// emits `{"lo":..,"hi":..,"line":..,"col":..}` plus a top-level `file`
-/// (pass `Some(name)`); a multi-file workspace passes `None` and tags each
-/// span with its owning file instead (`null` for unlocated spans).
-pub fn render_json_diagnostic(
-    d: &Diagnostic,
-    file: Option<&str>,
-    span_json: &dyn Fn(Span) -> String,
-) -> String {
+/// `span_json` renders one span as a JSON value; the workspace tags each
+/// span with its owning file, `{"file":..,"lo":..,"hi":..,"line":..,"col":..}`,
+/// or renders `null` for an unlocated one.
+pub fn render_json_diagnostic(d: &Diagnostic, mut span_json: impl FnMut(Span) -> String) -> String {
     let mut out = String::from("{");
     let _ = write!(out, "\"severity\":\"{}\"", d.severity);
     match d.code {
@@ -216,9 +179,6 @@ pub fn render_json_diagnostic(
         None => out.push_str(",\"code\":null"),
     }
     let _ = write!(out, ",\"message\":{}", json_string(&d.message));
-    if let Some(name) = file {
-        let _ = write!(out, ",\"file\":{}", json_string(name));
-    }
     let _ = write!(out, ",\"span\":{}", span_json(d.span));
     out.push_str(",\"labels\":[");
     for (i, label) in d.labels.iter().enumerate() {
@@ -288,14 +248,22 @@ mod tests {
 
     #[test]
     fn json_roundtrippable_shape() {
-        let src = "class A {}";
-        let e = Emitter::new("demo.cj", src);
-        let d = Diagnostic::error("boom \"quoted\"", Span::new(6, 7)).with_code("E0100");
-        let json = e.render_json(&d);
-        assert!(json.contains("\"severity\":\"error\""));
-        assert!(json.contains("\"code\":\"E0100\""));
-        assert!(json.contains("\\\"quoted\\\""));
-        assert!(json.contains("\"span\":{\"lo\":6,\"hi\":7,\"line\":1,\"col\":7}"));
+        let d = Diagnostic::error("boom \"quoted\"", Span::new(6, 7))
+            .with_code("E0100")
+            .with_label(Span::DUMMY, "nowhere");
+        let json = render_json_diagnostic(&d, |span| {
+            if span.is_dummy() {
+                "null".to_string()
+            } else {
+                format!("{{\"lo\":{},\"hi\":{}}}", span.lo, span.hi)
+            }
+        });
+        assert_eq!(
+            json,
+            "{\"severity\":\"error\",\"code\":\"E0100\",\"message\":\"boom \\\"quoted\\\"\",\
+             \"span\":{\"lo\":6,\"hi\":7},\"labels\":[{\"span\":null,\"message\":\"nowhere\"}],\
+             \"notes\":[]}"
+        );
     }
 
     #[test]

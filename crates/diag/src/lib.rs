@@ -6,8 +6,9 @@
 //! - [`diagnostic`]: the structured [`Diagnostic`] (severity, stable error
 //!   code, message, primary span, secondary labels, notes) and the batch
 //!   [`Diagnostics`] collection used as pass error types;
-//! - [`emit`]: the [`Emitter`] that renders caret-style source snippets and
-//!   a line-oriented JSON form;
+//! - [`emit`]: the [`Emitter`] that renders caret-style source snippets of
+//!   one file, and [`render_json_diagnostic`], the one JSON object
+//!   serializer;
 //! - [`json`]: the workspace's one JSON value, strict depth-bounded parser
 //!   and string escaper;
 //! - [`IntoDiagnostic`]: the trait each crate's concrete error type

@@ -87,11 +87,6 @@ impl SourceMap {
         (line as u32 + 1, offset - self.line_starts[line] + 1)
     }
 
-    /// Number of lines in the source.
-    pub fn line_count(&self) -> usize {
-        self.line_starts.len()
-    }
-
     /// Byte range `[start, end)` of the 1-based `line`, excluding the
     /// trailing newline.
     pub fn line_span(&self, line: u32) -> (u32, u32) {
@@ -126,7 +121,6 @@ mod tests {
         assert_eq!(map.line_col(4), (2, 1));
         assert_eq!(map.line_col(8), (3, 1));
         assert_eq!(map.line_col(9), (4, 1));
-        assert_eq!(map.line_count(), 4);
     }
 
     #[test]

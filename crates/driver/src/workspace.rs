@@ -49,7 +49,7 @@
 //! assert_eq!(second.methods_inferred, 2);
 //! ```
 
-use cj_diag::{codes, Diagnostic, Diagnostics, Emitter, IntoDiagnostics, SourceMap, Span};
+use cj_diag::{codes, Diagnostic, Diagnostics, Emitter, IntoDiagnostics, Span};
 use cj_frontend::ast;
 use cj_frontend::KProgram;
 use cj_infer::{InferOptions, InferStats, RProgram};
@@ -672,11 +672,6 @@ impl Workspace {
         self.policy.clone()
     }
 
-    /// Unloads the policy rule set (its meta file keeps its span slot).
-    pub fn clear_policy(&mut self) {
-        self.policy = None;
-    }
-
     /// Checks the loaded policy against the program compiled under `opts`.
     /// The outcome is cached for the current revision and the loaded set's
     /// name and source; a replay bumps no counters.
@@ -814,25 +809,26 @@ impl Workspace {
 
     /// Renders diagnostics as caret snippets against their owning files,
     /// at most [`cj_diag::MAX_DIAGNOSTICS_PER_FILE`] per file. Labels in
-    /// other files are appended as location notes.
+    /// other files are appended as location notes; an unlocated
+    /// diagnostic renders at `--> <workspace>`.
     pub fn render(&self, diags: &Diagnostics) -> String {
+        let mut emitters = Emitters::new(self);
         let mut out = String::new();
         for (i, d) in self.capped(diags).iter().enumerate() {
             if i > 0 {
                 out.push('\n');
             }
-            out.push_str(&self.render_one(d));
+            out.push_str(&self.render_one(d, &mut emitters));
         }
         out
     }
 
-    fn render_one(&self, d: &Diagnostic) -> String {
+    fn render_one<'w>(&'w self, d: &Diagnostic, emitters: &mut Emitters<'w>) -> String {
         let Some((file, local)) = self.locate(d.span) else {
             // No location: render against an empty pseudo-file.
             let emitter = Emitter::new("<workspace>", "");
             return emitter.render(d);
         };
-        let text = self.source(file).expect("located file exists");
         let mut local_d = d.clone();
         local_d.span = local;
         local_d.labels.clear();
@@ -846,27 +842,27 @@ impl Workspace {
                     });
                 }
                 Some((lf, ls)) => {
-                    let (line, col) =
-                        SourceMap::new(self.source(lf).expect("file")).line_col(ls.lo);
+                    let (line, col) = emitters.get(lf).line_col(ls.lo);
                     foreign_notes.push(format!("{} ({lf}:{line}:{col})", label.message));
                 }
                 None => foreign_notes.push(label.message.clone()),
             }
         }
         local_d.notes.extend(foreign_notes);
-        Emitter::new(file, text).render(&local_d)
+        emitters.get(file).render(&local_d)
     }
 
-    /// Renders diagnostics as a JSON array, capped per file like
+    /// Renders diagnostics as a one-line JSON array, capped per file like
     /// [`render`](Workspace::render); every span is file-local and tagged
-    /// with its file name.
+    /// with its file name, or `null` when unlocated.
     pub fn render_json(&self, diags: &Diagnostics) -> String {
+        let mut emitters = Emitters::new(self);
         let mut out = String::from("[");
         for (i, d) in self.capped(diags).iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&self.render_json_one(d));
+            out.push_str(&self.render_json_one(d, &mut emitters));
         }
         out.push(']');
         out
@@ -884,14 +880,12 @@ impl Workspace {
         })
     }
 
-    fn render_json_one(&self, d: &Diagnostic) -> String {
-        // The shared cj-diag serializer, with workspace-located spans: no
-        // top-level file (diagnostics may cross files), every span tagged
-        // with its owner instead.
-        cj_diag::render_json_diagnostic(d, None, &|span| match self.locate(span) {
+    fn render_json_one<'w>(&'w self, d: &Diagnostic, emitters: &mut Emitters<'w>) -> String {
+        // Diagnostics may cross files, so every span is tagged with its
+        // owner.
+        cj_diag::render_json_diagnostic(d, |span| match self.locate(span) {
             Some((file, local)) => {
-                let (line, col) =
-                    SourceMap::new(self.source(file).expect("file")).line_col(local.lo);
+                let (line, col) = emitters.get(file).line_col(local.lo);
                 format!(
                     "{{\"file\":{},\"lo\":{},\"hi\":{},\"line\":{},\"col\":{}}}",
                     cj_diag::json_string(file),
@@ -903,6 +897,31 @@ impl Workspace {
             }
             None => "null".to_string(),
         })
+    }
+}
+
+/// The caret renderers of one rendering call, built the first time a span
+/// lands in their file: each file's line index is built once per call,
+/// not once per span.
+struct Emitters<'w> {
+    ws: &'w Workspace,
+    by_file: HashMap<&'w str, Emitter<'w>>,
+}
+
+impl<'w> Emitters<'w> {
+    fn new(ws: &'w Workspace) -> Emitters<'w> {
+        Emitters {
+            ws,
+            by_file: HashMap::new(),
+        }
+    }
+
+    /// The emitter of `file`, a name [`Workspace::locate`] returned.
+    fn get(&mut self, file: &'w str) -> &Emitter<'w> {
+        let ws = self.ws;
+        self.by_file
+            .entry(file)
+            .or_insert_with(|| Emitter::new(file, ws.source(file).expect("located file exists")))
     }
 }
 

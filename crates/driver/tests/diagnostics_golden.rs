@@ -1,11 +1,10 @@
 //! Golden tests for rendered diagnostics: the exact caret snippet and JSON
 //! form of one parse error, one typecheck error and one inference error
 //! are frozen here. Any change to messages, codes, spans or rendering is a
-//! deliberate, reviewed change to this file. A one-file workspace renders
-//! them through the file's [`Emitter`], as the single-file `cjrc` commands
-//! do.
+//! deliberate, reviewed change to this file. Every rendering goes through
+//! [`Workspace::render`] and [`Workspace::render_json`], as every `cjrc`
+//! command's does: one-line JSON arrays whose spans carry their file.
 
-use cj_diag::Emitter;
 use cj_driver::{SessionOptions, Workspace};
 use cj_infer::{DowncastPolicy, InferOptions, SubtypeMode};
 
@@ -13,8 +12,7 @@ fn diagnose(name: &str, src: &str, opts: InferOptions) -> (String, String) {
     let mut ws = Workspace::new(SessionOptions::default());
     ws.set_source(name, src).unwrap();
     let diags = ws.check(opts).expect_err("source must be ill-formed");
-    let emitter = Emitter::new(name, src);
-    (emitter.render_all(&diags), emitter.render_json_all(&diags))
+    (ws.render(&diags), ws.render_json(&diags))
 }
 
 /// Checks `src` as a one-file workspace under the default options.
@@ -37,10 +35,10 @@ fn parse_error_caret_and_json() {
     );
     assert_eq!(
         json,
-        "[\n{\"severity\":\"error\",\"code\":\"E0101\",\
-         \"message\":\"expected `;`, found `}`\",\"file\":\"parse.cj\",\
-         \"span\":{\"lo\":18,\"hi\":19,\"line\":3,\"col\":1},\
-         \"labels\":[],\"notes\":[]}\n]"
+        "[{\"severity\":\"error\",\"code\":\"E0101\",\
+         \"message\":\"expected `;`, found `}`\",\
+         \"span\":{\"file\":\"parse.cj\",\"lo\":18,\"hi\":19,\"line\":3,\"col\":1},\
+         \"labels\":[],\"notes\":[]}]"
     );
 }
 
@@ -57,10 +55,10 @@ fn typecheck_error_caret_and_json() {
     );
     assert_eq!(
         json,
-        "[\n{\"severity\":\"error\",\"code\":\"E0200\",\
-         \"message\":\"unknown class `Pear`\",\"file\":\"types.cj\",\
-         \"span\":{\"lo\":10,\"hi\":17,\"line\":1,\"col\":11},\
-         \"labels\":[],\"notes\":[]}\n]"
+        "[{\"severity\":\"error\",\"code\":\"E0200\",\
+         \"message\":\"unknown class `Pear`\",\
+         \"span\":{\"file\":\"types.cj\",\"lo\":10,\"hi\":17,\"line\":1,\"col\":11},\
+         \"labels\":[],\"notes\":[]}]"
     );
 }
 
@@ -95,14 +93,14 @@ fn infer_error_caret_and_json() {
     );
     assert_eq!(
         json,
-        "[\n{\"severity\":\"error\",\"code\":\"E0300\",\
+        "[{\"severity\":\"error\",\"code\":\"E0300\",\
          \"message\":\"downcast in `f` rejected: enable the equate-first or \
-         padding downcast policy\",\"file\":\"infer.cj\",\
-         \"span\":{\"lo\":82,\"hi\":87,\"line\":3,\"col\":29},\
-         \"labels\":[{\"span\":{\"lo\":82,\"hi\":87,\"line\":3,\"col\":29},\
+         padding downcast policy\",\
+         \"span\":{\"file\":\"infer.cj\",\"lo\":82,\"hi\":87,\"line\":3,\"col\":29},\
+         \"labels\":[{\"span\":{\"file\":\"infer.cj\",\"lo\":82,\"hi\":87,\"line\":3,\"col\":29},\
          \"message\":\"downcast here, in `f`\"}],\
          \"notes\":[\"the `reject` downcast policy refuses all downcasts; \
-         pass `--downcast equate-first` or `--downcast padding`\"]}\n]"
+         pass `--downcast equate-first` or `--downcast padding`\"]}]"
     );
 }
 

@@ -235,14 +235,6 @@ pub enum Ty {
     Array(Box<Ty>),
 }
 
-impl Ty {
-    /// Whether this is one of the primitive types (`int`, `bool`, `float`,
-    /// `void`). Primitives carry no regions.
-    pub fn is_primitive(&self) -> bool {
-        matches!(self, Ty::Int | Ty::Bool | Ty::Float | Ty::Void)
-    }
-}
-
 impl fmt::Display for Ty {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -98,15 +98,6 @@ impl KMethod {
     pub fn var_ty(&self, v: VarId) -> NType {
         self.vars[v.index()].ty
     }
-
-    /// The `this` slot, if this is an instance method.
-    pub fn this_var(&self) -> Option<VarId> {
-        if self.is_static {
-            None
-        } else {
-            Some(VarId(0))
-        }
-    }
 }
 
 /// A typed kernel expression.

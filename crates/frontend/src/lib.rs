@@ -11,8 +11,8 @@
 //! - the normal (region-free) [type checker](typecheck), which also lowers
 //!   programs into the [`kernel`] form over which the paper's inference
 //!   rules are stated;
-//! - [`pretty`]-printing and small [`graph`] utilities (Tarjan SCC) shared
-//!   with the inference engine.
+//! - small [`graph`] utilities (Tarjan SCC) shared with the inference
+//!   engine.
 //!
 //! # Examples
 //!
@@ -34,7 +34,6 @@ pub mod intern;
 pub mod kernel;
 pub mod lexer;
 pub mod parser;
-pub mod pretty;
 mod recro;
 pub mod span;
 pub mod token;

@@ -31,7 +31,6 @@
 
 use crate::constraint::{Atom, ConstraintSet};
 use crate::var::RegVar;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// The dense index of a region variable inside one [`Solver`].
@@ -56,7 +55,7 @@ type Slot = u32;
 /// merges `r` into the heap; the cycles these close wait for
 /// [`normalize`](Solver::normalize), which every query (`equal`,
 /// `outlives_holds`, `outlived_among`, `entails*`, `project`,
-/// `escape_closure`, `solved_form`, `outlives_any`) runs first. An atom
+/// `escape_closure`, `outlives_any`) runs first. An atom
 /// added to a normalized solver is folded in at once instead: one search
 /// from one side finds the classes on a path to the other side, which the
 /// new atom closes into a cycle, and merges them, so the graph stays
@@ -709,13 +708,6 @@ impl Solver {
         self.clear_marks();
         answers
     }
-
-    /// The full solved form over a given universe of interest: equalities
-    /// for collapsed classes and the outlives edges, restricted to
-    /// variables of `universe`.
-    pub fn solved_form(&mut self, universe: &BTreeSet<RegVar>) -> ConstraintSet {
-        self.project(universe)
-    }
 }
 
 /// Prints the constraint the solver holds rather than its layout: each
@@ -941,6 +933,7 @@ impl Tarjan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn r(i: u32) -> RegVar {
         RegVar(i)

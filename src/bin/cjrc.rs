@@ -44,10 +44,15 @@
 //! suites). `--fuel` and `--max-depth` bound execution steps and call
 //! depth uniformly on both engines.
 //!
-//! Errors are rendered as caret-style source snippets on stderr, or — with
-//! `--json` — as a JSON array of structured diagnostics (severity, code,
-//! message, span, labels, notes) on stdout. `check` additionally surfaces
-//! the Sec 5 *bound-to-fail* downcast warnings in both modes.
+//! Every command renders its diagnostics through the one workspace it
+//! drives: caret-style source snippets on stderr, or — with `--json` — a
+//! one-line JSON array of structured diagnostics (severity, code, message,
+//! span, labels, notes) on stdout. Each span carries its file,
+//! `{"file":..,"lo":..,"hi":..,"line":..,"col":..}`, or is `null` when the
+//! diagnostic has no location (an unreadable input, a runtime fault), which
+//! caret mode shows as `--> <workspace>`. `check` additionally surfaces
+//! the Sec 5 *bound-to-fail* downcast warnings in both modes, and `flows`
+//! reports them too.
 //!
 //! `check --policy` additionally enforces user-written region-effect
 //! rules (`cj-policy`): `no-escape C`, `confine C to D` and
@@ -67,7 +72,7 @@
 //! (default `127.0.0.1:4871`), one workspace per connection; a client
 //! sends `{"cmd":"shutdown","scope":"daemon"}` to stop the daemon itself.
 
-use cj_diag::{codes, Diagnostic, Diagnostics, Emitter, IntoDiagnostic, Span};
+use cj_diag::{codes, Diagnostic, Diagnostics, IntoDiagnostic, Span};
 use cj_driver::telemetry::{chrome_trace_json, parse_trace_file};
 use cj_driver::{Daemon, DaemonConfig, Server, SessionOptions, Workspace};
 use cj_infer::{DowncastPolicy, ExtentMode, InferOptions, SubtypeMode};
@@ -505,51 +510,17 @@ fn session_options(cli: &Cli) -> SessionOptions {
     opts
 }
 
-/// Renders a failed invocation's diagnostics: caret snippets on stderr, or
-/// a JSON array on stdout with `--json`. `query` and `check --policy`
-/// render through the workspace, which places spans in the program and
-/// the policy file alike; every other command renders against its one
-/// input file.
+/// Renders a failed invocation's diagnostics through the workspace: caret
+/// snippets on stderr, or a one-line JSON array on stdout with `--json`.
 fn report(cli: &Cli, ws: &Workspace, diags: &Diagnostics) {
     if diags.is_empty() {
         return;
     }
-    let text = if workspace_rendered(cli) {
-        if cli.json {
-            ws.render_json(diags)
-        } else {
-            ws.render(diags)
-        }
-    } else {
-        let emitter = file_emitter(cli, ws);
-        if cli.json {
-            emitter.render_json_all(diags)
-        } else {
-            emitter.render_all(diags)
-        }
-    };
     if cli.json {
-        println!("{text}");
+        println!("{}", ws.render_json(diags));
     } else {
-        eprint!("{text}");
+        eprint!("{}", ws.render(diags));
     }
-}
-
-/// Whether the command's diagnostics render through the workspace.
-fn workspace_rendered(cli: &Cli) -> bool {
-    cli.command == Command::Query || (cli.command == Command::Check && cli.policy.is_some())
-}
-
-/// An emitter over the invocation's input file (empty when it was never
-/// read); `serve` and `daemon`, which have none, are named after
-/// themselves.
-fn file_emitter<'w>(cli: &'w Cli, ws: &'w Workspace) -> Emitter<'w> {
-    let name = match cli.command {
-        Command::Serve => "serve",
-        Command::Daemon => "cjrcd",
-        _ => &cli.file,
-    };
-    Emitter::new(name, ws.source(&cli.file).unwrap_or(""))
 }
 
 /// Reads a file named on the command line.
@@ -617,7 +588,6 @@ fn execute(cli: &Cli, ws: &mut Workspace) -> Result<(), Diagnostics> {
             // only under `flows`.
             let kernel = ws.typecheck()?;
             let warnings = ws.downcast_analysis()?.diagnostics(&kernel);
-            let emitter = file_emitter(cli, ws);
             if cli.json {
                 println!(
                     "{{\"status\":\"well-region-typed\",\"file\":{},\"mode\":\"{}\",\
@@ -625,10 +595,10 @@ fn execute(cli: &Cli, ws: &mut Workspace) -> Result<(), Diagnostics> {
                     cj_diag::json_string(&cli.file),
                     opts.mode,
                     opts.extent,
-                    emitter.render_json_all(&warnings)
+                    ws.render_json(&warnings)
                 );
             } else {
-                eprint!("{}", emitter.render_all(&warnings));
+                eprint!("{}", ws.render(&warnings));
                 if opts.extent == ExtentMode::Paper {
                     println!("{}: well-region-typed ({})", cli.file, opts.mode);
                 } else {
@@ -680,7 +650,6 @@ fn execute(cli: &Cli, ws: &mut Workspace) -> Result<(), Diagnostics> {
         Command::Flows => {
             let kp = ws.typecheck()?;
             let analysis = ws.downcast_analysis()?;
-            let emitter = file_emitter(cli, ws);
             let warnings = analysis.diagnostics(&kp);
             if cli.json {
                 let sites: Vec<String> = analysis
@@ -710,7 +679,7 @@ fn execute(cli: &Cli, ws: &mut Workspace) -> Result<(), Diagnostics> {
                     "{{\"downcasts\":{},\"sites\":[{}],\"warnings\":{}}}",
                     analysis.downcast_count,
                     sites.join(","),
-                    emitter.render_json_all(&warnings)
+                    ws.render_json(&warnings)
                 );
             } else {
                 println!("{} downcast(s)", analysis.downcast_count);
@@ -731,7 +700,7 @@ fn execute(cli: &Cli, ws: &mut Workspace) -> Result<(), Diagnostics> {
                         );
                     }
                 }
-                eprint!("{}", emitter.render_all(&warnings));
+                eprint!("{}", ws.render(&warnings));
             }
             Ok(())
         }

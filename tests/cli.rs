@@ -24,15 +24,17 @@ fn infer_json_on_ill_formed_program_emits_structured_diagnostics() {
     let out = cjrc(&["infer", path.to_str().unwrap(), "--json"]);
     assert!(!out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
-    // A JSON array of diagnostics with code, message and span line/col.
+    // A JSON array of diagnostics with code, message and a span tagged
+    // with its file and line/col.
     assert!(stdout.trim_start().starts_with('['), "not JSON: {stdout}");
     assert!(stdout.contains("\"severity\":\"error\""), "{stdout}");
     assert!(stdout.contains("\"code\":\"E0200\""), "{stdout}");
     assert!(stdout.contains("unknown class `Pear`"), "{stdout}");
-    assert!(
-        stdout.contains("\"span\":{\"lo\":10,\"hi\":17,\"line\":1,\"col\":11}"),
-        "{stdout}"
+    let span = format!(
+        "\"span\":{{\"file\":{},\"lo\":10,\"hi\":17,\"line\":1,\"col\":11}}",
+        cj_diag::json_string(path.to_str().unwrap())
     );
+    assert!(stdout.contains(&span), "{stdout}");
     std::fs::remove_file(path).ok();
 }
 
@@ -223,10 +225,10 @@ fn missing_file_is_an_io_diagnostic() {
 }
 
 /// The exact bytes (exit code, stdout, stderr) of the failing commands, in
-/// text and `--json` form. The single-file commands render against their
-/// file, one diagnostic array per file; `check --policy` and `query` render
-/// through the workspace, with span-tagged diagnostics. Run in a scratch
-/// directory so file names are relative.
+/// text and `--json` form. Every file-taking command renders through the
+/// workspace, so each prints the same caret snippet and the same one-line
+/// array of span-tagged diagnostics. Run in a scratch directory so file
+/// names are relative.
 #[test]
 fn failing_commands_print_golden_bytes() {
     let dir = std::env::temp_dir().join(format!("cjrc-golden-{}", std::process::id()));
@@ -235,81 +237,51 @@ fn failing_commands_print_golden_bytes() {
     std::fs::write(dir.join("rules.cjpolicy"), "no-escape A\n").unwrap();
     const CARET: &str = "error[E0200]: unknown class `Pear`\n  --> bad.cj:1:11\n   |\n \
                          1 | class A { Pear p; }\n   |           ^^^^^^^\n";
-    const FILE_JSON: &str = "[\n{\"severity\":\"error\",\"code\":\"E0200\",\
-        \"message\":\"unknown class `Pear`\",\"file\":\"bad.cj\",\
-        \"span\":{\"lo\":10,\"hi\":17,\"line\":1,\"col\":11},\"labels\":[],\"notes\":[]}\n]\n";
-    const WS_JSON: &str = "[{\"severity\":\"error\",\"code\":\"E0200\",\
+    const JSON: &str = "[{\"severity\":\"error\",\"code\":\"E0200\",\
         \"message\":\"unknown class `Pear`\",\
         \"span\":{\"file\":\"bad.cj\",\"lo\":10,\"hi\":17,\"line\":1,\"col\":11},\
         \"labels\":[],\"notes\":[]}]\n";
     const UNREAD: &str = "cannot read `nope.cj`: No such file or directory (os error 2)";
-    let unread_caret = |at: &str| format!("error[E0701]: {UNREAD}\n  --> {at}\n");
-    let cases: Vec<(&[&str], String, String)> = vec![
-        (&["check", "bad.cj"], String::new(), CARET.into()),
-        (
-            &["check", "bad.cj", "--json"],
-            FILE_JSON.into(),
-            String::new(),
-        ),
-        (&["infer", "bad.cj"], String::new(), CARET.into()),
-        (
-            &["infer", "bad.cj", "--json"],
-            FILE_JSON.into(),
-            String::new(),
-        ),
+    let unread_caret = format!("error[E0701]: {UNREAD}\n  --> <workspace>\n");
+    let unread_json = format!(
+        "[{{\"severity\":\"error\",\"code\":\"E0701\",\"message\":\"{UNREAD}\",\
+         \"span\":null,\"labels\":[],\"notes\":[]}}]\n"
+    );
+    // Each command, then its caret stderr and its `--json` stdout.
+    let cases: [(&[&str], &str, &str); 8] = [
+        (&["check", "bad.cj"], CARET, JSON),
+        (&["infer", "bad.cj"], CARET, JSON),
         (
             &["check", "bad.cj", "--policy", "rules.cjpolicy"],
-            String::new(),
-            CARET.into(),
+            CARET,
+            JSON,
         ),
-        (
-            &["check", "bad.cj", "--policy", "rules.cjpolicy", "--json"],
-            WS_JSON.into(),
-            String::new(),
-        ),
-        (&["query", "bad.cj", "inv.A"], String::new(), CARET.into()),
-        (
-            &["query", "bad.cj", "inv.A", "--json"],
-            WS_JSON.into(),
-            String::new(),
-        ),
-        (
-            &["check", "nope.cj"],
-            String::new(),
-            unread_caret("nope.cj"),
-        ),
-        (
-            &["check", "nope.cj", "--json"],
-            format!(
-                "[\n{{\"severity\":\"error\",\"code\":\"E0701\",\"message\":\"{UNREAD}\",\
-                 \"file\":\"nope.cj\",\"span\":{{\"lo\":0,\"hi\":0,\"line\":1,\"col\":1}},\
-                 \"labels\":[],\"notes\":[]}}\n]\n"
-            ),
-            String::new(),
-        ),
-        (
-            &["query", "nope.cj", "inv.A"],
-            String::new(),
-            unread_caret("<workspace>"),
-        ),
-        (
-            &["query", "nope.cj", "inv.A", "--json"],
-            format!(
-                "[{{\"severity\":\"error\",\"code\":\"E0701\",\"message\":\"{UNREAD}\",\
-                 \"span\":null,\"labels\":[],\"notes\":[]}}]\n"
-            ),
-            String::new(),
-        ),
+        (&["query", "bad.cj", "inv.A"], CARET, JSON),
+        (&["run", "bad.cj"], CARET, JSON),
+        (&["flows", "bad.cj"], CARET, JSON),
+        (&["check", "nope.cj"], &unread_caret, &unread_json),
+        (&["query", "nope.cj", "inv.A"], &unread_caret, &unread_json),
     ];
-    for (args, stdout, stderr) in cases {
-        let out = Command::new(env!("CARGO_BIN_EXE_cjrc"))
-            .args(args)
-            .current_dir(&dir)
-            .output()
-            .expect("cjrc runs");
-        assert_eq!(out.status.code(), Some(1), "{args:?}");
-        assert_eq!(String::from_utf8(out.stdout).unwrap(), stdout, "{args:?}");
-        assert_eq!(String::from_utf8(out.stderr).unwrap(), stderr, "{args:?}");
+    for (args, caret, json) in cases {
+        for (flag, stdout, stderr) in [(None, "", caret), (Some("--json"), json, "")] {
+            let out = Command::new(env!("CARGO_BIN_EXE_cjrc"))
+                .args(args)
+                .args(flag)
+                .current_dir(&dir)
+                .output()
+                .expect("cjrc runs");
+            assert_eq!(out.status.code(), Some(1), "{args:?} {flag:?}");
+            assert_eq!(
+                String::from_utf8(out.stdout).unwrap(),
+                stdout,
+                "{args:?} {flag:?}"
+            );
+            assert_eq!(
+                String::from_utf8(out.stderr).unwrap(),
+                stderr,
+                "{args:?} {flag:?}"
+            );
+        }
     }
     std::fs::remove_dir_all(dir).ok();
 }
@@ -357,6 +329,7 @@ fn check_surfaces_bound_to_fail_warnings_in_json_mode() {
     );
     assert!(stdout.contains("\"warnings\":["), "{stdout}");
     assert!(stdout.contains("\"severity\":\"warning\""), "{stdout}");
+    assert!(stdout.contains("\"span\":{\"file\":"), "{stdout}");
     assert!(stdout.contains("\"code\":\"E0500\""), "{stdout}");
     std::fs::remove_file(path).ok();
 }
@@ -367,7 +340,7 @@ fn clean_check_reports_empty_warning_list_in_json() {
     let out = cjrc(&["check", path.to_str().unwrap(), "--json"]);
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("\"warnings\":[\n]"), "{stdout}");
+    assert!(stdout.contains("\"warnings\":[]"), "{stdout}");
     std::fs::remove_file(path).ok();
 }
 
