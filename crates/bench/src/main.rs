@@ -359,7 +359,7 @@ fn engines_row(b: &Benchmark, quick: bool) -> Result<EnginesRow, String> {
 /// allocate a few small objects, pop) straight on the region heap:
 /// returns how many pushes the recycled-chunk pool served.
 fn heap_churn(rounds: u64) -> u64 {
-    let mut heap = cj_vm::heap::RegionHeap::new();
+    let mut heap = cj_runtime::RegionHeap::new();
     for i in 0..rounds {
         let r = heap.push();
         for f in 0..4u64 {

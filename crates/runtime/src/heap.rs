@@ -1,11 +1,13 @@
-//! The bytecode engine's region heap: one bump arena of 64-bit words per live region.
+//! The region heap: one bump arena of 64-bit words per live region, shared
+//! by both execution engines.
 //!
-//! Unlike the interpreter's [`RegionManager`](cj_runtime::RegionManager),
-//! which only *counts* bytes while objects live in a global store, this
-//! heap holds the actual object payloads inside per-region arenas:
-//! allocation bumps the owning region's word vector, and `RegPop` frees
-//! every object in the region **wholesale** by dropping the arena — the
-//! paper's dynamic semantics of `letreg`, executed for real.
+//! Regions form a stack over a distinguished heap region (region 0):
+//! `letreg` pushes a region, leaving its scope pops it, and popping frees
+//! every object inside **wholesale** by dropping the arena — the paper's
+//! dynamic semantics of `letreg`, executed for real, and the model of the
+//! RTSJ and of the Titanium allocator the paper measured against. Each
+//! live region holds its objects' actual payloads: allocation bumps the
+//! owning region's word vector.
 //!
 //! # The region table
 //!
@@ -20,10 +22,12 @@
 //! 40 MB table. That cost still grows with the number of regions a run
 //! creates.
 //!
-//! Space accounting reproduces the interpreter's documented size model
-//! exactly (16-byte header + 8 bytes per field or element,
-//! [`object_bytes`]), so [`SpaceStats`] — and with it every Fig 8 space
-//! ratio — is identical across the two engines by construction.
+//! # Space accounting
+//!
+//! Every object pays a 16-byte header and 8 bytes per field or element
+//! ([`object_bytes`]). The heap tracks *total* allocated bytes and *peak
+//! live* bytes; their ratio is Fig 8's "Space Usage / Total Allocation"
+//! column ([`SpaceStats::space_ratio`]).
 //!
 //! # Object layout (word offsets from the object's base)
 //!
@@ -34,21 +38,114 @@
 //! | 2… | region arguments | elements (raw words) |
 //! | 2+#regions… | fields (raw words) | — |
 
-use cj_frontend::types::Prim;
-use cj_runtime::region::{RegionError, RegionId, SpaceStats};
-use cj_runtime::store::object_bytes;
+use crate::value::Value;
+use cj_frontend::types::{NType, Prim};
+use std::fmt;
 
-/// The packed-reference null sentinel in `Ref` payload slots (shared
-/// with the register tier in `cj-rvm`, which stores into the same
-/// arenas).
+/// Identifies a runtime region. Id 0 is the heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct RegionId(pub u32);
+
+impl fmt::Display for RegionId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0 == 0 {
+            f.write_str("heap")
+        } else {
+            write!(f, "#{}", self.0)
+        }
+    }
+}
+
+/// Errors from the region allocator.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RegionError {
+    /// Allocation into a region that has already been deleted.
+    DeadRegion(RegionId),
+    /// Pop of a region that is not the top of the stack.
+    NotTopOfStack(RegionId),
+}
+
+impl fmt::Display for RegionError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RegionError::DeadRegion(r) => write!(f, "allocation into deleted region {r}"),
+            RegionError::NotTopOfStack(r) => {
+                write!(f, "region {r} popped out of stack order")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RegionError {}
+
+/// Space accounting for one program run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpaceStats {
+    /// Bytes allocated over the whole run.
+    pub total_allocated: usize,
+    /// Maximum simultaneously-live bytes.
+    pub peak_live: usize,
+    /// Number of regions ever created (excluding the heap).
+    pub regions_created: usize,
+    /// Number of objects allocated.
+    pub objects_allocated: usize,
+}
+
+impl SpaceStats {
+    /// Peak-live over total-allocated: 1.0 means no reuse at all; small
+    /// values mean regions reclaimed memory aggressively (Fig 8).
+    pub fn space_ratio(&self) -> f64 {
+        if self.total_allocated == 0 {
+            return 1.0;
+        }
+        self.peak_live as f64 / self.total_allocated as f64
+    }
+}
+
+/// Size model (documented for reproducibility): every object pays a
+/// 16-byte header; each field or array element occupies 8 bytes.
+pub fn object_bytes(field_count: usize) -> usize {
+    16 + 8 * field_count
+}
+
+/// The runtime representation class of one field or array-element slot.
+/// Payload slots are raw 64-bit words; a read decodes the word with the
+/// static type of the access, so the heap never inspects a stored word to
+/// learn its type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SlotTy {
+    /// `int` — the word is the `i64` bit pattern.
+    Int,
+    /// `bool` — 0 or 1.
+    Bool,
+    /// `float` — `f64::to_bits`.
+    Float,
+    /// A reference — packed region/offset, or the null sentinel.
+    Ref,
+}
+
+impl SlotTy {
+    /// The representation of a slot of static type `ty`.
+    pub fn of(ty: NType) -> SlotTy {
+        match ty {
+            NType::Prim(Prim::Int) => SlotTy::Int,
+            NType::Prim(Prim::Bool) => SlotTy::Bool,
+            NType::Prim(Prim::Float) => SlotTy::Float,
+            NType::Class(_) | NType::Array(_) | NType::Null => SlotTy::Ref,
+            NType::Void => unreachable!("void payload slot"),
+        }
+    }
+}
+
+/// The packed-reference null sentinel in `Ref` payload slots.
 pub const NULL_WORD: u64 = u64::MAX;
 
 /// Meta-word bit marking an array.
 const ARRAY_BIT: u64 = 1 << 63;
 
 /// A runtime object reference: owning region, base word offset inside the
-/// region's arena, and the allocation serial (the interpreter's `ObjId`,
-/// so observable output is identical across engines).
+/// region's arena, and the allocation serial (the object's observable
+/// identity, `obj@serial`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObjRef {
     /// Owning region.
@@ -57,6 +154,27 @@ pub struct ObjRef {
     pub word: u32,
     /// Allocation serial (0-based, program-wide).
     pub serial: u32,
+}
+
+/// Packs a reference for storage in a `Ref` payload slot (the inverse of
+/// [`RegionHeap::unpack_ref`]).
+#[inline]
+pub fn pack_ref(r: ObjRef) -> u64 {
+    ((r.region as u64) << 32) | r.word as u64
+}
+
+/// Encodes a value into a payload word (the inverse of
+/// [`RegionHeap::decode`]).
+#[inline]
+pub fn encode(v: Value) -> u64 {
+    match v {
+        Value::Int(x) => x as u64,
+        Value::Bool(x) => x as u64,
+        Value::Float(x) => x.to_bits(),
+        Value::Null => NULL_WORD,
+        Value::Ref(r) => pack_ref(r),
+        Value::Unit => unreachable!("unit payload store"),
+    }
 }
 
 #[derive(Debug)]
@@ -79,6 +197,19 @@ const DEAD: u32 = u32::MAX;
 
 /// The stack-of-arenas allocator. Region 0 is the heap and is never
 /// freed.
+///
+/// # Examples
+///
+/// ```
+/// use cj_runtime::heap::RegionHeap;
+///
+/// let mut heap = RegionHeap::new();
+/// let r = heap.push();
+/// heap.alloc_object(r, 0, &[r], &[7, 8]).unwrap();
+/// heap.pop(r).unwrap();
+/// assert!(heap.alloc_object(r, 0, &[r], &[]).is_err()); // deleted
+/// assert_eq!(heap.stats().peak_live, 32);
+/// ```
 #[derive(Debug)]
 pub struct RegionHeap {
     /// The live arenas, bottom (the heap) to top.
@@ -89,8 +220,8 @@ pub struct RegionHeap {
     stats: SpaceStats,
     next_serial: u32,
     /// Word buffers of popped regions, kept (cleared, capacity intact)
-    /// for the next `RegPush` — letreg churn in a loop then allocates
-    /// into already-warm chunks instead of growing a fresh `Vec` each
+    /// for the next push — letreg churn in a loop then allocates into
+    /// already-warm chunks instead of growing a fresh `Vec` each
     /// iteration.
     pool: Vec<Vec<u64>>,
     chunks_reused: u64,
@@ -114,7 +245,7 @@ impl RegionHeap {
         }
     }
 
-    /// Creates a region on top of the stack (`RegPush`). Ids are
+    /// Creates a region on top of the stack (`letreg` entry). Ids are
     /// sequential and never reused.
     pub fn push(&mut self) -> u32 {
         let id = self.slot_of.len() as u32;
@@ -135,11 +266,13 @@ impl RegionHeap {
         id
     }
 
-    /// Deletes the top region (`RegPop`), freeing its arena wholesale.
+    /// Deletes the top region (`letreg` exit), freeing its arena
+    /// wholesale.
     ///
     /// # Errors
     ///
-    /// The deleted region must be the top of the stack.
+    /// The deleted region must be the top of the stack (lexical scoping
+    /// guarantees this).
     pub fn pop(&mut self, id: u32) -> Result<(), RegionError> {
         if self.live.last().map(|a| a.id) != Some(id) {
             return Err(RegionError::NotTopOfStack(RegionId(id)));
@@ -158,7 +291,7 @@ impl RegionHeap {
         Ok(())
     }
 
-    /// How many `RegPush`es were served from the recycled-chunk pool.
+    /// How many pushes were served from the recycled-chunk pool.
     pub fn chunks_reused(&self) -> u64 {
         self.chunks_reused
     }
@@ -186,7 +319,7 @@ impl RegionHeap {
         &mut self.live[self.slot_of[region as usize] as usize].words
     }
 
-    /// Current accounting (the interpreter-identical size model).
+    /// Current accounting.
     pub fn stats(&self) -> SpaceStats {
         self.stats
     }
@@ -212,7 +345,7 @@ impl RegionHeap {
     }
 
     /// Allocates an object of `class` with the given recorded region
-    /// arguments and already-encoded field words into `regions[0]`.
+    /// arguments and already-encoded field words into `region`.
     ///
     /// # Errors
     ///
@@ -335,12 +468,9 @@ impl RegionHeap {
 
     /// Reconstructs an [`ObjRef`] from a packed field word. The serial is
     /// read back from the object header; a reference into a deleted
-    /// region gets a sentinel serial — its arena (and with it the real
-    /// serial) is gone. For *checked* programs such a reference is never
-    /// reachable (Theorem 1); on unchecked programs printing or
-    /// returning it shows the sentinel where the interpreter's immortal
-    /// store would show the original serial (see the engine-divergence
-    /// note in `cj_rvm::exec`).
+    /// region gets the sentinel serial `u32::MAX` — its arena (and with
+    /// it the real serial) is gone. For *checked* programs such a
+    /// reference is never reachable (Theorem 1).
     #[inline]
     pub fn unpack_ref(&self, word: u64) -> Option<ObjRef> {
         if word == NULL_WORD {
@@ -359,13 +489,21 @@ impl RegionHeap {
             serial,
         })
     }
-}
 
-/// Packs a reference for storage in a `Ref` payload slot (the inverse of
-/// [`RegionHeap::unpack_ref`]; public for the `cj-rvm` register tier).
-#[inline]
-pub fn pack_ref(r: ObjRef) -> u64 {
-    ((r.region as u64) << 32) | r.word as u64
+    /// Decodes a payload word read from a slot of representation `ty`
+    /// (the inverse of [`encode`]).
+    #[inline]
+    pub fn decode(&self, ty: SlotTy, word: u64) -> Value {
+        match ty {
+            SlotTy::Int => Value::Int(word as i64),
+            SlotTy::Bool => Value::Bool(word != 0),
+            SlotTy::Float => Value::Float(f64::from_bits(word)),
+            SlotTy::Ref => match self.unpack_ref(word) {
+                Some(r) => Value::Ref(r),
+                None => Value::Null,
+            },
+        }
+    }
 }
 
 impl Default for RegionHeap {
@@ -379,7 +517,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_match_the_interpreter_size_model() {
+    fn objects_follow_the_size_model() {
         let mut h = RegionHeap::new();
         let r = h.push();
         let obj = h.alloc_object(r, 3, &[r, 0], &[7, NULL_WORD]).unwrap();
@@ -398,6 +536,44 @@ mod tests {
         let r2 = h.push();
         assert_eq!(h.pop(r2), Ok(()));
         assert_eq!(h.stats().regions_created, 2);
+    }
+
+    #[test]
+    fn peak_tracks_maximum_live() {
+        let mut h = RegionHeap::new();
+        let a = h.push();
+        h.alloc_array(a, Prim::Int, 10).unwrap(); // 96 bytes
+        h.pop(a).unwrap();
+        let b = h.push();
+        h.alloc_array(b, Prim::Int, 6).unwrap(); // 64 bytes
+        h.pop(b).unwrap();
+        let s = h.stats();
+        assert_eq!(s.total_allocated, 160);
+        assert_eq!(s.peak_live, 96);
+        assert!((s.space_ratio() - 0.6).abs() < 1e-9);
+    }
+
+    #[test]
+    fn nested_regions_interleave_accounting() {
+        let mut h = RegionHeap::new();
+        h.alloc_object(0, 0, &[0], &[]).unwrap(); // 16 bytes
+        let a = h.push();
+        h.alloc_object(a, 0, &[a], &[1]).unwrap(); // 24 bytes
+        let b = h.push();
+        h.alloc_object(b, 0, &[b], &[1, 2]).unwrap(); // 32 bytes
+        assert_eq!(h.live_bytes, 72);
+        h.pop(b).unwrap();
+        assert_eq!(h.live_bytes, 40);
+        h.pop(a).unwrap();
+        assert_eq!(h.live_bytes, 16, "the heap is never freed");
+        assert!(h.is_live(0));
+        assert_eq!(h.stats().peak_live, 72);
+        assert_eq!(h.stats().regions_created, 2);
+    }
+
+    #[test]
+    fn no_allocation_means_ratio_one() {
+        assert_eq!(RegionHeap::new().stats().space_ratio(), 1.0);
     }
 
     #[test]
@@ -494,13 +670,20 @@ mod tests {
     }
 
     #[test]
-    fn packed_refs_round_trip() {
+    fn values_round_trip_through_payload_words() {
         let mut h = RegionHeap::new();
         let r = h.push();
         let obj = h.alloc_object(r, 1, &[r], &[]).unwrap();
-        let word = pack_ref(obj);
-        assert_eq!(h.unpack_ref(word), Some(obj));
-        assert_eq!(h.unpack_ref(NULL_WORD), None);
+        for (ty, v) in [
+            (SlotTy::Int, Value::Int(-5)),
+            (SlotTy::Bool, Value::Bool(true)),
+            (SlotTy::Float, Value::Float(2.5)),
+            (SlotTy::Ref, Value::Null),
+            (SlotTy::Ref, Value::Ref(obj)),
+        ] {
+            assert_eq!(h.decode(ty, encode(v)), v);
+        }
+        let word = encode(Value::Ref(obj));
         h.pop(r).unwrap();
         let dangling = h.unpack_ref(word).unwrap();
         assert_eq!(dangling.serial, u32::MAX, "dead region hides the serial");

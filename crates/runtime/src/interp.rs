@@ -1,20 +1,22 @@
 //! A big-step interpreter for region-annotated Core-Java.
 //!
-//! The interpreter executes the *annotated* program: `letreg` pushes and
-//! pops real regions, `new cn⟨r…⟩` allocates into the region bound to `r`,
-//! and method calls carry region arguments exactly as in the target
-//! language's dynamic semantics. Every object access checks that the
+//! The interpreter executes the *annotated* program over the shared
+//! [`RegionHeap`]: `letreg` pushes a real region and frees its arena on
+//! exit, `new cn⟨r…⟩` allocates into the region bound to `r`, and method
+//! calls carry region arguments exactly as in the target language's
+//! dynamic semantics. Field and element reads decode the stored word with
+//! the static type of the read. Every object access checks that the
 //! object's region is still live, so a dangling access — impossible for
 //! well-region-typed programs, Theorem 1 — is detected and reported rather
 //! than silently misbehaving. This is the validation harness behind the
 //! integration suite and the space-reuse measurements of Fig 8.
 
-use crate::region::{RegionError, RegionId, RegionManager, SpaceStats};
-use crate::store::{object_bytes, ObjData, ObjId, Object, Store, Value};
-use cj_frontend::ast::{BinOp, UnOp};
+use crate::heap::{encode, ObjRef, RegionError, RegionHeap, SlotTy, SpaceStats};
+use crate::value::{self, Value};
+use cj_frontend::ast::BinOp;
 use cj_frontend::span::Span;
-use cj_frontend::types::{ClassId, MethodId, NType, Prim};
-use cj_infer::rast::{RExpr, RExprKind, RProgram};
+use cj_frontend::types::{ClassId, MethodId, NType};
+use cj_infer::rast::{RExpr, RExprKind, RProgram, RType};
 use cj_regions::var::RegVar;
 use std::collections::HashMap;
 use std::fmt;
@@ -37,8 +39,9 @@ pub enum RuntimeError {
     Region(RegionError),
     /// The configured step budget was exhausted.
     StepLimit,
-    /// The configured call-depth budget was exhausted.
-    DepthLimit,
+    /// The configured call-depth budget was exhausted at the call with
+    /// this span.
+    DepthLimit(Span),
     /// No static `main` method exists.
     NoMain,
     /// `main` received the wrong number/kinds of arguments.
@@ -57,7 +60,7 @@ impl fmt::Display for RuntimeError {
             RuntimeError::DanglingAccess(_) => f.write_str("dangling region access"),
             RuntimeError::Region(e) => write!(f, "region error: {e}"),
             RuntimeError::StepLimit => f.write_str("step limit exceeded"),
-            RuntimeError::DepthLimit => f.write_str("call depth limit exceeded"),
+            RuntimeError::DepthLimit(_) => f.write_str("call depth limit exceeded"),
             RuntimeError::NoMain => f.write_str("no static `main` method"),
             RuntimeError::BadMainArgs => f.write_str("bad arguments for `main`"),
             RuntimeError::NegativeLength(_) => f.write_str("negative array length"),
@@ -76,10 +79,10 @@ impl RuntimeError {
             | RuntimeError::IndexOutOfBounds(s)
             | RuntimeError::DivisionByZero(s)
             | RuntimeError::DanglingAccess(s)
-            | RuntimeError::NegativeLength(s) => Some(*s),
+            | RuntimeError::NegativeLength(s)
+            | RuntimeError::DepthLimit(s) => Some(*s),
             RuntimeError::Region(_)
             | RuntimeError::StepLimit
-            | RuntimeError::DepthLimit
             | RuntimeError::NoMain
             | RuntimeError::BadMainArgs => None,
         }
@@ -108,8 +111,9 @@ impl From<RegionError> for RuntimeError {
 }
 
 /// Which execution engine runs the annotated program. Both engines share
-/// [`RunConfig`], the [`RuntimeError`] vocabulary, and the [`SpaceStats`]
-/// size model, and must produce identical observable behaviour.
+/// [`RunConfig`], the [`RuntimeError`] vocabulary, the [`Value`] type and
+/// the [`RegionHeap`] (with its [`SpaceStats`]), and must produce
+/// identical observable behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
     /// The `cj-rvm` register-machine engine: the program is lowered to
@@ -226,8 +230,7 @@ pub fn run_static(
     }
     let mut interp = Interp {
         p,
-        regions: RegionManager::new(),
-        store: Store::new(),
+        heap: RegionHeap::new(),
         steps: 0,
         limit: cfg.step_limit,
         depth: 0,
@@ -242,12 +245,12 @@ pub fn run_static(
     }
     // Entry-point region parameters are bound to the heap.
     for &r in &rm.abs_params {
-        frame.regmap.insert(r, RegionId::HEAP);
+        frame.regmap.insert(r, 0);
     }
     let value = interp.eval(&mut frame, &rm.body)?;
     Ok(Outcome {
         value,
-        space: interp.regions.stats(),
+        space: interp.heap.stats(),
         steps: interp.steps,
         prints: interp.prints,
     })
@@ -281,7 +284,8 @@ pub fn run_main_big_stack(
 struct Frame {
     method: MethodId,
     vars: Vec<Value>,
-    regmap: HashMap<RegVar, RegionId>,
+    /// Region variable to heap region id.
+    regmap: HashMap<RegVar, u32>,
 }
 
 impl Frame {
@@ -296,8 +300,7 @@ impl Frame {
 
 struct Interp<'a> {
     p: &'a RProgram,
-    regions: RegionManager,
-    store: Store,
+    heap: RegionHeap,
     steps: u64,
     limit: u64,
     depth: u32,
@@ -307,22 +310,17 @@ struct Interp<'a> {
 }
 
 impl<'a> Interp<'a> {
-    fn region(&self, frame: &Frame, r: RegVar) -> RegionId {
+    fn region(&self, frame: &Frame, r: RegVar) -> u32 {
         if self.erase || r.is_heap() {
-            return RegionId::HEAP;
+            return 0;
         }
-        frame.regmap.get(&r).copied().unwrap_or(RegionId::HEAP)
+        frame.regmap.get(&r).copied().unwrap_or(0)
     }
 
-    fn deref(&self, v: Value, span: Span) -> Result<ObjId, RuntimeError> {
+    fn deref(&self, v: Value, span: Span) -> Result<ObjRef, RuntimeError> {
         match v {
-            Value::Ref(o) => {
-                if !self.regions.is_live(self.store.get(o).region) {
-                    return Err(RuntimeError::DanglingAccess(span));
-                }
-                Ok(o)
-            }
-            Value::Null => Err(RuntimeError::NullPointer(span)),
+            Value::Ref(o) if self.heap.is_live(o.region) => Ok(o),
+            Value::Ref(_) => Err(RuntimeError::DanglingAccess(span)),
             _ => Err(RuntimeError::NullPointer(span)),
         }
     }
@@ -339,7 +337,7 @@ impl<'a> Interp<'a> {
             Some(init) => self.eval(frame, init)?,
             // Fresh declaration without initializer: reset the slot (loops
             // re-enter Lets).
-            None => default_value(self.p.kernel.method(frame.method).vars[var.index()].ty),
+            None => Value::default_of(self.p.kernel.method(frame.method).vars[var.index()].ty),
         };
         Ok(Value::Unit)
     }
@@ -367,10 +365,8 @@ impl<'a> Interp<'a> {
             RExprKind::Var(v) => Ok(frame.vars[v.index()]),
             RExprKind::Field(v, fref) => {
                 let o = self.deref(frame.vars[v.index()], e.span)?;
-                match &self.store.get(o).data {
-                    ObjData::Fields(fs) => Ok(fs[fref.index as usize]),
-                    ObjData::Array(_, _) => unreachable!("field read on array"),
-                }
+                let word = self.heap.field(o, fref.index as usize);
+                Ok(self.heap.decode(slot_ty(&e.rtype), word))
             }
             RExprKind::AssignVar(v, rhs) => {
                 let val = self.eval(frame, rhs)?;
@@ -380,10 +376,7 @@ impl<'a> Interp<'a> {
             RExprKind::AssignField(v, fref, rhs) => {
                 let val = self.eval(frame, rhs)?;
                 let o = self.deref(frame.vars[v.index()], e.span)?;
-                match &mut self.store.get_mut(o).data {
-                    ObjData::Fields(fs) => fs[fref.index as usize] = val,
-                    ObjData::Array(_, _) => unreachable!("field write on array"),
-                }
+                self.heap.set_field(o, fref.index as usize, encode(val));
                 Ok(Value::Unit)
             }
             RExprKind::New {
@@ -391,15 +384,12 @@ impl<'a> Interp<'a> {
                 regions,
                 args,
             } => {
-                let ids: Vec<RegionId> = regions.iter().map(|&r| self.region(frame, r)).collect();
-                let fields: Vec<Value> = args.iter().map(|&a| frame.vars[a.index()]).collect();
-                self.regions.alloc(ids[0], object_bytes(fields.len()))?;
-                let obj = self.store.insert(Object {
-                    class: Some(*class),
-                    region: ids[0],
-                    regions: ids,
-                    data: ObjData::Fields(fields),
-                });
+                let ids: Vec<u32> = regions.iter().map(|&r| self.region(frame, r)).collect();
+                let fields: Vec<u64> = args
+                    .iter()
+                    .map(|&a| encode(frame.vars[a.index()]))
+                    .collect();
+                let obj = self.heap.alloc_object(ids[0], class.0, &ids, &fields)?;
                 Ok(Value::Ref(obj))
             }
             RExprKind::NewArray { elem, region, len } => {
@@ -408,47 +398,28 @@ impl<'a> Interp<'a> {
                     return Err(RuntimeError::NegativeLength(e.span));
                 }
                 let rid = self.region(frame, *region);
-                self.regions.alloc(rid, object_bytes(n as usize))?;
-                let obj = self.store.insert(Object {
-                    class: None,
-                    region: rid,
-                    regions: vec![rid],
-                    data: ObjData::Array(*elem, vec![Value::zero(*elem); n as usize]),
-                });
+                let obj = self.heap.alloc_array(rid, *elem, n as usize)?;
                 Ok(Value::Ref(obj))
             }
             RExprKind::Index(v, idx) => {
                 let i = self.eval(frame, idx)?.as_int().expect("index is int");
                 let o = self.deref(frame.vars[v.index()], e.span)?;
-                match &self.store.get(o).data {
-                    ObjData::Array(_, data) => data
-                        .get(i as usize)
-                        .copied()
-                        .ok_or(RuntimeError::IndexOutOfBounds(e.span)),
-                    ObjData::Fields(_) => unreachable!("index on object"),
-                }
+                let word = self.heap.element(o, i as usize);
+                let word = word.ok_or(RuntimeError::IndexOutOfBounds(e.span))?;
+                Ok(self.heap.decode(slot_ty(&e.rtype), word))
             }
             RExprKind::AssignIndex(v, idx, val) => {
                 let i = self.eval(frame, idx)?.as_int().expect("index is int");
                 let val = self.eval(frame, val)?;
                 let o = self.deref(frame.vars[v.index()], e.span)?;
-                match &mut self.store.get_mut(o).data {
-                    ObjData::Array(_, data) => {
-                        let slot = data
-                            .get_mut(i as usize)
-                            .ok_or(RuntimeError::IndexOutOfBounds(e.span))?;
-                        *slot = val;
-                        Ok(Value::Unit)
-                    }
-                    ObjData::Fields(_) => unreachable!("index write on object"),
+                if !self.heap.set_element(o, i as usize, encode(val)) {
+                    return Err(RuntimeError::IndexOutOfBounds(e.span));
                 }
+                Ok(Value::Unit)
             }
             RExprKind::ArrayLen(v) => {
                 let o = self.deref(frame.vars[v.index()], e.span)?;
-                match &self.store.get(o).data {
-                    ObjData::Array(_, data) => Ok(Value::Int(data.len() as i64)),
-                    ObjData::Fields(_) => unreachable!("length of object"),
-                }
+                Ok(Value::Int(self.heap.array_len(o) as i64))
             }
             RExprKind::CallVirtual {
                 recv,
@@ -457,7 +428,7 @@ impl<'a> Interp<'a> {
                 args,
             } => {
                 let o = self.deref(frame.vars[recv.index()], e.span)?;
-                let runtime_class = self.store.get(o).class.expect("object");
+                let runtime_class = ClassId(self.heap.class_of(o));
                 let target = self.dispatch(runtime_class, *method);
                 self.call(frame, target, Some(o), *method, inst, args, e.span)
             }
@@ -481,11 +452,11 @@ impl<'a> Interp<'a> {
                     // Region-erasure semantics: the letreg is a no-op.
                     return self.eval(frame, inner);
                 }
-                let rid = self.regions.push();
+                let rid = self.heap.push();
                 frame.regmap.insert(*r, rid);
                 let result = self.eval(frame, inner);
                 frame.regmap.remove(r);
-                self.regions.pop(rid)?;
+                self.heap.pop(rid)?;
                 result
             }
             RExprKind::If {
@@ -515,8 +486,9 @@ impl<'a> Interp<'a> {
                 let v = frame.vars[var.index()];
                 match v {
                     Value::Null => Ok(Value::Null),
-                    Value::Ref(o) => {
-                        let rc = self.store.get(o).class.expect("object");
+                    Value::Ref(_) => {
+                        let o = self.deref(v, e.span)?;
+                        let rc = ClassId(self.heap.class_of(o));
                         if self.p.kernel.table.is_subclass(rc, *class) {
                             Ok(v)
                         } else {
@@ -526,15 +498,7 @@ impl<'a> Interp<'a> {
                     _ => Err(RuntimeError::CastFailed(e.span)),
                 }
             }
-            RExprKind::Unary(op, a) => {
-                let v = self.eval(frame, a)?;
-                Ok(match (op, v) {
-                    (UnOp::Neg, Value::Int(x)) => Value::Int(x.wrapping_neg()),
-                    (UnOp::Neg, Value::Float(x)) => Value::Float(-x),
-                    (UnOp::Not, Value::Bool(x)) => Value::Bool(!x),
-                    _ => unreachable!("ill-typed unary"),
-                })
-            }
+            RExprKind::Unary(op, a) => Ok(value::unary(*op, self.eval(frame, a)?)),
             RExprKind::Binary(op, a, b) => self.binary(frame, *op, a, b, e.span),
             RExprKind::Print(a) => {
                 let v = self.eval(frame, a)?;
@@ -572,14 +536,14 @@ impl<'a> Interp<'a> {
         &mut self,
         caller: &mut Frame,
         target: MethodId,
-        receiver: Option<ObjId>,
+        receiver: Option<ObjRef>,
         declared: MethodId,
         inst: &[RegVar],
         args: &[cj_frontend::VarId],
-        _span: Span,
+        span: Span,
     ) -> Result<Value, RuntimeError> {
         if self.depth >= self.max_depth {
-            return Err(RuntimeError::DepthLimit);
+            return Err(RuntimeError::DepthLimit(span));
         }
         self.depth += 1;
         let km = self.p.kernel.method(target);
@@ -587,7 +551,7 @@ impl<'a> Interp<'a> {
         let mut frame = Frame::new(target, km.vars.len());
         // Default-initialize every slot by type.
         for (i, v) in km.vars.iter().enumerate() {
-            frame.vars[i] = default_value(v.ty);
+            frame.vars[i] = Value::default_of(v.ty);
         }
         if let Some(o) = receiver {
             frame.vars[0] = Value::Ref(o);
@@ -597,15 +561,12 @@ impl<'a> Interp<'a> {
         }
         // Region environment: class parameters from the receiver's recorded
         // regions; method parameters from the (resolved) instantiation.
-        let resolved: Vec<RegionId> = inst.iter().map(|&r| self.region(caller, r)).collect();
+        let resolved: Vec<u32> = inst.iter().map(|&r| self.region(caller, r)).collect();
         match target {
             MethodId::Instance(tc, _) => {
-                let obj_regions = receiver
-                    .map(|o| self.store.get(o).regions.clone())
-                    .unwrap_or_default();
                 let tclass_params = &self.p.rclass(tc).params;
                 for (i, &cp) in tclass_params.iter().enumerate() {
-                    let rid = obj_regions.get(i).copied().unwrap_or(RegionId::HEAP);
+                    let rid = receiver.map_or(0, |o| self.heap.region_arg(o, i));
                     frame.regmap.insert(cp, rid);
                 }
                 // Method region parameters: positionally from the declared
@@ -616,13 +577,13 @@ impl<'a> Interp<'a> {
                 };
                 let tail = &resolved[decl_class_arity.min(resolved.len())..];
                 for (i, &mp) in rm.mparams.iter().enumerate() {
-                    let rid = tail.get(i).copied().unwrap_or(RegionId::HEAP);
+                    let rid = tail.get(i).copied().unwrap_or(0);
                     frame.regmap.insert(mp, rid);
                 }
             }
             MethodId::Static(_) => {
                 for (i, &ap) in rm.abs_params.iter().enumerate() {
-                    let rid = resolved.get(i).copied().unwrap_or(RegionId::HEAP);
+                    let rid = resolved.get(i).copied().unwrap_or(0);
                     frame.regmap.insert(ap, rid);
                 }
             }
@@ -660,52 +621,14 @@ impl<'a> Interp<'a> {
         }
         let l = self.eval(frame, a)?;
         let r = self.eval(frame, b)?;
-        use BinOp::*;
-        Ok(match (op, l, r) {
-            (Add, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_add(y)),
-            (Sub, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_sub(y)),
-            (Mul, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_mul(y)),
-            (Div, Value::Int(_), Value::Int(0)) => return Err(RuntimeError::DivisionByZero(span)),
-            (Div, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_div(y)),
-            (Rem, Value::Int(_), Value::Int(0)) => return Err(RuntimeError::DivisionByZero(span)),
-            (Rem, Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_rem(y)),
-            (Add, Value::Float(x), Value::Float(y)) => Value::Float(x + y),
-            (Sub, Value::Float(x), Value::Float(y)) => Value::Float(x - y),
-            (Mul, Value::Float(x), Value::Float(y)) => Value::Float(x * y),
-            (Div, Value::Float(x), Value::Float(y)) => Value::Float(x / y),
-            (Rem, Value::Float(x), Value::Float(y)) => Value::Float(x % y),
-            (Lt, Value::Int(x), Value::Int(y)) => Value::Bool(x < y),
-            (Le, Value::Int(x), Value::Int(y)) => Value::Bool(x <= y),
-            (Gt, Value::Int(x), Value::Int(y)) => Value::Bool(x > y),
-            (Ge, Value::Int(x), Value::Int(y)) => Value::Bool(x >= y),
-            (Lt, Value::Float(x), Value::Float(y)) => Value::Bool(x < y),
-            (Le, Value::Float(x), Value::Float(y)) => Value::Bool(x <= y),
-            (Gt, Value::Float(x), Value::Float(y)) => Value::Bool(x > y),
-            (Ge, Value::Float(x), Value::Float(y)) => Value::Bool(x >= y),
-            (Eq, x, y) => Value::Bool(value_eq(x, y)),
-            (Ne, x, y) => Value::Bool(!value_eq(x, y)),
-            _ => unreachable!("ill-typed binary"),
-        })
+        value::binary(op, l, r, span)
     }
 }
 
-fn value_eq(a: Value, b: Value) -> bool {
-    match (a, b) {
-        (Value::Int(x), Value::Int(y)) => x == y,
-        (Value::Bool(x), Value::Bool(y)) => x == y,
-        (Value::Float(x), Value::Float(y)) => x == y,
-        (Value::Null, Value::Null) => true,
-        (Value::Ref(x), Value::Ref(y)) => x == y,
-        _ => false,
-    }
-}
-
-fn default_value(ty: NType) -> Value {
-    match ty {
-        NType::Prim(Prim::Int) => Value::Int(0),
-        NType::Prim(Prim::Bool) => Value::Bool(false),
-        NType::Prim(Prim::Float) => Value::Float(0.0),
-        NType::Void => Value::Unit,
-        _ => Value::Null,
+/// The payload representation a read of static type `t` decodes.
+fn slot_ty(t: &RType) -> SlotTy {
+    match t {
+        RType::Prim(p) => SlotTy::of(NType::Prim(*p)),
+        _ => SlotTy::Ref,
     }
 }

@@ -1,10 +1,17 @@
 //! # cj-runtime — region-based execution of annotated Core-Java
 //!
-//! The runtime substrate the paper's evaluation needs: a lexically scoped
-//! [region allocator](region) (the role Titanium's allocator played in the
-//! paper), an [interpreter](interp) for region-annotated programs, and
-//! space accounting (peak-live vs total-allocated — Fig 8's
-//! "Space Usage / Total Allocation").
+//! The runtime substrate the paper's evaluation needs, shared by both
+//! execution engines:
+//!
+//! - the [region heap](heap): a lexically scoped stack of bump arenas
+//!   (the role Titanium's allocator played in the paper) that holds every
+//!   object's payload and frees a region's objects wholesale when its
+//!   `letreg` exits, with space accounting (peak-live vs total-allocated —
+//!   Fig 8's "Space Usage / Total Allocation");
+//! - the one runtime [`Value`] type and the arithmetic on it;
+//! - a tree-walking [interpreter](interp) for region-annotated programs,
+//!   the reference the `cj-rvm` register engine is tested against. Both
+//!   engines allocate in, read from and free the same [`RegionHeap`].
 //!
 //! Every object access dynamically verifies that the target region is still
 //! live, so the interpreter doubles as a validation oracle for Theorem 1:
@@ -35,15 +42,15 @@
 //! ```
 #![forbid(unsafe_code)]
 
+pub mod heap;
 pub mod interp;
-pub mod region;
-pub mod store;
+pub mod value;
 
+pub use heap::{RegionHeap, SpaceStats};
 pub use interp::{
     run_main, run_main_big_stack, run_static, Engine, Outcome, RunConfig, RuntimeError,
 };
-pub use region::{RegionId, RegionManager, SpaceStats};
-pub use store::{ObjId, Value};
+pub use value::Value;
 
 #[cfg(test)]
 mod tests {
@@ -221,7 +228,7 @@ mod tests {
             },
         )
         .unwrap_err();
-        assert!(matches!(err, RuntimeError::DepthLimit));
+        assert!(matches!(err, RuntimeError::DepthLimit(_)));
     }
 
     #[test]

@@ -13,174 +13,29 @@
 //! Observable behaviour — return value, captured prints,
 //! [`SpaceStats`], and structured [`RuntimeError`]s with their spans —
 //! is bit-identical to the tree-walking interpreter
-//! (`cj_runtime::run_main`); the differential suites enforce this.
+//! (`cj_runtime::run_main`); the differential suites enforce this. Both
+//! engines hold the same [`Value`]s, allocate in the same
+//! [`RegionHeap`] and compute with the same `value_eq` and `binary`.
 //! `steps` in the returned [`Outcome`] counts *dispatches*, the register
 //! engine's native work unit — one fused superinstruction does the work
 //! of several plain instructions in a single step.
 //!
-//! The deliberate divergences from the interpreter — both reachable only
-//! by *unchecked* programs, since the region checker proves such
-//! references are never observed (Theorem 1): casting a reference whose
-//! region has been deleted reports [`RuntimeError::DanglingAccess`] here
-//! (the arena holding the object's class header is gone) where the
-//! interpreter's immortal store would still answer, and printing or
-//! returning such a reference shows a sentinel serial instead of the
-//! original one.
-//!
 //! [`SpaceStats`]: cj_runtime::SpaceStats
 
-use cj_frontend::ast::BinOp;
+use cj_frontend::ast::UnOp;
 use cj_frontend::span::Span;
-use cj_runtime::store::ObjId;
+use cj_runtime::heap::{encode, ObjRef, RegionHeap};
+use cj_runtime::value::{binary, unary, value_eq};
 use cj_runtime::{Outcome, RunConfig, RuntimeError, Value};
 use cj_vm::code::{
-    bin_of, CallTarget, CastSite, CmpOp, Lit, NewSite, RInstr, ROp, RegRef, RvmMethod, RvmProgram,
-    SlotTy,
+    bin_of, CallTarget, CastSite, CmpOp, NewSite, RInstr, ROp, RegRef, RvmMethod, RvmProgram,
 };
-use cj_vm::heap::{pack_ref, ObjRef, RegionHeap, NULL_WORD};
-use std::fmt;
-
-/// An engine-internal value. `Ref` carries the owning region and arena
-/// offset (for access) plus the allocation serial (for observable
-/// identity).
-#[derive(Debug, Clone, Copy)]
-enum RValue {
-    Unit,
-    Int(i64),
-    Bool(bool),
-    Float(f64),
-    Null,
-    Ref(ObjRef),
-}
-
-impl RValue {
-    #[inline]
-    fn as_int(self) -> i64 {
-        match self {
-            RValue::Int(v) => v,
-            _ => unreachable!("ill-typed int operand"),
-        }
-    }
-
-    #[inline]
-    fn as_bool(self) -> bool {
-        match self {
-            RValue::Bool(v) => v,
-            _ => unreachable!("ill-typed bool operand"),
-        }
-    }
-}
-
-/// Mirrors `cj_runtime::Value`'s rendering exactly (prints must be
-/// byte-identical across engines).
-impl fmt::Display for RValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RValue::Unit => f.write_str("()"),
-            RValue::Int(v) => write!(f, "{v}"),
-            RValue::Bool(v) => write!(f, "{v}"),
-            RValue::Float(v) => write!(f, "{v}"),
-            RValue::Null => f.write_str("null"),
-            RValue::Ref(r) => write!(f, "obj@{}", r.serial),
-        }
-    }
-}
-
-#[inline]
-fn lit_value(l: Lit) -> RValue {
-    match l {
-        Lit::Unit => RValue::Unit,
-        Lit::Null => RValue::Null,
-        Lit::Int(v) => RValue::Int(v),
-        Lit::Bool(v) => RValue::Bool(v),
-        Lit::Float(v) => RValue::Float(v),
-    }
-}
-
-fn to_value(v: RValue) -> Value {
-    match v {
-        RValue::Unit => Value::Unit,
-        RValue::Int(x) => Value::Int(x),
-        RValue::Bool(x) => Value::Bool(x),
-        RValue::Float(x) => Value::Float(x),
-        RValue::Null => Value::Null,
-        RValue::Ref(r) => Value::Ref(ObjId(r.serial)),
-    }
-}
-
-fn from_value(v: Value) -> Option<RValue> {
-    match v {
-        Value::Unit => Some(RValue::Unit),
-        Value::Int(x) => Some(RValue::Int(x)),
-        Value::Bool(x) => Some(RValue::Bool(x)),
-        Value::Float(x) => Some(RValue::Float(x)),
-        Value::Null => Some(RValue::Null),
-        // Foreign object references cannot enter a fresh heap.
-        Value::Ref(_) => None,
-    }
-}
-
-/// Reference-identity equality, exactly the other engines' `value_eq`.
-#[inline]
-fn value_eq(a: RValue, b: RValue) -> bool {
-    match (a, b) {
-        (RValue::Int(x), RValue::Int(y)) => x == y,
-        (RValue::Bool(x), RValue::Bool(y)) => x == y,
-        (RValue::Float(x), RValue::Float(y)) => x == y,
-        (RValue::Null, RValue::Null) => true,
-        (RValue::Ref(x), RValue::Ref(y)) => x.region == y.region && x.word == y.word,
-        _ => false,
-    }
-}
-
-/// Encodes a value into a payload word per the slot representation.
-#[inline]
-fn encode(ty: SlotTy, v: RValue) -> u64 {
-    match (ty, v) {
-        (SlotTy::Int, RValue::Int(x)) => x as u64,
-        (SlotTy::Bool, RValue::Bool(x)) => x as u64,
-        (SlotTy::Float, RValue::Float(x)) => x.to_bits(),
-        (SlotTy::Ref, RValue::Null) => NULL_WORD,
-        (SlotTy::Ref, RValue::Ref(r)) => pack_ref(r),
-        _ => unreachable!("ill-typed payload store"),
-    }
-}
-
-fn binary(op: BinOp, l: RValue, r: RValue, span: Span) -> Result<RValue, RuntimeError> {
-    use BinOp::*;
-    use RValue::*;
-    Ok(match (op, l, r) {
-        (Add, Int(x), Int(y)) => Int(x.wrapping_add(y)),
-        (Sub, Int(x), Int(y)) => Int(x.wrapping_sub(y)),
-        (Mul, Int(x), Int(y)) => Int(x.wrapping_mul(y)),
-        (Div, Int(_), Int(0)) => return Err(RuntimeError::DivisionByZero(span)),
-        (Div, Int(x), Int(y)) => Int(x.wrapping_div(y)),
-        (Rem, Int(_), Int(0)) => return Err(RuntimeError::DivisionByZero(span)),
-        (Rem, Int(x), Int(y)) => Int(x.wrapping_rem(y)),
-        (Add, Float(x), Float(y)) => Float(x + y),
-        (Sub, Float(x), Float(y)) => Float(x - y),
-        (Mul, Float(x), Float(y)) => Float(x * y),
-        (Div, Float(x), Float(y)) => Float(x / y),
-        (Rem, Float(x), Float(y)) => Float(x % y),
-        (Lt, Int(x), Int(y)) => Bool(x < y),
-        (Le, Int(x), Int(y)) => Bool(x <= y),
-        (Gt, Int(x), Int(y)) => Bool(x > y),
-        (Ge, Int(x), Int(y)) => Bool(x >= y),
-        (Lt, Float(x), Float(y)) => Bool(x < y),
-        (Le, Float(x), Float(y)) => Bool(x <= y),
-        (Gt, Float(x), Float(y)) => Bool(x > y),
-        (Ge, Float(x), Float(y)) => Bool(x >= y),
-        (Eq, x, y) => Bool(value_eq(x, y)),
-        (Ne, x, y) => Bool(!value_eq(x, y)),
-        _ => unreachable!("ill-typed binary"),
-    })
-}
 
 /// Evaluates a fused comparison.
 #[inline]
-fn cmp_eval(cmp: CmpOp, l: RValue, r: RValue) -> bool {
+fn cmp_eval(cmp: CmpOp, l: Value, r: Value) -> bool {
     use CmpOp::*;
-    use RValue::*;
+    use Value::*;
     match (cmp, l, r) {
         (Eq, x, y) => value_eq(x, y),
         (Ne, x, y) => !value_eq(x, y),
@@ -212,9 +67,9 @@ struct Rvm<'a> {
     heap: RegionHeap,
     /// Per method, the register file a fresh frame starts from: the
     /// variable defaults, then `Unit` for the temporaries.
-    templates: Vec<Vec<RValue>>,
+    templates: Vec<Vec<Value>>,
     /// Register files of every live frame, contiguously.
-    regs: Vec<RValue>,
+    regs: Vec<Value>,
     /// Region slot values (region ids; 0 = heap) for every frame.
     rslots: Vec<u32>,
     frames: Vec<Frame>,
@@ -242,15 +97,16 @@ struct Rvm<'a> {
 pub fn run_main(p: &RvmProgram, args: &[Value], cfg: RunConfig) -> Result<Outcome, RuntimeError> {
     let func = p.main.ok_or(RuntimeError::NoMain)?;
     let method = &p.methods[func as usize];
-    if method.params.len() != args.len() {
+    // Foreign object references cannot enter a fresh heap.
+    if method.params.len() != args.len() || args.iter().any(|a| matches!(a, Value::Ref(_))) {
         return Err(RuntimeError::BadMainArgs);
     }
     let templates = p
         .methods
         .iter()
         .map(|m| {
-            let mut regs: Vec<RValue> = m.defaults.iter().map(|&d| lit_value(d)).collect();
-            regs.resize(m.nregs as usize, RValue::Unit);
+            let mut regs = m.defaults.clone();
+            regs.resize(m.nregs as usize, Value::Unit);
             regs
         })
         .collect();
@@ -274,8 +130,7 @@ pub fn run_main(p: &RvmProgram, args: &[Value], cfg: RunConfig) -> Result<Outcom
     };
     vm.regs.extend_from_slice(&vm.templates[func as usize]);
     for (k, &a) in args.iter().enumerate() {
-        let v = from_value(a).ok_or(RuntimeError::BadMainArgs)?;
-        vm.regs[method.params[k] as usize] = v;
+        vm.regs[method.params[k] as usize] = a;
     }
     // Entry-point region parameters are bound to the heap (slot value 0).
     vm.rslots.resize(method.region_slots as usize, 0);
@@ -297,7 +152,7 @@ pub fn run_main(p: &RvmProgram, args: &[Value], cfg: RunConfig) -> Result<Outcom
     drop(vm);
     drop(span);
     Ok(Outcome {
-        value: to_value(value?),
+        value: value?,
         space,
         steps,
         prints,
@@ -306,26 +161,21 @@ pub fn run_main(p: &RvmProgram, args: &[Value], cfg: RunConfig) -> Result<Outcom
 
 impl Rvm<'_> {
     #[inline(always)]
-    fn reg(&self, r: u16) -> RValue {
+    fn reg(&self, r: u16) -> Value {
         self.regs[self.lbase + r as usize]
     }
 
     #[inline(always)]
-    fn set_reg(&mut self, r: u16, v: RValue) {
+    fn set_reg(&mut self, r: u16, v: Value) {
         let i = self.lbase + r as usize;
         self.regs[i] = v;
     }
 
     #[inline]
-    fn deref(&self, v: RValue, span: Span) -> Result<ObjRef, RuntimeError> {
+    fn deref(&self, v: Value, span: Span) -> Result<ObjRef, RuntimeError> {
         match v {
-            RValue::Ref(r) => {
-                if self.heap.is_live(r.region) {
-                    Ok(r)
-                } else {
-                    Err(RuntimeError::DanglingAccess(span))
-                }
-            }
+            Value::Ref(r) if self.heap.is_live(r.region) => Ok(r),
+            Value::Ref(_) => Err(RuntimeError::DanglingAccess(span)),
             _ => Err(RuntimeError::NullPointer(span)),
         }
     }
@@ -338,22 +188,9 @@ impl Rvm<'_> {
         }
     }
 
-    #[inline]
-    fn decode(&self, ty: SlotTy, word: u64) -> RValue {
-        match ty {
-            SlotTy::Int => RValue::Int(word as i64),
-            SlotTy::Bool => RValue::Bool(word != 0),
-            SlotTy::Float => RValue::Float(f64::from_bits(word)),
-            SlotTy::Ref => match self.heap.unpack_ref(word) {
-                Some(r) => RValue::Ref(r),
-                None => RValue::Null,
-            },
-        }
-    }
-
     /// The dispatch loop: one `match` on the opcode per step. The outer
     /// loop re-establishes the frame bases after a call or a return.
-    fn run(&mut self) -> Result<RValue, RuntimeError> {
+    fn run(&mut self) -> Result<Value, RuntimeError> {
         let p = self.p;
         'frames: loop {
             let frame = *self.frames.last().expect("active frame");
@@ -369,7 +206,7 @@ impl Rvm<'_> {
                 let i = m.code[pc];
                 pc = match i.op {
                     ROp::LoadConst => {
-                        self.set_reg(i.a, lit_value(m.consts[i.t as usize]));
+                        self.set_reg(i.a, m.consts[i.t as usize]);
                         pc + 1
                     }
                     ROp::Move => {
@@ -378,19 +215,14 @@ impl Rvm<'_> {
                         pc + 1
                     }
                     ROp::AddImm => {
-                        let v = self.reg(i.b).as_int().wrapping_add(i.imm);
-                        self.set_reg(i.a, RValue::Int(v));
+                        let v = int(self.reg(i.b)).wrapping_add(i.imm);
+                        self.set_reg(i.a, Value::Int(v));
                         self.supers += 1;
                         pc + 1
                     }
                     ROp::Unary => {
-                        let out = match (i.c, self.reg(i.b)) {
-                            (0, RValue::Int(x)) => RValue::Int(x.wrapping_neg()),
-                            (0, RValue::Float(x)) => RValue::Float(-x),
-                            (1, RValue::Bool(x)) => RValue::Bool(!x),
-                            _ => unreachable!("ill-typed unary"),
-                        };
-                        self.set_reg(i.a, out);
+                        let op = [UnOp::Neg, UnOp::Not][i.c as usize];
+                        self.set_reg(i.a, unary(op, self.reg(i.b)));
                         pc + 1
                     }
                     ROp::Binary => {
@@ -404,25 +236,25 @@ impl Rvm<'_> {
                     }
                     ROp::SetField => {
                         let r = self.deref(self.reg(i.a), m.spans[pc])?;
-                        let word = encode(i.ty, self.reg(i.b));
+                        let word = encode(self.reg(i.b));
                         self.heap.set_field(r, i.c as usize, word);
                         pc + 1
                     }
                     ROp::Index => {
-                        let idx = self.reg(i.c).as_int();
+                        let idx = int(self.reg(i.c));
                         let r = self.deref(self.reg(i.b), m.spans[pc])?;
                         let Some(word) = self.heap.element(r, idx as usize) else {
                             return Err(RuntimeError::IndexOutOfBounds(m.spans[pc]));
                         };
-                        let v = self.decode(i.ty, word);
+                        let v = self.heap.decode(i.ty, word);
                         self.set_reg(i.a, v);
                         pc + 1
                     }
                     ROp::SetIndex => {
-                        let idx = self.reg(i.b).as_int();
+                        let idx = int(self.reg(i.b));
                         let val = self.reg(i.c);
                         let r = self.deref(self.reg(i.a), m.spans[pc])?;
-                        if !self.heap.set_element(r, idx as usize, encode(i.ty, val)) {
+                        if !self.heap.set_element(r, idx as usize, encode(val)) {
                             return Err(RuntimeError::IndexOutOfBounds(m.spans[pc]));
                         }
                         pc + 1
@@ -430,7 +262,7 @@ impl Rvm<'_> {
                     ROp::ArrayLen => {
                         let r = self.deref(self.reg(i.b), m.spans[pc])?;
                         let len = self.heap.array_len(r) as i64;
-                        self.set_reg(i.a, RValue::Int(len));
+                        self.set_reg(i.a, Value::Int(len));
                         pc + 1
                     }
                     ROp::NewObj => {
@@ -439,13 +271,13 @@ impl Rvm<'_> {
                     }
                     ROp::NewArr => {
                         let site = m.arrays[i.t as usize];
-                        let n = self.reg(i.b).as_int();
+                        let n = int(self.reg(i.b));
                         if n < 0 {
                             return Err(RuntimeError::NegativeLength(m.spans[pc]));
                         }
                         let region = self.resolve(site.region);
                         let obj = self.heap.alloc_array(region, site.elem, n as usize)?;
-                        self.set_reg(i.a, RValue::Ref(obj));
+                        self.set_reg(i.a, Value::Ref(obj));
                         pc + 1
                     }
                     ROp::RegPush => {
@@ -480,8 +312,8 @@ impl Rvm<'_> {
                         pc + 1
                     }
                     ROp::Jump => i.t as usize,
-                    ROp::JmpIf => branch(self.reg(i.a).as_bool(), i, pc),
-                    ROp::JmpIfNot => branch(!self.reg(i.a).as_bool(), i, pc),
+                    ROp::JmpIf => branch(boolean(self.reg(i.a)), i, pc),
+                    ROp::JmpIfNot => branch(!boolean(self.reg(i.a)), i, pc),
                     ROp::JmpCmp => {
                         self.supers += 1;
                         let taken = cmp_eval(CmpOp::from_code(i.c), self.reg(i.a), self.reg(i.b));
@@ -494,17 +326,17 @@ impl Rvm<'_> {
                     }
                     ROp::JmpCmpC => {
                         self.supers += 1;
-                        let rhs = lit_value(m.consts[i.imm as usize]);
+                        let rhs = m.consts[i.imm as usize];
                         branch(cmp_eval(CmpOp::from_code(i.c), self.reg(i.a), rhs), i, pc)
                     }
                     ROp::JmpCmpNotC => {
                         self.supers += 1;
-                        let rhs = lit_value(m.consts[i.imm as usize]);
+                        let rhs = m.consts[i.imm as usize];
                         branch(!cmp_eval(CmpOp::from_code(i.c), self.reg(i.a), rhs), i, pc)
                     }
                     ROp::IncJump => {
-                        let v = self.reg(i.a).as_int().wrapping_add(i.imm);
-                        self.set_reg(i.a, RValue::Int(v));
+                        let v = int(self.reg(i.a)).wrapping_add(i.imm);
+                        self.set_reg(i.a, Value::Int(v));
                         self.supers += 1;
                         i.t as usize
                     }
@@ -527,7 +359,7 @@ impl Rvm<'_> {
     fn get_field(&mut self, i: RInstr, span: Span) -> Result<(), RuntimeError> {
         let r = self.deref(self.reg(i.b), span)?;
         let word = self.heap.field(r, i.c as usize);
-        let v = self.decode(i.ty, word);
+        let v = self.heap.decode(i.ty, word);
         self.set_reg(i.a, v);
         Ok(())
     }
@@ -540,14 +372,14 @@ impl Rvm<'_> {
             self.reg_buf.push(id);
         }
         self.word_buf.clear();
-        for &(var, ty) in &site.args {
-            let w = encode(ty, self.reg(var));
+        for &var in &site.args {
+            let w = encode(self.reg(var));
             self.word_buf.push(w);
         }
         let obj =
             self.heap
                 .alloc_object(self.reg_buf[0], site.class, &self.reg_buf, &self.word_buf)?;
-        self.set_reg(dst, RValue::Ref(obj));
+        self.set_reg(dst, Value::Ref(obj));
         Ok(())
     }
 
@@ -555,13 +387,11 @@ impl Rvm<'_> {
     fn cast(&mut self, site: CastSite, dst: u16, span: Span) -> Result<(), RuntimeError> {
         let v = self.reg(site.var);
         match v {
-            RValue::Null => self.set_reg(dst, RValue::Null),
-            RValue::Ref(r) => {
-                if !self.heap.is_live(r.region) {
-                    // The arena that held the class header is gone (the
-                    // deliberate unchecked-program divergence above).
-                    return Err(RuntimeError::DanglingAccess(span));
-                }
+            Value::Null => self.set_reg(dst, Value::Null),
+            Value::Ref(_) => {
+                // A reference into a popped region has no class header
+                // left to read.
+                let r = self.deref(v, span)?;
                 let class = self.heap.class_of(r) as usize;
                 if !self.p.subclass[class][site.class as usize] {
                     return Err(RuntimeError::CastFailed(span));
@@ -579,11 +409,11 @@ impl Rvm<'_> {
     /// binds them.
     #[inline]
     fn call(&mut self, m: &RvmMethod, site_idx: usize, pc: usize) -> Result<(), RuntimeError> {
+        let site = &m.calls[site_idx];
         if self.frames.len() as u32 > self.max_depth {
-            return Err(RuntimeError::DepthLimit);
+            return Err(RuntimeError::DepthLimit(site.span));
         }
         let p = self.p;
-        let site = &m.calls[site_idx];
         let (func, receiver) = match site.target {
             CallTarget::Static(f) => (f, None),
             CallTarget::Virtual { vslot, recv } => {
@@ -596,7 +426,7 @@ impl Rvm<'_> {
         let new_lbase = self.regs.len();
         self.regs.extend_from_slice(&self.templates[func as usize]);
         if let Some(r) = receiver {
-            self.regs[new_lbase] = RValue::Ref(r);
+            self.regs[new_lbase] = Value::Ref(r);
         }
         for (k, &a) in site.args.iter().enumerate() {
             let v = self.regs[self.lbase + a as usize];
@@ -639,7 +469,7 @@ impl Rvm<'_> {
     /// Pops the current frame and hands `value` to the caller's
     /// destination register; `Some(value)` when `main` itself returned.
     #[inline]
-    fn ret(&mut self, value: RValue) -> Option<RValue> {
+    fn ret(&mut self, value: Value) -> Option<Value> {
         let done = self.frames.pop().expect("frame");
         self.regs.truncate(done.regs as usize);
         self.rslots.truncate(done.rslots as usize);
@@ -652,6 +482,18 @@ impl Rvm<'_> {
             None => Some(value),
         }
     }
+}
+
+/// The integer in a well-typed `int` operand.
+#[inline(always)]
+fn int(v: Value) -> i64 {
+    v.as_int().expect("ill-typed int operand")
+}
+
+/// The boolean in a well-typed `bool` operand.
+#[inline(always)]
+fn boolean(v: Value) -> bool {
+    v.as_bool().expect("ill-typed bool operand")
 }
 
 /// A conditional jump's next program counter.
@@ -667,6 +509,7 @@ fn branch(taken: bool, i: RInstr, pc: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cj_frontend::ast::BinOp;
     use cj_vm::code::bin_code;
 
     #[test]

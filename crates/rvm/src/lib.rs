@@ -10,8 +10,8 @@
 //!   several plain instructions in one dispatch;
 //! - dispatch is one `match` on the opcode over inlined handlers, a call
 //!   copies the callee's register-file template, and `letreg` compiles
-//!   to direct bump-arena push/pop against the [`cj_vm::heap`] region
-//!   heap.
+//!   to direct bump-arena push/pop against the
+//!   [`RegionHeap`](cj_runtime::RegionHeap) the interpreter runs on too.
 //!
 //! Observable behaviour — value, prints,
 //! [`SpaceStats`](cj_runtime::SpaceStats) (including the paper's pinned
@@ -58,6 +58,7 @@ pub use exec::run_main;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cj_frontend::span::Span;
     use cj_infer::{infer_source, InferOptions, SubtypeMode};
     use cj_runtime::{Outcome, RunConfig, RuntimeError, Value};
     use cj_vm::{lower_program, RvmProgram};
@@ -191,23 +192,77 @@ mod tests {
                  class M { static int main() { A a = new A(0); B b = (B) a; 1 } }",
                 vec![],
             ),
+            (
+                "class M { static int f(int n) { f(n + 1) } static int main(int n) { f(n) } }",
+                vec![Value::Int(1)],
+            ),
         ];
+        let cfg = RunConfig {
+            max_depth: 50,
+            ..RunConfig::default()
+        };
         for (src, args) in cases {
             let (p, reg) = compile(src);
-            let rvm = run_main(&reg, &args, RunConfig::default()).unwrap_err();
-            let interp = cj_runtime::run_main(&p, &args, RunConfig::default()).unwrap_err();
+            let rvm = run_main(&reg, &args, cfg).unwrap_err();
+            let interp = cj_runtime::run_main(&p, &args, cfg).unwrap_err();
             assert_eq!(rvm, interp, "error divergence on {src}");
-            assert_eq!(rvm.span(), interp.span(), "span divergence on {src}");
+            assert!(rvm.span().is_some(), "unlocated fault on {src}");
         }
     }
 
-    /// An unchecked program whose object outlives its `letreg`: the loop
-    /// body is wrapped in a `letreg` that shadows the region `c` and `d`
-    /// share, so `c` is freed when the body ends and `d.v` after the loop
-    /// reads a popped region.
+    /// Wraps the body of `main`'s first loop in a `letreg` that shadows
+    /// the region of the loop's allocation, so the object allocated in the
+    /// loop dies when the body ends while references to it outlive the
+    /// loop. The result fails the region checker.
+    fn free_loop_allocation_early(p: &mut cj_infer::RProgram) {
+        use cj_infer::{RExpr, RExprKind};
+        let main = p.statics.first_mut().unwrap();
+        let mut todo = vec![&mut main.body];
+        while let Some(e) = todo.pop() {
+            if let RExprKind::While { body, .. } = &mut e.kind {
+                let mut shared = None;
+                let mut inner = vec![&**body];
+                while let Some(x) = inner.pop() {
+                    if let RExprKind::New { regions, .. } = &x.kind {
+                        shared = Some(regions[0]);
+                    }
+                    inner.extend(x.children());
+                }
+                let span = body.span;
+                let old = std::mem::replace(&mut **body, RExpr::unit(span));
+                **body = RExpr {
+                    span,
+                    rtype: old.rtype.clone(),
+                    kind: RExprKind::Letreg(shared.expect("the loop allocates"), Box::new(old)),
+                };
+                assert!(
+                    cj_check::check(p).is_err(),
+                    "the mangled program is unchecked"
+                );
+                return;
+            }
+            todo.extend(e.children_mut());
+        }
+        panic!("no loop to mangle");
+    }
+
+    /// The span of the first expression of `main` matching `pick`.
+    fn span_of(p: &cj_infer::RProgram, pick: fn(&cj_infer::RExprKind) -> bool) -> Span {
+        let mut todo = vec![&p.statics[0].body];
+        while let Some(e) = todo.pop() {
+            if pick(&e.kind) {
+                return e.span;
+            }
+            todo.extend(e.children());
+        }
+        panic!("no such expression in main");
+    }
+
+    /// An unchecked program whose object outlives its `letreg`: `c` and
+    /// `d` share a region, so `c` is freed when the loop body ends and
+    /// `d.v` after the loop reads a popped region.
     #[test]
     fn object_outliving_its_letreg_is_a_dangling_access() {
-        use cj_infer::{RExpr, RExprKind};
         let (mut p, _) = infer_source(
             "class C { int v; }
              class M {
@@ -221,46 +276,49 @@ mod tests {
             InferOptions::default(),
         )
         .unwrap();
-        let main = p.statics.first_mut().unwrap();
-        let mut field_span = None;
-        let mut mangled = false;
-        let mut todo = vec![&mut main.body];
-        while let Some(e) = todo.pop() {
-            match &mut e.kind {
-                RExprKind::Field(..) => field_span = Some(e.span),
-                RExprKind::While { body, .. } => {
-                    let mut shared = None;
-                    let mut inner = vec![&**body];
-                    while let Some(x) = inner.pop() {
-                        if let RExprKind::New { regions, .. } = &x.kind {
-                            shared = Some(regions[0]);
-                        }
-                        inner.extend(x.children());
-                    }
-                    let span = body.span;
-                    let old = std::mem::replace(&mut **body, RExpr::unit(span));
-                    **body = RExpr {
-                        span,
-                        rtype: old.rtype.clone(),
-                        kind: RExprKind::Letreg(shared.expect("the loop allocates"), Box::new(old)),
-                    };
-                    mangled = true;
-                    continue;
-                }
-                _ => {}
-            }
-            todo.extend(e.children_mut());
-        }
-        assert!(mangled, "found the loop to mangle");
-        let span = field_span.expect("the d.v access");
-        assert!(
-            cj_check::check(&p).is_err(),
-            "the mangled program is unchecked"
-        );
+        free_loop_allocation_early(&mut p);
+        let span = span_of(&p, |k| matches!(k, cj_infer::RExprKind::Field(..)));
         let rvm = run_main(&lower_program(&p), &[], RunConfig::default()).unwrap_err();
         assert_eq!(rvm, RuntimeError::DanglingAccess(span));
         let interp = cj_runtime::run_main(&p, &[], RunConfig::default()).unwrap_err();
         assert_eq!(rvm, interp);
+    }
+
+    /// A reference whose region was popped, read back from a field of a
+    /// live box: both engines free the region on exit, so casting it is a
+    /// dangling access and printing it shows the sentinel serial.
+    #[test]
+    fn dead_reference_casts_and_prints_alike() {
+        let (mut p, _) = infer_source(
+            "class C { int v; }
+             class Box { Object o; }
+             class M {
+               static int main(bool cast) {
+                 Box b = new Box(null);
+                 int i = 0;
+                 while (i < 1) { C c = new C(7); b.o = c; i = i + 1; }
+                 Object x = b.o;
+                 if (cast) { C y = (C) x; }
+                 print(x);
+                 0
+               }
+             }",
+            InferOptions::default(),
+        )
+        .unwrap();
+        free_loop_allocation_early(&mut p);
+        let span = span_of(&p, |k| matches!(k, cj_infer::RExprKind::Cast { .. }));
+        let reg = lower_program(&p);
+        let cast = [Value::Bool(true)];
+        let rvm = run_main(&reg, &cast, RunConfig::default()).unwrap_err();
+        assert_eq!(rvm, RuntimeError::DanglingAccess(span));
+        let interp = cj_runtime::run_main(&p, &cast, RunConfig::default()).unwrap_err();
+        assert_eq!(rvm, interp);
+        let print = [Value::Bool(false)];
+        let rvm = run_main(&reg, &print, RunConfig::default()).unwrap();
+        let interp = cj_runtime::run_main(&p, &print, RunConfig::default()).unwrap();
+        assert_eq!(rvm.prints, [format!("obj@{}", u32::MAX)]);
+        assert_eq!(rvm.prints, interp.prints);
     }
 
     #[test]
@@ -288,7 +346,7 @@ mod tests {
             },
         )
         .unwrap_err();
-        assert!(matches!(err, RuntimeError::DepthLimit));
+        assert!(matches!(err, RuntimeError::DepthLimit(_)));
     }
 
     #[test]
@@ -319,6 +377,16 @@ mod tests {
         let (_, reg) = compile("class M { static int main(int n) { n } }");
         assert!(matches!(
             run_main(&reg, &[], RunConfig::default()).unwrap_err(),
+            RuntimeError::BadMainArgs
+        ));
+        // A reference from another run's heap cannot enter this one.
+        let foreign = cj_runtime::heap::ObjRef {
+            region: 0,
+            word: 0,
+            serial: 0,
+        };
+        assert!(matches!(
+            run_main(&reg, &[Value::Ref(foreign)], RunConfig::default()).unwrap_err(),
             RuntimeError::BadMainArgs
         ));
         let (_, reg) = compile("class M { static int helper(int n) { n } }");

@@ -36,22 +36,8 @@
 use cj_frontend::ast::BinOp;
 use cj_frontend::span::Span;
 use cj_frontend::types::Prim;
-
-/// The runtime representation class of one field or array-element slot.
-/// Payload slots are raw 64-bit words; the lowering pass bakes each
-/// access's decode/encode into the instruction, so the engine never
-/// inspects a stored word to learn its type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotTy {
-    /// `int` — the word is the `i64` bit pattern.
-    Int,
-    /// `bool` — 0 or 1.
-    Bool,
-    /// `float` — `f64::to_bits`.
-    Float,
-    /// A reference — packed region/offset, or the null sentinel.
-    Ref,
-}
+use cj_runtime::heap::SlotTy;
+use cj_runtime::Value;
 
 /// A region operand, resolved at lowering time: either the global heap or
 /// a frame-local region slot (a class/method region parameter or a
@@ -64,25 +50,9 @@ pub enum RegRef {
     Slot(u16),
 }
 
-/// A literal in a method's constant pool (also the per-slot default
-/// values used to initialize variable registers).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Lit {
-    /// The unit value.
-    Unit,
-    /// The null reference.
-    Null,
-    /// An integer.
-    Int(i64),
-    /// A boolean.
-    Bool(bool),
-    /// A float.
-    Float(f64),
-}
-
 /// Comparison kind of a fused compare-and-branch (`Eq`/`Ne` use the
-/// engine's reference-identity `value_eq`, the semantics of `==` on
-/// every engine).
+/// reference-identity [`value_eq`](cj_runtime::value::value_eq), the
+/// semantics of `==` on every engine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
     /// `<`
@@ -190,11 +160,11 @@ pub enum ROp {
     Binary,
     /// `r[a] = decode(ty, field idx c of the object in r[b])`.
     GetField,
-    /// `field idx c of the object in r[a] = encode(ty, r[b])`.
+    /// `field idx c of the object in r[a] = encode(r[b])`.
     SetField,
     /// `r[a] = decode(ty, element r[c] of the array in r[b])`.
     Index,
-    /// `element r[b] of the array in r[a] = encode(ty, r[c])`.
+    /// `element r[b] of the array in r[a] = encode(r[c])`.
     SetIndex,
     /// `r[a] = length of the array in r[b]`.
     ArrayLen,
@@ -287,7 +257,8 @@ pub struct RInstr {
     /// Immediate: `AddImm`/`IncJump` addend, `JmpCmp*C` constant-pool
     /// index.
     pub imm: i64,
-    /// Field/element representation for the memory opcodes.
+    /// Field/element representation a memory read decodes (the
+    /// [`SlotTy`] of the heap's payload words).
     pub ty: SlotTy,
 }
 
@@ -354,9 +325,8 @@ pub struct NewSite {
     /// Region arguments; the object lives in `regions[0]` and records the
     /// full vector (virtual calls read the class-parameter prefix back).
     pub regions: Vec<RegRef>,
-    /// Field initializers: caller register and field representation, in
-    /// constructor order.
-    pub args: Vec<(u16, SlotTy)>,
+    /// Field initializers: caller registers, in constructor order.
+    pub args: Vec<u16>,
 }
 
 /// One `new p[e]⟨r⟩` site.
@@ -389,10 +359,10 @@ pub struct RvmMethod {
     /// parallel to `code`.
     pub spans: Vec<Span>,
     /// Constant pool.
-    pub consts: Vec<Lit>,
+    pub consts: Vec<Value>,
     /// Default value per *variable* register (frame initialization;
     /// temporaries initialize to unit).
-    pub defaults: Vec<Lit>,
+    pub defaults: Vec<Value>,
     /// Parameter registers, in declaration order (excluding `this`).
     pub params: Vec<u16>,
     /// Whether register 0 is a `this` receiver.

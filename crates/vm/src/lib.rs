@@ -1,6 +1,7 @@
-//! # cj-vm — register lowering and the region heap for annotated Core-Java
+//! # cj-vm — register lowering for annotated Core-Java
 //!
-//! Everything the bytecode engine needs except the executor itself:
+//! Everything the bytecode engine needs except the executor and the
+//! region heap:
 //!
 //! - the [register IR](code) — per-method three-address code with fused
 //!   superinstructions, constant pools, vtables resolved at lowering time
@@ -9,13 +10,12 @@
 //!   `letreg` extents;
 //! - the [lowering pass](lower), which compiles the region-annotated
 //!   kernel ([`RProgram`](cj_infer::RProgram)) straight to that IR in one
-//!   pass;
-//! - a [bump-arena region heap](heap): each live region holds its
-//!   objects' actual payloads (fields as word slots) and frees them
-//!   **wholesale** at `RegPop`.
+//!   pass. Memory reads carry the [`SlotTy`](cj_runtime::heap::SlotTy)
+//!   their payload word decodes with.
 //!
-//! `cj-rvm` executes the IR over this heap. Space accounting follows the
-//! tree-walking interpreter's size model, so
+//! `cj-rvm` executes the IR over the bump-arena
+//! [`RegionHeap`](cj_runtime::RegionHeap) in `cj-runtime`, the same heap
+//! the tree-walking interpreter runs on, so
 //! [`SpaceStats`](cj_runtime::SpaceStats) — and every Fig 8 space ratio —
 //! is identical across engines.
 //!
@@ -47,7 +47,6 @@
 #![forbid(unsafe_code)]
 
 pub mod code;
-pub mod heap;
 pub mod lower;
 
 pub use code::{RInstr, ROp, RvmMethod, RvmProgram};

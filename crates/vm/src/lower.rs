@@ -30,16 +30,18 @@
 //! instruction boundary.
 
 use crate::code::{
-    bin_code, ArraySite, CallSite, CallTarget, CastSite, CmpOp, Lit, NewSite, RInstr, ROp, RegRef,
-    RvmMethod, RvmProgram, SlotTy,
+    bin_code, ArraySite, CallSite, CallTarget, CastSite, CmpOp, NewSite, RInstr, ROp, RegRef,
+    RvmMethod, RvmProgram,
 };
 use cj_frontend::ast::{BinOp, UnOp};
 use cj_frontend::kernel::KMethod;
 use cj_frontend::span::Span;
-use cj_frontend::types::{ClassId, MethodId, NType, Prim, VarId};
+use cj_frontend::types::{ClassId, MethodId, NType, VarId};
 use cj_frontend::Symbol;
 use cj_infer::rast::{walk_rexpr, RExpr, RExprKind, RMethod, RProgram};
 use cj_regions::var::RegVar;
+use cj_runtime::heap::SlotTy;
+use cj_runtime::Value;
 use std::collections::HashMap;
 
 /// Lowers every method of `p` to register code.
@@ -175,29 +177,9 @@ impl RegionSlots {
 
 // ---- per-method lowering ---------------------------------------------------
 
-fn slot_ty(ty: NType) -> SlotTy {
-    match ty {
-        NType::Prim(Prim::Int) => SlotTy::Int,
-        NType::Prim(Prim::Bool) => SlotTy::Bool,
-        NType::Prim(Prim::Float) => SlotTy::Float,
-        NType::Class(_) | NType::Array(_) | NType::Null => SlotTy::Ref,
-        NType::Void => unreachable!("void payload slot"),
-    }
-}
-
-fn lit_default(ty: NType) -> Lit {
-    match ty {
-        NType::Prim(Prim::Int) => Lit::Int(0),
-        NType::Prim(Prim::Bool) => Lit::Bool(false),
-        NType::Prim(Prim::Float) => Lit::Float(0.0),
-        NType::Void => Lit::Unit,
-        _ => Lit::Null,
-    }
-}
-
-fn lit_eq(a: Lit, b: Lit) -> bool {
+fn lit_eq(a: Value, b: Value) -> bool {
     match (a, b) {
-        (Lit::Float(x), Lit::Float(y)) => x.to_bits() == y.to_bits(),
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
         _ => a == b,
     }
 }
@@ -232,13 +214,13 @@ impl Arm<'_> {
 }
 
 /// The constant a literal expression denotes.
-fn literal(e: &RExpr) -> Option<Lit> {
+fn literal(e: &RExpr) -> Option<Value> {
     match e.kind {
-        RExprKind::Unit => Some(Lit::Unit),
-        RExprKind::Null => Some(Lit::Null),
-        RExprKind::Int(v) => Some(Lit::Int(v)),
-        RExprKind::Bool(v) => Some(Lit::Bool(v)),
-        RExprKind::Float(v) => Some(Lit::Float(v)),
+        RExprKind::Unit => Some(Value::Unit),
+        RExprKind::Null => Some(Value::Null),
+        RExprKind::Int(v) => Some(Value::Int(v)),
+        RExprKind::Bool(v) => Some(Value::Bool(v)),
+        RExprKind::Float(v) => Some(Value::Float(v)),
         _ => None,
     }
 }
@@ -291,7 +273,7 @@ fn lower_method(
         code: Vec::new(),
         spans: Vec::new(),
         consts: Vec::new(),
-        defaults: km.vars.iter().map(|v| lit_default(v.ty)).collect(),
+        defaults: km.vars.iter().map(|v| Value::default_of(v.ty)).collect(),
         params: km.params.iter().map(|&v| var_reg(v)).collect(),
         has_this: !km.is_static,
         class_params: (rm.abs_params.len() - rm.mparams.len()) as u16,
@@ -333,7 +315,7 @@ impl FnLowerer<'_> {
         self.m.code.len() - 1
     }
 
-    fn konst(&mut self, lit: Lit) -> u32 {
+    fn konst(&mut self, lit: Value) -> u32 {
         match self.m.consts.iter().position(|&l| lit_eq(l, lit)) {
             Some(i) => i as u32,
             None => {
@@ -380,14 +362,14 @@ impl FnLowerer<'_> {
             .var_ty(v)
             .as_class()
             .expect("field receiver has a class type");
-        slot_ty(self.p.kernel.table.all_fields(class)[idx as usize].ty)
+        SlotTy::of(self.p.kernel.table.all_fields(class)[idx as usize].ty)
     }
 
     /// Element representation of the array statically typing variable
     /// `v`.
     fn elem_ty(&self, v: VarId) -> SlotTy {
         match self.km.var_ty(v) {
-            NType::Array(p) => slot_ty(NType::Prim(p)),
+            NType::Array(p) => SlotTy::of(NType::Prim(p)),
             other => unreachable!("indexing a non-array {other}"),
         }
     }
@@ -419,7 +401,7 @@ impl FnLowerer<'_> {
         }
     }
 
-    fn constant(&mut self, lit: Lit, want: Want, span: Span) {
+    fn constant(&mut self, lit: Value, want: Want, span: Span) {
         if want != Want::Effect {
             let t = self.konst(lit);
             self.produce(want, RInstr::new(ROp::LoadConst, 0, 0, 0, t), span);
@@ -463,9 +445,9 @@ impl FnLowerer<'_> {
             Some(init) => self.expr(init, into),
             // A fresh declaration without initializer resets the slot
             // (loops re-enter lets).
-            None => self.constant(lit_default(self.km.var_ty(*var)), into, e.span),
+            None => self.constant(Value::default_of(self.km.var_ty(*var)), into, e.span),
         }
-        self.constant(Lit::Unit, want, e.span);
+        self.constant(Value::Unit, want, e.span);
     }
 
     /// Lowers `e`, delivering its value as `want` asks.
@@ -485,7 +467,7 @@ impl FnLowerer<'_> {
                     }
                     self.item(last, want);
                 }
-                None => self.constant(Lit::Unit, want, span),
+                None => self.constant(Value::Unit, want, span),
             },
             RExprKind::Let { .. } => self.item(e, want),
             RExprKind::Unit
@@ -507,29 +489,23 @@ impl FnLowerer<'_> {
             }
             RExprKind::AssignVar(v, rhs) => {
                 self.expr(rhs, Want::Into(var_reg(*v)));
-                self.constant(Lit::Unit, want, span);
+                self.constant(Value::Unit, want, span);
             }
             RExprKind::AssignField(v, fr, rhs) => {
                 let b = self.operand(rhs);
-                let ty = self.field_ty(*v, fr.index);
                 let i = RInstr::new(ROp::SetField, var_reg(*v), b, fr.index as u16, 0);
-                self.emit(RInstr { ty, ..i }, span);
-                self.constant(Lit::Unit, want, span);
+                self.emit(i, span);
+                self.constant(Value::Unit, want, span);
             }
             RExprKind::New {
                 class,
                 regions,
                 args,
             } => {
-                let fields = self.p.kernel.table.all_fields(*class);
                 let site = NewSite {
                     class: class.0,
                     regions: regions.iter().map(|&r| self.regions.resolve(r)).collect(),
-                    args: args
-                        .iter()
-                        .zip(&fields)
-                        .map(|(&a, f)| (var_reg(a), slot_ty(f.ty)))
-                        .collect(),
+                    args: args.iter().map(|&a| var_reg(a)).collect(),
                 };
                 self.m.news.push(site);
                 let t = (self.m.news.len() - 1) as u32;
@@ -553,10 +529,8 @@ impl FnLowerer<'_> {
             }
             RExprKind::AssignIndex(v, idx, val) => {
                 let (b, c) = self.operands(idx, val);
-                let ty = self.elem_ty(*v);
-                let i = RInstr::new(ROp::SetIndex, var_reg(*v), b, c, 0);
-                self.emit(RInstr { ty, ..i }, span);
-                self.constant(Lit::Unit, want, span);
+                self.emit(RInstr::new(ROp::SetIndex, var_reg(*v), b, c, 0), span);
+                self.constant(Value::Unit, want, span);
             }
             RExprKind::ArrayLen(v) => {
                 self.produce(want, RInstr::new(ROp::ArrayLen, 0, var_reg(*v), 0, 0), span);
@@ -623,7 +597,7 @@ impl FnLowerer<'_> {
                     }
                 }
                 self.patch(exit);
-                self.constant(Lit::Unit, want, span);
+                self.constant(Value::Unit, want, span);
             }
             RExprKind::Cast { class, var, .. } => {
                 self.m.casts.push(CastSite {
@@ -653,7 +627,7 @@ impl FnLowerer<'_> {
             RExprKind::Print(a) => {
                 let r = self.operand(a);
                 self.emit(RInstr::new(ROp::Print, r, 0, 0, 0), span);
-                self.constant(Lit::Unit, want, span);
+                self.constant(Value::Unit, want, span);
             }
         }
     }
@@ -754,7 +728,7 @@ impl FnLowerer<'_> {
     fn arm(&mut self, arm: Arm, want: Want, span: Span) {
         match arm {
             Arm::Expr(e) => self.expr(e, want),
-            Arm::Bool(b) => self.constant(Lit::Bool(b), want, span),
+            Arm::Bool(b) => self.constant(Value::Bool(b), want, span),
         }
     }
 

@@ -154,10 +154,8 @@ fn run_engines_produce_identical_output() {
 
 #[test]
 fn run_limits_surface_structured_errors() {
-    let path = temp_source(
-        "limits.cj",
-        "class M { static int spin(int n) { spin(n + 1) } static int main() { spin(0) } }",
-    );
+    let src = "class M { static int spin(int n) { spin(n + 1) } static int main() { spin(0) } }";
+    let path = temp_source("limits.cj", src);
     for engine in ["rvm", "interp"] {
         let out = cjrc(&[
             "run",
@@ -173,6 +171,28 @@ fn run_limits_surface_structured_errors() {
             stderr.contains("error[E0600]: call depth limit exceeded"),
             "[{engine}] {stderr}"
         );
+        // The fault points at the call that went one level too deep.
+        let at = src.find("spin(n + 1)").unwrap();
+        assert!(
+            stderr.contains(&format!("limits.cj:1:{}", at + 1)),
+            "[{engine}] {stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("{}^^^^^^^^^^^\n", " ".repeat(at))),
+            "[{engine}] {stderr}"
+        );
+        let json = cjrc(&[
+            "run",
+            path.to_str().unwrap(),
+            "--engine",
+            engine,
+            "--max-depth",
+            "50",
+            "--json",
+        ]);
+        let stdout = String::from_utf8(json.stdout).unwrap();
+        let span = format!("\"lo\":{},\"hi\":{}", at, at + "spin(n + 1)".len());
+        assert!(stdout.contains(&span), "[{engine}] {stdout}");
         let out = cjrc(&[
             "run",
             path.to_str().unwrap(),

@@ -51,6 +51,63 @@ fn benchmark_results_match_golden_values() {
     }
 }
 
+/// Every benchmark's `SpaceStats` on its test input: `(name,
+/// total_allocated, peak_live, regions_created, objects_allocated)`.
+/// Both engines share one region heap, so comparing them no longer checks
+/// its accounting; these figures were recorded when the interpreter still
+/// kept its own byte counter beside an immortal object store, and both
+/// engines must reproduce them.
+const GOLDEN_SPACE: &[(&str, usize, usize, usize, usize)] = &[
+    ("Sieve of Eratosthenes", 4024, 4024, 1, 1),
+    ("Ackermann", 936, 72, 39, 39),
+    ("Merge Sort", 91968, 28896, 1199, 2874),
+    ("Mandelbrot", 62848, 64, 1964, 1964),
+    ("Naive Life", 8544, 8544, 7380, 12),
+    ("Optimized Life (array)", 8256, 4128, 772, 4),
+    ("Optimized Life (dangling)", 8280, 8280, 769, 5),
+    ("Optimized Life (stack)", 8480, 8480, 769, 12),
+    ("Reynolds3", 100472, 1432, 44601, 3132),
+    ("foo-sum", 744, 96, 21, 31),
+    ("bisort", 624, 624, 623, 16),
+    ("em3d", 2592, 2592, 725, 65),
+    ("health", 1760, 1760, 1369, 41),
+    ("mst", 448, 448, 10, 11),
+    ("power", 3712, 3712, 261, 113),
+    ("treeadd", 600, 600, 47, 15),
+    ("tsp", 840, 840, 105, 15),
+    ("perimeter", 4760, 4760, 536, 85),
+    ("n-body", 4128, 1632, 1015, 42),
+    ("voronoi", 1080, 1080, 5978, 24),
+];
+
+#[test]
+fn space_accounting_matches_golden_table() {
+    assert_eq!(GOLDEN_SPACE.len(), cj_benchmarks::all_benchmarks().len());
+    for &(name, total, peak, regions, objects) in GOLDEN_SPACE {
+        let b = cj_benchmarks::by_name(name).expect("registered benchmark");
+        let (p, _) = infer_source(b.source, InferOptions::default()).unwrap();
+        let args: Vec<Value> = b.test_input.iter().map(|&v| Value::Int(v)).collect();
+        let interp = run_main_big_stack(&p, &args, RunConfig::default())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let compiled = region_inference::vm::lower_program(&p);
+        let rvm = region_inference::rvm::run_main(&compiled, &args, RunConfig::default())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        for (engine, out) in [("interp", interp), ("rvm", rvm)] {
+            let s = out.space;
+            assert_eq!(
+                (
+                    s.total_allocated,
+                    s.peak_live,
+                    s.regions_created,
+                    s.objects_allocated
+                ),
+                (total, peak, regions, objects),
+                "{name} [{engine}]: space accounting changed"
+            );
+        }
+    }
+}
+
 #[test]
 fn independently_verifiable_values() {
     // treeadd(d) must be 2^d - 1.
