@@ -13,8 +13,15 @@
 //!   in scope outlives `r`;
 //! - every region mentioned in a body is in scope (a signature region, the
 //!   heap, or a `letreg`-bound region) — this is what rules out dangling
-//!   *stack* references;
+//!   *stack* references — and no `letreg` region escapes through a value
+//!   that is used: a discarded value (a loop body's, a block item's other
+//!   than the last, and a block's when the block's is) may mention
+//!   regions already popped;
 //! - every override satisfies `inv.B ∧ pre.A.mn ⊨ pre.B.mn` (Sec 3.4).
+//!
+//! Method bodies are checked by one walk of the kernel body, reading the
+//! annotations from the [`RMethod`]'s tables and opening each `letreg`
+//! where its [`Placement`](cj_infer::rast::Placement) says.
 //!
 //! Theorem 1 states that inference always produces programs that pass this
 //! checker; the integration suite verifies that on every benchmark.
@@ -33,9 +40,9 @@
 //! ```
 #![forbid(unsafe_code)]
 
-use cj_frontend::kernel::FieldRef;
+use cj_frontend::kernel::{FieldRef, KExpr, KExprKind};
 use cj_frontend::types::{ClassId, MethodId, VarId};
-use cj_infer::rast::{RExpr, RExprKind, RProgram, RType};
+use cj_infer::rast::{RMethod, RProgram, RType};
 use cj_infer::SubtypeMode;
 use cj_regions::constraint::{Atom, ConstraintSet};
 use cj_regions::solve::Solver;
@@ -118,6 +125,7 @@ pub fn check(p: &RProgram) -> Result<(), CheckErrors> {
         MethodChecker {
             p,
             id,
+            rm: p.rmethod(id),
             errors: &mut errors,
         }
         .run(&mut solver);
@@ -232,6 +240,7 @@ fn check_overrides(p: &RProgram, lhs: &mut Solver, errors: &mut Vec<CheckError>)
 struct MethodChecker<'a> {
     p: &'a RProgram,
     id: MethodId,
+    rm: &'a RMethod,
     errors: &'a mut Vec<CheckError>,
 }
 
@@ -271,10 +280,10 @@ impl<'a> MethodChecker<'a> {
         let mut scope: BTreeSet<RegVar> = rm.abs_params.iter().copied().collect();
         scope.insert(RegVar::HEAP);
 
-        let result = self.expr(assume, &mut scope, &rm.body);
+        let result = self.expr(assume, &mut scope, &km.body, true);
         if let Some(rt) = result {
             if !matches!(rm.ret_type, RType::Void) {
-                self.require_subtype(assume, &rt, &rm.ret_type, "method result");
+                self.require_subtype(assume, rt, &rm.ret_type, "method result");
             }
         }
     }
@@ -293,15 +302,40 @@ impl<'a> MethodChecker<'a> {
     }
 
     fn var_type(&self, v: VarId) -> &'a RType {
-        let p = self.p;
-        &p.rmethod(self.id).var_types[v.index()]
+        &self.rm.var_types[v.index()]
     }
 
-    fn check_scope(&mut self, scope: &BTreeSet<RegVar>, regions: &[RegVar], what: &str) {
+    fn check_scope(
+        &mut self,
+        scope: &BTreeSet<RegVar>,
+        regions: impl IntoIterator<Item = RegVar>,
+        what: &str,
+    ) {
         for r in regions {
-            if !scope.contains(r) {
+            if !scope.contains(&r) {
                 self.err(format!("region {r} used in {what} is not in scope"));
             }
+        }
+    }
+
+    /// Opens `letreg r`: every region in scope outlives `r` (stack
+    /// discipline).
+    fn open(&mut self, assume: &mut Solver, scope: &mut BTreeSet<RegVar>, r: RegVar) {
+        if scope.contains(&r) {
+            self.err(format!("letreg rebinds in-scope region {r}"));
+        }
+        for &s in scope.iter() {
+            assume.add_outlives(s, r);
+        }
+        scope.insert(r);
+    }
+
+    /// Closes `letreg r` around a value of type `t` (`None` after an
+    /// error); the region must not escape through a used value.
+    fn close(&mut self, scope: &mut BTreeSet<RegVar>, r: RegVar, t: Option<&RType>, used: bool) {
+        scope.remove(&r);
+        if used && t.is_some_and(|t| t.mentions(r)) {
+            self.err(format!("letreg region {r} escapes through the value"));
         }
     }
 
@@ -381,45 +415,70 @@ impl<'a> MethodChecker<'a> {
     }
 
     /// Checks one block item. A `let` is handled here rather than in
-    /// [`Self::expr`], so temporaries nested in initializers cost one
+    /// [`Self::node`], so temporaries nested in initializers cost one
     /// `expr` frame per level.
     fn item(
         &mut self,
         assume: &mut Solver,
         scope: &mut BTreeSet<RegVar>,
-        e: &RExpr,
-    ) -> Option<RType> {
-        let RExprKind::Let { var, init } = &e.kind else {
-            return self.expr(assume, scope, e);
+        e: &KExpr,
+        used: bool,
+    ) -> Option<&'a RType> {
+        let KExprKind::Let { var, init } = &e.kind else {
+            return self.expr(assume, scope, e, used);
         };
         let vt = self.var_type(*var);
-        self.check_scope(scope, &vt.regions(), "declaration");
+        self.check_scope(scope, vt.regions(), "declaration");
         if let Some(init) = init {
-            let it = self.expr(assume, scope, init)?;
+            let it = self.expr(assume, scope, init, true)?;
             if !matches!(vt, RType::Void | RType::Prim(_)) {
-                self.require_subtype(assume, &it, vt, "initializer");
+                self.require_subtype(assume, it, vt, "initializer");
             }
         }
-        Some(RType::Void)
+        Some(self.rm.ty(e))
     }
 
-    /// Checks an expression and returns its annotated type (`None` on an
-    /// unrecoverable local error).
+    /// Checks an expression with the `letreg`s placed around it and returns
+    /// its annotated type (`None` on an unrecoverable local error). `used`
+    /// says whether its context uses its value.
     fn expr(
         &mut self,
         assume: &mut Solver,
         scope: &mut BTreeSet<RegVar>,
-        e: &RExpr,
-    ) -> Option<RType> {
-        self.check_scope(scope, &e.rtype.regions(), "expression type");
+        e: &KExpr,
+        used: bool,
+    ) -> Option<&'a RType> {
+        let opened: Vec<RegVar> = self.rm.letregs_at(e.id).collect();
+        for &r in &opened {
+            self.open(assume, scope, r);
+        }
+        let t = self.node(assume, scope, e, used);
+        for &r in opened.iter().rev() {
+            self.close(scope, r, t, used);
+        }
+        t
+    }
+
+    fn node(
+        &mut self,
+        assume: &mut Solver,
+        scope: &mut BTreeSet<RegVar>,
+        e: &KExpr,
+        used: bool,
+    ) -> Option<&'a RType> {
+        let rm = self.rm;
+        let rtype = rm.ty(e);
+        if used {
+            self.check_scope(scope, rtype.regions(), "expression type");
+        }
         match &e.kind {
-            RExprKind::Unit
-            | RExprKind::Int(_)
-            | RExprKind::Bool(_)
-            | RExprKind::Float(_)
-            | RExprKind::Null
-            | RExprKind::Var(_) => {}
-            RExprKind::Field(v, fref) => {
+            KExprKind::Unit
+            | KExprKind::Int(_)
+            | KExprKind::Bool(_)
+            | KExprKind::Float(_)
+            | KExprKind::Null
+            | KExprKind::Var(_) => {}
+            KExprKind::Field(v, fref) => {
                 let (class, regions) = match self.var_type(*v) {
                     RType::Class { class, regions, .. } => (class, regions),
                     other => {
@@ -429,22 +488,19 @@ impl<'a> MethodChecker<'a> {
                 };
                 let ft = self.field_type(*class, *fref, regions);
                 // The annotated node type must match the declared field type.
-                if ft != e.rtype {
-                    self.err(format!(
-                        "field read annotated {} but declared {ft}",
-                        e.rtype
-                    ));
+                if ft != *rtype {
+                    self.err(format!("field read annotated {rtype} but declared {ft}"));
                 }
             }
-            RExprKind::AssignVar(v, rhs) => {
-                let rt = self.expr(assume, scope, rhs)?;
+            KExprKind::AssignVar(v, rhs) => {
+                let rt = self.expr(assume, scope, rhs, true)?;
                 let vt = self.var_type(*v);
                 if !matches!(vt, RType::Void | RType::Prim(_)) {
-                    self.require_subtype(assume, &rt, vt, "assignment");
+                    self.require_subtype(assume, rt, vt, "assignment");
                 }
             }
-            RExprKind::AssignField(v, fref, rhs) => {
-                let rt = self.expr(assume, scope, rhs)?;
+            KExprKind::AssignField(v, fref, rhs) => {
+                let rt = self.expr(assume, scope, rhs, true)?;
                 let (class, regions) = match self.var_type(*v) {
                     RType::Class { class, regions, .. } => (class, regions),
                     other => {
@@ -454,15 +510,12 @@ impl<'a> MethodChecker<'a> {
                 };
                 let ft = self.field_type(*class, *fref, regions);
                 if !matches!(ft, RType::Void | RType::Prim(_)) {
-                    self.require_subtype(assume, &rt, &ft, "field write");
+                    self.require_subtype(assume, rt, &ft, "field write");
                 }
             }
-            RExprKind::New {
-                class,
-                regions,
-                args,
-            } => {
-                self.check_scope(scope, regions, "new");
+            KExprKind::New(class, args) => {
+                let regions = rm.inst(e.id);
+                self.check_scope(scope, regions.iter().copied(), "new");
                 let rc = self.p.rclass(*class);
                 if regions.len() != rc.params.len() {
                     self.err("new with wrong region arity".into());
@@ -482,25 +535,21 @@ impl<'a> MethodChecker<'a> {
                     }
                 }
             }
-            RExprKind::NewArray { region, len, .. } => {
-                self.check_scope(scope, &[*region], "new array");
-                self.expr(assume, scope, len)?;
+            KExprKind::NewArray(_, len) => {
+                self.check_scope(scope, rm.inst(e.id).iter().copied(), "new array");
+                self.expr(assume, scope, len, true)?;
             }
-            RExprKind::Index(_, idx) => {
-                self.expr(assume, scope, idx)?;
+            KExprKind::Index(_, idx) => {
+                self.expr(assume, scope, idx, true)?;
             }
-            RExprKind::AssignIndex(_, idx, val) => {
-                self.expr(assume, scope, idx)?;
-                self.expr(assume, scope, val)?;
+            KExprKind::AssignIndex(_, idx, val) => {
+                self.expr(assume, scope, idx, true)?;
+                self.expr(assume, scope, val, true)?;
             }
-            RExprKind::ArrayLen(_) => {}
-            RExprKind::CallVirtual {
-                recv,
-                method,
-                inst,
-                args,
-            } => {
-                self.check_scope(scope, inst, "call instantiation");
+            KExprKind::ArrayLen(_) => {}
+            KExprKind::CallVirtual(recv, method, args) => {
+                let inst = rm.inst(e.id);
+                self.check_scope(scope, inst.iter().copied(), "call instantiation");
                 let callee = self.p.rmethod(*method);
                 if inst.len() != callee.abs_params.len() {
                     self.err("call with wrong region arity".into());
@@ -518,8 +567,9 @@ impl<'a> MethodChecker<'a> {
                 self.require_subtype(assume, self.var_type(*recv), &this_t, "receiver");
                 self.check_call_common(assume, callee, &s, args);
             }
-            RExprKind::CallStatic { method, inst, args } => {
-                self.check_scope(scope, inst, "call instantiation");
+            KExprKind::CallStatic(method, args) => {
+                let inst = rm.inst(e.id);
+                self.check_scope(scope, inst.iter().copied(), "call instantiation");
                 let callee = self.p.rmethod(*method);
                 if inst.len() != callee.abs_params.len() {
                     self.err("call with wrong region arity".into());
@@ -528,54 +578,43 @@ impl<'a> MethodChecker<'a> {
                 let s = RegSubst::instantiation(&callee.abs_params, inst);
                 self.check_call_common(assume, callee, &s, args);
             }
-            RExprKind::Block(items) => {
-                for item in items {
-                    self.item(assume, scope, item)?;
-                }
-            }
-            RExprKind::Let { .. } => return self.item(assume, scope, e),
-            RExprKind::Letreg(r, inner) => {
-                if scope.contains(r) {
-                    self.err(format!("letreg rebinds in-scope region {r}"));
-                }
-                // Stack discipline: everything currently in scope outlives
-                // the new region.
-                for &s in scope.iter() {
-                    assume.add_outlives(s, *r);
-                }
-                scope.insert(*r);
-                let it = self.expr(assume, scope, inner);
-                scope.remove(r);
-                // The letreg region must not escape through the value.
-                if let Some(it) = it {
-                    if it.regions().contains(r) {
-                        self.err(format!("letreg region {r} escapes through the value"));
+            KExprKind::Block(items) => {
+                // A failed item ends the method's walk, so the ranges it
+                // leaves open never matter.
+                let ranges: Vec<(RegVar, u32, u32)> = rm.letregs_in(e.id).collect();
+                for (i, item) in (0..).zip(items) {
+                    for &(r, _, _) in ranges.iter().filter(|&&(_, lo, _)| lo == i) {
+                        self.open(assume, scope, r);
                     }
+                    let item_used = used && i as usize + 1 == items.len();
+                    let t = self.item(assume, scope, item, item_used);
+                    for &(r, _, _) in ranges.iter().rev().filter(|&&(_, _, hi)| hi == i) {
+                        self.close(scope, r, t, item_used);
+                    }
+                    t?;
                 }
             }
-            RExprKind::If {
+            KExprKind::Let { .. } => return self.item(assume, scope, e, used),
+            KExprKind::If {
                 cond,
                 then_e,
                 else_e,
             } => {
-                self.expr(assume, scope, cond)?;
-                let tt = self.expr(assume, scope, then_e)?;
-                let et = self.expr(assume, scope, else_e)?;
-                if !matches!(e.rtype, RType::Void | RType::Prim(_)) {
-                    self.require_subtype(assume, &tt, &e.rtype, "then branch");
-                    self.require_subtype(assume, &et, &e.rtype, "else branch");
+                self.expr(assume, scope, cond, true)?;
+                let tt = self.expr(assume, scope, then_e, true)?;
+                let et = self.expr(assume, scope, else_e, true)?;
+                if !matches!(rtype, RType::Void | RType::Prim(_)) {
+                    self.require_subtype(assume, tt, rtype, "then branch");
+                    self.require_subtype(assume, et, rtype, "else branch");
                 }
             }
-            RExprKind::While { cond, body } => {
-                self.expr(assume, scope, cond)?;
-                self.expr(assume, scope, body)?;
+            KExprKind::While { cond, body } => {
+                self.expr(assume, scope, cond, true)?;
+                self.expr(assume, scope, body, false)?;
             }
-            RExprKind::Cast {
-                class,
-                regions,
-                var,
-            } => {
-                self.check_scope(scope, regions, "cast");
+            KExprKind::Cast(class, var) => {
+                let regions = rm.inst(e.id);
+                self.check_scope(scope, regions.iter().copied(), "cast");
                 let src = self.var_type(*var);
                 let (src_class, src_regions) = match src {
                     RType::Class { class, regions, .. } => (*class, regions),
@@ -586,7 +625,7 @@ impl<'a> MethodChecker<'a> {
                 };
                 if self.p.kernel.table.is_subclass(src_class, *class) {
                     // Upcast.
-                    let target = RType::class(*class, regions.clone());
+                    let target = RType::class(*class, regions.to_vec());
                     self.require_subtype(assume, src, &target, "upcast");
                 } else {
                     // Downcast: shared prefix must agree; the target's
@@ -605,21 +644,21 @@ impl<'a> MethodChecker<'a> {
                     }
                 }
             }
-            RExprKind::Unary(_, a) | RExprKind::Print(a) => {
-                self.expr(assume, scope, a)?;
+            KExprKind::Unary(_, a) | KExprKind::Print(a) => {
+                self.expr(assume, scope, a, true)?;
             }
-            RExprKind::Binary(_, a, b) => {
-                self.expr(assume, scope, a)?;
-                self.expr(assume, scope, b)?;
+            KExprKind::Binary(_, a, b) => {
+                self.expr(assume, scope, a, true)?;
+                self.expr(assume, scope, b, true)?;
             }
         }
-        Some(e.rtype.clone())
+        Some(rtype)
     }
 
     fn check_call_common(
         &mut self,
         assume: &mut Solver,
-        callee: &cj_infer::rast::RMethod,
+        callee: &RMethod,
         s: &RegSubst,
         args: &[VarId],
     ) {
@@ -800,20 +839,15 @@ mod tests {
             InferOptions::default(),
         )
         .unwrap();
-        // Strip the letreg wrapper so the localized region is out of scope.
+        // Strip the letreg so the localized region is out of scope.
         let m = &mut p.statics[0];
-        fn strip(e: &mut RExpr) -> bool {
-            if let RExprKind::Letreg(_, inner) = &mut e.kind {
-                *e = (**inner).clone();
-                return true;
-            }
-            match &mut e.kind {
-                RExprKind::Let { init, .. } => init.as_deref_mut().is_some_and(strip),
-                RExprKind::Block(items) => items.iter_mut().any(strip),
-                _ => false,
+        fn strip(m: &mut RMethod) -> bool {
+            !m.letregs.is_empty() && {
+                m.letregs.remove(0);
+                true
             }
         }
-        assert!(strip(&mut m.body), "expected a letreg to strip");
+        assert!(strip(m), "expected a letreg to strip");
         let err = check(&p).unwrap_err();
         assert!(err.to_string().contains("not in scope"), "{err}");
     }
@@ -828,9 +862,11 @@ mod tests {
         )
         .unwrap();
         let m = &mut p.statics[0];
-        let body = m.body.clone();
-        let bad = cj_infer::localize::wrap_letreg(m.ret_type.object_region().unwrap(), body);
-        m.body = bad;
+        let bad = cj_infer::Letreg {
+            region: m.ret_type.object_region().unwrap(),
+            at: cj_infer::Placement::Node(cj_frontend::kernel::ExprId(0)),
+        };
+        m.letregs.insert(0, bad);
         let err = check(&p).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("escapes") || msg.contains("rebinds"), "{msg}");

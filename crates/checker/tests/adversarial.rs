@@ -4,10 +4,21 @@
 //! independent checker validates it (Theorem 1); these tests establish the
 //! checker actually discriminates.
 
-use cj_infer::rast::{RExpr, RExprKind};
-use cj_infer::{infer_source, InferOptions, RProgram};
+use cj_frontend::kernel::{walk_expr, ExprId, KExprKind};
+use cj_infer::{infer_source, InferOptions, RMethod, RProgram};
 use cj_regions::constraint::ConstraintSet;
 use cj_regions::var::RegVar;
+
+/// The first expression of `m`'s body, in pre-order, whose kind `pick`s.
+fn first(p: &RProgram, m: &RMethod, pick: fn(&KExprKind) -> bool) -> Option<ExprId> {
+    let mut found = None;
+    walk_expr(&p.kernel.method(m.id).body, &mut |e| {
+        if found.is_none() && pick(&e.kind) {
+            found = Some(e.id);
+        }
+    });
+    found
+}
 
 fn infer(src: &str) -> RProgram {
     let (p, _) = infer_source(src, InferOptions::default()).unwrap();
@@ -69,24 +80,20 @@ fn swapped_class_params_break_prefix_rule() {
 fn wrong_new_arity_is_caught() {
     let mut p = infer(PAIR);
     // Truncate the region list of the first New in mk().
-    fn mangle(e: &mut RExpr) -> bool {
-        match &mut e.kind {
-            RExprKind::New { regions, .. } => {
-                regions.pop();
-                true
-            }
-            RExprKind::Let { init, .. } => init.as_deref_mut().is_some_and(mangle),
-            RExprKind::Letreg(_, inner) => mangle(inner),
-            RExprKind::Block(items) => items.iter_mut().any(mangle),
-            _ => false,
+    fn mangle(p: &mut RProgram) -> bool {
+        let mk = p.statics[0].clone();
+        let Some(new) = first(p, &mk, |k| matches!(k, KExprKind::New(..))) else {
+            return false;
+        };
+        let mk = &mut p.statics[0];
+        let end = new.index() + 1;
+        mk.inst.remove(mk.inst_at[end] as usize - 1);
+        for at in &mut mk.inst_at[end..] {
+            *at -= 1;
         }
+        true
     }
-    let mk = p
-        .statics
-        .iter_mut()
-        .find(|m| matches!(m.id, cj_frontend::MethodId::Static(_)))
-        .unwrap();
-    assert!(mangle(&mut mk.body), "found a New to mangle");
+    assert!(mangle(&mut p), "found a New to mangle");
     let err = cj_check::check(&p).unwrap_err();
     assert!(err.to_string().contains("arity"), "{err}");
 }
@@ -96,20 +103,16 @@ fn foreign_region_in_body_is_out_of_scope() {
     let mut p = infer(PAIR);
     // Replace a New's object region with a bogus region never bound
     // anywhere.
-    fn mangle(e: &mut RExpr) -> bool {
-        match &mut e.kind {
-            RExprKind::New { regions, .. } => {
-                regions[0] = RegVar(99_999);
-                true
-            }
-            RExprKind::Let { init, .. } => init.as_deref_mut().is_some_and(mangle),
-            RExprKind::Letreg(_, inner) => mangle(inner),
-            RExprKind::Block(items) => items.iter_mut().any(mangle),
-            _ => false,
-        }
+    fn mangle(p: &mut RProgram) -> bool {
+        let mk = &p.statics[0];
+        let Some(new) = first(p, mk, |k| matches!(k, KExprKind::New(..))) else {
+            return false;
+        };
+        let mk = &mut p.statics[0];
+        mk.inst[mk.inst_at[new.index()] as usize] = RegVar(99_999);
+        true
     }
-    let mk = p.statics.first_mut().unwrap();
-    assert!(mangle(&mut mk.body));
+    assert!(mangle(&mut p));
     let err = cj_check::check(&p).unwrap_err();
     assert!(err.to_string().contains("not in scope"), "{err}");
 }
@@ -127,20 +130,17 @@ fn call_with_wrong_instantiation_is_caught() {
           static void main(Pair p, Object o) { p.setSnd(o); }
         }";
     let mut p = infer(src);
-    let main = p.statics.first_mut().unwrap();
-    fn mangle(e: &mut RExpr) -> bool {
-        match &mut e.kind {
-            RExprKind::CallVirtual { inst, .. } => {
-                inst.swap(0, 1);
-                true
-            }
-            RExprKind::Let { init, .. } => init.as_deref_mut().is_some_and(mangle),
-            RExprKind::Letreg(_, inner) => mangle(inner),
-            RExprKind::Block(items) => items.iter_mut().any(mangle),
-            _ => false,
-        }
+    fn mangle(p: &mut RProgram) -> bool {
+        let main = &p.statics[0];
+        let Some(call) = first(p, main, |k| matches!(k, KExprKind::CallVirtual(..))) else {
+            return false;
+        };
+        let main = &mut p.statics[0];
+        let at = main.inst_at[call.index()] as usize;
+        main.inst.swap(at, at + 1);
+        true
     }
-    assert!(mangle(&mut main.body));
+    assert!(mangle(&mut p));
     assert!(cj_check::check(&p).is_err());
 }
 

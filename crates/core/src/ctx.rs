@@ -536,8 +536,8 @@ mod tests {
         assert_eq!(sig.params.len(), 3);
         assert!(sig.rec_region.is_none());
         // Fields use distinct regions.
-        let r_fst = sig.field_types[0].regions();
-        let r_snd = sig.field_types[1].regions();
+        let r_fst: Vec<_> = sig.field_types[0].regions().collect();
+        let r_snd: Vec<_> = sig.field_types[1].regions().collect();
         assert_ne!(r_fst, r_snd);
     }
 

@@ -1,9 +1,13 @@
 //! Expression-level region inference (the rules of Fig 3).
 //!
-//! [`infer_body`] walks one kernel method body and produces:
+//! [`infer_body`] walks one kernel method body and produces, as tables
+//! indexed by the body's [`ExprId`](cj_frontend::kernel::ExprId)s:
 //!
-//! - an annotated expression tree ([`RExpr`]) in which every `new`, call,
-//!   cast and `null` records its region instantiation;
+//! - an annotated type for every expression (a `null` gets fresh regions);
+//! - the region instantiation of every `new`, `new p[]`, call and cast;
+//!
+//! and alongside them:
+//!
 //! - an annotated type for every variable slot (locals get fresh, distinct
 //!   regions — the first annotation guideline of Sec 3);
 //! - the gathered atomic constraints (from region subtyping at assignments,
@@ -15,10 +19,10 @@
 //! abstraction; the pipeline solves the resulting recursive system to a
 //! fixed point (region-polymorphic recursion, Sec 4.2.3).
 
-use crate::ctx::Ctx;
+use crate::ctx::{Ctx, MethodSigR};
 use crate::error::InferError;
 use crate::options::DowncastPolicy;
-use crate::rast::{RExpr, RExprKind, RType};
+use crate::rast::RType;
 use crate::subtype::subtype;
 use cj_frontend::kernel::{KExpr, KExprKind};
 use cj_frontend::types::{ClassId, MethodId, NType, VarId};
@@ -32,8 +36,14 @@ use cj_regions::var::RegVar;
 pub struct BodyResult {
     /// Annotated type per variable slot.
     pub var_types: Vec<RType>,
-    /// Annotated body tree.
-    pub body: RExpr,
+    /// Annotated type per body expression.
+    pub types: Vec<RType>,
+    /// Region instantiations, in expression order (see
+    /// [`RMethod::inst`](crate::rast::RMethod::inst)).
+    pub inst: Vec<RegVar>,
+    /// Where each expression's instantiation starts in `inst`, plus one
+    /// final entry.
+    pub inst_at: Vec<u32>,
     /// Gathered atomic constraints.
     pub atoms: ConstraintSet,
     /// Applications of `pre.*` and `inv.*` abstractions.
@@ -66,10 +76,14 @@ pub fn infer_body(ctx: &mut Ctx<'_>, id: MethodId) -> Result<BodyResult, InferEr
         var_types.push(sig.param_types[i].clone());
     }
 
+    let n = m.expr_count as usize;
     let mut inf = BodyInfer {
         id,
         atoms: ConstraintSet::new(),
         calls: Vec::new(),
+        types: vec![RType::Void; n],
+        inst: Vec::new(),
+        inst_at: Vec::with_capacity(n + 1),
     };
 
     // Locals and temporaries: fresh, distinct regions (plus pads under the
@@ -94,16 +108,24 @@ pub fn infer_body(ctx: &mut Ctx<'_>, id: MethodId) -> Result<BodyResult, InferEr
         inf.import_inv(ctx, t);
     }
 
-    let body = inf.expr(ctx, &mut var_types, &m.body)?;
+    inf.expr(ctx, &var_types, &m.body)?;
+    inf.inst_at.push(inf.inst.len() as u32);
     // The body's value flows to the caller at the result type.
     if !matches!(sig.ret_type, RType::Void) {
-        subtype(ctx, &body.rtype, &sig.ret_type, &mut inf.atoms);
+        subtype(
+            ctx,
+            &inf.types[m.body.id.index()],
+            &sig.ret_type,
+            &mut inf.atoms,
+        );
     }
 
     let region_hi = ctx.gen.count() + 1;
     Ok(BodyResult {
         var_types,
-        body,
+        types: inf.types,
+        inst: inf.inst,
+        inst_at: inf.inst_at,
         atoms: inf.atoms,
         calls: inf.calls,
         region_lo,
@@ -117,10 +139,28 @@ fn fresh_local_rtype(ctx: &mut Ctx<'_>, inf: &mut BodyInfer, ty: NType) -> RType
     rt
 }
 
+/// The annotated type of a primitive-valued (or void) expression.
+fn prim(ty: NType) -> RType {
+    match ty {
+        NType::Prim(p) => RType::Prim(p),
+        _ => RType::Void,
+    }
+}
+
+/// `subtype(t, expected)` unless `expected` carries no regions.
+fn flow(ctx: &Ctx<'_>, atoms: &mut ConstraintSet, t: &RType, expected: &RType) {
+    if !matches!(expected, RType::Void | RType::Prim(_)) {
+        subtype(ctx, t, expected, atoms);
+    }
+}
+
 struct BodyInfer {
     id: MethodId,
     atoms: ConstraintSet,
     calls: Vec<AbsCall>,
+    types: Vec<RType>,
+    inst: Vec<RegVar>,
+    inst_at: Vec<u32>,
 }
 
 impl BodyInfer {
@@ -148,11 +188,23 @@ impl BodyInfer {
         csig.field_types[index].subst(&s)
     }
 
-    fn class_of(&self, t: &RType) -> (ClassId, Vec<RegVar>) {
+    fn class_of(t: &RType) -> (ClassId, &[RegVar]) {
         match t {
-            RType::Class { class, regions, .. } => (*class, regions.clone()),
+            RType::Class { class, regions, .. } => (*class, regions),
             other => panic!("expected class type, found {other}"),
         }
+    }
+
+    /// The annotated type already inferred for `e`.
+    fn ty(&self, e: &KExpr) -> &RType {
+        &self.types[e.id.index()]
+    }
+
+    /// Starts `e`'s entry in the instantiation pool. Expressions are
+    /// visited in pre-order, the order of their ids.
+    fn enter(&mut self, e: &KExpr) {
+        debug_assert_eq!(self.inst_at.len(), e.id.index(), "pre-order ids");
+        self.inst_at.push(self.inst.len() as u32);
     }
 
     /// Infers one block item. A `let` is handled here rather than in
@@ -161,105 +213,57 @@ impl BodyInfer {
     fn item(
         &mut self,
         ctx: &mut Ctx<'_>,
-        var_types: &mut Vec<RType>,
+        var_types: &[RType],
         e: &KExpr,
-    ) -> Result<RExpr, InferError> {
+    ) -> Result<(), InferError> {
         let KExprKind::Let { var, init } = &e.kind else {
             return self.expr(ctx, var_types, e);
         };
-        let init = match init {
-            Some(i) => {
-                let i = self.expr(ctx, var_types, i)?;
-                let vt = var_types[var.index()].clone();
-                if !matches!(vt, RType::Void | RType::Prim(_)) {
-                    subtype(ctx, &i.rtype, &vt, &mut self.atoms);
-                }
-                Some(Box::new(i))
-            }
-            None => None,
-        };
-        Ok(RExpr {
-            kind: RExprKind::Let { var: *var, init },
-            rtype: RType::Void,
-            span: e.span,
-        })
+        self.enter(e);
+        if let Some(init) = init {
+            self.expr(ctx, var_types, init)?;
+            let it = &self.types[init.id.index()];
+            flow(ctx, &mut self.atoms, it, &var_types[var.index()]);
+        }
+        Ok(())
     }
 
+    /// Infers `e`, recording its type and instantiation.
     fn expr(
         &mut self,
         ctx: &mut Ctx<'_>,
-        var_types: &mut Vec<RType>,
+        var_types: &[RType],
         e: &KExpr,
-    ) -> Result<RExpr, InferError> {
-        let span = e.span;
-        let out = match &e.kind {
-            KExprKind::Unit => RExpr {
-                kind: RExprKind::Unit,
-                rtype: RType::Void,
-                span,
-            },
-            KExprKind::Int(v) => RExpr {
-                kind: RExprKind::Int(*v),
-                rtype: RType::Prim(cj_frontend::Prim::Int),
-                span,
-            },
-            KExprKind::Bool(v) => RExpr {
-                kind: RExprKind::Bool(*v),
-                rtype: RType::Prim(cj_frontend::Prim::Bool),
-                span,
-            },
-            KExprKind::Float(v) => RExpr {
-                kind: RExprKind::Float(*v),
-                rtype: RType::Prim(cj_frontend::Prim::Float),
-                span,
-            },
-            KExprKind::Null => {
-                // (cn) null: fresh regions, no constraints (rule [null]).
-                let rtype = ctx.fresh_rtype(e.ty);
-                RExpr {
-                    kind: RExprKind::Null,
-                    rtype,
-                    span,
-                }
-            }
-            KExprKind::Var(v) => RExpr {
-                kind: RExprKind::Var(*v),
-                rtype: var_types[v.index()].clone(),
-                span,
-            },
+    ) -> Result<(), InferError> {
+        if matches!(e.kind, KExprKind::Let { .. }) {
+            return self.item(ctx, var_types, e);
+        }
+        self.enter(e);
+        let rtype = match &e.kind {
+            KExprKind::Unit
+            | KExprKind::Int(_)
+            | KExprKind::Bool(_)
+            | KExprKind::Float(_)
+            | KExprKind::ArrayLen(_) => prim(e.ty),
+            // (cn) null: fresh regions, no constraints (rule [null]).
+            KExprKind::Null => ctx.fresh_rtype(e.ty),
+            KExprKind::Var(v) => var_types[v.index()].clone(),
             KExprKind::Field(v, fref) => {
-                let (class, regions) = self.class_of(&var_types[v.index()]);
-                let rtype = self.field_type(ctx, class, fref.index as usize, &regions);
-                RExpr {
-                    kind: RExprKind::Field(*v, *fref),
-                    rtype,
-                    span,
-                }
+                let (class, regions) = Self::class_of(&var_types[v.index()]);
+                self.field_type(ctx, class, fref.index as usize, regions)
             }
             KExprKind::AssignVar(v, rhs) => {
-                let rhs = self.expr(ctx, var_types, rhs)?;
-                let vt = var_types[v.index()].clone();
-                if !matches!(vt, RType::Void) {
-                    subtype(ctx, &rhs.rtype, &vt, &mut self.atoms);
-                }
-                RExpr {
-                    kind: RExprKind::AssignVar(*v, Box::new(rhs)),
-                    rtype: RType::Void,
-                    span,
-                }
+                self.expr(ctx, var_types, rhs)?;
+                let rt = &self.types[rhs.id.index()];
+                flow(ctx, &mut self.atoms, rt, &var_types[v.index()]);
+                RType::Void
             }
             KExprKind::AssignField(v, fref, rhs) => {
-                let rhs = self.expr(ctx, var_types, rhs)?;
-                let (class, regions) = self.class_of(&var_types[v.index()]);
-                let ft = self.field_type(ctx, class, fref.index as usize, &regions);
-                if !matches!(ft, RType::Void | RType::Prim(_)) {
-                    subtype(ctx, &rhs.rtype, &ft, &mut self.atoms);
-                }
-                RExpr {
-                    kind: RExprKind::AssignField(*v, *fref, Box::new(rhs)),
-                    rtype: RType::Void,
-                    span,
-                }
+                self.expr(ctx, var_types, rhs)?;
+                let (class, regions) = Self::class_of(&var_types[v.index()]);
+                let ft = self.field_type(ctx, class, fref.index as usize, regions);
+                flow(ctx, &mut self.atoms, &self.types[rhs.id.index()], &ft);
+                RType::Void
             }
             KExprKind::New(class, args) => {
                 let regions = ctx.gen.fresh_n(ctx.arity(*class));
@@ -269,62 +273,32 @@ impl BodyInfer {
                 });
                 for (i, &a) in args.iter().enumerate() {
                     let ft = self.field_type(ctx, *class, i, &regions);
-                    if !matches!(ft, RType::Void | RType::Prim(_)) {
-                        subtype(ctx, &var_types[a.index()], &ft, &mut self.atoms);
-                    }
+                    flow(ctx, &mut self.atoms, &var_types[a.index()], &ft);
                 }
-                RExpr {
-                    kind: RExprKind::New {
-                        class: *class,
-                        regions: regions.clone(),
-                        args: args.clone(),
-                    },
-                    rtype: RType::class(*class, regions),
-                    span,
-                }
+                self.inst.extend(&regions);
+                RType::class(*class, regions)
             }
             KExprKind::NewArray(p, len) => {
-                let len = self.expr(ctx, var_types, len)?;
+                // The array's region is minted after its length's, but
+                // its pool entry precedes theirs.
+                let slot = self.inst.len();
+                self.inst.push(RegVar::HEAP);
+                self.expr(ctx, var_types, len)?;
                 let region = ctx.gen.fresh();
-                RExpr {
-                    kind: RExprKind::NewArray {
-                        elem: *p,
-                        region,
-                        len: Box::new(len),
-                    },
-                    rtype: RType::Array { elem: *p, region },
-                    span,
-                }
+                self.inst[slot] = region;
+                RType::Array { elem: *p, region }
             }
-            KExprKind::Index(v, idx) => {
-                let idx = self.expr(ctx, var_types, idx)?;
-                let elem = match var_types[v.index()] {
-                    RType::Array { elem, .. } => elem,
-                    ref other => panic!("indexing non-array {other}"),
-                };
-                RExpr {
-                    kind: RExprKind::Index(*v, Box::new(idx)),
-                    rtype: RType::Prim(elem),
-                    span,
-                }
+            KExprKind::Index(_, idx) => {
+                self.expr(ctx, var_types, idx)?;
+                prim(e.ty)
             }
-            KExprKind::AssignIndex(v, idx, val) => {
-                let idx = self.expr(ctx, var_types, idx)?;
-                let val = self.expr(ctx, var_types, val)?;
-                RExpr {
-                    kind: RExprKind::AssignIndex(*v, Box::new(idx), Box::new(val)),
-                    rtype: RType::Void,
-                    span,
-                }
+            KExprKind::AssignIndex(_, idx, val) => {
+                self.expr(ctx, var_types, idx)?;
+                self.expr(ctx, var_types, val)?;
+                RType::Void
             }
-            KExprKind::ArrayLen(v) => RExpr {
-                kind: RExprKind::ArrayLen(*v),
-                rtype: RType::Prim(cj_frontend::Prim::Int),
-                span,
-            },
             KExprKind::CallVirtual(recv, decl, args) => {
-                let (recv_class, recv_regions) = self.class_of(&var_types[recv.index()]);
-                let _ = recv_class;
+                let (_, recv_regions) = Self::class_of(&var_types[recv.index()]);
                 let decl_class = match decl {
                     MethodId::Instance(c, _) => *c,
                     MethodId::Static(_) => unreachable!("virtual call on static"),
@@ -335,7 +309,7 @@ impl BodyInfer {
                 // receiver, fresh regions for the method's own parameters.
                 let fresh: Vec<RegVar> = ctx.gen.fresh_n(callee.mparams.len());
                 let mut s = RegSubst::new();
-                let class_part = &ctx.classes[decl_class.index()].params.clone();
+                let class_part = &ctx.classes[decl_class.index()].params;
                 for (i, &cp) in class_part.iter().enumerate() {
                     s.bind(cp, recv_regions[i]);
                 }
@@ -343,150 +317,89 @@ impl BodyInfer {
                 for (&mp, &f) in callee.mparams.iter().zip(&fresh) {
                     s.bind(mp, f);
                 }
-                let inst = s.apply_all(&callee.abs_params);
-                for (pt, &a) in callee.param_types.iter().zip(args) {
-                    let expected = pt.subst(&s);
-                    if !matches!(expected, RType::Void | RType::Prim(_)) {
-                        subtype(ctx, &var_types[a.index()], &expected, &mut self.atoms);
-                    }
-                }
-                let rtype = callee.ret_type.subst(&s);
-                self.calls.push(AbsCall {
-                    callee: callee.abs,
-                    args: inst.clone(),
-                });
-                RExpr {
-                    kind: RExprKind::CallVirtual {
-                        recv: *recv,
-                        method: *decl,
-                        inst,
-                        args: args.clone(),
-                    },
-                    rtype,
-                    span,
-                }
+                self.call(ctx, var_types, &callee, &s, args)
             }
             KExprKind::CallStatic(decl, args) => {
                 let callee = ctx.msigs[decl].clone();
                 let fresh: Vec<RegVar> = ctx.gen.fresh_n(callee.mparams.len());
                 let s = RegSubst::instantiation(&callee.mparams, &fresh);
-                let inst = s.apply_all(&callee.abs_params);
-                for (pt, &a) in callee.param_types.iter().zip(args) {
-                    let expected = pt.subst(&s);
-                    if !matches!(expected, RType::Void | RType::Prim(_)) {
-                        subtype(ctx, &var_types[a.index()], &expected, &mut self.atoms);
-                    }
-                }
-                let rtype = callee.ret_type.subst(&s);
-                self.calls.push(AbsCall {
-                    callee: callee.abs,
-                    args: inst.clone(),
-                });
-                RExpr {
-                    kind: RExprKind::CallStatic {
-                        method: *decl,
-                        inst,
-                        args: args.clone(),
-                    },
-                    rtype,
-                    span,
-                }
+                self.call(ctx, var_types, &callee, &s, args)
             }
             KExprKind::Block(items) => {
-                let mut out = Vec::with_capacity(items.len());
                 for item in items {
-                    out.push(self.item(ctx, var_types, item)?);
+                    self.item(ctx, var_types, item)?;
                 }
-                let rtype = out.last().map_or(RType::Void, |last| last.rtype.clone());
-                RExpr {
-                    kind: RExprKind::Block(out),
-                    rtype,
-                    span,
-                }
+                items
+                    .last()
+                    .map_or(RType::Void, |last| self.ty(last).clone())
             }
-            KExprKind::Let { .. } => return self.item(ctx, var_types, e),
+            KExprKind::Let { .. } => unreachable!("a let is an item"),
             KExprKind::If {
                 cond,
                 then_e,
                 else_e,
             } => {
-                let cond = self.expr(ctx, var_types, cond)?;
-                let then_e = self.expr(ctx, var_types, then_e)?;
-                let else_e = self.expr(ctx, var_types, else_e)?;
+                self.expr(ctx, var_types, cond)?;
+                self.expr(ctx, var_types, then_e)?;
+                self.expr(ctx, var_types, else_e)?;
                 // msst: fresh regions for the common supertype; both
                 // branches flow into it by region subtyping.
-                let rtype = match e.ty {
+                match e.ty {
                     NType::Class(_) | NType::Array(_) => {
                         let rt = ctx.fresh_rtype(e.ty);
                         self.import_inv(ctx, &rt);
-                        subtype(ctx, &then_e.rtype, &rt, &mut self.atoms);
-                        subtype(ctx, &else_e.rtype, &rt, &mut self.atoms);
+                        subtype(ctx, &self.types[then_e.id.index()], &rt, &mut self.atoms);
+                        subtype(ctx, &self.types[else_e.id.index()], &rt, &mut self.atoms);
                         rt
                     }
-                    NType::Prim(p) => RType::Prim(p),
-                    NType::Void | NType::Null => RType::Void,
-                };
-                RExpr {
-                    kind: RExprKind::If {
-                        cond: Box::new(cond),
-                        then_e: Box::new(then_e),
-                        else_e: Box::new(else_e),
-                    },
-                    rtype,
-                    span,
+                    _ => prim(e.ty),
                 }
             }
             KExprKind::While { cond, body } => {
                 // Flow-insensitive: loop constraints are just the
                 // conjunction of the condition's and body's. Annotations
                 // are per variable, so one pass covers every iteration.
-                let cond = self.expr(ctx, var_types, cond)?;
-                let body = self.expr(ctx, var_types, body)?;
-                RExpr {
-                    kind: RExprKind::While {
-                        cond: Box::new(cond),
-                        body: Box::new(body),
-                    },
-                    rtype: RType::Void,
-                    span,
-                }
+                self.expr(ctx, var_types, cond)?;
+                self.expr(ctx, var_types, body)?;
+                RType::Void
             }
-            KExprKind::Cast(target, v) => self.cast(ctx, *target, *v, span, var_types)?,
-            KExprKind::Unary(op, a) => {
-                let a = self.expr(ctx, var_types, a)?;
-                let rtype = match e.ty {
-                    NType::Prim(p) => RType::Prim(p),
-                    _ => RType::Void,
-                };
-                RExpr {
-                    kind: RExprKind::Unary(*op, Box::new(a)),
-                    rtype,
-                    span,
-                }
+            KExprKind::Cast(target, v) => self.cast(ctx, *target, *v, e.span, var_types)?,
+            KExprKind::Unary(_, a) | KExprKind::Print(a) => {
+                self.expr(ctx, var_types, a)?;
+                prim(e.ty)
             }
-            KExprKind::Binary(op, a, b) => {
-                let a = self.expr(ctx, var_types, a)?;
-                let b = self.expr(ctx, var_types, b)?;
-                let rtype = match e.ty {
-                    NType::Prim(p) => RType::Prim(p),
-                    _ => RType::Void,
-                };
-                RExpr {
-                    kind: RExprKind::Binary(*op, Box::new(a), Box::new(b)),
-                    rtype,
-                    span,
-                }
-            }
-            KExprKind::Print(a) => {
-                let a = self.expr(ctx, var_types, a)?;
-                RExpr {
-                    kind: RExprKind::Print(Box::new(a)),
-                    rtype: RType::Void,
-                    span,
-                }
+            KExprKind::Binary(_, a, b) => {
+                self.expr(ctx, var_types, a)?;
+                self.expr(ctx, var_types, b)?;
+                prim(e.ty)
             }
         };
-        Ok(out)
+        self.types[e.id.index()] = rtype;
+        Ok(())
+    }
+
+    /// A call instantiated by `s`: the callee's parameters take the
+    /// arguments, its instantiation goes to the pool, and its result type
+    /// is returned.
+    fn call(
+        &mut self,
+        ctx: &Ctx<'_>,
+        var_types: &[RType],
+        callee: &MethodSigR,
+        s: &RegSubst,
+        args: &[VarId],
+    ) -> RType {
+        let inst = s.apply_all(&callee.abs_params);
+        for (pt, &a) in callee.param_types.iter().zip(args) {
+            let expected = pt.subst(s);
+            flow(ctx, &mut self.atoms, &var_types[a.index()], &expected);
+        }
+        self.inst.extend(&inst);
+        self.calls.push(AbsCall {
+            callee: callee.abs,
+            args: inst,
+        });
+        callee.ret_type.subst(s)
     }
 
     /// `(cn) v` — upcasts apply region subtyping; downcasts recover the
@@ -498,33 +411,26 @@ impl BodyInfer {
         v: VarId,
         span: cj_frontend::Span,
         var_types: &[RType],
-    ) -> Result<RExpr, InferError> {
-        let src_t = var_types[v.index()].clone();
-        let (src_class, src_regions) = self.class_of(&src_t);
-        let src_pads = match &src_t {
-            RType::Class { pads, .. } => pads.clone(),
-            _ => Vec::new(),
+    ) -> Result<RType, InferError> {
+        let src_t = &var_types[v.index()];
+        let (src_class, src_regions) = Self::class_of(src_t);
+        let src_pads: &[RegVar] = match src_t {
+            RType::Class { pads, .. } => pads,
+            _ => &[],
         };
         let target_arity = ctx.arity(target);
         if ctx.kp.table.is_subclass(src_class, target) {
             // Upcast: fresh target regions, related by region subtyping.
             let regions = ctx.gen.fresh_n(target_arity);
-            let rt = RType::class(target, regions.clone());
-            subtype(ctx, &src_t, &rt, &mut self.atoms);
-            return Ok(RExpr {
-                kind: RExprKind::Cast {
-                    class: target,
-                    regions,
-                    var: v,
-                },
-                rtype: rt,
-                span,
-            });
+            self.inst.extend(&regions);
+            let rt = RType::class(target, regions);
+            subtype(ctx, src_t, &rt, &mut self.atoms);
+            return Ok(rt);
         }
         // Downcast.
         debug_assert!(ctx.kp.table.is_subclass(target, src_class));
         let src_arity = src_regions.len();
-        let mut regions: Vec<RegVar> = src_regions.clone();
+        let mut regions: Vec<RegVar> = src_regions.to_vec();
         let mut result_pads: Vec<RegVar> = Vec::new();
         match ctx.opts.downcast {
             DowncastPolicy::Reject => {
@@ -558,18 +464,11 @@ impl BodyInfer {
             callee: ctx.inv(target),
             args: regions.clone(),
         });
-        Ok(RExpr {
-            kind: RExprKind::Cast {
-                class: target,
-                regions: regions.clone(),
-                var: v,
-            },
-            rtype: RType::Class {
-                class: target,
-                regions,
-                pads: result_pads,
-            },
-            span,
+        self.inst.extend(&regions);
+        Ok(RType::Class {
+            class: target,
+            regions,
+            pads: result_pads,
         })
     }
 }

@@ -4,7 +4,8 @@
 
 use crate::options::{DowncastPolicy, InferOptions, SubtypeMode};
 use crate::pipeline::infer;
-use crate::rast::{walk_rexpr, RExprKind, RProgram};
+use crate::rast::{RMethod, RProgram};
+use cj_frontend::kernel::{walk_expr, KExpr, KExprKind};
 use cj_frontend::typecheck::check_source;
 use cj_regions::var::RegVar;
 use std::sync::Arc;
@@ -23,7 +24,12 @@ fn run(src: &str) -> RProgram {
     .0
 }
 
-fn method<'a>(p: &'a RProgram, name: &str) -> &'a crate::rast::RMethod {
+/// The kernel body `m` annotates.
+fn body<'a>(p: &'a RProgram, m: &RMethod) -> &'a KExpr {
+    &p.kernel.method(m.id).body
+}
+
+fn method<'a>(p: &'a RProgram, name: &str) -> &'a RMethod {
     p.all_rmethods()
         .find(|(id, _)| p.kernel.method_name(*id) == name)
         .unwrap_or_else(|| panic!("method {name}"))
@@ -47,16 +53,16 @@ fn each_call_site_gets_its_own_instantiation() {
         }");
     let main = method(&p, "main");
     let mut insts: Vec<Vec<RegVar>> = Vec::new();
-    walk_rexpr(&main.body, &mut |e| {
-        if let RExprKind::CallStatic { inst, .. } = &e.kind {
-            insts.push(inst.clone());
+    walk_expr(body(&p, main), &mut |e| {
+        if let KExprKind::CallStatic(..) = &e.kind {
+            insts.push(main.inst(e.id).to_vec());
         }
     });
     assert_eq!(insts.len(), 2);
     // Both allocations are localized into main's letreg, so after
     // resolution the instantiations may coincide — but main must have at
     // least one letreg covering them.
-    assert!(!main.localized.is_empty());
+    assert!(!main.letregs.is_empty());
 }
 
 #[test]
@@ -74,14 +80,14 @@ fn two_allocations_of_same_class_can_differ() {
         }");
     let pick = method(&p, "pick");
     let mut regions = Vec::new();
-    walk_rexpr(&pick.body, &mut |e| {
-        if let RExprKind::New { regions: rs, .. } = &e.kind {
-            regions.push(rs[0]);
+    walk_expr(body(&p, pick), &mut |e| {
+        if let KExprKind::New(..) = &e.kind {
+            regions.push(pick.inst(e.id)[0]);
         }
     });
     assert_eq!(regions.len(), 2);
     assert_ne!(regions[0], regions[1], "escaping and local must differ");
-    assert_eq!(pick.localized.len(), 1);
+    assert_eq!(pick.letregs.len(), 1);
 }
 
 #[test]
@@ -114,7 +120,7 @@ fn nulls_are_free() {
         .all_rmethods()
         .find(|(id, _)| p.kernel.method_name(*id) == "none")
         .unwrap();
-    assert!(none.localized.is_empty());
+    assert!(none.letregs.is_empty());
     let shown = crate::pretty::display_precondition(&p, id);
     assert!(shown.is_empty(), "pre.none = {shown}");
 }
@@ -134,10 +140,10 @@ fn field_read_instantiates_at_receiver_regions() {
         .unwrap()
         .1;
     let pv = km.params[0];
-    let p_regions = first.var_types[pv.index()].regions();
+    let p_regions: Vec<_> = first.var_types[pv.index()].regions().collect();
     // Result type region must be tied (via pre) to p's fst region.
     let mut pre = cj_regions::Solver::from_set(&first.precondition);
-    let ret_region = first.ret_type.regions()[0];
+    let ret_region = first.ret_type.object_region().unwrap();
     assert!(
         pre.outlives_holds(p_regions[1], ret_region),
         "fst region must outlive the result region"
@@ -155,10 +161,10 @@ fn static_and_instance_calls_annotated_with_inst() {
         }");
     let go = method(&p, "go");
     let mut found = false;
-    walk_rexpr(&go.body, &mut |e| {
-        if let RExprKind::CallVirtual { inst, .. } = &e.kind {
+    walk_expr(body(&p, go), &mut |e| {
+        if let KExprKind::CallVirtual(..) = &e.kind {
             // Pair's 3 class params + getFst's 1 method param.
-            assert_eq!(inst.len(), 4);
+            assert_eq!(go.inst(e.id).len(), 4);
             found = true;
         }
     });
@@ -187,7 +193,7 @@ fn while_body_regions_conjoin_flow_insensitively() {
     let last = method(&p, "last");
     // Both allocations escape through c (flow-insensitive single type), so
     // nothing is localized.
-    assert!(last.localized.is_empty());
+    assert!(last.letregs.is_empty());
 }
 
 #[test]

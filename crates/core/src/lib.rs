@@ -55,4 +55,4 @@ pub use ctx::{invariant_name, precondition_name};
 pub use error::InferError;
 pub use options::{DowncastPolicy, ExtentMode, InferOptions, InferStats, SubtypeMode};
 pub use pipeline::{infer, infer_source};
-pub use rast::{RClass, RExpr, RExprKind, RMethod, RProgram, RType};
+pub use rast::{Letreg, Placement, RClass, RMethod, RProgram, RType};

@@ -13,12 +13,20 @@
 //!   Sec 3.3);
 //! - **localizable locals** — everything else. These are grouped per
 //!   expression block (method body, conditional branches, loop bodies) and
-//!   bound by a fresh `letreg` region; all regions localized at the same
-//!   block coalesce into one region, as in Fig 4(d).
+//!   bound by a fresh `letreg` region placed around that block's
+//!   expression; all regions localized at the same block coalesce into one
+//!   region, as in Fig 4(d).
 //!
 //! Blocks are processed innermost-first so that a region used only inside a
 //! loop body is reclaimed *each iteration* rather than once per call — this
 //! is the mechanism behind the space-reuse numbers of Fig 8.
+//!
+//! The pass reads and writes only the method's annotation tables: one walk
+//! of the kernel body finds each local region's block from the expressions
+//! that mention it, and one pass over the tables then resolves every region
+//! (escaping regions to their canonical signature region, localized regions
+//! to their block's `letreg` region) and records a
+//! [`Placement::Node`] per grouped block.
 //!
 //! Both passes take the method's solver, loaded by the pipeline with the
 //! body's constraint and its callees' closed forms, and ask it only
@@ -34,9 +42,11 @@
 //! signature region was minted there, and so was the representative of
 //! every local region.
 
-use crate::ctx::Ctx;
+use crate::ctx::{Ctx, MethodSigR};
 use crate::exprinfer::BodyResult;
-use crate::rast::{map_rtype_regions, RExpr, RExprKind, RType};
+use crate::rast::{own_regions, Letreg, Placement, RMethod};
+use cj_frontend::kernel::{ExprId, KExpr, KExprKind};
+use cj_frontend::types::MethodId;
 use cj_regions::constraint::{Atom, ConstraintSet};
 use cj_regions::solve::Solver;
 use cj_regions::var::RegVar;
@@ -129,30 +139,21 @@ pub fn instantiate_escaping(
     added
 }
 
-/// Result of the localization pass over one method.
-pub struct Localized {
-    /// Rewritten body with `letreg` nodes and resolved regions.
-    pub body: RExpr,
-    /// Rewritten variable types.
-    pub var_types: Vec<RType>,
-    /// Rewritten return type.
-    pub ret_type: RType,
-    /// One region per inserted `letreg`.
-    pub letregs: Vec<RegVar>,
-}
-
-/// Runs the \[exp-block\] localization over a solved method body and rewrites
-/// every region through the final resolution (escaping regions to their
-/// canonical signature region, localized regions to their block's `letreg`
-/// region).
+/// Runs the \[exp-block\] localization over the solved body `body` of
+/// method `id`, with signature `sig` and closed precondition `pre`, and
+/// emits the annotated method: every region of its tables resolved
+/// (escaping regions to their canonical signature region, localized
+/// regions to their block's `letreg` region).
 pub fn localize(
     ctx: &mut Ctx<'_>,
     solver: &mut Solver,
-    abs_params: &[RegVar],
+    id: MethodId,
+    sig: MethodSigR,
+    pre: ConstraintSet,
     res: BodyResult,
-    ret_type: &RType,
-) -> Localized {
-    let u = Universe::new(abs_params, &res);
+    body: &KExpr,
+) -> RMethod {
+    let u = Universe::new(&sig.abs_params, &res);
     let all = u.all();
     let escaping = solver.escape_closure(u.sigs.iter().copied(), &all);
     // Per minted region: whether it is local (does not escape). Signature
@@ -165,7 +166,7 @@ pub fn localize(
     }
 
     // ---- pass 1: block tree + occurrence LCA ---------------------------
-    let mut blocks = BlockTree::new();
+    let mut blocks = BlockTree::new(body.id);
     let mut lca: Vec<Option<usize>> = vec![None; local.len()];
     let mut occ = Occurrences {
         res: &res,
@@ -174,7 +175,7 @@ pub fn localize(
         tree: &mut blocks,
         lca: &mut lca,
     };
-    occ.collect(&res.body, 0);
+    occ.collect(body, 0);
 
     // ---- group regions per block, innermost first ----------------------
     // A block's bucket holds the remaining locals whose occurrences all fall
@@ -248,46 +249,69 @@ pub fn localize(
         }
     };
 
-    // ---- pass 2: rebuild the tree with letregs and resolved regions ----
-    let mut body = res.body;
-    rewrite(&mut body, &mut 1, &letreg_of, &resolve_fn);
-    if let Some(rho) = letreg_of[0] {
-        body = wrap_letreg(rho, body);
+    // ---- pass 2: resolve the tables -------------------------------------
+    let BodyResult {
+        mut var_types,
+        mut types,
+        mut inst,
+        inst_at,
+        ..
+    } = res;
+    for t in var_types.iter_mut().chain(&mut types) {
+        t.map_regions(resolve_fn);
     }
-    let var_types: Vec<RType> = res
-        .var_types
-        .iter()
-        .map(|t| map_rtype_regions(t, &resolve_fn))
+    for r in &mut inst {
+        *r = resolve_fn(*r);
+    }
+    let mut ret_type = sig.ret_type;
+    ret_type.map_regions(resolve_fn);
+    let letregs = (letreg_of.iter().zip(&blocks.node))
+        .filter_map(|(rho, &node)| {
+            rho.map(|region| Letreg {
+                region,
+                at: Placement::Node(node),
+            })
+        })
         .collect();
-    let ret_type = map_rtype_regions(ret_type, &resolve_fn);
-    let letregs = letreg_of.into_iter().flatten().collect();
-    Localized {
-        body,
+    RMethod {
+        id,
+        mparams: sig.mparams,
+        abs_params: sig.abs_params,
         var_types,
         ret_type,
+        precondition: pre,
+        types,
+        inst,
+        inst_at,
         letregs,
     }
 }
 
 // ---- block tree ---------------------------------------------------------
 
+/// The method's blocks — its body, conditional branches and loop bodies —
+/// numbered in pre-order.
 struct BlockTree {
     parent: Vec<Option<usize>>,
     /// Distance from the method body, block 0.
     depth: Vec<usize>,
+    /// The block's expression.
+    node: Vec<ExprId>,
 }
 
 impl BlockTree {
-    fn new() -> BlockTree {
+    fn new(body: ExprId) -> BlockTree {
         BlockTree {
             parent: vec![None], // block 0 = method body
             depth: vec![0],
+            node: vec![body],
         }
     }
 
-    fn child(&mut self, parent: usize) -> usize {
+    fn child(&mut self, parent: usize, node: ExprId) -> usize {
         self.parent.push(Some(parent));
         self.depth.push(self.depth[parent] + 1);
+        self.node.push(node);
         self.parent.len() - 1
     }
 
@@ -344,16 +368,19 @@ impl Occurrences<'_> {
         }
     }
 
-    fn collect(&mut self, e: &RExpr, block: usize) {
-        self.note(e.own_regions(&self.res.var_types), block);
+    fn collect(&mut self, e: &KExpr, block: usize) {
+        let res = self.res;
+        let (i, j) = (res.inst_at[e.id.index()], res.inst_at[e.id.index() + 1]);
+        let inst = &res.inst[i as usize..j as usize];
+        self.note(own_regions(e, &res.types, &res.var_types, inst), block);
         // Conditional branches and loop bodies are blocks of their own.
         let (cond, arms) = match &e.kind {
-            RExprKind::If {
+            KExprKind::If {
                 cond,
                 then_e,
                 else_e,
             } => (cond, [Some(then_e), Some(else_e)]),
-            RExprKind::While { cond, body } => (cond, [Some(body), None]),
+            KExprKind::While { cond, body } => (cond, [Some(body), None]),
             _ => {
                 for c in e.children() {
                     self.collect(c, block);
@@ -363,58 +390,8 @@ impl Occurrences<'_> {
         };
         self.collect(cond, block);
         for arm in arms.into_iter().flatten() {
-            let b = self.tree.child(block);
+            let b = self.tree.child(block, arm.id);
             self.collect(arm, b);
         }
-    }
-}
-
-// ---- pass 2: rewrite ------------------------------------------------------
-
-/// Rewrites the tree in place mirroring the pass-1 traversal (so block ids
-/// match), wrapping each grouped block in `letreg` and resolving every
-/// region.
-fn rewrite(
-    e: &mut RExpr,
-    counter: &mut usize,
-    letreg_of: &[Option<RegVar>],
-    f: &impl Fn(RegVar) -> RegVar,
-) {
-    e.map_own_regions(f);
-    let (cond, arms) = match &mut e.kind {
-        RExprKind::If {
-            cond,
-            then_e,
-            else_e,
-        } => (cond, [Some(then_e), Some(else_e)]),
-        RExprKind::While { cond, body } => (cond, [Some(body), None]),
-        _ => {
-            for c in e.children_mut() {
-                rewrite(c, counter, letreg_of, f);
-            }
-            return;
-        }
-    };
-    rewrite(cond, counter, letreg_of, f);
-    for arm in arms.into_iter().flatten() {
-        let b = *counter;
-        *counter += 1;
-        rewrite(arm, counter, letreg_of, f);
-        if let Some(rho) = letreg_of[b] {
-            let span = arm.span;
-            let inner = std::mem::replace(&mut **arm, RExpr::unit(span));
-            **arm = wrap_letreg(rho, inner);
-        }
-    }
-}
-
-/// Wraps `inner` in `letreg rho in inner`.
-pub fn wrap_letreg(rho: RegVar, inner: RExpr) -> RExpr {
-    let rtype = inner.rtype.clone();
-    let span = inner.span;
-    RExpr {
-        kind: RExprKind::Letreg(rho, Box::new(inner)),
-        rtype,
-        span,
     }
 }

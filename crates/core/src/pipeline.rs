@@ -24,7 +24,9 @@
 //!    There is no round cap: atoms only accumulate within finite
 //!    universes, so the loop ends.
 //! 5. Localize the remaining regions with `letreg` (\[exp-block\]) and emit
-//!    the annotated program.
+//!    the annotated program: per method, the resolved type and
+//!    instantiation tables over the kernel body's expression ids, and the
+//!    `letreg` placements — no second expression tree.
 //!
 //! One [`Solver`] serves the whole call: every member solve, escaping
 //! instantiation, override repair and localization resets it and loads what
@@ -162,18 +164,10 @@ pub fn infer(kp: &Arc<KProgram>, opts: InferOptions) -> Result<(RProgram, InferS
             &res.calls,
             &closed,
         );
-        let loc = localize::localize(&mut ctx, &mut solver, &sig.abs_params, res, &sig.ret_type);
-        stats.localized_regions += loc.letregs.len();
-        let rm = RMethod {
-            id,
-            mparams: sig.mparams,
-            abs_params: sig.abs_params,
-            var_types: loc.var_types,
-            ret_type: loc.ret_type,
-            precondition: closed.get(sig.abs).body.atoms.clone(),
-            body: loc.body,
-            localized: loc.letregs,
-        };
+        let pre = closed.get(sig.abs).body.atoms.clone();
+        let body = &kp.method(id).body;
+        let rm = localize::localize(&mut ctx, &mut solver, id, sig, pre, res, body);
+        stats.localized_regions += rm.letregs.len();
         match id {
             MethodId::Instance(c, _) => methods[c.index()].push(rm),
             MethodId::Static(_) => statics.push(rm),
@@ -316,6 +310,7 @@ mod tests {
     use super::*;
     use crate::options::{DowncastPolicy, SubtypeMode};
     use crate::rast::RType;
+    use cj_frontend::kernel::{walk_expr, KExprKind};
     use cj_frontend::typecheck::check_source;
     use cj_regions::constraint::Atom;
 
@@ -414,7 +409,7 @@ mod tests {
             .find(|(id, _)| p.kernel.method(*id).name.as_str() == "build")
             .unwrap();
         let _ = bid;
-        assert!(!build.localized.is_empty() || build.mparams.len() >= 3);
+        assert!(!build.letregs.is_empty() || build.mparams.len() >= 3);
     }
 
     #[test]
@@ -457,7 +452,7 @@ mod tests {
         let o2 = cycle.var_types[p2].object_region().unwrap();
         assert_eq!(o1, o2, "cyclic structures share one region (Fig 5)");
         // And no letreg: everything escapes through the result.
-        assert!(cycle.localized.is_empty());
+        assert!(cycle.letregs.is_empty());
     }
 
     #[test]
@@ -591,7 +586,7 @@ mod tests {
             .unwrap()
             .1;
         assert!(
-            !search_field.localized.is_empty(),
+            !search_field.letregs.is_empty(),
             "field subtyping localizes the per-call cons cell"
         );
         let (p_none, _) = run(src, SubtypeMode::None);
@@ -601,7 +596,7 @@ mod tests {
             .unwrap()
             .1;
         assert!(
-            search_none.localized.is_empty(),
+            search_none.letregs.is_empty(),
             "without subtyping the cell unifies with the parameter list"
         );
     }
@@ -803,13 +798,13 @@ mod tests {
             .find(|(id, _)| p.kernel.method(*id).name.as_str() == "spin")
             .unwrap()
             .1;
-        assert!(!spin.localized.is_empty());
+        assert!(!spin.letregs.is_empty());
         // The letreg must be inside the while body.
         let mut inside_loop = false;
-        crate::rast::walk_rexpr(&spin.body, &mut |e| {
-            if let crate::rast::RExprKind::While { body, .. } = &e.kind {
-                crate::rast::walk_rexpr(body, &mut |inner| {
-                    if matches!(inner.kind, crate::rast::RExprKind::Letreg(_, _)) {
+        walk_expr(&p.kernel.method(spin.id).body, &mut |e| {
+            if let KExprKind::While { body, .. } = &e.kind {
+                walk_expr(body, &mut |inner| {
+                    if spin.letregs_at(inner.id).next().is_some() {
                         inside_loop = true;
                     }
                 });
@@ -842,10 +837,10 @@ mod tests {
             .unwrap()
             .1;
         let mut letreg_in_loop = false;
-        crate::rast::walk_rexpr(&collect.body, &mut |e| {
-            if let crate::rast::RExprKind::While { body, .. } = &e.kind {
-                crate::rast::walk_rexpr(body, &mut |inner| {
-                    if matches!(inner.kind, crate::rast::RExprKind::Letreg(_, _)) {
+        walk_expr(&p.kernel.method(collect.id).body, &mut |e| {
+            if let KExprKind::While { body, .. } = &e.kind {
+                walk_expr(body, &mut |inner| {
+                    if collect.letregs_at(inner.id).next().is_some() {
                         letreg_in_loop = true;
                     }
                 });

@@ -8,7 +8,8 @@
 //! }
 //! ```
 
-use crate::rast::{RExpr, RExprKind, RProgram, RType};
+use crate::rast::{RProgram, RType};
+use cj_frontend::kernel::{KExpr, KExprKind};
 use cj_frontend::types::{ClassId, MethodId, VarId};
 use cj_regions::constraint::{Atom, ConstraintSet};
 use cj_regions::var::RegVar;
@@ -163,7 +164,7 @@ fn method_body_to_string(
     let shown = display_precondition(p, id);
     let _ = writeln!(out, " where {} {{", namer.constraint(&shown));
     let mut body = String::new();
-    write_expr(p, id, &rm.body, namer, &format!("{indent}  "), &mut body);
+    write_expr(p, id, &km.body, namer, &format!("{indent}  "), &mut body);
     out.push_str(&body);
     let _ = write!(out, "\n{indent}}}\n");
     out
@@ -215,115 +216,144 @@ fn var_name(p: &RProgram, id: MethodId, v: VarId) -> String {
 fn write_expr(
     p: &RProgram,
     id: MethodId,
-    e: &RExpr,
+    e: &KExpr,
     namer: &mut RegionNamer,
     indent: &str,
     out: &mut String,
 ) {
+    let rm = p.rmethod(id);
+    let regions: Vec<RegVar> = rm.letregs_at(e.id).collect();
+    let mut indent = indent.to_string();
+    for &r in &regions {
+        let _ = writeln!(out, "{indent}letreg {} in {{", namer.name(r));
+        indent.push_str("  ");
+    }
+    write_node(p, id, e, namer, &indent, out);
+    for _ in &regions {
+        indent.truncate(indent.len() - 2);
+        let _ = write!(out, "\n{indent}}}");
+    }
+}
+
+fn write_node(
+    p: &RProgram,
+    id: MethodId,
+    e: &KExpr,
+    namer: &mut RegionNamer,
+    indent: &str,
+    out: &mut String,
+) {
+    let rm = p.rmethod(id);
     match &e.kind {
-        RExprKind::Unit => {
+        KExprKind::Unit => {
             let _ = write!(out, "{indent}()");
         }
-        RExprKind::Int(v) => {
+        KExprKind::Int(v) => {
             let _ = write!(out, "{indent}{v}");
         }
-        RExprKind::Bool(v) => {
+        KExprKind::Bool(v) => {
             let _ = write!(out, "{indent}{v}");
         }
-        RExprKind::Float(v) => {
+        KExprKind::Float(v) => {
             let _ = write!(out, "{indent}{v}");
         }
-        RExprKind::Null => {
-            let _ = write!(out, "{indent}({}) null", namer.rtype(p, &e.rtype));
+        KExprKind::Null => {
+            let _ = write!(out, "{indent}({}) null", namer.rtype(p, rm.ty(e)));
         }
-        RExprKind::Var(v) => {
+        KExprKind::Var(v) => {
             let _ = write!(out, "{indent}{}", var_name(p, id, *v));
         }
-        RExprKind::Field(v, f) => {
+        KExprKind::Field(v, f) => {
             let _ = write!(out, "{indent}{}.{}", var_name(p, id, *v), f.name);
         }
-        RExprKind::AssignVar(v, rhs) => {
+        KExprKind::AssignVar(v, rhs) => {
             let _ = writeln!(out, "{indent}{} =", var_name(p, id, *v));
             write_expr(p, id, rhs, namer, &format!("{indent}  "), out);
         }
-        RExprKind::AssignField(v, f, rhs) => {
+        KExprKind::AssignField(v, f, rhs) => {
             let _ = writeln!(out, "{indent}{}.{} =", var_name(p, id, *v), f.name);
             write_expr(p, id, rhs, namer, &format!("{indent}  "), out);
         }
-        RExprKind::New {
-            class,
-            regions,
-            args,
-        } => {
+        KExprKind::New(class, args) => {
             let args: Vec<String> = args.iter().map(|&a| var_name(p, id, a)).collect();
             let _ = write!(
                 out,
                 "{indent}new {}<{}>({})",
                 p.kernel.table.name(*class),
-                namer.list(regions),
+                namer.list(rm.inst(e.id)),
                 args.join(", ")
             );
         }
-        RExprKind::NewArray { elem, region, len } => {
-            let _ = writeln!(out, "{indent}new {elem}[..]<{}> of", namer.name(*region));
+        KExprKind::NewArray(elem, len) => {
+            let region = rm.inst(e.id)[0];
+            let _ = writeln!(out, "{indent}new {elem}[..]<{}> of", namer.name(region));
             write_expr(p, id, len, namer, &format!("{indent}  "), out);
         }
-        RExprKind::Index(v, idx) => {
+        KExprKind::Index(v, idx) => {
             let _ = writeln!(out, "{indent}{}[", var_name(p, id, *v));
             write_expr(p, id, idx, namer, &format!("{indent}  "), out);
             let _ = write!(out, "]");
         }
-        RExprKind::AssignIndex(v, idx, val) => {
+        KExprKind::AssignIndex(v, idx, val) => {
             let _ = writeln!(out, "{indent}{}[..] =", var_name(p, id, *v));
             write_expr(p, id, idx, namer, &format!("{indent}  "), out);
             out.push('\n');
             write_expr(p, id, val, namer, &format!("{indent}  "), out);
         }
-        RExprKind::ArrayLen(v) => {
+        KExprKind::ArrayLen(v) => {
             let _ = write!(out, "{indent}{}.length", var_name(p, id, *v));
         }
-        RExprKind::CallVirtual {
-            recv,
-            method,
-            inst,
-            args,
-        } => {
+        KExprKind::CallVirtual(recv, method, args) => {
             let args: Vec<String> = args.iter().map(|&a| var_name(p, id, a)).collect();
             let _ = write!(
                 out,
                 "{indent}{}.{}<{}>({})",
                 var_name(p, id, *recv),
                 p.kernel.method(*method).name,
-                namer.list(inst),
+                namer.list(rm.inst(e.id)),
                 args.join(", ")
             );
         }
-        RExprKind::CallStatic { method, inst, args } => {
+        KExprKind::CallStatic(method, args) => {
             let args: Vec<String> = args.iter().map(|&a| var_name(p, id, a)).collect();
             let _ = write!(
                 out,
                 "{indent}{}<{}>({})",
                 p.kernel.method(*method).name,
-                namer.list(inst),
+                namer.list(rm.inst(e.id)),
                 args.join(", ")
             );
         }
-        RExprKind::Block(items) => {
-            for (i, item) in items.iter().enumerate() {
+        KExprKind::Block(items) => {
+            // Item ranges under a `letreg` print as a nested block.
+            let ranges: Vec<(RegVar, u32, u32)> = rm.letregs_in(e.id).collect();
+            let mut indent = indent.to_string();
+            let mut open = Vec::new();
+            for (i, item) in (0..).zip(items) {
                 if i > 0 {
                     out.push_str(";\n");
                 }
-                write_expr(p, id, item, namer, indent, out);
+                for &(r, _, hi) in ranges.iter().filter(|&&(_, lo, _)| lo == i) {
+                    let _ = writeln!(out, "{indent}letreg {} in {{", namer.name(r));
+                    indent.push_str("  ");
+                    open.push(hi);
+                }
+                write_expr(p, id, item, namer, &indent, out);
+                while open.last() == Some(&i) {
+                    open.pop();
+                    indent.truncate(indent.len() - 2);
+                    let _ = write!(out, "\n{indent}}}");
+                }
             }
             if items.is_empty() {
                 let _ = write!(out, "{indent}()");
             }
         }
-        RExprKind::Let { var, init } => {
+        KExprKind::Let { var, init } => {
             let _ = write!(
                 out,
                 "{indent}{} {}",
-                namer.rtype(p, &p.rmethod(id).var_types[var.index()]),
+                namer.rtype(p, &rm.var_types[var.index()]),
                 var_name(p, id, *var)
             );
             if let Some(init) = init {
@@ -331,12 +361,7 @@ fn write_expr(
                 write_expr(p, id, init, namer, &format!("{indent}  "), out);
             }
         }
-        RExprKind::Letreg(r, inner) => {
-            let _ = writeln!(out, "{indent}letreg {} in {{", namer.name(*r));
-            write_expr(p, id, inner, namer, &format!("{indent}  "), out);
-            let _ = write!(out, "\n{indent}}}");
-        }
-        RExprKind::If {
+        KExprKind::If {
             cond,
             then_e,
             else_e,
@@ -349,39 +374,35 @@ fn write_expr(
             write_expr(p, id, else_e, namer, &format!("{indent}  "), out);
             let _ = write!(out, "\n{indent}}}");
         }
-        RExprKind::While { cond, body } => {
+        KExprKind::While { cond, body } => {
             let _ = writeln!(out, "{indent}while (");
             write_expr(p, id, cond, namer, &format!("{indent}  "), out);
             let _ = writeln!(out, ") {{");
             write_expr(p, id, body, namer, &format!("{indent}  "), out);
             let _ = write!(out, "\n{indent}}}");
         }
-        RExprKind::Cast {
-            class,
-            regions,
-            var,
-        } => {
+        KExprKind::Cast(class, var) => {
             let _ = write!(
                 out,
                 "{indent}({}<{}>) {}",
                 p.kernel.table.name(*class),
-                namer.list(regions),
+                namer.list(rm.inst(e.id)),
                 var_name(p, id, *var)
             );
         }
-        RExprKind::Unary(op, a) => {
+        KExprKind::Unary(op, a) => {
             let _ = writeln!(out, "{indent}{op}(");
             write_expr(p, id, a, namer, &format!("{indent}  "), out);
             let _ = write!(out, ")");
         }
-        RExprKind::Binary(op, a, b) => {
+        KExprKind::Binary(op, a, b) => {
             let _ = writeln!(out, "{indent}(");
             write_expr(p, id, a, namer, &format!("{indent}  "), out);
             let _ = writeln!(out, " {op}");
             write_expr(p, id, b, namer, &format!("{indent}  "), out);
             let _ = write!(out, ")");
         }
-        RExprKind::Print(a) => {
+        KExprKind::Print(a) => {
             let _ = writeln!(out, "{indent}print(");
             write_expr(p, id, a, namer, &format!("{indent}  "), out);
             let _ = write!(out, ")");

@@ -3,16 +3,22 @@
 //! Region inference turns a kernel program into an [`RProgram`]: every class
 //! carries region parameters and an invariant, every method carries region
 //! parameters and a precondition, every type is an [`RType`] with explicit
-//! regions, and `letreg` nodes introduce lexically scoped local regions.
+//! regions, and `letreg`s introduce lexically scoped local regions.
+//!
+//! The target language is the kernel plus region annotations, so an
+//! annotated method body *is* its kernel body, reached through
+//! [`RProgram::kernel`]: the annotations sit in tables of the [`RMethod`]
+//! indexed by the kernel expressions' dense [`ExprId`]s — a type per
+//! expression, a region instantiation per `new`, `new p[]`, call and
+//! cast, and the [`Letreg`] placements.
 
-use cj_frontend::ast::{BinOp, UnOp};
-use cj_frontend::kernel::{FieldRef, KProgram};
-use cj_frontend::span::Span;
-use cj_frontend::types::{ClassId, MethodId, Prim, VarId};
+use cj_frontend::kernel::{ExprId, KExpr, KExprKind, KProgram};
+use cj_frontend::types::{ClassId, MethodId, Prim};
 use cj_regions::abstraction::AbsEnv;
 use cj_regions::constraint::ConstraintSet;
 use cj_regions::subst::RegSubst;
 use cj_regions::var::RegVar;
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -55,14 +61,18 @@ impl RType {
     }
 
     /// All regions mentioned, in order (pads last).
-    pub fn regions(&self) -> Vec<RegVar> {
-        match self {
-            RType::Void | RType::Prim(_) => Vec::new(),
-            RType::Class { regions, pads, .. } => {
-                regions.iter().chain(pads.iter()).copied().collect()
-            }
-            RType::Array { region, .. } => vec![*region],
-        }
+    pub fn regions(&self) -> impl Iterator<Item = RegVar> + '_ {
+        let (regions, pads): (&[RegVar], &[RegVar]) = match self {
+            RType::Void | RType::Prim(_) => (&[], &[]),
+            RType::Class { regions, pads, .. } => (regions, pads),
+            RType::Array { region, .. } => (std::slice::from_ref(region), &[]),
+        };
+        regions.iter().chain(pads).copied()
+    }
+
+    /// Whether the type mentions `r`.
+    pub fn mentions(&self, r: RegVar) -> bool {
+        self.regions().any(|x| x == r)
     }
 
     /// The region of the object itself (first region), if any.
@@ -74,25 +84,24 @@ impl RType {
         }
     }
 
+    /// Passes every region of the type through `f`, in place.
+    pub fn map_regions(&mut self, f: impl Fn(RegVar) -> RegVar) {
+        match self {
+            RType::Void | RType::Prim(_) => {}
+            RType::Class { regions, pads, .. } => {
+                for r in regions.iter_mut().chain(pads) {
+                    *r = f(*r);
+                }
+            }
+            RType::Array { region, .. } => *region = f(*region),
+        }
+    }
+
     /// Applies a region substitution.
     pub fn subst(&self, s: &RegSubst) -> RType {
-        match self {
-            RType::Void => RType::Void,
-            RType::Prim(p) => RType::Prim(*p),
-            RType::Class {
-                class,
-                regions,
-                pads,
-            } => RType::Class {
-                class: *class,
-                regions: s.apply_all(regions),
-                pads: s.apply_all(pads),
-            },
-            RType::Array { elem, region } => RType::Array {
-                elem: *elem,
-                region: s.apply(*region),
-            },
-        }
+        let mut t = self.clone();
+        t.map_regions(|r| s.apply(r));
+        t
     }
 }
 
@@ -167,7 +176,50 @@ impl RClass {
     }
 }
 
-/// Region signature and annotated body of a method.
+/// Where a `letreg` binds its region. A `let` that is a block item scopes
+/// over the rest of its block, so an `Items` range, never `Node`, encloses
+/// one. Placements at the same expression or range nest in list order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// Around one expression: the region is pushed before it runs and
+    /// popped after.
+    Node(ExprId),
+    /// Around items `lo..=hi` of the block `block`: the region is pushed
+    /// before item `lo` and popped after item `hi`.
+    Items {
+        /// The block.
+        block: ExprId,
+        /// First item inside.
+        lo: u32,
+        /// Last item inside.
+        hi: u32,
+    },
+}
+
+impl Placement {
+    /// The order of [`RMethod::letregs`]: by the expression the placement
+    /// starts at, a block before the item ranges in it, and a range before
+    /// the narrower ones starting where it does. A placement that encloses
+    /// another comes first.
+    pub fn order(self) -> (ExprId, Option<(u32, Reverse<u32>)>) {
+        match self {
+            Placement::Node(e) => (e, None),
+            Placement::Items { block, lo, hi } => (block, Some((lo, Reverse(hi)))),
+        }
+    }
+}
+
+/// A `letreg r in …` of the target language, over the kernel body.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Letreg {
+    /// The bound region.
+    pub region: RegVar,
+    /// What it encloses.
+    pub at: Placement,
+}
+
+/// Region signature of a method, and the region annotations of its body
+/// as tables over the kernel body's [`ExprId`]s.
 #[derive(Debug, Clone)]
 pub struct RMethod {
     /// Which method this is.
@@ -183,318 +235,77 @@ pub struct RMethod {
     pub ret_type: RType,
     /// The closed-form precondition `pre.m` over `abs_params`.
     pub precondition: ConstraintSet,
-    /// The annotated body.
-    pub body: RExpr,
-    /// Regions localized by `letreg` in this method (one entry per letreg).
-    pub localized: Vec<RegVar>,
+    /// Annotated type per body expression.
+    pub types: Vec<RType>,
+    /// The region instantiations of the body's `new`s (the constructed
+    /// type's regions), `new p[]`s (the array's region), calls (the
+    /// callee's `abs_params`) and casts (the target type's regions), in
+    /// expression order; see [`RMethod::inst`].
+    pub inst: Vec<RegVar>,
+    /// Where each expression's instantiation starts in `inst`, plus one
+    /// final entry: expression `e`'s is `inst[inst_at[e]..inst_at[e + 1]]`.
+    pub inst_at: Vec<u32>,
+    /// The `letreg`s of the body, sorted by [`Placement::order`]: a
+    /// placement that encloses another comes before it.
+    pub letregs: Vec<Letreg>,
 }
 
-/// A region-annotated expression.
-#[derive(Debug, Clone)]
-pub struct RExpr {
-    /// The annotated form.
-    pub kind: RExprKind,
-    /// The expression's annotated type.
-    pub rtype: RType,
-    /// Source location (from the kernel).
-    pub span: Span,
-}
-
-impl RExpr {
-    /// The direct sub-expressions, in evaluation order.
-    pub fn children(&self) -> impl Iterator<Item = &RExpr> {
-        let (a, b, c, items): (_, _, _, &[RExpr]) = match &self.kind {
-            RExprKind::AssignVar(_, a)
-            | RExprKind::AssignField(_, _, a)
-            | RExprKind::NewArray { len: a, .. }
-            | RExprKind::Index(_, a)
-            | RExprKind::Unary(_, a)
-            | RExprKind::Print(a)
-            | RExprKind::Letreg(_, a) => (Some(&**a), None, None, &[]),
-            RExprKind::AssignIndex(_, a, b)
-            | RExprKind::Binary(_, a, b)
-            | RExprKind::While { cond: a, body: b } => (Some(&**a), Some(&**b), None, &[]),
-            RExprKind::If {
-                cond,
-                then_e,
-                else_e,
-            } => (Some(&**cond), Some(&**then_e), Some(&**else_e), &[]),
-            RExprKind::Let { init, .. } => (init.as_deref(), None, None, &[]),
-            RExprKind::Block(items) => (None, None, None, items),
-            _ => (None, None, None, &[]),
-        };
-        a.into_iter().chain(b).chain(c).chain(items)
+impl RMethod {
+    /// The annotated type of `e`.
+    pub fn ty(&self, e: &KExpr) -> &RType {
+        &self.types[e.id.index()]
     }
 
-    /// [`RExpr::children`], mutably.
-    pub fn children_mut(&mut self) -> impl Iterator<Item = &mut RExpr> {
-        let (a, b, c, items): (_, _, _, &mut [RExpr]) = match &mut self.kind {
-            RExprKind::AssignVar(_, a)
-            | RExprKind::AssignField(_, _, a)
-            | RExprKind::NewArray { len: a, .. }
-            | RExprKind::Index(_, a)
-            | RExprKind::Unary(_, a)
-            | RExprKind::Print(a)
-            | RExprKind::Letreg(_, a) => (Some(&mut **a), None, None, &mut []),
-            RExprKind::AssignIndex(_, a, b)
-            | RExprKind::Binary(_, a, b)
-            | RExprKind::While { cond: a, body: b } => {
-                (Some(&mut **a), Some(&mut **b), None, &mut [])
-            }
-            RExprKind::If {
-                cond,
-                then_e,
-                else_e,
-            } => (
-                Some(&mut **cond),
-                Some(&mut **then_e),
-                Some(&mut **else_e),
-                &mut [],
-            ),
-            RExprKind::Let { init, .. } => (init.as_deref_mut(), None, None, &mut []),
-            RExprKind::Block(items) => (None, None, None, items),
-            _ => (None, None, None, &mut []),
-        };
-        a.into_iter().chain(b).chain(c).chain(items)
+    /// The region instantiation of `e`: empty unless `e` is a `new`,
+    /// `new p[]`, call or cast.
+    pub fn inst(&self, e: ExprId) -> &[RegVar] {
+        let i = e.index();
+        &self.inst[self.inst_at[i] as usize..self.inst_at[i + 1] as usize]
     }
 
-    /// Passes the regions of this node's own type, allocation,
-    /// instantiation and cast target — not its children's, nor a `letreg`
-    /// binder — through `f`.
-    pub fn map_own_regions(&mut self, f: &impl Fn(RegVar) -> RegVar) {
-        match &mut self.rtype {
-            RType::Class { regions, pads, .. } => {
-                for r in regions.iter_mut().chain(pads) {
-                    *r = f(*r);
-                }
-            }
-            RType::Array { region, .. } => *region = f(*region),
-            RType::Void | RType::Prim(_) => {}
-        }
-        match &mut self.kind {
-            RExprKind::New { regions, .. }
-            | RExprKind::CallVirtual { inst: regions, .. }
-            | RExprKind::CallStatic { inst: regions, .. }
-            | RExprKind::Cast { regions, .. } => {
-                for r in regions {
-                    *r = f(*r);
-                }
-            }
-            RExprKind::NewArray { region, .. } => *region = f(*region),
-            _ => {}
-        }
+    /// The regions `e`'s own operation touches (see [`own_regions`]).
+    pub fn own_regions<'a>(&'a self, e: &'a KExpr) -> impl Iterator<Item = RegVar> + 'a {
+        own_regions(e, &self.types, &self.var_types, self.inst(e.id))
     }
 
-    /// The variables this node's own operation reads or writes — its
-    /// operand, receiver or cast subject, then its arguments — not its
-    /// children's. A `let`'s declared variable is not among them.
-    pub fn own_vars(&self) -> impl Iterator<Item = VarId> + '_ {
-        let (one, args): (_, &[VarId]) = match &self.kind {
-            RExprKind::Var(v)
-            | RExprKind::Field(v, _)
-            | RExprKind::ArrayLen(v)
-            | RExprKind::AssignVar(v, _)
-            | RExprKind::AssignField(v, _, _)
-            | RExprKind::Index(v, _)
-            | RExprKind::AssignIndex(v, _, _)
-            | RExprKind::Cast { var: v, .. } => (Some(v), &[]),
-            RExprKind::New { args, .. } | RExprKind::CallStatic { args, .. } => (None, args),
-            RExprKind::CallVirtual { recv, args, .. } => (Some(recv), args),
-            _ => (None, &[]),
-        };
-        one.into_iter().chain(args).copied()
+    /// The regions bound around expression `e`, outermost first.
+    pub fn letregs_at(&self, e: ExprId) -> impl Iterator<Item = RegVar> + '_ {
+        let from = (self.letregs).partition_point(|l| l.at.order() < (e, None));
+        self.letregs[from..]
+            .iter()
+            .take_while(move |l| l.at == Placement::Node(e))
+            .map(|l| l.region)
     }
 
-    /// The regions this node's own operation touches — its type's, its
-    /// variables' (typed by `var_types`; a `let` touches its declared
-    /// variable's) and its allocation, instantiation or cast target's.
-    /// Children are not included.
-    pub fn own_regions(&self, var_types: &[RType]) -> Vec<RegVar> {
-        let mut own = self.rtype.regions();
-        let declared = match &self.kind {
-            RExprKind::Let { var, .. } => Some(*var),
+    /// The regions bound around item ranges of block `block`, as
+    /// `(region, lo, hi)`, outermost first.
+    pub fn letregs_in(&self, block: ExprId) -> impl Iterator<Item = (RegVar, u32, u32)> + '_ {
+        let from = (self.letregs).partition_point(|l| l.at.order() <= (block, None));
+        self.letregs[from..].iter().map_while(move |l| match l.at {
+            Placement::Items { block: b, lo, hi } if b == block => Some((l.region, lo, hi)),
             _ => None,
-        };
-        for v in self.own_vars().chain(declared) {
-            own.extend(var_types[v.index()].regions());
-        }
-        match &self.kind {
-            RExprKind::New { regions, .. }
-            | RExprKind::CallVirtual { inst: regions, .. }
-            | RExprKind::CallStatic { inst: regions, .. }
-            | RExprKind::Cast { regions, .. } => own.extend(regions),
-            RExprKind::NewArray { region, .. } => own.push(*region),
-            _ => {}
-        }
-        own
-    }
-
-    /// The unit value.
-    pub fn unit(span: Span) -> RExpr {
-        RExpr {
-            kind: RExprKind::Unit,
-            rtype: RType::Void,
-            span,
-        }
-    }
-
-    /// A block of the nonempty `items`, typed by its last item; a single
-    /// item stands for itself.
-    pub fn block(mut items: Vec<RExpr>) -> RExpr {
-        if items.len() == 1 {
-            return items.pop().expect("one item");
-        }
-        let last = items.last().expect("a block has a value item");
-        let (rtype, span) = (last.rtype.clone(), items[0].span.to(last.span));
-        RExpr {
-            kind: RExprKind::Block(items),
-            rtype,
-            span,
-        }
+        })
     }
 }
 
-/// Annotated expression forms; mirrors
-/// [`KExprKind`](cj_frontend::kernel::KExprKind) with region information
-/// added, plus the `letreg` construct of the target language.
-#[derive(Debug, Clone)]
-pub enum RExprKind {
-    /// Unit value.
-    Unit,
-    /// Integer literal.
-    Int(i64),
-    /// Boolean literal.
-    Bool(bool),
-    /// Float literal.
-    Float(f64),
-    /// `(cn⟨r…⟩) null` — regions are in `rtype`.
-    Null,
-    /// Variable read.
-    Var(VarId),
-    /// Field read `v.f`.
-    Field(VarId, FieldRef),
-    /// `v = e`.
-    AssignVar(VarId, Box<RExpr>),
-    /// `v.f = e`.
-    AssignField(VarId, FieldRef, Box<RExpr>),
-    /// `new cn⟨regions⟩(args)` — the object is allocated in `regions[0]`.
-    New {
-        /// Class being constructed.
-        class: ClassId,
-        /// Region arguments of the constructed type.
-        regions: Vec<RegVar>,
-        /// Field initializer variables.
-        args: Vec<VarId>,
-    },
-    /// `new p[len]⟨region⟩`.
-    NewArray {
-        /// Element primitive.
-        elem: Prim,
-        /// Region the array lives in.
-        region: RegVar,
-        /// Length expression.
-        len: Box<RExpr>,
-    },
-    /// `v[e]`.
-    Index(VarId, Box<RExpr>),
-    /// `v[e₁] = e₂`.
-    AssignIndex(VarId, Box<RExpr>, Box<RExpr>),
-    /// `v.length`.
-    ArrayLen(VarId),
-    /// `v.mn⟨inst⟩(args)`: `inst` instantiates the callee's full
-    /// abstraction parameters (class prefix + method regions).
-    CallVirtual {
-        /// Receiver variable.
-        recv: VarId,
-        /// Statically resolved method.
-        method: MethodId,
-        /// Region arguments for the callee's `abs_params`.
-        inst: Vec<RegVar>,
-        /// Argument variables.
-        args: Vec<VarId>,
-    },
-    /// `mn⟨inst⟩(args)` — static call.
-    CallStatic {
-        /// The static method.
-        method: MethodId,
-        /// Region arguments for the callee's `abs_params`.
-        inst: Vec<RegVar>,
-        /// Argument variables.
-        args: Vec<VarId>,
-    },
-    /// `{ e₁; …; eₙ }`: the last item's value is the block's (an empty
-    /// block is unit).
-    Block(Vec<RExpr>),
-    /// `t v [= init]`, a block item of type `void` scoping over the rest
-    /// of its block.
-    Let {
-        /// Declared variable (annotated type in the method's `var_types`).
-        var: VarId,
-        /// Optional initializer.
-        init: Option<Box<RExpr>>,
-    },
-    /// `letreg r in e` — introduces a lexically scoped region.
-    Letreg(RegVar, Box<RExpr>),
-    /// Conditional.
-    If {
-        /// Condition.
-        cond: Box<RExpr>,
-        /// Then branch.
-        then_e: Box<RExpr>,
-        /// Else branch.
-        else_e: Box<RExpr>,
-    },
-    /// Loop.
-    While {
-        /// Condition.
-        cond: Box<RExpr>,
-        /// Body.
-        body: Box<RExpr>,
-    },
-    /// `(cn⟨regions⟩) v` — up- or downcast with explicit target regions.
-    Cast {
-        /// Target class.
-        class: ClassId,
-        /// Target type's regions.
-        regions: Vec<RegVar>,
-        /// Subject.
-        var: VarId,
-    },
-    /// Unary primitive operation.
-    Unary(UnOp, Box<RExpr>),
-    /// Binary primitive operation / reference equality.
-    Binary(BinOp, Box<RExpr>, Box<RExpr>),
-    /// Debug print.
-    Print(Box<RExpr>),
-}
-
-/// Visits every annotated sub-expression (pre-order).
-pub fn walk_rexpr<'a>(e: &'a RExpr, f: &mut impl FnMut(&'a RExpr)) {
-    f(e);
-    for c in e.children() {
-        walk_rexpr(c, f);
-    }
-}
-
-/// Rebuilds an annotated type with every region passed through `f`.
-pub fn map_rtype_regions(t: &RType, f: &impl Fn(RegVar) -> RegVar) -> RType {
-    match t {
-        RType::Void => RType::Void,
-        RType::Prim(p) => RType::Prim(*p),
-        RType::Class {
-            class,
-            regions,
-            pads,
-        } => RType::Class {
-            class: *class,
-            regions: regions.iter().map(|&r| f(r)).collect(),
-            pads: pads.iter().map(|&r| f(r)).collect(),
-        },
-        RType::Array { elem, region } => RType::Array {
-            elem: *elem,
-            region: f(*region),
-        },
-    }
+/// The regions expression `e`'s own operation touches — its type's (from
+/// `types`), its variables' (from `var_types`; a `let` touches its declared
+/// variable's) and its instantiation `inst`'s. Children are not included.
+pub fn own_regions<'a>(
+    e: &'a KExpr,
+    types: &'a [RType],
+    var_types: &'a [RType],
+    inst: &'a [RegVar],
+) -> impl Iterator<Item = RegVar> + 'a {
+    let declared = match &e.kind {
+        KExprKind::Let { var, .. } => Some(*var),
+        _ => None,
+    };
+    let vars = e.own_vars().chain(declared);
+    types[e.id.index()]
+        .regions()
+        .chain(vars.flat_map(|v| var_types[v.index()].regions()))
+        .chain(inst.iter().copied())
 }
 
 /// A fully region-annotated program — the output of inference and the input
@@ -576,7 +387,9 @@ impl RProgram {
             add(&mut set, t);
         }
         add(&mut set, &m.ret_type);
-        walk_rexpr(&m.body, &mut |e| add(&mut set, &e.rtype));
+        for t in &m.types {
+            add(&mut set, t);
+        }
         set
     }
 }

@@ -52,7 +52,7 @@
 use cj_diag::{codes, Diagnostic, Diagnostics, Emitter, IntoDiagnostics, Span};
 use cj_frontend::ast;
 use cj_frontend::KProgram;
-use cj_infer::{InferOptions, InferStats, RProgram};
+use cj_infer::{ExtentMode, InferOptions, InferStats, RProgram};
 use cj_policy::PolicySet;
 use cj_regions::abstraction::ConstraintAbs;
 use cj_regions::constraint::Atom;
@@ -491,13 +491,15 @@ impl Workspace {
         let mut span = cj_trace::span("pipeline", "infer");
         let (mut program, stats) =
             cj_infer::infer(&kernel, opts).map_err(IntoDiagnostics::into_diagnostics)?;
-        // Extent inference runs after the paper pipeline, before anything
+        // Extent tightening runs after the paper pipeline, before anything
         // downstream (checker, lowering, both engines) sees the program.
-        let extent_stats = cj_liveness::for_mode(opts.extent).rewrite_program(&mut program);
+        if opts.extent == ExtentMode::Liveness {
+            let extent_stats = cj_liveness::tighten(&mut program);
+            self.counts.extent_rewrites += (extent_stats.narrowed + extent_stats.dropped) as u32;
+        }
         let compilation = Arc::new(Compilation { program, stats });
         self.state_mut(opts).compilation = Some(Arc::clone(&compilation));
         let stats = &compilation.stats;
-        self.counts.extent_rewrites += (extent_stats.narrowed + extent_stats.dropped) as u32;
         self.counts.methods_inferred += stats.methods_inferred as u32;
         self.counts.sccs_solved += stats.sccs_solved as u32;
         span.add("methods_inferred", stats.methods_inferred as u64);

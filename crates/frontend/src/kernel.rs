@@ -89,6 +89,9 @@ pub struct KMethod {
     pub ret: NType,
     /// The body expression; its value is the method result.
     pub body: KExpr,
+    /// How many expressions the body holds: their ids are `0..expr_count`,
+    /// in pre-order.
+    pub expr_count: u32,
     /// Source location of the declaration.
     pub span: Span,
 }
@@ -100,9 +103,24 @@ impl KMethod {
     }
 }
 
+/// A kernel expression's dense id within its method: the body's
+/// expressions are numbered `0..KMethod::expr_count` in pre-order, so a
+/// subtree's ids are one contiguous range starting at its root's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ExprId(pub u32);
+
+impl ExprId {
+    /// The id as an index into a per-method table.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// A typed kernel expression.
 #[derive(Debug, Clone)]
 pub struct KExpr {
+    /// Dense pre-order id within the method (see [`ExprId`]).
+    pub id: ExprId,
     /// The expression.
     pub kind: KExprKind,
     /// Its normal type.
@@ -112,9 +130,11 @@ pub struct KExpr {
 }
 
 impl KExpr {
-    /// Creates a node.
+    /// Creates a node; [`number_exprs`] gives it its id once the body is
+    /// complete.
     pub fn new(kind: KExprKind, ty: NType, span: Span) -> KExpr {
-        KExpr { kind, ty, span }
+        let id = ExprId(u32::MAX);
+        KExpr { id, kind, ty, span }
     }
 
     /// The direct sub-expressions, in evaluation order.
@@ -139,6 +159,34 @@ impl KExpr {
             _ => (None, None, None, &[]),
         };
         a.into_iter().chain(b).chain(c).chain(items)
+    }
+
+    /// The variables this node's own operation reads or writes — its
+    /// operand, receiver or cast subject, then its arguments — not its
+    /// children's. A `let`'s declared variable is not among them.
+    pub fn own_vars(&self) -> impl Iterator<Item = VarId> + '_ {
+        let (one, args): (_, &[VarId]) = match &self.kind {
+            KExprKind::Var(v)
+            | KExprKind::Field(v, _)
+            | KExprKind::ArrayLen(v)
+            | KExprKind::AssignVar(v, _)
+            | KExprKind::AssignField(v, _, _)
+            | KExprKind::Index(v, _)
+            | KExprKind::AssignIndex(v, _, _)
+            | KExprKind::Cast(_, v) => (Some(v), &[]),
+            KExprKind::New(_, args) | KExprKind::CallStatic(_, args) => (None, args),
+            KExprKind::CallVirtual(recv, _, args) => (Some(recv), args),
+            _ => (None, &[]),
+        };
+        one.into_iter().chain(args).copied()
+    }
+
+    /// The items of a block; any other expression is its own one item.
+    pub fn items(&self) -> &[KExpr] {
+        match &self.kind {
+            KExprKind::Block(items) => items,
+            _ => std::slice::from_ref(self),
+        }
     }
 
     /// A block of the nonempty `items`, typed by its last item; a single
@@ -243,6 +291,41 @@ impl fmt::Display for FieldRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.name)
     }
+}
+
+/// Numbers `body`'s expressions `0..n` in pre-order and returns `n`.
+pub fn number_exprs(body: &mut KExpr) -> u32 {
+    fn number(e: &mut KExpr, next: &mut u32) {
+        e.id = ExprId(*next);
+        *next += 1;
+        match &mut e.kind {
+            KExprKind::AssignVar(_, a)
+            | KExprKind::AssignField(_, _, a)
+            | KExprKind::NewArray(_, a)
+            | KExprKind::Index(_, a)
+            | KExprKind::Unary(_, a)
+            | KExprKind::Print(a)
+            | KExprKind::Let { init: Some(a), .. } => number(a, next),
+            KExprKind::AssignIndex(_, a, b)
+            | KExprKind::Binary(_, a, b)
+            | KExprKind::While { cond: a, body: b } => {
+                number(a, next);
+                number(b, next);
+            }
+            KExprKind::If {
+                cond,
+                then_e,
+                else_e,
+            } => [cond, then_e, else_e]
+                .into_iter()
+                .for_each(|c| number(c, next)),
+            KExprKind::Block(items) => items.iter_mut().for_each(|c| number(c, next)),
+            _ => {}
+        }
+    }
+    let mut next = 0;
+    number(body, &mut next);
+    next
 }
 
 /// Visits every sub-expression of `e` (pre-order), including `e` itself.

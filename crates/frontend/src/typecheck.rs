@@ -110,7 +110,8 @@ fn lower_method(
         let v = lw.declare(p.name, ty, p.span);
         params.push(v);
     }
-    let body = lw.lower_block(&md.body, Some(ret));
+    let mut body = lw.lower_block(&md.body, Some(ret));
+    let expr_count = crate::kernel::number_exprs(&mut body);
     let vars = lw.vars;
     KMethod {
         name: md.name,
@@ -120,6 +121,7 @@ fn lower_method(
         params,
         ret,
         body,
+        expr_count,
         span: md.span,
     }
 }

@@ -1,217 +1,333 @@
-//! The `letreg` extent rewriter: sink each binding to the smallest
-//! well-scoped subtree (or contiguous statement run) covering the region's
-//! use points.
+//! The `letreg` extent tightener: moves each placement to the smallest
+//! well-scoped expression (or contiguous run of block items) covering the
+//! region's use points.
 //!
-//! The rewriter works bottom-up over a method body: nested `letreg`s are
-//! tightened first (so an outer binding can narrow past where an inner one
-//! used to sit), then each binding is re-placed by `Rewriter::place`
-//! descent:
+//! Placements are visited innermost first (so an outer binding can narrow
+//! past where an inner one used to sit), then each is re-placed by
+//! `Tightener::place` descent from the expression \[exp-block\] put it
+//! around:
 //!
-//! - a node *using* the region (its annotated type, its operand variables'
-//!   types, its allocation/instantiation/cast regions, or — for `let` —
-//!   the declared variable's type) pins the extent at that node;
+//! - an expression *using* the region (its annotated type, its operand
+//!   variables' types, its allocation/instantiation/cast regions, or — for
+//!   `let` — the declared variable's type) pins the extent at that
+//!   expression;
 //! - in a block (a flat item list whose `let` items scope over the rest of
-//!   the block) the binding wraps only the minimal contiguous run of items
-//!   containing uses. A split point inside the block takes one of two
-//!   shapes, both scope-preserving:
+//!   the block) the binding encloses only the minimal contiguous run of
+//!   items containing uses, an [`Placement::Items`] range. Its right edge
+//!   takes one of two shapes, both scope-preserving:
 //!   - **packing** — when the last use is the initializer of a binding
-//!     whose declared type does not mention the region, the live prefix
-//!     moves *into* that initializer: `let x = (letreg r in s1; …; e) in
-//!     tail`. Evaluation order is unchanged; bindings pulled inside are
-//!     provably dead in the tail (their types mention `r`, so any later
-//!     reference would be a later use of `r`);
+//!     whose declared type does not mention the region, the range ends at
+//!     that binding, whose variable stays dead inside it: the bindings
+//!     pulled inside are provably dead in the tail (their types mention
+//!     `r`, so any later reference would be a later use of `r`);
 //!   - **truncation** — when the last use is a discarded statement (or a
-//!     declaration whose own type mentions the region), the run gets an
-//!     explicit unit continuation and sits in discarded position:
-//!     `(letreg r in s1; …; ()); tail`;
+//!     declaration whose own type mentions the region), the range ends
+//!     before the block's value item, so its value is discarded;
 //!
 //!   a binding pulled into the run whose type does *not* mention the
 //!   region but which is referenced after the split drags the split point
 //!   forward (to a fixpoint), keeping every variable's scope intact;
-//! - a sole-using `if` arm, loop body, or block item is descended into (a
-//!   loop-body extent is entered afresh each iteration; the
-//!   declaration-counts-as-use rule guarantees no outer variable can carry
-//!   a stale pointer across iterations);
-//! - another `letreg` binder is never crossed, preserving the nesting
-//!   order the stack-discipline axioms were solved under;
-//! - the checker's escape rule (`letreg` body type must not mention the
-//!   bound region) is restored, where a trimmed run's discarded value
-//!   would leak the region through its type, by sequencing the run with an
-//!   explicit unit.
+//! - a sole-using `if` arm, condition, loop body or block item is
+//!   descended into (a loop-body extent is entered afresh each iteration;
+//!   the declaration-counts-as-use rule guarantees no outer variable can
+//!   carry a stale pointer across iterations);
+//! - a placement never moves into an expression or range that holds
+//!   another placement, preserving the nesting order the stack-discipline
+//!   axioms were solved under; wrapping one, it takes the same place, as
+//!   the outer of the two;
+//! - the checker's escape rule (a `letreg` region must not escape through
+//!   a used value) limits where a placement may stop: a place whose value
+//!   is used and whose type mentions the region is rejected, and the
+//!   enclosing place is tried instead.
 //!
-//! Bindings whose region is never used are dropped outright.
-
-// Placement intentionally threads the un-wrapped expression back through
-// `Err` so the caller can keep descending without cloning subtrees.
-#![allow(clippy::result_large_err)]
+//! Placements whose region is never used are dropped outright.
 
 use crate::points::PointGraph;
 use crate::ExtentStats;
+use cj_frontend::kernel::{ExprId, KExpr, KExprKind};
 use cj_frontend::VarId;
-use cj_infer::localize::wrap_letreg;
-use cj_infer::rast::{RExpr, RExprKind, RMethod, RType};
+use cj_infer::rast::{Letreg, Placement, RMethod};
 use cj_regions::var::RegVar;
+use std::collections::HashMap;
 
-/// Tightens every `letreg` extent in `m` (in place); returns what changed.
-pub fn tighten_method(m: &mut RMethod) -> ExtentStats {
+/// Tightens every `letreg` placement of `m`, whose kernel body is `body`,
+/// in place; returns what changed.
+///
+/// # Panics
+///
+/// If the tightened placements are not laminar or leave a use of their
+/// region uncovered — a bug in this pass.
+pub fn tighten_method(body: &KExpr, m: &mut RMethod) -> ExtentStats {
     let mut stats = ExtentStats::default();
-    let before = PointGraph::build(m);
+    let before = PointGraph::build(body, m);
     if before.letregs.is_empty() {
         return stats;
     }
-    stats.methods = 1;
     stats.letregs = before.letregs.len();
-    stats.points = before.points.len();
-    stats.extent_points_before = before.letregs.iter().map(|&(_, lo, hi)| hi - lo).sum();
+    stats.extent_points_before = before.extent_points();
 
-    let mut rw = Rewriter {
-        var_types: &m.var_types,
-        narrowed: 0,
-        dropped: Vec::new(),
-    };
-    rw.rewrite(&mut m.body);
-    m.localized.retain(|r| !rw.dropped.contains(r));
-    stats.narrowed = rw.narrowed;
-    stats.dropped = rw.dropped.len();
+    let mut t = Tightener::new(body, m);
+    // The list is outermost first: backwards, every placement comes after
+    // the ones it encloses.
+    for me in (0..m.letregs.len()).rev() {
+        t.tighten(m, me);
+    }
+    (stats.narrowed, stats.dropped) = (t.narrowed, t.dropped);
+    m.letregs.sort_by_key(|l| l.at.order());
 
-    let after = PointGraph::build(m);
-    debug_assert!(after.extents_cover_uses(), "extent left a use uncovered");
-    stats.extent_points_after = after.letregs.iter().map(|&(_, lo, hi)| hi - lo).sum();
+    let after = PointGraph::build(body, m);
+    assert!(after.extents_laminar(), "letreg extents must nest");
+    assert!(after.extents_cover_uses(), "extent left a use uncovered");
+    stats.extent_points_after = after.extent_points();
     stats
 }
 
-struct Rewriter<'a> {
-    var_types: &'a [RType],
-    narrowed: usize,
-    dropped: Vec<RegVar>,
+/// What tightening sees at one position: an expression, or items
+/// `lo..=hi` of a block.
+#[derive(Clone, Copy)]
+enum Unit<'k> {
+    /// An expression that is not a block item.
+    Node(&'k KExpr),
+    /// Block items. `placed` is `None` for one item with no range around
+    /// it, and otherwise whether the outermost placement around the run
+    /// packs it into item `hi`'s `let` initializer, so that the run
+    /// stands for that `let`.
+    Items {
+        block: &'k KExpr,
+        lo: u32,
+        hi: u32,
+        placed: Option<bool>,
+    },
 }
 
-impl<'a> Rewriter<'a> {
-    /// Rewrites children bottom-up, then re-places this node's `letreg`.
-    fn rewrite(&mut self, e: &mut RExpr) {
-        for c in e.children_mut() {
-            self.rewrite(c);
-        }
-        if !matches!(e.kind, RExprKind::Letreg(..)) {
-            return;
-        }
-        let span = e.span;
-        let RExprKind::Letreg(r, inner) = std::mem::replace(e, RExpr::unit(span)).kind else {
-            unreachable!("checked above");
-        };
-        let inner = *inner;
-        if !self.subtree_uses(&inner, r) {
-            self.dropped.push(r);
-            *e = inner;
-            return;
-        }
-        let mut moved = false;
-        *e = match self.place(r, inner, false, &mut moved) {
-            Ok(placed) => placed,
-            // The region leaks through the body's value type: the
-            // original (checker-visible) shape is the only valid one.
-            Err(orig) => wrap_letreg(r, orig),
-        };
-        if moved {
-            self.narrowed += 1;
+impl<'k> Unit<'k> {
+    /// The expression this unit is, if it is one.
+    fn expr(self) -> Option<&'k KExpr> {
+        match self {
+            Unit::Node(e) => Some(e),
+            Unit::Items {
+                block,
+                lo,
+                placed: None,
+                ..
+            } => Some(&block.items()[lo as usize]),
+            Unit::Items { .. } => None,
         }
     }
 
-    /// Places `letreg r` at the tightest position within `e` that covers
-    /// every use of `r`. `discarded` says whether `e`'s value is dropped by
-    /// its context (a non-final block item or loop body), which licenses the
-    /// unit coercion when the trimmed value's type mentions `r`.
+    /// The `let` this unit stands for, if any.
+    fn as_let(self) -> Option<(VarId, Option<&'k KExpr>)> {
+        let e = match self {
+            Unit::Items {
+                block,
+                hi,
+                placed: Some(true),
+                ..
+            } => &block.items()[hi as usize],
+            _ => self.expr()?,
+        };
+        match &e.kind {
+            KExprKind::Let { var, init } => Some((*var, init.as_deref())),
+            _ => None,
+        }
+    }
+
+    /// The expression whose annotated type is the unit's value type.
+    /// Whenever that type is asked about in a place whose value is used,
+    /// no placement on the value's way out has made it `void`: such a
+    /// placement was made in a discarded place, and the value's way out
+    /// of a block only passes through its last items, which inherit that.
+    fn value(self) -> Option<&'k KExpr> {
+        match self {
+            Unit::Node(e) => Some(e),
+            Unit::Items {
+                placed: Some(true), ..
+            } => None,
+            Unit::Items { block, hi, .. } => Some(&block.items()[hi as usize]),
+        }
+    }
+
+    /// The placement enclosing this unit, and whether it is packed.
+    fn site(self) -> (Placement, bool) {
+        match self {
+            // A `let` block item is enclosed by an item range.
+            Unit::Items {
+                placed: None,
+                block,
+                lo,
+                ..
+            } if !matches!(block.items()[lo as usize].kind, KExprKind::Let { .. }) => {
+                (Placement::Node(block.items()[lo as usize].id), false)
+            }
+            Unit::Node(e) => (Placement::Node(e.id), false),
+            Unit::Items { placed, .. } => (range(self, self), placed == Some(true)),
+        }
+    }
+}
+
+/// The items from `first`'s to `last`'s, of their block: all of them is the
+/// block itself.
+fn range(first: Unit<'_>, last: Unit<'_>) -> Placement {
+    let (Unit::Items { block, lo, .. }, Unit::Items { hi, .. }) = (first, last) else {
+        unreachable!("block items")
+    };
+    if lo == 0 && hi as usize + 1 == block.items().len() {
+        return Placement::Node(block.id);
+    }
+    Placement::Items {
+        block: block.id,
+        lo,
+        hi,
+    }
+}
+
+/// The tightening state of one method.
+struct Tightener<'k> {
+    /// The body's expressions, by id.
+    nodes: Vec<&'k KExpr>,
+    /// Per expression, one past the last id of its subtree.
+    ends: Vec<u32>,
+    /// Per variable, the expressions whose own operation reads or writes
+    /// it, in id order.
+    refs: Vec<Vec<u32>>,
+    /// Per expression, how many tightened placements sit around it.
+    around: Vec<u32>,
+    /// Per block, the item ranges of tightened placements, inner ones
+    /// first, as `(lo, hi, packed)`.
+    ranges: HashMap<ExprId, Vec<(u32, u32, bool)>>,
+    /// The expressions using the region being placed, in id order.
+    uses: Vec<u32>,
+    /// The region being placed.
+    r: RegVar,
+    /// Whether the current placement moved.
+    moved: bool,
+    narrowed: usize,
+    dropped: usize,
+}
+
+impl<'k> Tightener<'k> {
+    fn new(body: &'k KExpr, m: &RMethod) -> Tightener<'k> {
+        let mut t = Tightener {
+            nodes: Vec::with_capacity(m.types.len()),
+            ends: vec![0; m.types.len()],
+            refs: vec![Vec::new(); m.var_types.len()],
+            around: vec![0; m.types.len()],
+            ranges: HashMap::new(),
+            uses: Vec::new(),
+            r: RegVar::HEAP,
+            moved: false,
+            narrowed: 0,
+            dropped: 0,
+        };
+        t.index(body);
+        t
+    }
+
+    /// Fills `nodes`, `ends` and `refs` for `e`'s subtree; returns its end.
+    fn index(&mut self, e: &'k KExpr) -> u32 {
+        self.nodes.push(e);
+        for v in e.own_vars() {
+            self.refs[v.index()].push(e.id.0);
+        }
+        let mut end = e.id.0 + 1;
+        for c in e.children() {
+            end = self.index(c);
+        }
+        self.ends[e.id.index()] = end;
+        end
+    }
+
+    /// Re-places placement `me`; the ones it encloses are done.
+    fn tighten(&mut self, m: &mut RMethod, me: usize) {
+        let Letreg { region, at } = m.letregs[me];
+        let Placement::Node(start) = at else {
+            unreachable!("[exp-block] places letregs around expressions")
+        };
+        (self.r, self.moved) = (region, false);
+        let nodes = &self.nodes;
+        let within = start.0..self.ends[start.index()];
+        self.uses.clear();
+        (self.uses)
+            .extend(within.filter(|&i| m.own_regions(nodes[i as usize]).any(|x| x == region)));
+        if self.uses.is_empty() {
+            m.letregs.remove(me);
+            self.dropped += 1;
+            return;
+        }
+        let placed = self.place(m, Unit::Node(self.nodes[start.index()]), false);
+        let (at, packed) = placed.unwrap_or((at, false));
+        match at {
+            Placement::Node(e) => self.around[e.index()] += 1,
+            Placement::Items { block, lo, hi } => {
+                self.ranges.entry(block).or_default().push((lo, hi, packed));
+            }
+        }
+        m.letregs[me].at = at;
+        self.narrowed += usize::from(self.moved);
+    }
+
+    /// Places the region at the tightest position within `u` that covers
+    /// every use. `discarded` says whether `u`'s value is dropped by its
+    /// context (a non-final block item or loop body); the value of a used
+    /// place may not mention the region.
     ///
-    /// `Err` returns `e` unchanged when no placement inside or around `e`
-    /// is legal (its *used* value's type mentions `r`); the caller must
-    /// then wrap some enclosing expression instead.
-    fn place(
-        &mut self,
-        r: RegVar,
-        mut e: RExpr,
-        discarded: bool,
-        moved: &mut bool,
-    ) -> Result<RExpr, RExpr> {
+    /// `Err` when no placement inside or around `u` is legal (its *used*
+    /// value's type mentions the region); the caller then encloses some
+    /// enclosing place instead.
+    fn place(&mut self, m: &RMethod, u: Unit<'k>, discarded: bool) -> Placed {
+        // Never move into another placement.
+        let Some(e) = u.expr().filter(|e| self.bare(e)) else {
+            return self.wrap_here(m, u, discarded);
+        };
         // Blocks get the run-splitting treatment; the block accounts for
         // its own items' uses.
-        if let RExprKind::Block(items) = e.kind {
-            return self.place_block(r, items, discarded, moved);
+        if let KExprKind::Block(_) = e.kind {
+            return self.place_block(m, e, discarded);
         }
-        if self.node_uses(&e, r) {
-            return self.wrap_here(r, e, discarded);
-        }
-        // Never sink past another letreg binder (relative nesting order is
-        // what the stack-discipline axioms were solved under), nor into the
-        // operands of a plain operation.
-        if !matches!(e.kind, RExprKind::If { .. } | RExprKind::While { .. }) {
-            return self.wrap_here(r, e, discarded);
+        // Nor into the operands of a plain operation, or past a use.
+        if !matches!(e.kind, KExprKind::If { .. } | KExprKind::While { .. })
+            || m.own_regions(e).any(|x| x == self.r)
+        {
+            return self.wrap_here(m, u, discarded);
         }
         // Sink into a condition, branch or loop body that holds every use.
-        let users: Vec<usize> = e
-            .children()
-            .enumerate()
-            .filter(|(_, c)| self.subtree_uses(c, r))
-            .map(|(i, _)| i)
-            .collect();
-        let [i] = users[..] else {
-            return self.wrap_here(r, e, discarded);
+        let mut users = (e.children().enumerate()).filter(|&(_, c)| self.uses_in(Unit::Node(c)));
+        let (Some((i, child)), None) = (users.next(), users.next()) else {
+            return self.wrap_here(m, u, discarded);
         };
         // A loop body is entered afresh each iteration. Sound because every
         // use (including every declaration of a variable that could carry
         // data in the region) is confined to the body.
-        let loop_body = matches!(e.kind, RExprKind::While { .. }) && i == 1;
-        let span = e.span;
-        let slot = e.children_mut().nth(i).expect("a using child");
-        let child = std::mem::replace(slot, RExpr::unit(span));
-        match self.place(r, child, loop_body, moved) {
-            Ok(placed) => {
-                *slot = placed;
-                *moved = true;
-                Ok(e)
-            }
-            Err(child) => {
-                *slot = child;
-                self.wrap_here(r, e, discarded)
-            }
+        let loop_body = matches!(e.kind, KExprKind::While { .. }) && i == 1;
+        match self.place(m, Unit::Node(child), loop_body) {
+            Err(()) => self.wrap_here(m, u, discarded),
+            placed => self.moved(placed),
         }
     }
 
-    /// Narrows within a block: find the minimal run of items containing
-    /// every use of `r`, extend its right edge until no pulled binding is
+    /// Narrows within a block: find the minimal run of units containing
+    /// every use, extend its right edge until no pulled binding is
     /// referenced after it, then split by packing or truncation. The last
-    /// item is the block's value.
-    fn place_block(
-        &mut self,
-        r: RegVar,
-        mut items: Vec<RExpr>,
-        discarded: bool,
-        moved: &mut bool,
-    ) -> Result<RExpr, RExpr> {
-        let n = items.len() - 1;
-        let mentions: Vec<bool> = items.iter().map(|it| self.subtree_uses(it, r)).collect();
-        let lo = mentions
-            .iter()
-            .position(|&f| f)
-            .expect("block placement without a use");
-        let mut hi = mentions.iter().rposition(|&f| f).expect("block has a use");
+    /// unit holds the block's value.
+    fn place_block(&mut self, m: &RMethod, b: &'k KExpr, discarded: bool) -> Placed {
+        let units = self.units(b);
+        let n = units.len() - 1;
+        let lo = (units.iter())
+            .position(|&u| self.uses_in(u))
+            .expect("a use");
+        let mut hi = (units.iter())
+            .rposition(|&u| self.uses_in(u))
+            .expect("a use");
 
         // Scope fixpoint: every binding pulled inside the run must be dead
         // after it. In the packing form (run ends at a clean-decl binding's
         // initializer) the split binding itself stays outside the run.
         while hi < n {
-            let pulled_end = if self.packing_at(&items[hi], r) {
-                hi
-            } else {
-                hi + 1
-            };
+            let pulled_end = hi + usize::from(!self.packing_at(m, units[hi]));
             let mut forced = None;
-            for it in &items[lo..pulled_end] {
-                if let RExprKind::Let { var, .. } = it.kind {
-                    for (j, jt) in items.iter().enumerate().skip(hi + 1) {
-                        if self.expr_refs(jt, var) {
-                            forced = Some(forced.map_or(j, |f: usize| f.max(j)));
-                        }
-                    }
+            for (var, _) in units[lo..pulled_end].iter().filter_map(|u| u.as_let()) {
+                if let Some(j) = (hi + 1..=n).rev().find(|&j| self.refs_var(units[j], var)) {
+                    forced = forced.max(Some(j));
                 }
             }
             match forced {
@@ -222,203 +338,166 @@ impl<'a> Rewriter<'a> {
 
         // Single mention position: descend into it for sub-item precision.
         if lo == hi {
-            return self.descend_block_at(r, items, lo, discarded, moved);
+            return self.descend_block_at(m, b, &units, lo, discarded);
         }
         if lo == 0 && hi == n {
             // The run is the whole block: no narrowing here.
-            return self.wrap_here(r, RExpr::block(items), discarded);
+            return self.wrap_here(m, Unit::Node(b), discarded);
         }
-        if hi == n {
-            // Leading trim only: the letreg starts at the first use and
-            // runs to the end of the block — unless the block's value type
-            // leaks r (possible only when the original letreg was already
-            // illegal here, i.e. never for checker-produced input).
-            if !discarded && self.leaks(&items[n], r) {
-                *moved = false;
-                return Err(RExpr::block(items));
-            }
-            *moved = true;
-            let suffix = items.split_off(lo);
-            let wrapped = self.wrap_here(r, RExpr::block(suffix), discarded);
-            items.push(wrapped.expect("a value that does not leak wraps"));
-            return Ok(RExpr::block(items));
+        if hi == n && !discarded && self.leaks(m, units[n]) {
+            // Leading trim only, but the block's used value would leak the
+            // region (only when the original letreg was already illegal
+            // here, i.e. never for checker-produced input).
+            return Err(());
         }
-
-        *moved = true;
-        let tail = items.split_off(hi + 1);
-        let last = items.pop().expect("hi item");
-        let mut run = items.split_off(lo);
-        if self.packing_at(&last, r) {
-            // Packing: the run becomes the split binding's initializer.
-            let RExprKind::Let { var, init } = last.kind else {
-                unreachable!("packing_at checked a let");
-            };
-            run.push(*init.expect("packing requires an initializer"));
-            let init = Some(Box::new(wrap_letreg(r, RExpr::block(run))));
-            items.push(RExpr {
-                kind: RExprKind::Let { var, init },
-                ..last
-            });
-        } else {
-            // Truncation: the run (bindings included) ends in an explicit
-            // unit and sits in discarded position before the tail.
-            run.push(last);
-            let span = run[0].span;
-            run.push(RExpr::unit(span));
-            items.push(wrap_letreg(r, RExpr::block(run)));
-        }
-        items.extend(tail);
-        Ok(RExpr::block(items))
+        let packed = hi < n && self.packing_at(m, units[hi]);
+        self.moved(Ok((range(units[lo], units[hi]), packed)))
     }
 
     /// Descends into the single block position `at` holding every use.
     fn descend_block_at(
         &mut self,
-        r: RegVar,
-        mut items: Vec<RExpr>,
+        m: &RMethod,
+        b: &'k KExpr,
+        units: &[Unit<'k>],
         at: usize,
         discarded: bool,
-        moved: &mut bool,
-    ) -> Result<RExpr, RExpr> {
-        let n = items.len() - 1;
+    ) -> Placed {
+        let n = units.len() - 1;
+        let u = units[at];
         if at == n {
-            // Uses confined to the block's value expression.
-            let fin = items.pop().expect("a block has a value item");
-            return match self.place(r, fin, discarded, moved) {
-                Ok(f2) => {
-                    *moved = true;
-                    items.push(f2);
-                    Ok(RExpr::block(items))
-                }
-                Err(f) => {
-                    // n > 0 means wrapping the whole block is still wider
-                    // than needed, but the value type leaks r, so the whole
-                    // block is the tightest legal extent.
-                    items.push(f);
-                    self.wrap_here(r, RExpr::block(items), discarded)
-                }
+            // Uses confined to the block's value; if its type leaks the
+            // region, the whole block is the tightest legal extent.
+            return match self.place(m, u, discarded) {
+                Err(()) => self.wrap_here(m, Unit::Node(b), discarded),
+                placed => self.moved(placed),
             };
         }
-        let tail = items.split_off(at + 1);
-        let item = items.pop().expect("block position");
-        let placed = match item.kind {
-            RExprKind::Let { var, init } => {
-                let span = item.span;
-                let bind = |init| RExpr {
-                    kind: RExprKind::Let { var, init },
-                    rtype: RType::Void,
-                    span,
-                };
-                match init {
-                    Some(init) if !self.var_uses(var, r) => {
-                        match self.place(r, *init, false, moved) {
-                            Ok(i2) => {
-                                *moved = true;
-                                bind(Some(Box::new(i2)))
-                            }
-                            Err(i) => {
-                                // The initializer's value type leaks r: the
-                                // binding itself must stay in the extent.
-                                let bind = bind(Some(Box::new(i)));
-                                if tail.iter().any(|jt| self.expr_refs(jt, var)) {
-                                    // Referenced later: no trim possible at
-                                    // this granularity; wrap the rest of
-                                    // the block from here.
-                                    if !discarded && self.leaks(&tail[tail.len() - 1], r) {
-                                        items.push(bind);
-                                        items.extend(tail);
-                                        return Err(RExpr::block(items));
-                                    }
-                                    if at > 0 {
-                                        *moved = true;
-                                    }
-                                    let mut rest = vec![bind];
-                                    rest.extend(tail);
-                                    let wrapped = self.wrap_here(r, RExpr::block(rest), discarded);
-                                    items.push(wrapped.expect("a value that does not leak wraps"));
-                                    return Ok(RExpr::block(items));
-                                }
-                                // Truncate: bind inside the letreg with a
-                                // unit body; sound because no later item
-                                // references `var`.
-                                *moved = true;
-                                wrap_letreg(r, RExpr::block(vec![bind, RExpr::unit(span)]))
-                            }
-                        }
-                    }
-                    init => {
-                        // The declaration itself mentions r (or there is no
-                        // initializer to descend into): truncate around the
-                        // bare binding. The fixpoint already guaranteed
-                        // `var` is dead after the run.
-                        *moved = true;
-                        wrap_letreg(r, RExpr::block(vec![bind(init), RExpr::unit(span)]))
-                    }
-                }
-            }
-            kind => {
-                // A discarded statement: placement inside always succeeds.
-                let s2 = self
-                    .place(r, RExpr { kind, ..item }, true, moved)
-                    .expect("discarded position always wraps");
-                *moved = true;
-                s2
-            }
+        let Some((var, init)) = u.as_let() else {
+            // A discarded statement: placement inside always succeeds.
+            let placed = self.place(m, u, true);
+            return self.moved(Ok(placed.expect("discarded position always wraps")));
         };
-        items.push(placed);
-        items.extend(tail);
-        Ok(RExpr::block(items))
+        if let (Some(init), false) = (init, self.var_uses(m, var)) {
+            let placed = match u.expr() {
+                Some(_) => self.place(m, Unit::Node(init), false),
+                // A packed run is its `let`'s initializer, already
+                // enclosed: never move into it.
+                None if m.ty(init).mentions(self.r) => Err(()),
+                None => Ok(u.site()),
+            };
+            if placed.is_ok() {
+                return self.moved(placed);
+            }
+            // The initializer's value type leaks the region: the binding
+            // itself must stay in the extent. Referenced later, it allows no
+            // trim at this granularity: enclose the rest of the block.
+            if units[at + 1..].iter().any(|&jt| self.refs_var(jt, var)) {
+                if !discarded && self.leaks(m, units[n]) {
+                    return Err(());
+                }
+                if at == 0 {
+                    return self.wrap_here(m, Unit::Node(b), discarded);
+                }
+                return self.moved(Ok((range(u, units[n]), false)));
+            }
+        }
+        // Truncate around the binding: its variable is dead after it (the
+        // fixpoint guaranteed that when the declaration itself mentions the
+        // region).
+        self.moved(Ok((range(u, u), false)))
     }
 
-    /// Whether the run may split *before* this item, packing the run into
-    /// its initializer: a binding whose declared type does not mention `r`
-    /// and whose initializer's own value type does not leak `r`.
-    fn packing_at(&self, item: &RExpr, r: RegVar) -> bool {
-        match &item.kind {
-            RExprKind::Let {
-                var,
-                init: Some(init),
-            } => !self.var_uses(*var, r) && !self.leaks(init, r),
+    /// Records that the placement moved to `placed`.
+    fn moved(&mut self, placed: Placed) -> Placed {
+        self.moved = true;
+        placed
+    }
+
+    /// Encloses `u` itself, unless its used value's type mentions the
+    /// region.
+    fn wrap_here(&self, m: &RMethod, u: Unit<'k>, discarded: bool) -> Placed {
+        match !discarded && self.leaks(m, u) {
+            true => Err(()),
+            false => Ok(u.site()),
+        }
+    }
+
+    /// The block's items as units: each run a tightened placement encloses
+    /// is one unit.
+    fn units(&self, b: &'k KExpr) -> Vec<Unit<'k>> {
+        let ranges = self.ranges.get(&b.id).map_or(&[][..], Vec::as_slice);
+        let mut units = Vec::new();
+        let mut lo = 0;
+        while (lo as usize) < b.items().len() {
+            // The widest range starting here; among equal ones, the
+            // outermost (last tightened).
+            let mut unit = (lo, None);
+            for &(at, hi, packed) in ranges {
+                if at == lo && (unit.1.is_none() || hi >= unit.0) {
+                    unit = (hi, Some(packed));
+                }
+            }
+            let (hi, placed) = unit;
+            units.push(Unit::Items {
+                block: b,
+                lo,
+                hi,
+                placed,
+            });
+            lo = hi + 1;
+        }
+        units
+    }
+
+    /// Whether no tightened placement sits around `e`.
+    fn bare(&self, e: &KExpr) -> bool {
+        self.around[e.id.index()] == 0
+    }
+
+    /// Whether an expression in `u` is among the sorted ids `of`.
+    fn any_in(&self, of: &[u32], u: Unit<'k>) -> bool {
+        let (first, last) = match u {
+            Unit::Node(e) => (e, e),
+            Unit::Items { block, lo, hi, .. } => {
+                (&block.items()[lo as usize], &block.items()[hi as usize])
+            }
+        };
+        let i = of.partition_point(|&x| x < first.id.0);
+        i < of.len() && of[i] < self.ends[last.id.index()]
+    }
+
+    /// Whether any expression in `u` uses the region.
+    fn uses_in(&self, u: Unit<'k>) -> bool {
+        self.any_in(&self.uses, u)
+    }
+
+    /// Whether `u` references variable slot `v` (kernel slots are unique
+    /// per method, so no shadowing to account for).
+    fn refs_var(&self, u: Unit<'k>, v: VarId) -> bool {
+        self.any_in(&self.refs[v.index()], u)
+    }
+
+    /// Whether `u`'s value type mentions the region.
+    fn leaks(&self, m: &RMethod, u: Unit<'k>) -> bool {
+        u.value().is_some_and(|e| m.ty(e).mentions(self.r))
+    }
+
+    fn var_uses(&self, m: &RMethod, v: VarId) -> bool {
+        m.var_types[v.index()].mentions(self.r)
+    }
+
+    /// Whether the run may end at this unit, packing into its initializer:
+    /// a binding whose declared type does not mention the region and whose
+    /// initializer's value type does not either.
+    fn packing_at(&self, m: &RMethod, u: Unit<'k>) -> bool {
+        match u.as_let() {
+            Some((var, Some(init))) => !self.var_uses(m, var) && !m.ty(init).mentions(self.r),
             _ => false,
         }
     }
-
-    /// Whether `e`'s value type mentions `r`.
-    fn leaks(&self, e: &RExpr, r: RegVar) -> bool {
-        e.rtype.regions().contains(&r)
-    }
-
-    /// Whether `e`'s subtree references variable slot `v` (kernel slots are
-    /// unique per method, so no shadowing to account for).
-    fn expr_refs(&self, e: &RExpr, v: VarId) -> bool {
-        e.own_vars().any(|x| x == v) || e.children().any(|c| self.expr_refs(c, v))
-    }
-
-    /// Wraps `letreg r` around `e`, coercing a discarded value to unit
-    /// when `e`'s type would leak `r` past the checker's escape rule.
-    fn wrap_here(&self, r: RegVar, e: RExpr, discarded: bool) -> Result<RExpr, RExpr> {
-        if !self.leaks(&e, r) {
-            return Ok(wrap_letreg(r, e));
-        }
-        if !discarded {
-            return Err(e);
-        }
-        let unit = RExpr::unit(e.span);
-        Ok(wrap_letreg(r, RExpr::block(vec![e, unit])))
-    }
-
-    fn var_uses(&self, v: VarId, r: RegVar) -> bool {
-        self.var_types[v.index()].regions().contains(&r)
-    }
-
-    /// Whether the operation at `e` itself uses `r` (same notion as
-    /// [`PointGraph`]'s per-point use sets).
-    fn node_uses(&self, e: &RExpr, r: RegVar) -> bool {
-        e.own_regions(self.var_types).contains(&r)
-    }
-
-    /// Whether any node in `e`'s subtree uses `r`.
-    fn subtree_uses(&self, e: &RExpr, r: RegVar) -> bool {
-        self.node_uses(e, r) || e.children().any(|c| self.subtree_uses(c, r))
-    }
 }
+
+/// Where a placement goes, and whether it is packed; `Err` when it cannot
+/// stop inside the place asked about.
+type Placed = Result<(Placement, bool), ()>;

@@ -17,23 +17,25 @@
 //!   variable's type (the checker scope-checks declarations; this is what
 //!   keeps a stale pointer from being carried across an extent boundary —
 //!   e.g. from one loop iteration into the next);
-//! - the rewritten `letreg` body's value type must not mention the region
-//!   (the checker's escape rule), so trimming a discarded tail coerces the
-//!   body to `void` with an explicit unit continuation;
-//! - a `letreg` never sinks past another `letreg` binder, preserving the
-//!   relative nesting order the stack-discipline axioms were solved under.
+//! - a placement whose value is used must not mention its region in the
+//!   value's type (the checker's escape rule); a range that ends before its
+//!   block's value item, a non-final block item and a loop body discard
+//!   their values;
+//! - a placement never moves into an expression or item range that holds
+//!   another placement, preserving the relative nesting order the
+//!   stack-discipline axioms were solved under.
 //!
-//! The pass is pluggable behind [`ExtentInference`] and selected by
-//! [`ExtentMode`]: [`PaperExtents`] is the identity (today's block-scoped
-//! placement), [`LivenessExtents`] is the tightening pass. The
-//! environment-transformation inference of Schöpp & Xu (arXiv 2209.02147)
-//! is a planned third implementation of the same trait.
+//! Both work on the annotated program's tables: \[exp-block\] places each
+//! `letreg` around an expression, and [`tighten`] moves the placements —
+//! [`Placement::Node`](cj_infer::rast::Placement) around a smaller
+//! expression, or [`Placement::Items`](cj_infer::rast::Placement) around a
+//! run of block items — without rebuilding the kernel body. The driver runs
+//! it under [`ExtentMode::Liveness`](cj_infer::ExtentMode) only.
 //!
 //! # Examples
 //!
 //! ```
 //! use cj_infer::{infer_source, InferOptions};
-//! use cj_liveness::{for_mode, ExtentMode};
 //!
 //! let src = "class Box { int v; }
 //!     class M { static int main(int n) {
@@ -43,7 +45,7 @@
 //!         sum
 //!     } }";
 //! let (mut program, _) = infer_source(src, InferOptions::default()).unwrap();
-//! let stats = for_mode(ExtentMode::Liveness).rewrite_program(&mut program);
+//! let stats = cj_liveness::tighten(&mut program);
 //! assert!(stats.extent_points_after <= stats.extent_points_before);
 //! ```
 #![forbid(unsafe_code)]
@@ -51,99 +53,49 @@
 pub mod extent;
 pub mod points;
 
-pub use cj_infer::options::ExtentMode;
-
 use cj_infer::rast::RProgram;
 
-/// What an extent-inference pass did to a program.
+/// What [`tighten`] did to a program.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExtentStats {
-    /// Methods whose body contained at least one `letreg`.
-    pub methods: usize,
     /// `letreg` bindings examined.
     pub letregs: usize,
     /// Bindings whose extent strictly shrank.
     pub narrowed: usize,
     /// Bindings removed outright (region never used).
     pub dropped: usize,
-    /// Control-flow points across all rewritten methods.
-    pub points: usize,
-    /// Sum of `letreg` extent lengths (in points) before rewriting.
+    /// Sum of `letreg` extent lengths (in points) before tightening.
     pub extent_points_before: usize,
-    /// Sum of `letreg` extent lengths (in points) after rewriting.
+    /// Sum of `letreg` extent lengths (in points) after tightening.
     pub extent_points_after: usize,
 }
 
 impl ExtentStats {
     fn absorb(&mut self, other: ExtentStats) {
-        self.methods += other.methods;
         self.letregs += other.letregs;
         self.narrowed += other.narrowed;
         self.dropped += other.dropped;
-        self.points += other.points;
         self.extent_points_before += other.extent_points_before;
         self.extent_points_after += other.extent_points_after;
     }
 }
 
-/// A pluggable `letreg` extent-placement pass, run after region inference
-/// proper (and after \[exp-block\] localization) on the fully annotated
-/// program.
+/// Tightens every method's `letreg` placements in place (see
+/// [`extent`]); returns what changed.
 ///
-/// Implementations must preserve observable behaviour (value, prints,
-/// error spans) and region-checker validity; they may only change *where*
-/// `letreg` bindings sit, never which region an object is allocated in.
-pub trait ExtentInference {
-    /// Short name for CLI/protocol reporting.
-    fn name(&self) -> &'static str;
-
-    /// Rewrites every method's `letreg` extents in place.
-    fn rewrite_program(&self, program: &mut RProgram) -> ExtentStats;
-}
-
-/// The paper's block-scoped placement, unchanged: the identity pass.
-pub struct PaperExtents;
-
-impl ExtentInference for PaperExtents {
-    fn name(&self) -> &'static str {
-        "paper"
+/// Behaviour is preserved (value, prints, error spans) and the program
+/// stays region-checker-valid: only *where* a `letreg` binds changes,
+/// never which region an object is allocated in.
+pub fn tighten(program: &mut RProgram) -> ExtentStats {
+    let mut span = cj_trace::span("pipeline", "extent-rewrite");
+    let kernel = std::sync::Arc::clone(&program.kernel);
+    let mut stats = ExtentStats::default();
+    let methods = program.methods.iter_mut().flatten();
+    for m in methods.chain(&mut program.statics) {
+        stats.absorb(extent::tighten_method(&kernel.method(m.id).body, m));
     }
-
-    fn rewrite_program(&self, _program: &mut RProgram) -> ExtentStats {
-        ExtentStats::default()
-    }
-}
-
-/// The NLL-style liveness tightening pass.
-pub struct LivenessExtents;
-
-impl ExtentInference for LivenessExtents {
-    fn name(&self) -> &'static str {
-        "liveness"
-    }
-
-    fn rewrite_program(&self, program: &mut RProgram) -> ExtentStats {
-        let mut span = cj_trace::span("pipeline", "extent-rewrite");
-        let mut stats = ExtentStats::default();
-        for class_methods in &mut program.methods {
-            for m in class_methods.iter_mut() {
-                stats.absorb(extent::tighten_method(m));
-            }
-        }
-        for m in &mut program.statics {
-            stats.absorb(extent::tighten_method(m));
-        }
-        span.add("letregs", stats.letregs as u64);
-        span.add("narrowed", stats.narrowed as u64);
-        span.add("dropped", stats.dropped as u64);
-        stats
-    }
-}
-
-/// The pass implementing `mode`.
-pub fn for_mode(mode: ExtentMode) -> &'static dyn ExtentInference {
-    match mode {
-        ExtentMode::Paper => &PaperExtents,
-        ExtentMode::Liveness => &LivenessExtents,
-    }
+    span.add("letregs", stats.letregs as u64);
+    span.add("narrowed", stats.narrowed as u64);
+    span.add("dropped", stats.dropped as u64);
+    stats
 }

@@ -1,28 +1,29 @@
 //! The per-method control-flow point graph and the backward liveness
 //! solver over it.
 //!
-//! Every annotated expression node gets one *action point* (its "do the
+//! Every kernel expression gets one *action point* (its "do the
 //! operation" moment), emitted in evaluation order after its children's
 //! points; `if` gets an extra join point, `while` an extra exit point, and
-//! `letreg` a push point before and a pop point after its body. Successor
-//! edges follow evaluation order (a block's items in turn), branch at
-//! conditionals, and carry the loop back edge from a body's last point to
-//! its condition — the graph a region is "a set of points of" in the NLL
-//! design.
+//! each `letreg` placement a push point before what it encloses and a pop
+//! point after. Successor edges follow evaluation order (a block's items
+//! in turn), branch at conditionals, and carry the loop back edge from a
+//! body's last point to its condition — the graph a region is "a set of
+//! points of" in the NLL design.
 //!
 //! A point *uses* a region variable when the operation at that point could
-//! touch data in the region: the node's annotated type, operand variables'
-//! types, allocation regions, call instantiations, cast targets — and, by
-//! design, a `let` declaration uses every region of the declared variable's
-//! type. Because the region system is flow-insensitive, everything
-//! reachable from a variable lives in the regions of the variable's type,
-//! so these syntactic use points cover every dynamic access; the
-//! declaration rule additionally pins a region wherever a variable *could*
-//! carry it, which is what makes extent rewriting across loop iterations
-//! sound (no binding outside an extent can smuggle a stale pointer back
-//! in).
+//! touch data in the region: the expression's annotated type, operand
+//! variables' types, allocation regions, call instantiations, cast targets
+//! — and, by design, a `let` declaration uses every region of the declared
+//! variable's type. Because the region system is flow-insensitive,
+//! everything reachable from a variable lives in the regions of the
+//! variable's type, so these syntactic use points cover every dynamic
+//! access; the declaration rule additionally pins a region wherever a
+//! variable *could* carry it, which is what makes extent tightening across
+//! loop iterations sound (no binding outside an extent can smuggle a stale
+//! pointer back in).
 
-use cj_infer::rast::{RExpr, RExprKind, RMethod, RType};
+use cj_frontend::kernel::{KExpr, KExprKind};
+use cj_infer::rast::RMethod;
 use cj_regions::var::RegVar;
 use std::collections::{BTreeSet, HashMap};
 
@@ -40,22 +41,23 @@ pub struct Point {
 pub struct PointGraph {
     /// Points, in emission (evaluation) order.
     pub points: Vec<Point>,
-    /// Per-`letreg` `(region, push point, pop point)`, in traversal order.
-    /// Point ids are contiguous per subtree, so `[push, pop]` is exactly
-    /// the binding's extent.
+    /// Per placement `(region, push point, pop point)`, in push order.
+    /// Point ids are contiguous per subtree and item run, so `[push, pop]`
+    /// is exactly the binding's extent.
     pub letregs: Vec<(RegVar, usize, usize)>,
 }
 
 impl PointGraph {
-    /// Builds the graph for a method body.
-    pub fn build(m: &RMethod) -> PointGraph {
+    /// Builds the graph for a method's kernel body `body`.
+    pub fn build(body: &KExpr, m: &RMethod) -> PointGraph {
         let mut g = PointGraph::default();
-        let mut b = Builder {
-            g: &mut g,
-            var_types: &m.var_types,
-        };
-        b.emit(&m.body);
+        Builder { g: &mut g, m }.emit(body);
         g
+    }
+
+    /// The summed length of every placement's extent, in points.
+    pub fn extent_points(&self) -> usize {
+        self.letregs.iter().map(|&(_, lo, hi)| hi - lo).sum()
     }
 
     /// Every point where `r` is used.
@@ -100,9 +102,24 @@ impl PointGraph {
         }
     }
 
+    /// Whether the placements' extents are laminar in push order: each one
+    /// after another either lies inside it or starts after it ends.
+    pub fn extents_laminar(&self) -> bool {
+        // The pops of the extents still open at each push.
+        let mut open: Vec<usize> = Vec::new();
+        self.letregs.iter().all(|&(_, push, pop)| {
+            while open.last().is_some_and(|&end| end < push) {
+                open.pop();
+            }
+            let nested = open.last().is_none_or(|&end| pop < end);
+            open.push(pop);
+            nested
+        })
+    }
+
     /// Whether every use point of every `letreg`-bound region falls inside
     /// its binding's `[push, pop]` extent — the invariant the extent
-    /// rewriter must uphold.
+    /// tightener must uphold.
     pub fn extents_cover_uses(&self) -> bool {
         let mut extents: HashMap<RegVar, Vec<(usize, usize)>> = HashMap::new();
         for &(r, push, pop) in &self.letregs {
@@ -120,10 +137,10 @@ impl PointGraph {
 
 struct Builder<'a> {
     g: &'a mut PointGraph,
-    var_types: &'a [RType],
+    m: &'a RMethod,
 }
 
-impl<'a> Builder<'a> {
+impl Builder<'_> {
     fn point(&mut self) -> usize {
         self.g.points.push(Point::default());
         self.g.points.len() - 1
@@ -133,20 +150,58 @@ impl<'a> Builder<'a> {
         self.g.points[from].succs.push(to);
     }
 
-    /// Emits points for `e`; returns `(entry, exit)`. The subtree's points
-    /// occupy the contiguous id range emitted during the call.
-    fn emit(&mut self, e: &RExpr) -> (usize, usize) {
-        match &e.kind {
-            RExprKind::Letreg(r, inner) => {
-                let push = self.action(e);
-                let (ie, ix) = self.emit(inner);
-                self.edge(push, ie);
-                let pop = self.point();
-                self.edge(ix, pop);
-                self.g.letregs.push((*r, push, pop));
-                (push, pop)
+    /// Emits `r`'s push point; returns it and where its extent goes in
+    /// `letregs`.
+    fn push(&mut self, r: RegVar) -> (usize, usize) {
+        let push = self.point();
+        self.g.letregs.push((r, push, push));
+        (push, self.g.letregs.len() - 1)
+    }
+
+    /// Emits the pop point closing `letregs[at]`.
+    fn pop(&mut self, at: usize) -> usize {
+        let pop = self.point();
+        self.g.letregs[at].2 = pop;
+        pop
+    }
+
+    /// Appends the points `(entry, exit)` to the sequence `seq` (its first
+    /// entry and last exit so far).
+    fn then(&mut self, seq: &mut Option<(usize, usize)>, (entry, exit): (usize, usize)) {
+        match seq {
+            Some((_, last)) => {
+                self.edge(*last, entry);
+                *last = exit;
             }
-            RExprKind::If {
+            None => *seq = Some((entry, exit)),
+        }
+    }
+
+    /// Emits points for `e` and the placements around it; returns
+    /// `(entry, exit)`. The subtree's points occupy the contiguous id range
+    /// emitted during the call.
+    fn emit(&mut self, e: &KExpr) -> (usize, usize) {
+        self.emit_from(e, 0)
+    }
+
+    /// [`Self::emit`] inside the placements around `e` from the `skip`-th
+    /// on.
+    fn emit_from(&mut self, e: &KExpr, skip: usize) -> (usize, usize) {
+        let Some(r) = self.m.letregs_at(e.id).nth(skip) else {
+            return self.emit_node(e);
+        };
+        let (push, at) = self.push(r);
+        let mut seq = Some((push, push));
+        let inner = self.emit_from(e, skip + 1);
+        self.then(&mut seq, inner);
+        let pop = self.pop(at);
+        self.then(&mut seq, (pop, pop));
+        seq.expect("a push")
+    }
+
+    fn emit_node(&mut self, e: &KExpr) -> (usize, usize) {
+        match &e.kind {
+            KExprKind::If {
                 cond,
                 then_e,
                 else_e,
@@ -163,7 +218,7 @@ impl<'a> Builder<'a> {
                 self.edge(ex, join);
                 (entry, join)
             }
-            RExprKind::While { cond, body } => {
+            KExprKind::While { cond, body } => {
                 let (ce, cx) = self.emit(cond);
                 let branch = self.action(e);
                 self.edge(cx, branch);
@@ -175,32 +230,35 @@ impl<'a> Builder<'a> {
                 (ce, exit)
             }
             _ => {
-                // The children in evaluation order, then the node's own
+                // The children in evaluation order — a block's items each
+                // inside the item ranges around them — then the node's own
                 // action.
-                let mut entry = None;
-                let mut prev = None;
-                for c in e.children() {
-                    let (ce, cx) = self.emit(c);
-                    if let Some(px) = prev {
-                        self.edge(px, ce);
+                let ranges: Vec<_> = self.m.letregs_in(e.id).collect();
+                let (mut open, mut seq) = (Vec::new(), None);
+                for (i, c) in (0..).zip(e.children()) {
+                    for &(r, _, _) in ranges.iter().filter(|&&(_, lo, _)| lo == i) {
+                        let (push, at) = self.push(r);
+                        self.then(&mut seq, (push, push));
+                        open.push(at);
                     }
-                    entry.get_or_insert(ce);
-                    prev = Some(cx);
+                    let child = self.emit(c);
+                    self.then(&mut seq, child);
+                    for _ in ranges.iter().filter(|&&(_, _, hi)| hi == i) {
+                        let pop = self.pop(open.pop().expect("ranges nest"));
+                        self.then(&mut seq, (pop, pop));
+                    }
                 }
                 let p = self.action(e);
-                if let Some(px) = prev {
-                    self.edge(px, p);
-                }
-                (entry.unwrap_or(p), p)
+                self.then(&mut seq, (p, p));
+                seq.expect("an action point")
             }
         }
     }
 
-    /// The node's action point, carrying its region uses.
-    fn action(&mut self, e: &RExpr) -> usize {
+    /// The expression's action point, carrying its region uses.
+    fn action(&mut self, e: &KExpr) -> usize {
         let p = self.point();
-        let uses = e.own_regions(self.var_types).into_iter().collect();
-        self.g.points[p].uses = uses;
+        self.g.points[p].uses = self.m.own_regions(e).collect();
         p
     }
 }

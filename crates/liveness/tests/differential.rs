@@ -17,21 +17,35 @@ mod common;
 use cj_benchmarks::all_benchmarks;
 use cj_infer::rast::RProgram;
 use cj_infer::{infer_source, InferOptions, SubtypeMode};
-use cj_liveness::{ExtentInference, LivenessExtents};
+use cj_liveness::points::PointGraph;
 use cj_runtime::{run_main_big_stack, RunConfig, Value};
 use common::{arb_op, clamp_op, render, Op};
 use proptest::prelude::*;
 
-/// Paper-placement program plus its liveness-tightened rewrite, both
-/// region-checked.
+/// Paper-placement program plus its liveness-tightened version, both
+/// region-checked, with sound placements.
 fn both_modes(src: &str, opts: InferOptions) -> (RProgram, RProgram) {
     let (paper, _) = infer_source(src, opts).expect("inference");
     cj_check::check(&paper).expect("paper-mode program checks");
     let mut live = paper.clone();
-    LivenessExtents.rewrite_program(&mut live);
+    cj_liveness::tighten(&mut live);
     cj_check::check(&live)
-        .unwrap_or_else(|e| panic!("liveness-rewritten program must still region-check: {e}"));
+        .unwrap_or_else(|e| panic!("liveness-tightened program must still region-check: {e}"));
+    for p in [&paper, &live] {
+        assert_placements_sound(p);
+    }
     (paper, live)
+}
+
+/// Every method's `letreg` extents nest, and each covers every use of its
+/// region.
+fn assert_placements_sound(p: &RProgram) {
+    for (id, m) in p.all_rmethods() {
+        let g = PointGraph::build(&p.kernel.method(id).body, m);
+        let name = p.kernel.method_name(id);
+        assert!(g.extents_laminar(), "{name}: letreg extents must nest");
+        assert!(g.extents_cover_uses(), "{name}: a use escapes its letreg");
+    }
 }
 
 struct Observed {

@@ -1,13 +1,13 @@
-//! Unit tests for the extent rewriter's individual narrowing rules:
+//! Unit tests for the extent tightener's individual narrowing rules:
 //! trailing-tail trimming, unused-binding removal, loop/declaration
 //! interaction — plus the point-graph invariants they rest on.
 
-use cj_infer::localize::wrap_letreg;
-use cj_infer::rast::{RExprKind, RMethod, RProgram};
+use cj_frontend::kernel::ExprId;
+use cj_infer::rast::{Letreg, Placement, RMethod, RProgram};
 use cj_infer::{infer_source, InferOptions};
 use cj_liveness::extent::tighten_method;
 use cj_liveness::points::PointGraph;
-use cj_liveness::{ExtentInference, LivenessExtents};
+use cj_liveness::ExtentStats;
 use cj_regions::var::RegVar;
 use cj_runtime::{run_main_big_stack, RunConfig, Value};
 
@@ -20,15 +20,22 @@ fn infer(src: &str) -> RProgram {
 fn main_method(p: &RProgram) -> &RMethod {
     p.statics
         .iter()
-        .find(|m| !m.localized.is_empty())
+        .find(|m| !m.letregs.is_empty())
         .expect("a static method with a letreg")
 }
 
-fn main_method_mut(p: &mut RProgram) -> &mut RMethod {
-    p.statics
-        .iter_mut()
-        .find(|m| !m.localized.is_empty())
-        .expect("a static method with a letreg")
+/// Tightens [`main_method`].
+fn tighten_main(p: &mut RProgram) -> ExtentStats {
+    let kernel = std::sync::Arc::clone(&p.kernel);
+    let m = (p.statics.iter_mut())
+        .find(|m| !m.letregs.is_empty())
+        .expect("a static method with a letreg");
+    tighten_method(&kernel.method(m.id).body, m)
+}
+
+/// The point graph of `m`.
+fn graph(p: &RProgram, m: &RMethod) -> PointGraph {
+    PointGraph::build(&p.kernel.method(m.id).body, m)
 }
 
 fn peak(p: &RProgram, args: &[Value]) -> usize {
@@ -51,7 +58,7 @@ fn trailing_tail_after_last_use_is_trimmed() {
             out
         } }";
     let mut p = infer(src);
-    let stats = tighten_method(main_method_mut(&mut p));
+    let stats = tighten_main(&mut p);
     assert_eq!(stats.letregs, 1);
     assert_eq!(stats.narrowed, 1, "the tail trim counts as a narrowing");
     assert_eq!(stats.dropped, 0);
@@ -82,7 +89,7 @@ fn freeing_early_lowers_peak_when_the_tail_allocates() {
         } }";
     let paper = infer(src);
     let mut live = paper.clone();
-    let stats = LivenessExtents.rewrite_program(&mut live);
+    let stats = cj_liveness::tighten(&mut live);
     assert!(stats.narrowed >= 1);
     cj_check::check(&live).expect("still region-checks");
     let args = [Value::Int(5)];
@@ -97,22 +104,22 @@ fn freeing_early_lowers_peak_when_the_tail_allocates() {
 fn unused_letreg_binding_is_dropped() {
     let src = "class M { static int main(int n) { n + 1 } }";
     let mut p = infer(src);
+    let kernel = std::sync::Arc::clone(&p.kernel);
     let m = p
         .statics
         .iter_mut()
-        .find(|m| m.localized.is_empty())
+        .find(|m| m.letregs.is_empty())
         .expect("main has no letregs of its own");
-    // Graft a letreg whose region nothing uses; the rewriter must erase it.
+    // Graft a letreg whose region nothing uses; the tightener must erase
+    // it.
     let ghost = RegVar(9_999);
-    m.body = wrap_letreg(ghost, m.body.clone());
-    m.localized.push(ghost);
-    let stats = tighten_method(m);
+    m.letregs.push(Letreg {
+        region: ghost,
+        at: Placement::Node(ExprId(0)),
+    });
+    let stats = tighten_method(&kernel.method(m.id).body, m);
     assert_eq!(stats.dropped, 1);
-    assert!(m.localized.is_empty(), "dropped binding leaves `localized`");
-    assert!(
-        !matches!(m.body.kind, RExprKind::Letreg(_, _)),
-        "the ghost letreg is gone"
-    );
+    assert!(m.letregs.is_empty(), "dropped binding leaves `letregs`");
     cj_check::check(&p).expect("still region-checks");
     let out = run_main_big_stack(&p, &[Value::Int(41)], RunConfig::default()).unwrap();
     assert_eq!(out.value.to_string(), "42");
@@ -131,10 +138,10 @@ fn declaration_before_loop_pins_the_extent_across_iterations() {
             b.v
         } }";
     let mut p = infer(src);
-    tighten_method(main_method_mut(&mut p));
+    tighten_main(&mut p);
     cj_check::check(&p).expect("still region-checks");
     let m = main_method(&p);
-    let g = PointGraph::build(m);
+    let g = graph(&p, m);
     assert!(g.extents_cover_uses());
     // The rewritten extent still covers every use, including the
     // declaration point before the loop and the read after it.
@@ -158,9 +165,9 @@ fn point_graph_liveness_covers_loop_back_edges() {
         } }";
     let p = infer(src);
     let m = main_method(&p);
-    let g = PointGraph::build(m);
+    let g = graph(&p, m);
     assert!(g.extents_cover_uses());
-    let of: std::collections::BTreeSet<RegVar> = m.localized.iter().copied().collect();
+    let of: std::collections::BTreeSet<RegVar> = m.letregs.iter().map(|l| l.region).collect();
     let live = g.liveness(&of);
     for &(r, push, pop) in &g.letregs {
         // Live on entry (some path reaches a use), at every use point —

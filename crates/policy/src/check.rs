@@ -8,8 +8,9 @@
 use crate::{PolicySet, Rule, RuleKind};
 use cj_diag::{codes, Span};
 use cj_frontend::intern::Symbol;
+use cj_frontend::kernel::{walk_expr, KExpr, KExprKind};
 use cj_frontend::types::{ClassId, MethodId};
-use cj_infer::rast::{walk_rexpr, RExpr, RExprKind, RMethod, RProgram, RType};
+use cj_infer::rast::{RMethod, RProgram, RType};
 use cj_regions::constraint::Atom;
 use cj_regions::solve::Solver;
 use cj_regions::var::RegVar;
@@ -172,28 +173,22 @@ impl<'p> ProgramCx<'p> {
             .collect();
         let locals: Vec<BTreeSet<RegVar>> = methods
             .iter()
-            .map(|(_, m)| {
-                let mut set = BTreeSet::new();
-                walk_rexpr(&m.body, &mut |e| {
-                    if let RExprKind::Letreg(r, _) = &e.kind {
-                        set.insert(*r);
-                    }
-                });
-                set
-            })
+            .map(|(_, m)| m.letregs.iter().map(|l| l.region).collect())
             .collect();
 
         // Call edges: each edge maps every callee abstraction parameter to
         // the caller-side region that instantiates it (`None` = unknown,
         // e.g. an override's extra class parameters).
         let mut in_edges: Vec<Vec<(usize, Vec<Option<RegVar>>)>> = vec![Vec::new(); methods.len()];
-        for (ci, (_, m)) in methods.iter().enumerate() {
-            walk_rexpr(&m.body, &mut |e| {
-                let (target, inst) = match &e.kind {
-                    RExprKind::CallVirtual { method, inst, .. }
-                    | RExprKind::CallStatic { method, inst, .. } => (*method, inst),
+        for (ci, (id, m)) in methods.iter().enumerate() {
+            walk_expr(&program.kernel.method(*id).body, &mut |e| {
+                let target = match &e.kind {
+                    KExprKind::CallVirtual(_, method, _) | KExprKind::CallStatic(method, _) => {
+                        *method
+                    }
                     _ => return,
                 };
+                let inst = m.inst(e.id);
                 for (callee, mapping) in call_targets(program, &index, &methods, target, inst) {
                     in_edges[callee].push((ci, mapping));
                 }
@@ -322,8 +317,8 @@ fn evaluate(
 ) {
     let table = cx.table();
     let mname = cx.program.kernel.method_name(id);
-    let mut nodes: Vec<&RExpr> = Vec::new();
-    walk_rexpr(&m.body, &mut |e| nodes.push(e));
+    let mut nodes: Vec<&KExpr> = Vec::new();
+    walk_expr(&cx.program.kernel.method(id).body, &mut |e| nodes.push(e));
     // Every class-typed annotation occurring in the method, deduplicated:
     // the ownership ("owned by D") and taint ("hosts S values") relations
     // are read off these occurrences.
@@ -337,8 +332,8 @@ fn evaluate(
         record(t);
     }
     record(&m.ret_type);
-    for node in &nodes {
-        record(&node.rtype);
+    for t in &m.types {
+        record(t);
     }
 
     // The closed constraint environment, built on first use.
@@ -353,14 +348,10 @@ fn evaluate(
         match r.target {
             Target::NoEscape { class } => {
                 for node in &nodes {
-                    let RExprKind::New {
-                        class: alloc,
-                        regions,
-                        ..
-                    } = &node.kind
-                    else {
+                    let KExprKind::New(alloc, _) = &node.kind else {
                         continue;
                     };
+                    let regions = m.inst(node.id);
                     if !table.is_subclass(*alloc, class) {
                         continue;
                     }
@@ -420,14 +411,10 @@ fn evaluate(
                     .collect();
                 let on = table.name(owner);
                 for node in &nodes {
-                    let RExprKind::New {
-                        class: alloc,
-                        regions,
-                        ..
-                    } = &node.kind
-                    else {
+                    let KExprKind::New(alloc, _) = &node.kind else {
                         continue;
                     };
+                    let regions = m.inst(node.id);
                     if !table.is_subclass(*alloc, class) {
                         continue;
                     }
@@ -475,8 +462,8 @@ fn evaluate(
                 let sn = table.name(source);
                 for node in &nodes {
                     let (callee, args) = match &node.kind {
-                        RExprKind::CallVirtual { method, args, .. } => (*method, args),
-                        RExprKind::CallStatic { method, args, .. } => (*method, args),
+                        KExprKind::CallVirtual(_, method, args) => (*method, args),
+                        KExprKind::CallStatic(method, args) => (*method, args),
                         _ => continue,
                     };
                     if !sink_matches(table, callee, sink_class, sink_method) {

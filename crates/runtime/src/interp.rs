@@ -1,8 +1,11 @@
 //! A big-step interpreter for region-annotated Core-Java.
 //!
-//! The interpreter executes the *annotated* program over the shared
-//! [`RegionHeap`]: `letreg` pushes a real region and frees its arena on
-//! exit, `new cn⟨r…⟩` allocates into the region bound to `r`, and method
+//! The interpreter walks each method's kernel body and reads the region
+//! annotations from the method's tables. It executes the *annotated*
+//! program over the shared [`RegionHeap`]: a `letreg` placed around an
+//! expression or a run of block items pushes a real region before it and
+//! frees the region's arena after it (one evaluation step, as a `letreg`
+//! node of the target language costs), `new cn⟨r…⟩` allocates into the region bound to `r`, and method
 //! calls carry region arguments exactly as in the target language's
 //! dynamic semantics. Field and element reads decode the stored word with
 //! the static type of the read. Every object access checks that the
@@ -14,9 +17,10 @@
 use crate::heap::{encode, ObjRef, RegionError, RegionHeap, SlotTy, SpaceStats};
 use crate::value::{self, Value};
 use cj_frontend::ast::BinOp;
+use cj_frontend::kernel::{KExpr, KExprKind};
 use cj_frontend::span::Span;
 use cj_frontend::types::{ClassId, MethodId, NType};
-use cj_infer::rast::{RExpr, RExprKind, RProgram, RType};
+use cj_infer::rast::{RMethod, RProgram, RType};
 use cj_regions::var::RegVar;
 use std::collections::HashMap;
 use std::fmt;
@@ -44,8 +48,9 @@ pub enum RuntimeError {
     DepthLimit(Span),
     /// No static `main` method exists.
     NoMain,
-    /// `main` received the wrong number/kinds of arguments.
-    BadMainArgs,
+    /// `main`, declared at this span, received the wrong number/kinds of
+    /// arguments.
+    BadMainArgs(Span),
     /// Negative array length.
     NegativeLength(Span),
 }
@@ -62,7 +67,7 @@ impl fmt::Display for RuntimeError {
             RuntimeError::StepLimit => f.write_str("step limit exceeded"),
             RuntimeError::DepthLimit(_) => f.write_str("call depth limit exceeded"),
             RuntimeError::NoMain => f.write_str("no static `main` method"),
-            RuntimeError::BadMainArgs => f.write_str("bad arguments for `main`"),
+            RuntimeError::BadMainArgs(_) => f.write_str("bad arguments for `main`"),
             RuntimeError::NegativeLength(_) => f.write_str("negative array length"),
         }
     }
@@ -80,11 +85,9 @@ impl RuntimeError {
             | RuntimeError::DivisionByZero(s)
             | RuntimeError::DanglingAccess(s)
             | RuntimeError::NegativeLength(s)
-            | RuntimeError::DepthLimit(s) => Some(*s),
-            RuntimeError::Region(_)
-            | RuntimeError::StepLimit
-            | RuntimeError::NoMain
-            | RuntimeError::BadMainArgs => None,
+            | RuntimeError::DepthLimit(s)
+            | RuntimeError::BadMainArgs(s) => Some(*s),
+            RuntimeError::Region(_) | RuntimeError::StepLimit | RuntimeError::NoMain => None,
         }
     }
 }
@@ -226,7 +229,7 @@ pub fn run_static(
 ) -> Result<Outcome, RuntimeError> {
     let km = p.kernel.method(id);
     if km.params.len() != args.len() {
-        return Err(RuntimeError::BadMainArgs);
+        return Err(RuntimeError::BadMainArgs(km.span));
     }
     let mut interp = Interp {
         p,
@@ -239,7 +242,7 @@ pub fn run_static(
         prints: Vec::new(),
     };
     let rm = p.rmethod(id);
-    let mut frame = Frame::new(id, km.vars.len());
+    let mut frame = Frame::new(rm, km.vars.len());
     for (i, &a) in args.iter().enumerate() {
         frame.vars[km.params[i].index()] = a;
     }
@@ -247,7 +250,7 @@ pub fn run_static(
     for &r in &rm.abs_params {
         frame.regmap.insert(r, 0);
     }
-    let value = interp.eval(&mut frame, &rm.body)?;
+    let value = interp.eval(&mut frame, &km.body)?;
     Ok(Outcome {
         value,
         space: interp.heap.stats(),
@@ -281,17 +284,18 @@ pub fn run_main_big_stack(
     })
 }
 
-struct Frame {
-    method: MethodId,
+struct Frame<'a> {
+    /// The running method's annotations.
+    rm: &'a RMethod,
     vars: Vec<Value>,
     /// Region variable to heap region id.
     regmap: HashMap<RegVar, u32>,
 }
 
-impl Frame {
-    fn new(method: MethodId, nvars: usize) -> Frame {
+impl Frame<'_> {
+    fn new(rm: &RMethod, nvars: usize) -> Frame<'_> {
         Frame {
-            method,
+            rm,
             vars: vec![Value::Null; nvars],
             regmap: HashMap::new(),
         }
@@ -310,7 +314,7 @@ struct Interp<'a> {
 }
 
 impl<'a> Interp<'a> {
-    fn region(&self, frame: &Frame, r: RegVar) -> u32 {
+    fn region(&self, frame: &Frame<'_>, r: RegVar) -> u32 {
         if self.erase || r.is_heap() {
             return 0;
         }
@@ -328,8 +332,8 @@ impl<'a> Interp<'a> {
     /// Evaluates one block item. A `let` is handled here rather than in
     /// [`Self::eval`], so temporaries nested in initializers cost one
     /// `eval` frame per level.
-    fn item(&mut self, frame: &mut Frame, e: &RExpr) -> Result<Value, RuntimeError> {
-        let RExprKind::Let { var, init } = &e.kind else {
+    fn item(&mut self, frame: &mut Frame<'a>, e: &'a KExpr) -> Result<Value, RuntimeError> {
+        let KExprKind::Let { var, init } = &e.kind else {
             return self.eval(frame, e);
         };
         self.tick()?;
@@ -337,7 +341,7 @@ impl<'a> Interp<'a> {
             Some(init) => self.eval(frame, init)?,
             // Fresh declaration without initializer: reset the slot (loops
             // re-enter Lets).
-            None => Value::default_of(self.p.kernel.method(frame.method).vars[var.index()].ty),
+            None => Value::default_of(self.p.kernel.method(frame.rm.id).vars[var.index()].ty),
         };
         Ok(Value::Unit)
     }
@@ -351,39 +355,78 @@ impl<'a> Interp<'a> {
         Ok(())
     }
 
-    fn eval(&mut self, frame: &mut Frame, e: &RExpr) -> Result<Value, RuntimeError> {
+    /// Enters `letreg r` (one step): pushes a fresh region and binds `r`
+    /// to it. A run that fails stops here, so the way out of a failure
+    /// pops nothing.
+    fn push(&mut self, frame: &mut Frame<'a>, r: RegVar) -> Result<u32, RuntimeError> {
+        self.tick()?;
+        // Under region erasure a letreg is a no-op.
+        let rid = if self.erase { 0 } else { self.heap.push() };
+        frame.regmap.insert(r, rid);
+        Ok(rid)
+    }
+
+    /// Leaves `letreg r`, freeing its region.
+    fn pop(&mut self, frame: &mut Frame<'a>, r: RegVar, rid: u32) -> Result<(), RuntimeError> {
+        frame.regmap.remove(&r);
+        if !self.erase {
+            self.heap.pop(rid)?;
+        }
+        Ok(())
+    }
+
+    /// Evaluates `e` inside the `letreg`s placed around it.
+    fn eval(&mut self, frame: &mut Frame<'a>, e: &'a KExpr) -> Result<Value, RuntimeError> {
+        self.eval_from(frame, e, 0)
+    }
+
+    /// [`Self::eval`] inside the `letreg`s around `e` from the `skip`-th
+    /// on.
+    fn eval_from(
+        &mut self,
+        frame: &mut Frame<'a>,
+        e: &'a KExpr,
+        skip: usize,
+    ) -> Result<Value, RuntimeError> {
+        let Some(r) = frame.rm.letregs_at(e.id).nth(skip) else {
+            return self.node(frame, e);
+        };
+        let rid = self.push(frame, r)?;
+        let value = self.eval_from(frame, e, skip + 1)?;
+        self.pop(frame, r, rid)?;
+        Ok(value)
+    }
+
+    fn node(&mut self, frame: &mut Frame<'a>, e: &'a KExpr) -> Result<Value, RuntimeError> {
         // A block's steps are its statements' (see below).
-        if !matches!(e.kind, RExprKind::Block(_)) {
+        if !matches!(e.kind, KExprKind::Block(_)) {
             self.tick()?;
         }
         match &e.kind {
-            RExprKind::Unit => Ok(Value::Unit),
-            RExprKind::Int(v) => Ok(Value::Int(*v)),
-            RExprKind::Bool(v) => Ok(Value::Bool(*v)),
-            RExprKind::Float(v) => Ok(Value::Float(*v)),
-            RExprKind::Null => Ok(Value::Null),
-            RExprKind::Var(v) => Ok(frame.vars[v.index()]),
-            RExprKind::Field(v, fref) => {
+            KExprKind::Unit => Ok(Value::Unit),
+            KExprKind::Int(v) => Ok(Value::Int(*v)),
+            KExprKind::Bool(v) => Ok(Value::Bool(*v)),
+            KExprKind::Float(v) => Ok(Value::Float(*v)),
+            KExprKind::Null => Ok(Value::Null),
+            KExprKind::Var(v) => Ok(frame.vars[v.index()]),
+            KExprKind::Field(v, fref) => {
                 let o = self.deref(frame.vars[v.index()], e.span)?;
                 let word = self.heap.field(o, fref.index as usize);
-                Ok(self.heap.decode(slot_ty(&e.rtype), word))
+                Ok(self.heap.decode(slot_ty(frame.rm.ty(e)), word))
             }
-            RExprKind::AssignVar(v, rhs) => {
+            KExprKind::AssignVar(v, rhs) => {
                 let val = self.eval(frame, rhs)?;
                 frame.vars[v.index()] = val;
                 Ok(Value::Unit)
             }
-            RExprKind::AssignField(v, fref, rhs) => {
+            KExprKind::AssignField(v, fref, rhs) => {
                 let val = self.eval(frame, rhs)?;
                 let o = self.deref(frame.vars[v.index()], e.span)?;
                 self.heap.set_field(o, fref.index as usize, encode(val));
                 Ok(Value::Unit)
             }
-            RExprKind::New {
-                class,
-                regions,
-                args,
-            } => {
+            KExprKind::New(class, args) => {
+                let regions = frame.rm.inst(e.id);
                 let ids: Vec<u32> = regions.iter().map(|&r| self.region(frame, r)).collect();
                 let fields: Vec<u64> = args
                     .iter()
@@ -392,23 +435,23 @@ impl<'a> Interp<'a> {
                 let obj = self.heap.alloc_object(ids[0], class.0, &ids, &fields)?;
                 Ok(Value::Ref(obj))
             }
-            RExprKind::NewArray { elem, region, len } => {
+            KExprKind::NewArray(elem, len) => {
                 let n = self.eval(frame, len)?.as_int().expect("length is int");
                 if n < 0 {
                     return Err(RuntimeError::NegativeLength(e.span));
                 }
-                let rid = self.region(frame, *region);
+                let rid = self.region(frame, frame.rm.inst(e.id)[0]);
                 let obj = self.heap.alloc_array(rid, *elem, n as usize)?;
                 Ok(Value::Ref(obj))
             }
-            RExprKind::Index(v, idx) => {
+            KExprKind::Index(v, idx) => {
                 let i = self.eval(frame, idx)?.as_int().expect("index is int");
                 let o = self.deref(frame.vars[v.index()], e.span)?;
                 let word = self.heap.element(o, i as usize);
                 let word = word.ok_or(RuntimeError::IndexOutOfBounds(e.span))?;
-                Ok(self.heap.decode(slot_ty(&e.rtype), word))
+                Ok(self.heap.decode(slot_ty(frame.rm.ty(e)), word))
             }
-            RExprKind::AssignIndex(v, idx, val) => {
+            KExprKind::AssignIndex(v, idx, val) => {
                 let i = self.eval(frame, idx)?.as_int().expect("index is int");
                 let val = self.eval(frame, val)?;
                 let o = self.deref(frame.vars[v.index()], e.span)?;
@@ -417,49 +460,44 @@ impl<'a> Interp<'a> {
                 }
                 Ok(Value::Unit)
             }
-            RExprKind::ArrayLen(v) => {
+            KExprKind::ArrayLen(v) => {
                 let o = self.deref(frame.vars[v.index()], e.span)?;
                 Ok(Value::Int(self.heap.array_len(o) as i64))
             }
-            RExprKind::CallVirtual {
-                recv,
-                method,
-                inst,
-                args,
-            } => {
+            KExprKind::CallVirtual(recv, method, args) => {
                 let o = self.deref(frame.vars[recv.index()], e.span)?;
                 let runtime_class = ClassId(self.heap.class_of(o));
                 let target = self.dispatch(runtime_class, *method);
+                let inst = frame.rm.inst(e.id);
                 self.call(frame, target, Some(o), *method, inst, args, e.span)
             }
-            RExprKind::CallStatic { method, inst, args } => {
+            KExprKind::CallStatic(method, args) => {
+                let inst = frame.rm.inst(e.id);
                 self.call(frame, *method, None, *method, inst, args, e.span)
             }
-            RExprKind::Block(items) => {
-                // Sequencing a discarded statement is one step.
+            KExprKind::Block(items) => {
+                // Each run of items a `letreg` encloses runs in its region.
+                let ranges: Vec<(RegVar, u32, u32)> = frame.rm.letregs_in(e.id).collect();
+                let mut open = Vec::new();
                 let mut value = Value::Unit;
-                for (i, item) in items.iter().enumerate() {
-                    if i + 1 < items.len() && !matches!(item.kind, RExprKind::Let { .. }) {
+                for (i, item) in (0..).zip(items) {
+                    for &(r, _, _) in ranges.iter().filter(|&&(_, lo, _)| lo == i) {
+                        open.push((r, self.push(frame, r)?));
+                    }
+                    // Sequencing a discarded statement is one step.
+                    if i as usize + 1 < items.len() && !matches!(item.kind, KExprKind::Let { .. }) {
                         self.tick()?;
                     }
                     value = self.item(frame, item)?;
+                    for _ in ranges.iter().filter(|&&(_, _, hi)| hi == i) {
+                        let (r, rid) = open.pop().expect("ranges nest");
+                        self.pop(frame, r, rid)?;
+                    }
                 }
                 Ok(value)
             }
-            RExprKind::Let { .. } => self.item(frame, e),
-            RExprKind::Letreg(r, inner) => {
-                if self.erase {
-                    // Region-erasure semantics: the letreg is a no-op.
-                    return self.eval(frame, inner);
-                }
-                let rid = self.heap.push();
-                frame.regmap.insert(*r, rid);
-                let result = self.eval(frame, inner);
-                frame.regmap.remove(r);
-                self.heap.pop(rid)?;
-                result
-            }
-            RExprKind::If {
+            KExprKind::Let { .. } => self.item(frame, e),
+            KExprKind::If {
                 cond,
                 then_e,
                 else_e,
@@ -471,7 +509,7 @@ impl<'a> Interp<'a> {
                     self.eval(frame, else_e)
                 }
             }
-            RExprKind::While { cond, body } => {
+            KExprKind::While { cond, body } => {
                 loop {
                     self.tick()?;
                     let c = self.eval(frame, cond)?.as_bool().expect("condition");
@@ -482,7 +520,7 @@ impl<'a> Interp<'a> {
                 }
                 Ok(Value::Unit)
             }
-            RExprKind::Cast { class, var, .. } => {
+            KExprKind::Cast(class, var) => {
                 let v = frame.vars[var.index()];
                 match v {
                     Value::Null => Ok(Value::Null),
@@ -498,9 +536,9 @@ impl<'a> Interp<'a> {
                     _ => Err(RuntimeError::CastFailed(e.span)),
                 }
             }
-            RExprKind::Unary(op, a) => Ok(value::unary(*op, self.eval(frame, a)?)),
-            RExprKind::Binary(op, a, b) => self.binary(frame, *op, a, b, e.span),
-            RExprKind::Print(a) => {
+            KExprKind::Unary(op, a) => Ok(value::unary(*op, self.eval(frame, a)?)),
+            KExprKind::Binary(op, a, b) => self.binary(frame, *op, a, b, e.span),
+            KExprKind::Print(a) => {
                 let v = self.eval(frame, a)?;
                 self.prints.push(v.to_string());
                 Ok(Value::Unit)
@@ -534,7 +572,7 @@ impl<'a> Interp<'a> {
     #[allow(clippy::too_many_arguments)]
     fn call(
         &mut self,
-        caller: &mut Frame,
+        caller: &mut Frame<'a>,
         target: MethodId,
         receiver: Option<ObjRef>,
         declared: MethodId,
@@ -548,7 +586,7 @@ impl<'a> Interp<'a> {
         self.depth += 1;
         let km = self.p.kernel.method(target);
         let rm = self.p.rmethod(target);
-        let mut frame = Frame::new(target, km.vars.len());
+        let mut frame = Frame::new(rm, km.vars.len());
         // Default-initialize every slot by type.
         for (i, v) in km.vars.iter().enumerate() {
             frame.vars[i] = Value::default_of(v.ty);
@@ -588,17 +626,17 @@ impl<'a> Interp<'a> {
                 }
             }
         }
-        let result = self.eval(&mut frame, &rm.body);
+        let result = self.eval(&mut frame, &km.body);
         self.depth -= 1;
         result
     }
 
     fn binary(
         &mut self,
-        frame: &mut Frame,
+        frame: &mut Frame<'a>,
         op: BinOp,
-        a: &RExpr,
-        b: &RExpr,
+        a: &'a KExpr,
+        b: &'a KExpr,
         span: Span,
     ) -> Result<Value, RuntimeError> {
         // Short-circuit logic first.

@@ -95,11 +95,11 @@ struct Rvm<'a> {
 /// Any [`RuntimeError`]; for checked programs, dangling-access errors
 /// cannot occur.
 pub fn run_main(p: &RvmProgram, args: &[Value], cfg: RunConfig) -> Result<Outcome, RuntimeError> {
-    let func = p.main.ok_or(RuntimeError::NoMain)?;
+    let (func, decl) = p.main.ok_or(RuntimeError::NoMain)?;
     let method = &p.methods[func as usize];
     // Foreign object references cannot enter a fresh heap.
     if method.params.len() != args.len() || args.iter().any(|a| matches!(a, Value::Ref(_))) {
-        return Err(RuntimeError::BadMainArgs);
+        return Err(RuntimeError::BadMainArgs(decl));
     }
     let templates = p
         .methods

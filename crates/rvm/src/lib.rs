@@ -215,47 +215,43 @@ mod tests {
     /// loop dies when the body ends while references to it outlive the
     /// loop. The result fails the region checker.
     fn free_loop_allocation_early(p: &mut cj_infer::RProgram) {
-        use cj_infer::{RExpr, RExprKind};
+        use cj_frontend::kernel::{walk_expr, KExprKind};
+        use cj_infer::{Letreg, Placement};
+        let kernel = std::sync::Arc::clone(&p.kernel);
         let main = p.statics.first_mut().unwrap();
-        let mut todo = vec![&mut main.body];
-        while let Some(e) = todo.pop() {
-            if let RExprKind::While { body, .. } = &mut e.kind {
-                let mut shared = None;
-                let mut inner = vec![&**body];
-                while let Some(x) = inner.pop() {
-                    if let RExprKind::New { regions, .. } = &x.kind {
-                        shared = Some(regions[0]);
-                    }
-                    inner.extend(x.children());
-                }
-                let span = body.span;
-                let old = std::mem::replace(&mut **body, RExpr::unit(span));
-                **body = RExpr {
-                    span,
-                    rtype: old.rtype.clone(),
-                    kind: RExprKind::Letreg(shared.expect("the loop allocates"), Box::new(old)),
-                };
-                assert!(
-                    cj_check::check(p).is_err(),
-                    "the mangled program is unchecked"
-                );
-                return;
+        let mut body = None;
+        walk_expr(&kernel.method(main.id).body, &mut |e| {
+            if let (KExprKind::While { body: b, .. }, None) = (&e.kind, body) {
+                body = Some(&**b);
             }
-            todo.extend(e.children_mut());
-        }
-        panic!("no loop to mangle");
+        });
+        let body = body.expect("no loop to mangle");
+        let mut shared = None;
+        walk_expr(body, &mut |x| {
+            if let KExprKind::New(..) = x.kind {
+                shared = Some(main.inst(x.id)[0]);
+            }
+        });
+        let at = Placement::Node(body.id);
+        let i = (main.letregs).partition_point(|l| l.at.order() < at.order());
+        let region = shared.expect("the loop allocates");
+        main.letregs.insert(i, Letreg { region, at });
+        assert!(
+            cj_check::check(p).is_err(),
+            "the mangled program is unchecked"
+        );
     }
 
     /// The span of the first expression of `main` matching `pick`.
-    fn span_of(p: &cj_infer::RProgram, pick: fn(&cj_infer::RExprKind) -> bool) -> Span {
-        let mut todo = vec![&p.statics[0].body];
-        while let Some(e) = todo.pop() {
-            if pick(&e.kind) {
-                return e.span;
+    fn span_of(p: &cj_infer::RProgram, pick: fn(&cj_frontend::kernel::KExprKind) -> bool) -> Span {
+        let mut found = None;
+        let body = &p.kernel.method(p.statics[0].id).body;
+        cj_frontend::kernel::walk_expr(body, &mut |e| {
+            if found.is_none() && pick(&e.kind) {
+                found = Some(e.span);
             }
-            todo.extend(e.children());
-        }
-        panic!("no such expression in main");
+        });
+        found.expect("no such expression in main")
     }
 
     /// An unchecked program whose object outlives its `letreg`: `c` and
@@ -277,7 +273,9 @@ mod tests {
         )
         .unwrap();
         free_loop_allocation_early(&mut p);
-        let span = span_of(&p, |k| matches!(k, cj_infer::RExprKind::Field(..)));
+        let span = span_of(&p, |k| {
+            matches!(k, cj_frontend::kernel::KExprKind::Field(..))
+        });
         let rvm = run_main(&lower_program(&p), &[], RunConfig::default()).unwrap_err();
         assert_eq!(rvm, RuntimeError::DanglingAccess(span));
         let interp = cj_runtime::run_main(&p, &[], RunConfig::default()).unwrap_err();
@@ -307,7 +305,9 @@ mod tests {
         )
         .unwrap();
         free_loop_allocation_early(&mut p);
-        let span = span_of(&p, |k| matches!(k, cj_infer::RExprKind::Cast { .. }));
+        let span = span_of(&p, |k| {
+            matches!(k, cj_frontend::kernel::KExprKind::Cast(..))
+        });
         let reg = lower_program(&p);
         let cast = [Value::Bool(true)];
         let rvm = run_main(&reg, &cast, RunConfig::default()).unwrap_err();
@@ -377,7 +377,7 @@ mod tests {
         let (_, reg) = compile("class M { static int main(int n) { n } }");
         assert!(matches!(
             run_main(&reg, &[], RunConfig::default()).unwrap_err(),
-            RuntimeError::BadMainArgs
+            RuntimeError::BadMainArgs(_)
         ));
         // A reference from another run's heap cannot enter this one.
         let foreign = cj_runtime::heap::ObjRef {
@@ -387,7 +387,7 @@ mod tests {
         };
         assert!(matches!(
             run_main(&reg, &[Value::Ref(foreign)], RunConfig::default()).unwrap_err(),
-            RuntimeError::BadMainArgs
+            RuntimeError::BadMainArgs(_)
         ));
         let (_, reg) = compile("class M { static int helper(int n) { n } }");
         assert!(matches!(

@@ -5,7 +5,6 @@
 
 use cj_benchmarks::all_benchmarks;
 use cj_infer::{infer_source, InferOptions, SubtypeMode};
-use cj_liveness::{ExtentInference, LivenessExtents};
 use cj_runtime::{run_main_big_stack, RunConfig, Value};
 
 #[test]
@@ -17,7 +16,7 @@ fn all_benchmarks_are_engine_identical() {
                 .unwrap_or_else(|e| panic!("{} [{mode}] inference: {e}", b.name));
             cj_check::check(&paper).unwrap_or_else(|e| panic!("{} [{mode}] checker: {e}", b.name));
             let mut live = paper.clone();
-            LivenessExtents.rewrite_program(&mut live);
+            cj_liveness::tighten(&mut live);
             cj_check::check(&live)
                 .unwrap_or_else(|e| panic!("{} [{mode}] liveness checker: {e}", b.name));
             for (p, extent) in [(&paper, "paper"), (&live, "liveness")] {

@@ -17,7 +17,6 @@ mod common;
 
 use cj_infer::rast::RProgram;
 use cj_infer::{infer_source, InferOptions, SubtypeMode};
-use cj_liveness::{ExtentInference, LivenessExtents};
 use cj_runtime::{run_main_big_stack, RunConfig, Value};
 use common::{arb_op, clamp_op, render, Op};
 use proptest::prelude::*;
@@ -51,7 +50,7 @@ fn both_extents(src: &str, opts: InferOptions) -> (RProgram, RProgram) {
     let (paper, _) = infer_source(src, opts).expect("inference");
     cj_check::check(&paper).expect("paper-mode program checks");
     let mut live = paper.clone();
-    LivenessExtents.rewrite_program(&mut live);
+    cj_liveness::tighten(&mut live);
     cj_check::check(&live)
         .unwrap_or_else(|e| panic!("liveness-rewritten program must still region-check: {e}"));
     (paper, live)

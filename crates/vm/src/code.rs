@@ -401,8 +401,9 @@ pub struct RvmProgram {
     pub vtables: Vec<Vec<u32>>,
     /// `subclass[a][b]` ⇔ class `a` is `b` or inherits from it.
     pub subclass: Vec<Vec<bool>>,
-    /// The static `main` entry point (function index), if one exists.
-    pub main: Option<u32>,
+    /// The static `main` entry point, if one exists: its function index
+    /// and the span of its declaration.
+    pub main: Option<(u32, Span)>,
 }
 
 impl RvmProgram {

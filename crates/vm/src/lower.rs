@@ -1,5 +1,6 @@
 //! Lowering: region-annotated kernel ([`RProgram`]) → register code
-//! ([`RvmProgram`]), in one pass.
+//! ([`RvmProgram`]), in one pass over each kernel body, reading the
+//! regions from the method's annotation tables.
 //!
 //! Everything name-shaped is resolved here, once: virtual dispatch becomes
 //! a vtable-slot index, casts a subclass-matrix read, field access a
@@ -14,7 +15,10 @@
 //! destination register, the method's return, or nowhere (evaluated for
 //! its effects only). Variables and literals never cost an instruction of
 //! their own — they fold into the consuming instruction's operands — and
-//! a statement's discarded value is never materialized. Conditions compile
+//! a statement's discarded value is never materialized. A `letreg`
+//! placed around an expression or a run of block items becomes a
+//! `RegPush` before it and a `RegPop` after; an expression with a
+//! `letreg` around it never takes part in the idioms below. Conditions compile
 //! to jumps directly, `&&`/`||` included, and the hottest idioms come out
 //! as superinstructions straight from the tree:
 //!
@@ -34,11 +38,11 @@ use crate::code::{
     RvmMethod, RvmProgram,
 };
 use cj_frontend::ast::{BinOp, UnOp};
-use cj_frontend::kernel::KMethod;
+use cj_frontend::kernel::{walk_expr, KExpr, KExprKind, KMethod};
 use cj_frontend::span::Span;
 use cj_frontend::types::{ClassId, MethodId, NType, VarId};
 use cj_frontend::Symbol;
-use cj_infer::rast::{walk_rexpr, RExpr, RExprKind, RMethod, RProgram};
+use cj_infer::rast::{RMethod, RProgram};
 use cj_regions::var::RegVar;
 use cj_runtime::heap::SlotTy;
 use cj_runtime::Value;
@@ -55,7 +59,7 @@ pub fn lower_program(p: &RProgram) -> RvmProgram {
     span.add("methods_lowered", methods.len() as u64);
     let program = RvmProgram {
         methods,
-        main: tables.main.and_then(|id| tables.func_of.get(&id).copied()),
+        main: (tables.main).map(|id| (tables.func_of[&id], p.kernel.method(id).span)),
         vtables: tables.vtables,
         subclass: tables.subclass,
     };
@@ -199,38 +203,28 @@ enum Want {
 /// short-circuit `&&`/`||`.
 #[derive(Clone, Copy)]
 enum Arm<'e> {
-    Expr(&'e RExpr),
+    Expr(&'e KExpr),
     Bool(bool),
 }
 
-impl Arm<'_> {
-    /// Whether the arm emits nothing when its value is dropped.
-    fn is_silent(self) -> bool {
-        match self {
-            Arm::Bool(_) => true,
-            Arm::Expr(e) => literal(e).is_some() || matches!(e.kind, RExprKind::Var(_)),
-        }
-    }
-}
-
 /// The constant a literal expression denotes.
-fn literal(e: &RExpr) -> Option<Value> {
+fn literal(e: &KExpr) -> Option<Value> {
     match e.kind {
-        RExprKind::Unit => Some(Value::Unit),
-        RExprKind::Null => Some(Value::Null),
-        RExprKind::Int(v) => Some(Value::Int(v)),
-        RExprKind::Bool(v) => Some(Value::Bool(v)),
-        RExprKind::Float(v) => Some(Value::Float(v)),
+        KExprKind::Unit => Some(Value::Unit),
+        KExprKind::Null => Some(Value::Null),
+        KExprKind::Int(v) => Some(Value::Int(v)),
+        KExprKind::Bool(v) => Some(Value::Bool(v)),
+        KExprKind::Float(v) => Some(Value::Float(v)),
         _ => None,
     }
 }
 
 /// Whether evaluating `e` may store to variable `v`.
-fn assigns(e: &RExpr, v: VarId) -> bool {
+fn assigns(e: &KExpr, v: VarId) -> bool {
     let mut hit = false;
-    walk_rexpr(e, &mut |x| {
+    walk_expr(e, &mut |x| {
         hit |=
-            matches!(x.kind, RExprKind::AssignVar(w, _) | RExprKind::Let { var: w, .. } if w == v);
+            matches!(x.kind, KExprKind::AssignVar(w, _) | KExprKind::Let { var: w, .. } if w == v);
     });
     hit
 }
@@ -244,14 +238,16 @@ fn var_reg(v: VarId) -> u16 {
 struct FnLowerer<'a> {
     p: &'a RProgram,
     km: &'a KMethod,
+    rm: &'a RMethod,
     tables: &'a GlobalTables,
     /// The method being lowered; `nregs` tracks the temporaries' high
     /// water mark.
     m: RvmMethod,
     regions: RegionSlots,
     /// The `letreg`s enclosing the current point, innermost last: a return
-    /// from inside leaves them first.
-    open: Vec<(u16, Span)>,
+    /// from inside leaves them first. Each is its slot, its span, its
+    /// region and the slot of the binding it shadows.
+    open: Vec<(u16, Span, RegVar, Option<u16>)>,
     /// Next free temporary; temporaries live above the variable registers
     /// and are allocated stack-wise.
     next_temp: u16,
@@ -290,6 +286,7 @@ fn lower_method(
     let mut lo = FnLowerer {
         p,
         km,
+        rm,
         tables,
         m,
         regions,
@@ -297,7 +294,7 @@ fn lower_method(
         next_temp,
         barrier,
     };
-    lo.expr(&rm.body, Want::Ret);
+    lo.expr(&km.body, Want::Ret);
     let code = &lo.m.code;
     debug_assert!(code
         .iter()
@@ -394,7 +391,7 @@ impl FnLowerer<'_> {
         if want == Want::Ret {
             // Leave every enclosing `letreg` first.
             for i in (0..self.open.len()).rev() {
-                let (slot, at) = self.open[i];
+                let (slot, at, ..) = self.open[i];
                 self.emit(RInstr::new(ROp::RegPop, slot, 0, 0, 0), at);
             }
             self.emit(RInstr::new(ROp::Ret, r, 0, 0, 0), span);
@@ -410,9 +407,9 @@ impl FnLowerer<'_> {
 
     /// The register holding `e`'s value: a variable's own register, or a
     /// fresh temporary `e` is computed into.
-    fn operand(&mut self, e: &RExpr) -> u16 {
-        if let RExprKind::Var(v) = e.kind {
-            return var_reg(v);
+    fn operand(&mut self, e: &KExpr) -> u16 {
+        if let (KExprKind::Var(v), true) = (&e.kind, self.bare(e)) {
+            return var_reg(*v);
         }
         let t = self.temp();
         self.expr(e, Want::Into(t));
@@ -422,9 +419,9 @@ impl FnLowerer<'_> {
     /// The registers holding `l`'s then `r`'s value, evaluated in that
     /// order. A variable `l` that `r` assigns is copied first, so the
     /// consumer sees the value it had when it was evaluated.
-    fn operands(&mut self, l: &RExpr, r: &RExpr) -> (u16, u16) {
+    fn operands(&mut self, l: &KExpr, r: &KExpr) -> (u16, u16) {
         let a = match l.kind {
-            RExprKind::Var(v) if assigns(r, v) => {
+            KExprKind::Var(v) if self.bare(l) && assigns(r, v) => {
                 let t = self.temp();
                 self.emit(RInstr::new(ROp::Move, t, var_reg(v), 0, 0), l.span);
                 t
@@ -436,8 +433,8 @@ impl FnLowerer<'_> {
 
     /// [`Self::expr`] for a block item. A `let` is handled here, so
     /// temporaries nested in initializers cost one `node` frame per level.
-    fn item(&mut self, e: &RExpr, want: Want) {
-        let RExprKind::Let { var, init } = &e.kind else {
+    fn item(&mut self, e: &KExpr, want: Want) {
+        let KExprKind::Let { var, init } = &e.kind else {
             return self.expr(e, want);
         };
         let into = Want::Into(var_reg(*var));
@@ -450,58 +447,103 @@ impl FnLowerer<'_> {
         self.constant(Value::Unit, want, e.span);
     }
 
-    /// Lowers `e`, delivering its value as `want` asks.
-    fn expr(&mut self, e: &RExpr, want: Want) {
+    /// Whether no `letreg` is placed around `e`.
+    fn bare(&self, e: &KExpr) -> bool {
+        self.rm.letregs_at(e.id).next().is_none()
+    }
+
+    /// Whether the arm emits nothing when its value is dropped.
+    fn is_silent(&self, arm: Arm) -> bool {
+        match arm {
+            Arm::Bool(_) => true,
+            Arm::Expr(e) => {
+                self.bare(e) && (literal(e).is_some() || matches!(e.kind, KExprKind::Var(_)))
+            }
+        }
+    }
+
+    /// Enters `letreg r`: binds `r` to a fresh region slot.
+    fn push_region(&mut self, r: RegVar, span: Span) {
+        let (slot, shadowed) = self.regions.bind(r);
+        self.emit(RInstr::new(ROp::RegPush, slot, 0, 0, 0), span);
+        self.open.push((slot, span, r, shadowed));
+    }
+
+    /// Leaves the innermost `letreg` after code that delivered `want`: a
+    /// returning body has already left the region on every path.
+    fn pop_region(&mut self, want: Want) {
+        let (slot, span, r, shadowed) = self.open.pop().expect("an open letreg");
+        if want != Want::Ret {
+            self.emit(RInstr::new(ROp::RegPop, slot, 0, 0, 0), span);
+        }
+        self.regions.unbind(r, shadowed);
+    }
+
+    /// Lowers `e` inside the `letreg`s placed around it, delivering its
+    /// value as `want` asks.
+    fn expr(&mut self, e: &KExpr, want: Want) {
         let mark = self.next_temp;
+        let regions: Vec<RegVar> = self.rm.letregs_at(e.id).collect();
+        for &r in &regions {
+            self.push_region(r, e.span);
+        }
         self.node(e, want);
+        for _ in &regions {
+            self.pop_region(want);
+        }
         self.next_temp = mark;
     }
 
-    fn node(&mut self, e: &RExpr, want: Want) {
+    fn node(&mut self, e: &KExpr, want: Want) {
         let span = e.span;
         match &e.kind {
-            RExprKind::Block(items) => match items.split_last() {
-                Some((last, init)) => {
-                    for item in init {
-                        self.item(item, Want::Effect);
+            KExprKind::Block(items) => {
+                let ranges: Vec<(RegVar, u32, u32)> = self.rm.letregs_in(e.id).collect();
+                for (i, item) in (0..).zip(items) {
+                    for &(r, _, _) in ranges.iter().filter(|&&(_, lo, _)| lo == i) {
+                        self.push_region(r, item.span);
                     }
-                    self.item(last, want);
+                    let last = i as usize + 1 == items.len();
+                    let item_want = if last { want } else { Want::Effect };
+                    self.item(item, item_want);
+                    for _ in ranges.iter().filter(|&&(_, _, hi)| hi == i) {
+                        self.pop_region(item_want);
+                    }
                 }
-                None => self.constant(Value::Unit, want, span),
-            },
-            RExprKind::Let { .. } => self.item(e, want),
-            RExprKind::Unit
-            | RExprKind::Null
-            | RExprKind::Int(_)
-            | RExprKind::Bool(_)
-            | RExprKind::Float(_) => self.constant(literal(e).expect("a literal"), want, span),
-            RExprKind::Var(v) => match want {
+                if items.is_empty() {
+                    self.constant(Value::Unit, want, span);
+                }
+            }
+            KExprKind::Let { .. } => self.item(e, want),
+            KExprKind::Unit
+            | KExprKind::Null
+            | KExprKind::Int(_)
+            | KExprKind::Bool(_)
+            | KExprKind::Float(_) => self.constant(literal(e).expect("a literal"), want, span),
+            KExprKind::Var(v) => match want {
                 Want::Into(r) if r != var_reg(*v) => {
                     self.emit(RInstr::new(ROp::Move, r, var_reg(*v), 0, 0), span);
                 }
                 Want::Ret => self.deliver(want, var_reg(*v), span),
                 _ => {}
             },
-            RExprKind::Field(v, fr) => {
+            KExprKind::Field(v, fr) => {
                 let ty = self.field_ty(*v, fr.index);
                 let i = RInstr::new(ROp::GetField, 0, var_reg(*v), fr.index as u16, 0);
                 self.produce(want, RInstr { ty, ..i }, span);
             }
-            RExprKind::AssignVar(v, rhs) => {
+            KExprKind::AssignVar(v, rhs) => {
                 self.expr(rhs, Want::Into(var_reg(*v)));
                 self.constant(Value::Unit, want, span);
             }
-            RExprKind::AssignField(v, fr, rhs) => {
+            KExprKind::AssignField(v, fr, rhs) => {
                 let b = self.operand(rhs);
                 let i = RInstr::new(ROp::SetField, var_reg(*v), b, fr.index as u16, 0);
                 self.emit(i, span);
                 self.constant(Value::Unit, want, span);
             }
-            RExprKind::New {
-                class,
-                regions,
-                args,
-            } => {
+            KExprKind::New(class, args) => {
+                let regions = self.rm.inst(e.id);
                 let site = NewSite {
                     class: class.0,
                     regions: regions.iter().map(|&r| self.regions.resolve(r)).collect(),
@@ -511,9 +553,9 @@ impl FnLowerer<'_> {
                 let t = (self.m.news.len() - 1) as u32;
                 self.produce(want, RInstr::new(ROp::NewObj, 0, 0, 0, t), span);
             }
-            RExprKind::NewArray { elem, region, len } => {
+            KExprKind::NewArray(elem, len) => {
                 let b = self.operand(len);
-                let region = self.regions.resolve(*region);
+                let region = self.regions.resolve(self.rm.inst(e.id)[0]);
                 self.m.arrays.push(ArraySite {
                     elem: *elem,
                     region,
@@ -521,26 +563,21 @@ impl FnLowerer<'_> {
                 let t = (self.m.arrays.len() - 1) as u32;
                 self.produce(want, RInstr::new(ROp::NewArr, 0, b, 0, t), span);
             }
-            RExprKind::Index(v, idx) => {
+            KExprKind::Index(v, idx) => {
                 let c = self.operand(idx);
                 let ty = self.elem_ty(*v);
                 let i = RInstr::new(ROp::Index, 0, var_reg(*v), c, 0);
                 self.produce(want, RInstr { ty, ..i }, span);
             }
-            RExprKind::AssignIndex(v, idx, val) => {
+            KExprKind::AssignIndex(v, idx, val) => {
                 let (b, c) = self.operands(idx, val);
                 self.emit(RInstr::new(ROp::SetIndex, var_reg(*v), b, c, 0), span);
                 self.constant(Value::Unit, want, span);
             }
-            RExprKind::ArrayLen(v) => {
+            KExprKind::ArrayLen(v) => {
                 self.produce(want, RInstr::new(ROp::ArrayLen, 0, var_reg(*v), 0, 0), span);
             }
-            RExprKind::CallVirtual {
-                recv,
-                method,
-                inst,
-                args,
-            } => {
+            KExprKind::CallVirtual(recv, method, args) => {
                 let (target, tail_start) = match method {
                     MethodId::Instance(c, i) => {
                         let name = self.p.kernel.table.class(*c).own_methods[*i as usize].name;
@@ -553,33 +590,20 @@ impl FnLowerer<'_> {
                     }
                     MethodId::Static(_) => (CallTarget::Static(self.tables.func_of[method]), 0),
                 };
-                self.call(target, tail_start, inst, args, want, span);
+                self.call(target, tail_start, self.rm.inst(e.id), args, want, span);
             }
-            RExprKind::CallStatic { method, inst, args } => {
+            KExprKind::CallStatic(method, args) => {
                 let target = CallTarget::Static(self.tables.func_of[method]);
-                self.call(target, 0, inst, args, want, span);
+                self.call(target, 0, self.rm.inst(e.id), args, want, span);
             }
-            RExprKind::Letreg(r, inner) => {
-                let (slot, shadowed) = self.regions.bind(*r);
-                self.emit(RInstr::new(ROp::RegPush, slot, 0, 0, 0), span);
-                self.open.push((slot, span));
-                self.expr(inner, want);
-                self.open.pop();
-                // A returning body has already left the region on every
-                // path.
-                if want != Want::Ret {
-                    self.emit(RInstr::new(ROp::RegPop, slot, 0, 0, 0), span);
-                }
-                self.regions.unbind(*r, shadowed);
-            }
-            RExprKind::If {
+            KExprKind::If {
                 cond,
                 then_e,
                 else_e,
             } => {
                 self.choose(cond, Arm::Expr(then_e), Arm::Expr(else_e), want, span);
             }
-            RExprKind::While { cond, body } => {
+            KExprKind::While { cond, body } => {
                 let top = self.label();
                 let mut exit = Vec::new();
                 self.branch(cond, false, &mut exit);
@@ -599,7 +623,7 @@ impl FnLowerer<'_> {
                 self.patch(exit);
                 self.constant(Value::Unit, want, span);
             }
-            RExprKind::Cast { class, var, .. } => {
+            KExprKind::Cast(class, var) => {
                 self.m.casts.push(CastSite {
                     var: var_reg(*var),
                     class: class.0,
@@ -607,7 +631,7 @@ impl FnLowerer<'_> {
                 let t = (self.m.casts.len() - 1) as u32;
                 self.produce(want, RInstr::new(ROp::Cast, 0, 0, 0, t), span);
             }
-            RExprKind::Unary(op, a) => {
+            KExprKind::Unary(op, a) => {
                 let b = self.operand(a);
                 let c = match op {
                     UnOp::Neg => 0,
@@ -617,14 +641,14 @@ impl FnLowerer<'_> {
             }
             // Short-circuit logic is a choice: `a && b` is
             // `if (a) b else false`, `a || b` is `if (a) true else b`.
-            RExprKind::Binary(BinOp::And, a, b) => {
+            KExprKind::Binary(BinOp::And, a, b) => {
                 self.choose(a, Arm::Expr(b), Arm::Bool(false), want, span);
             }
-            RExprKind::Binary(BinOp::Or, a, b) => {
+            KExprKind::Binary(BinOp::Or, a, b) => {
                 self.choose(a, Arm::Bool(true), Arm::Expr(b), want, span);
             }
-            RExprKind::Binary(op, l, r) => self.binary(*op, l, r, want, span),
-            RExprKind::Print(a) => {
+            KExprKind::Binary(op, l, r) => self.binary(*op, l, r, want, span),
+            KExprKind::Print(a) => {
                 let r = self.operand(a);
                 self.emit(RInstr::new(ROp::Print, r, 0, 0, 0), span);
                 self.constant(Value::Unit, want, span);
@@ -669,10 +693,10 @@ impl FnLowerer<'_> {
         self.deliver(want, dst, span);
     }
 
-    fn binary(&mut self, op: BinOp, l: &RExpr, r: &RExpr, want: Want, span: Span) {
+    fn binary(&mut self, op: BinOp, l: &KExpr, r: &KExpr, want: Want, span: Span) {
         // `e + k`, `k + e` and `e - k` with an integer literal `k`.
-        let int = |e: &RExpr| match e.kind {
-            RExprKind::Int(k) => Some(k),
+        let int = |e: &KExpr| match e.kind {
+            KExprKind::Int(k) => Some(k),
             _ => None,
         };
         let imm = match (op, int(l), int(r)) {
@@ -698,9 +722,12 @@ impl FnLowerer<'_> {
     }
 
     /// `if (cond) then_a else else_a`, delivering the chosen arm's value.
-    fn choose(&mut self, cond: &RExpr, then_a: Arm, else_a: Arm, want: Want, span: Span) {
+    fn choose(&mut self, cond: &KExpr, then_a: Arm, else_a: Arm, want: Want, span: Span) {
         let dropped = want == Want::Effect;
-        match (dropped && then_a.is_silent(), dropped && else_a.is_silent()) {
+        match (
+            dropped && self.is_silent(then_a),
+            dropped && self.is_silent(else_a),
+        ) {
             (true, true) => self.expr(cond, Want::Effect),
             // One arm does nothing: branch around the other.
             (then_silent, true) | (then_silent @ true, false) => {
@@ -734,15 +761,17 @@ impl FnLowerer<'_> {
 
     /// Emits code that jumps when `e` evaluates to `when` and falls
     /// through otherwise; the jumps to patch go into `jumps`.
-    fn branch(&mut self, e: &RExpr, when: bool, jumps: &mut Vec<usize>) {
+    fn branch(&mut self, e: &KExpr, when: bool, jumps: &mut Vec<usize>) {
         let mark = self.next_temp;
         match &e.kind {
-            RExprKind::Bool(b) if *b == when => {
+            // A condition with a `letreg` around it is just a value.
+            _ if !self.bare(e) => self.jump_if(e, when, jumps),
+            KExprKind::Bool(b) if *b == when => {
                 jumps.push(self.emit(RInstr::new(ROp::Jump, 0, 0, 0, 0), e.span));
             }
-            RExprKind::Bool(_) => {}
-            RExprKind::Unary(UnOp::Not, a) => self.branch(a, !when, jumps),
-            RExprKind::Binary(op @ (BinOp::And | BinOp::Or), a, b) => {
+            KExprKind::Bool(_) => {}
+            KExprKind::Unary(UnOp::Not, a) => self.branch(a, !when, jumps),
+            KExprKind::Binary(op @ (BinOp::And | BinOp::Or), a, b) => {
                 // The value of `a` that decides the whole expression.
                 let decides = *op == BinOp::Or;
                 if when == decides {
@@ -755,7 +784,7 @@ impl FnLowerer<'_> {
                     self.patch(skip);
                 }
             }
-            RExprKind::Binary(op, l, r) if CmpOp::of(*op).is_some() => {
+            KExprKind::Binary(op, l, r) if CmpOp::of(*op).is_some() => {
                 let cmp = CmpOp::of(*op).expect("a comparison");
                 let (with_reg, with_const) = match when {
                     true => (ROp::JmpCmp, ROp::JmpCmpC),
@@ -786,12 +815,15 @@ impl FnLowerer<'_> {
                 };
                 jumps.push(self.emit(i, e.span));
             }
-            _ => {
-                let a = self.operand(e);
-                let op = if when { ROp::JmpIf } else { ROp::JmpIfNot };
-                jumps.push(self.emit(RInstr::new(op, a, 0, 0, 0), e.span));
-            }
+            _ => self.jump_if(e, when, jumps),
         }
         self.next_temp = mark;
+    }
+
+    /// Emits code that computes `e` and jumps when it is `when`.
+    fn jump_if(&mut self, e: &KExpr, when: bool, jumps: &mut Vec<usize>) {
+        let a = self.operand(e);
+        let op = if when { ROp::JmpIf } else { ROp::JmpIfNot };
+        jumps.push(self.emit(RInstr::new(op, a, 0, 0, 0), e.span));
     }
 }

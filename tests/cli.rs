@@ -211,6 +211,33 @@ fn run_limits_surface_structured_errors() {
 }
 
 #[test]
+fn bad_main_arguments_point_at_main() {
+    let src = "class M { static int main(int n) { n } }";
+    let path = temp_source("bad_main.cj", src);
+    let decl = "int main(int n) { n }";
+    let at = src.find(decl).unwrap();
+    for engine in ["rvm", "interp"] {
+        let file = path.to_str().unwrap();
+        let out = cjrc(&["run", file, "--engine", engine, "1", "2"]);
+        assert!(!out.status.success());
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            stderr.contains("error[E0600]: bad arguments for `main`"),
+            "[{engine}] {stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("bad_main.cj:1:{}", at + 1)),
+            "[{engine}] {stderr}"
+        );
+        let json = cjrc(&["run", file, "--engine", engine, "1", "2", "--json"]);
+        let stdout = String::from_utf8(json.stdout).unwrap();
+        let span = format!("\"lo\":{},\"hi\":{}", at, at + decl.len());
+        assert!(stdout.contains(&span), "[{engine}] {stdout}");
+    }
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn run_json_reports_result_and_space() {
     let path = temp_source("runjson.cj", "class M { static int main(int n) { n + 1 } }");
     let out = cjrc(&["run", path.to_str().unwrap(), "--json", "41"]);

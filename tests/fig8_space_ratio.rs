@@ -78,52 +78,40 @@ fn reynolds3_letreg_placement_depth_is_pinned() {
         .expect("search exists")
         .1;
     assert!(
-        !search.localized.is_empty(),
+        !search.letregs.is_empty(),
         "field subtyping must localize the per-frame cell"
     );
 
     // Collect the conditional-nesting depth of every letreg in `search`.
-    fn letreg_depths(e: &cj_infer::RExpr, depth: usize, out: &mut Vec<usize>) {
-        use cj_infer::RExprKind as K;
-        match &e.kind {
-            K::Letreg(_, inner) => {
-                out.push(depth);
-                letreg_depths(inner, depth, out);
-            }
+    fn letreg_depths(
+        m: &cj_infer::RMethod,
+        e: &cj_frontend::kernel::KExpr,
+        depth: usize,
+        out: &mut Vec<usize>,
+    ) {
+        use cj_frontend::kernel::KExprKind as K;
+        out.extend(m.letregs_at(e.id).map(|_| depth));
+        let (cond, arms) = match &e.kind {
             K::If {
                 cond,
                 then_e,
                 else_e,
-            } => {
-                letreg_depths(cond, depth, out);
-                letreg_depths(then_e, depth + 1, out);
-                letreg_depths(else_e, depth + 1, out);
-            }
-            K::While { cond, body } => {
-                letreg_depths(cond, depth, out);
-                letreg_depths(body, depth + 1, out);
-            }
-            K::Binary(_, a, b) | K::AssignIndex(_, a, b) => {
-                letreg_depths(a, depth, out);
-                letreg_depths(b, depth, out);
-            }
-            K::Block(items) => {
-                for item in items {
-                    letreg_depths(item, depth, out);
+            } => (cond, [Some(then_e), Some(else_e)]),
+            K::While { cond, body } => (cond, [Some(body), None]),
+            _ => {
+                for c in e.children() {
+                    letreg_depths(m, c, depth, out);
                 }
+                return;
             }
-            K::AssignVar(_, a)
-            | K::AssignField(_, _, a)
-            | K::NewArray { len: a, .. }
-            | K::Index(_, a)
-            | K::Unary(_, a)
-            | K::Print(a) => letreg_depths(a, depth, out),
-            K::Let { init: Some(i), .. } => letreg_depths(i, depth, out),
-            _ => {}
+        };
+        letreg_depths(m, cond, depth, out);
+        for arm in arms.into_iter().flatten() {
+            letreg_depths(m, arm, depth + 1, out);
         }
     }
     let mut depths = Vec::new();
-    letreg_depths(&search.body, 0, &mut depths);
+    letreg_depths(search, &p.kernel.method(search.id).body, 0, &mut depths);
     assert!(
         !depths.is_empty(),
         "search must contain at least one letreg under field subtyping"
