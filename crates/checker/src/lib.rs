@@ -448,13 +448,13 @@ impl<'a> MethodChecker<'a> {
         e: &KExpr,
         used: bool,
     ) -> Option<&'a RType> {
-        let opened: Vec<RegVar> = self.rm.letregs_at(e.id).collect();
-        for &r in &opened {
-            self.open(assume, scope, r);
+        let opened = self.rm.letregs_at(e.id);
+        for l in opened {
+            self.open(assume, scope, l.region);
         }
         let t = self.node(assume, scope, e, used);
-        for &r in opened.iter().rev() {
-            self.close(scope, r, t, used);
+        for l in opened.iter().rev() {
+            self.close(scope, l.region, t, used);
         }
         t
     }

@@ -195,11 +195,6 @@ impl BodyInfer {
         }
     }
 
-    /// The annotated type already inferred for `e`.
-    fn ty(&self, e: &KExpr) -> &RType {
-        &self.types[e.id.index()]
-    }
-
     /// Starts `e`'s entry in the instantiation pool. Expressions are
     /// visited in pre-order, the order of their ids.
     fn enter(&mut self, e: &KExpr) {
@@ -331,7 +326,7 @@ impl BodyInfer {
                 }
                 items
                     .last()
-                    .map_or(RType::Void, |last| self.ty(last).clone())
+                    .map_or(RType::Void, |last| self.types[last.id.index()].clone())
             }
             KExprKind::Let { .. } => unreachable!("a let is an item"),
             KExprKind::If {

@@ -356,8 +356,11 @@ struct Occurrences<'a> {
 }
 
 impl Occurrences<'_> {
-    fn note(&mut self, regions: impl IntoIterator<Item = RegVar>, block: usize) {
-        for r in regions {
+    fn collect(&mut self, e: &KExpr, block: usize) {
+        let res = self.res;
+        let (i, j) = (res.inst_at[e.id.index()], res.inst_at[e.id.index() + 1]);
+        let inst = &res.inst[i as usize..j as usize];
+        for r in own_regions(e, &res.types, &res.var_types, inst) {
             let Some(i) = self.u.offset(r).filter(|&i| self.local[i]) else {
                 continue;
             };
@@ -366,13 +369,6 @@ impl Occurrences<'_> {
                 None => block,
             });
         }
-    }
-
-    fn collect(&mut self, e: &KExpr, block: usize) {
-        let res = self.res;
-        let (i, j) = (res.inst_at[e.id.index()], res.inst_at[e.id.index() + 1]);
-        let inst = &res.inst[i as usize..j as usize];
-        self.note(own_regions(e, &res.types, &res.var_types, inst), block);
         // Conditional branches and loop bodies are blocks of their own.
         let (cond, arms) = match &e.kind {
             KExprKind::If {

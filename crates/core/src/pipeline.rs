@@ -804,7 +804,7 @@ mod tests {
         walk_expr(&p.kernel.method(spin.id).body, &mut |e| {
             if let KExprKind::While { body, .. } = &e.kind {
                 walk_expr(body, &mut |inner| {
-                    if spin.letregs_at(inner.id).next().is_some() {
+                    if !spin.letregs_at(inner.id).is_empty() {
                         inside_loop = true;
                     }
                 });
@@ -840,7 +840,7 @@ mod tests {
         walk_expr(&p.kernel.method(collect.id).body, &mut |e| {
             if let KExprKind::While { body, .. } = &e.kind {
                 walk_expr(body, &mut |inner| {
-                    if collect.letregs_at(inner.id).next().is_some() {
+                    if !collect.letregs_at(inner.id).is_empty() {
                         letreg_in_loop = true;
                     }
                 });

@@ -222,14 +222,14 @@ fn write_expr(
     out: &mut String,
 ) {
     let rm = p.rmethod(id);
-    let regions: Vec<RegVar> = rm.letregs_at(e.id).collect();
+    let regions = rm.letregs_at(e.id);
     let mut indent = indent.to_string();
-    for &r in &regions {
-        let _ = writeln!(out, "{indent}letreg {} in {{", namer.name(r));
+    for l in regions {
+        let _ = writeln!(out, "{indent}letreg {} in {{", namer.name(l.region));
         indent.push_str("  ");
     }
     write_node(p, id, e, namer, &indent, out);
-    for _ in &regions {
+    for _ in regions {
         indent.truncate(indent.len() - 2);
         let _ = write!(out, "\n{indent}}}");
     }

@@ -268,13 +268,13 @@ impl RMethod {
         own_regions(e, &self.types, &self.var_types, self.inst(e.id))
     }
 
-    /// The regions bound around expression `e`, outermost first.
-    pub fn letregs_at(&self, e: ExprId) -> impl Iterator<Item = RegVar> + '_ {
+    /// The `letreg`s placed around expression `e`, outermost first.
+    pub fn letregs_at(&self, e: ExprId) -> &[Letreg] {
         let from = (self.letregs).partition_point(|l| l.at.order() < (e, None));
-        self.letregs[from..]
-            .iter()
-            .take_while(move |l| l.at == Placement::Node(e))
-            .map(|l| l.region)
+        let n = (self.letregs[from..].iter())
+            .take_while(|l| l.at == Placement::Node(e))
+            .count();
+        &self.letregs[from..from + n]
     }
 
     /// The regions bound around item ranges of block `block`, as

@@ -4,11 +4,11 @@
 //! *block-scoped*: a localized region is bound at the smallest enclosing
 //! block covering its occurrences, so it stays live for the whole block even
 //! when its last use comes early. This crate adds the NLL-style refinement
-//! (regions as sets of program points, per `nikomatsakis/borrowck`): build a
-//! per-method control-flow point graph over the region-annotated kernel
-//! ([`points::PointGraph`]), compute backward per-point liveness of region
-//! variables, and shrink each `letreg` to the smallest *well-scoped* range
-//! covering the region's live points ([`extent`]).
+//! (regions as sets of program points, per `nikomatsakis/borrowck`): each
+//! `letreg` shrinks to the smallest *well-scoped* extent covering its
+//! region's use points ([`extent`]), and a per-method control-flow point
+//! graph over the region-annotated kernel ([`points::PointGraph`]) checks
+//! the result: the extents nest and cover every use.
 //!
 //! "Well-scoped" carries three obligations inherited from the region
 //! checker, which stays strict in both modes:

@@ -1,5 +1,4 @@
-//! The per-method control-flow point graph and the backward liveness
-//! solver over it.
+//! The per-method control-flow point graph.
 //!
 //! Every kernel expression gets one *action point* (its "do the
 //! operation" moment), emitted in evaluation order after its children's
@@ -58,48 +57,6 @@ impl PointGraph {
     /// The summed length of every placement's extent, in points.
     pub fn extent_points(&self) -> usize {
         self.letregs.iter().map(|&(_, lo, hi)| hi - lo).sum()
-    }
-
-    /// Every point where `r` is used.
-    pub fn use_points(&self, r: RegVar) -> Vec<usize> {
-        self.points
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.uses.contains(&r))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Backward liveness of the given regions: `live[p]` is the set of
-    /// regions used at `p` or at some point reachable from `p`.
-    pub fn liveness(&self, of: &BTreeSet<RegVar>) -> Vec<BTreeSet<RegVar>> {
-        let n = self.points.len();
-        let mut live: Vec<BTreeSet<RegVar>> = (0..n)
-            .map(|i| self.points[i].uses.intersection(of).copied().collect())
-            .collect();
-        // Kleene iteration to fixpoint; the graph is near-linear, so
-        // sweeping in reverse emission order converges in a few passes
-        // (one extra per loop-nesting level for the back edges).
-        loop {
-            let mut changed = false;
-            for p in (0..n).rev() {
-                let mut add: Vec<RegVar> = Vec::new();
-                for &s in &self.points[p].succs {
-                    for &r in &live[s] {
-                        if !live[p].contains(&r) {
-                            add.push(r);
-                        }
-                    }
-                }
-                if !add.is_empty() {
-                    live[p].extend(add);
-                    changed = true;
-                }
-            }
-            if !changed {
-                return live;
-            }
-        }
     }
 
     /// Whether the placements' extents are laminar in push order: each one
@@ -187,7 +144,7 @@ impl Builder<'_> {
     /// [`Self::emit`] inside the placements around `e` from the `skip`-th
     /// on.
     fn emit_from(&mut self, e: &KExpr, skip: usize) -> (usize, usize) {
-        let Some(r) = self.m.letregs_at(e.id).nth(skip) else {
+        let Some(r) = self.m.letregs_at(e.id).get(skip).map(|l| l.region) else {
             return self.emit_node(e);
         };
         let (push, at) = self.push(r);

@@ -10,6 +10,7 @@ use cj_liveness::points::PointGraph;
 use cj_liveness::ExtentStats;
 use cj_regions::var::RegVar;
 use cj_runtime::{run_main_big_stack, RunConfig, Value};
+use std::collections::BTreeSet;
 
 fn infer(src: &str) -> RProgram {
     let (p, _) = infer_source(src, InferOptions::default()).expect("inference");
@@ -36,6 +37,39 @@ fn tighten_main(p: &mut RProgram) -> ExtentStats {
 /// The point graph of `m`.
 fn graph(p: &RProgram, m: &RMethod) -> PointGraph {
     PointGraph::build(&p.kernel.method(m.id).body, m)
+}
+
+/// Every point of `g` where `r` is used.
+fn use_points(g: &PointGraph, r: RegVar) -> Vec<usize> {
+    let points = g.points.iter().enumerate();
+    points
+        .filter(|(_, p)| p.uses.contains(&r))
+        .map(|(i, _)| i)
+        .collect()
+}
+
+/// Backward liveness of the regions `of` over `g`: `live[p]` is the set of
+/// regions used at `p` or at some point reachable from `p`.
+fn liveness(g: &PointGraph, of: &BTreeSet<RegVar>) -> Vec<BTreeSet<RegVar>> {
+    let n = g.points.len();
+    let mut live: Vec<BTreeSet<RegVar>> = (g.points.iter())
+        .map(|p| p.uses.intersection(of).copied().collect())
+        .collect();
+    // Kleene iteration to fixpoint, sweeping in reverse emission order.
+    loop {
+        let mut changed = false;
+        for p in (0..n).rev() {
+            let add: Vec<RegVar> = (g.points[p].succs.iter())
+                .flat_map(|&s| live[s].iter().copied())
+                .filter(|r| !live[p].contains(r))
+                .collect();
+            changed |= !add.is_empty();
+            live[p].extend(add);
+        }
+        if !changed {
+            return live;
+        }
+    }
 }
 
 fn peak(p: &RProgram, args: &[Value]) -> usize {
@@ -146,7 +180,7 @@ fn declaration_before_loop_pins_the_extent_across_iterations() {
     // The rewritten extent still covers every use, including the
     // declaration point before the loop and the read after it.
     for &(r, push, pop) in &g.letregs {
-        for u in g.use_points(r) {
+        for u in use_points(&g, r) {
             assert!(u >= push && u <= pop, "use {u} outside [{push}, {pop}]");
         }
     }
@@ -167,14 +201,14 @@ fn point_graph_liveness_covers_loop_back_edges() {
     let m = main_method(&p);
     let g = graph(&p, m);
     assert!(g.extents_cover_uses());
-    let of: std::collections::BTreeSet<RegVar> = m.letregs.iter().map(|l| l.region).collect();
-    let live = g.liveness(&of);
+    let of: BTreeSet<RegVar> = m.letregs.iter().map(|l| l.region).collect();
+    let live = liveness(&g, &of);
     for &(r, push, pop) in &g.letregs {
         // Live on entry (some path reaches a use), at every use point —
         // including the loop-body uses reached via the back edge — and
         // dead by the pop (the final read precedes it).
         assert!(live[push].contains(&r), "region dead at its own push");
-        for u in g.use_points(r) {
+        for u in use_points(&g, r) {
             assert!(live[u].contains(&r), "region dead at its own use {u}");
         }
         assert!(

@@ -19,8 +19,8 @@ use crate::value::{self, Value};
 use cj_frontend::ast::BinOp;
 use cj_frontend::kernel::{KExpr, KExprKind};
 use cj_frontend::span::Span;
-use cj_frontend::types::{ClassId, MethodId, NType};
-use cj_infer::rast::{RMethod, RProgram, RType};
+use cj_frontend::types::{ClassId, MethodId};
+use cj_infer::rast::{Letreg, Placement, RMethod, RProgram};
 use cj_regions::var::RegVar;
 use std::collections::HashMap;
 use std::fmt;
@@ -231,8 +231,15 @@ pub fn run_static(
     if km.params.len() != args.len() {
         return Err(RuntimeError::BadMainArgs(km.span));
     }
+    let marks = Marks {
+        methods: (p.methods.iter())
+            .map(|ms| ms.iter().map(marks).collect())
+            .collect(),
+        statics: p.statics.iter().map(marks).collect(),
+    };
     let mut interp = Interp {
         p,
+        marks: &marks,
         heap: RegionHeap::new(),
         steps: 0,
         limit: cfg.step_limit,
@@ -242,7 +249,7 @@ pub fn run_static(
         prints: Vec::new(),
     };
     let rm = p.rmethod(id);
-    let mut frame = Frame::new(rm, km.vars.len());
+    let mut frame = Frame::new(rm, marks.of(id), km.vars.len());
     for (i, &a) in args.iter().enumerate() {
         frame.vars[km.params[i].index()] = a;
     }
@@ -284,26 +291,69 @@ pub fn run_main_big_stack(
     })
 }
 
+/// Two bits per expression of `rm`'s body: whether a `letreg` is placed
+/// around it, and whether one is placed around items of it. Empty when
+/// none is.
+fn marks(rm: &RMethod) -> Vec<u64> {
+    if rm.letregs.is_empty() {
+        return Vec::new();
+    }
+    let mut marks = vec![0u64; rm.types.len() / 32 + 1];
+    for l in &rm.letregs {
+        let bit = match l.at {
+            Placement::Node(e) => 2 * e.index(),
+            Placement::Items { block, .. } => 2 * block.index() + 1,
+        };
+        marks[bit / 64] |= 1 << (bit % 64);
+    }
+    marks
+}
+
+/// Every method's [`marks`], laid out as [`RProgram`]'s methods.
+struct Marks {
+    methods: Vec<Vec<Vec<u64>>>,
+    statics: Vec<Vec<u64>>,
+}
+
+impl Marks {
+    fn of(&self, id: MethodId) -> &[u64] {
+        match id {
+            MethodId::Instance(c, i) => &self.methods[c.index()][i as usize],
+            MethodId::Static(i) => &self.statics[i as usize],
+        }
+    }
+}
+
 struct Frame<'a> {
-    /// The running method's annotations.
+    /// The running method's annotations, and their [`marks`].
     rm: &'a RMethod,
+    marks: &'a [u64],
     vars: Vec<Value>,
     /// Region variable to heap region id.
     regmap: HashMap<RegVar, u32>,
 }
 
-impl Frame<'_> {
-    fn new(rm: &RMethod, nvars: usize) -> Frame<'_> {
+impl<'a> Frame<'a> {
+    fn new(rm: &'a RMethod, marks: &'a [u64], nvars: usize) -> Frame<'a> {
         Frame {
             rm,
+            marks,
             vars: vec![Value::Null; nvars],
             regmap: HashMap::new(),
         }
+    }
+
+    /// Whether a `letreg` is placed around `e` (`items` false) or around
+    /// items of it (`items` true).
+    fn placed(&self, e: &KExpr, items: bool) -> bool {
+        let bit = 2 * e.id.index() + usize::from(items);
+        (self.marks.get(bit / 64)).is_some_and(|&w| w & (1 << (bit % 64)) != 0)
     }
 }
 
 struct Interp<'a> {
     p: &'a RProgram,
+    marks: &'a Marks,
     heap: RegionHeap,
     steps: u64,
     limit: u64,
@@ -376,24 +426,27 @@ impl<'a> Interp<'a> {
     }
 
     /// Evaluates `e` inside the `letreg`s placed around it.
+    #[inline]
     fn eval(&mut self, frame: &mut Frame<'a>, e: &'a KExpr) -> Result<Value, RuntimeError> {
-        self.eval_from(frame, e, 0)
+        match frame.placed(e, false) {
+            true => self.eval_in(frame, e, frame.rm.letregs_at(e.id)),
+            false => self.node(frame, e),
+        }
     }
 
-    /// [`Self::eval`] inside the `letreg`s around `e` from the `skip`-th
-    /// on.
-    fn eval_from(
+    /// Evaluates `e` inside the `letreg`s `around` it.
+    fn eval_in(
         &mut self,
         frame: &mut Frame<'a>,
         e: &'a KExpr,
-        skip: usize,
+        around: &'a [Letreg],
     ) -> Result<Value, RuntimeError> {
-        let Some(r) = frame.rm.letregs_at(e.id).nth(skip) else {
+        let Some((l, inner)) = around.split_first() else {
             return self.node(frame, e);
         };
-        let rid = self.push(frame, r)?;
-        let value = self.eval_from(frame, e, skip + 1)?;
-        self.pop(frame, r, rid)?;
+        let rid = self.push(frame, l.region)?;
+        let value = self.eval_in(frame, e, inner)?;
+        self.pop(frame, l.region, rid)?;
         Ok(value)
     }
 
@@ -412,7 +465,7 @@ impl<'a> Interp<'a> {
             KExprKind::Field(v, fref) => {
                 let o = self.deref(frame.vars[v.index()], e.span)?;
                 let word = self.heap.field(o, fref.index as usize);
-                Ok(self.heap.decode(slot_ty(frame.rm.ty(e)), word))
+                Ok(self.heap.decode(SlotTy::of(e.ty), word))
             }
             KExprKind::AssignVar(v, rhs) => {
                 let val = self.eval(frame, rhs)?;
@@ -449,7 +502,7 @@ impl<'a> Interp<'a> {
                 let o = self.deref(frame.vars[v.index()], e.span)?;
                 let word = self.heap.element(o, i as usize);
                 let word = word.ok_or(RuntimeError::IndexOutOfBounds(e.span))?;
-                Ok(self.heap.decode(slot_ty(frame.rm.ty(e)), word))
+                Ok(self.heap.decode(SlotTy::of(e.ty), word))
             }
             KExprKind::AssignIndex(v, idx, val) => {
                 let i = self.eval(frame, idx)?.as_int().expect("index is int");
@@ -474,6 +527,17 @@ impl<'a> Interp<'a> {
             KExprKind::CallStatic(method, args) => {
                 let inst = frame.rm.inst(e.id);
                 self.call(frame, *method, None, *method, inst, args, e.span)
+            }
+            KExprKind::Block(items) if !frame.placed(e, true) => {
+                // Sequencing a discarded statement is one step.
+                let mut value = Value::Unit;
+                for (i, item) in items.iter().enumerate() {
+                    if i + 1 < items.len() && !matches!(item.kind, KExprKind::Let { .. }) {
+                        self.tick()?;
+                    }
+                    value = self.item(frame, item)?;
+                }
+                Ok(value)
             }
             KExprKind::Block(items) => {
                 // Each run of items a `letreg` encloses runs in its region.
@@ -586,7 +650,7 @@ impl<'a> Interp<'a> {
         self.depth += 1;
         let km = self.p.kernel.method(target);
         let rm = self.p.rmethod(target);
-        let mut frame = Frame::new(rm, km.vars.len());
+        let mut frame = Frame::new(rm, self.marks.of(target), km.vars.len());
         // Default-initialize every slot by type.
         for (i, v) in km.vars.iter().enumerate() {
             frame.vars[i] = Value::default_of(v.ty);
@@ -660,13 +724,5 @@ impl<'a> Interp<'a> {
         let l = self.eval(frame, a)?;
         let r = self.eval(frame, b)?;
         value::binary(op, l, r, span)
-    }
-}
-
-/// The payload representation a read of static type `t` decodes.
-fn slot_ty(t: &RType) -> SlotTy {
-    match t {
-        RType::Prim(p) => SlotTy::of(NType::Prim(*p)),
-        _ => SlotTy::Ref,
     }
 }

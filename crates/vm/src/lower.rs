@@ -449,7 +449,7 @@ impl FnLowerer<'_> {
 
     /// Whether no `letreg` is placed around `e`.
     fn bare(&self, e: &KExpr) -> bool {
-        self.rm.letregs_at(e.id).next().is_none()
+        self.rm.letregs_at(e.id).is_empty()
     }
 
     /// Whether the arm emits nothing when its value is dropped.
@@ -483,12 +483,12 @@ impl FnLowerer<'_> {
     /// value as `want` asks.
     fn expr(&mut self, e: &KExpr, want: Want) {
         let mark = self.next_temp;
-        let regions: Vec<RegVar> = self.rm.letregs_at(e.id).collect();
-        for &r in &regions {
-            self.push_region(r, e.span);
+        let regions = self.rm.letregs_at(e.id);
+        for l in regions {
+            self.push_region(l.region, e.span);
         }
         self.node(e, want);
-        for _ in &regions {
+        for _ in regions {
             self.pop_region(want);
         }
         self.next_temp = mark;

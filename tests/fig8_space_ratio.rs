@@ -90,7 +90,7 @@ fn reynolds3_letreg_placement_depth_is_pinned() {
         out: &mut Vec<usize>,
     ) {
         use cj_frontend::kernel::KExprKind as K;
-        out.extend(m.letregs_at(e.id).map(|_| depth));
+        out.extend(m.letregs_at(e.id).iter().map(|_| depth));
         let (cond, arms) = match &e.kind {
             K::If {
                 cond,
