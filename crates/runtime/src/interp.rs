@@ -5,14 +5,15 @@
 //! program over the shared [`RegionHeap`]: a `letreg` placed around an
 //! expression or a run of block items pushes a real region before it and
 //! frees the region's arena after it (one evaluation step, as a `letreg`
-//! node of the target language costs), `new cn⟨r…⟩` allocates into the region bound to `r`, and method
-//! calls carry region arguments exactly as in the target language's
-//! dynamic semantics. Field and element reads decode the stored word with
-//! the static type of the read. Every object access checks that the
-//! object's region is still live, so a dangling access — impossible for
-//! well-region-typed programs, Theorem 1 — is detected and reported rather
-//! than silently misbehaving. This is the validation harness behind the
-//! integration suite and the space-reuse measurements of Fig 8.
+//! node of the target language costs), `new cn⟨r…⟩` allocates into the
+//! region bound to `r`, and method calls carry region arguments exactly as
+//! in the target language's dynamic semantics. Field and element reads
+//! decode the stored word with the static type of the read. Every object
+//! access checks that the object's region is still live, so a dangling
+//! access — impossible for well-region-typed programs, Theorem 1 — is
+//! detected and reported rather than silently misbehaving. This is the
+//! validation harness behind the integration suite and the space-reuse
+//! measurements of Fig 8.
 
 use crate::heap::{encode, ObjRef, RegionError, RegionHeap, SlotTy, SpaceStats};
 use crate::value::{self, Value};
@@ -528,20 +529,12 @@ impl<'a> Interp<'a> {
                 let inst = frame.rm.inst(e.id);
                 self.call(frame, *method, None, *method, inst, args, e.span)
             }
-            KExprKind::Block(items) if !frame.placed(e, true) => {
-                // Sequencing a discarded statement is one step.
-                let mut value = Value::Unit;
-                for (i, item) in items.iter().enumerate() {
-                    if i + 1 < items.len() && !matches!(item.kind, KExprKind::Let { .. }) {
-                        self.tick()?;
-                    }
-                    value = self.item(frame, item)?;
-                }
-                Ok(value)
-            }
             KExprKind::Block(items) => {
                 // Each run of items a `letreg` encloses runs in its region.
-                let ranges: Vec<(RegVar, u32, u32)> = frame.rm.letregs_in(e.id).collect();
+                let ranges: Vec<(RegVar, u32, u32)> = match frame.placed(e, true) {
+                    true => frame.rm.letregs_in(e.id).collect(),
+                    false => Vec::new(),
+                };
                 let mut open = Vec::new();
                 let mut value = Value::Unit;
                 for (i, item) in (0..).zip(items) {
