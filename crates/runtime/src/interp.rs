@@ -529,23 +529,12 @@ impl<'a> Interp<'a> {
                 let inst = frame.rm.inst(e.id);
                 self.call(frame, *method, None, *method, inst, args, e.span)
             }
-            // Blocks without item ranges keep a loop of their own: folding
-            // them into the one below costs the interpreter about a third
-            // of its speed on the Fig 8/9 programs.
-            KExprKind::Block(items) if !frame.placed(e, true) => {
-                // Sequencing a discarded statement is one step.
-                let mut value = Value::Unit;
-                for (i, item) in items.iter().enumerate() {
-                    if i + 1 < items.len() && !matches!(item.kind, KExprKind::Let { .. }) {
-                        self.tick()?;
-                    }
-                    value = self.item(frame, item)?;
-                }
-                Ok(value)
-            }
             KExprKind::Block(items) => {
                 // Each run of items a `letreg` encloses runs in its region.
-                let ranges: Vec<(RegVar, u32, u32)> = frame.rm.letregs_in(e.id).collect();
+                let ranges: Vec<(RegVar, u32, u32)> = match frame.placed(e, true) {
+                    true => frame.rm.letregs_in(e.id).collect(),
+                    false => Vec::new(),
+                };
                 let mut open = Vec::new();
                 let mut value = Value::Unit;
                 for (i, item) in (0..).zip(items) {
