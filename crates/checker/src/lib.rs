@@ -13,10 +13,12 @@
 //!   in scope outlives `r`;
 //! - every region mentioned in a body is in scope (a signature region, the
 //!   heap, or a `letreg`-bound region) — this is what rules out dangling
-//!   *stack* references — and no `letreg` region escapes through a value
-//!   that is used: a discarded value (a loop body's, a block item's other
-//!   than the last, and a block's when the block's is) may mention
-//!   regions already popped;
+//!   *stack* references. The one exception is a block whose value is
+//!   discarded: its type is its last item's, which is checked inside the
+//!   ranges the block opens;
+//! - no `letreg` region escapes through a value that is used: a discarded
+//!   value (a loop body's, a block item's other than the last, and a
+//!   block's when the block's is) may mention regions already popped;
 //! - every override satisfies `inv.B ∧ pre.A.mn ⊨ pre.B.mn` (Sec 3.4).
 //!
 //! Method bodies are checked by one walk of the kernel body, reading the
@@ -468,7 +470,9 @@ impl<'a> MethodChecker<'a> {
     ) -> Option<&'a RType> {
         let rm = self.rm;
         let rtype = rm.ty(e);
-        if used {
+        // A block's type is its last item's, which is checked inside the
+        // ranges the block opens; a discarded block may outlive them.
+        if used || !matches!(e.kind, KExprKind::Block(_)) {
             self.check_scope(scope, rtype.regions(), "expression type");
         }
         match &e.kind {

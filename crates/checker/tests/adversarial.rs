@@ -5,7 +5,7 @@
 //! checker actually discriminates.
 
 use cj_frontend::kernel::{walk_expr, ExprId, KExprKind};
-use cj_infer::{infer_source, InferOptions, RMethod, RProgram};
+use cj_infer::{infer_source, InferOptions, Letreg, Placement, RMethod, RProgram};
 use cj_regions::constraint::ConstraintSet;
 use cj_regions::var::RegVar;
 
@@ -142,6 +142,32 @@ fn call_with_wrong_instantiation_is_caught() {
     }
     assert!(mangle(&mut p));
     assert!(cj_check::check(&p).is_err());
+}
+
+#[test]
+fn discarded_read_after_its_region_is_popped_is_caught() {
+    // Shrink main's letreg to the `let` alone, so the discarded read
+    // `b.next;` after it mentions a popped region.
+    let mut p = infer(
+        "class Box { Box next; }
+         class M { static int main() { Box b = new Box(null); b.next; 1 } }",
+    );
+    let main = &mut p.statics[0];
+    let body = ExprId(0);
+    let [Letreg { region, at }] = main.letregs[..] else {
+        panic!("main binds one region: {:?}", main.letregs);
+    };
+    assert_eq!(at, Placement::Node(body));
+    main.letregs = vec![Letreg {
+        region,
+        at: Placement::Items {
+            block: body,
+            lo: 0,
+            hi: 0,
+        },
+    }];
+    let err = cj_check::check(&p).unwrap_err();
+    assert!(err.to_string().contains("not in scope"), "{err}");
 }
 
 #[test]
