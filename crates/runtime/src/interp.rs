@@ -21,7 +21,7 @@ use cj_frontend::ast::BinOp;
 use cj_frontend::kernel::{KExpr, KExprKind};
 use cj_frontend::span::Span;
 use cj_frontend::types::{ClassId, MethodId};
-use cj_infer::rast::{Letreg, Placement, RMethod, RProgram};
+use cj_infer::rast::{Letreg, RMethod, RProgram};
 use cj_regions::var::RegVar;
 use std::collections::HashMap;
 use std::fmt;
@@ -232,15 +232,8 @@ pub fn run_static(
     if km.params.len() != args.len() {
         return Err(RuntimeError::BadMainArgs(km.span));
     }
-    let marks = Marks {
-        methods: (p.methods.iter())
-            .map(|ms| ms.iter().map(marks).collect())
-            .collect(),
-        statics: p.statics.iter().map(marks).collect(),
-    };
     let mut interp = Interp {
         p,
-        marks: &marks,
         heap: RegionHeap::new(),
         steps: 0,
         limit: cfg.step_limit,
@@ -250,7 +243,7 @@ pub fn run_static(
         prints: Vec::new(),
     };
     let rm = p.rmethod(id);
-    let mut frame = Frame::new(rm, marks.of(id), km.vars.len());
+    let mut frame = Frame::new(rm, km.vars.len());
     for (i, &a) in args.iter().enumerate() {
         frame.vars[km.params[i].index()] = a;
     }
@@ -292,69 +285,26 @@ pub fn run_main_big_stack(
     })
 }
 
-/// Two bits per expression of `rm`'s body: whether a `letreg` is placed
-/// around it, and whether one is placed around items of it. Empty when
-/// none is.
-fn marks(rm: &RMethod) -> Vec<u64> {
-    if rm.letregs.is_empty() {
-        return Vec::new();
-    }
-    let mut marks = vec![0u64; rm.types.len() / 32 + 1];
-    for l in &rm.letregs {
-        let bit = match l.at {
-            Placement::Node(e) => 2 * e.index(),
-            Placement::Items { block, .. } => 2 * block.index() + 1,
-        };
-        marks[bit / 64] |= 1 << (bit % 64);
-    }
-    marks
-}
-
-/// Every method's [`marks`], laid out as [`RProgram`]'s methods.
-struct Marks {
-    methods: Vec<Vec<Vec<u64>>>,
-    statics: Vec<Vec<u64>>,
-}
-
-impl Marks {
-    fn of(&self, id: MethodId) -> &[u64] {
-        match id {
-            MethodId::Instance(c, i) => &self.methods[c.index()][i as usize],
-            MethodId::Static(i) => &self.statics[i as usize],
-        }
-    }
-}
-
 struct Frame<'a> {
-    /// The running method's annotations, and their [`marks`].
+    /// The running method's annotations.
     rm: &'a RMethod,
-    marks: &'a [u64],
     vars: Vec<Value>,
     /// Region variable to heap region id.
     regmap: HashMap<RegVar, u32>,
 }
 
 impl<'a> Frame<'a> {
-    fn new(rm: &'a RMethod, marks: &'a [u64], nvars: usize) -> Frame<'a> {
+    fn new(rm: &'a RMethod, nvars: usize) -> Frame<'a> {
         Frame {
             rm,
-            marks,
             vars: vec![Value::Null; nvars],
             regmap: HashMap::new(),
         }
-    }
-
-    /// Whether a `letreg` is placed around `e` (`items` false) or around
-    /// items of it (`items` true).
-    fn placed(&self, e: &KExpr, items: bool) -> bool {
-        let bit = 2 * e.id.index() + usize::from(items);
-        (self.marks.get(bit / 64)).is_some_and(|&w| w & (1 << (bit % 64)) != 0)
     }
 }
 
 struct Interp<'a> {
     p: &'a RProgram,
-    marks: &'a Marks,
     heap: RegionHeap,
     steps: u64,
     limit: u64,
@@ -429,10 +379,11 @@ impl<'a> Interp<'a> {
     /// Evaluates `e` inside the `letreg`s placed around it.
     #[inline]
     fn eval(&mut self, frame: &mut Frame<'a>, e: &'a KExpr) -> Result<Value, RuntimeError> {
-        match frame.placed(e, false) {
-            true => self.eval_in(frame, e, frame.rm.letregs_at(e.id)),
-            false => self.node(frame, e),
+        let rm = frame.rm;
+        if rm.letregs.is_empty() {
+            return self.node(frame, e);
         }
+        self.eval_in(frame, e, rm.letregs_at(e.id))
     }
 
     /// Evaluates `e` inside the `letreg`s `around` it.
@@ -531,10 +482,7 @@ impl<'a> Interp<'a> {
             }
             KExprKind::Block(items) => {
                 // Each run of items a `letreg` encloses runs in its region.
-                let ranges: Vec<(RegVar, u32, u32)> = match frame.placed(e, true) {
-                    true => frame.rm.letregs_in(e.id).collect(),
-                    false => Vec::new(),
-                };
+                let ranges: Vec<(RegVar, u32, u32)> = frame.rm.letregs_in(e.id).collect();
                 let mut open = Vec::new();
                 let mut value = Value::Unit;
                 for (i, item) in (0..).zip(items) {
@@ -643,7 +591,7 @@ impl<'a> Interp<'a> {
         self.depth += 1;
         let km = self.p.kernel.method(target);
         let rm = self.p.rmethod(target);
-        let mut frame = Frame::new(rm, self.marks.of(target), km.vars.len());
+        let mut frame = Frame::new(rm, km.vars.len());
         // Default-initialize every slot by type.
         for (i, v) in km.vars.iter().enumerate() {
             frame.vars[i] = Value::default_of(v.ty);
