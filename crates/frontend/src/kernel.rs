@@ -116,6 +116,41 @@ impl ExprId {
     }
 }
 
+/// The direct sub-expressions of a `kind`, in evaluation order: the one
+/// definition behind [`KExpr::children`] and [`KExpr::children_mut`]
+/// (`$m` is `mut` for the latter), whose order the pre-order ids rely on.
+macro_rules! children {
+    ($kind:expr, $as_deref:ident $(, $m:tt)?) => {{
+        let (a, b, c, items): (_, _, _, &$($m)? [KExpr]) = match $kind {
+            KExprKind::AssignVar(_, a)
+            | KExprKind::AssignField(_, _, a)
+            | KExprKind::NewArray(_, a)
+            | KExprKind::Index(_, a)
+            | KExprKind::Unary(_, a)
+            | KExprKind::Print(a) => (Some(&$($m)? **a), None, None, &$($m)? []),
+            KExprKind::AssignIndex(_, a, b)
+            | KExprKind::Binary(_, a, b)
+            | KExprKind::While { cond: a, body: b } => {
+                (Some(&$($m)? **a), Some(&$($m)? **b), None, &$($m)? [])
+            }
+            KExprKind::If {
+                cond,
+                then_e,
+                else_e,
+            } => (
+                Some(&$($m)? **cond),
+                Some(&$($m)? **then_e),
+                Some(&$($m)? **else_e),
+                &$($m)? [],
+            ),
+            KExprKind::Let { init, .. } => (init.$as_deref(), None, None, &$($m)? []),
+            KExprKind::Block(items) => (None, None, None, items),
+            _ => (None, None, None, &$($m)? []),
+        };
+        a.into_iter().chain(b).chain(c).chain(items)
+    }};
+}
+
 /// A typed kernel expression.
 #[derive(Debug, Clone)]
 pub struct KExpr {
@@ -139,26 +174,12 @@ impl KExpr {
 
     /// The direct sub-expressions, in evaluation order.
     pub fn children(&self) -> impl Iterator<Item = &KExpr> {
-        let (a, b, c, items): (_, _, _, &[KExpr]) = match &self.kind {
-            KExprKind::AssignVar(_, a)
-            | KExprKind::AssignField(_, _, a)
-            | KExprKind::NewArray(_, a)
-            | KExprKind::Index(_, a)
-            | KExprKind::Unary(_, a)
-            | KExprKind::Print(a) => (Some(&**a), None, None, &[]),
-            KExprKind::AssignIndex(_, a, b)
-            | KExprKind::Binary(_, a, b)
-            | KExprKind::While { cond: a, body: b } => (Some(&**a), Some(&**b), None, &[]),
-            KExprKind::If {
-                cond,
-                then_e,
-                else_e,
-            } => (Some(&**cond), Some(&**then_e), Some(&**else_e), &[]),
-            KExprKind::Let { init, .. } => (init.as_deref(), None, None, &[]),
-            KExprKind::Block(items) => (None, None, None, items),
-            _ => (None, None, None, &[]),
-        };
-        a.into_iter().chain(b).chain(c).chain(items)
+        children!(&self.kind, as_deref)
+    }
+
+    /// [`Self::children`], mutably.
+    pub fn children_mut(&mut self) -> impl Iterator<Item = &mut KExpr> {
+        children!(&mut self.kind, as_deref_mut, mut)
     }
 
     /// The variables this node's own operation reads or writes — its
@@ -298,29 +319,8 @@ pub fn number_exprs(body: &mut KExpr) -> u32 {
     fn number(e: &mut KExpr, next: &mut u32) {
         e.id = ExprId(*next);
         *next += 1;
-        match &mut e.kind {
-            KExprKind::AssignVar(_, a)
-            | KExprKind::AssignField(_, _, a)
-            | KExprKind::NewArray(_, a)
-            | KExprKind::Index(_, a)
-            | KExprKind::Unary(_, a)
-            | KExprKind::Print(a)
-            | KExprKind::Let { init: Some(a), .. } => number(a, next),
-            KExprKind::AssignIndex(_, a, b)
-            | KExprKind::Binary(_, a, b)
-            | KExprKind::While { cond: a, body: b } => {
-                number(a, next);
-                number(b, next);
-            }
-            KExprKind::If {
-                cond,
-                then_e,
-                else_e,
-            } => [cond, then_e, else_e]
-                .into_iter()
-                .for_each(|c| number(c, next)),
-            KExprKind::Block(items) => items.iter_mut().for_each(|c| number(c, next)),
-            _ => {}
+        for c in e.children_mut() {
+            number(c, next);
         }
     }
     let mut next = 0;
