@@ -846,8 +846,10 @@ mod tests {
         // Strip the letreg so the localized region is out of scope.
         let m = &mut p.statics[0];
         fn strip(m: &mut RMethod) -> bool {
-            !m.letregs.is_empty() && {
-                m.letregs.remove(0);
+            let mut letregs = m.letregs().to_vec();
+            !letregs.is_empty() && {
+                letregs.remove(0);
+                m.set_letregs(letregs);
                 true
             }
         }
@@ -870,7 +872,8 @@ mod tests {
             region: m.ret_type.object_region().unwrap(),
             at: cj_infer::Placement::Node(cj_frontend::kernel::ExprId(0)),
         };
-        m.letregs.insert(0, bad);
+        let letregs = [bad].iter().chain(m.letregs()).copied().collect();
+        m.set_letregs(letregs);
         let err = check(&p).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("escapes") || msg.contains("rebinds"), "{msg}");

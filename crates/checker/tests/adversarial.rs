@@ -154,18 +154,18 @@ fn discarded_read_after_its_region_is_popped_is_caught() {
     );
     let main = &mut p.statics[0];
     let body = ExprId(0);
-    let [Letreg { region, at }] = main.letregs[..] else {
-        panic!("main binds one region: {:?}", main.letregs);
+    let [Letreg { region, at }] = main.letregs()[..] else {
+        panic!("main binds one region: {:?}", main.letregs());
     };
     assert_eq!(at, Placement::Node(body));
-    main.letregs = vec![Letreg {
+    main.set_letregs(vec![Letreg {
         region,
         at: Placement::Items {
             block: body,
             lo: 0,
             hi: 0,
         },
-    }];
+    }]);
     let err = cj_check::check(&p).unwrap_err();
     assert!(err.to_string().contains("not in scope"), "{err}");
 }

@@ -62,7 +62,7 @@ fn each_call_site_gets_its_own_instantiation() {
     // Both allocations are localized into main's letreg, so after
     // resolution the instantiations may coincide — but main must have at
     // least one letreg covering them.
-    assert!(!main.letregs.is_empty());
+    assert!(!main.letregs().is_empty());
 }
 
 #[test]
@@ -87,7 +87,7 @@ fn two_allocations_of_same_class_can_differ() {
     });
     assert_eq!(regions.len(), 2);
     assert_ne!(regions[0], regions[1], "escaping and local must differ");
-    assert_eq!(pick.letregs.len(), 1);
+    assert_eq!(pick.letregs().len(), 1);
 }
 
 #[test]
@@ -120,7 +120,7 @@ fn nulls_are_free() {
         .all_rmethods()
         .find(|(id, _)| p.kernel.method_name(*id) == "none")
         .unwrap();
-    assert!(none.letregs.is_empty());
+    assert!(none.letregs().is_empty());
     let shown = crate::pretty::display_precondition(&p, id);
     assert!(shown.is_empty(), "pre.none = {shown}");
 }
@@ -193,7 +193,7 @@ fn while_body_regions_conjoin_flow_insensitively() {
     let last = method(&p, "last");
     // Both allocations escape through c (flow-insensitive single type), so
     // nothing is localized.
-    assert!(last.letregs.is_empty());
+    assert!(last.letregs().is_empty());
 }
 
 #[test]

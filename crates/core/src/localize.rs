@@ -273,7 +273,7 @@ pub fn localize(
             })
         })
         .collect();
-    RMethod {
+    let mut rm = RMethod {
         id,
         mparams: sig.mparams,
         abs_params: sig.abs_params,
@@ -283,8 +283,11 @@ pub fn localize(
         types,
         inst,
         inst_at,
-        letregs,
-    }
+        letregs: Vec::new(),
+        placed: Vec::new(),
+    };
+    rm.set_letregs(letregs);
+    rm
 }
 
 // ---- block tree ---------------------------------------------------------

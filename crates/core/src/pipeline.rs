@@ -167,7 +167,7 @@ pub fn infer(kp: &Arc<KProgram>, opts: InferOptions) -> Result<(RProgram, InferS
         let pre = closed.get(sig.abs).body.atoms.clone();
         let body = &kp.method(id).body;
         let rm = localize::localize(&mut ctx, &mut solver, id, sig, pre, res, body);
-        stats.localized_regions += rm.letregs.len();
+        stats.localized_regions += rm.letregs().len();
         match id {
             MethodId::Instance(c, _) => methods[c.index()].push(rm),
             MethodId::Static(_) => statics.push(rm),
@@ -409,7 +409,7 @@ mod tests {
             .find(|(id, _)| p.kernel.method(*id).name.as_str() == "build")
             .unwrap();
         let _ = bid;
-        assert!(!build.letregs.is_empty() || build.mparams.len() >= 3);
+        assert!(!build.letregs().is_empty() || build.mparams.len() >= 3);
     }
 
     #[test]
@@ -452,7 +452,7 @@ mod tests {
         let o2 = cycle.var_types[p2].object_region().unwrap();
         assert_eq!(o1, o2, "cyclic structures share one region (Fig 5)");
         // And no letreg: everything escapes through the result.
-        assert!(cycle.letregs.is_empty());
+        assert!(cycle.letregs().is_empty());
     }
 
     #[test]
@@ -586,7 +586,7 @@ mod tests {
             .unwrap()
             .1;
         assert!(
-            !search_field.letregs.is_empty(),
+            !search_field.letregs().is_empty(),
             "field subtyping localizes the per-call cons cell"
         );
         let (p_none, _) = run(src, SubtypeMode::None);
@@ -596,7 +596,7 @@ mod tests {
             .unwrap()
             .1;
         assert!(
-            search_none.letregs.is_empty(),
+            search_none.letregs().is_empty(),
             "without subtyping the cell unifies with the parameter list"
         );
     }
@@ -798,7 +798,7 @@ mod tests {
             .find(|(id, _)| p.kernel.method(*id).name.as_str() == "spin")
             .unwrap()
             .1;
-        assert!(!spin.letregs.is_empty());
+        assert!(!spin.letregs().is_empty());
         // The letreg must be inside the while body.
         let mut inside_loop = false;
         walk_expr(&p.kernel.method(spin.id).body, &mut |e| {

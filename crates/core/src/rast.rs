@@ -245,9 +245,13 @@ pub struct RMethod {
     /// Where each expression's instantiation starts in `inst`, plus one
     /// final entry: expression `e`'s is `inst[inst_at[e]..inst_at[e + 1]]`.
     pub inst_at: Vec<u32>,
-    /// The `letreg`s of the body, sorted by [`Placement::order`]: a
-    /// placement that encloses another comes before it.
-    pub letregs: Vec<Letreg>,
+    /// The `letreg`s of the body (see [`RMethod::letregs`]); changed only
+    /// through [`RMethod::set_letregs`], which keeps `placed` in step.
+    pub(crate) letregs: Vec<Letreg>,
+    /// Two bits per expression, kept by [`RMethod::set_letregs`]: whether
+    /// a `letreg` is placed around it, and whether one is placed around
+    /// items of it. Empty when the body has no `letreg`.
+    pub(crate) placed: Vec<u64>,
 }
 
 impl RMethod {
@@ -268,8 +272,45 @@ impl RMethod {
         own_regions(e, &self.types, &self.var_types, self.inst(e.id))
     }
 
+    /// The `letreg`s of the body, sorted by [`Placement::order`]: a
+    /// placement that encloses another comes before it.
+    pub fn letregs(&self) -> &[Letreg] {
+        &self.letregs
+    }
+
+    /// Replaces the `letreg`s of the body, sorting them by
+    /// [`Placement::order`] (placements in the same place keep their
+    /// order, outermost first).
+    pub fn set_letregs(&mut self, mut letregs: Vec<Letreg>) {
+        letregs.sort_by_key(|l| l.at.order());
+        self.placed.clear();
+        if !letregs.is_empty() {
+            self.placed.resize(self.types.len() / 32 + 1, 0);
+        }
+        for l in &letregs {
+            let bit = match l.at {
+                Placement::Node(e) => 2 * e.index(),
+                Placement::Items { block, .. } => 2 * block.index() + 1,
+            };
+            self.placed[bit / 64] |= 1 << (bit % 64);
+        }
+        self.letregs = letregs;
+    }
+
+    /// Whether a `letreg` is placed around `e` (`items` false) or around
+    /// items of it (`items` true).
+    #[inline]
+    fn is_placed(&self, e: ExprId, items: bool) -> bool {
+        let bit = 2 * e.index() + usize::from(items);
+        (self.placed.get(bit / 64)).is_some_and(|&w| w & (1 << (bit % 64)) != 0)
+    }
+
     /// The `letreg`s placed around expression `e`, outermost first.
+    #[inline]
     pub fn letregs_at(&self, e: ExprId) -> &[Letreg] {
+        if !self.is_placed(e, false) {
+            return &[];
+        }
         let from = (self.letregs).partition_point(|l| l.at.order() < (e, None));
         let n = (self.letregs[from..].iter())
             .take_while(|l| l.at == Placement::Node(e))
@@ -279,8 +320,12 @@ impl RMethod {
 
     /// The regions bound around item ranges of block `block`, as
     /// `(region, lo, hi)`, outermost first.
+    #[inline]
     pub fn letregs_in(&self, block: ExprId) -> impl Iterator<Item = (RegVar, u32, u32)> + '_ {
-        let from = (self.letregs).partition_point(|l| l.at.order() <= (block, None));
+        let from = match self.is_placed(block, true) {
+            true => (self.letregs).partition_point(|l| l.at.order() <= (block, None)),
+            false => self.letregs.len(),
+        };
         self.letregs[from..].iter().map_while(move |l| match l.at {
             Placement::Items { block: b, lo, hi } if b == block => Some((l.region, lo, hi)),
             _ => None,

@@ -67,13 +67,14 @@ pub fn tighten_method(body: &KExpr, m: &mut RMethod) -> ExtentStats {
     stats.extent_points_before = before.extent_points();
 
     let mut t = Tightener::new(body, m);
+    let mut letregs = m.letregs().to_vec();
     // The list is outermost first: backwards, every placement comes after
     // the ones it encloses.
-    for me in (0..m.letregs.len()).rev() {
-        t.tighten(m, me);
+    for me in (0..letregs.len()).rev() {
+        t.tighten(m, &mut letregs, me);
     }
     (stats.narrowed, stats.dropped) = (t.narrowed, t.dropped);
-    m.letregs.sort_by_key(|l| l.at.order());
+    m.set_letregs(letregs);
 
     let after = PointGraph::build(body, m);
     assert!(after.extents_laminar(), "letreg extents must nest");
@@ -237,9 +238,10 @@ impl<'k> Tightener<'k> {
         end
     }
 
-    /// Re-places placement `me`; the ones it encloses are done.
-    fn tighten(&mut self, m: &mut RMethod, me: usize) {
-        let Letreg { region, at } = m.letregs[me];
+    /// Re-places placement `me` of `letregs`; the ones it encloses are
+    /// done.
+    fn tighten(&mut self, m: &RMethod, letregs: &mut Vec<Letreg>, me: usize) {
+        let Letreg { region, at } = letregs[me];
         let Placement::Node(start) = at else {
             unreachable!("[exp-block] places letregs around expressions")
         };
@@ -250,7 +252,7 @@ impl<'k> Tightener<'k> {
         (self.uses)
             .extend(within.filter(|&i| m.own_regions(nodes[i as usize]).any(|x| x == region)));
         if self.uses.is_empty() {
-            m.letregs.remove(me);
+            letregs.remove(me);
             self.dropped += 1;
             return;
         }
@@ -262,7 +264,7 @@ impl<'k> Tightener<'k> {
                 self.ranges.entry(block).or_default().push((lo, hi, packed));
             }
         }
-        m.letregs[me].at = at;
+        letregs[me].at = at;
         self.narrowed += usize::from(self.moved);
     }
 

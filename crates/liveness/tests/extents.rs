@@ -21,7 +21,7 @@ fn infer(src: &str) -> RProgram {
 fn main_method(p: &RProgram) -> &RMethod {
     p.statics
         .iter()
-        .find(|m| !m.letregs.is_empty())
+        .find(|m| !m.letregs().is_empty())
         .expect("a static method with a letreg")
 }
 
@@ -29,7 +29,7 @@ fn main_method(p: &RProgram) -> &RMethod {
 fn tighten_main(p: &mut RProgram) -> ExtentStats {
     let kernel = std::sync::Arc::clone(&p.kernel);
     let m = (p.statics.iter_mut())
-        .find(|m| !m.letregs.is_empty())
+        .find(|m| !m.letregs().is_empty())
         .expect("a static method with a letreg");
     tighten_method(&kernel.method(m.id).body, m)
 }
@@ -142,18 +142,18 @@ fn unused_letreg_binding_is_dropped() {
     let m = p
         .statics
         .iter_mut()
-        .find(|m| m.letregs.is_empty())
+        .find(|m| m.letregs().is_empty())
         .expect("main has no letregs of its own");
     // Graft a letreg whose region nothing uses; the tightener must erase
     // it.
     let ghost = RegVar(9_999);
-    m.letregs.push(Letreg {
+    m.set_letregs(vec![Letreg {
         region: ghost,
         at: Placement::Node(ExprId(0)),
-    });
+    }]);
     let stats = tighten_method(&kernel.method(m.id).body, m);
     assert_eq!(stats.dropped, 1);
-    assert!(m.letregs.is_empty(), "dropped binding leaves `letregs`");
+    assert!(m.letregs().is_empty(), "dropped binding leaves `letregs`");
     cj_check::check(&p).expect("still region-checks");
     let out = run_main_big_stack(&p, &[Value::Int(41)], RunConfig::default()).unwrap();
     assert_eq!(out.value.to_string(), "42");
@@ -201,7 +201,7 @@ fn point_graph_liveness_covers_loop_back_edges() {
     let m = main_method(&p);
     let g = graph(&p, m);
     assert!(g.extents_cover_uses());
-    let of: BTreeSet<RegVar> = m.letregs.iter().map(|l| l.region).collect();
+    let of: BTreeSet<RegVar> = m.letregs().iter().map(|l| l.region).collect();
     let live = liveness(&g, &of);
     for &(r, push, pop) in &g.letregs {
         // Live on entry (some path reaches a use), at every use point —

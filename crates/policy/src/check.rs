@@ -173,7 +173,7 @@ impl<'p> ProgramCx<'p> {
             .collect();
         let locals: Vec<BTreeSet<RegVar>> = methods
             .iter()
-            .map(|(_, m)| m.letregs.iter().map(|l| l.region).collect())
+            .map(|(_, m)| m.letregs().iter().map(|l| l.region).collect())
             .collect();
 
         // Call edges: each edge maps every callee abstraction parameter to

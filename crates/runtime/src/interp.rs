@@ -377,13 +377,11 @@ impl<'a> Interp<'a> {
     }
 
     /// Evaluates `e` inside the `letreg`s placed around it.
-    #[inline]
     fn eval(&mut self, frame: &mut Frame<'a>, e: &'a KExpr) -> Result<Value, RuntimeError> {
-        let rm = frame.rm;
-        if rm.letregs.is_empty() {
-            return self.node(frame, e);
+        match frame.rm.letregs_at(e.id) {
+            [] => self.node(frame, e),
+            around => self.eval_in(frame, e, around),
         }
-        self.eval_in(frame, e, rm.letregs_at(e.id))
     }
 
     /// Evaluates `e` inside the `letreg`s `around` it.
@@ -402,6 +400,8 @@ impl<'a> Interp<'a> {
         Ok(value)
     }
 
+    // Inlined into `eval`, so an unplaced expression costs one call.
+    #[inline(always)]
     fn node(&mut self, frame: &mut Frame<'a>, e: &'a KExpr) -> Result<Value, RuntimeError> {
         // A block's steps are its statements' (see below).
         if !matches!(e.kind, KExprKind::Block(_)) {
@@ -483,6 +483,17 @@ impl<'a> Interp<'a> {
             KExprKind::Block(items) => {
                 // Each run of items a `letreg` encloses runs in its region.
                 let ranges: Vec<(RegVar, u32, u32)> = frame.rm.letregs_in(e.id).collect();
+                // Most blocks have none and take the plain loop.
+                if ranges.is_empty() {
+                    let mut value = Value::Unit;
+                    for (i, item) in items.iter().enumerate() {
+                        if i + 1 < items.len() && !matches!(item.kind, KExprKind::Let { .. }) {
+                            self.tick()?;
+                        }
+                        value = self.item(frame, item)?;
+                    }
+                    return Ok(value);
+                }
                 let mut open = Vec::new();
                 let mut value = Value::Unit;
                 for (i, item) in (0..).zip(items) {

@@ -233,9 +233,13 @@ mod tests {
             }
         });
         let at = Placement::Node(body.id);
-        let i = (main.letregs).partition_point(|l| l.at.order() < at.order());
         let region = shared.expect("the loop allocates");
-        main.letregs.insert(i, Letreg { region, at });
+        let letregs = [Letreg { region, at }]
+            .iter()
+            .chain(main.letregs())
+            .copied()
+            .collect();
+        main.set_letregs(letregs);
         assert!(
             cj_check::check(p).is_err(),
             "the mangled program is unchecked"

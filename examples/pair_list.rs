@@ -41,7 +41,7 @@ fn main() -> Result<(), Diagnostics> {
     println!(
         "build() localises {} region(s) — p1 and p3 share one letreg, \
          p2 and p4 escape through the result.\n",
-        build.letregs.len()
+        build.letregs().len()
     );
 
     // ---- Fig 5: circular structures ------------------------------------

@@ -78,7 +78,7 @@ fn reynolds3_letreg_placement_depth_is_pinned() {
         .expect("search exists")
         .1;
     assert!(
-        !search.letregs.is_empty(),
+        !search.letregs().is_empty(),
         "field subtyping must localize the per-frame cell"
     );
 

@@ -88,7 +88,7 @@ fn fig4_letreg_groups_nonescaping_pairs() {
         .find(|(id, _)| p.kernel.method_name(*id) == "build")
         .unwrap()
         .1;
-    assert_eq!(build.letregs.len(), 1, "one letreg for p1+p3 (Fig 4d)");
+    assert_eq!(build.letregs().len(), 1, "one letreg for p1+p3 (Fig 4d)");
     let text = annotate(&p);
     assert!(text.contains("letreg"), "{text}");
 }
@@ -124,7 +124,7 @@ fn fig5_cycle_forces_one_region_and_no_letreg() {
         "cycle members share a region"
     );
     assert!(
-        cycle.letregs.is_empty(),
+        cycle.letregs().is_empty(),
         "everything escapes via the result"
     );
 }
