@@ -7,6 +7,8 @@
 //! - [`measure`], the only timer: it repeats a cell until it has
 //!   [`MIN_SAMPLES`] samples *and* [`MIN_TIME`] of measured time, and
 //!   summarizes the wall times as [`Stats`] (median, min, MAD, n);
+//!   [`measure_pair`] times two cells that are compared with each other,
+//!   their samples alternating, to at least [`PAIR_SAMPLES`] each;
 //! - the rows each mode records, and the gates over them as pure
 //!   functions — a run exits 1 when any gate reports a failure.
 //!
@@ -26,6 +28,11 @@ pub const MIN_SAMPLES: usize = 5;
 
 /// Least measured time a cell gets.
 pub const MIN_TIME: Duration = Duration::from_millis(500);
+
+/// Fewest samples each cell of a [`measure_pair`] gets: at
+/// [`MIN_SAMPLES`], the slowest paper inputs' medians move further
+/// between two runs of one binary than an engine change does.
+pub const PAIR_SAMPLES: usize = 15;
 
 /// Summary of one cell's `n` samples: the median (the mean of the middle
 /// two for even `n`), the smallest sample, and the median absolute
@@ -86,21 +93,57 @@ pub fn enough(n: usize, spent: Duration) -> bool {
     n >= MIN_SAMPLES && spent >= MIN_TIME
 }
 
-/// Runs `f` until [`enough`] and returns its last result with the wall
-/// times of all runs, in milliseconds.
-pub fn measure<T>(mut f: impl FnMut() -> T) -> (T, Stats) {
-    let mut samples = Vec::new();
-    let mut spent = Duration::ZERO;
-    loop {
+/// One cell's wall times so far, in milliseconds, and their sum.
+#[derive(Default)]
+struct Samples {
+    ms: Vec<f64>,
+    spent: Duration,
+}
+
+impl Samples {
+    /// Runs `f` once, timed.
+    fn take<T>(&mut self, f: &mut impl FnMut() -> T) -> T {
         let t0 = Instant::now();
         let out = std::hint::black_box(f());
         let dt = t0.elapsed();
-        samples.push(dt.as_secs_f64() * 1e3);
-        spent += dt;
-        if enough(samples.len(), spent) {
-            return (out, Stats::of(&samples));
+        self.ms.push(dt.as_secs_f64() * 1e3);
+        self.spent += dt;
+        out
+    }
+}
+
+/// Runs `f` until [`enough`] and returns its last result with the wall
+/// times of all runs, in milliseconds.
+pub fn measure<T>(mut f: impl FnMut() -> T) -> (T, Stats) {
+    let mut cell = Samples::default();
+    loop {
+        let out = cell.take(&mut f);
+        if enough(cell.ms.len(), cell.spent) {
+            return (out, Stats::of(&cell.ms));
         }
     }
+}
+
+/// [`measure`] for two cells that are compared with each other: their
+/// samples alternate, so a drift of the machine hits both alike, and
+/// each cell runs until it has [`PAIR_SAMPLES`] samples and
+/// [`MIN_TIME`]. Returns each cell's last result with its wall times.
+pub fn measure_pair<A, B>(
+    mut f: impl FnMut() -> A,
+    mut g: impl FnMut() -> B,
+) -> ((A, Stats), (B, Stats)) {
+    let (mut fs, mut gs) = (Samples::default(), Samples::default());
+    let done = |c: &Samples| c.ms.len() >= PAIR_SAMPLES && c.spent >= MIN_TIME;
+    let (mut a, mut b) = (fs.take(&mut f), gs.take(&mut g));
+    while !done(&fs) || !done(&gs) {
+        if !done(&fs) {
+            a = fs.take(&mut f);
+        }
+        if !done(&gs) {
+            b = gs.take(&mut g);
+        }
+    }
+    ((a, Stats::of(&fs.ms)), (b, Stats::of(&gs.ms)))
 }
 
 /// Geometric mean (1 for no values).
@@ -309,6 +352,28 @@ mod tests {
         let (_, fast) = measure(|| std::thread::sleep(Duration::from_millis(20)));
         assert!(fast.n >= 20 && fast.n < 26, "{fast:?}");
         assert!(fast.min >= 20.0);
+    }
+
+    #[test]
+    fn paired_cells_alternate_until_each_has_enough() {
+        let log = std::cell::RefCell::new(String::new());
+        let ((_, slow), (_, fast)) = measure_pair(
+            || {
+                log.borrow_mut().push('f');
+                std::thread::sleep(Duration::from_millis(35));
+            },
+            || {
+                log.borrow_mut().push('g');
+                std::thread::sleep(Duration::from_millis(10));
+            },
+        );
+        // 15 samples of 35 ms pass the time minimum; 10 ms samples need
+        // about 50, the rest taken after the slow cell is done.
+        assert_eq!(slow.n, PAIR_SAMPLES);
+        assert!(fast.n >= 50 && fast.n < 56, "{fast:?}");
+        let log = log.into_inner();
+        assert_eq!(&log[..2 * PAIR_SAMPLES], "fg".repeat(PAIR_SAMPLES));
+        assert!(log[2 * PAIR_SAMPLES..].chars().all(|c| c == 'g'));
     }
 
     #[test]

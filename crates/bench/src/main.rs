@@ -3,8 +3,9 @@
 //! - `fig8` reproduces **Fig 8** (inference/checking times under all three
 //!   subtyping modes, and the space ratios of the paper inputs);
 //! - `fig9` reproduces **Fig 9** (Olden inference times);
-//! - `engines` runs every program on the interpreter and on cj-rvm and
-//!   writes `BENCH_vm.json`, plus the region-heap pool churn loop;
+//! - `engines` runs every program on the interpreter and on cj-rvm,
+//!   their samples alternating ([`cj_bench::measure_pair`]), and writes
+//!   `BENCH_vm.json`, plus the region-heap pool churn loop;
 //! - `extents` compiles and runs every program under both extent modes
 //!   on both engines and writes `BENCH_liveness.json`;
 //! - `daemon` replays simulated clients against a cjrcd (cj-loadgen) and
@@ -14,8 +15,8 @@
 //! compile exits 1, a usage error 2.
 
 use cj_bench::{
-    divergence_gate, extents_gate, load_gate, measure, speed_gate, EngineRun, EnginesRow,
-    ExtentRun, ExtentsRow, LoadAsserts, Observed, Stats,
+    divergence_gate, extents_gate, load_gate, measure, measure_pair, speed_gate, EngineRun,
+    EnginesRow, ExtentRun, ExtentsRow, LoadAsserts, Observed, Stats,
 };
 use cj_benchmarks::{all_benchmarks, olden_benchmarks, regjava_benchmarks, Benchmark, Suite};
 use cj_diag::json_string;
@@ -40,7 +41,8 @@ usage: cj-bench fig8|fig9
   daemon   simulated clients against an in-process cjrcd, or --addr
 
 --quick runs the small test inputs. Each timed cell repeats until it has
-5 samples and 0.5 s, and reports median, min and MAD.";
+5 samples and 0.5 s, and reports median, min and MAD. engines alternates
+each program's rvm and interp samples and gives each at least 15.";
 
 const MODES: [&str; 5] = ["fig8", "fig9", "engines", "extents", "daemon"];
 
@@ -335,8 +337,10 @@ fn engines_row(b: &Benchmark, quick: bool) -> Result<EnginesRow, String> {
     let compilation = compiled(&mut ws, b.name, |ws| ws.check(opts))?;
     let register = compiled(&mut ws, b.name, |ws| ws.compiled(opts))?;
     let ((shown, args), cfg) = (input(b, quick), RunConfig::default());
-    let (rvm, rvm_ms) = measure(|| cj_rvm::run_main(&register, &args, cfg));
-    let (interp, interp_ms) = measure(|| run_main_big_stack(&compilation.program, &args, cfg));
+    let ((rvm, rvm_ms), (interp, interp_ms)) = measure_pair(
+        || cj_rvm::run_main(&register, &args, cfg),
+        || run_main_big_stack(&compilation.program, &args, cfg),
+    );
     let rvm = rvm.map_err(|e| format!("{} [rvm]: {e}", b.name))?;
     let interp = interp.map_err(|e| format!("{} [interp]: {e}", b.name))?;
     let run = |out: &cj_runtime::Outcome, wall_ms| EngineRun {
@@ -386,12 +390,16 @@ fn engines(quick: bool) -> (String, Vec<String>) {
     let mut failures = Vec::new();
     let rows = rows_of(all_benchmarks(), &mut failures, |b| {
         let row = engines_row(b, quick)?;
+        let (interp, rvm) = (&row.interp.wall_ms, &row.rvm.wall_ms);
         println!(
-            "{:28} {:8} interp {:>16}ms  rvm {:>14}ms  rvm/interp {:5.2}x  ratio {:.4}",
+            "{:28} {:8} interp {:>16} (min {:>8.3}) ms  rvm {:>14} (min {:>8.3}) ms  \
+             rvm/interp {:5.2}x  ratio {:.4}",
             row.name,
             suite_name(row.suite),
-            row.interp.wall_ms.show(),
-            row.rvm.wall_ms.show(),
+            interp.show(),
+            interp.min,
+            rvm.show(),
+            rvm.min,
             row.speedup(),
             row.rvm.observed.space.space_ratio()
         );

@@ -5,17 +5,25 @@
 //! bases stay in locals of one function. A call or a return leaves the
 //! inner loop, and the outer loop re-establishes the frame bases.
 //!
-//! A call copies the callee's register-file template — its variable
-//! defaults, then `Unit` for the temporaries, built once per run — and
+//! A call copies the callee's frame template ([`RvmMethod::frame`]:
+//! variable defaults, `Unit` temporaries and the constant registers) and
 //! writes the region instantiation straight into the callee's region
 //! slots.
+//!
+//! Opcodes are typed ([`ROp::IAdd`], [`ROp::JmpFLt`], …), so an
+//! arithmetic or comparison handler reads its two operands and computes,
+//! with no operator code to decode; only `==`/`!=` on references,
+//! booleans and `null` go through `value_eq`. Integer division and
+//! remainder wrap, and read the instruction's span only to report a zero
+//! divisor.
 //!
 //! Observable behaviour — return value, captured prints,
 //! [`SpaceStats`], and structured [`RuntimeError`]s with their spans —
 //! is bit-identical to the tree-walking interpreter
 //! (`cj_runtime::run_main`); the differential suites enforce this. Both
-//! engines hold the same [`Value`]s, allocate in the same
-//! [`RegionHeap`] and compute with the same `value_eq` and `binary`.
+//! engines hold the same [`Value`]s and allocate in the same
+//! [`RegionHeap`]; the typed handlers compute exactly what the
+//! interpreter's `binary` does.
 //! `steps` in the returned [`Outcome`] counts *dispatches*, the register
 //! engine's native work unit — one fused superinstruction does the work
 //! of several plain instructions in a single step.
@@ -25,31 +33,10 @@
 use cj_frontend::ast::UnOp;
 use cj_frontend::span::Span;
 use cj_runtime::heap::{encode, ObjRef, RegionHeap};
-use cj_runtime::value::{binary, unary, value_eq};
+use cj_runtime::value::{unary, value_eq};
 use cj_runtime::{Outcome, RunConfig, RuntimeError, Value};
-use cj_vm::code::{
-    bin_of, CallTarget, CastSite, CmpOp, NewSite, RInstr, ROp, RegRef, RvmMethod, RvmProgram,
-};
-
-/// Evaluates a fused comparison.
-#[inline]
-fn cmp_eval(cmp: CmpOp, l: Value, r: Value) -> bool {
-    use CmpOp::*;
-    use Value::*;
-    match (cmp, l, r) {
-        (Eq, x, y) => value_eq(x, y),
-        (Ne, x, y) => !value_eq(x, y),
-        (Lt, Int(x), Int(y)) => x < y,
-        (Le, Int(x), Int(y)) => x <= y,
-        (Gt, Int(x), Int(y)) => x > y,
-        (Ge, Int(x), Int(y)) => x >= y,
-        (Lt, Float(x), Float(y)) => x < y,
-        (Le, Float(x), Float(y)) => x <= y,
-        (Gt, Float(x), Float(y)) => x > y,
-        (Ge, Float(x), Float(y)) => x >= y,
-        _ => unreachable!("ill-typed comparison"),
-    }
-}
+use cj_vm::code::{CallTarget, CastSite, NewSite, RInstr, ROp, RegRef, RvmMethod, RvmProgram};
+use std::cmp::Ordering::{Equal, Less};
 
 /// Frame bookkeeping: bases into the shared register/region-slot files,
 /// plus the caller register the return value lands in.
@@ -65,9 +52,6 @@ struct Frame {
 struct Rvm<'a> {
     p: &'a RvmProgram,
     heap: RegionHeap,
-    /// Per method, the register file a fresh frame starts from: the
-    /// variable defaults, then `Unit` for the temporaries.
-    templates: Vec<Vec<Value>>,
     /// Register files of every live frame, contiguously.
     regs: Vec<Value>,
     /// Region slot values (region ids; 0 = heap) for every frame.
@@ -101,19 +85,9 @@ pub fn run_main(p: &RvmProgram, args: &[Value], cfg: RunConfig) -> Result<Outcom
     if method.params.len() != args.len() || args.iter().any(|a| matches!(a, Value::Ref(_))) {
         return Err(RuntimeError::BadMainArgs(decl));
     }
-    let templates = p
-        .methods
-        .iter()
-        .map(|m| {
-            let mut regs = m.defaults.clone();
-            regs.resize(m.nregs as usize, Value::Unit);
-            regs
-        })
-        .collect();
     let mut vm = Rvm {
         p,
         heap: RegionHeap::new(),
-        templates,
         regs: Vec::with_capacity(256),
         rslots: Vec::with_capacity(64),
         frames: Vec::with_capacity(64),
@@ -128,7 +102,7 @@ pub fn run_main(p: &RvmProgram, args: &[Value], cfg: RunConfig) -> Result<Outcom
         reg_buf: Vec::new(),
         word_buf: Vec::new(),
     };
-    vm.regs.extend_from_slice(&vm.templates[func as usize]);
+    vm.regs.extend_from_slice(&method.frame);
     for (k, &a) in args.iter().enumerate() {
         vm.regs[method.params[k] as usize] = a;
     }
@@ -205,19 +179,9 @@ impl Rvm<'_> {
                 }
                 let i = m.code[pc];
                 pc = match i.op {
-                    ROp::LoadConst => {
-                        self.set_reg(i.a, m.consts[i.t as usize]);
-                        pc + 1
-                    }
                     ROp::Move => {
                         let v = self.reg(i.b);
                         self.set_reg(i.a, v);
-                        pc + 1
-                    }
-                    ROp::AddImm => {
-                        let v = int(self.reg(i.b)).wrapping_add(i.imm);
-                        self.set_reg(i.a, Value::Int(v));
-                        self.supers += 1;
                         pc + 1
                     }
                     ROp::Unary => {
@@ -225,9 +189,42 @@ impl Rvm<'_> {
                         self.set_reg(i.a, unary(op, self.reg(i.b)));
                         pc + 1
                     }
-                    ROp::Binary => {
-                        let out = binary(bin_of(i.t), self.reg(i.b), self.reg(i.c), m.spans[pc])?;
-                        self.set_reg(i.a, out);
+                    ROp::IAdd => self.ints(i, pc, |x, y| Value::Int(x.wrapping_add(y))),
+                    ROp::ISub => self.ints(i, pc, |x, y| Value::Int(x.wrapping_sub(y))),
+                    ROp::IMul => self.ints(i, pc, |x, y| Value::Int(x.wrapping_mul(y))),
+                    ROp::IDiv | ROp::IRem => {
+                        let (x, y) = (int(self.reg(i.b)), int(self.reg(i.c)));
+                        if y == 0 {
+                            return Err(RuntimeError::DivisionByZero(m.spans[pc]));
+                        }
+                        let v = match i.op {
+                            ROp::IDiv => x.wrapping_div(y),
+                            _ => x.wrapping_rem(y),
+                        };
+                        self.set_reg(i.a, Value::Int(v));
+                        pc + 1
+                    }
+                    ROp::ILt => self.ints(i, pc, |x, y| Value::Bool(x < y)),
+                    ROp::ILe => self.ints(i, pc, |x, y| Value::Bool(x <= y)),
+                    ROp::IEq => self.ints(i, pc, |x, y| Value::Bool(x == y)),
+                    ROp::INe => self.ints(i, pc, |x, y| Value::Bool(x != y)),
+                    ROp::FAdd => self.floats(i, pc, |x, y| Value::Float(x + y)),
+                    ROp::FSub => self.floats(i, pc, |x, y| Value::Float(x - y)),
+                    ROp::FMul => self.floats(i, pc, |x, y| Value::Float(x * y)),
+                    ROp::FDiv => self.floats(i, pc, |x, y| Value::Float(x / y)),
+                    ROp::FRem => self.floats(i, pc, |x, y| Value::Float(x % y)),
+                    ROp::FLt => self.floats(i, pc, |x, y| Value::Bool(x < y)),
+                    ROp::FLe => self.floats(i, pc, |x, y| Value::Bool(x <= y)),
+                    ROp::FEq => self.floats(i, pc, |x, y| Value::Bool(x == y)),
+                    ROp::FNe => self.floats(i, pc, |x, y| Value::Bool(x != y)),
+                    ROp::Eq => {
+                        let v = value_eq(self.reg(i.b), self.reg(i.c));
+                        self.set_reg(i.a, Value::Bool(v));
+                        pc + 1
+                    }
+                    ROp::Ne => {
+                        let v = !value_eq(self.reg(i.b), self.reg(i.c));
+                        self.set_reg(i.a, Value::Bool(v));
                         pc + 1
                     }
                     ROp::GetField => {
@@ -314,31 +311,27 @@ impl Rvm<'_> {
                     ROp::Jump => i.t as usize,
                     ROp::JmpIf => branch(boolean(self.reg(i.a)), i, pc),
                     ROp::JmpIfNot => branch(!boolean(self.reg(i.a)), i, pc),
-                    ROp::JmpCmp => {
-                        self.supers += 1;
-                        let taken = cmp_eval(CmpOp::from_code(i.c), self.reg(i.a), self.reg(i.b));
-                        branch(taken, i, pc)
+                    ROp::JmpILt => self.int_jump(i, pc, |x, y| x < y),
+                    ROp::JmpILe => self.int_jump(i, pc, |x, y| x <= y),
+                    ROp::JmpIEq => self.int_jump(i, pc, |x, y| x == y),
+                    ROp::JmpINe => self.int_jump(i, pc, |x, y| x != y),
+                    ROp::JmpFLt => self.float_jump(i, pc, |x, y| x < y),
+                    ROp::JmpFLe => self.float_jump(i, pc, |x, y| x <= y),
+                    ROp::JmpFNotLt => {
+                        self.float_jump(i, pc, |x, y| x.partial_cmp(&y) != Some(Less))
                     }
-                    ROp::JmpCmpNot => {
+                    ROp::JmpFNotLe => self.float_jump(i, pc, |x, y| {
+                        !matches!(x.partial_cmp(&y), Some(Less | Equal))
+                    }),
+                    ROp::JmpFEq => self.float_jump(i, pc, |x, y| x == y),
+                    ROp::JmpFNe => self.float_jump(i, pc, |x, y| x != y),
+                    ROp::JmpEq => {
                         self.supers += 1;
-                        let taken = cmp_eval(CmpOp::from_code(i.c), self.reg(i.a), self.reg(i.b));
-                        branch(!taken, i, pc)
+                        branch(value_eq(self.reg(i.a), self.reg(i.b)), i, pc)
                     }
-                    ROp::JmpCmpC => {
+                    ROp::JmpNe => {
                         self.supers += 1;
-                        let rhs = m.consts[i.imm as usize];
-                        branch(cmp_eval(CmpOp::from_code(i.c), self.reg(i.a), rhs), i, pc)
-                    }
-                    ROp::JmpCmpNotC => {
-                        self.supers += 1;
-                        let rhs = m.consts[i.imm as usize];
-                        branch(!cmp_eval(CmpOp::from_code(i.c), self.reg(i.a), rhs), i, pc)
-                    }
-                    ROp::IncJump => {
-                        let v = int(self.reg(i.a)).wrapping_add(i.imm);
-                        self.set_reg(i.a, Value::Int(v));
-                        self.supers += 1;
-                        i.t as usize
+                        branch(!value_eq(self.reg(i.a), self.reg(i.b)), i, pc)
                     }
                     ROp::Print => {
                         let s = self.reg(i.a).to_string();
@@ -349,9 +342,54 @@ impl Rvm<'_> {
                         Some(value) => return Ok(value),
                         None => continue 'frames,
                     },
+                    ROp::PopRet => {
+                        // The open `letreg`s hold the region slots right
+                        // above the abstraction parameters.
+                        self.supers += 1;
+                        if !self.erase {
+                            let open = self.rbase + m.abs_params as usize;
+                            for slot in (open..open + i.c as usize).rev() {
+                                self.heap.pop(self.rslots[slot])?;
+                            }
+                        }
+                        match self.ret(self.reg(i.a)) {
+                            Some(value) => return Ok(value),
+                            None => continue 'frames,
+                        }
+                    }
                 };
             }
         }
+    }
+
+    /// `r[a] = f(r[b], r[c])` on ints; the next program counter.
+    #[inline(always)]
+    fn ints(&mut self, i: RInstr, pc: usize, f: impl FnOnce(i64, i64) -> Value) -> usize {
+        let v = f(int(self.reg(i.b)), int(self.reg(i.c)));
+        self.set_reg(i.a, v);
+        pc + 1
+    }
+
+    /// `r[a] = f(r[b], r[c])` on floats; the next program counter.
+    #[inline(always)]
+    fn floats(&mut self, i: RInstr, pc: usize, f: impl FnOnce(f64, f64) -> Value) -> usize {
+        let v = f(float(self.reg(i.b)), float(self.reg(i.c)));
+        self.set_reg(i.a, v);
+        pc + 1
+    }
+
+    /// Jumps to `t` when `f(r[a], r[b])` holds on ints.
+    #[inline(always)]
+    fn int_jump(&mut self, i: RInstr, pc: usize, f: impl FnOnce(i64, i64) -> bool) -> usize {
+        self.supers += 1;
+        branch(f(int(self.reg(i.a)), int(self.reg(i.b))), i, pc)
+    }
+
+    /// Jumps to `t` when `f(r[a], r[b])` holds on floats.
+    #[inline(always)]
+    fn float_jump(&mut self, i: RInstr, pc: usize, f: impl FnOnce(f64, f64) -> bool) -> usize {
+        self.supers += 1;
+        branch(f(float(self.reg(i.a)), float(self.reg(i.b))), i, pc)
     }
 
     /// `r[a] = decode(ty, field c of the object in r[b])`.
@@ -392,8 +430,8 @@ impl Rvm<'_> {
                 // A reference into a popped region has no class header
                 // left to read.
                 let r = self.deref(v, span)?;
-                let class = self.heap.class_of(r) as usize;
-                if !self.p.subclass[class][site.class as usize] {
+                let class = self.heap.class_of(r);
+                if !self.p.classes.is_subclass(class, site.class) {
                     return Err(RuntimeError::CastFailed(span));
                 }
                 self.set_reg(dst, v);
@@ -424,7 +462,7 @@ impl Rvm<'_> {
         };
         let callee: &RvmMethod = &p.methods[func as usize];
         let new_lbase = self.regs.len();
-        self.regs.extend_from_slice(&self.templates[func as usize]);
+        self.regs.extend_from_slice(&callee.frame);
         if let Some(r) = receiver {
             self.regs[new_lbase] = Value::Ref(r);
         }
@@ -490,6 +528,15 @@ fn int(v: Value) -> i64 {
     v.as_int().expect("ill-typed int operand")
 }
 
+/// The float in a well-typed `float` operand.
+#[inline(always)]
+fn float(v: Value) -> f64 {
+    match v {
+        Value::Float(x) => x,
+        _ => unreachable!("ill-typed float operand"),
+    }
+}
+
 /// The boolean in a well-typed `bool` operand.
 #[inline(always)]
 fn boolean(v: Value) -> bool {
@@ -503,20 +550,5 @@ fn branch(taken: bool, i: RInstr, pc: usize) -> usize {
         i.t as usize
     } else {
         pc + 1
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use cj_frontend::ast::BinOp;
-    use cj_vm::code::bin_code;
-
-    #[test]
-    fn bin_code_round_trips() {
-        use BinOp::*;
-        for op in [Add, Sub, Mul, Div, Rem, Lt, Le, Gt, Ge, Eq, Ne] {
-            assert_eq!(bin_of(bin_code(op)), op);
-        }
     }
 }

@@ -4,10 +4,15 @@
 //! [`cj_vm`] lowers the region-annotated kernel to ([`cj_vm::code`]):
 //!
 //! - operands are registers of one flat per-frame file, folded into each
-//!   instruction, so there is no operand stack;
-//! - superinstructions — compare-and-branch, add-immediate,
-//!   increment-and-loop and load-field-then-call — each do the work of
-//!   several plain instructions in one dispatch;
+//!   instruction, so there is no operand stack; literals are read-only
+//!   constant registers the frame template already holds;
+//! - opcodes are typed: `int` and `float` arithmetic and comparisons
+//!   each have a handler that reads its operands and computes, with no
+//!   operator code to decode;
+//! - superinstructions — compare-and-branch, load-field-then-call and
+//!   leave-`letreg`s-then-return — each do the work of several plain
+//!   instructions in one dispatch, and a `while` tests its condition at
+//!   the bottom of each iteration, so no jump closes the loop;
 //! - dispatch is one `match` on the opcode over inlined handlers, a call
 //!   copies the callee's register-file template, and `letreg` compiles
 //!   to direct bump-arena push/pop against the
@@ -91,6 +96,29 @@ mod tests {
             &[Value::Int(100)],
         );
         assert_eq!(out.value, Value::Int(5050));
+    }
+
+    /// Loops are tested on entry and at the bottom. A condition that holds
+    /// a loop itself is lowered once, the loop entering at its bottom
+    /// test; a loop that never runs its body still runs its condition.
+    #[test]
+    fn loop_conditions_run_on_entry_and_at_the_bottom() {
+        let out = run_all(
+            "class M { static int main(int n) {
+               int i = 0; int tests = 0;
+               while ({ int j = 0; while (j < 2) { j = j + 1; } tests = tests + j; i < n }) {
+                 i = i + 1;
+               }
+               int k = 0;
+               while (k > n) { k = k + 1; }
+               while (false) { k = k + 100; }
+               print(k);
+               tests
+             } }",
+            &[Value::Int(3)],
+        );
+        assert_eq!(out.value, Value::Int(8));
+        assert_eq!(out.prints, vec!["0"]);
     }
 
     #[test]

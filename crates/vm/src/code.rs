@@ -3,37 +3,50 @@
 //! One [`RvmProgram`] holds every method's code plus the tables the
 //! lowering pass resolved once so execution never does a name lookup:
 //! per-class **vtables** (virtual dispatch is an index into
-//! `vtables[runtime_class]`), a **subclass matrix** (casts are one boolean
-//! read), and per-method **site tables** for the operations that carry
-//! structured operands (allocations, calls, casts).
+//! `vtables[runtime_class]`), a pre-order numbering of the class tree
+//! (a cast is two integer compares, see [`ClassTree`]), and per-method
+//! **site tables** for the operations that carry structured operands
+//! (allocations, calls, casts).
 //!
 //! Every method body is three-address register code:
 //!
 //! - **registers** are one flat per-frame file: slots `0..nlocals` are
 //!   the method's variable slots (so the site tables' variable operands
-//!   are register operands verbatim), and slots `nlocals..nregs` are
-//!   temporaries holding intermediate values;
-//! - **operands are folded into instructions**: constants, field
-//!   indices, vtable-resolved call sites and region slots all ride in
-//!   the instruction word, so the hot loop never touches an operand
-//!   stack;
+//!   are register operands verbatim), then temporaries holding
+//!   intermediate values, then one read-only **constant register** per
+//!   distinct literal of the method. The frame template
+//!   ([`RvmMethod::frame`]) holds the constants, so any operand may be a
+//!   literal and no instruction loads one;
+//! - **opcodes are typed**: lowering knows every operand's normal type,
+//!   so `int` and `float` arithmetic and comparisons each have their own
+//!   opcode ([`ROp::IAdd`], [`ROp::FLt`], …) that reads its operands
+//!   without inspecting an operator code. Only `==`/`!=` on references,
+//!   booleans and `null` use the generic [`ROp::Eq`]/[`ROp::Ne`];
 //! - **superinstructions** fuse the hottest idioms into one dispatch:
-//!   compare-and-branch ([`ROp::JmpCmp`]* — with a register or
-//!   constant-pool right-hand side), add-immediate and the loop-closing
-//!   increment-and-jump ([`ROp::AddImm`]/[`ROp::IncJump`]), and
-//!   load-field-then-call ([`ROp::FieldCall`]).
+//!   compare-and-branch ([`ROp::JmpILt`] and its siblings), load-field-
+//!   then-call ([`ROp::FieldCall`]), and leave-`letreg`s-then-return
+//!   ([`ROp::PopRet`]).
+//!
+//! `<`, `<=`, `>` and `>=` need only the `Lt` and `Le` opcodes: `a > b`
+//! is `b < a` with the operands swapped in the instruction (which does
+//! not change their evaluation order), exact for floats too. A negated
+//! `int` comparison is the complementary one (`!(a < b)` is `b <= a`);
+//! `float` comparisons have `JmpFNot*` forms, because NaN makes
+//! `!(a < b)` differ from `a >= b`.
 //!
 //! `letreg` lowers to explicit [`ROp::RegPush`]/[`ROp::RegPop`]
 //! delimiting the extent of a frame-local region slot, and `new cn⟨r…⟩`
 //! to [`ROp::NewObj`] whose site says which region slot to allocate in —
 //! the paper's dynamic semantics, made explicit in the instruction
-//! stream.
+//! stream. The `letreg` slots are allocated stack-wise after the
+//! abstraction parameters, so the regions open at any point are the
+//! slots right above them, innermost last.
 //!
-//! Instructions are a fixed-width struct (opcode + three register
-//! operands + a table index + an immediate); the `cj-rvm` executor
-//! dispatches with one `match` on the opcode.
+//! Instructions are a fixed-width struct (opcode, three register
+//! operands, a table index or jump target, a memory representation); the
+//! `cj-rvm` executor dispatches with one `match` on the opcode.
 
-use cj_frontend::ast::BinOp;
+use cj_frontend::classtable::ClassTable;
 use cj_frontend::span::Span;
 use cj_frontend::types::Prim;
 use cj_runtime::heap::SlotTy;
@@ -50,114 +63,58 @@ pub enum RegRef {
     Slot(u16),
 }
 
-/// Comparison kind of a fused compare-and-branch (`Eq`/`Ne` use the
-/// reference-identity [`value_eq`](cj_runtime::value::value_eq), the
-/// semantics of `==` on every engine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `==`
-    Eq,
-    /// `!=`
-    Ne,
-}
-
-impl CmpOp {
-    /// The comparison a [`BinOp`] performs, if it is one.
-    pub fn of(op: BinOp) -> Option<CmpOp> {
-        match op {
-            BinOp::Lt => Some(CmpOp::Lt),
-            BinOp::Le => Some(CmpOp::Le),
-            BinOp::Gt => Some(CmpOp::Gt),
-            BinOp::Ge => Some(CmpOp::Ge),
-            BinOp::Eq => Some(CmpOp::Eq),
-            BinOp::Ne => Some(CmpOp::Ne),
-            _ => None,
-        }
-    }
-
-    /// Decodes the `c` operand of a compare-and-branch instruction.
-    #[inline]
-    pub fn from_code(c: u16) -> CmpOp {
-        [
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-            CmpOp::Eq,
-            CmpOp::Ne,
-        ][c as usize]
-    }
-
-    /// Encodes this comparison for the `c` operand.
-    #[inline]
-    pub fn code(self) -> u16 {
-        self as u16
-    }
-
-    /// The comparison with its operands swapped (`a < b` ⇔ `b > a`) —
-    /// used to move a constant operand to the right-hand side.
-    pub fn mirrored(self) -> CmpOp {
-        match self {
-            CmpOp::Lt => CmpOp::Gt,
-            CmpOp::Le => CmpOp::Ge,
-            CmpOp::Gt => CmpOp::Lt,
-            CmpOp::Ge => CmpOp::Le,
-            CmpOp::Eq => CmpOp::Eq,
-            CmpOp::Ne => CmpOp::Ne,
-        }
-    }
-}
-
-/// The operators [`ROp::Binary`] computes, in `t`-operand code order.
-const BINARY_OPS: [BinOp; 11] = [
-    BinOp::Add,
-    BinOp::Sub,
-    BinOp::Mul,
-    BinOp::Div,
-    BinOp::Rem,
-    BinOp::Lt,
-    BinOp::Le,
-    BinOp::Gt,
-    BinOp::Ge,
-    BinOp::Eq,
-    BinOp::Ne,
-];
-
-/// Encodes a [`BinOp`] for the generic [`ROp::Binary`] instruction.
-pub fn bin_code(op: BinOp) -> u32 {
-    let code = BINARY_OPS.iter().position(|&o| o == op);
-    code.expect("short-circuit ops lower to jumps") as u32
-}
-
-/// Decodes the `t` operand of [`ROp::Binary`] (the inverse of
-/// [`bin_code`]).
-pub fn bin_of(code: u32) -> BinOp {
-    BINARY_OPS[code as usize]
-}
-
-/// Register-IR opcodes.
+/// Register-IR opcodes. `I*` opcodes take `int` operands and `F*`
+/// opcodes `float` ones; `r[x]` is register `x` of the current frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ROp {
-    /// `r[a] = consts[t]`.
-    LoadConst,
     /// `r[a] = r[b]`.
     Move,
-    /// `r[a] = r[b] + imm` (wrapping int add — `+`/`-` with an integer
-    /// literal operand).
-    AddImm,
     /// `r[a] = op(r[b])` with `c` the unary-op code (0 = neg, 1 = not).
     Unary,
-    /// `r[a] = r[b] ⊕ r[c]` with `t` the [`bin_code`] of the operator.
-    Binary,
+    /// `r[a] = r[b] + r[c]`, wrapping.
+    IAdd,
+    /// `r[a] = r[b] - r[c]`, wrapping.
+    ISub,
+    /// `r[a] = r[b] * r[c]`, wrapping.
+    IMul,
+    /// `r[a] = r[b] / r[c]`, wrapping; a zero divisor is a fault at the
+    /// instruction's span.
+    IDiv,
+    /// `r[a] = r[b] % r[c]`, wrapping; a zero divisor is a fault at the
+    /// instruction's span.
+    IRem,
+    /// `r[a] = r[b] < r[c]`.
+    ILt,
+    /// `r[a] = r[b] <= r[c]`.
+    ILe,
+    /// `r[a] = r[b] == r[c]`.
+    IEq,
+    /// `r[a] = r[b] != r[c]`.
+    INe,
+    /// `r[a] = r[b] + r[c]`.
+    FAdd,
+    /// `r[a] = r[b] - r[c]`.
+    FSub,
+    /// `r[a] = r[b] * r[c]`.
+    FMul,
+    /// `r[a] = r[b] / r[c]`.
+    FDiv,
+    /// `r[a] = r[b] % r[c]`.
+    FRem,
+    /// `r[a] = r[b] < r[c]`.
+    FLt,
+    /// `r[a] = r[b] <= r[c]`.
+    FLe,
+    /// `r[a] = r[b] == r[c]`.
+    FEq,
+    /// `r[a] = r[b] != r[c]`.
+    FNe,
+    /// `r[a] = r[b] == r[c]` on references, booleans and `null`
+    /// ([`value_eq`](cj_runtime::value::value_eq): reference identity).
+    Eq,
+    /// `r[a] = r[b] != r[c]`, the negation of [`ROp::Eq`].
+    Ne,
     /// `r[a] = decode(ty, field idx c of the object in r[b])`.
     GetField,
     /// `field idx c of the object in r[a] = encode(r[b])`.
@@ -191,52 +148,87 @@ pub enum ROp {
     JmpIf,
     /// Jump to `t` when `r[a]` is false.
     JmpIfNot,
-    /// Fused compare-and-branch: jump to `t` when `r[a] ⊙ r[b]` holds.
-    JmpCmp,
-    /// Jump to `t` when `r[a] ⊙ r[b]` does **not** hold.
-    JmpCmpNot,
-    /// Jump to `t` when `r[a] ⊙ consts[imm]` holds.
-    JmpCmpC,
-    /// Jump to `t` when `r[a] ⊙ consts[imm]` does **not** hold.
-    JmpCmpNotC,
-    /// Superinstruction: `r[a] = r[a] + imm; jump t` — a loop-closing
-    /// induction-variable bump in one dispatch.
-    IncJump,
+    /// Jump to `t` when `r[a] < r[b]` (ints).
+    JmpILt,
+    /// Jump to `t` when `r[a] <= r[b]` (ints).
+    JmpILe,
+    /// Jump to `t` when `r[a] == r[b]` (ints).
+    JmpIEq,
+    /// Jump to `t` when `r[a] != r[b]` (ints).
+    JmpINe,
+    /// Jump to `t` when `r[a] < r[b]` (floats).
+    JmpFLt,
+    /// Jump to `t` when `r[a] <= r[b]` (floats).
+    JmpFLe,
+    /// Jump to `t` unless `r[a] < r[b]` (floats; taken on NaN).
+    JmpFNotLt,
+    /// Jump to `t` unless `r[a] <= r[b]` (floats; taken on NaN).
+    JmpFNotLe,
+    /// Jump to `t` when `r[a] == r[b]` (floats).
+    JmpFEq,
+    /// Jump to `t` when `r[a] != r[b]` (floats).
+    JmpFNe,
+    /// Jump to `t` when `r[a] == r[b]` per [`ROp::Eq`].
+    JmpEq,
+    /// Jump to `t` when `r[a] != r[b]` per [`ROp::Eq`].
+    JmpNe,
     /// Record `r[a]`'s rendering in the print log.
     Print,
     /// Return `r[a]` to the caller's destination register.
     Ret,
+    /// Superinstruction: leave the `c` innermost open `letreg`s (free
+    /// their regions, innermost first), then return `r[a]`.
+    PopRet,
 }
 
 impl ROp {
     /// Whether `t` is a jump target.
     pub fn is_jump(self) -> bool {
+        matches!(self, ROp::Jump | ROp::JmpIf | ROp::JmpIfNot) || self.is_compare_branch()
+    }
+
+    /// Whether this is a compare-and-branch on two registers.
+    fn is_compare_branch(self) -> bool {
         matches!(
             self,
-            ROp::Jump
-                | ROp::JmpIf
-                | ROp::JmpIfNot
-                | ROp::JmpCmp
-                | ROp::JmpCmpNot
-                | ROp::JmpCmpC
-                | ROp::JmpCmpNotC
-                | ROp::IncJump
+            ROp::JmpILt
+                | ROp::JmpILe
+                | ROp::JmpIEq
+                | ROp::JmpINe
+                | ROp::JmpFLt
+                | ROp::JmpFLe
+                | ROp::JmpFNotLt
+                | ROp::JmpFNotLe
+                | ROp::JmpFEq
+                | ROp::JmpFNe
+                | ROp::JmpEq
+                | ROp::JmpNe
         )
     }
 
     /// Whether this is a superinstruction (one dispatch doing the work of
     /// several plain instructions).
     pub fn is_fused(self) -> bool {
-        matches!(
-            self,
-            ROp::AddImm
-                | ROp::FieldCall
-                | ROp::JmpCmp
-                | ROp::JmpCmpNot
-                | ROp::JmpCmpC
-                | ROp::JmpCmpNotC
-                | ROp::IncJump
-        )
+        matches!(self, ROp::FieldCall | ROp::PopRet) || self.is_compare_branch()
+    }
+
+    /// Which of the operands `a`, `b` and `c` name registers; the others
+    /// are codes (field index, unary op, region slot, count) or unused.
+    pub fn registers(self) -> [bool; 3] {
+        use ROp::*;
+        match self {
+            IAdd | ISub | IMul | IDiv | IRem | ILt | ILe | IEq | INe | FAdd | FSub | FMul
+            | FDiv | FRem | FLt | FLe | FEq | FNe | Eq | Ne | Index | SetIndex => {
+                [true, true, true]
+            }
+            Move | Unary | GetField | SetField | ArrayLen | NewArr | FieldCall => {
+                [true, true, false]
+            }
+            NewObj | Cast | JmpIf | JmpIfNot | Print | Ret | PopRet => [true, false, false],
+            JmpILt | JmpILe | JmpIEq | JmpINe | JmpFLt | JmpFLe | JmpFNotLt | JmpFNotLe
+            | JmpFEq | JmpFNe | JmpEq | JmpNe => [true, true, false],
+            RegPush | RegPop | Call | Jump => [false, false, false],
+        }
     }
 }
 
@@ -250,13 +242,11 @@ pub struct RInstr {
     pub a: u16,
     /// Second register operand.
     pub b: u16,
-    /// Third register operand / small code (field index, cmp/unary op).
+    /// Third register operand / small code (field index, unary op,
+    /// `letreg` count).
     pub c: u16,
     /// Table index or jump target.
     pub t: u32,
-    /// Immediate: `AddImm`/`IncJump` addend, `JmpCmp*C` constant-pool
-    /// index.
-    pub imm: i64,
     /// Field/element representation a memory read decodes (the
     /// [`SlotTy`] of the heap's payload words).
     pub ty: SlotTy,
@@ -264,18 +254,10 @@ pub struct RInstr {
 
 impl RInstr {
     /// `op` with register operands `a`, `b`, `c` and table index or jump
-    /// target `t`; no immediate, and an `Int` representation.
+    /// target `t`, and an `Int` representation.
     pub fn new(op: ROp, a: u16, b: u16, c: u16, t: u32) -> RInstr {
-        let (imm, ty) = (0, SlotTy::Int);
-        RInstr {
-            op,
-            a,
-            b,
-            c,
-            t,
-            imm,
-            ty,
-        }
+        let ty = SlotTy::Int;
+        RInstr { op, a, b, c, t, ty }
     }
 }
 
@@ -353,16 +335,15 @@ pub struct CastSite {
 pub struct RvmMethod {
     /// Display name (`cn.mn` or `mn`), for debugging and bench reports.
     pub name: String,
-    /// The instruction stream; every path ends in [`ROp::Ret`].
+    /// The instruction stream; every path ends in [`ROp::Ret`] or
+    /// [`ROp::PopRet`].
     pub code: Vec<RInstr>,
     /// Source span per instruction (for structured runtime errors),
     /// parallel to `code`.
     pub spans: Vec<Span>,
-    /// Constant pool.
-    pub consts: Vec<Value>,
-    /// Default value per *variable* register (frame initialization;
-    /// temporaries initialize to unit).
-    pub defaults: Vec<Value>,
+    /// The register file a fresh frame starts from: each variable's
+    /// default, `Unit` for the temporaries, then the constants.
+    pub frame: Vec<Value>,
     /// Parameter registers, in declaration order (excluding `this`).
     pub params: Vec<u16>,
     /// Whether register 0 is a `this` receiver.
@@ -373,11 +354,9 @@ pub struct RvmMethod {
     /// Of the region slots, how many are abstraction parameters (class
     /// prefix + method region parameters, bound at calls).
     pub abs_params: u16,
-    /// Total region slots (abstraction parameters, then one per `letreg`
-    /// binding).
+    /// Total region slots: the abstraction parameters, then as many as
+    /// `letreg`s are ever open at once.
     pub region_slots: u16,
-    /// Frame register-file size: variable slots then temporaries.
-    pub nregs: u16,
     /// Allocation sites.
     pub news: Vec<NewSite>,
     /// Array-allocation sites.
@@ -386,6 +365,68 @@ pub struct RvmMethod {
     pub calls: Vec<CallSite>,
     /// Cast sites.
     pub casts: Vec<CastSite>,
+}
+
+/// The single-inheritance class tree, numbered in pre-order: class `a` is
+/// `b` or inherits from it exactly when `a`'s position falls in `b`'s
+/// subtree range. Built in time linear in the class count, and a test is
+/// two compares.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ClassTree {
+    /// Per class: its pre-order position, and the last position of its
+    /// subtree.
+    range: Vec<[u32; 2]>,
+}
+
+impl ClassTree {
+    /// Numbers the classes of `table`.
+    pub fn build(table: &ClassTable) -> ClassTree {
+        const NONE: u32 = u32::MAX;
+        let n = table.len();
+        // Children as first-child / next-sibling links; the roots start
+        // the walk.
+        let (mut first, mut next) = (vec![NONE; n], vec![NONE; n]);
+        let mut stack = Vec::new();
+        for info in table.classes() {
+            let c = info.id.index();
+            match info.superclass {
+                Some(s) => {
+                    next[c] = first[s.index()];
+                    first[s.index()] = c as u32;
+                }
+                None => stack.push((c as u32, false)),
+            }
+        }
+        // Depth first with an explicit stack, so a deep chain costs no
+        // native stack: positions on the way down, subtree ends on the
+        // way back up.
+        let mut range = vec![[0, 0]; n];
+        let mut order = 0;
+        while let Some((c, done)) = stack.pop() {
+            let c = c as usize;
+            if done {
+                range[c][1] = order - 1;
+                continue;
+            }
+            range[c][0] = order;
+            order += 1;
+            stack.push((c as u32, true));
+            let mut kid = first[c];
+            while kid != NONE {
+                stack.push((kid, false));
+                kid = next[kid as usize];
+            }
+        }
+        ClassTree { range }
+    }
+
+    /// Whether class `sub` is `sup` or inherits from it.
+    #[inline]
+    pub fn is_subclass(&self, sub: u32, sup: u32) -> bool {
+        let [lo, hi] = self.range[sup as usize];
+        let at = self.range[sub as usize][0];
+        lo <= at && at <= hi
+    }
 }
 
 /// A fully lowered program: per-method register code plus the dispatch
@@ -399,8 +440,8 @@ pub struct RvmProgram {
     /// Per-class virtual dispatch table: `vtables[class][vslot]` is the
     /// function index of the most-derived override.
     pub vtables: Vec<Vec<u32>>,
-    /// `subclass[a][b]` ⇔ class `a` is `b` or inherits from it.
-    pub subclass: Vec<Vec<bool>>,
+    /// The class tree, for casts.
+    pub classes: ClassTree,
     /// The static `main` entry point, if one exists: its function index
     /// and the span of its declaration.
     pub main: Option<(u32, Span)>,

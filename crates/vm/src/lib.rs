@@ -3,9 +3,12 @@
 //! Everything the bytecode engine needs except the executor and the
 //! region heap:
 //!
-//! - the [register IR](code) — per-method three-address code with fused
-//!   superinstructions, constant pools, vtables resolved at lowering time
-//!   (virtual dispatch by slot index, never name lookup), and explicit
+//! - the [register IR](code) — per-method three-address code with
+//!   opcodes typed by their operands' normal type (`int` and `float`
+//!   arithmetic and comparisons each have their own), constant
+//!   registers in the frame template, fused superinstructions, vtables
+//!   resolved at lowering time (virtual dispatch by slot index, never
+//!   name lookup), a pre-order class tree for casts, and explicit
 //!   `RegPush`/`RegPop`/allocate-in-region instructions mirroring
 //!   `letreg` extents;
 //! - the [lowering pass](lower), which compiles the region-annotated
@@ -37,11 +40,16 @@
 //! ).unwrap();
 //! let compiled = cj_vm::lower_program(&p);
 //! // The per-iteration Box gets its own region: the loop body pushes and
-//! // pops it, and the loop closes with a fused increment-and-jump.
+//! // pops it, and the loop tests `i < n` at its bottom with one fused
+//! // int compare-and-branch.
 //! assert!(compiled
 //!     .methods
 //!     .iter()
 //!     .any(|m| m.code.iter().any(|i| i.op == cj_vm::ROp::RegPush)));
+//! assert!(compiled
+//!     .methods
+//!     .iter()
+//!     .any(|m| m.code.iter().any(|i| i.op == cj_vm::ROp::JmpILt)));
 //! assert!(compiled.fused_count() > 0);
 //! ```
 #![forbid(unsafe_code)]

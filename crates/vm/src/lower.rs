@@ -3,30 +3,34 @@
 //! regions from the method's annotation tables.
 //!
 //! Everything name-shaped is resolved here, once: virtual dispatch becomes
-//! a vtable-slot index, casts a subclass-matrix read, field access a
+//! a vtable-slot index, casts a [`ClassTree`] range test, field access a
 //! constructor-order offset with a baked-in representation, and every
 //! region mention a frame-local region slot (abstraction parameters first,
-//! then one slot per `letreg` binding — shadowing gets fresh slots, so
-//! `RegPush`/`RegPop` always address the binding they delimit).
+//! then one slot per open `letreg` binding, allocated stack-wise —
+//! shadowing gets a slot of its own, so `RegPush`/`RegPop` always address
+//! the binding they delimit).
 //!
 //! # Code generation
 //!
 //! Each expression is compiled *into* where its value is wanted: a
 //! destination register, the method's return, or nowhere (evaluated for
 //! its effects only). Variables and literals never cost an instruction of
-//! their own — they fold into the consuming instruction's operands — and
-//! a statement's discarded value is never materialized. A `letreg`
-//! placed around an expression or a run of block items becomes a
-//! `RegPush` before it and a `RegPop` after; an expression with a
-//! `letreg` around it never takes part in the idioms below. Conditions compile
-//! to jumps directly, `&&`/`||` included, and the hottest idioms come out
-//! as superinstructions straight from the tree:
+//! their own — a variable is its register, a literal its method's
+//! constant register — and a statement's discarded value is never
+//! materialized. Every arithmetic and comparison opcode is chosen by its
+//! operands' normal type ([`KExpr::ty`]). A `letreg` placed around an
+//! expression or a run of block items becomes a `RegPush` before it and
+//! a `RegPop` after; an expression with a `letreg` around it never takes
+//! part in the idioms below. Conditions compile to jumps directly,
+//! `&&`/`||` included, and the hottest idioms come out as
+//! superinstructions straight from the tree:
 //!
 //! - a comparison in an `if`/`while` condition is one compare-and-branch
-//!   ([`ROp::JmpCmp`]*, with a constant right-hand side folded into the
-//!   instruction);
-//! - `e ± k` with an integer literal `k` is [`ROp::AddImm`];
-//! - a loop body ending in `i = i + k` closes with [`ROp::IncJump`];
+//!   ([`ROp::JmpILt`] and its siblings);
+//! - a `while` tests its condition on entry and then at the bottom of
+//!   each iteration, so an iteration costs no jump back to the top;
+//! - a return from inside `letreg`s leaves them in the same dispatch
+//!   ([`ROp::PopRet`]);
 //! - a field load feeding straight into a call (`let t = v.f in m(…t…)`)
 //!   is [`ROp::FieldCall`].
 //!
@@ -34,13 +38,13 @@
 //! instruction boundary.
 
 use crate::code::{
-    bin_code, ArraySite, CallSite, CallTarget, CastSite, CmpOp, NewSite, RInstr, ROp, RegRef,
-    RvmMethod, RvmProgram,
+    ArraySite, CallSite, CallTarget, CastSite, ClassTree, NewSite, RInstr, ROp, RegRef, RvmMethod,
+    RvmProgram,
 };
 use cj_frontend::ast::{BinOp, UnOp};
 use cj_frontend::kernel::{walk_expr, KExpr, KExprKind, KMethod};
 use cj_frontend::span::Span;
-use cj_frontend::types::{ClassId, MethodId, NType, VarId};
+use cj_frontend::types::{ClassId, MethodId, NType, Prim, VarId};
 use cj_frontend::Symbol;
 use cj_infer::rast::{RMethod, RProgram};
 use cj_regions::var::RegVar;
@@ -61,7 +65,7 @@ pub fn lower_program(p: &RProgram) -> RvmProgram {
         methods,
         main: (tables.main).map(|id| (tables.func_of[&id], p.kernel.method(id).span)),
         vtables: tables.vtables,
-        subclass: tables.subclass,
+        classes: ClassTree::build(&p.kernel.table),
     };
     span.add("superinstructions", program.fused_count());
     program
@@ -74,7 +78,6 @@ struct GlobalTables {
     /// Per class: method name → vtable slot.
     vslots: Vec<HashMap<Symbol, u32>>,
     vtables: Vec<Vec<u32>>,
-    subclass: Vec<Vec<bool>>,
     main: Option<MethodId>,
 }
 
@@ -118,13 +121,6 @@ impl GlobalTables {
             vtables[i] = vtable;
         }
 
-        let subclass = (0..n)
-            .map(|a| {
-                (0..n)
-                    .map(|b| table.is_subclass(ClassId(a as u32), ClassId(b as u32)))
-                    .collect()
-            })
-            .collect();
         let main = table
             .lookup_static(Symbol::intern("main"))
             .map(|(i, _)| MethodId::Static(i));
@@ -132,26 +128,30 @@ impl GlobalTables {
             func_of,
             vslots,
             vtables,
-            subclass,
             main,
         }
     }
 }
 
 /// Region variables in scope, resolved to frame region slots: abstraction
-/// parameters first, then one fresh slot per `letreg` binding, so
-/// shadowing gets a slot of its own.
+/// parameters first, then one slot per open `letreg` binding, allocated
+/// stack-wise, so the open bindings hold the slots right above the
+/// parameters and shadowing gets a slot of its own.
 struct RegionSlots {
     slots: HashMap<RegVar, u16>,
     next: u16,
+    /// The most slots ever in use at once.
+    high: u16,
 }
 
 impl RegionSlots {
     fn new(rm: &RMethod) -> RegionSlots {
         let slots = rm.abs_params.iter().enumerate();
+        let next = rm.abs_params.len() as u16;
         RegionSlots {
             slots: slots.map(|(i, &r)| (r, i as u16)).collect(),
-            next: rm.abs_params.len() as u16,
+            next,
+            high: next,
         }
     }
 
@@ -164,14 +164,18 @@ impl RegionSlots {
         }
     }
 
-    /// Binds `r` to a fresh slot; returns the slot and the binding it
-    /// shadows, for [`Self::unbind`].
+    /// Binds `r` to the next free slot; returns the slot and the binding
+    /// it shadows, for [`Self::unbind`].
     fn bind(&mut self, r: RegVar) -> (u16, Option<u16>) {
+        let slot = self.next;
         self.next += 1;
-        (self.next - 1, self.slots.insert(r, self.next - 1))
+        self.high = self.high.max(self.next);
+        (slot, self.slots.insert(r, slot))
     }
 
+    /// Undoes the latest [`Self::bind`], of `r`.
     fn unbind(&mut self, r: RegVar, shadowed: Option<u16>) {
+        self.next -= 1;
         match shadowed {
             Some(old) => self.slots.insert(r, old),
             None => self.slots.remove(&r),
@@ -195,7 +199,7 @@ enum Want {
     Effect,
     /// In this register.
     Into(u16),
-    /// As the method's result: every path ends in `Ret`.
+    /// As the method's result: every path ends in a return.
     Ret,
 }
 
@@ -235,25 +239,123 @@ fn var_reg(v: VarId) -> u16 {
     v.index() as u16
 }
 
+/// The operand type a typed opcode is chosen by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Num {
+    Int,
+    Float,
+    /// References, booleans and `null`: only `==`/`!=` apply.
+    Other,
+}
+
+/// The operand type of `l op r`.
+fn num(l: &KExpr, r: &KExpr) -> Num {
+    match (l.ty, r.ty) {
+        (NType::Prim(Prim::Int), NType::Prim(Prim::Int)) => Num::Int,
+        (NType::Prim(Prim::Float), NType::Prim(Prim::Float)) => Num::Float,
+        _ => Num::Other,
+    }
+}
+
+/// The opcode computing `l op r` on operands of type `n`, and whether it
+/// takes them swapped (`a > b` is `b < a`).
+fn value_op(op: BinOp, n: Num) -> (ROp, bool) {
+    use BinOp::*;
+    let rop = match (op, n) {
+        (Add, Num::Int) => ROp::IAdd,
+        (Sub, Num::Int) => ROp::ISub,
+        (Mul, Num::Int) => ROp::IMul,
+        (Div, Num::Int) => ROp::IDiv,
+        (Rem, Num::Int) => ROp::IRem,
+        (Add, Num::Float) => ROp::FAdd,
+        (Sub, Num::Float) => ROp::FSub,
+        (Mul, Num::Float) => ROp::FMul,
+        (Div, Num::Float) => ROp::FDiv,
+        (Rem, Num::Float) => ROp::FRem,
+        (Lt | Gt, Num::Int) => ROp::ILt,
+        (Le | Ge, Num::Int) => ROp::ILe,
+        (Eq, Num::Int) => ROp::IEq,
+        (Ne, Num::Int) => ROp::INe,
+        (Lt | Gt, Num::Float) => ROp::FLt,
+        (Le | Ge, Num::Float) => ROp::FLe,
+        (Eq, Num::Float) => ROp::FEq,
+        (Ne, Num::Float) => ROp::FNe,
+        (Eq, Num::Other) => ROp::Eq,
+        (Ne, Num::Other) => ROp::Ne,
+        _ => unreachable!("ill-typed binary {op}"),
+    };
+    (rop, swaps(op))
+}
+
+/// Whether an order comparison `op` is computed with swapped operands.
+fn swaps(op: BinOp) -> bool {
+    matches!(op, BinOp::Gt | BinOp::Ge)
+}
+
+/// The compare-and-branch that jumps when `(l op r) == when` on operands
+/// of type `n`, and whether it takes them swapped.
+fn branch_op(op: BinOp, n: Num, when: bool) -> (ROp, bool) {
+    use BinOp::*;
+    let op = match (when, n, op) {
+        (true, ..) => op,
+        // NaN makes a negated float order comparison differ from the
+        // complementary one.
+        (false, Num::Float, Lt | Gt) => return (ROp::JmpFNotLt, swaps(op)),
+        (false, Num::Float, Le | Ge) => return (ROp::JmpFNotLe, swaps(op)),
+        (false, ..) => match op {
+            Lt => Ge,
+            Le => Gt,
+            Gt => Le,
+            Ge => Lt,
+            Eq => Ne,
+            Ne => Eq,
+            _ => unreachable!("not a comparison: {op}"),
+        },
+    };
+    let jump = match (op, n) {
+        (Lt | Gt, Num::Int) => ROp::JmpILt,
+        (Le | Ge, Num::Int) => ROp::JmpILe,
+        (Eq, Num::Int) => ROp::JmpIEq,
+        (Ne, Num::Int) => ROp::JmpINe,
+        (Lt | Gt, Num::Float) => ROp::JmpFLt,
+        (Le | Ge, Num::Float) => ROp::JmpFLe,
+        (Eq, Num::Float) => ROp::JmpFEq,
+        (Ne, Num::Float) => ROp::JmpFNe,
+        (Eq, Num::Other) => ROp::JmpEq,
+        (Ne, Num::Other) => ROp::JmpNe,
+        _ => unreachable!("ill-typed comparison {op}"),
+    };
+    (jump, swaps(op))
+}
+
 struct FnLowerer<'a> {
     p: &'a RProgram,
     km: &'a KMethod,
     rm: &'a RMethod,
     tables: &'a GlobalTables,
-    /// The method being lowered; `nregs` tracks the temporaries' high
-    /// water mark.
+    /// The method being lowered; [`Self::finish`] builds its `frame`.
     m: RvmMethod,
+    /// Registers used so far: the variables, then the temporaries' high
+    /// water mark.
+    nregs: u16,
+    /// The method's distinct literals; constant `k` is register
+    /// `u16::MAX - k` until [`Self::finish`] places it after the
+    /// temporaries.
+    consts: Vec<Value>,
     regions: RegionSlots,
     /// The `letreg`s enclosing the current point, innermost last: a return
-    /// from inside leaves them first. Each is its slot, its span, its
-    /// region and the slot of the binding it shadows.
-    open: Vec<(u16, Span, RegVar, Option<u16>)>,
+    /// from inside leaves them first. Each is its span, its region and
+    /// the slot of the binding it shadows; its own slot is
+    /// `abs_params` plus its position.
+    open: Vec<(Span, RegVar, Option<u16>)>,
     /// Next free temporary; temporaries live above the variable registers
     /// and are allocated stack-wise.
     next_temp: u16,
     /// Position of the most recently bound jump target: fusion never
     /// rewrites an instruction before it.
     barrier: usize,
+    /// Whether a loop condition is being lowered.
+    in_loop_test: bool,
 }
 
 fn lower_method(
@@ -263,68 +365,102 @@ fn lower_method(
     rm: &RMethod,
     tables: &GlobalTables,
 ) -> RvmMethod {
-    let nlocals = km.vars.len() as u16;
     let m = RvmMethod {
         name: p.kernel.method_name(id),
         code: Vec::new(),
         spans: Vec::new(),
-        consts: Vec::new(),
-        defaults: km.vars.iter().map(|v| Value::default_of(v.ty)).collect(),
+        frame: Vec::new(),
         params: km.params.iter().map(|&v| var_reg(v)).collect(),
         has_this: !km.is_static,
         class_params: (rm.abs_params.len() - rm.mparams.len()) as u16,
         abs_params: rm.abs_params.len() as u16,
         region_slots: 0,
-        nregs: nlocals,
         news: Vec::new(),
         arrays: Vec::new(),
         calls: Vec::new(),
         casts: Vec::new(),
     };
     let regions = RegionSlots::new(rm);
-    let (open, next_temp, barrier) = (Vec::new(), nlocals, 0);
+    let next_temp = km.vars.len() as u16;
     let mut lo = FnLowerer {
         p,
         km,
         rm,
         tables,
         m,
+        nregs: next_temp,
+        consts: Vec::new(),
         regions,
-        open,
+        open: Vec::new(),
         next_temp,
-        barrier,
+        barrier: 0,
+        in_loop_test: false,
     };
     lo.expr(&km.body, Want::Ret);
-    let code = &lo.m.code;
-    debug_assert!(code
-        .iter()
-        .all(|i| !i.op.is_jump() || (i.t as usize) < code.len()));
-    RvmMethod {
-        region_slots: lo.regions.next,
-        ..lo.m
-    }
+    lo.finish()
 }
 
 impl FnLowerer<'_> {
+    /// Places the constant registers after the temporaries.
+    fn finish(mut self) -> RvmMethod {
+        let base = self.nregs;
+        if let Some(last) = self.consts.len().checked_sub(1) {
+            let first = u16::MAX - last as u16;
+            debug_assert!(base <= first, "registers overflow");
+            let place = |r: &mut u16| {
+                if *r >= first {
+                    *r = base + (u16::MAX - *r);
+                }
+            };
+            for i in &mut self.m.code {
+                let [a, b, c] = i.op.registers();
+                if a {
+                    place(&mut i.a);
+                }
+                if b {
+                    place(&mut i.b);
+                }
+                if c {
+                    place(&mut i.c);
+                }
+            }
+        }
+        let frame = &mut self.m.frame;
+        frame.reserve_exact(base as usize + self.consts.len());
+        frame.extend(self.km.vars.iter().map(|v| Value::default_of(v.ty)));
+        frame.resize(base as usize, Value::Unit);
+        frame.extend_from_slice(&self.consts);
+        let code = &self.m.code;
+        debug_assert!(code
+            .iter()
+            .all(|i| !i.op.is_jump() || (i.t as usize) < code.len()));
+        RvmMethod {
+            region_slots: self.regions.high,
+            ..self.m
+        }
+    }
+
     fn emit(&mut self, i: RInstr, span: Span) -> usize {
         self.m.code.push(i);
         self.m.spans.push(span);
         self.m.code.len() - 1
     }
 
-    fn konst(&mut self, lit: Value) -> u32 {
-        match self.m.consts.iter().position(|&l| lit_eq(l, lit)) {
-            Some(i) => i as u32,
+    /// The constant register holding `lit`.
+    fn konst(&mut self, lit: Value) -> u16 {
+        let k = match self.consts.iter().position(|&l| lit_eq(l, lit)) {
+            Some(k) => k,
             None => {
-                self.m.consts.push(lit);
-                (self.m.consts.len() - 1) as u32
+                self.consts.push(lit);
+                self.consts.len() - 1
             }
-        }
+        };
+        u16::MAX - k as u16
     }
 
     fn temp(&mut self) -> u16 {
         self.next_temp += 1;
-        self.m.nregs = self.m.nregs.max(self.next_temp);
+        self.nregs = self.nregs.max(self.next_temp);
         self.next_temp - 1
     }
 
@@ -334,13 +470,18 @@ impl FnLowerer<'_> {
         self.m.code.len() as u32
     }
 
+    /// Points every jump in `jumps` at `to`.
+    fn patch_to(&mut self, jumps: Vec<usize>, to: u32) {
+        for j in jumps {
+            self.m.code[j].t = to;
+        }
+    }
+
     /// Points every jump in `jumps` at the current end of the code.
     fn patch(&mut self, jumps: Vec<usize>) {
         if !jumps.is_empty() {
             let to = self.label();
-            for j in jumps {
-                self.m.code[j].t = to;
-            }
+            self.patch_to(jumps, to);
         }
     }
 
@@ -389,27 +530,45 @@ impl FnLowerer<'_> {
     /// Finishes a value computed into `r` (chosen by [`Self::dst`]).
     fn deliver(&mut self, want: Want, r: u16, span: Span) {
         if want == Want::Ret {
-            // Leave every enclosing `letreg` first.
-            for i in (0..self.open.len()).rev() {
-                let (slot, at, ..) = self.open[i];
-                self.emit(RInstr::new(ROp::RegPop, slot, 0, 0, 0), at);
+            // Leave every enclosing `letreg` first, in the same dispatch.
+            let i = match self.open.len() as u16 {
+                0 => RInstr::new(ROp::Ret, r, 0, 0, 0),
+                open => RInstr::new(ROp::PopRet, r, 0, open, 0),
+            };
+            self.emit(i, span);
+        }
+    }
+
+    /// Delivers a value that needs no computing: a variable's or a
+    /// constant's register `r`.
+    fn copy(&mut self, r: u16, want: Want, span: Span) {
+        match want {
+            Want::Into(to) if to != r => {
+                self.emit(RInstr::new(ROp::Move, to, r, 0, 0), span);
             }
-            self.emit(RInstr::new(ROp::Ret, r, 0, 0, 0), span);
+            Want::Ret => self.deliver(want, r, span),
+            _ => {}
         }
     }
 
     fn constant(&mut self, lit: Value, want: Want, span: Span) {
         if want != Want::Effect {
-            let t = self.konst(lit);
-            self.produce(want, RInstr::new(ROp::LoadConst, 0, 0, 0, t), span);
+            let k = self.konst(lit);
+            self.copy(k, want, span);
         }
     }
 
-    /// The register holding `e`'s value: a variable's own register, or a
-    /// fresh temporary `e` is computed into.
+    /// The register holding `e`'s value: a variable's own register, a
+    /// literal's constant register, or a fresh temporary `e` is computed
+    /// into.
     fn operand(&mut self, e: &KExpr) -> u16 {
-        if let (KExprKind::Var(v), true) = (&e.kind, self.bare(e)) {
-            return var_reg(*v);
+        if self.bare(e) {
+            if let KExprKind::Var(v) = e.kind {
+                return var_reg(v);
+            }
+            if let Some(lit) = literal(e) {
+                return self.konst(lit);
+            }
         }
         let t = self.temp();
         self.expr(e, Want::Into(t));
@@ -462,18 +621,19 @@ impl FnLowerer<'_> {
         }
     }
 
-    /// Enters `letreg r`: binds `r` to a fresh region slot.
+    /// Enters `letreg r`: binds `r` to the next region slot.
     fn push_region(&mut self, r: RegVar, span: Span) {
         let (slot, shadowed) = self.regions.bind(r);
         self.emit(RInstr::new(ROp::RegPush, slot, 0, 0, 0), span);
-        self.open.push((slot, span, r, shadowed));
+        self.open.push((span, r, shadowed));
     }
 
     /// Leaves the innermost `letreg` after code that delivered `want`: a
     /// returning body has already left the region on every path.
     fn pop_region(&mut self, want: Want) {
-        let (slot, span, r, shadowed) = self.open.pop().expect("an open letreg");
+        let (span, r, shadowed) = self.open.pop().expect("an open letreg");
         if want != Want::Ret {
+            let slot = self.regions.next - 1;
             self.emit(RInstr::new(ROp::RegPop, slot, 0, 0, 0), span);
         }
         self.regions.unbind(r, shadowed);
@@ -520,13 +680,7 @@ impl FnLowerer<'_> {
             | KExprKind::Int(_)
             | KExprKind::Bool(_)
             | KExprKind::Float(_) => self.constant(literal(e).expect("a literal"), want, span),
-            KExprKind::Var(v) => match want {
-                Want::Into(r) if r != var_reg(*v) => {
-                    self.emit(RInstr::new(ROp::Move, r, var_reg(*v), 0, 0), span);
-                }
-                Want::Ret => self.deliver(want, var_reg(*v), span),
-                _ => {}
-            },
+            KExprKind::Var(v) => self.copy(var_reg(*v), want, span),
             KExprKind::Field(v, fr) => {
                 let ty = self.field_ty(*v, fr.index);
                 let i = RInstr::new(ROp::GetField, 0, var_reg(*v), fr.index as u16, 0);
@@ -604,23 +758,26 @@ impl FnLowerer<'_> {
                 self.choose(cond, Arm::Expr(then_e), Arm::Expr(else_e), want, span);
             }
             KExprKind::While { cond, body } => {
-                let top = self.label();
-                let mut exit = Vec::new();
-                self.branch(cond, false, &mut exit);
-                self.expr(body, Want::Effect);
-                // A body ending in `i = i + k` bumps and loops in one
-                // dispatch.
-                match self.fusable_last(ROp::AddImm) {
-                    Some(last) if self.m.code[last].a == self.m.code[last].b => {
-                        let bump = self.m.code[last];
-                        let i = RInstr::new(ROp::IncJump, bump.a, 0, 0, top);
-                        self.m.code[last] = RInstr { imm: bump.imm, ..i };
-                    }
-                    _ => {
-                        self.emit(RInstr::new(ROp::Jump, 0, 0, 0, top), span);
-                    }
+                // The condition is tested on entry, then again at the
+                // bottom of every iteration. A loop inside a condition
+                // does not copy its own (copies of copies would grow
+                // exponentially with nesting): it jumps to its bottom
+                // test instead.
+                let copy = !self.in_loop_test;
+                let mut entry = Vec::new();
+                match copy {
+                    true => self.loop_test(cond, false, &mut entry),
+                    false => entry.push(self.emit(RInstr::new(ROp::Jump, 0, 0, 0, 0), span)),
                 }
-                self.patch(exit);
+                let top = self.label();
+                self.expr(body, Want::Effect);
+                if !copy {
+                    self.patch(std::mem::take(&mut entry));
+                }
+                let mut again = Vec::new();
+                self.loop_test(cond, true, &mut again);
+                self.patch_to(again, top);
+                self.patch(entry);
                 self.constant(Value::Unit, want, span);
             }
             KExprKind::Cast(class, var) => {
@@ -647,7 +804,12 @@ impl FnLowerer<'_> {
             KExprKind::Binary(BinOp::Or, a, b) => {
                 self.choose(a, Arm::Bool(true), Arm::Expr(b), want, span);
             }
-            KExprKind::Binary(op, l, r) => self.binary(*op, l, r, want, span),
+            KExprKind::Binary(op, l, r) => {
+                let (op, swap) = value_op(*op, num(l, r));
+                let (b, c) = self.operands(l, r);
+                let (b, c) = if swap { (c, b) } else { (b, c) };
+                self.produce(want, RInstr::new(op, 0, b, c, 0), span);
+            }
             KExprKind::Print(a) => {
                 let r = self.operand(a);
                 self.emit(RInstr::new(ROp::Print, r, 0, 0, 0), span);
@@ -691,34 +853,6 @@ impl FnLowerer<'_> {
             }
         }
         self.deliver(want, dst, span);
-    }
-
-    fn binary(&mut self, op: BinOp, l: &KExpr, r: &KExpr, want: Want, span: Span) {
-        // `e + k`, `k + e` and `e - k` with an integer literal `k`.
-        let int = |e: &KExpr| match e.kind {
-            KExprKind::Int(k) => Some(k),
-            _ => None,
-        };
-        let imm = match (op, int(l), int(r)) {
-            (BinOp::Add, None, Some(k)) => Some((l, k)),
-            (BinOp::Sub, None, Some(k)) => Some((l, k.wrapping_neg())),
-            (BinOp::Add, Some(k), None) => Some((r, k)),
-            _ => None,
-        };
-        let i = match imm {
-            Some((e, imm)) => {
-                let b = self.operand(e);
-                RInstr {
-                    imm,
-                    ..RInstr::new(ROp::AddImm, 0, b, 0, 0)
-                }
-            }
-            None => {
-                let (b, c) = self.operands(l, r);
-                RInstr::new(ROp::Binary, 0, b, c, bin_code(op))
-            }
-        };
-        self.produce(want, i, span);
     }
 
     /// `if (cond) then_a else else_a`, delivering the chosen arm's value.
@@ -784,40 +918,27 @@ impl FnLowerer<'_> {
                     self.patch(skip);
                 }
             }
-            KExprKind::Binary(op, l, r) if CmpOp::of(*op).is_some() => {
-                let cmp = CmpOp::of(*op).expect("a comparison");
-                let (with_reg, with_const) = match when {
-                    true => (ROp::JmpCmp, ROp::JmpCmpC),
-                    false => (ROp::JmpCmpNot, ROp::JmpCmpNotC),
-                };
-                // A literal operand rides in the instruction, on the right.
-                let i = match (literal(l), literal(r)) {
-                    (_, Some(k)) => {
-                        let a = self.operand(l);
-                        let imm = i64::from(self.konst(k));
-                        RInstr {
-                            imm,
-                            ..RInstr::new(with_const, a, 0, cmp.code(), 0)
-                        }
-                    }
-                    (Some(k), None) => {
-                        let a = self.operand(r);
-                        let imm = i64::from(self.konst(k));
-                        RInstr {
-                            imm,
-                            ..RInstr::new(with_const, a, 0, cmp.mirrored().code(), 0)
-                        }
-                    }
-                    (None, None) => {
-                        let (a, b) = self.operands(l, r);
-                        RInstr::new(with_reg, a, b, cmp.code(), 0)
-                    }
-                };
-                jumps.push(self.emit(i, e.span));
+            KExprKind::Binary(
+                op @ (BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne),
+                l,
+                r,
+            ) => {
+                let (jump, swap) = branch_op(*op, num(l, r), when);
+                let (a, b) = self.operands(l, r);
+                let (a, b) = if swap { (b, a) } else { (a, b) };
+                jumps.push(self.emit(RInstr::new(jump, a, b, 0, 0), e.span));
             }
             _ => self.jump_if(e, when, jumps),
         }
         self.next_temp = mark;
+    }
+
+    /// [`Self::branch`] on a loop's condition, inside which a loop jumps
+    /// to its bottom test instead of copying its own condition.
+    fn loop_test(&mut self, cond: &KExpr, when: bool, jumps: &mut Vec<usize>) {
+        let outer = std::mem::replace(&mut self.in_loop_test, true);
+        self.branch(cond, when, jumps);
+        self.in_loop_test = outer;
     }
 
     /// Emits code that computes `e` and jumps when it is `when`.
